@@ -93,10 +93,9 @@ func BenchmarkProofQuery(b *testing.B) {
 // list metadata, so they bound the open-time scan); the first-query
 // subs are the restart-latency story — open a 100k-element, 512-list
 // snapshot and answer one query, with the snapshot mmapped and decoded
-// lazily (mmap) versus read whole into the heap up front (readall).
+// lazily.
 func BenchmarkStoreRecover(b *testing.B) {
 	b.Run("first-query/mmap", microbench.StoreRecoverMmap)
-	b.Run("first-query/readall", microbench.StoreRecoverReadAll)
 	const elements = 20000
 	for _, mode := range []struct {
 		name     string

@@ -224,7 +224,7 @@ func BenchmarkIndexDocument(b *testing.B) {
 }
 
 // BenchmarkSearchSerialVsBatched measures the round-trip savings of
-// the batched v2 protocol on multi-term queries, in process and over
+// the batched schedule on multi-term queries, in process and over
 // a real HTTP loopback (zerber-bench -batched drives the experiment
 // harness down the same batched path). The in-process legs mount the
 // shared internal/microbench entries and the HTTP legs reuse the same

@@ -64,7 +64,7 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "deterministic seed")
 		csvDir   = flag.String("csv", "", "also write per-experiment CSV files into this directory")
 		quiet    = flag.Bool("q", false, "suppress progress logging")
-		batched  = flag.Bool("batched", false, "drive search-timing loops over the batched v2 protocol (the bandwidth experiment always reports serial-vs-batched round-trips)")
+		batched  = flag.Bool("batched", false, "drive search-timing loops with batched rounds (the bandwidth experiment always reports serial-vs-batched round-trips)")
 		jsonMode = flag.Bool("json", false, "run the key micro-benchmarks and print one JSON line per benchmark (the BENCH_*.json snapshot format)")
 
 		// Micro-benchmark knobs (-json mode).

@@ -237,7 +237,7 @@ func main() {
 	errCh := make(chan error, 1)
 	go func() {
 		logger.Info("index server listening",
-			"addr", *addr, "protocols", "v1 + batched v2", "backend", srv.BackendName())
+			"addr", *addr, "backend", srv.BackendName())
 		errCh <- httpSrv.ListenAndServe()
 	}()
 

@@ -12,11 +12,11 @@
 //     lists whose elements carry an encrypted payload plus a plaintext
 //     transformed relevance score (TRS); ranks by TRS; enforces group
 //     ACLs; serves ranked ranges for the progressive top-k protocol.
-//     Two wire protocols: serial v1 (one operation per round-trip,
-//     kept for compatibility) and batched v2 (multi-list queries,
-//     bulk insert/remove, structured {code, error} envelopes), which
-//     lets a multi-term search finish in one round-trip per follow-up
-//     round instead of one per list request.
+//     One wire protocol: every operation is a batch (multi-list
+//     queries, bulk insert/remove; a single-list call is a batch of
+//     one) answered with one structured {code, error, index} error
+//     envelope, which lets a multi-term search finish in one
+//     round-trip per follow-up round instead of one per list request.
 //   - Storage engines (internal/store): the pluggable backends beneath
 //     the server — a RAM-only engine and a durable one with a
 //     CRC-framed write-ahead log, atomic snapshots and crash recovery,

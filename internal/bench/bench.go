@@ -42,8 +42,8 @@ type Env struct {
 	Scale float64
 	// Seed drives all generation deterministically.
 	Seed uint64
-	// Batched makes search-driving experiments use the batched v2
-	// protocol for their timed loops instead of the serial v1 path.
+	// Batched makes search-driving experiments batch every open list
+	// into each round of their timed loops instead of going serially.
 	Batched bool
 	// Out receives rendered experiment output (charts, tables, soak
 	// reports). Defaults to io.Discard if nil.

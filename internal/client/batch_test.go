@@ -23,10 +23,10 @@ func multiTermQueries(h *harness) [][]corpus.TermID {
 	}
 }
 
-// TestSearchBatchedMatchesSerial is the acceptance check of the v2
-// redesign: a T-term Search completes in max(per-term rounds) batched
+// TestSearchBatchedMatchesSerial is the acceptance check of batching:
+// a T-term Search completes in max(per-term rounds) batched
 // round-trips rather than Σ per-term requests, and returns exactly
-// what the serial v1 path returns.
+// what the serial schedule returns.
 func TestSearchBatchedMatchesSerial(t *testing.T) {
 	h := newHarness(t, crypt.GCMCodec{}, 30)
 	for qi, q := range multiTermQueries(h) {
@@ -79,8 +79,8 @@ func TestSearchBatchedMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSearchBatchedOverHTTP runs the same comparison through the v2
-// HTTP endpoints and checks the measured byte accounting.
+// TestSearchBatchedOverHTTP runs the same comparison through the HTTP
+// endpoints and checks the measured byte accounting.
 func TestSearchBatchedOverHTTP(t *testing.T) {
 	h := newHarness(t, crypt.GCMCodec{}, 31)
 	ts := newTestHTTP(t, h)
@@ -126,9 +126,10 @@ func TestSearchBatchedOverHTTP(t *testing.T) {
 	}
 }
 
-// TestExpiredTokenMapsThroughHTTP proves the v2 structured error
-// envelope round-trips error identity: an expired token surfaces as
-// the same sentinel remotely as in process.
+// TestExpiredTokenMapsThroughHTTP proves the structured error envelope
+// round-trips error identity on every endpoint, login included: an
+// unknown user and an expired token surface as the same sentinels
+// remotely as in process.
 func TestExpiredTokenMapsThroughHTTP(t *testing.T) {
 	h := newHarness(t, crypt.GCMCodec{}, 32)
 	ts := newTestHTTP(t, h)
@@ -139,6 +140,11 @@ func TestExpiredTokenMapsThroughHTTP(t *testing.T) {
 	}
 	if err := remote.Login(context.Background(), "writer"); err != nil {
 		t.Fatal(err)
+	}
+	for name, tr := range map[string]Transport{"remote": HTTP{BaseURL: ts.URL}, "local": Local{S: h.srv}} {
+		if _, err := tr.Login(context.Background(), "ghost"); !errors.Is(err, server.ErrUnknownUser) {
+			t.Errorf("%s unknown-user login err = %v, want ErrUnknownUser", name, err)
+		}
 	}
 	h.srv.SetClock(func() time.Time { return time.Now().Add(2 * time.Hour) })
 	defer h.srv.SetClock(time.Now)

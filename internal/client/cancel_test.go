@@ -225,7 +225,7 @@ func TestSearchStreamMatchesSearch(t *testing.T) {
 }
 
 // TestSearchStreamSerialMatchesBatched runs the stream over the
-// serial v1 path and requires the same final result.
+// serial schedule and requires the same final result.
 func TestSearchStreamSerialMatchesBatched(t *testing.T) {
 	h := newHarness(t, crypt.GCMCodec{}, 35)
 	terms := multiRoundQuery(h)

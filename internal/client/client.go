@@ -7,14 +7,15 @@
 // The API is context-first (v3): every operation takes a
 // context.Context and long operations are cancelable between
 // round-trips. Search is the one query entrypoint — functional
-// options select the serial v1 path, the initial response size and
-// strict top-k — and SearchStream exposes the progressive protocol
-// itself, yielding the provisional top-k after every round. By
-// default a query drives every term's follow-up loop as one state
-// machine over the batched v2 path, so a multi-term query costs
-// O(max follow-up rounds) round-trips instead of O(Σ per-term
-// requests); the serial path shares the same per-term stopping logic
-// (termScan) and therefore returns identical results.
+// options select serial scheduling, the initial response size, strict
+// top-k and window proofs — and SearchStream exposes the progressive
+// protocol itself, yielding the provisional top-k after every round.
+// A query drives every term's follow-up loop as one state machine over
+// one round loop: by default each round's QueryBatch covers every open
+// list, so a multi-term query costs O(max follow-up rounds)
+// round-trips instead of O(Σ per-term requests); WithSerial puts one
+// list in each round, the paper's request model, over the same loop
+// and the same wire path, and therefore returns identical results.
 package client
 
 import (
@@ -61,10 +62,10 @@ type Config struct {
 type QueryStats struct {
 	// Requests is the number of per-list fetches (1 = no follow-ups).
 	Requests int
-	// Rounds is the number of round-trips to the server. On the
-	// serial v1 path it equals Requests; on the batched v2 path one
+	// Rounds is the number of round-trips to the server. By default one
 	// round covers every still-open list, so Rounds is the maximum
-	// follow-up depth across terms rather than the request sum.
+	// follow-up depth across terms; under WithSerial a round carries
+	// one list and Rounds equals Requests.
 	Rounds int
 	// Elements is the total number of posting elements returned
 	// (TRes of Equation 12 unless the list was exhausted earlier).
@@ -223,9 +224,9 @@ func (c *Client) queryBatchChunked(ctx context.Context, queries []server.ListQue
 
 // termScan is the per-term state of the progressive protocol: the
 // cursor into one merged list, the doubling schedule, the matches
-// collected so far and the stopping rule. Both the serial and the
-// batched query paths drive their rounds through it, so the two paths
-// cannot diverge in what they return.
+// collected so far and the stopping rule. Serial and batched
+// scheduling drive their rounds through it, so they cannot diverge in
+// what they return.
 type termScan struct {
 	term   corpus.TermID
 	list   zerber.ListID

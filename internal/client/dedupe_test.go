@@ -51,7 +51,7 @@ func TestSearchDeduplicatesTerms(t *testing.T) {
 	}
 }
 
-// The serial v1 path must report measured wire bytes over HTTP, like
+// The serial schedule must report measured wire bytes over HTTP, like
 // the batched path does, instead of always falling back to the codec
 // estimate — otherwise the serial-vs-batched bandwidth comparison is
 // apples-to-oranges. In process there is no wire, so the estimate

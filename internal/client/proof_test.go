@@ -127,16 +127,10 @@ func TestWithProofMatchesUnproven(t *testing.T) {
 	}
 }
 
-func TestWithProofSerialRejected(t *testing.T) {
-	h, _ := newTamperHarness(t, 22)
-	_, _, err := h.cl.Search(context.Background(), []corpus.TermID{h.c.TermsByDF()[0]}, 5, WithProof(), WithSerial())
-	if !errors.Is(err, ErrBadQuery) {
-		t.Fatalf("WithProof+WithSerial: got %v, want ErrBadQuery", err)
-	}
-}
-
 // TestWithProofDetectsTampering is the detection matrix: every class
-// of server misbehavior must surface as ErrProofInvalid. Each class
+// of server misbehavior must surface as ErrProofInvalid, whichever way
+// the rounds are scheduled (serial rounds ride the same verified
+// QueryBatch path, one list at a time). Each class
 // queries its own term so one class's poisoned cache entries cannot
 // mask another's mutation.
 func TestWithProofDetectsTampering(t *testing.T) {
@@ -188,18 +182,24 @@ func TestWithProofDetectsTampering(t *testing.T) {
 	if len(terms) < len(classes) {
 		t.Fatal("corpus too small for the class matrix")
 	}
+	schedules := map[string][]SearchOption{
+		"batched": {WithProof()},
+		"serial":  {WithProof(), WithSerial()},
+	}
 	for i, tc := range classes {
-		t.Run(tc.name, func(t *testing.T) {
-			tb.set(tc.f, nil)
-			defer tb.set(nil, nil)
-			_, _, err := h.cl.Search(context.Background(), []corpus.TermID{terms[i]}, 5, WithProof())
-			if err == nil {
-				t.Fatal("tampered window accepted")
-			}
-			if !errors.Is(err, ErrProofInvalid) {
-				t.Fatalf("got %v, want ErrProofInvalid", err)
-			}
-		})
+		for schedule, opts := range schedules {
+			t.Run(tc.name+"/"+schedule, func(t *testing.T) {
+				tb.set(tc.f, nil)
+				defer tb.set(nil, nil)
+				_, _, err := h.cl.Search(context.Background(), []corpus.TermID{terms[i]}, 5, opts...)
+				if err == nil {
+					t.Fatal("tampered window accepted")
+				}
+				if !errors.Is(err, ErrProofInvalid) {
+					t.Fatalf("got %v, want ErrProofInvalid", err)
+				}
+			})
+		}
 	}
 	// With injection off again the same terms verify cleanly — the
 	// backend state itself was never corrupted.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"slices"
 
 	"zerberr/internal/corpus"
 	"zerberr/internal/rank"
@@ -36,11 +37,13 @@ func WithInitialResponse(b int) SearchOption {
 	return func(o *searchConfig) { o.initial = b }
 }
 
-// WithSerial runs the query over the serial v1 protocol: one
-// round-trip per list request, each term's follow-up loop run to
-// completion in turn. It is the compatibility path and the baseline
-// the batched path's round-trip savings are measured against; results
-// are identical either way.
+// WithSerial schedules the query one list request per round-trip:
+// every round's QueryBatch carries only the first unsettled term, so
+// each term's follow-up loop runs to completion in turn and Rounds ==
+// Requests == Σ per-term requests. It is the paper's request model
+// (Figs. 11-13) and the baseline the batched schedule's round-trip
+// savings are measured against; the wire path, and the results, are
+// the same either way.
 func WithSerial() SearchOption {
 	return func(o *searchConfig) { o.serial = true }
 }
@@ -57,9 +60,7 @@ func WithStrictTopK() SearchOption {
 // verified — inclusion, adjacency, completeness and the exhausted
 // flag, against a root pinned per (list, version) across the whole
 // search — before anything is decrypted or ranked. A response failing
-// verification aborts the search with ErrProofInvalid. Only the
-// batched v2 path carries proofs; combining WithProof with WithSerial
-// is ErrBadQuery.
+// verification aborts the search with ErrProofInvalid.
 func WithProof() SearchOption {
 	return func(o *searchConfig) { o.proved = true }
 }
@@ -90,12 +91,11 @@ type Snapshot struct {
 // entrypoint, consolidating the former TopK / TopKWithInitial /
 // Search / SearchSerial quartet behind functional options.
 //
-// By default all terms' follow-up loops run as one state machine over
-// the batched v2 transport: each round issues a single QueryBatch
-// covering every still-open list, so a T-term query costs
-// max(per-term rounds) round-trips, not Σ per-term requests.
-// WithSerial selects the one-request-per-list v1 path instead;
-// results are identical either way.
+// All terms' follow-up loops run as one state machine: by default each
+// round issues a single QueryBatch covering every still-open list, so
+// a T-term query costs max(per-term rounds) round-trips, not Σ per-term
+// requests. WithSerial puts one list in each round instead; results
+// are identical either way.
 //
 // The context bounds the whole query: cancellation or a deadline is
 // honored between rounds and aborts any in-flight round-trip on
@@ -159,30 +159,23 @@ func (c *Client) searchStream(ctx context.Context, terms []corpus.TermID, k int,
 			yield(Snapshot{}, fmt.Errorf("%w: no query terms", ErrBadQuery))
 			return
 		}
-		if o.serial && o.proved {
-			yield(Snapshot{}, fmt.Errorf("%w: WithProof needs the batched path (drop WithSerial)", ErrBadQuery))
-			return
-		}
 		scans := make([]*termScan, len(terms))
 		for i, term := range terms {
 			scans[i] = c.newTermScan(term, k, o.initial, o.strict)
 		}
-		if o.serial {
-			c.streamSerial(ctx, scans, k, progressive, &total, yield)
-		} else {
-			c.streamBatched(ctx, scans, k, progressive, o.proved, &total, yield)
-		}
+		c.stream(ctx, scans, k, progressive, o, &total, yield)
 	}
 }
 
-// streamBatched drives every open scan through one QueryBatch per
-// round, yielding a snapshot after each round (progressive) or only
-// once settled, until all scans settle or the consumer breaks. With
-// proved set every sub-query requests a window proof and each
+// stream is the one round loop: each round sends the open scans' next
+// sub-queries as one QueryBatch — all of them, or under o.serial only
+// the first — yielding a snapshot after each round (progressive) or
+// only once settled, until all scans settle or the consumer breaks.
+// With o.proved every sub-query requests a window proof and each
 // response is verified before absorb sees it.
-func (c *Client) streamBatched(ctx context.Context, scans []*termScan, k int, progressive, proved bool, total *QueryStats, yield func(Snapshot, error) bool) {
+func (c *Client) stream(ctx context.Context, scans []*termScan, k int, progressive bool, o searchConfig, total *QueryStats, yield func(Snapshot, error) bool) {
 	var ps *proofState
-	if proved {
+	if o.proved {
 		ps = c.newProofState()
 	}
 	for {
@@ -195,15 +188,13 @@ func (c *Client) streamBatched(ctx context.Context, scans []*termScan, k int, pr
 		for i, s := range scans {
 			if !s.done {
 				q := s.next()
-				q.Proof = proved
+				q.Proof = o.proved
 				queries = append(queries, q)
 				open = append(open, i)
+				if o.serial {
+					break
+				}
 			}
-		}
-		if len(queries) == 0 {
-			// Only reachable if every scan settled on the previous
-			// round's snapshot — that snapshot already carried Final.
-			return
 		}
 		resps, wireBytes, rounds, err := c.queryBatchChunked(ctx, queries)
 		if err != nil {
@@ -232,84 +223,34 @@ func (c *Client) streamBatched(ctx context.Context, scans []*termScan, k int, pr
 		} else {
 			total.Bytes += roundElems * c.cfg.Codec.WireSize()
 		}
-		if !emitRound(scans, k, progressive, total, yield) {
+		// A snapshot is built every round in progressive mode, otherwise
+		// only once every scan has settled.
+		final := !slices.ContainsFunc(scans, func(s *termScan) bool { return !s.done })
+		if !progressive && !final {
+			continue
+		}
+		if !yield(snapshot(scans, k, final, total), nil) || final {
 			return
 		}
 	}
 }
 
-// streamSerial is streamBatched over the v1 path: each term's scan
-// runs to completion in turn, one round-trip per list request.
-func (c *Client) streamSerial(ctx context.Context, scans []*termScan, k int, progressive bool, total *QueryStats, yield func(Snapshot, error) bool) {
-	for _, scan := range scans {
-		for !scan.done {
-			if err := ctx.Err(); err != nil {
-				yield(Snapshot{Stats: *total}, err)
-				return
-			}
-			resp, wireBytes, err := c.t.Query(ctx, c.tokens, scan.list, scan.offset, scan.batch)
-			if err != nil {
-				yield(Snapshot{Stats: *total}, err)
-				return
-			}
-			total.Requests++
-			total.Rounds++
-			total.Elements += len(resp.Elements)
-			if wireBytes > 0 {
-				total.Bytes += wireBytes
-			} else {
-				total.Bytes += len(resp.Elements) * c.cfg.Codec.WireSize()
-			}
-			if err := scan.absorb(resp, c.openElement); err != nil {
-				yield(Snapshot{Stats: *total}, err)
-				return
-			}
-			if !emitRound(scans, k, progressive, total, yield) {
-				return
-			}
-		}
-	}
-}
-
-// emitRound closes one protocol round: in progressive mode it yields
-// a snapshot every round; otherwise only the final one is built and
-// yielded. Returns whether the protocol should continue.
-func emitRound(scans []*termScan, k int, progressive bool, total *QueryStats, yield func(Snapshot, error) bool) bool {
-	final := true
-	for _, s := range scans {
-		if !s.done {
-			final = false
-			break
-		}
-	}
-	if !progressive && !final {
-		return true
-	}
-	snap, _ := snapshot(scans, k, total)
-	return yield(snap, nil) && !final
-}
-
 // snapshot merges every scan's matches so far into the provisional
-// top-k (the Equation 3 outer sum over query terms) and reports
-// whether the protocol has settled: all scans done means no unseen
-// element can change the result, making this snapshot final. Stats
-// are copied, so later rounds don't mutate yielded snapshots.
-func snapshot(scans []*termScan, k int, total *QueryStats) (Snapshot, bool) {
+// top-k (the Equation 3 outer sum over query terms). final says the
+// protocol has settled: all scans done means no unseen element can
+// change the result. Stats are copied, so later rounds don't mutate
+// yielded snapshots.
+func snapshot(scans []*termScan, k int, final bool, total *QueryStats) Snapshot {
 	acc := make(map[corpus.DocID]float64)
-	done, exhausted := true, true
+	exhausted := true
 	for _, s := range scans {
-		if !s.done {
-			done = false
-		}
 		if !s.exhausted {
 			exhausted = false
 		}
 		rank.Accumulate(acc, s.results())
 	}
-	snap := Snapshot{Results: rank.TopK(acc, k), Stats: *total, Final: done}
-	if done {
-		snap.Stats.Exhausted = exhausted
+	if final {
 		total.Exhausted = exhausted
 	}
-	return snap, done
+	return Snapshot{Results: rank.TopK(acc, k), Stats: *total, Final: final}
 }

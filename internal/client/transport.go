@@ -23,10 +23,13 @@ import (
 // passes, returning the context's error (possibly wrapped — callers
 // match with errors.Is).
 //
-// The single-operation methods are the v1 protocol, one round-trip
-// per operation. The batch methods are the v2 protocol: one exchange
-// covers many lists or many elements, which is what makes multi-term
-// search O(rounds) instead of O(requests) over the network.
+// The batch methods are the protocol: one exchange covers many lists
+// or many elements, which is what makes multi-term search O(rounds)
+// instead of O(requests) over the network. Insert, Query and Remove
+// are their batch-of-one case: every implementer forwards them through
+// InsertOne, QueryOne and RemoveOne, no non-test code in this module
+// calls them, and they stay only while benchmark/ wraps the interface
+// (ROADMAP).
 //
 // Query responses carry the list's mutation version, and QueryBatch
 // sub-queries may be conditional (server.ListQuery.IfVersion): a
@@ -41,11 +44,8 @@ import (
 type Transport interface {
 	Login(ctx context.Context, user string) ([]crypt.Token, error)
 	Insert(ctx context.Context, tok crypt.Token, list zerber.ListID, el server.StoredElement) error
-	// Query is the serial v1 read. wireBytes is the measured size of
-	// the encoded response on transports that serialize (the HTTP
-	// transport reports the JSON body size); 0 in process, where
-	// nothing crosses a wire and callers fall back to the codec's
-	// per-element estimate — the same accounting QueryBatch uses.
+	// Query's wireBytes is BatchQueryResult.WireBytes of the one-query
+	// batch behind it.
 	Query(ctx context.Context, toks []crypt.Token, list zerber.ListID, offset, count int) (resp server.QueryResponse, wireBytes int, err error)
 	Remove(ctx context.Context, tok crypt.Token, list zerber.ListID, sealed []byte) error
 	QueryBatch(ctx context.Context, toks []crypt.Token, queries []server.ListQuery) (BatchQueryResult, error)
@@ -64,6 +64,29 @@ type BatchQueryResult struct {
 	WireBytes int
 }
 
+// InsertOne, QueryOne and RemoveOne run a single-list call as a batch
+// of one through a transport's own batch method. They are the whole
+// body of every implementer's Insert, Query and Remove, so what a layer
+// adds to a call — routing, hedging, retries, cross-checks — is written
+// once, on its batch method.
+func InsertOne(ctx context.Context, batch func(context.Context, crypt.Token, []server.InsertOp) error, tok crypt.Token, list zerber.ListID, el server.StoredElement) error {
+	return server.OneOp(batch(ctx, tok, []server.InsertOp{{List: list, Element: el}}))
+}
+
+// QueryOne: see InsertOne.
+func QueryOne(ctx context.Context, batch func(context.Context, []crypt.Token, []server.ListQuery) (BatchQueryResult, error), toks []crypt.Token, list zerber.ListID, offset, count int) (server.QueryResponse, int, error) {
+	res, err := batch(ctx, toks, []server.ListQuery{{List: list, Offset: offset, Count: count}})
+	if err != nil {
+		return server.QueryResponse{}, 0, server.OneOp(err)
+	}
+	return res.Responses[0], res.WireBytes, nil
+}
+
+// RemoveOne: see InsertOne.
+func RemoveOne(ctx context.Context, batch func(context.Context, crypt.Token, []server.RemoveOp) error, tok crypt.Token, list zerber.ListID, sealed []byte) error {
+	return server.OneOp(batch(ctx, tok, []server.RemoveOp{{List: list, Sealed: sealed}}))
+}
+
 // Local is the in-process transport.
 type Local struct {
 	S *server.Server
@@ -76,22 +99,21 @@ func (l Local) Login(ctx context.Context, user string) ([]crypt.Token, error) {
 
 // Insert implements Transport.
 func (l Local) Insert(ctx context.Context, tok crypt.Token, list zerber.ListID, el server.StoredElement) error {
-	return l.S.Insert(ctx, tok, list, el)
+	return InsertOne(ctx, l.InsertBatch, tok, list, el)
 }
 
-// Query implements Transport. Nothing is serialized in process, so
-// the measured wire size is 0.
+// Query implements Transport.
 func (l Local) Query(ctx context.Context, toks []crypt.Token, list zerber.ListID, offset, count int) (server.QueryResponse, int, error) {
-	resp, err := l.S.Query(ctx, toks, list, offset, count)
-	return resp, 0, err
+	return QueryOne(ctx, l.QueryBatch, toks, list, offset, count)
 }
 
 // Remove implements Transport.
 func (l Local) Remove(ctx context.Context, tok crypt.Token, list zerber.ListID, sealed []byte) error {
-	return l.S.Remove(ctx, tok, list, sealed)
+	return RemoveOne(ctx, l.RemoveBatch, tok, list, sealed)
 }
 
-// QueryBatch implements Transport.
+// QueryBatch implements Transport. Nothing is serialized in process,
+// so the measured wire size is 0.
 func (l Local) QueryBatch(ctx context.Context, toks []crypt.Token, queries []server.ListQuery) (BatchQueryResult, error) {
 	resps, err := l.S.QueryBatch(ctx, toks, queries)
 	return BatchQueryResult{Responses: resps}, err
@@ -215,11 +237,10 @@ func (h HTTP) doOnce(ctx context.Context, method, path string, body []byte, out 
 	return len(raw), http.StatusOK, 0, nil
 }
 
-// decodeError turns a non-200 response into an error. v2 endpoints
-// answer with a structured {code, error, index} envelope whose code is
-// mapped back onto the server sentinel errors, so errors.Is behaves
-// identically over HTTP and in process; v1 endpoints carry only the
-// message.
+// decodeError turns a non-200 response into an error. Every endpoint
+// answers with the structured {code, error, index} envelope, whose code
+// is mapped back onto the server sentinel errors, so errors.Is behaves
+// identically over HTTP and in process.
 func (h HTTP) decodeError(path string, status int, raw []byte) error {
 	var env server.ErrorV2
 	if err := json.Unmarshal(raw, &env); err != nil || env.Error == "" {
@@ -246,25 +267,17 @@ func (h HTTP) Login(ctx context.Context, user string) ([]crypt.Token, error) {
 
 // Insert implements Transport.
 func (h HTTP) Insert(ctx context.Context, tok crypt.Token, list zerber.ListID, el server.StoredElement) error {
-	_, err := h.postJSON(ctx, "/v1/insert", server.InsertRequest{Token: tok, List: list, Element: el}, nil, false)
-	return err
+	return InsertOne(ctx, h.InsertBatch, tok, list, el)
 }
 
-// Query implements Transport, reporting the measured response-body
-// size so serial-path bandwidth accounting matches the batched path.
+// Query implements Transport.
 func (h HTTP) Query(ctx context.Context, toks []crypt.Token, list zerber.ListID, offset, count int) (server.QueryResponse, int, error) {
-	var out server.QueryResponse
-	n, err := h.postJSON(ctx, "/v1/query", server.QueryRequest{Tokens: toks, List: list, Offset: offset, Count: count}, &out, true)
-	if err != nil {
-		return server.QueryResponse{}, 0, err
-	}
-	return out, n, nil
+	return QueryOne(ctx, h.QueryBatch, toks, list, offset, count)
 }
 
 // Remove implements Transport.
 func (h HTTP) Remove(ctx context.Context, tok crypt.Token, list zerber.ListID, sealed []byte) error {
-	_, err := h.postJSON(ctx, "/v1/remove", server.RemoveRequest{Token: tok, List: list, Sealed: sealed}, nil, false)
-	return err
+	return RemoveOne(ctx, h.RemoveBatch, tok, list, sealed)
 }
 
 // QueryBatch implements Transport over POST /v2/query. WireBytes is

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +13,9 @@ import (
 	"zerberr/internal/client"
 	"zerberr/internal/corpus"
 	"zerberr/internal/crypt"
+	"zerberr/internal/rank"
+	"zerberr/internal/replica"
+	"zerberr/internal/rstf"
 	"zerberr/internal/server"
 	"zerberr/internal/zerber"
 )
@@ -152,35 +157,130 @@ func TestRouterQueryBatchShardFailure(t *testing.T) {
 	}
 }
 
-// TestClusterSearchBatchedMatchesSerial runs the acceptance
-// comparison on a sharded deployment: batched multi-term search over
-// the router returns the serial path's results in max(per-term
-// rounds) round-trips.
-func TestClusterSearchBatchedMatchesSerial(t *testing.T) {
-	h := newClusterHarness(t, 3, 3)
-	terms := h.c.TermsByDF()
-	q := []corpus.TermID{terms[0], terms[20], terms[150]}
+// TestSearchSchedulesMatchAcrossTransports is the acceptance check of
+// the one round loop: {batched, serial} x {plain, WithProof} over every
+// Transport implementer — Local, HTTP, a 3-shard Router and a 2-member
+// replica Set, each indexed through itself — returns element-identical
+// results, and in process the query cost is exactly what the separate
+// serial and batched loops reported before they were merged (the
+// figures below were recorded at that commit for this fixture; a proof
+// changes none of them). Over HTTP only Bytes differs: it is the
+// measured JSON, not the codec estimate.
+func TestSearchSchedulesMatchAcrossTransports(t *testing.T) {
+	const seed = 3
+	p := corpus.ProfileStudIP()
+	p.NumDocs = 200
+	p.VocabSize = 2000
+	p.Topics = 2
+	c := corpus.Generate(p, seed)
+	split := corpus.NewSplit(c, 0.3, 0.33, seed)
+	rstfs := rstf.TrainStore(
+		corpus.TrainingScores(c, split.Train),
+		corpus.TrainingScores(c, split.Control),
+		rstf.StoreConfig{FallbackSeed: seed},
+	)
+	plan, err := zerber.BFM(zerber.FromCorpus(c), 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := map[int]crypt.GroupKey{}
+	groups := make([]int, c.Groups)
+	for g := range groups {
+		groups[g] = g
+		keys[g] = crypt.KeyFromPassphrase("cluster-group")
+	}
+	secret := []byte("cluster-secret")
+	newServer := func() *server.Server {
+		srv := server.New(secret, time.Hour)
+		srv.RegisterUser("writer", groups...)
+		return srv
+	}
+	terms := c.TermsByDF()
+	q := []corpus.TermID{terms[0], terms[40], terms[400], terms[900]}
+	const k = 10
 
-	serialRes, serialStats, err := h.cl.Search(context.Background(), q, 10, client.WithSerial())
+	sharded, err := NewLocal(3, secret, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchedRes, batchedStats, err := h.cl.Search(context.Background(), q, 10)
+	sharded.RegisterUser("writer", groups...)
+	set, err := replica.NewSet(client.Local{S: newServer()}, client.Local{S: newServer()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(serialRes) != len(batchedRes) {
-		t.Fatalf("serial %d results, batched %d", len(serialRes), len(batchedRes))
+	ts := httptest.NewServer(newServer().Handler())
+	defer ts.Close()
+	transports := []struct {
+		name string
+		t    client.Transport
+		wire bool
+	}{
+		{"local", client.Local{S: newServer()}, false},
+		{"http", client.HTTP{BaseURL: ts.URL}, true},
+		{"router", sharded.Router, false},
+		{"set", set, false},
 	}
-	for i := range serialRes {
-		if serialRes[i] != batchedRes[i] {
-			t.Fatalf("rank %d: serial %+v, batched %+v", i, serialRes[i], batchedRes[i])
+	// The deterministic 8-byte codec makes every deployment store the
+	// same bytes, so windows — and therefore costs — are comparable.
+	codec := crypt.Compact64Codec{}
+	schedules := []struct {
+		name string
+		opts []client.SearchOption
+		want client.QueryStats
+	}{
+		{"batched", nil, wantBatchedStats},
+		{"serial", []client.SearchOption{client.WithSerial()}, wantSerialStats},
+		{"batched+proof", []client.SearchOption{client.WithProof()}, wantBatchedStats},
+		{"serial+proof", []client.SearchOption{client.WithSerial(), client.WithProof()}, wantSerialStats},
+	}
+	var reference []rank.Result
+	for _, tr := range transports {
+		cl, err := client.New(tr.t, client.Config{Plan: plan, Store: rstfs, Keys: keys, Codec: codec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Login(context.Background(), "writer"); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range c.Docs {
+			if err := cl.IndexDocument(context.Background(), d, d.Group); err != nil {
+				t.Fatalf("%s: indexing doc %d: %v", tr.name, d.ID, err)
+			}
+		}
+		for _, sch := range schedules {
+			// A small initial response makes the terms' doubling loops
+			// several rounds deep, and unevenly so.
+			opts := append([]client.SearchOption{client.WithInitialResponse(2)}, sch.opts...)
+			res, stats, err := cl.Search(context.Background(), q, k, opts...)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", tr.name, sch.name, err)
+			}
+			if reference == nil {
+				reference = res
+			}
+			if !reflect.DeepEqual(res, reference) {
+				t.Errorf("%s, %s: results differ from the reference:\n%v\n%v", tr.name, sch.name, res, reference)
+			}
+			if tr.wire {
+				if stats.Bytes <= sch.want.Bytes {
+					t.Errorf("%s, %s: measured wire bytes %d not above the estimate %d", tr.name, sch.name, stats.Bytes, sch.want.Bytes)
+				}
+				stats.Bytes = sch.want.Bytes
+			}
+			if stats != sch.want {
+				t.Errorf("%s, %s: stats %+v, want %+v", tr.name, sch.name, stats, sch.want)
+			}
 		}
 	}
-	if batchedStats.Requests != serialStats.Requests {
-		t.Errorf("batched list requests %d, serial %d", batchedStats.Requests, serialStats.Requests)
-	}
-	if batchedStats.Rounds >= serialStats.Rounds {
-		t.Errorf("batched rounds %d not below serial rounds %d", batchedStats.Rounds, serialStats.Rounds)
+	if len(reference) != k {
+		t.Fatalf("reference search returned %d results, want %d", len(reference), k)
 	}
 }
+
+// Query cost of the TestSearchSchedulesMatchAcrossTransports fixture,
+// in process: serial sends one list per round-trip, batched one round
+// per follow-up depth; both fetch the same windows.
+var (
+	wantSerialStats  = client.QueryStats{Requests: 12, Rounds: 12, Elements: 49, Bytes: 392}
+	wantBatchedStats = client.QueryStats{Requests: 12, Rounds: 3, Elements: 49, Bytes: 392}
+)

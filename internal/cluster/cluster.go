@@ -182,36 +182,17 @@ func (r *Router) Login(ctx context.Context, user string) ([]crypt.Token, error) 
 
 // Insert implements client.Transport.
 func (r *Router) Insert(ctx context.Context, tok crypt.Token, list zerber.ListID, el server.StoredElement) error {
-	shard := r.ShardFor(list)
-	r.writeMu[shard].RLock()
-	defer r.writeMu[shard].RUnlock()
-	done := r.observeShard(shard)
-	err := r.transport(shard).Insert(ctx, tok, list, el)
-	done(err)
-	return err
+	return client.InsertOne(ctx, r.InsertBatch, tok, list, el)
 }
 
-// Query implements client.Transport, passing through the owning
-// shard's measured wire bytes. Reads take no write barrier: during a
-// migration cut-over they are served by whichever table they load —
-// both sides hold identical content at that point.
+// Query implements client.Transport.
 func (r *Router) Query(ctx context.Context, toks []crypt.Token, list zerber.ListID, offset, count int) (server.QueryResponse, int, error) {
-	shard := r.ShardFor(list)
-	done := r.observeShard(shard)
-	resp, wire, err := r.transport(shard).Query(ctx, toks, list, offset, count)
-	done(err)
-	return resp, wire, err
+	return client.QueryOne(ctx, r.QueryBatch, toks, list, offset, count)
 }
 
 // Remove implements client.Transport.
 func (r *Router) Remove(ctx context.Context, tok crypt.Token, list zerber.ListID, sealed []byte) error {
-	shard := r.ShardFor(list)
-	r.writeMu[shard].RLock()
-	defer r.writeMu[shard].RUnlock()
-	done := r.observeShard(shard)
-	err := r.transport(shard).Remove(ctx, tok, list, sealed)
-	done(err)
-	return err
+	return client.RemoveOne(ctx, r.RemoveBatch, tok, list, sealed)
 }
 
 // shardFanOut groups batch operation indices by owning shard and runs
@@ -297,7 +278,10 @@ func (r *Router) shardFanOut(ctx context.Context, n int, listOf func(i int) zerb
 // owning shard, the shards are queried concurrently, and the
 // responses are reassembled in the caller's order. WireBytes sums the
 // shards' measured response sizes. The first shard failure (or the
-// caller's cancellation) cancels the other shards' requests.
+// caller's cancellation) cancels the other shards' requests. Reads
+// take no write barrier: during a migration cut-over they are served
+// by whichever table they load — both sides hold identical content at
+// that point.
 //
 // With a cache installed, each sub-query the router holds a retained
 // window for goes out conditional on that window's shard version; an

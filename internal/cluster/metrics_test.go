@@ -11,6 +11,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -247,36 +248,68 @@ func stripLe(labels string) string {
 }
 
 // faultyTransport wraps a shard transport and, while fail is set,
-// answers every Query with an unclassified error (which maps to
+// answers every read with an unclassified error (which maps to
 // CodeInternal — a shard fault).
 type faultyTransport struct {
 	client.Transport
 	fail bool
 }
 
-func (f *faultyTransport) Query(ctx context.Context, toks []crypt.Token, list zerber.ListID, offset, count int) (server.QueryResponse, int, error) {
+func (f *faultyTransport) QueryBatch(ctx context.Context, toks []crypt.Token, queries []server.ListQuery) (client.BatchQueryResult, error) {
 	if f.fail {
-		return server.QueryResponse{}, 0, fmt.Errorf("shard: injected fault")
+		return client.BatchQueryResult{}, fmt.Errorf("shard: injected fault")
 	}
-	return f.Transport.Query(ctx, toks, list, offset, count)
+	return f.Transport.QueryBatch(ctx, toks, queries)
 }
 
 // TestShardHealthTracksFaults exercises the health counters through an
 // injected shard fault: consecutive failures climb while the shard
 // errors, reset on the next clean answer (even a clean application
 // rejection), and the error totals and last-fault record persist.
+//
+// It runs over an in-process shard and over an HTTP one: a rejection
+// must read as clean on the wire too, where the error envelope's code
+// is all that tells it from a fault.
 func TestShardHealthTracksFaults(t *testing.T) {
+	for _, wire := range []string{"local", "http"} {
+		t.Run(wire, func(t *testing.T) { testShardHealthTracksFaults(t, wire == "http") })
+	}
+}
+
+func testShardHealthTracksFaults(t *testing.T, overHTTP bool) {
 	srv := server.New([]byte("health-secret"), time.Hour)
 	srv.RegisterUser("prober", 0)
-	ft := &faultyTransport{Transport: client.Local{S: srv}}
+	var shard client.Transport = client.Local{S: srv}
+	if overHTTP {
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		shard = client.HTTP{BaseURL: ts.URL}
+	}
+	ft := &faultyTransport{Transport: shard}
 	router, err := NewRouter(ft)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
+	// Rejected logins and unknown-list reads are answers, not faults:
+	// a run of them past DemoteAfter leaves the shard's record clean.
+	for i := 0; i < DemoteAfter; i++ {
+		if _, err := router.Login(ctx, "ghost"); !errors.Is(err, server.ErrUnknownUser) {
+			t.Fatalf("login of an unknown user: %v", err)
+		}
+	}
 	toks, err := router.Login(ctx, "prober")
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	for i := 0; i < DemoteAfter; i++ {
+		if _, _, err := router.Query(ctx, toks, 1, 0, 1); !errors.Is(err, server.ErrUnknownList) {
+			t.Fatalf("read of an unknown list: %v", err)
+		}
+	}
+	if h := router.Health()[0]; h.ConsecutiveFailures != 0 || h.Errors != 0 || h.Demoted {
+		t.Fatalf("clean rejections counted as shard faults: %+v", h)
 	}
 
 	ft.fail = true
@@ -306,8 +339,8 @@ func TestShardHealthTracksFaults(t *testing.T) {
 	if h.Errors != 3 || h.LastError == "" {
 		t.Fatalf("fault history lost: %+v", h)
 	}
-	if h.Ops != 5 { // login + 4 queries
-		t.Fatalf("ops = %d, want 5", h.Ops)
+	if want := uint64(2*DemoteAfter + 5); h.Ops != want { // rejected logins and reads + login + 4 queries
+		t.Fatalf("ops = %d, want %d", h.Ops, want)
 	}
 	if h.InFlight != 0 {
 		t.Fatalf("in-flight = %d at rest", h.InFlight)

@@ -50,7 +50,7 @@ func BandwidthAnalysis(e *Env) (*Result, error) {
 
 	// Throughput: time the protocol over a slice of the real stream.
 	// With Batched (zerber-bench -batched) the loop instead drives
-	// whole queries through the batched v2 path.
+	// whole queries through batched rounds.
 	stream := log.SingleTermStream()
 	n := len(stream)
 	if n > 4000 {
@@ -85,7 +85,7 @@ func BandwidthAnalysis(e *Env) (*Result, error) {
 	}
 	queryQPS := termQPS / paperTermsPerQuery
 
-	// Round-trip savings of the batched v2 protocol: a multi-term
+	// Round-trip savings of batching: a multi-term
 	// query's serial cost is Σ per-term requests, its batched cost is
 	// the max follow-up depth across terms (one QueryBatch per round).
 	multi := 0
@@ -135,12 +135,12 @@ func BandwidthAnalysis(e *Env) (*Result, error) {
 		avgSerial := float64(serialReq) / float64(multi)
 		avgBatched := float64(batchedRounds) / float64(multi)
 		res.Rows = append(res.Rows,
-			[]interface{}{"serial v1 round-trips per multi-term query", 0.0, avgSerial},
-			[]interface{}{"batched v2 round-trips per multi-term query", 0.0, avgBatched},
+			[]interface{}{"serial round-trips per multi-term query", 0.0, avgSerial},
+			[]interface{}{"batched round-trips per multi-term query", 0.0, avgBatched},
 			[]interface{}{"round-trip savings factor (serial/batched)", 0.0, avgSerial / avgBatched},
 		)
 		res.Series = append(res.Series, stats.Series{
-			Name: "round-trips per multi-term query (serial v1, batched v2)",
+			Name: "round-trips per multi-term query (serial, batched)",
 			X:    []float64{1, 2},
 			Y:    []float64{avgSerial, avgBatched},
 		})

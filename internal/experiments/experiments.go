@@ -72,9 +72,9 @@ type Env struct {
 	Seed uint64
 	// Quiet suppresses progress logging to Logf.
 	Logf func(format string, args ...interface{})
-	// Batched makes search-driving experiments use the batched v2
-	// protocol (client.Search) for their timed loops instead of the
-	// serial v1 path (cmd/zerber-bench -batched).
+	// Batched makes search-driving experiments batch every open list
+	// into each round of their timed loops (client.Search's default)
+	// instead of scheduling them serially (cmd/zerber-bench -batched).
 	Batched bool
 
 	mu      sync.Mutex

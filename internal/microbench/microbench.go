@@ -56,7 +56,6 @@ func Suite() []Bench {
 		{"StoreAppendParallel/grouped", StoreAppendParallelGrouped},
 		{"StoreMemoryInsert", MemoryInsert},
 		{"StoreRecover/first-query/mmap", StoreRecoverMmap},
-		{"StoreRecover/first-query/readall", StoreRecoverReadAll},
 		{"SearchSerialVsBatched/inproc/serial", SearchSerial},
 		{"SearchSerialVsBatched/inproc/batched", SearchBatched},
 		{"HedgedQuery/healthy", HedgedQueryHealthy},
@@ -73,11 +72,13 @@ const (
 )
 
 // followupRounds is the Section 5.2 doubling tail a progressive query
-// replays at depth: the windows a repeated query re-requests.
-var followupRounds = []struct{ Offset, Count int }{
-	{10_000, 1_000},
-	{20_000, 2_000},
-	{40_000, 4_000},
+// replays at depth: the windows a repeated query re-requests. A
+// one-element slice of it is a single-list read as it goes on the
+// wire, a batch of one.
+var followupRounds = []server.ListQuery{
+	{List: fixtureList, Offset: 10_000, Count: 1_000},
+	{List: fixtureList, Offset: 20_000, Count: 2_000},
+	{List: fixtureList, Offset: 40_000, Count: 4_000},
 }
 
 var fixtureAllowed = map[int]bool{0: true, 2: true, 4: true, 6: true}
@@ -230,21 +231,21 @@ func servers() *serverFixture {
 func queryCached(b *testing.B, s *server.Server, toks []crypt.Token) {
 	ctx := context.Background()
 	// Warm outside the timer (fills the cache on the cached server).
-	for _, r := range followupRounds {
-		if _, err := s.Query(ctx, toks, fixtureList, r.Offset, r.Count); err != nil {
+	for round := range followupRounds {
+		if _, err := s.QueryBatch(ctx, toks, followupRounds[round:round+1]); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, r := range followupRounds {
-			resp, err := s.Query(ctx, toks, fixtureList, r.Offset, r.Count)
+		for round, r := range followupRounds {
+			resps, err := s.QueryBatch(ctx, toks, followupRounds[round:round+1])
 			if err != nil {
 				b.Fatal(err)
 			}
-			if len(resp.Elements) != r.Count {
-				b.Fatalf("offset %d: %d elements", r.Offset, len(resp.Elements))
+			if len(resps[0].Elements) != r.Count {
+				b.Fatalf("offset %d: %d elements", r.Offset, len(resps[0].Elements))
 			}
 		}
 	}
@@ -501,18 +502,12 @@ func recoverFixture() (string, error) {
 	return recoverDir, recoverErr
 }
 
-// StoreRecoverMmap measures time-to-first-query after a restart on the
-// default recovery path: the snapshot is mmapped, framing is validated
-// in one sequential scan, and only the queried list's elements are
-// decoded — the other 511 lists stay raw bytes.
-func StoreRecoverMmap(b *testing.B) { storeRecover(b, false) }
-
-// StoreRecoverReadAll is the same cold start with SnapshotReadAll: the
-// whole snapshot is read into the heap up front (the pre-mmap
-// behavior, kept as the baseline the CI gate compares against).
-func StoreRecoverReadAll(b *testing.B) { storeRecover(b, true) }
-
-func storeRecover(b *testing.B, readAll bool) {
+// StoreRecoverMmap measures time-to-first-query after a restart: the
+// snapshot is mmapped, framing is validated in one sequential scan,
+// and only the queried list's elements are decoded — the other 511
+// lists stay raw bytes. (BENCH_8.json records the read-everything
+// recovery this replaced.)
+func StoreRecoverMmap(b *testing.B) {
 	dir, err := recoverFixture()
 	if err != nil {
 		b.Fatal(err)
@@ -520,7 +515,7 @@ func storeRecover(b *testing.B, readAll bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, err := store.OpenDurable(dir, store.Options{SnapshotEvery: -1, SnapshotReadAll: readAll})
+		d, err := store.OpenDurable(dir, store.Options{SnapshotEvery: -1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -547,14 +542,14 @@ type downTransport struct{}
 var errDown = errors.New("microbench: member down")
 
 func (downTransport) Login(context.Context, string) ([]crypt.Token, error) { return nil, errDown }
-func (downTransport) Insert(context.Context, crypt.Token, zerber.ListID, server.StoredElement) error {
-	return errDown
+func (d downTransport) Insert(ctx context.Context, tok crypt.Token, list zerber.ListID, el server.StoredElement) error {
+	return client.InsertOne(ctx, d.InsertBatch, tok, list, el)
 }
-func (downTransport) Query(context.Context, []crypt.Token, zerber.ListID, int, int) (server.QueryResponse, int, error) {
-	return server.QueryResponse{}, 0, errDown
+func (d downTransport) Query(ctx context.Context, toks []crypt.Token, list zerber.ListID, offset, count int) (server.QueryResponse, int, error) {
+	return client.QueryOne(ctx, d.QueryBatch, toks, list, offset, count)
 }
-func (downTransport) Remove(context.Context, crypt.Token, zerber.ListID, []byte) error {
-	return errDown
+func (d downTransport) Remove(ctx context.Context, tok crypt.Token, list zerber.ListID, sealed []byte) error {
+	return client.RemoveOne(ctx, d.RemoveBatch, tok, list, sealed)
 }
 func (downTransport) QueryBatch(context.Context, []crypt.Token, []server.ListQuery) (client.BatchQueryResult, error) {
 	return client.BatchQueryResult{}, errDown
@@ -620,12 +615,12 @@ func hedgedQuery(b *testing.B, set *replica.Set) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, _, err := set.Query(ctx, f.toks, fixtureList, r.Offset, r.Count)
+		res, err := set.QueryBatch(ctx, f.toks, followupRounds[:1])
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(resp.Elements) != r.Count {
-			b.Fatalf("%d elements", len(resp.Elements))
+		if len(res.Responses[0].Elements) != r.Count {
+			b.Fatalf("%d elements", len(res.Responses[0].Elements))
 		}
 	}
 }
@@ -743,9 +738,10 @@ func searchBench(b *testing.B, serial bool) {
 	RunSearch(b, f.cl, f.queries, serial)
 }
 
-// SearchSerial is an in-process multi-term search over the serial v1
-// protocol (one round-trip per list request).
+// SearchSerial is an in-process multi-term search scheduled serially
+// (one round-trip per list request).
 func SearchSerial(b *testing.B) { searchBench(b, true) }
 
-// SearchBatched is the same workload over the batched v2 protocol.
+// SearchBatched is the same workload with every open list batched
+// into each round.
 func SearchBatched(b *testing.B) { searchBench(b, false) }

@@ -27,7 +27,7 @@ type attempt[T any] struct {
 
 // raceRead runs op against the set's members with hedging and
 // failover. It is a package function because Go methods cannot be
-// generic; it is the read path behind Login, Query and QueryBatch.
+// generic; it is the read path behind Login and QueryBatch.
 func raceRead[T any](ctx context.Context, s *Set, op func(ctx context.Context, t client.Transport) (T, error)) (T, error) {
 	var zero T
 	order := s.readOrder()

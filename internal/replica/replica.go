@@ -305,16 +305,12 @@ func (s *Set) write(ctx context.Context, op func(ctx context.Context, t client.T
 
 // Insert implements client.Transport.
 func (s *Set) Insert(ctx context.Context, tok crypt.Token, list zerber.ListID, el server.StoredElement) error {
-	return s.write(ctx, func(ctx context.Context, t client.Transport) error {
-		return t.Insert(ctx, tok, list, el)
-	})
+	return client.InsertOne(ctx, s.InsertBatch, tok, list, el)
 }
 
 // Remove implements client.Transport.
 func (s *Set) Remove(ctx context.Context, tok crypt.Token, list zerber.ListID, sealed []byte) error {
-	return s.write(ctx, func(ctx context.Context, t client.Transport) error {
-		return t.Remove(ctx, tok, list, sealed)
-	})
+	return client.RemoveOne(ctx, s.RemoveBatch, tok, list, sealed)
 }
 
 // InsertBatch implements client.Transport.
@@ -341,18 +337,7 @@ func (s *Set) Login(ctx context.Context, user string) ([]crypt.Token, error) {
 
 // Query implements client.Transport.
 func (s *Set) Query(ctx context.Context, toks []crypt.Token, list zerber.ListID, offset, count int) (server.QueryResponse, int, error) {
-	type qres struct {
-		resp server.QueryResponse
-		n    int
-	}
-	r, err := raceRead(ctx, s, func(ctx context.Context, t client.Transport) (qres, error) {
-		resp, n, err := t.Query(ctx, toks, list, offset, count)
-		if err == nil {
-			err = s.checkRoot(list, resp.Proof)
-		}
-		return qres{resp, n}, err
-	})
-	return r.resp, r.n, err
+	return client.QueryOne(ctx, s.QueryBatch, toks, list, offset, count)
 }
 
 // QueryBatch implements client.Transport. Proved sub-query answers

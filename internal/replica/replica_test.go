@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 	"time"
@@ -57,14 +58,14 @@ func login(t *testing.T, s *server.Server) []crypt.Token {
 type faultTransport struct{ err error }
 
 func (f faultTransport) Login(context.Context, string) ([]crypt.Token, error) { return nil, f.err }
-func (f faultTransport) Insert(context.Context, crypt.Token, zerber.ListID, server.StoredElement) error {
-	return f.err
+func (f faultTransport) Insert(ctx context.Context, tok crypt.Token, list zerber.ListID, el server.StoredElement) error {
+	return client.InsertOne(ctx, f.InsertBatch, tok, list, el)
 }
-func (f faultTransport) Query(context.Context, []crypt.Token, zerber.ListID, int, int) (server.QueryResponse, int, error) {
-	return server.QueryResponse{}, 0, f.err
+func (f faultTransport) Query(ctx context.Context, toks []crypt.Token, list zerber.ListID, offset, count int) (server.QueryResponse, int, error) {
+	return client.QueryOne(ctx, f.QueryBatch, toks, list, offset, count)
 }
-func (f faultTransport) Remove(context.Context, crypt.Token, zerber.ListID, []byte) error {
-	return f.err
+func (f faultTransport) Remove(ctx context.Context, tok crypt.Token, list zerber.ListID, sealed []byte) error {
+	return client.RemoveOne(ctx, f.RemoveBatch, tok, list, sealed)
 }
 func (f faultTransport) QueryBatch(context.Context, []crypt.Token, []server.ListQuery) (client.BatchQueryResult, error) {
 	return client.BatchQueryResult{}, f.err
@@ -83,15 +84,6 @@ type stallTransport struct {
 	after time.Duration
 }
 
-func (st stallTransport) Query(ctx context.Context, toks []crypt.Token, list zerber.ListID, offset, count int) (server.QueryResponse, int, error) {
-	select {
-	case <-time.After(st.after):
-		return st.Transport.Query(ctx, toks, list, offset, count)
-	case <-ctx.Done():
-		return server.QueryResponse{}, 0, ctx.Err()
-	}
-}
-
 func (st stallTransport) QueryBatch(ctx context.Context, toks []crypt.Token, queries []server.ListQuery) (client.BatchQueryResult, error) {
 	select {
 	case <-time.After(st.after):
@@ -105,7 +97,7 @@ func (st stallTransport) QueryBatch(ctx context.Context, toks []crypt.Token, que
 // mutation.
 type failWrites struct{ client.Local }
 
-func (f failWrites) Insert(context.Context, crypt.Token, zerber.ListID, server.StoredElement) error {
+func (f failWrites) InsertBatch(context.Context, crypt.Token, []server.InsertOp) error {
 	return errors.New("replica write lost")
 }
 
@@ -238,22 +230,50 @@ func TestReplicaWriteFaultMarksStale(t *testing.T) {
 	}
 }
 
+// TestDeterministicAnswerWinsImmediately: a clean rejection — unknown
+// list, unknown user — is the request's answer, never a member fault,
+// in process and over HTTP alike (where the one error envelope carries
+// the code that says so). A run of DemoteAfter of them leaves the
+// primary undemoted and no failover recorded.
 func TestDeterministicAnswerWinsImmediately(t *testing.T) {
 	ctx := context.Background()
-	pri := newSeededServer(t, 1, 3)
-	rep := newSeededServer(t, 1, 3)
-	set, err := NewSet(client.Local{S: pri}, client.Local{S: rep})
-	if err != nil {
-		t.Fatal(err)
-	}
-	toks := login(t, pri)
-	_, _, err = set.Query(ctx, toks, 99, 0, 10)
-	if !errors.Is(err, server.ErrUnknownList) {
-		t.Fatalf("err = %v, want ErrUnknownList", err)
-	}
-	st := set.Stats()
-	if st.Failovers != 0 || st.Hedges != 0 {
-		t.Fatalf("stats = %+v: an application answer must not trigger failover", st)
+	for _, wire := range []string{"local", "http"} {
+		pri := newSeededServer(t, 1, 3)
+		rep := newSeededServer(t, 1, 3)
+		members := []client.Transport{client.Local{S: pri}, client.Local{S: rep}}
+		if wire == "http" {
+			for i, s := range []*server.Server{pri, rep} {
+				ts := httptest.NewServer(s.Handler())
+				defer ts.Close()
+				members[i] = client.HTTP{BaseURL: ts.URL}
+			}
+		}
+		set, err := NewSet(members[0], members[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		set.SetHedgeDelay(time.Minute)
+		toks := login(t, pri)
+		for name, reject := range map[string]func(){
+			"unknown list": func() {
+				if _, _, err := set.Query(ctx, toks, 99, 0, 10); !errors.Is(err, server.ErrUnknownList) {
+					t.Fatalf("%s: err = %v, want ErrUnknownList", wire, err)
+				}
+			},
+			"unknown user": func() {
+				if _, err := set.Login(ctx, "ghost"); !errors.Is(err, server.ErrUnknownUser) {
+					t.Fatalf("%s: err = %v, want ErrUnknownUser", wire, err)
+				}
+			},
+		} {
+			for i := 0; i < DemoteAfter; i++ {
+				reject()
+			}
+			st := set.Stats()
+			if st.Failovers != 0 || st.Hedges != 0 || st.PrimaryDemoted {
+				t.Fatalf("%s, %s: stats = %+v: an application answer must not count as a member fault", wire, name, st)
+			}
+		}
 	}
 }
 

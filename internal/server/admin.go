@@ -3,7 +3,7 @@ package server
 // Admin plane: the snapshot-transfer API beneath live shard migration
 // and replica resync (internal/cluster, internal/replica). A peer
 // holding the cluster's shared secret can export this shard's atomic
-// ZSNAP2 dump, import one, fetch the WAL tail logged after a dump's
+// snapshot dump, import one, fetch the WAL tail logged after a dump's
 // sequence, apply a decoded tail, and fetch a per-list content digest
 // for differential verification across a cut-over.
 //
@@ -38,7 +38,7 @@ import (
 type TailOp = store.TailOp
 
 // SnapshotExport is one shard's exported state: the self-verifying
-// ZSNAP2 dump, the WAL sequence it covers, and whether the shard can
+// snapshot dump, the WAL sequence it covers, and whether the shard can
 // serve TailSince for sequences at or beyond Seq (a durable backend
 // can; a RAM-only one cannot, so its export is only consistent if the
 // caller paused writes around it).
@@ -96,7 +96,7 @@ func AdminMAC(secret []byte) string {
 // that never mounted it.
 func (s *Server) SetAdminEnabled(on bool) { s.adminOff.Store(!on) }
 
-// ExportSnapshot returns the shard's full state as an atomic ZSNAP2
+// ExportSnapshot returns the shard's full state as an atomic snapshot
 // dump. Tailable reports whether TailSince can later serve the
 // mutations logged after Seq.
 func (s *Server) ExportSnapshot(ctx context.Context) (SnapshotExport, error) {
@@ -268,7 +268,7 @@ func (s *Server) adminAuthed(w http.ResponseWriter, r *http.Request) bool {
 	got := r.Header.Get("X-Zerber-Admin")
 	want := AdminMAC(s.secret)
 	if subtle.ConstantTimeCompare([]byte(got), []byte(want)) != 1 {
-		writeErrV2(w, fmt.Errorf("%w: missing or wrong admin MAC", ErrAuth))
+		writeErr(w, fmt.Errorf("%w: missing or wrong admin MAC", ErrAuth))
 		return false
 	}
 	return true
@@ -282,7 +282,7 @@ func (s *Server) registerAdmin(handle func(method, path string, h http.HandlerFu
 		}
 		exp, err := s.ExportSnapshot(r.Context())
 		if err != nil {
-			writeErrV2(w, err)
+			writeErr(w, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
@@ -301,11 +301,11 @@ func (s *Server) registerAdmin(handle func(method, path string, h http.HandlerFu
 		}
 		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxImportBytes))
 		if err != nil {
-			writeErrV2(w, fmt.Errorf("%w: reading snapshot body: %v", ErrBadRequest, err))
+			writeErr(w, fmt.Errorf("%w: reading snapshot body: %v", ErrBadRequest, err))
 			return
 		}
 		if err := s.ImportSnapshot(r.Context(), data); err != nil {
-			writeErrV2(w, err)
+			writeErr(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, struct{}{})
@@ -316,12 +316,12 @@ func (s *Server) registerAdmin(handle func(method, path string, h http.HandlerFu
 		}
 		after, err := strconv.ParseUint(r.URL.Query().Get("after"), 10, 64)
 		if err != nil {
-			writeErrV2(w, fmt.Errorf("%w: bad after parameter: %v", ErrBadRequest, err))
+			writeErr(w, fmt.Errorf("%w: bad after parameter: %v", ErrBadRequest, err))
 			return
 		}
 		ops, err := s.TailSince(r.Context(), after)
 		if err != nil {
-			writeErrV2(w, err)
+			writeErr(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, TailResponse{Ops: ops})
@@ -331,11 +331,11 @@ func (s *Server) registerAdmin(handle func(method, path string, h http.HandlerFu
 			return
 		}
 		var req ApplyOpsRequest
-		if !decodeV2(w, r, &req) {
+		if !decode(w, r, &req, maxImportBytes) {
 			return
 		}
 		if err := s.ApplyOps(r.Context(), req.Ops); err != nil {
-			writeErrV2(w, err)
+			writeErr(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, struct{}{})
@@ -346,7 +346,7 @@ func (s *Server) registerAdmin(handle func(method, path string, h http.HandlerFu
 		}
 		lists, err := s.Digest(r.Context())
 		if err != nil {
-			writeErrV2(w, err)
+			writeErr(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, DigestResponse{Lists: lists})

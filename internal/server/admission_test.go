@@ -92,9 +92,9 @@ func TestRateLimiterIsPerUser(t *testing.T) {
 	}
 }
 
-// TestRateLimitHTTP asserts the 429 wire contract on single-op and
-// batch endpoints: status, v2 code, and a Retry-After header on every
-// path.
+// TestRateLimitHTTP asserts the 429 wire contract on every protocol
+// endpoint, login included: status, rate_limited code, and a
+// Retry-After header.
 func TestRateLimitHTTP(t *testing.T) {
 	s := New(secret, time.Hour)
 	s.RegisterUser("alice", 0)
@@ -116,7 +116,7 @@ func TestRateLimitHTTP(t *testing.T) {
 
 	s.SetAdmission(&AdmissionConfig{PerUserRate: 0.25, Burst: 1})
 
-	checkLimited := func(t *testing.T, resp *http.Response, wantCode string) {
+	checkLimited := func(t *testing.T, resp *http.Response) {
 		t.Helper()
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusTooManyRequests {
@@ -126,40 +126,32 @@ func TestRateLimitHTTP(t *testing.T) {
 		if err != nil || ra < 1 {
 			t.Fatalf("Retry-After = %q, want a positive integer", resp.Header.Get("Retry-After"))
 		}
-		if wantCode != "" {
-			var env ErrorV2
-			if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-				t.Fatal(err)
-			}
-			if env.Code != wantCode {
-				t.Fatalf("code = %q, want %q", env.Code, wantCode)
-			}
+		var env ErrorV2
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+			t.Fatal(err)
+		}
+		if env.Code != CodeRateLimited {
+			t.Fatalf("code = %q, want %q", env.Code, CodeRateLimited)
 		}
 	}
+	query := QueryBatchRequest{Tokens: lr.Tokens, Queries: []ListQuery{{List: 1, Count: 1}}}
 
 	// Spend the single burst token, then every path must answer 429.
-	resp = post(t, ts, "/v1/query", QueryRequest{Tokens: lr.Tokens, List: 1, Offset: 0, Count: 1})
+	resp = post(t, ts, "/v2/query", query)
 	resp.Body.Close() // 404 unknown list — the token was still spent
 
-	resp = post(t, ts, "/v1/query", QueryRequest{Tokens: lr.Tokens, List: 1, Offset: 0, Count: 1})
-	checkLimited(t, resp, "")
-
-	resp = post(t, ts, "/v2/query", QueryBatchRequest{Tokens: lr.Tokens, Queries: []ListQuery{{List: 1, Count: 1}}})
-	checkLimited(t, resp, CodeRateLimited)
-
-	resp = post(t, ts, "/v2/insert", InsertBatchRequest{Token: lr.Tokens[0], Ops: []InsertOp{
+	checkLimited(t, post(t, ts, "/v2/query", query))
+	checkLimited(t, post(t, ts, "/v1/login", LoginRequest{User: "alice"}))
+	checkLimited(t, post(t, ts, "/v2/insert", InsertBatchRequest{Token: lr.Tokens[0], Ops: []InsertOp{
 		{List: 1, Element: StoredElement{Sealed: []byte{1}, Group: 0}},
-	}})
-	checkLimited(t, resp, CodeRateLimited)
-
-	resp = post(t, ts, "/v2/remove", RemoveBatchRequest{Token: lr.Tokens[0], Ops: []RemoveOp{
+	}}))
+	checkLimited(t, post(t, ts, "/v2/remove", RemoveBatchRequest{Token: lr.Tokens[0], Ops: []RemoveOp{
 		{List: 1, Sealed: []byte{1}},
-	}})
-	checkLimited(t, resp, CodeRateLimited)
+	}}))
 
 	// At 0.25 ops/s a dry bucket needs ~4s for the next token; the
 	// hint must say so rather than defaulting to 1.
-	resp = post(t, ts, "/v1/query", QueryRequest{Tokens: lr.Tokens, List: 1, Offset: 0, Count: 1})
+	resp = post(t, ts, "/v2/query", query)
 	defer resp.Body.Close()
 	if ra, _ := strconv.Atoi(resp.Header.Get("Retry-After")); ra < 2 {
 		t.Fatalf("Retry-After = %q, want the limiter's own wait (>= 2s)", resp.Header.Get("Retry-After"))
@@ -180,7 +172,7 @@ func TestLoadShedHTTP(t *testing.T) {
 	pr, pw := io.Pipe()
 	stuck := make(chan error, 1)
 	go func() {
-		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/query", pr)
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v2/query", pr)
 		if err != nil {
 			stuck <- err
 			return
@@ -214,13 +206,29 @@ func TestLoadShedHTTP(t *testing.T) {
 	if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
 		t.Fatalf("Retry-After = %q on shed response", resp.Header.Get("Retry-After"))
 	}
-	var env ErrorV2
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if env.Code != CodeOverloaded {
+	if env := decodeV2Err(t, resp); env.Code != CodeOverloaded {
 		t.Fatalf("code = %q, want %q", env.Code, CodeOverloaded)
+	}
+	// Shedding happens before routing reaches a handler, so login and
+	// the admin plane answer it with the same envelope.
+	for _, probe := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/login"},
+		{http.MethodGet, "/v3/admin/digest"},
+	} {
+		req, err := http.NewRequest(probe.method, ts.URL+probe.path, http.NoBody)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("%s: status %d while saturated, want 503", probe.path, resp.StatusCode)
+		}
+		if env := decodeV2Err(t, resp); env.Code != CodeOverloaded {
+			t.Fatalf("%s: shed code = %q, want %q", probe.path, env.Code, CodeOverloaded)
+		}
 	}
 
 	// Unstick the occupying request (empty body -> 400, fine) and the

@@ -1,22 +1,23 @@
 package server
 
-// Batched (v2) operations: the progressive protocol of Section 5.2 is
-// inherently multi-round, and a multi-term query runs one follow-up
-// loop per term. v1 forced every round of every term onto its own
-// round-trip; the batch API lets a client cover every still-open list
-// with a single exchange per round, and lets writers upload a whole
-// document's posting elements at once. Sub-queries of one batch are
-// executed concurrently — they only take read views of the backend,
-// so the fan-out is safe — and a canceled context or a failing
-// sub-query aborts the siblings that have not started yet.
+// Batched operations — the only kind the server implements; the
+// single-list methods in server.go are their batch-of-one case. The
+// progressive protocol of Section 5.2 is inherently multi-round, and a
+// multi-term query runs one follow-up loop per term: a batch lets a
+// client cover every still-open list with a single exchange per round,
+// and lets writers upload a whole document's posting elements at
+// once. Sub-queries of one batch are executed concurrently — they only
+// take read views of the backend, so the fan-out is safe — and a
+// canceled context or a failing sub-query aborts the siblings that
+// have not started yet.
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"zerberr/internal/crypt"
 	"zerberr/internal/store"
@@ -70,11 +71,21 @@ func (e *BatchError) Error() string { return fmt.Sprintf("batch op %d: %v", e.In
 
 func (e *BatchError) Unwrap() error { return e.Err }
 
+// OneOp is how a batch of one reports its failure: the operation's own
+// error, not "batch op 0" around it. Only an outermost *BatchError is
+// stripped, so context a transport layer wrapped around one stays.
+func OneOp(err error) error {
+	if be, ok := err.(*BatchError); ok && be.Index == 0 {
+		return be.Err
+	}
+	return err
+}
+
 // MaxBatchOps bounds how many operations or sub-queries one batch may
 // carry; larger batches are rejected as bad requests. It caps the
-// work (and, for queries, the goroutines) a single authenticated
-// request can demand, and is far above what the client-side protocol
-// generates per round.
+// work a single authenticated request can demand (and sizes the bound
+// on a request body, maxRequestBytes), and is far above what the
+// client-side protocol generates per round.
 const MaxBatchOps = 4096
 
 // checkBatchSize rejects empty and oversized batches.
@@ -94,7 +105,7 @@ func checkBatchSize(n int) error {
 //
 // The context is checked between sub-queries: canceling it stops
 // launching new ones and the batch fails with the context's error. A
-// failing sub-query likewise cancels the siblings that have not
+// failing sub-query likewise stops the siblings that have not
 // started, and the batch fails with a *BatchError carrying the lowest
 // index among the sub-queries that actually ran and failed (malformed
 // sub-queries are still rejected up front with a precise index before
@@ -118,55 +129,46 @@ func (s *Server) QueryBatch(ctx context.Context, toks []crypt.Token, queries []L
 		return nil, err
 	}
 	defer s.met.Load().endRound(len(queries), now)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// subCtx aborts siblings on the first sub-query failure; the
-	// caller's ctx aborting flows through it too.
-	subCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	out := make([]QueryResponse, len(queries))
 	errs := make([]error, len(queries))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i, q := range queries {
-		if err := subCtx.Err(); err != nil {
-			errs[i] = err
-			continue
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, q ListQuery) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if err := subCtx.Err(); err != nil {
-				errs[i] = err
+	// Workers claim sub-queries in request order until one fails or the
+	// caller cancels. The calling goroutine is the first worker — it
+	// would otherwise only wait — so a batch of one, which is what every
+	// single-list call is, starts no goroutine.
+	var run struct {
+		next   atomic.Int64
+		failed atomic.Bool
+		wg     sync.WaitGroup
+	}
+	work := func() {
+		for !run.failed.Load() && ctx.Err() == nil {
+			i := int(run.next.Add(1)) - 1
+			if i >= len(queries) {
 				return
 			}
+			q := queries[i]
 			out[i], errs[i] = s.queryAllowed(allowed, q.List, q.Offset, q.Count, q.IfVersion, q.Proof)
 			if errs[i] != nil {
-				cancel()
+				run.failed.Store(true)
 			}
-		}(i, q)
+		}
 	}
-	wg.Wait()
+	for w := min(runtime.GOMAXPROCS(0), len(queries)); w > 1; w-- {
+		run.wg.Add(1)
+		go func() {
+			defer run.wg.Done()
+			work()
+		}()
+	}
+	work()
+	run.wg.Wait()
 	// Caller cancellation wins and is reported as the plain context
 	// error — no batch index, since no single operation is at fault.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Otherwise the first real failure; sibling slots aborted by our
-	// own cancel carry context.Canceled and are skipped.
-	for i, err := range errs {
-		if err != nil && !errors.Is(err, context.Canceled) {
-			return nil, &BatchError{Index: i, Err: err}
-		}
-	}
-	// Invariant guard, not a live code path: a slot can only hold
-	// context.Canceled after cancel() fired, which implies either a
-	// real failure (returned above) or caller cancellation (returned
-	// before that). If the precedence contract ever drifts, fail
-	// loudly rather than hand back zero-valued responses.
+	// A sub-query is left unclaimed only after a failure or a
+	// cancellation, so past this loop every response is filled in.
 	for i, err := range errs {
 		if err != nil {
 			return nil, &BatchError{Index: i, Err: err}
@@ -304,7 +306,7 @@ func (s *Server) RemoveBatch(ctx context.Context, tok crypt.Token, ops []RemoveO
 	return nil
 }
 
-// ListStat is one list's entry in the v2 stats.
+// ListStat is one list's entry in the /v2/stats payload.
 type ListStat struct {
 	List     zerber.ListID `json:"list"`
 	Elements int           `json:"elements"`

@@ -8,12 +8,10 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"zerberr/internal/crypt"
 	"zerberr/internal/obs"
-	"zerberr/internal/zerber"
 )
 
 // HTTP transport: a thin JSON layer over the in-process API, so the
@@ -23,18 +21,13 @@ import (
 // (or a cmd/zerberd drain timeout) cancels the server-side work it
 // started.
 //
-// v1 — one operation per round-trip, kept for compatibility:
+// There is one wire generation. Every operation is a batch — a
+// single-list call is a batch of one — and every rejection is the
+// structured {code, error, index} envelope (see DESIGN.md "Wire
+// protocol" for the error-code registry). Login keeps its historical
+// /v1 path; nothing else is served there.
 //
 //	POST /v1/login   {"user": "john"}                     -> {"tokens": [...]}
-//	POST /v1/insert  {"token": ..., "list": 3, "element": ...} -> {}
-//	POST /v1/query   {"tokens": [...], "list": 3,
-//	                  "offset": 0, "count": 10}           -> QueryResponse
-//	POST /v1/remove  {"token": ..., "list": 3, "sealed": ...} -> {}
-//	GET  /v1/stats                                        -> {"lists":n,"elements":m}
-//
-// v2 — batched operations with structured {code, error} envelopes
-// (see DESIGN.md "Wire protocol v2" for the error-code registry):
-//
 //	POST /v2/query   {"tokens": [...], "queries": [{list,offset,count}...]}
 //	                                                      -> {"responses": [QueryResponse...]}
 //	POST /v2/insert  {"token": ..., "ops": [{list,element}...]} -> {}
@@ -49,34 +42,6 @@ type LoginRequest struct {
 // LoginResponse carries the issued group tokens.
 type LoginResponse struct {
 	Tokens []crypt.Token `json:"tokens"`
-}
-
-// InsertRequest is the /v1/insert payload.
-type InsertRequest struct {
-	Token   crypt.Token   `json:"token"`
-	List    zerber.ListID `json:"list"`
-	Element StoredElement `json:"element"`
-}
-
-// RemoveRequest is the /v1/remove payload.
-type RemoveRequest struct {
-	Token  crypt.Token   `json:"token"`
-	List   zerber.ListID `json:"list"`
-	Sealed []byte        `json:"sealed"`
-}
-
-// QueryRequest is the /v1/query payload.
-type QueryRequest struct {
-	Tokens []crypt.Token `json:"tokens"`
-	List   zerber.ListID `json:"list"`
-	Offset int           `json:"offset"`
-	Count  int           `json:"count"`
-}
-
-// StatsResponse is the /v1/stats payload.
-type StatsResponse struct {
-	Lists    int `json:"lists"`
-	Elements int `json:"elements"`
 }
 
 // QueryBatchRequest is the /v2/query payload.
@@ -129,21 +94,17 @@ type StatsV2Response struct {
 	Ops *OpsStats `json:"ops,omitempty"`
 }
 
-// errorBody is the v1 JSON error envelope.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-// ErrorV2 is the v2 structured error envelope: a machine-readable
-// code from the registry below, the human-readable message, and — for
-// batch failures — the index of the offending operation.
+// ErrorV2 is the structured error envelope every endpoint answers a
+// rejection with: a machine-readable code from the registry below, the
+// human-readable message, and — for batch failures — the index of the
+// offending operation.
 type ErrorV2 struct {
 	Code  string `json:"code"`
 	Error string `json:"error"`
 	Index *int   `json:"index,omitempty"`
 }
 
-// v2 error codes. The HTTP client transport maps them back onto the
+// Wire error codes. The HTTP client transport maps them back onto the
 // sentinel errors, so in-process and remote callers observe identical
 // error identities.
 const (
@@ -159,7 +120,7 @@ const (
 	CodeInternal     = "internal"
 )
 
-// ErrorCode maps a server error onto its v2 wire code.
+// ErrorCode maps a server error onto its wire code.
 func ErrorCode(err error) string {
 	switch {
 	case errors.Is(err, ErrTokenExpired):
@@ -225,7 +186,7 @@ func (s *Server) Handler() http.Handler {
 	}
 	handle("POST", "/v1/login", func(w http.ResponseWriter, r *http.Request) {
 		var req LoginRequest
-		if !decode(w, r, &req) {
+		if !decode(w, r, &req, maxRequestBytes) {
 			return
 		}
 		toks, err := s.Login(r.Context(), req.User)
@@ -235,78 +196,36 @@ func (s *Server) Handler() http.Handler {
 		}
 		writeJSON(w, http.StatusOK, LoginResponse{Tokens: toks})
 	})
-	handle("POST", "/v1/insert", func(w http.ResponseWriter, r *http.Request) {
-		var req InsertRequest
-		if !decode(w, r, &req) {
-			return
-		}
-		if err := s.Insert(r.Context(), req.Token, req.List, req.Element); err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, struct{}{})
-	})
-	handle("POST", "/v1/remove", func(w http.ResponseWriter, r *http.Request) {
-		var req RemoveRequest
-		if !decode(w, r, &req) {
-			return
-		}
-		if err := s.Remove(r.Context(), req.Token, req.List, req.Sealed); err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, struct{}{})
-	})
-	handle("POST", "/v1/query", func(w http.ResponseWriter, r *http.Request) {
-		var req QueryRequest
-		if !decode(w, r, &req) {
-			return
-		}
-		resp, err := s.Query(r.Context(), req.Tokens, req.List, req.Offset, req.Count)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-	})
-	handle("GET", "/v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		st, err := s.StatsV2(r.Context())
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, StatsResponse{Lists: st.Lists, Elements: st.Elements})
-	})
 	handle("POST", "/v2/query", func(w http.ResponseWriter, r *http.Request) {
 		var req QueryBatchRequest
-		if !decodeV2(w, r, &req) {
+		if !decode(w, r, &req, maxRequestBytes) {
 			return
 		}
 		resps, err := s.QueryBatch(r.Context(), req.Tokens, req.Queries)
 		if err != nil {
-			writeErrV2(w, err)
+			writeErr(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, QueryBatchResponse{Responses: resps})
 	})
 	handle("POST", "/v2/insert", func(w http.ResponseWriter, r *http.Request) {
 		var req InsertBatchRequest
-		if !decodeV2(w, r, &req) {
+		if !decode(w, r, &req, maxRequestBytes) {
 			return
 		}
 		if err := s.InsertBatch(r.Context(), req.Token, req.Ops); err != nil {
-			writeErrV2(w, err)
+			writeErr(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, struct{}{})
 	})
 	handle("POST", "/v2/remove", func(w http.ResponseWriter, r *http.Request) {
 		var req RemoveBatchRequest
-		if !decodeV2(w, r, &req) {
+		if !decode(w, r, &req, maxRequestBytes) {
 			return
 		}
 		if err := s.RemoveBatch(r.Context(), req.Token, req.Ops); err != nil {
-			writeErrV2(w, err)
+			writeErr(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, struct{}{})
@@ -321,7 +240,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		st, err := stats(r.Context())
 		if err != nil {
-			writeErrV2(w, err)
+			writeErr(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, st)
@@ -383,12 +302,7 @@ func (s *Server) instrument(endpoint string, next http.HandlerFunc) http.Handler
 			if m != nil {
 				m.shed.Inc()
 			}
-			err := withRetryHint(fmt.Errorf("%w: %d requests already in flight", ErrOverloaded, max), time.Second)
-			if strings.HasPrefix(endpoint, "/v2") {
-				writeErrV2(rec, err)
-			} else {
-				writeErr(rec, err)
-			}
+			writeErr(rec, withRetryHint(fmt.Errorf("%w: %d requests already in flight", ErrOverloaded, max), time.Second))
 		} else {
 			ctx := obs.WithLogger(obs.WithRequestID(r.Context(), id), logger)
 			next(rec, r.WithContext(ctx))
@@ -415,28 +329,25 @@ const (
 	httpRequestsHelp = "HTTP requests by endpoint and status code"
 )
 
-func decode(w http.ResponseWriter, r *http.Request, dst interface{}) bool {
-	dec := json.NewDecoder(r.Body)
+// maxRequestBytes bounds a protocol request body — MaxBatchOps
+// operations at 4 KiB each, far above a sealed posting element and its
+// framing — because the body is decoded before the tokens inside it
+// can be validated: unbounded, any peer could make the server buffer it.
+const maxRequestBytes = MaxBatchOps * 4 << 10
+
+// decode reads a JSON request body of at most limit bytes into dst,
+// answering malformed, unknown-field and oversized bodies itself.
+func decode(w http.ResponseWriter, r *http.Request, dst interface{}, limit int64) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
+		writeErr(w, fmt.Errorf("%w: decoding body: %v", ErrBadRequest, err))
 		return false
 	}
 	return true
 }
 
-func decodeV2(w http.ResponseWriter, r *http.Request, dst interface{}) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorV2{Code: CodeBadRequest, Error: fmt.Sprintf("bad request body: %v", err)})
-		return false
-	}
-	return true
-}
-
-// statusFor maps a server error onto its HTTP status (shared by the
-// v1 and v2 error writers).
+// statusFor maps a server error onto its HTTP status.
 func statusFor(err error) int {
 	switch {
 	case errors.Is(err, ErrAuth):
@@ -457,9 +368,9 @@ func statusFor(err error) int {
 
 // setRetryAfter adds the Retry-After header on admission rejections.
 // The value is the server's own hint rounded up to whole seconds (the
-// header's granularity), minimum 1. Every 429/503 path — single-op,
-// batch, shed — funnels through writeErr/writeErrV2, so every such
-// response carries the header.
+// header's granularity), minimum 1. Every 429/503 path — login, batch,
+// admin, shed — funnels through writeErr, so every such response
+// carries the header.
 func setRetryAfter(w http.ResponseWriter, err error, status int) {
 	if status != http.StatusTooManyRequests && status != http.StatusServiceUnavailable {
 		return
@@ -474,12 +385,6 @@ func setRetryAfter(w http.ResponseWriter, err error, status int) {
 }
 
 func writeErr(w http.ResponseWriter, err error) {
-	status := statusFor(err)
-	setRetryAfter(w, err, status)
-	writeJSON(w, status, errorBody{Error: err.Error()})
-}
-
-func writeErrV2(w http.ResponseWriter, err error) {
 	env := ErrorV2{Code: ErrorCode(err), Error: err.Error()}
 	var be *BatchError
 	if errors.As(err, &be) {

@@ -1,18 +1,38 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"zerberr/internal/crypt"
 )
 
-// decodeV2Err reads a v2 error envelope off a response.
+func post(t *testing.T, ts *httptest.Server, path string, body interface{}) *http.Response {
+	t.Helper()
+	b, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return postRaw(t, ts, path, b)
+}
+
+func postRaw(t *testing.T, ts *httptest.Server, path string, body []byte) *http.Response {
+	t.Helper()
+	resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// decodeV2Err reads the error envelope off a response.
 func decodeV2Err(t *testing.T, resp *http.Response) ErrorV2 {
 	t.Helper()
 	var env ErrorV2
@@ -153,6 +173,90 @@ func TestHTTPV2StructuredErrors(t *testing.T) {
 	}
 	if env := decodeV2Err(t, r); env.Code != CodeUnknownList || env.Index == nil || *env.Index != 1 {
 		t.Fatalf("unknown list envelope %+v", env)
+	}
+}
+
+// TestHTTPErrorMapping is the wire error table: every protocol
+// endpoint, login included, answers a rejection with the one
+// {code, error, index} envelope, and the retired single-operation
+// routes are gone.
+func TestHTTPErrorMapping(t *testing.T) {
+	s := New(secret, time.Hour)
+	s.RegisterUser("john", 0)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	toks, err := s.Login(context.Background(), "john")
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := toks[0]
+	forged.Group = 5
+	marshal := func(v interface{}) []byte {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	// A syntactically valid body past the bound (the sealed payload
+	// alone outgrows it): it must be refused at the bound — the reader's
+	// "too large" — not buffered and then parsed.
+	oversize := marshal(InsertBatchRequest{Token: toks[0], Ops: []InsertOp{
+		{List: 1, Element: StoredElement{Sealed: make([]byte, maxRequestBytes), Group: 0}},
+	}})
+
+	cases := []struct {
+		name   string
+		path   string
+		body   []byte
+		status int
+		code   string
+		index  int    // -1: no index
+		msg    string // the error message must contain it
+	}{
+		{"unknown user", "/v1/login", marshal(LoginRequest{User: "ghost"}), http.StatusNotFound, CodeUnknownUser, -1, ""},
+		{"unknown list", "/v2/query", marshal(QueryBatchRequest{Tokens: toks, Queries: []ListQuery{{List: 9, Count: 5}}}), http.StatusNotFound, CodeUnknownList, 0, ""},
+		{"bad count", "/v2/query", marshal(QueryBatchRequest{Tokens: toks, Queries: []ListQuery{{List: 9, Count: -1}}}), http.StatusBadRequest, CodeBadRequest, 0, ""},
+		{"empty payload", "/v2/insert", marshal(InsertBatchRequest{Token: toks[0], Ops: []InsertOp{{List: 1}}}), http.StatusBadRequest, CodeBadRequest, 0, ""},
+		{"empty batch", "/v2/remove", marshal(RemoveBatchRequest{Token: toks[0]}), http.StatusBadRequest, CodeBadRequest, -1, ""},
+		{"forged token", "/v2/insert", marshal(InsertBatchRequest{Token: forged, Ops: []InsertOp{{List: 1, Element: StoredElement{Sealed: []byte{1}, Group: 5}}}}), http.StatusUnauthorized, CodeBadToken, -1, ""},
+		{"malformed JSON", "/v2/query", []byte("{nope"), http.StatusBadRequest, CodeBadRequest, -1, ""},
+		{"malformed login", "/v1/login", []byte("{nope"), http.StatusBadRequest, CodeBadRequest, -1, ""},
+		{"unknown field", "/v2/query", []byte(`{"tokens":[],"queries":[],"list":3}`), http.StatusBadRequest, CodeBadRequest, -1, ""},
+		{"oversized body", "/v2/insert", oversize, http.StatusBadRequest, CodeBadRequest, -1, "too large"},
+	}
+	for _, tc := range cases {
+		r := postRaw(t, ts, tc.path, tc.body)
+		if r.StatusCode != tc.status {
+			t.Errorf("%s: status %d, want %d", tc.name, r.StatusCode, tc.status)
+		}
+		env := decodeV2Err(t, r)
+		if env.Code != tc.code || env.Error == "" || !strings.Contains(env.Error, tc.msg) {
+			t.Errorf("%s: envelope %+v, want code %q", tc.name, env, tc.code)
+		}
+		if got := env.Index; (got == nil) != (tc.index < 0) || (got != nil && *got != tc.index) {
+			t.Errorf("%s: index %v, want %d", tc.name, got, tc.index)
+		}
+	}
+	if s.NumElements() != 0 {
+		t.Fatalf("rejected requests stored %d elements", s.NumElements())
+	}
+
+	// One wire generation: the single-operation routes no longer exist.
+	for _, path := range []string{"/v1/insert", "/v1/query", "/v1/remove"} {
+		r := postRaw(t, ts, path, []byte("{}"))
+		r.Body.Close()
+		if r.StatusCode != http.StatusNotFound {
+			t.Errorf("%s: status %d, want 404 (route retired)", path, r.StatusCode)
+		}
+	}
+	sr, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr.Body.Close()
+	if sr.StatusCode != http.StatusNotFound {
+		t.Errorf("/v1/stats: status %d, want 404 (route retired)", sr.StatusCode)
 	}
 }
 

@@ -14,24 +14,24 @@ import (
 // TestHTTPQueryIdenticalAfterRestart is the acceptance path for the
 // durable backend: load a server over HTTP, tear it down, start a new
 // server over the same data directory, and demand byte-identical
-// /v1/query results.
+// /v2/query results.
 func TestHTTPQueryIdenticalAfterRestart(t *testing.T) {
 	dir := t.TempDir()
-	queryBody := QueryRequest{List: 4, Offset: 0, Count: 10}
+	queryBody := QueryBatchRequest{Queries: []ListQuery{{List: 4, Offset: 0, Count: 10}}}
 
 	query := func(ts *httptest.Server, toks LoginResponse) QueryResponse {
 		t.Helper()
 		queryBody.Tokens = toks.Tokens
-		resp := post(t, ts, "/v1/query", queryBody)
+		resp := post(t, ts, "/v2/query", queryBody)
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("query status %d", resp.StatusCode)
 		}
-		var qr QueryResponse
-		if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-			t.Fatal(err)
+		var qr QueryBatchResponse
+		if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil || len(qr.Responses) != 1 {
+			t.Fatalf("query response %+v: %v", qr, err)
 		}
-		return qr
+		return qr.Responses[0]
 	}
 	login := func(ts *httptest.Server) LoginResponse {
 		t.Helper()
@@ -57,15 +57,14 @@ func TestHTTPQueryIdenticalAfterRestart(t *testing.T) {
 	s, ts := boot()
 	lr := login(ts)
 	for i, trs := range []float64{0.9, 0.1, 0.5, 0.7} {
-		resp := post(t, ts, "/v1/insert", InsertRequest{
-			Token: lr.Tokens[i%2],
-			List:  4,
+		resp := post(t, ts, "/v2/insert", InsertBatchRequest{Token: lr.Tokens[i%2], Ops: []InsertOp{{
+			List: 4,
 			Element: StoredElement{
 				Sealed: []byte{byte(i), 0xEE},
 				TRS:    trs,
 				Group:  i % 2,
 			},
-		})
+		}}})
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("insert %d status %d", i, resp.StatusCode)

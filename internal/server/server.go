@@ -72,7 +72,7 @@ var (
 
 // ErrTokenExpired is the expiry case of ErrAuth: the token's MAC is
 // authentic but its lifetime is over. It unwraps to ErrAuth, so
-// callers matching ErrAuth keep working; the v2 wire protocol carries
+// callers matching ErrAuth keep working; the wire protocol carries
 // the distinction as the "token_expired" error code.
 var ErrTokenExpired = fmt.Errorf("%w: token expired", ErrAuth)
 
@@ -139,7 +139,7 @@ func NewWithBackend(secret []byte, tokenTTL time.Duration, backend store.Backend
 func (s *Server) Close() error { return s.backend.Close() }
 
 // SetCache installs (or, with nil, removes) a query-result cache. The
-// cache is consulted by Query and QueryBatch under version-stamped
+// cache is consulted by QueryBatch under version-stamped
 // keys, so it is always transparent: a mutation bumps the list version
 // and every window cached before it stops matching. A cache may be
 // installed or swapped while the server is serving traffic.
@@ -242,56 +242,26 @@ func (s *Server) allowedGroups(toks []crypt.Token) (map[int]bool, time.Time, err
 	return allowed, now, nil
 }
 
-// Insert stores a sealed posting element into the given merged list.
-// The presented token must cover the element's group (Section 5:
-// "The index server authenticates the user, checks his group
-// membership and accepts the update if appropriate").
+// Insert stores a sealed posting element into the given merged list:
+// the batch-of-one case of InsertBatch. The presented token must cover
+// the element's group (Section 5: "The index server authenticates the
+// user, checks his group membership and accepts the update if
+// appropriate").
 func (s *Server) Insert(ctx context.Context, tok crypt.Token, list zerber.ListID, el StoredElement) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if el.Sealed == nil {
-		return fmt.Errorf("%w: empty payload", ErrBadRequest)
-	}
-	allowed, now, err := s.allowedGroups([]crypt.Token{tok})
-	if err != nil {
-		return err
-	}
-	if err := s.admit(tok.User, now); err != nil {
-		return err
-	}
-	if !allowed[el.Group] {
-		return fmt.Errorf("%w: token group %d, element group %d", ErrForbidden, tok.Group, el.Group)
-	}
-	if err := s.backend.Insert(list, el); err != nil {
-		return err
-	}
-	if m := s.met.Load(); m != nil {
-		m.inserts.Inc()
-	}
-	return nil
+	return OneOp(s.InsertBatch(ctx, tok, []InsertOp{{List: list, Element: el}}))
 }
 
 // Query returns up to count elements of the list starting at offset
-// within the caller's access-filtered, TRS-ranked view. The client
-// drives the progressive doubling of Section 5.2 by growing count
-// across follow-up requests; the server only serves ranked ranges.
+// within the caller's access-filtered, TRS-ranked view: the
+// batch-of-one case of QueryBatch. The client drives the progressive
+// doubling of Section 5.2 by growing count across follow-up requests;
+// the server only serves ranked ranges.
 func (s *Server) Query(ctx context.Context, toks []crypt.Token, list zerber.ListID, offset, count int) (QueryResponse, error) {
-	if err := ctx.Err(); err != nil {
-		return QueryResponse{}, err
-	}
-	if offset < 0 || count <= 0 {
-		return QueryResponse{}, fmt.Errorf("%w: offset %d count %d", ErrBadRequest, offset, count)
-	}
-	allowed, now, err := s.allowedGroups(toks)
+	resps, err := s.QueryBatch(ctx, toks, []ListQuery{{List: list, Offset: offset, Count: count}})
 	if err != nil {
-		return QueryResponse{}, err
+		return QueryResponse{}, OneOp(err)
 	}
-	if err := s.admit(userOf(toks), now); err != nil {
-		return QueryResponse{}, err
-	}
-	defer s.met.Load().endRound(1, now)
-	return s.queryAllowed(allowed, list, offset, count, nil, false)
+	return resps[0], nil
 }
 
 // userOf keys the rate limiter: the presenting user of a validated
@@ -305,9 +275,9 @@ func userOf(toks []crypt.Token) string {
 	return toks[0].User
 }
 
-// queryAllowed is Query past token validation: batch sub-queries
-// share one validated group set instead of re-verifying the tokens
-// per sub-query. The access-filtered ranked range is the backend's
+// queryAllowed is one sub-query past token validation: a batch's
+// sub-queries share one validated group set instead of re-verifying
+// the tokens each. The access-filtered ranked range is the backend's
 // own hot path (per-group sorted sub-lists merged from the requested
 // offset), so a sub-query costs the range, not the list.
 //
@@ -392,35 +362,17 @@ func queryResponseOf(res store.QueryResult, withProof bool) QueryResponse {
 }
 
 // Remove deletes the element whose sealed payload matches exactly,
-// provided the presented token covers the element's group. Deletion is
-// how index updates stay unlimited (Section 7): the owner re-indexes a
-// changed document after removing its old elements. The server still
-// learns nothing — it matches opaque bytes.
+// provided the presented token covers the element's group: the
+// batch-of-one case of RemoveBatch. Deletion is how index updates stay
+// unlimited (Section 7): the owner re-indexes a changed document after
+// removing its old elements. The server still learns nothing — it
+// matches opaque bytes.
 func (s *Server) Remove(ctx context.Context, tok crypt.Token, list zerber.ListID, sealed []byte) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if len(sealed) == 0 {
-		return fmt.Errorf("%w: empty payload", ErrBadRequest)
-	}
-	allowed, now, err := s.allowedGroups([]crypt.Token{tok})
-	if err != nil {
-		return err
-	}
-	if err := s.admit(tok.User, now); err != nil {
-		return err
-	}
-	if err := s.removeAllowed(allowed, list, sealed); err != nil {
-		return err
-	}
-	if m := s.met.Load(); m != nil {
-		m.removes.Inc()
-	}
-	return nil
+	return OneOp(s.RemoveBatch(ctx, tok, []RemoveOp{{List: list, Sealed: sealed}}))
 }
 
-// removeAllowed is Remove past token validation; batch operations
-// share one validated group set.
+// removeAllowed applies one removal past token validation; a batch's
+// operations share one validated group set.
 func (s *Server) removeAllowed(allowed map[int]bool, list zerber.ListID, sealed []byte) error {
 	deniedGroup := 0
 	err := s.backend.Remove(list, sealed, func(group int) bool {

@@ -254,7 +254,7 @@ func pageList(ctx context.Context, t client.Transport, toks []crypt.Token, list 
 	served := make(map[string]bool)
 	offset := 0
 	for {
-		resp, _, err := t.Query(ctx, toks, list, offset, 4096)
+		resp, _, err := client.QueryOne(ctx, t.QueryBatch, toks, list, offset, 4096)
 		if errors.Is(err, server.ErrUnknownList) {
 			return served, nil
 		}

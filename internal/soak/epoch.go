@@ -118,12 +118,12 @@ func (c *epochChecker) Login(ctx context.Context, user string) ([]crypt.Token, e
 
 // Insert implements client.Transport.
 func (c *epochChecker) Insert(ctx context.Context, tok crypt.Token, list zerber.ListID, el server.StoredElement) error {
-	return c.t.Insert(ctx, tok, list, el)
+	return client.InsertOne(ctx, c.InsertBatch, tok, list, el)
 }
 
 // Remove implements client.Transport.
 func (c *epochChecker) Remove(ctx context.Context, tok crypt.Token, list zerber.ListID, sealed []byte) error {
-	return c.t.Remove(ctx, tok, list, sealed)
+	return client.RemoveOne(ctx, c.RemoveBatch, tok, list, sealed)
 }
 
 // InsertBatch implements client.Transport.
@@ -138,11 +138,7 @@ func (c *epochChecker) RemoveBatch(ctx context.Context, tok crypt.Token, ops []s
 
 // Query implements client.Transport.
 func (c *epochChecker) Query(ctx context.Context, toks []crypt.Token, list zerber.ListID, offset, count int) (server.QueryResponse, int, error) {
-	resp, n, err := c.t.Query(ctx, toks, list, offset, count)
-	if err == nil {
-		c.observe(server.ListQuery{List: list, Offset: offset, Count: count}, resp)
-	}
-	return resp, n, err
+	return client.QueryOne(ctx, c.QueryBatch, toks, list, offset, count)
 }
 
 // QueryBatch implements client.Transport.

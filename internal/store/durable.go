@@ -51,11 +51,6 @@ type Options struct {
 	// healing snapshot persists the live state), so the window never
 	// widens silently.
 	GroupCommitWindow time.Duration
-	// SnapshotReadAll forces snapshot recovery to read the file into
-	// memory up front instead of mmap-ing it (benchmark baselines,
-	// diagnostics). The default mmap path defers per-list decoding and
-	// lets first-touch page faults pull only what queries need.
-	SnapshotReadAll bool
 	// Logf, when set, receives operational warnings the store cannot
 	// return to any caller (automatic-snapshot failures, WAL poisoning).
 	Logf func(format string, args ...any)
@@ -171,7 +166,7 @@ func OpenDurable(dir string, opt Options) (*Durable, error) {
 		unlockDir(lock)
 		return nil, err
 	}
-	snapSeq, mem, err := readSnapshot(filepath.Join(dir, snapFileName), opt.SnapshotReadAll)
+	snapSeq, mem, err := readSnapshot(filepath.Join(dir, snapFileName))
 	if err != nil {
 		return fail(fmt.Errorf("store: loading snapshot: %w", err))
 	}

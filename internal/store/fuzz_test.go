@@ -5,8 +5,8 @@ package store
 // attacker-controlled file — decoding must either fail cleanly with
 // ErrBadSnapshot or produce a store whose lists can be queried, proved
 // and re-encoded without panicking. The committed seed corpus under
-// testdata/fuzz pins the interesting shapes: every format generation
-// (ZSNAP1/2/3), leaf blocks, and framing damage.
+// testdata/fuzz pins the interesting shapes: plain lists, leaf blocks,
+// an unknown magic, and framing damage.
 
 import (
 	"bytes"

@@ -3,7 +3,7 @@ package store
 // Snapshot transfer and WAL-tail export: the storage hooks beneath
 // live shard migration and replica resync (internal/cluster,
 // internal/replica). A migration ships ExportSnapshot's atomic
-// rank-ordered ZSNAP2 dump, the destination adopts it via
+// rank-ordered snapshot dump (snapshot.go), the destination adopts it via
 // ImportSnapshot, and TailSince hands over the mutations logged after
 // the dump's sequence so the destination can catch up before the
 // route flips. Everything shipped is content the source already held

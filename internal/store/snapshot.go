@@ -2,6 +2,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -39,18 +40,11 @@ import (
 // bytes. Snapshots are written to a temp file and renamed into place,
 // so a crash mid-write leaves the previous snapshot intact.
 //
-// Two older formats are still readable: "ZSNAP2" (identical minus the
-// leaf block) and "ZSNAP1" (additionally minus the per-list version;
-// its lists recover with version = numElems, the lowest counter a
-// live list of that size can ever have had).
+// This is the only generation read: no data was ever deployed under an
+// earlier magic, and a dump carrying one is ErrBadSnapshot like any
+// other unknown header.
 
 var snapMagic = []byte("ZSNAP3")
-
-// Older snapshot formats, accepted on read.
-var (
-	snapMagicV2 = []byte("ZSNAP2")
-	snapMagicV1 = []byte("ZSNAP1")
-)
 
 // ErrBadSnapshot reports a corrupted or truncated snapshot file.
 var ErrBadSnapshot = errors.New("store: bad snapshot")
@@ -192,21 +186,12 @@ func encodeSnapshot(f io.Writer, seq uint64, m *Memory) error {
 // readSnapshot loads the snapshot at path into a fresh Memory. A
 // missing file yields an empty store at sequence zero — a first boot.
 //
-// The default path mmaps the file, so the decode below validates
-// framing against page-cache-backed memory and the per-list element
-// bytes are faulted in only when a list is first touched. readAll
-// forces a plain up-front read instead (benchmark baselines, callers
-// that want no mapping).
-func readSnapshot(path string, readAll bool) (seq uint64, m *Memory, _ error) {
-	var (
-		data []byte
-		err  error
-	)
-	if readAll {
-		data, err = os.ReadFile(path)
-	} else {
-		data, err = mapFile(path)
-	}
+// The file is mmapped where the platform allows (mapFile), so the
+// decode below validates framing against page-cache-backed memory and
+// the per-list element bytes are faulted in only when a list is first
+// touched.
+func readSnapshot(path string) (seq uint64, m *Memory, _ error) {
+	data, err := mapFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, NewMemory(), nil
 	}
@@ -216,26 +201,15 @@ func readSnapshot(path string, readAll bool) (seq uint64, m *Memory, _ error) {
 	return decodeSnapshot(data)
 }
 
-// decodeSnapshot parses a ZSNAP3 (or legacy ZSNAP2/ZSNAP1) dump into
-// a fresh Memory — the shared core of crash recovery and snapshot
-// import. It validates the whole dump (CRC, then per-element framing)
+// decodeSnapshot parses a ZSNAP3 dump into a fresh Memory — the shared
+// core of crash recovery and snapshot import. It validates the whole dump (CRC, then per-element framing)
 // but builds no list: each list is registered lazily with its
 // validated byte region, and decoding happens on first touch.
 // Recovery cost at open is therefore one sequential scan, with zero
 // per-element allocation.
 func decodeSnapshot(data []byte) (seq uint64, m *Memory, _ error) {
 	m = NewMemory()
-	if len(data) < len(snapMagic)+4 {
-		return 0, nil, fmt.Errorf("%w: missing magic", ErrBadSnapshot)
-	}
-	hasVersions, hasLeaves := true, true
-	switch string(data[:len(snapMagic)]) {
-	case string(snapMagic):
-	case string(snapMagicV2):
-		hasLeaves = false
-	case string(snapMagicV1):
-		hasVersions, hasLeaves = false, false
-	default:
+	if len(data) < len(snapMagic)+4 || !bytes.Equal(data[:len(snapMagic)], snapMagic) {
 		return 0, nil, fmt.Errorf("%w: missing magic", ErrBadSnapshot)
 	}
 	body := data[len(snapMagic) : len(data)-4]
@@ -257,11 +231,9 @@ func decodeSnapshot(data []byte) (seq uint64, m *Memory, _ error) {
 		if err != nil {
 			return 0, nil, fmt.Errorf("%w: list %d: %v", ErrBadSnapshot, i, err)
 		}
-		var version uint64
-		if hasVersions {
-			if version, err = binary.ReadUvarint(rd); err != nil {
-				return 0, nil, fmt.Errorf("%w: list %d: %v", ErrBadSnapshot, i, err)
-			}
+		version, err := binary.ReadUvarint(rd)
+		if err != nil {
+			return 0, nil, fmt.Errorf("%w: list %d: %v", ErrBadSnapshot, i, err)
 		}
 		n, err := binary.ReadUvarint(rd)
 		if err != nil {
@@ -289,33 +261,24 @@ func decodeSnapshot(data []byte) (seq uint64, m *Memory, _ error) {
 				return 0, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 			}
 		}
-		if !hasVersions {
-			// Legacy snapshot: the counter was not recorded. numElems is
-			// the lowest value a live list of this size can have had
-			// (every element cost at least one insert), so it is the
-			// safest monotone seed available.
-			version = n
-		}
 		elemRegion := body[start:rd.off]
 		var leafRegion []byte
-		if hasLeaves {
-			flag, err := rd.take(1)
+		flag, err := rd.take(1)
+		if err != nil {
+			return 0, nil, fmt.Errorf("%w: list %d leaf flag: %v", ErrBadSnapshot, i, err)
+		}
+		switch flag[0] {
+		case 0:
+		case 1:
+			if n > uint64(rd.remaining())/proof.HashSize {
+				return 0, nil, fmt.Errorf("%w: list %d claims %d leaves with %d bytes left", ErrBadSnapshot, i, n, rd.remaining())
+			}
+			leafRegion, err = rd.take(int(n) * proof.HashSize)
 			if err != nil {
-				return 0, nil, fmt.Errorf("%w: list %d leaf flag: %v", ErrBadSnapshot, i, err)
+				return 0, nil, fmt.Errorf("%w: list %d leaves: %v", ErrBadSnapshot, i, err)
 			}
-			switch flag[0] {
-			case 0:
-			case 1:
-				if n > uint64(rd.remaining())/proof.HashSize {
-					return 0, nil, fmt.Errorf("%w: list %d claims %d leaves with %d bytes left", ErrBadSnapshot, i, n, rd.remaining())
-				}
-				leafRegion, err = rd.take(int(n) * proof.HashSize)
-				if err != nil {
-					return 0, nil, fmt.Errorf("%w: list %d leaves: %v", ErrBadSnapshot, i, err)
-				}
-			default:
-				return 0, nil, fmt.Errorf("%w: list %d leaf flag %d", ErrBadSnapshot, i, flag[0])
-			}
+		default:
+			return 0, nil, fmt.Errorf("%w: list %d leaf flag %d", ErrBadSnapshot, i, flag[0])
 		}
 		m.loadLazy(zerber.ListID(id), elemRegion, int(n), version, leafRegion)
 	}

@@ -170,14 +170,15 @@ type Backend interface {
 	NumLists() (int, error)
 	// NumElements reports the total number of stored elements.
 	NumElements() (int, error)
-	// ExportSnapshot returns a point-in-time ZSNAP2 dump of the whole
-	// backend — every list in rank order with its mutation version —
+	// ExportSnapshot returns a point-in-time dump of the whole backend
+	// in the snapshot format (snapshot.go) — every list in rank order
+	// with its mutation version and any materialized commitment leaves —
 	// plus the WAL sequence the dump covers (0 for engines without a
 	// log). The dump is self-verifying (CRC-framed) and is what live
 	// shard migration ships; see migrate.go.
 	ExportSnapshot() (data []byte, seq uint64, err error)
 	// ImportSnapshot replaces the backend's entire contents with a
-	// ZSNAP2 dump produced by ExportSnapshot, carrying the source's
+	// dump produced by ExportSnapshot, carrying the source's
 	// per-list versions along so version-keyed caches stay coherent
 	// across the move. Durable engines persist the imported state
 	// before adopting it.

@@ -249,45 +249,37 @@ func TestVersionUntouchedByFailedRemove(t *testing.T) {
 	}
 }
 
-// TestVersionLegacySnapshot: a ZSNAP1-era snapshot (no recorded
-// versions) still loads, recovering each list at version = element
-// count — the lowest counter a live list of that size can have had —
-// and mutations climb from there.
-func TestVersionLegacySnapshot(t *testing.T) {
-	// Hand-encode a v1 snapshot: seq | numLists | listID | numElems |
-	// elems, no version field, CRC-framed under the old magic.
-	body := binary.AppendUvarint(nil, 41) // seq
-	body = binary.AppendUvarint(body, 1)  // one list
-	body = binary.AppendUvarint(body, 9)  // list ID
-	body = binary.AppendUvarint(body, 2)  // two elements
-	for _, e := range []Element{el("a", 2, 0), el("b", 1, 1)} {
-		body = binary.AppendVarint(body, int64(e.Group))
-		body = binary.BigEndian.AppendUint64(body, math.Float64bits(e.TRS))
-		body = binary.AppendUvarint(body, uint64(len(e.Sealed)))
-		body = append(body, e.Sealed...)
-	}
-	raw := append([]byte(nil), snapMagicV1...)
-	raw = append(raw, body...)
-	raw = binary.BigEndian.AppendUint32(raw, crc32.ChecksumIEEE(body))
-	path := filepath.Join(t.TempDir(), snapFileName)
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	seq, m, err := readSnapshot(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != 41 {
-		t.Fatalf("seq %d, want 41", seq)
-	}
-	if v := mustVersion(t, m, 9); v != 2 {
-		t.Fatalf("legacy seed: version %d, want 2", v)
-	}
-	if err := m.Insert(9, el("c", 3, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if v := mustVersion(t, m, 9); v != 3 {
-		t.Fatalf("legacy seed after insert: version %d, want 3", v)
+// TestOldSnapshotGenerationsRejected: ZSNAP3 is the only snapshot
+// format read. Hand-encoded, CRC-valid dumps of the two retired
+// generations — ZSNAP1 (no per-list version, no leaf flag) and ZSNAP2
+// (version, no leaf flag) — are ErrBadSnapshot on both read paths,
+// recovery and import, like any other unknown header.
+func TestOldSnapshotGenerationsRejected(t *testing.T) {
+	for magic, hasVersion := range map[string]bool{"ZSNAP1": false, "ZSNAP2": true} {
+		body := binary.AppendUvarint(nil, 41) // seq
+		body = binary.AppendUvarint(body, 1)  // one list
+		body = binary.AppendUvarint(body, 9)  // list ID
+		if hasVersion {
+			body = binary.AppendUvarint(body, 7)
+		}
+		body = binary.AppendUvarint(body, 2) // two elements
+		for _, e := range []Element{el("a", 2, 0), el("b", 1, 1)} {
+			body = binary.AppendVarint(body, int64(e.Group))
+			body = binary.BigEndian.AppendUint64(body, math.Float64bits(e.TRS))
+			body = binary.AppendUvarint(body, uint64(len(e.Sealed)))
+			body = append(body, e.Sealed...)
+		}
+		raw := append([]byte(magic), body...)
+		raw = binary.BigEndian.AppendUint32(raw, crc32.ChecksumIEEE(body))
+		path := filepath.Join(t.TempDir(), snapFileName)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := readSnapshot(path); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s recovery: err = %v, want ErrBadSnapshot", magic, err)
+		}
+		if err := NewMemory().ImportSnapshot(raw); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s import: err = %v, want ErrBadSnapshot", magic, err)
+		}
 	}
 }
