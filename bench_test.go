@@ -9,6 +9,7 @@ package zerberr_test
 // larger scales.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http/httptest"
@@ -23,6 +24,7 @@ import (
 	"zerberr/internal/microbench"
 	"zerberr/internal/rank"
 	"zerberr/internal/rstf"
+	"zerberr/internal/server"
 	"zerberr/internal/stats"
 )
 
@@ -263,6 +265,36 @@ func BenchmarkSearchSerialVsBatched(b *testing.B) {
 func BenchmarkHedgedQuery(b *testing.B) {
 	b.Run("healthy", microbench.HedgedQueryHealthy)
 	b.Run("failover", microbench.HedgedQueryFailover)
+}
+
+// BenchmarkWindowCodec is the layer-level number behind the wire
+// frame: one `deep`-shaped response (250 elements of 44 sealed bytes)
+// through server.AppendQueryResponse into a reused buffer, and through
+// server.DecodeQueryResponse with the payloads aliasing the frame.
+func BenchmarkWindowCodec(b *testing.B) {
+	elems := make([]server.StoredElement, 250)
+	for i := range elems {
+		elems[i] = server.StoredElement{Sealed: bytes.Repeat([]byte{byte(i)}, 44), TRS: 1 - float64(i)/250, Group: i % 8}
+	}
+	resps := []server.QueryResponse{{Elements: elems, Version: 1<<40 + 12}}
+	frame := server.AppendQueryResponse(nil, resps)
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(frame)))
+		buf := make([]byte, 0, len(frame))
+		for i := 0; i < b.N; i++ {
+			buf = server.AppendQueryResponse(buf[:0], resps)
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(frame)))
+		for i := 0; i < b.N; i++ {
+			if _, err := server.DecodeQueryResponse(frame); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkRankTopK(b *testing.B) {

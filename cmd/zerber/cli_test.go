@@ -5,10 +5,13 @@ package main
 // deployment story of the two binaries.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -86,6 +89,50 @@ func TestCLIEndToEnd(t *testing.T) {
 	top := results[0]
 	if top.Score < results[len(results)-1].Score {
 		t.Fatal("results not ranked")
+	}
+}
+
+// TestWireCommand: `zerber wire` is what CI and the verify recipes use
+// in place of curl on the binary-framed endpoints; its output keeps the
+// JSON text those scripts assert on.
+func TestWireCommand(t *testing.T) {
+	srv := server.New([]byte("cli-test-secret-123"), time.Hour)
+	srv.RegisterUser("smoke", 0)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	wire := func(args ...string) string {
+		var out bytes.Buffer
+		cmdWire(context.Background(), append([]string{"-server", ts.URL, "-user", "smoke"}, args...), &out)
+		return strings.TrimSpace(out.String())
+	}
+	if got := wire("insert", "-list", "1", "-sealed", "AAEC", "-trs", "0.5", "-group", "0"); got != "{}" {
+		t.Fatalf("insert printed %q", got)
+	}
+	var answer struct {
+		Responses []struct {
+			Elements []struct {
+				Sealed string  `json:"sealed"`
+				TRS    float64 `json:"trs"`
+				Group  int     `json:"group"`
+			} `json:"elements"`
+			Exhausted bool            `json:"exhausted"`
+			Proof     json.RawMessage `json:"proof"`
+		} `json:"responses"`
+	}
+	if err := json.Unmarshal([]byte(wire("query", "-list", "1", "-offset", "0", "-count", "8", "-proof")), &answer); err != nil {
+		t.Fatal(err)
+	}
+	if len(answer.Responses) != 1 || len(answer.Responses[0].Elements) != 1 || !answer.Responses[0].Exhausted || len(answer.Responses[0].Proof) == 0 {
+		t.Fatalf("query printed %+v", answer)
+	}
+	if el := answer.Responses[0].Elements[0]; el.Sealed != "AAEC" || el.TRS != 0.5 || el.Group != 0 {
+		t.Fatalf("element printed as %+v", el)
+	}
+	if got := wire("remove", "-list", "1", "-sealed", "AAEC"); got != "{}" {
+		t.Fatalf("remove printed %q", got)
+	}
+	if srv.NumElements() != 0 {
+		t.Fatalf("%d elements left after the remove", srv.NumElements())
 	}
 }
 

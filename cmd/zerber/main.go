@@ -11,6 +11,7 @@
 //	zerber status  -server http://shard0a+http://shard0b,http://shard1
 //	zerber verify  -server http://host:8021 -user john -list 3 -count 100
 //	zerber migrate -src http://old:8021 -dst http://new:8021 -secret-file secret.key
+//	zerber wire    -server http://host:8021 -user john {insert|query|remove} [flags]
 //
 // index uploads each document's posting elements as one batched
 // /v2/insert; query drives all terms' follow-up loops over batched
@@ -28,7 +29,10 @@
 // moves a whole index between zerberd processes over the MAC-gated
 // admin plane (snapshot, WAL tail, digest) and differentially
 // verifies the copy before reporting success; quiesce the source (or
-// use cluster.Router.Migrate in process) for a fully atomic move.
+// use cluster.Router.Migrate in process) for a fully atomic move. wire
+// is curl for the endpoints whose bodies are binary frames: it logs in,
+// sends one raw insert, query or remove, and prints the answer as JSON
+// (sealed payloads in base64), for scripts and smoke tests.
 // Every command runs under a signal-bound context: ^C cancels
 // in-flight requests instead of abandoning them server-side.
 //
@@ -40,6 +44,8 @@ package main
 
 import (
 	"context"
+	"encoding/base64"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -47,6 +53,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"syscall"
@@ -93,13 +100,15 @@ func main() {
 		cmdVerify(ctx, os.Args[2:])
 	case "migrate":
 		cmdMigrate(ctx, os.Args[2:])
+	case "wire":
+		cmdWire(ctx, os.Args[2:], os.Stdout)
 	default:
 		usage()
 	}
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: zerber {init|index|query|status|verify|migrate} [flags]   (run a subcommand with -h for details)")
+	fmt.Fprintln(os.Stderr, "usage: zerber {init|index|query|status|verify|migrate|wire} [flags]   (run a subcommand with -h for details)")
 	os.Exit(2)
 }
 
@@ -493,6 +502,77 @@ func cmdVerify(ctx context.Context, args []string) {
 	fmt.Printf("list %d verified: %s [%d,%d) holds %d elements (exhausted=%v) under root %s at version %d\n",
 		*list, scope, *offset, *offset+len(resp.Elements), len(resp.Elements), resp.Exhausted,
 		resp.Proof.Root.Short(), resp.Version)
+}
+
+// cmdWire speaks one raw protocol operation through client.HTTP and
+// prints what came back as JSON — what curl and jq did for these
+// endpoints while their bodies were JSON. Payloads go in and come out
+// as base64, the text form they had then.
+func cmdWire(ctx context.Context, args []string, out io.Writer) {
+	fs := flag.NewFlagSet("wire", flag.ExitOnError)
+	serverURL := fs.String("server", "http://localhost:8021", "index server URL")
+	user := fs.String("user", "", "user name (required)")
+	_ = fs.Parse(args)
+	if *user == "" || fs.NArg() == 0 {
+		fatal("wire: usage: zerber wire -server URL -user U {insert|query|remove} [flags]")
+	}
+	op := fs.Arg(0)
+	if op != "insert" && op != "query" && op != "remove" {
+		fatal("wire: unknown operation", "op", op)
+	}
+	ofs := flag.NewFlagSet("wire "+op, flag.ExitOnError)
+	list := ofs.Int("list", -1, "merged list ID (required)")
+	sealed := ofs.String("sealed", "", "insert, remove: sealed payload, base64")
+	trs := ofs.Float64("trs", 0, "insert: transformed relevance score")
+	group := ofs.Int("group", 0, "insert, remove: group of the token presented (and of an inserted element)")
+	offset := ofs.Int("offset", 0, "query: window start within the ranked view")
+	count := ofs.Int("count", 10, "query: window size")
+	withProof := ofs.Bool("proof", false, "query: ask for the window's Merkle proof")
+	_ = ofs.Parse(fs.Args()[1:])
+	if *list < 0 {
+		fatal("wire: -list is required")
+	}
+	payload, err := base64.StdEncoding.DecodeString(*sealed)
+	if err != nil {
+		fatal("wire: -sealed is not base64", "err", err)
+	}
+	h := client.HTTP{BaseURL: strings.TrimSpace(*serverURL), Retry: client.DefaultRetryPolicy()}
+	toks, err := h.Login(ctx, *user)
+	if err != nil {
+		fatal("login failed", "user", *user, "err", err)
+	}
+	var tok crypt.Token // insert and remove present one token, the -group one
+	if op != "query" {
+		i := slices.IndexFunc(toks, func(t crypt.Token) bool { return t.Group == *group })
+		if i < 0 {
+			fatal("wire: the user holds no token for the group", "user", *user, "group", *group)
+		}
+		tok = toks[i]
+	}
+	var answer any = struct{}{}
+	switch op {
+	case "insert":
+		err = h.InsertBatch(ctx, tok, []server.InsertOp{{
+			List:    zerber.ListID(*list),
+			Element: server.StoredElement{Sealed: payload, TRS: *trs, Group: *group},
+		}})
+	case "remove":
+		err = h.RemoveBatch(ctx, tok, []server.RemoveOp{{List: zerber.ListID(*list), Sealed: payload}})
+	case "query":
+		var res client.BatchQueryResult
+		res, err = h.QueryBatch(ctx, toks, []server.ListQuery{{
+			List: zerber.ListID(*list), Offset: *offset, Count: *count, Proof: *withProof,
+		}})
+		answer = struct {
+			Responses []server.QueryResponse `json:"responses"`
+		}{res.Responses}
+	}
+	if err != nil {
+		fatal("wire: "+op+" failed", "err", err)
+	}
+	if err := json.NewEncoder(out).Encode(answer); err != nil {
+		fatal("wire: printing the answer failed", "err", err)
+	}
 }
 
 // fmtLatency renders a latency estimate for the status table; zero

@@ -17,6 +17,10 @@
 //     one) answered with one structured {code, error, index} error
 //     envelope, which lets a multi-term search finish in one
 //     round-trip per follow-up round instead of one per list request.
+//     Ranked windows and uploads travel as one binary frame whose
+//     element record is the one the write-ahead log and the snapshot
+//     write (internal/server/wire.go); a client decodes it without
+//     copying a payload.
 //   - Storage engines (internal/store): the pluggable backends beneath
 //     the server — a RAM-only engine and a durable one with a
 //     CRC-framed write-ahead log, atomic snapshots and crash recovery,

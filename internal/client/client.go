@@ -72,11 +72,12 @@ type QueryStats struct {
 	Elements int
 	// Bytes is the response cost. Transports that actually serialize
 	// report their measured wire size (the HTTP transport counts the
-	// encoded JSON response bodies); in process nothing crosses a
+	// response-body bytes it read); in process nothing crosses a
 	// wire, so Bytes falls back to Elements times the codec wire
 	// size — the paper's Section 6.6 accounting. The measured figure
-	// includes JSON framing and is therefore larger than the
-	// estimate.
+	// includes the frame around the payloads (header, versions, TRS
+	// and group per element, proofs) and is therefore larger than
+	// the estimate.
 	Bytes int
 	// Exhausted reports that the server ran out of visible elements.
 	Exhausted bool

@@ -57,10 +57,10 @@ type Transport interface {
 // ordered like the sub-queries that produced them.
 type BatchQueryResult struct {
 	Responses []server.QueryResponse
-	// WireBytes is the measured size of the encoded response body on
-	// transports that serialize (HTTP measures the actual JSON
-	// bytes); 0 in process, where nothing crosses a wire and callers
-	// fall back to the codec's per-element estimate.
+	// WireBytes is the measured size of the response body on transports
+	// that serialize (HTTP counts the bytes it read); 0 in process,
+	// where nothing crosses a wire and callers fall back to the codec's
+	// per-element estimate.
 	WireBytes int
 }
 
@@ -139,7 +139,10 @@ const DefaultHTTPTimeout = 30 * time.Second
 // transport can never block indefinitely on a dead peer.
 var defaultHTTPClient = &http.Client{Timeout: DefaultHTTPTimeout}
 
-// HTTP talks to a zerberd index server over its JSON API.
+// HTTP talks to a zerberd index server over its HTTP API: binary
+// frames for the messages that carry sealed payloads (the /v2/query
+// response, the /v2/insert and /v2/remove requests — server/wire.go),
+// JSON for the rest.
 type HTTP struct {
 	// BaseURL is the server root, e.g. "http://host:8021".
 	BaseURL string
@@ -168,73 +171,90 @@ func (h HTTP) httpClient() *http.Client {
 	return defaultHTTPClient
 }
 
-// postJSON posts a request body and decodes the response into out,
-// translating error envelopes into errors. The request is bound to
-// ctx (http.NewRequestWithContext), so cancellation aborts it even
-// mid-flight or mid-backoff. It returns the size of the response body
-// in bytes (the actual wire cost of the answer). idempotent widens the
-// retry classification (see retry.go); only operations that are safe
-// to re-send after an ambiguous failure may pass true.
-func (h HTTP) postJSON(ctx context.Context, path string, in, out interface{}, idempotent bool) (int, error) {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return 0, fmt.Errorf("client: encoding request: %w", err)
-	}
-	return h.exchange(ctx, http.MethodPost, path, body, out, idempotent)
-}
+// maxResponseBytes bounds a response body, the client-side mirror of
+// the server's bound on a request: MaxBatchOps windows at 16 KiB each.
+// The server is the adversary of this protocol, so neither its
+// Content-Length nor the length of what it streams is trusted past
+// this.
+const maxResponseBytes = server.MaxBatchOps * 16 << 10
 
-// exchange runs one logical request through the retry loop. With no
-// policy installed it is exactly one attempt. A context canceled
-// mid-backoff surfaces as the context's error.
-func (h HTTP) exchange(ctx context.Context, method, path string, body []byte, out interface{}, idempotent bool) (int, error) {
+const jsonContentType = "application/json"
+
+// exchange runs one logical request through the retry loop and returns
+// the body of its 200 answer; error envelopes come back as errors. The
+// request is bound to ctx (http.NewRequestWithContext), so cancellation
+// aborts it even mid-flight or mid-backoff, and a context canceled
+// mid-backoff surfaces as the context's error. With no policy installed
+// it is exactly one attempt. idempotent widens the retry
+// classification (see retry.go); only operations that are safe to
+// re-send after an ambiguous failure may pass true.
+func (h HTTP) exchange(ctx context.Context, method, path string, body []byte, contentType string, idempotent bool) ([]byte, error) {
 	for retry := 0; ; retry++ {
-		n, status, hint, err := h.doOnce(ctx, method, path, body, out)
+		raw, status, hint, err := h.doOnce(ctx, method, path, body, contentType)
 		if err == nil {
-			return n, nil
+			return raw, nil
 		}
 		if ctx.Err() != nil || retry >= h.Retry.maxRetries() || !retryable(status, idempotent) {
-			return n, err
+			return nil, err
 		}
 		if serr := sleepCtx(ctx, h.Retry.delay(retry, hint)); serr != nil {
-			return n, fmt.Errorf("client: %s: canceled while backing off: %w", path, serr)
+			return nil, fmt.Errorf("client: %s: canceled while backing off: %w", path, serr)
 		}
 	}
 }
 
 // doOnce is one attempt of exchange. status is the HTTP status of the
 // answer, or 0 when the exchange failed below HTTP (transport error);
-// hint is the server's Retry-After, when one came back.
-func (h HTTP) doOnce(ctx context.Context, method, path string, body []byte, out interface{}) (n, status int, hint time.Duration, err error) {
+// hint is the server's Retry-After, when one came back. The body is
+// read once, into a buffer of its own that what the caller decodes
+// from it may alias.
+func (h HTTP) doOnce(ctx context.Context, method, path string, body []byte, contentType string) (raw []byte, status int, hint time.Duration, err error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, h.BaseURL+path, rd)
 	if err != nil {
-		return 0, 0, 0, fmt.Errorf("client: %s: %w", path, err)
+		return nil, 0, 0, fmt.Errorf("client: %s: %w", path, err)
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", contentType)
 	}
 	resp, err := h.httpClient().Do(req)
 	if err != nil {
-		return 0, 0, 0, fmt.Errorf("client: %s: %w", path, err)
+		return nil, 0, 0, fmt.Errorf("client: %s: %w", path, err)
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
+	if resp.ContentLength > maxResponseBytes {
+		return nil, 0, 0, fmt.Errorf("client: %s: server announces a %d-byte response, over the %d-byte bound", path, resp.ContentLength, maxResponseBytes)
+	}
+	raw, err = server.ReadBody(io.LimitReader(resp.Body, maxResponseBytes+1), nil, resp.ContentLength)
 	if err != nil {
-		return 0, 0, 0, fmt.Errorf("client: %s: reading response: %w", path, err)
+		return nil, 0, 0, fmt.Errorf("client: %s: reading response: %w", path, err)
+	}
+	if len(raw) > maxResponseBytes {
+		return nil, 0, 0, fmt.Errorf("client: %s: response exceeds the %d-byte bound", path, maxResponseBytes)
 	}
 	if resp.StatusCode != http.StatusOK {
-		return len(raw), resp.StatusCode, retryAfter(resp.Header), h.decodeError(path, resp.StatusCode, raw)
+		return nil, resp.StatusCode, retryAfter(resp.Header), h.decodeError(path, resp.StatusCode, raw)
 	}
-	if out == nil {
-		return len(raw), http.StatusOK, 0, nil
+	return raw, http.StatusOK, 0, nil
+}
+
+// postJSON is exchange for an idempotent POST with a JSON body.
+func (h HTTP) postJSON(ctx context.Context, path string, in interface{}) ([]byte, error) {
+	body, err := json.Marshal(in)
+	if err != nil {
+		return nil, fmt.Errorf("client: encoding request: %w", err)
 	}
+	return h.exchange(ctx, http.MethodPost, path, body, jsonContentType, true)
+}
+
+func decodeJSON(path string, raw []byte, out interface{}) error {
 	if err := json.Unmarshal(raw, out); err != nil {
-		return len(raw), http.StatusOK, 0, fmt.Errorf("client: %s: decoding response: %w", path, err)
+		return fmt.Errorf("client: %s: decoding response: %w", path, err)
 	}
-	return len(raw), http.StatusOK, 0, nil
+	return nil
 }
 
 // decodeError turns a non-200 response into an error. Every endpoint
@@ -258,8 +278,12 @@ func (h HTTP) decodeError(path string, status int, raw []byte) error {
 
 // Login implements Transport.
 func (h HTTP) Login(ctx context.Context, user string) ([]crypt.Token, error) {
+	raw, err := h.postJSON(ctx, "/v1/login", server.LoginRequest{User: user})
+	if err != nil {
+		return nil, err
+	}
 	var out server.LoginResponse
-	if _, err := h.postJSON(ctx, "/v1/login", server.LoginRequest{User: user}, &out, true); err != nil {
+	if err := decodeJSON("/v1/login", raw, &out); err != nil {
 		return nil, err
 	}
 	return out.Tokens, nil
@@ -281,28 +305,42 @@ func (h HTTP) Remove(ctx context.Context, tok crypt.Token, list zerber.ListID, s
 }
 
 // QueryBatch implements Transport over POST /v2/query. WireBytes is
-// the measured response body size.
+// the measured response body size. The decoded windows alias the one
+// buffer the body was read into (nothing else holds it), so a caller
+// that keeps a payload keeps the whole body alive: copy at the point of
+// retention, as the cluster router's window cache does.
+//
+// The shape of the answer is checked here, proved or not: one window
+// per sub-query, none longer than its sub-query asked for.
 func (h HTTP) QueryBatch(ctx context.Context, toks []crypt.Token, queries []server.ListQuery) (BatchQueryResult, error) {
-	var out server.QueryBatchResponse
-	n, err := h.postJSON(ctx, "/v2/query", server.QueryBatchRequest{Tokens: toks, Queries: queries}, &out, true)
+	raw, err := h.postJSON(ctx, "/v2/query", server.QueryBatchRequest{Tokens: toks, Queries: queries})
 	if err != nil {
 		return BatchQueryResult{}, err
 	}
-	if len(out.Responses) != len(queries) {
-		return BatchQueryResult{}, fmt.Errorf("client: /v2/query: %d responses for %d queries", len(out.Responses), len(queries))
+	resps, err := server.DecodeQueryResponse(raw)
+	if err != nil {
+		return BatchQueryResult{}, fmt.Errorf("client: /v2/query: decoding response: %w", err)
 	}
-	return BatchQueryResult{Responses: out.Responses, WireBytes: n}, nil
+	if len(resps) != len(queries) {
+		return BatchQueryResult{}, fmt.Errorf("client: /v2/query: %d responses for %d queries", len(resps), len(queries))
+	}
+	for i := range resps {
+		if n := len(resps[i].Elements); n > queries[i].Count {
+			return BatchQueryResult{}, fmt.Errorf("client: /v2/query: window %d holds %d elements, %d were asked for", i, n, queries[i].Count)
+		}
+	}
+	return BatchQueryResult{Responses: resps, WireBytes: len(raw)}, nil
 }
 
 // InsertBatch implements Transport over POST /v2/insert.
 func (h HTTP) InsertBatch(ctx context.Context, tok crypt.Token, ops []server.InsertOp) error {
-	_, err := h.postJSON(ctx, "/v2/insert", server.InsertBatchRequest{Token: tok, Ops: ops}, nil, false)
+	_, err := h.exchange(ctx, http.MethodPost, "/v2/insert", server.AppendInsertRequest(nil, tok, ops), server.FrameContentType, false)
 	return err
 }
 
 // RemoveBatch implements Transport over POST /v2/remove.
 func (h HTTP) RemoveBatch(ctx context.Context, tok crypt.Token, ops []server.RemoveOp) error {
-	_, err := h.postJSON(ctx, "/v2/remove", server.RemoveBatchRequest{Token: tok, Ops: ops}, nil, false)
+	_, err := h.exchange(ctx, http.MethodPost, "/v2/remove", server.AppendRemoveRequest(nil, tok, ops), server.FrameContentType, false)
 	return err
 }
 
@@ -312,11 +350,7 @@ func (h HTTP) RemoveBatch(ctx context.Context, tok crypt.Token, ops []server.Rem
 // not a protocol operation. It rides the same retry loop as the
 // protocol operations (a GET is idempotent).
 func (h HTTP) Stats(ctx context.Context) (server.StatsV2Response, error) {
-	var out server.StatsV2Response
-	if _, err := h.exchange(ctx, http.MethodGet, "/v2/stats", nil, &out, true); err != nil {
-		return server.StatsV2Response{}, err
-	}
-	return out, nil
+	return h.stats(ctx, "/v2/stats")
 }
 
 // StatsRoots is Stats plus each list's Merkle commitment (GET
@@ -324,8 +358,16 @@ func (h HTTP) Stats(ctx context.Context) (server.StatsV2Response, error) {
 // An audit call — the server materializes every list's commitment to
 // answer it.
 func (h HTTP) StatsRoots(ctx context.Context) (server.StatsV2Response, error) {
+	return h.stats(ctx, "/v2/stats?roots=1")
+}
+
+func (h HTTP) stats(ctx context.Context, path string) (server.StatsV2Response, error) {
+	raw, err := h.exchange(ctx, http.MethodGet, path, nil, "", true)
+	if err != nil {
+		return server.StatsV2Response{}, err
+	}
 	var out server.StatsV2Response
-	if _, err := h.exchange(ctx, http.MethodGet, "/v2/stats?roots=1", nil, &out, true); err != nil {
+	if err := decodeJSON(path, raw, &out); err != nil {
 		return server.StatsV2Response{}, err
 	}
 	return out, nil

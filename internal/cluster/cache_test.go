@@ -20,8 +20,8 @@ import (
 // retained windows (shards reply Unchanged), stay element-identical to
 // an uncached router over the same shards, and fall back to full
 // windows the moment a shard's list mutates. Runs over in-process and
-// HTTP shard transports — the latter proves the if_version/unchanged
-// fields survive the JSON wire.
+// HTTP shard transports — the latter proves the conditional request
+// field and the unchanged flag survive the wire.
 func TestRouterCacheRevalidation(t *testing.T) {
 	for _, mode := range []string{"local", "http"} {
 		t.Run(mode, func(t *testing.T) {

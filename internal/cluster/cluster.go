@@ -17,9 +17,11 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -29,6 +31,7 @@ import (
 	"zerberr/internal/client"
 	"zerberr/internal/crypt"
 	"zerberr/internal/obs"
+	"zerberr/internal/proof"
 	"zerberr/internal/replica"
 	"zerberr/internal/server"
 	"zerberr/internal/store"
@@ -345,12 +348,7 @@ func (r *Router) QueryBatch(ctx context.Context, toks []crypt.Token, queries []s
 			default:
 				out[gi] = resp
 				if c != nil && !resp.Unchanged && resp.Version != 0 && queries[gi].IfVersion == nil {
-					c.Put(r.windowKey(groups, queries[gi]), store.QueryResult{
-						Elements:  resp.Elements,
-						Exhausted: resp.Exhausted,
-						Version:   resp.Version,
-						Proof:     resp.Proof,
-					})
+					c.Put(r.windowKey(groups, queries[gi]), retainWindow(resp))
 				}
 			}
 		}
@@ -363,6 +361,36 @@ func (r *Router) QueryBatch(ctx context.Context, toks []crypt.Token, queries []s
 		return client.BatchQueryResult{}, err
 	}
 	return client.BatchQueryResult{Responses: out, WireBytes: wireBytes}, nil
+}
+
+// retainWindow copies what the window cache keeps of a response. Over
+// HTTP a decoded window aliases the whole batch body it arrived in
+// (server/wire.go: whoever retains past the call copies), so caching it
+// as is would let a 1 KB window pin a body many times its size.
+func retainWindow(resp server.QueryResponse) store.QueryResult {
+	res := store.QueryResult{Elements: slices.Clone(resp.Elements), Exhausted: resp.Exhausted, Version: resp.Version}
+	for i := range res.Elements {
+		res.Elements[i].Sealed = bytes.Clone(res.Elements[i].Sealed)
+	}
+	if resp.Proof != nil {
+		// Hashes are values and the path slices are the decoder's own;
+		// only the boundary payloads point into the body.
+		w := *resp.Proof
+		w.Groups = slices.Clone(w.Groups)
+		for i := range w.Groups {
+			gw := &w.Groups[i]
+			gw.Pred, gw.Succ = cloneBoundary(gw.Pred), cloneBoundary(gw.Succ)
+		}
+		res.Proof = &w
+	}
+	return res
+}
+
+func cloneBoundary(b *proof.Boundary) *proof.Boundary {
+	if b == nil {
+		return nil
+	}
+	return &proof.Boundary{TRS: b.TRS, Sealed: bytes.Clone(b.Sealed)}
 }
 
 // cachedWindow pins one retained window for the duration of a batch,

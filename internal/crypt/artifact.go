@@ -7,6 +7,7 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -93,4 +94,59 @@ func VerifyToken(secret []byte, tok Token, now time.Time) bool {
 	}
 	want := tokenMAC(secret, tok.User, tok.Group, tok.Expiry)
 	return hmac.Equal(want, tok.MAC)
+}
+
+// ErrShortToken reports a binary token record cut off before its end.
+var ErrShortToken = errors.New("crypt: truncated token record")
+
+// AppendToken appends the token's binary record — what the protocol's
+// insert and remove request frames carry (internal/server/wire.go):
+//
+//	token: userLen | user | group (signed varint) |
+//	       expiry (signed varint, Unix nanoseconds) | macLen | mac
+//
+// Lengths are unsigned varints. Nanoseconds since the epoch hold any
+// expiry between the years 1678 and 2262 exactly; the MAC binds whole
+// seconds, so a token outside that range fails verification like any
+// other altered one.
+func AppendToken(buf []byte, tok Token) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(tok.User)))
+	buf = append(buf, tok.User...)
+	buf = binary.AppendVarint(buf, int64(tok.Group))
+	buf = binary.AppendVarint(buf, tok.Expiry.UnixNano())
+	buf = binary.AppendUvarint(buf, uint64(len(tok.MAC)))
+	return append(buf, tok.MAC...)
+}
+
+// ReadToken decodes the token record at the head of b and returns what
+// follows it. The MAC aliases b; the user name is copied.
+func ReadToken(b []byte) (tok Token, rest []byte, err error) {
+	user, b, ok := readPrefixed(b)
+	if !ok {
+		return Token{}, nil, ErrShortToken
+	}
+	group, n := binary.Varint(b)
+	if n <= 0 {
+		return Token{}, nil, ErrShortToken
+	}
+	b = b[n:]
+	expiry, n := binary.Varint(b)
+	if n <= 0 {
+		return Token{}, nil, ErrShortToken
+	}
+	mac, rest, ok := readPrefixed(b[n:])
+	if !ok {
+		return Token{}, nil, ErrShortToken
+	}
+	return Token{User: string(user), Group: int(group), Expiry: time.Unix(0, expiry), MAC: mac}, rest, nil
+}
+
+// readPrefixed splits a length-prefixed byte string off the head of b.
+func readPrefixed(b []byte) (field, rest []byte, ok bool) {
+	size, n := binary.Uvarint(b)
+	if n <= 0 || size > uint64(len(b)-n) {
+		return nil, nil, false
+	}
+	b = b[n:]
+	return b[:size:size], b[size:], true
 }

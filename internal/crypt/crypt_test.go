@@ -316,3 +316,36 @@ func TestSubkeysIndependent(t *testing.T) {
 		t.Fatal("subkey equals master key")
 	}
 }
+
+// TestTokenRecordRoundTrip: the binary token record returns every field
+// exactly (the expiry as the same instant), verifies under the same
+// secret, and refuses every truncation of itself.
+func TestTokenRecordRoundTrip(t *testing.T) {
+	secret := []byte("token-record-secret")
+	for _, tok := range []Token{
+		IssueToken(secret, "john", 3, time.Now().Add(time.Hour)),
+		IssueToken(secret, "", -7, time.Unix(1_700_000_000, 123_456_789)),
+		IssueToken(secret, "üser with spaces", 1<<40, time.Unix(0, 0)),
+		{User: "no-mac", Group: 1, Expiry: time.Unix(1, 0)},
+	} {
+		rec := AppendToken([]byte("prefix"), tok)[len("prefix"):]
+		got, rest, err := ReadToken(append(append([]byte(nil), rec...), "tail"...))
+		if err != nil {
+			t.Fatalf("%+v: %v", tok, err)
+		}
+		if string(rest) != "tail" {
+			t.Fatalf("rest %q", rest)
+		}
+		if got.User != tok.User || got.Group != tok.Group || !got.Expiry.Equal(tok.Expiry) || !bytes.Equal(got.MAC, tok.MAC) {
+			t.Fatalf("round trip changed the token:\n got %+v\nwant %+v", got, tok)
+		}
+		if len(tok.MAC) > 0 && !VerifyToken(secret, got, tok.Expiry) {
+			t.Fatal("decoded token no longer verifies")
+		}
+		for cut := 0; cut < len(rec); cut++ {
+			if _, _, err := ReadToken(rec[:cut]); err == nil {
+				t.Fatalf("truncation to %d of %d bytes decoded", cut, len(rec))
+			}
+		}
+	}
+}

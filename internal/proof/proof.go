@@ -38,8 +38,9 @@ import (
 // HashSize is the byte length of every digest in the scheme.
 const HashSize = sha256.Size
 
-// Hash is one SHA-256 digest. It marshals as lowercase hex on the
-// wire (a JSON byte-array of 32 numbers would triple the proof size).
+// Hash is one SHA-256 digest. The wire frame carries its 32 raw bytes
+// (server/wire.go); in JSON — what `zerber wire` prints — it is
+// lowercase hex.
 type Hash [HashSize]byte
 
 // String renders the full digest as lowercase hex.

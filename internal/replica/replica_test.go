@@ -1,16 +1,20 @@
 package replica
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"zerberr/internal/client"
 	"zerberr/internal/crypt"
+	"zerberr/internal/obs"
 	"zerberr/internal/server"
 	"zerberr/internal/store"
 	"zerberr/internal/zerber"
@@ -170,6 +174,77 @@ func TestHedgedReadIdentity(t *testing.T) {
 	// primary is not on a path to demotion.
 	if st.Failovers != 0 || st.PrimaryDemoted {
 		t.Fatalf("stats = %+v: the hedge loser was counted as a fault", st)
+	}
+}
+
+// stalledBackend parks every Query until release is closed.
+type stalledBackend struct {
+	store.Backend
+	release chan struct{}
+}
+
+func (b stalledBackend) Query(list zerber.ListID, allowed map[int]bool, offset, count int) (store.QueryResult, error) {
+	<-b.release
+	return b.Backend.Query(list, allowed, offset, count)
+}
+
+// TestHedgeLoserOverHTTP: the same race over real HTTP. The stalled
+// primary's request is cancelled when the replica's answer wins; the
+// set records no failover, and the primary's own books show a client
+// that went away (499), not a server error.
+func TestHedgeLoserOverHTTP(t *testing.T) {
+	ctx := context.Background()
+	stalled := stalledBackend{Backend: store.NewMemory(), release: make(chan struct{})}
+	priSrv := server.NewWithBackend([]byte(testSecret), time.Hour, stalled)
+	seedInto(t, priSrv, 2, 8)
+	reg := obs.NewRegistry()
+	priSrv.SetObs(reg)
+	repSrv := newSeededServer(t, 2, 8)
+	priHandler := priSrv.Handler()
+	priCtx := make(chan context.Context, 1)
+	priServed := make(chan struct{}, 1)
+	pri := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		priCtx <- r.Context()
+		priHandler.ServeHTTP(w, r)
+		priServed <- struct{}{}
+	}))
+	defer pri.Close()
+	rep := httptest.NewServer(repSrv.Handler())
+	defer rep.Close()
+
+	set, err := NewSet(client.HTTP{BaseURL: pri.URL}, client.HTTP{BaseURL: rep.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set.SetHedgeDelay(2 * time.Millisecond)
+	toks := login(t, repSrv)
+	got, _, err := set.Query(ctx, toks, 1, 0, 8)
+	if err != nil {
+		t.Fatalf("hedged query: %v", err)
+	}
+	want, err := repSrv.Query(ctx, toks, 1, 0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Elements, want.Elements) {
+		t.Fatalf("hedged answer diverges from the direct one:\n%+v\n%+v", got.Elements, want.Elements)
+	}
+	// The winner's return cancelled the loser; once the primary has
+	// seen the connection drop, let it finish answering a peer that is
+	// no longer there.
+	<-(<-priCtx).Done()
+	close(stalled.release)
+	<-priServed
+	if st := set.Stats(); st.Hedges != 1 || st.HedgeWins != 1 || st.Failovers != 0 || st.PrimaryDemoted {
+		t.Fatalf("stats = %+v, want one hedge win and the loser counted as nothing", st)
+	}
+	var scrape bytes.Buffer
+	reg.WritePrometheus(&scrape)
+	if !strings.Contains(scrape.String(), server.MetricHTTPRequestsTotal+`{code="499",endpoint="/v2/query"} 1`) {
+		t.Errorf("the cancelled loser is not counted under code 499:\n%s", scrape.String())
+	}
+	if strings.Contains(scrape.String(), `code="5`) {
+		t.Errorf("the cancelled loser shows as a server error:\n%s", scrape.String())
 	}
 }
 

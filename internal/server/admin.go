@@ -268,7 +268,7 @@ func (s *Server) adminAuthed(w http.ResponseWriter, r *http.Request) bool {
 	got := r.Header.Get("X-Zerber-Admin")
 	want := AdminMAC(s.secret)
 	if subtle.ConstantTimeCompare([]byte(got), []byte(want)) != 1 {
-		writeErr(w, fmt.Errorf("%w: missing or wrong admin MAC", ErrAuth))
+		writeErr(w, r, fmt.Errorf("%w: missing or wrong admin MAC", ErrAuth))
 		return false
 	}
 	return true
@@ -282,7 +282,7 @@ func (s *Server) registerAdmin(handle func(method, path string, h http.HandlerFu
 		}
 		exp, err := s.ExportSnapshot(r.Context())
 		if err != nil {
-			writeErr(w, err)
+			writeErr(w, r, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
@@ -301,11 +301,11 @@ func (s *Server) registerAdmin(handle func(method, path string, h http.HandlerFu
 		}
 		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxImportBytes))
 		if err != nil {
-			writeErr(w, fmt.Errorf("%w: reading snapshot body: %v", ErrBadRequest, err))
+			writeErr(w, r, fmt.Errorf("%w: reading snapshot body: %v", ErrBadRequest, err))
 			return
 		}
 		if err := s.ImportSnapshot(r.Context(), data); err != nil {
-			writeErr(w, err)
+			writeErr(w, r, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, struct{}{})
@@ -316,12 +316,12 @@ func (s *Server) registerAdmin(handle func(method, path string, h http.HandlerFu
 		}
 		after, err := strconv.ParseUint(r.URL.Query().Get("after"), 10, 64)
 		if err != nil {
-			writeErr(w, fmt.Errorf("%w: bad after parameter: %v", ErrBadRequest, err))
+			writeErr(w, r, fmt.Errorf("%w: bad after parameter: %v", ErrBadRequest, err))
 			return
 		}
 		ops, err := s.TailSince(r.Context(), after)
 		if err != nil {
-			writeErr(w, err)
+			writeErr(w, r, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, TailResponse{Ops: ops})
@@ -335,7 +335,7 @@ func (s *Server) registerAdmin(handle func(method, path string, h http.HandlerFu
 			return
 		}
 		if err := s.ApplyOps(r.Context(), req.Ops); err != nil {
-			writeErr(w, err)
+			writeErr(w, r, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, struct{}{})
@@ -346,7 +346,7 @@ func (s *Server) registerAdmin(handle func(method, path string, h http.HandlerFu
 		}
 		lists, err := s.Digest(r.Context())
 		if err != nil {
-			writeErr(w, err)
+			writeErr(w, r, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, DigestResponse{Lists: lists})

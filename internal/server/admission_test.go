@@ -142,12 +142,12 @@ func TestRateLimitHTTP(t *testing.T) {
 
 	checkLimited(t, post(t, ts, "/v2/query", query))
 	checkLimited(t, post(t, ts, "/v1/login", LoginRequest{User: "alice"}))
-	checkLimited(t, post(t, ts, "/v2/insert", InsertBatchRequest{Token: lr.Tokens[0], Ops: []InsertOp{
+	checkLimited(t, postInsert(t, ts, lr.Tokens[0], []InsertOp{
 		{List: 1, Element: StoredElement{Sealed: []byte{1}, Group: 0}},
-	}}))
-	checkLimited(t, post(t, ts, "/v2/remove", RemoveBatchRequest{Token: lr.Tokens[0], Ops: []RemoveOp{
+	}))
+	checkLimited(t, postRemove(t, ts, lr.Tokens[0], []RemoveOp{
 		{List: 1, Sealed: []byte{1}},
-	}}))
+	}))
 
 	// At 0.25 ops/s a dry bucket needs ~4s for the next token; the
 	// hint must say so rather than defaulting to 1.
@@ -170,6 +170,7 @@ func TestLoadShedHTTP(t *testing.T) {
 	defer ts.Close()
 
 	pr, pw := io.Pipe()
+	defer pw.Close() // before ts.Close, which waits for the stuck request: a failed test must not hang
 	stuck := make(chan error, 1)
 	go func() {
 		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v2/query", pr)
@@ -185,9 +186,17 @@ func TestLoadShedHTTP(t *testing.T) {
 	}()
 
 	// The stuck request holds the slot once its handler blocks in
-	// decode; poll until a probe is shed.
-	var resp *http.Response
+	// decode. Probe only once it is in flight — a probe that arrives
+	// first would see the stuck request shed instead, and nothing would
+	// hold the slot afterwards — then poll until a probe is shed.
 	deadline := time.Now().Add(5 * time.Second)
+	for s.inflight.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the stuck request never arrived")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var resp *http.Response
 	for {
 		var err error
 		resp, err = http.Get(ts.URL + "/v2/stats")
@@ -277,7 +286,7 @@ func TestShedDrainsBody(t *testing.T) {
 		for j := range big {
 			big[j] = InsertOp{List: 1, Element: StoredElement{Sealed: []byte{byte(j), 1, 2, 3}, Group: 0}}
 		}
-		resp := post(t, ts, "/v2/insert", InsertBatchRequest{Token: toks[0], Ops: big})
+		resp := postInsert(t, ts, toks[0], big)
 		if resp.StatusCode != http.StatusTooManyRequests {
 			t.Fatalf("request %d: status %d, want 429", i, resp.StatusCode)
 		}

@@ -198,7 +198,7 @@ func (s *Server) InsertBatch(ctx context.Context, tok crypt.Token, ops []InsertO
 	}
 	batch := make([]store.BatchInsert, len(ops))
 	for i, op := range ops {
-		if op.Element.Sealed == nil {
+		if len(op.Element.Sealed) == 0 {
 			return &BatchError{Index: i, Err: fmt.Errorf("%w: empty payload", ErrBadRequest)}
 		}
 		if !allowed[op.Element.Group] {

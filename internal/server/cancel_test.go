@@ -1,12 +1,21 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"zerberr/internal/crypt"
+	"zerberr/internal/obs"
+	"zerberr/internal/store"
 	"zerberr/internal/zerber"
 )
 
@@ -85,5 +94,122 @@ func TestQueryBatchSubErrorStillPrecise(t *testing.T) {
 	var be *BatchError
 	if !errors.As(err, &be) || be.Index != 1 {
 		t.Fatalf("failure not attributed to op 1: %v", err)
+	}
+}
+
+// gatedBackend parks every Query until release is closed, announcing
+// each arrival on entered: a request that is provably in flight.
+type gatedBackend struct {
+	store.Backend
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b gatedBackend) Query(list zerber.ListID, allowed map[int]bool, offset, count int) (store.QueryResult, error) {
+	b.entered <- struct{}{}
+	<-b.release
+	return b.Backend.Query(list, allowed, offset, count)
+}
+
+// recordingHandler keeps every log record's level and message.
+type recordingHandler struct {
+	mu      sync.Mutex
+	records []slog.Record
+}
+
+func (h *recordingHandler) Enabled(context.Context, slog.Level) bool { return true }
+func (h *recordingHandler) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *recordingHandler) WithGroup(string) slog.Handler            { return h }
+func (h *recordingHandler) Handle(_ context.Context, r slog.Record) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.records = append(h.records, r)
+	return nil
+}
+
+// TestClientGoneIsNotAServerError: a client that cancels mid-QueryBatch
+// (a hedge's loser, an abandoned search) is answered 499 — counted
+// under its own code, logged at Debug — not 500 "internal" at Warn.
+func TestClientGoneIsNotAServerError(t *testing.T) {
+	backend := gatedBackend{Backend: store.NewMemory(), entered: make(chan struct{}, 1), release: make(chan struct{})}
+	s := NewWithBackend([]byte("ctx-secret"), time.Hour, backend)
+	s.RegisterUser("u", 0)
+	reg := obs.NewRegistry()
+	s.SetObs(reg)
+	logs := &recordingHandler{}
+	s.SetLogger(slog.New(logs))
+	toks, err := s.Login(context.Background(), "u")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Insert(context.Background(), toks[0], 1, StoredElement{Sealed: []byte{1}, TRS: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	// The wrapper publishes the server-side request context, so the
+	// test can wait for the server to have noticed the disconnect, and
+	// reports when the whole middleware stack has returned.
+	h := s.Handler()
+	serverCtx := make(chan context.Context, 1)
+	served := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		serverCtx <- r.Context()
+		h.ServeHTTP(w, r)
+		close(served)
+	}))
+	defer ts.Close()
+
+	body, err := json.Marshal(QueryBatchRequest{Tokens: toks, Queries: []ListQuery{{List: 1, Count: 10}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v2/query", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clientDone := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		clientDone <- err
+	}()
+	<-backend.entered // the sub-query is running
+	cancel()          // the client goes away
+	if err := <-clientDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("client err = %v, want context.Canceled", err)
+	}
+	<-(<-serverCtx).Done() // the server saw the connection drop
+	close(backend.release)
+	<-served
+
+	endpoint := obs.Label{Name: "endpoint", Value: "/v2/query"}
+	count := func(code string) uint64 {
+		return reg.Counter(MetricHTTPRequestsTotal, httpRequestsHelp, endpoint, obs.Label{Name: "code", Value: code}).Value()
+	}
+	if got := count("499"); got != 1 {
+		t.Errorf("code=499 counted %d times, want 1", got)
+	}
+	var scrape bytes.Buffer
+	reg.WritePrometheus(&scrape)
+	for _, line := range strings.Split(scrape.String(), "\n") {
+		if strings.HasPrefix(line, MetricHTTPRequestsTotal) && strings.Contains(line, `code="5`) {
+			t.Errorf("a cancelled request produced a 5xx sample: %s", line)
+		}
+	}
+	logs.mu.Lock()
+	defer logs.mu.Unlock()
+	sawDebug := false
+	for _, r := range logs.records {
+		if r.Level >= slog.LevelWarn {
+			t.Errorf("a cancelled request logged at %v: %s", r.Level, r.Message)
+		}
+		if r.Level == slog.LevelDebug && r.Message == "client went away" {
+			sawDebug = true
+		}
+	}
+	if !sawDebug {
+		t.Error(`no Debug "client went away" record`)
 	}
 }

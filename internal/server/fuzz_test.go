@@ -1,25 +1,34 @@
 package server
 
-// FuzzV2Request hardens the protocol request surface: there is one
-// decoder and one error writer, so one target covers all of it.
-// Whatever bytes arrive at /v2/query, /v2/insert, /v2/remove or
-// /v1/login — before any token in them has been checked — the handler
-// must answer without panicking and never with a 5xx: every malformed,
-// unauthorized or oversized request is the client's fault and says so.
-// The committed corpus under testdata/fuzz holds a valid request per
-// endpoint (tokens signed under the fixed secret and clock below) and
-// the damaged shapes around them.
+// FuzzV2Request hardens the protocol request surface: whatever bytes
+// arrive at /v2/query, /v2/insert, /v2/remove or /v1/login — before any
+// token in them has been checked — the handler must answer without
+// panicking and never with a 5xx: every malformed, unauthorized or
+// oversized request is the client's fault and says so. /v2/insert and
+// /v2/remove take binary frames (wire.go); a JSON body there, which is
+// what they took before, must be refused as a bad request.
+// FuzzWireResponse does the same for the decoder a client runs on what
+// an untrusted server answers. The committed corpora under
+// testdata/fuzz hold a valid message per target (tokens signed under
+// the fixed secret and clock below) and the damaged shapes around
+// them; `go test -run TestWireGolden -update` rewrites the binary ones.
 
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
+
+	"zerberr/internal/crypt"
 )
 
 var fuzzEndpoints = []string{"/v2/query", "/v2/insert", "/v2/remove", "/v1/login"}
@@ -42,20 +51,19 @@ func fuzzSeeds(tb testing.TB, s *Server) [][]byte {
 		tb.Fatal(err)
 	}
 	el := StoredElement{Sealed: []byte("payload"), TRS: 0.5, Group: 0}
-	var out [][]byte
-	for _, v := range []interface{}{
-		QueryBatchRequest{Tokens: toks, Queries: []ListQuery{{List: 3, Count: 10}, {List: 4, Offset: 2, Count: 1, Proof: true}}},
-		InsertBatchRequest{Token: toks[0], Ops: []InsertOp{{List: 3, Element: el}}},
-		RemoveBatchRequest{Token: toks[0], Ops: []RemoveOp{{List: 3, Sealed: el.Sealed}}},
-		LoginRequest{User: "fuzz"},
-	} {
+	marshal := func(v interface{}) []byte {
 		b, err := json.Marshal(v)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		out = append(out, b)
+		return b
 	}
-	return out
+	return [][]byte{
+		marshal(QueryBatchRequest{Tokens: toks, Queries: []ListQuery{{List: 3, Count: 10}, {List: 4, Offset: 2, Count: 1, Proof: true}}}),
+		AppendInsertRequest(nil, toks[0], []InsertOp{{List: 3, Element: el}}),
+		AppendRemoveRequest(nil, toks[0], []RemoveOp{{List: 3, Sealed: el.Sealed}}),
+		marshal(LoginRequest{User: "fuzz"}),
+	}
 }
 
 func FuzzV2Request(f *testing.F) {
@@ -72,11 +80,95 @@ func FuzzV2Request(f *testing.F) {
 		if rec.Code >= 500 {
 			t.Fatalf("%s answered %d to %q: %s", path, rec.Code, body, rec.Body.Bytes())
 		}
+		var env ErrorV2
 		if rec.Code != http.StatusOK {
-			var env ErrorV2
 			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Code == "" || env.Error == "" {
 				t.Fatalf("%s answered %d without the error envelope: %s", path, rec.Code, rec.Body.Bytes())
 			}
 		}
+		if (path == "/v2/insert" || path == "/v2/remove") && len(body) > 0 && body[0] == '{' &&
+			(rec.Code != http.StatusBadRequest || env.Code != CodeBadRequest) {
+			t.Fatalf("%s answered %d %q to a JSON body, want 400 %s", path, rec.Code, env.Code, CodeBadRequest)
+		}
 	})
+}
+
+// FuzzWireResponse feeds arbitrary bytes to the response decoder: a
+// clean error or a value, never a panic, and nothing decoded may be
+// larger than a small multiple of the input. A proof that decodes goes
+// on to the verifier, which must likewise accept or reject.
+func FuzzWireResponse(f *testing.F) {
+	f.Add(AppendQueryResponse(nil, goldenResponses()))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		resps, err := DecodeQueryResponse(body)
+		if err != nil {
+			return
+		}
+		elems := 0
+		for _, resp := range resps {
+			elems += len(resp.Elements)
+			if resp.Proof != nil {
+				_ = verifyWindow(resp, map[int]bool{0: true}, 2, 2)
+				_ = verifyWindow(resp, nil, 0, len(resp.Elements))
+			}
+		}
+		if len(resps) > len(body) || elems > len(body) {
+			t.Fatalf("%d windows and %d elements decoded from %d bytes", len(resps), elems, len(body))
+		}
+		// What decodes re-encodes to a frame that decodes the same.
+		again, err := DecodeQueryResponse(AppendQueryResponse(nil, resps))
+		if err != nil || len(again) != len(resps) {
+			t.Fatalf("re-encoded frame: %d windows, err %v", len(again), err)
+		}
+	})
+}
+
+// writeFuzzSeeds regenerates the binary corpus files (TestWireGolden
+// -update): for FuzzV2Request the valid insert and remove frames and
+// the damaged shapes around them, for FuzzWireResponse the golden
+// response and its truncations.
+func writeFuzzSeeds(t *testing.T) {
+	s := fuzzServer()
+	seeds := fuzzSeeds(t, s)
+	insert, remove := seeds[1], seeds[2]
+	toks, err := s.Login(context.Background(), "fuzz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A well-formed header and token, then an operation count of 2^62.
+	huge, start := beginFrame(nil, frameInsertRequest)
+	huge = endFrame(binary.AppendUvarint(crypt.AppendToken(huge, toks[0]), 1<<62), start)
+	v2 := map[string]struct {
+		endpoint uint8
+		body     []byte
+	}{
+		"seed_insert_valid":          {1, insert},
+		"seed_insert_truncated":      {1, insert[:len(insert)-3]},
+		"seed_insert_trailing":       {1, append(append([]byte(nil), insert...), 0)},
+		"seed_insert_huge_count":     {1, huge},
+		"seed_insert_wrong_endpoint": {2, insert},
+		"seed_remove_valid":          {2, remove},
+		"seed_remove_truncated":      {2, remove[:len(remove)-3]},
+		"seed_remove_header_only":    {2, remove[:wireHeaderLen]},
+		"seed_remove_wrong_endpoint": {1, remove},
+	}
+	for name, seed := range v2 {
+		writeCorpusFile(t, "FuzzV2Request", name, fmt.Sprintf("byte(%q)\n[]byte(%q)\n", seed.endpoint, seed.body))
+	}
+	golden := AppendQueryResponse(nil, goldenResponses())
+	writeCorpusFile(t, "FuzzWireResponse", "seed_golden", fmt.Sprintf("[]byte(%q)\n", golden))
+	for _, cut := range []int{0, 3, wireHeaderLen, wireHeaderLen + 1, 40, len(golden) / 2, len(golden) - 33, len(golden) - 1} {
+		writeCorpusFile(t, "FuzzWireResponse", fmt.Sprintf("seed_truncated_%03d", cut), fmt.Sprintf("[]byte(%q)\n", golden[:cut]))
+	}
+}
+
+func writeCorpusFile(t *testing.T, target, name, values string) {
+	t.Helper()
+	dir := filepath.Join("testdata", "fuzz", target)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, name), []byte("go test fuzz v1\n"+values), 0o644); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -8,30 +9,33 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"zerberr/internal/crypt"
 	"zerberr/internal/obs"
 )
 
-// HTTP transport: a thin JSON layer over the in-process API, so the
-// index server can be outsourced onto a remote host (cmd/zerberd) and
+// HTTP transport: a thin layer over the in-process API, so the index
+// server can be outsourced onto a remote host (cmd/zerberd) and
 // exercised by clients over the network. Every handler threads the
 // request's context into the server call, so a disconnecting client
 // (or a cmd/zerberd drain timeout) cancels the server-side work it
-// started.
+// started; such a request is answered 499, not as a server error.
 //
 // There is one wire generation. Every operation is a batch — a
 // single-list call is a batch of one — and every rejection is the
-// structured {code, error, index} envelope (see DESIGN.md "Wire
-// protocol" for the error-code registry). Login keeps its historical
-// /v1 path; nothing else is served there.
+// structured JSON {code, error, index} envelope (see DESIGN.md "Wire
+// protocol" for the error-code registry). The messages that carry
+// sealed payloads are binary frames (wire.go); everything else is
+// JSON. Login keeps its historical /v1 path; nothing else is served
+// there.
 //
 //	POST /v1/login   {"user": "john"}                     -> {"tokens": [...]}
 //	POST /v2/query   {"tokens": [...], "queries": [{list,offset,count}...]}
-//	                                                      -> {"responses": [QueryResponse...]}
-//	POST /v2/insert  {"token": ..., "ops": [{list,element}...]} -> {}
-//	POST /v2/remove  {"token": ..., "ops": [{list,sealed}...]}  -> {}
+//	                                                      -> query-response frame
+//	POST /v2/insert  insert-request frame                 -> (empty)
+//	POST /v2/remove  remove-request frame                 -> (empty)
 //	GET  /v2/stats   -> {"lists","elements","backend","per_list":[{list,elements}...]}
 
 // LoginRequest is the /v1/login payload.
@@ -48,24 +52,6 @@ type LoginResponse struct {
 type QueryBatchRequest struct {
 	Tokens  []crypt.Token `json:"tokens"`
 	Queries []ListQuery   `json:"queries"`
-}
-
-// QueryBatchResponse carries one QueryResponse per sub-query, in
-// request order.
-type QueryBatchResponse struct {
-	Responses []QueryResponse `json:"responses"`
-}
-
-// InsertBatchRequest is the /v2/insert payload.
-type InsertBatchRequest struct {
-	Token crypt.Token `json:"token"`
-	Ops   []InsertOp  `json:"ops"`
-}
-
-// RemoveBatchRequest is the /v2/remove payload.
-type RemoveBatchRequest struct {
-	Token crypt.Token `json:"token"`
-	Ops   []RemoveOp  `json:"ops"`
 }
 
 // CacheStatsV2 is the query-result cache section of the /v2/stats
@@ -191,7 +177,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		toks, err := s.Login(r.Context(), req.User)
 		if err != nil {
-			writeErr(w, err)
+			writeErr(w, r, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, LoginResponse{Tokens: toks})
@@ -203,33 +189,33 @@ func (s *Server) Handler() http.Handler {
 		}
 		resps, err := s.QueryBatch(r.Context(), req.Tokens, req.Queries)
 		if err != nil {
-			writeErr(w, err)
+			writeErr(w, r, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, QueryBatchResponse{Responses: resps})
+		// One pooled buffer, one Write, Content-Length set: the answer is
+		// never chunked and a steady-state encode allocates nothing.
+		bp := frameBufs.Get().(*[]byte)
+		frame := AppendQueryResponse((*bp)[:0], resps)
+		w.Header().Set("Content-Type", FrameContentType)
+		w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(frame) // a failed write is the peer's loss; nothing to answer it with
+		putFrameBuf(bp, frame)
 	})
-	handle("POST", "/v2/insert", func(w http.ResponseWriter, r *http.Request) {
-		var req InsertBatchRequest
-		if !decode(w, r, &req, maxRequestBytes) {
-			return
+	handle("POST", "/v2/insert", frameHandler(func(ctx context.Context, body []byte) error {
+		tok, ops, err := DecodeInsertRequest(body)
+		if err != nil {
+			return err
 		}
-		if err := s.InsertBatch(r.Context(), req.Token, req.Ops); err != nil {
-			writeErr(w, err)
-			return
+		return s.InsertBatch(ctx, tok, ops)
+	}))
+	handle("POST", "/v2/remove", frameHandler(func(ctx context.Context, body []byte) error {
+		tok, ops, err := DecodeRemoveRequest(body)
+		if err != nil {
+			return err
 		}
-		writeJSON(w, http.StatusOK, struct{}{})
-	})
-	handle("POST", "/v2/remove", func(w http.ResponseWriter, r *http.Request) {
-		var req RemoveBatchRequest
-		if !decode(w, r, &req, maxRequestBytes) {
-			return
-		}
-		if err := s.RemoveBatch(r.Context(), req.Token, req.Ops); err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, struct{}{})
-	})
+		return s.RemoveBatch(ctx, tok, ops)
+	}))
 	handle("GET", "/v2/stats", func(w http.ResponseWriter, r *http.Request) {
 		// ?roots=1 opts into per-list Merkle roots: an audit signal
 		// that materializes every list's commitment, so it is never
@@ -240,7 +226,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		st, err := stats(r.Context())
 		if err != nil {
-			writeErr(w, err)
+			writeErr(w, r, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, st)
@@ -302,7 +288,7 @@ func (s *Server) instrument(endpoint string, next http.HandlerFunc) http.Handler
 			if m != nil {
 				m.shed.Inc()
 			}
-			writeErr(rec, withRetryHint(fmt.Errorf("%w: %d requests already in flight", ErrOverloaded, max), time.Second))
+			writeErr(rec, r, withRetryHint(fmt.Errorf("%w: %d requests already in flight", ErrOverloaded, max), time.Second))
 		} else {
 			ctx := obs.WithLogger(obs.WithRequestID(r.Context(), id), logger)
 			next(rec, r.WithContext(ctx))
@@ -314,6 +300,8 @@ func (s *Server) instrument(endpoint string, next http.HandlerFunc) http.Handler
 				obs.Label{Name: "code", Value: strconv.Itoa(rec.status)}).Inc()
 		}
 		switch {
+		case rec.status == statusClientClosed:
+			logger.Debug("client went away", "status", rec.status, "duration", elapsed)
 		case rec.status >= 500:
 			logger.Warn("request failed", "status", rec.status, "duration", elapsed)
 		case rec.status >= 400:
@@ -341,10 +329,50 @@ func decode(w http.ResponseWriter, r *http.Request, dst interface{}, limit int64
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		writeErr(w, fmt.Errorf("%w: decoding body: %v", ErrBadRequest, err))
+		writeErr(w, r, fmt.Errorf("%w: decoding body: %v", ErrBadRequest, err))
 		return false
 	}
 	return true
+}
+
+// frameBufs pools the buffers request frames are read into and
+// response frames are encoded into.
+var frameBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 16<<10)
+	return &b
+}}
+
+// putFrameBuf returns a pooled buffer, in the (possibly regrown) form
+// the caller ended up with. A buffer a rare huge batch grew is dropped
+// instead, so the pool cannot pin megabytes per idle connection.
+func putFrameBuf(bp *[]byte, buf []byte) {
+	if cap(buf) > 1<<20 {
+		return
+	}
+	*bp = buf[:0]
+	frameBufs.Put(bp)
+}
+
+// frameHandler serves an endpoint whose request is a binary frame and
+// whose answer is an empty 200: the body, of at most maxRequestBytes,
+// is read into a pooled buffer that goes back only once apply has
+// returned, because what apply decodes from it may alias it.
+func frameHandler(apply func(ctx context.Context, body []byte) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		bp := frameBufs.Get().(*[]byte)
+		body, err := ReadBody(http.MaxBytesReader(w, r.Body, maxRequestBytes), *bp, r.ContentLength)
+		defer func() { putFrameBuf(bp, body) }()
+		if err != nil {
+			err = fmt.Errorf("%w: reading body: %v", ErrBadRequest, err)
+		} else {
+			err = apply(r.Context(), body)
+		}
+		if err != nil {
+			writeErr(w, r, err)
+			return
+		}
+		w.WriteHeader(http.StatusOK)
+	}
 }
 
 // statusFor maps a server error onto its HTTP status.
@@ -384,7 +412,19 @@ func setRetryAfter(w http.ResponseWriter, err error, status int) {
 	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 }
 
-func writeErr(w http.ResponseWriter, err error) {
+// statusClientClosed answers a request whose client went away before
+// the answer was ready (nginx's 499). It is nobody's error: the access
+// log records it at Debug and it is counted under its own code, so it
+// shows in no 5xx rate.
+const statusClientClosed = 499
+
+func writeErr(w http.ResponseWriter, r *http.Request, err error) {
+	if r.Context().Err() != nil {
+		// A hedge's loser, a cancelled search, a drained connection: the
+		// peer is gone, so there is nobody to read an envelope.
+		w.WriteHeader(statusClientClosed)
+		return
+	}
 	env := ErrorV2{Code: ErrorCode(err), Error: err.Error()}
 	var be *BatchError
 	if errors.As(err, &be) {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -30,6 +31,32 @@ func postRaw(t *testing.T, ts *httptest.Server, path string, body []byte) *http.
 		t.Fatal(err)
 	}
 	return resp
+}
+
+// postInsert and postRemove post a binary request frame.
+func postInsert(t *testing.T, ts *httptest.Server, tok crypt.Token, ops []InsertOp) *http.Response {
+	t.Helper()
+	return postRaw(t, ts, "/v2/insert", AppendInsertRequest(nil, tok, ops))
+}
+
+func postRemove(t *testing.T, ts *httptest.Server, tok crypt.Token, ops []RemoveOp) *http.Response {
+	t.Helper()
+	return postRaw(t, ts, "/v2/remove", AppendRemoveRequest(nil, tok, ops))
+}
+
+// decodeWindows reads the response frame off a /v2/query answer.
+func decodeWindows(t *testing.T, resp *http.Response) []QueryResponse {
+	t.Helper()
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows, err := DecodeQueryResponse(raw)
+	if err != nil {
+		t.Fatalf("decoding query response frame: %v", err)
+	}
+	return windows
 }
 
 // decodeV2Err reads the error envelope off a response.
@@ -58,13 +85,12 @@ func TestHTTPV2BatchedRoundTrip(t *testing.T) {
 	tok := lr.Tokens[0]
 
 	// Batched insert: four elements across two lists, one round-trip.
-	ins := InsertBatchRequest{Token: tok, Ops: []InsertOp{
+	r := postInsert(t, ts, tok, []InsertOp{
 		{List: 1, Element: StoredElement{Sealed: []byte{1}, TRS: 0.9, Group: 0}},
 		{List: 1, Element: StoredElement{Sealed: []byte{2}, TRS: 0.4, Group: 0}},
 		{List: 2, Element: StoredElement{Sealed: []byte{3}, TRS: 0.7, Group: 0}},
 		{List: 2, Element: StoredElement{Sealed: []byte{4}, TRS: 0.2, Group: 0}},
-	}}
-	r := post(t, ts, "/v2/insert", ins)
+	})
 	if r.StatusCode != http.StatusOK {
 		t.Fatalf("batched insert status %d", r.StatusCode)
 	}
@@ -80,18 +106,20 @@ func TestHTTPV2BatchedRoundTrip(t *testing.T) {
 	if r.StatusCode != http.StatusOK {
 		t.Fatalf("batched query status %d", r.StatusCode)
 	}
-	var qbr QueryBatchResponse
-	if err := json.NewDecoder(r.Body).Decode(&qbr); err != nil {
-		t.Fatal(err)
+	if ct := r.Header.Get("Content-Type"); ct != FrameContentType {
+		t.Fatalf("query answer Content-Type %q", ct)
 	}
-	r.Body.Close()
-	if len(qbr.Responses) != 2 {
-		t.Fatalf("got %d responses, want 2", len(qbr.Responses))
+	if r.ContentLength < 0 {
+		t.Fatal("query answer is chunked: no Content-Length")
 	}
-	if got := qbr.Responses[0]; len(got.Elements) != 2 || !got.Exhausted || got.Elements[0].TRS != 0.7 {
+	windows := decodeWindows(t, r)
+	if len(windows) != 2 {
+		t.Fatalf("got %d responses, want 2", len(windows))
+	}
+	if got := windows[0]; len(got.Elements) != 2 || !got.Exhausted || got.Elements[0].TRS != 0.7 {
 		t.Fatalf("list 2 response %+v", got)
 	}
-	if got := qbr.Responses[1]; len(got.Elements) != 1 || got.Exhausted || got.Elements[0].TRS != 0.9 {
+	if got := windows[1]; len(got.Elements) != 1 || got.Exhausted || got.Elements[0].TRS != 0.9 {
 		t.Fatalf("list 1 response %+v", got)
 	}
 
@@ -114,10 +142,10 @@ func TestHTTPV2BatchedRoundTrip(t *testing.T) {
 	}
 
 	// Batched remove drains list 1.
-	r = post(t, ts, "/v2/remove", RemoveBatchRequest{Token: tok, Ops: []RemoveOp{
+	r = postRemove(t, ts, tok, []RemoveOp{
 		{List: 1, Sealed: []byte{1}},
 		{List: 1, Sealed: []byte{2}},
-	}})
+	})
 	if r.StatusCode != http.StatusOK {
 		t.Fatalf("batched remove status %d", r.StatusCode)
 	}
@@ -201,9 +229,9 @@ func TestHTTPErrorMapping(t *testing.T) {
 	// A syntactically valid body past the bound (the sealed payload
 	// alone outgrows it): it must be refused at the bound — the reader's
 	// "too large" — not buffered and then parsed.
-	oversize := marshal(InsertBatchRequest{Token: toks[0], Ops: []InsertOp{
+	oversize := AppendInsertRequest(nil, toks[0], []InsertOp{
 		{List: 1, Element: StoredElement{Sealed: make([]byte, maxRequestBytes), Group: 0}},
-	}})
+	})
 
 	cases := []struct {
 		name   string
@@ -217,9 +245,11 @@ func TestHTTPErrorMapping(t *testing.T) {
 		{"unknown user", "/v1/login", marshal(LoginRequest{User: "ghost"}), http.StatusNotFound, CodeUnknownUser, -1, ""},
 		{"unknown list", "/v2/query", marshal(QueryBatchRequest{Tokens: toks, Queries: []ListQuery{{List: 9, Count: 5}}}), http.StatusNotFound, CodeUnknownList, 0, ""},
 		{"bad count", "/v2/query", marshal(QueryBatchRequest{Tokens: toks, Queries: []ListQuery{{List: 9, Count: -1}}}), http.StatusBadRequest, CodeBadRequest, 0, ""},
-		{"empty payload", "/v2/insert", marshal(InsertBatchRequest{Token: toks[0], Ops: []InsertOp{{List: 1}}}), http.StatusBadRequest, CodeBadRequest, 0, ""},
-		{"empty batch", "/v2/remove", marshal(RemoveBatchRequest{Token: toks[0]}), http.StatusBadRequest, CodeBadRequest, -1, ""},
-		{"forged token", "/v2/insert", marshal(InsertBatchRequest{Token: forged, Ops: []InsertOp{{List: 1, Element: StoredElement{Sealed: []byte{1}, Group: 5}}}}), http.StatusUnauthorized, CodeBadToken, -1, ""},
+		{"empty payload", "/v2/insert", AppendInsertRequest(nil, toks[0], []InsertOp{{List: 1}}), http.StatusBadRequest, CodeBadRequest, 0, ""},
+		{"empty batch", "/v2/remove", AppendRemoveRequest(nil, toks[0], nil), http.StatusBadRequest, CodeBadRequest, -1, ""},
+		{"JSON insert", "/v2/insert", []byte(`{"token":{},"ops":[]}`), http.StatusBadRequest, CodeBadRequest, -1, "JSON, not a binary frame"},
+		{"remove frame on insert", "/v2/insert", AppendRemoveRequest(nil, toks[0], []RemoveOp{{List: 1, Sealed: []byte{1}}}), http.StatusBadRequest, CodeBadRequest, -1, "kind"},
+		{"forged token", "/v2/insert", AppendInsertRequest(nil, forged, []InsertOp{{List: 1, Element: StoredElement{Sealed: []byte{1}, Group: 5}}}), http.StatusUnauthorized, CodeBadToken, -1, ""},
 		{"malformed JSON", "/v2/query", []byte("{nope"), http.StatusBadRequest, CodeBadRequest, -1, ""},
 		{"malformed login", "/v1/login", []byte("{nope"), http.StatusBadRequest, CodeBadRequest, -1, ""},
 		{"unknown field", "/v2/query", []byte(`{"tokens":[],"queries":[],"list":3}`), http.StatusBadRequest, CodeBadRequest, -1, ""},
@@ -275,11 +305,11 @@ func TestHTTPV2PartialFailureAtomic(t *testing.T) {
 
 	// Op 2 targets a group the token does not cover: the whole batch
 	// must be rejected with its index and nothing applied.
-	r := post(t, ts, "/v2/insert", InsertBatchRequest{Token: lr.Tokens[0], Ops: []InsertOp{
+	r := postInsert(t, ts, lr.Tokens[0], []InsertOp{
 		{List: 1, Element: StoredElement{Sealed: []byte{1}, TRS: 0.9, Group: 0}},
 		{List: 1, Element: StoredElement{Sealed: []byte{2}, TRS: 0.8, Group: 0}},
 		{List: 2, Element: StoredElement{Sealed: []byte{3}, TRS: 0.7, Group: 5}},
-	}})
+	})
 	if r.StatusCode != http.StatusForbidden {
 		t.Fatalf("partial failure status %d", r.StatusCode)
 	}

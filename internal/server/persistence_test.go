@@ -27,11 +27,11 @@ func TestHTTPQueryIdenticalAfterRestart(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("query status %d", resp.StatusCode)
 		}
-		var qr QueryBatchResponse
-		if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil || len(qr.Responses) != 1 {
-			t.Fatalf("query response %+v: %v", qr, err)
+		windows := decodeWindows(t, resp)
+		if len(windows) != 1 {
+			t.Fatalf("query response holds %d windows", len(windows))
 		}
-		return qr.Responses[0]
+		return windows[0]
 	}
 	login := func(ts *httptest.Server) LoginResponse {
 		t.Helper()
@@ -57,14 +57,14 @@ func TestHTTPQueryIdenticalAfterRestart(t *testing.T) {
 	s, ts := boot()
 	lr := login(ts)
 	for i, trs := range []float64{0.9, 0.1, 0.5, 0.7} {
-		resp := post(t, ts, "/v2/insert", InsertBatchRequest{Token: lr.Tokens[i%2], Ops: []InsertOp{{
+		resp := postInsert(t, ts, lr.Tokens[i%2], []InsertOp{{
 			List: 4,
 			Element: StoredElement{
 				Sealed: []byte{byte(i), 0xEE},
 				TRS:    trs,
 				Group:  i % 2,
 			},
-		}}})
+		}})
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("insert %d status %d", i, resp.StatusCode)

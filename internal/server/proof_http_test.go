@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -47,11 +46,11 @@ func proofTestServer(t *testing.T) (*Server, *httptest.Server, []crypt.Token) {
 		2: {{Sealed: []byte("c1"), TRS: 0.7, Group: 2}},
 	}
 	for g, batch := range els {
-		ins := InsertBatchRequest{Token: byGroup[g]}
+		var ops []InsertOp
 		for _, el := range batch {
-			ins.Ops = append(ins.Ops, InsertOp{List: 1, Element: el})
+			ops = append(ops, InsertOp{List: 1, Element: el})
 		}
-		r := post(t, ts, "/v2/insert", ins)
+		r := postInsert(t, ts, byGroup[g], ops)
 		if r.StatusCode != http.StatusOK {
 			t.Fatalf("group %d insert status %d", g, r.StatusCode)
 		}
@@ -82,17 +81,20 @@ func rawQuery(t *testing.T, ts *httptest.Server, tokens []crypt.Token, q ListQue
 	return buf.Bytes()
 }
 
+// oneWindow decodes a response frame that must hold one window.
+func oneWindow(t *testing.T, raw []byte) QueryResponse {
+	t.Helper()
+	windows, err := DecodeQueryResponse(raw)
+	if err != nil || len(windows) != 1 {
+		t.Fatalf("response frame: %d windows, err %v", len(windows), err)
+	}
+	return windows[0]
+}
+
 func TestHTTPProofRoundTrip(t *testing.T) {
 	_, ts, tokens := proofTestServer(t)
 	raw := rawQuery(t, ts, tokens, ListQuery{List: 1, Offset: 1, Count: 2, Proof: true})
-	var qbr QueryBatchResponse
-	if err := json.Unmarshal(raw, &qbr); err != nil {
-		t.Fatal(err)
-	}
-	if len(qbr.Responses) != 1 {
-		t.Fatalf("%d responses", len(qbr.Responses))
-	}
-	resp := qbr.Responses[0]
+	resp := oneWindow(t, raw)
 	if resp.Proof == nil {
 		t.Fatal("proved query returned no proof")
 	}
@@ -134,20 +136,20 @@ func TestProofOffByteIdentical(t *testing.T) {
 	q := ListQuery{List: 1, Offset: 0, Count: 3}
 
 	before := rawQuery(t, ts, tokens, q)
-	if strings.Contains(string(before), `"proof"`) {
-		t.Fatalf("unproven response mentions proof: %s", before)
+	if oneWindow(t, before).Proof != nil {
+		t.Fatalf("unproven response carries a proof: %x", before)
 	}
 
 	// Exercise the proved path for the identical window; the cache now
 	// holds a proved entry under the same version key.
 	proved := rawQuery(t, ts, tokens, ListQuery{List: 1, Offset: 0, Count: 3, Proof: true})
-	if !strings.Contains(string(proved), `"proof"`) {
+	if oneWindow(t, proved).Proof == nil {
 		t.Fatal("proved response carries no proof")
 	}
 
 	after := rawQuery(t, ts, tokens, q)
 	if !bytes.Equal(before, after) {
-		t.Fatalf("proof-off bytes changed after proof memoization:\nbefore %s\nafter  %s", before, after)
+		t.Fatalf("proof-off bytes changed after proof memoization:\nbefore %x\nafter  %x", before, after)
 	}
 
 	// And the proved window for the same query must still verify when

@@ -38,8 +38,9 @@ type QueryResponse struct {
 	// Elements are the next ranked elements visible to the caller.
 	// Their Sealed slices alias the store's buffers (the backend never
 	// rewrites payload bytes in place, so they stay valid); in-process
-	// callers must not mutate them. HTTP callers get their own decoded
-	// copies.
+	// callers must not mutate them. Over HTTP they alias the response
+	// body the client read (wire.go): a caller that keeps one past the
+	// call copies it.
 	Elements []StoredElement `json:"elements"`
 	// Exhausted reports that no further elements remain beyond this
 	// batch for the caller's access rights.
@@ -56,8 +57,7 @@ type QueryResponse struct {
 	// a retained proof too: equal versions commit to identical state.)
 	Unchanged bool `json:"unchanged,omitempty"`
 	// Proof is the window's Merkle proof, present exactly when the
-	// sub-query asked for one (ListQuery.Proof). Proof-less responses
-	// are byte-identical to pre-proof servers.
+	// sub-query asked for one (ListQuery.Proof).
 	Proof *proof.Window `json:"proof,omitempty"`
 }
 

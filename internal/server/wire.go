@@ -1,0 +1,557 @@
+package server
+
+// The binary frame: the body of every protocol message that carries
+// sealed payloads — the /v2/query response and the /v2/insert and
+// /v2/remove requests. This file is the only home of its grammar; the
+// element inside it is the record the write-ahead log and the snapshot
+// already write (store.AppendElement / store.ReadElement), and the
+// token is crypt.AppendToken's. Integers are unsigned varints unless
+// noted, hashes are raw 32 bytes. A list version is 8 bytes big-endian:
+// its high half is a random epoch, so a varint would save nothing and
+// would make a response's size depend on the epoch drawn.
+//
+//	frame:  magic "ZWF" | version (1B, = 1) | kind (1B) |
+//	        bodyLen (4B big-endian) | body
+//
+//	kind 'Q', query response:
+//	  body:    count | count × window
+//	  window:  flags (1B: 1 exhausted, 2 unchanged, 4 proof follows) |
+//	           version (8B) | numElems | numElems × element | [proof]
+//	  proof:   version (8B) | root (32B) | numGroups | numGroups × group
+//	  group:   group (signed varint) |
+//	           gflags (1B: 1 opaque, 2 pred follows, 4 succ follows) |
+//	           opaque:  header hash (32B)
+//	           proved:  count | root (32B) | start | end |
+//	                    [pred element] | [succ element] |
+//	                    pathLen | pathLen × hash (32B)
+//	           (a boundary travels as an element of its own group)
+//
+//	kind 'I', insert request:
+//	  body:    token | count | count × ( listDelta | element )
+//	kind 'R', remove request:
+//	  body:    token | count | count × ( listDelta | sealedLen | sealed )
+//	  listDelta: signed varint against the previous entry's list (the
+//	           first against 0) — the write-ahead log's batch idiom
+//
+// Ownership: decoded payloads alias the body; whoever retains one past
+// the call copies it at the point of retention. DecodeInsertRequest is
+// such a point (the store keeps an inserted payload for the element's
+// life), the cluster router's window cache is the other.
+//
+// A decoder trusts no length it reads: every count is bounded by the
+// bytes that remain before anything is allocated for it.
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"math"
+
+	"zerberr/internal/crypt"
+	"zerberr/internal/proof"
+	"zerberr/internal/store"
+	"zerberr/internal/zerber"
+)
+
+const (
+	wireMagic   = "ZWF"
+	wireVersion = 1
+
+	frameQueryResponse byte = 'Q'
+	frameInsertRequest byte = 'I'
+	frameRemoveRequest byte = 'R'
+
+	wireHeaderLen = len(wireMagic) + 2 + 4
+
+	windowExhausted byte = 1
+	windowUnchanged byte = 2
+	windowProved    byte = 4
+
+	groupOpaque byte = 1
+	groupPred   byte = 2
+	groupSucc   byte = 4
+)
+
+// FrameContentType labels a binary frame body.
+const FrameContentType = "application/x-zerber-frame"
+
+// ErrBadFrame reports bytes that are not a well-formed frame of the
+// expected kind. It is a bad request when a client sent them; a client
+// handed them by a server treats the exchange as failed.
+var ErrBadFrame = fmt.Errorf("%w: bad wire frame", ErrBadRequest)
+
+func badFrame(format string, args ...any) error {
+	return fmt.Errorf("%w: %s", ErrBadFrame, fmt.Sprintf(format, args...))
+}
+
+// beginFrame appends the header with a zero body length; endFrame
+// patches the length in once the body is appended.
+func beginFrame(buf []byte, kind byte) (out []byte, start int) {
+	start = len(buf)
+	buf = append(buf, wireMagic...)
+	buf = append(buf, wireVersion, kind, 0, 0, 0, 0)
+	return buf, start
+}
+
+func endFrame(buf []byte, start int) []byte {
+	body := len(buf) - start - wireHeaderLen
+	binary.BigEndian.PutUint32(buf[start+wireHeaderLen-4:], uint32(body))
+	return buf
+}
+
+// openFrame checks the header and returns the body, which must be all
+// that follows: a truncated frame and trailing bytes are both errors.
+func openFrame(b []byte, kind byte) ([]byte, error) {
+	if len(b) < wireHeaderLen || string(b[:len(wireMagic)]) != wireMagic {
+		if len(b) > 0 && (b[0] == '{' || b[0] == '[') {
+			return nil, badFrame("body is JSON, not a binary frame (magic %q)", wireMagic)
+		}
+		return nil, badFrame("missing magic %q", wireMagic)
+	}
+	if v := b[len(wireMagic)]; v != wireVersion {
+		return nil, badFrame("version %d, want %d", v, wireVersion)
+	}
+	if k := b[len(wireMagic)+1]; k != kind {
+		return nil, badFrame("kind %q, want %q", k, kind)
+	}
+	body := b[wireHeaderLen:]
+	if n := binary.BigEndian.Uint32(b[wireHeaderLen-4:]); uint64(n) != uint64(len(body)) {
+		return nil, badFrame("header claims %d body bytes, %d follow", n, len(body))
+	}
+	return body, nil
+}
+
+// AppendQueryResponse appends the /v2/query response frame. It
+// allocates only when buf must grow.
+func AppendQueryResponse(buf []byte, resps []QueryResponse) []byte {
+	buf, start := beginFrame(buf, frameQueryResponse)
+	buf = binary.AppendUvarint(buf, uint64(len(resps)))
+	for i := range resps {
+		r := &resps[i]
+		var flags byte
+		if r.Exhausted {
+			flags |= windowExhausted
+		}
+		if r.Unchanged {
+			flags |= windowUnchanged
+		}
+		if r.Proof != nil {
+			flags |= windowProved
+		}
+		buf = append(buf, flags)
+		buf = binary.BigEndian.AppendUint64(buf, r.Version)
+		buf = binary.AppendUvarint(buf, uint64(len(r.Elements)))
+		for _, el := range r.Elements {
+			buf = store.AppendElement(buf, el)
+		}
+		if r.Proof != nil {
+			buf = appendProof(buf, r.Proof)
+		}
+	}
+	return endFrame(buf, start)
+}
+
+func appendProof(buf []byte, w *proof.Window) []byte {
+	buf = binary.BigEndian.AppendUint64(buf, w.Version)
+	buf = append(buf, w.Root[:]...)
+	buf = binary.AppendUvarint(buf, uint64(len(w.Groups)))
+	for i := range w.Groups {
+		gw := &w.Groups[i]
+		buf = binary.AppendVarint(buf, int64(gw.Group))
+		if gw.Opaque != nil {
+			buf = append(buf, groupOpaque)
+			buf = append(buf, gw.Opaque[:]...)
+			continue
+		}
+		var flags byte
+		if gw.Pred != nil {
+			flags |= groupPred
+		}
+		if gw.Succ != nil {
+			flags |= groupSucc
+		}
+		buf = append(buf, flags)
+		buf = binary.AppendUvarint(buf, uint64(gw.Count))
+		var root proof.Hash
+		if gw.Root != nil {
+			root = *gw.Root
+		}
+		buf = append(buf, root[:]...)
+		buf = binary.AppendUvarint(buf, uint64(gw.Start))
+		buf = binary.AppendUvarint(buf, uint64(gw.End))
+		buf = appendBoundary(buf, gw.Pred, gw.Group)
+		buf = appendBoundary(buf, gw.Succ, gw.Group)
+		buf = binary.AppendUvarint(buf, uint64(len(gw.Path)))
+		for j := range gw.Path {
+			buf = append(buf, gw.Path[j][:]...)
+		}
+	}
+	return buf
+}
+
+func appendBoundary(buf []byte, bd *proof.Boundary, group int) []byte {
+	if bd == nil {
+		return buf
+	}
+	return store.AppendElement(buf, store.Element{Sealed: bd.Sealed, TRS: bd.TRS, Group: group})
+}
+
+// wireReader walks a frame body. The first malformed field sticks in
+// err and every later read returns zero values, so a decoder checks
+// once per structure instead of once per field.
+type wireReader struct {
+	b   []byte
+	err error
+}
+
+func (r *wireReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = badFrame(format, args...)
+	}
+}
+
+func (r *wireReader) byte() byte {
+	if r.err != nil || len(r.b) == 0 {
+		r.fail("truncated")
+		return 0
+	}
+	v := r.b[0]
+	r.b = r.b[1:]
+	return v
+}
+
+func (r *wireReader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.fail("truncated or overlong varint")
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *wireReader) varint() int64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(r.b)
+	if n <= 0 {
+		r.fail("truncated or overlong varint")
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+// int reads an unsigned varint that must fit a non-negative int.
+func (r *wireReader) int() int {
+	v := r.uvarint()
+	if v > math.MaxInt {
+		r.fail("integer %d out of range", v)
+		return 0
+	}
+	return int(v)
+}
+
+// count reads an item count and bounds it by the bytes that remain:
+// no claimed count can make a decoder allocate more than a small
+// multiple of the body it arrived in.
+func (r *wireReader) count(what string, minBytes int) int {
+	v := r.uvarint()
+	if v > uint64(len(r.b)/minBytes) {
+		r.fail("%d %s claimed with %d bytes left", v, what, len(r.b))
+		return 0
+	}
+	return int(v)
+}
+
+func (r *wireReader) version() uint64 {
+	if r.err != nil || len(r.b) < 8 {
+		r.fail("truncated version")
+		return 0
+	}
+	v := binary.BigEndian.Uint64(r.b)
+	r.b = r.b[8:]
+	return v
+}
+
+func (r *wireReader) hash() (h proof.Hash) {
+	if r.err != nil || len(r.b) < proof.HashSize {
+		r.fail("truncated hash")
+		return h
+	}
+	copy(h[:], r.b)
+	r.b = r.b[proof.HashSize:]
+	return h
+}
+
+func (r *wireReader) element() store.Element {
+	if r.err != nil {
+		return store.Element{}
+	}
+	el, rest, err := store.ReadElement(r.b)
+	if err != nil {
+		r.fail("%v", err)
+		return store.Element{}
+	}
+	r.b = rest
+	return el
+}
+
+// bytes reads a length-prefixed byte string, aliasing the body.
+func (r *wireReader) bytes() []byte {
+	n := r.count("payload bytes", 1)
+	if r.err != nil {
+		return nil
+	}
+	v := r.b[:n:n]
+	r.b = r.b[n:]
+	return v
+}
+
+// list applies one delta-encoded list ID.
+func (r *wireReader) list(prev *int64) zerber.ListID {
+	*prev += r.varint()
+	if *prev < 0 || *prev > math.MaxUint32 {
+		r.fail("list id %d out of range", *prev)
+		return 0
+	}
+	return zerber.ListID(*prev)
+}
+
+func (r *wireReader) end() error {
+	if r.err == nil && len(r.b) != 0 {
+		r.fail("%d trailing bytes inside the frame", len(r.b))
+	}
+	return r.err
+}
+
+// Shortest encodings, for bounding claimed counts: a window is flags,
+// version and an element count; a proof group is a group ID, flags and
+// one hash.
+const (
+	minWindowBytes = 1 + 8 + 1
+	minGroupBytes  = 2 + proof.HashSize
+)
+
+// DecodeQueryResponse decodes a /v2/query response frame. Every Sealed
+// payload (boundary payloads included) aliases body; an empty window
+// decodes to nil Elements, an empty group list or path to nil.
+func DecodeQueryResponse(body []byte) ([]QueryResponse, error) {
+	b, err := openFrame(body, frameQueryResponse)
+	if err != nil {
+		return nil, err
+	}
+	r := wireReader{b: b}
+	out := make([]QueryResponse, r.count("windows", minWindowBytes))
+	for i := range out {
+		w := &out[i]
+		flags := r.byte()
+		if flags&^(windowExhausted|windowUnchanged|windowProved) != 0 {
+			r.fail("window %d: unknown flags %#x", i, flags)
+		}
+		w.Exhausted = flags&windowExhausted != 0
+		w.Unchanged = flags&windowUnchanged != 0
+		w.Version = r.version()
+		if n := r.count("elements", store.MinElementBytes); n > 0 {
+			w.Elements = make([]StoredElement, n)
+			for j := range w.Elements {
+				w.Elements[j] = r.element()
+			}
+		}
+		if flags&windowProved != 0 {
+			w.Proof = r.proof()
+		}
+		if r.err != nil {
+			return nil, r.err
+		}
+	}
+	if err := r.end(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+func (r *wireReader) proof() *proof.Window {
+	w := &proof.Window{Version: r.version(), Root: r.hash()}
+	n := r.count("proof groups", minGroupBytes)
+	if n == 0 || r.err != nil {
+		return w
+	}
+	w.Groups = make([]proof.GroupWindow, n)
+	for i := range w.Groups {
+		gw := &w.Groups[i]
+		gw.Group = int(r.varint())
+		flags := r.byte()
+		if flags == groupOpaque {
+			h := r.hash()
+			gw.Opaque = &h
+			continue
+		}
+		if flags&^(groupPred|groupSucc) != 0 {
+			r.fail("proof group %d: flags %#x", gw.Group, flags)
+		}
+		gw.Count = r.int()
+		root := r.hash()
+		gw.Root = &root
+		gw.Start, gw.End = r.int(), r.int()
+		if flags&groupPred != 0 {
+			gw.Pred = r.boundary(gw.Group)
+		}
+		if flags&groupSucc != 0 {
+			gw.Succ = r.boundary(gw.Group)
+		}
+		if p := r.count("path hashes", proof.HashSize); p > 0 {
+			gw.Path = make([]proof.Hash, p)
+			for j := range gw.Path {
+				gw.Path[j] = r.hash()
+			}
+		}
+		if r.err != nil {
+			return w
+		}
+	}
+	return w
+}
+
+func (r *wireReader) boundary(group int) *proof.Boundary {
+	el := r.element()
+	if r.err == nil && el.Group != group {
+		r.fail("boundary of group %d inside proof group %d", el.Group, group)
+	}
+	return &proof.Boundary{TRS: el.TRS, Sealed: el.Sealed}
+}
+
+// AppendInsertRequest appends the /v2/insert request frame.
+func AppendInsertRequest(buf []byte, tok crypt.Token, ops []InsertOp) []byte {
+	buf, start := beginRequest(buf, frameInsertRequest, tok, len(ops))
+	prev := zerber.ListID(0)
+	for i := range ops {
+		buf = appendListDelta(buf, ops[i].List, &prev)
+		buf = store.AppendElement(buf, ops[i].Element)
+	}
+	return endFrame(buf, start)
+}
+
+// AppendRemoveRequest appends the /v2/remove request frame.
+func AppendRemoveRequest(buf []byte, tok crypt.Token, ops []RemoveOp) []byte {
+	buf, start := beginRequest(buf, frameRemoveRequest, tok, len(ops))
+	prev := zerber.ListID(0)
+	for i := range ops {
+		buf = appendListDelta(buf, ops[i].List, &prev)
+		buf = binary.AppendUvarint(buf, uint64(len(ops[i].Sealed)))
+		buf = append(buf, ops[i].Sealed...)
+	}
+	return endFrame(buf, start)
+}
+
+// beginRequest appends what the two request frames share: the header,
+// the token and the operation count.
+func beginRequest(buf []byte, kind byte, tok crypt.Token, ops int) (out []byte, start int) {
+	buf, start = beginFrame(buf, kind)
+	buf = crypt.AppendToken(buf, tok)
+	return binary.AppendUvarint(buf, uint64(ops)), start
+}
+
+func appendListDelta(buf []byte, list zerber.ListID, prev *zerber.ListID) []byte {
+	buf = binary.AppendVarint(buf, int64(list)-int64(*prev))
+	*prev = list
+	return buf
+}
+
+// requestHead is beginRequest's inverse. The operation count is bounded
+// by MaxBatchOps here, so an oversized batch is refused before its
+// operations are allocated.
+func requestHead(body []byte, kind byte, minOpBytes int) (wireReader, crypt.Token, int, error) {
+	b, err := openFrame(body, kind)
+	if err != nil {
+		return wireReader{}, crypt.Token{}, 0, err
+	}
+	tok, rest, err := crypt.ReadToken(b)
+	if err != nil {
+		return wireReader{}, crypt.Token{}, 0, badFrame("%v", err)
+	}
+	r := wireReader{b: rest}
+	n := r.count("operations", minOpBytes)
+	if r.err != nil {
+		return r, crypt.Token{}, 0, r.err
+	}
+	if err := checkBatchSize(n); err != nil {
+		return r, crypt.Token{}, 0, err
+	}
+	return r, tok, n, nil
+}
+
+// DecodeInsertRequest decodes a /v2/insert request frame. Each sealed
+// payload is copied out of body — the store keeps it for the element's
+// life, and body is a pooled buffer. The token's MAC still aliases
+// body.
+func DecodeInsertRequest(body []byte) (crypt.Token, []InsertOp, error) {
+	r, tok, n, err := requestHead(body, frameInsertRequest, 1+store.MinElementBytes)
+	if err != nil {
+		return crypt.Token{}, nil, err
+	}
+	ops := make([]InsertOp, n)
+	prev := int64(0)
+	for i := range ops {
+		ops[i].List = r.list(&prev)
+		el := r.element()
+		if r.err != nil {
+			return crypt.Token{}, nil, r.err
+		}
+		el.Sealed = bytes.Clone(el.Sealed)
+		ops[i].Element = el
+	}
+	if err := r.end(); err != nil {
+		return crypt.Token{}, nil, err
+	}
+	return tok, ops, nil
+}
+
+// DecodeRemoveRequest decodes a /v2/remove request frame. Payloads and
+// the token's MAC alias body: a removal only compares them.
+func DecodeRemoveRequest(body []byte) (crypt.Token, []RemoveOp, error) {
+	r, tok, n, err := requestHead(body, frameRemoveRequest, 2)
+	if err != nil {
+		return crypt.Token{}, nil, err
+	}
+	ops := make([]RemoveOp, n)
+	prev := int64(0)
+	for i := range ops {
+		ops[i].List = r.list(&prev)
+		ops[i].Sealed = r.bytes()
+	}
+	if err := r.end(); err != nil {
+		return crypt.Token{}, nil, err
+	}
+	return tok, ops, nil
+}
+
+// ReadBody reads r to its end into buf's storage (buf[:0] onwards) and
+// returns the filled slice. hint is the announced length, or negative
+// when unknown; it sizes the buffer up front only up to 1 MiB, so a
+// peer must actually send bytes to make the reader hold them. The
+// caller bounds r.
+func ReadBody(r io.Reader, buf []byte, hint int64) ([]byte, error) {
+	buf = buf[:0]
+	if want := min(hint, 1<<20) + 1; int64(cap(buf)) < want {
+		buf = make([]byte, 0, want)
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}

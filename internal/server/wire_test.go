@@ -1,0 +1,357 @@
+package server
+
+import (
+	"bytes"
+	"errors"
+	"flag"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+	"time"
+
+	"zerberr/internal/crypt"
+	"zerberr/internal/proof"
+	"zerberr/internal/store"
+	"zerberr/internal/zerber"
+)
+
+// -update rewrites the golden frames under testdata/wire and the fuzz
+// seeds derived from them (testdata/fuzz). Review the diff: a changed
+// golden file is a changed wire grammar.
+var update = flag.Bool("update", false, "rewrite the golden wire fixtures and the fuzz seeds derived from them")
+
+// goldenWindow is a hand-built proved window that verifies: list
+// version 0x2a00000007, groups 0 (six elements, in the caller's view)
+// and 2 (foreign, opaque); the caller asked for offset 2, count 2.
+func goldenWindow() (resp QueryResponse, allowed map[int]bool, offset, count int) {
+	const version = 0x2a00000007
+	run := []StoredElement{
+		{Sealed: []byte("a0"), TRS: 0.9}, {Sealed: []byte("a1"), TRS: 0.8}, {Sealed: []byte("a2"), TRS: 0.7},
+		{Sealed: []byte("a3"), TRS: 0.6}, {Sealed: []byte("a4"), TRS: 0.5}, {Sealed: []byte("a5"), TRS: 0.4},
+	}
+	leaves := make([]proof.Hash, len(run))
+	for i, el := range run {
+		leaves[i] = proof.LeafHash(el.TRS, el.Sealed)
+	}
+	root := proof.TreeRoot(leaves)
+	foreign := proof.HeaderHash(2, 3, proof.LeafHash(0.1, []byte("foreign")))
+	content := proof.ContentRoot([]proof.HeaderEntry{
+		{Group: 0, HH: proof.HeaderHash(0, len(run), root)},
+		{Group: 2, HH: foreign},
+	})
+	w := &proof.Window{
+		Version: version,
+		Root:    proof.ListRoot(version, content),
+		Groups: []proof.GroupWindow{
+			{
+				Group: 0, Count: len(run), Root: &root, Start: 2, End: 4,
+				Pred: &proof.Boundary{TRS: run[1].TRS, Sealed: run[1].Sealed},
+				Succ: &proof.Boundary{TRS: run[4].TRS, Sealed: run[4].Sealed},
+				Path: proof.RangeProof(leaves, 1, 5),
+			},
+			{Group: 2, Opaque: &foreign},
+		},
+	}
+	return QueryResponse{Elements: run[2:4], Version: version, Proof: w}, map[int]bool{0: true}, 2, 2
+}
+
+func verifyWindow(resp QueryResponse, allowed map[int]bool, offset, count int) error {
+	elems := make([]proof.WindowElement, len(resp.Elements))
+	for i, el := range resp.Elements {
+		elems[i] = proof.WindowElement{TRS: el.TRS, Sealed: el.Sealed, Group: el.Group}
+	}
+	return proof.VerifyWindow(resp.Proof, allowed, offset, count, elems, resp.Exhausted, resp.Version)
+}
+
+// goldenResponses is the golden /v2/query answer: a plain window, the
+// proved one, and an unchanged marker.
+func goldenResponses() []QueryResponse {
+	proved, _, _, _ := goldenWindow()
+	return []QueryResponse{
+		{
+			Elements: []StoredElement{
+				{Sealed: []byte("first"), TRS: 0.75, Group: 1},
+				{Sealed: []byte("second"), TRS: 0.25, Group: -3},
+			},
+			Exhausted: true,
+			Version:   9,
+		},
+		proved,
+		{Version: 1 << 40, Unchanged: true},
+	}
+}
+
+func goldenToken() crypt.Token {
+	return crypt.IssueToken([]byte("golden-secret"), "golden", 1, time.Unix(1_700_003_600, 0))
+}
+
+func goldenInsert() []InsertOp {
+	return []InsertOp{
+		{List: 7, Element: StoredElement{Sealed: []byte("first"), TRS: 0.75, Group: 1}},
+		{List: 7, Element: StoredElement{Sealed: []byte("second"), TRS: 0.25, Group: 1}},
+		{List: 3, Element: StoredElement{Sealed: []byte{0, 0xff}, TRS: 1, Group: 1}},
+	}
+}
+
+func goldenRemove() []RemoveOp {
+	return []RemoveOp{{List: 7, Sealed: []byte("first")}, {List: math.MaxUint32, Sealed: []byte{0, 0xff}}}
+}
+
+// TestWireGolden pins the grammar: the committed bytes must be exactly
+// what the encoders produce, and must decode back to the values.
+func TestWireGolden(t *testing.T) {
+	if proved, allowed, offset, count := goldenWindow(); verifyWindow(proved, allowed, offset, count) != nil {
+		t.Fatalf("golden proved window does not verify: %v", verifyWindow(proved, allowed, offset, count))
+	}
+	tok := goldenToken()
+	cases := []struct {
+		file  string
+		frame []byte
+		check func(raw []byte) error
+	}{
+		{"query_response.bin", AppendQueryResponse(nil, goldenResponses()), func(raw []byte) error {
+			got, err := DecodeQueryResponse(raw)
+			if err == nil && !reflect.DeepEqual(got, goldenResponses()) {
+				err = fmt.Errorf("decoded %+v", got)
+			}
+			return err
+		}},
+		{"insert_request.bin", AppendInsertRequest(nil, tok, goldenInsert()), func(raw []byte) error {
+			gotTok, ops, err := DecodeInsertRequest(raw)
+			if err == nil && (!sameToken(gotTok, tok) || !reflect.DeepEqual(ops, goldenInsert())) {
+				err = fmt.Errorf("decoded %+v %+v", gotTok, ops)
+			}
+			return err
+		}},
+		{"remove_request.bin", AppendRemoveRequest(nil, tok, goldenRemove()), func(raw []byte) error {
+			gotTok, ops, err := DecodeRemoveRequest(raw)
+			if err == nil && (!sameToken(gotTok, tok) || !reflect.DeepEqual(ops, goldenRemove())) {
+				err = fmt.Errorf("decoded %+v %+v", gotTok, ops)
+			}
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		path := filepath.Join("testdata", "wire", tc.file)
+		if *update {
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.frame, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (run go test ./internal/server -run TestWireGolden -update)", err)
+		}
+		if !bytes.Equal(tc.frame, want) {
+			t.Errorf("%s: the encoder no longer writes the committed bytes\n got %x\nwant %x", tc.file, tc.frame, want)
+		}
+		if err := tc.check(want); err != nil {
+			t.Errorf("%s: %v", tc.file, err)
+		}
+	}
+	if *update {
+		writeFuzzSeeds(t)
+	}
+}
+
+// sameToken compares tokens the way the server does: the expiry as an
+// instant, not as a time.Time representation.
+func sameToken(a, b crypt.Token) bool {
+	return a.User == b.User && a.Group == b.Group && a.Expiry.Equal(b.Expiry) && bytes.Equal(a.MAC, b.MAC)
+}
+
+// randomTRS draws an arbitrary bit pattern short of NaN (DeepEqual
+// could not compare those): infinities, subnormals, negative zero.
+func randomTRS(rng *rand.Rand) float64 {
+	for {
+		if f := math.Float64frombits(rng.Uint64()); !math.IsNaN(f) {
+			return f
+		}
+	}
+}
+
+// randomWindow draws one window; groups are signed.
+func randomWindow(rng *rand.Rand) QueryResponse {
+	trs := func() float64 { return randomTRS(rng) }
+	payload := func() []byte {
+		b := make([]byte, rng.Intn(60))
+		rng.Read(b)
+		return b
+	}
+	hash := func() (h proof.Hash) {
+		rng.Read(h[:])
+		return h
+	}
+	w := QueryResponse{Exhausted: rng.Intn(2) == 0, Unchanged: rng.Intn(8) == 0, Version: rng.Uint64() >> uint(rng.Intn(64))}
+	if n := rng.Intn(6); n > 0 { // n == 0: the empty window
+		w.Elements = make([]StoredElement, n)
+		for i := range w.Elements {
+			w.Elements[i] = StoredElement{Sealed: payload(), TRS: trs(), Group: rng.Intn(9) - 4}
+		}
+	}
+	if rng.Intn(3) == 0 {
+		w.Proof = &proof.Window{Version: rng.Uint64(), Root: hash()}
+		for g := rng.Intn(4); g > 0; g-- {
+			gw := proof.GroupWindow{Group: rng.Intn(1000) - 500}
+			if rng.Intn(3) == 0 {
+				h := hash()
+				gw.Opaque = &h
+			} else {
+				root := hash()
+				gw.Root, gw.Count, gw.Start, gw.End = &root, rng.Intn(1<<20), rng.Intn(1<<10), rng.Intn(1<<20)
+				if rng.Intn(2) == 0 {
+					gw.Pred = &proof.Boundary{TRS: trs(), Sealed: payload()}
+				}
+				if rng.Intn(2) == 0 {
+					gw.Succ = &proof.Boundary{TRS: trs(), Sealed: payload()}
+				}
+				for p := rng.Intn(5); p > 0; p-- {
+					gw.Path = append(gw.Path, hash())
+				}
+			}
+			w.Proof.Groups = append(w.Proof.Groups, gw)
+		}
+	}
+	return w
+}
+
+// TestWireRoundTrip is the seeded property test: whatever the encoders
+// accept comes back exactly, TRS bit patterns included.
+func TestWireRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for round := 0; round < 300; round++ {
+		resps := make([]QueryResponse, rng.Intn(5))
+		for i := range resps {
+			resps[i] = randomWindow(rng)
+		}
+		frame := AppendQueryResponse(nil, resps)
+		got, err := DecodeQueryResponse(frame)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if len(resps) == 0 {
+			resps = nil
+		}
+		if len(got) == 0 {
+			got = nil
+		}
+		if !reflect.DeepEqual(got, resps) {
+			t.Fatalf("round %d:\n got %+v\nwant %+v", round, got, resps)
+		}
+
+		tok := crypt.Token{User: fmt.Sprintf("u%d", rng.Intn(100)), Group: rng.Intn(9) - 4,
+			Expiry: time.Unix(rng.Int63n(4e9), rng.Int63n(1e9)), MAC: make([]byte, rng.Intn(40))}
+		rng.Read(tok.MAC)
+		lists := []zerber.ListID{0, 1, 7, math.MaxUint32, zerber.ListID(rng.Uint32())}
+		n := 1 + rng.Intn(6)
+		ins, rem := make([]InsertOp, n), make([]RemoveOp, n)
+		for i := range ins {
+			w := randomWindow(rng)
+			el := StoredElement{Sealed: []byte{byte(i)}, TRS: randomTRS(rng), Group: rng.Intn(9) - 4}
+			if len(w.Elements) > 0 {
+				el = w.Elements[0]
+			}
+			list := lists[rng.Intn(len(lists))]
+			ins[i] = InsertOp{List: list, Element: el}
+			rem[i] = RemoveOp{List: list, Sealed: el.Sealed}
+		}
+		gotTok, gotIns, err := DecodeInsertRequest(AppendInsertRequest(nil, tok, ins))
+		if err != nil || !sameToken(gotTok, tok) || !reflect.DeepEqual(gotIns, ins) {
+			t.Fatalf("round %d: insert came back %+v %+v (%v), sent %+v %+v", round, gotTok, gotIns, err, tok, ins)
+		}
+		gotTok, gotRem, err := DecodeRemoveRequest(AppendRemoveRequest(nil, tok, rem))
+		if err != nil || !sameToken(gotTok, tok) || !reflect.DeepEqual(gotRem, rem) {
+			t.Fatalf("round %d: remove came back %+v %+v (%v), sent %+v %+v", round, gotTok, gotRem, err, tok, rem)
+		}
+	}
+
+	// A batch of no operations is the server's "empty batch", refused
+	// before anything is decoded from it.
+	tok := goldenToken()
+	if _, _, err := DecodeInsertRequest(AppendInsertRequest(nil, tok, nil)); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("zero-length insert batch: %v", err)
+	}
+	if _, _, err := DecodeRemoveRequest(AppendRemoveRequest(nil, tok, nil)); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("zero-length remove batch: %v", err)
+	}
+}
+
+// TestWireDecodeOwnership: an inserted payload is a copy (the store
+// keeps it, the request buffer is pooled), everything else aliases.
+func TestWireDecodeOwnership(t *testing.T) {
+	tok := goldenToken()
+	frame := AppendInsertRequest(nil, tok, goldenInsert())
+	_, ops, err := DecodeInsertRequest(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range frame {
+		frame[i] = 0xAA
+	}
+	if !reflect.DeepEqual(ops, goldenInsert()) {
+		t.Fatalf("inserted payloads alias the request buffer: %+v", ops)
+	}
+
+	frame = AppendQueryResponse(nil, goldenResponses())
+	resps, err := DecodeQueryResponse(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed := resps[0].Elements[0].Sealed
+	if cap(sealed) != len(sealed) {
+		t.Fatalf("decoded payload has spare capacity %d: an append would write into its neighbour", cap(sealed)-len(sealed))
+	}
+	for i := range frame {
+		frame[i] = 0xAA
+	}
+	if sealed[0] != 0xAA {
+		t.Fatal("response payloads were copied; the decode is meant to alias the body")
+	}
+}
+
+// window250 is the shape of one `deep` response: 250 elements of 44
+// sealed bytes.
+func window250() []QueryResponse {
+	elems := make([]StoredElement, 250)
+	for i := range elems {
+		elems[i] = StoredElement{Sealed: bytes.Repeat([]byte{byte(i)}, 44), TRS: 1 - float64(i)/250, Group: i % 8}
+	}
+	return []QueryResponse{{Elements: elems, Version: 1<<40 + 12}}
+}
+
+func TestWireAllocs(t *testing.T) {
+	resps := window250()
+	buf := AppendQueryResponse(nil, resps)
+	if n := testing.AllocsPerRun(100, func() { buf = AppendQueryResponse(buf[:0], resps) }); n != 0 {
+		t.Errorf("steady-state response encode allocates %.0f times, want 0", n)
+	}
+	proved := goldenResponses()
+	pbuf := AppendQueryResponse(nil, proved)
+	if n := testing.AllocsPerRun(100, func() { pbuf = AppendQueryResponse(pbuf[:0], proved) }); n != 0 {
+		t.Errorf("steady-state proved response encode allocates %.0f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeQueryResponse(buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 3 {
+		t.Errorf("decoding a 250-element window allocates %.0f times, want <= 3", n)
+	}
+}
+
+// TestElementRecordShared: the frame's element is byte for byte the
+// record the WAL and the snapshot write.
+func TestElementRecordShared(t *testing.T) {
+	el := StoredElement{Sealed: []byte("payload"), TRS: 0.5, Group: -2}
+	frame := AppendQueryResponse(nil, []QueryResponse{{Elements: []StoredElement{el}}})
+	if rec := store.AppendElement(nil, el); !bytes.HasSuffix(frame, rec) {
+		t.Fatalf("frame %x does not end in the element record %x", frame, rec)
+	}
+}

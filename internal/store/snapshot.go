@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 
@@ -22,8 +21,7 @@ import (
 //	magic "ZSNAP3" | body | crc32-IEEE(body) (4B big-endian)
 //	body: seq | numLists |
 //	  numLists × ( listID | version | numElems |
-//	    numElems × ( group (signed varint) | trs (8B) |
-//	                 sealedLen | sealed ) |
+//	    numElems × element (the shared record, element.go) |
 //	    leafFlag (1B: 0 or 1) |
 //	    leafFlag × ( numElems × leafHash (32B) ) )
 //
@@ -90,11 +88,6 @@ func encodeSnapshot(f io.Writer, seq uint64, m *Memory) error {
 		_, err := w.Write(vbuf[:n])
 		return err
 	}
-	writeVarint := func(v int64) error {
-		n := binary.PutVarint(vbuf[:], v)
-		_, err := w.Write(vbuf[:n])
-		return err
-	}
 	if err := writeUvarint(seq); err != nil {
 		return err
 	}
@@ -105,7 +98,7 @@ func encodeSnapshot(f io.Writer, seq uint64, m *Memory) error {
 	if err := writeUvarint(uint64(len(lists))); err != nil {
 		return err
 	}
-	var f8 [8]byte
+	var ebuf []byte // one element record at a time, reused
 	for _, id := range lists {
 		var viewErr error
 		// Version, elements and leaves are read under one lock
@@ -123,17 +116,8 @@ func encodeSnapshot(f io.Writer, seq uint64, m *Memory) error {
 				return
 			}
 			for _, el := range elems {
-				if viewErr = writeVarint(int64(el.Group)); viewErr != nil {
-					return
-				}
-				binary.BigEndian.PutUint64(f8[:], math.Float64bits(el.TRS))
-				if _, viewErr = w.Write(f8[:]); viewErr != nil {
-					return
-				}
-				if viewErr = writeUvarint(uint64(len(el.Sealed))); viewErr != nil {
-					return
-				}
-				if _, viewErr = w.Write(el.Sealed); viewErr != nil {
+				ebuf = AppendElement(ebuf[:0], el)
+				if _, viewErr = w.Write(ebuf); viewErr != nil {
 					return
 				}
 			}
@@ -294,20 +278,14 @@ func decodeSnapshot(data []byte) (seq uint64, m *Memory, _ error) {
 // for the lists queries touch; the store never rewrites sealed bytes,
 // so the aliases stay valid for the store's lifetime (the same
 // contract QueryResult documents). The region was framing-checked at
-// load, so decode errors are impossible; an invariant violation here
-// would surface as an index panic, deliberately loud.
+// load by the same ReadElement, so a decode error here can only be a
+// bug and panics, deliberately loud.
 func decodeListElements(raw []byte, n int) []Element {
-	rd := newByteCursor(raw)
 	elems := make([]Element, n)
 	for j := range elems {
-		group, _ := binary.ReadVarint(rd)
-		f8, _ := rd.take(8)
-		sl, _ := binary.ReadUvarint(rd)
-		sealed, _ := rd.take(int(sl))
-		elems[j] = Element{
-			Sealed: sealed,
-			TRS:    math.Float64frombits(binary.BigEndian.Uint64(f8)),
-			Group:  int(group),
+		var err error
+		if elems[j], raw, err = ReadElement(raw); err != nil {
+			panic(fmt.Sprintf("store: validated snapshot region fails to decode at element %d: %v", j, err))
 		}
 	}
 	return elems

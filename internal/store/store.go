@@ -32,7 +32,8 @@ import (
 
 // Element is one stored posting element: ciphertext plus the
 // server-visible ranking and ACL fields. server.StoredElement aliases
-// this type, so the wire format is unchanged.
+// this type. On disk and on the wire it is the one binary record of
+// element.go; the JSON tags only shape what `zerber wire` prints.
 type Element struct {
 	// Sealed is the encrypted (doc, term, score) payload.
 	Sealed []byte `json:"sealed"`

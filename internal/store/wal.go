@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 
@@ -21,14 +20,13 @@ import (
 //	file:    magic "ZWAL1" | record*
 //	record:  payloadLen | payload | crc32-IEEE(payload) (4B big-endian)
 //	payload: seq | op (1B) |
-//	         op=insert: list | group (signed varint) | trs (8B) |
-//	                    sealedLen | sealed
+//	         op=insert: list | element
 //	         op=remove: list | sealedLen | sealed
 //	         op=insertBatch: count | count × (
 //	             listDelta (signed varint, vs the previous entry's
 //	             list; the first entry's delta is vs list 0) |
-//	             group (signed varint) | trs (8B) |
-//	             sealedLen | sealed )
+//	             element )
+//	element: the shared element record (element.go)
 //
 // The sequence number ties the log to snapshots: a snapshot records
 // the last sequence it contains, and recovery skips WAL records at or
@@ -106,12 +104,10 @@ func appendWALPayload(buf []byte, rec walRecord) []byte {
 	buf = append(buf, rec.op)
 	buf = binary.AppendUvarint(buf, uint64(rec.list))
 	if rec.op == opInsert {
-		buf = binary.AppendVarint(buf, int64(rec.group))
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(rec.trs))
+		return AppendElement(buf, Element{Sealed: rec.sealed, TRS: rec.trs, Group: rec.group})
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(rec.sealed)))
-	buf = append(buf, rec.sealed...)
-	return buf
+	return append(buf, rec.sealed...)
 }
 
 // encodeWALBatchPayload encodes N inserts as one opInsertBatch
@@ -129,14 +125,10 @@ func encodeWALBatchPayload(firstSeq uint64, ops []BatchInsert) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(ops)))
 	prev := int64(0)
 	for i := range ops {
-		el := ops[i].Element
 		list := int64(ops[i].List)
 		buf = binary.AppendVarint(buf, list-prev)
 		prev = list
-		buf = binary.AppendVarint(buf, int64(el.Group))
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(el.TRS))
-		buf = binary.AppendUvarint(buf, uint64(len(el.Sealed)))
-		buf = append(buf, el.Sealed...)
+		buf = AppendElement(buf, ops[i].Element)
 	}
 	return buf
 }
@@ -166,29 +158,24 @@ func decodeWALRecords(payload []byte) ([]walRecord, error) {
 		}
 		rec.list = zerber.ListID(list)
 		if op == opInsert {
-			group, err := binary.ReadVarint(rd)
+			el, err := rd.element()
 			if err != nil {
 				return nil, err
 			}
-			rec.group = int(group)
-			f8, err := rd.take(8)
+			rec.group, rec.trs, rec.sealed = el.Group, el.TRS, el.Sealed
+		} else {
+			n, err := binary.ReadUvarint(rd)
 			if err != nil {
 				return nil, err
 			}
-			rec.trs = math.Float64frombits(binary.BigEndian.Uint64(f8))
+			if rec.sealed, err = rd.take(int(n)); err != nil {
+				return nil, err
+			}
 		}
-		n, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return nil, err
+		if rd.remaining() != 0 {
+			return nil, fmt.Errorf("record leaves %d trailing bytes", rd.remaining())
 		}
-		if n != uint64(rd.remaining()) {
-			return nil, fmt.Errorf("sealed length %d, %d bytes remain", n, rd.remaining())
-		}
-		sealed, err := rd.take(int(n))
-		if err != nil {
-			return nil, err
-		}
-		rec.sealed = append([]byte(nil), sealed...)
+		rec.sealed = append([]byte(nil), rec.sealed...)
 		return []walRecord{rec}, nil
 	case opInsertBatch:
 		count, err := binary.ReadUvarint(rd)
@@ -212,19 +199,7 @@ func decodeWALRecords(payload []byte) ([]walRecord, error) {
 			if prev < 0 {
 				return nil, fmt.Errorf("batch entry %d: negative list id %d", i, prev)
 			}
-			group, err := binary.ReadVarint(rd)
-			if err != nil {
-				return nil, err
-			}
-			f8, err := rd.take(8)
-			if err != nil {
-				return nil, err
-			}
-			n, err := binary.ReadUvarint(rd)
-			if err != nil {
-				return nil, err
-			}
-			sealed, err := rd.take(int(n))
+			el, err := rd.element()
 			if err != nil {
 				return nil, err
 			}
@@ -232,9 +207,9 @@ func decodeWALRecords(payload []byte) ([]walRecord, error) {
 				seq:    seq + i,
 				op:     opInsert,
 				list:   zerber.ListID(prev),
-				group:  int(group),
-				trs:    math.Float64frombits(binary.BigEndian.Uint64(f8)),
-				sealed: append([]byte(nil), sealed...),
+				group:  el.Group,
+				trs:    el.TRS,
+				sealed: append([]byte(nil), el.Sealed...),
 			})
 		}
 		if rd.remaining() != 0 {
@@ -245,34 +220,6 @@ func decodeWALRecords(payload []byte) ([]walRecord, error) {
 		return nil, fmt.Errorf("unknown op %d", op)
 	}
 }
-
-// byteCursor is a minimal io.ByteReader over a slice with bulk takes.
-type byteCursor struct {
-	buf []byte
-	off int
-}
-
-func newByteCursor(b []byte) *byteCursor { return &byteCursor{buf: b} }
-
-func (c *byteCursor) ReadByte() (byte, error) {
-	if c.off >= len(c.buf) {
-		return 0, io.ErrUnexpectedEOF
-	}
-	b := c.buf[c.off]
-	c.off++
-	return b, nil
-}
-
-func (c *byteCursor) take(n int) ([]byte, error) {
-	if n < 0 || c.off+n > len(c.buf) {
-		return nil, io.ErrUnexpectedEOF
-	}
-	b := c.buf[c.off : c.off+n]
-	c.off += n
-	return b, nil
-}
-
-func (c *byteCursor) remaining() int { return len(c.buf) - c.off }
 
 // wal is an append-only log open for writing.
 type wal struct {
