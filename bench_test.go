@@ -2,17 +2,16 @@ package zerberr_test
 
 // Benchmark harness: one testing.B per evaluation artifact of the
 // paper (Figures 4-13 and the Section 6.6 bandwidth analysis) plus
-// micro-benchmarks of the moving parts (RSTF evaluation, element
-// codecs, protocol round trips, index building). The figure benches
-// regenerate their experiment end to end; `go test -bench .` therefore
-// doubles as the reproduction run. Use cmd/zerber-bench for charts and
-// larger scales.
+// benchmarks of the moving parts (RSTF evaluation, element codecs,
+// protocol round trips, index building). The figure benches mount the
+// experiment registry and regenerate each entry end to end; `go test
+// -bench .` therefore doubles as the reproduction run. Use
+// cmd/zerber-bench for charts and larger scales.
 
 import (
 	"bytes"
 	"context"
 	"fmt"
-	"net/http/httptest"
 	"sync"
 	"testing"
 
@@ -21,54 +20,32 @@ import (
 	"zerberr/internal/corpus"
 	"zerberr/internal/crypt"
 	"zerberr/internal/experiments"
-	"zerberr/internal/microbench"
 	"zerberr/internal/rank"
 	"zerberr/internal/rstf"
 	"zerberr/internal/server"
 	"zerberr/internal/stats"
 )
 
-// benchEnv is shared across figure benchmarks so corpora, indexes and
-// protocol replays are built once (they are cached inside the Env).
-var (
-	benchEnvOnce sync.Once
-	benchEnvInst *experiments.Env
-)
-
-func benchEnv() *experiments.Env {
-	benchEnvOnce.Do(func() {
-		benchEnvInst = experiments.NewEnv(0.08, 1)
-	})
-	return benchEnvInst
-}
-
-func benchExperiment(b *testing.B, id string) {
-	env := benchEnv()
-	// Warm the caches outside the timer.
-	if _, err := experiments.Run(id, env); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Run(id, env); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkExperiment regenerates every registered paper experiment
+// end to end, one sub-benchmark per registry entry. They share one
+// Env, so corpora, indexes and protocol replays are built once.
+func BenchmarkExperiment(b *testing.B) {
+	ctx, env := context.Background(), experiments.NewEnv(0.08, 1)
+	for _, x := range experiments.Paper() {
+		b.Run(x.Name, func(b *testing.B) {
+			// Warm the caches outside the timer.
+			if _, err := x.Run(ctx, env); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := x.Run(ctx, env); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkFig04TFDistribution(b *testing.B)     { benchExperiment(b, "fig04") }
-func BenchmarkFig05NormTFDistribution(b *testing.B) { benchExperiment(b, "fig05") }
-func BenchmarkFig07GaussianSum(b *testing.B)        { benchExperiment(b, "fig07") }
-func BenchmarkFig08ExampleRSTF(b *testing.B)        { benchExperiment(b, "fig08") }
-func BenchmarkFig09SigmaSelection(b *testing.B)     { benchExperiment(b, "fig09") }
-func BenchmarkFig10Workload(b *testing.B)           { benchExperiment(b, "fig10") }
-func BenchmarkFig11BandwidthOverhead(b *testing.B)  { benchExperiment(b, "fig11") }
-func BenchmarkFig12RequestCounts(b *testing.B)      { benchExperiment(b, "fig12") }
-func BenchmarkFig13QueryEfficiency(b *testing.B)    { benchExperiment(b, "fig13") }
-func BenchmarkSec66Bandwidth(b *testing.B)          { benchExperiment(b, "bandwidth") }
-func BenchmarkExtAMultiTermAccuracy(b *testing.B)   { benchExperiment(b, "accuracy") }
-func BenchmarkExtBAttackSimulations(b *testing.B)   { benchExperiment(b, "attacks") }
-func BenchmarkExtCAblations(b *testing.B)           { benchExperiment(b, "ablation") }
 
 // --- micro-benchmarks ---
 
@@ -223,48 +200,6 @@ func BenchmarkIndexDocument(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkSearchSerialVsBatched measures the round-trip savings of
-// the batched schedule on multi-term queries, in process and over
-// a real HTTP loopback (zerber-bench -batched drives the experiment
-// harness down the same batched path). The in-process legs mount the
-// shared internal/microbench entries and the HTTP legs reuse the same
-// fixture and driver loop, so the CI-gated numbers and the
-// BENCH_*.json snapshots (`zerber-bench -json`) measure one workload.
-func BenchmarkSearchSerialVsBatched(b *testing.B) {
-	sys, queries, err := microbench.SearchSystem()
-	if err != nil {
-		b.Fatal(err)
-	}
-	ts := httptest.NewServer(sys.Server.Handler())
-	defer ts.Close()
-	remote, err := client.New(client.HTTP{BaseURL: ts.URL}, client.Config{
-		Plan:  sys.Plan,
-		Store: sys.Store,
-		Codec: sys.Config().Codec,
-		Keys:  sys.Keys,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := remote.Login(context.Background(), microbench.SearchUser); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("inproc/serial", microbench.SearchSerial)
-	b.Run("inproc/batched", microbench.SearchBatched)
-	b.Run("http/serial", func(b *testing.B) { microbench.RunSearch(b, remote, queries, true) })
-	b.Run("http/batched", func(b *testing.B) { microbench.RunSearch(b, remote, queries, false) })
-}
-
-// BenchmarkHedgedQuery prices the replica layer (internal/replica):
-// the healthy leg is the hedging machinery's steady-state overhead
-// over a plain cached query, the failover leg the cost of reading
-// around a dead primary. Mounted from internal/microbench so the
-// CI-gated numbers and `zerber-bench -json` snapshots agree.
-func BenchmarkHedgedQuery(b *testing.B) {
-	b.Run("healthy", microbench.HedgedQueryHealthy)
-	b.Run("failover", microbench.HedgedQueryFailover)
 }
 
 // BenchmarkWindowCodec is the layer-level number behind the wire

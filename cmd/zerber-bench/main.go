@@ -8,20 +8,22 @@
 //	zerber-bench -run fig11 [-scale 1] [-seed 1] [-csv results/]
 //	zerber-bench -run all -scale 0.5
 //	zerber-bench -soak -soak-duration 60s -soak-shards 2 -soak-replicas 2
-//	zerber-bench -json [-replicas 3] [-fsync-each] > BENCH_8.json
+//	zerber-bench -json -q > BENCH_18.json
 //
-// Experiments are resolved against the internal/bench registry: -list
-// prints every registered name with its one-line description, unknown
-// -run IDs fail listing the available names, and `-run all` runs every
-// non-manual experiment. The soak scenario is manual (it boots real
-// zerberd processes and runs for a configured wall-clock duration), so
-// it only runs when asked for by name or via -soak.
+// Experiments are resolved against the internal/experiments table (the
+// command registers the soak scenario on it): -list prints every
+// registered name with its one-line description, unknown -run IDs fail
+// listing the available names, and `-run all` runs every non-manual
+// experiment. The soak scenario is manual (it boots real zerberd
+// processes and runs for a configured wall-clock duration), so it only
+// runs when asked for by name or via -soak, and it exits non-zero when
+// an invariant or the error budget broke.
 //
 // Scale 1 is the laptop default; the paper-sized collections are
 // roughly -scale 4 (Stud IP) and -scale 30 (ODP).
 //
-// -json runs the key micro-benchmarks (internal/microbench — the same
-// code the go-test bench harness mounts) and prints one JSON object
+// -json runs the micro-benchmarks (microbench.Suite() — the same
+// table the go-test bench harness mounts) and prints one JSON object
 // per line: {"name", "ns_per_op", "allocs_per_op", "bytes_per_op"}.
 // This is the shared format of the repo's BENCH_*.json trajectory
 // snapshots and of the CI bench job's artifact.
@@ -35,12 +37,13 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
-	"zerberr/internal/bench"
+	"zerberr/internal/experiments"
 	"zerberr/internal/microbench"
 	"zerberr/internal/soak"
 	"zerberr/internal/workload"
@@ -67,10 +70,6 @@ func main() {
 		batched  = flag.Bool("batched", false, "drive search-timing loops with batched rounds (the bandwidth experiment always reports serial-vs-batched round-trips)")
 		jsonMode = flag.Bool("json", false, "run the key micro-benchmarks and print one JSON line per benchmark (the BENCH_*.json snapshot format)")
 
-		// Micro-benchmark knobs (-json mode).
-		replicas  = flag.Int("replicas", 2, "members per replica set (primary + N-1 replicas) in the HedgedQuery micro-benchmarks")
-		fsyncEach = flag.Bool("fsync-each", false, "run the write micro-benchmarks (StoreAppend, StoreAppendParallel) with an fsync per commit, measuring the real-disk durability cost group commit amortizes")
-
 		// Soak/chaos knobs (the soak experiment; -soak ≡ -run soak).
 		soakMode      = flag.Bool("soak", false, "run the soak/chaos scenario (shorthand for -run soak)")
 		soakBinary    = flag.String("soak-zerberd", "", "zerberd binary to boot (default: build it into the soak work dir)")
@@ -91,18 +90,16 @@ func main() {
 	flag.Parse()
 
 	if *jsonMode {
-		microbench.SetReplicaMembers(*replicas)
-		microbench.SetWriteFsync(*fsyncEach)
 		runMicrobenchJSON(*quiet)
 		return
 	}
 
-	reg := bench.Default()
-	reg.MustRegister(bench.Experiment{
+	tab := experiments.Paper()
+	err := tab.Register(experiments.Experiment{
 		Name:   "soak",
 		Doc:    "soak/chaos: boot a real sharded+replicated zerberd cluster, drive zipfian users, SIGKILL/restart/migrate, assert identity+epoch+proof invariants",
 		Manual: true,
-		Run: func(ctx context.Context, env *bench.Env) ([]bench.Row, error) {
+		Run: func(ctx context.Context, env *experiments.Env) (*experiments.Result, error) {
 			return runSoak(ctx, env, soakFlags{
 				binary:      *soakBinary,
 				dir:         *soakDir,
@@ -121,79 +118,72 @@ func main() {
 			})
 		},
 	})
+	if err != nil {
+		fatal("registering soak experiment", "err", err)
+	}
 
 	if *list {
-		for _, e := range reg.All() {
+		for _, x := range tab {
 			manual := ""
-			if e.Manual {
+			if x.Manual {
 				manual = " (manual)"
 			}
-			fmt.Printf("%-12s %s%s\n", e.Name, e.Doc, manual)
+			fmt.Printf("%-12s %s%s\n", x.Name, x.Doc, manual)
 		}
 		return
 	}
 
-	env := &bench.Env{
-		Scale:   *scale,
-		Seed:    *seed,
-		Batched: *batched,
-		Out:     os.Stdout,
-		CSVDir:  *csvDir,
-	}
+	env := experiments.NewEnv(*scale, *seed)
+	env.Batched = *batched
 	if !*quiet {
 		env.Logf = func(format string, args ...interface{}) {
 			logger.Info(fmt.Sprintf(format, args...))
 		}
 	}
 
-	var selected []bench.Experiment
-	switch {
-	case *soakMode:
-		e, err := reg.Lookup("soak")
-		if err != nil {
-			fatal("resolving soak experiment", "err", err)
-		}
-		selected = []bench.Experiment{e}
-	case *run == "all":
-		for _, e := range reg.All() {
-			if !e.Manual {
-				selected = append(selected, e)
+	if *soakMode {
+		*run = "soak"
+	}
+	var selected []experiments.Experiment
+	if *run == "all" {
+		for _, x := range tab {
+			if !x.Manual {
+				selected = append(selected, x)
 			}
 		}
-	default:
+	} else {
 		for _, name := range strings.Split(*run, ",") {
-			e, err := reg.Lookup(strings.TrimSpace(name))
+			x, err := tab.Lookup(strings.TrimSpace(name))
 			if err != nil {
 				fatal("unknown experiment", "err", err)
 			}
-			selected = append(selected, e)
+			selected = append(selected, x)
 		}
 	}
 
+	if *csvDir != "" {
+		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+			fatal("creating the CSV directory failed", "err", err)
+		}
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	failed := false
-	for _, e := range selected {
+	for _, x := range selected {
 		start := time.Now()
-		rows, err := e.Run(ctx, env)
+		res, err := x.Run(ctx, env)
 		if err != nil {
-			fatal("experiment failed", "name", e.Name, "err", err)
+			fatal("experiment failed", "name", x.Name, "err", err)
 		}
-		for _, row := range rows {
-			// Rows are the scrapeable summary; FAILED rows (Value 0 on
-			// an "ok" unit) flip the exit code below.
-			fmt.Printf("%-40s %12.3f %s\n", row.Name, row.Value, row.Unit)
-			if row.Unit == "ok" && row.Value == 0 {
-				failed = true
+		fmt.Println(res.Render())
+		if *csvDir != "" {
+			if err := os.WriteFile(filepath.Join(*csvDir, res.ID+".csv"), []byte(res.CSV()), 0o644); err != nil {
+				fatal("writing CSV failed", "name", x.Name, "err", err)
 			}
 		}
 		if !*quiet {
-			logger.Info("experiment finished", "name", e.Name, "elapsed", time.Since(start).Round(time.Millisecond))
+			logger.Info("experiment finished", "name", x.Name, "elapsed", time.Since(start).Round(time.Millisecond))
 		}
-	}
-	if failed {
-		os.Exit(1)
 	}
 }
 
@@ -249,10 +239,11 @@ type soakFlags struct {
 }
 
 // runSoak executes the soak scenario: resolve (or build) the zerberd
-// binary, run internal/soak, write the report, and summarize the key
-// counters as registry rows, ending with "<ok> ok" that the CLI turns
-// into the exit code.
-func runSoak(ctx context.Context, env *bench.Env, f soakFlags) ([]bench.Row, error) {
+// binary, run internal/soak, print and write the one-line JSON report,
+// and return the key counters as the result's table. A soak that broke
+// an invariant or its error budget is an error — after the report is
+// out, so CI can still read what went wrong.
+func runSoak(ctx context.Context, env *experiments.Env, f soakFlags) (*experiments.Result, error) {
 	cfg := soak.DefaultConfig()
 	cfg.ZerberdPath = f.binary
 	cfg.Dir = f.dir
@@ -268,9 +259,7 @@ func runSoak(ctx context.Context, env *bench.Env, f soakFlags) ([]bench.Row, err
 	cfg.ErrorBudget = f.errorBudget
 	cfg.CorpusDocs = f.docs
 	cfg.ProofEvery = f.proofEvery
-	if env.Logf != nil {
-		cfg.Logf = env.Logf
-	}
+	cfg.Logf = env.Logf
 
 	if cfg.ZerberdPath == "" {
 		path, cleanup, err := soak.BuildZerberd(ctx, cfg.Dir)
@@ -292,20 +281,22 @@ func runSoak(ctx context.Context, env *bench.Env, f soakFlags) ([]bench.Row, err
 			return nil, fmt.Errorf("writing soak report: %w", err)
 		}
 	}
-
-	okVal := 0.0
-	if rep.OK {
-		okVal = 1
+	if !rep.OK {
+		return nil, fmt.Errorf("soak failed: an invariant or the error budget broke (report above)")
 	}
-	return []bench.Row{
-		{Name: "soak.ops", Value: float64(rep.Ops), Unit: "ops"},
-		{Name: "soak.error_rate", Value: rep.ErrorRate, Unit: "fraction"},
-		{Name: "soak.search_p99", Value: rep.SearchP99Ms, Unit: "ms"},
-		{Name: "soak.kills", Value: float64(rep.PrimaryKills + rep.ReplicaKills), Unit: "faults"},
-		{Name: "soak.migrations", Value: float64(rep.Migrations), Unit: "faults"},
-		{Name: "soak.identity_violations", Value: float64(rep.IdentityViolations), Unit: "violations"},
-		{Name: "soak.epoch_violations", Value: float64(rep.EpochViolations), Unit: "violations"},
-		{Name: "soak.proof_violations", Value: float64(rep.ProofViolations), Unit: "violations"},
-		{Name: "soak.ok", Value: okVal, Unit: "ok"},
+	return &experiments.Result{
+		ID:      "soak",
+		Title:   "soak/chaos scenario",
+		Headers: []string{"counter", "value", "unit"},
+		Rows: [][]interface{}{
+			{"ops", rep.Ops, "ops"},
+			{"error rate", rep.ErrorRate, "fraction"},
+			{"search p99", rep.SearchP99Ms, "ms"},
+			{"kills", rep.PrimaryKills + rep.ReplicaKills, "faults"},
+			{"migrations", rep.Migrations, "faults"},
+			{"identity violations", rep.IdentityViolations, "violations"},
+			{"epoch violations", rep.EpochViolations, "violations"},
+			{"proof violations", rep.ProofViolations, "violations"},
+		},
 	}, nil
 }

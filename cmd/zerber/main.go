@@ -585,11 +585,12 @@ func fmtLatency(secs float64) string {
 }
 
 // cmdMigrate moves one zerberd's whole index to another over the
-// MAC-gated admin plane: atomic snapshot export/import, a WAL-tail
-// catch-up when the source is durable, then a differential digest
-// verification. Unlike cluster.Router.Migrate there is no write
-// barrier from out here — writes landing on the source after the tail
-// is fetched make the verification fail, and the command says so;
+// MAC-gated admin plane: the shard-copy procedure Router.Migrate and
+// replica resync run (client.CopyShard, then client.CatchUpShard — the
+// WAL tail when the source is durable, a second full copy otherwise),
+// then a differential digest verification. Unlike those two there is
+// no write barrier from out here — writes landing on the source during
+// the catch-up make the verification fail, and the command says so;
 // rerun it once the source is quiesced.
 func cmdMigrate(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("migrate", flag.ExitOnError)
@@ -612,24 +613,13 @@ func cmdMigrate(ctx context.Context, args []string) {
 	start := time.Now()
 	tailOps := 0
 	if !*verifyOnly {
-		exp, err := sa.ExportSnapshot(ctx)
+		exp, err := client.CopyShard(ctx, sa, da)
 		if err != nil {
-			fatal("exporting source snapshot failed", "err", err)
+			fatal("copying the snapshot failed", "err", err)
 		}
-		logger.Info("snapshot exported", "bytes", len(exp.Data), "seq", exp.Seq, "tailable", exp.Tailable)
-		if err := da.ImportSnapshot(ctx, exp.Data); err != nil {
-			fatal("importing snapshot failed", "err", err)
-		}
-		if exp.Tailable {
-			ops, err := sa.TailSince(ctx, exp.Seq)
-			if err != nil {
-				logger.Warn("tail fetch failed, relying on digest verification", "err", err)
-			} else if len(ops) > 0 {
-				if err := da.ApplyOps(ctx, ops); err != nil {
-					fatal("replaying WAL tail failed", "err", err)
-				}
-				tailOps = len(ops)
-			}
+		logger.Info("snapshot copied", "bytes", len(exp.Data), "seq", exp.Seq, "tailable", exp.Tailable)
+		if tailOps, err = client.CatchUpShard(ctx, sa, da, exp); err != nil {
+			fatal("catching the destination up failed", "err", err)
 		}
 	}
 	srcDig, err := sa.Digest(ctx)

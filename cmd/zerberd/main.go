@@ -8,7 +8,7 @@
 //	zerberd -addr :8021 -secret-file secret.key \
 //	        -user john=0,1 -user alice=1 [-token-ttl 1h] \
 //	        [-data-dir /var/lib/zerberd] [-fsync-each] [-commit-window 200us] \
-//	        [-cache-bytes N | -cache-off] \
+//	        [-cache-bytes N] \
 //	        [-log-level info] [-log-format text|json] [-pprof] \
 //	        [-rate-limit N] [-rate-burst N] [-max-inflight N] [-admin=false]
 //
@@ -25,7 +25,7 @@
 //
 // Repeated ranked-range reads are served from a version-keyed
 // query-result cache (internal/cache) by default; -cache-bytes sizes
-// it and -cache-off disables it. Results are identical either way —
+// it, 0 disables it. Results are identical either way —
 // any insert or remove bumps the list's version and silently misses
 // every window cached before it. GET /v2/stats reports hit/miss/evict
 // counters.
@@ -118,8 +118,7 @@ func main() {
 		snapEvery   = flag.Int("snapshot-every", store.DefaultSnapshotEvery, "logged operations between automatic snapshots (with -data-dir)")
 		fsyncEach   = flag.Bool("fsync-each", false, "fsync the write-ahead log after every operation (with -data-dir)")
 		commitWin   = flag.Duration("commit-window", store.DefaultCommitWindow, "group-commit window: concurrent writes within it share one WAL write and fsync; 0 commits each operation synchronously (with -data-dir)")
-		cacheBytes  = flag.Int64("cache-bytes", 64<<20, "query-result cache capacity in bytes (see GET /v2/stats for hit/miss counters)")
-		cacheOff    = flag.Bool("cache-off", false, "disable the query-result cache")
+		cacheBytes  = flag.Int64("cache-bytes", 64<<20, "query-result cache capacity in bytes, 0 disables it (see GET /v2/stats for hit/miss counters)")
 		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn or error")
 		logFormat   = flag.String("log-format", "text", "log format: text or json")
 		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -187,7 +186,7 @@ func main() {
 	if !*adminOn {
 		logger.Info("admin plane disabled")
 	}
-	if !*cacheOff && *cacheBytes > 0 {
+	if *cacheBytes > 0 {
 		srv.SetCache(cache.New(*cacheBytes))
 		logger.Info("query-result cache enabled", "bytes", *cacheBytes)
 	}

@@ -113,7 +113,7 @@
 // with two different contents, that opted-in proofs never fail
 // verification, and that the error rate stays within budget. Every
 // runnable artifact — paper figures, extension experiments, the soak
-// scenario — registers in the internal/bench registry that
+// scenario — is an entry of the one internal/experiments table that
 // cmd/zerber-bench resolves -run names against. See DESIGN.md "Soak &
 // chaos".
 //

@@ -144,8 +144,8 @@ func Accuracy(guess, truth []corpus.TermID) float64 {
 }
 
 // PriorAccuracy returns the accuracy of the best prior-only guesser
-// (always picking the most probable term), the baseline any attack
-// must beat to have learned anything from the index.
+// (always the most probable term, the smallest ID among ties), the
+// baseline any attack must beat to have learned from the index.
 func PriorAccuracy(truth []corpus.TermID, prior map[corpus.TermID]float64) float64 {
 	if len(truth) == 0 {
 		return 0
@@ -153,7 +153,7 @@ func PriorAccuracy(truth []corpus.TermID, prior map[corpus.TermID]float64) float
 	var best corpus.TermID
 	bestP := math.Inf(-1)
 	for t, p := range prior {
-		if p > bestP {
+		if p > bestP || (p == bestP && t < best) {
 			best, bestP = t, p
 		}
 	}

@@ -119,6 +119,14 @@ func TestPriorAccuracy(t *testing.T) {
 	if got := PriorAccuracy(nil, prior); got != 0 {
 		t.Errorf("empty PriorAccuracy = %v", got)
 	}
+	// Equally probable terms: the guesser names the smallest term ID,
+	// whatever order the map is ranged in.
+	tied := map[corpus.TermID]float64{7: 0.4, 3: 0.4, 9: 0.2}
+	for i := 0; i < 50; i++ {
+		if got := PriorAccuracy([]corpus.TermID{3, 3, 3, 7}, tied); got != 0.75 {
+			t.Fatalf("tied PriorAccuracy = %v, want 0.75 (term 3 guessed)", got)
+		}
+	}
 }
 
 func TestBackgroundUnknownTermUniform(t *testing.T) {

@@ -1,10 +1,12 @@
 package client
 
-// Admin-plane client: the snapshot-transfer surface live migration
-// (internal/cluster) and replica resync (internal/replica) drive. Both
-// transports implement ShardAdmin — Local by calling the server's
-// admin methods, HTTP via the MAC-gated /v3/admin endpoints (the
-// AdminMAC field must hold server.AdminMAC(secret)).
+// Admin-plane client: the snapshot-transfer surface and the one
+// shard-copy procedure over it (CopyShard, CatchUpShard) that live
+// migration (internal/cluster), replica resync (internal/replica) and
+// `zerber migrate` drive. Both transports implement ShardAdmin — Local
+// by calling the server's admin methods, HTTP via the MAC-gated
+// /v3/admin endpoints (the AdminMAC field must hold
+// server.AdminMAC(secret)).
 
 import (
 	"bytes"
@@ -34,6 +36,48 @@ type ShardAdmin interface {
 	ApplyOps(ctx context.Context, ops []server.TailOp) error
 	// Digest summarizes every list for differential verification.
 	Digest(ctx context.Context) ([]server.ListDigest, error)
+}
+
+// CopyShard is the bulk half of moving a shard's state: src's atomic,
+// rank-ordered snapshot replaces whatever dst held. Writes may keep
+// landing on src meanwhile — CatchUpShard picks them up. The returned
+// export carries the sequence number the copy is exact at.
+func CopyShard(ctx context.Context, src, dst ShardAdmin) (server.SnapshotExport, error) {
+	exp, err := src.ExportSnapshot(ctx)
+	if err != nil {
+		return exp, fmt.Errorf("export: %w", err)
+	}
+	if err := dst.ImportSnapshot(ctx, exp.Data); err != nil {
+		return exp, fmt.Errorf("import: %w", err)
+	}
+	return exp, nil
+}
+
+// CatchUpShard is the other half: it brings dst from the state
+// CopyShard shipped (exp) to src's current state and returns how many
+// logged mutations it replayed. A tailable source has the tail after
+// exp.Seq fetched and applied; when it is not tailable, or either step
+// fails — over HTTP the store's truncation sentinel arrives
+// stringified, so every failure counts, a half-applied tail included —
+// a fresh full copy runs instead and the count is zero. Slower, never
+// wrong. The result is exact only if no write reaches src during the
+// call; which barrier guarantees that (the router's per-slot lock, the
+// replica set's, or none with a digest check after) is the caller's
+// business, and the only thing the three callers do differently.
+func CatchUpShard(ctx context.Context, src, dst ShardAdmin, exp server.SnapshotExport) (int, error) {
+	if exp.Tailable {
+		ops, err := src.TailSince(ctx, exp.Seq)
+		if err == nil && len(ops) > 0 {
+			err = dst.ApplyOps(ctx, ops)
+		}
+		if err == nil {
+			return len(ops), nil
+		}
+	}
+	if _, err := CopyShard(ctx, src, dst); err != nil {
+		return 0, fmt.Errorf("re-copy: %w", err)
+	}
+	return 0, nil
 }
 
 // ExportSnapshot implements ShardAdmin.

@@ -48,13 +48,6 @@ func WithSerial() SearchOption {
 	return func(o *searchConfig) { o.serial = true }
 }
 
-// WithStrictTopK makes this query provably exact, scanning until the
-// list's TRS falls strictly below the k-th match's TRS (see
-// Config.StrictTopK, which sets the per-client default).
-func WithStrictTopK() SearchOption {
-	return func(o *searchConfig) { o.strict = true }
-}
-
 // WithProof makes every round of this query verifiable: each
 // sub-query requests a Merkle window proof and the response is
 // verified — inclusion, adjacency, completeness and the exhausted

@@ -163,18 +163,12 @@ func (r *Router) hedgeDelaySeed(shard int) func() time.Duration {
 }
 
 // shardFault reports whether an operation outcome indicts the shard:
-// transport failures and internal errors do, and so do overload
-// rejections; application rejections and abandoned (context-canceled)
-// operations do not.
+// what server.IsFault calls a member fault, except that abandoned
+// (context-canceled or timed-out) operations are neutral here — the
+// caller or a sibling shard's failure gave up, which says nothing about
+// this shard.
 func shardFault(err error) bool {
-	if err == nil || isContextErr(err) {
-		return false
-	}
-	switch server.ErrorCode(err) {
-	case server.CodeInternal, server.CodeOverloaded:
-		return true
-	}
-	return false
+	return !isContextErr(err) && server.IsFault(err)
 }
 
 func isContextErr(err error) bool {

@@ -86,50 +86,23 @@ func (r *Router) migrate(ctx context.Context, shard int, dst client.Transport) (
 	}
 
 	// Phase 1: bulk copy under live writes. The export is atomic and
-	// rank-ordered; writes that land after it are picked up by the tail
-	// (or the quiesced re-copy) under the barrier.
-	exp, err := sa.ExportSnapshot(ctx)
+	// rank-ordered; writes that land after it are picked up by the
+	// catch-up under the barrier.
+	exp, err := client.CopyShard(ctx, sa, da)
 	if err != nil {
-		return rep, fmt.Errorf("cluster: migrate shard %d: export: %w", shard, err)
-	}
-	if err := da.ImportSnapshot(ctx, exp.Data); err != nil {
-		return rep, fmt.Errorf("cluster: migrate shard %d: import: %w", shard, err)
+		return rep, fmt.Errorf("cluster: migrate shard %d: %w", shard, err)
 	}
 
 	// Phase 2: barrier. In-flight writes drain (they hold the slot's
 	// writeMu shared and loaded the table after acquiring it), new ones
 	// park; queries keep flowing — content is identical on both sides by
-	// the time the table flips.
+	// the time the table flips. Writes are parked, so the catch-up (WAL
+	// tail, or a fresh full copy when there is none) is exact.
 	r.writeMu[shard].Lock()
 	defer r.writeMu[shard].Unlock()
 	barrierStart := time.Now()
-
-	caughtUp := false
-	if exp.Tailable {
-		// Over the admin HTTP surface the store's tail sentinels arrive
-		// stringified, so any tail failure — truncation included — routes
-		// to the quiesced full copy below. Slower, never wrong.
-		ops, terr := sa.TailSince(ctx, exp.Seq)
-		if terr == nil {
-			if len(ops) > 0 {
-				terr = da.ApplyOps(ctx, ops)
-			}
-			if terr == nil {
-				caughtUp = true
-				rep.TailOps = len(ops)
-			}
-		}
-	}
-	if !caughtUp {
-		// Writes are parked, so a fresh export is exact on its own.
-		exp, err = sa.ExportSnapshot(ctx)
-		if err != nil {
-			return rep, fmt.Errorf("cluster: migrate shard %d: re-export: %w", shard, err)
-		}
-		if err := da.ImportSnapshot(ctx, exp.Data); err != nil {
-			return rep, fmt.Errorf("cluster: migrate shard %d: re-import: %w", shard, err)
-		}
-		rep.TailOps = 0
+	if rep.TailOps, err = client.CatchUpShard(ctx, sa, da, exp); err != nil {
+		return rep, fmt.Errorf("cluster: migrate shard %d: %w", shard, err)
 	}
 
 	// Phase 3: differential verification, still under the barrier.

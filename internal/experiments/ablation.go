@@ -24,10 +24,7 @@ func Ablations(e *Env) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		ID:    "ablation",
-		Title: "Ext-C: ablations of design choices",
-	}
+	res := &Result{}
 
 	// (a) Transform quality on the held-out Rest split.
 	train := corpus.TrainingScores(sys.Corpus, sys.Split.Train)

@@ -51,8 +51,6 @@ func MultiTermAccuracy(e *Env) (*Result, error) {
 		return nil, fmt.Errorf("accuracy: no multi-term queries in workload")
 	}
 	res := &Result{
-		ID:      "accuracy",
-		Title:   "Ext-A: multi-term ranking accuracy (top-10 overlap, Stud IP)",
 		Headers: []string{"comparison", "mean overlap@10", "median", "p10"},
 		Rows: [][]interface{}{
 			{"Zerber+R vs TF×IDF baseline", stats.Mean(vsTFIDF), stats.Median(vsTFIDF), stats.Percentile(vsTFIDF, 10)},

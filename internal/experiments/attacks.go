@@ -188,14 +188,14 @@ func (v *attackView) decryptList(list zerber.ListID) (observed []float64, truth 
 }
 
 // listPrior returns the Definition 2 within-list prior p_t/Σp.
-func (v *attackView) listPrior(terms []corpus.TermID) map[corpus.TermID]float64 {
+func listPrior(plan *zerber.MergePlan, terms []corpus.TermID) map[corpus.TermID]float64 {
 	prior := make(map[corpus.TermID]float64, len(terms))
 	sum := 0.0
 	for _, t := range terms {
-		sum += v.sys.Plan.P(t)
+		sum += plan.P(t)
 	}
 	for _, t := range terms {
-		prior[t] = v.sys.Plan.P(t) / sum
+		prior[t] = plan.P(t) / sum
 	}
 	return prior
 }
@@ -301,74 +301,61 @@ func compositionAttack(v *attackView, lists []zerber.ListID, decoysPerList int) 
 	return acc / float64(measured), chance / float64(measured), measured, nil
 }
 
+// attackTally pools the adversary package's per-list figures into one
+// figure over every element seen, each list weighted by its elements.
+type attackTally struct {
+	acc, prior, amp, ampMax float64
+	n                       int
+}
+
+// add scores one list's attribution on the elements where
+// fromTrain[i] == want.
+func (a *attackTally) add(att adversary.Attribution, truth []corpus.TermID, prior map[corpus.TermID]float64, fromTrain []bool, want bool) {
+	sub := adversary.Attribution{Candidates: att.Candidates}
+	var subTruth []corpus.TermID
+	for i := range truth {
+		if fromTrain[i] == want {
+			sub.Guess = append(sub.Guess, att.Guess[i])
+			sub.Posterior = append(sub.Posterior, att.Posterior[i])
+			subTruth = append(subTruth, truth[i])
+		}
+	}
+	w := float64(len(subTruth))
+	amp := adversary.Amplification(sub, subTruth, prior)
+	a.acc += w * adversary.Accuracy(sub.Guess, subTruth)
+	a.prior += w * adversary.PriorAccuracy(subTruth, prior)
+	a.amp += w * amp.Mean
+	a.ampMax = math.Max(a.ampMax, amp.Max)
+	a.n += len(subTruth)
+}
+
+// mean turns the weighted sums into per-element means.
+func (a *attackTally) mean() {
+	if a.n > 0 {
+		a.acc /= float64(a.n)
+		a.prior /= float64(a.n)
+		a.amp /= float64(a.n)
+	}
+}
+
 // elementAttack runs per-element Bayesian attribution, reporting
 // accuracy, prior accuracy and Definition 1 amplification separately
 // for elements of training documents and the rest.
-type elementAttackResult struct {
-	trainAcc, trainPrior, trainAmp    float64
-	nonAcc, nonPrior, nonAmp, nonAmpM float64
-	nTrain, nNon                      int
-}
-
-func elementAttack(v *attackView, lists []zerber.ListID) (elementAttackResult, error) {
-	var res elementAttackResult
-	var trainAmpW, nonAmpW float64
+func elementAttack(v *attackView, lists []zerber.ListID) (train, non attackTally, err error) {
 	for _, list := range lists {
 		terms := v.sys.Plan.Terms(list)
 		observed, truth, fromTrain, err := v.decryptList(list)
 		if err != nil {
-			return res, err
+			return train, non, err
 		}
-		prior := v.listPrior(terms)
+		prior := listPrior(v.sys.Plan, terms)
 		att := adversary.Attribute(observed, terms, prior, v.bgEl)
-		idx := make(map[corpus.TermID]int, len(terms))
-		for j, t := range att.Candidates {
-			idx[t] = j
-		}
-		var bestPrior corpus.TermID
-		bp := -1.0
-		for t, p := range prior {
-			if p > bp || (p == bp && t < bestPrior) {
-				bestPrior, bp = t, p
-			}
-		}
-		for i := range truth {
-			hit := 0.0
-			if att.Guess[i] == truth[i] {
-				hit = 1
-			}
-			priorHit := 0.0
-			if truth[i] == bestPrior {
-				priorHit = 1
-			}
-			amp := att.Posterior[i][idx[truth[i]]] / prior[truth[i]]
-			if fromTrain[i] {
-				res.trainAcc += hit
-				res.trainPrior += priorHit
-				trainAmpW += amp
-				res.nTrain++
-			} else {
-				res.nonAcc += hit
-				res.nonPrior += priorHit
-				nonAmpW += amp
-				if amp > res.nonAmpM {
-					res.nonAmpM = amp
-				}
-				res.nNon++
-			}
-		}
+		train.add(att, truth, prior, fromTrain, true)
+		non.add(att, truth, prior, fromTrain, false)
 	}
-	if res.nTrain > 0 {
-		res.trainAcc /= float64(res.nTrain)
-		res.trainPrior /= float64(res.nTrain)
-		res.trainAmp = trainAmpW / float64(res.nTrain)
-	}
-	if res.nNon > 0 {
-		res.nonAcc /= float64(res.nNon)
-		res.nonPrior /= float64(res.nNon)
-		res.nonAmp = nonAmpW / float64(res.nNon)
-	}
-	return res, nil
+	train.mean()
+	non.mean()
+	return train, non, nil
 }
 
 // requestAttackOn runs the threat-2 attack: the adversary observes the
@@ -406,14 +393,7 @@ func requestAttackOn(sys *zerberr.System, maxProbes int) (acc, prior float64, pr
 			}
 			expected[t] = float64(n)
 		}
-		priorMap := make(map[corpus.TermID]float64, len(terms))
-		sum := 0.0
-		for _, t := range terms {
-			sum += sys.Plan.P(t)
-		}
-		for _, t := range terms {
-			priorMap[t] = sys.Plan.P(t) / sum
-		}
+		priorMap := listPrior(sys.Plan, terms)
 		// Probe every merged term once (the adversary watches real
 		// queries; probing uniformly is the hardest case for her).
 		// Under uniform probing the prior-only guesser names one fixed
@@ -497,8 +477,6 @@ func AttackSimulations(e *Env) (*Result, error) {
 	trsRandLists := trsRandView.eligibleLists(1, 40, 120)
 
 	res := &Result{
-		ID:      "attacks",
-		Title:   "Ext-B: adversary simulations (Definition 1 quantified)",
 		Headers: []string{"attack", "system", "adversary accuracy", "baseline", "mean amplification"},
 	}
 
@@ -545,19 +523,19 @@ func AttackSimulations(e *Env) (*Result, error) {
 	)
 
 	// 2 + 3. Per-element attribution split by training membership.
-	pEl, err := elementAttack(plainView, plainLists)
+	pTrain, pNon, err := elementAttack(plainView, plainLists)
 	if err != nil {
 		return nil, err
 	}
-	tEl, err := elementAttack(trsView, trsLists)
+	tTrain, tNon, err := elementAttack(trsView, trsLists)
 	if err != nil {
 		return nil, err
 	}
 	res.Rows = append(res.Rows,
-		[]interface{}{"element attribution (non-train)", "plain scores (no RSTF)", pEl.nonAcc, pEl.nonPrior, pEl.nonAmp},
-		[]interface{}{"element attribution (non-train)", "Zerber+R (TRS)", tEl.nonAcc, tEl.nonPrior, tEl.nonAmp},
-		[]interface{}{"element attribution (train docs)", "plain scores (no RSTF)", pEl.trainAcc, pEl.trainPrior, pEl.trainAmp},
-		[]interface{}{"element attribution (train docs)", "Zerber+R (TRS)", tEl.trainAcc, tEl.trainPrior, tEl.trainAmp},
+		[]interface{}{"element attribution (non-train)", "plain scores (no RSTF)", pNon.acc, pNon.prior, pNon.amp},
+		[]interface{}{"element attribution (non-train)", "Zerber+R (TRS)", tNon.acc, tNon.prior, tNon.amp},
+		[]interface{}{"element attribution (train docs)", "plain scores (no RSTF)", pTrain.acc, pTrain.prior, pTrain.amp},
+		[]interface{}{"element attribution (train docs)", "Zerber+R (TRS)", tTrain.acc, tTrain.prior, tTrain.amp},
 	)
 
 	// Threat 2: request-count attack, BFM vs random merge.
@@ -582,8 +560,8 @@ func AttackSimulations(e *Env) (*Result, error) {
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("composition attack on %d/%d (random merge, small sample) and %d/%d (BFM) two-term lists; request attack on %d/%d probes", prLists, trLists, pLists, tLists, bProbes, rProbes),
 		"BFM already blunts value-only composition attacks on its own: similar-frequency merged terms share their bulk (tf=1) score statistics, so plain+BFM sits at chance",
-		fmt.Sprintf("r = %.0f: Definition 1 demands amplification ≤ r; per-element attribution outside the training sample measures %.2f (TRS) vs %.2f (plain), max %.1f (TRS) — the paper's claim holds at the element level", trsSys.Plan.R(), tEl.nonAmp, pEl.nonAmp, tEl.nonAmpM),
-		fmt.Sprintf("extension finding 1: elements of the RSTF's own training documents are re-identified with %.0f%% accuracy under TRS (prior %.0f%%) — the published transform memorizes their quantiles; train on a held-out, non-indexed sample", tEl.trainAcc*100, tEl.trainPrior*100),
+		fmt.Sprintf("r = %.0f: Definition 1 demands amplification ≤ r; per-element attribution outside the training sample measures %.2f (TRS) vs %.2f (plain), max %.1f (TRS) — the paper's claim holds at the element level", trsSys.Plan.R(), tNon.amp, pNon.amp, tNon.ampMax),
+		fmt.Sprintf("extension finding 1: elements of the RSTF's own training documents are re-identified with %.0f%% accuracy under TRS (prior %.0f%%) — the published transform memorizes their quantiles; train on a held-out, non-indexed sample", tTrain.acc*100, tTrain.prior*100),
 		fmt.Sprintf("countermeasure: 2e-2 TRS jitter drops the fine-structure composition attack to %.2f vs %.2f chance on %d lists; the cost is local rank swaps for score pairs whose TRS gap is below the jitter width", jAcc, jChance, jLists),
 		"extension finding 2: normalized-TF supports are discrete (score atoms like 1/|d| shared by all terms), and a published per-term RSTF maps those shared atoms to term-specific TRS positions — a fine-structure fingerprint that lets list composition be recovered (TRS rows) even though the TRS envelope is uniform; rank-preserving TRS jitter would close this channel",
 		"request-count attack: BFM keeps follow-up counts indistinguishable (advantage near 0) exactly as Section 5.2 argues; random merging leaks the queried term's frequency tier")

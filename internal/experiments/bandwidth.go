@@ -111,8 +111,6 @@ func BandwidthAnalysis(e *Env) (*Result, error) {
 	}
 
 	res := &Result{
-		ID:      "bandwidth",
-		Title:   "Section 6.6: network bandwidth and throughput (ODP)",
 		Headers: []string{"quantity", "paper", "measured"},
 		Rows: [][]interface{}{
 			{"posting elements per query term (k=10, b=10)", paperElementsPerTerm, avgElems},

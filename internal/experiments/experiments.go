@@ -2,14 +2,16 @@
 // paper — Figures 4, 5, 7, 8, 9, 10, 11, 12, 13 and the Section 6.6
 // bandwidth/throughput analysis — plus the extension experiments
 // documented in DESIGN.md (multi-term accuracy, quantified attacks,
-// ablations). Each experiment is a named Runner producing a Result
-// that renders as an ASCII chart, a table and notes comparing the
-// measured shape against what the paper reports.
+// ablations). Each experiment is a Runner producing a Result that
+// renders as an ASCII chart, a table and notes comparing the measured
+// shape against what the paper reports. The package also owns the one
+// experiment registry (Table) cmd/zerber-bench resolves -run IDs
+// against.
 package experiments
 
 import (
+	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -57,7 +59,7 @@ func (r *Result) Render() string {
 // CSV renders the result's series as CSV.
 func (r *Result) CSV() string { return plot.CSV(r.Series) }
 
-// Runner executes one experiment against a shared environment.
+// Runner executes one paper experiment against a shared environment.
 type Runner func(e *Env) (*Result, error)
 
 // Env lazily builds and caches the systems, workloads and replays the
@@ -70,7 +72,7 @@ type Env struct {
 	Scale float64
 	// Seed drives all generation deterministically.
 	Seed uint64
-	// Quiet suppresses progress logging to Logf.
+	// Logf receives progress lines (a no-op by default).
 	Logf func(format string, args ...interface{})
 	// Batched makes search-driving experiments batch every open list
 	// into each round of their timed loops (client.Search's default)
@@ -184,60 +186,97 @@ func (e *Env) Workload(profile string) (*workload.Log, error) {
 	return l, nil
 }
 
-// registry maps experiment IDs to runners.
-var registry = map[string]Runner{
-	"fig04":     Fig04TFDistribution,
-	"fig05":     Fig05NormTFDistribution,
-	"fig07":     Fig07GaussianSum,
-	"fig08":     Fig08ExampleRSTF,
-	"fig09":     Fig09SigmaSelection,
-	"fig10":     Fig10WorkloadConcentration,
-	"fig11":     Fig11BandwidthOverhead,
-	"fig12":     Fig12RequestCounts,
-	"fig13":     Fig13QueryEfficiency,
-	"bandwidth": BandwidthAnalysis,
-	"accuracy":  MultiTermAccuracy,
-	"attacks":   AttackSimulations,
-	"ablation":  Ablations,
+// Experiment is one registered runnable: a paper figure, an extension
+// experiment, or something a command mounts beside them.
+type Experiment struct {
+	// Name is the `zerber-bench -run` ID.
+	Name string
+	// Doc is the one-line description -list prints, and the Result's
+	// title unless the run sets one that embeds generated data.
+	Doc string
+	// Manual excludes the experiment from `-run all`; it only runs
+	// when named explicitly (the soak scenario, which boots real
+	// processes for a configured wall-clock duration, is Manual).
+	Manual bool
+	// Run executes the experiment against the shared environment.
+	Run func(ctx context.Context, e *Env) (*Result, error)
 }
 
-// docs gives each experiment a one-line description without having
-// to run it (Result.Title is only known after the fact, and some
-// titles embed generated data).
-var docs = map[string]string{
-	"fig04":     "Figure 4: log-log plot of TF distributions",
-	"fig05":     "Figure 5: log-log plot of normalized TF distributions",
-	"fig07":     "Figure 7: probability distribution from 5 training values",
-	"fig08":     "Figure 8: example RSTF for a sampled term",
-	"fig09":     "Figure 9: TRS variance vs sigma",
-	"fig10":     "Figure 10: cumulative top-10 workload vs query-term rank",
-	"fig11":     "Figure 11: average bandwidth overhead vs initial response size",
-	"fig12":     "Figure 12: average number of requests vs initial response size",
-	"fig13":     "Figure 13: efficiency in query answering (k=10)",
-	"bandwidth": "Section 6.6: network bandwidth and throughput (ODP)",
-	"accuracy":  "Ext-A: multi-term ranking accuracy (top-10 overlap, Stud IP)",
-	"attacks":   "Ext-B: adversary simulations (Definition 1 quantified)",
-	"ablation":  "Ext-C: ablations of design choices",
+// Table is the experiment registry, in registration order.
+// Unknown names fail loudly with the list of available ones; nothing
+// ever "runs nothing" silently.
+type Table []Experiment
+
+// paper adapts one figure/extension runner to the registry. The table
+// is the one place an experiment's ID and title are written: the
+// result is stamped with them here.
+func paper(name, doc string, r Runner) Experiment {
+	return Experiment{Name: name, Doc: doc, Run: func(ctx context.Context, e *Env) (*Result, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		res, err := r(e)
+		if err != nil {
+			return nil, err
+		}
+		res.ID = name
+		if res.Title == "" {
+			res.Title = doc
+		}
+		return res, nil
+	}}
 }
 
-// Doc returns the experiment's one-line description.
-func Doc(id string) string { return docs[id] }
-
-// IDs lists all experiment IDs in run order.
-func IDs() []string {
-	out := make([]string, 0, len(registry))
-	for id := range registry {
-		out = append(out, id)
+// Paper returns a fresh table holding the paper's figures and the
+// DESIGN.md extension experiments. cmd/zerber-bench registers the
+// soak scenario on top (its configuration is flag state owned by the
+// command).
+func Paper() Table {
+	return Table{
+		paper("ablation", "Ext-C: ablations of design choices", Ablations),
+		paper("accuracy", "Ext-A: multi-term ranking accuracy (top-10 overlap, Stud IP)", MultiTermAccuracy),
+		paper("attacks", "Ext-B: adversary simulations (Definition 1 quantified)", AttackSimulations),
+		paper("bandwidth", "Section 6.6: network bandwidth and throughput (ODP)", BandwidthAnalysis),
+		paper("fig04", "Figure 4: log-log plot of TF distributions", Fig04TFDistribution),
+		paper("fig05", "Figure 5: log-log plot of normalized TF distributions", Fig05NormTFDistribution),
+		paper("fig07", "Figure 7: probability distribution from 5 training values", Fig07GaussianSum),
+		paper("fig08", "Figure 8: example RSTF for a sampled term", Fig08ExampleRSTF),
+		paper("fig09", "Figure 9: TRS variance vs sigma", Fig09SigmaSelection),
+		paper("fig10", "Figure 10: cumulative top-10 workload vs query-term rank", Fig10WorkloadConcentration),
+		paper("fig11", "Figure 11: average bandwidth overhead vs initial response size", Fig11BandwidthOverhead),
+		paper("fig12", "Figure 12: average number of requests vs initial response size", Fig12RequestCounts),
+		paper("fig13", "Figure 13: efficiency in query answering (k=10)", Fig13QueryEfficiency),
 	}
-	sort.Strings(out)
+}
+
+// Register appends an experiment; an empty name, a nil Run and a
+// duplicate name are errors.
+func (t *Table) Register(x Experiment) error {
+	if x.Name == "" || x.Run == nil {
+		return fmt.Errorf("experiments: experiment %q needs a name and a Run", x.Name)
+	}
+	if _, err := t.Lookup(x.Name); err == nil {
+		return fmt.Errorf("experiments: experiment %q registered twice", x.Name)
+	}
+	*t = append(*t, x)
+	return nil
+}
+
+// Names lists the registered names in registration order.
+func (t Table) Names() []string {
+	out := make([]string, len(t))
+	for i, x := range t {
+		out[i] = x.Name
+	}
 	return out
 }
 
-// Run executes one experiment by ID.
-func Run(id string, e *Env) (*Result, error) {
-	r, ok := registry[id]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
+// Lookup resolves a name; unknown names fail with the available list.
+func (t Table) Lookup(name string) (Experiment, error) {
+	for _, x := range t {
+		if x.Name == name {
+			return x, nil
+		}
 	}
-	return r(e)
+	return Experiment{}, fmt.Errorf("experiments: unknown experiment %q (available: %s)", name, strings.Join(t.Names(), ", "))
 }

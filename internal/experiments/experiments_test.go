@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -27,7 +28,7 @@ func testEnv(t *testing.T) *Env {
 }
 
 func TestIDsComplete(t *testing.T) {
-	ids := IDs()
+	ids := Paper().Names()
 	want := []string{"ablation", "accuracy", "attacks", "bandwidth",
 		"fig04", "fig05", "fig07", "fig08", "fig09", "fig10", "fig11", "fig12", "fig13"}
 	if len(ids) != len(want) {
@@ -41,14 +42,18 @@ func TestIDsComplete(t *testing.T) {
 }
 
 func TestRunUnknown(t *testing.T) {
-	if _, err := Run("nope", NewEnv(1, 1)); err == nil {
+	if _, err := Paper().Lookup("nope"); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
 
 func runAndRender(t *testing.T, id string) *Result {
 	t.Helper()
-	res, err := Run(id, testEnv(t))
+	x, err := Paper().Lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := x.Run(context.Background(), testEnv(t))
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}

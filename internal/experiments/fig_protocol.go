@@ -58,8 +58,6 @@ func Fig10WorkloadConcentration(e *Env) (*Result, error) {
 		}
 	}
 	res := &Result{
-		ID:        "fig10",
-		Title:     "Figure 10: cumulative top-10 workload vs query-term rank",
 		ChartOpts: plot.Options{LogX: true, XLabel: "query terms by decreasing frequency (log)", YLabel: "cumulative workload %"},
 		Series:    []stats.Series{{Name: "cumulative workload (Eq. 9)", X: xs, Y: ys}},
 		Headers:   []string{"distinct query terms", "terms covering 50%", "terms covering 90%"},
@@ -76,8 +74,6 @@ func Fig10WorkloadConcentration(e *Env) (*Result, error) {
 // for k = 1, 10, 50, on both test collections.
 func Fig11BandwidthOverhead(e *Env) (*Result, error) {
 	res := &Result{
-		ID:        "fig11",
-		Title:     "Figure 11: average bandwidth overhead vs initial response size",
 		ChartOpts: plot.Options{LogX: true, LogY: true, XLabel: "initial response size b", YLabel: "AvBO (Eq. 13)"},
 		Headers:   []string{"collection", "k", "best b", "AvBO at best b", "AvBO at b=k"},
 	}
@@ -119,8 +115,6 @@ func Fig11BandwidthOverhead(e *Env) (*Result, error) {
 // requests needed for top-k results as a function of b.
 func Fig12RequestCounts(e *Env) (*Result, error) {
 	res := &Result{
-		ID:        "fig12",
-		Title:     "Figure 12: average number of requests vs initial response size",
 		ChartOpts: plot.Options{LogX: true, XLabel: "initial response size b", YLabel: "avg requests"},
 		Headers:   []string{"collection", "k", "avg requests at b=10", "avg requests at b=100"},
 	}
@@ -153,8 +147,6 @@ func Fig12RequestCounts(e *Env) (*Result, error) {
 // QRatio_eff = k/TRes over the workload for k=10 and b ∈ {10,20,50}.
 func Fig13QueryEfficiency(e *Env) (*Result, error) {
 	res := &Result{
-		ID:        "fig13",
-		Title:     "Figure 13: efficiency in query answering (k=10)",
 		ChartOpts: plot.Options{XLabel: "query terms in workload (%), ordered by QRatio", YLabel: "QRatio_eff (Eq. 14)"},
 		Headers:   []string{"collection", "b", "share at QRatio=1", "median QRatio", "mean QRatio"},
 	}

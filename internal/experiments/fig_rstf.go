@@ -21,8 +21,6 @@ func Fig07GaussianSum(e *Env) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{
-		ID:        "fig07",
-		Title:     "Figure 7: probability distribution from 5 training values",
 		ChartOpts: plot.Options{XLabel: "relevance score", YLabel: "probability density"},
 	}
 	grid := linspace(0, 0.7, 200)
@@ -94,7 +92,6 @@ func Fig08ExampleRSTF(e *Env) (*Result, error) {
 		ys[i] = f.Transform(x)
 	}
 	res := &Result{
-		ID:        "fig08",
 		Title:     fmt.Sprintf("Figure 8: example RSTF for term %q", sys.Corpus.Term(term)),
 		ChartOpts: plot.Options{XLabel: "input relevance score", YLabel: "output TRS"},
 		Series:    []stats.Series{{Name: "RSTF", X: grid, Y: ys}},
@@ -146,7 +143,6 @@ func Fig09SigmaSelection(e *Env) (*Result, error) {
 		ys[i] = p.Variance
 	}
 	res := &Result{
-		ID:        "fig09",
 		Title:     fmt.Sprintf("Figure 9: TRS variance vs σ (term %q)", sys.Corpus.Term(term)),
 		ChartOpts: plot.Options{LogX: true, LogY: true, XLabel: "sigma", YLabel: "variance vs uniform"},
 		Series:    []stats.Series{{Name: "control-set variance", X: xs, Y: ys}},

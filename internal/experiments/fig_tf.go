@@ -58,8 +58,6 @@ func Fig04TFDistribution(e *Env) (*Result, error) {
 	c := sys.Corpus
 	frequent, moderate := pickFrequentAndModerate(c)
 	res := &Result{
-		ID:        "fig04",
-		Title:     "Figure 4: log-log plot of TF distributions",
 		ChartOpts: plot.Options{LogX: true, LogY: true, XLabel: "term frequency", YLabel: "#documents"},
 		Headers:   []string{"term", "df", "tail slope"},
 	}
@@ -102,8 +100,6 @@ func Fig05NormTFDistribution(e *Env) (*Result, error) {
 	c := sys.Corpus
 	frequent, moderate := pickFrequentAndModerate(c)
 	res := &Result{
-		ID:        "fig05",
-		Title:     "Figure 5: log-log plot of normalized TF distributions",
 		ChartOpts: plot.Options{LogX: true, LogY: true, XLabel: "normalized TF (×10⁶)", YLabel: "#documents"},
 		Headers:   []string{"term", "df", "median normTF", "p90 normTF"},
 	}

@@ -1,13 +1,12 @@
-// Package microbench hosts the key micro-benchmarks in library form,
-// so the go-test bench harness (bench_store_test.go, bench_test.go)
-// and `zerber-bench -json` execute the same code: what CI gates with
-// benchstat and what BENCH_*.json snapshots record is one suite, not
-// two drifting copies.
+// Package microbench hosts the micro-benchmarks in library form, so
+// the go-test bench harness (bench_store_test.go mounts Suite() with
+// one loop) and `zerber-bench -json` execute the same code: what CI
+// gates with benchstat and what BENCH_*.json snapshots record is one
+// table, not drifting copies.
 //
-// Every benchmark is an ordinary func(*testing.B); the test files
-// mount them under b.Run sub-benchmarks and zerber-bench drives them
-// through testing.Benchmark. Shared fixtures (the 120k-element list,
-// the indexed search system) are built once per process.
+// Every benchmark is an ordinary func(*testing.B); zerber-bench drives
+// them through testing.Benchmark. Shared fixtures (the 120k-element
+// list, the indexed search system) are built once per process.
 package microbench
 
 import (
@@ -15,7 +14,6 @@ import (
 	"errors"
 	"math/rand"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -40,26 +38,42 @@ type Bench struct {
 	F    func(b *testing.B)
 }
 
-// Suite lists the benchmarks `zerber-bench -json` runs, in order. The
-// names mirror the go-test benchmark tree (BenchmarkX/sub).
+// Suite is the only enumeration of the micro-benchmarks: `go test
+// -bench` mounts it as BenchmarkMicro/<Name>, `zerber-bench -json`
+// prints one line per entry, and CI gates the whole table.
+//
+// A leg is here only if it gates something the end-to-end benchmark
+// (benchmark/, BENCHMARK.json) cannot see; search latency, rounds and
+// bytes over a real server are that benchmark's rows, not legs here.
+// What stays: allocation counts on the read hot path
+// (QueryFollowup/indexed, QueryCached/*, and QueryInstrumented/hit —
+// the < 5 % observability gate against QueryCached/hit); ProofQuery/*
+// (server-side proof assembly and client-side verification, priced
+// apart); StoreAppend* and StoreMemoryInsert (the durable write path
+// against its RAM floor, with and without a real fsync); StoreRecover/*
+// (cold starts, which no steady-state workload pays); HedgedQuery/*
+// (hedging overhead and the failover hop with a dead primary, a fault
+// benchmark/ never injects); SearchSerialVsBatched/inproc/* (the round
+// loop's two schedules without a network under them).
 func Suite() []Bench {
 	return []Bench{
-		{"QueryFollowup/indexed", QueryFollowupIndexed},
-		{"QueryFollowup/scan", QueryFollowupScan},
-		{"QueryCached/hit", QueryCachedHit},
-		{"QueryCached/uncached", QueryCachedUncached},
-		{"QueryInstrumented/hit", QueryInstrumentedHit},
-		{"ProofQuery/proved", ProofQueryProved},
-		{"ProofQuery/verify", ProofQueryVerify},
-		{"StoreAppend", StoreAppend},
-		{"StoreAppendParallel/window=0", StoreAppendParallelSync},
-		{"StoreAppendParallel/grouped", StoreAppendParallelGrouped},
-		{"StoreMemoryInsert", MemoryInsert},
-		{"StoreRecover/first-query/mmap", StoreRecoverMmap},
-		{"SearchSerialVsBatched/inproc/serial", SearchSerial},
-		{"SearchSerialVsBatched/inproc/batched", SearchBatched},
-		{"HedgedQuery/healthy", HedgedQueryHealthy},
-		{"HedgedQuery/failover", HedgedQueryFailover},
+		{"QueryFollowup/indexed", queryFollowupIndexed},
+		{"QueryCached/hit", queryCachedHit},
+		{"QueryCached/uncached", queryCachedUncached},
+		{"QueryInstrumented/hit", queryInstrumentedHit},
+		{"ProofQuery/proved", proofQueryProved},
+		{"ProofQuery/verify", proofQueryVerify},
+		{"StoreAppend", storeAppend},
+		{"StoreAppend/fsync=true", storeAppendFsync},
+		{"StoreAppendParallel/grouped", storeAppendParallelGrouped},
+		{"StoreMemoryInsert", memoryInsert},
+		{"StoreRecover/first-query/mmap", storeRecoverMmap},
+		{"StoreRecover/wal-only", storeRecoverWAL},
+		{"StoreRecover/snapshot", storeRecoverSnapshot},
+		{"SearchSerialVsBatched/inproc/serial", searchSerial},
+		{"SearchSerialVsBatched/inproc/batched", searchBatched},
+		{"HedgedQuery/healthy", hedgedQueryHealthy},
+		{"HedgedQuery/failover", hedgedQueryFailover},
 	}
 }
 
@@ -83,98 +97,51 @@ var followupRounds = []server.ListQuery{
 
 var fixtureAllowed = map[int]bool{0: true, 2: true, 4: true, 6: true}
 
-type listFixture struct {
-	mem   *store.Memory
-	elems []store.Element // rank-sorted copy for the scan baseline
-}
-
 var (
 	listOnce sync.Once
-	listFix  *listFixture
+	listMem  *store.Memory
 )
 
 // bigList builds (once) a 120k-element merged list spread over 8
-// groups, warmed so the per-group runs are compacted, plus the
-// rank-sorted slice the scan baseline walks.
-func bigList() *listFixture {
+// groups, warmed so the per-group runs are compacted.
+func bigList() *store.Memory {
 	listOnce.Do(func() {
 		rng := rand.New(rand.NewSource(3))
 		m := store.NewMemory()
-		elems := make([]store.Element, fixtureElems)
-		for i := range elems {
+		for i := 0; i < fixtureElems; i++ {
 			sealed := make([]byte, 64)
 			rng.Read(sealed)
-			elems[i] = store.Element{Sealed: sealed, TRS: rng.Float64(), Group: i % fixtureGroups}
-			if err := m.Insert(fixtureList, elems[i]); err != nil {
+			el := store.Element{Sealed: sealed, TRS: rng.Float64(), Group: i % fixtureGroups}
+			if err := m.Insert(fixtureList, el); err != nil {
 				panic(err)
 			}
 		}
-		// Fold the pending buffers in, as a warmed server would have,
-		// and pre-sort the baseline's slice: the old path paid its full
-		// re-sort on the first read after an insert, so steady state is
-		// the favorable comparison for it.
+		// Fold the pending buffers in, as a warmed server would have.
 		if _, err := m.Query(fixtureList, fixtureAllowed, 0, 1); err != nil {
 			panic(err)
 		}
-		sort.SliceStable(elems, func(i, j int) bool { return store.Less(elems[i], elems[j]) })
-		listFix = &listFixture{mem: m, elems: elems}
+		listMem = m
 	})
-	return listFix
+	return listMem
 }
 
-// ScanQuery is the pre-rework read path, kept as the benchmark
-// baseline (and mirrored by the store's differential-test oracle): a
-// filter-scan over the whole sorted merged list with a per-element
-// payload copy for the returned window.
-func ScanQuery(elems []store.Element, allowed map[int]bool, offset, count int) ([]store.Element, bool) {
-	var out []store.Element
-	seen := 0
-	for _, el := range elems {
-		if !allowed[el.Group] {
-			continue
-		}
-		if seen >= offset {
-			if len(out) >= count {
-				return out, false
-			}
-			cp := el
-			cp.Sealed = append([]byte(nil), el.Sealed...)
-			out = append(out, cp)
-		}
-		seen++
-	}
-	return out, true
-}
-
-// QueryFollowupIndexed measures the per-group sorted read path on the
-// deep follow-up rounds (each iteration runs the three rounds).
-func QueryFollowupIndexed(b *testing.B) {
-	f := bigList()
+// queryFollowupIndexed is the Section 5.2 hot path at depth: the deep
+// follow-up rounds of a progressive query against the 120k-element
+// list, the caller allowed to see half of its 8 groups. Each iteration
+// runs the three rounds of the doubling tail through the per-group
+// sorted read path.
+func queryFollowupIndexed(b *testing.B) {
+	mem := bigList()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, r := range followupRounds {
-			res, err := f.mem.Query(fixtureList, fixtureAllowed, r.Offset, r.Count)
+			res, err := mem.Query(fixtureList, fixtureAllowed, r.Offset, r.Count)
 			if err != nil {
 				b.Fatal(err)
 			}
 			if len(res.Elements) != r.Count {
 				b.Fatalf("offset %d: %d elements", r.Offset, len(res.Elements))
-			}
-		}
-	}
-}
-
-// QueryFollowupScan is the same workload over the scan baseline.
-func QueryFollowupScan(b *testing.B) {
-	f := bigList()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, r := range followupRounds {
-			out, _ := ScanQuery(f.elems, fixtureAllowed, r.Offset, r.Count)
-			if len(out) != r.Count {
-				b.Fatalf("offset %d: %d elements", r.Offset, len(out))
 			}
 		}
 	}
@@ -200,18 +167,18 @@ var (
 // workload's visibility.
 func servers() *serverFixture {
 	srvOnce.Do(func() {
-		f := bigList()
+		mem := bigList()
 		secret := []byte("microbench-secret")
-		cached := server.NewWithBackend(secret, time.Hour, f.mem)
+		cached := server.NewWithBackend(secret, time.Hour, mem)
 		cached.SetCache(cache.New(64 << 20))
-		uncached := server.NewWithBackend(secret, time.Hour, f.mem)
+		uncached := server.NewWithBackend(secret, time.Hour, mem)
 		// The instrumented server is the cached one with the full ops
 		// plane armed: a live metrics registry (per-round histogram
 		// observations on every query) and admission control with a
 		// rate far above the workload, so every op pays the token-bucket
 		// check without ever being refused. Its delta over QueryCached/hit
 		// is the ops plane's whole hot-path cost.
-		instrumented := server.NewWithBackend(secret, time.Hour, f.mem)
+		instrumented := server.NewWithBackend(secret, time.Hour, mem)
 		instrumented.SetCache(cache.New(64 << 20))
 		instrumented.SetObs(obs.NewRegistry())
 		instrumented.SetAdmission(&server.AdmissionConfig{PerUserRate: 1e12, MaxInFlight: 1 << 20})
@@ -251,48 +218,48 @@ func queryCached(b *testing.B, s *server.Server, toks []crypt.Token) {
 	}
 }
 
-// QueryCachedHit is the repeated-query path with the result cache on:
+// queryCachedHit is the repeated-query path with the result cache on:
 // after the warm-up, every window is a version-checked cache hit.
-func QueryCachedHit(b *testing.B) {
+func queryCachedHit(b *testing.B) {
 	f := servers()
 	queryCached(b, f.cached, f.toks)
 }
 
-// QueryCachedUncached is the identical workload with no cache — every
+// queryCachedUncached is the identical workload with no cache — every
 // repetition pays the full probe-and-merge read.
-func QueryCachedUncached(b *testing.B) {
+func queryCachedUncached(b *testing.B) {
 	f := servers()
 	queryCached(b, f.uncached, f.toks)
 }
 
-// QueryInstrumentedHit is QueryCachedHit with metrics and admission
+// queryInstrumentedHit is queryCachedHit with metrics and admission
 // armed: every query passes the per-user token bucket and lands a
 // histogram observation. CI compares it against QueryCached/hit to
 // bound the ops plane's hot-path overhead.
-func QueryInstrumentedHit(b *testing.B) {
+func queryInstrumentedHit(b *testing.B) {
 	f := servers()
 	queryCached(b, f.instrumented, f.toks)
 }
 
 // --- verifiable reads -----------------------------------------------
 
-// ProofQueryProved prices the audit path at steady state: QueryProved
+// proofQueryProved prices the audit path at steady state: QueryProved
 // over the warmed 120k-element list, replaying the same deep follow-up
 // windows as QueryCached. The commitment's leaves are materialized
 // once outside the timer (first-touch cost, paid per list lifetime),
 // so the measured cost is window assembly plus range-multiproof
 // generation — the delta over QueryFollowup/indexed is what an audited
 // window costs the server.
-func ProofQueryProved(b *testing.B) {
-	f := bigList()
-	if _, err := f.mem.QueryProved(fixtureList, fixtureAllowed, 0, 1); err != nil {
+func proofQueryProved(b *testing.B) {
+	mem := bigList()
+	if _, err := mem.QueryProved(fixtureList, fixtureAllowed, 0, 1); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, r := range followupRounds {
-			res, err := f.mem.QueryProved(fixtureList, fixtureAllowed, r.Offset, r.Count)
+			res, err := mem.QueryProved(fixtureList, fixtureAllowed, r.Offset, r.Count)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -303,13 +270,13 @@ func ProofQueryProved(b *testing.B) {
 	}
 }
 
-// ProofQueryVerify prices the client side: VerifyWindow over the
+// proofQueryVerify prices the client side: VerifyWindow over the
 // deepest follow-up window (4k elements plus boundaries) — the
 // per-round cost a WithProof search pays before decrypting anything.
-func ProofQueryVerify(b *testing.B) {
-	f := bigList()
+func proofQueryVerify(b *testing.B) {
+	mem := bigList()
 	r := followupRounds[len(followupRounds)-1]
-	res, err := f.mem.QueryProved(fixtureList, fixtureAllowed, r.Offset, r.Count)
+	res, err := mem.QueryProved(fixtureList, fixtureAllowed, r.Offset, r.Count)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -328,11 +295,9 @@ func ProofQueryVerify(b *testing.B) {
 
 // --- storage-engine appends -----------------------------------------
 
-// BenchElement builds a posting element with a sealed payload of
-// realistic size (crypt.SealElement emits ~60-70 bytes). Exported so
-// the go-test bench files (BenchmarkStoreRecover) feed the same
-// element shape this suite appends.
-func BenchElement(i int) store.Element {
+// benchElement builds a posting element with a sealed payload of
+// realistic size (crypt.SealElement emits ~60-70 bytes).
+func benchElement(i int) store.Element {
 	sealed := make([]byte, 64)
 	for j := range sealed {
 		sealed[j] = byte(i >> (j % 4 * 8))
@@ -340,26 +305,15 @@ func BenchElement(i int) store.Element {
 	return store.Element{Sealed: sealed, TRS: float64(i % 997), Group: i % 8}
 }
 
-// writeFsync makes the write benchmarks pay an fsync per commit; see
-// SetWriteFsync.
-var writeFsync bool
+// storeAppend measures the durable insert hot path (one WAL record
+// framed, checksummed and pushed per op; no snapshots, no fsync).
+func storeAppend(b *testing.B) { appendSerial(b, false) }
 
-// SetWriteFsync switches the write benchmarks (StoreAppend,
-// StoreAppendParallel) to FsyncEach mode. `zerber-bench -fsync-each`
-// sets it before the suite runs, so JSON snapshots can record the
-// real-disk durability cost — and the amortization group commit buys
-// against it — instead of only the buffered-write path.
-func SetWriteFsync(on bool) { writeFsync = on }
+// storeAppendFsync is storeAppend with an fsync per operation: the
+// real-disk durability cost group commit exists to amortize.
+func storeAppendFsync(b *testing.B) { appendSerial(b, true) }
 
-// StoreAppend measures the durable insert hot path (one WAL record
-// framed, checksummed and pushed per op; no snapshots; fsync per op
-// only under SetWriteFsync).
-func StoreAppend(b *testing.B) { storeAppend(b, writeFsync) }
-
-// StoreAppendFsync is StoreAppend with an fsync per operation.
-func StoreAppendFsync(b *testing.B) { storeAppend(b, true) }
-
-func storeAppend(b *testing.B, fsync bool) {
+func appendSerial(b *testing.B, fsync bool) {
 	dir, err := os.MkdirTemp("", "microbench-wal-*")
 	if err != nil {
 		b.Fatal(err)
@@ -372,29 +326,19 @@ func storeAppend(b *testing.B, fsync bool) {
 	defer d.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := d.Insert(zerber.ListID(i%64), BenchElement(i)); err != nil {
+		if err := d.Insert(zerber.ListID(i%64), benchElement(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// StoreAppendParallelSync measures concurrent durable inserts through
-// the synchronous per-operation commit path (GroupCommitWindow zero):
-// every appender pays its own WAL write (and fsync, under
-// SetWriteFsync) while holding the store lock.
-func StoreAppendParallelSync(b *testing.B) { storeAppendParallel(b, 0) }
-
-// StoreAppendParallelGrouped is the same concurrent workload through
-// the group committer at the default window: appenders publish into
-// the commit queue and share one coalesced write (and one fsync) per
-// batch. The CI gate compares it against StoreMemoryInsert — the
-// write-path overhaul's whole point is keeping this within a small
-// factor of the RAM-only floor.
-func StoreAppendParallelGrouped(b *testing.B) {
-	storeAppendParallel(b, store.DefaultCommitWindow)
-}
-
-func storeAppendParallel(b *testing.B, window time.Duration) {
+// storeAppendParallelGrouped measures concurrent durable inserts
+// through the group committer at the default window: appenders publish
+// into the commit queue and share one coalesced write per batch. The
+// CI gate compares it against StoreMemoryInsert — the write-path
+// overhaul's whole point is keeping this within a small factor of the
+// RAM-only floor.
+func storeAppendParallelGrouped(b *testing.B) {
 	dir, err := os.MkdirTemp("", "microbench-wal-*")
 	if err != nil {
 		b.Fatal(err)
@@ -402,8 +346,7 @@ func storeAppendParallel(b *testing.B, window time.Duration) {
 	defer os.RemoveAll(dir)
 	d, err := store.OpenDurable(dir, store.Options{
 		SnapshotEvery:     -1,
-		FsyncEach:         writeFsync,
-		GroupCommitWindow: window,
+		GroupCommitWindow: store.DefaultCommitWindow,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -420,7 +363,7 @@ func storeAppendParallel(b *testing.B, window time.Duration) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			i := int(ctr.Add(1))
-			if err := d.Insert(zerber.ListID(i%64), BenchElement(i)); err != nil {
+			if err := d.Insert(zerber.ListID(i%64), benchElement(i)); err != nil {
 				b.Error(err)
 				return
 			}
@@ -428,12 +371,12 @@ func storeAppendParallel(b *testing.B, window time.Duration) {
 	})
 }
 
-// MemoryInsert is the RAM-only insert floor under StoreAppend.
-func MemoryInsert(b *testing.B) {
+// memoryInsert is the RAM-only insert floor under StoreAppend.
+func memoryInsert(b *testing.B) {
 	m := store.NewMemory()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.Insert(zerber.ListID(i%64), BenchElement(i)); err != nil {
+		if err := m.Insert(zerber.ListID(i%64), benchElement(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -480,7 +423,7 @@ func recoverFixture() (string, error) {
 		for i := 0; i < recoverElems; i++ {
 			batch = append(batch, store.BatchInsert{
 				List:    zerber.ListID(i % recoverLists),
-				Element: BenchElement(i),
+				Element: benchElement(i),
 			})
 			if len(batch) == cap(batch) {
 				if recoverErr = flush(); recoverErr != nil {
@@ -502,12 +445,12 @@ func recoverFixture() (string, error) {
 	return recoverDir, recoverErr
 }
 
-// StoreRecoverMmap measures time-to-first-query after a restart: the
+// storeRecoverMmap measures time-to-first-query after a restart: the
 // snapshot is mmapped, framing is validated in one sequential scan,
 // and only the queried list's elements are decoded — the other 511
 // lists stay raw bytes. (BENCH_8.json records the read-everything
 // recovery this replaced.)
-func StoreRecoverMmap(b *testing.B) {
+func storeRecoverMmap(b *testing.B) {
 	dir, err := recoverFixture()
 	if err != nil {
 		b.Fatal(err)
@@ -527,6 +470,52 @@ func StoreRecoverMmap(b *testing.B) {
 			b.Fatalf("first query returned %d elements", len(res.Elements))
 		}
 		if err := d.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// storeRecoverWAL and storeRecoverSnapshot replay a 20k-element data
+// dir end to end — from the log alone, or from a snapshot of it.
+// NumElements touches only list metadata, so they bound the open-time
+// scan rather than a query.
+func storeRecoverWAL(b *testing.B)      { recoverReplay(b, false) }
+func storeRecoverSnapshot(b *testing.B) { recoverReplay(b, true) }
+
+func recoverReplay(b *testing.B, snapshot bool) {
+	const elements = 20000
+	dir, err := os.MkdirTemp("", "microbench-replay-*")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	d, err := store.OpenDurable(dir, store.Options{SnapshotEvery: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < elements; i++ {
+		if err := d.Insert(zerber.ListID(i%64), benchElement(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if snapshot {
+		if err := d.Snapshot(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nd, err := store.OpenDurable(dir, store.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n, err := nd.NumElements(); err != nil || n != elements {
+			b.Fatalf("recovered %d elements (err=%v), want %d", n, err, elements)
+		}
+		if err := nd.Close(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -567,38 +556,24 @@ type replicaFixture struct {
 }
 
 var (
-	replMembers = 2
-	replOnce    sync.Once
-	replFix     *replicaFixture
+	replOnce sync.Once
+	replFix  *replicaFixture
 )
 
-// SetReplicaMembers sizes the hedged-query fixture's replica sets
-// (primary + N-1 replicas; minimum 2). Call before the first
-// HedgedQuery benchmark runs — `zerber-bench -replicas N` does.
-func SetReplicaMembers(n int) {
-	if n >= 2 {
-		replMembers = n
-	}
-}
-
-// replicaSets builds (once) two replica sets over the shared warmed
-// backend: one healthy (the hedging machinery's steady-state overhead)
-// and one whose primary is down (the failover path's cost). Every
-// member is its own server over the same backend, so answers are
-// identical regardless of who wins the race.
+// replicaSets builds (once) two primary + one replica sets over the
+// shared warmed backend: one healthy (the hedging machinery's
+// steady-state overhead) and one whose primary is down (the failover
+// path's cost). Every member is its own server over the same backend,
+// so answers are identical regardless of who wins the race.
 func replicaSets() *replicaFixture {
 	replOnce.Do(func() {
 		f := servers()
-		secret := []byte("microbench-secret")
-		replicas := make([]client.Transport, replMembers-1)
-		for i := range replicas {
-			replicas[i] = client.Local{S: server.NewWithBackend(secret, time.Hour, bigList().mem)}
-		}
-		healthy, err := replica.NewSet(client.Local{S: f.cached}, replicas...)
+		replica1 := client.Local{S: server.NewWithBackend([]byte("microbench-secret"), time.Hour, bigList())}
+		healthy, err := replica.NewSet(client.Local{S: f.cached}, replica1)
 		if err != nil {
 			panic(err)
 		}
-		failover, err := replica.NewSet(downTransport{}, replicas...)
+		failover, err := replica.NewSet(downTransport{}, replica1)
 		if err != nil {
 			panic(err)
 		}
@@ -625,22 +600,21 @@ func hedgedQuery(b *testing.B, set *replica.Set) {
 	}
 }
 
-// HedgedQueryHealthy measures a replica-set read with a healthy
+// hedgedQueryHealthy measures a replica-set read with a healthy
 // primary: the hedge timer is armed and torn down every read but never
 // fires, so the delta over QueryCached/hit is the hedging machinery's
 // steady-state cost.
-func HedgedQueryHealthy(b *testing.B) { hedgedQuery(b, replicaSets().healthy) }
+func hedgedQueryHealthy(b *testing.B) { hedgedQuery(b, replicaSets().healthy) }
 
-// HedgedQueryFailover is the same read with the primary down: the
+// hedgedQueryFailover is the same read with the primary down: the
 // first reads pay the fault plus the failover hop, then demotion
 // (replica.DemoteAfter) routes subsequent reads straight to the
 // replica — the steady-state price of riding out a dead primary.
-func HedgedQueryFailover(b *testing.B) { hedgedQuery(b, replicaSets().failover) }
+func hedgedQueryFailover(b *testing.B) { hedgedQuery(b, replicaSets().failover) }
 
 // --- end-to-end search ----------------------------------------------
 
 type searchFixture struct {
-	sys     *zerberr.System
 	cl      *client.Client
 	queries [][]corpus.TermID
 }
@@ -671,15 +645,14 @@ func searchSystem() (*searchFixture, error) {
 			searchErr = err
 			return
 		}
-		cl, err := sys.NewClient(SearchUser)
+		cl, err := sys.NewClient("microbench-searcher")
 		if err != nil {
 			searchErr = err
 			return
 		}
 		terms := sys.Corpus.TermsByDF()
 		searchFix = &searchFixture{
-			sys: sys,
-			cl:  cl,
+			cl: cl,
 			queries: [][]corpus.TermID{
 				{terms[0], terms[20], terms[200]},
 				{terms[5], terms[50], terms[300], terms[len(terms)/2]},
@@ -689,37 +662,18 @@ func searchSystem() (*searchFixture, error) {
 	return searchFix, searchErr
 }
 
-// SearchUser is the registered reader of the SearchSystem fixture: a
-// transport-building caller logs in as it.
-const SearchUser = "microbench-searcher"
-
-// SearchSystem exposes the shared indexed deployment and query
-// workload, so the go-test harness can mount transport variants (the
-// HTTP legs of BenchmarkSearchSerialVsBatched) over the exact fixture
-// the suite's in-process entries measure.
-func SearchSystem() (*zerberr.System, [][]corpus.TermID, error) {
+// searchBench drives the multi-term search workload in process,
+// reporting round-trips and list-requests per query alongside ns/op.
+func searchBench(b *testing.B, opts ...client.SearchOption) {
 	f, err := searchSystem()
 	if err != nil {
-		return nil, nil, err
-	}
-	return f.sys, f.queries, nil
-}
-
-// RunSearch drives the shared multi-term search workload against any
-// logged-in client — the single loop behind the suite's in-process
-// entries and the go-test harness's HTTP variants, so the measured
-// workload cannot drift between them. Reports round-trips and
-// list-requests per query alongside ns/op.
-func RunSearch(b *testing.B, cl *client.Client, queries [][]corpus.TermID, serial bool) {
-	var opts []client.SearchOption
-	if serial {
-		opts = append(opts, client.WithSerial())
+		b.Fatal(err)
 	}
 	ctx := context.Background()
 	rounds, requests := 0, 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, st, err := cl.Search(ctx, queries[i%len(queries)], 10, opts...)
+		_, st, err := f.cl.Search(ctx, f.queries[i%len(f.queries)], 10, opts...)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -730,18 +684,10 @@ func RunSearch(b *testing.B, cl *client.Client, queries [][]corpus.TermID, seria
 	b.ReportMetric(float64(requests)/float64(b.N), "list-requests/query")
 }
 
-func searchBench(b *testing.B, serial bool) {
-	f, err := searchSystem()
-	if err != nil {
-		b.Fatal(err)
-	}
-	RunSearch(b, f.cl, f.queries, serial)
-}
-
-// SearchSerial is an in-process multi-term search scheduled serially
+// searchSerial is an in-process multi-term search scheduled serially
 // (one round-trip per list request).
-func SearchSerial(b *testing.B) { searchBench(b, true) }
+func searchSerial(b *testing.B) { searchBench(b, client.WithSerial()) }
 
-// SearchBatched is the same workload with every open list batched
+// searchBatched is the same workload with every open list batched
 // into each round.
-func SearchBatched(b *testing.B) { searchBench(b, false) }
+func searchBatched(b *testing.B) { searchBench(b) }

@@ -16,7 +16,7 @@
 // All metric methods are nil-receiver safe: un-instrumented code paths
 // (no registry installed) call through nil handles and pay one branch,
 // which is what keeps instrumentation overhead under the 5% budget —
-// see BenchmarkInstrumentedQuery.
+// see microbench QueryInstrumented/hit.
 package obs
 
 import (

@@ -126,16 +126,9 @@ func (s *Set) readOrder() []int {
 }
 
 // failoverWorthy reports whether a member's error indicts the member
-// (fail over to the next one) rather than the request (return it).
-// Transport failures, internal errors and overload are member faults;
-// everything with a deterministic application meaning is an answer.
-// Context errors map to CodeInternal and are failover-worthy here: on
-// an individual attempt they mean that member timed out. (A canceled
-// parent context short-circuits the race before accounting.)
-func failoverWorthy(err error) bool {
-	switch server.ErrorCode(err) {
-	case server.CodeInternal, server.CodeOverloaded:
-		return true
-	}
-	return false
-}
+// (fail over to the next one) rather than the request (return it):
+// exactly server.IsFault. Context errors carry no code, so they are
+// faults here: on an individual attempt they mean that member timed
+// out. (A canceled parent context short-circuits the race before
+// accounting.)
+func failoverWorthy(err error) bool { return server.IsFault(err) }

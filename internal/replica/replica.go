@@ -141,9 +141,6 @@ func NewSet(primary client.Transport, replicas ...client.Transport) (*Set, error
 	return s, nil
 }
 
-// Primary returns the primary member's transport.
-func (s *Set) Primary() client.Transport { return s.members[0].t }
-
 // Members reports the set size (primary included).
 func (s *Set) Members() int { return len(s.members) }
 

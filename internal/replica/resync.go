@@ -133,36 +133,14 @@ func (s *Set) Resync(ctx context.Context) error {
 // marked live before the barrier lifts, so no write can slip between
 // "caught up" and "back in rotation".
 func (s *Set) resyncOne(ctx context.Context, pa, ra client.ShardAdmin, m *member) error {
-	exp, err := pa.ExportSnapshot(ctx)
+	exp, err := client.CopyShard(ctx, pa, ra)
 	if err != nil {
-		return fmt.Errorf("replica: resync export: %w", err)
-	}
-	if err := ra.ImportSnapshot(ctx, exp.Data); err != nil {
-		return fmt.Errorf("replica: resync import: %w", err)
+		return fmt.Errorf("replica: resync: %w", err)
 	}
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	caughtUp := false
-	if exp.Tailable {
-		ops, terr := pa.TailSince(ctx, exp.Seq)
-		if terr == nil {
-			if len(ops) > 0 {
-				terr = ra.ApplyOps(ctx, ops)
-			}
-			caughtUp = terr == nil
-		}
-		// A truncated or failed tail falls through to the quiesced full
-		// copy below — slower, never wrong.
-	}
-	if !caughtUp {
-		// Writes are paused, so a fresh export is exact on its own.
-		exp, err = pa.ExportSnapshot(ctx)
-		if err != nil {
-			return fmt.Errorf("replica: resync re-export: %w", err)
-		}
-		if err := ra.ImportSnapshot(ctx, exp.Data); err != nil {
-			return fmt.Errorf("replica: resync re-import: %w", err)
-		}
+	if _, err := client.CatchUpShard(ctx, pa, ra, exp); err != nil {
+		return fmt.Errorf("replica: resync: %w", err)
 	}
 	m.consecFails.Store(0)
 	m.stale.Store(false)

@@ -131,6 +131,24 @@ func ErrorCode(err error) string {
 	return CodeInternal
 }
 
+// IsFault reports whether an operation's error indicts the member that
+// answered (or failed to): transport failures and anything else
+// without a registered code map to CodeInternal, and CodeOverloaded is
+// a member saying it cannot keep up. Every other code is a
+// deterministic answer any healthy member would give. This is the one
+// statement of that policy; the replica set's failover and the
+// router's shard health both call it.
+func IsFault(err error) bool {
+	if err == nil {
+		return false
+	}
+	switch ErrorCode(err) {
+	case CodeInternal, CodeOverloaded:
+		return true
+	}
+	return false
+}
+
 // SentinelForCode is ErrorCode's inverse: the sentinel error a wire
 // code stands for, or nil for internal/unknown codes.
 func SentinelForCode(code string) error {

@@ -144,7 +144,7 @@ func (s *Server) baseLogger() *slog.Logger {
 // round) plus the number of sub-queries it carried. Nil-safe and
 // allocation-free, so `defer s.met.Load().endRound(...)` costs an
 // atomic load and one deferred call on un-instrumented servers — the
-// shape that keeps BenchmarkInstrumentedQuery inside its budget.
+// shape that keeps microbench QueryInstrumented/hit inside its budget.
 func (m *serverMetrics) endRound(subQueries int, start time.Time) {
 	if m == nil {
 		return

@@ -90,10 +90,6 @@ func frameRecord(payload []byte) []byte {
 	return appendFrame(make([]byte, 0, binary.MaxVarintLen64+len(payload)+4), payload)
 }
 
-func encodeWALPayload(rec walRecord) []byte {
-	return appendWALPayload(make([]byte, 0, 2*binary.MaxVarintLen64+len(rec.sealed)+16), rec)
-}
-
 // appendWALPayload encodes rec onto buf. The hot per-operation paths
 // pass a pooled buffer: the payload is copied into the commit batch
 // (or the WAL's buffered writer) before append returns, so the bytes
