@@ -8,7 +8,7 @@
 //	zerber-bench -run fig11 [-scale 1] [-seed 1] [-csv results/]
 //	zerber-bench -run all -scale 0.5
 //	zerber-bench -soak -soak-duration 60s -soak-shards 2 -soak-replicas 2
-//	zerber-bench -json -q > BENCH_18.json
+//	zerber-bench -json -q > BENCH_19.json
 //
 // Experiments are resolved against the internal/experiments table (the
 // command registers the soak scenario on it): -list prints every
@@ -24,7 +24,9 @@
 //
 // -json runs the micro-benchmarks (microbench.Suite() — the same
 // table the go-test bench harness mounts) and prints one JSON object
-// per line: {"name", "ns_per_op", "allocs_per_op", "bytes_per_op"}.
+// per line: {"name", "ns_per_op", "allocs_per_op", "bytes_per_op",
+// "runs", "cov"} — each leg runs six times, ns_per_op is the median and
+// cov the coefficient of variation across the runs.
 // This is the shared format of the repo's BENCH_*.json trajectory
 // snapshots and of the CI bench job's artifact.
 package main
@@ -46,6 +48,7 @@ import (
 	"zerberr/internal/experiments"
 	"zerberr/internal/microbench"
 	"zerberr/internal/soak"
+	"zerberr/internal/stats"
 	"zerberr/internal/workload"
 )
 
@@ -189,34 +192,45 @@ func main() {
 
 // benchLine is one micro-benchmark result in the shared snapshot
 // format: the fields benchstat-adjacent tooling and the BENCH_*.json
-// trajectory agree on.
+// trajectory agree on, plus how many runs stand behind the line and
+// how far they spread.
 type benchLine struct {
 	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
+	NsPerOp     float64 `json:"ns_per_op"` // median over Runs
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
+	Runs        int     `json:"runs"`
+	CoV         float64 `json:"cov"` // standard deviation of ns/op over its mean
 }
 
+// snapshotRuns is how often each leg runs for one snapshot line: a
+// single run on a shared box cannot tell drift from noise (the PR 9
+// rows), six is what CI's benchstat gate uses.
+const snapshotRuns = 6
+
 // runMicrobenchJSON drives the microbench suite through
-// testing.Benchmark and prints one JSON line per benchmark on stdout.
-// Progress goes to stderr so the JSON stream stays clean for
-// redirection.
+// testing.Benchmark, snapshotRuns times per leg, and prints one JSON
+// line per benchmark on stdout. Progress goes to stderr so the JSON
+// stream stays clean for redirection.
 func runMicrobenchJSON(quiet bool) {
 	enc := json.NewEncoder(os.Stdout)
 	for _, bench := range microbench.Suite() {
 		if !quiet {
 			logger.Info("running benchmark", "name", bench.Name)
 		}
-		res := testing.Benchmark(bench.F)
-		if res.N == 0 {
-			fatal("benchmark did not run (failed inside testing.Benchmark)", "name", bench.Name)
+		line := benchLine{Name: bench.Name, Runs: snapshotRuns}
+		ns := make([]float64, snapshotRuns)
+		for i := range ns {
+			res := testing.Benchmark(bench.F)
+			if res.N == 0 {
+				fatal("benchmark did not run (failed inside testing.Benchmark)", "name", bench.Name)
+			}
+			ns[i] = float64(res.T.Nanoseconds()) / float64(res.N)
+			// Allocation counts do not vary with load: the last run's stand.
+			line.AllocsPerOp, line.BytesPerOp = res.AllocsPerOp(), res.AllocedBytesPerOp()
 		}
-		line := benchLine{
-			Name:        bench.Name,
-			NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
-			AllocsPerOp: res.AllocsPerOp(),
-			BytesPerOp:  res.AllocedBytesPerOp(),
-		}
+		line.NsPerOp = stats.Median(ns)
+		line.CoV = stats.StdDev(ns) / stats.Mean(ns)
 		if err := enc.Encode(line); err != nil {
 			fatal("encoding benchmark line failed", "err", err)
 		}

@@ -204,6 +204,13 @@ func (c *Client) IndexDocument(ctx context.Context, d *corpus.Document, group in
 // server's batch cap (each chunk is its own round-trip). Returns the
 // responses in query order, the measured wire bytes (0 in process)
 // and the number of round-trips taken.
+//
+// Whatever the transport, the answer is held to the store's window
+// contract before a round loop advances a cursor by it: one window per
+// sub-query, and a window that does not end its list is exactly as
+// long as asked. A short, non-exhausted window would otherwise stall
+// DeleteDocument's cursor forever and make Search double its batch
+// until the count overflows.
 func (c *Client) queryBatchChunked(ctx context.Context, queries []server.ListQuery) ([]server.QueryResponse, int, int, error) {
 	resps := make([]server.QueryResponse, 0, len(queries))
 	wireBytes, rounds := 0, 0
@@ -218,6 +225,20 @@ func (c *Client) queryBatchChunked(ctx context.Context, queries []server.ListQue
 		}
 		rounds++
 		wireBytes += res.WireBytes
+		if len(res.Responses) != end-start {
+			return nil, wireBytes, rounds, fmt.Errorf("client: %d windows answered for %d sub-queries", len(res.Responses), end-start)
+		}
+		for i, resp := range res.Responses {
+			q := queries[start+i]
+			if n := len(resp.Elements); !resp.Unchanged && !resp.Exhausted && n != q.Count {
+				err := fmt.Errorf("client: list %d: window at offset %d holds %d of the %d elements asked for but does not end the list", q.List, q.Offset, n, q.Count)
+				if q.Proof {
+					// No committed window has this shape, so no proof of it can verify.
+					err = fmt.Errorf("%w: %v", ErrProofInvalid, err)
+				}
+				return nil, wireBytes, rounds, err
+			}
+		}
 		resps = append(resps, res.Responses...)
 	}
 	return resps, wireBytes, rounds, nil

@@ -1,8 +1,6 @@
 package crypt
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
@@ -17,12 +15,7 @@ import (
 // RSTF store, …) for the members of a group with AES-256-GCM. The
 // output is nonce ‖ ciphertext ‖ tag.
 func SealBytes(plaintext []byte, key GroupKey, rnd io.Reader) ([]byte, error) {
-	sub := key.subkey("artifact/gcm")
-	block, err := aes.NewCipher(sub[:])
-	if err != nil {
-		return nil, err
-	}
-	aead, err := cipher.NewGCM(block)
+	aead, err := key.artifactAEAD()
 	if err != nil {
 		return nil, err
 	}
@@ -38,12 +31,7 @@ func SealBytes(plaintext []byte, key GroupKey, rnd io.Reader) ([]byte, error) {
 
 // OpenBytes decrypts an artifact sealed with SealBytes.
 func OpenBytes(sealed []byte, key GroupKey) ([]byte, error) {
-	sub := key.subkey("artifact/gcm")
-	block, err := aes.NewCipher(sub[:])
-	if err != nil {
-		return nil, err
-	}
-	aead, err := cipher.NewGCM(block)
+	aead, err := key.artifactAEAD()
 	if err != nil {
 		return nil, err
 	}

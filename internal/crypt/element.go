@@ -50,26 +50,22 @@ type GCMCodec struct {
 	Rand io.Reader
 }
 
-const gcmPayload = 16
+// GCM element layout: nonce ‖ packed element ‖ tag.
+const (
+	gcmNonce   = 12
+	gcmPayload = 16
+	gcmTag     = 16
+)
 
 // Name implements ElementCodec.
 func (GCMCodec) Name() string { return "aes-gcm" }
 
 // WireSize implements ElementCodec.
-func (GCMCodec) WireSize() int { return 12 + gcmPayload + 16 }
-
-func gcmFor(key GroupKey) (cipher.AEAD, error) {
-	sub := key.subkey("element/gcm")
-	block, err := aes.NewCipher(sub[:])
-	if err != nil {
-		return nil, err
-	}
-	return cipher.NewGCM(block)
-}
+func (GCMCodec) WireSize() int { return gcmNonce + gcmPayload + gcmTag }
 
 // Seal implements ElementCodec.
 func (c GCMCodec) Seal(el Element, key GroupKey) ([]byte, error) {
-	aead, err := gcmFor(key)
+	aead, err := key.elementAEAD()
 	if err != nil {
 		return nil, err
 	}
@@ -77,30 +73,30 @@ func (c GCMCodec) Seal(el Element, key GroupKey) ([]byte, error) {
 	if rnd == nil {
 		rnd = rand.Reader
 	}
-	nonce := make([]byte, aead.NonceSize())
+	// One buffer: the nonce is read into its head and the element is
+	// packed behind it and sealed where it lies.
+	out := make([]byte, gcmNonce+gcmPayload, c.WireSize())
+	nonce, pt := out[:gcmNonce], out[gcmNonce:]
 	if _, err := io.ReadFull(rnd, nonce); err != nil {
 		return nil, fmt.Errorf("crypt: nonce: %w", err)
 	}
-	var pt [gcmPayload]byte
 	binary.BigEndian.PutUint32(pt[0:4], uint32(el.Doc))
 	binary.BigEndian.PutUint32(pt[4:8], uint32(el.Term))
 	binary.BigEndian.PutUint64(pt[8:16], math.Float64bits(el.Score))
-	out := make([]byte, 0, c.WireSize())
-	out = append(out, nonce...)
-	return aead.Seal(out, nonce, pt[:], nil), nil
+	return aead.Seal(nonce, nonce, pt, nil), nil
 }
 
 // Open implements ElementCodec.
 func (c GCMCodec) Open(ct []byte, key GroupKey) (Element, error) {
-	aead, err := gcmFor(key)
+	aead, err := key.elementAEAD()
 	if err != nil {
 		return Element{}, err
 	}
 	if len(ct) != c.WireSize() {
 		return Element{}, fmt.Errorf("%w: wrong size %d", ErrDecrypt, len(ct))
 	}
-	ns := aead.NonceSize()
-	pt, err := aead.Open(nil, ct[:ns], ct[ns:], nil)
+	var buf [gcmPayload]byte
+	pt, err := aead.Open(buf[:0], ct[:gcmNonce], ct[gcmNonce:], nil)
 	if err != nil {
 		return Element{}, fmt.Errorf("%w: %v", ErrDecrypt, err)
 	}
@@ -199,44 +195,55 @@ func (Compact64Codec) Open(ct []byte, key GroupKey) (Element, error) {
 // strong PRF yield a strong pseudorandom permutation (Luby-Rackoff).
 const feistelRounds = 4
 
-// feistelRound computes the AES-based round function F(half, round).
-func feistelRound(block cipher.Block, half uint32, round int) uint32 {
-	var in, out [aes.BlockSize]byte
-	binary.BigEndian.PutUint32(in[0:4], half)
-	in[4] = byte(round)
-	copy(in[5:], "zerberr/feistel")
-	block.Encrypt(out[:], in[:])
-	return binary.BigEndian.Uint32(out[:4])
+// feistelNet is one pass of the Feistel network under a key: the AES
+// block and the round function's input and output blocks, written
+// once per Seal or Open and reused by every round.
+type feistelNet struct {
+	block   cipher.Block
+	in, out [aes.BlockSize]byte
 }
 
-func feistelCipher(key GroupKey) (cipher.Block, error) {
-	sub := key.subkey("element/feistel")
-	return aes.NewCipher(sub[:])
+func newFeistelNet(key GroupKey) (*feistelNet, error) {
+	block, err := key.feistelBlock()
+	if err != nil {
+		return nil, err
+	}
+	f := &feistelNet{block: block}
+	copy(f.in[5:], "zerberr/feistel")
+	return f, nil
+}
+
+// round computes the AES-based round function F(half, round).
+func (f *feistelNet) round(half uint32, round int) uint32 {
+	binary.BigEndian.PutUint32(f.in[0:4], half)
+	f.in[4] = byte(round)
+	f.block.Encrypt(f.out[:], f.in[:])
+	return binary.BigEndian.Uint32(f.out[:4])
 }
 
 // feistelEncrypt applies the 4-round balanced Feistel network to a
 // 64-bit block.
 func feistelEncrypt(v uint64, key GroupKey) (uint64, error) {
-	block, err := feistelCipher(key)
+	f, err := newFeistelNet(key)
 	if err != nil {
 		return 0, err
 	}
 	l, r := uint32(v>>32), uint32(v)
 	for round := 0; round < feistelRounds; round++ {
-		l, r = r, l^feistelRound(block, r, round)
+		l, r = r, l^f.round(r, round)
 	}
 	return uint64(l)<<32 | uint64(r), nil
 }
 
 // feistelDecrypt inverts feistelEncrypt.
 func feistelDecrypt(v uint64, key GroupKey) (uint64, error) {
-	block, err := feistelCipher(key)
+	f, err := newFeistelNet(key)
 	if err != nil {
 		return 0, err
 	}
 	l, r := uint32(v>>32), uint32(v)
 	for round := feistelRounds - 1; round >= 0; round-- {
-		l, r = r^feistelRound(block, l, round), l
+		l, r = r^f.round(l, round), l
 	}
 	return uint64(l)<<32 | uint64(r), nil
 }

@@ -136,6 +136,27 @@ func TestFig09(t *testing.T) {
 	}
 }
 
+// TestFig09TermTieBreak hands the term choice tied sample sizes: the
+// lowest TermID must win whatever order the map is ranged in (run with
+// -count=200 to see map order flap a choice that depends on it).
+func TestFig09TermTieBreak(t *testing.T) {
+	train := map[corpus.TermID][]float64{}
+	control := map[corpus.TermID][]float64{}
+	for id := corpus.TermID(40); id > 8; id-- {
+		train[id] = make([]float64, 9)
+		control[id] = make([]float64, 6+int(id)%2*3) // 6 or 9 control points
+	}
+	train[3] = make([]float64, 50) // plenty of training data, but no control data at all
+	for i := 0; i < 20; i++ {
+		if term, n := bestCalibratedTerm(train, control); term != 9 || n != 9 {
+			t.Fatalf("picked term %d with %d samples, want the lowest tied term 9 with 9", term, n)
+		}
+	}
+	if term, n := bestCalibratedTerm(nil, control); term != 0 || n != 0 {
+		t.Fatalf("empty training set picked term %d, %d", term, n)
+	}
+}
+
 func TestFig10(t *testing.T) {
 	res := runAndRender(t, "fig10")
 	ys := res.Series[0].Y

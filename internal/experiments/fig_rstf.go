@@ -116,19 +116,7 @@ func Fig09SigmaSelection(e *Env) (*Result, error) {
 	}
 	train := corpus.TrainingScores(sys.Corpus, sys.Split.Train)
 	control := corpus.TrainingScores(sys.Corpus, sys.Split.Control)
-	// Use the best-calibrated term: the one maximizing the smaller of
-	// its train/control sample sizes (scale-independent choice).
-	var term corpus.TermID
-	best := 0
-	for t, tr := range train {
-		n := len(control[t])
-		if len(tr) < n {
-			n = len(tr)
-		}
-		if n > best {
-			best, term = n, t
-		}
-	}
+	term, best := bestCalibratedTerm(train, control)
 	if best < 5 {
 		return nil, fmt.Errorf("fig09: best term has only %d train/control samples", best)
 	}
@@ -153,6 +141,20 @@ func Fig09SigmaSelection(e *Env) (*Result, error) {
 		"paper: variance first falls with growing sigma, reaches a minimum at the optimal sigma, then overfitting destroys uniformness",
 		fmt.Sprintf("paper reports min variance < 2e-5 on their (much larger) control sets; measured %.3g on %d control points", bestVar, len(control[term])))
 	return res, nil
+}
+
+// bestCalibratedTerm picks the term maximizing the smaller of its
+// train/control sample sizes (a scale-independent choice) and returns
+// it with that size. Ties go to the lowest TermID, so the figure's
+// term does not depend on map order.
+func bestCalibratedTerm(train, control map[corpus.TermID][]float64) (term corpus.TermID, best int) {
+	for t, tr := range train {
+		n := min(len(tr), len(control[t]))
+		if n > best || (n == best && n > 0 && t < term) {
+			best, term = n, t
+		}
+	}
+	return term, best
 }
 
 // linspace returns n evenly spaced values over [lo, hi].

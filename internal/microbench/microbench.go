@@ -54,7 +54,11 @@ type Bench struct {
 // (cold starts, which no steady-state workload pays); HedgedQuery/*
 // (hedging overhead and the failover hop with a dead primary, a fault
 // benchmark/ never injects); SearchSerialVsBatched/inproc/* (the round
-// loop's two schedules without a network under them).
+// loop's two schedules without a network under them); CryptOpen/* and
+// CryptSeal/aes-gcm (allocations and nanoseconds per posting element
+// under a key that carries its derived ciphers — benchmark/ sees their
+// sum as crypt.open_ms but not the per-element allocation count, which
+// is the gate that a re-derivation per element would break first).
 func Suite() []Bench {
 	return []Bench{
 		{"QueryFollowup/indexed", queryFollowupIndexed},
@@ -74,6 +78,9 @@ func Suite() []Bench {
 		{"SearchSerialVsBatched/inproc/batched", searchBatched},
 		{"HedgedQuery/healthy", hedgedQueryHealthy},
 		{"HedgedQuery/failover", hedgedQueryFailover},
+		{"CryptOpen/aes-gcm", func(b *testing.B) { cryptOpen(b, crypt.GCMCodec{}) }},
+		{"CryptSeal/aes-gcm", cryptSealGCM},
+		{"CryptOpen/compact64", func(b *testing.B) { cryptOpen(b, crypt.Compact64Codec{}) }},
 	}
 }
 
@@ -691,3 +698,41 @@ func searchSerial(b *testing.B) { searchBench(b, client.WithSerial()) }
 // searchBatched is the same workload with every open list batched
 // into each round.
 func searchBatched(b *testing.B) { searchBench(b) }
+
+// --- posting-element crypto -----------------------------------------
+
+var cryptElement = crypt.Element{Doc: 4242, Term: 1717, Score: 0.375}
+
+// cryptOpen opens one sealed posting element per iteration, the unit a
+// search pays for every element of every window it fetches, its own
+// term's or not.
+func cryptOpen(b *testing.B, codec crypt.ElementCodec) {
+	key := crypt.KeyFromPassphrase("microbench/crypt")
+	ct, err := codec.Seal(cryptElement, key)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		el, err := codec.Open(ct, key)
+		if err != nil || el.Doc != cryptElement.Doc {
+			b.Fatalf("opened %+v, %v", el, err)
+		}
+	}
+}
+
+// cryptSealGCM seals one posting element per iteration, the unit
+// indexing a document pays per distinct term (nonce from crypto/rand,
+// as deployed).
+func cryptSealGCM(b *testing.B) {
+	key := crypt.KeyFromPassphrase("microbench/crypt")
+	codec := crypt.GCMCodec{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := codec.Seal(cryptElement, key); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
