@@ -5,8 +5,8 @@ package zerberr_test
 // in-process search schedules — alongside the figure and component
 // benches in bench_test.go. The table lives in internal/microbench,
 // which documents each leg and why it is kept; this file only mounts
-// it, so `go test -bench`, CI's benchstat gate and `zerber-bench
-// -json` snapshots run one list of one code.
+// it, so `go test -bench`, CI's benchstat gate and `zerber-bench -o`
+// snapshots run one list of one code.
 
 import (
 	"testing"

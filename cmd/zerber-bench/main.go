@@ -8,7 +8,7 @@
 //	zerber-bench -run fig11 [-scale 1] [-seed 1] [-csv results/]
 //	zerber-bench -run all -scale 0.5
 //	zerber-bench -soak -soak-duration 60s -soak-shards 2 -soak-replicas 2
-//	zerber-bench -json -q > BENCH_19.json
+//	zerber-bench -o BENCH_21.json -q
 //
 // Experiments are resolved against the internal/experiments table (the
 // command registers the soak scenario on it): -list prints every
@@ -17,21 +17,25 @@
 // experiment. The soak scenario is manual (it boots real zerberd
 // processes and runs for a configured wall-clock duration), so it only
 // runs when asked for by name or via -soak, and it exits non-zero when
-// an invariant or the error budget broke.
+// an invariant or the error budget broke. The micro-benchmarks are
+// manual too (≈ 4 minutes): `-run micro` prints their table, -o FILE
+// runs them and keeps the snapshot.
 //
 // Scale 1 is the laptop default; the paper-sized collections are
 // roughly -scale 4 (Stud IP) and -scale 30 (ODP).
 //
-// -json runs the micro-benchmarks (microbench.Suite() — the same
-// table the go-test bench harness mounts) and prints one JSON object
-// per line: {"name", "ns_per_op", "allocs_per_op", "bytes_per_op",
-// "runs", "cov"} — each leg runs six times, ns_per_op is the median and
-// cov the coefficient of variation across the runs.
+// -o FILE runs the micro-benchmarks (microbench.Suite() — the same
+// table the go-test bench harness mounts) and writes one JSON object
+// per line to FILE: {"name", "ns_per_op", "allocs_per_op",
+// "bytes_per_op", "runs", "cov"} — each leg runs six times, ns_per_op
+// is the median and cov the coefficient of variation across the runs.
 // This is the shared format of the repo's BENCH_*.json trajectory
-// snapshots and of the CI bench job's artifact.
+// snapshots and of the CI bench job's artifact; the file is named by
+// whoever runs the tool, not by a shell redirect.
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -53,7 +57,7 @@ import (
 )
 
 // logger keeps progress on stderr (structured), leaving stdout to the
-// experiment renders and the JSON stream.
+// experiment renders.
 var logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 
 // fatal logs the failure and exits non-zero.
@@ -64,14 +68,14 @@ func fatal(msg string, args ...any) {
 
 func main() {
 	var (
-		list     = flag.Bool("list", false, "list registered experiments and exit")
-		run      = flag.String("run", "all", "comma-separated experiment names to run, or 'all' (every non-manual experiment)")
-		scale    = flag.Float64("scale", 1, "corpus scale factor (1 = laptop default)")
-		seed     = flag.Uint64("seed", 1, "deterministic seed")
-		csvDir   = flag.String("csv", "", "also write per-experiment CSV files into this directory")
-		quiet    = flag.Bool("q", false, "suppress progress logging")
-		batched  = flag.Bool("batched", false, "drive search-timing loops with batched rounds (the bandwidth experiment always reports serial-vs-batched round-trips)")
-		jsonMode = flag.Bool("json", false, "run the key micro-benchmarks and print one JSON line per benchmark (the BENCH_*.json snapshot format)")
+		list    = flag.Bool("list", false, "list registered experiments and exit")
+		run     = flag.String("run", "all", "comma-separated experiment names to run, or 'all' (every non-manual experiment)")
+		scale   = flag.Float64("scale", 1, "corpus scale factor (1 = laptop default)")
+		seed    = flag.Uint64("seed", 1, "deterministic seed")
+		csvDir  = flag.String("csv", "", "also write per-experiment CSV files into this directory")
+		quiet   = flag.Bool("q", false, "suppress progress logging")
+		batched = flag.Bool("batched", false, "drive search-timing loops with batched rounds (the bandwidth experiment always reports serial-vs-batched round-trips)")
+		out     = flag.String("o", "", "run the micro-benchmarks and write their snapshot (one JSON line per leg, the BENCH_<PR>.json format) to this file; shorthand for -run micro")
 
 		// Soak/chaos knobs (the soak experiment; -soak ≡ -run soak).
 		soakMode      = flag.Bool("soak", false, "run the soak/chaos scenario (shorthand for -run soak)")
@@ -91,11 +95,6 @@ func main() {
 		soakReportOut = flag.String("soak-report", "", "also write the one-line JSON soak report to this file")
 	)
 	flag.Parse()
-
-	if *jsonMode {
-		runMicrobenchJSON(*quiet)
-		return
-	}
 
 	tab := experiments.Paper()
 	err := tab.Register(experiments.Experiment{
@@ -121,8 +120,18 @@ func main() {
 			})
 		},
 	})
+	if err == nil {
+		err = tab.Register(experiments.Experiment{
+			Name:   "micro",
+			Doc:    "micro-benchmarks: every leg of microbench.Suite() six times, median ns/op with its spread (-o FILE keeps the BENCH_<PR>.json snapshot)",
+			Manual: true,
+			Run: func(_ context.Context, env *experiments.Env) (*experiments.Result, error) {
+				return runMicrobench(env, *out)
+			},
+		})
+	}
 	if err != nil {
-		fatal("registering soak experiment", "err", err)
+		fatal("registering the manual experiments", "err", err)
 	}
 
 	if *list {
@@ -146,6 +155,9 @@ func main() {
 
 	if *soakMode {
 		*run = "soak"
+	}
+	if *out != "" {
+		*run = "micro"
 	}
 	var selected []experiments.Experiment
 	if *run == "all" {
@@ -208,33 +220,45 @@ type benchLine struct {
 // rows), six is what CI's benchstat gate uses.
 const snapshotRuns = 6
 
-// runMicrobenchJSON drives the microbench suite through
-// testing.Benchmark, snapshotRuns times per leg, and prints one JSON
-// line per benchmark on stdout. Progress goes to stderr so the JSON
-// stream stays clean for redirection.
-func runMicrobenchJSON(quiet bool) {
-	enc := json.NewEncoder(os.Stdout)
+// runMicrobench drives the microbench suite through testing.Benchmark,
+// snapshotRuns times per leg. The result's table is what a terminal
+// gets; with a path, the same lines are written there as the snapshot.
+func runMicrobench(env *experiments.Env, path string) (*experiments.Result, error) {
+	res := &experiments.Result{
+		ID:      "micro",
+		Title:   "micro-benchmarks (median of runs)",
+		Headers: []string{"leg", "ns/op", "allocs/op", "B/op", "runs", "cov"},
+	}
+	var snapshot bytes.Buffer
+	enc := json.NewEncoder(&snapshot)
 	for _, bench := range microbench.Suite() {
-		if !quiet {
-			logger.Info("running benchmark", "name", bench.Name)
+		if env.Logf != nil {
+			env.Logf("running benchmark %s", bench.Name)
 		}
 		line := benchLine{Name: bench.Name, Runs: snapshotRuns}
 		ns := make([]float64, snapshotRuns)
 		for i := range ns {
-			res := testing.Benchmark(bench.F)
-			if res.N == 0 {
-				fatal("benchmark did not run (failed inside testing.Benchmark)", "name", bench.Name)
+			r := testing.Benchmark(bench.F)
+			if r.N == 0 {
+				return nil, fmt.Errorf("benchmark %s did not run (failed inside testing.Benchmark)", bench.Name)
 			}
-			ns[i] = float64(res.T.Nanoseconds()) / float64(res.N)
+			ns[i] = float64(r.T.Nanoseconds()) / float64(r.N)
 			// Allocation counts do not vary with load: the last run's stand.
-			line.AllocsPerOp, line.BytesPerOp = res.AllocsPerOp(), res.AllocedBytesPerOp()
+			line.AllocsPerOp, line.BytesPerOp = r.AllocsPerOp(), r.AllocedBytesPerOp()
 		}
 		line.NsPerOp = stats.Median(ns)
 		line.CoV = stats.StdDev(ns) / stats.Mean(ns)
 		if err := enc.Encode(line); err != nil {
-			fatal("encoding benchmark line failed", "err", err)
+			return nil, fmt.Errorf("encoding benchmark line: %w", err)
+		}
+		res.Rows = append(res.Rows, []interface{}{line.Name, line.NsPerOp, line.AllocsPerOp, line.BytesPerOp, line.Runs, line.CoV})
+	}
+	if path != "" {
+		if err := os.WriteFile(path, snapshot.Bytes(), 0o644); err != nil {
+			return nil, fmt.Errorf("writing the snapshot: %w", err)
 		}
 	}
+	return res, nil
 }
 
 // soakFlags carries the -soak-* flag values into the soak experiment.

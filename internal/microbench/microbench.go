@@ -1,6 +1,6 @@
 // Package microbench hosts the micro-benchmarks in library form, so
 // the go-test bench harness (bench_store_test.go mounts Suite() with
-// one loop) and `zerber-bench -json` execute the same code: what CI
+// one loop) and `zerber-bench -o` execute the same code: what CI
 // gates with benchstat and what BENCH_*.json snapshots record is one
 // table, not drifting copies.
 //
@@ -36,51 +36,75 @@ import (
 type Bench struct {
 	Name string
 	F    func(b *testing.B)
+	// MaxAllocs gates the leg's allocations per operation (0: not
+	// gated): the package's own test runs every leg once and fails a
+	// leg that allocates more. Set at the achieved figure where the
+	// count is what the leg is for; legs whose count depends on
+	// scheduling or on b.N stay ungated.
+	MaxAllocs int64
 }
 
 // Suite is the only enumeration of the micro-benchmarks: `go test
-// -bench` mounts it as BenchmarkMicro/<Name>, `zerber-bench -json`
-// prints one line per entry, and CI gates the whole table.
+// -bench` mounts it as BenchmarkMicro/<Name>, `zerber-bench -o`
+// writes one line per entry, and CI gates the whole table.
 //
 // A leg is here only if it gates something the end-to-end benchmark
 // (benchmark/, BENCHMARK.json) cannot see; search latency, rounds and
 // bytes over a real server are that benchmark's rows, not legs here.
-// What stays: allocation counts on the read hot path
-// (QueryFollowup/indexed, QueryCached/*, and QueryInstrumented/hit —
-// the < 5 % observability gate against QueryCached/hit); ProofQuery/*
-// (server-side proof assembly and client-side verification, priced
-// apart); StoreAppend* and StoreMemoryInsert (the durable write path
-// against its RAM floor, with and without a real fsync); StoreRecover/*
-// (cold starts, which no steady-state workload pays); HedgedQuery/*
-// (hedging overhead and the failover hop with a dead primary, a fault
-// benchmark/ never injects); SearchSerialVsBatched/inproc/* (the round
-// loop's two schedules without a network under them); CryptOpen/* and
-// CryptSeal/aes-gcm (allocations and nanoseconds per posting element
-// under a key that carries its derived ciphers — benchmark/ sees their
-// sum as crypt.open_ms but not the per-element allocation count, which
-// is the gate that a re-derivation per element would break first).
+// What benchmark/ cannot see, leg by leg:
+//
+//   - QueryFollowup/indexed, QueryCached/*, QueryInstrumented/hit:
+//     allocation counts on the read hot path (benchmark/ reports
+//     milliseconds per layer, never allocations), and the < 5 %
+//     observability gate of QueryInstrumented/hit over QueryCached/hit.
+//   - ProofQuery/proved: server-side proof assembly alone, at 15k
+//     leaves per group — benchmark/'s store.query_proved_ms is the same
+//     cost summed over a search's rounds on ≈ 625-leaf groups, where
+//     an O(n) proof and an O(log n) one are 13× apart instead of 80×.
+//   - ProofQuery/after-write: the first proved window after an insert
+//     at a random rank, i.e. the O(n − p) re-hash of the interior
+//     nodes behind the insert. `proved` never writes and `mixed`
+//     proves every 16th search on lists of tens of elements, so no
+//     workload pays it at a size where it shows.
+//   - ProofQuery/verify: client-side verification of one deep window,
+//     with its allocation gate; benchmark/ has it inside
+//     client.self_ms, mixed with ranking and bookkeeping.
+//   - StoreAppend*, StoreMemoryInsert: the durable write path against
+//     its RAM floor, with and without a real fsync (benchmark/ runs
+//     one fsync policy on one disk).
+//   - StoreRecover/*: cold starts, which no steady-state workload pays.
+//   - HedgedQuery/*: hedging overhead and the failover hop with a dead
+//     primary, a fault benchmark/ never injects.
+//   - SearchSerialVsBatched/inproc/*: the round loop's two schedules
+//     without a network under them.
+//   - CryptOpen/*, CryptSeal/aes-gcm: allocations and nanoseconds per
+//     posting element under a key that carries its derived ciphers —
+//     benchmark/ sees their sum as crypt.open_ms but not the
+//     per-element allocation count, which is the gate a re-derivation
+//     per element would break first.
 func Suite() []Bench {
 	return []Bench{
-		{"QueryFollowup/indexed", queryFollowupIndexed},
-		{"QueryCached/hit", queryCachedHit},
-		{"QueryCached/uncached", queryCachedUncached},
-		{"QueryInstrumented/hit", queryInstrumentedHit},
-		{"ProofQuery/proved", proofQueryProved},
-		{"ProofQuery/verify", proofQueryVerify},
-		{"StoreAppend", storeAppend},
-		{"StoreAppend/fsync=true", storeAppendFsync},
-		{"StoreAppendParallel/grouped", storeAppendParallelGrouped},
-		{"StoreMemoryInsert", memoryInsert},
-		{"StoreRecover/first-query/mmap", storeRecoverMmap},
-		{"StoreRecover/wal-only", storeRecoverWAL},
-		{"StoreRecover/snapshot", storeRecoverSnapshot},
-		{"SearchSerialVsBatched/inproc/serial", searchSerial},
-		{"SearchSerialVsBatched/inproc/batched", searchBatched},
-		{"HedgedQuery/healthy", hedgedQueryHealthy},
-		{"HedgedQuery/failover", hedgedQueryFailover},
-		{"CryptOpen/aes-gcm", func(b *testing.B) { cryptOpen(b, crypt.GCMCodec{}) }},
-		{"CryptSeal/aes-gcm", cryptSealGCM},
-		{"CryptOpen/compact64", func(b *testing.B) { cryptOpen(b, crypt.Compact64Codec{}) }},
+		{Name: "QueryFollowup/indexed", F: queryFollowupIndexed, MaxAllocs: 27},
+		{Name: "QueryCached/hit", F: queryCachedHit, MaxAllocs: 132},
+		{Name: "QueryCached/uncached", F: queryCachedUncached, MaxAllocs: 153},
+		{Name: "QueryInstrumented/hit", F: queryInstrumentedHit, MaxAllocs: 132},
+		{Name: "ProofQuery/proved", F: proofQueryProved, MaxAllocs: 158},
+		{Name: "ProofQuery/after-write", F: proofQueryAfterWrite},
+		{Name: "ProofQuery/verify", F: proofQueryVerify, MaxAllocs: 2},
+		{Name: "StoreAppend", F: storeAppend},
+		{Name: "StoreAppend/fsync=true", F: storeAppendFsync},
+		{Name: "StoreAppendParallel/grouped", F: storeAppendParallelGrouped},
+		{Name: "StoreMemoryInsert", F: memoryInsert},
+		{Name: "StoreRecover/first-query/mmap", F: storeRecoverMmap},
+		{Name: "StoreRecover/wal-only", F: storeRecoverWAL},
+		{Name: "StoreRecover/snapshot", F: storeRecoverSnapshot},
+		{Name: "SearchSerialVsBatched/inproc/serial", F: searchSerial},
+		{Name: "SearchSerialVsBatched/inproc/batched", F: searchBatched},
+		{Name: "HedgedQuery/healthy", F: hedgedQueryHealthy},
+		{Name: "HedgedQuery/failover", F: hedgedQueryFailover},
+		{Name: "CryptOpen/aes-gcm", F: func(b *testing.B) { cryptOpen(b, crypt.GCMCodec{}) }, MaxAllocs: 1},
+		{Name: "CryptSeal/aes-gcm", F: cryptSealGCM},
+		{Name: "CryptOpen/compact64", F: func(b *testing.B) { cryptOpen(b, crypt.Compact64Codec{}) }, MaxAllocs: 1},
 	}
 }
 
@@ -104,33 +128,29 @@ var followupRounds = []server.ListQuery{
 
 var fixtureAllowed = map[int]bool{0: true, 2: true, 4: true, 6: true}
 
-var (
-	listOnce sync.Once
-	listMem  *store.Memory
-)
-
-// bigList builds (once) a 120k-element merged list spread over 8
-// groups, warmed so the per-group runs are compacted.
-func bigList() *store.Memory {
-	listOnce.Do(func() {
-		rng := rand.New(rand.NewSource(3))
-		m := store.NewMemory()
-		for i := 0; i < fixtureElems; i++ {
-			sealed := make([]byte, 64)
-			rng.Read(sealed)
-			el := store.Element{Sealed: sealed, TRS: rng.Float64(), Group: i % fixtureGroups}
-			if err := m.Insert(fixtureList, el); err != nil {
-				panic(err)
-			}
-		}
-		// Fold the pending buffers in, as a warmed server would have.
-		if _, err := m.Query(fixtureList, fixtureAllowed, 0, 1); err != nil {
+// newBigList builds a 120k-element merged list spread over 8 groups,
+// warmed so the per-group runs are compacted.
+func newBigList() *store.Memory {
+	rng := rand.New(rand.NewSource(3))
+	m := store.NewMemory()
+	for i := 0; i < fixtureElems; i++ {
+		sealed := make([]byte, 64)
+		rng.Read(sealed)
+		el := store.Element{Sealed: sealed, TRS: rng.Float64(), Group: i % fixtureGroups}
+		if err := m.Insert(fixtureList, el); err != nil {
 			panic(err)
 		}
-		listMem = m
-	})
-	return listMem
+	}
+	// Fold the pending buffers in, as a warmed server would have.
+	if _, err := m.Query(fixtureList, fixtureAllowed, 0, 1); err != nil {
+		panic(err)
+	}
+	return m
 }
+
+// bigList is the one list the read-only legs share, built on first
+// use.
+var bigList = sync.OnceValue(newBigList)
 
 // queryFollowupIndexed is the Section 5.2 hot path at depth: the deep
 // follow-up rounds of a progressive query against the 120k-element
@@ -274,6 +294,53 @@ func proofQueryProved(b *testing.B) {
 				b.Fatalf("offset %d: %d elements, proof %v", r.Offset, len(res.Elements), res.Proof != nil)
 			}
 		}
+	}
+}
+
+// writeList is ProofQuery/after-write's own copy of the fixture: the
+// leg mutates its list, and the read-only legs' windows (and the
+// servers' caches over them) must not move under them.
+var writeList = sync.OnceValue(newBigList)
+
+// proofQueryAfterWrite prices what a write costs the next audit: one
+// insert at a random rank of one group, then one proved window. The
+// insert shifts every later leaf of its group, so the window pays the
+// fold, the re-hash of the interior nodes from the insert's rank to
+// the end of the run (O(n − p), half a 15k-leaf group on average) and
+// then the O(log n) proof — the part ProofQuery/proved, which never
+// writes, does not see. Outside the timer the element is removed and
+// the list audited again, so every iteration starts from the same
+// fully cached 120k elements.
+func proofQueryAfterWrite(b *testing.B) {
+	mem := writeList()
+	r := followupRounds[0]
+	audit := func() {
+		res, err := mem.QueryProved(fixtureList, fixtureAllowed, r.Offset, r.Count)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Elements) != r.Count || res.Proof == nil {
+			b.Fatalf("%d elements, proof %v", len(res.Elements), res.Proof != nil)
+		}
+	}
+	audit()
+	rng := rand.New(rand.NewSource(21))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sealed := make([]byte, 64)
+		rng.Read(sealed)
+		el := store.Element{Sealed: sealed, TRS: rng.Float64(), Group: rng.Intn(fixtureGroups)}
+		if err := mem.Insert(fixtureList, el); err != nil {
+			b.Fatal(err)
+		}
+		audit()
+		b.StopTimer()
+		if err := mem.Remove(fixtureList, sealed, nil); err != nil {
+			b.Fatal(err)
+		}
+		audit()
+		b.StartTimer()
 	}
 }
 

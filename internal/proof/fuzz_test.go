@@ -1,0 +1,191 @@
+package proof_test
+
+// FuzzVerifyWindow hardens the verifier a client runs on what an
+// untrusted server answers. The input is a /v2/query response frame —
+// the one grammar proofs travel in (server/wire.go) — plus the (offset,
+// count) the client would have asked for; the fuzzer mutates counts,
+// ranges, paths, boundaries and elements through the frame's bytes.
+//
+// The harness plays an honest client of one fixed store: it holds the
+// store (testdata/fuzz_store.zsnap, so its versions and therefore its
+// roots are the same in every process) and pins the list root the store
+// commits to. Whatever arrives, VerifyWindow must return — no panic, and
+// a recursion no deeper than the tree shape allows however many leaves
+// a group claims to have (the goroutine stack is capped far below what a
+// walk of Count nodes would need) — and if it accepts a window under the
+// pinned root, the window is exactly what the store answers for that
+// (offset, count): same elements, same exhausted flag, same version.
+//
+// The seed corpus under testdata/fuzz/FuzzVerifyWindow is honest
+// windows of that store, written — like the store file — by
+// `go test -run TestFuzzSeedsCurrent -update` on the commit before
+// trees cached anything.
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime/debug"
+	"testing"
+
+	"zerberr/internal/proof"
+	"zerberr/internal/server"
+	"zerberr/internal/store"
+	"zerberr/internal/zerber"
+)
+
+const (
+	fuzzList      = zerber.ListID(5)
+	fuzzStoreFile = "fuzz_store.zsnap"
+	fuzzCorpusDir = "testdata/fuzz/FuzzVerifyWindow"
+)
+
+// fuzzView is the honest client's view: group 1 exists in the store but
+// travels opaque.
+var fuzzView = map[int]bool{0: true, 2: true}
+
+// fuzzQueries are the windows the seed corpus holds: the head, a deep
+// window with boundaries either side, the ragged tail, and one past the
+// end.
+var fuzzQueries = [][2]int{{0, 5}, {7, 10}, {20, 40}, {60, 3}, {0, 100}}
+
+func updating() bool {
+	f := flag.Lookup("update") // golden_test.go's, same test binary
+	return f != nil && f.Value.String() == "true"
+}
+
+// newFuzzStore builds the fixture store from scratch: 48 elements over
+// three groups of one list, with score ties.
+func newFuzzStore(tb testing.TB) *store.Memory {
+	rng := rand.New(rand.NewSource(48))
+	m := store.NewMemory()
+	for i := 0; i < 48; i++ {
+		sealed := make([]byte, 12)
+		rng.Read(sealed)
+		el := store.Element{Sealed: sealed, TRS: float64(rng.Intn(20)) / 4, Group: i % 3}
+		if err := m.Insert(fuzzList, el); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return m
+}
+
+// loadFuzzStore opens the committed fixture and returns it with the
+// list root it commits to.
+func loadFuzzStore(tb testing.TB) (*store.Memory, proof.Hash) {
+	data, err := os.ReadFile(filepath.Join("testdata", fuzzStoreFile))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m := store.NewMemory()
+	if err := m.ImportSnapshot(data); err != nil {
+		tb.Fatal(err)
+	}
+	c, err := m.Commitment(fuzzList)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m, c.Root
+}
+
+// honestFrame is the response frame an honest server sends for one
+// proved window of the store.
+func honestFrame(tb testing.TB, m *store.Memory, offset, count int) []byte {
+	res, err := m.QueryProved(fuzzList, fuzzView, offset, count)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return server.AppendQueryResponse(nil, []server.QueryResponse{{
+		Elements: res.Elements, Exhausted: res.Exhausted, Version: res.Version, Proof: res.Proof,
+	}})
+}
+
+func corpusEntry(frame []byte, offset, count int) []byte {
+	return []byte(fmt.Sprintf("go test fuzz v1\n[]byte(%q)\nint(%d)\nint(%d)\n", frame, offset, count))
+}
+
+// TestFuzzSeedsCurrent: the committed corpus is exactly the honest
+// windows of the committed store, byte for byte — proofs this build
+// generates are the proofs the previous one did. With -update it
+// rewrites store and corpus instead.
+func TestFuzzSeedsCurrent(t *testing.T) {
+	if updating() {
+		data, _, err := newFuzzStore(t).ExportSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(fuzzCorpusDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join("testdata", fuzzStoreFile), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, _ := loadFuzzStore(t)
+	for _, q := range fuzzQueries {
+		name := filepath.Join(fuzzCorpusDir, fmt.Sprintf("seed_window_%02d_%03d", q[0], q[1]))
+		want := corpusEntry(honestFrame(t, m, q[0], q[1]), q[0], q[1])
+		if updating() {
+			if err := os.WriteFile(name, want, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		got, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s is not the window this build serves for offset %d count %d", name, q[0], q[1])
+		}
+	}
+}
+
+func FuzzVerifyWindow(f *testing.F) {
+	m, pinned := loadFuzzStore(f)
+	// A second valid shape beside the committed corpus: an empty,
+	// exhausted window far past the end.
+	f.Add(honestFrame(f, m, 500, 4), 500, 4)
+
+	f.Fuzz(func(t *testing.T, frame []byte, offset, count int) {
+		resps, err := server.DecodeQueryResponse(frame)
+		if err != nil {
+			return
+		}
+		// The deepest honest recursion is one frame per bit of a group's
+		// claimed count; 1 MiB would not hold a walk of even 2^14 nodes.
+		defer debug.SetMaxStack(debug.SetMaxStack(1 << 20))
+		for _, resp := range resps {
+			elems := make([]proof.WindowElement, len(resp.Elements))
+			for i, el := range resp.Elements {
+				elems[i] = proof.WindowElement{TRS: el.TRS, Sealed: el.Sealed, Group: el.Group}
+			}
+			if proof.VerifyWindow(resp.Proof, fuzzView, offset, count, elems, resp.Exhausted, resp.Version) != nil {
+				continue
+			}
+			// A window of no elements at count 0 commits to nothing a
+			// search uses (the client never asks for it); everything
+			// else accepted under the pinned root must be the truth.
+			if resp.Proof.Root != pinned || count < 1 {
+				continue
+			}
+			want, err := m.QueryProved(fuzzList, fuzzView, offset, count)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Version != want.Version || resp.Exhausted != want.Exhausted || len(resp.Elements) != len(want.Elements) {
+				t.Fatalf("accepted offset %d count %d under the pinned root: %d elements exhausted=%v version %d, the store answers %d exhausted=%v version %d",
+					offset, count, len(resp.Elements), resp.Exhausted, resp.Version, len(want.Elements), want.Exhausted, want.Version)
+			}
+			for i, el := range resp.Elements {
+				w := want.Elements[i]
+				if el.TRS != w.TRS || el.Group != w.Group || !bytes.Equal(el.Sealed, w.Sealed) {
+					t.Fatalf("accepted offset %d count %d under the pinned root: element %d is not the store's", offset, count, i)
+				}
+			}
+		}
+	})
+}

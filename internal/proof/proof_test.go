@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -313,56 +314,59 @@ func TestVerifyWindowRejects(t *testing.T) {
 		return buildWindow(7, groups, allowed, 2, 4)
 	}
 	cases := []struct {
-		name   string
+		name string
+		// want is the check that must fire: with several defects in one
+		// window, which one is reported is part of the contract.
+		want   string
 		mutate func(w *Window, elems []WindowElement) (*Window, []WindowElement, int, int, bool, uint64)
 	}{
-		{"nil proof", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
+		{"nil proof", "no proof attached", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
 			return nil, e, 2, 4, false, 7
 		}},
-		{"version mismatch", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
+		{"version mismatch", "proof version 7, response version 8", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
 			return w, e, 2, 4, false, 8
 		}},
-		{"overfull window", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
+		{"overfull window", "window holds 4 elements, requested 3", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
 			return w, e, 2, len(e) - 1, false, 7
 		}},
-		{"reordered elements", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
+		{"reordered elements", "window not rank-sorted at element 1", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
 			e[0], e[1] = e[1], e[0]
 			return w, e, 2, 4, false, 7
 		}},
-		{"tampered TRS", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
+		{"tampered TRS", "range proof does not bind to its root", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
 			e[1].TRS += 0.25
 			return w, e, 2, 4, false, 7
 		}},
-		{"tampered payload", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
+		{"tampered payload", "range proof does not bind to its root", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
 			e[2].Sealed = append([]byte{}, e[2].Sealed...)
 			e[2].Sealed[0] ^= 1
 			return w, e, 2, 4, false, 7
 		}},
-		{"dropped element", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
+		{"dropped element", "window segment holds", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
 			return w, e[:len(e)-1], 2, 4, false, 7
 		}},
-		{"dropped element claimed exhausted", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
+		{"dropped element claimed exhausted", "window segment holds", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
 			return w, e[:len(e)-1], 2, 4, true, 7
 		}},
-		{"foreign group in element", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
+		{"foreign group in element", "element 0 claims group 2 outside the caller's view", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
 			e[0].Group = 2
 			return w, e, 2, 4, false, 7
 		}},
-		{"wrong offset", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
+		{"wrong offset", "skipped prefix holds 2 elements, offset is 3", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
 			return w, e, 3, 4, false, 7
 		}},
-		{"exhausted flag forged", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
+		{"exhausted flag forged", "exhausted flag true, proofs say false", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
 			return w, e, 2, 4, true, 7
 		}},
-		{"group headers reordered", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
+		{"group headers reordered", "group headers not strictly ascending", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
 			w.Groups[0], w.Groups[1] = w.Groups[1], w.Groups[0]
 			return w, e, 2, 4, false, 7
 		}},
-		{"dropped group header", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
+		{"dropped group header", "carry no proof", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
 			w.Groups = w.Groups[:len(w.Groups)-1]
 			return w, e, 2, 4, false, 7
 		}},
-		{"allowed group made opaque", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
+		{"allowed group made opaque", "group 3 of the caller's view carried opaque", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
 			for i := range w.Groups {
 				if w.Groups[i].Group == 3 {
 					hh := HeaderHash(3, w.Groups[i].Count, *w.Groups[i].Root)
@@ -379,7 +383,7 @@ func TestVerifyWindowRejects(t *testing.T) {
 			}
 			return w, kept, 2, 4, false, 7
 		}},
-		{"opaque group with window fields", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
+		{"opaque group with window fields", "opaque group 2 carries window fields", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
 			for i := range w.Groups {
 				if w.Groups[i].Opaque != nil {
 					w.Groups[i].Count = 2
@@ -387,7 +391,7 @@ func TestVerifyWindowRejects(t *testing.T) {
 			}
 			return w, e, 2, 4, false, 7
 		}},
-		{"tampered group root", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
+		{"tampered group root", "range proof does not bind to its root", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
 			for i := range w.Groups {
 				if w.Groups[i].Root != nil {
 					r := *w.Groups[i].Root
@@ -398,7 +402,7 @@ func TestVerifyWindowRejects(t *testing.T) {
 			}
 			return w, e, 2, 4, false, 7
 		}},
-		{"truncated range proof", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
+		{"truncated range proof", "range proof does not bind to its root", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
 			for i := range w.Groups {
 				if len(w.Groups[i].Path) > 0 {
 					w.Groups[i].Path = w.Groups[i].Path[:len(w.Groups[i].Path)-1]
@@ -407,7 +411,7 @@ func TestVerifyWindowRejects(t *testing.T) {
 			}
 			return w, e, 2, 4, false, 7
 		}},
-		{"shifted group range", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
+		{"shifted group range", "group 1 prefix boundary presence inconsistent", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
 			for i := range w.Groups {
 				if w.Groups[i].Root != nil && w.Groups[i].Start > 0 {
 					w.Groups[i].Start--
@@ -416,7 +420,7 @@ func TestVerifyWindowRejects(t *testing.T) {
 			}
 			return w, e, 2, 4, false, 7
 		}},
-		{"inflated group count", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
+		{"inflated group count", "headers do not rebuild the advertised root", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
 			for i := range w.Groups {
 				if w.Groups[i].Root != nil {
 					w.Groups[i].Count++
@@ -425,7 +429,7 @@ func TestVerifyWindowRejects(t *testing.T) {
 			}
 			return w, e, 2, 4, false, 7
 		}},
-		{"boundary stripped", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
+		{"boundary stripped", "prefix boundary presence inconsistent", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
 			for i := range w.Groups {
 				if w.Groups[i].Pred != nil {
 					w.Groups[i].Pred = nil
@@ -434,7 +438,7 @@ func TestVerifyWindowRejects(t *testing.T) {
 			}
 			return w, e, 2, 4, false, 7
 		}},
-		{"tampered root", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
+		{"tampered root", "headers do not rebuild the advertised root", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
 			w.Root[0] ^= 1
 			return w, e, 2, 4, false, 7
 		}},
@@ -447,6 +451,8 @@ func TestVerifyWindowRejects(t *testing.T) {
 			t.Errorf("%s: accepted", tc.name)
 		} else if !errors.Is(err, ErrInvalid) {
 			t.Errorf("%s: error %v does not wrap ErrInvalid", tc.name, err)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: rejected with %q, want the check %q", tc.name, err, tc.want)
 		}
 	}
 	// Sanity: the unmutated window still verifies (build() is honest).

@@ -103,9 +103,9 @@ func VerifyWindow(w *Window, allowed map[int]bool, offset, count int, elems []Wi
 		return invalidf("window holds %d elements, requested %d", len(elems), count)
 	}
 	// The merged window must be rank-sorted and stay inside the
-	// caller's view; each group's subsequence is collected for its
-	// range proof.
-	segs := make(map[int][]WindowElement)
+	// caller's view; each group's share of it is counted for its range
+	// proof.
+	counts := make(map[int]int)
 	for i, el := range elems {
 		if allowed != nil && !allowed[el.Group] {
 			return invalidf("element %d claims group %d outside the caller's view", i, el.Group)
@@ -113,7 +113,21 @@ func VerifyWindow(w *Window, allowed map[int]bool, offset, count int, elems []Wi
 		if i > 0 && cmpRank(elems[i-1].TRS, elems[i-1].Sealed, el.TRS, el.Sealed) > 0 {
 			return invalidf("window not rank-sorted at element %d", i)
 		}
-		segs[el.Group] = append(segs[el.Group], el)
+		counts[el.Group]++
+	}
+	// Every element is hashed once, straight into its group's stretch of
+	// one leaf buffer — sized by the elements that arrived, not by what
+	// the proof claims. A stretch starts with a slot for the group's Pred
+	// boundary and has room for Succ after its last element.
+	buf := make([]Hash, len(elems)+2*len(counts))
+	segs := make(map[int][]Hash, len(counts))
+	off := 0
+	for g, n := range counts {
+		segs[g] = buf[off : off+1 : off+n+2]
+		off += n + 2
+	}
+	for _, el := range elems {
+		segs[el.Group] = append(segs[el.Group], LeafHash(el.TRS, el.Sealed))
 	}
 	entries := make([]HeaderEntry, 0, len(w.Groups))
 	prevGroup := 0
@@ -152,10 +166,13 @@ func VerifyWindow(w *Window, allowed map[int]bool, offset, count int, elems []Wi
 		if (gw.Succ != nil) != (gw.End < gw.Count) {
 			return invalidf("group %d suffix boundary presence inconsistent", gw.Group)
 		}
-		seg := segs[gw.Group]
+		seg, inWindow := segs[gw.Group]
 		delete(segs, gw.Group)
-		if len(seg) != gw.End-gw.Start {
-			return invalidf("group %d window segment holds %d elements, range claims %d", gw.Group, len(seg), gw.End-gw.Start)
+		if !inWindow {
+			seg = make([]Hash, 1, 2)
+		}
+		if n := len(seg) - 1; n != gw.End-gw.Start {
+			return invalidf("group %d window segment holds %d elements, range claims %d", gw.Group, n, gw.End-gw.Start)
 		}
 		// Boundary ordering against the whole merged window: the last
 		// skipped element must rank at or above the window's first, the
@@ -177,13 +194,11 @@ func VerifyWindow(w *Window, allowed map[int]bool, offset, count int, elems []Wi
 		// Rebuild the proved leaf range: boundaries included, so their
 		// values are committed too, not just asserted.
 		lo, hi := gw.Start, gw.End
-		leaves := make([]Hash, 0, len(seg)+2)
+		leaves := seg[1:]
 		if gw.Pred != nil {
-			leaves = append(leaves, LeafHash(gw.Pred.TRS, gw.Pred.Sealed))
+			seg[0] = LeafHash(gw.Pred.TRS, gw.Pred.Sealed)
+			leaves = seg
 			lo--
-		}
-		for _, el := range seg {
-			leaves = append(leaves, LeafHash(el.TRS, el.Sealed))
 		}
 		if gw.Succ != nil {
 			leaves = append(leaves, LeafHash(gw.Succ.TRS, gw.Succ.Sealed))

@@ -37,23 +37,25 @@ type Commitment struct {
 func (ml *mergedList) ensureCommittedLocked() {
 	for _, g := range ml.groups {
 		g.compact()
-		if !g.hashed {
-			g.leaves = leafHashes(g.sorted)
-			g.hashed = true
-			g.rootOK = false
+		if g.commit == nil {
+			g.commit = &groupCommit{leaves: leafHashes(g.sorted)}
 		}
 	}
 }
 
-// groupRootLocked returns the group's cached Merkle root, rebuilding
-// it after mutations. Callers hold the write lock with the group
-// compacted and hashed.
+// groupRootLocked returns the group's cached Merkle root. After a
+// mutation it first re-covers the leaves with the interior-node cache
+// — only the part the mutation truncated is hashed — so the root and
+// every window proof until the next mutation are look-ups. Callers
+// hold the write lock with the group compacted and committed.
 func (g *groupList) groupRootLocked() proof.Hash {
-	if !g.rootOK {
-		g.root = proof.TreeRoot(g.leaves)
-		g.rootOK = true
+	c := g.commit
+	if !c.rootOK {
+		c.tree.Extend(c.leaves)
+		c.root = c.tree.Root(c.leaves)
+		c.rootOK = true
 	}
-	return g.root
+	return c.root
 }
 
 // headerInfo is one non-empty group's header material, used both for
@@ -142,7 +144,8 @@ func (m *Memory) QueryProved(list zerber.ListID, allowed map[int]bool, offset, c
 			gw.Succ = &proof.Boundary{TRS: succ.TRS, Sealed: succ.Sealed}
 			hi++
 		}
-		gw.Path = proof.RangeProof(h.g.leaves, lo, hi)
+		c := h.g.commit
+		gw.Path = c.tree.RangeProof(c.leaves, lo, hi)
 		w.Groups = append(w.Groups, gw)
 	}
 	res.Proof = w
@@ -177,7 +180,7 @@ func (m *Memory) viewCommitted(list zerber.ListID, fn func(version uint64, elems
 	defer unlock()
 	hashedAll := true
 	for _, g := range ml.groups {
-		if len(g.sorted) > 0 && !g.hashed {
+		if len(g.sorted) > 0 && g.commit == nil {
 			hashedAll = false
 			break
 		}
@@ -222,7 +225,7 @@ func (ml *mergedList) mergedLeavesLocked() ([]Element, []proof.Hash) {
 		}
 		g := runs[best]
 		elems = append(elems, g.sorted[cur[best]].Element)
-		leaves = append(leaves, g.leaves[cur[best]])
+		leaves = append(leaves, g.commit.leaves[cur[best]])
 		cur[best]++
 	}
 	return elems, leaves

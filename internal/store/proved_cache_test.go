@@ -1,0 +1,278 @@
+package store
+
+// Tests for the interior-node cache behind proved reads. The oracle
+// throughout is the cache-less half of internal/proof — TreeRoot and
+// RangeProof over freshly hashed leaves — which shares the traversal
+// with the cached tree but none of its state.
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"zerberr/internal/proof"
+	"zerberr/internal/zerber"
+)
+
+// checkCommitState holds every committed group of the list to the
+// oracle without changing anything: leaves mirror the sorted run, a
+// root marked valid is the root, and whatever prefix the cache still
+// covers answers exactly as no cache would.
+func checkCommitState(t *testing.T, rng *rand.Rand, ml *mergedList, step int) {
+	t.Helper()
+	ml.mu.Lock()
+	defer ml.mu.Unlock()
+	for gid, g := range ml.groups {
+		c := g.commit
+		if c == nil {
+			continue
+		}
+		if !reflect.DeepEqual(c.leaves, leafHashes(g.sorted)) {
+			t.Fatalf("step %d group %d: leaves do not mirror the sorted run", step, gid)
+		}
+		root := proof.TreeRoot(c.leaves)
+		if c.rootOK && c.root != root {
+			t.Fatalf("step %d group %d: root marked valid is stale", step, gid)
+		}
+		if got := c.tree.Root(c.leaves); got != root {
+			t.Fatalf("step %d group %d: cached tree root differs from TreeRoot", step, gid)
+		}
+		if n := len(c.leaves); n > 0 {
+			lo := rng.Intn(n)
+			hi := lo + 1 + rng.Intn(n-lo)
+			if !reflect.DeepEqual(c.tree.RangeProof(c.leaves, lo, hi), proof.RangeProof(c.leaves, lo, hi)) {
+				t.Fatalf("step %d group %d: cached proof of [%d,%d) differs from RangeProof", step, gid, lo, hi)
+			}
+		}
+	}
+}
+
+// checkProvedAgainstStateless is verifyProved plus the byte-for-byte
+// half: every proved group's root and path are what the stateless
+// functions produce from the group's run.
+func checkProvedAgainstStateless(t *testing.T, m *Memory, list zerber.ListID, allowed map[int]bool, offset, count, step int) {
+	t.Helper()
+	verifyProved(t, m, list, allowed, offset, count)
+	res, err := m.QueryProved(list, allowed, offset, count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ml := m.list(list, false)
+	ml.mu.Lock()
+	defer ml.mu.Unlock()
+	if res.Version != ml.version {
+		t.Fatalf("step %d: list moved under a single-goroutine test", step)
+	}
+	for _, gw := range res.Proof.Groups {
+		if gw.Opaque != nil {
+			continue
+		}
+		leaves := leafHashes(ml.groups[gw.Group].sorted)
+		if *gw.Root != proof.TreeRoot(leaves) {
+			t.Fatalf("step %d group %d: served root differs from TreeRoot", step, gw.Group)
+		}
+		lo, hi := gw.Start, gw.End
+		if gw.Pred != nil {
+			lo--
+		}
+		if gw.Succ != nil {
+			hi++
+		}
+		if !reflect.DeepEqual(gw.Path, proof.RangeProof(leaves, lo, hi)) {
+			t.Fatalf("step %d group %d: served path for [%d,%d) differs from RangeProof", step, gw.Group, lo, hi)
+		}
+	}
+}
+
+// TestProvedCacheDifferential interleaves inserts, removes (rank-first,
+// rank-last, anywhere, and of an element still in a pending buffer),
+// partial and full compactions and proved reads on one Memory, and
+// after every step holds the commitment state to the stateless oracle.
+func TestProvedCacheDifferential(t *testing.T) {
+	const (
+		list   = zerber.ListID(9)
+		groups = 4
+		steps  = 2500
+	)
+	rng := rand.New(rand.NewSource(2121))
+	m := NewMemory()
+	var live []Element // every stored element, unordered
+	serial := 0
+	insert := func() {
+		serial++
+		// Two-decimal scores collide often: ties are broken by payload.
+		e := Element{Sealed: []byte(fmt.Sprintf("p%06d-%x", serial, rng.Uint32())), TRS: float64(rng.Intn(300)) / 100, Group: rng.Intn(groups)}
+		if err := m.Insert(list, e); err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, e)
+	}
+	removeAt := func(i int) {
+		if err := m.Remove(list, live[i].Sealed, nil); err != nil {
+			t.Fatalf("Remove(%s): %v", live[i].Sealed, err)
+		}
+		live[i] = live[len(live)-1]
+		live = live[:len(live)-1]
+	}
+	// extreme returns the index in live of the rank-first (or -last)
+	// element.
+	extreme := func(first bool) int {
+		best := 0
+		for i := range live {
+			if Less(live[i], live[best]) == first {
+				best = i
+			}
+		}
+		return best
+	}
+	randomView := func() map[int]bool {
+		if rng.Intn(3) == 0 {
+			return nil
+		}
+		view := map[int]bool{}
+		for g := 0; g < groups; g++ {
+			if rng.Intn(2) == 0 {
+				view[g] = true
+			}
+		}
+		return view
+	}
+	for range 64 {
+		insert()
+	}
+	for step := 0; step < steps; step++ {
+		switch op := rng.Intn(100); {
+		case op < 35 || len(live) == 0:
+			insert()
+		case op < 60:
+			switch rng.Intn(4) {
+			case 0:
+				removeAt(extreme(true))
+			case 1:
+				removeAt(extreme(false))
+			case 2:
+				removeAt(rng.Intn(len(live)))
+			default:
+				// The newest insert: still pending unless a read of its
+				// group came in between.
+				removeAt(len(live) - 1)
+			}
+		case op < 70:
+			// A plain read folds the pending buffers of the groups it may
+			// see, and only those.
+			if _, err := m.Query(list, randomView(), 0, 1); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			checkProvedAgainstStateless(t, m, list, randomView(), rng.Intn(len(live)+3), 1+rng.Intn(40), step)
+		}
+		if ml := m.list(list, false); ml != nil {
+			checkCommitState(t, rng, ml, step)
+		}
+	}
+	if n := mustLen(t, m, list); n != len(live) {
+		t.Fatalf("store holds %d elements, the test's book %d", n, len(live))
+	}
+}
+
+// TestMutationTruncatesCacheAtItsRank: what a write costs the next
+// audit is decided by where the store truncates the cache. A fold keeps
+// the cache over the ranks before the first one a pending element
+// landed at, a remove over the ranks before the removed one, and a
+// remove that only touched a pending buffer keeps all of it — compared
+// against a tree built over the old leaves and truncated at exactly
+// that rank, so truncating lower (a slower next audit) fails as surely
+// as truncating higher (a wrong root).
+func TestMutationTruncatesCacheAtItsRank(t *testing.T) {
+	const list, n = zerber.ListID(3), 200
+	build := func() (*Memory, *groupList) {
+		m := NewMemory()
+		for i := 0; i < n; i++ {
+			// Rank i holds score n-i: rank p is free at score n-p+0.5.
+			if err := m.Insert(list, el(fmt.Sprintf("e%03d", i), float64(n-i), 0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := m.QueryProved(list, nil, 0, 1); err != nil {
+			t.Fatal(err)
+		}
+		return m, m.list(list, false).groups[0]
+	}
+	truncatedAt := func(leaves []proof.Hash, p int) proof.Tree {
+		var tr proof.Tree
+		tr.Extend(leaves)
+		tr.Truncate(p)
+		return tr
+	}
+	fold := func(m *Memory) {
+		if _, err := m.Query(list, nil, 0, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range []int{0, 1, 63, 64, 65, 128, 199, 200} {
+		m, g := build()
+		before := append([]proof.Hash{}, g.commit.leaves...)
+		// Two pending elements: the cache survives up to the earlier one.
+		for _, rank := range []int{min(p+30, n), p} {
+			if err := m.Insert(list, el(fmt.Sprintf("new%03d", rank), float64(n-rank)+0.5, 0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fold(m)
+		if !reflect.DeepEqual(g.commit.tree, truncatedAt(before, p)) || g.commit.rootOK {
+			t.Errorf("fold with the first pending element landing at rank %d: cache not truncated exactly there", p)
+		}
+		if string(g.sorted[p].Sealed) != fmt.Sprintf("new%03d", p) {
+			t.Fatalf("test bug: rank %d holds %s", p, g.sorted[p].Sealed)
+		}
+	}
+	for _, p := range []int{0, 1, 63, 64, 65, 128, 198, 199} {
+		m, g := build()
+		before := append([]proof.Hash{}, g.commit.leaves...)
+		if err := m.Remove(list, []byte(fmt.Sprintf("e%03d", p)), nil); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(g.commit.tree, truncatedAt(before, p)) || g.commit.rootOK {
+			t.Errorf("remove at rank %d: cache not truncated exactly there", p)
+		}
+	}
+	m, g := build()
+	before := append([]proof.Hash{}, g.commit.leaves...)
+	if err := m.Insert(list, el("pending", 0.25, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Remove(list, []byte("pending"), nil); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(g.commit.tree, truncatedAt(before, n)) || !g.commit.rootOK {
+		t.Error("insert and remove inside the pending buffer touched the committed run's cache")
+	}
+}
+
+// TestUnauditedGroupCarriesNoCommitState: the footprint contract — a
+// group list nobody audited holds one nil pointer for the whole
+// commitment scheme, through inserts, folds, reads and removes.
+func TestUnauditedGroupCarriesNoCommitState(t *testing.T) {
+	m := NewMemory()
+	provedFixture(t, m, 1)
+	if _, err := m.Query(1, nil, 0, 100); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Remove(1, []byte("a2"), nil); err != nil {
+		t.Fatal(err)
+	}
+	for gid, g := range m.list(1, false).groups {
+		if g.commit != nil {
+			t.Errorf("group %d of a never-audited list carries commitment state", gid)
+		}
+	}
+	if _, err := m.QueryProved(1, map[int]bool{1: true}, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	for gid, g := range m.list(1, false).groups {
+		if g.commit == nil {
+			t.Errorf("group %d not committed by its list's first audit", gid)
+		}
+	}
+}

@@ -8,6 +8,7 @@ package store
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"zerberr/internal/proof"
@@ -266,19 +267,38 @@ func TestSnapshotWithoutLeaves(t *testing.T) {
 
 // TestProvedWindowStableUnderConcurrentReads: proofs built under the
 // write lock verify against the exact version they were read at even
-// while writers interleave.
+// while writers interleave — inserts that fold into the committed runs,
+// removes that splice them, and plain reads that trigger the folds, so
+// the interior-node cache is truncated and re-extended from every side
+// while it is being read (run under -race).
 func TestProvedWindowStableUnderConcurrentReads(t *testing.T) {
 	m := NewMemory()
 	provedFixture(t, m, 1)
 	allowed := map[int]bool{1: true, 2: true, 3: true}
-	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
 	go func() {
-		defer close(done)
-		for i := 0; i < 200; i++ {
+		defer wg.Done()
+		for i := 0; i < 300; i++ {
 			m.Insert(1, el(fmt.Sprintf("w%03d", i), float64(i%17), 1+i%3))
+			if i%3 == 2 {
+				if err := m.Remove(1, []byte(fmt.Sprintf("w%03d", i-2)), nil); err != nil {
+					t.Errorf("Remove: %v", err)
+					return
+				}
+			}
 		}
 	}()
-	for i := 0; i < 100; i++ {
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 300; i++ {
+			if _, err := m.Query(1, map[int]bool{1 + i%3: true}, 0, 8); err != nil {
+				t.Errorf("Query: %v", err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 150; i++ {
 		res, err := m.QueryProved(1, allowed, i%5, 4)
 		if err != nil {
 			t.Fatal(err)
@@ -291,5 +311,5 @@ func TestProvedWindowStableUnderConcurrentReads(t *testing.T) {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
 	}
-	<-done
+	wg.Wait()
 }

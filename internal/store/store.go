@@ -278,19 +278,35 @@ type mergedList struct {
 type groupList struct {
 	sorted  []relem // rless-ordered
 	pending []relem // unsorted recent inserts, folded in on read
-	// leaves mirrors sorted with each element's commitment leaf hash
-	// (see internal/proof). It stays unmaterialized (hashed false)
-	// until the list's first proved read or commitment — audit on
-	// demand, the unproven hot path never hashes — and is maintained
-	// incrementally from then on: compact hashes only the pending
-	// tail, removals splice, snapshots persist the hashes so recovery
-	// recommits without re-hashing.
+	// commit is the group's commitment state, nil until the list's first
+	// proved read or commitment — audit on demand: the unproven hot path
+	// never hashes, and the group lists nobody audits (nearly all of
+	// them) carry one nil pointer for it.
+	commit *groupCommit
+}
+
+// groupCommit is an audited group's commitment state (see
+// internal/proof), maintained incrementally from the first audit on:
+// compact hashes only the pending tail, removals splice, snapshots
+// persist the leaf hashes so recovery recommits without re-hashing.
+type groupCommit struct {
+	// leaves mirrors sorted with each element's leaf hash.
 	leaves []proof.Hash
-	hashed bool
-	// root caches the Merkle root over leaves; rootOK is dropped by
-	// any mutation of sorted.
+	// tree caches the interior nodes over leaves. Leaves are indexed by
+	// rank, so a mutation at rank p shifts every later leaf: it keeps
+	// the cache over [0, p) and the next audit re-hashes the rest.
+	tree proof.Tree
+	// root caches the Merkle root over leaves; rootOK is dropped by any
+	// mutation of sorted.
 	root   proof.Hash
 	rootOK bool
+}
+
+// mutatedAt records that sorted (and leaves with it) changed at index
+// p and beyond.
+func (c *groupCommit) mutatedAt(p int) {
+	c.rootOK = false
+	c.tree.Truncate(p)
 }
 
 // dirty reports whether a read of this group must first fold the
@@ -298,50 +314,62 @@ type groupList struct {
 func (g *groupList) dirty() bool { return len(g.pending) > 0 }
 
 // compact folds the pending buffer into the sorted run. Callers hold
-// the list's write lock. When the group's leaves are materialized the
-// merge carries them along, hashing only the pending tail — the
-// incremental maintenance that keeps commitments cheap at fold time.
+// the list's write lock. When the group is committed the merge carries
+// its leaves along, hashing only the pending tail, and the interior
+// nodes before the first index a pending element landed at stay cached
+// — the incremental maintenance that keeps commitments cheap at fold
+// time.
 func (g *groupList) compact() {
 	if len(g.pending) == 0 {
 		return
 	}
-	g.rootOK = false
 	sort.Slice(g.pending, func(i, j int) bool { return rless(g.pending[i], g.pending[j]) })
+	c := g.commit
 	if len(g.sorted) == 0 {
 		g.sorted = g.pending
 		g.pending = nil
-		if g.hashed {
-			g.leaves = leafHashes(g.sorted)
+		if c != nil {
+			c.leaves = leafHashes(g.sorted)
+			c.mutatedAt(0)
 		}
 		return
 	}
 	merged := make([]relem, 0, len(g.sorted)+len(g.pending))
 	var mleaves []proof.Hash
-	if g.hashed {
+	if c != nil {
 		mleaves = make([]proof.Hash, 0, cap(merged))
 	}
+	first := -1
 	i, j := 0, 0
 	for i < len(g.sorted) && j < len(g.pending) {
 		if rless(g.pending[j], g.sorted[i]) {
+			if first < 0 {
+				first = len(merged)
+			}
 			merged = append(merged, g.pending[j])
-			if g.hashed {
+			if c != nil {
 				mleaves = append(mleaves, proof.LeafHash(g.pending[j].TRS, g.pending[j].Sealed))
 			}
 			j++
 		} else {
 			merged = append(merged, g.sorted[i])
-			if g.hashed {
-				mleaves = append(mleaves, g.leaves[i])
+			if c != nil {
+				mleaves = append(mleaves, c.leaves[i])
 			}
 			i++
 		}
 	}
-	if g.hashed {
-		mleaves = append(mleaves, g.leaves[i:]...)
+	if first < 0 {
+		// Every pending element ranks below the whole run.
+		first = len(merged)
+	}
+	if c != nil {
+		mleaves = append(mleaves, c.leaves[i:]...)
 		for _, r := range g.pending[j:] {
 			mleaves = append(mleaves, proof.LeafHash(r.TRS, r.Sealed))
 		}
-		g.leaves = mleaves
+		c.leaves = mleaves
+		c.mutatedAt(first)
 	}
 	merged = append(merged, g.sorted[i:]...)
 	merged = append(merged, g.pending[j:]...)
@@ -547,10 +575,10 @@ func (m *Memory) remove(list zerber.ListID, sealed []byte, allow func(group int)
 		bestG.pending = append(bestG.pending[:bestIdx], bestG.pending[bestIdx+1:]...)
 	} else {
 		bestG.sorted = append(bestG.sorted[:bestIdx], bestG.sorted[bestIdx+1:]...)
-		if bestG.hashed {
-			bestG.leaves = append(bestG.leaves[:bestIdx], bestG.leaves[bestIdx+1:]...)
+		if c := bestG.commit; c != nil {
+			c.leaves = append(c.leaves[:bestIdx], c.leaves[bestIdx+1:]...)
+			c.mutatedAt(bestIdx)
 		}
-		bestG.rootOK = false
 	}
 	ml.total--
 	ml.version++
@@ -879,7 +907,10 @@ func newMergedListFrom(elems []Element, sorted bool, version uint64, leaves []pr
 	for i, el := range elems {
 		g := ml.groups[el.Group]
 		if g == nil {
-			g = &groupList{hashed: leaves != nil}
+			g = &groupList{}
+			if leaves != nil {
+				g.commit = &groupCommit{}
+			}
 			ml.groups[el.Group] = g
 		}
 		r := relem{Element: el, seq: ml.nextSeq}
@@ -888,7 +919,7 @@ func newMergedListFrom(elems []Element, sorted bool, version uint64, leaves []pr
 			// sorted under rless (sequences ascend with slice order).
 			g.sorted = append(g.sorted, r)
 			if leaves != nil {
-				g.leaves = append(g.leaves, leaves[i])
+				g.commit.leaves = append(g.commit.leaves, leaves[i])
 			}
 		} else {
 			g.pending = append(g.pending, r)
