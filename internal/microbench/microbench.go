@@ -72,6 +72,10 @@ type Bench struct {
 //   - StoreAppend*, StoreMemoryInsert: the durable write path against
 //     its RAM floor, with and without a real fsync (benchmark/ runs
 //     one fsync policy on one disk).
+//   - StoreRemoveBatch: one document's removal (64 elements, one per
+//     list) through server.RemoveBatch on lists of `mixed`'s length,
+//     without the clients, the wire and the three other servers that
+//     share benchmark/'s two cores; and its allocation count.
 //   - StoreRecover/*: cold starts, which no steady-state workload pays.
 //   - HedgedQuery/*: hedging overhead and the failover hop with a dead
 //     primary, a fault benchmark/ never injects.
@@ -93,6 +97,7 @@ func Suite() []Bench {
 		{Name: "ProofQuery/verify", F: proofQueryVerify, MaxAllocs: 2},
 		{Name: "StoreAppend", F: storeAppend},
 		{Name: "StoreAppend/fsync=true", F: storeAppendFsync},
+		{Name: "StoreRemoveBatch", F: storeRemoveBatch, MaxAllocs: 28},
 		{Name: "StoreAppendParallel/grouped", F: storeAppendParallelGrouped},
 		{Name: "StoreMemoryInsert", F: memoryInsert},
 		{Name: "StoreRecover/first-query/mmap", F: storeRecoverMmap},
@@ -403,6 +408,88 @@ func appendSerial(b *testing.B, fsync bool) {
 		if err := d.Insert(zerber.ListID(i%64), benchElement(i)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// storeRemoveBatch prices a batched remove as `mixed` issues one: a
+// document's 64 posting elements, one per merged list, over a durable
+// index of 512 lists × 120 elements in 4 groups (the head fixture's
+// list length). It goes through server.RemoveBatch — token check, the
+// resolve-and-delete under the lists' locks, one WAL record — because
+// that is the call that exists on both sides of the change that made
+// the backend do the resolving, so the same leg prices either. Outside
+// the timer the elements are re-inserted and the touched lists read
+// once, as searches would: every iteration finds full, folded lists.
+// ns/op is per batch; divide by 64 to set it beside StoreAppend.
+func storeRemoveBatch(b *testing.B) {
+	const lists, perList, victims = 512, 120, 64
+	dir, err := os.MkdirTemp("", "microbench-remove-*")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	d, err := store.OpenDurable(dir, store.Options{SnapshotEvery: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := server.NewWithBackend([]byte("microbench-secret"), time.Hour, d)
+	defer srv.Close()
+	srv.RegisterUser("bench", 0)
+	ctx := context.Background()
+	toks, err := srv.Login(ctx, "bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Elements of groups 1–3 fill the lists; group 0 holds the
+	// documents, one element per list each.
+	fill := make([]store.BatchInsert, 0, lists*perList)
+	for i := 0; i < lists*perList; i++ {
+		el := benchElement(i)
+		el.Group = 1 + i%3
+		fill = append(fill, store.BatchInsert{List: zerber.ListID(i % lists), Element: el})
+	}
+	if err := d.InsertBatch(fill); err != nil {
+		b.Fatal(err)
+	}
+	docs := make([][]server.InsertOp, lists/victims)
+	for n := range docs {
+		for v := 0; v < victims; v++ {
+			el := benchElement(lists*perList + n*victims + v)
+			el.Group = 0
+			docs[n] = append(docs[n], server.InsertOp{List: zerber.ListID(n*victims + v), Element: el})
+		}
+	}
+	restore := func(doc []server.InsertOp) {
+		if err := srv.InsertBatch(ctx, toks[0], doc); err != nil {
+			b.Fatal(err)
+		}
+		for _, op := range doc {
+			if _, err := d.Query(op.List, nil, 0, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for _, doc := range docs {
+		restore(doc)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	// The timer runs around the removal only, and is off when the
+	// deferred Close and RemoveAll run: at the one iteration the
+	// allocation gate takes they would otherwise be the measurement.
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		doc := docs[i%len(docs)]
+		b.StartTimer()
+		ops := make([]server.RemoveOp, len(doc))
+		for j, op := range doc {
+			ops[j] = server.RemoveOp{List: op.List, Sealed: op.Element.Sealed}
+		}
+		if err := srv.RemoveBatch(ctx, toks[0], ops); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		restore(doc)
 	}
 }
 

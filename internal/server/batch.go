@@ -13,6 +13,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -218,13 +219,14 @@ func (s *Server) InsertBatch(ctx context.Context, tok crypt.Token, ops []InsertO
 	return nil
 }
 
-// RemoveBatch deletes a batch of elements under one token. Every
-// operation is checked first — payload present, element found, token
-// covers its group — and only a fully valid batch is applied, so one
-// bad operation fails the batch atomically with its index. (The check
-// and the apply are two passes; a concurrent writer racing the batch
-// can still surface an apply-time error, also index-precise, and a
-// context canceled mid-apply leaves earlier removals applied.)
+// RemoveBatch deletes a batch of elements under one token, all or none.
+// The backend resolves every operation — element found, token covers
+// the group of exactly the element that would go — and deletes the
+// victims in one critical section, as one logged operation: one bad
+// operation fails the batch with its index and nothing applied, and no
+// concurrent writer or canceled context can interrupt a batch between
+// its check and its apply. As with InsertBatch, a storage failure is a
+// failure of the batch as a unit, not of an index within it.
 func (s *Server) RemoveBatch(ctx context.Context, tok crypt.Token, ops []RemoveOp) error {
 	if err := checkBatchSize(len(ops)); err != nil {
 		return err
@@ -236,72 +238,43 @@ func (s *Server) RemoveBatch(ctx context.Context, tok crypt.Token, ops []RemoveO
 	if err := s.admit(tok.User, now); err != nil {
 		return err
 	}
+	batch := make([]store.BatchRemove, len(ops))
 	for i, op := range ops {
 		if len(op.Sealed) == 0 {
 			return &BatchError{Index: i, Err: fmt.Errorf("%w: empty payload", ErrBadRequest)}
 		}
+		batch[i] = store.BatchRemove{List: op.List, Sealed: op.Sealed}
 	}
-	// Pre-flight: every victim must exist and be removable, one list
-	// view per distinct list. Instances are counted, not just looked
-	// up, so a batch naming the same payload more often than the list
-	// holds it is rejected up front rather than failing mid-apply.
-	byList := make(map[zerber.ListID][]int)
-	for i, op := range ops {
-		byList[op.List] = append(byList[op.List], i)
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	for list, idxs := range byList {
-		if err := ctx.Err(); err != nil {
-			return err
+	deniedGroup := 0
+	err = s.backend.RemoveBatch(batch, func(group int) bool {
+		if !allowed[group] {
+			deniedGroup = group
 		}
-		// Only the batch's own payloads are tracked during the scan,
-		// so the pre-flight allocates O(batch), not O(list).
-		wanted := make(map[string]bool, len(idxs))
-		for _, i := range idxs {
-			wanted[string(ops[i].Sealed)] = true
+		return allowed[group]
+	})
+	var be *store.BatchOpError
+	if errors.As(err, &be) {
+		list := ops[be.Index].List
+		switch {
+		case errors.Is(be.Err, store.ErrUnknownList):
+			err = fmt.Errorf("%w: %d", ErrUnknownList, list)
+		case errors.Is(be.Err, store.ErrDenied):
+			err = fmt.Errorf("%w: element of group %d", ErrForbidden, deniedGroup)
+		case errors.Is(be.Err, store.ErrNotFound):
+			err = fmt.Errorf("%w in list %d", ErrNotFound, list)
+		default:
+			err = be.Err
 		}
-		groups := make(map[string]int, len(wanted))
-		instances := make(map[string]int, len(wanted))
-		err := s.backend.View(list, func(elems []StoredElement) {
-			for _, el := range elems {
-				if !wanted[string(el.Sealed)] {
-					continue
-				}
-				groups[string(el.Sealed)] = el.Group
-				instances[string(el.Sealed)]++
-			}
-		})
-		if err != nil {
-			return &BatchError{Index: idxs[0], Err: fmt.Errorf("%w: %d", ErrUnknownList, list)}
-		}
-		for _, i := range idxs {
-			sealed := string(ops[i].Sealed)
-			group, ok := groups[sealed]
-			if !ok {
-				return &BatchError{Index: i, Err: fmt.Errorf("%w in list %d", ErrNotFound, list)}
-			}
-			if !allowed[group] {
-				return &BatchError{Index: i, Err: fmt.Errorf("%w: element of group %d", ErrForbidden, group)}
-			}
-			if instances[sealed] == 0 {
-				return &BatchError{Index: i, Err: fmt.Errorf("%w in list %d (payload named more often than stored)", ErrNotFound, list)}
-			}
-			instances[sealed]--
-		}
+		return &BatchError{Index: be.Index, Err: err}
 	}
-	var applied uint64
-	defer func() {
-		if m := s.met.Load(); m != nil {
-			m.removes.Add(applied)
-		}
-	}()
-	for i, op := range ops {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := s.removeAllowed(allowed, op.List, op.Sealed); err != nil {
-			return &BatchError{Index: i, Err: err}
-		}
-		applied++
+	if err != nil {
+		return err
+	}
+	if m := s.met.Load(); m != nil {
+		m.removes.Add(uint64(len(ops)))
 	}
 	return nil
 }

@@ -82,8 +82,9 @@ var ErrNotFound = errors.New("server: element not found")
 // Server is an index server over a pluggable storage backend. All
 // methods are safe for concurrent use. Request-serving methods take a
 // context (API v3) and honor cancellation between units of work —
-// a canceled batch stops launching sub-queries and applying further
-// operations; see each method for its partial-effect semantics.
+// a canceled query batch stops launching sub-queries; a write batch
+// checks it once, before the backend applies the batch as a unit, so
+// cancellation never leaves a batch half applied.
 type Server struct {
 	mu       sync.RWMutex // guards members and now; the backend locks itself
 	secret   []byte
@@ -369,28 +370,6 @@ func queryResponseOf(res store.QueryResult, withProof bool) QueryResponse {
 // matches opaque bytes.
 func (s *Server) Remove(ctx context.Context, tok crypt.Token, list zerber.ListID, sealed []byte) error {
 	return OneOp(s.RemoveBatch(ctx, tok, []RemoveOp{{List: list, Sealed: sealed}}))
-}
-
-// removeAllowed applies one removal past token validation; a batch's
-// operations share one validated group set.
-func (s *Server) removeAllowed(allowed map[int]bool, list zerber.ListID, sealed []byte) error {
-	deniedGroup := 0
-	err := s.backend.Remove(list, sealed, func(group int) bool {
-		if allowed[group] {
-			return true
-		}
-		deniedGroup = group
-		return false
-	})
-	switch {
-	case errors.Is(err, store.ErrUnknownList):
-		return fmt.Errorf("%w: %d", ErrUnknownList, list)
-	case errors.Is(err, store.ErrDenied):
-		return fmt.Errorf("%w: element of group %d", ErrForbidden, deniedGroup)
-	case errors.Is(err, store.ErrNotFound):
-		return fmt.Errorf("%w in list %d", ErrNotFound, list)
-	}
-	return err
 }
 
 // ListLen reports how many elements the list holds in total

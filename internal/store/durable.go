@@ -191,7 +191,7 @@ func OpenDurable(dir string, opt Options) (*Durable, error) {
 			// A remove that no longer matches (its insert was folded
 			// into the snapshot differently, or the log was truncated
 			// between the pair) is a no-op, not corruption.
-			_, _ = mem.remove(rec.list, rec.sealed, nil, nil)
+			_ = mem.Remove(rec.list, rec.sealed, nil)
 		}
 	})
 	if err != nil {
@@ -250,8 +250,9 @@ func loadOrCreateEpoch(path string) (uint64, error) {
 }
 
 // appendLocked logs one payload that consumes ops sequence numbers
-// (1 for a plain record, the batch size for opInsertBatch; the caller
-// encoded firstSeq = d.seq+1 into it). Callers hold d.mu.
+// (1 for a plain record, the batch size for opInsertBatch and
+// opRemoveBatch; the caller encoded firstSeq = d.seq+1 into it).
+// Callers hold d.mu.
 //
 // With group commit the framed record is handed to the committer and
 // a wait function returned: it blocks until the record's coalesced
@@ -313,10 +314,10 @@ func (d *Durable) appendLocked(payload []byte, ops int) (wait func() error, err 
 }
 
 // walPayloadPool recycles the per-operation payload encode buffers of
-// Insert and Remove. appendLocked copies the payload (into the commit
+// Insert. appendLocked copies the payload (into the commit
 // batch, or through frameRecord into the buffered writer) before it
 // returns, so the buffer is dead by then and a logged single-record
-// mutation allocates nothing for its encoding.
+// insert allocates nothing for its encoding.
 var walPayloadPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 512)
 	return &b
@@ -413,7 +414,7 @@ func (d *Durable) Insert(list zerber.ListID, el Element) error {
 		return ErrClosed
 	}
 	pp := walPayloadPool.Get().(*[]byte)
-	payload := appendWALPayload((*pp)[:0], walRecord{seq: d.seq + 1, op: opInsert, list: list, group: el.Group, trs: el.TRS, sealed: el.Sealed})
+	payload := appendWALInsertPayload((*pp)[:0], d.seq+1, list, el)
 	wait, err := d.appendLocked(payload, 1)
 	recycleWALPayload(pp, payload)
 	if err != nil {
@@ -446,15 +447,7 @@ func (d *Durable) InsertBatch(ops []BatchInsert) error {
 	}
 	var waits []func() error
 	for len(ops) > 0 {
-		n, size := 0, 0
-		for n < len(ops) {
-			opSize := 3*16 + 8 + len(ops[n].Element.Sealed) // conservative encoded bound
-			if n > 0 && size+opSize > maxBatchRecordBytes {
-				break
-			}
-			size += opSize
-			n++
-		}
+		n := batchRecordPrefix(len(ops), func(i int) int { return len(ops[i].Element.Sealed) })
 		chunk := ops[:n]
 		ops = ops[n:]
 		payload := encodeWALBatchPayload(d.seq+1, chunk)
@@ -480,40 +473,77 @@ func (d *Durable) InsertBatch(ops []BatchInsert) error {
 	return nil
 }
 
-// Remove implements Backend. The removal commits to memory and the
-// log as one step under the list's write lock: the ACL predicate
-// observes the victim, the record is appended, and only a successful
-// append mutates the list. So an ACL-rejected removal never reaches
-// the log, a failed append leaves the list — content *and* version —
-// exactly as it was (no rollback that would burn unlogged version
-// bumps; recovery must be able to reproduce every version a reader
-// may have observed), and no reader can ever see a removal the log
-// does not hold.
+// batchRecordPrefix reports how many of a batch's n remaining ops go
+// into the next batched record: as many as keep its encoding under
+// maxBatchRecordBytes, and at least one. sealedLen is op i's payload
+// length; the rest of an entry is bounded conservatively.
+func batchRecordPrefix(n int, sealedLen func(i int) int) int {
+	k, size := 0, 0
+	for k < n {
+		opSize := 3*16 + 8 + sealedLen(k)
+		if k > 0 && size+opSize > maxBatchRecordBytes {
+			break
+		}
+		size += opSize
+		k++
+	}
+	return k
+}
+
+// Remove implements Backend.
+func (d *Durable) Remove(list zerber.ListID, sealed []byte, allow func(group int) bool) error {
+	return oneRemove(d.RemoveBatch([]BatchRemove{{List: list, Sealed: sealed}}, allow))
+}
+
+// RemoveBatch implements Backend. The removal commits to memory and
+// the log as one step under the lists' write locks: every op resolves,
+// the ACL predicate observes each victim, the batch is appended as one
+// opRemoveBatch record (chunked like InsertBatch's), and only a
+// successful append mutates the lists. So a rejected batch never
+// reaches the log, a failed append leaves the lists — content *and*
+// versions — exactly as they were (no rollback that would burn
+// unlogged version bumps; recovery must be able to reproduce every
+// version a reader may have observed), and no reader can ever see a
+// removal the log does not hold. A batch too large for one record
+// (more than any request can carry) logs every chunk before it deletes
+// anything; an append failing between two chunks poisons the log like
+// any other failed append, with the same ambiguity — the healing
+// snapshot captures the lists as memory holds them, untouched, while a
+// crash before it would replay the chunks that reached the disk.
 //
-// At window=0 readers of the same list wait out the append — a
+// At window=0 readers of the same lists wait out the append — a
 // buffered write normally, a real fsync under FsyncEach. That is
 // deliberate: moving the fsync after the lock would let a reader
 // observe a version whose record the OS may still lose. With group
 // commit only the enqueue happens under the locks; the commit wait
-// runs after both d.mu and the list lock are released, so an fsync in
+// runs after both d.mu and the list locks are released, so an fsync in
 // flight never stalls a reader — the reader-visible durability there
 // matches FsyncEach=false (a record a reader observed may still be in
 // the commit queue when the OS dies), which is the documented trade
 // of turning the window on.
-func (d *Durable) Remove(list zerber.ListID, sealed []byte, allow func(group int) bool) error {
+func (d *Durable) RemoveBatch(ops []BatchRemove, allow func(group int) bool) error {
+	if len(ops) == 0 {
+		return nil
+	}
 	d.mu.Lock()
 	if d.closed.Load() {
 		d.mu.Unlock()
 		return ErrClosed
 	}
-	var wait func() error
-	_, err := d.mem.remove(list, sealed, allow, func(Element) error {
-		pp := walPayloadPool.Get().(*[]byte)
-		payload := appendWALPayload((*pp)[:0], walRecord{seq: d.seq + 1, op: opRemove, list: list, sealed: sealed})
-		var aerr error
-		wait, aerr = d.appendLocked(payload, 1)
-		recycleWALPayload(pp, payload)
-		return aerr
+	var waits []func() error
+	err := d.mem.removeBatch(ops, allow, func() error {
+		for rest := ops; len(rest) > 0; {
+			n := batchRecordPrefix(len(rest), func(i int) int { return len(rest[i].Sealed) })
+			wait, err := d.appendLocked(encodeWALRemoveBatchPayload(d.seq+1, rest[:n]), n)
+			if err != nil {
+				return err
+			}
+			if wait != nil {
+				waits = append(waits, wait)
+			}
+			rest = rest[n:]
+		}
+		return nil
 	})
 	if err != nil {
 		d.mu.Unlock()
@@ -521,8 +551,10 @@ func (d *Durable) Remove(list zerber.ListID, sealed []byte, allow func(group int
 	}
 	d.maybeSnapshotLocked()
 	d.mu.Unlock()
-	if wait != nil {
-		return wait()
+	for _, wait := range waits {
+		if err := wait(); err != nil {
+			return err
+		}
 	}
 	return nil
 }

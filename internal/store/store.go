@@ -21,8 +21,11 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -104,6 +107,23 @@ type BatchInsert struct {
 	Element Element
 }
 
+// BatchRemove is one element of a RemoveBatch call.
+type BatchRemove struct {
+	List   zerber.ListID
+	Sealed []byte
+}
+
+// BatchOpError reports which operation of a RemoveBatch failed. It
+// unwraps to the sentinel (ErrUnknownList, ErrNotFound, ErrDenied).
+type BatchOpError struct {
+	Index int
+	Err   error
+}
+
+func (e *BatchOpError) Error() string { return fmt.Sprintf("batch op %d: %v", e.Index, e.Err) }
+
+func (e *BatchOpError) Unwrap() error { return e.Err }
+
 // Backend is the storage engine beneath server.Server. All
 // implementations are safe for concurrent use; access control and
 // authentication stay in the server layer above.
@@ -122,11 +142,26 @@ type Backend interface {
 	// Inserts in slice order: one version bump per element, identical
 	// recovery. An empty batch is a no-op.
 	InsertBatch(ops []BatchInsert) error
-	// Remove deletes the element whose sealed payload matches exactly.
-	// Before deleting it calls allow with the element's group; a false
-	// return aborts with ErrDenied (the ACL check must observe the
-	// element atomically with its removal). A nil allow permits all.
+	// Remove deletes the element whose sealed payload matches exactly:
+	// RemoveBatch of one, reporting the bare sentinel.
 	Remove(list zerber.ListID, sealed []byte, allow func(group int) bool) error
+	// RemoveBatch deletes many elements as one operation, all or none.
+	// Each op names a payload; it deletes the rank-first element of its
+	// list whose sealed bytes match exactly and that no earlier op of
+	// the batch already claimed — what the ops would delete as single
+	// Removes in slice order. Before anything changes, allow is called
+	// in slice order with the group of exactly the element each op
+	// would delete (nil permits all). The first op, in slice order, whose
+	// list is unknown (ErrUnknownList), that matches nothing
+	// (ErrNotFound) or that allow vetoes (ErrDenied) fails the batch
+	// with a *BatchOpError and leaves every list untouched. Resolution
+	// and deletion are one critical section under the write locks of
+	// the lists the batch touches, so no concurrent writer can come
+	// between them. Logged engines append a single batched WAL record
+	// (split only at the record size bound), as InsertBatch does.
+	// Versions and recovery are exactly those of N Removes: one version
+	// bump per element. An empty batch is a no-op.
+	RemoveBatch(ops []BatchRemove, allow func(group int) bool) error
 	// Query returns up to count elements starting at offset within the
 	// list's rank order restricted to the allowed groups (nil allows
 	// every group). It is the server's hot path: the cost is the skip
@@ -158,8 +193,8 @@ type Backend interface {
 	// View calls fn with the list's elements in rank order (descending
 	// TRS). The slice is only valid during the call: fn must not
 	// retain or mutate it. It materializes the full merged list —
-	// maintenance paths (snapshots, remove pre-flights) use it; ranged
-	// reads should use Query.
+	// maintenance paths (snapshots, the adversary's view) use it, no
+	// request does; ranged reads should use Query.
 	View(list zerber.ListID, fn func(elems []Element)) error
 	// Len reports how many elements the list holds (0 if absent).
 	Len(list zerber.ListID) (int, error)
@@ -510,79 +545,215 @@ func (m *Memory) insert(list zerber.ListID, el Element) {
 	ml.mu.Unlock()
 }
 
-// Remove implements Backend. A list emptied by removals stays present
-// (and keeps answering queries with an empty, exhausted view) — the
-// original server semantics.
+// Remove implements Backend.
 func (m *Memory) Remove(list zerber.ListID, sealed []byte, allow func(group int) bool) error {
-	_, err := m.remove(list, sealed, allow, nil)
+	return oneRemove(m.RemoveBatch([]BatchRemove{{List: list, Sealed: sealed}}, allow))
+}
+
+// oneRemove is how a RemoveBatch of one reports its failure: the bare
+// sentinel.
+func oneRemove(err error) error {
+	var be *BatchOpError
+	if errors.As(err, &be) {
+		return be.Err
+	}
 	return err
 }
 
-// remove deletes the rank-first element whose payload matches. The ACL
-// predicate observes exactly the element that would be removed. A
-// non-nil commit runs after the ACL accepts and before anything
-// changes, still under the list's write lock — Durable's WAL append
-// lives there, so memory content, the version counter and the log
-// advance atomically with respect to every reader: a failed commit
-// aborts with the list (and its version) untouched and nothing
+// RemoveBatch implements Backend. A list emptied by removals stays
+// present (and keeps answering queries with an empty, exhausted view)
+// — the original server semantics.
+func (m *Memory) RemoveBatch(ops []BatchRemove, allow func(group int) bool) error {
+	return m.removeBatch(ops, allow, nil)
+}
+
+// victim is one stored element a batched remove resolved to: position
+// idx of its group's sorted run, or of its pending buffer.
+type victim struct {
+	g       *groupList
+	idx     int
+	pending bool
+	r       relem
+}
+
+// removeBatch is RemoveBatch with a commit hook. A non-nil commit runs
+// after every op resolved and allow accepted each victim, before
+// anything changes, still under the lists' write locks — Durable's WAL
+// append lives there, so memory content, the version counters and the
+// log advance atomically with respect to every reader: a failed commit
+// aborts with the lists (and their versions) untouched and nothing
 // intermediate ever observable.
-func (m *Memory) remove(list zerber.ListID, sealed []byte, allow func(group int) bool, commit func(Element) error) (Element, error) {
-	ml := m.list(list, false)
-	if ml == nil {
-		return Element{}, ErrUnknownList
+func (m *Memory) removeBatch(ops []BatchRemove, allow func(group int) bool, commit func() error) error {
+	// order is the op indices by list, slice order kept within a list:
+	// each list's ops are one run of it, and the runs ascend by list ID
+	// — the one lock order, so overlapping batches cannot deadlock.
+	order := make([]int, len(ops))
+	for i := range order {
+		order[i] = i
 	}
-	ml.mu.Lock()
-	defer ml.mu.Unlock()
-	// Locate the rank-first match across every group's sorted run and
-	// pending buffer. Within a sorted run the first index match is the
-	// group's earliest; pending buffers are scanned in full.
-	var (
-		bestG   *groupList
-		bestIdx = -1
-		bestPen bool
-		best    relem
-	)
-	consider := func(g *groupList, r relem, idx int, pending bool) {
-		if bestG == nil || rless(r, best) {
-			bestG, bestIdx, bestPen, best = g, idx, pending, r
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(ops[a].List, ops[b].List) })
+	type listRun struct {
+		ml   *mergedList
+		idxs []int
+	}
+	var runs []listRun
+	firstUnknown := len(ops) // the lowest op index naming an unknown list
+	for len(order) > 0 {
+		n := 1
+		for n < len(order) && ops[order[n]].List == ops[order[0]].List {
+			n++
 		}
-	}
-	for _, g := range ml.groups {
-		for idx, r := range g.sorted {
-			if bytes.Equal(r.Sealed, sealed) {
-				consider(g, r, idx, false)
-				break
-			}
+		if ml := m.list(ops[order[0]].List, false); ml != nil {
+			runs = append(runs, listRun{ml, order[:n]})
+		} else {
+			firstUnknown = min(firstUnknown, order[0])
 		}
-		for idx, r := range g.pending {
-			if bytes.Equal(r.Sealed, sealed) {
-				consider(g, r, idx, true)
-			}
+		order = order[n:]
+	}
+	for _, run := range runs {
+		run.ml.mu.Lock()
+	}
+	defer func() {
+		for _, run := range runs {
+			run.ml.mu.Unlock()
 		}
+	}()
+	victims := make([]victim, len(ops))
+	var scratch []victim
+	for _, run := range runs {
+		scratch = run.ml.resolve(ops, run.idxs, victims, scratch)
 	}
-	if bestG == nil {
-		return Element{}, ErrNotFound
-	}
-	if allow != nil && !allow(best.Group) {
-		return Element{}, ErrDenied
+	for i := range ops {
+		switch {
+		case i == firstUnknown:
+			return &BatchOpError{Index: i, Err: ErrUnknownList}
+		case victims[i].g == nil:
+			return &BatchOpError{Index: i, Err: ErrNotFound}
+		case allow != nil && !allow(victims[i].r.Group):
+			return &BatchOpError{Index: i, Err: ErrDenied}
+		}
 	}
 	if commit != nil {
-		if err := commit(best.Element); err != nil {
-			return Element{}, err
+		if err := commit(); err != nil {
+			return err
 		}
 	}
-	if bestPen {
-		bestG.pending = append(bestG.pending[:bestIdx], bestG.pending[bestIdx+1:]...)
-	} else {
-		bestG.sorted = append(bestG.sorted[:bestIdx], bestG.sorted[bestIdx+1:]...)
-		if c := bestG.commit; c != nil {
-			c.leaves = append(c.leaves[:bestIdx], c.leaves[bestIdx+1:]...)
-			c.mutatedAt(bestIdx)
+	for _, run := range runs {
+		scratch = scratch[:0]
+		for _, i := range run.idxs {
+			scratch = append(scratch, victims[i])
+		}
+		run.ml.delete(scratch)
+	}
+	return nil
+}
+
+// resolve finds the victims of the ops idxs (indices into ops, all
+// naming this list, in slice order): the k-th op naming a payload gets
+// the list's k-th instance of it in rank order, and an op naming a
+// payload more often than the list holds it keeps the zero victim. The
+// list is scanned once per distinct payload — what a single Remove
+// always cost — since a batch names few payloads per list. matches is
+// scratch space, returned for the next list. Callers hold the list's
+// write lock.
+func (ml *mergedList) resolve(ops []BatchRemove, idxs []int, victims, matches []victim) []victim {
+	for k, i := range idxs {
+		sealed := ops[i].Sealed
+		if namesPayload(ops, idxs[:k], sealed) {
+			continue // resolved with the first op naming it
+		}
+		matches = matches[:0]
+		for _, g := range ml.groups {
+			for idx, r := range g.sorted {
+				if bytes.Equal(r.Sealed, sealed) {
+					matches = append(matches, victim{g: g, idx: idx, r: r})
+				}
+			}
+			for idx, r := range g.pending {
+				if bytes.Equal(r.Sealed, sealed) {
+					matches = append(matches, victim{g: g, idx: idx, pending: true, r: r})
+				}
+			}
+		}
+		if len(matches) > 1 {
+			sort.Slice(matches, func(a, b int) bool { return rless(matches[a].r, matches[b].r) })
+		}
+		next := 0
+		for _, j := range idxs[k:] {
+			if next == len(matches) {
+				break
+			}
+			if bytes.Equal(ops[j].Sealed, sealed) {
+				victims[j] = matches[next]
+				next++
+			}
 		}
 	}
-	ml.total--
-	ml.version++
-	return best.Element, nil
+	return matches
+}
+
+// namesPayload reports whether one of the ops idxs names sealed.
+func namesPayload(ops []BatchRemove, idxs []int, sealed []byte) bool {
+	for _, j := range idxs {
+		if bytes.Equal(ops[j].Sealed, sealed) {
+			return true
+		}
+	}
+	return false
+}
+
+// delete removes the resolved victims from the list, bumping its
+// version once per element: one filtering pass per touched run, so a
+// batch deleting many elements of one group shifts its tail once. A
+// committed group's leaves follow its sorted run, and its cached
+// interior nodes survive below the lowest deleted index. Callers hold
+// the list's write lock.
+func (ml *mergedList) delete(victims []victim) {
+	ml.total -= len(victims)
+	ml.version += uint64(len(victims))
+	// By run — a group's sorted run before its pending buffer — then by
+	// index.
+	buffer := func(v victim) int {
+		if v.pending {
+			return 1
+		}
+		return 0
+	}
+	slices.SortFunc(victims, func(a, b victim) int {
+		return cmp.Or(cmp.Compare(a.r.Group, b.r.Group), cmp.Compare(buffer(a), buffer(b)), cmp.Compare(a.idx, b.idx))
+	})
+	for len(victims) > 0 {
+		n := 1
+		for n < len(victims) && victims[n].g == victims[0].g && victims[n].pending == victims[0].pending {
+			n++
+		}
+		run, g := victims[:n], victims[0].g
+		victims = victims[n:]
+		if run[0].pending {
+			g.pending = deleteAt(g.pending, run)
+			continue
+		}
+		g.sorted = deleteAt(g.sorted, run)
+		if c := g.commit; c != nil {
+			c.leaves = deleteAt(c.leaves, run)
+			c.mutatedAt(run[0].idx)
+		}
+	}
+}
+
+// deleteAt removes the elements at the victims' ascending indices from
+// s, in place.
+func deleteAt[T any](s []T, run []victim) []T {
+	w := run[0].idx
+	for k, v := range run {
+		end := len(s)
+		if k+1 < len(run) {
+			end = run[k+1].idx
+		}
+		w += copy(s[w:], s[v.idx+1:end])
+	}
+	clear(s[w:])
+	return s[:w]
 }
 
 // lockSorted takes the list lock with the allowed groups' pending
@@ -796,8 +967,7 @@ func skipMerged(lists [][]relem, cur []int, skip int) {
 
 // View implements Backend: it materializes the full merged list in
 // rank order. Ranged reads should use Query; View remains for the
-// whole-list paths (snapshot encoding, remove pre-flights, the
-// adversary's view).
+// whole-list paths (snapshot encoding, the adversary's view).
 func (m *Memory) View(list zerber.ListID, fn func(elems []Element)) error {
 	return m.viewVersioned(list, func(_ uint64, elems []Element) { fn(elems) })
 }

@@ -26,6 +26,8 @@ import (
 //	             listDelta (signed varint, vs the previous entry's
 //	             list; the first entry's delta is vs list 0) |
 //	             element )
+//	         op=removeBatch: count | count × (
+//	             listDelta (as above) | sealedLen | sealed )
 //	element: the shared element record (element.go)
 //
 // The sequence number ties the log to snapshots: a snapshot records
@@ -41,6 +43,12 @@ import (
 // the previous entry — the ZIDX1 idiom — because batches are usually
 // sorted or single-list. Torn-tail recovery is per frame: a torn
 // batch drops whole, never half-applied.
+//
+// A removeBatch record is the same for N removes, in the order the
+// batch named them. Decoding expands either batch kind into per-element
+// records, so replay, tail export and migration never see a batch; logs
+// holding single remove records (all a store wrote before batched
+// removes) still replay.
 
 var walMagic = []byte("ZWAL1")
 
@@ -48,15 +56,17 @@ const (
 	opInsert      byte = 1
 	opRemove      byte = 2
 	opInsertBatch byte = 3
+	opRemoveBatch byte = 4
 
 	// maxWALRecord bounds a single record's payload so a corrupted
 	// length prefix cannot trigger a huge allocation during recovery.
 	maxWALRecord = 1 << 28
 
-	// maxBatchRecordBytes is where InsertBatch splits a batch into
-	// multiple records: comfortably under maxWALRecord so a batch can
-	// never encode into an unreplayable frame, large enough that any
-	// realistic API batch (MaxBatchOps elements) stays one record.
+	// maxBatchRecordBytes is where InsertBatch and RemoveBatch split a
+	// batch into multiple records: comfortably under maxWALRecord so a
+	// batch can never encode into an unreplayable frame, large enough
+	// that any realistic API batch (MaxBatchOps elements) stays one
+	// record.
 	maxBatchRecordBytes = 1 << 24
 )
 
@@ -90,20 +100,18 @@ func frameRecord(payload []byte) []byte {
 	return appendFrame(make([]byte, 0, binary.MaxVarintLen64+len(payload)+4), payload)
 }
 
-// appendWALPayload encodes rec onto buf. The hot per-operation paths
-// pass a pooled buffer: the payload is copied into the commit batch
-// (or the WAL's buffered writer) before append returns, so the bytes
-// never outlive the call and single-record inserts stay allocation
-// free.
-func appendWALPayload(buf []byte, rec walRecord) []byte {
-	buf = binary.AppendUvarint(buf, rec.seq)
-	buf = append(buf, rec.op)
-	buf = binary.AppendUvarint(buf, uint64(rec.list))
-	if rec.op == opInsert {
-		return AppendElement(buf, Element{Sealed: rec.sealed, TRS: rec.trs, Group: rec.group})
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(rec.sealed)))
-	return append(buf, rec.sealed...)
+// appendWALInsertPayload encodes one insert onto buf. Insert passes a
+// pooled buffer: the payload is copied into the commit batch (or the
+// WAL's buffered writer) before append returns, so the bytes never
+// outlive the call and single-record inserts stay allocation free.
+// (Nothing encodes its opRemove counterpart any more — a remove is
+// logged as an opRemoveBatch, of one if need be — but old logs hold
+// it, so decodeWALRecords still reads it.)
+func appendWALInsertPayload(buf []byte, seq uint64, list zerber.ListID, el Element) []byte {
+	buf = binary.AppendUvarint(buf, seq)
+	buf = append(buf, opInsert)
+	buf = binary.AppendUvarint(buf, uint64(list))
+	return AppendElement(buf, el)
 }
 
 // encodeWALBatchPayload encodes N inserts as one opInsertBatch
@@ -129,12 +137,34 @@ func encodeWALBatchPayload(firstSeq uint64, ops []BatchInsert) []byte {
 	return buf
 }
 
+// encodeWALRemoveBatchPayload encodes N removes as one opRemoveBatch
+// payload, sequenced and bounded like encodeWALBatchPayload.
+func encodeWALRemoveBatchPayload(firstSeq uint64, ops []BatchRemove) []byte {
+	size := 2*binary.MaxVarintLen64 + 1
+	for i := range ops {
+		size += 2*binary.MaxVarintLen64 + len(ops[i].Sealed)
+	}
+	buf := make([]byte, 0, size)
+	buf = binary.AppendUvarint(buf, firstSeq)
+	buf = append(buf, opRemoveBatch)
+	buf = binary.AppendUvarint(buf, uint64(len(ops)))
+	prev := int64(0)
+	for i := range ops {
+		list := int64(ops[i].List)
+		buf = binary.AppendVarint(buf, list-prev)
+		prev = list
+		buf = binary.AppendUvarint(buf, uint64(len(ops[i].Sealed)))
+		buf = append(buf, ops[i].Sealed...)
+	}
+	return buf
+}
+
 // decodeWALRecords decodes one framed payload into its operations: a
-// single walRecord for insert/remove, count records (with consecutive
-// sequences) for a batch. Decoding is all-or-nothing — a payload that
-// fails mid-batch applies none of it, so replay's torn-tail tolerance
-// stays frame-granular. Sealed bytes are copied out of the payload
-// buffer.
+// single walRecord for insert/remove, count opInsert or opRemove
+// records (with consecutive sequences) for a batch of either. Decoding
+// is all-or-nothing — a payload that fails mid-batch applies none of
+// it, so replay's torn-tail tolerance stays frame-granular. Sealed
+// bytes are copied out of the payload buffer.
 func decodeWALRecords(payload []byte) ([]walRecord, error) {
 	rd := newByteCursor(payload)
 	seq, err := binary.ReadUvarint(rd)
@@ -147,41 +177,32 @@ func decodeWALRecords(payload []byte) ([]walRecord, error) {
 	}
 	switch op {
 	case opInsert, opRemove:
-		rec := walRecord{seq: seq, op: op}
 		list, err := binary.ReadUvarint(rd)
 		if err != nil {
 			return nil, err
 		}
-		rec.list = zerber.ListID(list)
-		if op == opInsert {
-			el, err := rd.element()
-			if err != nil {
-				return nil, err
-			}
-			rec.group, rec.trs, rec.sealed = el.Group, el.TRS, el.Sealed
-		} else {
-			n, err := binary.ReadUvarint(rd)
-			if err != nil {
-				return nil, err
-			}
-			if rec.sealed, err = rd.take(int(n)); err != nil {
-				return nil, err
-			}
+		rec := walRecord{seq: seq, op: op, list: zerber.ListID(list)}
+		if err := rd.walBody(&rec); err != nil {
+			return nil, err
 		}
 		if rd.remaining() != 0 {
 			return nil, fmt.Errorf("record leaves %d trailing bytes", rd.remaining())
 		}
-		rec.sealed = append([]byte(nil), rec.sealed...)
 		return []walRecord{rec}, nil
-	case opInsertBatch:
+	case opInsertBatch, opRemoveBatch:
 		count, err := binary.ReadUvarint(rd)
 		if err != nil {
 			return nil, err
 		}
-		// Each entry costs at least 11 bytes (delta, group, trs,
-		// sealedLen), so an absurd count cannot pass the payload it
-		// arrived in — reject before allocating.
-		if count > uint64(rd.remaining()) {
+		// The smallest entry is a delta, a group, a TRS and a length
+		// (11 bytes) for an insert, a delta and a length for a remove.
+		// The body, not the claimed count, bounds the allocation: a
+		// count the payload it arrived in cannot hold is rejected first.
+		each, minEntry := opInsert, 11
+		if op == opRemoveBatch {
+			each, minEntry = opRemove, 2
+		}
+		if count > uint64(rd.remaining()/minEntry) {
 			return nil, fmt.Errorf("batch claims %d entries with %d bytes left", count, rd.remaining())
 		}
 		recs := make([]walRecord, 0, count)
@@ -195,18 +216,11 @@ func decodeWALRecords(payload []byte) ([]walRecord, error) {
 			if prev < 0 {
 				return nil, fmt.Errorf("batch entry %d: negative list id %d", i, prev)
 			}
-			el, err := rd.element()
-			if err != nil {
+			rec := walRecord{seq: seq + i, op: each, list: zerber.ListID(prev)}
+			if err := rd.walBody(&rec); err != nil {
 				return nil, err
 			}
-			recs = append(recs, walRecord{
-				seq:    seq + i,
-				op:     opInsert,
-				list:   zerber.ListID(prev),
-				group:  el.Group,
-				trs:    el.TRS,
-				sealed: append([]byte(nil), el.Sealed...),
-			})
+			recs = append(recs, rec)
 		}
 		if rd.remaining() != 0 {
 			return nil, fmt.Errorf("batch leaves %d trailing bytes", rd.remaining())
@@ -215,6 +229,30 @@ func decodeWALRecords(payload []byte) ([]walRecord, error) {
 	default:
 		return nil, fmt.Errorf("unknown op %d", op)
 	}
+}
+
+// walBody reads what follows the list ID of one logged operation — an
+// element for rec.op opInsert, a length-prefixed payload for opRemove —
+// into rec, copying the sealed bytes out of the buffer.
+func (c *byteCursor) walBody(rec *walRecord) error {
+	var sealed []byte
+	if rec.op == opInsert {
+		el, err := c.element()
+		if err != nil {
+			return err
+		}
+		rec.group, rec.trs, sealed = el.Group, el.TRS, el.Sealed
+	} else {
+		n, err := binary.ReadUvarint(c)
+		if err != nil {
+			return err
+		}
+		if sealed, err = c.take(int(n)); err != nil {
+			return err
+		}
+	}
+	rec.sealed = append([]byte(nil), sealed...)
+	return nil
 }
 
 // wal is an append-only log open for writing.
