@@ -7,7 +7,7 @@
 //
 //	zerberd -addr :8021 -secret-file secret.key \
 //	        -user john=0,1 -user alice=1 [-token-ttl 1h] \
-//	        [-data-dir /var/lib/zerberd] [-fsync-each] [-commit-window 200us] \
+//	        [-data-dir /var/lib/zerberd] [-fsync-each] \
 //	        [-cache-bytes N] \
 //	        [-log-level info] [-log-format text|json] [-pprof] \
 //	        [-rate-limit N] [-rate-burst N] [-max-inflight N] [-admin=false]
@@ -16,12 +16,11 @@
 // With it, every accepted insert/remove is write-ahead logged and
 // periodically folded into a snapshot (internal/store), so a restarted
 // daemon serves the same index — including after a crash that tears
-// the final log record. Concurrent writers group-commit: appends
-// landing within -commit-window share one log write and (under
-// -fsync-each) one fsync, amortizing the durability cost across
-// writers; -commit-window=0 commits every operation synchronously on
-// its own. Batched uploads (/v2/insert) are logged as a single record
-// regardless of the window.
+// the final log record. A request is one log record, in the OS before
+// any reader can see its effect; -fsync-each additionally holds the
+// answer until the record is on disk, concurrent writers sharing
+// fsyncs, so an acknowledged write survives the machine as well as the
+// process.
 //
 // Repeated ranked-range reads are served from a version-keyed
 // query-result cache (internal/cache) by default; -cache-bytes sizes
@@ -116,8 +115,7 @@ func main() {
 		tokenTTL    = flag.Duration("token-ttl", time.Hour, "authentication token lifetime")
 		dataDir     = flag.String("data-dir", "", "directory for the durable index (WAL + snapshots); empty keeps the index in RAM only")
 		snapEvery   = flag.Int("snapshot-every", store.DefaultSnapshotEvery, "logged operations between automatic snapshots (with -data-dir)")
-		fsyncEach   = flag.Bool("fsync-each", false, "fsync the write-ahead log after every operation (with -data-dir)")
-		commitWin   = flag.Duration("commit-window", store.DefaultCommitWindow, "group-commit window: concurrent writes within it share one WAL write and fsync; 0 commits each operation synchronously (with -data-dir)")
+		fsyncEach   = flag.Bool("fsync-each", false, "acknowledge a write only once its log record is fsynced; concurrent writers share fsyncs (with -data-dir)")
 		cacheBytes  = flag.Int64("cache-bytes", 64<<20, "query-result cache capacity in bytes, 0 disables it (see GET /v2/stats for hit/miss counters)")
 		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn or error")
 		logFormat   = flag.String("log-format", "text", "log format: text or json")
@@ -163,11 +161,10 @@ func main() {
 	if *dataDir != "" {
 		storeLog := logger.With("component", "store")
 		durable, err = store.OpenDurable(*dataDir, store.Options{
-			SnapshotEvery:     *snapEvery,
-			FsyncEach:         *fsyncEach,
-			GroupCommitWindow: *commitWin,
-			Logf:              func(format string, args ...any) { storeLog.Info(fmt.Sprintf(format, args...)) },
-			Obs:               reg,
+			SnapshotEvery: *snapEvery,
+			FsyncEach:     *fsyncEach,
+			Logf:          func(format string, args ...any) { storeLog.Info(fmt.Sprintf(format, args...)) },
+			Obs:           reg,
 		})
 		if err != nil {
 			fail("opening data dir failed", "dir", *dataDir, "err", err)

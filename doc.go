@@ -25,11 +25,9 @@
 //     the server — a RAM-only engine and a durable one with a
 //     CRC-framed write-ahead log, atomic snapshots and crash recovery,
 //     so a restarted server (cmd/zerberd -data-dir) keeps its index.
-//     The write path group-commits: concurrent appenders publish
-//     records into a commit queue and a single committer coalesces
-//     them into one write (and, under -fsync-each, one fsync) per
-//     bounded window, a batched upload is logged as a single WAL
-//     record, and recovery mmaps the snapshot and folds lists in
+//     A mutation is one WAL record, written before memory changes
+//     (under -fsync-each concurrent writers then share fsyncs, off
+//     every lock), and recovery mmaps the snapshot and folds lists in
 //     lazily, so a restarted shard answers its first query before the
 //     whole index is decoded. See DESIGN.md "Write path".
 //     Each merged list is held as per-group sorted sub-lists with

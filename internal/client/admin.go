@@ -9,11 +9,9 @@ package client
 // server.AdminMAC(secret)).
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 
@@ -108,33 +106,10 @@ func (l Local) Digest(ctx context.Context) ([]server.ListDigest, error) {
 // adminDo is one admin exchange: a single attempt (migration and
 // resync own their error handling; blind retries of whole-state
 // transfers are never what the operator wants) carrying the admin MAC
-// and an arbitrary body.
-func (h HTTP) adminDo(ctx context.Context, method, path string, body []byte, contentType string) (*http.Response, []byte, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, h.BaseURL+path, rd)
-	if err != nil {
-		return nil, nil, fmt.Errorf("client: %s: %w", path, err)
-	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	req.Header.Set("X-Zerber-Admin", h.AdminMAC)
-	resp, err := h.httpClient().Do(req)
-	if err != nil {
-		return nil, nil, fmt.Errorf("client: %s: %w", path, err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, nil, fmt.Errorf("client: %s: reading response: %w", path, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, nil, h.decodeError(path, resp.StatusCode, raw)
-	}
-	return resp, raw, nil
+// and an arbitrary body. A peer may answer with a whole shard, so the
+// bound on its answer is the one the server puts on an import.
+func (h HTTP) adminDo(ctx context.Context, method, path string, body []byte, contentType string) ([]byte, *http.Response, error) {
+	return h.doOnce(ctx, call{method: method, path: path, body: body, contentType: contentType, admin: true, maxResponse: server.MaxImportBytes})
 }
 
 // adminJSON runs a JSON-in/JSON-out admin exchange.
@@ -146,11 +121,7 @@ func (h HTTP) adminJSON(ctx context.Context, method, path string, in, out interf
 			return fmt.Errorf("client: encoding request: %w", err)
 		}
 	}
-	ct := ""
-	if body != nil {
-		ct = "application/json"
-	}
-	_, raw, err := h.adminDo(ctx, method, path, body, ct)
+	raw, _, err := h.adminDo(ctx, method, path, body, jsonContentType)
 	if err != nil {
 		return err
 	}
@@ -165,7 +136,7 @@ func (h HTTP) adminJSON(ctx context.Context, method, path string, in, out interf
 
 // ExportSnapshot implements ShardAdmin over GET /v3/admin/snapshot.
 func (h HTTP) ExportSnapshot(ctx context.Context) (server.SnapshotExport, error) {
-	resp, raw, err := h.adminDo(ctx, http.MethodGet, "/v3/admin/snapshot", nil, "")
+	raw, resp, err := h.adminDo(ctx, http.MethodGet, "/v3/admin/snapshot", nil, "")
 	if err != nil {
 		return server.SnapshotExport{}, err
 	}

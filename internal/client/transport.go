@@ -171,14 +171,23 @@ func (h HTTP) httpClient() *http.Client {
 	return defaultHTTPClient
 }
 
-// maxResponseBytes bounds a response body, the client-side mirror of
-// the server's bound on a request: MaxBatchOps windows at 16 KiB each.
-// The server is the adversary of this protocol, so neither its
-// Content-Length nor the length of what it streams is trusted past
-// this.
+// maxResponseBytes bounds a protocol response body, the client-side
+// mirror of the server's bound on a request: MaxBatchOps windows at
+// 16 KiB each. The server is the adversary of this protocol, so neither
+// its Content-Length nor the length of what it streams is trusted past
+// the bound its call carries (admin calls carry a larger one).
 const maxResponseBytes = server.MaxBatchOps * 16 << 10
 
 const jsonContentType = "application/json"
+
+// call is one HTTP request as doOnce sends it.
+type call struct {
+	method, path string
+	body         []byte
+	contentType  string // of body; unused without one
+	admin        bool   // present the admin MAC
+	maxResponse  int64  // bound on the answer's body
+}
 
 // exchange runs one logical request through the retry loop and returns
 // the body of its 200 answer; error envelopes come back as errors. The
@@ -189,10 +198,15 @@ const jsonContentType = "application/json"
 // classification (see retry.go); only operations that are safe to
 // re-send after an ambiguous failure may pass true.
 func (h HTTP) exchange(ctx context.Context, method, path string, body []byte, contentType string, idempotent bool) ([]byte, error) {
+	c := call{method: method, path: path, body: body, contentType: contentType, maxResponse: maxResponseBytes}
 	for retry := 0; ; retry++ {
-		raw, status, hint, err := h.doOnce(ctx, method, path, body, contentType)
+		raw, resp, err := h.doOnce(ctx, c)
 		if err == nil {
 			return raw, nil
+		}
+		status, hint := 0, time.Duration(0)
+		if resp != nil {
+			status, hint = resp.StatusCode, retryAfter(resp.Header)
 		}
 		if ctx.Err() != nil || retry >= h.Retry.maxRetries() || !retryable(status, idempotent) {
 			return nil, err
@@ -203,42 +217,47 @@ func (h HTTP) exchange(ctx context.Context, method, path string, body []byte, co
 	}
 }
 
-// doOnce is one attempt of exchange. status is the HTTP status of the
-// answer, or 0 when the exchange failed below HTTP (transport error);
-// hint is the server's Retry-After, when one came back. The body is
-// read once, into a buffer of its own that what the caller decodes
-// from it may alias.
-func (h HTTP) doOnce(ctx context.Context, method, path string, body []byte, contentType string) (raw []byte, status int, hint time.Duration, err error) {
+// doOnce is one attempt of a call: the only place this package sends a
+// request and reads an answer. resp is the answer's status and headers
+// (its body is consumed), or nil when the exchange failed below HTTP or
+// the answer broke the call's bound; a non-200 answer comes back as
+// both resp and the error its envelope decodes to. The body is read
+// once, into a buffer of its own that what the caller decodes from it
+// may alias.
+func (h HTTP) doOnce(ctx context.Context, c call) (raw []byte, resp *http.Response, err error) {
 	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
+	if c.body != nil {
+		rd = bytes.NewReader(c.body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, h.BaseURL+path, rd)
+	req, err := http.NewRequestWithContext(ctx, c.method, h.BaseURL+c.path, rd)
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("client: %s: %w", path, err)
+		return nil, nil, fmt.Errorf("client: %s: %w", c.path, err)
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", contentType)
+	if c.body != nil {
+		req.Header.Set("Content-Type", c.contentType)
 	}
-	resp, err := h.httpClient().Do(req)
+	if c.admin {
+		req.Header.Set("X-Zerber-Admin", h.AdminMAC)
+	}
+	resp, err = h.httpClient().Do(req)
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("client: %s: %w", path, err)
+		return nil, nil, fmt.Errorf("client: %s: %w", c.path, err)
 	}
 	defer resp.Body.Close()
-	if resp.ContentLength > maxResponseBytes {
-		return nil, 0, 0, fmt.Errorf("client: %s: server announces a %d-byte response, over the %d-byte bound", path, resp.ContentLength, maxResponseBytes)
+	if resp.ContentLength > c.maxResponse {
+		return nil, nil, fmt.Errorf("client: %s: server announces a %d-byte response, over the %d-byte bound", c.path, resp.ContentLength, c.maxResponse)
 	}
-	raw, err = server.ReadBody(io.LimitReader(resp.Body, maxResponseBytes+1), nil, resp.ContentLength)
+	raw, err = server.ReadBody(io.LimitReader(resp.Body, c.maxResponse+1), nil, resp.ContentLength)
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("client: %s: reading response: %w", path, err)
+		return nil, nil, fmt.Errorf("client: %s: reading response: %w", c.path, err)
 	}
-	if len(raw) > maxResponseBytes {
-		return nil, 0, 0, fmt.Errorf("client: %s: response exceeds the %d-byte bound", path, maxResponseBytes)
+	if int64(len(raw)) > c.maxResponse {
+		return nil, nil, fmt.Errorf("client: %s: response exceeds the %d-byte bound", c.path, c.maxResponse)
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, resp.StatusCode, retryAfter(resp.Header), h.decodeError(path, resp.StatusCode, raw)
+		return nil, resp, h.decodeError(c.path, resp.StatusCode, raw)
 	}
-	return raw, http.StatusOK, 0, nil
+	return raw, resp, nil
 }
 
 // postJSON is exchange for an idempotent POST with a JSON body.

@@ -98,7 +98,8 @@ func Suite() []Bench {
 		{Name: "StoreAppend", F: storeAppend},
 		{Name: "StoreAppend/fsync=true", F: storeAppendFsync},
 		{Name: "StoreRemoveBatch", F: storeRemoveBatch, MaxAllocs: 28},
-		{Name: "StoreAppendParallel/grouped", F: storeAppendParallelGrouped},
+		{Name: "StoreAppendParallel/fsync=false", F: func(b *testing.B) { appendParallel(b, false) }},
+		{Name: "StoreAppendParallel/fsync=true", F: func(b *testing.B) { appendParallel(b, true) }},
 		{Name: "StoreMemoryInsert", F: memoryInsert},
 		{Name: "StoreRecover/first-query/mmap", F: storeRecoverMmap},
 		{Name: "StoreRecover/wal-only", F: storeRecoverWAL},
@@ -384,12 +385,13 @@ func benchElement(i int) store.Element {
 	return store.Element{Sealed: sealed, TRS: float64(i % 997), Group: i % 8}
 }
 
-// storeAppend measures the durable insert hot path (one WAL record
-// framed, checksummed and pushed per op; no snapshots, no fsync).
+// storeAppend measures the durable insert hot path (one WAL record —
+// a batch of one, the record a request writes — framed, checksummed
+// and pushed per op; no snapshots, no fsync).
 func storeAppend(b *testing.B) { appendSerial(b, false) }
 
 // storeAppendFsync is storeAppend with an fsync per operation: the
-// real-disk durability cost group commit exists to amortize.
+// real-disk durability cost, paid in full by a lone writer.
 func storeAppendFsync(b *testing.B) { appendSerial(b, true) }
 
 func appendSerial(b *testing.B, fsync bool) {
@@ -493,22 +495,18 @@ func storeRemoveBatch(b *testing.B) {
 	}
 }
 
-// storeAppendParallelGrouped measures concurrent durable inserts
-// through the group committer at the default window: appenders publish
-// into the commit queue and share one coalesced write per batch. The
-// CI gate compares it against StoreMemoryInsert — the write-path
-// overhaul's whole point is keeping this within a small factor of the
-// RAM-only floor.
-func storeAppendParallelGrouped(b *testing.B) {
+// appendParallel measures concurrent durable inserts. Without fsync
+// the CI gate compares it against StoreMemoryInsert — the write path's
+// whole point is keeping this within a small factor of the RAM-only
+// floor. With fsync it sits beside the serial StoreAppend/fsync=true:
+// the gap is what concurrent writers save by sharing fsyncs.
+func appendParallel(b *testing.B, fsync bool) {
 	dir, err := os.MkdirTemp("", "microbench-wal-*")
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	d, err := store.OpenDurable(dir, store.Options{
-		SnapshotEvery:     -1,
-		GroupCommitWindow: store.DefaultCommitWindow,
-	})
+	d, err := store.OpenDurable(dir, store.Options{SnapshotEvery: -1, FsyncEach: fsync})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -516,9 +514,9 @@ func storeAppendParallelGrouped(b *testing.B) {
 	var ctr atomic.Int64
 	b.ReportAllocs()
 	// A shard serves many concurrent request handlers regardless of
-	// core count — oversubscribe so the commit queue sees the
-	// contention group commit exists for (GOMAXPROCS writers on a
-	// small box degenerate to one record per batch).
+	// core count — oversubscribe so the log sees the contention a
+	// shared fsync exists for (GOMAXPROCS writers on a small box
+	// degenerate to one writer per fsync).
 	b.SetParallelism(32)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {

@@ -78,8 +78,10 @@ type DigestResponse struct {
 // the caller.
 const maxAdminOps = 1 << 20
 
-// maxImportBytes bounds an imported snapshot body.
-const maxImportBytes = 1 << 30
+// MaxImportBytes bounds an imported snapshot body and an ApplyOps
+// request; exported because the admin client bounds what a peer may
+// answer an export with by the same figure.
+const MaxImportBytes = 1 << 30
 
 // AdminMAC derives the admin-plane credential from the token-signing
 // secret: hex(HMAC-SHA256(secret, "zerber-admin-v1")). Shards of one
@@ -299,7 +301,7 @@ func (s *Server) registerAdmin(handle func(method, path string, h http.HandlerFu
 		if !s.adminAuthed(w, r) {
 			return
 		}
-		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxImportBytes))
+		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxImportBytes))
 		if err != nil {
 			writeErr(w, r, fmt.Errorf("%w: reading snapshot body: %v", ErrBadRequest, err))
 			return
@@ -331,7 +333,7 @@ func (s *Server) registerAdmin(handle func(method, path string, h http.HandlerFu
 			return
 		}
 		var req ApplyOpsRequest
-		if !decode(w, r, &req, maxImportBytes) {
+		if !decode(w, r, &req, MaxImportBytes) {
 			return
 		}
 		if err := s.ApplyOps(r.Context(), req.Ops); err != nil {

@@ -183,9 +183,9 @@ func (s *Server) QueryBatch(ctx context.Context, toks []crypt.Token, queries []L
 // every element's group) before any element is applied, so a bad
 // operation fails the batch atomically with its index. The validated
 // batch is then handed to the backend as one operation — on a durable
-// store that is a single batched WAL record and (under group commit)
-// one fsync for the whole upload — so a storage failure is a failure
-// of the batch as a unit, not of an index within it.
+// store that is a single batched WAL record and (under -fsync-each)
+// at most one fsync for the whole upload — so a storage failure is a
+// failure of the batch as a unit, not of an index within it.
 func (s *Server) InsertBatch(ctx context.Context, tok crypt.Token, ops []InsertOp) error {
 	if err := checkBatchSize(len(ops)); err != nil {
 		return err

@@ -64,7 +64,7 @@ type ProcConfig struct {
 	TokenTTL time.Duration
 	// Users are repeated -user NAME=G1,G2 registrations.
 	Users []string
-	// ExtraArgs are appended verbatim (commit window, cache size, ...).
+	// ExtraArgs are appended verbatim (fsync policy, cache size, ...).
 	ExtraArgs []string
 	// Logf receives supervisor progress lines; nil silences them.
 	Logf func(format string, args ...interface{})

@@ -30,26 +30,24 @@ type Options struct {
 	// negative disables automatic snapshots (explicit Snapshot and the
 	// WAL still provide durability).
 	SnapshotEvery int
-	// FsyncEach forces an fsync after every logged operation. Without
-	// it, records are pushed to the OS per operation (surviving process
-	// crashes) and fsynced on Snapshot and Close (an OS crash can lose
-	// the tail written since). The torn-record recovery path handles
-	// whatever the crash leaves behind either way.
+	// FsyncEach makes a mutation return only once its log record is on
+	// disk. The fsync runs after every lock is released and is shared:
+	// a writer whose record an fsync that began later already covered
+	// returns without one of its own, so concurrent writers split the
+	// disk round-trips between them and readers never wait on the disk
+	// (a reader may therefore see a mutation whose record the OS holds
+	// but the disk does not yet — what every reader sees without
+	// FsyncEach).
+	// Without it, records are pushed to the OS per operation (surviving
+	// process crashes) and fsynced on Snapshot and Close (an OS crash
+	// can lose the tail written since). The torn-record recovery path
+	// handles whatever the crash leaves behind either way.
 	FsyncEach bool
-	// GroupCommitWindow enables group commit: appenders publish records
-	// into a commit queue and a single committer writes them as one
-	// coalesced buffer — under FsyncEach, one fsync per window of at
-	// most this duration — unblocking each waiter only after its
-	// record's write (and fsync) completed. Zero keeps the synchronous
-	// per-record path. Callers wanting the default batching pass
-	// DefaultCommitWindow explicitly (zerberd's -commit-window does).
-	//
-	// With a window, a mutation is applied to memory when its sequence
-	// is assigned and its caller unblocked when the commit lands, so a
-	// commit failure can leave an op visible in memory but not on disk;
-	// the store poisons itself at that point (mutations refused, the
-	// healing snapshot persists the live state), so the window never
-	// widens silently.
+	// GroupCommitWindow is a no-op, read by nothing: every mutation is
+	// logged under the store's lock before memory changes, and FsyncEach
+	// alone selects the durability level. The field (and
+	// DefaultCommitWindow) remains only because the frozen benchmark
+	// module names it; ROADMAP item 1 (ii) deletes both.
 	GroupCommitWindow time.Duration
 	// Logf, when set, receives operational warnings the store cannot
 	// return to any caller (automatic-snapshot failures, WAL poisoning).
@@ -105,9 +103,8 @@ func newDurableMetrics(r *obs.Registry) durableMetrics {
 // DefaultSnapshotEvery is the automatic compaction threshold.
 const DefaultSnapshotEvery = 1 << 16
 
-// DefaultCommitWindow is the group-commit window servers use unless
-// tuned: long enough to coalesce concurrent appenders' fsyncs, short
-// enough to stay invisible next to a network round-trip.
+// DefaultCommitWindow is a no-op value for the no-op
+// Options.GroupCommitWindow, kept for the same reason.
 const DefaultCommitWindow = 200 * time.Microsecond
 
 // Durable is a crash-safe Backend: a Memory store whose mutations are
@@ -127,16 +124,25 @@ type Durable struct {
 	opsSinceSnap int
 	lastSnapErr  error // most recent automatic-snapshot failure, if any
 
-	// committer owns WAL writes when GroupCommitWindow > 0; nil keeps
-	// the synchronous per-record path.
-	committer *groupCommitter
+	// written mirrors seq for syncThrough, which runs without d.mu: it
+	// is stored once a record is in the OS, so an fsync that starts
+	// after loading it covers every sequence up to it.
+	written atomic.Uint64
 
-	// walErr is the sticky log-write failure, set when the on-disk
-	// state is ambiguous. It lives under its own mutex — not d.mu —
-	// because the committer goroutine sets it while snapshot/drain
-	// paths hold d.mu waiting on that same goroutine. hasPoison
-	// mirrors walErr != nil so the per-mutation health check is one
-	// atomic load, not a lock round-trip.
+	// syncMu guards synced, the highest sequence known to be on disk,
+	// and syncing, set while a writer's fsync is in flight (it runs with
+	// syncMu released; syncDone is broadcast when it returns). Taken
+	// after d.mu when both are held.
+	syncMu   sync.Mutex
+	syncDone sync.Cond // L is &syncMu
+	synced   uint64
+	syncing  bool
+
+	// walErr is the sticky log failure, set when the on-disk state is
+	// ambiguous. It lives under its own mutex — not d.mu — because
+	// syncThrough sets it with no other lock of the store held.
+	// hasPoison mirrors walErr != nil so the per-mutation health check
+	// is one atomic load, not a lock round-trip.
 	poisonMu  sync.Mutex
 	walErr    error
 	hasPoison atomic.Bool
@@ -202,9 +208,8 @@ func OpenDurable(dir string, opt Options) (*Durable, error) {
 		return fail(fmt.Errorf("store: opening WAL: %w", err))
 	}
 	d := &Durable{mem: mem, dir: dir, opt: opt, met: newDurableMetrics(opt.Obs), wal: w, lock: lock, seq: maxSeq, walBase: snapSeq}
-	if opt.GroupCommitWindow > 0 {
-		d.committer = newGroupCommitter(w, opt.GroupCommitWindow, opt.FsyncEach, d.met, d.poison)
-	}
+	d.written.Store(maxSeq)
+	d.syncDone.L = &d.syncMu
 	return d, nil
 }
 
@@ -250,16 +255,11 @@ func loadOrCreateEpoch(path string) (uint64, error) {
 }
 
 // appendLocked logs one payload that consumes ops sequence numbers
-// (1 for a plain record, the batch size for opInsertBatch and
-// opRemoveBatch; the caller encoded firstSeq = d.seq+1 into it).
-// Callers hold d.mu.
-//
-// With group commit the framed record is handed to the committer and
-// a wait function returned: it blocks until the record's coalesced
-// write — and, under FsyncEach, its fsync — completed, and reports
-// the commit's outcome. Callers invoke it after releasing d.mu and
-// every list lock, so readers never stall behind an fsync. Without a
-// committer the record is written synchronously and wait is nil.
+// (the batch size; the caller encoded firstSeq = d.seq+1 into it): the
+// record is framed, written and flushed to the OS before it returns, so
+// the caller mutates memory only for a record a process crash cannot
+// lose. Callers hold d.mu. Under FsyncEach the caller follows up with
+// syncThrough once it has released every lock.
 //
 // A failed write leaves the on-disk log in an ambiguous state: the
 // record may be partially written (a later append would turn that
@@ -267,20 +267,10 @@ func loadOrCreateEpoch(path string) (uint64, error) {
 // failed (a reused sequence number would make recovery double-apply).
 // So any write failure poisons the log — mutations are refused until
 // a snapshot succeeds, which captures the live state, truncates the
-// log in place, and clears the poison. Under group commit the failure
-// can additionally surface after the op was applied to memory; the
-// healing snapshot persists that live state, so memory and disk
-// re-converge rather than diverge further.
-func (d *Durable) appendLocked(payload []byte, ops int) (wait func() error, err error) {
+// log in place, and clears the poison.
+func (d *Durable) appendLocked(payload []byte, ops int) error {
 	if werr := d.poisoned(); werr != nil {
-		return nil, fmt.Errorf("store: WAL poisoned by earlier failure (snapshot to recover): %w", werr)
-	}
-	if d.committer != nil {
-		b, opened := d.committer.enqueue(payload)
-		d.met.walRecords.Inc()
-		d.seq += uint64(ops)
-		d.opsSinceSnap += ops
-		return func() error { return d.committer.waitFor(b, opened) }, nil
+		return poisonedError(werr)
 	}
 	var start time.Time
 	if d.met.walAppend != nil {
@@ -288,52 +278,90 @@ func (d *Durable) appendLocked(payload []byte, ops int) (wait func() error, err 
 	}
 	if err := d.wal.write(frameRecord(payload)); err != nil {
 		d.poison(err)
-		return nil, fmt.Errorf("store: appending WAL record: %w", err)
+		return fmt.Errorf("store: appending WAL record: %w", err)
 	}
 	if d.met.walAppend != nil {
 		d.met.walAppend.Observe(time.Since(start).Seconds())
 	}
 	d.met.walRecords.Inc()
-	// The record is framed in the OS; the sequences are consumed
-	// whether or not the sync below succeeds.
 	d.seq += uint64(ops)
 	d.opsSinceSnap += ops
-	if d.opt.FsyncEach {
-		if d.met.walFsync != nil {
-			start = time.Now()
-		}
-		if err := d.wal.sync(); err != nil {
-			d.poison(err)
-			return nil, fmt.Errorf("store: syncing WAL: %w", err)
-		}
-		if d.met.walFsync != nil {
-			d.met.walFsync.Observe(time.Since(start).Seconds())
-		}
-	}
-	return nil, nil
+	d.written.Store(d.seq)
+	return nil
 }
 
-// walPayloadPool recycles the per-operation payload encode buffers of
-// Insert. appendLocked copies the payload (into the commit
-// batch, or through frameRecord into the buffered writer) before it
-// returns, so the buffer is dead by then and a logged single-record
-// insert allocates nothing for its encoding.
-var walPayloadPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 512)
-	return &b
-}}
-
-// recycleWALPayload returns a pooled encode buffer, keeping grown
-// capacity up to a bound so one giant sealed blob doesn't pin memory.
-func recycleWALPayload(pp *[]byte, payload []byte) {
-	if cap(payload) <= 1<<16 {
-		*pp = payload[:0]
+// syncThrough returns once every record up to seq is on disk; without
+// FsyncEach that is not promised and it returns at once. Callers hold
+// no lock of the store. One writer at a time fsyncs, covering
+// everything written before it began; the others wait for it, and when
+// it returns those it covered leave together while one of the rest —
+// whose records were written during that fsync — runs the next. So
+// concurrent writers pay about two fsyncs between them, a lone writer
+// one, and nobody waits out a window. A writer that loses the race to a
+// snapshot, an import or Close finds its sequence covered as well: they
+// advance the mark under the same mutex.
+//
+// A failed fsync poisons the log like a failed write, and every waiter
+// it did not cover gets the sticky error: the kernel may have dropped
+// the dirty pages, so a later fsync that succeeds proves nothing about
+// them. The operations are in memory and in the OS; the healing
+// snapshot is what persists them.
+func (d *Durable) syncThrough(seq uint64) error {
+	if !d.opt.FsyncEach {
+		return nil
 	}
-	walPayloadPool.Put(pp)
+	d.syncMu.Lock()
+	defer d.syncMu.Unlock()
+	for {
+		if d.synced >= seq {
+			return nil
+		}
+		if werr := d.poisoned(); werr != nil {
+			return poisonedError(werr)
+		}
+		if !d.syncing {
+			break
+		}
+		d.syncDone.Wait()
+	}
+	through := d.written.Load()
+	d.syncing = true
+	d.syncMu.Unlock()
+	var start time.Time
+	if d.met.walFsync != nil {
+		start = time.Now()
+	}
+	err := d.wal.fsync()
+	if err == nil && d.met.walFsync != nil {
+		d.met.walFsync.Observe(time.Since(start).Seconds())
+	}
+	d.syncMu.Lock()
+	d.syncing = false
+	d.syncDone.Broadcast()
+	if err != nil {
+		d.poison(err)
+		return fmt.Errorf("store: syncing WAL: %w", err)
+	}
+	d.synced = through
+	return nil
 }
 
-// poison records a log-write failure. Safe from any goroutine (the
-// committer calls it without d.mu); only the first failure is kept.
+// lockSync takes syncMu once no writer's fsync is in flight, and until
+// the caller releases it none starts: what a snapshot, an import and
+// Close hold while they truncate or close the file.
+func (d *Durable) lockSync() {
+	d.syncMu.Lock()
+	for d.syncing {
+		d.syncDone.Wait()
+	}
+}
+
+func poisonedError(werr error) error {
+	return fmt.Errorf("store: WAL poisoned by earlier failure (snapshot to recover): %w", werr)
+}
+
+// poison records a log write or fsync failure. Safe from any goroutine
+// (syncThrough calls it without d.mu); only the first failure is kept.
 func (d *Durable) poison(err error) {
 	d.poisonMu.Lock()
 	first := d.walErr == nil
@@ -369,9 +397,6 @@ func (d *Durable) clearPoison() {
 	d.hasPoison.Store(false)
 	d.poisonMu.Unlock()
 	d.met.poisoned.Set(0)
-	if d.committer != nil {
-		d.committer.reset()
-	}
 }
 
 // maybeSnapshotLocked compacts when the op threshold is crossed. A
@@ -402,40 +427,19 @@ func (d *Durable) LastSnapshotError() error {
 // Name implements Backend.
 func (d *Durable) Name() string { return "durable" }
 
-// Insert implements Backend: validate nothing (inserts always apply),
-// log, then mutate memory — still under d.mu, so memory-apply order
-// equals log order and recovery replays the identical history. Under
-// group commit the caller then waits out its record's commit after
-// d.mu (and every list lock) is released.
+// Insert implements Backend: an InsertBatch of one.
 func (d *Durable) Insert(list zerber.ListID, el Element) error {
-	d.mu.Lock()
-	if d.closed.Load() {
-		d.mu.Unlock()
-		return ErrClosed
-	}
-	pp := walPayloadPool.Get().(*[]byte)
-	payload := appendWALInsertPayload((*pp)[:0], d.seq+1, list, el)
-	wait, err := d.appendLocked(payload, 1)
-	recycleWALPayload(pp, payload)
-	if err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	d.mem.insert(list, el)
-	d.maybeSnapshotLocked()
-	d.mu.Unlock()
-	if wait != nil {
-		return wait()
-	}
-	return nil
+	return d.InsertBatch([]BatchInsert{{List: list, Element: el}})
 }
 
-// InsertBatch implements Backend: the whole batch is logged as one
-// opInsertBatch record (chunked only if its encoding would breach the
-// record size bound) and applied to memory element by element, each
-// bumping its list's version exactly as N single Inserts would. One
-// record means one length prefix, one CRC, one commit-queue entry and
-// — under FsyncEach — one fsync for the entire batch.
+// InsertBatch implements Backend: validate nothing (inserts always
+// apply), log the whole batch as one opInsertBatch record (chunked only
+// if its encoding would breach the record size bound), then mutate
+// memory element by element, each bumping its list's version exactly as
+// N single Inserts would — all under d.mu, so memory-apply order equals
+// log order and recovery replays the identical history. One record
+// means one length prefix, one CRC, one write and — under FsyncEach —
+// at most one fsync for the entire batch, after d.mu is released.
 func (d *Durable) InsertBatch(ops []BatchInsert) error {
 	if len(ops) == 0 {
 		return nil
@@ -445,32 +449,22 @@ func (d *Durable) InsertBatch(ops []BatchInsert) error {
 		d.mu.Unlock()
 		return ErrClosed
 	}
-	var waits []func() error
 	for len(ops) > 0 {
 		n := batchRecordPrefix(len(ops), func(i int) int { return len(ops[i].Element.Sealed) })
 		chunk := ops[:n]
 		ops = ops[n:]
-		payload := encodeWALBatchPayload(d.seq+1, chunk)
-		wait, err := d.appendLocked(payload, len(chunk))
-		if err != nil {
+		if err := d.appendLocked(encodeWALBatchPayload(d.seq+1, chunk), len(chunk)); err != nil {
 			d.mu.Unlock()
 			return err
-		}
-		if wait != nil {
-			waits = append(waits, wait)
 		}
 		for i := range chunk {
 			d.mem.insert(chunk[i].List, chunk[i].Element)
 		}
 	}
 	d.maybeSnapshotLocked()
+	seq := d.seq
 	d.mu.Unlock()
-	for _, wait := range waits {
-		if err := wait(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return d.syncThrough(seq)
 }
 
 // batchRecordPrefix reports how many of a batch's n remaining ops go
@@ -511,16 +505,9 @@ func (d *Durable) Remove(list zerber.ListID, sealed []byte, allow func(group int
 // snapshot captures the lists as memory holds them, untouched, while a
 // crash before it would replay the chunks that reached the disk.
 //
-// At window=0 readers of the same lists wait out the append — a
-// buffered write normally, a real fsync under FsyncEach. That is
-// deliberate: moving the fsync after the lock would let a reader
-// observe a version whose record the OS may still lose. With group
-// commit only the enqueue happens under the locks; the commit wait
-// runs after both d.mu and the list locks are released, so an fsync in
-// flight never stalls a reader — the reader-visible durability there
-// matches FsyncEach=false (a record a reader observed may still be in
-// the commit queue when the OS dies), which is the documented trade
-// of turning the window on.
+// Readers of the same lists wait out the append — a buffered write —
+// and nothing else: under FsyncEach the fsync runs after d.mu and the
+// list locks are released (syncThrough).
 func (d *Durable) RemoveBatch(ops []BatchRemove, allow func(group int) bool) error {
 	if len(ops) == 0 {
 		return nil
@@ -530,16 +517,11 @@ func (d *Durable) RemoveBatch(ops []BatchRemove, allow func(group int) bool) err
 		d.mu.Unlock()
 		return ErrClosed
 	}
-	var waits []func() error
 	err := d.mem.removeBatch(ops, allow, func() error {
 		for rest := ops; len(rest) > 0; {
 			n := batchRecordPrefix(len(rest), func(i int) int { return len(rest[i].Sealed) })
-			wait, err := d.appendLocked(encodeWALRemoveBatchPayload(d.seq+1, rest[:n]), n)
-			if err != nil {
+			if err := d.appendLocked(encodeWALRemoveBatchPayload(d.seq+1, rest[:n]), n); err != nil {
 				return err
-			}
-			if wait != nil {
-				waits = append(waits, wait)
 			}
 			rest = rest[n:]
 		}
@@ -550,13 +532,9 @@ func (d *Durable) RemoveBatch(ops []BatchRemove, allow func(group int) bool) err
 		return err
 	}
 	d.maybeSnapshotLocked()
+	seq := d.seq
 	d.mu.Unlock()
-	for _, wait := range waits {
-		if err := wait(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return d.syncThrough(seq)
 }
 
 // Snapshot writes the full state atomically and truncates the WAL —
@@ -583,18 +561,20 @@ func (d *Durable) snapshotLocked() (err error) {
 			}
 		}()
 	}
-	// Outstanding group-commit batches must settle before the snapshot
-	// claims seq; drain is safe here because the committer never takes
-	// d.mu. A failed drain has already poisoned the log, and the
-	// snapshot itself is then the recovery path.
-	if d.committer != nil {
-		_ = d.committer.drain()
-	}
+	// Every logged record is in the file (appendLocked flushed it before
+	// d.mu was released); holding syncMu from here on means a writer
+	// still waiting for its fsync finds its sequence covered by this
+	// snapshot instead of syncing a log that is being truncated.
+	d.lockSync()
+	defer d.syncMu.Unlock()
 	// With a healthy log, put it on disk before the snapshot claims
-	// its sequence. With a poisoned log the snapshot itself is the
+	// its sequence; a failure poisons like any failed fsync (the error
+	// is reported once per file, and a waiter's later fsync must not
+	// pass for it). With a poisoned log the snapshot itself is the
 	// recovery path — it is fsynced and holds everything up to seq —
 	// so a failing sync must not block it.
 	if err := d.wal.sync(); err != nil && d.poisoned() == nil {
+		d.poison(err)
 		return fmt.Errorf("store: syncing WAL before snapshot: %w", err)
 	}
 	if err := writeSnapshot(filepath.Join(d.dir, snapFileName), d.seq, d.mem); err != nil {
@@ -611,6 +591,7 @@ func (d *Durable) snapshotLocked() (err error) {
 	// The snapshot captured the live state and the log restarted
 	// empty, so any earlier ambiguous write is moot.
 	d.clearPoison()
+	d.synced = d.seq
 	d.opsSinceSnap = 0
 	d.walBase = d.seq
 	return nil
@@ -698,14 +679,17 @@ func (d *Durable) Close() error {
 	if d.closed.Swap(true) {
 		return nil
 	}
-	var err error
-	if d.committer != nil {
-		err = d.committer.drain()
-		d.committer.stop()
+	// Under syncMu, and poisoning on failure: a writer still waiting for
+	// its fsync then finds its sequence covered or the sticky error, and
+	// never syncs the closed file.
+	d.lockSync()
+	err := d.wal.close()
+	if err == nil {
+		d.synced = d.seq
+	} else {
+		d.poison(err)
 	}
-	if cerr := d.wal.close(); err == nil {
-		err = cerr
-	}
+	d.syncMu.Unlock()
 	if uerr := unlockDir(d.lock); err == nil {
 		err = uerr
 	}

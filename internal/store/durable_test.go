@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"zerberr/internal/zerber"
 )
@@ -260,14 +259,12 @@ func TestDurableStaleWALAfterSnapshot(t *testing.T) {
 // must leave Durable equal to a plain Memory reference, before and
 // after recovery.
 func TestDurableRandomizedRoundTrip(t *testing.T) {
-	windows := []time.Duration{0, 50 * time.Microsecond, DefaultCommitWindow}
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			opt := Options{
-				SnapshotEvery:     25 + rng.Intn(50),
-				FsyncEach:         seed%2 == 0,
-				GroupCommitWindow: windows[seed%int64(len(windows))],
+				SnapshotEvery: 25 + rng.Intn(50),
+				FsyncEach:     seed%2 == 0,
 			}
 			d, err := OpenDurable(t.TempDir(), opt)
 			if err != nil {

@@ -109,8 +109,9 @@ func walSeedPayloads() map[string][]byte {
 	overcount := encodeWALRemoveBatchPayload(12, removes)
 	overcount[2] = 100 // seq, op, count: the count byte
 	return map[string][]byte{
-		"seed_insert": appendWALInsertPayload(nil, 5, 7, el("s2", 1.5, 3)),
-		// Kind 2 has no encoder left: seq 6, op, list 7, length, "s2".
+		// Kinds 1 and 2 have no encoder left. Seq 5, op, list 7, element;
+		// seq 6, op, list 7, length, "s2".
+		"seed_insert":                 AppendElement([]byte{5, opInsert, 7}, el("s2", 1.5, 3)),
 		"seed_remove":                 []byte("\x06\x02\x07\x02s2"),
 		"seed_insert_batch":           encodeWALBatchPayload(9, inserts),
 		"seed_remove_batch":           encodeWALRemoveBatchPayload(12, removes),

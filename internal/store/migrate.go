@@ -113,11 +113,10 @@ func (d *Durable) ImportSnapshot(data []byte) error {
 	if err != nil {
 		return err
 	}
-	// Settle in-flight group commits before truncating the log they
-	// are writing to (no new ones can form — we hold d.mu).
-	if d.committer != nil {
-		_ = d.committer.drain()
-	}
+	// A writer still waiting for its fsync must not sync the log while
+	// it is truncated; it finds its sequence covered instead.
+	d.lockSync()
+	defer d.syncMu.Unlock()
 	// Keep this directory's epoch for lists minted after the import;
 	// imported lists carry the source's persisted versions.
 	mem.verBase = d.mem.verBase
@@ -131,16 +130,16 @@ func (d *Durable) ImportSnapshot(data []byte) error {
 	// The snapshot captured the imported state and the log restarted
 	// empty: any earlier ambiguous write is moot, same as snapshotLocked.
 	d.clearPoison()
+	d.synced = d.seq
 	d.opsSinceSnap = 0
 	d.walBase = d.seq
 	return nil
 }
 
 // TailSince implements Backend for Durable: the decoded WAL records
-// with sequence > after, in log order. Synchronous appends flush each
-// record to the file before returning; with group commit the drain
-// below is the barrier that flushes the queue — either way the scan
-// under d.mu observes every logged operation.
+// with sequence > after, in log order. Every append flushes its record
+// to the file before d.mu is released, so the scan under d.mu observes
+// every logged operation.
 func (d *Durable) TailSince(after uint64) ([]TailOp, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -152,11 +151,6 @@ func (d *Durable) TailSince(after uint64) ([]TailOp, error) {
 	}
 	if after < d.walBase {
 		return nil, fmt.Errorf("%w: log restarts at seq %d, tail requested after %d", ErrTailTruncated, d.walBase, after)
-	}
-	if d.committer != nil {
-		if err := d.committer.drain(); err != nil {
-			return nil, fmt.Errorf("store: flushing commit queue for tail export: %w", err)
-		}
 	}
 	var ops []TailOp
 	err := readWALTail(filepath.Join(d.dir, walFileName), after, func(rec walRecord) {

@@ -284,14 +284,15 @@ func TestRemoveBatchAllowSeesVictims(t *testing.T) {
 }
 
 // TestRemoveBatchRecovery: a Durable fed batched removes recovers —
-// from the WAL alone, and from a snapshot plus the WAL tail, under
-// both commit modes — to what the oracle's single removes produced;
+// from the WAL alone, and from a snapshot plus the WAL tail, with and
+// without an fsync per batch — to what the oracle's single removes
+// produced;
 // each batch is one WAL record, expanded to per-element removes in the
 // tail export.
 func TestRemoveBatchRecovery(t *testing.T) {
 	for _, opt := range []Options{
 		{SnapshotEvery: -1},
-		{SnapshotEvery: -1, FsyncEach: true, GroupCommitWindow: DefaultCommitWindow},
+		{SnapshotEvery: -1, FsyncEach: true},
 	} {
 		dur, err := OpenDurable(t.TempDir(), opt)
 		if err != nil {
@@ -495,12 +496,20 @@ func TestRemoveBatchOppositeListOrder(t *testing.T) {
 
 // TestConcurrentBatchesRecover: writers insert and remove documents —
 // batches over several shared lists — while a reader queries and
-// audits and automatic snapshots compact the log under them, through
-// the commit queue. Whatever order the store serialized them in, a
-// restart must recover exactly the state it held: content, versions
-// and commitments of every list.
+// audits and automatic snapshots compact the log under them, with and
+// without an fsync per batch (under FsyncEach the snapshots race the
+// writers waiting for theirs). Whatever order the store serialized
+// them in, a restart must recover exactly the state it held: content,
+// versions and commitments of every list.
 func TestConcurrentBatchesRecover(t *testing.T) {
-	opt := Options{SnapshotEvery: 300, GroupCommitWindow: DefaultCommitWindow}
+	for _, fsync := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fsync=%v", fsync), func(t *testing.T) {
+			concurrentBatchesRecover(t, Options{SnapshotEvery: 300, FsyncEach: fsync})
+		})
+	}
+}
+
+func concurrentBatchesRecover(t *testing.T, opt Options) {
 	d, err := OpenDurable(t.TempDir(), opt)
 	if err != nil {
 		t.Fatal(err)

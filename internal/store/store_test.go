@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"time"
 
 	"zerberr/internal/zerber"
 )
@@ -19,11 +18,10 @@ func backends(t *testing.T) map[string]Backend {
 		t.Fatalf("OpenDurable: %v", err)
 	}
 	t.Cleanup(func() { d.Close() })
-	// The grouped instance routes every append through the commit
-	// queue (FsyncEach makes the committer actually wait out the
-	// window), so the whole contract suite doubles as a group-commit
-	// correctness suite.
-	g, err := OpenDurable(t.TempDir(), Options{FsyncEach: true, GroupCommitWindow: 50 * time.Microsecond})
+	// The grouped instance fsyncs every mutation after its locks are
+	// released, its concurrent writers sharing fsyncs, so the whole
+	// contract suite doubles as a correctness suite for that path.
+	g, err := OpenDurable(t.TempDir(), Options{FsyncEach: true})
 	if err != nil {
 		t.Fatalf("OpenDurable (grouped): %v", err)
 	}

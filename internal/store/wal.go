@@ -38,17 +38,18 @@ import (
 //
 // An insertBatch record is N inserts under one frame: seq is the
 // first element's sequence and the record consumes seq..seq+count-1,
-// so a batch costs one length prefix, one CRC and (under group
-// commit) one fsync instead of N. List IDs are delta-encoded against
+// so a batch costs one length prefix, one CRC and (under FsyncEach)
+// at most one fsync instead of N. List IDs are delta-encoded against
 // the previous entry — the ZIDX1 idiom — because batches are usually
 // sorted or single-list. Torn-tail recovery is per frame: a torn
 // batch drops whole, never half-applied.
 //
 // A removeBatch record is the same for N removes, in the order the
 // batch named them. Decoding expands either batch kind into per-element
-// records, so replay, tail export and migration never see a batch; logs
-// holding single remove records (all a store wrote before batched
-// removes) still replay.
+// records, so replay, tail export and migration never see a batch.
+// Nothing writes the single insert and remove records any more — a
+// single operation is logged as a batch of one — but logs written
+// before that hold them, so they still decode and replay.
 
 var walMagic = []byte("ZWAL1")
 
@@ -84,34 +85,14 @@ type walRecord struct {
 	sealed []byte
 }
 
-// appendFrame appends a payload in the on-disk framing — length
-// prefix, payload, trailing CRC — to dst. Framing in place is what
-// lets the group committer build a coalesced batch buffer without a
-// per-record allocation.
-func appendFrame(dst, payload []byte) []byte {
+// frameRecord wraps a payload in the on-disk framing — length prefix,
+// payload, trailing CRC — returning bytes ready for one contiguous
+// write.
+func frameRecord(payload []byte) []byte {
+	dst := make([]byte, 0, binary.MaxVarintLen64+len(payload)+4)
 	dst = binary.AppendUvarint(dst, uint64(len(payload)))
 	dst = append(dst, payload...)
 	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-}
-
-// frameRecord wraps a payload in the on-disk framing, returning bytes
-// ready for one contiguous write.
-func frameRecord(payload []byte) []byte {
-	return appendFrame(make([]byte, 0, binary.MaxVarintLen64+len(payload)+4), payload)
-}
-
-// appendWALInsertPayload encodes one insert onto buf. Insert passes a
-// pooled buffer: the payload is copied into the commit batch (or the
-// WAL's buffered writer) before append returns, so the bytes never
-// outlive the call and single-record inserts stay allocation free.
-// (Nothing encodes its opRemove counterpart any more — a remove is
-// logged as an opRemoveBatch, of one if need be — but old logs hold
-// it, so decodeWALRecords still reads it.)
-func appendWALInsertPayload(buf []byte, seq uint64, list zerber.ListID, el Element) []byte {
-	buf = binary.AppendUvarint(buf, seq)
-	buf = append(buf, opInsert)
-	buf = binary.AppendUvarint(buf, uint64(list))
-	return AppendElement(buf, el)
 }
 
 // encodeWALBatchPayload encodes N inserts as one opInsertBatch
@@ -259,6 +240,9 @@ func (c *byteCursor) walBody(rec *walRecord) error {
 type wal struct {
 	f  *os.File
 	bw *bufio.Writer
+	// syncFile replaces f.Sync when set: the seam tests use to hold,
+	// fail or count the store's fsyncs.
+	syncFile func() error
 }
 
 // createWAL truncates (or creates) the log at path, writes the header,
@@ -296,10 +280,10 @@ func openWALForAppend(path string) (*wal, error) {
 	return &wal{f: f, bw: bufio.NewWriter(f)}, nil
 }
 
-// write pushes pre-framed bytes (one record, or a group committer's
-// coalesced run of records) to the OS. The data is crash-consistent
-// with respect to process death after write returns; call sync for
-// durability across OS crashes too.
+// write pushes one pre-framed record to the OS, leaving nothing in the
+// buffered writer. The data is crash-consistent with respect to process
+// death after write returns; call sync for durability across OS crashes
+// too.
 func (w *wal) write(frame []byte) error {
 	if _, err := w.bw.Write(frame); err != nil {
 		return err
@@ -322,6 +306,16 @@ func (w *wal) reset() error {
 	if err := w.bw.Flush(); err != nil {
 		return err
 	}
+	return w.fsync()
+}
+
+// fsync puts what write has pushed to the OS on disk. Unlike every
+// other method it touches no buffered state, so it is safe beside a
+// concurrent write.
+func (w *wal) fsync() error {
+	if w.syncFile != nil {
+		return w.syncFile()
+	}
 	return w.f.Sync()
 }
 
@@ -329,7 +323,7 @@ func (w *wal) sync() error {
 	if err := w.bw.Flush(); err != nil {
 		return err
 	}
-	return w.f.Sync()
+	return w.fsync()
 }
 
 func (w *wal) close() error {

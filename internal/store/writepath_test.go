@@ -1,8 +1,8 @@
 package store
 
-// Tests for the write-path overhaul: group commit, batched WAL
-// records, and the durability contract they share with the synchronous
-// per-operation path.
+// Tests for the write path: batched WAL records, the log-then-apply
+// ordering and the recovery contract, with and without an fsync per
+// mutation (the shared fsync itself is fsync_test.go's).
 
 import (
 	"bufio"
@@ -17,7 +17,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"zerberr/internal/zerber"
 )
@@ -112,21 +111,13 @@ func TestInsertBatchSingleWALRecord(t *testing.T) {
 	want := dump(t, d)
 	wantVer := mustVersion(t, d, 7)
 
-	// Replay identity, through both the synchronous and the grouped
-	// open paths — a batched-record data dir is one data dir.
+	// Replay identity.
 	d = reopen(t, d, Options{SnapshotEvery: -1})
 	if got := dump(t, d); !reflect.DeepEqual(got, want) {
 		t.Fatal("state after batched-WAL recovery differs")
 	}
 	if v := mustVersion(t, d, 7); v != wantVer {
 		t.Fatalf("recovered version %d, want %d", v, wantVer)
-	}
-	d = reopen(t, d, Options{SnapshotEvery: -1, GroupCommitWindow: DefaultCommitWindow})
-	if got := dump(t, d); !reflect.DeepEqual(got, want) {
-		t.Fatal("state after grouped reopen differs")
-	}
-	if v := mustVersion(t, d, 7); v != wantVer {
-		t.Fatalf("grouped reopen version %d, want %d", v, wantVer)
 	}
 }
 
@@ -163,68 +154,15 @@ func TestInsertBatchChunksOversizedRecord(t *testing.T) {
 	}
 }
 
-// TestGroupCommitReadDuringFsync is the lock-scope fix's proof: while
-// a durable mutation sits in the commit window waiting for its fsync,
-// a concurrent read of the same list completes — the list lock is
-// released before the wait, so readers only ever wait on memory locks,
-// never on the disk.
-func TestGroupCommitReadDuringFsync(t *testing.T) {
-	const window = 150 * time.Millisecond
-	d, err := OpenDurable(t.TempDir(), Options{
-		SnapshotEvery:     -1,
-		FsyncEach:         true,
-		GroupCommitWindow: window,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	seed := make([]BatchInsert, 4)
-	for i := range seed {
-		seed[i] = BatchInsert{List: 1, Element: el(fmt.Sprintf("g%d", i), float64(i), 0)}
-	}
-	if err := d.InsertBatch(seed); err != nil {
-		t.Fatal(err)
-	}
-
-	removeDone := make(chan time.Time, 1)
-	go func() {
-		if err := d.Remove(1, []byte("g0"), nil); err != nil {
-			t.Error(err)
-		}
-		removeDone <- time.Now()
-	}()
-	// Let the remove apply to memory and enqueue its record; it then
-	// sits out the commit window before its fsync completes.
-	time.Sleep(window / 5)
-	res, err := d.Query(1, nil, 0, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queryDone := time.Now()
-	if !queryDone.Before(<-removeDone) {
-		t.Fatal("read blocked behind an in-flight group commit")
-	}
-	// Memory-ahead semantics: the pending remove is already visible.
-	if len(res.Elements) != len(seed)-1 {
-		t.Fatalf("query during commit saw %d elements, want %d", len(res.Elements), len(seed)-1)
-	}
-}
-
-// TestGroupCommitTornCoalescedBuffer crashes a store mid-coalesced
-// write: concurrent grouped appends build multi-record commit buffers,
-// and the WAL is then truncated at frame boundaries and mid-frame.
+// TestConcurrentAppendsTornTail crashes a store mid-write: concurrent
+// writers sharing fsyncs interleave single and batched records in the
+// log, which is then truncated at frame boundaries and mid-frame.
 // Recovery must keep exactly the fully-framed records and drop the
-// torn tail, never failing — the frame, not the coalesced buffer, is
-// the recovery unit.
-func TestGroupCommitTornCoalescedBuffer(t *testing.T) {
+// torn tail, never failing — the frame is the recovery unit.
+func TestConcurrentAppendsTornTail(t *testing.T) {
 	base := t.TempDir()
 	master := filepath.Join(base, "master")
-	d, err := OpenDurable(master, Options{
-		SnapshotEvery:     -1,
-		FsyncEach:         true,
-		GroupCommitWindow: 5 * time.Millisecond,
-	})
+	d, err := OpenDurable(master, Options{SnapshotEvery: -1, FsyncEach: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +231,7 @@ func TestGroupCommitTornCoalescedBuffer(t *testing.T) {
 	}
 
 	// Cut at every boundary, one byte past it (torn length prefix), and
-	// mid-frame — the shapes a crash mid-coalesced-write leaves behind.
+	// mid-frame — the shapes a crash mid-write leaves behind.
 	cuts := []int64{int64(len(walMagic))}
 	prev := int64(len(walMagic))
 	for _, f := range boundaries {
@@ -349,16 +287,15 @@ func TestGroupCommitTornCoalescedBuffer(t *testing.T) {
 
 // TestGroupCommitReplayEquivalence is the write-path property test:
 // the same randomized history — singles, batches, removes — applied
-// through the synchronous path, the grouped path, and the grouped
-// fsync path must match a RAM-only reference before recovery and after
-// it. Each durable is then reopened under a different commit
-// configuration than wrote it, pinning that the on-disk format carries
-// no trace of how it was committed.
+// without an fsync per mutation and with one (the configuration whose
+// writers commit as a group, by sharing fsyncs) must match a RAM-only
+// reference before recovery and after it. Each durable is then
+// reopened under the other configuration, pinning that the on-disk
+// format carries no trace of how it was committed.
 func TestGroupCommitReplayEquivalence(t *testing.T) {
 	opts := []Options{
 		{SnapshotEvery: -1},
-		{SnapshotEvery: -1, GroupCommitWindow: 50 * time.Microsecond},
-		{SnapshotEvery: -1, FsyncEach: true, GroupCommitWindow: 200 * time.Microsecond},
+		{SnapshotEvery: -1, FsyncEach: true},
 	}
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -434,75 +371,95 @@ func TestGroupCommitReplayEquivalence(t *testing.T) {
 	}
 }
 
-// TestGroupCommitPoisonAndHeal is the poison test through the commit
-// queue: a failed coalesced commit errors its waiter, sticks (later
-// mutations are refused before touching the queue — a write after a
-// possibly-torn run would bury the damage beyond torn-tail recovery),
-// and a successful snapshot clears it. Unlike the synchronous path,
-// the failed operation is already in memory — the healing snapshot
-// persists it, which is the documented memory-ahead-of-log contract.
-func TestGroupCommitPoisonAndHeal(t *testing.T) {
-	var logged []string
-	d, err := OpenDurable(t.TempDir(), Options{
-		SnapshotEvery:     -1,
-		GroupCommitWindow: DefaultCommitWindow,
-		Logf:              func(f string, a ...any) { logged = append(logged, fmt.Sprintf(f, a...)) },
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestFailedAppendNeverReachesMemory: in every configuration a
+// mutation whose log write fails changes nothing a reader can observe —
+// no element, no version, no commitment — because the record is written
+// before memory is touched. The failure poisons the store (the next
+// mutation is refused untouched too), a snapshot heals it, and a
+// restart recovers the live state.
+func TestFailedAppendNeverReachesMemory(t *testing.T) {
+	mutations := map[string]func(d *Durable) error{
+		"Insert": func(d *Durable) error { return d.Insert(1, el("new", 5, 0)) },
+		"InsertBatch": func(d *Durable) error {
+			return d.InsertBatch([]BatchInsert{{List: 1, Element: el("new-1", 5, 0)}, {List: 2, Element: el("new-2", 6, 1)}})
+		},
+		"RemoveBatch": func(d *Durable) error {
+			return d.RemoveBatch([]BatchRemove{{List: 1, Sealed: []byte("a1")}, {List: 2, Sealed: []byte("b1")}}, nil)
+		},
 	}
-	defer d.Close()
-	if err := d.Insert(1, el("ok", 1, 0)); err != nil {
-		t.Fatal(err)
+	type listState struct {
+		n          int
+		version    uint64
+		commitment Commitment
 	}
-	// Sabotage the committer's log handle (under its lock, the way
-	// commitPending captures it).
-	g := d.committer
-	broken, err := os.Open(filepath.Join(d.dir, walFileName)) // read-only: writes fail
-	if err != nil {
-		t.Fatal(err)
+	observe := func(t *testing.T, d *Durable) map[zerber.ListID]listState {
+		t.Helper()
+		out := map[zerber.ListID]listState{}
+		for _, list := range []zerber.ListID{1, 2} {
+			c, err := d.Commitment(list)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[list] = listState{mustLen(t, d, list), mustVersion(t, d, list), c}
+		}
+		return out
 	}
-	g.mu.Lock()
-	realWAL := g.w
-	g.w = &wal{f: broken, bw: bufio.NewWriterSize(broken, 16)}
-	g.mu.Unlock()
-
-	if err := d.Insert(1, el("fails", 2, 0)); err == nil {
-		t.Fatal("insert over broken WAL succeeded")
-	}
-	// Memory-ahead: the operation was applied at sequence assignment;
-	// only its durability failed.
-	if mustLen(t, d, 1) != 2 {
-		t.Fatalf("list holds %d elements, want 2 (memory applies ahead of the log)", mustLen(t, d, 1))
-	}
-	// Sticky: refused before reaching the queue.
-	if err := d.Insert(1, el("refused", 3, 0)); err == nil || !strings.Contains(err.Error(), "poisoned") {
-		t.Fatalf("expected poisoned error, got %v", err)
-	}
-	if mustLen(t, d, 1) != 2 {
-		t.Fatal("refused insert reached memory")
-	}
-	if len(logged) == 0 {
-		t.Fatal("poisoning was not logged")
-	}
-	// Heal: restore the log and snapshot. The snapshot captures live
-	// memory — including the failed-but-applied element — truncates the
-	// ambiguous log, and clears both the store's and the committer's
-	// sticky state.
-	g.mu.Lock()
-	g.w = realWAL
-	g.mu.Unlock()
-	broken.Close()
-	if err := d.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Insert(1, el("healed", 4, 0)); err != nil {
-		t.Fatalf("insert after healing snapshot: %v", err)
-	}
-	want := dump(t, d)
-	d = reopen(t, d, Options{GroupCommitWindow: DefaultCommitWindow})
-	if got := dump(t, d); !reflect.DeepEqual(got, want) {
-		t.Fatal("state after heal + recovery differs")
+	for _, fsync := range []bool{false, true} {
+		for name, mutate := range mutations {
+			t.Run(fmt.Sprintf("fsync=%v/%s", fsync, name), func(t *testing.T) {
+				// The window is what every deployment still passes; it
+				// selects nothing.
+				d, err := OpenDurable(t.TempDir(), Options{FsyncEach: fsync, GroupCommitWindow: DefaultCommitWindow})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer func() { d.Close() }()
+				seed := []BatchInsert{
+					{List: 1, Element: el("a1", 1, 0)}, {List: 1, Element: el("a2", 2, 1)},
+					{List: 2, Element: el("b1", 1, 0)}, {List: 2, Element: el("b2", 2, 1)},
+				}
+				if err := d.InsertBatch(seed); err != nil {
+					t.Fatal(err)
+				}
+				before := observe(t, d)
+				// Sabotage the log as TestDurableWALPoisonAndHeal does: a
+				// read-only handle, so the record's flush fails.
+				realWAL := d.wal
+				broken, err := os.Open(filepath.Join(d.dir, walFileName))
+				if err != nil {
+					t.Fatal(err)
+				}
+				d.wal = &wal{f: broken, bw: bufio.NewWriterSize(broken, 16)}
+				if err := mutate(d); err == nil {
+					t.Fatal("mutation over a broken WAL succeeded")
+				}
+				if got := observe(t, d); !reflect.DeepEqual(got, before) {
+					t.Fatalf("failed append reached memory: lists went from %+v to %+v", before, got)
+				}
+				if err := mutate(d); err == nil || !strings.Contains(err.Error(), "poisoned") {
+					t.Fatalf("next mutation: %v, want the poisoned refusal", err)
+				}
+				if got := observe(t, d); !reflect.DeepEqual(got, before) {
+					t.Fatal("refused mutation reached memory")
+				}
+				broken.Close()
+				d.wal = realWAL
+				if err := d.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+				if err := mutate(d); err != nil {
+					t.Fatalf("mutation after the healing snapshot: %v", err)
+				}
+				want, wantState := dump(t, d), observe(t, d)
+				d = reopen(t, d, Options{FsyncEach: fsync})
+				if got := dump(t, d); !reflect.DeepEqual(got, want) {
+					t.Fatal("state after heal + recovery differs")
+				}
+				if got := observe(t, d); !reflect.DeepEqual(got, wantState) {
+					t.Fatalf("versions or commitments after recovery: %+v, want %+v", got, wantState)
+				}
+			})
+		}
 	}
 }
 
