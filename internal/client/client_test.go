@@ -296,7 +296,7 @@ func TestTamperedElementSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.srv.Insert(context.Background(), toks[evil.Group], list, evil); err != nil {
+	if err := InsertOne(context.Background(), h.srv.InsertBatch, toks[evil.Group], list, evil); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := h.cl.Search(context.Background(), []corpus.TermID{term}, 5, WithSerial(), WithInitialResponse(10)); !errors.Is(err, crypt.ErrDecrypt) {

@@ -107,23 +107,23 @@ func TestServerRemoveACL(t *testing.T) {
 		t.Fatal(err)
 	}
 	el := server.StoredElement{Sealed: []byte("payload"), TRS: 0.5, Group: 0}
-	if err := srv.Insert(context.Background(), aTok[0], 1, el); err != nil {
+	if err := InsertOne(context.Background(), srv.InsertBatch, aTok[0], 1, el); err != nil {
 		t.Fatal(err)
 	}
 	// b cannot remove a's element.
-	if err := srv.Remove(context.Background(), bTok[0], 1, []byte("payload")); !errors.Is(err, server.ErrForbidden) {
+	if err := RemoveOne(context.Background(), srv.RemoveBatch, bTok[0], 1, []byte("payload")); !errors.Is(err, server.ErrForbidden) {
 		t.Fatalf("cross-group remove err = %v", err)
 	}
 	// Unknown payload.
-	if err := srv.Remove(context.Background(), aTok[0], 1, []byte("nope")); !errors.Is(err, server.ErrNotFound) {
+	if err := RemoveOne(context.Background(), srv.RemoveBatch, aTok[0], 1, []byte("nope")); !errors.Is(err, server.ErrNotFound) {
 		t.Fatalf("unknown payload err = %v", err)
 	}
 	// Unknown list.
-	if err := srv.Remove(context.Background(), aTok[0], 9, []byte("payload")); !errors.Is(err, server.ErrUnknownList) {
+	if err := RemoveOne(context.Background(), srv.RemoveBatch, aTok[0], 9, []byte("payload")); !errors.Is(err, server.ErrUnknownList) {
 		t.Fatalf("unknown list err = %v", err)
 	}
 	// Legit removal works and empties the list.
-	if err := srv.Remove(context.Background(), aTok[0], 1, []byte("payload")); err != nil {
+	if err := RemoveOne(context.Background(), srv.RemoveBatch, aTok[0], 1, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
 	if srv.ListLen(1) != 0 {

@@ -57,7 +57,7 @@ func newCancelCluster(t *testing.T, wrap func(client.Transport) client.Transport
 		}
 		for list := zerber.ListID(0); list < 4; list++ {
 			el := server.StoredElement{Sealed: []byte{byte(i), byte(list)}, TRS: 0.5, Group: 0}
-			if err := srv.Insert(context.Background(), toks[0], list, el); err != nil {
+			if err := client.InsertOne(context.Background(), srv.InsertBatch, toks[0], list, el); err != nil {
 				t.Fatal(err)
 			}
 		}

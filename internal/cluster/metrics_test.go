@@ -91,7 +91,7 @@ func TestMetricsScrapeExposition(t *testing.T) {
 		}
 	}
 	for i := 0; i < 2; i++ { // second pass hits srv0's result cache
-		if _, err := srv0.Query(ctx, toks, 0, 0, 1); err != nil {
+		if _, _, err := (client.Local{S: srv0}).Query(ctx, toks, 0, 0, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

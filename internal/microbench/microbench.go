@@ -71,7 +71,8 @@ type Bench struct {
 //     client.self_ms, mixed with ranking and bookkeeping.
 //   - StoreAppend*, StoreMemoryInsert: the durable write path against
 //     its RAM floor, with and without a real fsync (benchmark/ runs
-//     one fsync policy on one disk).
+//     one fsync policy on one disk), into lists that stop at `mixed`'s
+//     120 elements (benchPostingList) so ns/op does not grow with b.N.
 //   - StoreRemoveBatch: one document's removal (64 elements, one per
 //     list) through server.RemoveBatch on lists of `mixed`'s length,
 //     without the clients, the wire and the three other servers that
@@ -95,12 +96,12 @@ func Suite() []Bench {
 		{Name: "ProofQuery/proved", F: proofQueryProved, MaxAllocs: 158},
 		{Name: "ProofQuery/after-write", F: proofQueryAfterWrite},
 		{Name: "ProofQuery/verify", F: proofQueryVerify, MaxAllocs: 2},
-		{Name: "StoreAppend", F: storeAppend},
-		{Name: "StoreAppend/fsync=true", F: storeAppendFsync},
-		{Name: "StoreRemoveBatch", F: storeRemoveBatch, MaxAllocs: 28},
-		{Name: "StoreAppendParallel/fsync=false", F: func(b *testing.B) { appendParallel(b, false) }},
-		{Name: "StoreAppendParallel/fsync=true", F: func(b *testing.B) { appendParallel(b, true) }},
-		{Name: "StoreMemoryInsert", F: memoryInsert},
+		{Name: "StoreAppend/list=120", F: storeAppend},
+		{Name: "StoreAppend/fsync=true/list=120", F: storeAppendFsync},
+		{Name: "StoreRemoveBatch", F: storeRemoveBatch, MaxAllocs: 22},
+		{Name: "StoreAppendParallel/fsync=false/list=120", F: func(b *testing.B) { appendParallel(b, false) }},
+		{Name: "StoreAppendParallel/fsync=true/list=120", F: func(b *testing.B) { appendParallel(b, true) }},
+		{Name: "StoreMemoryInsert/list=120", F: memoryInsert},
 		{Name: "StoreRecover/first-query/mmap", F: storeRecoverMmap},
 		{Name: "StoreRecover/wal-only", F: storeRecoverWAL},
 		{Name: "StoreRecover/snapshot", F: storeRecoverSnapshot},
@@ -135,20 +136,17 @@ var followupRounds = []server.ListQuery{
 var fixtureAllowed = map[int]bool{0: true, 2: true, 4: true, 6: true}
 
 // newBigList builds a 120k-element merged list spread over 8 groups,
-// warmed so the per-group runs are compacted.
+// loaded as one batch.
 func newBigList() *store.Memory {
 	rng := rand.New(rand.NewSource(3))
 	m := store.NewMemory()
-	for i := 0; i < fixtureElems; i++ {
+	ops := make([]store.BatchInsert, fixtureElems)
+	for i := range ops {
 		sealed := make([]byte, 64)
 		rng.Read(sealed)
-		el := store.Element{Sealed: sealed, TRS: rng.Float64(), Group: i % fixtureGroups}
-		if err := m.Insert(fixtureList, el); err != nil {
-			panic(err)
-		}
+		ops[i] = store.BatchInsert{List: fixtureList, Element: store.Element{Sealed: sealed, TRS: rng.Float64(), Group: i % fixtureGroups}}
 	}
-	// Fold the pending buffers in, as a warmed server would have.
-	if _, err := m.Query(fixtureList, fixtureAllowed, 0, 1); err != nil {
+	if err := m.InsertBatch(ops); err != nil {
 		panic(err)
 	}
 	return m
@@ -310,9 +308,9 @@ var writeList = sync.OnceValue(newBigList)
 
 // proofQueryAfterWrite prices what a write costs the next audit: one
 // insert at a random rank of one group, then one proved window. The
-// insert shifts every later leaf of its group, so the window pays the
-// fold, the re-hash of the interior nodes from the insert's rank to
-// the end of the run (O(n − p), half a 15k-leaf group on average) and
+// insert shifts every later element and leaf of its group, so the
+// write pays that shift, and the window the re-hash of the interior
+// nodes from the insert's rank to the end of the run (O(n − p), half a 15k-leaf group on average) and
 // then the O(log n) proof — the part ProofQuery/proved, which never
 // writes, does not see. Outside the timer the element is removed and
 // the list audited again, so every iteration starts from the same
@@ -385,6 +383,12 @@ func benchElement(i int) store.Element {
 	return store.Element{Sealed: sealed, TRS: float64(i % 997), Group: i % 8}
 }
 
+// benchPostingList is the list the append legs' i-th insert goes to:
+// each list takes 120 elements — `mixed`'s list length — before the
+// next begins, so what a leg prices is an insert into a list of that
+// length however large b.N grows.
+func benchPostingList(i int) zerber.ListID { return zerber.ListID(i / 120) }
+
 // storeAppend measures the durable insert hot path (one WAL record —
 // a batch of one, the record a request writes — framed, checksummed
 // and pushed per op; no snapshots, no fsync).
@@ -407,7 +411,7 @@ func appendSerial(b *testing.B, fsync bool) {
 	defer d.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := d.Insert(zerber.ListID(i%64), benchElement(i)); err != nil {
+		if err := d.Insert(benchPostingList(i), benchElement(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -420,8 +424,8 @@ func appendSerial(b *testing.B, fsync bool) {
 // resolve-and-delete under the lists' locks, one WAL record — because
 // that is the call that exists on both sides of the change that made
 // the backend do the resolving, so the same leg prices either. Outside
-// the timer the elements are re-inserted and the touched lists read
-// once, as searches would: every iteration finds full, folded lists.
+// the timer the elements are re-inserted: every iteration finds full
+// lists.
 // ns/op is per batch; divide by 64 to set it beside StoreAppend.
 func storeRemoveBatch(b *testing.B) {
 	const lists, perList, victims = 512, 120, 64
@@ -464,11 +468,6 @@ func storeRemoveBatch(b *testing.B) {
 	restore := func(doc []server.InsertOp) {
 		if err := srv.InsertBatch(ctx, toks[0], doc); err != nil {
 			b.Fatal(err)
-		}
-		for _, op := range doc {
-			if _, err := d.Query(op.List, nil, 0, 1); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 	for _, doc := range docs {
@@ -522,7 +521,7 @@ func appendParallel(b *testing.B, fsync bool) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			i := int(ctr.Add(1))
-			if err := d.Insert(zerber.ListID(i%64), benchElement(i)); err != nil {
+			if err := d.Insert(benchPostingList(i), benchElement(i)); err != nil {
 				b.Error(err)
 				return
 			}
@@ -535,7 +534,7 @@ func memoryInsert(b *testing.B) {
 	m := store.NewMemory()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.Insert(zerber.ListID(i%64), benchElement(i)); err != nil {
+		if err := m.Insert(benchPostingList(i), benchElement(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -89,8 +89,7 @@ type Set struct {
 	// replica's return to the read rotation.
 	writeMu sync.RWMutex
 
-	delay         atomic.Pointer[delayFn]
-	delayExplicit atomic.Bool
+	delay atomic.Pointer[delayFn]
 
 	// roots pins the last Merkle list root seen per list across all
 	// members: any two members answering a proved read at the same
@@ -144,19 +143,11 @@ func NewSet(primary client.Transport, replicas ...client.Transport) (*Set, error
 // Members reports the set size (primary included).
 func (s *Set) Members() int { return len(s.members) }
 
-// SetHedgeDelay pins the hedge timer. Zero hedges immediately (read
-// all members at once); use for tests or known-bad primaries.
-func (s *Set) SetHedgeDelay(d time.Duration) {
-	fn := delayFn(func() time.Duration { return d })
-	s.delayExplicit.Store(true)
-	s.delay.Store(&fn)
-}
-
 // SeedHedgeDelay installs a dynamic hedge-delay source (the router
-// derives one from the shard's observed latency). A no-op after
-// SetHedgeDelay: an explicit operator choice outranks the heuristic.
+// derives one from the shard's observed latency). Zero hedges
+// immediately (read all members at once). A nil source is ignored.
 func (s *Set) SeedHedgeDelay(f func() time.Duration) {
-	if f == nil || s.delayExplicit.Load() {
+	if f == nil {
 		return
 	}
 	fn := delayFn(f)

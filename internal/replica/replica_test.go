@@ -42,7 +42,7 @@ func seedInto(t *testing.T, s *server.Server, lists, perList int) {
 				TRS:    float64(i),
 				Group:  i % 2,
 			}
-			if err := s.Insert(context.Background(), toks[i%2], zerber.ListID(l), el); err != nil {
+			if err := client.InsertOne(context.Background(), s.InsertBatch, toks[i%2], zerber.ListID(l), el); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -119,13 +119,13 @@ func TestFailoverRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set.SetHedgeDelay(time.Minute)
+	set.SeedHedgeDelay(func() time.Duration { return time.Minute })
 	toks := login(t, repSrv)
 	got, _, err := set.Query(ctx, toks, 0, 0, 8)
 	if err != nil {
 		t.Fatalf("query with a dead primary and a live replica: %v", err)
 	}
-	want, err := repSrv.Query(ctx, toks, 0, 0, 8)
+	want, _, err := client.Local{S: repSrv}.Query(ctx, toks, 0, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,13 +153,13 @@ func TestHedgedReadIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set.SetHedgeDelay(2 * time.Millisecond)
+	set.SeedHedgeDelay(func() time.Duration { return 2 * time.Millisecond })
 	toks := login(t, priSrv)
 	got, _, err := set.Query(ctx, toks, 1, 0, 8)
 	if err != nil {
 		t.Fatalf("hedged query: %v", err)
 	}
-	want, err := repSrv.Query(ctx, toks, 1, 0, 8)
+	want, _, err := client.Local{S: repSrv}.Query(ctx, toks, 1, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,13 +216,13 @@ func TestHedgeLoserOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set.SetHedgeDelay(2 * time.Millisecond)
+	set.SeedHedgeDelay(func() time.Duration { return 2 * time.Millisecond })
 	toks := login(t, repSrv)
 	got, _, err := set.Query(ctx, toks, 1, 0, 8)
 	if err != nil {
 		t.Fatalf("hedged query: %v", err)
 	}
-	want, err := repSrv.Query(ctx, toks, 1, 0, 8)
+	want, _, err := client.Local{S: repSrv}.Query(ctx, toks, 1, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestWriteFansOutToReplicas(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, s := range map[string]*server.Server{"primary": pri, "replica": rep} {
-		resp, err := s.Query(ctx, login(t, s), 5, 0, 10)
+		resp, _, err := client.Local{S: s}.Query(ctx, login(t, s), 5, 0, 10)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -293,7 +293,7 @@ func TestReplicaWriteFaultMarksStale(t *testing.T) {
 	// Reads never touch the stale replica: pin an immediate hedge and
 	// query repeatedly — the answer must always be the primary's
 	// (which holds the element the replica lost).
-	set.SetHedgeDelay(0)
+	set.SeedHedgeDelay(func() time.Duration { return 0 })
 	for i := 0; i < 20; i++ {
 		resp, _, err := set.Query(ctx, toks, 0, 0, 10)
 		if err != nil {
@@ -327,7 +327,7 @@ func TestDeterministicAnswerWinsImmediately(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		set.SetHedgeDelay(time.Minute)
+		set.SeedHedgeDelay(func() time.Duration { return time.Minute })
 		toks := login(t, pri)
 		for name, reject := range map[string]func(){
 			"unknown list": func() {
@@ -359,7 +359,7 @@ func TestPrimaryDemotionAfterFaultRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set.SetHedgeDelay(time.Minute)
+	set.SeedHedgeDelay(func() time.Duration { return time.Minute })
 	toks := login(t, rep)
 	for i := 0; i < DemoteAfter; i++ {
 		if _, _, err := set.Query(ctx, toks, 0, 0, 4); err != nil {
@@ -386,7 +386,7 @@ func TestAllMembersFaulted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set.SetHedgeDelay(0)
+	set.SeedHedgeDelay(func() time.Duration { return 0 })
 	_, _, err = set.Query(context.Background(), nil, 0, 0, 1)
 	if err == nil {
 		t.Fatal("a read with every member down reported success")

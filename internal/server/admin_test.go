@@ -29,7 +29,7 @@ func seedServer(t *testing.T, s *Server, lists, perList int) {
 	for l := 0; l < lists; l++ {
 		for i := 0; i < perList; i++ {
 			el := StoredElement{Sealed: []byte{byte(l), byte(i)}, TRS: float64(i), Group: i % 3}
-			if err := s.Insert(context.Background(), toks[i%3], zerber.ListID(l), el); err != nil {
+			if err := insertOne(context.Background(), s, toks[i%3], zerber.ListID(l), el); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -230,7 +230,7 @@ func TestAdminImportPurgesResultCache(t *testing.T) {
 	s.SetCache(cache.New(1 << 20))
 	seedServer(t, s, 1, 5)
 	toks := mustLogin(t, s, "owner")
-	if _, err := s.Query(ctx, toks, 0, 0, 5); err != nil {
+	if _, err := queryOne(ctx, s, toks, 0, 0, 5); err != nil {
 		t.Fatal(err)
 	}
 	if st, ok := s.CacheStats(); !ok || st.Entries == 0 {
@@ -248,7 +248,7 @@ func TestAdminImportPurgesResultCache(t *testing.T) {
 	if st, ok := s.CacheStats(); !ok || st.Entries != 0 {
 		t.Fatalf("import left %d cache entries behind", st.Entries)
 	}
-	resp, err := s.Query(ctx, toks, 0, 0, 10)
+	resp, err := queryOne(ctx, s, toks, 0, 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

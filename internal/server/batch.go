@@ -1,7 +1,7 @@
 package server
 
-// Batched operations — the only kind the server implements; the
-// single-list methods in server.go are their batch-of-one case. The
+// Batched operations — the only kind the server implements; a
+// single-list call is a batch of one (client.InsertOne and friends). The
 // progressive protocol of Section 5.2 is inherently multi-round, and a
 // multi-term query runs one follow-up loop per term: a batch lets a
 // client cover every still-open list with a single exchange per round,

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"zerberr/internal/cache"
+	"zerberr/internal/client"
 	"zerberr/internal/server"
 	"zerberr/internal/store"
 	"zerberr/internal/zerber"
@@ -130,7 +131,7 @@ func TestCachedQueryDifferential(t *testing.T) {
 			for i := 0; i < 400; i++ {
 				list := zerber.ListID(rng.Intn(lists))
 				offset, count := rng.Intn(60), 1+rng.Intn(30)
-				resp, err := s.Query(ctx, toks, list, offset, count)
+				resp, _, err := client.QueryOne(ctx, client.Local{S: s}.QueryBatch, toks, list, offset, count)
 				if err != nil {
 					errc <- fmt.Errorf("reader %d: cached query: %w", r, err)
 					return
@@ -178,7 +179,7 @@ func TestCachedQueryDifferential(t *testing.T) {
 			for _, count := range []int{1, 10, 64} {
 				want, wantExh := oracleWindow(t, backend, list, allowed, offset, count)
 				for pass := 0; pass < 2; pass++ {
-					resp, err := s.Query(ctx, toks, list, offset, count)
+					resp, _, err := client.QueryOne(ctx, client.Local{S: s}.QueryBatch, toks, list, offset, count)
 					if err != nil {
 						t.Fatalf("list %d offset %d count %d pass %d: %v", list, offset, count, pass, err)
 					}
@@ -211,7 +212,7 @@ func TestQueryBatchIfVersion(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		el := server.StoredElement{Sealed: []byte(fmt.Sprintf("e%02d", i)), TRS: float64(i) / 20, Group: i % 2}
-		if err := s.Insert(ctx, toks[i%2], 1, el); err != nil {
+		if err := client.InsertOne(ctx, s.InsertBatch, toks[i%2], 1, el); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -237,7 +238,7 @@ func TestQueryBatchIfVersion(t *testing.T) {
 	// Mutate (group 1 — outside or inside visibility, the per-list
 	// version bumps either way), then the same conditional must serve
 	// the full window at the new version.
-	if err := s.Insert(ctx, toks[1], 1, server.StoredElement{Sealed: []byte("fresh"), TRS: 0.99, Group: 1}); err != nil {
+	if err := client.InsertOne(ctx, s.InsertBatch, toks[1], 1, server.StoredElement{Sealed: []byte("fresh"), TRS: 0.99, Group: 1}); err != nil {
 		t.Fatal(err)
 	}
 	cond2, err := s.QueryBatch(ctx, toks, []server.ListQuery{{List: 1, Offset: 0, Count: 5, IfVersion: &ver}})
@@ -263,7 +264,7 @@ func TestStatsV2CacheCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Insert(ctx, toks[0], 1, server.StoredElement{Sealed: []byte("x"), TRS: 0.5, Group: 0}); err != nil {
+	if err := client.InsertOne(ctx, s.InsertBatch, toks[0], 1, server.StoredElement{Sealed: []byte("x"), TRS: 0.5, Group: 0}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := s.StatsV2(ctx)
@@ -275,7 +276,7 @@ func TestStatsV2CacheCounters(t *testing.T) {
 	}
 	s.SetCache(cache.New(1 << 20))
 	for i := 0; i < 3; i++ {
-		if _, err := s.Query(ctx, toks, 1, 0, 5); err != nil {
+		if _, _, err := client.QueryOne(ctx, client.Local{S: s}.QueryBatch, toks, 1, 0, 5); err != nil {
 			t.Fatal(err)
 		}
 	}

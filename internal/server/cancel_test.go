@@ -31,7 +31,7 @@ func newCancelServer(t *testing.T) (*Server, []crypt.Token) {
 	}
 	for list := 0; list < 8; list++ {
 		el := StoredElement{Sealed: []byte{byte(list)}, TRS: 0.5, Group: 0}
-		if err := s.Insert(context.Background(), toks[0], zerber.ListID(list), el); err != nil {
+		if err := insertOne(context.Background(), s, toks[0], zerber.ListID(list), el); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -50,13 +50,13 @@ func TestServerMethodsPreCanceledContext(t *testing.T) {
 		t.Errorf("Login err = %v", err)
 	}
 	el := StoredElement{Sealed: []byte{200}, TRS: 0.1, Group: 0}
-	if err := s.Insert(ctx, toks[0], 0, el); !errors.Is(err, context.Canceled) {
+	if err := insertOne(ctx, s, toks[0], 0, el); !errors.Is(err, context.Canceled) {
 		t.Errorf("Insert err = %v", err)
 	}
-	if _, err := s.Query(ctx, toks, 0, 0, 10); !errors.Is(err, context.Canceled) {
+	if _, err := queryOne(ctx, s, toks, 0, 0, 10); !errors.Is(err, context.Canceled) {
 		t.Errorf("Query err = %v", err)
 	}
-	if err := s.Remove(ctx, toks[0], 0, []byte{0}); !errors.Is(err, context.Canceled) {
+	if err := removeOne(ctx, s, toks[0], 0, []byte{0}); !errors.Is(err, context.Canceled) {
 		t.Errorf("Remove err = %v", err)
 	}
 	if _, err := s.QueryBatch(ctx, toks, []ListQuery{{List: 0, Offset: 0, Count: 10}}); !errors.Is(err, context.Canceled) {
@@ -142,7 +142,7 @@ func TestClientGoneIsNotAServerError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Insert(context.Background(), toks[0], 1, StoredElement{Sealed: []byte{1}, TRS: 0.5}); err != nil {
+	if err := insertOne(context.Background(), s, toks[0], 1, StoredElement{Sealed: []byte{1}, TRS: 0.5}); err != nil {
 		t.Fatal(err)
 	}
 	// The wrapper publishes the server-side request context, so the

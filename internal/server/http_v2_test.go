@@ -168,7 +168,7 @@ func TestHTTPV2StructuredErrors(t *testing.T) {
 	}
 	resp.Body.Close()
 	tok := lr.Tokens[0]
-	if err := s.Insert(context.Background(), tok, 5, StoredElement{Sealed: []byte{9}, TRS: 0.5, Group: 0}); err != nil {
+	if err := insertOne(context.Background(), s, tok, 5, StoredElement{Sealed: []byte{9}, TRS: 0.5, Group: 0}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -342,7 +342,7 @@ func TestRemoveBatchDuplicatePayloadAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Insert(context.Background(), toks[0], 3, StoredElement{Sealed: []byte{7}, TRS: 0.5, Group: 0}); err != nil {
+	if err := insertOne(context.Background(), s, toks[0], 3, StoredElement{Sealed: []byte{7}, TRS: 0.5, Group: 0}); err != nil {
 		t.Fatal(err)
 	}
 	// Two ops name the single stored instance: the pre-flight must

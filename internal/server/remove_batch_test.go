@@ -76,7 +76,7 @@ func TestRemoveBatchACLObservesVictim(t *testing.T) {
 				{8, el(0.9, 0, "shared")}, {8, el(0.2, 1, "shared")},
 				{8, el(0.4, 1, "twice")}, {8, el(0.3, 1, "twice")},
 			} {
-				if err := s.Insert(ctx, john[in.el.Group], in.list, in.el); err != nil {
+				if err := insertOne(ctx, s, john[in.el.Group], in.list, in.el); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -243,28 +243,6 @@ func (s *Server) allowedGroups(toks []crypt.Token) (map[int]bool, time.Time, err
 	return allowed, now, nil
 }
 
-// Insert stores a sealed posting element into the given merged list:
-// the batch-of-one case of InsertBatch. The presented token must cover
-// the element's group (Section 5: "The index server authenticates the
-// user, checks his group membership and accepts the update if
-// appropriate").
-func (s *Server) Insert(ctx context.Context, tok crypt.Token, list zerber.ListID, el StoredElement) error {
-	return OneOp(s.InsertBatch(ctx, tok, []InsertOp{{List: list, Element: el}}))
-}
-
-// Query returns up to count elements of the list starting at offset
-// within the caller's access-filtered, TRS-ranked view: the
-// batch-of-one case of QueryBatch. The client drives the progressive
-// doubling of Section 5.2 by growing count across follow-up requests;
-// the server only serves ranked ranges.
-func (s *Server) Query(ctx context.Context, toks []crypt.Token, list zerber.ListID, offset, count int) (QueryResponse, error) {
-	resps, err := s.QueryBatch(ctx, toks, []ListQuery{{List: list, Offset: offset, Count: count}})
-	if err != nil {
-		return QueryResponse{}, OneOp(err)
-	}
-	return resps[0], nil
-}
-
 // userOf keys the rate limiter: the presenting user of a validated
 // token set (one user presents all their group tokens together). The
 // key is never used as a metric label — buckets aggregate per user,
@@ -360,16 +338,6 @@ func queryResponseOf(res store.QueryResult, withProof bool) QueryResponse {
 		resp.Proof = res.Proof
 	}
 	return resp
-}
-
-// Remove deletes the element whose sealed payload matches exactly,
-// provided the presented token covers the element's group: the
-// batch-of-one case of RemoveBatch. Deletion is how index updates stay
-// unlimited (Section 7): the owner re-indexes a changed document after
-// removing its old elements. The server still learns nothing — it
-// matches opaque bytes.
-func (s *Server) Remove(ctx context.Context, tok crypt.Token, list zerber.ListID, sealed []byte) error {
-	return OneOp(s.RemoveBatch(ctx, tok, []RemoveOp{{List: list, Sealed: sealed}}))
 }
 
 // ListLen reports how many elements the list holds in total

@@ -24,6 +24,26 @@ func el(trs float64, group int, payload string) StoredElement {
 	return StoredElement{Sealed: []byte(payload), TRS: trs, Group: group}
 }
 
+// insertOne, queryOne and removeOne run a single-list call as a batch
+// of one, reporting the operation's own error — what
+// client.InsertOne, QueryOne and RemoveOne do over a transport, for
+// tests that cannot import the client.
+func insertOne(ctx context.Context, s *Server, tok crypt.Token, list zerber.ListID, el StoredElement) error {
+	return OneOp(s.InsertBatch(ctx, tok, []InsertOp{{List: list, Element: el}}))
+}
+
+func queryOne(ctx context.Context, s *Server, toks []crypt.Token, list zerber.ListID, offset, count int) (QueryResponse, error) {
+	resps, err := s.QueryBatch(ctx, toks, []ListQuery{{List: list, Offset: offset, Count: count}})
+	if err != nil {
+		return QueryResponse{}, OneOp(err)
+	}
+	return resps[0], nil
+}
+
+func removeOne(ctx context.Context, s *Server, tok crypt.Token, list zerber.ListID, sealed []byte) error {
+	return OneOp(s.RemoveBatch(ctx, tok, []RemoveOp{{List: list, Sealed: sealed}}))
+}
+
 func mustLogin(t *testing.T, s *Server, user string) []crypt.Token {
 	t.Helper()
 	toks, err := s.Login(context.Background(), user)
@@ -50,18 +70,18 @@ func TestLoginIssuesGroupTokens(t *testing.T) {
 func TestInsertRequiresMatchingGroupToken(t *testing.T) {
 	s := newServer()
 	alice := mustLogin(t, s, "alice") // group 1 only
-	if err := s.Insert(context.Background(), alice[0], 7, el(0.5, 1, "x")); err != nil {
+	if err := insertOne(context.Background(), s, alice[0], 7, el(0.5, 1, "x")); err != nil {
 		t.Fatalf("legit insert failed: %v", err)
 	}
-	if err := s.Insert(context.Background(), alice[0], 7, el(0.5, 0, "y")); !errors.Is(err, ErrForbidden) {
+	if err := insertOne(context.Background(), s, alice[0], 7, el(0.5, 0, "y")); !errors.Is(err, ErrForbidden) {
 		t.Fatalf("cross-group insert err = %v, want ErrForbidden", err)
 	}
 	forged := alice[0]
 	forged.Group = 0
-	if err := s.Insert(context.Background(), forged, 7, el(0.5, 0, "z")); !errors.Is(err, ErrAuth) {
+	if err := insertOne(context.Background(), s, forged, 7, el(0.5, 0, "z")); !errors.Is(err, ErrAuth) {
 		t.Fatalf("forged token err = %v, want ErrAuth", err)
 	}
-	if err := s.Insert(context.Background(), alice[0], 7, StoredElement{TRS: 1, Group: 1}); !errors.Is(err, ErrBadRequest) {
+	if err := insertOne(context.Background(), s, alice[0], 7, StoredElement{TRS: 1, Group: 1}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("empty payload err = %v, want ErrBadRequest", err)
 	}
 }
@@ -70,11 +90,11 @@ func TestQuerySortedByTRS(t *testing.T) {
 	s := newServer()
 	john := mustLogin(t, s, "john")
 	for i, trs := range []float64{0.2, 0.9, 0.5, 0.7, 0.1} {
-		if err := s.Insert(context.Background(), john[0], 1, el(trs, 0, string(rune('a'+i)))); err != nil {
+		if err := insertOne(context.Background(), s, john[0], 1, el(trs, 0, string(rune('a'+i)))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	resp, err := s.Query(context.Background(), john, 1, 0, 10)
+	resp, err := queryOne(context.Background(), s, john, 1, 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +116,12 @@ func TestQueryPagination(t *testing.T) {
 	s := newServer()
 	john := mustLogin(t, s, "john")
 	for i := 0; i < 10; i++ {
-		if err := s.Insert(context.Background(), john[0], 1, el(float64(i)/10, 0, string(rune('a'+i)))); err != nil {
+		if err := insertOne(context.Background(), s, john[0], 1, el(float64(i)/10, 0, string(rune('a'+i)))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// First batch of 3: not exhausted.
-	r1, err := s.Query(context.Background(), john, 1, 0, 3)
+	r1, err := queryOne(context.Background(), s, john, 1, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +129,7 @@ func TestQueryPagination(t *testing.T) {
 		t.Fatalf("batch1: %d elements exhausted=%v", len(r1.Elements), r1.Exhausted)
 	}
 	// Follow-up (doubling): offset 3, count 6 -> 6 elements, one left.
-	r2, err := s.Query(context.Background(), john, 1, 3, 6)
+	r2, err := queryOne(context.Background(), s, john, 1, 3, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +137,7 @@ func TestQueryPagination(t *testing.T) {
 		t.Fatalf("batch2: %d elements exhausted=%v", len(r2.Elements), r2.Exhausted)
 	}
 	// Final element.
-	r3, err := s.Query(context.Background(), john, 1, 9, 12)
+	r3, err := queryOne(context.Background(), s, john, 1, 9, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +145,7 @@ func TestQueryPagination(t *testing.T) {
 		t.Fatalf("batch3: %d elements exhausted=%v", len(r3.Elements), r3.Exhausted)
 	}
 	// Exact-boundary fetch is exhausted too.
-	r4, err := s.Query(context.Background(), john, 1, 0, 10)
+	r4, err := queryOne(context.Background(), s, john, 1, 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,14 +170,14 @@ func TestQueryACLFiltering(t *testing.T) {
 	alice := mustLogin(t, s, "alice") // group 1
 	s.RegisterUser("bob", 2)
 	bob := mustLogin(t, s, "bob")
-	if err := s.Insert(context.Background(), john[0], 5, el(0.9, 0, "g0-high")); err != nil {
+	if err := insertOne(context.Background(), s, john[0], 5, el(0.9, 0, "g0-high")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Insert(context.Background(), john[1], 5, el(0.5, 1, "g1-mid")); err != nil {
+	if err := insertOne(context.Background(), s, john[1], 5, el(0.5, 1, "g1-mid")); err != nil {
 		t.Fatal(err)
 	}
 	// Alice sees only group 1.
-	resp, err := s.Query(context.Background(), alice, 5, 0, 10)
+	resp, err := queryOne(context.Background(), s, alice, 5, 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +185,7 @@ func TestQueryACLFiltering(t *testing.T) {
 		t.Fatalf("alice sees %v", resp.Elements)
 	}
 	// John sees both, ranked.
-	respJ, err := s.Query(context.Background(), john, 5, 0, 10)
+	respJ, err := queryOne(context.Background(), s, john, 5, 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +193,7 @@ func TestQueryACLFiltering(t *testing.T) {
 		t.Fatalf("john sees %v", respJ.Elements)
 	}
 	// Bob (group 2) sees nothing but the list exists.
-	respB, err := s.Query(context.Background(), bob, 5, 0, 10)
+	respB, err := queryOne(context.Background(), s, bob, 5, 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,23 +205,23 @@ func TestQueryACLFiltering(t *testing.T) {
 func TestQueryRejections(t *testing.T) {
 	s := newServer()
 	john := mustLogin(t, s, "john")
-	if _, err := s.Query(context.Background(), john, 99, 0, 10); !errors.Is(err, ErrUnknownList) {
+	if _, err := queryOne(context.Background(), s, john, 99, 0, 10); !errors.Is(err, ErrUnknownList) {
 		t.Fatalf("unknown list err = %v", err)
 	}
-	if err := s.Insert(context.Background(), john[0], 1, el(0.5, 0, "x")); err != nil {
+	if err := insertOne(context.Background(), s, john[0], 1, el(0.5, 0, "x")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Query(context.Background(), john, 1, -1, 10); !errors.Is(err, ErrBadRequest) {
+	if _, err := queryOne(context.Background(), s, john, 1, -1, 10); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("negative offset err = %v", err)
 	}
-	if _, err := s.Query(context.Background(), john, 1, 0, 0); !errors.Is(err, ErrBadRequest) {
+	if _, err := queryOne(context.Background(), s, john, 1, 0, 0); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("zero count err = %v", err)
 	}
-	if _, err := s.Query(context.Background(), nil, 1, 0, 10); err != nil {
+	if _, err := queryOne(context.Background(), s, nil, 1, 0, 10); err != nil {
 		// No tokens: allowed, sees nothing.
 		t.Fatalf("tokenless query err = %v", err)
 	}
-	resp, _ := s.Query(context.Background(), nil, 1, 0, 10)
+	resp, _ := queryOne(context.Background(), s, nil, 1, 0, 10)
 	if len(resp.Elements) != 0 {
 		t.Fatal("tokenless query saw elements")
 	}
@@ -213,11 +233,11 @@ func TestExpiredTokenRejected(t *testing.T) {
 	base := time.Date(2026, 6, 10, 12, 0, 0, 0, time.UTC)
 	s.SetClock(func() time.Time { return base })
 	john := mustLogin(t, s, "john")
-	if err := s.Insert(context.Background(), john[0], 1, el(0.5, 0, "x")); err != nil {
+	if err := insertOne(context.Background(), s, john[0], 1, el(0.5, 0, "x")); err != nil {
 		t.Fatal(err)
 	}
 	s.SetClock(func() time.Time { return base.Add(2 * time.Minute) })
-	if _, err := s.Query(context.Background(), john, 1, 0, 10); !errors.Is(err, ErrAuth) {
+	if _, err := queryOne(context.Background(), s, john, 1, 0, 10); !errors.Is(err, ErrAuth) {
 		t.Fatalf("expired token err = %v, want ErrAuth", err)
 	}
 }
@@ -226,11 +246,11 @@ func TestTieBreakBySealedBytes(t *testing.T) {
 	s := newServer()
 	john := mustLogin(t, s, "john")
 	for _, payload := range []string{"bbb", "aaa", "ccc"} {
-		if err := s.Insert(context.Background(), john[0], 1, el(0.5, 0, payload)); err != nil {
+		if err := insertOne(context.Background(), s, john[0], 1, el(0.5, 0, payload)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	resp, err := s.Query(context.Background(), john, 1, 0, 10)
+	resp, err := queryOne(context.Background(), s, john, 1, 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,10 +263,10 @@ func TestTieBreakBySealedBytes(t *testing.T) {
 func TestStatsAndSnapshot(t *testing.T) {
 	s := newServer()
 	john := mustLogin(t, s, "john")
-	if err := s.Insert(context.Background(), john[0], 1, el(0.5, 0, "x")); err != nil {
+	if err := insertOne(context.Background(), s, john[0], 1, el(0.5, 0, "x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Insert(context.Background(), john[0], 2, el(0.6, 0, "y")); err != nil {
+	if err := insertOne(context.Background(), s, john[0], 2, el(0.6, 0, "y")); err != nil {
 		t.Fatal(err)
 	}
 	if s.NumLists() != 2 || s.NumElements() != 2 || s.ListLen(1) != 1 {
@@ -284,19 +304,19 @@ func TestStatsAndSnapshot(t *testing.T) {
 func TestQueryResponseStableAcrossMutations(t *testing.T) {
 	s := newServer()
 	john := mustLogin(t, s, "john")
-	if err := s.Insert(context.Background(), john[0], 1, el(0.5, 0, "orig")); err != nil {
+	if err := insertOne(context.Background(), s, john[0], 1, el(0.5, 0, "orig")); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := s.Query(context.Background(), john, 1, 0, 10)
+	resp, err := queryOne(context.Background(), s, john, 1, 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 64; i++ {
-		if err := s.Insert(context.Background(), john[0], 1, el(float64(i)/64, 0, fmt.Sprintf("later-%d", i))); err != nil {
+		if err := insertOne(context.Background(), s, john[0], 1, el(float64(i)/64, 0, fmt.Sprintf("later-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Remove(context.Background(), john[0], 1, []byte("later-0")); err != nil {
+	if err := removeOne(context.Background(), s, john[0], 1, []byte("later-0")); err != nil {
 		t.Fatal(err)
 	}
 	if string(resp.Elements[0].Sealed) != "orig" {
@@ -319,7 +339,7 @@ func TestConcurrentInsertQuery(t *testing.T) {
 					TRS:    float64(i%100) / 100,
 					Group:  0,
 				}
-				if err := s.Insert(context.Background(), john[0], zerber.ListID(i%3), el); err != nil {
+				if err := insertOne(context.Background(), s, john[0], zerber.ListID(i%3), el); err != nil {
 					done <- err
 					return
 				}
@@ -330,7 +350,7 @@ func TestConcurrentInsertQuery(t *testing.T) {
 	for r := 0; r < 4; r++ {
 		go func() {
 			for i := 0; i < 200; i++ {
-				if _, err := s.Query(context.Background(), john, zerber.ListID(i%3), 0, 10); err != nil &&
+				if _, err := queryOne(context.Background(), s, john, zerber.ListID(i%3), 0, 10); err != nil &&
 					!errors.Is(err, ErrUnknownList) {
 					done <- err
 					return
@@ -349,7 +369,7 @@ func TestConcurrentInsertQuery(t *testing.T) {
 		t.Fatalf("lost inserts: %d elements, want 800", got)
 	}
 	for _, list := range s.Lists() {
-		resp, err := s.Query(context.Background(), john, list, 0, 1000)
+		resp, err := queryOne(context.Background(), s, john, list, 0, 1000)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -189,16 +189,23 @@ func OpenDurable(dir string, opt Options) (*Durable, error) {
 	}
 	mem.verBase = epoch
 	walPath := filepath.Join(dir, walFileName)
-	maxSeq, err := replayWAL(walPath, snapSeq, func(rec walRecord) {
-		switch rec.op {
-		case opInsert:
-			mem.insert(rec.list, Element{Sealed: rec.sealed, TRS: rec.trs, Group: rec.group})
-		case opRemove:
-			// A remove that no longer matches (its insert was folded
-			// into the snapshot differently, or the log was truncated
-			// between the pair) is a no-op, not corruption.
-			_ = mem.Remove(rec.list, rec.sealed, nil)
+	var inserts []BatchInsert // reused: the store copies what it keeps
+	maxSeq, err := replayWAL(walPath, snapSeq, func(recs []walRecord) {
+		// One record's inserts are one insertBatch, as the live write
+		// that logged them was.
+		inserts = inserts[:0]
+		for _, rec := range recs {
+			switch rec.op {
+			case opInsert:
+				inserts = append(inserts, BatchInsert{List: rec.list, Element: Element{Sealed: rec.sealed, TRS: rec.trs, Group: rec.group}})
+			case opRemove:
+				// A remove that no longer matches (its insert was folded
+				// into the snapshot differently, or the log was truncated
+				// between the pair) is a no-op, not corruption.
+				_ = mem.Remove(rec.list, rec.sealed, nil)
+			}
 		}
+		mem.insertBatch(inserts)
 	})
 	if err != nil {
 		return fail(fmt.Errorf("store: replaying WAL: %w", err))
@@ -434,12 +441,13 @@ func (d *Durable) Insert(list zerber.ListID, el Element) error {
 
 // InsertBatch implements Backend: validate nothing (inserts always
 // apply), log the whole batch as one opInsertBatch record (chunked only
-// if its encoding would breach the record size bound), then mutate
-// memory element by element, each bumping its list's version exactly as
-// N single Inserts would — all under d.mu, so memory-apply order equals
-// log order and recovery replays the identical history. One record
-// means one length prefix, one CRC, one write and — under FsyncEach —
-// at most one fsync for the entire batch, after d.mu is released.
+// if its encoding would breach the record size bound), then apply each
+// logged chunk with one insertBatch, each element bumping its list's
+// version exactly as N single Inserts would — all under d.mu, so
+// memory-apply order equals log order and recovery, one insertBatch per
+// record, replays the identical history. One record means one length
+// prefix, one CRC, one write and — under FsyncEach — at most one fsync
+// for the entire batch, after d.mu is released.
 func (d *Durable) InsertBatch(ops []BatchInsert) error {
 	if len(ops) == 0 {
 		return nil
@@ -457,9 +465,7 @@ func (d *Durable) InsertBatch(ops []BatchInsert) error {
 			d.mu.Unlock()
 			return err
 		}
-		for i := range chunk {
-			d.mem.insert(chunk[i].List, chunk[i].Element)
-		}
+		d.mem.insertBatch(chunk)
 	}
 	d.maybeSnapshotLocked()
 	seq := d.seq

@@ -180,11 +180,19 @@ func mustWithout(t *testing.T, b Backend, drop zerber.ListID) Backend {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var ops []BatchInsert
 		if err := b.View(id, func(e []Element) {
-			m.load(id, append([]Element(nil), e...), true, v)
+			for _, el := range e {
+				ops = append(ops, BatchInsert{List: id, Element: el})
+			}
 		}); err != nil {
 			t.Fatal(err)
 		}
+		ml := m.list(id, true) // an emptied list stays present
+		if err := m.InsertBatch(ops); err != nil {
+			t.Fatal(err)
+		}
+		ml.version = v
 	}
 	return m
 }

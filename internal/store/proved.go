@@ -3,11 +3,12 @@ package store
 // Verifiable reads: the audit-on-demand side of the store. A list's
 // Merkle commitment (internal/proof) is materialized the first time
 // anything proved touches the list — the unproven hot path never
-// hashes — and maintained incrementally from then on: compact hashes
-// only freshly folded elements, removals splice leaves, snapshots
-// persist them. QueryProved serves the same window Query would (same
-// elements, same Exhausted, same Version) plus a proof that the
-// window is the exact ranked slice of the committed state.
+// hashes — and maintained incrementally from then on: an insert hashes
+// only the new elements as it merges them in at their ranks, removals
+// splice leaves, snapshots persist them. QueryProved serves the same
+// window Query would (same elements, same Exhausted, same Version) plus
+// a proof that the window is the exact ranked slice of the committed
+// state.
 
 import (
 	"sort"
@@ -32,11 +33,10 @@ type Commitment struct {
 	Root proof.Hash
 }
 
-// ensureCommittedLocked folds every group's pending buffer in and
-// materializes missing leaf hashes. Callers hold the write lock.
+// ensureCommittedLocked materializes missing leaf hashes. Callers hold
+// the write lock.
 func (ml *mergedList) ensureCommittedLocked() {
 	for _, g := range ml.groups {
-		g.compact()
 		if g.commit == nil {
 			g.commit = &groupCommit{leaves: leafHashes(g.sorted)}
 		}
@@ -47,7 +47,7 @@ func (ml *mergedList) ensureCommittedLocked() {
 // mutation it first re-covers the leaves with the interior-node cache
 // — only the part the mutation truncated is hashed — so the root and
 // every window proof until the next mutation are look-ups. Callers
-// hold the write lock with the group compacted and committed.
+// hold the write lock with the group committed.
 func (g *groupList) groupRootLocked() proof.Hash {
 	c := g.commit
 	if !c.rootOK {
@@ -102,8 +102,8 @@ func (ml *mergedList) commitLocked() ([]headerInfo, proof.Hash, proof.Hash) {
 // QueryProved implements Backend: Query plus a window proof, built
 // atomically with the window under the list's write lock (the proof
 // must commit exactly the version the window was read at). The write
-// lock — where Query often gets away with a read lock — is the price
-// of the audit path, not of the hot one.
+// lock — Query takes the read lock — is for the commitment caches it
+// fills, and is the price of the audit path, not of the hot one.
 func (m *Memory) QueryProved(list zerber.ListID, allowed map[int]bool, offset, count int) (QueryResult, error) {
 	if offset < 0 {
 		offset = 0
@@ -176,8 +176,8 @@ func (m *Memory) viewCommitted(list zerber.ListID, fn func(version uint64, elems
 	if ml == nil {
 		return ErrUnknownList
 	}
-	unlock := ml.lockSorted(nil)
-	defer unlock()
+	ml.mu.RLock()
+	defer ml.mu.RUnlock()
 	hashedAll := true
 	for _, g := range ml.groups {
 		if len(g.sorted) > 0 && g.commit == nil {
@@ -197,9 +197,9 @@ func (m *Memory) viewCommitted(list zerber.ListID, fn func(version uint64, elems
 
 // mergedLeavesLocked materializes the full merged rank order together
 // with each element's leaf hash. Callers hold the list lock with all
-// groups compacted and hashed. The merge is the same total order
-// queryLocked uses (rless), so the element order matches what a
-// leafless snapshot would have written.
+// groups hashed. The merge is the same total order queryLocked uses
+// (rless), so the element order matches what a leafless snapshot would
+// have written.
 func (ml *mergedList) mergedLeavesLocked() ([]Element, []proof.Hash) {
 	runs := make([]*groupList, 0, len(ml.groups))
 	total := 0

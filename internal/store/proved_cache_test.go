@@ -86,9 +86,9 @@ func checkProvedAgainstStateless(t *testing.T, m *Memory, list zerber.ListID, al
 }
 
 // TestProvedCacheDifferential interleaves inserts, removes (rank-first,
-// rank-last, anywhere, and of an element still in a pending buffer),
-// partial and full compactions and proved reads on one Memory, and
-// after every step holds the commitment state to the stateless oracle.
+// rank-last, anywhere, and of the newest insert), plain and proved
+// reads on one Memory, and after every step holds the commitment state
+// to the stateless oracle.
 func TestProvedCacheDifferential(t *testing.T) {
 	const (
 		list   = zerber.ListID(9)
@@ -154,13 +154,13 @@ func TestProvedCacheDifferential(t *testing.T) {
 			case 2:
 				removeAt(rng.Intn(len(live)))
 			default:
-				// The newest insert: still pending unless a read of its
-				// group came in between.
+				// The newest insert, whether or not an audit came in
+				// between.
 				removeAt(len(live) - 1)
 			}
 		case op < 70:
-			// A plain read folds the pending buffers of the groups it may
-			// see, and only those.
+			// A plain read, which must leave the commitment state as it
+			// found it.
 			if _, err := m.Query(list, randomView(), 0, 1); err != nil {
 				t.Fatal(err)
 			}
@@ -177,13 +177,13 @@ func TestProvedCacheDifferential(t *testing.T) {
 }
 
 // TestMutationTruncatesCacheAtItsRank: what a write costs the next
-// audit is decided by where the store truncates the cache. A fold keeps
-// the cache over the ranks before the first one a pending element
-// landed at, a remove over the ranks before the removed one, and a
-// remove that only touched a pending buffer keeps all of it — compared
-// against a tree built over the old leaves and truncated at exactly
-// that rank, so truncating lower (a slower next audit) fails as surely
-// as truncating higher (a wrong root).
+// audit is decided by where the store truncates the cache. An insert
+// keeps the cache over the ranks before the one it landed at (a batch,
+// before the first one any of its elements landed at), a remove over
+// the ranks before the removed one — compared against a tree built
+// over the old leaves and truncated at exactly that rank, so
+// truncating lower (a slower next audit) fails as surely as truncating
+// higher (a wrong root).
 func TestMutationTruncatesCacheAtItsRank(t *testing.T) {
 	const list, n = zerber.ListID(3), 200
 	build := func() (*Memory, *groupList) {
@@ -205,26 +205,27 @@ func TestMutationTruncatesCacheAtItsRank(t *testing.T) {
 		tr.Truncate(p)
 		return tr
 	}
-	fold := func(m *Memory) {
-		if _, err := m.Query(list, nil, 0, 1); err != nil {
-			t.Fatal(err)
-		}
+	newAt := func(rank int) BatchInsert {
+		return BatchInsert{List: list, Element: el(fmt.Sprintf("new%03d", rank), float64(n-rank)+0.5, 0)}
 	}
 	for _, p := range []int{0, 1, 63, 64, 65, 128, 199, 200} {
-		m, g := build()
-		before := append([]proof.Hash{}, g.commit.leaves...)
-		// Two pending elements: the cache survives up to the earlier one.
-		for _, rank := range []int{min(p+30, n), p} {
-			if err := m.Insert(list, el(fmt.Sprintf("new%03d", rank), float64(n-rank)+0.5, 0)); err != nil {
+		for _, batch := range [][]BatchInsert{
+			{newAt(p)},
+			// Two elements, one merge: the cache survives up to the
+			// earlier one.
+			{newAt(min(p+30, n)), newAt(p)},
+		} {
+			m, g := build()
+			before := append([]proof.Hash{}, g.commit.leaves...)
+			if err := m.InsertBatch(batch); err != nil {
 				t.Fatal(err)
 			}
-		}
-		fold(m)
-		if !reflect.DeepEqual(g.commit.tree, truncatedAt(before, p)) || g.commit.rootOK {
-			t.Errorf("fold with the first pending element landing at rank %d: cache not truncated exactly there", p)
-		}
-		if string(g.sorted[p].Sealed) != fmt.Sprintf("new%03d", p) {
-			t.Fatalf("test bug: rank %d holds %s", p, g.sorted[p].Sealed)
+			if !reflect.DeepEqual(g.commit.tree, truncatedAt(before, p)) || g.commit.rootOK {
+				t.Errorf("insert of %d landing first at rank %d: cache not truncated exactly there", len(batch), p)
+			}
+			if string(g.sorted[p].Sealed) != fmt.Sprintf("new%03d", p) {
+				t.Fatalf("test bug: rank %d holds %s", p, g.sorted[p].Sealed)
+			}
 		}
 	}
 	for _, p := range []int{0, 1, 63, 64, 65, 128, 198, 199} {
@@ -237,22 +238,11 @@ func TestMutationTruncatesCacheAtItsRank(t *testing.T) {
 			t.Errorf("remove at rank %d: cache not truncated exactly there", p)
 		}
 	}
-	m, g := build()
-	before := append([]proof.Hash{}, g.commit.leaves...)
-	if err := m.Insert(list, el("pending", 0.25, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Remove(list, []byte("pending"), nil); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(g.commit.tree, truncatedAt(before, n)) || !g.commit.rootOK {
-		t.Error("insert and remove inside the pending buffer touched the committed run's cache")
-	}
 }
 
 // TestUnauditedGroupCarriesNoCommitState: the footprint contract — a
 // group list nobody audited holds one nil pointer for the whole
-// commitment scheme, through inserts, folds, reads and removes.
+// commitment scheme, through inserts, reads and removes.
 func TestUnauditedGroupCarriesNoCommitState(t *testing.T) {
 	m := NewMemory()
 	provedFixture(t, m, 1)

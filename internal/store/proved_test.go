@@ -267,9 +267,9 @@ func TestSnapshotWithoutLeaves(t *testing.T) {
 
 // TestProvedWindowStableUnderConcurrentReads: proofs built under the
 // write lock verify against the exact version they were read at even
-// while writers interleave — inserts that fold into the committed runs,
-// removes that splice them, and plain reads that trigger the folds, so
-// the interior-node cache is truncated and re-extended from every side
+// while writers interleave — inserts that merge into the committed
+// runs, removes that splice them, and plain reads beside them, so the
+// interior-node cache is truncated and re-extended from every side
 // while it is being read (run under -race).
 func TestProvedWindowStableUnderConcurrentReads(t *testing.T) {
 	m := NewMemory()

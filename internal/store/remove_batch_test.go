@@ -80,10 +80,9 @@ func (d *removeDriver) insert() {
 	}
 }
 
-// read folds some groups' pending buffers (a plain read) or audits a
-// list (a proved read) on the subject only: neither is a mutation, so
-// the oracle must not need it, and victims end up in pending buffers,
-// sorted runs and committed runs alike.
+// read runs a plain read or audits a list (a proved read) on the
+// subject only: neither is a mutation, so the oracle must not need it,
+// and victims end up in plain and committed runs alike.
 func (d *removeDriver) read() {
 	list := removeDriverLists[d.rng.Intn(len(removeDriverLists))]
 	allowed := map[int]bool{d.rng.Intn(4): true, d.rng.Intn(4): true}
@@ -179,8 +178,7 @@ func (d *removeDriver) check() {
 
 // step runs one random operation and reports whether it was a batched
 // remove, accepted or rejected. Only those are checked against the
-// oracle: a check reads whole lists, which folds every pending buffer,
-// and the removes that follow inserts must find theirs unfolded.
+// oracle, which is what a remove changes.
 func (d *removeDriver) step() (removed bool) {
 	switch r := d.rng.Intn(10); {
 	case r < 4:
@@ -205,7 +203,7 @@ func (d *removeDriver) run(steps int) {
 }
 
 // TestRemoveBatchMatchesSingles: random batches — duplicates, victims
-// in pending buffers, audited groups, several lists — leave a Memory
+// in audited and unaudited groups, several lists — leave a Memory
 // exactly where single Removes leave another: content, per-list
 // version, commitment, and a commitment state (leaves, cached interior
 // nodes) that still proves.
@@ -241,11 +239,6 @@ func TestRemoveBatchAllowSeesVictims(t *testing.T) {
 				if err := b.Insert(4, e); err != nil {
 					t.Fatal(err)
 				}
-			}
-			// Fold group 2 only: the instances sit in a sorted run and in
-			// pending buffers.
-			if _, err := b.Query(4, map[int]bool{2: true}, 0, 1); err != nil {
-				t.Fatal(err)
 			}
 			ver := mustVersion(t, b, 4)
 			var asked []int

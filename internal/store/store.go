@@ -137,10 +137,10 @@ type Backend interface {
 	// InsertBatch stores many elements as one operation. Logged
 	// engines append a single batched WAL record for the whole batch
 	// (splitting only when the encoding would breach the record size
-	// bound), so a bulk load costs one framing, one commit-queue entry
-	// and one fsync instead of N. Observable semantics are exactly N
-	// Inserts in slice order: one version bump per element, identical
-	// recovery. An empty batch is a no-op.
+	// bound), so a bulk load costs one framing, one write and one fsync
+	// instead of N. Observable semantics are exactly N Inserts in slice
+	// order: one version bump per element, identical recovery. An empty
+	// batch is a no-op.
 	InsertBatch(ops []BatchInsert) error
 	// Remove deletes the element whose sealed payload matches exactly:
 	// RemoveBatch of one, reporting the bare sentinel.
@@ -286,11 +286,20 @@ func rless(a, b relem) bool {
 	return a.seq < b.seq
 }
 
+// rcmp is rless as a three-way comparison, for sorting.
+func rcmp(a, b relem) int {
+	if a.TRS != b.TRS {
+		if a.TRS > b.TRS {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Or(bytes.Compare(a.Sealed, b.Sealed), cmp.Compare(a.seq, b.seq))
+}
+
 // mergedList holds one merged posting list as one sorted sub-list per
-// group. Inserts append to the group's pending buffer; a read of that
-// group first folds the buffer in (sort the pending tail, merge two
-// sorted runs) — O(n + p·log p) instead of the old full O(n·log n)
-// re-sort, and only for groups the read actually touches.
+// group. An insert lands at its rank at once (insertBatch), so every
+// stored element sits in exactly one place and a read never writes.
 type mergedList struct {
 	mu      sync.RWMutex
 	groups  map[int]*groupList
@@ -311,8 +320,7 @@ type mergedList struct {
 
 // groupList is one group's slice of a merged list.
 type groupList struct {
-	sorted  []relem // rless-ordered
-	pending []relem // unsorted recent inserts, folded in on read
+	sorted []relem // rless-ordered
 	// commit is the group's commitment state, nil until the list's first
 	// proved read or commitment — audit on demand: the unproven hot path
 	// never hashes, and the group lists nobody audits (nearly all of
@@ -322,7 +330,7 @@ type groupList struct {
 
 // groupCommit is an audited group's commitment state (see
 // internal/proof), maintained incrementally from the first audit on:
-// compact hashes only the pending tail, removals splice, snapshots
+// inserts hash only the new elements, removals splice, snapshots
 // persist the leaf hashes so recovery recommits without re-hashing.
 type groupCommit struct {
 	// leaves mirrors sorted with each element's leaf hash.
@@ -344,72 +352,64 @@ func (c *groupCommit) mutatedAt(p int) {
 	c.tree.Truncate(p)
 }
 
-// dirty reports whether a read of this group must first fold the
-// pending buffer in.
-func (g *groupList) dirty() bool { return len(g.pending) > 0 }
-
-// compact folds the pending buffer into the sorted run. Callers hold
-// the list's write lock. When the group is committed the merge carries
-// its leaves along, hashing only the pending tail, and the interior
-// nodes before the first index a pending element landed at stay cached
-// — the incremental maintenance that keeps commitments cheap at fold
-// time.
-func (g *groupList) compact() {
-	if len(g.pending) == 0 {
-		return
-	}
-	sort.Slice(g.pending, func(i, j int) bool { return rless(g.pending[i], g.pending[j]) })
+// merge inserts add — rless-ordered, every sequence above the run's —
+// into the sorted run from the back: each new element finds its rank by
+// binary search, and the old elements between it and the previous one
+// move up as one block. Only the elements ranking below the first new
+// one move, in place when the run has room, else into a buffer with
+// headroom for later inserts (growTo). Callers hold the list's write
+// lock. When the group is committed its leaves move along, only the new
+// elements are hashed, and the interior nodes before the first rank a
+// new element landed at stay cached.
+func (g *groupList) merge(add []relem) {
+	n, l := len(g.sorted), len(g.sorted)+len(add)
+	src, dst := g.sorted, growTo(g.sorted, l)
 	c := g.commit
-	if len(g.sorted) == 0 {
-		g.sorted = g.pending
-		g.pending = nil
+	var lsrc, ldst []proof.Hash
+	if c != nil {
+		lsrc, ldst = c.leaves, growTo(c.leaves, l)
+	}
+	// src[:i+1] is the old run still unplaced. add[j] lands behind the
+	// part of it ranking before add[j], src[:p]; the rest moves up by j+1
+	// (copy is a memmove, so in place nothing unread is overwritten).
+	i := n - 1
+	for j := len(add) - 1; j >= 0; j-- {
+		p := sort.Search(i+1, func(x int) bool { return rless(add[j], src[x]) })
+		copy(dst[p+j+1:], src[p:i+1])
+		dst[p+j] = add[j]
 		if c != nil {
-			c.leaves = leafHashes(g.sorted)
-			c.mutatedAt(0)
+			copy(ldst[p+j+1:], lsrc[p:i+1])
+			ldst[p+j] = proof.LeafHash(add[j].TRS, add[j].Sealed)
 		}
-		return
+		i = p - 1
 	}
-	merged := make([]relem, 0, len(g.sorted)+len(g.pending))
-	var mleaves []proof.Hash
+	// The old run's [0, i] ranks before every new element: it stays
+	// where it is, or is copied once into a new buffer.
+	if cap(src) < l {
+		copy(dst, src[:i+1])
+	}
+	g.sorted = dst
 	if c != nil {
-		mleaves = make([]proof.Hash, 0, cap(merged))
-	}
-	first := -1
-	i, j := 0, 0
-	for i < len(g.sorted) && j < len(g.pending) {
-		if rless(g.pending[j], g.sorted[i]) {
-			if first < 0 {
-				first = len(merged)
-			}
-			merged = append(merged, g.pending[j])
-			if c != nil {
-				mleaves = append(mleaves, proof.LeafHash(g.pending[j].TRS, g.pending[j].Sealed))
-			}
-			j++
-		} else {
-			merged = append(merged, g.sorted[i])
-			if c != nil {
-				mleaves = append(mleaves, c.leaves[i])
-			}
-			i++
+		if cap(lsrc) < l {
+			copy(ldst, lsrc[:i+1])
 		}
+		c.leaves = ldst
+		c.mutatedAt(i + 1)
 	}
-	if first < 0 {
-		// Every pending element ranks below the whole run.
-		first = len(merged)
+}
+
+// growTo returns s extended to length l: s itself when its capacity
+// suffices, else a new buffer, whose first len(s) elements the caller
+// fills, with 1/8 headroom (at least 4) rounded up to the allocator's
+// size class. A run grown one insert at a time reallocates once per
+// eighth of its length, and a run loaded in a few large batches
+// carries little slack: append's own growth (up to 2×) measured +4.6 %
+// index_heap_mb on deep (CHANGES.md, PR 25).
+func growTo[T any](s []T, l int) []T {
+	if l <= cap(s) {
+		return s[:l]
 	}
-	if c != nil {
-		mleaves = append(mleaves, c.leaves[i:]...)
-		for _, r := range g.pending[j:] {
-			mleaves = append(mleaves, proof.LeafHash(r.TRS, r.Sealed))
-		}
-		c.leaves = mleaves
-		c.mutatedAt(first)
-	}
-	merged = append(merged, g.sorted[i:]...)
-	merged = append(merged, g.pending[j:]...)
-	g.sorted = merged
-	g.pending = nil
+	return slices.Grow[[]T](nil, l+max(l/8, 4))[:l]
 }
 
 // leafHashes commits every element of a sorted run.
@@ -481,11 +481,10 @@ func (m *Memory) list(id zerber.ListID, create bool) *mergedList {
 
 // materialize decodes a lazily loaded list and publishes it. The
 // decode runs outside m.mu — first touches of different lists decode
-// in parallel, and a long fold-in never blocks lookups of other
-// lists.
+// in parallel, and a long decode never blocks lookups of other lists.
 func (m *Memory) materialize(id zerber.ListID, lz *lazyList) *mergedList {
 	lz.once.Do(func() {
-		lz.ml = newMergedListFrom(decodeListElements(lz.raw, lz.count), true, lz.version, decodeListLeaves(lz.rawLeaves, lz.count))
+		lz.ml = newMergedListFrom(decodeListElements(lz.raw, lz.count), lz.version, decodeListLeaves(lz.rawLeaves, lz.count))
 		m.mu.Lock()
 		// Publish only if this lazy entry still owns the slot: an
 		// ImportSnapshot may have swapped the maps mid-decode, and the
@@ -512,37 +511,104 @@ func (m *Memory) loadLazy(id zerber.ListID, raw []byte, count int, version uint6
 	m.mu.Unlock()
 }
 
-// Insert implements Backend. It never fails.
+// Insert implements Backend: an InsertBatch of one. It never fails.
 func (m *Memory) Insert(list zerber.ListID, el Element) error {
-	m.insert(list, el)
-	return nil
+	return m.InsertBatch([]BatchInsert{{List: list, Element: el}})
 }
 
-// InsertBatch implements Backend. Memory keeps no log, so the batch
-// is simply its inserts in order.
+// InsertBatch implements Backend. It never fails.
 func (m *Memory) InsertBatch(ops []BatchInsert) error {
-	for i := range ops {
-		m.insert(ops[i].List, ops[i].Element)
-	}
+	m.insertBatch(ops)
 	return nil
 }
 
-// insert appends the element to its group's pending buffer — O(1); the
-// sort debt is paid by the next read of that group, as one merge of
-// two sorted runs.
-func (m *Memory) insert(list zerber.ListID, el Element) {
-	ml := m.list(list, true)
-	ml.mu.Lock()
-	g := ml.groups[el.Group]
-	if g == nil {
-		g = &groupList{}
-		ml.groups[el.Group] = g
+// insertBatch is the one insert — of live writes, of Durable's logged
+// chunks and of WAL replay, one call per record. Each list's ops take
+// their sequences in slice order under the list's write lock, bumping
+// the version once per element (what N single inserts would do), and
+// each group's share is sorted and merged into its run.
+func (m *Memory) insertBatch(ops []BatchInsert) {
+	runs, _ := m.listRuns(len(ops), func(i int) zerber.ListID { return ops[i].List }, true)
+	var buf [16]relem // a small batch's share of a list needs no allocation
+	share := buf[:0]
+	for _, run := range runs {
+		ml := run.ml
+		ml.mu.Lock()
+		share = share[:0]
+		for _, i := range run.idxs {
+			share = append(share, relem{Element: ops[i].Element, seq: ml.nextSeq})
+			ml.nextSeq++
+		}
+		ml.total += len(share)
+		ml.version += uint64(len(share))
+		slices.SortFunc(share, func(a, b relem) int {
+			if a.Group != b.Group {
+				return cmp.Compare(a.Group, b.Group)
+			}
+			return rcmp(a, b)
+		})
+		for rest := share; len(rest) > 0; {
+			n := 1
+			for n < len(rest) && rest[n].Group == rest[0].Group {
+				n++
+			}
+			g := ml.groups[rest[0].Group]
+			if g == nil {
+				g = &groupList{}
+				ml.groups[rest[0].Group] = g
+			}
+			g.merge(rest[:n])
+			rest = rest[n:]
+		}
+		ml.mu.Unlock()
 	}
-	g.pending = append(g.pending, relem{Element: el, seq: ml.nextSeq})
-	ml.nextSeq++
-	ml.total++
-	ml.version++
-	ml.mu.Unlock()
+}
+
+// listRun is one list's share of a batch: the indices of the ops
+// naming it, in slice order.
+type listRun struct {
+	ml   *mergedList
+	idxs []int
+}
+
+// listRuns walks a batch of n ops by list: one run per list, slice
+// order kept within it, runs ascending by list ID — the one lock order,
+// so overlapping batches cannot deadlock. With create, unknown lists
+// are created; otherwise they get no run and firstUnknown is the lowest
+// op index naming one (n if none).
+func (m *Memory) listRuns(n int, list func(i int) zerber.ListID, create bool) (runs []listRun, firstUnknown int) {
+	// One word per op, list ID above op index (n < 2³², far beyond any
+	// batch): sorting the words orders the ops by list and, within a
+	// list, by index.
+	var buf [64]uint64 // a small batch needs no allocation
+	keys := buf[:0]
+	for i := 0; i < n; i++ {
+		keys = append(keys, uint64(list(i))<<32|uint64(i))
+	}
+	slices.Sort(keys)
+	order := make([]int, n)
+	lists := 0
+	for k, key := range keys {
+		order[k] = int(uint32(key))
+		if k == 0 || key>>32 != keys[k-1]>>32 {
+			lists++
+		}
+	}
+	runs = make([]listRun, 0, lists)
+	firstUnknown = n
+	for start := 0; start < n; {
+		end := start + 1
+		for end < n && keys[end]>>32 == keys[start]>>32 {
+			end++
+		}
+		if ml := m.list(zerber.ListID(keys[start]>>32), create); ml != nil {
+			runs = append(runs, listRun{ml, order[start:end]})
+		} else {
+			firstUnknown = min(firstUnknown, order[start])
+		}
+		start = end
+	}
+	return runs, firstUnknown
 }
 
 // Remove implements Backend.
@@ -568,12 +634,11 @@ func (m *Memory) RemoveBatch(ops []BatchRemove, allow func(group int) bool) erro
 }
 
 // victim is one stored element a batched remove resolved to: position
-// idx of its group's sorted run, or of its pending buffer.
+// idx of its group's sorted run.
 type victim struct {
-	g       *groupList
-	idx     int
-	pending bool
-	r       relem
+	g   *groupList
+	idx int
+	r   relem
 }
 
 // removeBatch is RemoveBatch with a commit hook. A non-nil commit runs
@@ -584,32 +649,7 @@ type victim struct {
 // aborts with the lists (and their versions) untouched and nothing
 // intermediate ever observable.
 func (m *Memory) removeBatch(ops []BatchRemove, allow func(group int) bool, commit func() error) error {
-	// order is the op indices by list, slice order kept within a list:
-	// each list's ops are one run of it, and the runs ascend by list ID
-	// — the one lock order, so overlapping batches cannot deadlock.
-	order := make([]int, len(ops))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(ops[a].List, ops[b].List) })
-	type listRun struct {
-		ml   *mergedList
-		idxs []int
-	}
-	var runs []listRun
-	firstUnknown := len(ops) // the lowest op index naming an unknown list
-	for len(order) > 0 {
-		n := 1
-		for n < len(order) && ops[order[n]].List == ops[order[0]].List {
-			n++
-		}
-		if ml := m.list(ops[order[0]].List, false); ml != nil {
-			runs = append(runs, listRun{ml, order[:n]})
-		} else {
-			firstUnknown = min(firstUnknown, order[0])
-		}
-		order = order[n:]
-	}
+	runs, firstUnknown := m.listRuns(len(ops), func(i int) zerber.ListID { return ops[i].List }, false)
 	for _, run := range runs {
 		run.ml.mu.Lock()
 	}
@@ -669,11 +709,6 @@ func (ml *mergedList) resolve(ops []BatchRemove, idxs []int, victims, matches []
 					matches = append(matches, victim{g: g, idx: idx, r: r})
 				}
 			}
-			for idx, r := range g.pending {
-				if bytes.Equal(r.Sealed, sealed) {
-					matches = append(matches, victim{g: g, idx: idx, pending: true, r: r})
-				}
-			}
 		}
 		if len(matches) > 1 {
 			sort.Slice(matches, func(a, b int) bool { return rless(matches[a].r, matches[b].r) })
@@ -711,28 +746,16 @@ func namesPayload(ops []BatchRemove, idxs []int, sealed []byte) bool {
 func (ml *mergedList) delete(victims []victim) {
 	ml.total -= len(victims)
 	ml.version += uint64(len(victims))
-	// By run — a group's sorted run before its pending buffer — then by
-	// index.
-	buffer := func(v victim) int {
-		if v.pending {
-			return 1
-		}
-		return 0
-	}
 	slices.SortFunc(victims, func(a, b victim) int {
-		return cmp.Or(cmp.Compare(a.r.Group, b.r.Group), cmp.Compare(buffer(a), buffer(b)), cmp.Compare(a.idx, b.idx))
+		return cmp.Or(cmp.Compare(a.r.Group, b.r.Group), cmp.Compare(a.idx, b.idx))
 	})
 	for len(victims) > 0 {
 		n := 1
-		for n < len(victims) && victims[n].g == victims[0].g && victims[n].pending == victims[0].pending {
+		for n < len(victims) && victims[n].g == victims[0].g {
 			n++
 		}
 		run, g := victims[:n], victims[0].g
 		victims = victims[n:]
-		if run[0].pending {
-			g.pending = deleteAt(g.pending, run)
-			continue
-		}
 		g.sorted = deleteAt(g.sorted, run)
 		if c := g.commit; c != nil {
 			c.leaves = deleteAt(c.leaves, run)
@@ -756,31 +779,6 @@ func deleteAt[T any](s []T, run []victim) []T {
 	return s[:w]
 }
 
-// lockSorted takes the list lock with the allowed groups' pending
-// buffers folded in: the read lock when they are already clean, the
-// write lock (compacting) otherwise. It returns the unlock function.
-func (ml *mergedList) lockSorted(allowed map[int]bool) func() {
-	ml.mu.RLock()
-	clean := true
-	for gid, g := range ml.groups {
-		if (allowed == nil || allowed[gid]) && g.dirty() {
-			clean = false
-			break
-		}
-	}
-	if clean {
-		return ml.mu.RUnlock
-	}
-	ml.mu.RUnlock()
-	ml.mu.Lock()
-	for gid, g := range ml.groups {
-		if allowed == nil || allowed[gid] {
-			g.compact()
-		}
-	}
-	return ml.mu.Unlock
-}
-
 // Query implements Backend. Out-of-contract arguments are clamped
 // (negative offset reads from the top, like the scan it replaced)
 // rather than trusted into slice arithmetic.
@@ -795,8 +793,8 @@ func (m *Memory) Query(list zerber.ListID, allowed map[int]bool, offset, count i
 	if ml == nil {
 		return QueryResult{}, ErrUnknownList
 	}
-	unlock := ml.lockSorted(allowed)
-	defer unlock()
+	ml.mu.RLock()
+	defer ml.mu.RUnlock()
 	res := ml.queryLocked(allowed, offset, count)
 	res.Version = ml.version
 	return res, nil
@@ -822,7 +820,7 @@ func (m *Memory) Version(list zerber.ListID) (uint64, error) {
 }
 
 // queryLocked answers a ranged read over the allowed groups' sorted
-// runs. Callers hold the list lock with those runs compacted.
+// runs. Callers hold the list lock, read or write.
 func (ml *mergedList) queryLocked(allowed map[int]bool, offset, count int) QueryResult {
 	res, _ := ml.queryCursorsLocked(allowed, offset, count, false)
 	return res
@@ -981,8 +979,8 @@ func (m *Memory) viewVersioned(list zerber.ListID, fn func(version uint64, elems
 	if ml == nil {
 		return ErrUnknownList
 	}
-	unlock := ml.lockSorted(nil)
-	defer unlock()
+	ml.mu.RLock()
+	defer ml.mu.RUnlock()
 	res := ml.queryLocked(nil, 0, ml.total+1)
 	fn(ml.version, res.Elements)
 	return nil
@@ -1047,31 +1045,19 @@ func (m *Memory) NumElements() (int, error) {
 // Close implements Backend. Memory holds no external resources.
 func (m *Memory) Close() error { return nil }
 
-// load replaces a list's contents wholesale (snapshot recovery). The
-// elements are assumed already rank-sorted when sorted is true — their
-// slice order then becomes the tie-breaking insertion order, exactly
-// what the stable sort that produced the snapshot encoded. Empty lists
-// are kept present, mirroring live state after removals. version seeds
-// the list's mutation counter with the value the snapshot recorded, so
-// recovery resumes the counter instead of restarting it (a restarted
-// counter could re-reach an old version with different content,
-// validating stale cached windows).
-func (m *Memory) load(list zerber.ListID, elems []Element, sorted bool, version uint64) {
-	ml := newMergedListFrom(elems, sorted, version, nil)
-	m.mu.Lock()
-	m.lists[list] = ml
-	delete(m.lazy, list)
-	m.mu.Unlock()
-}
-
-// newMergedListFrom builds a merged list from a slice of elements —
-// the shared core of load and lazy materialization. leaves, when
-// non-nil, carries elems' persisted commitment leaf hashes (aligned
-// with elems; requires sorted) and is distributed to the groups so
-// the recovered list recommits without re-hashing a single payload.
-func newMergedListFrom(elems []Element, sorted bool, version uint64, leaves []proof.Hash) *mergedList {
+// newMergedListFrom builds a merged list from a snapshot's elements —
+// rank-sorted, so their slice order becomes the tie-breaking insertion
+// order, exactly what the merge that produced the snapshot encoded.
+// version seeds the list's mutation counter with the value the
+// snapshot recorded, so recovery resumes the counter instead of
+// restarting it (a restarted counter could re-reach an old version
+// with different content, validating stale cached windows). leaves,
+// when non-nil, carries elems' persisted commitment leaf hashes
+// (aligned with elems) and is distributed to the groups so the
+// recovered list recommits without re-hashing a single payload.
+func newMergedListFrom(elems []Element, version uint64, leaves []proof.Hash) *mergedList {
 	ml := &mergedList{groups: make(map[int]*groupList), version: version}
-	if !sorted || len(leaves) != len(elems) {
+	if len(leaves) != len(elems) {
 		leaves = nil
 	}
 	for i, el := range elems {
@@ -1083,16 +1069,11 @@ func newMergedListFrom(elems []Element, sorted bool, version uint64, leaves []pr
 			}
 			ml.groups[el.Group] = g
 		}
-		r := relem{Element: el, seq: ml.nextSeq}
-		if sorted {
-			// A group's subsequence of a rank-sorted slice is itself
-			// sorted under rless (sequences ascend with slice order).
-			g.sorted = append(g.sorted, r)
-			if leaves != nil {
-				g.commit.leaves = append(g.commit.leaves, leaves[i])
-			}
-		} else {
-			g.pending = append(g.pending, r)
+		// A group's subsequence of a rank-sorted slice is itself sorted
+		// under rless (sequences ascend with slice order).
+		g.sorted = append(g.sorted, relem{Element: el, seq: ml.nextSeq})
+		if leaves != nil {
+			g.commit.leaves = append(g.commit.leaves, leaves[i])
 		}
 		ml.nextSeq++
 		ml.total++

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"zerberr/internal/zerber"
 )
@@ -202,6 +203,62 @@ func TestBackendConcurrentAccess(t *testing.T) {
 			}
 			if n := mustNumElements(t, b); n != 200 {
 				t.Fatalf("NumElements = %d, want 200", n)
+			}
+		})
+	}
+}
+
+// TestReadsNeverTakeTheWriteLock: an insert lands at its rank, so a
+// read has nothing to fold — Query, View and ExportSnapshot answer
+// while another reader holds the list's read lock, on groups written
+// since the last read as much as on any other. A read that took the
+// write lock would wait for the holder to let go.
+func TestReadsNeverTakeTheWriteLock(t *testing.T) {
+	for name, b := range backends(t) {
+		t.Run(name, func(t *testing.T) {
+			mem, _ := b.(*Memory)
+			if d, ok := b.(*Durable); ok {
+				mem = d.mem
+			}
+			const list = zerber.ListID(3)
+			var ops []BatchInsert
+			for i := range 24 {
+				ops = append(ops, BatchInsert{List: list, Element: el(fmt.Sprintf("r%02d", i), float64(i%5), i%4)})
+			}
+			if err := b.InsertBatch(ops[:12]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.Query(list, nil, 0, 1); err != nil {
+				t.Fatal(err)
+			}
+			for _, op := range ops[12:] {
+				if err := b.Insert(op.List, op.Element); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ml := mem.list(list, false)
+			ml.mu.RLock()
+			done := make(chan error, 1)
+			go func() {
+				_, err := b.Query(list, map[int]bool{1: true, 2: true}, 0, 5)
+				if err == nil {
+					err = b.View(list, func([]Element) {})
+				}
+				if err == nil {
+					_, _, err = b.ExportSnapshot()
+				}
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				ml.mu.RUnlock()
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				ml.mu.RUnlock()
+				<-done
+				t.Fatal("a read waited for the list's write lock while a reader held the read lock")
 			}
 		})
 	}

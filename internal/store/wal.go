@@ -334,16 +334,18 @@ func (w *wal) close() error {
 	return err
 }
 
-// replayWAL reads the log at path and calls apply for every intact
-// record with seq > afterSeq, in order. A torn final record (truncated
-// frame or CRC mismatch at the tail) is tolerated: the file is
-// truncated back to the last intact record and replay succeeds with
-// what came before. Damage that is provably not a torn tail — intact
-// framing around an undecodable payload followed by more data — is
-// ErrBadWAL. It returns the highest sequence seen (afterSeq if none).
+// replayWAL reads the log at path and calls apply once per intact
+// record, in order, with its decoded operations of seq > afterSeq — a
+// batch record's in one call, as its live write applied them. A torn
+// final record (truncated frame or CRC mismatch at the tail) is
+// tolerated: the file is truncated back to the last intact record and
+// replay succeeds with what came before. Damage that is provably not a
+// torn tail — intact framing around an undecodable payload followed by
+// more data — is ErrBadWAL. It returns the highest sequence seen
+// (afterSeq if none).
 //
 // A missing file is not an error: a fresh log is created.
-func replayWAL(path string, afterSeq uint64, apply func(walRecord)) (maxSeq uint64, _ error) {
+func replayWAL(path string, afterSeq uint64, apply func([]walRecord)) (maxSeq uint64, _ error) {
 	maxSeq = afterSeq
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -399,13 +401,15 @@ func replayWAL(path string, afterSeq uint64, apply func(walRecord)) (maxSeq uint
 			return maxSeq, fmt.Errorf("%w: undecodable record at offset %d: %v", ErrBadWAL, goodEnd, err)
 		}
 		goodEnd = cr.n
+		fresh := recs[:0]
 		for _, rec := range recs {
 			if rec.seq > afterSeq {
-				apply(rec)
+				fresh = append(fresh, rec)
 			}
-			if rec.seq > maxSeq {
-				maxSeq = rec.seq
-			}
+			maxSeq = max(maxSeq, rec.seq)
+		}
+		if len(fresh) > 0 {
+			apply(fresh)
 		}
 	}
 	// Torn tail: drop everything past the last intact record.
