@@ -159,7 +159,7 @@ func BenchmarkProtocolTopK(b *testing.B) {
 	probe := []corpus.TermID{terms[0], terms[20], terms[200], terms[len(terms)/2]}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := cl.Search(context.Background(), []corpus.TermID{probe[i%len(probe)]}, 10, client.WithSerial(), client.WithInitialResponse(10)); err != nil {
+		if _, _, err := cl.Search(context.Background(), []corpus.TermID{probe[i%len(probe)]}, 10, client.WithInitialResponse(10)); err != nil {
 			b.Fatal(err)
 		}
 	}

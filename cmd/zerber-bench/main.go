@@ -68,14 +68,13 @@ func fatal(msg string, args ...any) {
 
 func main() {
 	var (
-		list    = flag.Bool("list", false, "list registered experiments and exit")
-		run     = flag.String("run", "all", "comma-separated experiment names to run, or 'all' (every non-manual experiment)")
-		scale   = flag.Float64("scale", 1, "corpus scale factor (1 = laptop default)")
-		seed    = flag.Uint64("seed", 1, "deterministic seed")
-		csvDir  = flag.String("csv", "", "also write per-experiment CSV files into this directory")
-		quiet   = flag.Bool("q", false, "suppress progress logging")
-		batched = flag.Bool("batched", false, "drive search-timing loops with batched rounds (the bandwidth experiment always reports serial-vs-batched round-trips)")
-		out     = flag.String("o", "", "run the micro-benchmarks and write their snapshot (one JSON line per leg, the BENCH_<PR>.json format) to this file; shorthand for -run micro")
+		list   = flag.Bool("list", false, "list registered experiments and exit")
+		run    = flag.String("run", "all", "comma-separated experiment names to run, or 'all' (every non-manual experiment)")
+		scale  = flag.Float64("scale", 1, "corpus scale factor (1 = laptop default)")
+		seed   = flag.Uint64("seed", 1, "deterministic seed")
+		csvDir = flag.String("csv", "", "also write per-experiment CSV files into this directory")
+		quiet  = flag.Bool("q", false, "suppress progress logging")
+		out    = flag.String("o", "", "run the micro-benchmarks and write their snapshot (one JSON line per leg, the BENCH_<PR>.json format) to this file; shorthand for -run micro")
 
 		// Soak/chaos knobs (the soak experiment; -soak ≡ -run soak).
 		soakMode      = flag.Bool("soak", false, "run the soak/chaos scenario (shorthand for -run soak)")
@@ -146,7 +145,6 @@ func main() {
 	}
 
 	env := experiments.NewEnv(*scale, *seed)
-	env.Batched = *batched
 	if !*quiet {
 		env.Logf = func(format string, args ...interface{}) {
 			logger.Info(fmt.Sprintf(format, args...))

@@ -15,9 +15,10 @@
 //
 // index uploads each document's posting elements as one batched
 // /v2/insert; query drives all terms' follow-up loops over batched
-// /v2/query round-trips (-serial sends one list per round-trip, the
-// paper's request model, -stream prints the provisional top-k after every
-// round, -proof verifies a Merkle window proof for every round);
+// /v2/query round-trips and reports both the round-trips and the list
+// requests they carried, the paper's request count (-stream prints the
+// provisional top-k after every round, -proof verifies a Merkle window
+// proof for every round);
 // status prints the server's /v2/stats view — shards are
 // comma-separated and replica members of one shard are joined with
 // "+" (primary first), mirroring how a replica.Set is wired; -roots
@@ -315,7 +316,6 @@ func cmdQuery(ctx context.Context, args []string) {
 	pass := fs.String("pass", "", "group key passphrase (required)")
 	groups := fs.Int("groups", 16, "number of group keys to derive")
 	k := fs.Int("k", 10, "number of results")
-	serial := fs.Bool("serial", false, "send one list request per round-trip instead of batching every open list into each round")
 	stream := fs.Bool("stream", false, "print the provisional top-k after every protocol round")
 	proved := fs.Bool("proof", false, "verify a Merkle window proof for every protocol round")
 	timeout := fs.Duration("timeout", 0, "overall query deadline (0 = none)")
@@ -344,9 +344,6 @@ func cmdQuery(ctx context.Context, args []string) {
 		fatal("no known query terms")
 	}
 	var opts []client.SearchOption
-	if *serial {
-		opts = append(opts, client.WithSerial())
-	}
 	if *proved {
 		opts = append(opts, client.WithProof())
 	}

@@ -47,7 +47,8 @@
 //     upload them as one batched insert) and execute queries
 //     (decrypt, filter, follow-up requests with doubling response
 //     sizes — all terms' follow-up loops driven as one state machine
-//     over the batched transport). The API is context-first (v3):
+//     over the batched transport, one schedule whose QueryStats.Requests
+//     is the paper's request count). The API is context-first (v3):
 //     every operation takes a context.Context, cancellation and
 //     deadlines propagate through every layer down to in-flight HTTP
 //     requests, and SearchStream exposes the progressive protocol as

@@ -55,8 +55,7 @@ func main() {
 	for _, b := range []int{1, 5, 10, 20, 50} {
 		var reqs, elems, bytes int
 		for _, term := range stream {
-			_, st, err := cl.Search(context.Background(), []corpus.TermID{term}, k,
-				client.WithSerial(), client.WithInitialResponse(b))
+			_, st, err := cl.Search(context.Background(), []corpus.TermID{term}, k, client.WithInitialResponse(b))
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -72,8 +71,7 @@ func main() {
 	// Section 6.6 accounting at the paper's recommended b = k.
 	var totalBytes int
 	for _, term := range stream {
-		_, st, err := cl.Search(context.Background(), []corpus.TermID{term}, k,
-			client.WithSerial(), client.WithInitialResponse(10))
+		_, st, err := cl.Search(context.Background(), []corpus.TermID{term}, k, client.WithInitialResponse(10))
 		if err != nil {
 			log.Fatal(err)
 		}

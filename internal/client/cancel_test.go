@@ -224,18 +224,16 @@ func TestSearchStreamMatchesSearch(t *testing.T) {
 	}
 }
 
-// TestSearchStreamSerialMatchesBatched runs the stream over the
-// serial schedule and requires the same final result.
+// TestSearchStreamSerialMatchesBatched streams a multi-round query and
+// requires its final snapshot to be what searching the terms one after
+// another returns, at that serial schedule's request count.
 func TestSearchStreamSerialMatchesBatched(t *testing.T) {
 	h := newHarness(t, crypt.GCMCodec{}, 35)
 	terms := multiRoundQuery(h)
-	want, _, err := h.cl.Search(context.Background(), terms, 5, WithInitialResponse(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, sumRequests, maxRequests, _ := serialAnswer(t, h.cl, terms, 5, WithInitialResponse(1))
 	var last Snapshot
 	n := 0
-	for snap, err := range h.cl.SearchStream(context.Background(), terms, 5, WithSerial(), WithInitialResponse(1)) {
+	for snap, err := range h.cl.SearchStream(context.Background(), terms, 5, WithInitialResponse(1)) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,15 +241,19 @@ func TestSearchStreamSerialMatchesBatched(t *testing.T) {
 		n++
 	}
 	if n < 2 || !last.Final {
-		t.Fatalf("serial stream yielded %d snapshots (final=%v)", n, last.Final)
+		t.Fatalf("stream yielded %d snapshots (final=%v)", n, last.Final)
 	}
 	if len(last.Results) != len(want) {
-		t.Fatalf("serial final has %d results, batched %d", len(last.Results), len(want))
+		t.Fatalf("stream final has %d results, serial %d", len(last.Results), len(want))
 	}
 	for i := range want {
 		if last.Results[i] != want[i] {
-			t.Fatalf("serial final rank %d = %+v, batched %+v", i, last.Results[i], want[i])
+			t.Fatalf("stream final rank %d = %+v, serial %+v", i, last.Results[i], want[i])
 		}
+	}
+	if last.Stats.Requests != sumRequests || last.Stats.Rounds != maxRequests {
+		t.Fatalf("stream requests/rounds %d/%d, want Σ %d / max %d per-term requests",
+			last.Stats.Requests, last.Stats.Rounds, sumRequests, maxRequests)
 	}
 }
 
@@ -275,25 +277,17 @@ func TestSearchBadQuery(t *testing.T) {
 			t.Errorf("%s: Search err = %v, want ErrBadQuery", tc.name, err)
 		}
 	}
-	if _, _, err := h.cl.Search(context.Background(), []corpus.TermID{term}, 0, WithSerial()); !errors.Is(err, ErrBadQuery) {
-		t.Errorf("TopK k=0 err = %v, want ErrBadQuery", err)
-	}
-	if _, _, err := h.cl.Search(context.Background(), nil, 10, WithSerial()); !errors.Is(err, ErrBadQuery) {
-		t.Errorf("SearchSerial nil terms err = %v, want ErrBadQuery", err)
-	}
 }
 
-// TestSearchPreCanceledContext verifies both protocol paths check the
+// TestSearchPreCanceledContext verifies the round loop checks the
 // context before any round-trip.
 func TestSearchPreCanceledContext(t *testing.T) {
 	h := newHarness(t, crypt.GCMCodec{}, 37)
 	cl, ct := newCountingClient(t, h)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, opts := range [][]SearchOption{nil, {WithSerial()}} {
-		if _, _, err := cl.Search(ctx, multiRoundQuery(h), 5, opts...); !errors.Is(err, context.Canceled) {
-			t.Fatalf("pre-canceled Search err = %v, want context.Canceled", err)
-		}
+	if _, _, err := cl.Search(ctx, multiRoundQuery(h), 5); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-canceled Search err = %v, want context.Canceled", err)
 	}
 	if got := ct.batches.Load(); got != 0 {
 		t.Fatalf("pre-canceled search still issued %d round-trips", got)

@@ -7,15 +7,14 @@
 // The API is context-first (v3): every operation takes a
 // context.Context and long operations are cancelable between
 // round-trips. Search is the one query entrypoint — functional
-// options select serial scheduling, the initial response size, strict
-// top-k and window proofs — and SearchStream exposes the progressive
-// protocol itself, yielding the provisional top-k after every round.
-// A query drives every term's follow-up loop as one state machine over
-// one round loop: by default each round's QueryBatch covers every open
-// list, so a multi-term query costs O(max follow-up rounds)
-// round-trips instead of O(Σ per-term requests); WithSerial puts one
-// list in each round, the paper's request model, over the same loop
-// and the same wire path, and therefore returns identical results.
+// options select the initial response size, strict top-k and window
+// proofs — and SearchStream exposes the progressive protocol itself,
+// yielding the provisional top-k after every round. A query drives
+// every term's follow-up loop as one state machine over one round
+// loop: each round's QueryBatch covers every open list, so a
+// multi-term query costs O(max follow-up rounds) round-trips while
+// QueryStats.Requests still counts Σ per-term requests, the paper's
+// request model.
 package client
 
 import (
@@ -60,12 +59,13 @@ type Config struct {
 // QueryStats accounts for the cost of one query, the quantities
 // Figures 11-13 are computed from.
 type QueryStats struct {
-	// Requests is the number of per-list fetches (1 = no follow-ups).
+	// Requests is the number of per-list fetches (1 = no follow-ups),
+	// summed over the query's terms: the paper's request count, and
+	// the round-trips a schedule sending one list per round would take.
 	Requests int
-	// Rounds is the number of round-trips to the server. By default one
-	// round covers every still-open list, so Rounds is the maximum
-	// follow-up depth across terms; under WithSerial a round carries
-	// one list and Rounds equals Requests.
+	// Rounds is the number of round-trips to the server. One round
+	// covers every still-open list, so Rounds is the maximum follow-up
+	// depth across terms (more only past the server's batch cap).
 	Rounds int
 	// Elements is the total number of posting elements returned
 	// (TRes of Equation 12 unless the list was exhausted earlier).
@@ -162,29 +162,13 @@ func (c *Client) IndexDocument(ctx context.Context, d *corpus.Document, group in
 	if c.tokens == nil {
 		return ErrNotLoggedIn
 	}
-	key, okKey := c.cfg.Keys[group]
-	tok, okTok := c.byGrp[group]
-	if !okKey || !okTok {
+	tok, ok := c.byGrp[group]
+	if !ok {
 		return fmt.Errorf("%w: group %d", ErrNoGroupKey, group)
 	}
-	if d.Length == 0 {
-		return nil
-	}
-	terms := make([]corpus.TermID, 0, len(d.TF))
-	for term := range d.TF {
-		terms = append(terms, term)
-	}
-	sort.Slice(terms, func(i, j int) bool { return terms[i] < terms[j] })
-	ops := make([]server.InsertOp, 0, len(terms))
-	for _, term := range terms {
-		score := rank.NormTF(d.TF[term], d.Length)
-		trs := c.cfg.Store.TRS(term, d.ID, score)
-		sealed, err := c.cfg.Codec.Seal(crypt.Element{Doc: d.ID, Term: term, Score: score}, key)
-		if err != nil {
-			return fmt.Errorf("client: sealing element for term %d: %w", term, err)
-		}
-		el := server.StoredElement{Sealed: sealed, TRS: trs, Group: group}
-		ops = append(ops, server.InsertOp{List: c.ListFor(term), Element: el})
+	ops, err := c.SealDocument(d, group)
+	if err != nil {
+		return err
 	}
 	// One round-trip per document in practice; documents with more
 	// terms than the server's batch cap are split.
@@ -198,6 +182,39 @@ func (c *Client) IndexDocument(ctx context.Context, d *corpus.Document, group in
 		}
 	}
 	return nil
+}
+
+// SealDocument builds, transforms and seals the posting elements of
+// one document under the given group's key, one insert op per term in
+// ascending term order, without sending anything. IndexDocument
+// uploads exactly these ops; a caller that must know the sealed bytes
+// it acknowledged (randomized codecs cannot re-derive them) seals here
+// and sends the ops itself. An empty document seals to no ops.
+func (c *Client) SealDocument(d *corpus.Document, group int) ([]server.InsertOp, error) {
+	key, ok := c.cfg.Keys[group]
+	if !ok {
+		return nil, fmt.Errorf("%w: group %d", ErrNoGroupKey, group)
+	}
+	if d.Length == 0 {
+		return nil, nil
+	}
+	terms := make([]corpus.TermID, 0, len(d.TF))
+	for term := range d.TF {
+		terms = append(terms, term)
+	}
+	sort.Slice(terms, func(i, j int) bool { return terms[i] < terms[j] })
+	ops := make([]server.InsertOp, 0, len(terms))
+	for _, term := range terms {
+		score := rank.NormTF(d.TF[term], d.Length)
+		trs := c.cfg.Store.TRS(term, d.ID, score)
+		sealed, err := c.cfg.Codec.Seal(crypt.Element{Doc: d.ID, Term: term, Score: score}, key)
+		if err != nil {
+			return nil, fmt.Errorf("client: sealing element for term %d: %w", term, err)
+		}
+		el := server.StoredElement{Sealed: sealed, TRS: trs, Group: group}
+		ops = append(ops, server.InsertOp{List: c.ListFor(term), Element: el})
+	}
+	return ops, nil
 }
 
 // queryBatchChunked issues one round's sub-queries, splitting at the
@@ -246,9 +263,8 @@ func (c *Client) queryBatchChunked(ctx context.Context, queries []server.ListQue
 
 // termScan is the per-term state of the progressive protocol: the
 // cursor into one merged list, the doubling schedule, the matches
-// collected so far and the stopping rule. Serial and batched
-// scheduling drive their rounds through it, so they cannot diverge in
-// what they return.
+// collected so far and the stopping rule. Its sub-queries are what
+// QueryStats.Requests counts, however a round packs them.
 type termScan struct {
 	term   corpus.TermID
 	list   zerber.ListID

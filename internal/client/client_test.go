@@ -92,7 +92,7 @@ func TestTopKMatchesBaselineExactly(t *testing.T) {
 	probe := []corpus.TermID{terms[0], terms[5], terms[50], terms[200], terms[len(terms)/2], terms[len(terms)-1]}
 	for _, term := range probe {
 		for _, k := range []int{1, 5, 10} {
-			got, stats, err := h.cl.Search(context.Background(), []corpus.TermID{term}, k, WithSerial(), WithInitialResponse(10))
+			got, stats, err := h.cl.Search(context.Background(), []corpus.TermID{term}, k, WithInitialResponse(10))
 			if err != nil {
 				t.Fatalf("term %d k=%d: %v", term, k, err)
 			}
@@ -108,7 +108,7 @@ func TestTopKMatchesBaselineExactly(t *testing.T) {
 func TestTopKCompact64MatchesWithinQuantization(t *testing.T) {
 	h := newHarness(t, crypt.Compact64Codec{}, 2)
 	term := h.c.TermsByDF()[10]
-	got, _, err := h.cl.Search(context.Background(), []corpus.TermID{term}, 10, WithSerial(), WithInitialResponse(10))
+	got, _, err := h.cl.Search(context.Background(), []corpus.TermID{term}, 10, WithInitialResponse(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestDoublingProtocolAccounting(t *testing.T) {
 	terms := h.c.TermsByDF()
 	term := terms[len(terms)/3]
 	b := 5
-	got, stats, err := h.cl.Search(context.Background(), []corpus.TermID{term}, 20, WithSerial(), WithInitialResponse(b))
+	got, stats, err := h.cl.Search(context.Background(), []corpus.TermID{term}, 20, WithInitialResponse(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestHeadTermSingleRequest(t *testing.T) {
 	// The most frequent term sits in a near-pure merged list: top-10
 	// should arrive in the first response with b=10 most of the time.
 	term := h.c.TermsByDF()[0]
-	_, stats, err := h.cl.Search(context.Background(), []corpus.TermID{term}, 10, WithSerial(), WithInitialResponse(10))
+	_, stats, err := h.cl.Search(context.Background(), []corpus.TermID{term}, 10, WithInitialResponse(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestExhaustedSmallTerm(t *testing.T) {
 	terms := h.c.TermsByDF()
 	rare := terms[len(terms)-1]
 	df := h.c.DF(rare)
-	got, stats, err := h.cl.Search(context.Background(), []corpus.TermID{rare}, df+50, WithSerial(), WithInitialResponse(10))
+	got, stats, err := h.cl.Search(context.Background(), []corpus.TermID{rare}, df+50, WithInitialResponse(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestACLInvisibleGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	term := h.c.TermsByDF()[0]
-	got, _, err := reader.Search(context.Background(), []corpus.TermID{term}, h.c.NumDocs(), WithSerial())
+	got, _, err := reader.Search(context.Background(), []corpus.TermID{term}, h.c.NumDocs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestIndexRequiresLoginAndKeys(t *testing.T) {
 	if err := fresh.IndexDocument(context.Background(), d, 0); !errors.Is(err, ErrNotLoggedIn) {
 		t.Fatalf("unauthenticated index err = %v", err)
 	}
-	if _, _, err := fresh.Search(context.Background(), []corpus.TermID{1}, 5, WithSerial()); !errors.Is(err, ErrNotLoggedIn) {
+	if _, _, err := fresh.Search(context.Background(), []corpus.TermID{1}, 5); !errors.Is(err, ErrNotLoggedIn) {
 		t.Fatalf("unauthenticated query err = %v", err)
 	}
 	if err := fresh.Login(context.Background(), "writer"); err != nil {
@@ -299,7 +299,7 @@ func TestTamperedElementSurfaces(t *testing.T) {
 	if err := InsertOne(context.Background(), h.srv.InsertBatch, toks[evil.Group], list, evil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := h.cl.Search(context.Background(), []corpus.TermID{term}, 5, WithSerial(), WithInitialResponse(10)); !errors.Is(err, crypt.ErrDecrypt) {
+	if _, _, err := h.cl.Search(context.Background(), []corpus.TermID{term}, 5, WithInitialResponse(10)); !errors.Is(err, crypt.ErrDecrypt) {
 		t.Fatalf("tampered element err = %v, want ErrDecrypt", err)
 	}
 }
@@ -318,7 +318,7 @@ func TestUnplannedTermsRoundTrip(t *testing.T) {
 	if err := h.cl.IndexDocument(context.Background(), d, 0); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := h.cl.Search(context.Background(), []corpus.TermID{novel}, 5, WithSerial())
+	got, _, err := h.cl.Search(context.Background(), []corpus.TermID{novel}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestUnplannedTermsRoundTrip(t *testing.T) {
 
 func TestBadArguments(t *testing.T) {
 	h := newHarness(t, crypt.GCMCodec{}, 12)
-	if _, _, err := h.cl.Search(context.Background(), []corpus.TermID{1}, 0, WithSerial(), WithInitialResponse(10)); err == nil {
+	if _, _, err := h.cl.Search(context.Background(), []corpus.TermID{1}, 0, WithInitialResponse(10)); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 	if _, err := New(Local{}, Config{}); err == nil {
@@ -349,7 +349,7 @@ func TestHTTPTransportEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	term := h.c.TermsByDF()[4]
-	got, stats, err := remote.Search(context.Background(), []corpus.TermID{term}, 10, WithSerial(), WithInitialResponse(10))
+	got, stats, err := remote.Search(context.Background(), []corpus.TermID{term}, 10, WithInitialResponse(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestSaturatedTRSStillExact(t *testing.T) {
 		}
 		want = append(want, float64(tf)/100)
 	}
-	got, _, err := cl.Search(context.Background(), []corpus.TermID{1}, 3, WithSerial(), WithInitialResponse(2))
+	got, _, err := cl.Search(context.Background(), []corpus.TermID{1}, 3, WithInitialResponse(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,11 +426,11 @@ func TestStrictTopKMatchesDefault(t *testing.T) {
 	}
 	terms := h.c.TermsByDF()
 	for _, term := range []corpus.TermID{terms[0], terms[30], terms[len(terms)/2]} {
-		a, aStats, err := h.cl.Search(context.Background(), []corpus.TermID{term}, 10, WithSerial(), WithInitialResponse(10))
+		a, aStats, err := h.cl.Search(context.Background(), []corpus.TermID{term}, 10, WithInitialResponse(10))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, bStats, err := strict.Search(context.Background(), []corpus.TermID{term}, 10, WithSerial(), WithInitialResponse(10))
+		b, bStats, err := strict.Search(context.Background(), []corpus.TermID{term}, 10, WithInitialResponse(10))
 		if err != nil {
 			t.Fatal(err)
 		}

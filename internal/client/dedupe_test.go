@@ -27,8 +27,9 @@ func TestSearchDeduplicatesTerms(t *testing.T) {
 			r, st, err := h.cl.Search(context.Background(), q, k)
 			return r, st, err
 		}},
-		{"serial", func(q []corpus.TermID, k int) (interface{}, QueryStats, error) {
-			r, st, err := h.cl.Search(context.Background(), q, k, WithSerial())
+		// Many rounds: every duplicate would also repeat each follow-up.
+		{"b=1", func(q []corpus.TermID, k int) (interface{}, QueryStats, error) {
+			r, st, err := h.cl.Search(context.Background(), q, k, WithInitialResponse(1))
 			return r, st, err
 		}},
 	} {
@@ -51,16 +52,15 @@ func TestSearchDeduplicatesTerms(t *testing.T) {
 	}
 }
 
-// The serial schedule must report measured wire bytes over HTTP, like
-// the batched path does, instead of always falling back to the codec
-// estimate — otherwise the serial-vs-batched bandwidth comparison is
-// apples-to-oranges. In process there is no wire, so the estimate
-// remains.
+// A single-term query — one list per round-trip, the paper's serial
+// request model — must report measured wire bytes over HTTP instead of
+// falling back to the codec estimate. In process there is no wire, so
+// the estimate remains.
 func TestSerialQueryBytesMeasuredOverHTTP(t *testing.T) {
 	h := newHarness(t, crypt.GCMCodec{}, 45)
 	term := h.c.TermsByDF()[0]
 
-	_, localStats, err := h.cl.Search(context.Background(), []corpus.TermID{term}, 10, WithSerial())
+	_, localStats, err := h.cl.Search(context.Background(), []corpus.TermID{term}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,16 +81,15 @@ func TestSerialQueryBytesMeasuredOverHTTP(t *testing.T) {
 	if err := remote.Login(context.Background(), "writer"); err != nil {
 		t.Fatal(err)
 	}
-	_, httpStats, err := remote.Search(context.Background(), []corpus.TermID{term}, 10, WithSerial())
+	_, httpStats, err := remote.Search(context.Background(), []corpus.TermID{term}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if httpStats.Elements != localStats.Elements {
 		t.Fatalf("HTTP returned %d elements, in-process %d", httpStats.Elements, localStats.Elements)
 	}
-	// Measured JSON bodies include framing and base64 expansion, so
-	// the real figure is strictly larger than the estimate the serial
-	// path used to report unconditionally.
+	// Measured bodies include framing, so the real figure is strictly
+	// larger than the estimate.
 	if httpStats.Bytes <= estimate {
 		t.Fatalf("HTTP Bytes = %d, want measured value > codec estimate %d", httpStats.Bytes, estimate)
 	}

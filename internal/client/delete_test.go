@@ -29,7 +29,7 @@ func TestDeleteDocumentRemovesAllElements(t *testing.T) {
 	// The document must no longer be retrievable under any of its
 	// terms, and the rest of the ranking must be intact.
 	for term := range victim.TF {
-		res, _, err := h.cl.Search(context.Background(), []corpus.TermID{term}, h.c.NumDocs(), WithSerial(), WithInitialResponse(50))
+		res, _, err := h.cl.Search(context.Background(), []corpus.TermID{term}, h.c.NumDocs(), WithInitialResponse(50))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestDeleteThenReindex(t *testing.T) {
 	if err := h.cl.IndexDocument(context.Background(), updated, updated.Group); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := h.cl.Search(context.Background(), []corpus.TermID{someTerm}, 1, WithSerial(), WithInitialResponse(10))
+	res, _, err := h.cl.Search(context.Background(), []corpus.TermID{someTerm}, 1, WithInitialResponse(10))
 	if err != nil {
 		t.Fatal(err)
 	}

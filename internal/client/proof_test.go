@@ -128,11 +128,11 @@ func TestWithProofMatchesUnproven(t *testing.T) {
 }
 
 // TestWithProofDetectsTampering is the detection matrix: every class
-// of server misbehavior must surface as ErrProofInvalid, whichever way
-// the rounds are scheduled (serial rounds ride the same verified
-// QueryBatch path, one list at a time). Each class
-// queries its own term so one class's poisoned cache entries cannot
-// mask another's mutation.
+// of server misbehavior must surface as ErrProofInvalid, whatever the
+// rounds carry: "batched" rounds carry two lists, "serial" ones a
+// single list over many rounds (one term at b=1). Each class queries
+// its own terms so one class's poisoned cache entries cannot mask
+// another's mutation.
 func TestWithProofDetectsTampering(t *testing.T) {
 	h, tb := newTamperHarness(t, 23)
 	terms := h.c.TermsByDF()
@@ -179,19 +179,23 @@ func TestWithProofDetectsTampering(t *testing.T) {
 			}
 		}},
 	}
-	if len(terms) < len(classes) {
+	if len(terms) < 2*len(classes) {
 		t.Fatal("corpus too small for the class matrix")
 	}
-	schedules := map[string][]SearchOption{
-		"batched": {WithProof()},
-		"serial":  {WithProof(), WithSerial()},
+	queries := func(i int) []corpus.TermID { return []corpus.TermID{terms[i], terms[len(classes)+i]} }
+	schedules := map[string]func(i int) ([]corpus.TermID, []SearchOption){
+		"batched": func(i int) ([]corpus.TermID, []SearchOption) { return queries(i), []SearchOption{WithProof()} },
+		"serial": func(i int) ([]corpus.TermID, []SearchOption) {
+			return queries(i)[:1], []SearchOption{WithProof(), WithInitialResponse(1)}
+		},
 	}
 	for i, tc := range classes {
-		for schedule, opts := range schedules {
+		for schedule, query := range schedules {
 			t.Run(tc.name+"/"+schedule, func(t *testing.T) {
 				tb.set(tc.f, nil)
 				defer tb.set(nil, nil)
-				_, _, err := h.cl.Search(context.Background(), []corpus.TermID{terms[i]}, 5, opts...)
+				q, opts := query(i)
+				_, _, err := h.cl.Search(context.Background(), q, 5, opts...)
 				if err == nil {
 					t.Fatal("tampered window accepted")
 				}
@@ -204,7 +208,7 @@ func TestWithProofDetectsTampering(t *testing.T) {
 	// With injection off again the same terms verify cleanly — the
 	// backend state itself was never corrupted.
 	for i := range classes {
-		if _, _, err := h.cl.Search(context.Background(), []corpus.TermID{terms[i]}, 5, WithProof()); err != nil {
+		if _, _, err := h.cl.Search(context.Background(), queries(i), 5, WithProof()); err != nil {
 			t.Fatalf("honest search after class %d still failing: %v", i, err)
 		}
 	}

@@ -22,7 +22,6 @@ var ErrBadQuery = errors.New("client: bad query")
 // SearchStream.
 type searchConfig struct {
 	initial int
-	serial  bool
 	strict  bool
 	proved  bool
 }
@@ -35,17 +34,6 @@ type SearchOption func(*searchConfig)
 // to the client's configured default.
 func WithInitialResponse(b int) SearchOption {
 	return func(o *searchConfig) { o.initial = b }
-}
-
-// WithSerial schedules the query one list request per round-trip:
-// every round's QueryBatch carries only the first unsettled term, so
-// each term's follow-up loop runs to completion in turn and Rounds ==
-// Requests == Σ per-term requests. It is the paper's request model
-// (Figs. 11-13) and the baseline the batched schedule's round-trip
-// savings are measured against; the wire path, and the results, are
-// the same either way.
-func WithSerial() SearchOption {
-	return func(o *searchConfig) { o.serial = true }
 }
 
 // WithProof makes every round of this query verifiable: each
@@ -84,11 +72,10 @@ type Snapshot struct {
 // entrypoint, consolidating the former TopK / TopKWithInitial /
 // Search / SearchSerial quartet behind functional options.
 //
-// All terms' follow-up loops run as one state machine: by default each
-// round issues a single QueryBatch covering every still-open list, so
-// a T-term query costs max(per-term rounds) round-trips, not Σ per-term
-// requests. WithSerial puts one list in each round instead; results
-// are identical either way.
+// All terms' follow-up loops run as one state machine: each round
+// issues a single QueryBatch covering every still-open list, so a
+// T-term query costs max(per-term rounds) round-trips. The paper's
+// request count (Figs. 11-13), Σ per-term requests, is Stats.Requests.
 //
 // The context bounds the whole query: cancellation or a deadline is
 // honored between rounds and aborts any in-flight round-trip on
@@ -160,10 +147,10 @@ func (c *Client) searchStream(ctx context.Context, terms []corpus.TermID, k int,
 	}
 }
 
-// stream is the one round loop: each round sends the open scans' next
-// sub-queries as one QueryBatch — all of them, or under o.serial only
-// the first — yielding a snapshot after each round (progressive) or
-// only once settled, until all scans settle or the consumer breaks.
+// stream is the one round loop: each round sends every open scan's
+// next sub-query as one QueryBatch, yielding a snapshot after each
+// round (progressive) or only once settled, until all scans settle or
+// the consumer breaks.
 // With o.proved every sub-query requests a window proof and each
 // response is verified before absorb sees it.
 func (c *Client) stream(ctx context.Context, scans []*termScan, k int, progressive bool, o searchConfig, total *QueryStats, yield func(Snapshot, error) bool) {
@@ -184,9 +171,6 @@ func (c *Client) stream(ctx context.Context, scans []*termScan, k int, progressi
 				q.Proof = o.proved
 				queries = append(queries, q)
 				open = append(open, i)
-				if o.serial {
-					break
-				}
 			}
 		}
 		resps, wireBytes, rounds, err := c.queryBatchChunked(ctx, queries)

@@ -117,7 +117,7 @@ func TestClusterTopKMatchesBaseline(t *testing.T) {
 	h := newClusterHarness(t, 3, 2)
 	terms := h.c.TermsByDF()
 	for _, term := range []corpus.TermID{terms[0], terms[10], terms[100], terms[len(terms)/2]} {
-		got, stats, err := h.cl.Search(context.Background(), []corpus.TermID{term}, 10, client.WithSerial(), client.WithInitialResponse(10))
+		got, stats, err := h.cl.Search(context.Background(), []corpus.TermID{term}, 10, client.WithInitialResponse(10))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestClusterDelete(t *testing.T) {
 		t.Fatalf("removed %d, want %d", removed, len(victim.TF))
 	}
 	for term := range victim.TF {
-		res, _, err := h.cl.Search(context.Background(), []corpus.TermID{term}, h.c.NumDocs(), client.WithSerial(), client.WithInitialResponse(50))
+		res, _, err := h.cl.Search(context.Background(), []corpus.TermID{term}, h.c.NumDocs(), client.WithInitialResponse(50))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func TestClusterDelete(t *testing.T) {
 func TestSingleShardClusterEquivalent(t *testing.T) {
 	h := newClusterHarness(t, 1, 4)
 	term := h.c.TermsByDF()[5]
-	got, _, err := h.cl.Search(context.Background(), []corpus.TermID{term}, 5, client.WithSerial(), client.WithInitialResponse(10))
+	got, _, err := h.cl.Search(context.Background(), []corpus.TermID{term}, 5, client.WithInitialResponse(10))
 	if err != nil {
 		t.Fatal(err)
 	}

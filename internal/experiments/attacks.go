@@ -405,8 +405,7 @@ func requestAttackOn(sys *zerberr.System, maxProbes int) (acc, prior float64, pr
 			if sys.Corpus.DF(t) == 0 {
 				continue
 			}
-			_, st, err := cl.Search(context.Background(), []corpus.TermID{t}, k,
-				client.WithSerial(), client.WithInitialResponse(b))
+			_, st, err := cl.Search(context.Background(), []corpus.TermID{t}, k, client.WithInitialResponse(b))
 			if err != nil {
 				return 0, 0, 0, err
 			}

@@ -49,45 +49,23 @@ func BandwidthAnalysis(e *Env) (*Result, error) {
 	top10KB := perTermKB*paperTermsPerQuery + snippetsKB
 
 	// Throughput: time the protocol over a slice of the real stream.
-	// With Batched (zerber-bench -batched) the loop instead drives
-	// whole queries through batched rounds.
 	stream := log.SingleTermStream()
 	n := len(stream)
 	if n > 4000 {
 		n = 4000
 	}
-	var termQPS float64
-	if e.Batched {
-		covered := 0
-		start := time.Now()
-		for _, q := range log.Queries {
-			if covered >= n {
-				break
-			}
-			if _, _, err := cl.Search(context.Background(), q.Terms, k); err != nil {
-				return nil, fmt.Errorf("bandwidth: %w", err)
-			}
-			covered += len(q.Terms)
+	start := time.Now()
+	for _, term := range stream[:n] {
+		if _, _, err := cl.Search(context.Background(), []corpus.TermID{term}, k, client.WithInitialResponse(b)); err != nil {
+			return nil, fmt.Errorf("bandwidth: %w", err)
 		}
-		elapsed := time.Since(start)
-		termQPS = float64(covered) / elapsed.Seconds()
-		n = covered
-	} else {
-		start := time.Now()
-		for _, term := range stream[:n] {
-			if _, _, err := cl.Search(context.Background(), []corpus.TermID{term}, k,
-				client.WithSerial(), client.WithInitialResponse(b)); err != nil {
-				return nil, fmt.Errorf("bandwidth: %w", err)
-			}
-		}
-		elapsed := time.Since(start)
-		termQPS = float64(n) / elapsed.Seconds()
 	}
-	queryQPS := termQPS / paperTermsPerQuery
+	queryQPS := float64(n) / time.Since(start).Seconds() / paperTermsPerQuery
 
-	// Round-trip savings of batching: a multi-term
-	// query's serial cost is Σ per-term requests, its batched cost is
-	// the max follow-up depth across terms (one QueryBatch per round).
+	// Round-trip savings of batching: a multi-term query sent one list
+	// per round-trip would take Σ per-term requests (Stats.Requests);
+	// batched it takes the max follow-up depth across terms
+	// (Stats.Rounds, one QueryBatch per round).
 	multi := 0
 	serialReq, batchedRounds := 0, 0
 	for _, q := range log.Queries {
@@ -97,16 +75,12 @@ func BandwidthAnalysis(e *Env) (*Result, error) {
 		if multi >= 200 {
 			break
 		}
-		_, serial, err := cl.Search(context.Background(), q.Terms, k, client.WithSerial())
+		_, st, err := cl.Search(context.Background(), q.Terms, k)
 		if err != nil {
-			return nil, fmt.Errorf("bandwidth: serial search: %w", err)
+			return nil, fmt.Errorf("bandwidth: %w", err)
 		}
-		_, batched, err := cl.Search(context.Background(), q.Terms, k)
-		if err != nil {
-			return nil, fmt.Errorf("bandwidth: batched search: %w", err)
-		}
-		serialReq += serial.Requests
-		batchedRounds += batched.Rounds
+		serialReq += st.Requests
+		batchedRounds += st.Rounds
 		multi++
 	}
 

@@ -74,10 +74,6 @@ type Env struct {
 	Seed uint64
 	// Logf receives progress lines (a no-op by default).
 	Logf func(format string, args ...interface{})
-	// Batched makes search-driving experiments batch every open list
-	// into each round of their timed loops (client.Search's default)
-	// instead of scheduling them serially (cmd/zerber-bench -batched).
-	Batched bool
 
 	mu      sync.Mutex
 	systems map[string]*zerberr.System

@@ -157,6 +157,24 @@ func TestFig09TermTieBreak(t *testing.T) {
 	}
 }
 
+// TestFig08ProbeTermTieBreak leaves no corpus term with minSamples
+// training points, so the choice falls back to the best-sampled term,
+// and hands it two tied ones: the lower TermID must win on every run,
+// not whichever the map ranges first.
+func TestFig08ProbeTermTieBreak(t *testing.T) {
+	c := corpus.Ingest([]corpus.RawDoc{{Text: "quartz zebra violin"}, {Text: "quartz harbor"}}, nil)
+	train := map[corpus.TermID][]float64{
+		31: {0.1, 0.2, 0.3},
+		17: {0.4, 0.5, 0.6},
+		23: {0.7},
+	}
+	for i := 0; i < 50; i++ {
+		if term, xs := probeTermWithSamples(c, train, 40); term != 17 || len(xs) != 3 {
+			t.Fatalf("run %d picked term %d with %d samples, want the lower tied term 17 with 3", i, term, len(xs))
+		}
+	}
+}
+
 func TestFig10(t *testing.T) {
 	res := runAndRender(t, "fig10")
 	ys := res.Series[0].Y

@@ -61,12 +61,13 @@ func probeTermWithSamples(c *corpus.Corpus, train map[corpus.TermID][]float64, m
 			return t, train[t]
 		}
 	}
-	// Fall back to the best-sampled term.
+	// Fall back to the best-sampled term, ties to the lowest TermID so
+	// the figure's term does not depend on map order.
 	var best corpus.TermID
 	bestN := 0
 	for t, xs := range train {
-		if len(xs) > bestN {
-			best, bestN = t, len(xs)
+		if n := len(xs); n > bestN || (n == bestN && n > 0 && t < best) {
+			best, bestN = t, n
 		}
 	}
 	return best, train[best]

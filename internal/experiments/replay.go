@@ -94,8 +94,7 @@ func (e *Env) Replay(profile string) (*replay, error) {
 		for _, b := range replayBs {
 			pts := make([]replayPoint, 0, len(samples))
 			for _, s := range samples {
-				_, st, err := cl.Search(context.Background(), []corpus.TermID{s.term}, k,
-					client.WithSerial(), client.WithInitialResponse(b))
+				_, st, err := cl.Search(context.Background(), []corpus.TermID{s.term}, k, client.WithInitialResponse(b))
 				if err != nil {
 					return nil, fmt.Errorf("experiments: replay term %d k=%d b=%d: %w", s.term, k, b, err)
 				}

@@ -6,7 +6,7 @@
 //
 // Every benchmark is an ordinary func(*testing.B); zerber-bench drives
 // them through testing.Benchmark. Shared fixtures (the 120k-element
-// list, the indexed search system) are built once per process.
+// list, the replica sets) are built once per process.
 package microbench
 
 import (
@@ -19,10 +19,8 @@ import (
 	"testing"
 	"time"
 
-	zerberr "zerberr"
 	"zerberr/internal/cache"
 	"zerberr/internal/client"
-	"zerberr/internal/corpus"
 	"zerberr/internal/crypt"
 	"zerberr/internal/obs"
 	"zerberr/internal/proof"
@@ -80,8 +78,6 @@ type Bench struct {
 //   - StoreRecover/*: cold starts, which no steady-state workload pays.
 //   - HedgedQuery/*: hedging overhead and the failover hop with a dead
 //     primary, a fault benchmark/ never injects.
-//   - SearchSerialVsBatched/inproc/*: the round loop's two schedules
-//     without a network under them.
 //   - CryptOpen/*, CryptSeal/aes-gcm: allocations and nanoseconds per
 //     posting element under a key that carries its derived ciphers —
 //     benchmark/ sees their sum as crypt.open_ms but not the
@@ -105,8 +101,6 @@ func Suite() []Bench {
 		{Name: "StoreRecover/first-query/mmap", F: storeRecoverMmap},
 		{Name: "StoreRecover/wal-only", F: storeRecoverWAL},
 		{Name: "StoreRecover/snapshot", F: storeRecoverSnapshot},
-		{Name: "SearchSerialVsBatched/inproc/serial", F: searchSerial},
-		{Name: "SearchSerialVsBatched/inproc/batched", F: searchBatched},
 		{Name: "HedgedQuery/healthy", F: hedgedQueryHealthy},
 		{Name: "HedgedQuery/failover", F: hedgedQueryFailover},
 		{Name: "CryptOpen/aes-gcm", F: func(b *testing.B) { cryptOpen(b, crypt.GCMCodec{}) }, MaxAllocs: 1},
@@ -769,86 +763,6 @@ func hedgedQueryHealthy(b *testing.B) { hedgedQuery(b, replicaSets().healthy) }
 // (replica.DemoteAfter) routes subsequent reads straight to the
 // replica — the steady-state price of riding out a dead primary.
 func hedgedQueryFailover(b *testing.B) { hedgedQuery(b, replicaSets().failover) }
-
-// --- end-to-end search ----------------------------------------------
-
-type searchFixture struct {
-	cl      *client.Client
-	queries [][]corpus.TermID
-}
-
-var (
-	searchOnce sync.Once
-	searchFix  *searchFixture
-	searchErr  error
-)
-
-// searchSystem builds (once) a small indexed deployment and a
-// logged-in client, the multi-term query workload of the
-// serial-vs-batched comparison.
-func searchSystem() (*searchFixture, error) {
-	searchOnce.Do(func() {
-		p := corpus.ProfileStudIP()
-		p.NumDocs = 400
-		p.VocabSize = 4000
-		c := corpus.Generate(p, 5)
-		cfg := zerberr.DefaultConfig()
-		cfg.Seed = 5
-		cfg.Codec = crypt.Compact64Codec{}
-		sys, err := zerberr.Setup(c, cfg)
-		if err == nil {
-			err = sys.IndexAll()
-		}
-		if err != nil {
-			searchErr = err
-			return
-		}
-		cl, err := sys.NewClient("microbench-searcher")
-		if err != nil {
-			searchErr = err
-			return
-		}
-		terms := sys.Corpus.TermsByDF()
-		searchFix = &searchFixture{
-			cl: cl,
-			queries: [][]corpus.TermID{
-				{terms[0], terms[20], terms[200]},
-				{terms[5], terms[50], terms[300], terms[len(terms)/2]},
-			},
-		}
-	})
-	return searchFix, searchErr
-}
-
-// searchBench drives the multi-term search workload in process,
-// reporting round-trips and list-requests per query alongside ns/op.
-func searchBench(b *testing.B, opts ...client.SearchOption) {
-	f, err := searchSystem()
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	rounds, requests := 0, 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, st, err := f.cl.Search(ctx, f.queries[i%len(f.queries)], 10, opts...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rounds += st.Rounds
-		requests += st.Requests
-	}
-	b.ReportMetric(float64(rounds)/float64(b.N), "round-trips/query")
-	b.ReportMetric(float64(requests)/float64(b.N), "list-requests/query")
-}
-
-// searchSerial is an in-process multi-term search scheduled serially
-// (one round-trip per list request).
-func searchSerial(b *testing.B) { searchBench(b, client.WithSerial()) }
-
-// searchBatched is the same workload with every open list batched
-// into each round.
-func searchBatched(b *testing.B) { searchBench(b) }
 
 // --- posting-element crypto -----------------------------------------
 

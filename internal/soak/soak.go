@@ -19,7 +19,6 @@ import (
 	"zerberr/internal/corpus"
 	"zerberr/internal/crypt"
 	"zerberr/internal/obs"
-	"zerberr/internal/rank"
 	"zerberr/internal/replica"
 	"zerberr/internal/server"
 	"zerberr/internal/workload"
@@ -422,36 +421,6 @@ func (r *run) newClient(ctx context.Context) (*client.Client, map[int]crypt.Toke
 	return cl, byGrp, nil
 }
 
-// sealDoc seals one document's posting elements exactly like
-// client.IndexDocument does, but returns the ops so the caller can
-// mirror the acknowledged sealed bytes into the oracle (IndexDocument
-// discards them, and randomized codecs cannot re-derive them).
-func sealDoc(cl *client.Client, sys *zerberr.System, d *corpus.Document) ([]server.InsertOp, error) {
-	key, ok := sys.Keys[d.Group]
-	if !ok {
-		return nil, fmt.Errorf("soak: no key for group %d", d.Group)
-	}
-	codec := sys.Config().Codec
-	terms := make([]corpus.TermID, 0, len(d.TF))
-	for t := range d.TF {
-		terms = append(terms, t)
-	}
-	sort.Slice(terms, func(i, j int) bool { return terms[i] < terms[j] })
-	ops := make([]server.InsertOp, 0, len(terms))
-	for _, term := range terms {
-		score := rank.NormTF(d.TF[term], d.Length)
-		sealed, err := codec.Seal(crypt.Element{Doc: d.ID, Term: term, Score: score}, key)
-		if err != nil {
-			return nil, err
-		}
-		ops = append(ops, server.InsertOp{
-			List:    cl.ListFor(term),
-			Element: server.StoredElement{Sealed: sealed, TRS: sys.Store.TRS(term, d.ID, score), Group: d.Group},
-		})
-	}
-	return ops, nil
-}
-
 // bootstrap seals and uploads the whole corpus through the cluster,
 // batched per group, and records every acknowledged element.
 func (r *run) bootstrap(ctx context.Context) error {
@@ -464,7 +433,7 @@ func (r *run) bootstrap(ctx context.Context) error {
 		if d.Length == 0 {
 			continue
 		}
-		ops, err := sealDoc(cl, r.sys, d)
+		ops, err := cl.SealDocument(d, d.Group)
 		if err != nil {
 			return err
 		}
@@ -541,7 +510,10 @@ func (r *run) execute(ctx context.Context, cl *client.Client, byGrp map[int]cryp
 			r.countErr("search", err)
 		}
 	case workload.OpInsert:
-		ops, err := sealDoc(cl, r.sys, op.Doc)
+		// SealDocument, not IndexDocument: the oracle mirrors the
+		// acknowledged sealed bytes, which randomized codecs cannot
+		// re-derive.
+		ops, err := cl.SealDocument(op.Doc, op.Doc.Group)
 		if err != nil || len(ops) == 0 {
 			if err != nil {
 				r.countErr("seal", err)

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"zerberr/internal/client"
 	"zerberr/internal/corpus"
 	"zerberr/internal/workload"
 )
@@ -56,7 +55,7 @@ func TestSystemEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	term := sys.Corpus.TermsByDF()[3]
-	got, stats, err := cl.Search(context.Background(), []corpus.TermID{term}, 10, client.WithSerial())
+	got, stats, err := cl.Search(context.Background(), []corpus.TermID{term}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +80,7 @@ func TestNewClientGroupScoping(t *testing.T) {
 		t.Fatal(err)
 	}
 	term := sys.Corpus.TermsByDF()[0]
-	got, _, err := cl.Search(context.Background(), []corpus.TermID{term}, sys.Corpus.NumDocs(), client.WithSerial())
+	got, _, err := cl.Search(context.Background(), []corpus.TermID{term}, sys.Corpus.NumDocs())
 	if err != nil {
 		t.Fatal(err)
 	}
