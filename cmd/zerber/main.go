@@ -28,8 +28,10 @@
 // needing only a login (no group keys — proofs bind ciphertext, not
 // plaintext). migrate
 // moves a whole index between zerberd processes over the MAC-gated
-// admin plane (snapshot, WAL tail, digest) and differentially
-// verifies the copy before reporting success; quiesce the source (or
+// admin plane (snapshot, then the log records written since — the WAL
+// tail, as the source's own framed bytes — then digests), reports the
+// tail's size in bytes, and differentially verifies the copy before
+// reporting success; quiesce the source (or
 // use cluster.Router.Migrate in process) for a fully atomic move. wire
 // is curl for the endpoints whose bodies are binary frames: it logs in,
 // sends one raw insert, query or remove, and prints the answer as JSON
@@ -584,14 +586,15 @@ func fmtLatency(secs float64) string {
 // cmdMigrate moves one zerberd's whole index to another over the
 // MAC-gated admin plane: the shard-copy procedure Router.Migrate and
 // replica resync run (client.CopyShard, then client.CatchUpShard — the
-// WAL tail when the source is durable, a second full copy otherwise),
-// then a differential digest verification. Unlike those two there is
-// no write barrier from out here — writes landing on the source during
-// the catch-up make the verification fail, and the command says so;
-// rerun it once the source is quiesced.
+// log records a durable source wrote after the snapshot, applied
+// strictly; a second full copy when the source keeps no log or the
+// tail does not apply), then a differential digest verification.
+// Unlike those two there is no write barrier from out here — writes
+// landing on the source during the catch-up make the verification
+// fail, and the command says so; rerun it once the source is quiesced.
 func cmdMigrate(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("migrate", flag.ExitOnError)
-	src := fs.String("src", "", "source server URL (required)")
+	src := fs.String("src", "", "source server URL (required; a durable source also ships the log tail written during the copy)")
 	dst := fs.String("dst", "", "destination server URL (required; its index is replaced)")
 	secretFile := fs.String("secret-file", "", "file holding the servers' shared secret — derives the admin MAC (required)")
 	verifyOnly := fs.Bool("verify-only", false, "only compare the two servers' digests, move nothing")
@@ -608,14 +611,14 @@ func cmdMigrate(ctx context.Context, args []string) {
 	da := client.HTTP{BaseURL: strings.TrimSpace(*dst), Retry: client.DefaultRetryPolicy(), AdminMAC: mac}
 
 	start := time.Now()
-	tailOps := 0
+	tailBytes := 0
 	if !*verifyOnly {
 		exp, err := client.CopyShard(ctx, sa, da)
 		if err != nil {
 			fatal("copying the snapshot failed", "err", err)
 		}
 		logger.Info("snapshot copied", "bytes", len(exp.Data), "seq", exp.Seq, "tailable", exp.Tailable)
-		if tailOps, err = client.CatchUpShard(ctx, sa, da, exp); err != nil {
+		if tailBytes, err = client.CatchUpShard(ctx, sa, da, exp); err != nil {
 			fatal("catching the destination up failed", "err", err)
 		}
 	}
@@ -635,8 +638,8 @@ func cmdMigrate(ctx context.Context, args []string) {
 		elements += d.Elements
 	}
 	logger.Info("migration verified",
-		"lists", len(dstDig), "elements", elements, "tail_ops", tailOps,
+		"lists", len(dstDig), "elements", elements, "tail_bytes", tailBytes,
 		"elapsed", time.Since(start).Round(time.Millisecond), "verify_only", *verifyOnly)
-	fmt.Printf("migrated %d lists (%d elements, %d tail ops) from %s to %s — digests identical\n",
-		len(dstDig), elements, tailOps, *src, *dst)
+	fmt.Printf("migrated %d lists (%d elements, %d bytes of log tail) from %s to %s — digests identical\n",
+		len(dstDig), elements, tailBytes, *src, *dst)
 }

@@ -28,10 +28,11 @@ type ShardAdmin interface {
 	ExportSnapshot(ctx context.Context) (server.SnapshotExport, error)
 	// ImportSnapshot replaces the shard's full state with a dump.
 	ImportSnapshot(ctx context.Context, data []byte) error
-	// TailSince returns the mutations logged after seq.
-	TailSince(ctx context.Context, seq uint64) ([]server.TailOp, error)
-	// ApplyOps replays a decoded tail through the normal mutation path.
-	ApplyOps(ctx context.Context, ops []server.TailOp) error
+	// TailSince returns the log records written after seq: framed WAL
+	// bytes, empty when nothing was logged since.
+	TailSince(ctx context.Context, seq uint64) ([]byte, error)
+	// ApplyTail applies another shard's TailSince bytes.
+	ApplyTail(ctx context.Context, tail []byte) error
 	// Digest summarizes every list for differential verification.
 	Digest(ctx context.Context) ([]server.ListDigest, error)
 }
@@ -53,23 +54,24 @@ func CopyShard(ctx context.Context, src, dst ShardAdmin) (server.SnapshotExport,
 
 // CatchUpShard is the other half: it brings dst from the state
 // CopyShard shipped (exp) to src's current state and returns how many
-// logged mutations it replayed. A tailable source has the tail after
+// bytes of log tail it applied. A tailable source has the tail after
 // exp.Seq fetched and applied; when it is not tailable, or either step
 // fails — over HTTP the store's truncation sentinel arrives
-// stringified, so every failure counts, a half-applied tail included —
-// a fresh full copy runs instead and the count is zero. Slower, never
-// wrong. The result is exact only if no write reaches src during the
-// call; which barrier guarantees that (the router's per-slot lock, the
+// stringified, so every failure counts: a half-applied tail, and a
+// remove dst cannot resolve because it has diverged from src — a fresh
+// full copy runs instead and the count is zero. Slower, never wrong.
+// The result is exact only if no write reaches src during the call;
+// which barrier guarantees that (the router's per-slot lock, the
 // replica set's, or none with a digest check after) is the caller's
 // business, and the only thing the three callers do differently.
 func CatchUpShard(ctx context.Context, src, dst ShardAdmin, exp server.SnapshotExport) (int, error) {
 	if exp.Tailable {
-		ops, err := src.TailSince(ctx, exp.Seq)
-		if err == nil && len(ops) > 0 {
-			err = dst.ApplyOps(ctx, ops)
+		tail, err := src.TailSince(ctx, exp.Seq)
+		if err == nil && len(tail) > 0 {
+			err = dst.ApplyTail(ctx, tail)
 		}
 		if err == nil {
-			return len(ops), nil
+			return len(tail), nil
 		}
 	}
 	if _, err := CopyShard(ctx, src, dst); err != nil {
@@ -89,13 +91,13 @@ func (l Local) ImportSnapshot(ctx context.Context, data []byte) error {
 }
 
 // TailSince implements ShardAdmin.
-func (l Local) TailSince(ctx context.Context, seq uint64) ([]server.TailOp, error) {
+func (l Local) TailSince(ctx context.Context, seq uint64) ([]byte, error) {
 	return l.S.TailSince(ctx, seq)
 }
 
-// ApplyOps implements ShardAdmin.
-func (l Local) ApplyOps(ctx context.Context, ops []server.TailOp) error {
-	return l.S.ApplyOps(ctx, ops)
+// ApplyTail implements ShardAdmin.
+func (l Local) ApplyTail(ctx context.Context, tail []byte) error {
+	return l.S.ApplyTail(ctx, tail)
 }
 
 // Digest implements ShardAdmin.
@@ -112,27 +114,9 @@ func (h HTTP) adminDo(ctx context.Context, method, path string, body []byte, con
 	return h.doOnce(ctx, call{method: method, path: path, body: body, contentType: contentType, admin: true, maxResponse: server.MaxImportBytes})
 }
 
-// adminJSON runs a JSON-in/JSON-out admin exchange.
-func (h HTTP) adminJSON(ctx context.Context, method, path string, in, out interface{}) error {
-	var body []byte
-	if in != nil {
-		var err error
-		if body, err = json.Marshal(in); err != nil {
-			return fmt.Errorf("client: encoding request: %w", err)
-		}
-	}
-	raw, _, err := h.adminDo(ctx, method, path, body, jsonContentType)
-	if err != nil {
-		return err
-	}
-	if out == nil {
-		return nil
-	}
-	if err := json.Unmarshal(raw, out); err != nil {
-		return fmt.Errorf("client: %s: decoding response: %w", path, err)
-	}
-	return nil
-}
+// octetStream labels the snapshot and tail bodies the admin plane
+// moves.
+const octetStream = "application/octet-stream"
 
 // ExportSnapshot implements ShardAdmin over GET /v3/admin/snapshot.
 func (h HTTP) ExportSnapshot(ctx context.Context) (server.SnapshotExport, error) {
@@ -153,30 +137,31 @@ func (h HTTP) ExportSnapshot(ctx context.Context) (server.SnapshotExport, error)
 
 // ImportSnapshot implements ShardAdmin over PUT /v3/admin/snapshot.
 func (h HTTP) ImportSnapshot(ctx context.Context, data []byte) error {
-	_, _, err := h.adminDo(ctx, http.MethodPut, "/v3/admin/snapshot", data, "application/octet-stream")
+	_, _, err := h.adminDo(ctx, http.MethodPut, "/v3/admin/snapshot", data, octetStream)
 	return err
 }
 
 // TailSince implements ShardAdmin over GET /v3/admin/tail.
-func (h HTTP) TailSince(ctx context.Context, seq uint64) ([]server.TailOp, error) {
-	var out server.TailResponse
-	path := "/v3/admin/tail?after=" + strconv.FormatUint(seq, 10)
-	if err := h.adminJSON(ctx, http.MethodGet, path, nil, &out); err != nil {
-		return nil, err
-	}
-	return out.Ops, nil
+func (h HTTP) TailSince(ctx context.Context, seq uint64) ([]byte, error) {
+	tail, _, err := h.adminDo(ctx, http.MethodGet, "/v3/admin/tail?after="+strconv.FormatUint(seq, 10), nil, "")
+	return tail, err
 }
 
-// ApplyOps implements ShardAdmin over POST /v3/admin/ops.
-func (h HTTP) ApplyOps(ctx context.Context, ops []server.TailOp) error {
-	return h.adminJSON(ctx, http.MethodPost, "/v3/admin/ops", server.ApplyOpsRequest{Ops: ops}, nil)
+// ApplyTail implements ShardAdmin over POST /v3/admin/ops.
+func (h HTTP) ApplyTail(ctx context.Context, tail []byte) error {
+	_, _, err := h.adminDo(ctx, http.MethodPost, "/v3/admin/ops", tail, octetStream)
+	return err
 }
 
 // Digest implements ShardAdmin over GET /v3/admin/digest.
 func (h HTTP) Digest(ctx context.Context) ([]server.ListDigest, error) {
-	var out server.DigestResponse
-	if err := h.adminJSON(ctx, http.MethodGet, "/v3/admin/digest", nil, &out); err != nil {
+	raw, _, err := h.adminDo(ctx, http.MethodGet, "/v3/admin/digest", nil, "")
+	if err != nil {
 		return nil, err
+	}
+	var out server.DigestResponse
+	if err := json.Unmarshal(raw, &out); err != nil {
+		return nil, fmt.Errorf("client: /v3/admin/digest: decoding response: %w", err)
 	}
 	return out.Lists, nil
 }

@@ -2,6 +2,7 @@ package client_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -19,7 +20,7 @@ import (
 type faultyAdmin struct {
 	client.ShardAdmin
 	failTail     bool // TailSince errors
-	partialApply bool // ApplyOps applies the first op, then errors
+	partialApply bool // ApplyTail applies the first record, then errors
 	hideTail     bool // exports claim the source keeps no log
 	exports      int
 }
@@ -33,21 +34,22 @@ func (f *faultyAdmin) ExportSnapshot(ctx context.Context) (server.SnapshotExport
 	return exp, err
 }
 
-func (f *faultyAdmin) TailSince(ctx context.Context, seq uint64) ([]server.TailOp, error) {
+func (f *faultyAdmin) TailSince(ctx context.Context, seq uint64) ([]byte, error) {
 	if f.failTail {
 		return nil, errors.New("injected: tail fetch failed")
 	}
 	return f.ShardAdmin.TailSince(ctx, seq)
 }
 
-func (f *faultyAdmin) ApplyOps(ctx context.Context, ops []server.TailOp) error {
+func (f *faultyAdmin) ApplyTail(ctx context.Context, tail []byte) error {
 	if f.partialApply {
-		if err := f.ShardAdmin.ApplyOps(ctx, ops[:1]); err != nil {
+		n, k := binary.Uvarint(tail) // the first record's frame: length, payload, CRC
+		if err := f.ShardAdmin.ApplyTail(ctx, tail[:k+int(n)+4]); err != nil {
 			return err
 		}
-		return errors.New("injected: apply failed after the first op")
+		return errors.New("injected: apply failed after the first record")
 	}
-	return f.ShardAdmin.ApplyOps(ctx, ops)
+	return f.ShardAdmin.ApplyTail(ctx, tail)
 }
 
 // sameContent reports whether two shards hold identical lists, by the
@@ -67,9 +69,10 @@ func sameContent(t *testing.T, a, b client.ShardAdmin) bool {
 
 // TestShardCopy drives the one shard-copy procedure — CopyShard, writes
 // landing on the source meanwhile, CatchUpShard — between two durable
-// servers: the clean tail path, and every way the tail can fail, each
-// of which must end digest-identical through the full re-copy and
-// report zero tail ops.
+// servers: the clean tail path, and every way the tail can fail — a
+// destination that diverged from the source included — each of which
+// must end digest-identical through the full re-copy and report zero
+// tail bytes.
 func TestShardCopy(t *testing.T) {
 	ctx := context.Background()
 	secret := []byte("copy-secret")
@@ -84,15 +87,19 @@ func TestShardCopy(t *testing.T) {
 		return s
 	}
 	for _, tc := range []struct {
-		name        string
-		src, dst    faultyAdmin
-		wantTailOps int
-		wantExports int
+		name          string
+		src, dst      faultyAdmin
+		diverge       bool // the destination loses an element a tail remove targets
+		wantTailBytes int
+		wantExports   int
 	}{
-		{name: "tail replays", wantTailOps: 3, wantExports: 1},
+		// Three records — two inserts, one remove, one insert creating a
+		// list — of 52, 21 and 28 framed bytes.
+		{name: "tail replays", wantTailBytes: 101, wantExports: 1},
 		{name: "tail fetch fails", src: faultyAdmin{failTail: true}, wantExports: 2},
 		{name: "apply fails after a partial apply", dst: faultyAdmin{partialApply: true}, wantExports: 2},
 		{name: "source not tailable", src: faultyAdmin{hideTail: true}, wantExports: 2},
+		{name: "destination diverged", diverge: true, wantExports: 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srcSrv, dstSrv := durable(), durable()
@@ -122,22 +129,31 @@ func TestShardCopy(t *testing.T) {
 			if !sameContent(t, &src, &dst) {
 				t.Fatal("bulk copy left the shards different")
 			}
-			// Writes the bulk copy did not see: the tail. Two inserts to a
-			// copied list, one that creates a list, so a half-applied tail
-			// leaves the destination visibly wrong.
+			// Writes the bulk copy did not see: the tail. Two inserts to
+			// copied lists, a remove, and an insert that creates a list, so
+			// a half-applied tail leaves the destination visibly wrong.
 			insert(20, 22)
+			victim := []server.RemoveOp{{List: 2, Sealed: []byte("element-005")}}
+			if err := srcSrv.RemoveBatch(ctx, toks[0], victim); err != nil {
+				t.Fatal(err)
+			}
 			if err := srcSrv.InsertBatch(ctx, toks[0], []server.InsertOp{{List: 9, Element: server.StoredElement{Sealed: []byte("born-late"), TRS: 0.5}}}); err != nil {
 				t.Fatal(err)
+			}
+			if tc.diverge {
+				if err := dstSrv.RemoveBatch(ctx, toks[0], victim); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if sameContent(t, &src, &dst) {
 				t.Fatal("post-copy writes are invisible to the digest; the test proves nothing")
 			}
-			tailOps, err := client.CatchUpShard(ctx, &src, &dst, exp)
+			tailBytes, err := client.CatchUpShard(ctx, &src, &dst, exp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tailOps != tc.wantTailOps {
-				t.Errorf("tailOps = %d, want %d", tailOps, tc.wantTailOps)
+			if tailBytes != tc.wantTailBytes {
+				t.Errorf("TailBytes = %d, want %d", tailBytes, tc.wantTailBytes)
 			}
 			if src.exports != tc.wantExports {
 				t.Errorf("source exported %d times, want %d", src.exports, tc.wantExports)

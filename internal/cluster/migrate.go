@@ -28,10 +28,10 @@ type MigrationReport struct {
 	// Lists and Elements count what the destination verified it holds.
 	Lists    int `json:"lists"`
 	Elements int `json:"elements"`
-	// TailOps is the number of write operations replayed under the
-	// barrier to catch the destination up (zero when the source is not
-	// tailable and a quiesced full copy ran instead).
-	TailOps int `json:"tail_ops"`
+	// TailBytes is the size of the log tail applied under the barrier
+	// to catch the destination up (zero when the source is not tailable,
+	// or the tail failed, and a full copy ran instead).
+	TailBytes int `json:"tail_bytes"`
 	// Epoch is the routing-table epoch after the flip.
 	Epoch uint64 `json:"epoch"`
 	// Duration covers the whole migration; BarrierDuration only the
@@ -101,7 +101,7 @@ func (r *Router) migrate(ctx context.Context, shard int, dst client.Transport) (
 	r.writeMu[shard].Lock()
 	defer r.writeMu[shard].Unlock()
 	barrierStart := time.Now()
-	if rep.TailOps, err = client.CatchUpShard(ctx, sa, da, exp); err != nil {
+	if rep.TailBytes, err = client.CatchUpShard(ctx, sa, da, exp); err != nil {
 		return rep, fmt.Errorf("cluster: migrate shard %d: %w", shard, err)
 	}
 

@@ -234,7 +234,7 @@ func TestMigrateUnderConcurrentWrites(t *testing.T) {
 			if rep.Lists == 0 || rep.Elements == 0 {
 				t.Fatalf("empty migration report: %+v", rep)
 			}
-			if tc.durable && rep.TailOps == 0 && h.src[1].NumElements() > rep.Elements {
+			if tc.durable && rep.TailBytes == 0 && h.src[1].NumElements() > rep.Elements {
 				t.Fatalf("durable source moved writes but replayed no tail: %+v", rep)
 			}
 

@@ -96,6 +96,9 @@ func raceRead[T any](ctx context.Context, s *Set, op func(ctx context.Context, t
 				s.failovers.Add(1)
 				launch()
 				pending++
+				if next == len(order) {
+					timerC = nil // every member is in the race: none is left to hedge to
+				}
 			} else if pending == 0 {
 				return zero, fmt.Errorf("replica: every member faulted: %w", firstFault)
 			}

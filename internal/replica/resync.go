@@ -3,7 +3,7 @@ package replica
 // Resync and the set's admin surface. A Set delegates the ShardAdmin
 // snapshot-transfer calls to its primary — a migration that exports
 // "the shard" exports the primary's state — with one twist: admin
-// mutations (import, applied ops) leave the replicas holding old
+// mutations (import, applied tail) leave the replicas holding old
 // state, so they are marked stale and Resync brings them back.
 //
 // Resync itself is the bulk-copy-then-barrier shape live migration
@@ -62,7 +62,7 @@ func (s *Set) ImportSnapshot(ctx context.Context, data []byte) error {
 }
 
 // TailSince implements client.ShardAdmin via the primary.
-func (s *Set) TailSince(ctx context.Context, seq uint64) ([]server.TailOp, error) {
+func (s *Set) TailSince(ctx context.Context, seq uint64) ([]byte, error) {
 	a, err := s.admin()
 	if err != nil {
 		return nil, err
@@ -70,14 +70,14 @@ func (s *Set) TailSince(ctx context.Context, seq uint64) ([]server.TailOp, error
 	return a.TailSince(ctx, seq)
 }
 
-// ApplyOps implements client.ShardAdmin: the primary applies the tail
+// ApplyTail implements client.ShardAdmin: the primary applies the tail
 // and every replica is marked stale until Resync.
-func (s *Set) ApplyOps(ctx context.Context, ops []server.TailOp) error {
+func (s *Set) ApplyTail(ctx context.Context, tail []byte) error {
 	a, err := s.admin()
 	if err != nil {
 		return err
 	}
-	if err := a.ApplyOps(ctx, ops); err != nil {
+	if err := a.ApplyTail(ctx, tail); err != nil {
 		return err
 	}
 	s.markReplicasStale()

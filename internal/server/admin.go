@@ -3,9 +3,11 @@ package server
 // Admin plane: the snapshot-transfer API beneath live shard migration
 // and replica resync (internal/cluster, internal/replica). A peer
 // holding the cluster's shared secret can export this shard's atomic
-// snapshot dump, import one, fetch the WAL tail logged after a dump's
-// sequence, apply a decoded tail, and fetch a per-list content digest
-// for differential verification across a cut-over.
+// snapshot dump, import one, fetch the log tail written after a dump's
+// sequence — the WAL's own framed records — apply such a tail, and
+// fetch a per-list content digest for differential verification across
+// a cut-over. Snapshots and tails cross as application/octet-stream
+// bodies of at most MaxImportBytes.
 //
 // Access control is deliberately not token-based: tokens authorize
 // per-group reads and writes, while these calls move whole-index state
@@ -33,10 +35,6 @@ import (
 	"zerberr/internal/zerber"
 )
 
-// TailOp aliases the store's decoded WAL mutation so the wire format
-// and the storage hook agree (the StoredElement idiom).
-type TailOp = store.TailOp
-
 // SnapshotExport is one shard's exported state: the self-verifying
 // snapshot dump, the WAL sequence it covers, and whether the shard can
 // serve TailSince for sequences at or beyond Seq (a durable backend
@@ -59,28 +57,14 @@ type ListDigest struct {
 	Sum      string        `json:"sum"`
 }
 
-// TailResponse carries a WAL tail between shards.
-type TailResponse struct {
-	Ops []TailOp `json:"ops"`
-}
-
-// ApplyOpsRequest is the /v3/admin/ops payload.
-type ApplyOpsRequest struct {
-	Ops []TailOp `json:"ops"`
-}
-
 // DigestResponse is the /v3/admin/digest payload.
 type DigestResponse struct {
 	Lists []ListDigest `json:"lists"`
 }
 
-// maxAdminOps bounds one ApplyOps request; longer tails are chunked by
-// the caller.
-const maxAdminOps = 1 << 20
-
-// MaxImportBytes bounds an imported snapshot body and an ApplyOps
-// request; exported because the admin client bounds what a peer may
-// answer an export with by the same figure.
+// MaxImportBytes bounds an imported snapshot body and an applied tail;
+// exported because the admin client bounds what a peer may answer an
+// export or a tail fetch with by the same figure.
 const MaxImportBytes = 1 << 30
 
 // AdminMAC derives the admin-plane credential from the token-signing
@@ -146,15 +130,15 @@ func (s *Server) ImportSnapshot(ctx context.Context, data []byte) error {
 	return nil
 }
 
-// TailSince returns the mutations logged after seq (see
-// store.Backend.TailSince for the ErrNoTail / ErrTailTruncated
-// contract, surfaced here as ErrBadRequest-wrapped errors so remote
-// callers can tell them from transport faults).
-func (s *Server) TailSince(ctx context.Context, seq uint64) ([]TailOp, error) {
+// TailSince returns the log records written after seq, as framed WAL
+// bytes (see store.Backend.TailSince for the ErrNoTail /
+// ErrTailTruncated contract, surfaced here as ErrBadRequest-wrapped
+// errors so remote callers can tell them from transport faults).
+func (s *Server) TailSince(ctx context.Context, seq uint64) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ops, err := s.backend.TailSince(seq)
+	tail, err := s.backend.TailSince(seq)
 	if err != nil {
 		if errors.Is(err, store.ErrNoTail) || errors.Is(err, store.ErrTailTruncated) {
 			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
@@ -162,67 +146,32 @@ func (s *Server) TailSince(ctx context.Context, seq uint64) ([]TailOp, error) {
 		return nil, fmt.Errorf("server: reading tail: %w", err)
 	}
 	if m := s.met.Load(); m != nil {
-		m.tailOps.Add(uint64(len(ops)))
+		m.tailBytes.Add(uint64(len(tail)))
 	}
-	return ops, nil
+	return tail, nil
 }
 
-// ApplyOps applies a decoded WAL tail in order through the normal
-// mutation path, so versions advance on the destination exactly as
-// they did on the source. Consecutive inserts are applied as one
-// backend batch — on a durable destination a replayed tail costs one
-// WAL record (and one fsync) per insert run, not per element, which is
-// what keeps replica resync and migration catch-up cheap. The error
-// carries the offending index as a BatchError (for a failed insert
-// run, its first index); operations before it are applied (the caller
-// re-syncs or discards the shard on failure — migration never flips a
-// route without a clean digest match).
-func (s *Server) ApplyOps(ctx context.Context, ops []TailOp) error {
-	if len(ops) > maxAdminOps {
-		return fmt.Errorf("%w: %d ops exceed the %d per-request bound", ErrBadRequest, len(ops), maxAdminOps)
+// ApplyTail applies a tail another shard's TailSince returned
+// (store.ApplyTail): versions advance here exactly as they did there,
+// and each run of consecutive inserts or removes is one backend batch —
+// on a durable shard one WAL record (and one fsync) per run, which is
+// what keeps replica resync and migration catch-up cheap. A tail that
+// does not decode changes nothing; a remove this shard cannot resolve
+// fails the apply after the runs before it — the shard has diverged,
+// and the caller re-copies it (migration never flips a route without a
+// clean digest match). Both are ErrBadRequest.
+func (s *Server) ApplyTail(ctx context.Context, tail []byte) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	for i := 0; i < len(ops); {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		var err error
-		switch op := ops[i]; op.Op {
-		case store.TailOpInsert:
-			run := i + 1
-			for run < len(ops) && ops[run].Op == store.TailOpInsert {
-				run++
-			}
-			batch := make([]store.BatchInsert, 0, run-i)
-			for _, op := range ops[i:run] {
-				batch = append(batch, store.BatchInsert{
-					List:    op.List,
-					Element: store.Element{Sealed: op.Sealed, TRS: op.TRS, Group: op.Group},
-				})
-			}
-			if err = s.backend.InsertBatch(batch); err != nil {
-				return &BatchError{Index: i, Err: err}
-			}
-			i = run
-			continue
-		case store.TailOpRemove:
-			err = s.backend.Remove(op.List, op.Sealed, nil)
-			if errors.Is(err, store.ErrNotFound) || errors.Is(err, store.ErrUnknownList) {
-				// A remove whose insert the snapshot already folded away
-				// is a no-op, the same stance WAL replay takes.
-				err = nil
-			}
-		default:
-			err = fmt.Errorf("%w: unknown op %q", ErrBadRequest, op.Op)
-		}
-		if err != nil {
-			return &BatchError{Index: i, Err: err}
-		}
-		i++
-	}
+	ops, err := store.ApplyTail(s.backend, tail)
 	if m := s.met.Load(); m != nil {
-		m.opsApplied.Add(uint64(len(ops)))
+		m.opsApplied.Add(uint64(ops))
 	}
-	return nil
+	if errors.Is(err, store.ErrBadWAL) || errors.Is(err, store.ErrNotFound) || errors.Is(err, store.ErrUnknownList) {
+		return fmt.Errorf("%w: applying tail: %v", ErrBadRequest, err)
+	}
+	return err
 }
 
 // Digest summarizes every list for differential verification. Sum is
@@ -287,15 +236,13 @@ func (s *Server) registerAdmin(handle func(method, path string, h http.HandlerFu
 			writeErr(w, r, err)
 			return
 		}
-		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Header().Set("X-Zerber-Seq", strconv.FormatUint(exp.Seq, 10))
 		tailable := "0"
 		if exp.Tailable {
 			tailable = "1"
 		}
 		w.Header().Set("X-Zerber-Tailable", tailable)
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(exp.Data)
+		writeBytes(w, exp.Data)
 	})
 	handle("PUT", "/v3/admin/snapshot", func(w http.ResponseWriter, r *http.Request) {
 		if !s.adminAuthed(w, r) {
@@ -321,22 +268,24 @@ func (s *Server) registerAdmin(handle func(method, path string, h http.HandlerFu
 			writeErr(w, r, fmt.Errorf("%w: bad after parameter: %v", ErrBadRequest, err))
 			return
 		}
-		ops, err := s.TailSince(r.Context(), after)
+		tail, err := s.TailSince(r.Context(), after)
 		if err != nil {
 			writeErr(w, r, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, TailResponse{Ops: ops})
+		writeBytes(w, tail)
 	})
 	handle("POST", "/v3/admin/ops", func(w http.ResponseWriter, r *http.Request) {
 		if !s.adminAuthed(w, r) {
 			return
 		}
-		var req ApplyOpsRequest
-		if !decode(w, r, &req, MaxImportBytes) {
-			return
+		tail, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxImportBytes))
+		if err != nil {
+			err = fmt.Errorf("%w: reading tail body: %v", ErrBadRequest, err)
+		} else {
+			err = s.ApplyTail(r.Context(), tail)
 		}
-		if err := s.ApplyOps(r.Context(), req.Ops); err != nil {
+		if err != nil {
 			writeErr(w, r, err)
 			return
 		}
@@ -353,4 +302,11 @@ func (s *Server) registerAdmin(handle func(method, path string, h http.HandlerFu
 		}
 		writeJSON(w, http.StatusOK, DigestResponse{Lists: lists})
 	})
+}
+
+// writeBytes answers 200 with an application/octet-stream body.
+func writeBytes(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }

@@ -64,64 +64,158 @@ func TestAdminSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAdminApplyOps(t *testing.T) {
-	ctx := context.Background()
-	s := New([]byte("secret"), time.Hour)
-	ops := []TailOp{
-		{Op: store.TailOpInsert, List: 4, Group: 1, TRS: 0.5, Sealed: []byte("a")},
-		{Op: store.TailOpInsert, List: 4, Group: 2, TRS: 0.25, Sealed: []byte("b")},
-		{Op: store.TailOpRemove, List: 4, Sealed: []byte("b")},
-		// Removing what a snapshot already folded away is a no-op.
-		{Op: store.TailOpRemove, List: 4, Sealed: []byte("never-inserted")},
-	}
-	if err := s.ApplyOps(ctx, ops); err != nil {
-		t.Fatal(err)
-	}
-	if n := s.ListLen(4); n != 1 {
-		t.Fatalf("list holds %d elements, want 1", n)
-	}
-	err := s.ApplyOps(ctx, []TailOp{{Op: "frobnicate", List: 1, Sealed: []byte("x")}})
-	var be *BatchError
-	if !errors.As(err, &be) || be.Index != 0 || !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("unknown op: err=%v, want indexed ErrBadRequest", err)
-	}
-}
-
-// TestAdminApplyOpsBatchesInsertRuns pins the resync/migration write
-// cost: a replayed tail's consecutive inserts reach a durable backend
-// as one batched operation per run, so the whole tail costs one WAL
-// record per insert run (plus one per remove), not one per element.
-func TestAdminApplyOpsBatchesInsertRuns(t *testing.T) {
-	ctx := context.Background()
-	reg := obs.NewRegistry()
-	backend, err := store.OpenDurable(t.TempDir(), store.Options{Obs: reg})
+// durableServer is a server over a durable store in a fresh directory,
+// with the seedServer user registered.
+func durableServer(t *testing.T, reg *obs.Registry) *Server {
+	t.Helper()
+	backend, err := store.OpenDurable(t.TempDir(), store.Options{SnapshotEvery: -1, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := NewWithBackend([]byte("secret"), time.Hour, backend)
-	defer s.Close()
-	var ops []TailOp
-	for i := 0; i < 50; i++ {
-		ops = append(ops, TailOp{Op: store.TailOpInsert, List: 1, Group: i % 3, TRS: float64(i), Sealed: []byte(fmt.Sprintf("a%02d", i))})
-	}
-	ops = append(ops, TailOp{Op: store.TailOpRemove, List: 1, Sealed: []byte("a00")})
-	for i := 0; i < 30; i++ {
-		ops = append(ops, TailOp{Op: store.TailOpInsert, List: 2, Group: 0, TRS: float64(i), Sealed: []byte(fmt.Sprintf("b%02d", i))})
-	}
-	if err := s.ApplyOps(ctx, ops); err != nil {
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// adminCall sends one MAC-gated admin request and returns the status and
+// body of the answer.
+func adminCall(t *testing.T, method, url string, body []byte) (int, []byte) {
+	t.Helper()
+	req, _ := http.NewRequest(method, url, bytes.NewReader(body))
+	req.Header.Set("X-Zerber-Admin", AdminMAC([]byte("secret")))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n := s.ListLen(1); n != 49 {
-		t.Fatalf("list 1 holds %d elements, want 49", n)
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := s.ListLen(2); n != 30 {
-		t.Fatalf("list 2 holds %d elements, want 30", n)
+	return resp.StatusCode, out
+}
+
+// TestAdminApplyTail moves a tail over the admin plane as it crosses
+// between shards: the source's log frames from GET /v3/admin/tail,
+// posted as they are to /v3/admin/ops. A tail that does not decode
+// changes nothing; a remove the destination cannot resolve fails it.
+func TestAdminApplyTail(t *testing.T) {
+	ctx := context.Background()
+	src := durableServer(t, nil)
+	seedServer(t, src, 2, 3)
+	exp, err := src.ExportSnapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	toks := mustLogin(t, src, "owner")
+	if err := src.InsertBatch(ctx, toks[1], []InsertOp{
+		{List: 4, Element: StoredElement{Sealed: []byte("a"), TRS: 0.5, Group: 1}},
+		{List: 4, Element: StoredElement{Sealed: []byte("b"), TRS: 0.25, Group: 1}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	beforeRemove := exp.Seq + 2
+	if err := src.RemoveBatch(ctx, toks[1], []RemoveOp{{List: 4, Sealed: []byte("b")}}); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(src.Handler())
+	defer srv.Close()
+	status, tail := adminCall(t, http.MethodGet, fmt.Sprintf("%s/v3/admin/tail?after=%d", srv.URL, exp.Seq), nil)
+	if status != http.StatusOK {
+		t.Fatalf("tail: status %d: %s", status, tail)
+	}
+
+	dst := New([]byte("secret"), time.Hour)
+	if err := dst.ImportSnapshot(ctx, exp.Data); err != nil {
+		t.Fatal(err)
+	}
+	dsrv := httptest.NewServer(dst.Handler())
+	defer dsrv.Close()
+	if status, body := adminCall(t, http.MethodPost, dsrv.URL+"/v3/admin/ops", tail[:len(tail)-1]); status != http.StatusBadRequest {
+		t.Fatalf("a torn tail: status %d: %s", status, body)
+	}
+	if n := dst.ListLen(4); n != 0 {
+		t.Fatalf("a tail that does not decode applied %d elements", n)
+	}
+	if status, body := adminCall(t, http.MethodPost, dsrv.URL+"/v3/admin/ops", tail); status != http.StatusOK {
+		t.Fatalf("apply: status %d: %s", status, body)
+	}
+	srcD, _ := src.Digest(ctx)
+	dstD, _ := dst.Digest(ctx)
+	if len(srcD) != 3 || len(dstD) != 3 || dstD[2].Elements != 1 || dstD[2].Sum != srcD[2].Sum {
+		t.Fatalf("after the tail: source %+v, destination %+v", srcD, dstD)
+	}
+
+	// The remove alone, on a shard that never held its element.
+	removeOnly, err := src.TailSince(ctx, beforeRemove)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := New([]byte("secret"), time.Hour).ApplyTail(ctx, removeOnly); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("an unresolvable remove: err=%v, want ErrBadRequest", err)
+	}
+}
+
+// TestAdminApplyTailBatchesRuns pins the resync/migration write cost: a
+// tail's consecutive same-kind records reach a durable backend as one
+// batch per run, so five source records — insert, insert, remove,
+// remove, insert — cost the destination three WAL records, and every
+// list the snapshot carried ends at the source's version.
+func TestAdminApplyTailBatchesRuns(t *testing.T) {
+	ctx := context.Background()
+	src := durableServer(t, nil)
+	seedServer(t, src, 3, 6)
+	exp, err := src.ExportSnapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	toks := mustLogin(t, src, "owner")
+	insert := func(list zerber.ListID, from, to int) {
+		var ops []InsertOp
+		for i := from; i < to; i++ {
+			ops = append(ops, InsertOp{List: list, Element: StoredElement{Sealed: []byte(fmt.Sprintf("n%02d", i)), TRS: float64(i)}})
+		}
+		if err := src.InsertBatch(ctx, toks[0], ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	remove := func(ops ...RemoveOp) {
+		if err := src.RemoveBatch(ctx, toks[0], ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert(0, 0, 20)
+	insert(1, 20, 30)
+	remove(RemoveOp{List: 0, Sealed: []byte("n00")}, RemoveOp{List: 1, Sealed: []byte{1, 0}})
+	remove(RemoveOp{List: 2, Sealed: []byte{2, 3}})
+	insert(7, 30, 35) // a list born after the snapshot
+	tail, err := src.TailSince(ctx, exp.Seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	reg := obs.NewRegistry()
+	dst := durableServer(t, reg)
+	if err := dst.ImportSnapshot(ctx, exp.Data); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.ApplyTail(ctx, tail); err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	reg.WritePrometheus(&buf)
-	// Two insert runs + one remove = three WAL records for 81 ops.
 	if !strings.Contains(buf.String(), store.MetricWALRecordsTotal+" 3") {
-		t.Fatalf("applying %d ops did not log as 3 WAL records; metrics:\n%s", len(ops), buf.String())
+		t.Fatalf("a tail of 5 source records did not log as 3 destination records; metrics:\n%s", buf.String())
+	}
+	srcD, _ := src.Digest(ctx)
+	dstD, _ := dst.Digest(ctx)
+	if len(srcD) != 4 || len(dstD) != 4 {
+		t.Fatalf("lists: source %d, destination %d, want 4", len(srcD), len(dstD))
+	}
+	for i := range srcD {
+		if dstD[i].List < 3 && dstD[i] != srcD[i] || dstD[i].Sum != srcD[i].Sum {
+			t.Errorf("list %d: source %+v, destination %+v", srcD[i].List, srcD[i], dstD[i])
+		}
 	}
 }
 

@@ -45,17 +45,14 @@ type ListQuery struct {
 	Proof bool `json:"proof,omitempty"`
 }
 
-// InsertOp is one element upload of a batched insert.
-type InsertOp struct {
-	List    zerber.ListID `json:"list"`
-	Element StoredElement `json:"element"`
-}
+// InsertOp is one element upload of a batched insert: a type alias of
+// the store's, as StoredElement is, so a validated batch goes to the
+// backend as it arrived.
+type InsertOp = store.BatchInsert
 
-// RemoveOp is one element deletion of a batched remove.
-type RemoveOp struct {
-	List   zerber.ListID `json:"list"`
-	Sealed []byte        `json:"sealed"`
-}
+// RemoveOp is one element deletion of a batched remove (an alias, as
+// InsertOp).
+type RemoveOp = store.BatchRemove
 
 // BatchError reports which operation of a batch failed. It unwraps to
 // the underlying sentinel, so errors.Is(err, ErrForbidden) etc. keep
@@ -197,7 +194,6 @@ func (s *Server) InsertBatch(ctx context.Context, tok crypt.Token, ops []InsertO
 	if err := s.admit(tok.User, now); err != nil {
 		return err
 	}
-	batch := make([]store.BatchInsert, len(ops))
 	for i, op := range ops {
 		if len(op.Element.Sealed) == 0 {
 			return &BatchError{Index: i, Err: fmt.Errorf("%w: empty payload", ErrBadRequest)}
@@ -205,12 +201,11 @@ func (s *Server) InsertBatch(ctx context.Context, tok crypt.Token, ops []InsertO
 		if !allowed[op.Element.Group] {
 			return &BatchError{Index: i, Err: fmt.Errorf("%w: token group %d, element group %d", ErrForbidden, tok.Group, op.Element.Group)}
 		}
-		batch[i] = store.BatchInsert{List: op.List, Element: op.Element}
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if err := s.backend.InsertBatch(batch); err != nil {
+	if err := s.backend.InsertBatch(ops); err != nil {
 		return err
 	}
 	if m := s.met.Load(); m != nil {
@@ -238,18 +233,16 @@ func (s *Server) RemoveBatch(ctx context.Context, tok crypt.Token, ops []RemoveO
 	if err := s.admit(tok.User, now); err != nil {
 		return err
 	}
-	batch := make([]store.BatchRemove, len(ops))
 	for i, op := range ops {
 		if len(op.Sealed) == 0 {
 			return &BatchError{Index: i, Err: fmt.Errorf("%w: empty payload", ErrBadRequest)}
 		}
-		batch[i] = store.BatchRemove{List: op.List, Sealed: op.Sealed}
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	deniedGroup := 0
-	err = s.backend.RemoveBatch(batch, func(group int) bool {
+	err = s.backend.RemoveBatch(ops, func(group int) bool {
 		if !allowed[group] {
 			deniedGroup = group
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"testing"
 )
 
@@ -64,5 +65,33 @@ func TestIsFaultPolicy(t *testing.T) {
 		if got := IsFault(&BatchError{Index: 3, Err: r.err}); got != r.fault {
 			t.Errorf("IsFault(BatchError{%s}) = %v, want %v", r.name, got, r.fault)
 		}
+	}
+}
+
+// TestErrorRegistryRoundTrip: every wire code names a sentinel that
+// maps back to the same code, answered with the HTTP status it always
+// had — the one table holds all three facts.
+func TestErrorRegistryRoundTrip(t *testing.T) {
+	for code, status := range map[string]int{
+		CodeBadToken:     http.StatusUnauthorized,
+		CodeTokenExpired: http.StatusUnauthorized,
+		CodeForbidden:    http.StatusForbidden,
+		CodeUnknownUser:  http.StatusNotFound,
+		CodeUnknownList:  http.StatusNotFound,
+		CodeNotFound:     http.StatusNotFound,
+		CodeBadRequest:   http.StatusBadRequest,
+		CodeRateLimited:  http.StatusTooManyRequests,
+		CodeOverloaded:   http.StatusServiceUnavailable,
+	} {
+		err := fmt.Errorf("wrapped: %w", SentinelForCode(code))
+		if gotCode, gotStatus := classify(err); gotCode != code || gotStatus != status {
+			t.Errorf("%s: round trip gives %s, %d; want %s, %d", code, gotCode, gotStatus, code, status)
+		}
+	}
+	if code, status := classify(errors.New("server: something broke")); code != CodeInternal || status != http.StatusInternalServerError {
+		t.Errorf("an unregistered error is %s, %d", code, status)
+	}
+	if SentinelForCode(CodeInternal) != nil {
+		t.Error("internal has a sentinel")
 	}
 }

@@ -106,29 +106,39 @@ const (
 	CodeInternal     = "internal"
 )
 
+// errorCodes is the one registry of wire errors: each sentinel with its
+// code and HTTP status, in match order — ErrTokenExpired wraps ErrAuth,
+// so it comes first. An error matching none is CodeInternal, 500.
+var errorCodes = []struct {
+	err    error
+	code   string
+	status int
+}{
+	{ErrTokenExpired, CodeTokenExpired, http.StatusUnauthorized},
+	{ErrAuth, CodeBadToken, http.StatusUnauthorized},
+	{ErrForbidden, CodeForbidden, http.StatusForbidden},
+	{ErrUnknownUser, CodeUnknownUser, http.StatusNotFound},
+	{ErrUnknownList, CodeUnknownList, http.StatusNotFound},
+	{ErrNotFound, CodeNotFound, http.StatusNotFound},
+	{ErrBadRequest, CodeBadRequest, http.StatusBadRequest},
+	{ErrRateLimited, CodeRateLimited, http.StatusTooManyRequests},
+	{ErrOverloaded, CodeOverloaded, http.StatusServiceUnavailable},
+}
+
+// classify finds err's registry entry.
+func classify(err error) (code string, status int) {
+	for _, e := range errorCodes {
+		if errors.Is(err, e.err) {
+			return e.code, e.status
+		}
+	}
+	return CodeInternal, http.StatusInternalServerError
+}
+
 // ErrorCode maps a server error onto its wire code.
 func ErrorCode(err error) string {
-	switch {
-	case errors.Is(err, ErrTokenExpired):
-		return CodeTokenExpired
-	case errors.Is(err, ErrAuth):
-		return CodeBadToken
-	case errors.Is(err, ErrForbidden):
-		return CodeForbidden
-	case errors.Is(err, ErrUnknownUser):
-		return CodeUnknownUser
-	case errors.Is(err, ErrUnknownList):
-		return CodeUnknownList
-	case errors.Is(err, ErrNotFound):
-		return CodeNotFound
-	case errors.Is(err, ErrBadRequest):
-		return CodeBadRequest
-	case errors.Is(err, ErrRateLimited):
-		return CodeRateLimited
-	case errors.Is(err, ErrOverloaded):
-		return CodeOverloaded
-	}
-	return CodeInternal
+	code, _ := classify(err)
+	return code
 }
 
 // IsFault reports whether an operation's error indicts the member that
@@ -152,25 +162,10 @@ func IsFault(err error) bool {
 // SentinelForCode is ErrorCode's inverse: the sentinel error a wire
 // code stands for, or nil for internal/unknown codes.
 func SentinelForCode(code string) error {
-	switch code {
-	case CodeBadToken:
-		return ErrAuth
-	case CodeTokenExpired:
-		return ErrTokenExpired
-	case CodeForbidden:
-		return ErrForbidden
-	case CodeUnknownUser:
-		return ErrUnknownUser
-	case CodeUnknownList:
-		return ErrUnknownList
-	case CodeNotFound:
-		return ErrNotFound
-	case CodeBadRequest:
-		return ErrBadRequest
-	case CodeRateLimited:
-		return ErrRateLimited
-	case CodeOverloaded:
-		return ErrOverloaded
+	for _, e := range errorCodes {
+		if e.code == code {
+			return e.err
+		}
 	}
 	return nil
 }
@@ -393,25 +388,6 @@ func frameHandler(apply func(ctx context.Context, body []byte) error) http.Handl
 	}
 }
 
-// statusFor maps a server error onto its HTTP status.
-func statusFor(err error) int {
-	switch {
-	case errors.Is(err, ErrAuth):
-		return http.StatusUnauthorized
-	case errors.Is(err, ErrForbidden):
-		return http.StatusForbidden
-	case errors.Is(err, ErrUnknownUser), errors.Is(err, ErrUnknownList), errors.Is(err, ErrNotFound):
-		return http.StatusNotFound
-	case errors.Is(err, ErrBadRequest):
-		return http.StatusBadRequest
-	case errors.Is(err, ErrRateLimited):
-		return http.StatusTooManyRequests
-	case errors.Is(err, ErrOverloaded):
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusInternalServerError
-}
-
 // setRetryAfter adds the Retry-After header on admission rejections.
 // The value is the server's own hint rounded up to whole seconds (the
 // header's granularity), minimum 1. Every 429/503 path — login, batch,
@@ -443,13 +419,13 @@ func writeErr(w http.ResponseWriter, r *http.Request, err error) {
 		w.WriteHeader(statusClientClosed)
 		return
 	}
-	env := ErrorV2{Code: ErrorCode(err), Error: err.Error()}
+	code, status := classify(err)
+	env := ErrorV2{Code: code, Error: err.Error()}
 	var be *BatchError
 	if errors.As(err, &be) {
 		idx := be.Index
 		env.Index = &idx
 	}
-	status := statusFor(err)
 	setRetryAfter(w, err, status)
 	writeJSON(w, status, env)
 }

@@ -37,7 +37,7 @@ const (
 	// from boot — the CI migration smoke greps a fresh server.
 	MetricAdminSnapshotExports = "zerber_admin_snapshot_exports_total"
 	MetricAdminSnapshotImports = "zerber_admin_snapshot_imports_total"
-	MetricAdminTailOps         = "zerber_admin_tail_ops_total"
+	MetricAdminTailBytes       = "zerber_admin_tail_bytes_total"
 	MetricAdminOpsApplied      = "zerber_admin_ops_applied_total"
 )
 
@@ -57,7 +57,7 @@ type serverMetrics struct {
 	inFlight    *obs.Gauge
 	snapExports *obs.Counter // admin snapshot exports served
 	snapImports *obs.Counter // admin snapshot imports accepted
-	tailOps     *obs.Counter // WAL-tail operations served
+	tailBytes   *obs.Counter // WAL-tail bytes served
 	opsApplied  *obs.Counter // admin-applied tail operations
 }
 
@@ -84,7 +84,7 @@ func (s *Server) SetObs(reg *obs.Registry) {
 		inFlight:    reg.Gauge(MetricHTTPInFlight, "HTTP requests currently being served"),
 		snapExports: reg.Counter(MetricAdminSnapshotExports, "admin snapshot exports served"),
 		snapImports: reg.Counter(MetricAdminSnapshotImports, "admin snapshot imports accepted"),
-		tailOps:     reg.Counter(MetricAdminTailOps, "WAL-tail operations served to admin peers"),
+		tailBytes:   reg.Counter(MetricAdminTailBytes, "WAL-tail bytes served to admin peers"),
 		opsApplied:  reg.Counter(MetricAdminOpsApplied, "tail operations applied through the admin plane"),
 	}
 	reg.GaugeFunc(MetricUptimeSeconds, "seconds since the metrics registry was installed", func() float64 {

@@ -27,11 +27,13 @@ package server
 //	           (a boundary travels as an element of its own group)
 //
 //	kind 'I', insert request:
-//	  body:    token | count | count × ( listDelta | element )
+//	  body:    token | insert op list
 //	kind 'R', remove request:
-//	  body:    token | count | count × ( listDelta | sealedLen | sealed )
-//	  listDelta: signed varint against the previous entry's list (the
-//	           first against 0) — the write-ahead log's batch idiom
+//	  body:    token | remove op list
+//
+// The op lists are the store's (store.AppendInserts / ReadInserts and
+// the remove pair): the bytes a write-ahead log batch record holds after
+// its seq and kind.
 //
 // Ownership: decoded payloads alias the body; whoever retains one past
 // the call copies it at the point of retention. DecodeInsertRequest is
@@ -51,7 +53,6 @@ import (
 	"zerberr/internal/crypt"
 	"zerberr/internal/proof"
 	"zerberr/internal/store"
-	"zerberr/internal/zerber"
 )
 
 const (
@@ -302,27 +303,6 @@ func (r *wireReader) element() store.Element {
 	return el
 }
 
-// bytes reads a length-prefixed byte string, aliasing the body.
-func (r *wireReader) bytes() []byte {
-	n := r.count("payload bytes", 1)
-	if r.err != nil {
-		return nil
-	}
-	v := r.b[:n:n]
-	r.b = r.b[n:]
-	return v
-}
-
-// list applies one delta-encoded list ID.
-func (r *wireReader) list(prev *int64) zerber.ListID {
-	*prev += r.varint()
-	if *prev < 0 || *prev > math.MaxUint32 {
-		r.fail("list id %d out of range", *prev)
-		return 0
-	}
-	return zerber.ListID(*prev)
-}
-
 func (r *wireReader) end() error {
 	if r.err == nil && len(r.b) != 0 {
 		r.fail("%d trailing bytes inside the frame", len(r.b))
@@ -428,62 +408,44 @@ func (r *wireReader) boundary(group int) *proof.Boundary {
 
 // AppendInsertRequest appends the /v2/insert request frame.
 func AppendInsertRequest(buf []byte, tok crypt.Token, ops []InsertOp) []byte {
-	buf, start := beginRequest(buf, frameInsertRequest, tok, len(ops))
-	prev := zerber.ListID(0)
-	for i := range ops {
-		buf = appendListDelta(buf, ops[i].List, &prev)
-		buf = store.AppendElement(buf, ops[i].Element)
-	}
-	return endFrame(buf, start)
+	buf, start := beginFrame(buf, frameInsertRequest)
+	return endFrame(store.AppendInserts(crypt.AppendToken(buf, tok), ops), start)
 }
 
 // AppendRemoveRequest appends the /v2/remove request frame.
 func AppendRemoveRequest(buf []byte, tok crypt.Token, ops []RemoveOp) []byte {
-	buf, start := beginRequest(buf, frameRemoveRequest, tok, len(ops))
-	prev := zerber.ListID(0)
-	for i := range ops {
-		buf = appendListDelta(buf, ops[i].List, &prev)
-		buf = binary.AppendUvarint(buf, uint64(len(ops[i].Sealed)))
-		buf = append(buf, ops[i].Sealed...)
-	}
-	return endFrame(buf, start)
+	buf, start := beginFrame(buf, frameRemoveRequest)
+	return endFrame(store.AppendRemoves(crypt.AppendToken(buf, tok), ops), start)
 }
 
-// beginRequest appends what the two request frames share: the header,
-// the token and the operation count.
-func beginRequest(buf []byte, kind byte, tok crypt.Token, ops int) (out []byte, start int) {
-	buf, start = beginFrame(buf, kind)
-	buf = crypt.AppendToken(buf, tok)
-	return binary.AppendUvarint(buf, uint64(ops)), start
-}
-
-func appendListDelta(buf []byte, list zerber.ListID, prev *zerber.ListID) []byte {
-	buf = binary.AppendVarint(buf, int64(list)-int64(*prev))
-	*prev = list
-	return buf
-}
-
-// requestHead is beginRequest's inverse. The operation count is bounded
-// by MaxBatchOps here, so an oversized batch is refused before its
-// operations are allocated.
-func requestHead(body []byte, kind byte, minOpBytes int) (wireReader, crypt.Token, int, error) {
+// decodeRequest decodes a request frame of the given kind: the token,
+// then the op list, with read. The operation count is bounded by
+// MaxBatchOps before read sees it, so an oversized batch is refused
+// before its operations are allocated.
+func decodeRequest[T any](body []byte, kind byte, read func([]byte) ([]T, []byte, error)) (crypt.Token, []T, error) {
 	b, err := openFrame(body, kind)
 	if err != nil {
-		return wireReader{}, crypt.Token{}, 0, err
+		return crypt.Token{}, nil, err
 	}
-	tok, rest, err := crypt.ReadToken(b)
+	tok, b, err := crypt.ReadToken(b)
 	if err != nil {
-		return wireReader{}, crypt.Token{}, 0, badFrame("%v", err)
+		return crypt.Token{}, nil, badFrame("%v", err)
 	}
-	r := wireReader{b: rest}
-	n := r.count("operations", minOpBytes)
-	if r.err != nil {
-		return r, crypt.Token{}, 0, r.err
+	n, k := binary.Uvarint(b)
+	if k <= 0 {
+		return crypt.Token{}, nil, badFrame("truncated or overlong operation count")
 	}
-	if err := checkBatchSize(n); err != nil {
-		return r, crypt.Token{}, 0, err
+	if err := checkBatchSize(int(min(n, MaxBatchOps+1))); err != nil {
+		return crypt.Token{}, nil, err
 	}
-	return r, tok, n, nil
+	ops, rest, err := read(b)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("%d trailing bytes inside the frame", len(rest))
+	}
+	if err != nil {
+		return crypt.Token{}, nil, badFrame("%v", err)
+	}
+	return tok, ops, nil
 }
 
 // DecodeInsertRequest decodes a /v2/insert request frame. Each sealed
@@ -491,44 +453,17 @@ func requestHead(body []byte, kind byte, minOpBytes int) (wireReader, crypt.Toke
 // life, and body is a pooled buffer. The token's MAC still aliases
 // body.
 func DecodeInsertRequest(body []byte) (crypt.Token, []InsertOp, error) {
-	r, tok, n, err := requestHead(body, frameInsertRequest, 1+store.MinElementBytes)
-	if err != nil {
-		return crypt.Token{}, nil, err
-	}
-	ops := make([]InsertOp, n)
-	prev := int64(0)
+	tok, ops, err := decodeRequest(body, frameInsertRequest, store.ReadInserts)
 	for i := range ops {
-		ops[i].List = r.list(&prev)
-		el := r.element()
-		if r.err != nil {
-			return crypt.Token{}, nil, r.err
-		}
-		el.Sealed = bytes.Clone(el.Sealed)
-		ops[i].Element = el
+		ops[i].Element.Sealed = bytes.Clone(ops[i].Element.Sealed)
 	}
-	if err := r.end(); err != nil {
-		return crypt.Token{}, nil, err
-	}
-	return tok, ops, nil
+	return tok, ops, err
 }
 
 // DecodeRemoveRequest decodes a /v2/remove request frame. Payloads and
 // the token's MAC alias body: a removal only compares them.
 func DecodeRemoveRequest(body []byte) (crypt.Token, []RemoveOp, error) {
-	r, tok, n, err := requestHead(body, frameRemoveRequest, 2)
-	if err != nil {
-		return crypt.Token{}, nil, err
-	}
-	ops := make([]RemoveOp, n)
-	prev := int64(0)
-	for i := range ops {
-		ops[i].List = r.list(&prev)
-		ops[i].Sealed = r.bytes()
-	}
-	if err := r.end(); err != nil {
-		return crypt.Token{}, nil, err
-	}
-	return tok, ops, nil
+	return decodeRequest(body, frameRemoveRequest, store.ReadRemoves)
 }
 
 // ReadBody reads r to its end into buf's storage (buf[:0] onwards) and

@@ -173,8 +173,8 @@ func (c *chaos) migrateShard(ctx context.Context, shard int) {
 		return
 	}
 	c.migrations.Add(1)
-	c.logf("chaos: shard %d migrated: %d lists, %d elements, %d tail ops, epoch %d, barrier %s",
-		shard, rep.Lists, rep.Elements, rep.TailOps, rep.Epoch, rep.BarrierDuration.Round(time.Millisecond))
+	c.logf("chaos: shard %d migrated: %d lists, %d elements, %d tail bytes, epoch %d, barrier %s",
+		shard, rep.Lists, rep.Elements, rep.TailBytes, rep.Epoch, rep.BarrierDuration.Round(time.Millisecond))
 	old := *s
 	*s = *fresh
 	// The import landed on the new primary and marked its replicas

@@ -76,13 +76,13 @@ const (
 // are nil when Options.Obs is nil (every obs method is nil-safe, and
 // timed sections additionally gate their clock reads).
 type durableMetrics struct {
-	walAppend  *obs.Histogram
-	walFsync   *obs.Histogram
-	snapshot   *obs.Histogram
-	snapOK     *obs.Counter
-	snapErr    *obs.Counter
-	walRecords *obs.Counter
-	poisoned   *obs.Gauge
+	walAppend *obs.Histogram
+	walFsync  *obs.Histogram
+	snapshot  *obs.Histogram
+	snapOK    *obs.Counter
+	snapErr   *obs.Counter
+	logged    *obs.Counter
+	poisoned  *obs.Gauge
 }
 
 func newDurableMetrics(r *obs.Registry) durableMetrics {
@@ -90,13 +90,13 @@ func newDurableMetrics(r *obs.Registry) durableMetrics {
 		return durableMetrics{}
 	}
 	return durableMetrics{
-		walAppend:  r.Histogram(MetricWALAppendSeconds, "WAL record append latency (frame+checksum+write, no fsync)", nil),
-		walFsync:   r.Histogram(MetricWALFsyncSeconds, "WAL fsync latency", nil),
-		snapshot:   r.Histogram(MetricSnapshotSeconds, "full snapshot write+compact latency", nil),
-		snapOK:     r.Counter(MetricSnapshotsTotal, "snapshots attempted by result", obs.Label{Name: "result", Value: "ok"}),
-		snapErr:    r.Counter(MetricSnapshotsTotal, "snapshots attempted by result", obs.Label{Name: "result", Value: "error"}),
-		walRecords: r.Counter(MetricWALRecordsTotal, "records appended to the WAL (a batched insert counts once)"),
-		poisoned:   r.Gauge(MetricWALPoisoned, "1 while the WAL refuses mutations after a write failure"),
+		walAppend: r.Histogram(MetricWALAppendSeconds, "WAL record append latency (frame+checksum+write, no fsync)", nil),
+		walFsync:  r.Histogram(MetricWALFsyncSeconds, "WAL fsync latency", nil),
+		snapshot:  r.Histogram(MetricSnapshotSeconds, "full snapshot write+compact latency", nil),
+		snapOK:    r.Counter(MetricSnapshotsTotal, "snapshots attempted by result", obs.Label{Name: "result", Value: "ok"}),
+		snapErr:   r.Counter(MetricSnapshotsTotal, "snapshots attempted by result", obs.Label{Name: "result", Value: "error"}),
+		logged:    r.Counter(MetricWALRecordsTotal, "records appended to the WAL (a batched insert counts once)"),
+		poisoned:  r.Gauge(MetricWALPoisoned, "1 while the WAL refuses mutations after a write failure"),
 	}
 }
 
@@ -189,23 +189,16 @@ func OpenDurable(dir string, opt Options) (*Durable, error) {
 	}
 	mem.verBase = epoch
 	walPath := filepath.Join(dir, walFileName)
-	var inserts []BatchInsert // reused: the store copies what it keeps
-	maxSeq, err := replayWAL(walPath, snapSeq, func(recs []walRecord) {
+	maxSeq, err := replayWAL(walPath, snapSeq, func(r record) {
 		// One record's inserts are one insertBatch, as the live write
 		// that logged them was.
-		inserts = inserts[:0]
-		for _, rec := range recs {
-			switch rec.op {
-			case opInsert:
-				inserts = append(inserts, BatchInsert{List: rec.list, Element: Element{Sealed: rec.sealed, TRS: rec.trs, Group: rec.group}})
-			case opRemove:
-				// A remove that no longer matches (its insert was folded
-				// into the snapshot differently, or the log was truncated
-				// between the pair) is a no-op, not corruption.
-				_ = mem.Remove(rec.list, rec.sealed, nil)
-			}
+		mem.insertBatch(ownPayloads(r.inserts))
+		for _, op := range r.removes {
+			// A remove that no longer matches (its insert was folded into
+			// the snapshot differently, or the log was truncated between
+			// the pair) is a no-op, not corruption.
+			_ = mem.Remove(op.List, op.Sealed, nil)
 		}
-		mem.insertBatch(inserts)
 	})
 	if err != nil {
 		return fail(fmt.Errorf("store: replaying WAL: %w", err))
@@ -290,7 +283,7 @@ func (d *Durable) appendLocked(payload []byte, ops int) error {
 	if d.met.walAppend != nil {
 		d.met.walAppend.Observe(time.Since(start).Seconds())
 	}
-	d.met.walRecords.Inc()
+	d.met.logged.Inc()
 	d.seq += uint64(ops)
 	d.opsSinceSnap += ops
 	d.written.Store(d.seq)
@@ -461,7 +454,7 @@ func (d *Durable) InsertBatch(ops []BatchInsert) error {
 		n := batchRecordPrefix(len(ops), func(i int) int { return len(ops[i].Element.Sealed) })
 		chunk := ops[:n]
 		ops = ops[n:]
-		if err := d.appendLocked(encodeWALBatchPayload(d.seq+1, chunk), len(chunk)); err != nil {
+		if err := d.appendLocked(encodeRecord(record{seq: d.seq + 1, inserts: chunk}), len(chunk)); err != nil {
 			d.mu.Unlock()
 			return err
 		}
@@ -526,7 +519,7 @@ func (d *Durable) RemoveBatch(ops []BatchRemove, allow func(group int) bool) err
 	err := d.mem.removeBatch(ops, allow, func() error {
 		for rest := ops; len(rest) > 0; {
 			n := batchRecordPrefix(len(rest), func(i int) int { return len(rest[i].Sealed) })
-			if err := d.appendLocked(encodeWALRemoveBatchPayload(d.seq+1, rest[:n]), n); err != nil {
+			if err := d.appendLocked(encodeRecord(record{seq: d.seq + 1, remove: true, removes: rest[:n]}), n); err != nil {
 				return err
 			}
 			rest = rest[n:]

@@ -109,8 +109,8 @@ func TestSharedFsyncCoversLaterWriters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, op := range tail {
-		w, seq := int(op.List), uint64(i+1)
+	for i, r := range tailRecords(t, tail) {
+		w, seq := int(r.inserts[0].List), uint64(i+1)
 		if coveredAtReturn[w] < seq {
 			t.Errorf("writer %d (seq %d) returned with only seq %d on disk", w, seq, coveredAtReturn[w])
 		}

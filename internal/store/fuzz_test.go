@@ -12,12 +12,16 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
+
+	"zerberr/internal/zerber"
 )
 
 // encodeToBytes snapshots a Memory into a byte slice.
@@ -106,25 +110,25 @@ func FuzzSnapshotDecode(f *testing.F) {
 func walSeedPayloads() map[string][]byte {
 	inserts := []BatchInsert{{List: 7, Element: el("s1", 2.5, 0)}, {List: 7, Element: el("s2", 1.5, 3)}, {List: 2, Element: el("s3", 0.5, 1)}}
 	removes := []BatchRemove{{List: 7, Sealed: []byte("s1")}, {List: 7, Sealed: []byte("s1")}, {List: 2, Sealed: []byte("s3")}}
-	overcount := encodeWALRemoveBatchPayload(12, removes)
+	overcount := encodeRecord(record{seq: 12, remove: true, removes: removes})
 	overcount[2] = 100 // seq, op, count: the count byte
 	return map[string][]byte{
 		// Kinds 1 and 2 have no encoder left. Seq 5, op, list 7, element;
 		// seq 6, op, list 7, length, "s2".
 		"seed_insert":                 AppendElement([]byte{5, opInsert, 7}, el("s2", 1.5, 3)),
 		"seed_remove":                 []byte("\x06\x02\x07\x02s2"),
-		"seed_insert_batch":           encodeWALBatchPayload(9, inserts),
-		"seed_remove_batch":           encodeWALRemoveBatchPayload(12, removes),
+		"seed_insert_batch":           encodeRecord(record{seq: 9, inserts: inserts}),
+		"seed_remove_batch":           encodeRecord(record{seq: 12, remove: true, removes: removes}),
 		"seed_remove_batch_overcount": overcount,
 	}
 }
 
-// FuzzWALRecords hardens recovery and tail export against arbitrary
+// FuzzWALRecords hardens recovery and tail apply against arbitrary
 // record payloads (the CRC only catches torn writes, not a hostile or
-// rotted file): decodeWALRecords must fail cleanly or yield records a
-// re-encode reproduces, and what it allocates is bounded by the body
-// it was handed, never by a count the body merely claims. The corpus
-// under testdata/fuzz pins the bytes this commit's encoders wrote.
+// rotted file): decodeRecord must fail cleanly or yield a record a
+// re-encode reproduces, and what it allocates is bounded by the body it
+// was handed, never by a count the body merely claims. The corpus under
+// testdata/fuzz pins the bytes this commit's encoder wrote.
 func FuzzWALRecords(f *testing.F) {
 	f.Add([]byte{})
 	for _, p := range walSeedPayloads() {
@@ -132,59 +136,221 @@ func FuzzWALRecords(f *testing.F) {
 		f.Add(p[:len(p)-1])
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		recs, err := decodeWALRecords(payload)
+		r, err := decodeRecord(payload)
 		if err != nil {
-			if recs != nil {
-				t.Fatal("failed decode returned records")
-			}
 			return
 		}
-		if cap(recs) > len(payload) {
-			t.Fatalf("%d-byte payload allocated room for %d records", len(payload), cap(recs))
+		if n := cap(r.inserts) + cap(r.removes); n > len(payload) {
+			t.Fatalf("%d-byte payload allocated room for %d ops", len(payload), n)
 		}
-		var inserts []BatchInsert
-		var removes []BatchRemove
-		for i, rec := range recs {
-			if rec.seq != recs[0].seq+uint64(i) || rec.op != recs[0].op || (rec.op != opInsert && rec.op != opRemove) {
-				t.Fatalf("record %d: seq %d op %d after seq %d op %d", i, rec.seq, rec.op, recs[0].seq, recs[0].op)
-			}
-			inserts = append(inserts, BatchInsert{List: rec.list, Element: Element{Sealed: rec.sealed, TRS: rec.trs, Group: rec.group}})
-			removes = append(removes, BatchRemove{List: rec.list, Sealed: rec.sealed})
-		}
-		if len(recs) == 0 {
-			return // an empty batch
-		}
-		reenc := encodeWALRemoveBatchPayload(recs[0].seq, removes)
-		if recs[0].op == opInsert {
-			reenc = encodeWALBatchPayload(recs[0].seq, inserts)
-		}
-		again, err := decodeWALRecords(reenc)
+		reenc := encodeRecord(r)
+		again, err := decodeRecord(reenc)
 		if err != nil {
-			t.Fatalf("re-encoded records do not decode: %v", err)
+			t.Fatalf("re-encoded record does not decode: %v", err)
 		}
-		for i := range recs {
-			same := again[i].seq == recs[i].seq && again[i].op == recs[i].op && again[i].list == recs[i].list &&
-				again[i].group == recs[i].group && bytes.Equal(again[i].sealed, recs[i].sealed) &&
-				math.Float64bits(again[i].trs) == math.Float64bits(recs[i].trs)
-			if !same {
-				t.Fatalf("record %d changed across a re-encode: %+v → %+v", i, recs[i], again[i])
-			}
+		if !bytes.Equal(encodeRecord(again), reenc) {
+			t.Fatalf("record changed across a re-encode: %+v → %+v", r, again)
 		}
 	})
 }
 
-// TestWALSeedCorpus keeps the committed FuzzWALRecords corpus equal to
-// what the encoders write: a changed byte here is a log format break.
-func TestWALSeedCorpus(t *testing.T) {
-	for name, payload := range walSeedPayloads() {
-		path := filepath.Join("testdata", "fuzz", "FuzzWALRecords", name)
-		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", payload)
-		got, err := os.ReadFile(path)
-		if err != nil || string(got) != want {
-			t.Errorf("%s: committed seed differs from the encoder's output (err %v)", path, err)
+// TestWALListIDOutOfRange: a list ID, or a running delta, past 2³²−1 is
+// a decode error in every record kind — never a list ID wrapped modulo
+// 2³², which is what a bare conversion to zerber.ListID would make of
+// 2³²+5.
+func TestWALListIDOutOfRange(t *testing.T) {
+	const big = 1<<32 + 5
+	remove := binary.AppendUvarint([]byte{6, opRemove}, big)
+	remove = append(remove, 2, 's', '1')
+	batch := []byte{7, opRemoveBatch, 2}
+	batch = append(binary.AppendVarint(batch, 5), 2, 's', '1')
+	batch = append(binary.AppendVarint(batch, big-5), 2, 's', '2')
+	for name, payload := range map[string][]byte{"kind 2": remove, "kind 4": batch} {
+		if r, err := decodeRecord(payload); err == nil {
+			t.Errorf("%s: list 2³²+5 decoded as %+v", name, r)
 		}
 	}
-	if _, err := decodeWALRecords(walSeedPayloads()["seed_remove_batch_overcount"]); err == nil {
+}
+
+// TestWALSeedCorpus keeps the committed FuzzWALRecords and FuzzApplyTail
+// corpora equal to what the encoders write: a changed byte here is a
+// log or tail format break.
+func TestWALSeedCorpus(t *testing.T) {
+	for target, seeds := range map[string]map[string][]byte{
+		"FuzzWALRecords": walSeedPayloads(),
+		"FuzzApplyTail":  applyTailSeeds(t),
+	} {
+		for name, payload := range seeds {
+			path := filepath.Join("testdata", "fuzz", target, name)
+			want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", payload)
+			got, err := os.ReadFile(path)
+			if err != nil || string(got) != want {
+				t.Errorf("%s: committed seed differs from the encoder's output (err %v)", path, err)
+			}
+		}
+	}
+	if _, err := decodeRecord(walSeedPayloads()["seed_remove_batch_overcount"]); err == nil {
 		t.Error("a batch whose count overstates its body decoded")
+	}
+}
+
+// tailFixture is the store FuzzApplyTail applies tails to, as a
+// snapshot: three lists of three elements.
+func tailFixture(tb testing.TB) []byte {
+	m := NewMemory()
+	m.verBase = 1 << 40
+	for l := zerber.ListID(1); l <= 3; l++ {
+		for i := 0; i < 3; i++ {
+			if err := m.Insert(l, el(fmt.Sprintf("l%d-%d", l, i), float64(i), i%2)); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	snap, _, err := m.ExportSnapshot()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return snap
+}
+
+// tailStore is a Memory holding the fixture, with a fixed epoch for the
+// lists a tail creates.
+func tailStore(tb testing.TB, snap []byte) *Memory {
+	m := NewMemory()
+	if err := m.ImportSnapshot(snap); err != nil {
+		tb.Fatal(err)
+	}
+	m.verBase = 1 << 41
+	return m
+}
+
+// applyTailSeeds are the FuzzApplyTail seeds: the tail a durable store
+// holding the fixture logs for insert, insert, remove, remove, insert
+// batches (a new list among them), its truncations at every frame end
+// and one byte short of each, and the whole tail with one CRC flipped.
+func applyTailSeeds(tb testing.TB) map[string][]byte {
+	d, err := OpenDurable(tb.TempDir(), Options{SnapshotEvery: -1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer d.Close()
+	if err := d.ImportSnapshot(tailFixture(tb)); err != nil {
+		tb.Fatal(err)
+	}
+	for _, err := range []error{
+		d.InsertBatch([]BatchInsert{{List: 1, Element: el("n1", 0.5, 0)}, {List: 2, Element: el("n2", 2.5, 1)}}),
+		d.Insert(9, el("n9", 1.5, 0)),
+		d.RemoveBatch([]BatchRemove{{List: 1, Sealed: []byte("l1-0")}, {List: 2, Sealed: []byte("n2")}}, nil),
+		d.Remove(3, []byte("l3-2"), nil),
+		d.Insert(3, el("n3", 0.25, 1)),
+	} {
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	tail, err := d.TailSince(0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	seeds := map[string][]byte{"seed_tail": tail}
+	fr := frameReader{r: bytes.NewReader(tail), size: int64(len(tail))}
+	if err := fr.each(func(record) {
+		for _, cut := range []int{int(fr.off) - 1, int(fr.off)} {
+			if cut < len(tail) {
+				seeds[fmt.Sprintf("seed_tail_cut_%03d", cut)] = tail[:cut]
+			}
+		}
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	flipped := bytes.Clone(tail)
+	flipped[len(flipped)-1] ^= 0xff
+	seeds["seed_tail_bad_crc"] = flipped
+	return seeds
+}
+
+// FuzzApplyTail hardens the apply side of a shard copy against whatever
+// a peer sends as a tail. ApplyTail must not panic, must allocate for
+// the tail no more than its bytes can hold, and must leave the
+// destination exactly where the tail's decoded operations say: every
+// list's content and version untouched when the tail does not decode,
+// and otherwise the state the ops it reports applied produce when
+// applied one at a time — all of them on success, the runs before the
+// failing one when a remove does not resolve.
+func FuzzApplyTail(f *testing.F) {
+	for _, seed := range applyTailSeeds(f) {
+		f.Add(seed)
+	}
+	snap := tailFixture(f)
+	f.Fuzz(func(t *testing.T, tail []byte) {
+		recs, derr := readTail(tail)
+		room := 0
+		for _, r := range recs {
+			room += cap(r.inserts) + cap(r.removes)
+		}
+		if room > len(tail) {
+			t.Fatalf("%d-byte tail allocated room for %d ops", len(tail), room)
+		}
+		got := tailStore(t, snap)
+		ops, err := ApplyTail(got, tail)
+		want := tailStore(t, snap)
+		switch {
+		case derr != nil:
+			if !errors.Is(err, ErrBadWAL) || ops != 0 {
+				t.Fatalf("undecodable tail (%v): applied %d ops, err %v", derr, ops, err)
+			}
+			recs = nil
+		case err != nil:
+			var be *BatchOpError
+			if !errors.As(err, &be) || !errors.Is(err, ErrNotFound) && !errors.Is(err, ErrUnknownList) {
+				t.Fatalf("a decoded tail failed with %v, want an unresolved remove", err)
+			}
+		}
+		for _, r := range recs {
+			for _, op := range r.inserts {
+				if ops--; ops < 0 {
+					break
+				}
+				_ = want.Insert(op.List, op.Element)
+			}
+			for _, op := range r.removes {
+				if ops--; ops < 0 {
+					break
+				}
+				if err := want.Remove(op.List, op.Sealed, nil); err != nil {
+					t.Fatalf("op %+v applied as a batch, fails alone: %v", op, err)
+				}
+			}
+		}
+		if ops > 0 {
+			t.Fatalf("ApplyTail reports %d ops more than the tail holds", ops)
+		}
+		sameState(t, got, want)
+	})
+}
+
+// sameState fails unless a and b hold the same lists with the same
+// versions and the same elements (compared as encoded records, so NaN
+// TRS values compare by bit pattern).
+func sameState(t *testing.T, a, b *Memory) {
+	t.Helper()
+	state := func(m *Memory) map[zerber.ListID]string {
+		out := map[zerber.ListID]string{}
+		lists, _ := m.Lists()
+		for _, id := range lists {
+			v, _ := m.Version(id)
+			var recs []string
+			_ = m.View(id, func(elems []Element) {
+				for _, e := range elems {
+					recs = append(recs, string(AppendElement(nil, e)))
+				}
+			})
+			sort.Strings(recs)
+			out[id] = fmt.Sprintf("v%d %q", v, recs)
+		}
+		return out
+	}
+	if sa, sb := state(a), state(b); !reflect.DeepEqual(sa, sb) {
+		t.Fatalf("stores differ:\n%v\n%v", sa, sb)
 	}
 }

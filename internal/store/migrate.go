@@ -4,24 +4,18 @@ package store
 // live shard migration and replica resync (internal/cluster,
 // internal/replica). A migration ships ExportSnapshot's atomic
 // rank-ordered snapshot dump (snapshot.go), the destination adopts it via
-// ImportSnapshot, and TailSince hands over the mutations logged after
-// the dump's sequence so the destination can catch up before the
-// route flips. Everything shipped is content the source already held
-// for an untrusted server — sealed payloads, TRS values, group IDs —
-// so the transfer widens no leakage surface.
+// ImportSnapshot, and TailSince hands over the log records written
+// after the dump's sequence, which ApplyTail applies so the destination
+// can catch up before the route flips. Everything shipped is content
+// the source already held for an untrusted server — sealed payloads,
+// TRS values, group IDs — so the transfer widens no leakage surface.
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
-
-	"zerberr/internal/zerber"
 )
 
 // Tail-export errors.
@@ -35,23 +29,6 @@ var (
 	// retry from the newer sequence.
 	ErrTailTruncated = errors.New("store: requested tail already compacted")
 )
-
-// TailOp operation kinds.
-const (
-	TailOpInsert = "insert"
-	TailOpRemove = "remove"
-)
-
-// TailOp is one logged mutation in wire-friendly form — what
-// Backend.TailSince exports and the admin snapshot-transfer endpoints
-// carry between shards.
-type TailOp struct {
-	Op     string        `json:"op"` // TailOpInsert | TailOpRemove
-	List   zerber.ListID `json:"list"`
-	Group  int           `json:"group,omitempty"` // insert only
-	TRS    float64       `json:"trs,omitempty"`   // insert only
-	Sealed []byte        `json:"sealed"`
-}
 
 // ExportSnapshot implements Backend for Memory. The engine keeps no
 // log, so the covered sequence is 0 and the export is only
@@ -77,7 +54,7 @@ func (m *Memory) ImportSnapshot(data []byte) error {
 }
 
 // TailSince implements Backend for Memory: there is no log.
-func (m *Memory) TailSince(uint64) ([]TailOp, error) {
+func (m *Memory) TailSince(uint64) ([]byte, error) {
 	return nil, ErrNoTail
 }
 
@@ -136,11 +113,16 @@ func (d *Durable) ImportSnapshot(data []byte) error {
 	return nil
 }
 
-// TailSince implements Backend for Durable: the decoded WAL records
-// with sequence > after, in log order. Every append flushes its record
-// to the file before d.mu is released, so the scan under d.mu observes
-// every logged operation.
-func (d *Durable) TailSince(after uint64) ([]TailOp, error) {
+// TailSince implements Backend for Durable: the framed log records
+// holding the operations with sequence > after, in log order, read with
+// the frame reader recovery uses. Each is re-framed from its decoded
+// form, which gives the log's own bytes back for every record this
+// store writes; a kind-1 or kind-2 record of an older log comes out as
+// the batch of one it is, and a batch straddling after as its later
+// operations. Every append flushes its record to the file before d.mu
+// is released, so the scan under d.mu observes every logged operation,
+// and any damage it meets is ErrBadWAL.
+func (d *Durable) TailSince(after uint64) ([]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed.Load() {
@@ -152,69 +134,73 @@ func (d *Durable) TailSince(after uint64) ([]TailOp, error) {
 	if after < d.walBase {
 		return nil, fmt.Errorf("%w: log restarts at seq %d, tail requested after %d", ErrTailTruncated, d.walBase, after)
 	}
-	var ops []TailOp
-	err := readWALTail(filepath.Join(d.dir, walFileName), after, func(rec walRecord) {
-		op := TailOp{List: rec.list, Sealed: rec.sealed}
-		switch rec.op {
-		case opInsert:
-			op.Op, op.Group, op.TRS = TailOpInsert, rec.group, rec.trs
-		case opRemove:
-			op.Op = TailOpRemove
+	f, err := os.Open(filepath.Join(d.dir, walFileName))
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fr, err := logReader(f)
+	if err != nil {
+		return nil, err
+	}
+	var tail []byte
+	err = fr.each(func(r record) {
+		if r = r.since(after); r.ops() > 0 {
+			tail = append(tail, frameRecord(encodeRecord(r))...)
 		}
-		ops = append(ops, op)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return ops, nil
+	return tail, nil
 }
 
-// readWALTail scans the log read-only and calls apply for every record
-// with seq > afterSeq. Unlike recovery's replayWAL it tolerates
-// nothing: the log belongs to a live store whose appends are fully
-// flushed, so any framing damage is a real error, and the file is
-// never modified.
-func readWALTail(path string, afterSeq uint64, apply func(walRecord)) error {
-	f, err := os.Open(path)
+// ApplyTail applies a tail — TailSince's bytes, from another store — to
+// b through its batch mutations, so versions advance as they did at the
+// source, and reports how many operations it applied. It decodes the
+// whole tail before b sees any of it, so bytes that do not decode
+// (ErrBadWAL) change nothing. Each run of consecutive insert records is
+// one InsertBatch and each run of remove records one RemoveBatch: a
+// durable b logs a tail in one record per run, and b gets a copy of
+// each inserted payload of its own.
+//
+// The apply is strict. A remove b cannot resolve fails its run with a
+// *BatchOpError, after the runs before it applied: b has diverged from
+// the store the tail came from, and only a fresh copy reconciles them.
+func ApplyTail(b Backend, tail []byte) (ops int, err error) {
+	recs, err := readTail(tail)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	magic := make([]byte, len(walMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return fmt.Errorf("%w: short header: %v", ErrBadWAL, err)
+	var ins []BatchInsert
+	var rem []BatchRemove
+	flush := func() error {
+		if err := b.InsertBatch(ins); err != nil {
+			return err
+		}
+		if err := b.RemoveBatch(rem, nil); err != nil {
+			return err
+		}
+		ops += len(ins) + len(rem)
+		ins, rem = nil, nil
+		return nil
 	}
-	if string(magic) != string(walMagic) {
-		return fmt.Errorf("%w: magic %q", ErrBadWAL, magic)
-	}
-	for {
-		payloadLen, err := binary.ReadUvarint(br)
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("%w: torn length prefix on a live log: %v", ErrBadWAL, err)
-		}
-		if payloadLen > maxWALRecord {
-			return fmt.Errorf("%w: record of %d bytes", ErrBadWAL, payloadLen)
-		}
-		frame := make([]byte, payloadLen+4)
-		if _, err := io.ReadFull(br, frame); err != nil {
-			return fmt.Errorf("%w: torn record on a live log: %v", ErrBadWAL, err)
-		}
-		payload, sum := frame[:payloadLen], binary.BigEndian.Uint32(frame[payloadLen:])
-		if crc32.ChecksumIEEE(payload) != sum {
-			return fmt.Errorf("%w: checksum mismatch on a live log", ErrBadWAL)
-		}
-		recs, err := decodeWALRecords(payload)
-		if err != nil {
-			return fmt.Errorf("%w: undecodable record: %v", ErrBadWAL, err)
-		}
-		for _, rec := range recs {
-			if rec.seq > afterSeq {
-				apply(rec)
+	for _, r := range recs {
+		if r.remove && len(ins) > 0 || !r.remove && len(rem) > 0 {
+			if err := flush(); err != nil {
+				return ops, err
 			}
 		}
+		ins = append(ins, ownPayloads(r.inserts)...)
+		rem = append(rem, r.removes...)
 	}
+	return ops, flush()
+}
+
+// readTail decodes every record of a tail, strictly (frameReader.each).
+func readTail(tail []byte) ([]record, error) {
+	var recs []record
+	fr := frameReader{r: bytes.NewReader(tail), size: int64(len(tail))}
+	err := fr.each(func(r record) { recs = append(recs, r) })
+	return recs, err
 }

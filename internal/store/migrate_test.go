@@ -7,8 +7,11 @@ package store
 // operations logged after the exported sequence.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -218,17 +221,26 @@ func TestDurableTailSince(t *testing.T) {
 	if err := d.Remove(0, []byte("list0-el0"), nil); err != nil {
 		t.Fatal(err)
 	}
-	ops, err := d.TailSince(cut)
+	tail, err := d.TailSince(cut)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []TailOp{
-		{Op: TailOpInsert, List: 9, Group: 1, TRS: 0.25, Sealed: []byte("a")},
-		{Op: TailOpInsert, List: 9, Group: 2, TRS: 0.75, Sealed: []byte("b")},
-		{Op: TailOpRemove, List: 0, Sealed: []byte("list0-el0")},
+	// Each single operation is a batch of one, logged as its own record.
+	want := []record{
+		{seq: cut + 1, inserts: []BatchInsert{{List: 9, Element: Element{Sealed: []byte("a"), TRS: 0.25, Group: 1}}}},
+		{seq: cut + 2, inserts: []BatchInsert{{List: 9, Element: Element{Sealed: []byte("b"), TRS: 0.75, Group: 2}}}},
+		{seq: cut + 3, remove: true, removes: []BatchRemove{{List: 0, Sealed: []byte("list0-el0")}}},
 	}
-	if !reflect.DeepEqual(ops, want) {
-		t.Fatalf("tail = %+v, want %+v", ops, want)
+	if got := tailRecords(t, tail); !reflect.DeepEqual(got, want) {
+		t.Fatalf("tail = %+v, want %+v", got, want)
+	}
+	// The whole tail is the log's own bytes after its magic.
+	whole, err := d.TailSince(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if log, err := os.ReadFile(filepath.Join(d.dir, walFileName)); err != nil || !bytes.Equal(whole, log[len(walMagic):]) {
+		t.Fatalf("TailSince(0) is not the log's records (err %v)", err)
 	}
 	// Replaying the tail onto a snapshot taken at the cut reproduces
 	// the live state exactly — the migration invariant.
@@ -270,21 +282,23 @@ func TestSnapshotTailReplayIdentity(t *testing.T) {
 	if err := dst.ImportSnapshot(data); err != nil {
 		t.Fatal(err)
 	}
-	for _, op := range tail {
-		switch op.Op {
-		case TailOpInsert:
-			err = dst.Insert(op.List, Element{Sealed: op.Sealed, TRS: op.TRS, Group: op.Group})
-		case TailOpRemove:
-			err = dst.Remove(op.List, op.Sealed, nil)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+	if n, err := ApplyTail(dst, tail); err != nil || n != 5*3+1 {
+		t.Fatalf("ApplyTail: %d ops, %v; want %d", n, err, 5*3+1)
 	}
 	// Versions carry over exactly for every list the snapshot held;
 	// lists 3 and 4 were minted after the export, so each side seeds
 	// them with its own random epoch (content still identical).
 	assertSameContentWhere(t, d, dst, func(id zerber.ListID) bool { return id < 3 })
+}
+
+// tailRecords decodes a tail (TailSince's bytes) into its records.
+func tailRecords(t testing.TB, tail []byte) []record {
+	t.Helper()
+	recs, err := readTail(tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
 }
 
 func TestMemoryTailUnsupported(t *testing.T) {

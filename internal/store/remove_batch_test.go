@@ -310,13 +310,8 @@ func TestRemoveBatchRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(tail) != 8 {
-			t.Fatalf("tail holds %d ops, want 8", len(tail))
-		}
-		for i, op := range tail {
-			if op.Op != TailOpRemove || op.List != victims[i].List || string(op.Sealed) != string(victims[i].Sealed) {
-				t.Fatalf("tail op %d: %+v, want the remove of %+v", i, op, victims[i])
-			}
+		if recs := tailRecords(t, tail); len(recs) != 1 || !recs[0].remove || !reflect.DeepEqual(recs[0].removes, victims) {
+			t.Fatalf("tail: %+v, want one record removing %+v", recs, victims)
 		}
 
 		d.subject = reopen(t, dur, opt)

@@ -220,11 +220,12 @@ type Backend interface {
 	// before adopting it.
 	ImportSnapshot(data []byte) error
 	// TailSince returns the mutations logged after the given sequence,
-	// in order — the WAL tail a migration replays on top of a shipped
-	// snapshot. Engines without a log return ErrNoTail; a logged engine
-	// whose compaction already dropped part of the requested range
-	// returns ErrTailTruncated (re-export and try again).
-	TailSince(seq uint64) ([]TailOp, error)
+	// in order, as framed WAL records — the tail a migration applies
+	// (ApplyTail) on top of a shipped snapshot. Engines without a log
+	// return ErrNoTail; a logged engine whose compaction already dropped
+	// part of the requested range returns ErrTailTruncated (re-export
+	// and try again).
+	TailSince(seq uint64) ([]byte, error)
 	// Close releases the backend's resources, flushing any buffered
 	// state to stable storage first.
 	Close() error

@@ -19,16 +19,16 @@ import (
 //
 //	file:    magic "ZWAL1" | record*
 //	record:  payloadLen | payload | crc32-IEEE(payload) (4B big-endian)
-//	payload: seq | op (1B) |
-//	         op=insert: list | element
-//	         op=remove: list | sealedLen | sealed
-//	         op=insertBatch: count | count × (
-//	             listDelta (signed varint, vs the previous entry's
-//	             list; the first entry's delta is vs list 0) |
-//	             element )
-//	         op=removeBatch: count | count × (
-//	             listDelta (as above) | sealedLen | sealed )
-//	element: the shared element record (element.go)
+//	payload: seq | kind (1B) |
+//	         kind=insertBatch: insert op list
+//	         kind=removeBatch: remove op list
+//	         kind=insert: list | element
+//	         kind=remove: list | sealedLen | sealed
+//
+// The op lists are the ones the /v2/insert and /v2/remove frames carry
+// (element.go), so a logged mutation has one binary form from the wire
+// to the disk and, as a migration's tail (TailSince, ApplyTail),
+// between shards.
 //
 // The sequence number ties the log to snapshots: a snapshot records
 // the last sequence it contains, and recovery skips WAL records at or
@@ -36,20 +36,15 @@ import (
 // cannot double-apply operations. The trailing CRC frames each record
 // so recovery can detect a torn final write and truncate it away.
 //
-// An insertBatch record is N inserts under one frame: seq is the
-// first element's sequence and the record consumes seq..seq+count-1,
-// so a batch costs one length prefix, one CRC and (under FsyncEach)
-// at most one fsync instead of N. List IDs are delta-encoded against
-// the previous entry — the ZIDX1 idiom — because batches are usually
-// sorted or single-list. Torn-tail recovery is per frame: a torn
-// batch drops whole, never half-applied.
-//
-// A removeBatch record is the same for N removes, in the order the
-// batch named them. Decoding expands either batch kind into per-element
-// records, so replay, tail export and migration never see a batch.
-// Nothing writes the single insert and remove records any more — a
-// single operation is logged as a batch of one — but logs written
-// before that hold them, so they still decode and replay.
+// A batch record is N inserts, or N removes in the order the batch
+// named them, under one frame: seq is the first op's sequence and the
+// record consumes seq..seq+count-1, so a batch costs one length prefix,
+// one CRC and (under FsyncEach) at most one fsync instead of N.
+// Torn-tail recovery is per frame: a torn batch drops whole, never
+// half-applied. Nothing writes the single insert and remove records
+// any more — a single operation is logged as a batch of one — but logs
+// written before that hold them, so they still decode, as batches of
+// one.
 
 var walMagic = []byte("ZWAL1")
 
@@ -72,17 +67,107 @@ const (
 )
 
 // ErrBadWAL reports a corrupted write-ahead log (damage before the
-// final record, which torn-write truncation cannot explain away).
+// final record, which torn-write truncation cannot explain away), or a
+// tail (TailSince's bytes) that does not decode.
 var ErrBadWAL = errors.New("store: bad write-ahead log")
 
-// walRecord is one logged operation in decoded form.
-type walRecord struct {
-	seq    uint64
-	op     byte
-	list   zerber.ListID
-	group  int     // insert only
-	trs    float64 // insert only
-	sealed []byte
+// errTornFrame reports a frame cut short or failing its checksum: what
+// a crash mid-append leaves at the end of a log, and damage anywhere
+// else in a log or a tail.
+var errTornFrame = fmt.Errorf("%w: torn record", ErrBadWAL)
+
+// record is one logged record in decoded form: a batch of inserts or,
+// when remove is set, of removes, whose ops take the sequences seq,
+// seq+1, …
+type record struct {
+	seq     uint64
+	remove  bool
+	inserts []BatchInsert
+	removes []BatchRemove
+}
+
+func (r record) ops() int { return len(r.inserts) + len(r.removes) }
+
+// ownPayloads gives each insert a copy of its payload of its own: the
+// store keeps a payload for the element's life, and one aliasing the
+// bytes it was decoded from would keep every byte around it alive too.
+func ownPayloads(ops []BatchInsert) []BatchInsert {
+	for i := range ops {
+		ops[i].Element.Sealed = append([]byte(nil), ops[i].Element.Sealed...)
+	}
+	return ops
+}
+
+// since drops the ops of r with a sequence at or below after.
+func (r record) since(after uint64) record {
+	if r.seq > after {
+		return r
+	}
+	skip := after - r.seq + 1
+	r.inserts = r.inserts[min(skip, uint64(len(r.inserts))):]
+	r.removes = r.removes[min(skip, uint64(len(r.removes))):]
+	r.seq = after + 1
+	return r
+}
+
+// encodeRecord encodes r as a batch record's payload. Callers bound the
+// batch so the payload stays under maxWALRecord.
+func encodeRecord(r record) []byte {
+	size := 2*binary.MaxVarintLen64 + 1
+	for i := range r.inserts {
+		size += 3*binary.MaxVarintLen64 + 8 + len(r.inserts[i].Element.Sealed)
+	}
+	for i := range r.removes {
+		size += 2*binary.MaxVarintLen64 + len(r.removes[i].Sealed)
+	}
+	buf := binary.AppendUvarint(make([]byte, 0, size), r.seq)
+	if r.remove {
+		return AppendRemoves(append(buf, opRemoveBatch), r.removes)
+	}
+	return AppendInserts(append(buf, opInsertBatch), r.inserts)
+}
+
+// decodeRecord decodes one record's payload, all or nothing: a payload
+// that fails mid-batch yields none of it, so replay's torn-tail
+// tolerance stays frame-granular. Payloads alias the given bytes.
+func decodeRecord(payload []byte) (r record, err error) {
+	seq, n := binary.Uvarint(payload)
+	if n <= 0 || n == len(payload) {
+		return record{}, errors.New("truncated record header")
+	}
+	kind, body := payload[n], payload[n+1:]
+	r = record{seq: seq, remove: kind == opRemove || kind == opRemoveBatch}
+	switch kind {
+	case opInsertBatch:
+		r.inserts, body, err = ReadInserts(body)
+	case opRemoveBatch:
+		r.removes, body, err = ReadRemoves(body)
+	case opInsert, opRemove:
+		var list uint64
+		if list, n = binary.Uvarint(body); n <= 0 {
+			return record{}, errShortOp
+		}
+		var id zerber.ListID
+		if id, err = listID(int64(list)); err != nil {
+			return record{}, err
+		}
+		if kind == opInsert {
+			r.inserts = make([]BatchInsert, 1)
+			r.inserts[0], body, err = readInsert(body[n:], id)
+		} else {
+			r.removes = make([]BatchRemove, 1)
+			r.removes[0], body, err = readRemove(body[n:], id)
+		}
+	default:
+		return record{}, fmt.Errorf("unknown op %d", kind)
+	}
+	if err != nil {
+		return record{}, err
+	}
+	if len(body) != 0 {
+		return record{}, fmt.Errorf("record leaves %d trailing bytes", len(body))
+	}
+	return r, nil
 }
 
 // frameRecord wraps a payload in the on-disk framing — length prefix,
@@ -95,145 +180,77 @@ func frameRecord(payload []byte) []byte {
 	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
 }
 
-// encodeWALBatchPayload encodes N inserts as one opInsertBatch
-// payload. firstSeq is the first element's sequence; the record
-// consumes firstSeq..firstSeq+len(ops)-1. Callers bound the batch so
-// the payload stays under maxWALRecord.
-func encodeWALBatchPayload(firstSeq uint64, ops []BatchInsert) []byte {
-	size := 2*binary.MaxVarintLen64 + 1
-	for i := range ops {
-		size += 3*binary.MaxVarintLen64 + 8 + len(ops[i].Element.Sealed)
+// frameReader reads framed records one at a time — the one reader of
+// recovery (replayWAL), tail export (Durable.TailSince) and tail apply
+// (ApplyTail).
+type frameReader struct {
+	r interface {
+		io.Reader
+		io.ByteReader
 	}
-	buf := make([]byte, 0, size)
-	buf = binary.AppendUvarint(buf, firstSeq)
-	buf = append(buf, opInsertBatch)
-	buf = binary.AppendUvarint(buf, uint64(len(ops)))
-	prev := int64(0)
-	for i := range ops {
-		list := int64(ops[i].List)
-		buf = binary.AppendVarint(buf, list-prev)
-		prev = list
-		buf = AppendElement(buf, ops[i].Element)
-	}
-	return buf
+	off  int64 // bytes consumed: after next succeeds, the end of its frame
+	size int64 // bytes the reader holds in all
 }
 
-// encodeWALRemoveBatchPayload encodes N removes as one opRemoveBatch
-// payload, sequenced and bounded like encodeWALBatchPayload.
-func encodeWALRemoveBatchPayload(firstSeq uint64, ops []BatchRemove) []byte {
-	size := 2*binary.MaxVarintLen64 + 1
-	for i := range ops {
-		size += 2*binary.MaxVarintLen64 + len(ops[i].Sealed)
+func (fr *frameReader) ReadByte() (byte, error) {
+	b, err := fr.r.ReadByte()
+	if err == nil {
+		fr.off++
 	}
-	buf := make([]byte, 0, size)
-	buf = binary.AppendUvarint(buf, firstSeq)
-	buf = append(buf, opRemoveBatch)
-	buf = binary.AppendUvarint(buf, uint64(len(ops)))
-	prev := int64(0)
-	for i := range ops {
-		list := int64(ops[i].List)
-		buf = binary.AppendVarint(buf, list-prev)
-		prev = list
-		buf = binary.AppendUvarint(buf, uint64(len(ops[i].Sealed)))
-		buf = append(buf, ops[i].Sealed...)
-	}
-	return buf
+	return b, err
 }
 
-// decodeWALRecords decodes one framed payload into its operations: a
-// single walRecord for insert/remove, count opInsert or opRemove
-// records (with consecutive sequences) for a batch of either. Decoding
-// is all-or-nothing — a payload that fails mid-batch applies none of
-// it, so replay's torn-tail tolerance stays frame-granular. Sealed
-// bytes are copied out of the payload buffer.
-func decodeWALRecords(payload []byte) ([]walRecord, error) {
-	rd := newByteCursor(payload)
-	seq, err := binary.ReadUvarint(rd)
+// next returns the next frame's payload in a buffer of its own, which
+// the caller may keep. It returns io.EOF at a clean end, errTornFrame
+// for a frame cut short or failing its checksum, and ErrBadWAL for a
+// length no record may have. What it allocates is bounded by the bytes
+// that remain, never by a length it merely reads.
+func (fr *frameReader) next() ([]byte, error) {
+	payloadLen, err := binary.ReadUvarint(fr)
+	if errors.Is(err, io.EOF) {
+		return nil, io.EOF
+	}
 	if err != nil {
-		return nil, err
+		return nil, errTornFrame
 	}
-	op, err := rd.ReadByte()
+	if payloadLen > maxWALRecord {
+		return nil, fmt.Errorf("%w: record of %d bytes", ErrBadWAL, payloadLen)
+	}
+	if payloadLen+4 > uint64(fr.size-fr.off) {
+		return nil, errTornFrame
+	}
+	frame := make([]byte, payloadLen+4)
+	n, err := io.ReadFull(fr.r, frame)
+	fr.off += int64(n)
 	if err != nil {
-		return nil, err
+		return nil, errTornFrame
 	}
-	switch op {
-	case opInsert, opRemove:
-		list, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return nil, err
-		}
-		rec := walRecord{seq: seq, op: op, list: zerber.ListID(list)}
-		if err := rd.walBody(&rec); err != nil {
-			return nil, err
-		}
-		if rd.remaining() != 0 {
-			return nil, fmt.Errorf("record leaves %d trailing bytes", rd.remaining())
-		}
-		return []walRecord{rec}, nil
-	case opInsertBatch, opRemoveBatch:
-		count, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return nil, err
-		}
-		// The smallest entry is a delta, a group, a TRS and a length
-		// (11 bytes) for an insert, a delta and a length for a remove.
-		// The body, not the claimed count, bounds the allocation: a
-		// count the payload it arrived in cannot hold is rejected first.
-		each, minEntry := opInsert, 11
-		if op == opRemoveBatch {
-			each, minEntry = opRemove, 2
-		}
-		if count > uint64(rd.remaining()/minEntry) {
-			return nil, fmt.Errorf("batch claims %d entries with %d bytes left", count, rd.remaining())
-		}
-		recs := make([]walRecord, 0, count)
-		prev := int64(0)
-		for i := uint64(0); i < count; i++ {
-			delta, err := binary.ReadVarint(rd)
-			if err != nil {
-				return nil, err
-			}
-			prev += delta
-			if prev < 0 {
-				return nil, fmt.Errorf("batch entry %d: negative list id %d", i, prev)
-			}
-			rec := walRecord{seq: seq + i, op: each, list: zerber.ListID(prev)}
-			if err := rd.walBody(&rec); err != nil {
-				return nil, err
-			}
-			recs = append(recs, rec)
-		}
-		if rd.remaining() != 0 {
-			return nil, fmt.Errorf("batch leaves %d trailing bytes", rd.remaining())
-		}
-		return recs, nil
-	default:
-		return nil, fmt.Errorf("unknown op %d", op)
+	payload, sum := frame[:payloadLen], binary.BigEndian.Uint32(frame[payloadLen:])
+	if crc32.ChecksumIEEE(payload) != sum {
+		return nil, errTornFrame
 	}
+	return payload, nil
 }
 
-// walBody reads what follows the list ID of one logged operation — an
-// element for rec.op opInsert, a length-prefixed payload for opRemove —
-// into rec, copying the sealed bytes out of the buffer.
-func (c *byteCursor) walBody(rec *walRecord) error {
-	var sealed []byte
-	if rec.op == opInsert {
-		el, err := c.element()
+// each decodes every record left in fr and calls fn with each, in
+// order. It tolerates nothing — a torn frame or an
+// undecodable record anywhere is ErrBadWAL — as the reader of a live
+// log, whose appends are whole, or of a peer's tail must.
+func (fr *frameReader) each(fn func(record)) error {
+	for {
+		payload, err := fr.next()
+		if err == io.EOF {
+			return nil
+		}
 		if err != nil {
 			return err
 		}
-		rec.group, rec.trs, sealed = el.Group, el.TRS, el.Sealed
-	} else {
-		n, err := binary.ReadUvarint(c)
+		r, err := decodeRecord(payload)
 		if err != nil {
-			return err
+			return fmt.Errorf("%w: undecodable record ending at offset %d: %v", ErrBadWAL, fr.off, err)
 		}
-		if sealed, err = c.take(int(n)); err != nil {
-			return err
-		}
+		fn(r)
 	}
-	rec.sealed = append([]byte(nil), sealed...)
-	return nil
 }
 
 // wal is an append-only log open for writing.
@@ -345,7 +362,7 @@ func (w *wal) close() error {
 // (afterSeq if none).
 //
 // A missing file is not an error: a fresh log is created.
-func replayWAL(path string, afterSeq uint64, apply func([]walRecord)) (maxSeq uint64, _ error) {
+func replayWAL(path string, afterSeq uint64, apply func(record)) (maxSeq uint64, _ error) {
 	maxSeq = afterSeq
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -360,60 +377,67 @@ func replayWAL(path string, afterSeq uint64, apply func([]walRecord)) (maxSeq ui
 	}
 	defer f.Close()
 
-	cr := &countingReader{r: bufio.NewReader(f)}
-	magic := make([]byte, len(walMagic))
-	if _, err := io.ReadFull(cr, magic); err != nil {
+	fr, err := logReader(f)
+	if errors.Is(err, errTornFrame) {
 		// Shorter than the header: treat as torn at offset zero and
 		// rebuild the header.
 		return maxSeq, rewriteWALHeader(path)
 	}
-	if string(magic) != string(walMagic) {
-		return maxSeq, fmt.Errorf("%w: magic %q", ErrBadWAL, magic)
+	if err != nil {
+		return maxSeq, err
 	}
-
-	goodEnd := cr.n // offset just past the last intact record
+	goodEnd := fr.off // offset just past the last intact record
 	for {
-		payloadLen, err := binary.ReadUvarint(cr)
-		if errors.Is(err, io.EOF) {
+		payload, err := fr.next()
+		if err == io.EOF {
 			return maxSeq, nil // clean end of log
 		}
+		if errors.Is(err, errTornFrame) {
+			break
+		}
 		if err != nil {
-			break // torn length prefix
+			return maxSeq, err
 		}
-		if payloadLen > maxWALRecord {
-			return maxSeq, fmt.Errorf("%w: record of %d bytes", ErrBadWAL, payloadLen)
-		}
-		frame := make([]byte, payloadLen+4)
-		if _, err := io.ReadFull(cr, frame); err != nil {
-			break // torn payload or CRC
-		}
-		payload, sum := frame[:payloadLen], binary.BigEndian.Uint32(frame[payloadLen:])
-		if crc32.ChecksumIEEE(payload) != sum {
-			break // torn write caught by the checksum
-		}
-		recs, err := decodeWALRecords(payload)
+		r, err := decodeRecord(payload)
 		if err != nil {
 			// The frame and CRC are intact, so this is not a torn
 			// write: only tolerate it at the very end of the file.
-			if cr.n == fileSize(f) {
+			if fr.off == fr.size {
 				break
 			}
 			return maxSeq, fmt.Errorf("%w: undecodable record at offset %d: %v", ErrBadWAL, goodEnd, err)
 		}
-		goodEnd = cr.n
-		fresh := recs[:0]
-		for _, rec := range recs {
-			if rec.seq > afterSeq {
-				fresh = append(fresh, rec)
-			}
-			maxSeq = max(maxSeq, rec.seq)
+		goodEnd = fr.off
+		if n := r.ops(); n > 0 {
+			maxSeq = max(maxSeq, r.seq+uint64(n)-1)
 		}
-		if len(fresh) > 0 {
-			apply(fresh)
+		if r = r.since(afterSeq); r.ops() > 0 {
+			apply(r)
 		}
 	}
 	// Torn tail: drop everything past the last intact record.
 	return maxSeq, os.Truncate(path, goodEnd)
+}
+
+// logReader checks the magic at the head of the log f and returns a
+// reader of the records after it. A file too short to hold the magic
+// is errTornFrame.
+func logReader(f *os.File) (*frameReader, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	fr := &frameReader{r: bufio.NewReader(f), size: fi.Size()}
+	magic := make([]byte, len(walMagic))
+	n, err := io.ReadFull(fr.r, magic)
+	fr.off = int64(n)
+	if err != nil {
+		return nil, errTornFrame
+	}
+	if string(magic) != string(walMagic) {
+		return nil, fmt.Errorf("%w: magic %q", ErrBadWAL, magic)
+	}
+	return fr, nil
 }
 
 // rewriteWALHeader resets a log too short to hold its magic.
@@ -423,33 +447,4 @@ func rewriteWALHeader(path string) error {
 		return err
 	}
 	return w.close()
-}
-
-func fileSize(f *os.File) int64 {
-	fi, err := f.Stat()
-	if err != nil {
-		return -1
-	}
-	return fi.Size()
-}
-
-// countingReader counts consumed bytes so recovery knows where the
-// last intact record ended.
-type countingReader struct {
-	r *bufio.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func (c *countingReader) ReadByte() (byte, error) {
-	b, err := c.r.ReadByte()
-	if err == nil {
-		c.n++
-	}
-	return b, err
 }

@@ -7,9 +7,7 @@ package store
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -21,10 +19,10 @@ import (
 	"zerberr/internal/zerber"
 )
 
-// walFrames walks a store's WAL file and returns how many framed
-// records it holds and how many decoded operations they carry (a batch
-// record counts its elements). It fails on any framing damage — the
-// file under test is expected whole.
+// walFrames reads a store's WAL file and returns how many framed
+// records it holds and how many operations they carry (a batch record
+// counts its elements). It fails on any framing damage — the file under
+// test is expected whole.
 func walFrames(t *testing.T, dir string) (frames, ops int) {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join(dir, walFileName))
@@ -34,31 +32,14 @@ func walFrames(t *testing.T, dir string) (frames, ops int) {
 	if !bytes.HasPrefix(data, walMagic) {
 		t.Fatal("WAL missing magic")
 	}
-	rd := newByteCursor(data[len(walMagic):])
-	for rd.remaining() > 0 {
-		n, err := binary.ReadUvarint(rd)
-		if err != nil {
-			t.Fatalf("frame %d length: %v", frames, err)
-		}
-		payload, err := rd.take(int(n))
-		if err != nil {
-			t.Fatalf("frame %d payload: %v", frames, err)
-		}
-		crc, err := rd.take(4)
-		if err != nil {
-			t.Fatalf("frame %d crc: %v", frames, err)
-		}
-		if binary.BigEndian.Uint32(crc) != crc32.ChecksumIEEE(payload) {
-			t.Fatalf("frame %d checksum mismatch", frames)
-		}
-		recs, err := decodeWALRecords(payload)
-		if err != nil {
-			t.Fatalf("frame %d decode: %v", frames, err)
-		}
-		frames++
-		ops += len(recs)
+	recs, err := readTail(data[len(walMagic):])
+	if err != nil {
+		t.Fatal(err)
 	}
-	return frames, ops
+	for _, r := range recs {
+		ops += r.ops()
+	}
+	return len(recs), ops
 }
 
 // TestInsertBatchSingleWALRecord pins the batched write's log cost: a
@@ -94,19 +75,14 @@ func TestInsertBatchSingleWALRecord(t *testing.T) {
 	if v := mustVersion(t, d, 7); v != base+n {
 		t.Fatalf("batch of %d bumped version to base+%d, want one bump per element", n, v-base)
 	}
-	// The tail export must see every element of the batch, in batch
-	// order, as ordinary insert ops.
-	tail, err := d.TailSince(0)
+	// The tail export must carry the batch as one record, in batch
+	// order.
+	tail, err := d.TailSince(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tail) != n+1 {
-		t.Fatalf("tail holds %d ops, want %d", len(tail), n+1)
-	}
-	for i, op := range tail[1:] {
-		if op.Op != TailOpInsert || string(op.Sealed) != string(ops[i].Element.Sealed) {
-			t.Fatalf("tail op %d: %q %q, want insert %q", i, op.Op, op.Sealed, ops[i].Element.Sealed)
-		}
+	if recs := tailRecords(t, tail); len(recs) != 1 || !reflect.DeepEqual(recs[0].inserts, ops) {
+		t.Fatalf("tail after the probe: %d records, want the batch as one", len(recs))
 	}
 	want := dump(t, d)
 	wantVer := mustVersion(t, d, 7)
@@ -205,26 +181,13 @@ func TestConcurrentAppendsTornTail(t *testing.T) {
 		ops int   // cumulative operations through this frame
 	}
 	var boundaries []frame
-	rd := newByteCursor(walBytes[len(walMagic):])
+	fr := frameReader{r: bytes.NewReader(walBytes[len(walMagic):]), size: int64(len(walBytes) - len(walMagic))}
 	total := 0
-	for rd.remaining() > 0 {
-		n, err := binary.ReadUvarint(rd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload, err := rd.take(int(n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rd.take(4); err != nil {
-			t.Fatal(err)
-		}
-		recs, err := decodeWALRecords(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += len(recs)
-		boundaries = append(boundaries, frame{end: int64(len(walMagic) + rd.off), ops: total})
+	if err := fr.each(func(r record) {
+		total += r.ops()
+		boundaries = append(boundaries, frame{end: int64(len(walMagic)) + fr.off, ops: total})
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if total != writers*perWriter+len(batch) {
 		t.Fatalf("WAL carries %d ops, want %d", total, writers*perWriter+len(batch))
