@@ -22,11 +22,12 @@
 // status prints the server's /v2/stats view — shards are
 // comma-separated and replica members of one shard are joined with
 // "+" (primary first), mirroring how a replica.Set is wired; -roots
-// adds each list's committed Merkle root. verify audits one ranked
-// window of a list: it requests a window proof and checks inclusion,
-// adjacency and completeness against the server's committed root,
-// needing only a login (no group keys — proofs bind ciphertext, not
-// plaintext). migrate
+// adds each list's committed Merkle root, in full. verify audits one
+// ranked window of a list: it requests a window proof, checks
+// inclusion, adjacency and completeness against the root that proof
+// advertises, and prints that root in full, for comparison with a
+// published one; it needs only a login (no group keys — proofs bind
+// ciphertext, not plaintext). migrate
 // moves a whole index between zerberd processes over the MAC-gated
 // admin plane (snapshot, then the log records written since — the WAL
 // tail, as the source's own framed bytes — then digests), reports the
@@ -456,8 +457,10 @@ func cmdStatus(ctx context.Context, args []string) {
 }
 
 // cmdVerify audits one ranked window of a merged list: it requests a
-// Merkle window proof and verifies inclusion, adjacency and
-// completeness against the server's committed root. Only a login is
+// Merkle window proof, verifies inclusion, adjacency and completeness
+// against the list root the proof advertises, and prints that root in
+// full. Whether the root is the one the operator published is the
+// reader's comparison; the command takes no root. Only a login is
 // needed — proofs bind the server-visible fields (TRS, ciphertext,
 // group), so the auditor holds no group keys and decrypts nothing.
 func cmdVerify(ctx context.Context, args []string) {
@@ -500,7 +503,7 @@ func cmdVerify(ctx context.Context, args []string) {
 	}
 	fmt.Printf("list %d verified: %s [%d,%d) holds %d elements (exhausted=%v) under root %s at version %d\n",
 		*list, scope, *offset, *offset+len(resp.Elements), len(resp.Elements), resp.Exhausted,
-		resp.Proof.Root.Short(), resp.Version)
+		resp.Proof.Root, resp.Version)
 }
 
 // cmdWire speaks one raw protocol operation through client.HTTP and

@@ -28,6 +28,7 @@ import (
 
 	"zerberr/internal/corpus"
 	"zerberr/internal/crypt"
+	"zerberr/internal/proof"
 	"zerberr/internal/rank"
 	"zerberr/internal/rstf"
 	"zerberr/internal/server"
@@ -278,6 +279,11 @@ type termScan struct {
 	matches   []match
 	done      bool
 	exhausted bool
+
+	// verified is what verifying the scan's last window left, under
+	// WithProof; nil before the first and after a window nothing
+	// continues.
+	verified *proof.Frontier
 }
 
 func (c *Client) newTermScan(term corpus.TermID, k, b int, strict bool) *termScan {

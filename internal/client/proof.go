@@ -8,7 +8,11 @@ package client
 // inside or around the window) and the exhausted flag all bind to one
 // list root per (list, version). Roots are pinned across the rounds
 // of one search, so a server cannot commit to two different states
-// under the same version without being caught (equivocation).
+// under the same version without being caught (equivocation). A
+// scan's follow-up round names the version its previous window
+// verified at (ListQuery.ProofFrom); while the list is still at it,
+// the answer is a continuation, verified against what that window left
+// (proof.Frontier) instead of carrying it again.
 //
 // What the root itself is bound to remains out of band — a server
 // whose committed state simply is wrong (stale, selectively indexed)
@@ -56,22 +60,26 @@ func (c *Client) newProofState() *proofState {
 
 // verify checks one sub-query response against its proof and the pin
 // table. Responses reach it before absorb sees them, so a tampered
-// window never contributes to results.
-func (ps *proofState) verify(q server.ListQuery, resp server.QueryResponse) error {
+// window never contributes to results. prev is what the scan's
+// previous window left (nil before its first): a continuation is
+// verified against it, and the Frontier returned is what the scan's
+// next sub-query continues from.
+func (ps *proofState) verify(q server.ListQuery, resp server.QueryResponse, prev *proof.Frontier) (*proof.Frontier, error) {
 	elems := make([]proof.WindowElement, len(resp.Elements))
 	for i, el := range resp.Elements {
 		elems[i] = proof.WindowElement{TRS: el.TRS, Sealed: el.Sealed, Group: el.Group}
 	}
-	if err := proof.VerifyWindow(resp.Proof, ps.allowed, q.Offset, q.Count, elems, resp.Exhausted, resp.Version); err != nil {
-		return fmt.Errorf("%w: list %d: %v", ErrProofInvalid, q.List, err)
+	next, err := proof.VerifyNext(prev, resp.Proof, ps.allowed, q.Offset, q.Count, elems, resp.Exhausted, resp.Version)
+	if err != nil {
+		return nil, fmt.Errorf("%w: list %d: %v", ErrProofInvalid, q.List, err)
 	}
 	key := pinKey{list: q.List, version: resp.Version}
 	if pinned, ok := ps.pins[key]; ok {
 		if pinned != resp.Proof.Root {
-			return fmt.Errorf("%w: list %d version %d committed two different roots across rounds", ErrProofInvalid, q.List, resp.Version)
+			return nil, fmt.Errorf("%w: list %d version %d committed two different roots across rounds", ErrProofInvalid, q.List, resp.Version)
 		}
-		return nil
+		return next, nil
 	}
 	ps.pins[key] = resp.Proof.Root
-	return nil
+	return next, nil
 }

@@ -2,16 +2,21 @@ package client
 
 // Tamper suite for verified search: a fault-injecting store.Backend
 // sits under a real server and mutates proved query results in every
-// way a dishonest shard could. WithProof must turn each class into
-// ErrProofInvalid before anything is decrypted; unproven search — by
-// design — swallows the silent classes without noticing.
+// way a dishonest shard could, and a fault-injecting Transport above it
+// mutates the answers the server sent — continuations included, which
+// the server derives from the backend's proof on the way out. WithProof
+// must turn each class into ErrProofInvalid before anything is
+// decrypted; unproven search — by design — swallows the silent classes
+// without noticing.
 
 import (
 	"context"
 	"errors"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -60,6 +65,58 @@ func (b *tamperBackend) Query(list zerber.ListID, allowed map[int]bool, offset, 
 	if err == nil && f != nil {
 		res.Elements = append([]store.Element{}, res.Elements...)
 		f(&res)
+	}
+	return res, err
+}
+
+// tamperTransport sits between a client and the server and rewrites
+// what crosses it: before changes a sub-query on its way out, after an
+// answered continuation (handed a copy of its proof it may mutate) on
+// its way back, reporting whether it changed anything.
+type tamperTransport struct {
+	Local
+	mu     sync.Mutex
+	before func(q *server.ListQuery)
+	after  func(q server.ListQuery, resp *server.QueryResponse) bool
+	fired  atomic.Int64
+}
+
+func (t *tamperTransport) set(before func(*server.ListQuery), after func(server.ListQuery, *server.QueryResponse) bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.before, t.after = before, after
+	t.fired.Store(0)
+}
+
+func (t *tamperTransport) QueryBatch(ctx context.Context, toks []crypt.Token, queries []server.ListQuery) (BatchQueryResult, error) {
+	t.mu.Lock()
+	before, after := t.before, t.after
+	t.mu.Unlock()
+	if before != nil {
+		queries = slices.Clone(queries)
+		for i := range queries {
+			before(&queries[i])
+		}
+	}
+	res, err := t.Local.QueryBatch(ctx, toks, queries)
+	if err != nil || after == nil {
+		return res, err
+	}
+	for i := range res.Responses {
+		resp := &res.Responses[i]
+		if resp.Proof == nil || !resp.Proof.Continued {
+			continue
+		}
+		// The server's paths and boundaries alias what its store keeps.
+		w := *resp.Proof
+		w.Groups = slices.Clone(w.Groups)
+		for j := range w.Groups {
+			w.Groups[j].Path = slices.Clone(w.Groups[j].Path)
+		}
+		resp.Proof = &w
+		if after(queries[i], resp) {
+			t.fired.Add(1)
+		}
 	}
 	return res, err
 }
@@ -129,54 +186,122 @@ func TestWithProofMatchesUnproven(t *testing.T) {
 
 // TestWithProofDetectsTampering is the detection matrix: every class
 // of server misbehavior must surface as ErrProofInvalid, whatever the
-// rounds carry: "batched" rounds carry two lists, "serial" ones a
-// single list over many rounds (one term at b=1). Each class queries
-// its own terms so one class's poisoned cache entries cannot mask
-// another's mutation.
+// rounds carry: "batched" rounds carry two lists (b=2, so there are
+// follow-ups), "serial" ones a single list over many rounds (one term
+// at b=1). The first classes tamper at the backend, with the full
+// proof a continuation is then derived from; the rest tamper with
+// continuations as they arrive. Each class queries its own terms so
+// one class's poisoned cache entries cannot mask another's mutation.
 func TestWithProofDetectsTampering(t *testing.T) {
 	h, tb := newTamperHarness(t, 23)
+	tt := &tamperTransport{Local: Local{S: h.srv}}
+	cl, err := New(tt, h.cl.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Login(context.Background(), "writer"); err != nil {
+		t.Fatal(err)
+	}
 	terms := h.c.TermsByDF()
 	classes := []struct {
-		name string
-		f    func(*store.QueryResult)
+		name    string
+		backend func(*store.QueryResult)
+		resp    func(q server.ListQuery, resp *server.QueryResponse) bool
 	}{
 		{"dropped element", func(r *store.QueryResult) {
 			if len(r.Elements) > 0 {
 				r.Elements = r.Elements[:len(r.Elements)-1]
 			}
-		}},
+		}, nil},
 		{"reordered window", func(r *store.QueryResult) {
 			if len(r.Elements) >= 2 {
 				r.Elements[0], r.Elements[1] = r.Elements[1], r.Elements[0]
 			}
-		}},
+		}, nil},
 		{"forged payload", func(r *store.QueryResult) {
 			if len(r.Elements) > 0 {
 				s := append([]byte{}, r.Elements[0].Sealed...)
 				s[0] ^= 1
 				r.Elements[0].Sealed = s
 			}
-		}},
+		}, nil},
 		{"forged TRS", func(r *store.QueryResult) {
 			if len(r.Elements) > 0 {
 				r.Elements[0].TRS += 0.125
 			}
-		}},
+		}, nil},
 		{"forged exhausted flag", func(r *store.QueryResult) {
 			r.Exhausted = !r.Exhausted
-		}},
+		}, nil},
 		{"forged version", func(r *store.QueryResult) {
 			r.Version++
-		}},
+		}, nil},
 		{"stripped proof", func(r *store.QueryResult) {
 			r.Proof = nil
-		}},
+		}, nil},
 		{"forged root", func(r *store.QueryResult) {
 			if r.Proof != nil {
 				w := *r.Proof
 				w.Root[0] ^= 1
 				r.Proof = &w
 			}
+		}, nil},
+		{"forged right-path hash", nil, func(_ server.ListQuery, resp *server.QueryResponse) bool {
+			for i := range resp.Proof.Groups {
+				if path := resp.Proof.Groups[i].Path; len(path) > 0 {
+					path[len(path)-1][0] ^= 1
+					return true
+				}
+			}
+			return false
+		}},
+		{"stripped succ", nil, func(_ server.ListQuery, resp *server.QueryResponse) bool {
+			for i := range resp.Proof.Groups {
+				if gw := &resp.Proof.Groups[i]; gw.Succ != nil {
+					gw.Succ = nil
+					return true
+				}
+			}
+			return false
+		}},
+		{"end shifted by one", nil, func(_ server.ListQuery, resp *server.QueryResponse) bool {
+			if len(resp.Proof.Groups) == 0 {
+				return false
+			}
+			resp.Proof.Groups[0].End++
+			return true
+		}},
+		{"continuation after the version moved on", nil, func(q server.ListQuery, resp *server.QueryResponse) bool {
+			// A write lands between the rounds; the server answers at the
+			// new version but trims as if the client had verified that.
+			sealed, err := h.cl.cfg.Codec.Seal(crypt.Element{Doc: 1 << 30, Term: terms[0], Score: 0.5}, h.keys[0])
+			if err != nil {
+				t.Error(err)
+				return false
+			}
+			ctx := context.Background()
+			el := server.StoredElement{Sealed: sealed, TRS: 0.5, Group: 0}
+			if err := h.srv.InsertBatch(ctx, h.cl.byGrp[0], []server.InsertOp{{List: q.List, Element: el}}); err != nil {
+				t.Error(err)
+				return false
+			}
+			q.ProofFrom = nil
+			fresh, err := h.srv.QueryBatch(ctx, h.cl.tokens, []server.ListQuery{q})
+			if err != nil {
+				t.Error(err)
+				return false
+			}
+			*resp = fresh[0]
+			resp.Proof = proof.Continue(resp.Proof)
+			return true
+		}},
+		{"continuation group without state", nil, func(_ server.ListQuery, resp *server.QueryResponse) bool {
+			gs := resp.Proof.Groups
+			if len(gs) == 0 {
+				return false
+			}
+			gs[len(gs)-1].Group += 1000
+			return true
 		}},
 	}
 	if len(terms) < 2*len(classes) {
@@ -184,7 +309,9 @@ func TestWithProofDetectsTampering(t *testing.T) {
 	}
 	queries := func(i int) []corpus.TermID { return []corpus.TermID{terms[i], terms[len(classes)+i]} }
 	schedules := map[string]func(i int) ([]corpus.TermID, []SearchOption){
-		"batched": func(i int) ([]corpus.TermID, []SearchOption) { return queries(i), []SearchOption{WithProof()} },
+		"batched": func(i int) ([]corpus.TermID, []SearchOption) {
+			return queries(i), []SearchOption{WithProof(), WithInitialResponse(2)}
+		},
 		"serial": func(i int) ([]corpus.TermID, []SearchOption) {
 			return queries(i)[:1], []SearchOption{WithProof(), WithInitialResponse(1)}
 		},
@@ -192,10 +319,15 @@ func TestWithProofDetectsTampering(t *testing.T) {
 	for i, tc := range classes {
 		for schedule, query := range schedules {
 			t.Run(tc.name+"/"+schedule, func(t *testing.T) {
-				tb.set(tc.f, nil)
+				tb.set(tc.backend, nil)
+				tt.set(nil, tc.resp)
 				defer tb.set(nil, nil)
+				defer tt.set(nil, nil)
 				q, opts := query(i)
-				_, _, err := h.cl.Search(context.Background(), q, 5, opts...)
+				_, _, err := cl.Search(context.Background(), q, 5, opts...)
+				if tc.resp != nil && tt.fired.Load() == 0 {
+					t.Fatal("no continuation the class applies to crossed the transport")
+				}
 				if err == nil {
 					t.Fatal("tampered window accepted")
 				}
@@ -208,9 +340,47 @@ func TestWithProofDetectsTampering(t *testing.T) {
 	// With injection off again the same terms verify cleanly — the
 	// backend state itself was never corrupted.
 	for i := range classes {
-		if _, _, err := h.cl.Search(context.Background(), queries(i), 5, WithProof()); err != nil {
+		if _, _, err := cl.Search(context.Background(), queries(i), 5, WithProof()); err != nil {
 			t.Fatalf("honest search after class %d still failing: %v", i, err)
 		}
+	}
+}
+
+// TestFullProofAnswersContinuationRequest: a server may always answer
+// a continuation request with the full proof — one that ignores
+// ProofFrom is an older server, not a dishonest one.
+func TestFullProofAnswersContinuationRequest(t *testing.T) {
+	h, _ := newTamperHarness(t, 26)
+	tt := &tamperTransport{Local: Local{S: h.srv}}
+	cl, err := New(tt, h.cl.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Login(context.Background(), "writer"); err != nil {
+		t.Fatal(err)
+	}
+	var asked atomic.Int64
+	tt.set(func(q *server.ListQuery) {
+		if q.ProofFrom != nil {
+			asked.Add(1)
+			q.ProofFrom = nil
+		}
+	}, nil)
+	terms := h.c.TermsByDF()
+	query := []corpus.TermID{terms[2], terms[9]}
+	proved, _, err := cl.Search(context.Background(), query, 5, WithProof(), WithInitialResponse(1))
+	if err != nil {
+		t.Fatalf("full proofs answering continuation requests: %v", err)
+	}
+	if asked.Load() == 0 {
+		t.Fatal("no sub-query asked for a continuation")
+	}
+	plain, _, err := h.cl.Search(context.Background(), query, 5, WithInitialResponse(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain, proved) {
+		t.Fatalf("proved results differ from plain:\nplain  %v\nproved %v", plain, proved)
 	}
 }
 
@@ -301,23 +471,23 @@ func TestProofStatePinsRoots(t *testing.T) {
 		{Sealed: []byte("x2"), TRS: 2, Group: 1},
 	}
 	respA := server.QueryResponse{Elements: elsA, Exhausted: true, Version: 42, Proof: miniWindow(42, elsA)}
-	if err := ps.verify(q, respA); err != nil {
+	if _, err := ps.verify(q, respA, nil); err != nil {
 		t.Fatalf("first honest window: %v", err)
 	}
 	// Re-seeing the identical commitment is fine.
-	if err := ps.verify(q, respA); err != nil {
+	if _, err := ps.verify(q, respA, nil); err != nil {
 		t.Fatalf("repeat of pinned window: %v", err)
 	}
 	elsB := []server.StoredElement{
 		{Sealed: []byte("y1"), TRS: 9, Group: 1},
 	}
 	respB := server.QueryResponse{Elements: elsB, Exhausted: true, Version: 42, Proof: miniWindow(42, elsB)}
-	if err := ps.verify(q, respB); !errors.Is(err, ErrProofInvalid) {
+	if _, err := ps.verify(q, respB, nil); !errors.Is(err, ErrProofInvalid) {
 		t.Fatalf("equivocating window: got %v, want ErrProofInvalid", err)
 	}
 	// A different version is a new pin, not equivocation.
 	respC := server.QueryResponse{Elements: elsB, Exhausted: true, Version: 43, Proof: miniWindow(43, elsB)}
-	if err := ps.verify(q, respC); err != nil {
+	if _, err := ps.verify(q, respC, nil); err != nil {
 		t.Fatalf("new version rejected: %v", err)
 	}
 }

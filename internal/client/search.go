@@ -152,7 +152,8 @@ func (c *Client) searchStream(ctx context.Context, terms []corpus.TermID, k int,
 // round (progressive) or only once settled, until all scans settle or
 // the consumer breaks.
 // With o.proved every sub-query requests a window proof and each
-// response is verified before absorb sees it.
+// response is verified before absorb sees it; a scan's sub-queries
+// after its first ask for the continuation of the window it verified.
 func (c *Client) stream(ctx context.Context, scans []*termScan, k int, progressive bool, o searchConfig, total *QueryStats, yield func(Snapshot, error) bool) {
 	var ps *proofState
 	if o.proved {
@@ -168,7 +169,13 @@ func (c *Client) stream(ctx context.Context, scans []*termScan, k int, progressi
 		for i, s := range scans {
 			if !s.done {
 				q := s.next()
-				q.Proof = o.proved
+				if o.proved {
+					q.Proof = true
+					if s.verified != nil {
+						v := s.verified.Version
+						q.ProofFrom = &v
+					}
+				}
 				queries = append(queries, q)
 				open = append(open, i)
 			}
@@ -183,7 +190,8 @@ func (c *Client) stream(ctx context.Context, scans []*termScan, k int, progressi
 		roundElems := 0
 		for j, resp := range resps {
 			if ps != nil {
-				if err := ps.verify(queries[j], resp); err != nil {
+				s := scans[open[j]]
+				if s.verified, err = ps.verify(queries[j], resp, s.verified); err != nil {
 					yield(Snapshot{Stats: *total}, err)
 					return
 				}

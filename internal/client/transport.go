@@ -373,7 +373,7 @@ func (h HTTP) Stats(ctx context.Context) (server.StatsV2Response, error) {
 }
 
 // StatsRoots is Stats plus each list's Merkle commitment (GET
-// /v2/stats?roots=1): ListStat.Version and the truncated Root digest.
+// /v2/stats?roots=1): ListStat.Version and the full Root digest.
 // An audit call — the server materializes every list's commitment to
 // answer it.
 func (h HTTP) StatsRoots(ctx context.Context) (server.StatsV2Response, error) {

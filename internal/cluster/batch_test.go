@@ -13,6 +13,7 @@ import (
 	"zerberr/internal/client"
 	"zerberr/internal/corpus"
 	"zerberr/internal/crypt"
+	"zerberr/internal/obs"
 	"zerberr/internal/rank"
 	"zerberr/internal/replica"
 	"zerberr/internal/rstf"
@@ -166,7 +167,9 @@ func TestRouterQueryBatchShardFailure(t *testing.T) {
 // changes none of it). The serial cost is derived, not run: Requests is
 // the sum of the single-term searches' Requests, and Rounds their
 // largest. Over HTTP only Bytes differs: it is the measured frame, not
-// the codec estimate.
+// the codec estimate. Every deployment's servers count the proved
+// follow-up windows they served as continuations: none for plain
+// searches, some for proved ones, whichever layers sit in between.
 func TestSearchSchedulesMatchAcrossTransports(t *testing.T) {
 	const seed = 3
 	p := corpus.ProfileStudIP()
@@ -194,7 +197,15 @@ func TestSearchSchedulesMatchAcrossTransports(t *testing.T) {
 	newServer := func() *server.Server {
 		srv := server.New(secret, time.Hour)
 		srv.RegisterUser("writer", groups...)
+		srv.SetObs(obs.NewRegistry())
 		return srv
+	}
+	continued := func(servers []*server.Server) uint64 {
+		n := uint64(0)
+		for _, srv := range servers {
+			n += srv.Obs().Counter(server.MetricProofContinuations, "").Value()
+		}
+		return n
 	}
 	terms := c.TermsByDF()
 	q := []corpus.TermID{terms[0], terms[40], terms[400], terms[900]}
@@ -205,21 +216,27 @@ func TestSearchSchedulesMatchAcrossTransports(t *testing.T) {
 		t.Fatal(err)
 	}
 	sharded.RegisterUser("writer", groups...)
-	set, err := replica.NewSet(client.Local{S: newServer()}, client.Local{S: newServer()})
+	for _, srv := range sharded.Servers {
+		srv.SetObs(obs.NewRegistry())
+	}
+	members := []*server.Server{newServer(), newServer()}
+	set, err := replica.NewSet(client.Local{S: members[0]}, client.Local{S: members[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newServer().Handler())
+	remote, local := newServer(), newServer()
+	ts := httptest.NewServer(remote.Handler())
 	defer ts.Close()
 	transports := []struct {
-		name string
-		t    client.Transport
-		wire bool
+		name    string
+		t       client.Transport
+		wire    bool
+		servers []*server.Server
 	}{
-		{"local", client.Local{S: newServer()}, false},
-		{"http", client.HTTP{BaseURL: ts.URL}, true},
-		{"router", sharded.Router, false},
-		{"set", set, false},
+		{"local", client.Local{S: local}, false, []*server.Server{local}},
+		{"http", client.HTTP{BaseURL: ts.URL}, true, []*server.Server{remote}},
+		{"router", sharded.Router, false, sharded.Servers},
+		{"set", set, false, members},
 	}
 	// The deterministic 8-byte codec makes every deployment store the
 	// same bytes, so windows — and therefore costs — are comparable.
@@ -280,6 +297,9 @@ func TestSearchSchedulesMatchAcrossTransports(t *testing.T) {
 			}
 			if stats != wantStats {
 				t.Errorf("%s, %s: stats %+v, want %+v", tr.name, sch.name, stats, wantStats)
+			}
+			if n := continued(tr.servers); (n > 0) != (sch.name == "proof") {
+				t.Errorf("%s, %s: the servers served %d continuations", tr.name, sch.name, n)
 			}
 		}
 	}

@@ -317,7 +317,8 @@ func (r *Router) QueryBatch(ctx context.Context, toks []crypt.Token, queries []s
 					// A proved sub-query can only be made conditional on a
 					// window whose proof was retained with it: an Unchanged
 					// answer must substitute the proof too, and a proof-less
-					// entry has nothing to substitute.
+					// entry has nothing to substitute. A retained proof is
+					// full, so it answers a continuation request as well.
 					if !sub[j].Proof || res.Proof != nil {
 						w := &cachedWindow{res: res}
 						retained[gi] = w
@@ -366,13 +367,16 @@ func (r *Router) QueryBatch(ctx context.Context, toks []crypt.Token, queries []s
 // retainWindow copies what the window cache keeps of a response. Over
 // HTTP a decoded window aliases the whole batch body it arrived in
 // (server/wire.go: whoever retains past the call copies), so caching it
-// as is would let a 1 KB window pin a body many times its size.
+// as is would let a 1 KB window pin a body many times its size. Only a
+// full proof is kept: a continuation verifies only for a client holding
+// the window before it, so the window is kept without it and never
+// answers a proved sub-query in its place.
 func retainWindow(resp server.QueryResponse) store.QueryResult {
 	res := store.QueryResult{Elements: slices.Clone(resp.Elements), Exhausted: resp.Exhausted, Version: resp.Version}
 	for i := range res.Elements {
 		res.Elements[i].Sealed = bytes.Clone(res.Elements[i].Sealed)
 	}
-	if resp.Proof != nil {
+	if resp.Proof != nil && !resp.Proof.Continued {
 		// Hashes are values and the path slices are the decoder's own;
 		// only the boundary payloads point into the body.
 		w := *resp.Proof

@@ -1,9 +1,15 @@
 package cluster
 
 import (
+	"context"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 
+	"zerberr/internal/cache"
+	"zerberr/internal/client"
+	"zerberr/internal/crypt"
 	"zerberr/internal/proof"
 	"zerberr/internal/server"
 )
@@ -42,4 +48,119 @@ func TestRetainWindowCopies(t *testing.T) {
 	if !reflect.DeepEqual(kept.Proof, sent.Proof) {
 		t.Fatalf("retained proof follows the body it was decoded from: %+v", kept.Proof.Groups[0])
 	}
+}
+
+// recordingShard passes queries through and keeps what it sent and got
+// back.
+type recordingShard struct {
+	client.Transport
+	mu   sync.Mutex
+	sent []server.ListQuery
+	got  []server.QueryResponse
+}
+
+func (r *recordingShard) QueryBatch(ctx context.Context, toks []crypt.Token, queries []server.ListQuery) (client.BatchQueryResult, error) {
+	res, err := r.Transport.QueryBatch(ctx, toks, queries)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.sent = append(r.sent, queries...)
+	r.got = append(r.got, res.Responses...)
+	return res, err
+}
+
+// last is the one sub-query a single-list batch sent and its answer.
+func (r *recordingShard) last() (server.ListQuery, server.QueryResponse) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.sent[len(r.sent)-1], r.got[len(r.got)-1]
+}
+
+// TestRouterRetainsFullProofsOnly is the window cache's rule for
+// continuations: one is retained without its proof, so it never makes
+// a proved sub-query conditional on it, while a retained full proof
+// substitutes for a continuation request's answer and verifies in its
+// place.
+func TestRouterRetainsFullProofsOnly(t *testing.T) {
+	srv := server.New([]byte("retain-secret"), time.Hour)
+	srv.RegisterUser("u", 0, 1)
+	shard := &recordingShard{Transport: client.Local{S: srv}}
+	r, err := NewRouter(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.SetCache(cache.New(1 << 20))
+	ctx := context.Background()
+	toks, err := r.Login(ctx, "u")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := make([]server.InsertOp, 40)
+	for i := range ops {
+		ops[i] = server.InsertOp{List: 3, Element: server.StoredElement{Sealed: []byte{byte(i)}, TRS: float64(i%13) / 13, Group: 0}}
+	}
+	if err := r.InsertBatch(ctx, toks[0], ops); err != nil {
+		t.Fatal(err)
+	}
+	allowed := map[int]bool{0: true, 1: true}
+	verify := func(prev *proof.Frontier, q server.ListQuery, resp server.QueryResponse) *proof.Frontier {
+		t.Helper()
+		elems := make([]proof.WindowElement, len(resp.Elements))
+		for i, el := range resp.Elements {
+			elems[i] = proof.WindowElement{TRS: el.TRS, Sealed: el.Sealed, Group: el.Group}
+		}
+		next, err := proof.VerifyNext(prev, resp.Proof, allowed, q.Offset, q.Count, elems, resp.Exhausted, resp.Version)
+		if err != nil {
+			t.Fatalf("window [%d,+%d): %v", q.Offset, q.Count, err)
+		}
+		return next
+	}
+	query := func(q server.ListQuery) server.QueryResponse {
+		t.Helper()
+		res, err := r.QueryBatch(ctx, toks, []server.ListQuery{q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Responses[0]
+	}
+
+	first := server.ListQuery{List: 3, Offset: 0, Count: 4, Proof: true}
+	f := verify(nil, first, query(first))
+	cont := server.ListQuery{List: 3, Offset: 4, Count: 8, Proof: true, ProofFrom: &f.Version}
+	resp := query(cont)
+	if resp.Proof == nil || !resp.Proof.Continued {
+		t.Fatalf("continuation request answered with %+v", resp.Proof)
+	}
+	verify(f, cont, resp)
+	key := r.windowKey(groupsOf(toks), cont)
+	kept, ok := r.results.Load().Get(key)
+	if !ok || kept.Proof != nil || len(kept.Elements) != len(resp.Elements) {
+		t.Fatalf("continuation retained as %+v (found %v), want its window without the proof", kept, ok)
+	}
+
+	// The same window asked for from scratch: the entry holds no proof
+	// to substitute, so the shard is asked unconditionally and answers
+	// with the full proof.
+	fresh := server.ListQuery{List: 3, Offset: 4, Count: 8, Proof: true}
+	resp = query(fresh)
+	if sent, _ := shard.last(); sent.IfVersion != nil {
+		t.Fatal("a first-round proved sub-query was made conditional on a retained continuation")
+	}
+	if resp.Proof == nil || resp.Proof.Continued {
+		t.Fatalf("first-round proved sub-query answered with %+v", resp.Proof)
+	}
+	verify(nil, fresh, resp)
+
+	// That full proof is retained now, so the continuation request goes
+	// out conditional, the shard answers Unchanged, and the full proof
+	// substitutes for the continuation — and verifies against the first
+	// window as well as on its own.
+	resp = query(cont)
+	if sent, got := shard.last(); sent.IfVersion == nil || !got.Unchanged {
+		t.Fatalf("continuation request against a retained full proof: sent %+v, shard answered unchanged=%v", sent, got.Unchanged)
+	}
+	if resp.Proof == nil || resp.Proof.Continued {
+		t.Fatalf("Unchanged answer substituted %+v, want the retained full proof", resp.Proof)
+	}
+	verify(f, cont, resp)
+	verify(nil, fresh, resp)
 }

@@ -107,8 +107,11 @@ func Read(r io.Reader) (*Index, error) {
 		if listLen > uint64(numDocs) {
 			return nil, fmt.Errorf("%w: posting list longer than collection (%d > %d)", ErrBadFormat, listLen, numDocs)
 		}
-		list := make([]Posting, listLen)
-		for j := range list {
+		// Grown by append, not sized by the claimed length: a corrupted
+		// count runs into the end of the input before it allocates more
+		// than a small multiple of what was read.
+		var list []Posting
+		for j := uint64(0); j < listLen; j++ {
 			doc, err := readUvarint()
 			if err != nil {
 				return nil, err
@@ -121,7 +124,7 @@ func Read(r io.Reader) (*Index, error) {
 			if err != nil {
 				return nil, err
 			}
-			list[j] = Posting{Doc: corpus.DocID(doc), TF: uint32(tf), DocLen: uint32(docLen)}
+			list = append(list, Posting{Doc: corpus.DocID(doc), TF: uint32(tf), DocLen: uint32(docLen)})
 		}
 		ix.lists[corpus.TermID(term)] = list
 	}

@@ -67,6 +67,10 @@ type Bench struct {
 //   - ProofQuery/verify: client-side verification of one deep window,
 //     with its allocation gate; benchmark/ has it inside
 //     client.self_ms, mixed with ranking and bookkeeping.
+//   - ProofQuery/verify-continuation: the same window verified as the
+//     continuation of the window before it, which is how every
+//     follow-up round of a proved search arrives; its gate counts what
+//     recording the next round's Frontier allocates.
 //   - StoreAppend*, StoreMemoryInsert: the durable write path against
 //     its RAM floor, with and without a real fsync (benchmark/ runs
 //     one fsync policy on one disk), into lists that stop at `mixed`'s
@@ -92,6 +96,7 @@ func Suite() []Bench {
 		{Name: "ProofQuery/proved", F: proofQueryProved, MaxAllocs: 158},
 		{Name: "ProofQuery/after-write", F: proofQueryAfterWrite},
 		{Name: "ProofQuery/verify", F: proofQueryVerify, MaxAllocs: 2},
+		{Name: "ProofQuery/verify-continuation", F: proofQueryVerifyContinuation, MaxAllocs: 5},
 		{Name: "StoreAppend/list=120", F: storeAppend},
 		{Name: "StoreAppend/fsync=true/list=120", F: storeAppendFsync},
 		{Name: "StoreRemoveBatch", F: storeRemoveBatch, MaxAllocs: 22},
@@ -346,16 +351,8 @@ func proofQueryAfterWrite(b *testing.B) {
 // deepest follow-up window (4k elements plus boundaries) — the
 // per-round cost a WithProof search pays before decrypting anything.
 func proofQueryVerify(b *testing.B) {
-	mem := bigList()
 	r := followupRounds[len(followupRounds)-1]
-	res, err := mem.QueryProved(fixtureList, fixtureAllowed, r.Offset, r.Count)
-	if err != nil {
-		b.Fatal(err)
-	}
-	elems := make([]proof.WindowElement, len(res.Elements))
-	for i, el := range res.Elements {
-		elems[i] = proof.WindowElement{TRS: el.TRS, Sealed: el.Sealed, Group: el.Group}
-	}
+	res, elems := provedWindow(b, r.Offset, r.Count)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -363,6 +360,42 @@ func proofQueryVerify(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// proofQueryVerifyContinuation is ProofQuery/verify's window verified
+// as a search's follow-up round verifies it: as the continuation of the
+// window before it (half its size, as the doubling schedule has it),
+// against the Frontier that window left, recording the next one.
+func proofQueryVerifyContinuation(b *testing.B) {
+	r := followupRounds[len(followupRounds)-1]
+	before, beforeElems := provedWindow(b, r.Offset-r.Count/2, r.Count/2)
+	prev, err := proof.VerifyNext(nil, before.Proof, fixtureAllowed, r.Offset-r.Count/2, r.Count/2, beforeElems, before.Exhausted, before.Version)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, elems := provedWindow(b, r.Offset, r.Count)
+	cont := proof.Continue(res.Proof)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := proof.VerifyNext(prev, cont, fixtureAllowed, r.Offset, r.Count, elems, res.Exhausted, res.Version); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// provedWindow reads one proved window of the shared list, with its
+// elements as the verifier takes them.
+func provedWindow(b *testing.B, offset, count int) (store.QueryResult, []proof.WindowElement) {
+	res, err := bigList().QueryProved(fixtureList, fixtureAllowed, offset, count)
+	if err != nil {
+		b.Fatal(err)
+	}
+	elems := make([]proof.WindowElement, len(res.Elements))
+	for i, el := range res.Elements {
+		elems[i] = proof.WindowElement{TRS: el.TRS, Sealed: el.Sealed, Group: el.Group}
+	}
+	return res, elems
 }
 
 // --- storage-engine appends -----------------------------------------

@@ -38,9 +38,10 @@ import (
 )
 
 const (
-	fuzzList      = zerber.ListID(5)
-	fuzzStoreFile = "fuzz_store.zsnap"
-	fuzzCorpusDir = "testdata/fuzz/FuzzVerifyWindow"
+	fuzzList              = zerber.ListID(5)
+	fuzzStoreFile         = "fuzz_store.zsnap"
+	fuzzCorpusDir         = "testdata/fuzz/FuzzVerifyWindow"
+	continuationCorpusDir = "testdata/fuzz/FuzzVerifyContinuation"
 )
 
 // fuzzView is the honest client's view: group 1 exists in the store but
@@ -188,4 +189,132 @@ func FuzzVerifyWindow(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzVerifyContinuation hardens VerifyNext on continuations. The
+// harness verifies the store's honest window at (offset, count) — a
+// scan's previous round — and feeds each window the frame decodes to
+// as the next round, at the offset where that one ended and for next
+// elements. Whatever VerifyNext accepts under the pinned root must be
+// what the store answers there.
+//
+// The seed corpus under testdata/fuzz/FuzzVerifyContinuation is the
+// honest continuation, at twice the count, of each fuzzQueries window a
+// scan would continue from (the others end the list), written by
+// `go test -run TestContinuationSeedsCurrent -update`.
+func FuzzVerifyContinuation(f *testing.F) {
+	m, pinned := loadFuzzStore(f)
+	// A continuation that ends the list, beside the committed corpus.
+	f.Add(honestContinuation(f, m, 0, 5, 100), 0, 5, 100)
+
+	f.Fuzz(func(t *testing.T, frame []byte, offset, count, next int) {
+		if offset < 0 || count < 1 || count > 1<<10 || next < 1 {
+			return
+		}
+		first, err := m.QueryProved(fuzzList, fuzzView, offset, count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev, err := proof.VerifyNext(nil, first.Proof, fuzzView, offset, count, windowElements(first.Elements), first.Exhausted, first.Version)
+		if err != nil {
+			t.Fatalf("the store's own window at offset %d count %d: %v", offset, count, err)
+		}
+		if prev == nil {
+			return
+		}
+		resps, err := server.DecodeQueryResponse(frame)
+		if err != nil {
+			return
+		}
+		at := offset + len(first.Elements)
+		defer debug.SetMaxStack(debug.SetMaxStack(1 << 20))
+		for _, resp := range resps {
+			if _, err := proof.VerifyNext(prev, resp.Proof, fuzzView, at, next, windowElements(resp.Elements), resp.Exhausted, resp.Version); err != nil {
+				continue
+			}
+			if resp.Proof.Root != pinned {
+				continue
+			}
+			want, err := m.QueryProved(fuzzList, fuzzView, at, next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Version != want.Version || resp.Exhausted != want.Exhausted || len(resp.Elements) != len(want.Elements) {
+				t.Fatalf("accepted offset %d count %d after [%d,+%d): %d elements exhausted=%v version %d, the store answers %d exhausted=%v version %d",
+					at, next, offset, count, len(resp.Elements), resp.Exhausted, resp.Version, len(want.Elements), want.Exhausted, want.Version)
+			}
+			for i, el := range resp.Elements {
+				w := want.Elements[i]
+				if el.TRS != w.TRS || el.Group != w.Group || !bytes.Equal(el.Sealed, w.Sealed) {
+					t.Fatalf("accepted offset %d count %d after [%d,+%d): element %d is not the store's", at, next, offset, count, i)
+				}
+			}
+		}
+	})
+}
+
+// honestContinuation is the response frame an honest server sends for
+// the window of next elements that follows the store's window at
+// (offset, count), to a client that verified that one.
+func honestContinuation(tb testing.TB, m *store.Memory, offset, count, next int) []byte {
+	first, err := m.QueryProved(fuzzList, fuzzView, offset, count)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := m.QueryProved(fuzzList, fuzzView, offset+len(first.Elements), next)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return server.AppendQueryResponse(nil, []server.QueryResponse{{
+		Elements: res.Elements, Exhausted: res.Exhausted, Version: res.Version, Proof: proof.Continue(res.Proof),
+	}})
+}
+
+func windowElements(els []store.Element) []proof.WindowElement {
+	out := make([]proof.WindowElement, len(els))
+	for i, el := range els {
+		out[i] = proof.WindowElement{TRS: el.TRS, Sealed: el.Sealed, Group: el.Group}
+	}
+	return out
+}
+
+// TestContinuationSeedsCurrent: the committed FuzzVerifyContinuation
+// corpus is exactly the honest continuations of the committed store.
+// With -update it writes them, leaving the store and the other corpus
+// alone.
+func TestContinuationSeedsCurrent(t *testing.T) {
+	m, _ := loadFuzzStore(t)
+	wrote := 0
+	for _, q := range fuzzQueries {
+		first, err := m.QueryProved(fuzzList, fuzzView, q[0], q[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.Exhausted || len(first.Elements) == 0 {
+			continue // a scan stops here: nothing continues this window
+		}
+		next := 2 * q[1]
+		name := filepath.Join(continuationCorpusDir, fmt.Sprintf("seed_continuation_%02d_%03d_%03d", q[0], q[1], next))
+		want := []byte(fmt.Sprintf("go test fuzz v1\n[]byte(%q)\nint(%d)\nint(%d)\nint(%d)\n", honestContinuation(t, m, q[0], q[1], next), q[0], q[1], next))
+		wrote++
+		if updating() {
+			if err := os.MkdirAll(continuationCorpusDir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(name, want, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		got, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s is not the continuation this build serves", name)
+		}
+	}
+	if wrote == 0 {
+		t.Fatal("no fuzzQueries window is continued")
+	}
 }

@@ -181,32 +181,73 @@ func VerifyRange(n, lo, hi int, rangeLeaves, path []Hash) (Hash, bool) {
 	if lo < 0 || hi > n || lo >= hi || hi-lo != len(rangeLeaves) {
 		return Hash{}, false
 	}
-	v := &rangeVerifier{leaves: rangeLeaves, path: path, lo: lo, hi: hi, ok: true}
-	root := v.node(0, n)
-	if !v.ok || len(v.path) != 0 {
-		return Hash{}, false
-	}
-	return root, true
+	v := &rangeVerifier{leaves: rangeLeaves, path: path, lo: lo, hi: hi}
+	return v.root(n)
 }
 
 // rangeVerifier mirrors rangeProofStep's traversal, consuming proof
 // hashes where the prover emitted them and range leaves inside the
-// range.
+// range. The hashes of the subtrees disjoint from the range come, in
+// traversal order, from left, then path, then tail: a full proof has
+// them all in path; a continuation's verifier (window.go) seeds left
+// with the subtree roots covering [0, lo) and tail with the right-path
+// hashes the previous window's proof already carried, and path holds
+// the rest. A range may be empty only at the tree's end (lo = hi = n),
+// where left holds the root.
+//
+// With record set, the traversal also appends to out the subtree roots
+// covering [0, end) — a range's frontier, which are left children of
+// nodes straddling end, or the root when end = n — followed by the
+// subtree roots covering [hi, n), its right path: what the next window
+// of a scan continues from. It counts the first part in nLeft.
 type rangeVerifier struct {
-	leaves []Hash
-	path   []Hash
-	lo, hi int
-	ok     bool
+	leaves           []Hash
+	left, path, tail []Hash
+	lo, hi           int
+	broken           bool
+
+	record bool
+	end    int
+	out    []Hash
+	nLeft  int
+}
+
+// root rebuilds the root of an n-leaf tree and reports whether every
+// supplied hash was consumed exactly.
+func (v *rangeVerifier) root(n int) (Hash, bool) {
+	start := len(v.out)
+	root := v.node(0, n)
+	if v.broken || len(v.left)+len(v.path)+len(v.tail) != 0 {
+		return Hash{}, false
+	}
+	if v.record && v.end == n {
+		v.out = append(v.out[:start], root)
+		v.nLeft = 1
+	}
+	return root, true
+}
+
+// next is the next supplied hash of a subtree disjoint from the range.
+func (v *rangeVerifier) next() (h Hash) {
+	switch {
+	case len(v.left) > 0:
+		h, v.left = v.left[0], v.left[1:]
+	case len(v.path) > 0:
+		h, v.path = v.path[0], v.path[1:]
+	case len(v.tail) > 0:
+		h, v.tail = v.tail[0], v.tail[1:]
+	default:
+		v.broken = true
+	}
+	return h
 }
 
 func (v *rangeVerifier) node(a, b int) Hash {
 	if a >= v.hi || b <= v.lo {
-		if len(v.path) == 0 {
-			v.ok = false
-			return Hash{}
+		h := v.next()
+		if v.record && a >= v.hi {
+			v.out = append(v.out, h)
 		}
-		h := v.path[0]
-		v.path = v.path[1:]
 		return h
 	}
 	if b-a == 1 {
@@ -214,6 +255,28 @@ func (v *rangeVerifier) node(a, b int) Hash {
 	}
 	k := splitPoint(b - a)
 	left := v.node(a, a+k)
+	if v.record && a+k <= v.end && v.end < b {
+		v.out = append(v.out, left)
+		v.nLeft++
+	}
 	right := v.node(a+k, b)
 	return interiorHash(left, right)
+}
+
+// countRight counts the subtree roots of the right path of any range
+// of the tree over [a, b) that ends at h — the maximal subtrees wholly
+// inside [h, b) — that lie wholly inside [c, b), c >= h. With c = h it
+// is the length of that right path; with h < c it is how many of its
+// hashes the right path of a range ending at c shares, and they are
+// the last ones of both (a maximal subtree of [h, b) inside [c, b) is
+// maximal there too).
+func countRight(a, b, h, c int) int {
+	switch {
+	case a >= h && a >= c:
+		return 1
+	case a >= h || b <= h:
+		return 0
+	}
+	k := splitPoint(b - a)
+	return countRight(a, a+k, h, c) + countRight(a+k, b, h, c)
 }

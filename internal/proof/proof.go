@@ -46,10 +46,6 @@ type Hash [HashSize]byte
 // String renders the full digest as lowercase hex.
 func (h Hash) String() string { return hex.EncodeToString(h[:]) }
 
-// Short renders the digest truncated to 16 hex characters — the
-// human-facing form stats tables and CLI output use.
-func (h Hash) Short() string { return hex.EncodeToString(h[:8]) }
-
 // MarshalJSON implements json.Marshaler (lowercase hex).
 func (h Hash) MarshalJSON() ([]byte, error) {
 	return json.Marshal(hex.EncodeToString(h[:]))

@@ -115,8 +115,8 @@ func TestHashJSON(t *testing.T) {
 			t.Errorf("accepted bad hash %s", bad)
 		}
 	}
-	if len(h.String()) != 64 || len(h.Short()) != 16 {
-		t.Error("hex render lengths wrong")
+	if len(h.String()) != 64 {
+		t.Error("hex render length wrong")
 	}
 }
 

@@ -106,7 +106,11 @@ func ReadStore(r io.Reader) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	terms := make(map[corpus.TermID]*RSTF, numTerms)
+	// Nothing is sized by a count the input claims: the map and each
+	// sample grow as elements actually arrive, so a corrupted count runs
+	// into the end of the input before it allocates more than a small
+	// multiple of what was read.
+	terms := make(map[corpus.TermID]*RSTF)
 	for i := uint64(0); i < numTerms; i++ {
 		tid, err := readUvarint()
 		if err != nil {
@@ -123,18 +127,16 @@ func ReadStore(r io.Reader) (*Store, error) {
 		if n == 0 {
 			return nil, fmt.Errorf("%w: term %d has empty training sample", ErrBadStoreFormat, tid)
 		}
-		const maxTraining = 1 << 28 // sanity bound against corrupted lengths
-		if n > maxTraining {
-			return nil, fmt.Errorf("%w: term %d claims %d training points", ErrBadStoreFormat, tid, n)
-		}
-		mu := make([]float64, n)
-		for j := range mu {
-			if mu[j], err = readFloat(); err != nil {
+		var mu []float64
+		for j := uint64(0); j < n; j++ {
+			v, err := readFloat()
+			if err != nil {
 				return nil, err
 			}
-			if j > 0 && mu[j] < mu[j-1] {
+			if j > 0 && v < mu[j-1] {
 				return nil, fmt.Errorf("%w: term %d training points not sorted", ErrBadStoreFormat, tid)
 			}
+			mu = append(mu, v)
 		}
 		f, err := New(mu, sigma)
 		if err != nil {

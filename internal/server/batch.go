@@ -43,6 +43,13 @@ type ListQuery struct {
 	// Proof asks for the window's Merkle proof (QueryResponse.Proof).
 	// Unproven sub-queries are byte-identical to pre-proof servers.
 	Proof bool `json:"proof,omitempty"`
+	// ProofFrom, on a proved sub-query, says the caller verified this
+	// list at this version, and its verified prefix ends at Offset (the
+	// window before this one; proof.Frontier). If the window is read at
+	// that version, its proof is the continuation (proof.Continue),
+	// which omits what that verification left the caller holding. Any
+	// other version gets the full proof.
+	ProofFrom *uint64 `json:"proof_from,omitempty"`
 }
 
 // InsertOp is one element upload of a batched insert: a type alias of
@@ -144,8 +151,7 @@ func (s *Server) QueryBatch(ctx context.Context, toks []crypt.Token, queries []L
 			if i >= len(queries) {
 				return
 			}
-			q := queries[i]
-			out[i], errs[i] = s.queryAllowed(allowed, q.List, q.Offset, q.Count, q.IfVersion, q.Proof)
+			out[i], errs[i] = s.queryAllowed(allowed, queries[i])
 			if errs[i] != nil {
 				run.failed.Store(true)
 			}
@@ -276,11 +282,13 @@ func (s *Server) RemoveBatch(ctx context.Context, tok crypt.Token, ops []RemoveO
 type ListStat struct {
 	List     zerber.ListID `json:"list"`
 	Elements int           `json:"elements"`
-	// Version and Root are the list's current mutation version and
-	// truncated Merkle list root, present only when the caller opted
-	// into roots (GET /v2/stats?roots=1, StatsV2Roots). Computing a
-	// root materializes the list's commitment, so the default stats
-	// path never pays for it.
+	// Version and Root are the list's current mutation version and its
+	// Merkle list root in full, 64 hex characters (operators publish it
+	// as the anchor proofs verify against; against a 64-bit prefix a
+	// server finds two list states that publish alike in about 2^32
+	// hashes), present only when the caller opted into roots (GET
+	// /v2/stats?roots=1, StatsV2Roots). Computing a root materializes the
+	// list's commitment, so the default stats path never pays for it.
 	Version uint64 `json:"version,omitempty"`
 	Root    string `json:"root,omitempty"`
 }
@@ -294,7 +302,7 @@ func (s *Server) StatsV2(ctx context.Context) (StatsV2Response, error) {
 }
 
 // StatsV2Roots is StatsV2 plus each list's Merkle commitment (Version
-// and truncated Root per list). It materializes every list's leaves —
+// and Root per list). It materializes every list's leaves —
 // an audit operation, not a monitoring one.
 func (s *Server) StatsV2Roots(ctx context.Context) (StatsV2Response, error) {
 	return s.statsV2(ctx, true)
@@ -319,7 +327,7 @@ func (s *Server) statsV2(ctx context.Context, roots bool) (StatsV2Response, erro
 			}
 			st.Elements = cm.Elements
 			st.Version = cm.Version
-			st.Root = cm.Root.Short()
+			st.Root = cm.Root.String()
 		} else {
 			n, err := s.backend.Len(l)
 			if err != nil {

@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"zerberr/internal/crypt"
+	"zerberr/internal/proof"
 )
 
 var fuzzEndpoints = []string{"/v2/query", "/v2/insert", "/v2/remove", "/v1/login"}
@@ -126,7 +127,7 @@ func FuzzWireResponse(f *testing.F) {
 // writeFuzzSeeds regenerates the binary corpus files (TestWireGolden
 // -update): for FuzzV2Request the valid insert and remove frames and
 // the damaged shapes around them, for FuzzWireResponse the golden
-// response and its truncations.
+// response, its truncations and the golden window's continuation.
 func writeFuzzSeeds(t *testing.T) {
 	s := fuzzServer()
 	seeds := fuzzSeeds(t, s)
@@ -160,6 +161,9 @@ func writeFuzzSeeds(t *testing.T) {
 	for _, cut := range []int{0, 3, wireHeaderLen, wireHeaderLen + 1, 40, len(golden) / 2, len(golden) - 33, len(golden) - 1} {
 		writeCorpusFile(t, "FuzzWireResponse", fmt.Sprintf("seed_truncated_%03d", cut), fmt.Sprintf("[]byte(%q)\n", golden[:cut]))
 	}
+	cont, _, _, _ := goldenWindow()
+	cont.Proof = proof.Continue(cont.Proof)
+	writeCorpusFile(t, "FuzzWireResponse", "seed_continuation", fmt.Sprintf("[]byte(%q)\n", AppendQueryResponse(nil, []QueryResponse{cont})))
 }
 
 func writeCorpusFile(t *testing.T, target, name, values string) {

@@ -21,6 +21,7 @@ const (
 	MetricQueryRoundSeconds  = "zerber_query_round_seconds"
 	MetricQueriesTotal       = "zerber_queries_total"
 	MetricProvedQueries      = "zerber_proved_queries_total"
+	MetricProofContinuations = "zerber_proof_continuations_total"
 	MetricMutationsTotal     = "zerber_mutations_total"
 	MetricHTTPRequestSeconds = "zerber_http_request_seconds"
 	MetricHTTPRequestsTotal  = "zerber_http_requests_total"
@@ -50,6 +51,7 @@ type serverMetrics struct {
 	queryRound  *obs.Histogram // one protocol round (Query or QueryBatch)
 	queries     *obs.Counter   // sub-queries served
 	proved      *obs.Counter   // sub-queries served with a window proof
+	continued   *obs.Counter   // proved windows served as continuations (ListQuery.ProofFrom)
 	inserts     *obs.Counter
 	removes     *obs.Counter
 	rateLimited *obs.Counter
@@ -77,6 +79,7 @@ func (s *Server) SetObs(reg *obs.Registry) {
 		queryRound:  reg.Histogram(MetricQueryRoundSeconds, "server-side latency of one protocol round (a Query or QueryBatch call)", nil),
 		queries:     reg.Counter(MetricQueriesTotal, "ranked-range sub-queries served"),
 		proved:      reg.Counter(MetricProvedQueries, "sub-queries served with a Merkle window proof"),
+		continued:   reg.Counter(MetricProofContinuations, "proved windows served as the continuation of a window the client verified"),
 		inserts:     reg.Counter(MetricMutationsTotal, "accepted mutations by op", obs.Label{Name: "op", Value: "insert"}),
 		removes:     reg.Counter(MetricMutationsTotal, "accepted mutations by op", obs.Label{Name: "op", Value: "remove"}),
 		rateLimited: reg.Counter(MetricRateLimitedTotal, "requests refused by the per-user rate limit"),

@@ -15,6 +15,7 @@ import (
 
 	"zerberr/internal/cache"
 	"zerberr/internal/crypt"
+	"zerberr/internal/obs"
 	"zerberr/internal/proof"
 )
 
@@ -161,7 +162,8 @@ func TestProofOffByteIdentical(t *testing.T) {
 }
 
 // TestStatsRoots: /v2/stats stays root-free by default and exposes
-// per-list commitment digests only with ?roots=1.
+// per-list commitment digests only with ?roots=1, in full: 64 hex
+// characters, not a prefix.
 func TestStatsRoots(t *testing.T) {
 	_, ts, _ := proofTestServer(t)
 	plain, err := http.Get(ts.URL + "/v2/stats")
@@ -189,7 +191,37 @@ func TestStatsRoots(t *testing.T) {
 		t.Fatalf("per-list stats %+v", st.PerList)
 	}
 	ls := st.PerList[0]
-	if len(ls.Root) != 16 || ls.Version == 0 || ls.Elements != 5 {
+	if len(ls.Root) != 64 || ls.Version == 0 || ls.Elements != 5 {
 		t.Fatalf("rooted stats %+v", ls)
+	}
+}
+
+// TestProofFromNamesTheVersion: a proved sub-query gets its window's
+// continuation only when proof_from names the version the window is
+// read at — any other version gets the full proof, byte for byte as
+// without proof_from, and an unproven sub-query no proof at all.
+func TestProofFromNamesTheVersion(t *testing.T) {
+	s, ts, tokens := proofTestServer(t)
+	s.SetObs(obs.NewRegistry())
+	full := ListQuery{List: 1, Offset: 2, Count: 2, Proof: true}
+	plainFull := rawQuery(t, ts, tokens, full)
+	version := oneWindow(t, plainFull).Version
+	stale, current := version-1, version
+
+	q := full
+	q.ProofFrom = &stale
+	if got := rawQuery(t, ts, tokens, q); !bytes.Equal(got, plainFull) {
+		t.Fatal("proof_from at another version changed the full proof")
+	}
+	q.ProofFrom = &current
+	if w := oneWindow(t, rawQuery(t, ts, tokens, q)); w.Proof == nil || !w.Proof.Continued {
+		t.Fatalf("proof_from at the served version answered %+v", w.Proof)
+	}
+	q.Proof = false
+	if w := oneWindow(t, rawQuery(t, ts, tokens, q)); w.Proof != nil {
+		t.Fatal("an unproven sub-query with proof_from carries a proof")
+	}
+	if n := s.Obs().Counter(MetricProofContinuations, "").Value(); n != 1 {
+		t.Fatalf("%s = %d, want 1", MetricProofContinuations, n)
 	}
 }

@@ -57,7 +57,8 @@ type QueryResponse struct {
 	// a retained proof too: equal versions commit to identical state.)
 	Unchanged bool `json:"unchanged,omitempty"`
 	// Proof is the window's Merkle proof, present exactly when the
-	// sub-query asked for one (ListQuery.Proof).
+	// sub-query asked for one (ListQuery.Proof): its continuation when
+	// ListQuery.ProofFrom names the version served.
 	Proof *proof.Window `json:"proof,omitempty"`
 }
 
@@ -267,52 +268,53 @@ func userOf(toks []crypt.Token) string {
 // further: the caller has the window already, so only (Version,
 // Unchanged) comes back.
 //
-// withProof asks for the window's Merkle proof. Cache entries are
-// shared across both forms under the same key: a proved entry serves
-// unproven callers with the proof stripped, and an unproven hit under
-// a proof request falls through to the backend's proved read and
-// upgrades the entry in place (same version, so the elements are
-// identical — only the proof is new).
-func (s *Server) queryAllowed(allowed map[int]bool, list zerber.ListID, offset, count int, ifVersion *uint64, withProof bool) (QueryResponse, error) {
+// q.Proof asks for the window's Merkle proof. Cache entries are shared
+// across both forms under the same key: a proved entry serves unproven
+// callers with the proof stripped, and an unproven hit under a proof
+// request falls through to the backend's proved read and upgrades the
+// entry in place (same version, so the elements are identical — only
+// the proof is new). Entries always hold the full proof; a
+// continuation (q.ProofFrom) is derived from it on the way out.
+func (s *Server) queryAllowed(allowed map[int]bool, q ListQuery) (QueryResponse, error) {
 	c := s.results.Load()
 	var key cache.Key
 	if c != nil {
 		// Built once per sub-query; only the Version field differs
 		// between the lookup and a later fill.
-		key = cache.Key{List: list, Groups: cache.GroupsKey(allowed), Offset: offset, Count: count}
+		key = cache.Key{List: q.List, Groups: cache.GroupsKey(allowed), Offset: q.Offset, Count: q.Count}
 	}
-	if c != nil || ifVersion != nil {
-		ver, err := s.backend.Version(list)
+	if c != nil || q.IfVersion != nil {
+		ver, err := s.backend.Version(q.List)
 		switch {
 		case errors.Is(err, store.ErrUnknownList):
-			return QueryResponse{}, fmt.Errorf("%w: %d", ErrUnknownList, list)
+			return QueryResponse{}, fmt.Errorf("%w: %d", ErrUnknownList, q.List)
 		case err != nil:
 			return QueryResponse{}, err
 		}
-		if ifVersion != nil && *ifVersion == ver {
+		if q.IfVersion != nil && *q.IfVersion == ver {
 			return QueryResponse{Version: ver, Unchanged: true}, nil
 		}
 		if c != nil {
 			key.Version = ver
-			if res, ok := c.Get(key); ok && (!withProof || res.Proof != nil) {
-				return queryResponseOf(res, withProof), nil
+			if res, ok := c.Get(key); ok && (!q.Proof || res.Proof != nil) {
+				return s.respond(res, q), nil
 			}
 		}
 	}
 	var res store.QueryResult
 	var err error
-	if withProof {
-		res, err = s.backend.QueryProved(list, allowed, offset, count)
+	if q.Proof {
+		res, err = s.backend.QueryProved(q.List, allowed, q.Offset, q.Count)
 	} else {
-		res, err = s.backend.Query(list, allowed, offset, count)
+		res, err = s.backend.Query(q.List, allowed, q.Offset, q.Count)
 	}
 	if errors.Is(err, store.ErrUnknownList) {
-		return QueryResponse{}, fmt.Errorf("%w: %d", ErrUnknownList, list)
+		return QueryResponse{}, fmt.Errorf("%w: %d", ErrUnknownList, q.List)
 	}
 	if err != nil {
 		return QueryResponse{}, err
 	}
-	if withProof {
+	if q.Proof {
 		if m := s.met.Load(); m != nil {
 			m.proved.Inc()
 		}
@@ -326,16 +328,25 @@ func (s *Server) queryAllowed(allowed map[int]bool, list zerber.ListID, offset, 
 		key.Version = res.Version
 		c.Put(key, res)
 	}
-	return queryResponseOf(res, withProof), nil
+	return s.respond(res, q), nil
 }
 
-// queryResponseOf shapes a backend (or cached) result into the wire
-// response, stripping the memoized proof unless the caller asked for
-// one — proof-off responses stay byte-identical to pre-proof servers.
-func queryResponseOf(res store.QueryResult, withProof bool) QueryResponse {
+// respond shapes a backend (or cached) result into the wire response.
+// The memoized proof is stripped unless the caller asked for one —
+// proof-off responses stay byte-identical to pre-proof servers — and
+// trimmed to its continuation when the caller verified the window
+// before this one at the version this one was read at.
+func (s *Server) respond(res store.QueryResult, q ListQuery) QueryResponse {
 	resp := QueryResponse{Elements: res.Elements, Exhausted: res.Exhausted, Version: res.Version}
-	if withProof {
-		resp.Proof = res.Proof
+	if !q.Proof || res.Proof == nil {
+		return resp
+	}
+	resp.Proof = res.Proof
+	if q.ProofFrom != nil && *q.ProofFrom == res.Version {
+		resp.Proof = proof.Continue(res.Proof)
+		if m := s.met.Load(); m != nil {
+			m.continued.Inc()
+		}
 	}
 	return resp
 }

@@ -15,7 +15,8 @@ package server
 //
 //	kind 'Q', query response:
 //	  body:    count | count × window
-//	  window:  flags (1B: 1 exhausted, 2 unchanged, 4 proof follows) |
+//	  window:  flags (1B: 1 exhausted, 2 unchanged, 4 proof follows,
+//	                  8 the proof is a continuation) |
 //	           version (8B) | numElems | numElems × element | [proof]
 //	  proof:   version (8B) | root (32B) | numGroups | numGroups × group
 //	  group:   group (signed varint) |
@@ -25,6 +26,9 @@ package server
 //	                    [pred element] | [succ element] |
 //	                    pathLen | pathLen × hash (32B)
 //	           (a boundary travels as an element of its own group)
+//	  continuation group (flags 4|8; proof.Continue): proved groups only,
+//	           group (signed varint) | gflags (1B: 4 succ follows) |
+//	           end | [succ element] | pathLen | pathLen × hash (32B)
 //
 //	kind 'I', insert request:
 //	  body:    token | insert op list
@@ -68,6 +72,7 @@ const (
 	windowExhausted byte = 1
 	windowUnchanged byte = 2
 	windowProved    byte = 4
+	windowContinued byte = 8
 
 	groupOpaque byte = 1
 	groupPred   byte = 2
@@ -139,6 +144,9 @@ func AppendQueryResponse(buf []byte, resps []QueryResponse) []byte {
 		}
 		if r.Proof != nil {
 			flags |= windowProved
+			if r.Proof.Continued {
+				flags |= windowContinued
+			}
 		}
 		buf = append(buf, flags)
 		buf = binary.BigEndian.AppendUint64(buf, r.Version)
@@ -173,13 +181,15 @@ func appendProof(buf []byte, w *proof.Window) []byte {
 			flags |= groupSucc
 		}
 		buf = append(buf, flags)
-		buf = binary.AppendUvarint(buf, uint64(gw.Count))
-		var root proof.Hash
-		if gw.Root != nil {
-			root = *gw.Root
+		if !w.Continued {
+			buf = binary.AppendUvarint(buf, uint64(gw.Count))
+			var root proof.Hash
+			if gw.Root != nil {
+				root = *gw.Root
+			}
+			buf = append(buf, root[:]...)
+			buf = binary.AppendUvarint(buf, uint64(gw.Start))
 		}
-		buf = append(buf, root[:]...)
-		buf = binary.AppendUvarint(buf, uint64(gw.Start))
 		buf = binary.AppendUvarint(buf, uint64(gw.End))
 		buf = appendBoundary(buf, gw.Pred, gw.Group)
 		buf = appendBoundary(buf, gw.Succ, gw.Group)
@@ -312,10 +322,12 @@ func (r *wireReader) end() error {
 
 // Shortest encodings, for bounding claimed counts: a window is flags,
 // version and an element count; a proof group is a group ID, flags and
-// one hash.
+// one hash; a continuation group is a group ID, flags, end and a path
+// length.
 const (
-	minWindowBytes = 1 + 8 + 1
-	minGroupBytes  = 2 + proof.HashSize
+	minWindowBytes    = 1 + 8 + 1
+	minGroupBytes     = 2 + proof.HashSize
+	minContGroupBytes = 4
 )
 
 // DecodeQueryResponse decodes a /v2/query response frame. Every Sealed
@@ -331,8 +343,11 @@ func DecodeQueryResponse(body []byte) ([]QueryResponse, error) {
 	for i := range out {
 		w := &out[i]
 		flags := r.byte()
-		if flags&^(windowExhausted|windowUnchanged|windowProved) != 0 {
+		if flags&^(windowExhausted|windowUnchanged|windowProved|windowContinued) != 0 {
 			r.fail("window %d: unknown flags %#x", i, flags)
+		}
+		if flags&(windowProved|windowContinued) == windowContinued {
+			r.fail("window %d: continuation flag without a proof", i)
 		}
 		w.Exhausted = flags&windowExhausted != 0
 		w.Unchanged = flags&windowUnchanged != 0
@@ -344,7 +359,7 @@ func DecodeQueryResponse(body []byte) ([]QueryResponse, error) {
 			}
 		}
 		if flags&windowProved != 0 {
-			w.Proof = r.proof()
+			w.Proof = r.proof(flags&windowContinued != 0)
 		}
 		if r.err != nil {
 			return nil, r.err
@@ -356,9 +371,13 @@ func DecodeQueryResponse(body []byte) ([]QueryResponse, error) {
 	return out, nil
 }
 
-func (r *wireReader) proof() *proof.Window {
-	w := &proof.Window{Version: r.version(), Root: r.hash()}
-	n := r.count("proof groups", minGroupBytes)
+func (r *wireReader) proof(continued bool) *proof.Window {
+	w := &proof.Window{Version: r.version(), Root: r.hash(), Continued: continued}
+	minBytes, allowed := minGroupBytes, groupPred|groupSucc
+	if continued {
+		minBytes, allowed = minContGroupBytes, groupSucc
+	}
+	n := r.count("proof groups", minBytes)
 	if n == 0 || r.err != nil {
 		return w
 	}
@@ -367,18 +386,21 @@ func (r *wireReader) proof() *proof.Window {
 		gw := &w.Groups[i]
 		gw.Group = int(r.varint())
 		flags := r.byte()
-		if flags == groupOpaque {
+		if flags == groupOpaque && !continued {
 			h := r.hash()
 			gw.Opaque = &h
 			continue
 		}
-		if flags&^(groupPred|groupSucc) != 0 {
+		if flags&^allowed != 0 {
 			r.fail("proof group %d: flags %#x", gw.Group, flags)
 		}
-		gw.Count = r.int()
-		root := r.hash()
-		gw.Root = &root
-		gw.Start, gw.End = r.int(), r.int()
+		if !continued {
+			gw.Count = r.int()
+			root := r.hash()
+			gw.Root = &root
+			gw.Start = r.int()
+		}
+		gw.End = r.int()
 		if flags&groupPred != 0 {
 			gw.Pred = r.boundary(gw.Group)
 		}

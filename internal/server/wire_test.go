@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
@@ -197,16 +198,20 @@ func randomWindow(rng *rand.Rand) QueryResponse {
 		}
 	}
 	if rng.Intn(3) == 0 {
-		w.Proof = &proof.Window{Version: rng.Uint64(), Root: hash()}
+		// A continuation carries proved groups with only End, Succ and Path.
+		w.Proof = &proof.Window{Version: rng.Uint64(), Root: hash(), Continued: rng.Intn(3) == 0}
 		for g := rng.Intn(4); g > 0; g-- {
 			gw := proof.GroupWindow{Group: rng.Intn(1000) - 500}
-			if rng.Intn(3) == 0 {
+			if !w.Proof.Continued && rng.Intn(3) == 0 {
 				h := hash()
 				gw.Opaque = &h
 			} else {
-				root := hash()
-				gw.Root, gw.Count, gw.Start, gw.End = &root, rng.Intn(1<<20), rng.Intn(1<<10), rng.Intn(1<<20)
-				if rng.Intn(2) == 0 {
+				gw.End = rng.Intn(1 << 20)
+				if !w.Proof.Continued {
+					root := hash()
+					gw.Root, gw.Count, gw.Start = &root, rng.Intn(1<<20), rng.Intn(1<<10)
+				}
+				if !w.Proof.Continued && rng.Intn(2) == 0 {
 					gw.Pred = &proof.Boundary{TRS: trs(), Sealed: payload()}
 				}
 				if rng.Intn(2) == 0 {
@@ -353,5 +358,56 @@ func TestElementRecordShared(t *testing.T) {
 	frame := AppendQueryResponse(nil, []QueryResponse{{Elements: []StoredElement{el}}})
 	if rec := store.AppendElement(nil, el); !bytes.HasSuffix(frame, rec) {
 		t.Fatalf("frame %x does not end in the element record %x", frame, rec)
+	}
+}
+
+// TestContinuationFrame pins the continuation grammar: window flags
+// 4|8, then per proved group only its ID, flags, end, succ element and
+// path — no count, root, start, pred or opaque group — and a decoder
+// that refuses anything else in that place.
+func TestContinuationFrame(t *testing.T) {
+	resp, _, _, _ := goldenWindow()
+	resp.Proof = proof.Continue(resp.Proof)
+	gw := resp.Proof.Groups[0]
+	if len(resp.Proof.Groups) != 1 || gw.Succ == nil || len(gw.Path) != 1 {
+		t.Fatalf("golden continuation %+v", resp.Proof)
+	}
+	want := binary.AppendUvarint(nil, 1)
+	want = append(want, windowProved|windowContinued)
+	want = binary.BigEndian.AppendUint64(want, resp.Version)
+	want = binary.AppendUvarint(want, uint64(len(resp.Elements)))
+	for _, el := range resp.Elements {
+		want = store.AppendElement(want, el)
+	}
+	want = binary.BigEndian.AppendUint64(want, resp.Proof.Version)
+	want = append(want, resp.Proof.Root[:]...)
+	want = binary.AppendUvarint(want, 1)
+	want = binary.AppendVarint(want, int64(gw.Group))
+	gflagsAt := wireHeaderLen + len(want)
+	want = append(want, groupSucc)
+	want = binary.AppendUvarint(want, uint64(gw.End))
+	want = store.AppendElement(want, StoredElement{Sealed: gw.Succ.Sealed, TRS: gw.Succ.TRS, Group: gw.Group})
+	want = binary.AppendUvarint(want, 1)
+	want = append(want, gw.Path[0][:]...)
+	frame := AppendQueryResponse(nil, []QueryResponse{resp})
+	if !bytes.Equal(frame[wireHeaderLen:], want) {
+		t.Fatalf("continuation body\n got %x\nwant %x", frame[wireHeaderLen:], want)
+	}
+	got, err := DecodeQueryResponse(frame)
+	if err != nil || !reflect.DeepEqual(got, []QueryResponse{resp}) {
+		t.Fatalf("decoded %+v (%v), sent %+v", got, err, resp)
+	}
+
+	flagsAt := wireHeaderLen + 1 // after the window count
+	for name, mutate := range map[string]func(b []byte){
+		"continuation without a proof": func(b []byte) { b[flagsAt] = windowContinued },
+		"opaque continuation group":    func(b []byte) { b[gflagsAt] = groupOpaque },
+		"pred in a continuation group": func(b []byte) { b[gflagsAt] |= groupPred },
+	} {
+		bad := bytes.Clone(frame)
+		mutate(bad)
+		if _, err := DecodeQueryResponse(bad); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s: decoded (%v)", name, err)
+		}
 	}
 }

@@ -223,7 +223,7 @@ func TestCommitmentSurvivesRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	if after.Content != before.Content {
-		t.Errorf("content root moved across recovery: %s -> %s", before.Content.Short(), after.Content.Short())
+		t.Errorf("content root moved across recovery: %s -> %s", before.Content, after.Content)
 	}
 	if after.Version != before.Version {
 		t.Errorf("version moved across recovery: %d -> %d", before.Version, after.Version)

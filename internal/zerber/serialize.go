@@ -105,10 +105,10 @@ func ReadPlan(r io.Reader) (*MergePlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	const maxLists = 1 << 28
-	if numLists > maxLists {
-		return nil, fmt.Errorf("%w: %d lists", ErrBadPlanFormat, numLists)
-	}
+	// Lists and their terms grow as they actually arrive, never sized by
+	// a count the input claims: a corrupted count runs into the end of
+	// the input before it allocates more than a small multiple of what
+	// was read.
 	m := &MergePlan{
 		r:      rv,
 		assign: make(map[corpus.TermID]ListID),
@@ -119,11 +119,8 @@ func ReadPlan(r io.Reader) (*MergePlan, error) {
 		if err != nil {
 			return nil, err
 		}
-		if n > maxLists {
-			return nil, fmt.Errorf("%w: list %d claims %d terms", ErrBadPlanFormat, li, n)
-		}
-		terms := make([]corpus.TermID, n)
-		for j := range terms {
+		var terms []corpus.TermID
+		for j := uint64(0); j < n; j++ {
 			tid, err := readUvarint()
 			if err != nil {
 				return nil, err
@@ -133,7 +130,7 @@ func ReadPlan(r io.Reader) (*MergePlan, error) {
 				return nil, err
 			}
 			t := corpus.TermID(tid)
-			terms[j] = t
+			terms = append(terms, t)
 			m.assign[t] = ListID(li)
 			m.p[t] = p
 		}
