@@ -203,6 +203,9 @@ func TestMetricsScrapeExposition(t *testing.T) {
 		server.MetricRateLimitedTotal, server.MetricShedTotal,
 		server.MetricCacheHitsTotal, server.MetricCacheMissesTotal,
 		server.MetricCacheBytes, server.MetricUptimeSeconds,
+		server.MetricGoHeapLiveBytes, server.MetricGoHeapObjects,
+		server.MetricGoGCCycles, server.MetricGoGCCPUSeconds,
+		server.MetricGoGoroutines,
 		store.MetricWALAppendSeconds, store.MetricWALRecordsTotal,
 		store.MetricSnapshotsTotal, store.MetricWALPoisoned,
 		MetricShardInFlight, MetricShardOpsTotal,

@@ -8,6 +8,7 @@ package server
 
 import (
 	"log/slog"
+	"runtime/metrics"
 	"sync/atomic"
 	"time"
 
@@ -33,6 +34,13 @@ const (
 	MetricCacheEvictsTotal   = "zerber_cache_evictions_total"
 	MetricCacheBytes         = "zerber_cache_bytes"
 	MetricUptimeSeconds      = "zerber_uptime_seconds"
+	// Go runtime families, sampled from runtime/metrics at scrape time:
+	// what the process's heap and collector cost, beside what it serves.
+	MetricGoHeapLiveBytes = "zerber_go_heap_live_bytes"
+	MetricGoHeapObjects   = "zerber_go_heap_objects"
+	MetricGoGCCycles      = "zerber_go_gc_cycles_total"
+	MetricGoGCCPUSeconds  = "zerber_go_gc_cpu_seconds_total"
+	MetricGoGoroutines    = "zerber_go_goroutines"
 	// Admin-plane families (snapshot transfer beneath migration and
 	// replica resync). Registered at SetObs time so a scrape sees them
 	// from boot — the CI migration smoke greps a fresh server.
@@ -93,6 +101,11 @@ func (s *Server) SetObs(reg *obs.Registry) {
 	reg.GaugeFunc(MetricUptimeSeconds, "seconds since the metrics registry was installed", func() float64 {
 		return time.Since(m.start).Seconds()
 	})
+	reg.GaugeFunc(MetricGoHeapLiveBytes, "heap bytes the last garbage collection marked live", runtimeMetric("/gc/heap/live:bytes"))
+	reg.GaugeFunc(MetricGoHeapObjects, "objects occupying the heap, live or not yet swept", runtimeMetric("/gc/heap/objects:objects"))
+	reg.CounterFunc(MetricGoGCCycles, "completed garbage collection cycles", runtimeMetric("/gc/cycles/total:gc-cycles"))
+	reg.CounterFunc(MetricGoGCCPUSeconds, "estimated CPU time spent in garbage collection", runtimeMetric("/cpu/classes/gc/total:cpu-seconds"))
+	reg.GaugeFunc(MetricGoGoroutines, "live goroutines", runtimeMetric("/sched/goroutines:goroutines"))
 	// The cache maintains its own counters; sample them at scrape
 	// time. The funcs read through the atomic cache pointer, so an
 	// installed-later or swapped cache is picked up transparently.
@@ -113,6 +126,22 @@ func (s *Server) SetObs(reg *obs.Registry) {
 	reg.CounterFunc(MetricCacheEvictsTotal, "query-result cache evictions", cacheCounter(func(c CacheStatsV2) float64 { return float64(c.Evictions) }))
 	reg.GaugeFunc(MetricCacheBytes, "query-result cache resident bytes", cacheCounter(func(c CacheStatsV2) float64 { return float64(c.Bytes) }))
 	s.met.Store(m)
+}
+
+// runtimeMetric samples one runtime/metrics value at scrape time. A
+// name the running Go release does not know reads as 0.
+func runtimeMetric(name string) func() float64 {
+	return func() float64 {
+		s := []metrics.Sample{{Name: name}}
+		metrics.Read(s)
+		switch s[0].Value.Kind() {
+		case metrics.KindUint64:
+			return float64(s[0].Value.Uint64())
+		case metrics.KindFloat64:
+			return s[0].Value.Float64()
+		}
+		return 0
+	}
 }
 
 // Obs returns the installed metrics registry, or nil.

@@ -39,16 +39,17 @@ package server
 // the remove pair): the bytes a write-ahead log batch record holds after
 // its seq and kind.
 //
-// Ownership: decoded payloads alias the body; whoever retains one past
-// the call copies it at the point of retention. DecodeInsertRequest is
-// such a point (the store keeps an inserted payload for the element's
-// life), the cluster router's window cache is the other.
+// Ownership: decoded payloads — of responses and of requests alike —
+// alias the body, capped to their own length; whoever retains one past
+// the call copies it at the point of retention. The store is one such
+// point (it copies an inserted payload into its list's slab, so a
+// pooled request buffer is free again once the insert returns), the
+// cluster router's window cache is the other.
 //
 // A decoder trusts no length it reads: every count is bounded by the
 // bytes that remain before anything is allocated for it.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -470,16 +471,10 @@ func decodeRequest[T any](body []byte, kind byte, read func([]byte) ([]T, []byte
 	return tok, ops, nil
 }
 
-// DecodeInsertRequest decodes a /v2/insert request frame. Each sealed
-// payload is copied out of body — the store keeps it for the element's
-// life, and body is a pooled buffer. The token's MAC still aliases
-// body.
+// DecodeInsertRequest decodes a /v2/insert request frame. Payloads and
+// the token's MAC alias body: the store copies what it keeps.
 func DecodeInsertRequest(body []byte) (crypt.Token, []InsertOp, error) {
-	tok, ops, err := decodeRequest(body, frameInsertRequest, store.ReadInserts)
-	for i := range ops {
-		ops[i].Element.Sealed = bytes.Clone(ops[i].Element.Sealed)
-	}
-	return tok, ops, err
+	return decodeRequest(body, frameInsertRequest, store.ReadInserts)
 }
 
 // DecodeRemoveRequest decodes a /v2/remove request frame. Payloads and

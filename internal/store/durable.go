@@ -191,8 +191,8 @@ func OpenDurable(dir string, opt Options) (*Durable, error) {
 	walPath := filepath.Join(dir, walFileName)
 	maxSeq, err := replayWAL(walPath, snapSeq, func(r record) {
 		// One record's inserts are one insertBatch, as the live write
-		// that logged them was.
-		mem.insertBatch(ownPayloads(r.inserts))
+		// that logged them was; it copies the payloads out of the frame.
+		mem.insertBatch(r.inserts)
 		for _, op := range r.removes {
 			// A remove that no longer matches (its insert was folded into
 			// the snapshot differently, or the log was truncated between

@@ -161,8 +161,8 @@ func (d *Durable) TailSince(after uint64) ([]byte, error) {
 // whole tail before b sees any of it, so bytes that do not decode
 // (ErrBadWAL) change nothing. Each run of consecutive insert records is
 // one InsertBatch and each run of remove records one RemoveBatch: a
-// durable b logs a tail in one record per run, and b gets a copy of
-// each inserted payload of its own.
+// durable b logs a tail in one record per run. b keeps nothing of tail:
+// its inserts copy the payloads they keep.
 //
 // The apply is strict. A remove b cannot resolve fails its run with a
 // *BatchOpError, after the runs before it applied: b has diverged from
@@ -191,7 +191,7 @@ func ApplyTail(b Backend, tail []byte) (ops int, err error) {
 				return ops, err
 			}
 		}
-		ins = append(ins, ownPayloads(r.inserts)...)
+		ins = append(ins, r.inserts...)
 		rem = append(rem, r.removes...)
 	}
 	return ops, flush()

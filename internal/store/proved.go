@@ -38,7 +38,7 @@ type Commitment struct {
 func (ml *mergedList) ensureCommittedLocked() {
 	for _, g := range ml.groups {
 		if g.commit == nil {
-			g.commit = &groupCommit{leaves: leafHashes(g.sorted)}
+			g.commit = &groupCommit{leaves: ml.leafHashes(g.sorted)}
 		}
 	}
 }
@@ -136,12 +136,12 @@ func (m *Memory) QueryProved(list zerber.ListID, allowed map[int]bool, offset, c
 		lo, hi := cur[0], cur[1]
 		if gw.Start > 0 {
 			pred := h.g.sorted[gw.Start-1]
-			gw.Pred = &proof.Boundary{TRS: pred.TRS, Sealed: pred.Sealed}
+			gw.Pred = &proof.Boundary{TRS: pred.trs, Sealed: ml.payload(pred)}
 			lo--
 		}
 		if gw.End < gw.Count {
 			succ := h.g.sorted[gw.End]
-			gw.Succ = &proof.Boundary{TRS: succ.TRS, Sealed: succ.Sealed}
+			gw.Succ = &proof.Boundary{TRS: succ.trs, Sealed: ml.payload(succ)}
 			hi++
 		}
 		c := h.g.commit
@@ -198,16 +198,18 @@ func (m *Memory) viewCommitted(list zerber.ListID, fn func(version uint64, elems
 // mergedLeavesLocked materializes the full merged rank order together
 // with each element's leaf hash. Callers hold the list lock with all
 // groups hashed. The merge is the same total order queryLocked uses
-// (rless), so the element order matches what a leafless snapshot would
+// (less), so the element order matches what a leafless snapshot would
 // have written.
 func (ml *mergedList) mergedLeavesLocked() ([]Element, []proof.Hash) {
 	runs := make([]*groupList, 0, len(ml.groups))
+	var gids []int
 	total := 0
-	for _, g := range ml.groups {
+	for gid, g := range ml.groups {
 		if len(g.sorted) == 0 {
 			continue
 		}
 		runs = append(runs, g)
+		gids = append(gids, gid)
 		total += len(g.sorted)
 	}
 	elems := make([]Element, 0, total)
@@ -219,12 +221,12 @@ func (ml *mergedList) mergedLeavesLocked() ([]Element, []proof.Hash) {
 			if cur[i] >= len(g.sorted) {
 				continue
 			}
-			if best < 0 || rless(g.sorted[cur[i]], runs[best].sorted[cur[best]]) {
+			if best < 0 || ml.less(g.sorted[cur[i]], runs[best].sorted[cur[best]]) {
 				best = i
 			}
 		}
 		g := runs[best]
-		elems = append(elems, g.sorted[cur[best]].Element)
+		elems = append(elems, ml.element(g.sorted[cur[best]], gids[best]))
 		leaves = append(leaves, g.commit.leaves[cur[best]])
 		cur[best]++
 	}

@@ -28,7 +28,7 @@ func checkCommitState(t *testing.T, rng *rand.Rand, ml *mergedList, step int) {
 		if c == nil {
 			continue
 		}
-		if !reflect.DeepEqual(c.leaves, leafHashes(g.sorted)) {
+		if !reflect.DeepEqual(c.leaves, ml.leafHashes(g.sorted)) {
 			t.Fatalf("step %d group %d: leaves do not mirror the sorted run", step, gid)
 		}
 		root := proof.TreeRoot(c.leaves)
@@ -68,7 +68,7 @@ func checkProvedAgainstStateless(t *testing.T, m *Memory, list zerber.ListID, al
 		if gw.Opaque != nil {
 			continue
 		}
-		leaves := leafHashes(ml.groups[gw.Group].sorted)
+		leaves := ml.leafHashes(ml.groups[gw.Group].sorted)
 		if *gw.Root != proof.TreeRoot(leaves) {
 			t.Fatalf("step %d group %d: served root differs from TreeRoot", step, gw.Group)
 		}
@@ -186,7 +186,7 @@ func TestProvedCacheDifferential(t *testing.T) {
 // higher (a wrong root).
 func TestMutationTruncatesCacheAtItsRank(t *testing.T) {
 	const list, n = zerber.ListID(3), 200
-	build := func() (*Memory, *groupList) {
+	build := func() (*Memory, *mergedList, *groupList) {
 		m := NewMemory()
 		for i := 0; i < n; i++ {
 			// Rank i holds score n-i: rank p is free at score n-p+0.5.
@@ -197,7 +197,8 @@ func TestMutationTruncatesCacheAtItsRank(t *testing.T) {
 		if _, err := m.QueryProved(list, nil, 0, 1); err != nil {
 			t.Fatal(err)
 		}
-		return m, m.list(list, false).groups[0]
+		ml := m.list(list, false)
+		return m, ml, ml.groups[0]
 	}
 	truncatedAt := func(leaves []proof.Hash, p int) proof.Tree {
 		var tr proof.Tree
@@ -215,7 +216,7 @@ func TestMutationTruncatesCacheAtItsRank(t *testing.T) {
 			// earlier one.
 			{newAt(min(p+30, n)), newAt(p)},
 		} {
-			m, g := build()
+			m, ml, g := build()
 			before := append([]proof.Hash{}, g.commit.leaves...)
 			if err := m.InsertBatch(batch); err != nil {
 				t.Fatal(err)
@@ -223,13 +224,13 @@ func TestMutationTruncatesCacheAtItsRank(t *testing.T) {
 			if !reflect.DeepEqual(g.commit.tree, truncatedAt(before, p)) || g.commit.rootOK {
 				t.Errorf("insert of %d landing first at rank %d: cache not truncated exactly there", len(batch), p)
 			}
-			if string(g.sorted[p].Sealed) != fmt.Sprintf("new%03d", p) {
-				t.Fatalf("test bug: rank %d holds %s", p, g.sorted[p].Sealed)
+			if got := ml.payload(g.sorted[p]); string(got) != fmt.Sprintf("new%03d", p) {
+				t.Fatalf("test bug: rank %d holds %s", p, got)
 			}
 		}
 	}
 	for _, p := range []int{0, 1, 63, 64, 65, 128, 198, 199} {
-		m, g := build()
+		m, _, g := build()
 		before := append([]proof.Hash{}, g.commit.leaves...)
 		if err := m.Remove(list, []byte(fmt.Sprintf("e%03d", p)), nil); err != nil {
 			t.Fatal(err)

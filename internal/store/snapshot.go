@@ -246,6 +246,9 @@ func decodeSnapshot(data []byte) (seq uint64, m *Memory, _ error) {
 			}
 		}
 		elemRegion := body[start:rd.off]
+		if uint64(len(elemRegion)) > maxSlab {
+			return 0, nil, fmt.Errorf("%w: list %d: %d element bytes exceed a list's payload bound", ErrBadSnapshot, i, len(elemRegion))
+		}
 		var leafRegion []byte
 		flag, err := rd.take(1)
 		if err != nil {
@@ -272,23 +275,22 @@ func decodeSnapshot(data []byte) (seq uint64, m *Memory, _ error) {
 	return seq, m, nil
 }
 
-// decodeListElements decodes one list's element region that
-// decodeSnapshot already validated. Sealed slices alias raw — for an
-// mmap-backed snapshot that is the zero-copy making recovery pay only
-// for the lists queries touch; the store never rewrites sealed bytes,
-// so the aliases stay valid for the store's lifetime (the same
-// contract QueryResult documents). The region was framing-checked at
-// load by the same ReadElement, so a decode error here can only be a
-// bug and panics, deliberately loud.
-func decodeListElements(raw []byte, n int) []Element {
-	elems := make([]Element, n)
-	for j := range elems {
-		var err error
-		if elems[j], raw, err = ReadElement(raw); err != nil {
+// eachElement walks one list's element region that decodeSnapshot
+// already validated, calling fn with each of its n elements' group,
+// TRS, and the offset and length of its payload within raw. The region
+// was framing-checked at load by the same ReadElement, so a decode
+// error here can only be a bug and panics, deliberately loud.
+func eachElement(raw []byte, n int, fn func(group int, trs float64, off, size int)) {
+	rest := raw
+	for j := 0; j < n; j++ {
+		el, next, err := ReadElement(rest)
+		if err != nil {
 			panic(fmt.Sprintf("store: validated snapshot region fails to decode at element %d: %v", j, err))
 		}
+		end := len(raw) - len(next)
+		fn(el.Group, el.TRS, end-len(el.Sealed), len(el.Sealed))
+		rest = next
 	}
-	return elems
 }
 
 // syncDir fsyncs a directory so a rename within it is durable.

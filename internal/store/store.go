@@ -17,13 +17,23 @@
 // k-way merge over only the allowed sub-lists that skips straight to
 // the requested offset, O(offset·polylog + count·k) instead of a scan
 // over the whole merged list.
+//
+// Ownership: the store copies what it keeps. An insert appends each
+// payload to its list's slab, so a caller may reuse its buffers as soon
+// as the call returns, and nothing on the way in (the wire decoder, WAL
+// replay, a migration's tail) copies for it. What the store hands out —
+// query results, proof boundaries, views — aliases the slab, capped to
+// each payload's length; slab bytes are never rewritten, so those
+// aliases stay valid for as long as a caller holds them.
 package store
 
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -79,9 +89,11 @@ var (
 // caller's groups.
 type QueryResult struct {
 	// Elements are the range's elements in rank order. Their Sealed
-	// slices alias the store's own buffers — callers must not mutate
-	// them (the store itself never rewrites payload bytes in place, so
-	// the aliases stay valid across later inserts and removals).
+	// slices alias the list's payload slab, each capped to its own
+	// length so an append reallocates instead of reaching a neighbour.
+	// Callers must not write through them; the store never rewrites slab
+	// bytes, so the aliases stay valid across later inserts, removals
+	// and slab rebuilds.
 	Elements []Element
 	// Exhausted reports that no visible element exists beyond the
 	// range, i.e. the filtered view holds at most offset+count
@@ -264,48 +276,59 @@ type Memory struct {
 	verBase uint64
 }
 
-// relem is a stored element plus its list-local insertion sequence.
-// The sequence breaks exact (TRS, sealed) ties by insertion order —
-// the order the original stable full-list sort produced — so the
-// per-group decomposition is observationally identical to the old
-// single sorted slice.
-type relem struct {
-	Element
-	seq uint64
+// rec is one stored element of a group's run: its TRS and where its
+// payload sits in the list's slab (mergedList.payload). Its group is
+// the run's. It holds no pointer, so a run is memory the collector
+// never scans, and it takes 16 bytes where an Element with its
+// insertion sequence took 48 plus a payload allocation of its own.
+type rec struct {
+	trs float64
+	// off is also the element's list-local insertion sequence: payloads
+	// enter the slab in insertion order, a snapshot region holds them in
+	// the rank order its writer had (which recovery takes as their
+	// order, as it always did), and a rebuild keeps their order. Offsets
+	// are unique within a list (an empty payload takes a dead byte), so
+	// they break exact (TRS, payload) ties by insertion order — the order
+	// the original stable full-list sort produced — and the per-group
+	// decomposition is observationally identical to the old single
+	// sorted slice.
+	off uint32
+	n   uint32
 }
 
-// rless is the total order the read path merges by: descending TRS,
-// then sealed bytes, then insertion order. Sequences are unique within
-// a list, so no two of its elements compare equal.
-func rless(a, b relem) bool {
-	if a.TRS != b.TRS {
-		return a.TRS > b.TRS
-	}
-	if c := bytes.Compare(a.Sealed, b.Sealed); c != 0 {
-		return c < 0
-	}
-	return a.seq < b.seq
+// grec is a record with its group: a batch's share of a list before it
+// splits into its groups' runs.
+type grec struct {
+	group int
+	rec
 }
 
-// rcmp is rless as a three-way comparison, for sorting.
-func rcmp(a, b relem) int {
-	if a.TRS != b.TRS {
-		if a.TRS > b.TRS {
-			return -1
-		}
-		return 1
-	}
-	return cmp.Or(bytes.Compare(a.Sealed, b.Sealed), cmp.Compare(a.seq, b.seq))
-}
+// maxSlab bounds a list's payload offset space, which records address
+// with 32 bits: 4 GiB of payloads per list.
+const maxSlab = math.MaxUint32
 
-// mergedList holds one merged posting list as one sorted sub-list per
-// group. An insert lands at its rank at once (insertBatch), so every
-// stored element sits in exactly one place and a read never writes.
+// mergedList holds one merged posting list as one sorted run of
+// records per group over one payload slab. An insert lands at its rank
+// at once (insertBatch), so every stored element sits in exactly one
+// place and a read never writes.
 type mergedList struct {
-	mu      sync.RWMutex
-	groups  map[int]*groupList
-	total   int
-	nextSeq uint64
+	mu     sync.RWMutex
+	groups map[int]*groupList
+	// base and slab hold the list's payloads, and records address them
+	// as one offset space: [0, len(base)) is base, the rest is slab.
+	// base is a region the list was loaded from — its validated
+	// snapshot element region, possibly an mmap — read and never
+	// written; slab is the store's own append-only buffer. Bytes below
+	// either's length are never rewritten: slab grows into its spare
+	// capacity or into a new allocation, and a rebuild (compact) makes
+	// a new one, so every payload handed out stays valid.
+	base, slab []byte
+	// live counts the payload bytes of the stored elements; the rest of
+	// base and slab is dead. A removal that leaves more dead bytes than
+	// live rebuilds the slab, so a list never holds more than twice its
+	// payloads.
+	live  int
+	total int
 	// version counts content changes (inserts and successful removes).
 	// Reads report it so ranged windows can be cached under a key that
 	// a later mutation transparently invalidates.
@@ -319,9 +342,116 @@ type mergedList struct {
 	commitRoot    proof.Hash
 }
 
+// payload returns r's payload bytes, capped to their length.
+func (ml *mergedList) payload(r rec) []byte {
+	lo, hi := int(r.off), int(r.off)+int(r.n)
+	if lo < len(ml.base) {
+		return ml.base[lo:hi:hi]
+	}
+	lo, hi = lo-len(ml.base), hi-len(ml.base)
+	return ml.slab[lo:hi:hi]
+}
+
+// element is r as the group's Element, its payload aliasing the slab.
+func (ml *mergedList) element(r rec, group int) Element {
+	return Element{Sealed: ml.payload(r), TRS: r.trs, Group: group}
+}
+
+// less is the total order the read path merges by: descending TRS,
+// then payload bytes, then insertion order. Offsets are unique within a
+// list, so no two of its records compare equal.
+func (ml *mergedList) less(a, b rec) bool {
+	if a.trs != b.trs {
+		return a.trs > b.trs
+	}
+	return ml.tie(a, b) < 0
+}
+
+// cmp is less as a three-way comparison, for sorting.
+func (ml *mergedList) cmp(a, b rec) int {
+	if a.trs != b.trs {
+		if a.trs > b.trs {
+			return -1
+		}
+		return 1
+	}
+	return ml.tie(a, b)
+}
+
+// tie orders two records of equal TRS.
+func (ml *mergedList) tie(a, b rec) int {
+	return cmp.Or(bytes.Compare(ml.payload(a), ml.payload(b)), cmp.Compare(a.off, b.off))
+}
+
+// add appends an inserted element's payload to the slab and returns its
+// record. Callers hold the write lock and have reserved slabBytes of
+// the payload.
+func (ml *mergedList) add(el Element) grec {
+	r := rec{trs: el.TRS, off: uint32(len(ml.base) + len(ml.slab)), n: uint32(len(el.Sealed))}
+	ml.slab = appendPayload(ml.slab, el.Sealed)
+	ml.live += len(el.Sealed)
+	return grec{group: el.Group, rec: r}
+}
+
+// appendPayload appends p to a slab. An empty payload still takes one
+// dead byte, so that no two records share an offset.
+func appendPayload(slab, p []byte) []byte {
+	if len(p) == 0 {
+		return append(slab, 0)
+	}
+	return append(slab, p...)
+}
+
+// slabBytes is what appendPayload adds for a payload of n bytes.
+func slabBytes(n int) int { return max(n, 1) }
+
+// reserve makes room in the slab for n more bytes without rewriting
+// any byte already in it: the slab's spare capacity, else a new
+// allocation with growTo's headroom, the old one left as it was. A list whose payloads would
+// outgrow the 32-bit offset space is rebuilt first, and past it — more
+// than 4 GiB of live payloads in one list, a size no deployment of the
+// protocol approaches — the insert panics rather than wrap an offset.
+func (ml *mergedList) reserve(n int) {
+	if uint64(len(ml.base)+len(ml.slab)+n) > maxSlab {
+		ml.compact()
+		if uint64(len(ml.slab)+n) > maxSlab {
+			panic(fmt.Sprintf("store: a list's payloads would exceed %d bytes", maxSlab))
+		}
+	}
+	if l := len(ml.slab) + n; l > cap(ml.slab) {
+		grown := growTo(ml.slab, l)
+		copy(grown, ml.slab)
+		ml.slab = grown[:len(ml.slab)]
+	}
+}
+
+// compact rebuilds the slab into a new allocation holding only the live
+// payloads, in offset order so that the offsets keep their order, and
+// re-points the records at it; base is dropped. The old slab and base
+// stay valid for the payloads already handed out. Callers hold the
+// write lock.
+func (ml *mergedList) compact() {
+	recs := make([]*rec, 0, ml.total)
+	size := 0
+	for _, g := range ml.groups {
+		for i := range g.sorted {
+			recs = append(recs, &g.sorted[i])
+			size += slabBytes(int(g.sorted[i].n))
+		}
+	}
+	slices.SortFunc(recs, func(a, b *rec) int { return cmp.Compare(a.off, b.off) })
+	slab := make([]byte, 0, size)
+	for _, r := range recs {
+		p := ml.payload(*r)
+		r.off = uint32(len(slab))
+		slab = appendPayload(slab, p)
+	}
+	ml.base, ml.slab = nil, slab
+}
+
 // groupList is one group's slice of a merged list.
 type groupList struct {
-	sorted []relem // rless-ordered
+	sorted []rec // less-ordered
 	// commit is the group's commitment state, nil until the list's first
 	// proved read or commitment — audit on demand: the unproven hot path
 	// never hashes, and the group lists nobody audits (nearly all of
@@ -353,16 +483,16 @@ func (c *groupCommit) mutatedAt(p int) {
 	c.tree.Truncate(p)
 }
 
-// merge inserts add — rless-ordered, every sequence above the run's —
-// into the sorted run from the back: each new element finds its rank by
-// binary search, and the old elements between it and the previous one
-// move up as one block. Only the elements ranking below the first new
-// one move, in place when the run has room, else into a buffer with
-// headroom for later inserts (growTo). Callers hold the list's write
-// lock. When the group is committed its leaves move along, only the new
-// elements are hashed, and the interior nodes before the first rank a
-// new element landed at stay cached.
-func (g *groupList) merge(add []relem) {
+// merge inserts add — g's records, less-ordered, every offset above
+// the run's — into g's sorted run from the back: each new record finds
+// its rank by binary search, and the old records between it and the
+// previous one move up as one block. Only the records ranking below the
+// first new one move, in place when the run has room, else into a
+// buffer with headroom for later inserts (growTo). Callers hold the
+// list's write lock. When the group is committed its leaves move along,
+// only the new elements are hashed, and the interior nodes before the
+// first rank a new element landed at stay cached.
+func (ml *mergedList) merge(g *groupList, add []grec) {
 	n, l := len(g.sorted), len(g.sorted)+len(add)
 	src, dst := g.sorted, growTo(g.sorted, l)
 	c := g.commit
@@ -375,12 +505,12 @@ func (g *groupList) merge(add []relem) {
 	// (copy is a memmove, so in place nothing unread is overwritten).
 	i := n - 1
 	for j := len(add) - 1; j >= 0; j-- {
-		p := sort.Search(i+1, func(x int) bool { return rless(add[j], src[x]) })
+		p := sort.Search(i+1, func(x int) bool { return ml.less(add[j].rec, src[x]) })
 		copy(dst[p+j+1:], src[p:i+1])
-		dst[p+j] = add[j]
+		dst[p+j] = add[j].rec
 		if c != nil {
 			copy(ldst[p+j+1:], lsrc[p:i+1])
-			ldst[p+j] = proof.LeafHash(add[j].TRS, add[j].Sealed)
+			ldst[p+j] = proof.LeafHash(add[j].trs, ml.payload(add[j].rec))
 		}
 		i = p - 1
 	}
@@ -402,22 +532,31 @@ func (g *groupList) merge(add []relem) {
 // growTo returns s extended to length l: s itself when its capacity
 // suffices, else a new buffer, whose first len(s) elements the caller
 // fills, with 1/8 headroom (at least 4) rounded up to the allocator's
-// size class. A run grown one insert at a time reallocates once per
-// eighth of its length, and a run loaded in a few large batches
-// carries little slack: append's own growth (up to 2×) measured +4.6 %
-// index_heap_mb on deep (CHANGES.md, PR 25).
+// size class — unless the growth is at least that headroom, when the
+// buffer is exact (size class aside): the next growth of that size
+// would not fit in the headroom either, and every buffer it moves is at
+// least 1/8 longer than the last, so the copying stays linear. A run
+// grown a few inserts at a time reallocates once per eighth of its
+// length, and a run or slab loaded in large batches carries no slack:
+// append's own growth (up to 2×) measured +4.6 % index_heap_mb on deep
+// (CHANGES.md), and unconditional 1/8 headroom 69.8 B instead of
+// 67.2 B per element in TestBytesPerStoredElement.
 func growTo[T any](s []T, l int) []T {
 	if l <= cap(s) {
 		return s[:l]
 	}
-	return slices.Grow[[]T](nil, l+max(l/8, 4))[:l]
+	room := max(l/8, 4)
+	if l-len(s) >= room {
+		room = 0
+	}
+	return slices.Grow[[]T](nil, l+room)[:l]
 }
 
-// leafHashes commits every element of a sorted run.
-func leafHashes(run []relem) []proof.Hash {
+// leafHashes commits every element of one of the list's sorted runs.
+func (ml *mergedList) leafHashes(run []rec) []proof.Hash {
 	leaves := make([]proof.Hash, len(run))
 	for i, r := range run {
-		leaves[i] = proof.LeafHash(r.TRS, r.Sealed)
+		leaves[i] = proof.LeafHash(r.trs, ml.payload(r))
 	}
 	return leaves
 }
@@ -485,7 +624,7 @@ func (m *Memory) list(id zerber.ListID, create bool) *mergedList {
 // in parallel, and a long decode never blocks lookups of other lists.
 func (m *Memory) materialize(id zerber.ListID, lz *lazyList) *mergedList {
 	lz.once.Do(func() {
-		lz.ml = newMergedListFrom(decodeListElements(lz.raw, lz.count), lz.version, decodeListLeaves(lz.rawLeaves, lz.count))
+		lz.ml = newMergedListFrom(lz.raw, lz.count, lz.version, decodeListLeaves(lz.rawLeaves, lz.count))
 		m.mu.Lock()
 		// Publish only if this lazy entry still owns the slot: an
 		// ImportSnapshot may have swapped the maps mid-decode, and the
@@ -524,41 +663,48 @@ func (m *Memory) InsertBatch(ops []BatchInsert) error {
 }
 
 // insertBatch is the one insert — of live writes, of Durable's logged
-// chunks and of WAL replay, one call per record. Each list's ops take
-// their sequences in slice order under the list's write lock, bumping
-// the version once per element (what N single inserts would do), and
-// each group's share is sorted and merged into its run.
+// chunks and of WAL replay, one call per record — and the one place a
+// payload is copied on its way in: each list's payloads are appended to
+// its slab, so the store keeps nothing of the caller's buffers. Each
+// list's ops take their offsets — their sequences — in slice order
+// under the list's write lock, bumping the version once per element
+// (what N single inserts would do), and each group's share is sorted
+// and merged into its run.
 func (m *Memory) insertBatch(ops []BatchInsert) {
 	runs, _ := m.listRuns(len(ops), func(i int) zerber.ListID { return ops[i].List }, true)
-	var buf [16]relem // a small batch's share of a list needs no allocation
+	var buf [16]grec // a small batch's share of a list needs no allocation
 	share := buf[:0]
 	for _, run := range runs {
 		ml := run.ml
 		ml.mu.Lock()
+		size := 0
+		for _, i := range run.idxs {
+			size += slabBytes(len(ops[i].Element.Sealed))
+		}
+		ml.reserve(size)
 		share = share[:0]
 		for _, i := range run.idxs {
-			share = append(share, relem{Element: ops[i].Element, seq: ml.nextSeq})
-			ml.nextSeq++
+			share = append(share, ml.add(ops[i].Element))
 		}
 		ml.total += len(share)
 		ml.version += uint64(len(share))
-		slices.SortFunc(share, func(a, b relem) int {
-			if a.Group != b.Group {
-				return cmp.Compare(a.Group, b.Group)
+		slices.SortFunc(share, func(a, b grec) int {
+			if a.group != b.group {
+				return cmp.Compare(a.group, b.group)
 			}
-			return rcmp(a, b)
+			return ml.cmp(a.rec, b.rec)
 		})
 		for rest := share; len(rest) > 0; {
 			n := 1
-			for n < len(rest) && rest[n].Group == rest[0].Group {
+			for n < len(rest) && rest[n].group == rest[0].group {
 				n++
 			}
-			g := ml.groups[rest[0].Group]
+			g := ml.groups[rest[0].group]
 			if g == nil {
 				g = &groupList{}
-				ml.groups[rest[0].Group] = g
+				ml.groups[rest[0].group] = g
 			}
-			g.merge(rest[:n])
+			ml.merge(g, rest[:n])
 			rest = rest[n:]
 		}
 		ml.mu.Unlock()
@@ -637,9 +783,10 @@ func (m *Memory) RemoveBatch(ops []BatchRemove, allow func(group int) bool) erro
 // victim is one stored element a batched remove resolved to: position
 // idx of its group's sorted run.
 type victim struct {
-	g   *groupList
-	idx int
-	r   relem
+	g     *groupList
+	group int
+	idx   int
+	r     rec
 }
 
 // removeBatch is RemoveBatch with a commit hook. A non-nil commit runs
@@ -670,7 +817,7 @@ func (m *Memory) removeBatch(ops []BatchRemove, allow func(group int) bool, comm
 			return &BatchOpError{Index: i, Err: ErrUnknownList}
 		case victims[i].g == nil:
 			return &BatchOpError{Index: i, Err: ErrNotFound}
-		case allow != nil && !allow(victims[i].r.Group):
+		case allow != nil && !allow(victims[i].group):
 			return &BatchOpError{Index: i, Err: ErrDenied}
 		}
 	}
@@ -694,25 +841,38 @@ func (m *Memory) removeBatch(ops []BatchRemove, allow func(group int) bool, comm
 // the list's k-th instance of it in rank order, and an op naming a
 // payload more often than the list holds it keeps the zero victim. The
 // list is scanned once per distinct payload — what a single Remove
-// always cost — since a batch names few payloads per list. matches is
-// scratch space, returned for the next list. Callers hold the list's
-// write lock.
+// always cost — since a batch names few payloads per list: the scan
+// reads the contiguous records, and of a record whose length matches
+// first one word of its payload, then the rest. (Sealed payloads lead
+// with their nonce, so the word tells nearly every stranger apart.)
+// matches is scratch space, returned for the next list. Callers hold
+// the list's write lock.
 func (ml *mergedList) resolve(ops []BatchRemove, idxs []int, victims, matches []victim) []victim {
 	for k, i := range idxs {
 		sealed := ops[i].Sealed
 		if namesPayload(ops, idxs[:k], sealed) {
 			continue // resolved with the first op naming it
 		}
+		long := len(sealed) >= 8
+		var head uint64
+		if long {
+			head = binary.LittleEndian.Uint64(sealed)
+		}
 		matches = matches[:0]
-		for _, g := range ml.groups {
+		for gid, g := range ml.groups {
 			for idx, r := range g.sorted {
-				if bytes.Equal(r.Sealed, sealed) {
-					matches = append(matches, victim{g: g, idx: idx, r: r})
+				if int(r.n) != len(sealed) {
+					continue
 				}
+				p := ml.payload(r)
+				if long && binary.LittleEndian.Uint64(p) != head || !bytes.Equal(p, sealed) {
+					continue
+				}
+				matches = append(matches, victim{g: g, group: gid, idx: idx, r: r})
 			}
 		}
 		if len(matches) > 1 {
-			sort.Slice(matches, func(a, b int) bool { return rless(matches[a].r, matches[b].r) })
+			sort.Slice(matches, func(a, b int) bool { return ml.less(matches[a].r, matches[b].r) })
 		}
 		next := 0
 		for _, j := range idxs[k:] {
@@ -742,13 +902,17 @@ func namesPayload(ops []BatchRemove, idxs []int, sealed []byte) bool {
 // version once per element: one filtering pass per touched run, so a
 // batch deleting many elements of one group shifts its tail once. A
 // committed group's leaves follow its sorted run, and its cached
-// interior nodes survive below the lowest deleted index. Callers hold
-// the list's write lock.
+// interior nodes survive below the lowest deleted index. The payloads
+// stay in the slab as dead bytes until they outnumber the live ones,
+// when the slab is rebuilt. Callers hold the list's write lock.
 func (ml *mergedList) delete(victims []victim) {
 	ml.total -= len(victims)
 	ml.version += uint64(len(victims))
+	for _, v := range victims {
+		ml.live -= int(v.r.n)
+	}
 	slices.SortFunc(victims, func(a, b victim) int {
-		return cmp.Or(cmp.Compare(a.r.Group, b.r.Group), cmp.Compare(a.idx, b.idx))
+		return cmp.Or(cmp.Compare(a.group, b.group), cmp.Compare(a.idx, b.idx))
 	})
 	for len(victims) > 0 {
 		n := 1
@@ -762,6 +926,9 @@ func (ml *mergedList) delete(victims []victim) {
 			c.leaves = deleteAt(c.leaves, run)
 			c.mutatedAt(run[0].idx)
 		}
+	}
+	if len(ml.base)+len(ml.slab)-ml.live > ml.live {
+		ml.compact()
 	}
 }
 
@@ -833,7 +1000,7 @@ func (ml *mergedList) queryLocked(allowed map[int]bool, offset, count int) Query
 // proof commits to. Cursor capture rides the query's own skip and
 // merge, so proving adds no second pass over the runs.
 func (ml *mergedList) queryCursorsLocked(allowed map[int]bool, offset, count int, withCursors bool) (QueryResult, map[int][2]int) {
-	var lists [][]relem
+	var lists [][]rec
 	var gids []int
 	visible := 0
 	for gid, g := range ml.groups {
@@ -870,7 +1037,7 @@ func (ml *mergedList) queryCursorsLocked(allowed map[int]bool, offset, count int
 		run := lists[0]
 		res.Elements = make([]Element, n)
 		for i := range res.Elements {
-			res.Elements[i] = run[offset+i].Element
+			res.Elements[i] = ml.element(run[offset+i], gids[0])
 		}
 		if withCursors {
 			cursors[gids[0]] = [2]int{offset, offset + n}
@@ -881,7 +1048,7 @@ func (ml *mergedList) queryCursorsLocked(allowed map[int]bool, offset, count int
 	// window: each output element costs one k-wide minimum scan and a
 	// single copy (payloads are aliased, never duplicated).
 	cur := make([]int, len(lists))
-	skipMerged(lists, cur, offset)
+	ml.skipMerged(lists, cur, offset)
 	var starts []int
 	if withCursors {
 		starts = append([]int(nil), cur...)
@@ -893,14 +1060,14 @@ func (ml *mergedList) queryCursorsLocked(allowed map[int]bool, offset, count int
 			if cur[i] >= len(run) {
 				continue
 			}
-			if best < 0 || rless(run[cur[i]], lists[best][cur[best]]) {
+			if best < 0 || ml.less(run[cur[i]], lists[best][cur[best]]) {
 				best = i
 			}
 		}
 		if best < 0 {
 			break
 		}
-		res.Elements = append(res.Elements, lists[best][cur[best]].Element)
+		res.Elements = append(res.Elements, ml.element(lists[best][cur[best]], gids[best]))
 		cur[best]++
 	}
 	if withCursors {
@@ -920,7 +1087,7 @@ func (ml *mergedList) queryCursorsLocked(allowed map[int]bool, offset, count int
 // everything skipped stays inside the merged prefix. remaining decays
 // geometrically, so the skip costs O(k²·log offset) comparisons for k
 // runs rather than O(offset).
-func skipMerged(lists [][]relem, cur []int, skip int) {
+func (ml *mergedList) skipMerged(lists [][]rec, cur []int, skip int) {
 	remaining := skip
 	for remaining > 0 {
 		active := 0
@@ -939,7 +1106,7 @@ func skipMerged(lists [][]relem, cur []int, skip int) {
 				if len(run)-cur[i] < step {
 					continue
 				}
-				if best < 0 || rless(run[cur[i]+step-1], lists[best][cur[best]+step-1]) {
+				if best < 0 || ml.less(run[cur[i]+step-1], lists[best][cur[best]+step-1]) {
 					best = i
 				}
 			}
@@ -955,7 +1122,7 @@ func skipMerged(lists [][]relem, cur []int, skip int) {
 			if cur[i] >= len(run) {
 				continue
 			}
-			if best < 0 || rless(run[cur[i]], lists[best][cur[best]]) {
+			if best < 0 || ml.less(run[cur[i]], lists[best][cur[best]]) {
 				best = i
 			}
 		}
@@ -1046,39 +1213,46 @@ func (m *Memory) NumElements() (int, error) {
 // Close implements Backend. Memory holds no external resources.
 func (m *Memory) Close() error { return nil }
 
-// newMergedListFrom builds a merged list from a snapshot's elements —
-// rank-sorted, so their slice order becomes the tie-breaking insertion
-// order, exactly what the merge that produced the snapshot encoded.
-// version seeds the list's mutation counter with the value the
+// newMergedListFrom builds a merged list from a snapshot's element
+// region of n elements, which decodeSnapshot validated. The region
+// becomes the list's base, so the payloads stay where they are — for
+// an mmap'd snapshot, in the page cache — and only the records are
+// built, each group's run allocated once at its exact size. The
+// elements are rank-sorted, so their order becomes the tie-breaking
+// insertion order, exactly what the merge that produced the snapshot
+// encoded. version seeds the list's mutation counter with the value the
 // snapshot recorded, so recovery resumes the counter instead of
 // restarting it (a restarted counter could re-reach an old version
 // with different content, validating stale cached windows). leaves,
-// when non-nil, carries elems' persisted commitment leaf hashes
-// (aligned with elems) and is distributed to the groups so the
+// when non-nil, carries the elements' persisted commitment leaf hashes
+// (in the same order) and is distributed to the groups so the
 // recovered list recommits without re-hashing a single payload.
-func newMergedListFrom(elems []Element, version uint64, leaves []proof.Hash) *mergedList {
-	ml := &mergedList{groups: make(map[int]*groupList), version: version}
-	if len(leaves) != len(elems) {
+func newMergedListFrom(raw []byte, n int, version uint64, leaves []proof.Hash) *mergedList {
+	ml := &mergedList{groups: make(map[int]*groupList), base: raw[:len(raw):len(raw)], version: version, total: n}
+	if len(leaves) != n {
 		leaves = nil
 	}
-	for i, el := range elems {
-		g := ml.groups[el.Group]
-		if g == nil {
-			g = &groupList{}
-			if leaves != nil {
-				g.commit = &groupCommit{}
-			}
-			ml.groups[el.Group] = g
+	sizes := make(map[int]int)
+	eachElement(raw, n, func(group int, _ float64, _, _ int) { sizes[group]++ })
+	for gid, size := range sizes {
+		g := &groupList{sorted: make([]rec, 0, size)}
+		if leaves != nil {
+			g.commit = &groupCommit{leaves: make([]proof.Hash, 0, size)}
 		}
-		// A group's subsequence of a rank-sorted slice is itself sorted
-		// under rless (sequences ascend with slice order).
-		g.sorted = append(g.sorted, relem{Element: el, seq: ml.nextSeq})
+		ml.groups[gid] = g
+	}
+	i := 0
+	eachElement(raw, n, func(group int, trs float64, off, size int) {
+		// A group's subsequence of a rank-sorted region is itself sorted
+		// (offsets ascend with region order).
+		g := ml.groups[group]
 		if leaves != nil {
 			g.commit.leaves = append(g.commit.leaves, leaves[i])
 		}
-		ml.nextSeq++
-		ml.total++
-	}
+		g.sorted = append(g.sorted, rec{trs: trs, off: uint32(off), n: uint32(size)})
+		ml.live += size
+		i++
+	})
 	return ml
 }
 

@@ -88,16 +88,6 @@ type record struct {
 
 func (r record) ops() int { return len(r.inserts) + len(r.removes) }
 
-// ownPayloads gives each insert a copy of its payload of its own: the
-// store keeps a payload for the element's life, and one aliasing the
-// bytes it was decoded from would keep every byte around it alive too.
-func ownPayloads(ops []BatchInsert) []BatchInsert {
-	for i := range ops {
-		ops[i].Element.Sealed = append([]byte(nil), ops[i].Element.Sealed...)
-	}
-	return ops
-}
-
 // since drops the ops of r with a sequence at or below after.
 func (r record) since(after uint64) record {
 	if r.seq > after {
