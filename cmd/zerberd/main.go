@@ -22,11 +22,12 @@
 // fsyncs, so an acknowledged write survives the machine as well as the
 // process.
 //
-// Repeated ranked-range reads are served from a version-keyed
+// Repeated ranked-range reads are served from a version-checked
 // query-result cache (internal/cache) by default; -cache-bytes sizes
 // it, 0 disables it. Results are identical either way —
-// any insert or remove bumps the list's version and silently misses
-// every window cached before it. GET /v2/stats reports hit/miss/evict
+// any insert or remove bumps the list's version, and a window cached
+// before it is never served again; it only tells a conditional read
+// whether its window moved. GET /v2/stats reports hit/miss/evict
 // counters.
 //
 // Ops plane: logs are structured (log/slog; -log-format json for

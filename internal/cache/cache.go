@@ -1,25 +1,32 @@
 // Package cache provides the query-result cache shared by the index
 // server and the cluster router: a sharded, byte-bounded LRU of ranked
-// windows, keyed by everything that determines a window's content —
-// the merged list, the allowed-group set, the (offset, count) range
-// and the list's mutation version (store.Backend.Version).
+// windows, one entry per window, keyed by everything that determines
+// which window it is — the merged list, the allowed-group set and the
+// (offset, count) range. The key carries no version: an entry's
+// QueryResult.Version is the list version (store.Backend.Version) its
+// window was read at, and a newer read of the same window is Put over
+// it.
 //
-// Versioned keys make invalidation free: a mutation bumps the list's
-// version, so every window cached under the old version simply stops
-// matching (a transparent miss) and ages out of the LRU. Nothing is
-// ever served stale, and cached results are element-identical to what
-// the uncached read path returns for the same version.
+// The version makes invalidation free: a mutation bumps the list's
+// version, and the server serves an entry only when its version is the
+// list's current one (GetAt). A stale entry is never served; the
+// server uses it only to decide whether the caller's retained window,
+// read at that version, still equals the current read. Cached results
+// are element-identical to what the uncached read path returns for the
+// same version.
 //
 // Payloads are aliased, never copied: an entry holds the same Element
 // slice (and the same sealed-byte buffers) the store handed out. The
 // store never rewrites payload bytes in place, so the aliases stay
-// valid for the life of the entry.
+// valid for the life of the entry. One entry per window also bounds
+// what superseded versions pin: at most one per window.
 //
-// Confidentiality: a key is (list ID, group IDs, offset, count,
-// version) — exactly the fields of the requests the untrusted server
-// already serves, plus a mutation count it could maintain anyway. The
-// cache therefore observes nothing the Section 3.1 threat model does
-// not already grant the server, and adds no new leakage.
+// Confidentiality: a key is (list ID, group IDs, offset, count) and an
+// entry's version a mutation count — exactly the fields of the
+// requests the untrusted server already serves, plus a counter it
+// could maintain anyway. The cache therefore observes nothing the
+// Section 3.1 threat model does not already grant the server, and adds
+// no new leakage.
 package cache
 
 import (
@@ -35,20 +42,16 @@ import (
 	"zerberr/internal/zerber"
 )
 
-// Key identifies one cached ranked window. Two queries with equal keys
-// are guaranteed the same answer: the version pins the list content,
-// Groups pins the visibility filter, Offset/Count pin the range.
+// Key identifies one ranked window: Groups pins the visibility filter,
+// Offset/Count pin the range. Two reads of one key at one list version
+// are guaranteed the same answer; the entry's own QueryResult.Version
+// says which version it holds.
 type Key struct {
 	List zerber.ListID
 	// Groups is the canonical allowed-group set — use GroupsKey.
 	Groups string
 	Offset int
 	Count  int
-	// Version is the list version the window was read at. The cluster
-	// router, which learns versions only from responses, stores its
-	// entries under Version 0 and checks the entry's own result version
-	// instead (see Cache doc on both usages).
-	Version uint64
 }
 
 // GroupsKey canonicalizes an allowed-group set: sorted IDs joined by
@@ -75,9 +78,10 @@ func GroupsKey(allowed map[int]bool) string {
 
 // Stats is a point-in-time view of the cache counters.
 type Stats struct {
-	// Hits and Misses count Get outcomes; Evictions counts entries
-	// displaced by capacity pressure (replacing a key in place is not
-	// an eviction).
+	// Hits and Misses count lookups: a hit is a lookup that found an
+	// entry it may serve (Get: any entry; GetAt: one at the asked
+	// version). Evictions counts entries displaced by capacity pressure
+	// (replacing a key in place is not an eviction).
 	Hits, Misses, Evictions uint64
 	// Entries and Bytes describe current occupancy; Capacity is the
 	// configured byte bound.
@@ -154,7 +158,6 @@ func (c *Cache) shardFor(k Key) *shard {
 	put(uint64(k.List))
 	put(uint64(k.Offset))
 	put(uint64(k.Count))
-	put(k.Version)
 	h.WriteString(k.Groups)
 	return &c.shards[h.Sum64()%numShards]
 }
@@ -183,37 +186,64 @@ func cost(k Key, res store.QueryResult) int64 {
 	return n
 }
 
-// Get returns the window cached under k, if any, and refreshes its
-// recency. The result's Elements alias the cached (and therefore the
-// store's) buffers — callers must not mutate them.
+// Get returns the window cached under k, whatever its version, and
+// refreshes its recency; finding one counts as a hit. The result's
+// Elements alias the cached (and therefore the store's) buffers —
+// callers must not mutate them.
 func (c *Cache) Get(k Key) (store.QueryResult, bool) {
+	res, ok := c.lookup(k)
+	c.count(ok)
+	return res, ok
+}
+
+// GetAt is Get for a caller that knows the list's current version: it
+// returns the entry whatever its version (the server compares a stale
+// one with its current read), but counts a hit only when the entry was
+// read at version — the only entry the caller may serve.
+func (c *Cache) GetAt(k Key, version uint64) (store.QueryResult, bool) {
+	res, ok := c.lookup(k)
+	c.count(ok && res.Version == version)
+	return res, ok
+}
+
+func (c *Cache) lookup(k Key) (store.QueryResult, bool) {
 	s := c.shardFor(k)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	e, ok := s.entries[k]
 	if !ok {
-		s.mu.Unlock()
-		c.misses.Add(1)
 		return store.QueryResult{}, false
 	}
 	s.moveFront(e)
-	res := e.res
-	s.mu.Unlock()
-	c.hits.Add(1)
-	return res, true
+	return e.res, true
 }
 
-// Put stores the window under k, evicting least-recently-used entries
-// until the shard fits its budget. A window too large for the shard
-// budget is not cached at all. Storing under an existing key replaces
-// the entry (the router's Version-0 keys are refreshed this way).
+func (c *Cache) count(hit bool) {
+	if hit {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
+}
+
+// Put stores the window under k, replacing the entry already there (a
+// newer read of a window replaces the older one), and evicts
+// least-recently-used entries until the shard fits its budget. A window
+// too large for the shard budget is not cached, and the entry it would
+// have replaced is dropped: it is superseded, and would otherwise keep
+// what it aliases alive.
 func (c *Cache) Put(k Key, res store.QueryResult) {
 	s := c.shardFor(k)
 	n := cost(k, res)
 	budget := c.capacity / numShards
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if n > budget {
+		if e, ok := s.entries[k]; ok {
+			s.remove(e)
+		}
 		return
 	}
-	s.mu.Lock()
 	if e, ok := s.entries[k]; ok {
 		s.bytes += n - e.bytes
 		e.res, e.bytes = res, n
@@ -225,13 +255,9 @@ func (c *Cache) Put(k Key, res store.QueryResult) {
 		s.pushFront(e)
 	}
 	for s.bytes > budget {
-		lru := s.head.prev
-		s.unlink(lru)
-		delete(s.entries, lru.key)
-		s.bytes -= lru.bytes
+		s.remove(s.head.prev)
 		c.evictions.Add(1)
 	}
-	s.mu.Unlock()
 }
 
 // Stats returns the counters and occupancy. Occupancy is summed under
@@ -268,6 +294,12 @@ func (s *shard) unlink(e *entry) {
 	e.prev.next = e.next
 	e.next.prev = e.prev
 	e.prev, e.next = nil, nil
+}
+
+func (s *shard) remove(e *entry) {
+	s.unlink(e)
+	delete(s.entries, e.key)
+	s.bytes -= e.bytes
 }
 
 func (s *shard) moveFront(e *entry) {

@@ -17,8 +17,8 @@ func window(payloads ...string) store.QueryResult {
 	return res
 }
 
-func key(list zerber.ListID, groups string, offset, count int, version uint64) Key {
-	return Key{List: list, Groups: groups, Offset: offset, Count: count, Version: version}
+func key(list zerber.ListID, groups string, offset, count int) Key {
+	return Key{List: list, Groups: groups, Offset: offset, Count: count}
 }
 
 func TestGroupsKey(t *testing.T) {
@@ -47,7 +47,7 @@ func TestGroupsKey(t *testing.T) {
 
 func TestGetPutRoundTrip(t *testing.T) {
 	c := New(1 << 20)
-	k := key(3, "0,2", 10, 5, 17)
+	k := key(3, "0,2", 10, 5)
 	if _, ok := c.Get(k); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -66,30 +66,35 @@ func TestGetPutRoundTrip(t *testing.T) {
 	if &got.Elements[0].Sealed[0] != &res.Elements[0].Sealed[0] {
 		t.Fatal("payload was copied")
 	}
-	// A different version is a different key — the invalidation rule.
-	if _, ok := c.Get(key(3, "0,2", 10, 5, 18)); ok {
-		t.Fatal("hit across versions")
+	// At the entry's version GetAt is a hit; at any other it still
+	// returns the entry (the server compares it with its current read)
+	// but counts a miss — the invalidation rule.
+	if got, ok := c.GetAt(k, 17); !ok || got.Version != 17 {
+		t.Fatalf("GetAt at the entry's version: ok=%v %+v", ok, got)
 	}
-	// So are different groups, offsets and counts.
+	if got, ok := c.GetAt(k, 18); !ok || got.Version != 17 {
+		t.Fatalf("GetAt at a newer version: ok=%v %+v", ok, got)
+	}
+	// Different groups, offsets and counts are different windows.
 	for _, miss := range []Key{
-		key(3, "0", 10, 5, 17),
-		key(3, "0,2", 11, 5, 17),
-		key(3, "0,2", 10, 6, 17),
-		key(4, "0,2", 10, 5, 17),
+		key(3, "0", 10, 5),
+		key(3, "0,2", 11, 5),
+		key(3, "0,2", 10, 6),
+		key(4, "0,2", 10, 5),
 	} {
 		if _, ok := c.Get(miss); ok {
 			t.Fatalf("hit on %+v", miss)
 		}
 	}
 	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 6 || st.Entries != 1 {
+	if st.Hits != 2 || st.Misses != 6 || st.Entries != 1 {
 		t.Fatalf("stats %+v", st)
 	}
 }
 
 func TestReplaceInPlace(t *testing.T) {
 	c := New(1 << 20)
-	k := key(1, "*", 0, 10, 0) // router-style version-agnostic key
+	k := key(1, "*", 0, 10)
 	first := window("old")
 	first.Version = 5
 	c.Put(k, first)
@@ -113,38 +118,38 @@ func TestEvictionLRU(t *testing.T) {
 	// fit per shard and inserting more evicts.
 	c := New(16 * 1000)
 	payload := func(i int) string { return fmt.Sprintf("%064d", i) }
-	// All keys identical except version -> hashing may spread them; to
-	// pin one shard, find versions that land on the same shard.
-	target := c.shardFor(key(1, "*", 0, 1, 0))
-	var versions []uint64
-	for v := uint64(0); len(versions) < 6; v++ {
-		if c.shardFor(key(1, "*", 0, 1, v)) == target {
-			versions = append(versions, v)
+	// All keys identical except offset -> hashing may spread them; to
+	// pin one shard, find offsets that land on the same shard.
+	target := c.shardFor(key(1, "*", 0, 1))
+	var offsets []int
+	for o := 0; len(offsets) < 6; o++ {
+		if c.shardFor(key(1, "*", o, 1)) == target {
+			offsets = append(offsets, o)
 		}
 	}
-	for i, v := range versions[:5] {
-		c.Put(key(1, "*", 0, 1, v), window(payload(i)))
+	for i, o := range offsets[:5] {
+		c.Put(key(1, "*", o, 1), window(payload(i)))
 	}
 	// 5 entries * 233 > 1000: the first (LRU) must be gone.
-	if _, ok := c.Get(key(1, "*", 0, 1, versions[0])); ok {
+	if _, ok := c.Get(key(1, "*", offsets[0], 1)); ok {
 		t.Fatal("LRU entry survived over-budget insert")
 	}
-	if _, ok := c.Get(key(1, "*", 0, 1, versions[4])); !ok {
+	if _, ok := c.Get(key(1, "*", offsets[4], 1)); !ok {
 		t.Fatal("most recent entry evicted")
 	}
 	if st := c.Stats(); st.Evictions == 0 {
 		t.Fatalf("no evictions recorded: %+v", st)
 	}
-	// Touching an old entry protects it: re-Get versions[1], insert
-	// another, and versions[1] must outlive versions[2].
-	if _, ok := c.Get(key(1, "*", 0, 1, versions[1])); !ok {
+	// Touching an old entry protects it: re-Get offsets[1], insert
+	// another, and offsets[1] must outlive offsets[2].
+	if _, ok := c.Get(key(1, "*", offsets[1], 1)); !ok {
 		t.Fatal("entry 1 already gone")
 	}
-	c.Put(key(1, "*", 0, 1, versions[5]), window(payload(5)))
-	if _, ok := c.Get(key(1, "*", 0, 1, versions[1])); !ok {
+	c.Put(key(1, "*", offsets[5], 1), window(payload(5)))
+	if _, ok := c.Get(key(1, "*", offsets[1], 1)); !ok {
 		t.Fatal("recently-touched entry evicted before older one")
 	}
-	if _, ok := c.Get(key(1, "*", 0, 1, versions[2])); ok {
+	if _, ok := c.Get(key(1, "*", offsets[2], 1)); ok {
 		t.Fatal("older entry survived while budget forced eviction")
 	}
 }
@@ -154,10 +159,33 @@ func TestEvictionLRU(t *testing.T) {
 func TestOversizedWindowNotCached(t *testing.T) {
 	c := New(16 * 256) // 256 bytes per shard
 	big := window(string(make([]byte, 4096)))
-	k := key(1, "*", 0, 1, 1)
+	k := key(1, "*", 0, 1)
 	c.Put(k, big)
 	if _, ok := c.Get(k); ok {
 		t.Fatal("oversized window cached")
+	}
+	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestOversizedPutDropsOldEntry: a newer read of a window replaces the
+// older one even when it is too large to cache — the superseded entry
+// goes rather than staying resident and pinning what it aliases.
+func TestOversizedPutDropsOldEntry(t *testing.T) {
+	c := New(16 * 256) // 256 bytes per shard
+	k := key(1, "*", 0, 1)
+	old := window("small")
+	old.Version = 1
+	c.Put(k, old)
+	if _, ok := c.Get(k); !ok {
+		t.Fatal("small window not cached")
+	}
+	big := window(string(make([]byte, 4096)))
+	big.Version = 2
+	c.Put(k, big)
+	if got, ok := c.Get(k); ok {
+		t.Fatalf("superseded entry (version %d) still resident", got.Version)
 	}
 	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
 		t.Fatalf("stats %+v", st)
@@ -169,16 +197,16 @@ func TestOversizedWindowNotCached(t *testing.T) {
 func TestZeroCapacity(t *testing.T) {
 	for _, capBytes := range []int64{0, -1} {
 		c := New(capBytes)
-		c.Put(key(1, "*", 0, 1, 1), window("x"))
-		if _, ok := c.Get(key(1, "*", 0, 1, 1)); ok {
+		c.Put(key(1, "*", 0, 1), window("x"))
+		if _, ok := c.Get(key(1, "*", 0, 1)); ok {
 			t.Fatalf("capacity %d cached an entry", capBytes)
 		}
 	}
 }
 
 // TestConcurrentAccess hammers all operations from many goroutines —
-// run under -race in CI. Correctness assertion: any hit must return
-// the window that was stored under exactly that key.
+// run under -race in CI. Correctness assertion: any hit must return a
+// window that was stored under exactly that key, whole.
 func TestConcurrentAccess(t *testing.T) {
 	c := New(1 << 18)
 	var wg sync.WaitGroup
@@ -187,17 +215,14 @@ func TestConcurrentAccess(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				k := key(zerber.ListID(i%7), "0,1", i%5, 1+(i/3)%3, uint64(i%11))
+				k := key(zerber.ListID(i%7), "0,1", i%5, 1+(i/3)%3)
 				if i%3 == 0 {
-					res := window(fmt.Sprintf("v%d", k.Version))
-					res.Version = k.Version
+					v := uint64(i % 11)
+					res := window(fmt.Sprintf("%v/v%d", k, v))
+					res.Version = v
 					c.Put(k, res)
-				} else if got, ok := c.Get(k); ok {
-					if got.Version != k.Version {
-						t.Errorf("hit returned version %d for key version %d", got.Version, k.Version)
-						return
-					}
-					if want := fmt.Sprintf("v%d", k.Version); string(got.Elements[0].Sealed) != want {
+				} else if got, ok := c.GetAt(k, uint64(i%11)); ok {
+					if want := fmt.Sprintf("%v/v%d", k, got.Version); string(got.Elements[0].Sealed) != want {
 						t.Errorf("hit returned %q, want %q", got.Elements[0].Sealed, want)
 						return
 					}

@@ -45,10 +45,11 @@ import (
 // revalidates them per shard with conditional sub-queries
 // (ListQuery.IfVersion): each list's response carries the owning
 // shard's version for it, and a follow-up batch asks "serve this
-// window only if the version moved". A shard whose lists are unchanged
+// window only if the window moved". A shard whose windows are unchanged
 // answers with tiny Unchanged markers and the router reuses the
-// retained windows — same elements, a fraction of the wire bytes and
-// none of the shard-side merge work.
+// retained windows — same elements, a fraction of the wire bytes. An
+// Unchanged marker at a newer version (the list moved outside the
+// window) re-stamps the retained window with that version.
 type Router struct {
 	// tab is the live routing table. The slot count is fixed for the
 	// router's lifetime (list→slot assignment never moves); which
@@ -62,10 +63,12 @@ type Router struct {
 	// only after acquiring it, so once Migrate holds it exclusively, no
 	// write can land on the old transport or miss the new one.
 	writeMu []sync.RWMutex
-	// results is the optional window cache (nil = off). Entries are
-	// keyed version-agnostically (Key.Version = 0); the retained
+	// results is the optional window cache (nil = off). The retained
 	// window's own Version is what conditional revalidation sends.
 	results atomic.Pointer[cache.Cache]
+	// revalidated counts retained windows substituted at a moved
+	// version (Revalidated).
+	revalidated atomic.Uint64
 	// health tracks per-shard liveness (health.go); index-parallel to
 	// the table's slots.
 	health []shardHealth
@@ -153,6 +156,11 @@ func (r *Router) CacheStats() (cache.Stats, bool) {
 	}
 	return c.Stats(), true
 }
+
+// Revalidated counts the retained windows the router substituted for a
+// shard's Unchanged answer at a version newer than the window's own:
+// the shard's list moved, the window did not.
+func (r *Router) Revalidated() uint64 { return r.revalidated.Load() }
 
 // groupsOf canonicalizes the groups the presented tokens claim — the
 // same set the shard's validated allowed-set will hold, so router and
@@ -289,9 +297,11 @@ func (r *Router) shardFanOut(ctx context.Context, n int, listOf func(i int) zerb
 // With a cache installed, each sub-query the router holds a retained
 // window for goes out conditional on that window's shard version; an
 // Unchanged answer substitutes the retained window, element-identical
-// to what the shard would have re-served. Sub-queries whose callers
-// set IfVersion themselves are passed through untouched — the caller
-// is running its own revalidation and gets the raw Unchanged marker.
+// to what the shard would have re-served. An Unchanged answer at a
+// newer version re-retains the same window at that version, so the
+// next batch is conditional on it. Sub-queries whose callers set
+// IfVersion themselves are passed through untouched — the caller is
+// running its own revalidation and gets the raw Unchanged marker.
 func (r *Router) QueryBatch(ctx context.Context, toks []crypt.Token, queries []server.ListQuery) (client.BatchQueryResult, error) {
 	if len(queries) == 0 {
 		return client.BatchQueryResult{}, fmt.Errorf("%w: empty query batch", server.ErrBadRequest)
@@ -339,13 +349,22 @@ func (r *Router) QueryBatch(ctx context.Context, toks []crypt.Token, queries []s
 			switch w := retained[gi]; {
 			case resp.Unchanged && w != nil:
 				// The shard vouched the retained window is still the
-				// current content for this version — which makes the
-				// retained proof (same version, same commitment) exact
-				// too, so a proved sub-query gets it back.
+				// current content at resp.Version. At the window's own
+				// version that makes the retained proof (same version,
+				// same commitment) exact too, so a proved sub-query gets
+				// it back; at a newer one the proof is of an older root,
+				// and the window is re-retained without it.
 				out[gi] = server.QueryResponse{Elements: w.res.Elements, Exhausted: w.res.Exhausted, Version: resp.Version}
-				if queries[gi].Proof {
-					out[gi].Proof = w.res.Proof
+				if resp.Version == w.res.Version {
+					if queries[gi].Proof {
+						out[gi].Proof = w.res.Proof
+					}
+					break
 				}
+				r.revalidated.Add(1)
+				moved := w.res
+				moved.Version, moved.Proof = resp.Version, nil
+				c.Put(r.windowKey(groups, queries[gi]), moved)
 			default:
 				out[gi] = resp
 				if c != nil && !resp.Unchanged && resp.Version != 0 && queries[gi].IfVersion == nil {

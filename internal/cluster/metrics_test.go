@@ -90,10 +90,25 @@ func TestMetricsScrapeExposition(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 2; i++ { // second pass hits srv0's result cache
-		if _, _, err := (client.Local{S: srv0}).Query(ctx, toks, 0, 0, 1); err != nil {
+	below := func(b byte) {
+		if err := router.Insert(ctx, toks[0], 0, server.StoredElement{Sealed: []byte{b}, TRS: float64(b) / 256, Group: 0}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	below(128)
+	var first server.QueryResponse
+	for i := 0; i < 2; i++ { // second pass hits srv0's result cache
+		resp, _, err := (client.Local{S: srv0}).Query(ctx, toks, 0, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first = resp
+	}
+	// A write below the window, then a conditional read at the old
+	// version: revalidated, not re-served.
+	below(64)
+	if res, err := srv0.QueryBatch(ctx, toks, []server.ListQuery{{List: 0, Offset: 0, Count: 1, IfVersion: &first.Version}}); err != nil || !res[0].Unchanged {
+		t.Fatalf("conditional read after a write below the window: %+v, %v", res, err)
 	}
 	if resp, err := http.Get(ts.URL + "/v2/stats"); err != nil {
 		t.Fatal(err)
@@ -205,7 +220,7 @@ func TestMetricsScrapeExposition(t *testing.T) {
 		server.MetricCacheBytes, server.MetricUptimeSeconds,
 		server.MetricGoHeapLiveBytes, server.MetricGoHeapObjects,
 		server.MetricGoGCCycles, server.MetricGoGCCPUSeconds,
-		server.MetricGoGoroutines,
+		server.MetricGoGoroutines, server.MetricQueryRevalidated,
 		store.MetricWALAppendSeconds, store.MetricWALRecordsTotal,
 		store.MetricSnapshotsTotal, store.MetricWALPoisoned,
 		MetricShardInFlight, MetricShardOpsTotal,
@@ -218,13 +233,15 @@ func TestMetricsScrapeExposition(t *testing.T) {
 		}
 	}
 
-	// The served traffic must be visible: a cache hit was recorded, the
-	// WAL appended the inserts, both shards saw operations.
+	// The served traffic must be visible: a cache hit and a revalidation
+	// were recorded, the WAL appended the inserts, both shards saw
+	// operations.
 	text := string(body)
 	for _, want := range []string{
 		server.MetricCacheHitsTotal + " 1",
-		store.MetricWALRecordsTotal + " 2",    // the two even lists
-		MetricShardOpsTotal + `{shard="0"} 3`, // login + two inserts
+		server.MetricQueryRevalidated + " 1",
+		store.MetricWALRecordsTotal + " 4",    // the two even lists, two writes below
+		MetricShardOpsTotal + `{shard="0"} 5`, // login + four inserts
 		MetricShardOpsTotal + `{shard="1"} 2`, // two inserts
 	} {
 		if !strings.Contains(text, want) {

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"math/rand"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -55,6 +56,9 @@ type Bench struct {
 //     allocation counts on the read hot path (benchmark/ reports
 //     milliseconds per layer, never allocations), and the < 5 %
 //     observability gate of QueryInstrumented/hit over QueryCached/hit.
+//     QueryCached/revalidate is the conditional read of a window whose
+//     list moved below it, which `mixed` pays on most of its router's
+//     sub-queries but only ever shows as bytes saved.
 //   - ProofQuery/proved: server-side proof assembly alone, at 15k
 //     leaves per group — benchmark/'s store.query_proved_ms is the same
 //     cost summed over a search's rounds on ≈ 625-leaf groups, where
@@ -94,6 +98,7 @@ func Suite() []Bench {
 		{Name: "QueryFollowup/indexed", F: queryFollowupIndexed, MaxAllocs: 27},
 		{Name: "QueryCached/hit", F: queryCachedHit, MaxAllocs: 132},
 		{Name: "QueryCached/uncached", F: queryCachedUncached, MaxAllocs: 153},
+		{Name: "QueryCached/revalidate", F: queryCachedRevalidate, MaxAllocs: 156},
 		{Name: "QueryInstrumented/hit", F: queryInstrumentedHit, MaxAllocs: 132},
 		{Name: "ProofQuery/proved", F: proofQueryProved, MaxAllocs: 158},
 		{Name: "ProofQuery/after-write", F: proofQueryAfterWrite},
@@ -273,6 +278,68 @@ func queryInstrumentedHit(b *testing.B) {
 	queryCached(b, f.instrumented, f.toks)
 }
 
+// queryCachedRevalidate prices the conditional read of a window whose
+// list moved below it: the version read, the lookup of the entry at the
+// caller's version, the store read and the comparison that answers
+// Unchanged. Outside the timer each iteration moves the list with a
+// write at its bottom rank (an insert, then its removal), so every
+// sub-query names the version before the write.
+func queryCachedRevalidate(b *testing.B) {
+	mem := writeList()
+	s := server.NewWithBackend([]byte("microbench-secret"), time.Hour, mem)
+	s.SetCache(cache.New(64 << 20))
+	s.RegisterUser("bench", 0, 2, 4, 6)
+	ctx := context.Background()
+	toks, err := s.Login(ctx, "bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ver, err := mem.Version(fixtureList)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rounds := slices.Clone(followupRounds)
+	for round := range rounds {
+		if _, err := s.QueryBatch(ctx, toks, rounds[round:round+1]); err != nil {
+			b.Fatal(err)
+		}
+		rounds[round].IfVersion = &ver
+	}
+	bottom := store.Element{Sealed: []byte("microbench-bottom"), TRS: -1, Group: 0}
+	write := func(i int) {
+		if i%2 == 0 {
+			err = mem.Insert(fixtureList, bottom)
+		} else {
+			err = mem.Remove(fixtureList, bottom.Sealed, nil)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		write(i)
+		b.StartTimer()
+		moved := ver
+		for round := range rounds {
+			resps, err := s.QueryBatch(ctx, toks, rounds[round:round+1])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if moved = resps[0].Version; !resps[0].Unchanged || moved == ver {
+				b.Fatalf("offset %d: unchanged=%v at version %d", rounds[round].Offset, resps[0].Unchanged, moved)
+			}
+		}
+		ver = moved
+	}
+	b.StopTimer()
+	if b.N%2 == 1 {
+		write(b.N) // remove what the last iteration inserted
+	}
+}
+
 // --- verifiable reads -----------------------------------------------
 
 // proofQueryProved prices the audit path at steady state: QueryProved
@@ -302,9 +369,11 @@ func proofQueryProved(b *testing.B) {
 	}
 }
 
-// writeList is ProofQuery/after-write's own copy of the fixture: the
-// leg mutates its list, and the read-only legs' windows (and the
-// servers' caches over them) must not move under them.
+// writeList is the writing legs' own copy of the fixture
+// (ProofQuery/after-write, QueryCached/revalidate): they mutate its
+// list and each leaves it as it found it, and the read-only legs'
+// windows (and the servers' caches over them) must not move under
+// them.
 var writeList = sync.OnceValue(newBigList)
 
 // proofQueryAfterWrite prices what a write costs the next audit: one

@@ -31,13 +31,18 @@ type ListQuery struct {
 	List   zerber.ListID `json:"list"`
 	Offset int           `json:"offset"`
 	Count  int           `json:"count"`
-	// IfVersion, when set, makes the sub-query conditional: if the
-	// list's current version equals it, the response is just {Version,
-	// Unchanged: true} and the caller reuses the window it retained
-	// from an earlier response (the cluster router does this per
-	// shard). Any other version serves the full window as usual. An
-	// Unchanged answer to a proved sub-query carries no proof either:
-	// equal versions commit to identical state, so the retained proof
+	// IfVersion, when set, makes the sub-query conditional: the caller
+	// retained this window from an earlier response served at this
+	// version (the cluster router does this per shard). If the list's
+	// current version equals it, the response is just {Version,
+	// Unchanged: true}. If the version moved, an unproven sub-query is
+	// still answered Unchanged, at the current version, when the server
+	// cached the window at IfVersion and the current read equals it —
+	// a write outside the window, such as below it or in a group the
+	// caller cannot see, leaves the window as it was. Anything else
+	// serves the full window as usual. An Unchanged answer to a proved
+	// sub-query carries no proof either: it is only given at an equal
+	// version, which commits to identical state, so the retained proof
 	// still verifies.
 	IfVersion *uint64 `json:"if_version,omitempty"`
 	// Proof asks for the window's Merkle proof (QueryResponse.Proof).

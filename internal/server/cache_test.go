@@ -4,12 +4,16 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"zerberr/internal/cache"
 	"zerberr/internal/client"
+	"zerberr/internal/crypt"
+	"zerberr/internal/obs"
+	"zerberr/internal/proof"
 	"zerberr/internal/server"
 	"zerberr/internal/store"
 	"zerberr/internal/zerber"
@@ -197,60 +201,179 @@ func TestCachedQueryDifferential(t *testing.T) {
 	}
 }
 
-// TestQueryBatchIfVersion pins the conditional sub-query protocol:
-// matching IfVersion yields Unchanged with no elements, a stale one
-// yields the full window with the new version, and a mutation in a
-// group outside the caller's visibility still invalidates (the
-// version is per list, deliberately conservative).
+// TestQueryBatchIfVersion pins the conditional sub-query protocol, one
+// row per case: a matching IfVersion yields Unchanged with no elements;
+// at a moved version an unproven sub-query is still Unchanged — at the
+// new version — when the server cached the window at IfVersion and the
+// write left it as it was; anything else yields the full window at the
+// new version.
 func TestQueryBatchIfVersion(t *testing.T) {
-	s := server.New([]byte("if-version-secret"), time.Hour)
-	s.RegisterUser("u", 0, 1)
 	ctx := context.Background()
-	toks, err := s.Login(ctx, "u")
-	if err != nil {
+	below := server.StoredElement{Sealed: []byte("below"), TRS: 0.01, Group: 0}
+	const cached = 1 << 20
+	cases := []struct {
+		name string
+		// cacheBytes sizes the server's cache, 0 for none.
+		cacheBytes int64
+		proof      bool
+		// write mutates the list after the window was served at ver;
+		// nil leaves it at ver.
+		write     func(t *testing.T, s *server.Server, toks, other []crypt.Token)
+		evict     bool
+		unchanged bool
+	}{
+		{name: "same version", cacheBytes: cached, unchanged: true},
+		{name: "write in a group the caller cannot see", cacheBytes: cached, unchanged: true,
+			write: func(t *testing.T, s *server.Server, _, other []crypt.Token) {
+				insert(t, s, other[0], server.StoredElement{Sealed: []byte("foreign"), TRS: 0.99, Group: 2})
+			}},
+		{name: "insert below the window", cacheBytes: cached, unchanged: true,
+			write: func(t *testing.T, s *server.Server, toks, _ []crypt.Token) { insert(t, s, toks[0], below) }},
+		{name: "remove below the window", cacheBytes: cached, unchanged: true,
+			write: func(t *testing.T, s *server.Server, toks, _ []crypt.Token) {
+				if err := client.RemoveOne(ctx, s.RemoveBatch, toks[0], 1, []byte("e00")); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		{name: "write inside the window", cacheBytes: cached,
+			write: func(t *testing.T, s *server.Server, toks, _ []crypt.Token) {
+				insert(t, s, toks[1], server.StoredElement{Sealed: []byte("fresh"), TRS: 0.99, Group: 1})
+			}},
+		{name: "proved at a moved version", cacheBytes: cached, proof: true,
+			write: func(t *testing.T, s *server.Server, toks, _ []crypt.Token) { insert(t, s, toks[0], below) }},
+		{name: "cache off",
+			write: func(t *testing.T, s *server.Server, toks, _ []crypt.Token) { insert(t, s, toks[0], below) }},
+		// 346 accounted bytes per 5-element window: one fits a shard, so
+		// evictWindow can push it out.
+		{name: "entry evicted", cacheBytes: 16 * 400,
+			write: func(t *testing.T, s *server.Server, toks, _ []crypt.Token) { insert(t, s, toks[0], below) },
+			evict: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			backend := store.NewMemory()
+			s := server.NewWithBackend([]byte("if-version-secret"), time.Hour, backend)
+			reg := obs.NewRegistry()
+			s.SetObs(reg)
+			c := cache.New(tc.cacheBytes)
+			if tc.cacheBytes > 0 {
+				s.SetCache(c)
+			}
+			s.RegisterUser("u", 0, 1)
+			s.RegisterUser("other", 2)
+			toks, err := s.Login(ctx, "u")
+			if err != nil {
+				t.Fatal(err)
+			}
+			other, err := s.Login(ctx, "other")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 20; i++ {
+				insert(t, s, toks[i%2], server.StoredElement{Sealed: []byte(fmt.Sprintf("e%02d", i)), TRS: float64(i) / 20, Group: i % 2})
+			}
+			q := server.ListQuery{List: 1, Offset: 0, Count: 5, Proof: tc.proof}
+			base, err := s.QueryBatch(ctx, toks, []server.ListQuery{q})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ver := base[0].Version
+			if ver == 0 || base[0].Unchanged || len(base[0].Elements) != 5 {
+				t.Fatalf("unconditional response: %+v", base[0])
+			}
+			want := ver
+			if tc.write != nil {
+				tc.write(t, s, toks, other)
+				want = ver + 1
+			}
+			if tc.evict {
+				evictWindow(t, s, c, toks)
+			}
+
+			q.IfVersion = &ver
+			got, err := s.QueryBatch(ctx, toks, []server.ListQuery{q})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp := got[0]
+			if resp.Unchanged != tc.unchanged || resp.Version != want {
+				t.Fatalf("unchanged=%v version=%d, want unchanged=%v version=%d", resp.Unchanged, resp.Version, tc.unchanged, want)
+			}
+			wantRevalidated := uint64(0)
+			if tc.unchanged && want != ver {
+				wantRevalidated = 1
+			}
+			if n := reg.Counter(server.MetricQueryRevalidated, "").Value(); n != wantRevalidated {
+				t.Fatalf("%s = %d, want %d", server.MetricQueryRevalidated, n, wantRevalidated)
+			}
+			if resp.Unchanged {
+				if resp.Elements != nil || resp.Proof != nil {
+					t.Fatalf("Unchanged answer carries a window: %+v", resp)
+				}
+				// The window the caller retained is the current one.
+				cur, err := s.QueryBatch(ctx, toks, []server.ListQuery{{List: 1, Offset: 0, Count: 5}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(cur[0].Elements, base[0].Elements) || cur[0].Exhausted != base[0].Exhausted {
+					t.Fatalf("Unchanged, but the current window differs from the retained one")
+				}
+				return
+			}
+			want5, wantExh := oracleWindow(t, backend, 1, map[int]bool{0: true, 1: true}, 0, 5)
+			if !sameElements(resp.Elements, want5) || resp.Exhausted != wantExh {
+				t.Fatalf("full window %d elements (exhausted=%v), oracle %d (exhausted=%v)", len(resp.Elements), resp.Exhausted, len(want5), wantExh)
+			}
+			if tc.proof != (resp.Proof != nil) {
+				t.Fatalf("proof present = %v on a proof=%v sub-query", resp.Proof != nil, tc.proof)
+			}
+			if tc.proof {
+				verifyAgainstRoot(t, backend, resp, map[int]bool{0: true, 1: true}, 0, 5)
+			}
+		})
+	}
+}
+
+func insert(t *testing.T, s *server.Server, tok crypt.Token, el server.StoredElement) {
+	t.Helper()
+	if err := client.InsertOne(context.Background(), s.InsertBatch, tok, 1, el); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 20; i++ {
-		el := server.StoredElement{Sealed: []byte(fmt.Sprintf("e%02d", i)), TRS: float64(i) / 20, Group: i % 2}
-		if err := client.InsertOne(ctx, s.InsertBatch, toks[i%2], 1, el); err != nil {
+}
+
+// evictWindow reads other windows of list 1 until the LRU pushes the
+// (0, 5) window out of c, whose shards hold about one window each.
+func evictWindow(t *testing.T, s *server.Server, c *cache.Cache, toks []crypt.Token) {
+	t.Helper()
+	k := cache.Key{List: 1, Groups: cache.GroupsKey(map[int]bool{0: true, 1: true}), Offset: 0, Count: 5}
+	for offset := 1; offset < 10_000; offset++ {
+		if _, err := s.QueryBatch(context.Background(), toks, []server.ListQuery{{List: 1, Offset: offset, Count: 5}}); err != nil {
 			t.Fatal(err)
 		}
+		if _, ok := c.Get(k); !ok {
+			return
+		}
 	}
-	base, err := s.QueryBatch(ctx, toks, []server.ListQuery{{List: 1, Offset: 0, Count: 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp := base[0]
-	if resp.Version == 0 || resp.Unchanged {
-		t.Fatalf("unconditional response: %+v", resp)
-	}
+	t.Fatal("the window was never evicted")
+}
 
-	// Same version -> Unchanged, no payload.
-	ver := resp.Version
-	cond, err := s.QueryBatch(ctx, toks, []server.ListQuery{{List: 1, Offset: 0, Count: 5, IfVersion: &ver}})
+// verifyAgainstRoot checks a proved window against the list's
+// published commitment at the version it was served at.
+func verifyAgainstRoot(t *testing.T, b store.Backend, resp server.QueryResponse, allowed map[int]bool, offset, count int) {
+	t.Helper()
+	elems := make([]proof.WindowElement, len(resp.Elements))
+	for i, el := range resp.Elements {
+		elems[i] = proof.WindowElement{TRS: el.TRS, Sealed: el.Sealed, Group: el.Group}
+	}
+	if err := proof.VerifyWindow(resp.Proof, allowed, offset, count, elems, resp.Exhausted, resp.Version); err != nil {
+		t.Fatalf("proof does not verify: %v", err)
+	}
+	cm, err := b.Commitment(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cond[0].Unchanged || cond[0].Version != ver || cond[0].Elements != nil {
-		t.Fatalf("conditional hit: %+v", cond[0])
-	}
-
-	// Mutate (group 1 — outside or inside visibility, the per-list
-	// version bumps either way), then the same conditional must serve
-	// the full window at the new version.
-	if err := client.InsertOne(ctx, s.InsertBatch, toks[1], 1, server.StoredElement{Sealed: []byte("fresh"), TRS: 0.99, Group: 1}); err != nil {
-		t.Fatal(err)
-	}
-	cond2, err := s.QueryBatch(ctx, toks, []server.ListQuery{{List: 1, Offset: 0, Count: 5, IfVersion: &ver}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cond2[0].Unchanged || cond2[0].Version != ver+1 || len(cond2[0].Elements) != 5 {
-		t.Fatalf("conditional miss: unchanged=%v version=%d (want %d) elements=%d",
-			cond2[0].Unchanged, cond2[0].Version, ver+1, len(cond2[0].Elements))
-	}
-	if string(cond2[0].Elements[0].Sealed) != "fresh" {
-		t.Fatalf("full window after mutation misses the new top element: %q", cond2[0].Elements[0].Sealed)
+	if cm.Version != resp.Version || cm.Root != resp.Proof.Root {
+		t.Fatalf("proof at version %d root %s, list committed at version %d root %s", resp.Version, resp.Proof.Root, cm.Version, cm.Root)
 	}
 }
 
@@ -292,5 +415,24 @@ func TestStatsV2CacheCounters(t *testing.T) {
 	}
 	if st.Cache.Capacity != 1<<20 || st.Cache.Bytes == 0 {
 		t.Fatalf("cache sizing: %+v", st.Cache)
+	}
+	// A conditional read at a moved version finds the entry at the old
+	// version and compares it with its read: that lookup served nothing,
+	// so it is a miss even when the answer is Unchanged.
+	insert(t, s, toks[0], server.StoredElement{Sealed: []byte("y"), TRS: 0.25, Group: 0})
+	res, err := s.QueryBatch(ctx, toks, []server.ListQuery{{List: 1, Offset: 0, Count: 1}}) // a miss
+	if err != nil {
+		t.Fatal(err)
+	}
+	ver := res[0].Version
+	insert(t, s, toks[0], server.StoredElement{Sealed: []byte("z"), TRS: 0.125, Group: 0})
+	if res, err = s.QueryBatch(ctx, toks, []server.ListQuery{{List: 1, Offset: 0, Count: 1, IfVersion: &ver}}); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = s.StatsV2(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if !res[0].Unchanged || st.Cache.Misses != 3 || st.Cache.Hits != 2 || st.Cache.Entries != 2 {
+		t.Fatalf("after a conditional read at a moved version: unchanged=%v, cache %+v", res[0].Unchanged, st.Cache)
 	}
 }

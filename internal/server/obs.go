@@ -23,6 +23,7 @@ const (
 	MetricQueriesTotal       = "zerber_queries_total"
 	MetricProvedQueries      = "zerber_proved_queries_total"
 	MetricProofContinuations = "zerber_proof_continuations_total"
+	MetricQueryRevalidated   = "zerber_query_revalidated_total"
 	MetricMutationsTotal     = "zerber_mutations_total"
 	MetricHTTPRequestSeconds = "zerber_http_request_seconds"
 	MetricHTTPRequestsTotal  = "zerber_http_requests_total"
@@ -60,6 +61,7 @@ type serverMetrics struct {
 	queries     *obs.Counter   // sub-queries served
 	proved      *obs.Counter   // sub-queries served with a window proof
 	continued   *obs.Counter   // proved windows served as continuations (ListQuery.ProofFrom)
+	revalidated *obs.Counter   // conditional sub-queries answered Unchanged at a moved version
 	inserts     *obs.Counter
 	removes     *obs.Counter
 	rateLimited *obs.Counter
@@ -88,6 +90,7 @@ func (s *Server) SetObs(reg *obs.Registry) {
 		queries:     reg.Counter(MetricQueriesTotal, "ranked-range sub-queries served"),
 		proved:      reg.Counter(MetricProvedQueries, "sub-queries served with a Merkle window proof"),
 		continued:   reg.Counter(MetricProofContinuations, "proved windows served as the continuation of a window the client verified"),
+		revalidated: reg.Counter(MetricQueryRevalidated, "conditional sub-queries answered unchanged at a moved list version"),
 		inserts:     reg.Counter(MetricMutationsTotal, "accepted mutations by op", obs.Label{Name: "op", Value: "insert"}),
 		removes:     reg.Counter(MetricMutationsTotal, "accepted mutations by op", obs.Label{Name: "op", Value: "remove"}),
 		rateLimited: reg.Counter(MetricRateLimitedTotal, "requests refused by the per-user rate limit"),

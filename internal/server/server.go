@@ -13,6 +13,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -47,14 +48,18 @@ type QueryResponse struct {
 	Exhausted bool `json:"exhausted"`
 	// Version is the list's mutation version the range was served at
 	// (store.Backend.Version). Callers may hold on to the response and
-	// later revalidate it for free with ListQuery.IfVersion: an equal
+	// later revalidate it cheaply with ListQuery.IfVersion: an equal
 	// version guarantees identical content. Always set (0 only for
 	// legacy empty lists that have never been mutated).
 	Version uint64 `json:"version,omitempty"`
-	// Unchanged reports that the sub-query carried an IfVersion equal
-	// to the list's current version: the caller's retained window is
-	// still exact, so Elements and Exhausted are omitted. (This covers
-	// a retained proof too: equal versions commit to identical state.)
+	// Unchanged reports that the window the sub-query's IfVersion names
+	// is still the current window, so Elements and Exhausted are
+	// omitted and the caller reuses the one it retained. Version is the
+	// list's current version: equal to IfVersion when nothing moved
+	// (which covers a retained proof too — equal versions commit to
+	// identical state), newer when the list moved but this window did
+	// not (unproven sub-queries only; the caller's retained proof does
+	// not verify at the new version).
 	Unchanged bool `json:"unchanged,omitempty"`
 	// Proof is the window's Merkle proof, present exactly when the
 	// sub-query asked for one (ListQuery.Proof): its continuation when
@@ -141,10 +146,11 @@ func NewWithBackend(secret []byte, tokenTTL time.Duration, backend store.Backend
 func (s *Server) Close() error { return s.backend.Close() }
 
 // SetCache installs (or, with nil, removes) a query-result cache. The
-// cache is consulted by QueryBatch under version-stamped
-// keys, so it is always transparent: a mutation bumps the list version
-// and every window cached before it stops matching. A cache may be
-// installed or swapped while the server is serving traffic.
+// cache is consulted by QueryBatch, which serves an entry only at the
+// list's current version, so it is always transparent: a mutation
+// bumps the list version and every window cached before it stops being
+// served. A cache may be installed or swapped while the server is
+// serving traffic.
 func (s *Server) SetCache(c *cache.Cache) { s.results.Store(c) }
 
 // CacheStats reports the query-result cache counters; ok is false when
@@ -261,12 +267,20 @@ func userOf(toks []crypt.Token) string {
 // own hot path (per-group sorted sub-lists merged from the requested
 // offset), so a sub-query costs the range, not the list.
 //
-// With a cache installed, the window is looked up under the list's
-// current version first; a hit skips the backend read entirely and is
-// element-identical to it (equal versions guarantee equal content). A
-// non-nil ifVersion equal to the current version short-circuits even
-// further: the caller has the window already, so only (Version,
-// Unchanged) comes back.
+// With a cache installed, the window's entry is looked up first; one
+// read at the list's current version skips the backend read entirely
+// and is element-identical to it (equal versions guarantee equal
+// content). A non-nil ifVersion equal to the current version
+// short-circuits even further: the caller has the window already, so
+// only (Version, Unchanged) comes back.
+//
+// A conditional sub-query whose version moved takes the backend read.
+// If it is unproven and the entry held the window at exactly
+// *IfVersion — the window the caller retained, since one version is one
+// content — and that window equals the current read, the answer is
+// still Unchanged, at the current version: a write below the window
+// leaves it byte-identical. A proved sub-query stays version-equal
+// only, because a retained proof commits to its own version's root.
 //
 // q.Proof asks for the window's Merkle proof. Cache entries are shared
 // across both forms under the same key: a proved entry serves unproven
@@ -278,11 +292,9 @@ func userOf(toks []crypt.Token) string {
 func (s *Server) queryAllowed(allowed map[int]bool, q ListQuery) (QueryResponse, error) {
 	c := s.results.Load()
 	var key cache.Key
-	if c != nil {
-		// Built once per sub-query; only the Version field differs
-		// between the lookup and a later fill.
-		key = cache.Key{List: q.List, Groups: cache.GroupsKey(allowed), Offset: q.Offset, Count: q.Count}
-	}
+	// prev is the entry the lookup found, at whatever version.
+	var prev store.QueryResult
+	var cached bool
 	if c != nil || q.IfVersion != nil {
 		ver, err := s.backend.Version(q.List)
 		switch {
@@ -295,9 +307,10 @@ func (s *Server) queryAllowed(allowed map[int]bool, q ListQuery) (QueryResponse,
 			return QueryResponse{Version: ver, Unchanged: true}, nil
 		}
 		if c != nil {
-			key.Version = ver
-			if res, ok := c.Get(key); ok && (!q.Proof || res.Proof != nil) {
-				return s.respond(res, q), nil
+			key = cache.Key{List: q.List, Groups: cache.GroupsKey(allowed), Offset: q.Offset, Count: q.Count}
+			prev, cached = c.GetAt(key, ver)
+			if cached && prev.Version == ver && (!q.Proof || prev.Proof != nil) {
+				return s.respond(prev, q), nil
 			}
 		}
 	}
@@ -320,15 +333,37 @@ func (s *Server) queryAllowed(allowed map[int]bool, q ListQuery) (QueryResponse,
 		}
 	}
 	if c != nil {
-		// Keyed by the version the backend read the window at (observed
-		// atomically with it), which may already be newer than the
-		// version checked above — either way the entry is exact for its
-		// key. Payloads are aliased into the cache, never copied. A
-		// proved result memoizes its proof under the same key.
-		key.Version = res.Version
+		// Stamped with the version the backend read the window at
+		// (observed atomically with it), which may already be newer than
+		// the version checked above — either way the entry is exact for
+		// its version, and it replaces the older one. Payloads are
+		// aliased into the cache, never copied. A proved result memoizes
+		// its proof with it.
 		c.Put(key, res)
 	}
+	if q.IfVersion != nil && !q.Proof && cached && prev.Version == *q.IfVersion && sameWindow(prev, res) {
+		if m := s.met.Load(); m != nil {
+			m.revalidated.Inc()
+		}
+		return QueryResponse{Version: res.Version, Unchanged: true}, nil
+	}
 	return s.respond(res, q), nil
+}
+
+// sameWindow reports whether two reads of one window carry the same
+// content: element by element (TRS, group, sealed bytes), and the same
+// Exhausted.
+func sameWindow(a, b store.QueryResult) bool {
+	if a.Exhausted != b.Exhausted || len(a.Elements) != len(b.Elements) {
+		return false
+	}
+	for i, x := range a.Elements {
+		y := b.Elements[i]
+		if x.TRS != y.TRS || x.Group != y.Group || !bytes.Equal(x.Sealed, y.Sealed) {
+			return false
+		}
+	}
+	return true
 }
 
 // respond shapes a backend (or cached) result into the wire response.

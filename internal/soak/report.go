@@ -47,6 +47,11 @@ type Report struct {
 	EpochObserved      uint64   `json:"epoch_windows_observed"`
 	EpochViolations    uint64   `json:"epoch_violations"`
 	EpochSamples       []string `json:"epoch_samples,omitempty"`
+	// RevalidatedWindows counts the router's retained windows served
+	// for a shard's Unchanged answer at a moved version — the path
+	// whose exactness the epoch check watches under kills and
+	// migrations.
+	RevalidatedWindows uint64   `json:"revalidated_windows"`
 	ProofViolations    uint64   `json:"proof_violations"`
 	ProofSamples       []string `json:"proof_samples,omitempty"`
 
@@ -120,6 +125,7 @@ func (r *run) report(elapsed time.Duration) *Report {
 		EpochObserved:      r.checker.observed.Load(),
 		EpochViolations:    r.checker.violations.Load(),
 		EpochSamples:       r.checker.samples(),
+		RevalidatedWindows: r.router.Revalidated(),
 		ProofViolations:    r.proofViolations.Load(),
 		ProofSamples:       psamples,
 
