@@ -140,9 +140,9 @@ const DefaultHTTPTimeout = 30 * time.Second
 var defaultHTTPClient = &http.Client{Timeout: DefaultHTTPTimeout}
 
 // HTTP talks to a zerberd index server over its HTTP API: binary
-// frames for the messages that carry sealed payloads (the /v2/query
+// frames for the protocol messages (the /v2/query request and
 // response, the /v2/insert and /v2/remove requests — server/wire.go),
-// JSON for the rest.
+// JSON for login and stats.
 type HTTP struct {
 	// BaseURL is the server root, e.g. "http://host:8021".
 	BaseURL string
@@ -332,7 +332,7 @@ func (h HTTP) Remove(ctx context.Context, tok crypt.Token, list zerber.ListID, s
 // The shape of the answer is checked here, proved or not: one window
 // per sub-query, none longer than its sub-query asked for.
 func (h HTTP) QueryBatch(ctx context.Context, toks []crypt.Token, queries []server.ListQuery) (BatchQueryResult, error) {
-	raw, err := h.postJSON(ctx, "/v2/query", server.QueryBatchRequest{Tokens: toks, Queries: queries})
+	raw, err := h.exchange(ctx, http.MethodPost, "/v2/query", server.AppendQueryRequest(nil, toks, queries), server.FrameContentType, true)
 	if err != nil {
 		return BatchQueryResult{}, err
 	}

@@ -84,19 +84,25 @@ func VerifyToken(secret []byte, tok Token, now time.Time) bool {
 	return hmac.Equal(want, tok.MAC)
 }
 
-// ErrShortToken reports a binary token record cut off before its end.
-var ErrShortToken = errors.New("crypt: truncated token record")
+// ErrTokenRecord reports a binary token record cut off before its end,
+// or not in AppendToken's form.
+var ErrTokenRecord = errors.New("crypt: truncated or non-minimal token record")
+
+// MinTokenBytes is the shortest token record: four one-byte varints (an
+// empty user, the group, the expiry, an empty MAC). Decoders bound a
+// claimed token count by the bytes that remain divided by it.
+const MinTokenBytes = 4
 
 // AppendToken appends the token's binary record — what the protocol's
-// insert and remove request frames carry (internal/server/wire.go):
+// request frames carry (internal/server/wire.go):
 //
 //	token: userLen | user | group (signed varint) |
 //	       expiry (signed varint, Unix nanoseconds) | macLen | mac
 //
-// Lengths are unsigned varints. Nanoseconds since the epoch hold any
-// expiry between the years 1678 and 2262 exactly; the MAC binds whole
-// seconds, so a token outside that range fails verification like any
-// other altered one.
+// Lengths are unsigned varints, every varint in its shortest form.
+// Nanoseconds since the epoch hold any expiry between the years 1678
+// and 2262 exactly; the MAC binds whole seconds, so a token outside
+// that range fails verification like any other altered one.
 func AppendToken(buf []byte, tok Token) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(tok.User)))
 	buf = append(buf, tok.User...)
@@ -107,34 +113,55 @@ func AppendToken(buf []byte, tok Token) []byte {
 }
 
 // ReadToken decodes the token record at the head of b and returns what
-// follows it. The MAC aliases b; the user name is copied.
-func ReadToken(b []byte) (tok Token, rest []byte, err error) {
-	user, b, ok := readPrefixed(b)
+// follows it. The MAC aliases b. The user name is copied unless it
+// equals user: a reader of a token list passes the name of the token
+// before, because one user presents all their group tokens together,
+// so the list costs one copy of the name. A record with a varint
+// longer than it need be is refused: one token has one record.
+func ReadToken(b []byte, user string) (tok Token, rest []byte, err error) {
+	name, b, ok := readPrefixed(b)
 	if !ok {
-		return Token{}, nil, ErrShortToken
+		return Token{}, nil, ErrTokenRecord
 	}
-	group, n := binary.Varint(b)
-	if n <= 0 {
-		return Token{}, nil, ErrShortToken
-	}
-	b = b[n:]
-	expiry, n := binary.Varint(b)
-	if n <= 0 {
-		return Token{}, nil, ErrShortToken
-	}
-	mac, rest, ok := readPrefixed(b[n:])
+	group, b, ok := readVarint(b)
 	if !ok {
-		return Token{}, nil, ErrShortToken
+		return Token{}, nil, ErrTokenRecord
 	}
-	return Token{User: string(user), Group: int(group), Expiry: time.Unix(0, expiry), MAC: mac}, rest, nil
+	expiry, b, ok := readVarint(b)
+	if !ok {
+		return Token{}, nil, ErrTokenRecord
+	}
+	mac, rest, ok := readPrefixed(b)
+	if !ok {
+		return Token{}, nil, ErrTokenRecord
+	}
+	if string(name) != user {
+		user = string(name)
+	}
+	return Token{User: user, Group: int(group), Expiry: time.Unix(0, expiry), MAC: mac}, rest, nil
 }
 
 // readPrefixed splits a length-prefixed byte string off the head of b.
 func readPrefixed(b []byte) (field, rest []byte, ok bool) {
 	size, n := binary.Uvarint(b)
-	if n <= 0 || size > uint64(len(b)-n) {
+	if !minimal(b, n) || size > uint64(len(b)-n) {
 		return nil, nil, false
 	}
 	b = b[n:]
 	return b[:size:size], b[size:], true
+}
+
+func readVarint(b []byte) (v int64, rest []byte, ok bool) {
+	v, n := binary.Varint(b)
+	if !minimal(b, n) {
+		return 0, nil, false
+	}
+	return v, b[n:], true
+}
+
+// minimal reports whether binary.Uvarint or binary.Varint, returning
+// n, read a varint in its shortest form from the head of b. A longer
+// form of the same value ends in a zero byte; so does nothing else.
+func minimal(b []byte, n int) bool {
+	return n == 1 || n > 1 && b[n-1] != 0
 }

@@ -134,13 +134,13 @@ func TestRateLimitHTTP(t *testing.T) {
 			t.Fatalf("code = %q, want %q", env.Code, CodeRateLimited)
 		}
 	}
-	query := QueryBatchRequest{Tokens: lr.Tokens, Queries: []ListQuery{{List: 1, Count: 1}}}
+	query := func() *http.Response { return postQuery(t, ts, lr.Tokens, []ListQuery{{List: 1, Count: 1}}) }
 
 	// Spend the single burst token, then every path must answer 429.
-	resp = post(t, ts, "/v2/query", query)
+	resp = query()
 	resp.Body.Close() // 404 unknown list — the token was still spent
 
-	checkLimited(t, post(t, ts, "/v2/query", query))
+	checkLimited(t, query())
 	checkLimited(t, post(t, ts, "/v1/login", LoginRequest{User: "alice"}))
 	checkLimited(t, postInsert(t, ts, lr.Tokens[0], []InsertOp{
 		{List: 1, Element: StoredElement{Sealed: []byte{1}, Group: 0}},
@@ -151,7 +151,7 @@ func TestRateLimitHTTP(t *testing.T) {
 
 	// At 0.25 ops/s a dry bucket needs ~4s for the next token; the
 	// hint must say so rather than defaulting to 1.
-	resp = post(t, ts, "/v2/query", query)
+	resp = query()
 	defer resp.Body.Close()
 	if ra, _ := strconv.Atoi(resp.Header.Get("Retry-After")); ra < 2 {
 		t.Fatalf("Retry-After = %q, want the limiter's own wait (>= 2s)", resp.Header.Get("Retry-After"))

@@ -28,9 +28,9 @@ import (
 // ListQuery is one sub-query of a batched query: a ranked range of one
 // merged posting list.
 type ListQuery struct {
-	List   zerber.ListID `json:"list"`
-	Offset int           `json:"offset"`
-	Count  int           `json:"count"`
+	List   zerber.ListID
+	Offset int
+	Count  int
 	// IfVersion, when set, makes the sub-query conditional: the caller
 	// retained this window from an earlier response served at this
 	// version (the cluster router does this per shard). If the list's
@@ -44,17 +44,17 @@ type ListQuery struct {
 	// sub-query carries no proof either: it is only given at an equal
 	// version, which commits to identical state, so the retained proof
 	// still verifies.
-	IfVersion *uint64 `json:"if_version,omitempty"`
+	IfVersion *uint64
 	// Proof asks for the window's Merkle proof (QueryResponse.Proof).
 	// Unproven sub-queries are byte-identical to pre-proof servers.
-	Proof bool `json:"proof,omitempty"`
+	Proof bool
 	// ProofFrom, on a proved sub-query, says the caller verified this
 	// list at this version, and its verified prefix ends at Offset (the
 	// window before this one; proof.Frontier). If the window is read at
 	// that version, its proof is the continuation (proof.Continue),
 	// which omits what that verification left the caller holding. Any
 	// other version gets the full proof.
-	ProofFrom *uint64 `json:"proof_from,omitempty"`
+	ProofFrom *uint64
 }
 
 // InsertOp is one element upload of a batched insert: a type alias of
@@ -135,7 +135,10 @@ func (s *Server) QueryBatch(ctx context.Context, toks []crypt.Token, queries []L
 	if err != nil {
 		return nil, err
 	}
-	if err := s.admit(userOf(toks), now); err != nil {
+	// The rate limiter's key is the presenting user of the validated,
+	// non-empty token set: one user presents all their group tokens
+	// together. It is never a metric label.
+	if err := s.admit(toks[0].User, now); err != nil {
 		return nil, err
 	}
 	defer s.met.Load().endRound(len(queries), now)

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"log/slog"
 	"net/http"
@@ -158,10 +157,7 @@ func TestClientGoneIsNotAServerError(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	body, err := json.Marshal(QueryBatchRequest{Tokens: toks, Queries: []ListQuery{{List: 1, Count: 10}}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := AppendQueryRequest(nil, toks, []ListQuery{{List: 1, Count: 10}})
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v2/query", bytes.NewReader(body))
 	if err != nil {

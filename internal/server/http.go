@@ -26,14 +26,14 @@ import (
 // There is one wire generation. Every operation is a batch — a
 // single-list call is a batch of one — and every rejection is the
 // structured JSON {code, error, index} envelope (see DESIGN.md "Wire
-// protocol" for the error-code registry). The messages that carry
-// sealed payloads are binary frames (wire.go); everything else is
-// JSON. Login keeps its historical /v1 path; nothing else is served
-// there.
+// protocol" for the error-code registry). The protocol messages —
+// queries, their answers, inserts and removes — are binary frames
+// (wire.go); a JSON body there is refused as a bad request. Login,
+// stats and the error envelope are JSON. Login keeps its historical /v1
+// path; nothing else is served there.
 //
 //	POST /v1/login   {"user": "john"}                     -> {"tokens": [...]}
-//	POST /v2/query   {"tokens": [...], "queries": [{list,offset,count}...]}
-//	                                                      -> query-response frame
+//	POST /v2/query   query-request frame                  -> query-response frame
 //	POST /v2/insert  insert-request frame                 -> (empty)
 //	POST /v2/remove  remove-request frame                 -> (empty)
 //	GET  /v2/stats   -> {"lists","elements","backend","per_list":[{list,elements}...]}
@@ -46,12 +46,6 @@ type LoginRequest struct {
 // LoginResponse carries the issued group tokens.
 type LoginResponse struct {
 	Tokens []crypt.Token `json:"tokens"`
-}
-
-// QueryBatchRequest is the /v2/query payload.
-type QueryBatchRequest struct {
-	Tokens  []crypt.Token `json:"tokens"`
-	Queries []ListQuery   `json:"queries"`
 }
 
 // CacheStatsV2 is the query-result cache section of the /v2/stats
@@ -195,39 +189,32 @@ func (s *Server) Handler() http.Handler {
 		}
 		writeJSON(w, http.StatusOK, LoginResponse{Tokens: toks})
 	})
-	handle("POST", "/v2/query", func(w http.ResponseWriter, r *http.Request) {
-		var req QueryBatchRequest
-		if !decode(w, r, &req, maxRequestBytes) {
-			return
-		}
-		resps, err := s.QueryBatch(r.Context(), req.Tokens, req.Queries)
+	handle("POST", "/v2/query", frameHandler(func(ctx context.Context, body []byte) ([]byte, error) {
+		toks, queries, err := DecodeQueryRequest(body)
 		if err != nil {
-			writeErr(w, r, err)
-			return
+			return nil, err
 		}
-		// One pooled buffer, one Write, Content-Length set: the answer is
-		// never chunked and a steady-state encode allocates nothing.
-		bp := frameBufs.Get().(*[]byte)
-		frame := AppendQueryResponse((*bp)[:0], resps)
-		w.Header().Set("Content-Type", FrameContentType)
-		w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(frame) // a failed write is the peer's loss; nothing to answer it with
-		putFrameBuf(bp, frame)
-	})
-	handle("POST", "/v2/insert", frameHandler(func(ctx context.Context, body []byte) error {
+		resps, err := s.QueryBatch(ctx, toks, queries)
+		if err != nil {
+			return nil, err
+		}
+		// Nothing in the windows aliases the request, so its buffer takes
+		// the answer.
+		return AppendQueryResponse(body[:0], resps), nil
+	}))
+	handle("POST", "/v2/insert", frameHandler(func(ctx context.Context, body []byte) ([]byte, error) {
 		tok, ops, err := DecodeInsertRequest(body)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		return s.InsertBatch(ctx, tok, ops)
+		return nil, s.InsertBatch(ctx, tok, ops)
 	}))
-	handle("POST", "/v2/remove", frameHandler(func(ctx context.Context, body []byte) error {
+	handle("POST", "/v2/remove", frameHandler(func(ctx context.Context, body []byte) ([]byte, error) {
 		tok, ops, err := DecodeRemoveRequest(body)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		return s.RemoveBatch(ctx, tok, ops)
+		return nil, s.RemoveBatch(ctx, tok, ops)
 	}))
 	handle("GET", "/v2/stats", func(w http.ResponseWriter, r *http.Request) {
 		// ?roots=1 opts into per-list Merkle roots: an audit signal
@@ -366,25 +353,41 @@ func putFrameBuf(bp *[]byte, buf []byte) {
 	frameBufs.Put(bp)
 }
 
-// frameHandler serves an endpoint whose request is a binary frame and
-// whose answer is an empty 200: the body, of at most maxRequestBytes,
-// is read into a pooled buffer that goes back only once apply has
-// returned, because what apply decodes from it may alias it.
-func frameHandler(apply func(ctx context.Context, body []byte) error) http.HandlerFunc {
+// frameHandler serves an endpoint whose request is a binary frame: the
+// body, of at most maxRequestBytes, is read into a pooled buffer that
+// goes back only once apply has returned and its answer is written,
+// because what apply decodes from the body may alias it. apply may
+// append its answer frame to body[:0]; a nil answer is an empty 200.
+// An answer is one Write with Content-Length set, never chunked, and a
+// steady-state exchange allocates no buffer.
+func frameHandler(apply func(ctx context.Context, body []byte) (answer []byte, err error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		bp := frameBufs.Get().(*[]byte)
 		body, err := ReadBody(http.MaxBytesReader(w, r.Body, maxRequestBytes), *bp, r.ContentLength)
-		defer func() { putFrameBuf(bp, body) }()
+		var answer []byte
+		defer func() {
+			if answer != nil {
+				body = answer // it grew out of body's storage
+			}
+			putFrameBuf(bp, body)
+		}()
 		if err != nil {
 			err = fmt.Errorf("%w: reading body: %v", ErrBadRequest, err)
 		} else {
-			err = apply(r.Context(), body)
+			answer, err = apply(r.Context(), body)
 		}
 		if err != nil {
 			writeErr(w, r, err)
 			return
 		}
+		if answer == nil {
+			w.WriteHeader(http.StatusOK)
+			return
+		}
+		w.Header().Set("Content-Type", FrameContentType)
+		w.Header().Set("Content-Length", strconv.Itoa(len(answer)))
 		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(answer) // a failed write is the peer's loss; nothing to answer it with
 	}
 }
 

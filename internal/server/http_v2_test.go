@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"zerberr/internal/crypt"
+	"zerberr/internal/zerber"
 )
 
 func post(t *testing.T, ts *httptest.Server, path string, body interface{}) *http.Response {
@@ -33,7 +34,12 @@ func postRaw(t *testing.T, ts *httptest.Server, path string, body []byte) *http.
 	return resp
 }
 
-// postInsert and postRemove post a binary request frame.
+// postQuery, postInsert and postRemove post a binary request frame.
+func postQuery(t *testing.T, ts *httptest.Server, toks []crypt.Token, queries []ListQuery) *http.Response {
+	t.Helper()
+	return postRaw(t, ts, "/v2/query", AppendQueryRequest(nil, toks, queries))
+}
+
 func postInsert(t *testing.T, ts *httptest.Server, tok crypt.Token, ops []InsertOp) *http.Response {
 	t.Helper()
 	return postRaw(t, ts, "/v2/insert", AppendInsertRequest(nil, tok, ops))
@@ -98,11 +104,10 @@ func TestHTTPV2BatchedRoundTrip(t *testing.T) {
 
 	// Batched query: both lists in one exchange, responses in request
 	// order, each ranked.
-	qr := QueryBatchRequest{Tokens: lr.Tokens, Queries: []ListQuery{
+	r = postQuery(t, ts, lr.Tokens, []ListQuery{
 		{List: 2, Offset: 0, Count: 10},
 		{List: 1, Offset: 0, Count: 1},
-	}}
-	r = post(t, ts, "/v2/query", qr)
+	})
 	if r.StatusCode != http.StatusOK {
 		t.Fatalf("batched query status %d", r.StatusCode)
 	}
@@ -174,7 +179,7 @@ func TestHTTPV2StructuredErrors(t *testing.T) {
 
 	// Expired token: authentic MAC, lifetime over -> token_expired.
 	s.SetClock(func() time.Time { return time.Now().Add(2 * time.Hour) })
-	r := post(t, ts, "/v2/query", QueryBatchRequest{Tokens: lr.Tokens, Queries: []ListQuery{{List: 5, Count: 10}}})
+	r := postQuery(t, ts, lr.Tokens, []ListQuery{{List: 5, Count: 10}})
 	if r.StatusCode != http.StatusUnauthorized {
 		t.Fatalf("expired token status %d", r.StatusCode)
 	}
@@ -186,16 +191,16 @@ func TestHTTPV2StructuredErrors(t *testing.T) {
 	// Forged token: bad_token.
 	forged := tok
 	forged.Group = 7
-	r = post(t, ts, "/v2/query", QueryBatchRequest{Tokens: []crypt.Token{forged}, Queries: []ListQuery{{List: 5, Count: 10}}})
+	r = postQuery(t, ts, []crypt.Token{forged}, []ListQuery{{List: 5, Count: 10}})
 	if env := decodeV2Err(t, r); env.Code != CodeBadToken {
 		t.Fatalf("forged token code %q", env.Code)
 	}
 
 	// Unknown list / bad request inside a batch carry the op index.
-	r = post(t, ts, "/v2/query", QueryBatchRequest{Tokens: lr.Tokens, Queries: []ListQuery{
+	r = postQuery(t, ts, lr.Tokens, []ListQuery{
 		{List: 5, Count: 10},
 		{List: 99, Count: 10},
-	}})
+	})
 	if r.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown list status %d", r.StatusCode)
 	}
@@ -243,16 +248,17 @@ func TestHTTPErrorMapping(t *testing.T) {
 		msg    string // the error message must contain it
 	}{
 		{"unknown user", "/v1/login", marshal(LoginRequest{User: "ghost"}), http.StatusNotFound, CodeUnknownUser, -1, ""},
-		{"unknown list", "/v2/query", marshal(QueryBatchRequest{Tokens: toks, Queries: []ListQuery{{List: 9, Count: 5}}}), http.StatusNotFound, CodeUnknownList, 0, ""},
-		{"bad count", "/v2/query", marshal(QueryBatchRequest{Tokens: toks, Queries: []ListQuery{{List: 9, Count: -1}}}), http.StatusBadRequest, CodeBadRequest, 0, ""},
+		{"unknown list", "/v2/query", AppendQueryRequest(nil, toks, []ListQuery{{List: 9, Count: 5}}), http.StatusNotFound, CodeUnknownList, 0, ""},
+		{"bad count", "/v2/query", AppendQueryRequest(nil, toks, []ListQuery{{List: 9, Count: 5}, {List: 9, Count: -1}}), http.StatusBadRequest, CodeBadRequest, 1, ""},
 		{"empty payload", "/v2/insert", AppendInsertRequest(nil, toks[0], []InsertOp{{List: 1}}), http.StatusBadRequest, CodeBadRequest, 0, ""},
 		{"empty batch", "/v2/remove", AppendRemoveRequest(nil, toks[0], nil), http.StatusBadRequest, CodeBadRequest, -1, ""},
 		{"JSON insert", "/v2/insert", []byte(`{"token":{},"ops":[]}`), http.StatusBadRequest, CodeBadRequest, -1, "JSON, not a binary frame"},
 		{"remove frame on insert", "/v2/insert", AppendRemoveRequest(nil, toks[0], []RemoveOp{{List: 1, Sealed: []byte{1}}}), http.StatusBadRequest, CodeBadRequest, -1, "kind"},
 		{"forged token", "/v2/insert", AppendInsertRequest(nil, forged, []InsertOp{{List: 1, Element: StoredElement{Sealed: []byte{1}, Group: 5}}}), http.StatusUnauthorized, CodeBadToken, -1, ""},
-		{"malformed JSON", "/v2/query", []byte("{nope"), http.StatusBadRequest, CodeBadRequest, -1, ""},
+		{"JSON query", "/v2/query", []byte(`{"tokens":[],"queries":[{"list":3,"count":1}]}`), http.StatusBadRequest, CodeBadRequest, -1, "JSON, not a binary frame"},
 		{"malformed login", "/v1/login", []byte("{nope"), http.StatusBadRequest, CodeBadRequest, -1, ""},
-		{"unknown field", "/v2/query", []byte(`{"tokens":[],"queries":[],"list":3}`), http.StatusBadRequest, CodeBadRequest, -1, ""},
+		{"query frame on remove", "/v2/remove", AppendQueryRequest(nil, toks, []ListQuery{{List: 1, Count: 1}}), http.StatusBadRequest, CodeBadRequest, -1, "kind"},
+		{"no token", "/v2/query", AppendQueryRequest(nil, nil, []ListQuery{{List: 1, Count: 1}}), http.StatusUnauthorized, CodeBadToken, -1, "no token"},
 		{"oversized body", "/v2/insert", oversize, http.StatusBadRequest, CodeBadRequest, -1, "too large"},
 	}
 	for _, tc := range cases {
@@ -287,6 +293,37 @@ func TestHTTPErrorMapping(t *testing.T) {
 	sr.Body.Close()
 	if sr.StatusCode != http.StatusNotFound {
 		t.Errorf("/v1/stats: status %d, want 404 (route retired)", sr.StatusCode)
+	}
+}
+
+// TestQueryBatchWithoutTokens: a query that presents no token is
+// refused as unauthenticated, in process and over HTTP, whether or not
+// its list exists — an anonymous peer learns neither which lists exist
+// nor their versions, roots or groups.
+func TestQueryBatchWithoutTokens(t *testing.T) {
+	s := New(secret, time.Hour)
+	s.RegisterUser("john", 0)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	toks, err := s.Login(context.Background(), "john")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := insertOne(context.Background(), s, toks[0], 4, StoredElement{Sealed: []byte{9}, TRS: 0.5, Group: 0}); err != nil {
+		t.Fatal(err)
+	}
+	for _, list := range []zerber.ListID{4, 5} {
+		queries := []ListQuery{{List: list, Count: 10, Proof: true}}
+		if _, err := s.QueryBatch(context.Background(), nil, queries); !errors.Is(err, ErrAuth) || errors.Is(err, ErrTokenExpired) {
+			t.Errorf("list %d in process: err = %v, want ErrAuth", list, err)
+		}
+		r := postQuery(t, ts, nil, queries)
+		if r.StatusCode != http.StatusUnauthorized {
+			t.Errorf("list %d over HTTP: status %d, want 401", list, r.StatusCode)
+		}
+		if env := decodeV2Err(t, r); env.Code != CodeBadToken || env.Index != nil {
+			t.Errorf("list %d over HTTP: envelope %+v, want %s without an index", list, env, CodeBadToken)
+		}
 	}
 }
 

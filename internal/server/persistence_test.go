@@ -17,12 +17,9 @@ import (
 // /v2/query results.
 func TestHTTPQueryIdenticalAfterRestart(t *testing.T) {
 	dir := t.TempDir()
-	queryBody := QueryBatchRequest{Queries: []ListQuery{{List: 4, Offset: 0, Count: 10}}}
-
 	query := func(ts *httptest.Server, toks LoginResponse) QueryResponse {
 		t.Helper()
-		queryBody.Tokens = toks.Tokens
-		resp := post(t, ts, "/v2/query", queryBody)
+		resp := postQuery(t, ts, toks.Tokens, []ListQuery{{List: 4, Offset: 0, Count: 10}})
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("query status %d", resp.StatusCode)

@@ -70,7 +70,7 @@ func proofTestServer(t *testing.T) (*Server, *httptest.Server, []crypt.Token) {
 // rawQuery posts one batched query and returns the raw response body.
 func rawQuery(t *testing.T, ts *httptest.Server, tokens []crypt.Token, q ListQuery) []byte {
 	t.Helper()
-	r := post(t, ts, "/v2/query", QueryBatchRequest{Tokens: tokens, Queries: []ListQuery{q}})
+	r := postQuery(t, ts, tokens, []ListQuery{q})
 	if r.StatusCode != http.StatusOK {
 		t.Fatalf("query status %d", r.StatusCode)
 	}

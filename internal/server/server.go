@@ -231,9 +231,13 @@ func (s *Server) Login(ctx context.Context, user string) ([]crypt.Token, error) 
 // groups they grant, plus the clock reading it validated against (so
 // callers can admit and time the round without re-reading the clock).
 // Invalid or expired tokens are an authentication error, not silently
-// dropped.
+// dropped, and so is presenting none: an anonymous read would learn
+// which lists exist, their versions and, with a proof, their roots.
 func (s *Server) allowedGroups(toks []crypt.Token) (map[int]bool, time.Time, error) {
 	now := s.clock()()
+	if len(toks) == 0 {
+		return nil, now, fmt.Errorf("%w: no token presented", ErrAuth)
+	}
 	allowed := make(map[int]bool, len(toks))
 	for _, tok := range toks {
 		// Verify the MAC first (now = Expiry is never "after" expiry),
@@ -248,17 +252,6 @@ func (s *Server) allowedGroups(toks []crypt.Token) (map[int]bool, time.Time, err
 		allowed[tok.Group] = true
 	}
 	return allowed, now, nil
-}
-
-// userOf keys the rate limiter: the presenting user of a validated
-// token set (one user presents all their group tokens together). The
-// key is never used as a metric label — buckets aggregate per user,
-// metrics aggregate over everyone.
-func userOf(toks []crypt.Token) string {
-	if len(toks) == 0 {
-		return ""
-	}
-	return toks[0].User
 }
 
 // queryAllowed is one sub-query past token validation: a batch's

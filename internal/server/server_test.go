@@ -217,13 +217,10 @@ func TestQueryRejections(t *testing.T) {
 	if _, err := queryOne(context.Background(), s, john, 1, 0, 0); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("zero count err = %v", err)
 	}
-	if _, err := queryOne(context.Background(), s, nil, 1, 0, 10); err != nil {
-		// No tokens: allowed, sees nothing.
-		t.Fatalf("tokenless query err = %v", err)
-	}
-	resp, _ := queryOne(context.Background(), s, nil, 1, 0, 10)
-	if len(resp.Elements) != 0 {
-		t.Fatal("tokenless query saw elements")
+	// No tokens: unauthenticated, not an empty view of an existing list
+	// (TestQueryBatchWithoutTokens).
+	if _, err := queryOne(context.Background(), s, nil, 1, 0, 10); !errors.Is(err, ErrAuth) {
+		t.Fatalf("tokenless query err = %v, want ErrAuth", err)
 	}
 }
 

@@ -1,17 +1,28 @@
 package server
 
-// The binary frame: the body of every protocol message that carries
-// sealed payloads — the /v2/query response and the /v2/insert and
-// /v2/remove requests. This file is the only home of its grammar; the
-// element inside it is the record the write-ahead log and the snapshot
-// already write (store.AppendElement / store.ReadElement), and the
-// token is crypt.AppendToken's. Integers are unsigned varints unless
-// noted, hashes are raw 32 bytes. A list version is 8 bytes big-endian:
-// its high half is a random epoch, so a varint would save nothing and
-// would make a response's size depend on the epoch drawn.
+// The binary frame: the body of every protocol message — the /v2/query
+// request and response and the /v2/insert and /v2/remove requests.
+// This file is the only home of its grammar; the element inside it is
+// the record the write-ahead log and the snapshot already write
+// (store.AppendElement / store.ReadElement), and the token is
+// crypt.AppendToken's. Integers are unsigned varints unless noted, in
+// their shortest form (a decoder refuses a longer one, so a request
+// has one encoding); hashes are raw 32 bytes. A list version is 8
+// bytes big-endian: its high half is a random epoch, so a varint would
+// save nothing and would make a message's size depend on the epoch
+// drawn.
 //
 //	frame:  magic "ZWF" | version (1B, = 1) | kind (1B) |
 //	        bodyLen (4B big-endian) | body
+//
+//	kind 'q', query request:
+//	  body:     tokenCount | tokenCount × token | count | count × subquery
+//	  subquery: listDelta | offset | count |
+//	            qflags (1B: 1 ifVersion follows, 2 proof,
+//	                    4 proofFrom follows) |
+//	            [ifVersion (8B)] | [proofFrom (8B)]
+//	  (listDelta is the op lists' signed delta against the sub-query
+//	  before, the first against 0)
 //
 //	kind 'Q', query response:
 //	  body:    count | count × window
@@ -39,12 +50,12 @@ package server
 // the remove pair): the bytes a write-ahead log batch record holds after
 // its seq and kind.
 //
-// Ownership: decoded payloads — of responses and of requests alike —
-// alias the body, capped to their own length; whoever retains one past
-// the call copies it at the point of retention. The store is one such
-// point (it copies an inserted payload into its list's slab, so a
-// pooled request buffer is free again once the insert returns), the
-// cluster router's window cache is the other.
+// Ownership: decoded payloads and token MACs — of responses and of
+// requests alike — alias the body, capped to their own length; whoever
+// retains one past the call copies it at the point of retention. The
+// store is one such point (it copies an inserted payload into its
+// list's slab, so a pooled request buffer is free again once the
+// insert returns), the cluster router's window cache is the other.
 //
 // A decoder trusts no length it reads: every count is bounded by the
 // bytes that remain before anything is allocated for it.
@@ -64,11 +75,16 @@ const (
 	wireMagic   = "ZWF"
 	wireVersion = 1
 
+	frameQueryRequest  byte = 'q'
 	frameQueryResponse byte = 'Q'
 	frameInsertRequest byte = 'I'
 	frameRemoveRequest byte = 'R'
 
 	wireHeaderLen = len(wireMagic) + 2 + 4
+
+	queryIfVersion byte = 1
+	queryProof     byte = 2
+	queryProofFrom byte = 4
 
 	windowExhausted byte = 1
 	windowUnchanged byte = 2
@@ -238,11 +254,9 @@ func (r *wireReader) uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.fail("truncated or overlong varint")
+	if !r.skipVarint(n) {
 		return 0
 	}
-	r.b = r.b[n:]
 	return v
 }
 
@@ -251,12 +265,22 @@ func (r *wireReader) varint() int64 {
 		return 0
 	}
 	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.fail("truncated or overlong varint")
+	if !r.skipVarint(n) {
 		return 0
 	}
-	r.b = r.b[n:]
 	return v
+}
+
+// skipVarint consumes the n bytes a varint read returned, or fails: on
+// a truncated or overflowing varint, and on one longer than its value
+// needs, which is the only kind that ends in a zero byte.
+func (r *wireReader) skipVarint(n int) bool {
+	if n <= 0 || n > 1 && r.b[n-1] == 0 {
+		r.fail("truncated, overflowing or non-minimal varint")
+		return false
+	}
+	r.b = r.b[n:]
+	return true
 }
 
 // int reads an unsigned varint that must fit a non-negative int.
@@ -314,6 +338,21 @@ func (r *wireReader) element() store.Element {
 	return el
 }
 
+// token reads a token record; user is the name of the token before it
+// (crypt.ReadToken shares an equal name instead of copying it).
+func (r *wireReader) token(user string) crypt.Token {
+	if r.err != nil {
+		return crypt.Token{}
+	}
+	tok, rest, err := crypt.ReadToken(r.b, user)
+	if err != nil {
+		r.fail("%v", err)
+		return crypt.Token{}
+	}
+	r.b = rest
+	return tok
+}
+
 func (r *wireReader) end() error {
 	if r.err == nil && len(r.b) != 0 {
 		r.fail("%d trailing bytes inside the frame", len(r.b))
@@ -324,12 +363,120 @@ func (r *wireReader) end() error {
 // Shortest encodings, for bounding claimed counts: a window is flags,
 // version and an element count; a proof group is a group ID, flags and
 // one hash; a continuation group is a group ID, flags, end and a path
-// length.
+// length; a sub-query is a list delta, offset, count and flags.
 const (
 	minWindowBytes    = 1 + 8 + 1
 	minGroupBytes     = 2 + proof.HashSize
 	minContGroupBytes = 4
+	minSubQueryBytes  = 4
 )
+
+// AppendQueryRequest appends the /v2/query request frame. It allocates
+// only when buf must grow.
+func AppendQueryRequest(buf []byte, toks []crypt.Token, queries []ListQuery) []byte {
+	buf, start := beginFrame(buf, frameQueryRequest)
+	buf = binary.AppendUvarint(buf, uint64(len(toks)))
+	for _, tok := range toks {
+		buf = crypt.AppendToken(buf, tok)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(queries)))
+	prev := int64(0)
+	for i := range queries {
+		q := &queries[i]
+		buf = binary.AppendVarint(buf, int64(q.List)-prev)
+		prev = int64(q.List)
+		buf = binary.AppendUvarint(buf, uint64(q.Offset))
+		buf = binary.AppendUvarint(buf, uint64(q.Count))
+		var flags byte
+		if q.IfVersion != nil {
+			flags |= queryIfVersion
+		}
+		if q.Proof {
+			flags |= queryProof
+		}
+		if q.ProofFrom != nil {
+			flags |= queryProofFrom
+		}
+		buf = append(buf, flags)
+		if q.IfVersion != nil {
+			buf = binary.BigEndian.AppendUint64(buf, *q.IfVersion)
+		}
+		if q.ProofFrom != nil {
+			buf = binary.BigEndian.AppendUint64(buf, *q.ProofFrom)
+		}
+	}
+	return endFrame(buf, start)
+}
+
+// DecodeQueryRequest decodes a /v2/query request frame. The tokens'
+// MACs alias body; the server is done with them once QueryBatch has
+// checked them. A sub-query the frame cannot hold — a negative offset
+// or count sent as its two's complement — fails as a *BatchError with
+// its index, as one QueryBatch refuses does. Both counts are bounded by
+// the bytes that remain, and the sub-query count by MaxBatchOps, before
+// anything is allocated for them.
+func DecodeQueryRequest(body []byte) ([]crypt.Token, []ListQuery, error) {
+	b, err := openFrame(body, frameQueryRequest)
+	if err != nil {
+		return nil, nil, err
+	}
+	r := wireReader{b: b}
+	var toks []crypt.Token
+	if n := r.count("tokens", crypt.MinTokenBytes); n > 0 {
+		toks = make([]crypt.Token, n)
+		user := ""
+		for i := range toks {
+			toks[i] = r.token(user)
+			user = toks[i].User
+		}
+	}
+	n := r.count("sub-queries", minSubQueryBytes)
+	if r.err != nil {
+		return nil, nil, r.err
+	}
+	if err := checkBatchSize(n); err != nil {
+		return nil, nil, err
+	}
+	queries := make([]ListQuery, n)
+	// IfVersion and ProofFrom point into versions, allocated once, at the
+	// first of them, with room for every one the sub-queries left can hold.
+	var versions []uint64
+	pin := func(left int) *uint64 {
+		if versions == nil {
+			versions = make([]uint64, 0, 2*left)
+		}
+		versions = append(versions, r.version())
+		return &versions[len(versions)-1]
+	}
+	prev := int64(0)
+	for i := range queries {
+		q := &queries[i]
+		prev += r.varint()
+		list, err := store.CheckListID(prev)
+		if err != nil {
+			r.fail("%v", err)
+		}
+		q.List, q.Offset, q.Count = list, r.int(), r.int()
+		flags := r.byte()
+		if flags&^(queryIfVersion|queryProof|queryProofFrom) != 0 {
+			r.fail("unknown sub-query flags %#x", flags)
+		}
+		q.Proof = flags&queryProof != 0
+		if flags&queryIfVersion != 0 {
+			q.IfVersion = pin(n - i)
+		}
+		if flags&queryProofFrom != 0 {
+			q.ProofFrom = pin(n - i)
+		}
+		if r.err != nil {
+			return nil, nil, &BatchError{Index: i, Err: r.err}
+		}
+	}
+	if err := r.end(); err != nil {
+		return nil, nil, err
+	}
+	return toks, queries, nil
+}
 
 // DecodeQueryResponse decodes a /v2/query response frame. Every Sealed
 // payload (boundary payloads included) aliases body; an empty window
@@ -450,7 +597,7 @@ func decodeRequest[T any](body []byte, kind byte, read func([]byte) ([]T, []byte
 	if err != nil {
 		return crypt.Token{}, nil, err
 	}
-	tok, b, err := crypt.ReadToken(b)
+	tok, b, err := crypt.ReadToken(b, "")
 	if err != nil {
 		return crypt.Token{}, nil, badFrame("%v", err)
 	}

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -102,6 +103,34 @@ func goldenRemove() []RemoveOp {
 	return []RemoveOp{{List: 7, Sealed: []byte("first")}, {List: math.MaxUint32, Sealed: []byte{0, 0xff}}}
 }
 
+// goldenQuery is the golden /v2/query request: two tokens of one user,
+// and sub-queries whose list IDs go down as well as up, with every
+// flag set somewhere.
+func goldenQuery() ([]crypt.Token, []ListQuery) {
+	tok := goldenToken()
+	ifVersion, proofFrom := uint64(1<<40+9), uint64(0x2a00000007)
+	return []crypt.Token{tok, crypt.IssueToken([]byte("golden-secret"), tok.User, 2, tok.Expiry)},
+		[]ListQuery{
+			{List: 7, Count: 10},
+			{List: 3, Offset: 20, Count: 40, Proof: true, ProofFrom: &proofFrom},
+			{List: math.MaxUint32, Offset: 5, Count: 1, IfVersion: &ifVersion},
+		}
+}
+
+func goldenQueryRequest() []byte {
+	toks, queries := goldenQuery()
+	return AppendQueryRequest(nil, toks, queries)
+}
+
+// lengthen rewrites the one-byte varint at frame[at] in two bytes — the
+// same value, not in its shortest form — and patches the body length.
+func lengthen(frame []byte, at int) []byte {
+	out := append(bytes.Clone(frame[:at]), frame[at]|0x80, 0)
+	out = append(out, frame[at+1:]...)
+	binary.BigEndian.PutUint32(out[wireHeaderLen-4:], uint32(len(out)-wireHeaderLen))
+	return out
+}
+
 // TestWireGolden pins the grammar: the committed bytes must be exactly
 // what the encoders produce, and must decode back to the values.
 func TestWireGolden(t *testing.T) {
@@ -132,6 +161,14 @@ func TestWireGolden(t *testing.T) {
 			gotTok, ops, err := DecodeRemoveRequest(raw)
 			if err == nil && (!sameToken(gotTok, tok) || !reflect.DeepEqual(ops, goldenRemove())) {
 				err = fmt.Errorf("decoded %+v %+v", gotTok, ops)
+			}
+			return err
+		}},
+		{"query_request.bin", goldenQueryRequest(), func(raw []byte) error {
+			toks, queries, err := DecodeQueryRequest(raw)
+			wantToks, wantQueries := goldenQuery()
+			if err == nil && (!sameTokens(toks, wantToks) || !reflect.DeepEqual(queries, wantQueries)) {
+				err = fmt.Errorf("decoded %+v %+v", toks, queries)
 			}
 			return err
 		}},
@@ -166,6 +203,10 @@ func TestWireGolden(t *testing.T) {
 // instant, not as a time.Time representation.
 func sameToken(a, b crypt.Token) bool {
 	return a.User == b.User && a.Group == b.Group && a.Expiry.Equal(b.Expiry) && bytes.Equal(a.MAC, b.MAC)
+}
+
+func sameTokens(a, b []crypt.Token) bool {
+	return slices.EqualFunc(a, b, sameToken)
 }
 
 // randomTRS draws an arbitrary bit pattern short of NaN (DeepEqual
@@ -231,6 +272,7 @@ func randomWindow(rng *rand.Rand) QueryResponse {
 // accept comes back exactly, TRS bit patterns included.
 func TestWireRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
+	flagsSeen, decreasing := map[int]bool{}, false
 	for round := 0; round < 300; round++ {
 		resps := make([]QueryResponse, rng.Intn(5))
 		for i := range resps {
@@ -275,6 +317,38 @@ func TestWireRoundTrip(t *testing.T) {
 		if err != nil || !sameToken(gotTok, tok) || !reflect.DeepEqual(gotRem, rem) {
 			t.Fatalf("round %d: remove came back %+v %+v (%v), sent %+v %+v", round, gotTok, gotRem, err, tok, rem)
 		}
+
+		// A query request: none or a few tokens of one user, sub-queries
+		// over the same list IDs in drawn order — deltas go down as well
+		// as up — with the flag combinations in turn.
+		toks := make([]crypt.Token, rng.Intn(4))
+		for i := range toks {
+			toks[i] = tok
+			toks[i].Group = i
+		}
+		queries := make([]ListQuery, 1+rng.Intn(6))
+		for i := range queries {
+			flags := (round + i) % 8
+			q := ListQuery{List: lists[rng.Intn(len(lists))], Offset: rng.Intn(1 << 20), Count: 1 + rng.Intn(1000), Proof: flags&2 != 0}
+			if flags&1 != 0 {
+				v := rng.Uint64()
+				q.IfVersion = &v
+			}
+			if flags&4 != 0 {
+				v := rng.Uint64()
+				q.ProofFrom = &v
+			}
+			queries[i] = q
+			flagsSeen[flags] = true
+			decreasing = decreasing || i > 0 && q.List < queries[i-1].List
+		}
+		gotToks, gotQueries, err := DecodeQueryRequest(AppendQueryRequest(nil, toks, queries))
+		if err != nil || !sameTokens(gotToks, toks) || !reflect.DeepEqual(gotQueries, queries) {
+			t.Fatalf("round %d: query came back %+v %+v (%v), sent %+v %+v", round, gotToks, gotQueries, err, toks, queries)
+		}
+	}
+	if len(flagsSeen) != 8 || !decreasing {
+		t.Fatalf("query rows covered flag combinations %v, decreasing list IDs %v", flagsSeen, decreasing)
 	}
 
 	// A batch of no operations is the server's "empty batch", refused
@@ -285,6 +359,34 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	if _, _, err := DecodeRemoveRequest(AppendRemoveRequest(nil, tok, nil)); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("zero-length remove batch: %v", err)
+	}
+	if _, _, err := DecodeQueryRequest(AppendQueryRequest(nil, []crypt.Token{tok}, nil)); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("zero-length query batch: %v", err)
+	}
+}
+
+// TestQueryRequestOneEncoding: a query request has exactly one
+// encoding. The same token count, user-name length or sub-query count
+// written in more bytes than it needs is refused, and so is a
+// sub-query the frame cannot hold, with its index.
+func TestQueryRequestOneEncoding(t *testing.T) {
+	toks, queries := goldenQuery()
+	frame := goldenQueryRequest()
+	tokensEnd := len(AppendQueryRequest(nil, toks, nil)) - 1 // before the sub-query count
+	for name, at := range map[string]int{
+		"token count":     wireHeaderLen,
+		"user length":     wireHeaderLen + 1,
+		"sub-query count": tokensEnd,
+	} {
+		if _, _, err := DecodeQueryRequest(lengthen(frame, at)); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s written long: %v", name, err)
+		}
+	}
+	queries[1].Count = -1
+	_, _, err := DecodeQueryRequest(AppendQueryRequest(nil, toks, queries))
+	var be *BatchError
+	if !errors.Is(err, ErrBadRequest) || !errors.As(err, &be) || be.Index != 1 {
+		t.Fatalf("a negative count: %v, want a bad request at index 1", err)
 	}
 }
 
@@ -352,6 +454,29 @@ func TestWireAllocs(t *testing.T) {
 	}); n > 3 {
 		t.Errorf("decoding a 250-element window allocates %.0f times, want <= 3", n)
 	}
+
+	toks, queries := headQuery()
+	req := AppendQueryRequest(nil, toks, queries)
+	if n := testing.AllocsPerRun(100, func() { req = AppendQueryRequest(req[:0], toks, queries) }); n != 0 {
+		t.Errorf("query request encode into a sized buffer allocates %.0f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, _, err := DecodeQueryRequest(req); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 3 {
+		t.Errorf("decoding a query request allocates %.0f times, want <= 3", n)
+	}
+}
+
+// headQuery is the shape of one `head` round: a user's eight group
+// tokens and two sub-queries, one of them proved.
+func headQuery() ([]crypt.Token, []ListQuery) {
+	toks := make([]crypt.Token, 8)
+	for g := range toks {
+		toks[g] = crypt.IssueToken([]byte("head-secret"), "user-17", g, time.Unix(1_700_003_600, 0))
+	}
+	return toks, []ListQuery{{List: 812, Count: 10}, {List: 2040, Offset: 10, Count: 20, Proof: true}}
 }
 
 // TestElementRecordShared: the frame's element is byte for byte the

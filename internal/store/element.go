@@ -131,7 +131,7 @@ func readOps[T any](b []byte, minEntry int, entry func(b []byte, list zerber.Lis
 			return nil, nil, errShortOp
 		}
 		prev += delta
-		list, err := listID(prev)
+		list, err := CheckListID(prev)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -142,9 +142,11 @@ func readOps[T any](b []byte, minEntry int, entry func(b []byte, list zerber.Lis
 	return ops, b, nil
 }
 
-// listID checks that a decoded list ID fits zerber.ListID. (An unsigned
-// ID past 2⁶³−1 converts to a negative v and fails too.)
-func listID(v int64) (zerber.ListID, error) {
+// CheckListID checks that a decoded list ID fits zerber.ListID: the
+// op lists here and the /v2/query request frame's sub-queries, whose
+// list IDs travel as the same deltas, both decode through it. (An
+// unsigned ID past 2⁶³−1 converts to a negative v and fails too.)
+func CheckListID(v int64) (zerber.ListID, error) {
 	if v < 0 || v > math.MaxUint32 {
 		return 0, fmt.Errorf("list id %d out of range", v)
 	}

@@ -138,7 +138,7 @@ func decodeRecord(payload []byte) (r record, err error) {
 			return record{}, errShortOp
 		}
 		var id zerber.ListID
-		if id, err = listID(int64(list)); err != nil {
+		if id, err = CheckListID(int64(list)); err != nil {
 			return record{}, err
 		}
 		if kind == opInsert {
