@@ -127,7 +127,7 @@ func TestHostileServer(t *testing.T) {
 		{"sealed length 2^62", func(w http.ResponseWriter) {
 			body := append(window(1, 2), make([]byte, 8)...) // one element: group 1, a TRS
 			_, _ = w.Write(hostileFrame(append(body, uvarint(1<<62)...)))
-		}, "truncated element"},
+		}, "truncated: 4611686018427387904 bytes wanted"},
 		{"over-long window", func(w http.ResponseWriter) {
 			_, _ = w.Write(honest) // two elements, one was asked for
 		}, "1 were asked for"},

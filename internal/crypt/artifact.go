@@ -5,10 +5,11 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"time"
+
+	"zerberr/internal/binfmt"
 )
 
 // SealBytes encrypts an arbitrary artifact (merge-plan dictionary,
@@ -84,10 +85,6 @@ func VerifyToken(secret []byte, tok Token, now time.Time) bool {
 	return hmac.Equal(want, tok.MAC)
 }
 
-// ErrTokenRecord reports a binary token record cut off before its end,
-// or not in AppendToken's form.
-var ErrTokenRecord = errors.New("crypt: truncated or non-minimal token record")
-
 // MinTokenBytes is the shortest token record: four one-byte varints (an
 // empty user, the group, the expiry, an empty MAC). Decoders bound a
 // claimed token count by the bytes that remain divided by it.
@@ -112,56 +109,22 @@ func AppendToken(buf []byte, tok Token) []byte {
 	return append(buf, tok.MAC...)
 }
 
-// ReadToken decodes the token record at the head of b and returns what
-// follows it. The MAC aliases b. The user name is copied unless it
-// equals user: a reader of a token list passes the name of the token
-// before, because one user presents all their group tokens together,
-// so the list costs one copy of the name. A record with a varint
-// longer than it need be is refused: one token has one record.
-func ReadToken(b []byte, user string) (tok Token, rest []byte, err error) {
-	name, b, ok := readPrefixed(b)
-	if !ok {
-		return Token{}, nil, ErrTokenRecord
-	}
-	group, b, ok := readVarint(b)
-	if !ok {
-		return Token{}, nil, ErrTokenRecord
-	}
-	expiry, b, ok := readVarint(b)
-	if !ok {
-		return Token{}, nil, ErrTokenRecord
-	}
-	mac, rest, ok := readPrefixed(b)
-	if !ok {
-		return Token{}, nil, ErrTokenRecord
+// ReadToken reads a token record. The MAC aliases the reader's input.
+// The user name is copied unless it equals user: a reader of a token
+// list passes the name of the token before, because one user presents
+// all their group tokens together, so the list costs one copy of the
+// name. The reader refuses a varint longer than it need be
+// (binfmt.Reader), so one token has one record.
+func ReadToken(r *binfmt.Reader, user string) Token {
+	name := r.Prefixed()
+	group := r.Varint()
+	expiry := r.Varint()
+	mac := r.Prefixed()
+	if r.Err() != nil {
+		return Token{}
 	}
 	if string(name) != user {
 		user = string(name)
 	}
-	return Token{User: user, Group: int(group), Expiry: time.Unix(0, expiry), MAC: mac}, rest, nil
-}
-
-// readPrefixed splits a length-prefixed byte string off the head of b.
-func readPrefixed(b []byte) (field, rest []byte, ok bool) {
-	size, n := binary.Uvarint(b)
-	if !minimal(b, n) || size > uint64(len(b)-n) {
-		return nil, nil, false
-	}
-	b = b[n:]
-	return b[:size:size], b[size:], true
-}
-
-func readVarint(b []byte) (v int64, rest []byte, ok bool) {
-	v, n := binary.Varint(b)
-	if !minimal(b, n) {
-		return 0, nil, false
-	}
-	return v, b[n:], true
-}
-
-// minimal reports whether binary.Uvarint or binary.Varint, returning
-// n, read a varint in its shortest form from the head of b. A longer
-// form of the same value ends in a zero byte; so does nothing else.
-func minimal(b []byte, n int) bool {
-	return n == 1 || n > 1 && b[n-1] != 0
+	return Token{User: user, Group: int(group), Expiry: time.Unix(0, expiry), MAC: mac}
 }

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"zerberr/internal/binfmt"
 	"zerberr/internal/corpus"
 )
 
@@ -329,7 +330,7 @@ func TestTokenRecordRoundTrip(t *testing.T) {
 		{User: "no-mac", Group: 1, Expiry: time.Unix(1, 0)},
 	} {
 		rec := AppendToken([]byte("prefix"), tok)[len("prefix"):]
-		got, rest, err := ReadToken(append(append([]byte(nil), rec...), "tail"...), "someone else")
+		got, rest, err := readToken(append(append([]byte(nil), rec...), "tail"...), "someone else")
 		if err != nil {
 			t.Fatalf("%+v: %v", tok, err)
 		}
@@ -343,16 +344,26 @@ func TestTokenRecordRoundTrip(t *testing.T) {
 			t.Fatal("decoded token no longer verifies")
 		}
 		for cut := 0; cut < len(rec); cut++ {
-			if _, _, err := ReadToken(rec[:cut], ""); err == nil {
+			if _, _, err := readToken(rec[:cut], ""); err == nil {
 				t.Fatalf("truncation to %d of %d bytes decoded", cut, len(rec))
 			}
 		}
 		// The user-name length again, in two bytes instead of one.
 		long := append([]byte{rec[0] | 0x80, 0}, rec[1:]...)
-		if _, _, err := ReadToken(long, ""); !errors.Is(err, ErrTokenRecord) {
-			t.Fatalf("a non-minimal length decoded (err %v)", err)
+		if _, _, err := readToken(long, ""); err == nil || errors.Is(err, binfmt.ErrTruncated) {
+			t.Fatalf("a non-minimal length decoded or read as a truncation (err %v)", err)
 		}
 	}
+}
+
+var errTokenRecord = errors.New("token record")
+
+// readToken reads the token record at the head of b and returns what
+// follows it.
+func readToken(b []byte, user string) (Token, []byte, error) {
+	r := binfmt.NewReader(b, errTokenRecord)
+	tok := ReadToken(&r, user)
+	return tok, r.Bytes(r.Len()), r.Err()
 }
 
 // TestReadTokenSharesTheUserName: a token list of one user costs one
@@ -361,13 +372,13 @@ func TestTokenRecordRoundTrip(t *testing.T) {
 func TestReadTokenSharesTheUserName(t *testing.T) {
 	rec := AppendToken(nil, IssueToken([]byte("s"), "john", 3, time.Unix(1_700_000_000, 0)))
 	if n := testing.AllocsPerRun(100, func() {
-		if _, _, err := ReadToken(rec, "john"); err != nil {
+		if _, _, err := readToken(rec, "john"); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
 		t.Fatalf("reading a token of the user passed allocates %.0f times", n)
 	}
-	if tok, _, err := ReadToken(rec, "jane"); err != nil || tok.User != "john" {
+	if tok, _, err := readToken(rec, "jane"); err != nil || tok.User != "john" {
 		t.Fatalf("token of another user: %+v (%v)", tok, err)
 	}
 }

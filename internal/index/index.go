@@ -2,8 +2,8 @@
 // the non-confidential baseline that Zerber+R is measured against.
 // Posting lists keep their elements sorted by relevance score so the
 // top-k results of a term are a prefix of its list, exactly the
-// pruning property the paper's introduction describes. The package
-// also provides a compact varint serialization.
+// pruning property the paper's introduction describes. The index lives
+// in memory only; it has no file format.
 package index
 
 import (

@@ -1,8 +1,6 @@
 package index
 
 import (
-	"bytes"
-	"errors"
 	"math"
 	"reflect"
 	"sort"
@@ -169,73 +167,10 @@ func TestSearchNormTFScorer(t *testing.T) {
 	}
 }
 
-func TestSerializeRoundTrip(t *testing.T) {
-	c := testCorpus()
-	ix := Build(c)
-	var buf bytes.Buffer
-	n, err := ix.WriteTo(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(buf.Len()) {
-		t.Fatalf("WriteTo reported %d bytes, buffer has %d", n, buf.Len())
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumDocs() != ix.NumDocs() || got.NumTerms() != ix.NumTerms() {
-		t.Fatalf("round trip: %d docs %d terms, want %d %d", got.NumDocs(), got.NumTerms(), ix.NumDocs(), ix.NumTerms())
-	}
-	for _, term := range ix.Terms() {
-		if !reflect.DeepEqual(got.Postings(term), ix.Postings(term)) {
-			t.Fatalf("term %d differs after round trip", term)
-		}
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("not an index"))); !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("err = %v, want ErrBadFormat", err)
-	}
-	if _, err := Read(bytes.NewReader(nil)); !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("empty: err = %v, want ErrBadFormat", err)
-	}
-}
-
-func TestReadRejectsTruncated(t *testing.T) {
-	c := testCorpus()
-	ix := Build(c)
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, cut := range []int{6, buf.Len() / 2, buf.Len() - 1} {
-		if _, err := Read(bytes.NewReader(buf.Bytes()[:cut])); err == nil {
-			t.Fatalf("truncation at %d bytes accepted", cut)
-		}
-	}
-}
-
 func TestZeroValueIndexUsable(t *testing.T) {
 	var ix Index
 	ix.Add(doc(1, 0, map[corpus.TermID]int{2: 1}))
 	if ix.DF(2) != 1 {
 		t.Fatal("zero-value Index not usable after Add")
-	}
-}
-
-func TestEmptyIndexRoundTrip(t *testing.T) {
-	ix := New()
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumDocs() != 0 || got.NumTerms() != 0 {
-		t.Fatal("empty index round trip not empty")
 	}
 }

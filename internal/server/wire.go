@@ -6,8 +6,9 @@ package server
 // the record the write-ahead log and the snapshot already write
 // (store.AppendElement / store.ReadElement), and the token is
 // crypt.AppendToken's. Integers are unsigned varints unless noted, in
-// their shortest form (a decoder refuses a longer one, so a request
-// has one encoding); hashes are raw 32 bytes. A list version is 8
+// their shortest form (the decoders read through binfmt.Reader, which
+// refuses a longer one, so a frame has one encoding); hashes are raw
+// 32 bytes. A list version is 8
 // bytes big-endian: its high half is a random epoch, so a varint would
 // save nothing and would make a message's size depend on the epoch
 // drawn.
@@ -64,11 +65,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
+	"zerberr/internal/binfmt"
 	"zerberr/internal/crypt"
 	"zerberr/internal/proof"
 	"zerberr/internal/store"
+	"zerberr/internal/zerber"
 )
 
 const (
@@ -123,26 +125,27 @@ func endFrame(buf []byte, start int) []byte {
 	return buf
 }
 
-// openFrame checks the header and returns the body, which must be all
-// that follows: a truncated frame and trailing bytes are both errors.
-func openFrame(b []byte, kind byte) ([]byte, error) {
+// openFrame checks the header and returns a reader of the body, which
+// must be all that follows: a truncated frame and trailing bytes are
+// both errors.
+func openFrame(b []byte, kind byte) (wireReader, error) {
 	if len(b) < wireHeaderLen || string(b[:len(wireMagic)]) != wireMagic {
 		if len(b) > 0 && (b[0] == '{' || b[0] == '[') {
-			return nil, badFrame("body is JSON, not a binary frame (magic %q)", wireMagic)
+			return wireReader{}, badFrame("body is JSON, not a binary frame (magic %q)", wireMagic)
 		}
-		return nil, badFrame("missing magic %q", wireMagic)
+		return wireReader{}, badFrame("missing magic %q", wireMagic)
 	}
 	if v := b[len(wireMagic)]; v != wireVersion {
-		return nil, badFrame("version %d, want %d", v, wireVersion)
+		return wireReader{}, badFrame("version %d, want %d", v, wireVersion)
 	}
 	if k := b[len(wireMagic)+1]; k != kind {
-		return nil, badFrame("kind %q, want %q", k, kind)
+		return wireReader{}, badFrame("kind %q, want %q", k, kind)
 	}
 	body := b[wireHeaderLen:]
 	if n := binary.BigEndian.Uint32(b[wireHeaderLen-4:]); uint64(n) != uint64(len(body)) {
-		return nil, badFrame("header claims %d body bytes, %d follow", n, len(body))
+		return wireReader{}, badFrame("header claims %d body bytes, %d follow", n, len(body))
 	}
-	return body, nil
+	return wireReader{binfmt.NewReader(body, ErrBadFrame)}, nil
 }
 
 // AppendQueryResponse appends the /v2/query response frame. It
@@ -225,139 +228,13 @@ func appendBoundary(buf []byte, bd *proof.Boundary, group int) []byte {
 	return store.AppendElement(buf, store.Element{Sealed: bd.Sealed, TRS: bd.TRS, Group: group})
 }
 
-// wireReader walks a frame body. The first malformed field sticks in
-// err and every later read returns zero values, so a decoder checks
-// once per structure instead of once per field.
-type wireReader struct {
-	b   []byte
-	err error
-}
-
-func (r *wireReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = badFrame(format, args...)
-	}
-}
-
-func (r *wireReader) byte() byte {
-	if r.err != nil || len(r.b) == 0 {
-		r.fail("truncated")
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *wireReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	if !r.skipVarint(n) {
-		return 0
-	}
-	return v
-}
-
-func (r *wireReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b)
-	if !r.skipVarint(n) {
-		return 0
-	}
-	return v
-}
-
-// skipVarint consumes the n bytes a varint read returned, or fails: on
-// a truncated or overflowing varint, and on one longer than its value
-// needs, which is the only kind that ends in a zero byte.
-func (r *wireReader) skipVarint(n int) bool {
-	if n <= 0 || n > 1 && r.b[n-1] == 0 {
-		r.fail("truncated, overflowing or non-minimal varint")
-		return false
-	}
-	r.b = r.b[n:]
-	return true
-}
-
-// int reads an unsigned varint that must fit a non-negative int.
-func (r *wireReader) int() int {
-	v := r.uvarint()
-	if v > math.MaxInt {
-		r.fail("integer %d out of range", v)
-		return 0
-	}
-	return int(v)
-}
-
-// count reads an item count and bounds it by the bytes that remain:
-// no claimed count can make a decoder allocate more than a small
-// multiple of the body it arrived in.
-func (r *wireReader) count(what string, minBytes int) int {
-	v := r.uvarint()
-	if v > uint64(len(r.b)/minBytes) {
-		r.fail("%d %s claimed with %d bytes left", v, what, len(r.b))
-		return 0
-	}
-	return int(v)
-}
-
-func (r *wireReader) version() uint64 {
-	if r.err != nil || len(r.b) < 8 {
-		r.fail("truncated version")
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
+// wireReader walks a frame body: the shared cursor (binfmt.Reader),
+// whose failures wrap ErrBadFrame, and the frame's own structures.
+type wireReader struct{ binfmt.Reader }
 
 func (r *wireReader) hash() (h proof.Hash) {
-	if r.err != nil || len(r.b) < proof.HashSize {
-		r.fail("truncated hash")
-		return h
-	}
-	copy(h[:], r.b)
-	r.b = r.b[proof.HashSize:]
+	copy(h[:], r.Bytes(proof.HashSize))
 	return h
-}
-
-func (r *wireReader) element() store.Element {
-	if r.err != nil {
-		return store.Element{}
-	}
-	el, rest, err := store.ReadElement(r.b)
-	if err != nil {
-		r.fail("%v", err)
-		return store.Element{}
-	}
-	r.b = rest
-	return el
-}
-
-// token reads a token record; user is the name of the token before it
-// (crypt.ReadToken shares an equal name instead of copying it).
-func (r *wireReader) token(user string) crypt.Token {
-	if r.err != nil {
-		return crypt.Token{}
-	}
-	tok, rest, err := crypt.ReadToken(r.b, user)
-	if err != nil {
-		r.fail("%v", err)
-		return crypt.Token{}
-	}
-	r.b = rest
-	return tok
-}
-
-func (r *wireReader) end() error {
-	if r.err == nil && len(r.b) != 0 {
-		r.fail("%d trailing bytes inside the frame", len(r.b))
-	}
-	return r.err
 }
 
 // Shortest encodings, for bounding claimed counts: a window is flags,
@@ -380,11 +257,11 @@ func AppendQueryRequest(buf []byte, toks []crypt.Token, queries []ListQuery) []b
 		buf = crypt.AppendToken(buf, tok)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(queries)))
-	prev := int64(0)
+	prev := zerber.ListID(0)
 	for i := range queries {
 		q := &queries[i]
-		buf = binary.AppendVarint(buf, int64(q.List)-prev)
-		prev = int64(q.List)
+		buf = store.AppendListDelta(buf, q.List, prev)
+		prev = q.List
 		buf = binary.AppendUvarint(buf, uint64(q.Offset))
 		buf = binary.AppendUvarint(buf, uint64(q.Count))
 		var flags byte
@@ -416,23 +293,22 @@ func AppendQueryRequest(buf []byte, toks []crypt.Token, queries []ListQuery) []b
 // the bytes that remain, and the sub-query count by MaxBatchOps, before
 // anything is allocated for them.
 func DecodeQueryRequest(body []byte) ([]crypt.Token, []ListQuery, error) {
-	b, err := openFrame(body, frameQueryRequest)
+	r, err := openFrame(body, frameQueryRequest)
 	if err != nil {
 		return nil, nil, err
 	}
-	r := wireReader{b: b}
 	var toks []crypt.Token
-	if n := r.count("tokens", crypt.MinTokenBytes); n > 0 {
+	if n := r.Count("tokens", crypt.MinTokenBytes); n > 0 {
 		toks = make([]crypt.Token, n)
 		user := ""
 		for i := range toks {
-			toks[i] = r.token(user)
+			toks[i] = crypt.ReadToken(&r.Reader, user)
 			user = toks[i].User
 		}
 	}
-	n := r.count("sub-queries", minSubQueryBytes)
-	if r.err != nil {
-		return nil, nil, r.err
+	n := r.Count("sub-queries", minSubQueryBytes)
+	if err := r.Err(); err != nil {
+		return nil, nil, err
 	}
 	if err := checkBatchSize(n); err != nil {
 		return nil, nil, err
@@ -445,21 +321,17 @@ func DecodeQueryRequest(body []byte) ([]crypt.Token, []ListQuery, error) {
 		if versions == nil {
 			versions = make([]uint64, 0, 2*left)
 		}
-		versions = append(versions, r.version())
+		versions = append(versions, r.Uint64())
 		return &versions[len(versions)-1]
 	}
-	prev := int64(0)
+	list := zerber.ListID(0)
 	for i := range queries {
 		q := &queries[i]
-		prev += r.varint()
-		list, err := store.CheckListID(prev)
-		if err != nil {
-			r.fail("%v", err)
-		}
-		q.List, q.Offset, q.Count = list, r.int(), r.int()
-		flags := r.byte()
+		list = store.ReadListDelta(&r.Reader, list)
+		q.List, q.Offset, q.Count = list, r.Int(), r.Int()
+		flags := r.Byte()
 		if flags&^(queryIfVersion|queryProof|queryProofFrom) != 0 {
-			r.fail("unknown sub-query flags %#x", flags)
+			r.Fail("unknown sub-query flags %#x", flags)
 		}
 		q.Proof = flags&queryProof != 0
 		if flags&queryIfVersion != 0 {
@@ -468,11 +340,11 @@ func DecodeQueryRequest(body []byte) ([]crypt.Token, []ListQuery, error) {
 		if flags&queryProofFrom != 0 {
 			q.ProofFrom = pin(n - i)
 		}
-		if r.err != nil {
-			return nil, nil, &BatchError{Index: i, Err: r.err}
+		if err := r.Err(); err != nil {
+			return nil, nil, &BatchError{Index: i, Err: err}
 		}
 	}
-	if err := r.end(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, nil, err
 	}
 	return toks, queries, nil
@@ -482,86 +354,85 @@ func DecodeQueryRequest(body []byte) ([]crypt.Token, []ListQuery, error) {
 // payload (boundary payloads included) aliases body; an empty window
 // decodes to nil Elements, an empty group list or path to nil.
 func DecodeQueryResponse(body []byte) ([]QueryResponse, error) {
-	b, err := openFrame(body, frameQueryResponse)
+	r, err := openFrame(body, frameQueryResponse)
 	if err != nil {
 		return nil, err
 	}
-	r := wireReader{b: b}
-	out := make([]QueryResponse, r.count("windows", minWindowBytes))
+	out := make([]QueryResponse, r.Count("windows", minWindowBytes))
 	for i := range out {
 		w := &out[i]
-		flags := r.byte()
+		flags := r.Byte()
 		if flags&^(windowExhausted|windowUnchanged|windowProved|windowContinued) != 0 {
-			r.fail("window %d: unknown flags %#x", i, flags)
+			r.Fail("window %d: unknown flags %#x", i, flags)
 		}
 		if flags&(windowProved|windowContinued) == windowContinued {
-			r.fail("window %d: continuation flag without a proof", i)
+			r.Fail("window %d: continuation flag without a proof", i)
 		}
 		w.Exhausted = flags&windowExhausted != 0
 		w.Unchanged = flags&windowUnchanged != 0
-		w.Version = r.version()
-		if n := r.count("elements", store.MinElementBytes); n > 0 {
+		w.Version = r.Uint64()
+		if n := r.Count("elements", store.MinElementBytes); n > 0 {
 			w.Elements = make([]StoredElement, n)
 			for j := range w.Elements {
-				w.Elements[j] = r.element()
+				w.Elements[j] = store.ReadElement(&r.Reader)
 			}
 		}
 		if flags&windowProved != 0 {
 			w.Proof = r.proof(flags&windowContinued != 0)
 		}
-		if r.err != nil {
-			return nil, r.err
+		if err := r.Err(); err != nil {
+			return nil, err
 		}
 	}
-	if err := r.end(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
 func (r *wireReader) proof(continued bool) *proof.Window {
-	w := &proof.Window{Version: r.version(), Root: r.hash(), Continued: continued}
+	w := &proof.Window{Version: r.Uint64(), Root: r.hash(), Continued: continued}
 	minBytes, allowed := minGroupBytes, groupPred|groupSucc
 	if continued {
 		minBytes, allowed = minContGroupBytes, groupSucc
 	}
-	n := r.count("proof groups", minBytes)
-	if n == 0 || r.err != nil {
+	n := r.Count("proof groups", minBytes)
+	if n == 0 || r.Err() != nil {
 		return w
 	}
 	w.Groups = make([]proof.GroupWindow, n)
 	for i := range w.Groups {
 		gw := &w.Groups[i]
-		gw.Group = int(r.varint())
-		flags := r.byte()
+		gw.Group = int(r.Varint())
+		flags := r.Byte()
 		if flags == groupOpaque && !continued {
 			h := r.hash()
 			gw.Opaque = &h
 			continue
 		}
 		if flags&^allowed != 0 {
-			r.fail("proof group %d: flags %#x", gw.Group, flags)
+			r.Fail("proof group %d: flags %#x", gw.Group, flags)
 		}
 		if !continued {
-			gw.Count = r.int()
+			gw.Count = r.Int()
 			root := r.hash()
 			gw.Root = &root
-			gw.Start = r.int()
+			gw.Start = r.Int()
 		}
-		gw.End = r.int()
+		gw.End = r.Int()
 		if flags&groupPred != 0 {
 			gw.Pred = r.boundary(gw.Group)
 		}
 		if flags&groupSucc != 0 {
 			gw.Succ = r.boundary(gw.Group)
 		}
-		if p := r.count("path hashes", proof.HashSize); p > 0 {
+		if p := r.Count("path hashes", proof.HashSize); p > 0 {
 			gw.Path = make([]proof.Hash, p)
 			for j := range gw.Path {
 				gw.Path[j] = r.hash()
 			}
 		}
-		if r.err != nil {
+		if r.Err() != nil {
 			return w
 		}
 	}
@@ -569,9 +440,9 @@ func (r *wireReader) proof(continued bool) *proof.Window {
 }
 
 func (r *wireReader) boundary(group int) *proof.Boundary {
-	el := r.element()
-	if r.err == nil && el.Group != group {
-		r.fail("boundary of group %d inside proof group %d", el.Group, group)
+	el := store.ReadElement(&r.Reader)
+	if r.Err() == nil && el.Group != group {
+		r.Fail("boundary of group %d inside proof group %d", el.Group, group)
 	}
 	return &proof.Boundary{TRS: el.TRS, Sealed: el.Sealed}
 }
@@ -592,28 +463,21 @@ func AppendRemoveRequest(buf []byte, tok crypt.Token, ops []RemoveOp) []byte {
 // then the op list, with read. The operation count is bounded by
 // MaxBatchOps before read sees it, so an oversized batch is refused
 // before its operations are allocated.
-func decodeRequest[T any](body []byte, kind byte, read func([]byte) ([]T, []byte, error)) (crypt.Token, []T, error) {
-	b, err := openFrame(body, kind)
+func decodeRequest[T any](body []byte, kind byte, read func(*binfmt.Reader) []T) (crypt.Token, []T, error) {
+	r, err := openFrame(body, kind)
 	if err != nil {
 		return crypt.Token{}, nil, err
 	}
-	tok, b, err := crypt.ReadToken(b, "")
-	if err != nil {
-		return crypt.Token{}, nil, badFrame("%v", err)
+	tok := crypt.ReadToken(&r.Reader, "")
+	peek := r.Reader // a copy: the count is read again by read
+	if n := peek.Uvarint(); peek.Err() == nil {
+		if err := checkBatchSize(int(min(n, MaxBatchOps+1))); err != nil {
+			return crypt.Token{}, nil, err
+		}
 	}
-	n, k := binary.Uvarint(b)
-	if k <= 0 {
-		return crypt.Token{}, nil, badFrame("truncated or overlong operation count")
-	}
-	if err := checkBatchSize(int(min(n, MaxBatchOps+1))); err != nil {
+	ops := read(&r.Reader)
+	if err := r.End(); err != nil {
 		return crypt.Token{}, nil, err
-	}
-	ops, rest, err := read(b)
-	if err == nil && len(rest) != 0 {
-		err = fmt.Errorf("%d trailing bytes inside the frame", len(rest))
-	}
-	if err != nil {
-		return crypt.Token{}, nil, badFrame("%v", err)
 	}
 	return tok, ops, nil
 }

@@ -390,6 +390,49 @@ func TestQueryRequestOneEncoding(t *testing.T) {
 	}
 }
 
+// TestEveryFrameHasOneEncoding: a frame the decoders accept is the one
+// its encoder writes for what they decoded — the elements, op lists and
+// tokens inside it included — so no two byte strings carry one message.
+// Every one-byte field of each golden frame, written in two bytes
+// instead — a varint no longer in its shortest form, or a fixed-width
+// byte the rest then misreads — is refused, or re-encodes to itself.
+func TestEveryFrameHasOneEncoding(t *testing.T) {
+	tok := goldenToken()
+	toks, queries := goldenQuery()
+	for _, c := range []struct {
+		name     string
+		frame    []byte
+		reencode func([]byte) ([]byte, error)
+	}{
+		{"insert request", AppendInsertRequest(nil, tok, goldenInsert()), func(b []byte) ([]byte, error) {
+			tok, ops, err := DecodeInsertRequest(b)
+			return AppendInsertRequest(nil, tok, ops), err
+		}},
+		{"remove request", AppendRemoveRequest(nil, tok, goldenRemove()), func(b []byte) ([]byte, error) {
+			tok, ops, err := DecodeRemoveRequest(b)
+			return AppendRemoveRequest(nil, tok, ops), err
+		}},
+		{"query request", AppendQueryRequest(nil, toks, queries), func(b []byte) ([]byte, error) {
+			toks, queries, err := DecodeQueryRequest(b)
+			return AppendQueryRequest(nil, toks, queries), err
+		}},
+		{"query response", AppendQueryResponse(nil, goldenResponses()), func(b []byte) ([]byte, error) {
+			resps, err := DecodeQueryResponse(b)
+			return AppendQueryResponse(nil, resps), err
+		}},
+	} {
+		for at := wireHeaderLen; at < len(c.frame); at++ {
+			if c.frame[at] >= 0x80 {
+				continue
+			}
+			long := lengthen(c.frame, at)
+			if again, err := c.reencode(long); err == nil && !bytes.Equal(again, long) {
+				t.Errorf("%s: byte %d written in two bytes decodes to a frame of %d bytes", c.name, at, len(again))
+			}
+		}
+	}
+}
+
 // TestWireDecodeOwnership: every decoded payload, of a request or a
 // response, aliases the body with no spare capacity — the store copies
 // what it keeps (internal/client's TestInsertCopiesPayload covers that

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"zerberr/internal/binfmt"
 )
 
 // TestElementRecord: the shared record round-trips every field bit for
@@ -22,7 +24,7 @@ func TestElementRecord(t *testing.T) {
 			t.Fatalf("record of %d bytes, below MinElementBytes", len(rec))
 		}
 		buf := append(append([]byte(nil), rec...), "next"...)
-		got, rest, err := ReadElement(buf)
+		got, rest, err := readElement(buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,14 +38,24 @@ func TestElementRecord(t *testing.T) {
 			t.Fatalf("sealed has spare capacity %d: an append would overwrite the next record", cap(got.Sealed)-len(got.Sealed))
 		}
 		for cut := 0; cut < len(rec); cut++ {
-			if _, _, err := ReadElement(rec[:cut]); !errors.Is(err, ErrShortElement) {
+			if _, _, err := readElement(rec[:cut]); !errors.Is(err, binfmt.ErrTruncated) {
 				t.Fatalf("truncation to %d of %d bytes: %v", cut, len(rec), err)
 			}
 		}
 	}
 	// A sealed length no buffer could hold is a truncation, not a panic.
 	huge := append(AppendElement(nil, Element{})[:9], 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)
-	if _, _, err := ReadElement(huge); !errors.Is(err, ErrShortElement) {
+	if _, _, err := readElement(huge); !errors.Is(err, binfmt.ErrTruncated) {
 		t.Fatalf("sealed length 2^64-1: %v", err)
 	}
+}
+
+var errElementRecord = errors.New("element record")
+
+// readElement reads the element record at the head of b and returns
+// what follows it.
+func readElement(b []byte) (Element, []byte, error) {
+	r := binfmt.NewReader(b, errElementRecord)
+	el := ReadElement(&r)
+	return el, r.Bytes(r.Len()), r.Err()
 }

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -126,8 +127,9 @@ func walSeedPayloads() map[string][]byte {
 // FuzzWALRecords hardens recovery and tail apply against arbitrary
 // record payloads (the CRC only catches torn writes, not a hostile or
 // rotted file): decodeRecord must fail cleanly or yield a record a
-// re-encode reproduces, and what it allocates is bounded by the body it
-// was handed, never by a count the body merely claims. The corpus under
+// re-encode reproduces — byte for byte, for the batch kinds the store
+// writes — and what it allocates is bounded by the body it was handed,
+// never by a count the body merely claims. The corpus under
 // testdata/fuzz pins the bytes this commit's encoder wrote.
 func FuzzWALRecords(f *testing.F) {
 	f.Add([]byte{})
@@ -144,6 +146,9 @@ func FuzzWALRecords(f *testing.F) {
 			t.Fatalf("%d-byte payload allocated room for %d ops", len(payload), n)
 		}
 		reenc := encodeRecord(r)
+		if _, n := binary.Uvarint(payload); payload[n] >= opInsertBatch && !bytes.Equal(reenc, payload) {
+			t.Fatalf("a batch record re-encodes to other bytes:\n %x\n→%x", payload, reenc)
+		}
 		again, err := decodeRecord(reenc)
 		if err != nil {
 			t.Fatalf("re-encoded record does not decode: %v", err)
@@ -152,6 +157,53 @@ func FuzzWALRecords(f *testing.F) {
 			t.Fatalf("record changed across a re-encode: %+v → %+v", r, again)
 		}
 	})
+}
+
+// lengthen rewrites the byte at b[at] in two bytes: a one-byte varint
+// there becomes the same value not in its shortest form.
+func lengthen(b []byte, at int) []byte {
+	out := append(bytes.Clone(b[:at]), b[at]|0x80, 0)
+	return append(out, b[at+1:]...)
+}
+
+// TestLogAndSnapshotHaveOneEncoding: a batch record or a snapshot the
+// store accepts is the one its encoder writes for what it decoded, so
+// no two byte strings hold one logged batch or one dump. Every one-byte
+// field, written in two bytes instead — a varint no longer in its
+// shortest form, or a fixed-width byte the rest then misreads — is
+// refused, or re-encodes to exactly itself.
+func TestLogAndSnapshotHaveOneEncoding(t *testing.T) {
+	for name, payload := range walSeedPayloads() {
+		if payload[1] < opInsertBatch || name == "seed_remove_batch_overcount" {
+			continue // kinds 1 and 2 re-encode as batches of one
+		}
+		for at := range payload {
+			if payload[at] >= 0x80 {
+				continue
+			}
+			long := lengthen(payload, at)
+			if r, err := decodeRecord(long); err == nil && !bytes.Equal(encodeRecord(r), long) {
+				t.Errorf("%s: byte %d written in two bytes decodes to a record of %d bytes", name, at, len(encodeRecord(r)))
+			}
+		}
+	}
+	m := NewMemory()
+	for _, e := range []Element{el("s1", 2.5, 0), el("s2", 1.5, 1), el("s3", 0.5, 0)} {
+		m.Insert(1, e)
+		m.Insert(7, e)
+	}
+	snap := encodeToBytes(t, 42, m)
+	body := snap[len(snapMagic) : len(snap)-4]
+	for at := range body {
+		if body[at] >= 0x80 {
+			continue
+		}
+		long := append([]byte(snapMagic), lengthen(body, at)...)
+		long = binary.BigEndian.AppendUint32(long, crc32.ChecksumIEEE(long[len(snapMagic):]))
+		if seq, got, err := decodeSnapshot(long); err == nil && !bytes.Equal(encodeToBytes(t, seq, got), long) {
+			t.Errorf("snapshot byte %d written in two bytes decodes to a snapshot of %d bytes", at, len(encodeToBytes(t, seq, got)))
+		}
+	}
 }
 
 // TestWALListIDOutOfRange: a list ID, or a running delta, past 2³²−1 is
@@ -253,9 +305,9 @@ func applyTailSeeds(tb testing.TB) map[string][]byte {
 		tb.Fatal(err)
 	}
 	seeds := map[string][]byte{"seed_tail": tail}
-	fr := frameReader{r: bytes.NewReader(tail), size: int64(len(tail))}
+	fr := newFrames(tail)
 	if err := fr.each(func(record) {
-		for _, cut := range []int{int(fr.off) - 1, int(fr.off)} {
+		for _, cut := range []int{fr.r.Offset() - 1, fr.r.Offset()} {
 			if cut < len(tail) {
 				seeds[fmt.Sprintf("seed_tail_cut_%03d", cut)] = tail[:cut]
 			}

@@ -134,17 +134,16 @@ func (d *Durable) TailSince(after uint64) ([]byte, error) {
 	if after < d.walBase {
 		return nil, fmt.Errorf("%w: log restarts at seq %d, tail requested after %d", ErrTailTruncated, d.walBase, after)
 	}
-	f, err := os.Open(filepath.Join(d.dir, walFileName))
+	data, err := os.ReadFile(filepath.Join(d.dir, walFileName))
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	fr, err := logReader(f)
+	f, err := logFrames(data)
 	if err != nil {
 		return nil, err
 	}
 	var tail []byte
-	err = fr.each(func(r record) {
+	err = f.each(func(r record) {
 		if r = r.since(after); r.ops() > 0 {
 			tail = append(tail, frameRecord(encodeRecord(r))...)
 		}
@@ -197,10 +196,10 @@ func ApplyTail(b Backend, tail []byte) (ops int, err error) {
 	return ops, flush()
 }
 
-// readTail decodes every record of a tail, strictly (frameReader.each).
+// readTail decodes every record of a tail, strictly (frames.each).
 func readTail(tail []byte) ([]record, error) {
 	var recs []record
-	fr := frameReader{r: bytes.NewReader(tail), size: int64(len(tail))}
-	err := fr.each(func(r record) { recs = append(recs, r) })
+	f := newFrames(tail)
+	err := f.each(func(r record) { recs = append(recs, r) })
 	return recs, err
 }

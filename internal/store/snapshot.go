@@ -2,7 +2,6 @@ package store
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"zerberr/internal/binfmt"
 	"zerberr/internal/proof"
 	"zerberr/internal/zerber"
 )
@@ -42,7 +42,7 @@ import (
 // earlier magic, and a dump carrying one is ErrBadSnapshot like any
 // other unknown header.
 
-var snapMagic = []byte("ZSNAP3")
+const snapMagic = "ZSNAP3"
 
 // ErrBadSnapshot reports a corrupted or truncated snapshot file.
 var ErrBadSnapshot = errors.New("store: bad snapshot")
@@ -74,97 +74,66 @@ func writeSnapshot(path string, seq uint64, m *Memory) error {
 }
 
 func encodeSnapshot(f io.Writer, seq uint64, m *Memory) error {
-	bw := bufio.NewWriter(f)
-	if _, err := bw.Write(snapMagic); err != nil {
-		return err
-	}
-	// Tee the body through the checksum so the trailing CRC covers
-	// exactly what a reader will verify.
-	sum := crc32.NewIEEE()
-	w := io.MultiWriter(bw, sum)
-	var vbuf [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) error {
-		n := binary.PutUvarint(vbuf[:], v)
-		_, err := w.Write(vbuf[:n])
-		return err
-	}
-	if err := writeUvarint(seq); err != nil {
-		return err
-	}
 	lists, err := m.Lists()
 	if err != nil {
 		return err
 	}
-	if err := writeUvarint(uint64(len(lists))); err != nil {
+	bw := bufio.NewWriter(f)
+	if _, err := bw.WriteString(snapMagic); err != nil {
 		return err
 	}
-	var ebuf []byte // one element record at a time, reused
+	// Tee the body through the checksum so the trailing CRC covers
+	// exactly what a reader will verify. The body is written one list
+	// at a time from buf, which each list reuses.
+	sum := crc32.NewIEEE()
+	w := io.MultiWriter(bw, sum)
+	buf := binary.AppendUvarint(binary.AppendUvarint(nil, seq), uint64(len(lists)))
 	for _, id := range lists {
-		var viewErr error
 		// Version, elements and leaves are read under one lock
 		// acquisition (viewCommitted), so a live export — writers
 		// active on other lists — can never pair a version with
 		// another version's content.
 		err := m.viewCommitted(id, func(version uint64, elems []Element, leaves []proof.Hash) {
-			if viewErr = writeUvarint(uint64(id)); viewErr != nil {
-				return
-			}
-			if viewErr = writeUvarint(version); viewErr != nil {
-				return
-			}
-			if viewErr = writeUvarint(uint64(len(elems))); viewErr != nil {
-				return
-			}
-			for _, el := range elems {
-				ebuf = AppendElement(ebuf[:0], el)
-				if _, viewErr = w.Write(ebuf); viewErr != nil {
-					return
-				}
-			}
-			if leaves == nil {
-				_, viewErr = w.Write([]byte{0})
-				return
-			}
-			if _, viewErr = w.Write([]byte{1}); viewErr != nil {
-				return
-			}
-			for i := range leaves {
-				if _, viewErr = w.Write(leaves[i][:]); viewErr != nil {
-					return
-				}
-			}
+			buf = appendSnapshotList(buf, id, version, elems, leaves)
 		})
-		if err != nil {
+		if errors.Is(err, ErrUnknownList) {
 			// The list vanished between Lists and View (unreachable
 			// today — lists are never dropped — but kept defensive);
 			// write it as empty to keep the count honest.
-			if errors.Is(err, ErrUnknownList) {
-				if err := writeUvarint(uint64(id)); err != nil {
-					return err
-				}
-				if err := writeUvarint(0); err != nil {
-					return err
-				}
-				if err := writeUvarint(0); err != nil {
-					return err
-				}
-				if _, err := w.Write([]byte{0}); err != nil {
-					return err
-				}
-				continue
-			}
+			buf = appendSnapshotList(buf, id, 0, nil, nil)
+		} else if err != nil {
 			return err
 		}
-		if viewErr != nil {
-			return viewErr
+		if _, err := w.Write(buf); err != nil {
+			return err
 		}
+		buf = buf[:0]
 	}
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], sum.Sum32())
-	if _, err := bw.Write(crc[:]); err != nil {
+	if _, err := w.Write(buf); err != nil { // a store without lists
+		return err
+	}
+	if _, err := bw.Write(binary.BigEndian.AppendUint32(nil, sum.Sum32())); err != nil {
 		return err
 	}
 	return bw.Flush()
+}
+
+// appendSnapshotList appends one list's entry of the snapshot body.
+func appendSnapshotList(buf []byte, id zerber.ListID, version uint64, elems []Element, leaves []proof.Hash) []byte {
+	buf = binary.AppendUvarint(buf, uint64(id))
+	buf = binary.AppendUvarint(buf, version)
+	buf = binary.AppendUvarint(buf, uint64(len(elems)))
+	for _, el := range elems {
+		buf = AppendElement(buf, el)
+	}
+	if leaves == nil {
+		return append(buf, 0)
+	}
+	buf = append(buf, 1)
+	for i := range leaves {
+		buf = append(buf, leaves[i][:]...)
+	}
+	return buf
 }
 
 // readSnapshot loads the snapshot at path into a fresh Memory. A
@@ -186,91 +155,53 @@ func readSnapshot(path string) (seq uint64, m *Memory, _ error) {
 }
 
 // decodeSnapshot parses a ZSNAP3 dump into a fresh Memory — the shared
-// core of crash recovery and snapshot import. It validates the whole dump (CRC, then per-element framing)
-// but builds no list: each list is registered lazily with its
-// validated byte region, and decoding happens on first touch.
-// Recovery cost at open is therefore one sequential scan, with zero
-// per-element allocation.
+// core of crash recovery and snapshot import. It validates the whole
+// dump (CRC, then per-element framing) but builds no list: each list is
+// registered lazily with its validated byte region, and decoding
+// happens on first touch. Recovery cost at open is therefore one
+// sequential scan, with zero per-element allocation.
 func decodeSnapshot(data []byte) (seq uint64, m *Memory, _ error) {
-	m = NewMemory()
-	if len(data) < len(snapMagic)+4 || !bytes.Equal(data[:len(snapMagic)], snapMagic) {
+	if len(data) < len(snapMagic)+4 || string(data[:len(snapMagic)]) != snapMagic {
 		return 0, nil, fmt.Errorf("%w: missing magic", ErrBadSnapshot)
 	}
 	body := data[len(snapMagic) : len(data)-4]
-	want := binary.BigEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(body) != want {
+	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(data[len(data)-4:]) {
 		return 0, nil, fmt.Errorf("%w: checksum mismatch", ErrBadSnapshot)
 	}
-	rd := newByteCursor(body)
-	seq, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return 0, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	numLists, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return 0, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	for i := uint64(0); i < numLists; i++ {
-		id, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return 0, nil, fmt.Errorf("%w: list %d: %v", ErrBadSnapshot, i, err)
+	r := binfmt.NewReader(body, ErrBadSnapshot)
+	seq = r.Uvarint()
+	m = NewMemory()
+	// A list's shortest entry is its ID, version, element count and leaf
+	// flag, one byte each.
+	for i, lists := 0, r.Count("lists", 4); i < lists && r.Err() == nil; i++ {
+		id := checkListID(&r, int64(r.Uvarint()))
+		version := r.Uvarint()
+		n := r.Count("elements", MinElementBytes)
+		// Walk the list's elements validating only framing — no byte is
+		// copied. The validated region is what the lazy list decodes on
+		// first touch.
+		start := r.Offset()
+		for j := 0; j < n && r.Err() == nil; j++ {
+			ReadElement(&r)
 		}
-		version, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return 0, nil, fmt.Errorf("%w: list %d: %v", ErrBadSnapshot, i, err)
+		elems := body[start:r.Offset()]
+		if uint64(len(elems)) > maxSlab {
+			r.Fail("list %d: %d element bytes exceed a list's payload bound", id, len(elems))
 		}
-		n, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return 0, nil, fmt.Errorf("%w: list %d: %v", ErrBadSnapshot, i, err)
-		}
-		if n > uint64(rd.remaining()) {
-			return 0, nil, fmt.Errorf("%w: list %d claims %d elements with %d bytes left", ErrBadSnapshot, i, n, rd.remaining())
-		}
-		// Walk the list's elements validating only framing — no Element
-		// is built, no byte copied. The validated region is what the
-		// lazy list decodes on first touch.
-		start := rd.off
-		for j := uint64(0); j < n; j++ {
-			if _, err := binary.ReadVarint(rd); err != nil {
-				return 0, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-			}
-			if _, err := rd.take(8); err != nil {
-				return 0, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-			}
-			sl, err := binary.ReadUvarint(rd)
-			if err != nil {
-				return 0, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-			}
-			if _, err := rd.take(int(sl)); err != nil {
-				return 0, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-			}
-		}
-		elemRegion := body[start:rd.off]
-		if uint64(len(elemRegion)) > maxSlab {
-			return 0, nil, fmt.Errorf("%w: list %d: %d element bytes exceed a list's payload bound", ErrBadSnapshot, i, len(elemRegion))
-		}
-		var leafRegion []byte
-		flag, err := rd.take(1)
-		if err != nil {
-			return 0, nil, fmt.Errorf("%w: list %d leaf flag: %v", ErrBadSnapshot, i, err)
-		}
-		switch flag[0] {
+		var leaves []byte
+		switch flag := r.Byte(); flag {
 		case 0:
 		case 1:
-			if n > uint64(rd.remaining())/proof.HashSize {
-				return 0, nil, fmt.Errorf("%w: list %d claims %d leaves with %d bytes left", ErrBadSnapshot, i, n, rd.remaining())
-			}
-			leafRegion, err = rd.take(int(n) * proof.HashSize)
-			if err != nil {
-				return 0, nil, fmt.Errorf("%w: list %d leaves: %v", ErrBadSnapshot, i, err)
-			}
+			leaves = r.Bytes(n * proof.HashSize)
 		default:
-			return 0, nil, fmt.Errorf("%w: list %d leaf flag %d", ErrBadSnapshot, i, flag[0])
+			r.Fail("list %d: leaf flag %d", id, flag)
 		}
-		m.loadLazy(zerber.ListID(id), elemRegion, int(n), version, leafRegion)
+		if r.Err() == nil {
+			m.loadLazy(id, elems, n, version, leaves)
+		}
 	}
-	if rd.remaining() != 0 {
-		return 0, nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, rd.remaining())
+	if err := r.End(); err != nil {
+		return 0, nil, err
 	}
 	return seq, m, nil
 }
@@ -281,15 +212,13 @@ func decodeSnapshot(data []byte) (seq uint64, m *Memory, _ error) {
 // was framing-checked at load by the same ReadElement, so a decode
 // error here can only be a bug and panics, deliberately loud.
 func eachElement(raw []byte, n int, fn func(group int, trs float64, off, size int)) {
-	rest := raw
+	r := binfmt.NewReader(raw, ErrBadSnapshot)
 	for j := 0; j < n; j++ {
-		el, next, err := ReadElement(rest)
-		if err != nil {
+		el := ReadElement(&r)
+		if err := r.Err(); err != nil {
 			panic(fmt.Sprintf("store: validated snapshot region fails to decode at element %d: %v", j, err))
 		}
-		end := len(raw) - len(next)
-		fn(el.Group, el.TRS, end-len(el.Sealed), len(el.Sealed))
-		rest = next
+		fn(el.Group, el.TRS, r.Offset()-len(el.Sealed), len(el.Sealed))
 	}
 }
 

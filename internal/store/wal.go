@@ -10,12 +10,12 @@ import (
 	"os"
 	"path/filepath"
 
-	"zerberr/internal/zerber"
+	"zerberr/internal/binfmt"
 )
 
 // Write-ahead log format (integers are unsigned varints unless noted,
-// floats 64-bit IEEE big-endian — the serialization idiom of
-// internal/index and internal/zerber):
+// floats 64-bit IEEE big-endian; read, like every binary format here,
+// through internal/binfmt):
 //
 //	file:    magic "ZWAL1" | record*
 //	record:  payloadLen | payload | crc32-IEEE(payload) (4B big-endian)
@@ -46,16 +46,16 @@ import (
 // written before that hold them, so they still decode, as batches of
 // one.
 
-var walMagic = []byte("ZWAL1")
-
 const (
+	walMagic = "ZWAL1"
+
 	opInsert      byte = 1
 	opRemove      byte = 2
 	opInsertBatch byte = 3
 	opRemoveBatch byte = 4
 
-	// maxWALRecord bounds a single record's payload so a corrupted
-	// length prefix cannot trigger a huge allocation during recovery.
+	// maxWALRecord bounds a single record's payload: a longer length
+	// prefix is damage (ErrBadWAL), not a torn write to truncate away.
 	maxWALRecord = 1 << 28
 
 	// maxBatchRecordBytes is where InsertBatch and RemoveBatch split a
@@ -117,47 +117,35 @@ func encodeRecord(r record) []byte {
 	return AppendInserts(append(buf, opInsertBatch), r.inserts)
 }
 
+// errBadRecord reports a record payload that does not decode.
+var errBadRecord = errors.New("undecodable record")
+
 // decodeRecord decodes one record's payload, all or nothing: a payload
 // that fails mid-batch yields none of it, so replay's torn-tail
 // tolerance stays frame-granular. Payloads alias the given bytes.
-func decodeRecord(payload []byte) (r record, err error) {
-	seq, n := binary.Uvarint(payload)
-	if n <= 0 || n == len(payload) {
-		return record{}, errors.New("truncated record header")
-	}
-	kind, body := payload[n], payload[n+1:]
-	r = record{seq: seq, remove: kind == opRemove || kind == opRemoveBatch}
-	switch kind {
+func decodeRecord(payload []byte) (record, error) {
+	r := binfmt.NewReader(payload, errBadRecord)
+	rec := record{seq: r.Uvarint()}
+	switch kind := r.Byte(); kind {
 	case opInsertBatch:
-		r.inserts, body, err = ReadInserts(body)
+		rec.inserts = ReadInserts(&r)
 	case opRemoveBatch:
-		r.removes, body, err = ReadRemoves(body)
-	case opInsert, opRemove:
-		var list uint64
-		if list, n = binary.Uvarint(body); n <= 0 {
-			return record{}, errShortOp
-		}
-		var id zerber.ListID
-		if id, err = CheckListID(int64(list)); err != nil {
-			return record{}, err
-		}
-		if kind == opInsert {
-			r.inserts = make([]BatchInsert, 1)
-			r.inserts[0], body, err = readInsert(body[n:], id)
-		} else {
-			r.removes = make([]BatchRemove, 1)
-			r.removes[0], body, err = readRemove(body[n:], id)
-		}
+		rec.remove = true
+		rec.removes = ReadRemoves(&r)
+	case opInsert:
+		list := checkListID(&r, int64(r.Uvarint()))
+		rec.inserts = []BatchInsert{{List: list, Element: ReadElement(&r)}}
+	case opRemove:
+		list := checkListID(&r, int64(r.Uvarint()))
+		rec.remove = true
+		rec.removes = []BatchRemove{{List: list, Sealed: r.Prefixed()}}
 	default:
-		return record{}, fmt.Errorf("unknown op %d", kind)
+		r.Fail("unknown op %d", kind)
 	}
-	if err != nil {
+	if err := r.End(); err != nil {
 		return record{}, err
 	}
-	if len(body) != 0 {
-		return record{}, fmt.Errorf("record leaves %d trailing bytes", len(body))
-	}
-	return r, nil
+	return rec, nil
 }
 
 // frameRecord wraps a payload in the on-disk framing — length prefix,
@@ -170,65 +158,43 @@ func frameRecord(payload []byte) []byte {
 	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
 }
 
-// frameReader reads framed records one at a time — the one reader of
-// recovery (replayWAL), tail export (Durable.TailSince) and tail apply
+// frames reads framed records one at a time out of a log's bytes after
+// its magic (logFrames) or out of a tail — the one reader of recovery
+// (replayWAL), tail export (Durable.TailSince) and tail apply
 // (ApplyTail).
-type frameReader struct {
-	r interface {
-		io.Reader
-		io.ByteReader
-	}
-	off  int64 // bytes consumed: after next succeeds, the end of its frame
-	size int64 // bytes the reader holds in all
-}
+type frames struct{ r binfmt.Reader }
 
-func (fr *frameReader) ReadByte() (byte, error) {
-	b, err := fr.r.ReadByte()
-	if err == nil {
-		fr.off++
-	}
-	return b, err
-}
+func newFrames(b []byte) frames { return frames{binfmt.NewReader(b, errTornFrame)} }
 
-// next returns the next frame's payload in a buffer of its own, which
-// the caller may keep. It returns io.EOF at a clean end, errTornFrame
-// for a frame cut short or failing its checksum, and ErrBadWAL for a
-// length no record may have. What it allocates is bounded by the bytes
-// that remain, never by a length it merely reads.
-func (fr *frameReader) next() ([]byte, error) {
-	payloadLen, err := binary.ReadUvarint(fr)
-	if errors.Is(err, io.EOF) {
+// next returns the next frame's payload, which aliases the input. It
+// returns io.EOF at a clean end, errTornFrame for a frame cut short or
+// failing its checksum, and ErrBadWAL for a length no record may have.
+func (f *frames) next() ([]byte, error) {
+	if f.r.Err() == nil && f.r.Len() == 0 {
 		return nil, io.EOF
 	}
-	if err != nil {
-		return nil, errTornFrame
+	n := f.r.Uvarint()
+	if n > maxWALRecord {
+		return nil, fmt.Errorf("%w: record of %d bytes", ErrBadWAL, n)
 	}
-	if payloadLen > maxWALRecord {
-		return nil, fmt.Errorf("%w: record of %d bytes", ErrBadWAL, payloadLen)
+	payload := f.r.Bytes(int(n))
+	sum := f.r.Uint32()
+	if err := f.r.Err(); err != nil {
+		return nil, err
 	}
-	if payloadLen+4 > uint64(fr.size-fr.off) {
-		return nil, errTornFrame
-	}
-	frame := make([]byte, payloadLen+4)
-	n, err := io.ReadFull(fr.r, frame)
-	fr.off += int64(n)
-	if err != nil {
-		return nil, errTornFrame
-	}
-	payload, sum := frame[:payloadLen], binary.BigEndian.Uint32(frame[payloadLen:])
 	if crc32.ChecksumIEEE(payload) != sum {
 		return nil, errTornFrame
 	}
 	return payload, nil
 }
 
-// each decodes every record left in fr and calls fn with each, in
-// order. It tolerates nothing — a torn frame or an
-// undecodable record anywhere is ErrBadWAL — as the reader of a live
-// log, whose appends are whole, or of a peer's tail must.
-func (fr *frameReader) each(fn func(record)) error {
+// each decodes every record left and calls fn with each, in order. It
+// tolerates nothing — a torn frame or an undecodable record anywhere is
+// ErrBadWAL — as the reader of a live log, whose appends are whole, or
+// of a peer's tail must.
+func (f *frames) each(fn func(record)) error {
 	for {
-		payload, err := fr.next()
+		payload, err := f.next()
 		if err == io.EOF {
 			return nil
 		}
@@ -237,7 +203,7 @@ func (fr *frameReader) each(fn func(record)) error {
 		}
 		r, err := decodeRecord(payload)
 		if err != nil {
-			return fmt.Errorf("%w: undecodable record ending at offset %d: %v", ErrBadWAL, fr.off, err)
+			return fmt.Errorf("%w: record ending at offset %d: %v", ErrBadWAL, f.r.Offset(), err)
 		}
 		fn(r)
 	}
@@ -262,7 +228,7 @@ func createWAL(path string) (*wal, error) {
 		return nil, err
 	}
 	w := &wal{f: f, bw: bufio.NewWriter(f)}
-	if _, err := w.bw.Write(walMagic); err != nil {
+	if _, err := w.bw.WriteString(walMagic); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -307,7 +273,7 @@ func (w *wal) reset() error {
 	if err := w.f.Truncate(0); err != nil {
 		return err
 	}
-	if _, err := w.bw.Write(walMagic); err != nil {
+	if _, err := w.bw.WriteString(walMagic); err != nil {
 		return err
 	}
 	if err := w.bw.Flush(); err != nil {
@@ -349,13 +315,15 @@ func (w *wal) close() error {
 // replay succeeds with what came before. Damage that is provably not a
 // torn tail — intact framing around an undecodable payload followed by
 // more data — is ErrBadWAL. It returns the highest sequence seen
-// (afterSeq if none).
+// (afterSeq if none). The records alias the log's bytes, read whole:
+// apply copies what it keeps.
 //
-// A missing file is not an error: a fresh log is created.
+// A missing file, or one too short to hold the magic (torn at offset
+// zero), is not an error: a fresh log is created.
 func replayWAL(path string, afterSeq uint64, apply func(record)) (maxSeq uint64, _ error) {
 	maxSeq = afterSeq
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
+	data, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) || err == nil && len(data) < len(walMagic) {
 		w, err := createWAL(path)
 		if err != nil {
 			return maxSeq, err
@@ -365,20 +333,13 @@ func replayWAL(path string, afterSeq uint64, apply func(record)) (maxSeq uint64,
 	if err != nil {
 		return maxSeq, err
 	}
-	defer f.Close()
-
-	fr, err := logReader(f)
-	if errors.Is(err, errTornFrame) {
-		// Shorter than the header: treat as torn at offset zero and
-		// rebuild the header.
-		return maxSeq, rewriteWALHeader(path)
-	}
+	f, err := logFrames(data)
 	if err != nil {
 		return maxSeq, err
 	}
-	goodEnd := fr.off // offset just past the last intact record
+	goodEnd := 0 // bytes of the intact records after the magic
 	for {
-		payload, err := fr.next()
+		payload, err := f.next()
 		if err == io.EOF {
 			return maxSeq, nil // clean end of log
 		}
@@ -392,12 +353,12 @@ func replayWAL(path string, afterSeq uint64, apply func(record)) (maxSeq uint64,
 		if err != nil {
 			// The frame and CRC are intact, so this is not a torn
 			// write: only tolerate it at the very end of the file.
-			if fr.off == fr.size {
+			if f.r.Len() == 0 {
 				break
 			}
-			return maxSeq, fmt.Errorf("%w: undecodable record at offset %d: %v", ErrBadWAL, goodEnd, err)
+			return maxSeq, fmt.Errorf("%w: undecodable record at offset %d: %v", ErrBadWAL, len(walMagic)+goodEnd, err)
 		}
-		goodEnd = fr.off
+		goodEnd = f.r.Offset()
 		if n := r.ops(); n > 0 {
 			maxSeq = max(maxSeq, r.seq+uint64(n)-1)
 		}
@@ -406,35 +367,15 @@ func replayWAL(path string, afterSeq uint64, apply func(record)) (maxSeq uint64,
 		}
 	}
 	// Torn tail: drop everything past the last intact record.
-	return maxSeq, os.Truncate(path, goodEnd)
+	return maxSeq, os.Truncate(path, int64(len(walMagic)+goodEnd))
 }
 
-// logReader checks the magic at the head of the log f and returns a
-// reader of the records after it. A file too short to hold the magic
-// is errTornFrame.
-func logReader(f *os.File) (*frameReader, error) {
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
+// logFrames checks the magic at the head of a log's bytes and returns a
+// reader of the records after it. A wrong magic is ErrBadWAL, never a
+// torn frame: replay must not truncate a file that is not a log.
+func logFrames(data []byte) (frames, error) {
+	if len(data) < len(walMagic) || string(data[:len(walMagic)]) != walMagic {
+		return frames{}, fmt.Errorf("%w: magic %q", ErrBadWAL, data[:min(len(data), len(walMagic))])
 	}
-	fr := &frameReader{r: bufio.NewReader(f), size: fi.Size()}
-	magic := make([]byte, len(walMagic))
-	n, err := io.ReadFull(fr.r, magic)
-	fr.off = int64(n)
-	if err != nil {
-		return nil, errTornFrame
-	}
-	if string(magic) != string(walMagic) {
-		return nil, fmt.Errorf("%w: magic %q", ErrBadWAL, magic)
-	}
-	return fr, nil
-}
-
-// rewriteWALHeader resets a log too short to hold its magic.
-func rewriteWALHeader(path string) error {
-	w, err := createWAL(path)
-	if err != nil {
-		return err
-	}
-	return w.close()
+	return newFrames(data[len(walMagic):]), nil
 }

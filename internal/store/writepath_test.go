@@ -29,7 +29,7 @@ func walFrames(t *testing.T, dir string) (frames, ops int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(data, walMagic) {
+	if !bytes.HasPrefix(data, []byte(walMagic)) {
 		t.Fatal("WAL missing magic")
 	}
 	recs, err := readTail(data[len(walMagic):])
@@ -181,11 +181,11 @@ func TestConcurrentAppendsTornTail(t *testing.T) {
 		ops int   // cumulative operations through this frame
 	}
 	var boundaries []frame
-	fr := frameReader{r: bytes.NewReader(walBytes[len(walMagic):]), size: int64(len(walBytes) - len(walMagic))}
+	fr := newFrames(walBytes[len(walMagic):])
 	total := 0
 	if err := fr.each(func(r record) {
 		total += r.ops()
-		boundaries = append(boundaries, frame{end: int64(len(walMagic)) + fr.off, ops: total})
+		boundaries = append(boundaries, frame{end: int64(len(walMagic) + fr.r.Offset()), ops: total})
 	}); err != nil {
 		t.Fatal(err)
 	}
