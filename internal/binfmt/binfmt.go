@@ -189,6 +189,17 @@ func (r *Reader) Int() int {
 	return int(v)
 }
 
+// Uvarint32 reads an unsigned varint that must fit 32 bits, so an ID
+// past 2³²−1 fails instead of wrapping into a 32-bit type.
+func (r *Reader) Uvarint32() uint32 {
+	v := r.Uvarint()
+	if v > math.MaxUint32 {
+		r.Fail("%d past 32 bits", v)
+		return 0
+	}
+	return uint32(v)
+}
+
 // Count reads an item count and bounds it by the bytes that remain,
 // each item taking at least minBytes: no claimed count can make a
 // decoder allocate more than a small multiple of its input.

@@ -22,6 +22,7 @@ func TestReaderReadsWhatAppendWrites(t *testing.T) {
 	b = binary.AppendUvarint(b, math.MaxUint64)
 	b = binary.AppendVarint(b, math.MinInt64)
 	b = binary.AppendUvarint(b, 300)
+	b = binary.AppendUvarint(b, math.MaxUint32)
 	b = binary.AppendUvarint(b, 3)
 	b = append(b, "abcNEXT"...)
 
@@ -47,6 +48,9 @@ func TestReaderReadsWhatAppendWrites(t *testing.T) {
 	}
 	if v := r.Int(); v != 300 {
 		t.Fatalf("Int = %d", v)
+	}
+	if v := r.Uvarint32(); v != math.MaxUint32 {
+		t.Fatalf("Uvarint32 = %d", v)
 	}
 	p := r.Prefixed()
 	if string(p) != "abc" || cap(p) != len(p) {
@@ -90,6 +94,7 @@ func TestReaderRefuses(t *testing.T) {
 		{"overlong varint", []byte{0x82, 0x80, 0x00}, func(r *Reader) { r.Varint() }, false},
 		{"overflowing uvarint", bytes.Repeat([]byte{0xff}, 11), func(r *Reader) { r.Uvarint() }, false},
 		{"int past MaxInt", binary.AppendUvarint(nil, math.MaxInt+1), func(r *Reader) { r.Int() }, false},
+		{"uvarint32 past 32 bits", binary.AppendUvarint(nil, math.MaxUint32+1), func(r *Reader) { r.Uvarint32() }, false},
 		{"count past the bytes", []byte{3, 'a', 'b'}, func(r *Reader) { r.Count("items", 1) }, false},
 		{"count of wide items", []byte{2, 'a', 'b', 'c'}, func(r *Reader) { r.Count("items", 2) }, false},
 	}

@@ -45,8 +45,12 @@ type Config struct {
 	Codec crypt.ElementCodec
 	// Keys are the group keys this user holds.
 	Keys map[int]crypt.GroupKey
-	// InitialResponse is the Section 6.4 initial response size b;
-	// zero means 10 (the paper's recommended b=k for top-10).
+	// InitialResponse is the floor b under every scan's first window;
+	// zero means 10 (the paper's b=k for top-10 on an unmerged list).
+	// A search sizes its first sub-query to a merged list from the
+	// plan (see FirstWindow) and never below b; WithInitialResponse
+	// pins the window to exactly b instead, the fixed-b schedule of
+	// Section 6.4.
 	InitialResponse int
 	// StrictTopK makes every top-k query provably exact by scanning
 	// until the list's TRS falls strictly below the k-th match's TRS.
@@ -91,6 +95,10 @@ type Client struct {
 	user   string
 	tokens []crypt.Token
 	byGrp  map[int]crypt.Token
+	// dilution[l] is ListMass(l) / max_{t∈l} P(t): how many elements
+	// merged list l holds per element of its most frequent term.
+	// Computed by New and only read after.
+	dilution []float64
 }
 
 // ErrNotLoggedIn is returned when an operation needs authentication.
@@ -114,7 +122,41 @@ func New(t Transport, cfg Config) (*Client, error) {
 	if cfg.InitialResponse <= 0 {
 		cfg.InitialResponse = 10
 	}
-	return &Client{t: t, cfg: cfg}, nil
+	dilution := make([]float64, cfg.Plan.NumLists())
+	for l := range dilution {
+		mass, top := 0.0, 0.0
+		for _, t := range cfg.Plan.Terms(zerber.ListID(l)) {
+			mass += cfg.Plan.P(t)
+			top = max(top, cfg.Plan.P(t))
+		}
+		if top > 0 {
+			dilution[l] = mass / top
+		}
+	}
+	return &Client{t: t, cfg: cfg, dilution: dilution}, nil
+}
+
+// FirstWindow is the size of the first sub-query a top-k search with
+// these options sends to merged list l. WithInitialResponse(b) pins it
+// to b, the paper's fixed initial response. Otherwise it is half the
+// expected depth of the k-th element of l's most frequent term,
+// ⌈k · ListMass(l) / (2 · max_{t∈l} P(t))⌉, and at least the floor
+// Config.InitialResponse; follow-ups double from there. Every term of
+// a list, planned or hashed onto it, gets the same window, so the
+// request shows the server nothing its list ID does not.
+func (c *Client) FirstWindow(l zerber.ListID, k int, opts ...SearchOption) int {
+	return c.firstWindow(l, k, c.options(opts).pinned)
+}
+
+func (c *Client) firstWindow(l zerber.ListID, k, pinned int) int {
+	if pinned > 0 {
+		return pinned
+	}
+	w := 0.0
+	if int(l) < len(c.dilution) {
+		w = math.Ceil(float64(k) * c.dilution[l] / 2)
+	}
+	return max(c.cfg.InitialResponse, int(min(w, math.MaxInt32)))
 }
 
 // Login authenticates against the index server and caches the issued
@@ -286,14 +328,15 @@ type termScan struct {
 	verified *proof.Frontier
 }
 
-func (c *Client) newTermScan(term corpus.TermID, k, b int, strict bool) *termScan {
+func (c *Client) newTermScan(term corpus.TermID, k int, o searchConfig) *termScan {
+	list := c.ListFor(term)
 	return &termScan{
 		term:   term,
-		list:   c.ListFor(term),
+		list:   list,
 		k:      k,
 		margin: c.cfg.Store.Jitter(),
-		strict: strict,
-		batch:  b,
+		strict: o.strict,
+		batch:  c.firstWindow(list, k, o.pinned),
 	}
 }
 

@@ -21,19 +21,29 @@ var ErrBadQuery = errors.New("client: bad query")
 // searchConfig collects the functional options of Search and
 // SearchStream.
 type searchConfig struct {
-	initial int
-	strict  bool
-	proved  bool
+	pinned int // first window fixed by WithInitialResponse; 0 derives it
+	strict bool
+	proved bool
 }
 
 // SearchOption customizes one Search or SearchStream call.
 type SearchOption func(*searchConfig)
 
-// WithInitialResponse overrides the initial response size b of the
-// Section 6.4 progressive protocol for this query. b <= 0 falls back
-// to the client's configured default.
+// options resolves a call's options over the client's configuration.
+func (c *Client) options(opts []SearchOption) searchConfig {
+	o := searchConfig{strict: c.cfg.StrictTopK}
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o
+}
+
+// WithInitialResponse pins every scan's first window to exactly b,
+// the fixed initial response size of the Section 6.4 protocol, instead
+// of the window FirstWindow derives per list from the merge plan.
+// b <= 0 keeps the derived windows.
 func WithInitialResponse(b int) SearchOption {
-	return func(o *searchConfig) { o.initial = b }
+	return func(o *searchConfig) { o.pinned = b }
 }
 
 // WithProof makes every round of this query verifiable: each
@@ -116,14 +126,7 @@ func (c *Client) SearchStream(ctx context.Context, terms []corpus.TermID, k int,
 // and only the final snapshot is yielded — same protocol traffic,
 // one merge instead of one per round.
 func (c *Client) searchStream(ctx context.Context, terms []corpus.TermID, k int, progressive bool, opts []SearchOption) iter.Seq2[Snapshot, error] {
-	var o searchConfig
-	o.strict = c.cfg.StrictTopK
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.initial <= 0 {
-		o.initial = c.cfg.InitialResponse
-	}
+	o := c.options(opts)
 	return func(yield func(Snapshot, error) bool) {
 		var total QueryStats
 		if c.tokens == nil {
@@ -141,7 +144,7 @@ func (c *Client) searchStream(ctx context.Context, terms []corpus.TermID, k int,
 		}
 		scans := make([]*termScan, len(terms))
 		for i, term := range terms {
-			scans[i] = c.newTermScan(term, k, o.initial, o.strict)
+			scans[i] = c.newTermScan(term, k, o)
 		}
 		c.stream(ctx, scans, k, progressive, o, &total, yield)
 	}

@@ -75,7 +75,7 @@ func BandwidthAnalysis(e *Env) (*Result, error) {
 		if multi >= 200 {
 			break
 		}
-		_, st, err := cl.Search(context.Background(), q.Terms, k)
+		_, st, err := cl.Search(context.Background(), q.Terms, k, client.WithInitialResponse(b))
 		if err != nil {
 			return nil, fmt.Errorf("bandwidth: %w", err)
 		}

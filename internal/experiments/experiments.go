@@ -242,6 +242,7 @@ func Paper() Table {
 		paper("fig11", "Figure 11: average bandwidth overhead vs initial response size", Fig11BandwidthOverhead),
 		paper("fig12", "Figure 12: average number of requests vs initial response size", Fig12RequestCounts),
 		paper("fig13", "Figure 13: efficiency in query answering (k=10)", Fig13QueryEfficiency),
+		paper("windows", "First windows: rounds, requests and elements per search, fixed b = 10 vs derived per list", WindowSweep),
 	}
 }
 

@@ -30,7 +30,7 @@ func testEnv(t *testing.T) *Env {
 func TestIDsComplete(t *testing.T) {
 	ids := Paper().Names()
 	want := []string{"ablation", "accuracy", "attacks", "bandwidth",
-		"fig04", "fig05", "fig07", "fig08", "fig09", "fig10", "fig11", "fig12", "fig13"}
+		"fig04", "fig05", "fig07", "fig08", "fig09", "fig10", "fig11", "fig12", "fig13", "windows"}
 	if len(ids) != len(want) {
 		t.Fatalf("IDs = %v, want %v", ids, want)
 	}
@@ -296,8 +296,8 @@ func attackRow(t *testing.T, res *Result, attack, system string) []interface{} {
 
 func TestAttacks(t *testing.T) {
 	res := runAndRender(t, "attacks")
-	if len(res.Rows) != 11 {
-		t.Fatalf("attacks table has %d rows, want 11", len(res.Rows))
+	if len(res.Rows) != 13 {
+		t.Fatalf("attacks table has %d rows, want 13", len(res.Rows))
 	}
 	// Threat 1a: list composition. BFM's similar-frequency merging
 	// keeps the value-only attack near chance on plain scores (merged
@@ -347,6 +347,34 @@ func TestAttacks(t *testing.T) {
 	}
 	if bfmAdv > 0.1 {
 		t.Fatalf("attacks: BFM request-count advantage %.3f, want near zero", bfmAdv)
+	}
+	// First windows derived per list are a function of the list ID the
+	// server already sees: an adversary who models them exactly guesses
+	// the term no better than against the fixed b.
+	derived := attackRow(t, res, "request-count", "BFM, derived windows")
+	if derived[2].(float64) > bfm[2].(float64) {
+		t.Fatalf("attacks: request-count accuracy %.4f with derived windows, above %.4f with the fixed b", derived[2], bfm[2])
+	}
+}
+
+// TestWindowSweep: on both plans and at every k, windows derived per
+// list never take more rounds than the fixed b = 10, and at the
+// paper's k = 10 they read at most 10 % more elements.
+func TestWindowSweep(t *testing.T) {
+	res := runAndRender(t, "windows")
+	if len(res.Rows) != 2*len(windowKs) {
+		t.Fatalf("windows table has %d rows, want %d", len(res.Rows), 2*len(windowKs))
+	}
+	for _, row := range res.Rows {
+		plan, k := row[0], row[1].(int)
+		pinnedRounds, derivedRounds := row[2].(float64), row[3].(float64)
+		pinnedElems, derivedElems := row[6].(float64), row[7].(float64)
+		if derivedRounds > pinnedRounds {
+			t.Errorf("%s, k=%d: %.3f rounds derived, %.3f with b=10", plan, k, derivedRounds, pinnedRounds)
+		}
+		if k == 10 && derivedElems > 1.10*pinnedElems {
+			t.Errorf("%s, k=10: %.1f elements derived, over 1.10 × %.1f with b=10", plan, derivedElems, pinnedElems)
+		}
 	}
 }
 

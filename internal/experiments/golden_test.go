@@ -2,11 +2,15 @@ package experiments
 
 // Golden paper figures. testdata/paper_golden.txt holds the request and
 // bandwidth figures at testEnv's NewEnv(0.1, 7): the Figure 11-13
-// series and rows, the attacks experiment's request-count rows and the
-// bandwidth analysis (every row and series but the wall-clock QPS). It
-// was written with -update by the last commit that could still
-// schedule a search one list per round-trip, so it pins that those
-// figures come out the same from the one batched schedule.
+// series and rows, the attacks experiment's request-count rows, the
+// bandwidth analysis (every row and series but the wall-clock QPS) and
+// the first-window sweep. Its lines up to the bandwidth analysis were
+// written with -update by the last commit that could still schedule a
+// search one list per round-trip, so they pin that those figures come
+// out the same from the one batched schedule; the two derived-window
+// request-count rows and the windows lines were appended when first
+// windows came to be derived per list, and a pinned b must still
+// reproduce every older line.
 
 import (
 	"flag"
@@ -67,6 +71,7 @@ func TestPaperFiguresGolden(t *testing.T) {
 		func(row []interface{}) bool { return row[0] == "request-count" })...)
 	got = append(got, goldenLines(runAndRender(t, "bandwidth"), true,
 		func(row []interface{}) bool { return row[0] != "queries per second (one server)" })...)
+	got = append(got, goldenLines(runAndRender(t, "windows"), true, all)...)
 
 	path := filepath.Join("testdata", "paper_golden.txt")
 	if *update {

@@ -15,7 +15,9 @@ import (
 // The corpus under testdata/fuzz/FuzzReadStore is a small real store
 // (TrainStore over a 6-document corpus), its truncations, and a 28-byte
 // input whose one term claims 2^28 training points, for which the
-// decoder allocated 2 GiB before it reached the end of the input.
+// decoder allocated 2 GiB before it reached the end of the input, and
+// a store whose one term ID is 2^32+7, which decoded as term 7 until
+// term IDs were read as 32-bit varints.
 func FuzzReadStore(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats

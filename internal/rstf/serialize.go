@@ -59,7 +59,7 @@ func ReadStore(in io.Reader) (*Store, error) {
 	n := r.Count("terms", minTermBytes)
 	terms := make(map[corpus.TermID]*RSTF, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
-		tid := corpus.TermID(r.Uvarint())
+		tid := corpus.TermID(r.Uvarint32())
 		sigma := r.Float64()
 		mu := make([]float64, r.Count("training points", 8))
 		for j := range mu {

@@ -2,6 +2,7 @@ package rstf
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -157,6 +158,25 @@ func TestStoreSerializeRoundTrip(t *testing.T) {
 
 func TestReadStoreRejectsGarbage(t *testing.T) {
 	if _, err := ReadStore(bytes.NewReader([]byte("garbage data here"))); !errors.Is(err, ErrBadStoreFormat) {
+		t.Fatalf("err = %v, want ErrBadStoreFormat", err)
+	}
+}
+
+// TestReadStoreRefusesTermPast32Bits: term IDs are 32-bit, so a store
+// training term 2³²+7 is malformed rather than a store training term 7.
+// (FuzzReadStore's seed_term_past_32_bits holds the same bytes.)
+func TestReadStoreRefusesTermPast32Bits(t *testing.T) {
+	data := binary.BigEndian.AppendUint64([]byte(storeMagic), 1)
+	data = binary.AppendUvarint(data, 1) // terms
+	data = binary.AppendUvarint(data, 1<<32+7)
+	data = binary.BigEndian.AppendUint64(data, math.Float64bits(0.1)) // sigma
+	data = binary.AppendUvarint(data, 1)                              // training points
+	data = binary.BigEndian.AppendUint64(data, math.Float64bits(0.5))
+	s, err := ReadStore(bytes.NewReader(data))
+	if err == nil {
+		t.Fatalf("term 2^32+7 read as %v", s.Terms())
+	}
+	if !errors.Is(err, ErrBadStoreFormat) {
 		t.Fatalf("err = %v, want ErrBadStoreFormat", err)
 	}
 }

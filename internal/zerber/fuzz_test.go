@@ -15,7 +15,9 @@ import (
 // The corpus under testdata/fuzz/FuzzReadPlan is a small real plan (BFM
 // at r = 2 over a 6-document corpus), its truncations, and a 19-byte
 // input whose one list claims 2^28 terms, for which the decoder
-// allocated 1 GiB before it reached the end of the input.
+// allocated 1 GiB before it reached the end of the input, and a plan
+// whose one term ID is 2^32+7, which decoded as term 7 until term IDs
+// were read as 32-bit varints.
 func FuzzReadPlan(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats

@@ -2,6 +2,7 @@ package zerber
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -293,6 +294,24 @@ func TestPlanSerializeRoundTrip(t *testing.T) {
 
 func TestReadPlanRejectsGarbage(t *testing.T) {
 	if _, err := ReadPlan(bytes.NewReader([]byte("junk plan bytes"))); !errors.Is(err, ErrBadPlanFormat) {
+		t.Fatalf("err = %v, want ErrBadPlanFormat", err)
+	}
+}
+
+// TestReadPlanRefusesTermPast32Bits: term IDs are 32-bit, so a plan
+// naming term 2³²+7 is malformed rather than a plan naming term 7.
+// (FuzzReadPlan's seed_term_past_32_bits holds the same bytes.)
+func TestReadPlanRefusesTermPast32Bits(t *testing.T) {
+	data := binary.BigEndian.AppendUint64([]byte(planMagic), math.Float64bits(2))
+	data = binary.AppendUvarint(data, 1) // lists
+	data = binary.AppendUvarint(data, 1) // terms of list 0
+	data = binary.AppendUvarint(data, 1<<32+7)
+	data = binary.BigEndian.AppendUint64(data, math.Float64bits(1))
+	m, err := ReadPlan(bytes.NewReader(data))
+	if err == nil {
+		t.Fatalf("term 2^32+7 read as %v", m.AllTerms())
+	}
+	if !errors.Is(err, ErrBadPlanFormat) {
 		t.Fatalf("err = %v, want ErrBadPlanFormat", err)
 	}
 }

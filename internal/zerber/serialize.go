@@ -64,7 +64,7 @@ func ReadPlan(in io.Reader) (*MergePlan, error) {
 		// A term's entry is its ID and p: at least 9 bytes.
 		terms := make([]corpus.TermID, r.Count("terms", 9))
 		for j := range terms {
-			t := corpus.TermID(r.Uvarint())
+			t := corpus.TermID(r.Uvarint32())
 			terms[j] = t
 			m.assign[t] = ListID(li)
 			m.p[t] = r.Float64()

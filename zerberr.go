@@ -32,8 +32,10 @@ type Config struct {
 	SampleFrac, ControlFrac float64
 	// Codec seals posting elements; nil means crypt.GCMCodec{}.
 	Codec crypt.ElementCodec
-	// InitialResponse is the default initial response size b
-	// (Section 6.4; zero means 10).
+	// InitialResponse is the floor b under every first window
+	// (Section 6.4; zero means 10). A client sizes its first request
+	// to a merged list from the merge plan and never below b;
+	// client.WithInitialResponse pins it to exactly b.
 	InitialResponse int
 	// Seed drives every random choice deterministically.
 	Seed uint64
