@@ -124,13 +124,12 @@ func New(t Transport, cfg Config) (*Client, error) {
 	}
 	dilution := make([]float64, cfg.Plan.NumLists())
 	for l := range dilution {
-		mass, top := 0.0, 0.0
+		top := 0.0
 		for _, t := range cfg.Plan.Terms(zerber.ListID(l)) {
-			mass += cfg.Plan.P(t)
 			top = max(top, cfg.Plan.P(t))
 		}
 		if top > 0 {
-			dilution[l] = mass / top
+			dilution[l] = cfg.Plan.ListMass(zerber.ListID(l)) / top
 		}
 	}
 	return &Client{t: t, cfg: cfg, dilution: dilution}, nil
@@ -578,9 +577,6 @@ func (c *Client) DeleteDocument(ctx context.Context, d *corpus.Document, group i
 	}
 	return removed, nil
 }
-
-// User returns the logged-in user name, or "" before Login.
-func (c *Client) User() string { return c.user }
 
 // Codec exposes the configured element codec (experiments use it for
 // byte accounting).

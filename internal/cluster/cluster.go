@@ -146,17 +146,6 @@ func (r *Router) NumShards() int { return len(r.health) }
 // the router is serving traffic.
 func (r *Router) SetCache(c *cache.Cache) { r.results.Store(c) }
 
-// CacheStats reports the router window-cache counters; ok is false
-// when no cache is installed. Hits count sub-queries answered by a
-// revalidated retained window.
-func (r *Router) CacheStats() (cache.Stats, bool) {
-	c := r.results.Load()
-	if c == nil {
-		return cache.Stats{}, false
-	}
-	return c.Stats(), true
-}
-
 // Revalidated counts the retained windows the router substituted for a
 // shard's Unchanged answer at a version newer than the window's own:
 // the shard's list moved, the window did not.

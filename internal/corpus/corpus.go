@@ -29,15 +29,6 @@ type Document struct {
 	TF     map[TermID]int
 }
 
-// NormTF returns the Eq. 4 relevance score TF_t/|d| of term t in the
-// document, or 0 if the term does not occur.
-func (d *Document) NormTF(t TermID) float64 {
-	if d.Length == 0 {
-		return 0
-	}
-	return float64(d.TF[t]) / float64(d.Length)
-}
-
 // Posting is one (document, frequency) observation for a term.
 type Posting struct {
 	Doc    DocID
@@ -62,8 +53,7 @@ type Corpus struct {
 
 	// names maps TermID -> string; may be nil for synthetic corpora,
 	// in which case Term() synthesizes a stable name.
-	names   []string
-	nameIdx map[string]TermID
+	names []string
 
 	invertOnce sync.Once
 	inverted   [][]Posting
@@ -87,19 +77,6 @@ func (c *Corpus) Term(t TermID) string {
 		return c.names[t]
 	}
 	return fmt.Sprintf("term%06d", t)
-}
-
-// Lookup resolves a term name to its ID.
-func (c *Corpus) Lookup(name string) (TermID, bool) {
-	if c.nameIdx != nil {
-		id, ok := c.nameIdx[name]
-		return id, ok
-	}
-	var id TermID
-	if _, err := fmt.Sscanf(name, "term%06d", &id); err == nil && int(id) < c.VocabSize {
-		return id, true
-	}
-	return 0, false
 }
 
 // buildInverted constructs the per-term posting views once.
@@ -202,15 +179,4 @@ func (c *Corpus) DistinctTerms() int {
 		}
 	}
 	return n
-}
-
-// GroupDocs returns the IDs of the documents in the given group.
-func (c *Corpus) GroupDocs(group int) []DocID {
-	var out []DocID
-	for _, d := range c.Docs {
-		if d.Group == group {
-			out = append(out, d.ID)
-		}
-	}
-	return out
 }

@@ -161,8 +161,12 @@ func TestGroupsAssigned(t *testing.T) {
 	if c.Groups != 5 {
 		t.Fatalf("Groups = %d, want 5", c.Groups)
 	}
-	for g := 0; g < 5; g++ {
-		if len(c.GroupDocs(g)) == 0 {
+	docs := make([]int, 5)
+	for _, d := range c.Docs {
+		docs[d.Group]++
+	}
+	for g, n := range docs {
+		if n == 0 {
 			t.Fatalf("group %d is empty", g)
 		}
 	}
@@ -212,13 +216,8 @@ func TestScaleClamps(t *testing.T) {
 
 func TestSyntheticTermNames(t *testing.T) {
 	c := Generate(smallProfile(), 12)
-	name := c.Term(42)
-	id, ok := c.Lookup(name)
-	if !ok || id != 42 {
-		t.Fatalf("Lookup(%q) = %v, %v", name, id, ok)
-	}
-	if _, ok := c.Lookup("no-such-term"); ok {
-		t.Fatal("Lookup of unknown term succeeded")
+	if name := c.Term(42); name != "term000042" {
+		t.Fatalf("Term(42) = %q, want term000042", name)
 	}
 }
 

@@ -16,16 +16,17 @@ func Ingest(docs []RawDoc, an text.Analyzer) *Corpus {
 	if an == nil {
 		an = text.NewTokenizer()
 	}
-	c := &Corpus{nameIdx: make(map[string]TermID)}
+	c := &Corpus{}
+	ids := make(map[string]TermID)
 	groups := 0
 	for i, rd := range docs {
 		tokens := an.Analyze(rd.Text)
 		tf := make(map[TermID]int, len(tokens))
 		for _, tok := range tokens {
-			id, ok := c.nameIdx[tok]
+			id, ok := ids[tok]
 			if !ok {
 				id = TermID(len(c.names))
-				c.nameIdx[tok] = id
+				ids[tok] = id
 				c.names = append(c.names, tok)
 			}
 			tf[id]++

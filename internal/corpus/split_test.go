@@ -103,9 +103,9 @@ func TestIngest(t *testing.T) {
 	if c.Groups != 2 {
 		t.Fatalf("Groups = %d, want 2", c.Groups)
 	}
-	id, ok := c.Lookup("beta")
-	if !ok {
-		t.Fatal("beta not in vocabulary")
+	id := TermID(1) // IDs follow first appearance: alpha 0, beta 1
+	if c.Term(id) != "beta" {
+		t.Fatalf("term %d is %q, want beta", id, c.Term(id))
 	}
 	if got := c.DF(id); got != 2 {
 		t.Fatalf("DF(beta) = %d, want 2", got)

@@ -22,10 +22,10 @@ func TestKeyFromPassphraseDeterministic(t *testing.T) {
 	a := KeyFromPassphrase("secret")
 	b := KeyFromPassphrase("secret")
 	c := KeyFromPassphrase("other")
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if !bytes.Equal(a.k[:], b.k[:]) {
 		t.Fatal("same passphrase gave different keys")
 	}
-	if bytes.Equal(a.Bytes(), c.Bytes()) {
+	if bytes.Equal(a.k[:], c.k[:]) {
 		t.Fatal("different passphrases gave the same key")
 	}
 }
@@ -39,7 +39,7 @@ func TestNewGroupKeyRandom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(a.Bytes(), b.Bytes()) {
+	if bytes.Equal(a.k[:], b.k[:]) {
 		t.Fatal("two random keys identical")
 	}
 }
@@ -50,7 +50,7 @@ func TestKeyFromBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(k.Bytes(), raw) {
+	if !bytes.Equal(k.k[:], raw) {
 		t.Fatal("round trip failed")
 	}
 	if _, err := KeyFromBytes([]byte{1, 2}); err == nil {
@@ -313,7 +313,7 @@ func TestSubkeysIndependent(t *testing.T) {
 	if bytes.Equal(a[:], b[:]) {
 		t.Fatal("different purposes share a subkey")
 	}
-	if bytes.Equal(a[:], k.Bytes()) {
+	if bytes.Equal(a[:], k.k[:]) {
 		t.Fatal("subkey equals master key")
 	}
 }

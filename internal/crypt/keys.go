@@ -96,13 +96,6 @@ func KeyFromBytes(b []byte) (GroupKey, error) {
 	return gk.withState(), nil
 }
 
-// Bytes returns a copy of the raw key material.
-func (gk GroupKey) Bytes() []byte {
-	out := make([]byte, KeySize)
-	copy(out, gk.k[:])
-	return out
-}
-
 // redactedKey is all a key ever prints of itself.
 const redactedKey = "crypt.GroupKey(redacted)"
 

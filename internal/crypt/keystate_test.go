@@ -77,7 +77,7 @@ func TestKeyFromOwnBytesBehavesAsKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := KeyFromBytes(k.Bytes())
+	again, err := KeyFromBytes(k.k[:])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,8 +128,9 @@ func TestFig09(t *testing.T) {
 	best := res.Rows[0][0].(float64)
 	minVar := res.Rows[0][1].(float64)
 	loVar := res.Rows[0][2].(float64)
-	if !(minVar < loVar) {
-		t.Fatalf("fig09: optimum %v not better than smallest-sigma variance %v", minVar, loVar)
+	hiVar := res.Rows[0][3].(float64)
+	if !(minVar < loVar && minVar < hiVar) {
+		t.Fatalf("fig09: optimum %v is no interior minimum (smallest sigma %v, largest %v)", minVar, loVar, hiVar)
 	}
 	if best <= 0 {
 		t.Fatalf("fig09: nonsensical optimal sigma %v", best)

@@ -4,13 +4,17 @@ package experiments
 // bandwidth figures at testEnv's NewEnv(0.1, 7): the Figure 11-13
 // series and rows, the attacks experiment's request-count rows, the
 // bandwidth analysis (every row and series but the wall-clock QPS) and
-// the first-window sweep. Its lines up to the bandwidth analysis were
-// written with -update by the last commit that could still schedule a
-// search one list per round-trip, so they pin that those figures come
-// out the same from the one batched schedule; the two derived-window
-// request-count rows and the windows lines were appended when first
-// windows came to be derived per list, and a pinned b must still
-// reproduce every older line.
+// the first-window sweep, then every series and row of Figures 4, 5
+// and 7-10 and of the accuracy and ablation experiments. Its lines up
+// to the bandwidth analysis were written with -update by the last
+// commit that could still schedule a search one list per round-trip,
+// so they pin that those figures come out the same from the one
+// batched schedule; the two derived-window request-count rows and the
+// windows lines were appended when first windows came to be derived
+// per list, and a pinned b must still reproduce every older line. The
+// remaining figures were appended by the commit before the second
+// merge strategy, Equation 9 and uniformity measures were deleted, so
+// they pin that no figure read what went.
 
 import (
 	"flag"
@@ -72,6 +76,11 @@ func TestPaperFiguresGolden(t *testing.T) {
 	got = append(got, goldenLines(runAndRender(t, "bandwidth"), true,
 		func(row []interface{}) bool { return row[0] != "queries per second (one server)" })...)
 	got = append(got, goldenLines(runAndRender(t, "windows"), true, all)...)
+	// None of these has a wall-clock column: every series and row is
+	// a function of the seeded environment.
+	for _, id := range []string{"fig04", "fig05", "fig07", "fig08", "fig09", "fig10", "accuracy", "ablation"} {
+		got = append(got, goldenLines(runAndRender(t, id), true, all)...)
+	}
 
 	path := filepath.Join("testdata", "paper_golden.txt")
 	if *update {

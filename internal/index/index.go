@@ -22,12 +22,7 @@ type Posting struct {
 }
 
 // NormTF returns the posting's Equation 4 relevance score.
-func (p Posting) NormTF() float64 {
-	if p.DocLen == 0 {
-		return 0
-	}
-	return float64(p.TF) / float64(p.DocLen)
-}
+func (p Posting) NormTF() float64 { return rank.NormTF(int(p.TF), int(p.DocLen)) }
 
 // postingLess orders postings by descending score, breaking ties by
 // ascending document ID so lists are deterministic.
@@ -80,28 +75,12 @@ func (ix *Index) Add(d *corpus.Document) {
 	}
 }
 
-// NumDocs returns the number of indexed documents.
-func (ix *Index) NumDocs() int { return ix.numDocs }
-
 // DF returns the document frequency of a term.
 func (ix *Index) DF(t corpus.TermID) int { return len(ix.lists[t]) }
-
-// NumTerms returns the number of distinct indexed terms.
-func (ix *Index) NumTerms() int { return len(ix.lists) }
 
 // Postings returns the score-sorted posting list of t. The returned
 // slice is shared; callers must not modify it.
 func (ix *Index) Postings(t corpus.TermID) []Posting { return ix.lists[t] }
-
-// Terms returns all indexed term IDs in ascending order.
-func (ix *Index) Terms() []corpus.TermID {
-	out := make([]corpus.TermID, 0, len(ix.lists))
-	for t := range ix.lists {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // TopK answers a single-term top-k query by taking the k-prefix of the
 // score-sorted posting list — the ordinary index's pruning shortcut.

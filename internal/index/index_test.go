@@ -28,8 +28,7 @@ func testCorpus() *corpus.Corpus {
 func TestPostingListsSorted(t *testing.T) {
 	c := testCorpus()
 	ix := Build(c)
-	for _, term := range ix.Terms() {
-		list := ix.Postings(term)
+	for term, list := range ix.lists {
 		for i := 1; i < len(list); i++ {
 			a, b := list[i-1], list[i]
 			if a.NormTF() < b.NormTF() {
@@ -50,8 +49,8 @@ func TestDFMatchesCorpus(t *testing.T) {
 			t.Fatalf("term %d: index DF %d, corpus DF %d", term, got, want)
 		}
 	}
-	if ix.NumDocs() != c.NumDocs() {
-		t.Fatalf("NumDocs %d, want %d", ix.NumDocs(), c.NumDocs())
+	if ix.numDocs != c.NumDocs() {
+		t.Fatalf("numDocs %d, want %d", ix.numDocs, c.NumDocs())
 	}
 }
 
@@ -119,10 +118,10 @@ func TestIncrementalAddMatchesBuild(t *testing.T) {
 			incr.Add(c.Docs[i])
 		}
 	}
-	if !reflect.DeepEqual(built.Terms(), incr.Terms()) {
+	if len(built.lists) != len(incr.lists) {
 		t.Fatal("term sets differ")
 	}
-	for _, term := range built.Terms() {
+	for term := range built.lists {
 		if !reflect.DeepEqual(built.Postings(term), incr.Postings(term)) {
 			t.Fatalf("term %d: lists differ between batch and incremental build", term)
 		}

@@ -113,15 +113,6 @@ func TopK(scores map[corpus.DocID]float64, k int) []Result {
 	return out
 }
 
-// TopKList selects the k best from an explicit result slice.
-func TopKList(results []Result, k int) []Result {
-	m := make(map[corpus.DocID]float64, len(results))
-	for _, r := range results {
-		m[r.Doc] = r.Score
-	}
-	return TopK(m, k)
-}
-
 // Accumulate adds per-term contributions into dst, summing scores per
 // document (the Equation 3 outer sum over query terms).
 func Accumulate(dst map[corpus.DocID]float64, contributions []Result) {

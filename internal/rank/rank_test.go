@@ -129,15 +129,6 @@ func TestAccumulate(t *testing.T) {
 	}
 }
 
-func TestTopKList(t *testing.T) {
-	rs := []Result{{Doc: 1, Score: 0.2}, {Doc: 2, Score: 0.9}, {Doc: 3, Score: 0.5}}
-	got := TopKList(rs, 2)
-	want := []Result{{Doc: 2, Score: 0.9}, {Doc: 3, Score: 0.5}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("TopKList = %v, want %v", got, want)
-	}
-}
-
 func TestOverlap(t *testing.T) {
 	a := []Result{{Doc: 1}, {Doc: 2}, {Doc: 3}}
 	b := []Result{{Doc: 2}, {Doc: 3}, {Doc: 4}}

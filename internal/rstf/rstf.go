@@ -25,13 +25,6 @@ import (
 	"sort"
 )
 
-// Transformer is an order-preserving score transformation. Both the
-// Gaussian-sum RSTF and the exact-ECDF ablation baseline implement it.
-type Transformer interface {
-	// Transform maps a relevance score to a TRS in [0,1].
-	Transform(x float64) float64
-}
-
 // saturation is the sigmoid argument beyond which the logistic term is
 // indistinguishable from 0 or 1 in float64 (e^-37 < 2^-52), letting
 // Transform skip saturated training points.

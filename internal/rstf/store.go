@@ -3,13 +3,11 @@ package rstf
 import (
 	"encoding/binary"
 	"hash/fnv"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
 
 	"zerberr/internal/corpus"
-	"zerberr/internal/stats"
 )
 
 // StoreConfig parameterizes Store training.
@@ -112,15 +110,6 @@ func TrainStore(trainScores, controlScores map[corpus.TermID][]float64, cfg Stor
 	return &Store{terms: out, fallbackSeed: cfg.FallbackSeed, jitter: cfg.Jitter}
 }
 
-// NewStore assembles a store from pre-trained functions (used by the
-// deserializer and tests).
-func NewStore(terms map[corpus.TermID]*RSTF, fallbackSeed uint64) *Store {
-	if terms == nil {
-		terms = make(map[corpus.TermID]*RSTF)
-	}
-	return &Store{terms: terms, fallbackSeed: fallbackSeed}
-}
-
 // Has reports whether the term was seen in training.
 func (s *Store) Has(t corpus.TermID) bool { _, ok := s.terms[t]; return ok }
 
@@ -185,32 +174,4 @@ func (s *Store) fallbackTRS(t corpus.TermID, doc corpus.DocID) float64 {
 	h.Write(buf[:])
 	// 53 mantissa bits -> uniform in [0,1)
 	return float64(h.Sum64()>>11) / float64(1<<53)
-}
-
-// UniformnessReport measures, per trained term, how uniformly the
-// store transforms the given evaluation scores; it returns the mean
-// variance-from-uniform across terms with at least minSamples
-// observations. This is the store-level security health check of
-// Section 6.2.
-func (s *Store) UniformnessReport(eval map[corpus.TermID][]float64, minSamples int) (meanVariance float64, measured int) {
-	sum := 0.0
-	for t, scores := range eval {
-		f, ok := s.terms[t]
-		if !ok || len(scores) < minSamples {
-			continue
-		}
-		trs := make([]float64, len(scores))
-		for i, x := range scores {
-			trs[i] = f.Transform(x)
-		}
-		v := stats.VarianceFromUniform(trs)
-		if !math.IsNaN(v) {
-			sum += v
-			measured++
-		}
-	}
-	if measured == 0 {
-		return math.NaN(), 0
-	}
-	return sum / float64(measured), measured
 }

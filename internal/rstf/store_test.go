@@ -79,7 +79,7 @@ func TestStoreTRSRangeAndDeterminism(t *testing.T) {
 }
 
 func TestFallbackTRSUniform(t *testing.T) {
-	s := NewStore(nil, 7)
+	s := &Store{fallbackSeed: 7}
 	var vals []float64
 	for doc := corpus.DocID(0); doc < 3000; doc++ {
 		vals = append(vals, s.TRS(999999, doc, 0.5))
@@ -91,38 +91,10 @@ func TestFallbackTRSUniform(t *testing.T) {
 }
 
 func TestFallbackTRSKeyedBySeed(t *testing.T) {
-	a := NewStore(nil, 1)
-	b := NewStore(nil, 2)
+	a := &Store{fallbackSeed: 1}
+	b := &Store{fallbackSeed: 2}
 	if a.TRS(5, 10, 0.5) == b.TRS(5, 10, 0.5) {
 		t.Fatal("different seeds yielded identical fallback TRS")
-	}
-}
-
-func TestUniformnessReport(t *testing.T) {
-	s := trainedStore(t, 4)
-	p := corpus.ProfileStudIP()
-	p.NumDocs = 400
-	p.VocabSize = 4000
-	c := corpus.Generate(p, 4)
-	split := corpus.NewSplit(c, 0.4, 0.33, 4)
-	eval := corpus.TrainingScores(c, split.Rest)
-	// minSamples=100 keeps the order-statistics noise floor
-	// (about 1/(6(n+2)) for a perfectly uniform sample) around 2e-3,
-	// so a mean below 6e-3 demonstrates near-uniform transforms.
-	mean, n := s.UniformnessReport(eval, 100)
-	if n == 0 {
-		t.Fatal("no terms measured")
-	}
-	if math.IsNaN(mean) || mean > 6e-3 {
-		t.Fatalf("mean variance %v over %d terms, want < 6e-3", mean, n)
-	}
-}
-
-func TestUniformnessReportEmpty(t *testing.T) {
-	s := NewStore(nil, 1)
-	mean, n := s.UniformnessReport(nil, 1)
-	if n != 0 || !math.IsNaN(mean) {
-		t.Fatalf("empty report = (%v, %d)", mean, n)
 	}
 }
 

@@ -125,5 +125,5 @@ func NewECDFTransform(training []float64) (*ECDFTransform, error) {
 	return &ECDFTransform{e: stats.NewECDF(training)}, nil
 }
 
-// Transform implements Transformer.
+// Transform maps a relevance score to its empirical CDF value.
 func (t *ECDFTransform) Transform(x float64) float64 { return t.e.Eval(x) }

@@ -263,14 +263,6 @@ func (p *Proc) Restart() error {
 	return p.start()
 }
 
-// Pid returns the current process ID (0 if not running).
-func (p *Proc) Pid() int {
-	if p.cmd == nil || p.cmd.Process == nil || !p.Alive() {
-		return 0
-	}
-	return p.cmd.Process.Pid
-}
-
 // WriteSecret creates a secret file for a cluster under dir.
 func WriteSecret(dir string) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {

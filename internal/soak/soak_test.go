@@ -117,7 +117,7 @@ func TestProcLifecycle(t *testing.T) {
 	if !p.Alive() {
 		t.Fatal("freshly started proc not alive")
 	}
-	if p.Pid() == 0 {
+	if p.cmd == nil || p.cmd.Process == nil || p.cmd.Process.Pid == 0 {
 		t.Fatal("alive proc has pid 0")
 	}
 	if err := p.Kill(); err != nil {

@@ -51,6 +51,3 @@ func (e *ECDF) Quantile(q float64) float64 {
 	}
 	return e.sorted[i]
 }
-
-// Len returns the sample size.
-func (e *ECDF) Len() int { return len(e.sorted) }

@@ -20,7 +20,7 @@ func TestECDFEval(t *testing.T) {
 
 func TestECDFEmpty(t *testing.T) {
 	e := NewECDF(nil)
-	if e.Eval(1) != 0 || e.Quantile(0.5) != 0 || e.Len() != 0 {
+	if e.Eval(1) != 0 || e.Quantile(0.5) != 0 || len(e.sorted) != 0 {
 		t.Fatal("empty ECDF should be all zeros")
 	}
 }

@@ -40,9 +40,6 @@ func (h *Histogram) Add(x float64) {
 	h.total++
 }
 
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int { return h.total }
-
 // Density returns the fraction of observations in bin i.
 func (h *Histogram) Density(i int) float64 {
 	if h.total == 0 {

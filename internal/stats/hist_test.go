@@ -15,8 +15,8 @@ func TestHistogramBinning(t *testing.T) {
 			t.Fatalf("bin %d has %d, want 1", i, c)
 		}
 	}
-	if h.Total() != 10 {
-		t.Fatalf("Total = %d, want 10", h.Total())
+	if h.total != 10 {
+		t.Fatalf("total = %d, want 10", h.total)
 	}
 }
 
@@ -27,8 +27,8 @@ func TestHistogramClamps(t *testing.T) {
 	if h.Bins[0] != 1 || h.Bins[3] != 1 {
 		t.Fatalf("out-of-range values not clamped: %v", h.Bins)
 	}
-	if h.Total() != 2 {
-		t.Fatalf("Total = %d, want 2", h.Total())
+	if h.total != 2 {
+		t.Fatalf("total = %d, want 2", h.total)
 	}
 }
 

@@ -5,13 +5,13 @@ import (
 	"sort"
 )
 
-// The measures in this file quantify how far a sample is from the
-// uniform distribution on [0,1]. Section 5.1.3 of the paper selects
-// the RSTF's σ parameter by minimizing "the variance in the
-// distribution of the TRS values ... with respect to a uniform
-// distribution"; VarianceFromUniform is our concrete reading of that
-// measure, with Kolmogorov-Smirnov and Cramér-von Mises statistics
-// provided as cross-checks.
+// VarianceFromUniform quantifies how far a sample is from the uniform
+// distribution on [0,1]. Section 5.1.3 of the paper selects the RSTF's
+// σ parameter by minimizing "the variance in the distribution of the
+// TRS values ... with respect to a uniform distribution"; this is our
+// concrete reading of that measure, and the only one the repository
+// computes: rstf.SelectSigma minimizes it (Figure 9 plots its curve),
+// and the ablation compares transforms by it.
 
 // VarianceFromUniform returns the mean squared deviation of the sorted
 // sample from the uniform order statistics i/(n+1). A perfectly
@@ -32,45 +32,4 @@ func VarianceFromUniform(xs []float64) float64 {
 		sum += d * d
 	}
 	return sum / float64(n)
-}
-
-// KSUniform returns the Kolmogorov-Smirnov statistic of the sample
-// against Uniform[0,1]: the maximum absolute difference between the
-// empirical CDF and the identity. It returns NaN for an empty sample.
-func KSUniform(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	d := 0.0
-	for i, x := range sorted {
-		hi := float64(i+1)/float64(n) - x
-		lo := x - float64(i)/float64(n)
-		if hi > d {
-			d = hi
-		}
-		if lo > d {
-			d = lo
-		}
-	}
-	return d
-}
-
-// CramerVonMisesUniform returns the Cramér-von Mises statistic of the
-// sample against Uniform[0,1]. It returns NaN for an empty sample.
-func CramerVonMisesUniform(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	sum := 1.0 / (12 * float64(n))
-	for i, x := range sorted {
-		d := x - (2*float64(i)+1)/(2*float64(n))
-		sum += d * d
-	}
-	return sum
 }

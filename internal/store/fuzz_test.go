@@ -106,17 +106,16 @@ func FuzzSnapshotDecode(f *testing.F) {
 	})
 }
 
-// walSeedPayloads are well-formed payloads of every record kind, plus
-// a batched remove whose count overstates its body.
+// walSeedPayloads are well-formed payloads of both record kinds, plus a
+// batched remove whose count overstates its body and a single remove
+// (kind 2, seq 6, list 7, length, "s2") of the kind no log holds any
+// more: both must fail to decode.
 func walSeedPayloads() map[string][]byte {
 	inserts := []BatchInsert{{List: 7, Element: el("s1", 2.5, 0)}, {List: 7, Element: el("s2", 1.5, 3)}, {List: 2, Element: el("s3", 0.5, 1)}}
 	removes := []BatchRemove{{List: 7, Sealed: []byte("s1")}, {List: 7, Sealed: []byte("s1")}, {List: 2, Sealed: []byte("s3")}}
 	overcount := encodeRecord(record{seq: 12, remove: true, removes: removes})
 	overcount[2] = 100 // seq, op, count: the count byte
 	return map[string][]byte{
-		// Kinds 1 and 2 have no encoder left. Seq 5, op, list 7, element;
-		// seq 6, op, list 7, length, "s2".
-		"seed_insert":                 AppendElement([]byte{5, opInsert, 7}, el("s2", 1.5, 3)),
 		"seed_remove":                 []byte("\x06\x02\x07\x02s2"),
 		"seed_insert_batch":           encodeRecord(record{seq: 9, inserts: inserts}),
 		"seed_remove_batch":           encodeRecord(record{seq: 12, remove: true, removes: removes}),
@@ -127,15 +126,18 @@ func walSeedPayloads() map[string][]byte {
 // FuzzWALRecords hardens recovery and tail apply against arbitrary
 // record payloads (the CRC only catches torn writes, not a hostile or
 // rotted file): decodeRecord must fail cleanly or yield a record a
-// re-encode reproduces — byte for byte, for the batch kinds the store
-// writes — and what it allocates is bounded by the body it was handed,
-// never by a count the body merely claims. The corpus under
-// testdata/fuzz pins the bytes this commit's encoder wrote.
+// re-encode reproduces byte for byte, and what it allocates is bounded
+// by the body it was handed, never by a count the body merely claims.
+// The corpus under testdata/fuzz pins the bytes this commit's encoder
+// wrote.
 func FuzzWALRecords(f *testing.F) {
 	f.Add([]byte{})
 	for _, p := range walSeedPayloads() {
 		f.Add(p)
 		f.Add(p[:len(p)-1])
+	}
+	for _, p := range listIDOutOfRange() {
+		f.Add(p)
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		r, err := decodeRecord(payload)
@@ -146,8 +148,8 @@ func FuzzWALRecords(f *testing.F) {
 			t.Fatalf("%d-byte payload allocated room for %d ops", len(payload), n)
 		}
 		reenc := encodeRecord(r)
-		if _, n := binary.Uvarint(payload); payload[n] >= opInsertBatch && !bytes.Equal(reenc, payload) {
-			t.Fatalf("a batch record re-encodes to other bytes:\n %x\n→%x", payload, reenc)
+		if !bytes.Equal(reenc, payload) {
+			t.Fatalf("a record re-encodes to other bytes:\n %x\n→%x", payload, reenc)
 		}
 		again, err := decodeRecord(reenc)
 		if err != nil {
@@ -174,8 +176,8 @@ func lengthen(b []byte, at int) []byte {
 // refused, or re-encodes to exactly itself.
 func TestLogAndSnapshotHaveOneEncoding(t *testing.T) {
 	for name, payload := range walSeedPayloads() {
-		if payload[1] < opInsertBatch || name == "seed_remove_batch_overcount" {
-			continue // kinds 1 and 2 re-encode as batches of one
+		if _, err := decodeRecord(payload); err != nil {
+			continue // the seeds that must fail to decode
 		}
 		for at := range payload {
 			if payload[at] >= 0x80 {
@@ -206,18 +208,23 @@ func TestLogAndSnapshotHaveOneEncoding(t *testing.T) {
 	}
 }
 
-// TestWALListIDOutOfRange: a list ID, or a running delta, past 2³²−1 is
-// a decode error in every record kind — never a list ID wrapped modulo
-// 2³², which is what a bare conversion to zerber.ListID would make of
-// 2³²+5.
-func TestWALListIDOutOfRange(t *testing.T) {
+// listIDOutOfRange are remove batches naming list 2³²+5, as their
+// first list ID and as a running delta.
+func listIDOutOfRange() map[string][]byte {
 	const big = 1<<32 + 5
-	remove := binary.AppendUvarint([]byte{6, opRemove}, big)
-	remove = append(remove, 2, 's', '1')
-	batch := []byte{7, opRemoveBatch, 2}
-	batch = append(binary.AppendVarint(batch, 5), 2, 's', '1')
-	batch = append(binary.AppendVarint(batch, big-5), 2, 's', '2')
-	for name, payload := range map[string][]byte{"kind 2": remove, "kind 4": batch} {
+	first := binary.AppendVarint([]byte{6, opRemoveBatch, 1}, big)
+	first = append(first, 2, 's', '1')
+	delta := []byte{7, opRemoveBatch, 2}
+	delta = append(binary.AppendVarint(delta, 5), 2, 's', '1')
+	delta = append(binary.AppendVarint(delta, big-5), 2, 's', '2')
+	return map[string][]byte{"first list ID": first, "running delta": delta}
+}
+
+// TestWALListIDOutOfRange: a list ID, or a running delta, past 2³²−1 is
+// a decode error — never a list ID wrapped modulo 2³², which is what a
+// bare conversion to zerber.ListID would make of 2³²+5.
+func TestWALListIDOutOfRange(t *testing.T) {
+	for name, payload := range listIDOutOfRange() {
 		if r, err := decodeRecord(payload); err == nil {
 			t.Errorf("%s: list 2³²+5 decoded as %+v", name, r)
 		}
@@ -241,8 +248,10 @@ func TestWALSeedCorpus(t *testing.T) {
 			}
 		}
 	}
-	if _, err := decodeRecord(walSeedPayloads()["seed_remove_batch_overcount"]); err == nil {
-		t.Error("a batch whose count overstates its body decoded")
+	for _, name := range []string{"seed_remove_batch_overcount", "seed_remove"} {
+		if r, err := decodeRecord(walSeedPayloads()[name]); err == nil {
+			t.Errorf("%s decoded as %+v", name, r)
+		}
 	}
 }
 

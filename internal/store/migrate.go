@@ -116,12 +116,10 @@ func (d *Durable) ImportSnapshot(data []byte) error {
 // TailSince implements Backend for Durable: the framed log records
 // holding the operations with sequence > after, in log order, read with
 // the frame reader recovery uses. Each is re-framed from its decoded
-// form, which gives the log's own bytes back for every record this
-// store writes; a kind-1 or kind-2 record of an older log comes out as
-// the batch of one it is, and a batch straddling after as its later
-// operations. Every append flushes its record to the file before d.mu
-// is released, so the scan under d.mu observes every logged operation,
-// and any damage it meets is ErrBadWAL.
+// form, which gives the log's own bytes back, and a batch straddling
+// after as its later operations. Every append flushes its record to
+// the file before d.mu is released, so the scan under d.mu observes
+// every logged operation, and any damage it meets is ErrBadWAL.
 func (d *Durable) TailSince(after uint64) ([]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -20,10 +20,8 @@ import (
 //	file:    magic "ZWAL1" | record*
 //	record:  payloadLen | payload | crc32-IEEE(payload) (4B big-endian)
 //	payload: seq | kind (1B) |
-//	         kind=insertBatch: insert op list
-//	         kind=removeBatch: remove op list
-//	         kind=insert: list | element
-//	         kind=remove: list | sealedLen | sealed
+//	         kind=insertBatch (3): insert op list
+//	         kind=removeBatch (4): remove op list
 //
 // The op lists are the ones the /v2/insert and /v2/remove frames carry
 // (element.go), so a logged mutation has one binary form from the wire
@@ -41,16 +39,14 @@ import (
 // record consumes seq..seq+count-1, so a batch costs one length prefix,
 // one CRC and (under FsyncEach) at most one fsync instead of N.
 // Torn-tail recovery is per frame: a torn batch drops whole, never
-// half-applied. Nothing writes the single insert and remove records
-// any more — a single operation is logged as a batch of one — but logs
-// written before that hold them, so they still decode, as batches of
-// one.
+// half-applied. A single operation is logged as a batch of one. These
+// are the only kinds read: no data was ever deployed under the single
+// insert and remove records (kinds 1 and 2) older logs held, and a
+// frame carrying one is ErrBadWAL like any other unknown kind.
 
 const (
 	walMagic = "ZWAL1"
 
-	opInsert      byte = 1
-	opRemove      byte = 2
 	opInsertBatch byte = 3
 	opRemoveBatch byte = 4
 
@@ -132,13 +128,6 @@ func decodeRecord(payload []byte) (record, error) {
 	case opRemoveBatch:
 		rec.remove = true
 		rec.removes = ReadRemoves(&r)
-	case opInsert:
-		list := checkListID(&r, int64(r.Uvarint()))
-		rec.inserts = []BatchInsert{{List: list, Element: ReadElement(&r)}}
-	case opRemove:
-		list := checkListID(&r, int64(r.Uvarint()))
-		rec.remove = true
-		rec.removes = []BatchRemove{{List: list, Sealed: r.Prefixed()}}
 	default:
 		r.Fail("unknown op %d", kind)
 	}

@@ -87,14 +87,3 @@ func DefaultStopwords() map[string]bool {
 	}
 	return m
 }
-
-// TermCounts folds an analyzed token stream into (term -> frequency)
-// counts plus the total token count, which is the document length |d|
-// used by the paper's Equation 4.
-func TermCounts(tokens []string) (tf map[string]int, docLen int) {
-	tf = make(map[string]int)
-	for _, tok := range tokens {
-		tf[tok]++
-	}
-	return tf, len(tokens)
-}

@@ -69,16 +69,6 @@ func TestTokenizerEmpty(t *testing.T) {
 	}
 }
 
-func TestTermCounts(t *testing.T) {
-	tf, n := TermCounts([]string{"a", "b", "a", "c", "a"})
-	if n != 5 {
-		t.Fatalf("docLen = %d, want 5", n)
-	}
-	if tf["a"] != 3 || tf["b"] != 1 || tf["c"] != 1 {
-		t.Fatalf("tf = %v", tf)
-	}
-}
-
 func TestDefaultStopwordsIsCopy(t *testing.T) {
 	a := DefaultStopwords()
 	a["zzz"] = true

@@ -24,8 +24,6 @@ type Log struct {
 	Queries []Query
 	// freq counts how often each term occurs across the log.
 	freq map[corpus.TermID]int
-	// totalTermOccurrences is the sum of freq values.
-	totalTermOccurrences int
 }
 
 // Config parameterizes the generator.
@@ -91,7 +89,6 @@ func Generate(c *corpus.Corpus, cfg Config, seed uint64) *Log {
 		log.Queries[i] = Query{Terms: terms}
 		for _, t := range terms {
 			log.freq[t]++
-			log.totalTermOccurrences++
 		}
 	}
 	return log
@@ -194,13 +191,6 @@ func queryLength(g *stats.RNG, mean float64) int {
 // Freq returns how often the term occurs across the log's queries.
 func (l *Log) Freq(t corpus.TermID) int { return l.freq[t] }
 
-// TermOccurrences returns the total number of term occurrences in the
-// log (multi-term queries count each term once per occurrence).
-func (l *Log) TermOccurrences() int { return l.totalTermOccurrences }
-
-// DistinctTerms returns how many distinct terms the log queries.
-func (l *Log) DistinctTerms() int { return len(l.freq) }
-
 // TermsByFreq returns the queried terms in decreasing log frequency.
 func (l *Log) TermsByFreq() []corpus.TermID {
 	out := make([]corpus.TermID, 0, len(l.freq))
@@ -225,32 +215,6 @@ func (l *Log) SingleTermStream() []corpus.TermID {
 		out = append(out, q.Terms...)
 	}
 	return out
-}
-
-// CostModel computes the Equation 9 total workload cost
-// Q ≈ Σ_lists [ N(L) × Σ_{j∈L} q_j ], where N(L) is the retrieval
-// cost charged per query against merged list L (elements fetched to
-// satisfy top-k, Equation 11) and q_j are query frequencies.
-type CostModel struct {
-	// ElementsPerQuery maps each merged-list id to N(L).
-	ElementsPerQuery map[uint32]float64
-	// ListOf maps a term to its merged list.
-	ListOf func(corpus.TermID) (uint32, bool)
-}
-
-// TotalCost evaluates the model against a log.
-func (m CostModel) TotalCost(l *Log) float64 {
-	perList := make(map[uint32]int)
-	for t, q := range l.freq {
-		if list, ok := m.ListOf(t); ok {
-			perList[list] += q
-		}
-	}
-	total := 0.0
-	for list, qsum := range perList {
-		total += m.ElementsPerQuery[list] * float64(qsum)
-	}
-	return total
 }
 
 // PositionEstimate implements Equation 10/11: the expected number of

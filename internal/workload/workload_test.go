@@ -49,8 +49,12 @@ func TestMeanQueryLength(t *testing.T) {
 	if math.Abs(mean-2.4) > 0.15 {
 		t.Fatalf("mean query length %v, want about 2.4", mean)
 	}
-	if total != log.TermOccurrences() {
-		t.Fatalf("TermOccurrences %d, counted %d", log.TermOccurrences(), total)
+	freqs := 0
+	for _, term := range log.TermsByFreq() {
+		freqs += log.Freq(term)
+	}
+	if total != freqs {
+		t.Fatalf("term frequencies sum to %d, counted %d", freqs, total)
 	}
 }
 
@@ -81,7 +85,7 @@ func TestZipfHeadDominatesWorkload(t *testing.T) {
 	for _, term := range terms[:len(terms)/10] {
 		head += log.Freq(term)
 	}
-	frac := float64(head) / float64(log.TermOccurrences())
+	frac := float64(head) / float64(len(log.SingleTermStream()))
 	if frac < 0.6 {
 		t.Fatalf("top-10%% of terms carry %v of the workload, want > 0.6", frac)
 	}
@@ -128,8 +132,12 @@ func TestSingleTermStream(t *testing.T) {
 	cfg.NumQueries = 100
 	log := Generate(c, cfg, 5)
 	stream := log.SingleTermStream()
-	if len(stream) != log.TermOccurrences() {
-		t.Fatalf("stream has %d terms, want %d", len(stream), log.TermOccurrences())
+	want := 0
+	for _, term := range log.TermsByFreq() {
+		want += log.Freq(term)
+	}
+	if len(stream) != want {
+		t.Fatalf("stream has %d terms, want %d", len(stream), want)
 	}
 }
 
@@ -138,35 +146,8 @@ func TestQueryVocabBound(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.QueryVocab = 50
 	log := Generate(c, cfg, 6)
-	if log.DistinctTerms() > 50 {
-		t.Fatalf("log uses %d distinct terms, want <= 50", log.DistinctTerms())
-	}
-}
-
-func TestCostModel(t *testing.T) {
-	c := testCorpus(8)
-	cfg := DefaultConfig()
-	cfg.NumQueries = 1000
-	log := Generate(c, cfg, 7)
-	// Two synthetic lists: term -> list 0 if even, 1 if odd.
-	model := CostModel{
-		ElementsPerQuery: map[uint32]float64{0: 10, 1: 30},
-		ListOf: func(t corpus.TermID) (uint32, bool) {
-			return uint32(t) % 2, true
-		},
-	}
-	got := model.TotalCost(log)
-	// Recompute naively.
-	want := 0.0
-	for _, term := range log.TermsByFreq() {
-		cost := 10.0
-		if term%2 == 1 {
-			cost = 30.0
-		}
-		want += cost * float64(log.Freq(term))
-	}
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("TotalCost = %v, want %v", got, want)
+	if n := len(log.TermsByFreq()); n > 50 {
+		t.Fatalf("log uses %d distinct terms, want <= 50", n)
 	}
 }
 
@@ -183,7 +164,7 @@ func TestPositionEstimate(t *testing.T) {
 func TestGenerateEmptyCorpus(t *testing.T) {
 	c := corpus.Ingest(nil, nil)
 	log := Generate(c, DefaultConfig(), 1)
-	if len(log.Queries) != 0 && log.DistinctTerms() != 0 {
+	if len(log.Queries) != 0 && len(log.TermsByFreq()) != 0 {
 		t.Fatal("empty corpus should give empty log")
 	}
 }

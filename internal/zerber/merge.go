@@ -13,7 +13,6 @@
 package zerber
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"sort"
@@ -211,117 +210,6 @@ func BFMTarget(order []TermProb, r float64, maxLists int) (*MergePlan, error) {
 		total += tp.P
 	}
 	return build(sorted, r, total/float64(maxLists))
-}
-
-// GreedyMerge is the balanced-greedy baseline (LPT scheduling): it
-// fixes a list count near half the feasible maximum and assigns each
-// term, in decreasing probability order, to the currently lightest
-// list. The result balances list masses but mixes frequency tiers
-// inside each list — the opposite trade to BFM, quantified by the
-// ablation experiment. Any list left under 1/r is folded into the
-// heaviest list so Definition 2 still holds everywhere.
-func GreedyMerge(order []TermProb, r float64) (*MergePlan, error) {
-	if r <= 0 {
-		return nil, errors.New("zerber: r must be positive")
-	}
-	sorted := sortByP(order)
-	need := 1 / r
-	total := 0.0
-	for _, tp := range sorted {
-		total += tp.P
-	}
-	if total < need {
-		return nil, ErrInfeasible
-	}
-	numLists := int(total * r / 2)
-	if numLists < 1 {
-		numLists = 1
-	}
-	if numLists > len(sorted) {
-		numLists = len(sorted)
-	}
-	m := &MergePlan{
-		r:      r,
-		assign: make(map[corpus.TermID]ListID, len(sorted)),
-		p:      make(map[corpus.TermID]float64, len(sorted)),
-	}
-	m.lists = make([][]corpus.TermID, numLists)
-	masses := make([]float64, numLists)
-	// A min-heap over (mass, list index) keeps the lightest list at
-	// the root.
-	h := &massHeap{}
-	for i := 0; i < numLists; i++ {
-		heap.Push(h, massEntry{mass: 0, list: i})
-	}
-	for _, tp := range sorted {
-		m.p[tp.Term] = tp.P
-		e := heap.Pop(h).(massEntry)
-		m.lists[e.list] = append(m.lists[e.list], tp.Term)
-		masses[e.list] += tp.P
-		e.mass = masses[e.list]
-		heap.Push(h, e)
-	}
-	// Chain underweight lists together until each combination reaches
-	// 1/r, so no single list absorbs all the shortfall.
-	kept := make([][]corpus.TermID, 0, numLists)
-	var pending []corpus.TermID
-	pendingMass := 0.0
-	for li, terms := range m.lists {
-		switch {
-		case len(terms) == 0:
-			// skip empty lists (more lists than terms)
-		case masses[li] >= need:
-			kept = append(kept, terms)
-		default:
-			pending = append(pending, terms...)
-			pendingMass += masses[li]
-			if pendingMass >= need {
-				kept = append(kept, pending)
-				pending = nil
-				pendingMass = 0
-			}
-		}
-	}
-	m.lists = kept
-	if len(pending) > 0 {
-		// A final underweight remainder folds into the last kept list.
-		if len(m.lists) == 0 {
-			m.lists = append(m.lists, nil)
-		}
-		last := len(m.lists) - 1
-		m.lists[last] = append(m.lists[last], pending...)
-	}
-	for li, terms := range m.lists {
-		for _, t := range terms {
-			m.assign[t] = ListID(li)
-		}
-	}
-	return m, nil
-}
-
-// massEntry is one heap node of GreedyMerge.
-type massEntry struct {
-	mass float64
-	list int
-}
-
-type massHeap []massEntry
-
-func (h massHeap) Len() int { return len(h) }
-func (h massHeap) Less(i, j int) bool {
-	if h[i].mass != h[j].mass {
-		return h[i].mass < h[j].mass
-	}
-	return h[i].list < h[j].list
-}
-func (h massHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *massHeap) Push(x interface{}) { *h = append(*h, x.(massEntry)) }
-func (h *massHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }
 
 // RandomMerge is the ablation baseline: terms are shuffled before the

@@ -349,98 +349,3 @@ func TestMergeInvariantQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestGreedyMergeSatisfiesDefinition2(t *testing.T) {
-	for _, r := range []float64{2, 8, 32} {
-		plan, err := GreedyMerge(testTerms(1500, 30), r)
-		if err != nil {
-			t.Fatalf("r=%v: %v", r, err)
-		}
-		if err := plan.Verify(); err != nil {
-			t.Fatalf("r=%v: %v", r, err)
-		}
-	}
-}
-
-func TestGreedyMergeNoGiantLists(t *testing.T) {
-	terms := testTerms(2000, 31)
-	const r = 16.0
-	plan, err := GreedyMerge(terms, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.NumLists() < 3 {
-		t.Skipf("only %d lists", plan.NumLists())
-	}
-	maxItem := 0.0
-	for _, tp := range terms {
-		maxItem = math.Max(maxItem, tp.P)
-	}
-	// Underweight folding must chain, never pile everything into one
-	// list: every list stays below one max item plus a few quanta.
-	for l := 0; l < plan.NumLists(); l++ {
-		if m := plan.ListMass(ListID(l)); m > maxItem+3/r {
-			t.Fatalf("list %d mass %v exceeds max item %v + 3/r", l, m, maxItem)
-		}
-	}
-}
-
-func TestGreedyMergeListsOverlapInFrequency(t *testing.T) {
-	// BFM partitions the frequency axis into disjoint contiguous
-	// bands; balanced greedy interleaves, so different lists cover
-	// overlapping probability ranges.
-	plan, err := GreedyMerge(testTerms(2000, 32), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type rng struct{ lo, hi float64 }
-	var ranges []rng
-	for l := 0; l < plan.NumLists(); l++ {
-		terms := plan.Terms(ListID(l))
-		if len(terms) < 2 {
-			continue
-		}
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, term := range terms {
-			p := plan.P(term)
-			lo = math.Min(lo, p)
-			hi = math.Max(hi, p)
-		}
-		ranges = append(ranges, rng{lo, hi})
-	}
-	if len(ranges) < 2 {
-		t.Skip("not enough multi-term lists")
-	}
-	overlaps := 0
-	for i := 1; i < len(ranges); i++ {
-		a, b := ranges[i-1], ranges[i]
-		if math.Min(a.hi, b.hi) > math.Max(a.lo, b.lo) {
-			overlaps++
-		}
-	}
-	if overlaps < len(ranges)/4 {
-		t.Fatalf("only %d/%d adjacent list pairs overlap in frequency — looks contiguous like BFM", overlaps, len(ranges)-1)
-	}
-}
-
-func TestGreedyMergeCoversAllTerms(t *testing.T) {
-	terms := testTerms(700, 33)
-	plan, err := GreedyMerge(terms, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tp := range terms {
-		if _, ok := plan.ListOf(tp.Term); !ok {
-			t.Fatalf("term %d unassigned", tp.Term)
-		}
-	}
-}
-
-func TestGreedyMergeInfeasible(t *testing.T) {
-	if _, err := GreedyMerge([]TermProb{{0, 0.01}}, 2); !errors.Is(err, ErrInfeasible) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := GreedyMerge(testTerms(10, 34), -2); err == nil {
-		t.Fatal("negative r accepted")
-	}
-}

@@ -17,8 +17,10 @@ import (
 //	magic "ZPLN1" | r(8B) | numLists |
 //	  numLists × ( numTerms | numTerms × ( termID | p(8B) ) )
 //
-// The plan is the dictionary artifact group members receive; in a
-// deployment it travels encrypted (see crypt.SealBytes).
+// The plan is the dictionary artifact group members receive. It is
+// written and read in the clear: `zerber init` writes plan.bin as this
+// format, and nothing seals it (crypt.SealBytes exists, but no path
+// calls it).
 
 const planMagic = "ZPLN1"
 

@@ -12,7 +12,6 @@ import (
 	"zerberr/internal/index"
 	"zerberr/internal/rstf"
 	"zerberr/internal/server"
-	"zerberr/internal/workload"
 	"zerberr/internal/zerber"
 )
 
@@ -225,10 +224,4 @@ func (s *System) IndexAll() error {
 		}
 	}
 	return nil
-}
-
-// NewWorkload generates a query log against the system's corpus with
-// the given config (zero value fields take workload defaults).
-func (s *System) NewWorkload(cfg workload.Config) *workload.Log {
-	return workload.Generate(s.Corpus, cfg, s.cfg.Seed)
 }

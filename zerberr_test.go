@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"zerberr/internal/corpus"
-	"zerberr/internal/workload"
 )
 
 func testSystem(t *testing.T, seed uint64) *System {
@@ -123,22 +122,5 @@ func TestMaxListsRespected(t *testing.T) {
 	}
 	if sys.Plan.NumLists() > 12 {
 		t.Fatalf("plan has %d lists, want <= 12", sys.Plan.NumLists())
-	}
-}
-
-func TestNewWorkload(t *testing.T) {
-	sys := testSystem(t, 5)
-	cfg := workload.DefaultConfig()
-	cfg.NumQueries = 500
-	log := sys.NewWorkload(cfg)
-	if len(log.Queries) != 500 {
-		t.Fatalf("workload has %d queries", len(log.Queries))
-	}
-	for _, q := range log.Queries[:50] {
-		for _, term := range q.Terms {
-			if sys.Corpus.DF(term) == 0 {
-				t.Fatalf("workload queries unseen term %d", term)
-			}
-		}
 	}
 }
