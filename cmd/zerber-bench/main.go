@@ -7,7 +7,7 @@
 //	zerber-bench -list
 //	zerber-bench -run fig11 [-scale 1] [-seed 1] [-csv results/]
 //	zerber-bench -run all -scale 0.5
-//	zerber-bench -soak -soak-duration 60s -soak-shards 2 -soak-replicas 2
+//	zerber-bench -run soak -soak-duration 60s [-soak-report soak.json]
 //	zerber-bench -o BENCH_21.json -q
 //
 // Experiments are resolved against the internal/experiments table (the
@@ -16,10 +16,10 @@
 // listing the available names, and `-run all` runs every non-manual
 // experiment. The soak scenario is manual (it boots real zerberd
 // processes and runs for a configured wall-clock duration), so it only
-// runs when asked for by name or via -soak, and it exits non-zero when
-// an invariant or the error budget broke. The micro-benchmarks are
-// manual too (≈ 4 minutes): `-run micro` prints their table, -o FILE
-// runs them and keeps the snapshot.
+// runs when asked for by name, and it exits non-zero when an invariant
+// or the error budget broke. The micro-benchmarks are manual too
+// (≈ 4 minutes): `-run micro` prints their table, -o FILE runs them and
+// keeps the snapshot.
 //
 // Scale 1 is the laptop default; the paper-sized collections are
 // roughly -scale 4 (Stud IP) and -scale 30 (ODP).
@@ -53,7 +53,6 @@ import (
 	"zerberr/internal/microbench"
 	"zerberr/internal/soak"
 	"zerberr/internal/stats"
-	"zerberr/internal/workload"
 )
 
 // logger keeps progress on stderr (structured), leaving stdout to the
@@ -76,47 +75,28 @@ func main() {
 		quiet  = flag.Bool("q", false, "suppress progress logging")
 		out    = flag.String("o", "", "run the micro-benchmarks and write their snapshot (one JSON line per leg, the BENCH_<PR>.json format) to this file; shorthand for -run micro")
 
-		// Soak/chaos knobs (the soak experiment; -soak ≡ -run soak).
-		soakMode      = flag.Bool("soak", false, "run the soak/chaos scenario (shorthand for -run soak)")
-		soakBinary    = flag.String("soak-zerberd", "", "zerberd binary to boot (default: build it into the soak work dir)")
-		soakDir       = flag.String("soak-dir", "", "soak work directory (default: a temp dir)")
-		soakShards    = flag.Int("soak-shards", 2, "routing slots in the soak cluster")
-		soakReplicas  = flag.Int("soak-replicas", 2, "members per soak replica set (primary included)")
-		soakWorkers   = flag.Int("soak-workers", 4, "concurrent load-generator clients")
-		soakDuration  = flag.Duration("soak-duration", 60*time.Second, "soak wall-clock bound")
-		soakOps       = flag.Uint64("soak-ops", 0, "optional op-count bound (0 = duration only)")
-		soakUsers     = flag.Int("soak-users", 1_000_000, "simulated zipfian user population")
-		soakFaults    = flag.Duration("soak-fault-every", 5*time.Second, "pause between fault injections (0 disables chaos)")
-		soakDowntime  = flag.Duration("soak-downtime", 500*time.Millisecond, "how long a SIGKILLed member stays down")
-		soakBudget    = flag.Float64("soak-error-budget", 0.10, "tolerated failed-operation fraction")
-		soakDocs      = flag.Int("soak-docs", 300, "bootstrap corpus size (documents)")
-		soakProof     = flag.Uint64("soak-proof-every", 16, "ask every Nth search for a Merkle proof (0 disables)")
-		soakReportOut = flag.String("soak-report", "", "also write the one-line JSON soak report to this file")
+		// The soak experiment (-run soak) runs one fixed cluster shape;
+		// these say where and how long.
+		soakBinary   = flag.String("soak-zerberd", "", "zerberd binary to boot (default: build it into the soak work dir)")
+		soakDir      = flag.String("soak-dir", "", "soak work directory (default: a temp dir)")
+		soakDuration = flag.Duration("soak-duration", 60*time.Second, "soak wall-clock bound; faults come every min(5s, duration/4)")
+		soakReport   = flag.String("soak-report", "", "also write the one-line JSON soak report to this file")
 	)
 	flag.Parse()
 
 	tab := experiments.Paper()
 	err := tab.Register(experiments.Experiment{
 		Name:   "soak",
-		Doc:    "soak/chaos: boot a real sharded+replicated zerberd cluster, drive zipfian users, SIGKILL/restart/migrate, assert identity+epoch+proof invariants",
+		Doc:    "soak/chaos: boot a 2-shard x 2-replica zerberd cluster, drive zipfian users, SIGKILL/restart/migrate, assert identity+epoch+proof invariants",
 		Manual: true,
 		Run: func(ctx context.Context, env *experiments.Env) (*experiments.Result, error) {
-			return runSoak(ctx, env, soakFlags{
-				binary:      *soakBinary,
-				dir:         *soakDir,
-				shards:      *soakShards,
-				replicas:    *soakReplicas,
-				workers:     *soakWorkers,
-				duration:    *soakDuration,
-				maxOps:      *soakOps,
-				users:       *soakUsers,
-				faultEvery:  *soakFaults,
-				downtime:    *soakDowntime,
-				errorBudget: *soakBudget,
-				docs:        *soakDocs,
-				proofEvery:  *soakProof,
-				reportPath:  *soakReportOut,
-			})
+			return runSoak(ctx, soak.Config{
+				ZerberdPath: *soakBinary,
+				Dir:         *soakDir,
+				Duration:    *soakDuration,
+				Seed:        env.Seed,
+				Logf:        env.Logf,
+			}, *soakReport)
 		},
 	})
 	if err == nil {
@@ -151,9 +131,6 @@ func main() {
 		}
 	}
 
-	if *soakMode {
-		*run = "soak"
-	}
 	if *out != "" {
 		*run = "micro"
 	}
@@ -259,44 +236,12 @@ func runMicrobench(env *experiments.Env, path string) (*experiments.Result, erro
 	return res, nil
 }
 
-// soakFlags carries the -soak-* flag values into the soak experiment.
-type soakFlags struct {
-	binary, dir          string
-	shards, replicas     int
-	workers              int
-	duration             time.Duration
-	maxOps               uint64
-	users                int
-	faultEvery, downtime time.Duration
-	errorBudget          float64
-	docs                 int
-	proofEvery           uint64
-	reportPath           string
-}
-
 // runSoak executes the soak scenario: resolve (or build) the zerberd
 // binary, run internal/soak, print and write the one-line JSON report,
 // and return the key counters as the result's table. A soak that broke
 // an invariant or its error budget is an error — after the report is
 // out, so CI can still read what went wrong.
-func runSoak(ctx context.Context, env *experiments.Env, f soakFlags) (*experiments.Result, error) {
-	cfg := soak.DefaultConfig()
-	cfg.ZerberdPath = f.binary
-	cfg.Dir = f.dir
-	cfg.Shards = f.shards
-	cfg.Replicas = f.replicas
-	cfg.Workers = f.workers
-	cfg.Duration = f.duration
-	cfg.MaxOps = f.maxOps
-	cfg.Seed = env.Seed
-	cfg.Stream = workload.StreamConfig{Users: f.users}
-	cfg.FaultEvery = f.faultEvery
-	cfg.FaultDowntime = f.downtime
-	cfg.ErrorBudget = f.errorBudget
-	cfg.CorpusDocs = f.docs
-	cfg.ProofEvery = f.proofEvery
-	cfg.Logf = env.Logf
-
+func runSoak(ctx context.Context, cfg soak.Config, reportPath string) (*experiments.Result, error) {
 	if cfg.ZerberdPath == "" {
 		path, cleanup, err := soak.BuildZerberd(ctx, cfg.Dir)
 		if err != nil {
@@ -312,8 +257,8 @@ func runSoak(ctx context.Context, env *experiments.Env, f soakFlags) (*experimen
 	}
 	line := rep.JSON()
 	fmt.Fprintln(os.Stdout, line)
-	if f.reportPath != "" {
-		if err := os.WriteFile(f.reportPath, []byte(line+"\n"), 0o644); err != nil {
+	if reportPath != "" {
+		if err := os.WriteFile(reportPath, []byte(line+"\n"), 0o644); err != nil {
 			return nil, fmt.Errorf("writing soak report: %w", err)
 		}
 	}

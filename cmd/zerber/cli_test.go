@@ -48,8 +48,12 @@ func TestCLIEndToEnd(t *testing.T) {
 	// zerber init
 	cmdInit([]string{"-docs", docsDir, "-out", artDir, "-r", "2", "-seed", "7"})
 	for _, f := range []string{"plan.bin", "rstf.bin", "vocab.txt"} {
-		if _, err := os.Stat(filepath.Join(artDir, f)); err != nil {
+		fi, err := os.Stat(filepath.Join(artDir, f))
+		if err != nil {
 			t.Fatalf("init did not produce %s: %v", f, err)
+		}
+		if mode := fi.Mode().Perm(); mode != 0o600 {
+			t.Fatalf("init wrote %s with mode %v, want -rw-------", f, mode)
 		}
 	}
 

@@ -193,8 +193,15 @@ func cmdInit(args []string) {
 	logger.Info("initialized", "lists", plan.NumLists(), "r", *r, "trained_terms", store.Len(), "out", *out)
 }
 
+// writeArtifact writes one artifact readable by its owner only: the
+// plan, the RSTF store and the vocabulary are client-side secrets, kept
+// with the key passphrase and never sent to the server. A file left by
+// an earlier init is narrowed to 0600 too.
 func writeArtifact(path string, write func(w io.Writer) (int64, error)) {
-	f, err := os.Create(path)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
+	if err == nil {
+		err = f.Chmod(0o600)
+	}
 	if err != nil {
 		fatal("creating artifact failed", "path", path, "err", err)
 	}
@@ -214,9 +221,7 @@ func writeVocab(path string, c *corpus.Corpus) {
 		b.WriteString(c.Term(t))
 		b.WriteByte('\n')
 	}
-	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-		fatal("writing vocabulary failed", "path", path, "err", err)
-	}
+	writeArtifact(path, strings.NewReader(b.String()).WriteTo)
 }
 
 // artifacts bundles what index/query need.

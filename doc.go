@@ -103,7 +103,7 @@
 //
 // All of those claims are exercised together, not just in unit
 // isolation, by a soak/chaos harness (internal/soak, `zerber-bench
-// -soak`): it boots a real sharded, replicated cluster of zerberd
+// -run soak`): it boots a real sharded, replicated cluster of zerberd
 // processes, drives it with a deterministic million-user zipfian
 // workload (internal/workload), SIGKILLs members mid-WAL, restarts
 // them, and live-migrates shards — while continuously asserting that

@@ -251,31 +251,6 @@ func TestElementRoundTripQuick(t *testing.T) {
 	}
 }
 
-func TestSealOpenBytes(t *testing.T) {
-	msg := []byte("the merge plan dictionary travels encrypted")
-	sealed, err := SealBytes(msg, testKey(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := OpenBytes(sealed, testKey())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, msg) {
-		t.Fatal("artifact round trip failed")
-	}
-	if _, err := OpenBytes(sealed, KeyFromPassphrase("wrong")); !errors.Is(err, ErrDecrypt) {
-		t.Fatal("wrong key accepted for artifact")
-	}
-	sealed[len(sealed)-1] ^= 1
-	if _, err := OpenBytes(sealed, testKey()); !errors.Is(err, ErrDecrypt) {
-		t.Fatal("tampered artifact accepted")
-	}
-	if _, err := OpenBytes([]byte{1, 2}, testKey()); !errors.Is(err, ErrDecrypt) {
-		t.Fatal("truncated artifact accepted")
-	}
-}
-
 func TestTokens(t *testing.T) {
 	secret := []byte("server-secret")
 	now := time.Date(2026, 6, 10, 12, 0, 0, 0, time.UTC)

@@ -1,7 +1,6 @@
 package crypt
 
 import (
-	"bytes"
 	"encoding/hex"
 	"flag"
 	"fmt"
@@ -14,7 +13,7 @@ import (
 // -update rewrites testdata/golden.txt from what the package seals
 // today. The committed file was written by the commit before the key
 // carried its derived ciphers; regenerating it is a format break that
-// orphans every sealed index and artifact, so review that diff as one.
+// orphans every sealed index, so review that diff as one.
 var update = flag.Bool("update", false, "rewrite the golden sealed vectors")
 
 // countingReader is the fixed nonce source of the golden vectors:
@@ -52,11 +51,6 @@ var goldenElements = []Element{
 	{Doc: 1<<24 - 1, Term: 1<<20 - 1, Score: 1},
 }
 
-var goldenArtifacts = [][]byte{
-	nil,
-	[]byte("merge plan: terms 3,17,4099 share list 12"),
-}
-
 // goldenLines seals every vector with the fixed nonce stream and
 // returns them as "name hex" lines, in a fixed order.
 func goldenLines(t *testing.T) []string {
@@ -73,13 +67,6 @@ func goldenLines(t *testing.T) []string {
 				}
 				lines = append(lines, fmt.Sprintf("%s/%s/%d %x", keyName, codec.Name(), i, ct))
 			}
-		}
-		for i, pt := range goldenArtifacts {
-			sealed, err := SealBytes(pt, key, nonces)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lines = append(lines, fmt.Sprintf("%s/artifact/%d %x", keyName, i, sealed))
 		}
 	}
 	return lines
@@ -122,13 +109,6 @@ func TestGoldenVectors(t *testing.T) {
 		key := keys[part[0]]
 		var n int
 		fmt.Sscan(part[2], &n)
-		if part[1] == "artifact" {
-			pt, err := OpenBytes(sealed, key)
-			if err != nil || !bytes.Equal(pt, goldenArtifacts[n]) {
-				t.Errorf("%s: opened %q, %v", name, pt, err)
-			}
-			continue
-		}
 		el, err := codecs[part[1]].Open(sealed, key)
 		if err != nil || el != goldenElements[n] {
 			t.Errorf("%s: opened %+v, %v; sealed %+v", name, el, err, goldenElements[n])

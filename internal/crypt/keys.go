@@ -1,8 +1,8 @@
 // Package crypt provides the cryptographic substrate of the Zerber
 // index: per-group keys, posting-element codecs (an authenticated
 // AES-GCM codec and a compact 64-bit codec matching the paper's
-// Section 6.6 wire-size assumption), sealing of dictionary artifacts,
-// and HMAC authentication tokens for the index server.
+// Section 6.6 wire-size assumption) and HMAC authentication tokens for
+// the index server.
 package crypt
 
 import (
@@ -36,9 +36,8 @@ type GroupKey struct {
 // built at most once. Everything in it is safe for concurrent use, so
 // copies of a key may seal and open from any number of goroutines.
 type keyState struct {
-	element  lazyCipher[cipher.AEAD]  // GCMCodec
-	feistel  lazyCipher[cipher.Block] // Compact64Codec
-	artifact lazyCipher[cipher.AEAD]  // SealBytes, OpenBytes
+	element lazyCipher[cipher.AEAD]  // GCMCodec
+	feistel lazyCipher[cipher.Block] // Compact64Codec
 }
 
 // lazyCipher is one derived cipher and the error of deriving it.
@@ -117,8 +116,7 @@ func (GroupKey) Format(f fmt.State, _ rune) {
 func (GroupKey) LogValue() slog.Value { return slog.StringValue(redactedKey) }
 
 // subkey derives an independent key for the given purpose label, so
-// the element codec, artifact sealing and MACs never share key
-// material directly.
+// the element codecs never share key material directly.
 func (gk GroupKey) subkey(purpose string) [KeySize]byte {
 	h := sha256.New()
 	h.Write([]byte("zerberr/subkey/v1|"))
@@ -165,10 +163,4 @@ func (gk GroupKey) elementAEAD() (cipher.AEAD, error) {
 // function.
 func (gk GroupKey) feistelBlock() (cipher.Block, error) {
 	return gk.ciphers().feistel.get(func() (cipher.Block, error) { return gk.block("element/feistel") })
-}
-
-// artifactAEAD returns the AES-GCM instance SealBytes and OpenBytes
-// use.
-func (gk GroupKey) artifactAEAD() (cipher.AEAD, error) {
-	return gk.ciphers().artifact.get(func() (cipher.AEAD, error) { return gk.aead("artifact/gcm") })
 }

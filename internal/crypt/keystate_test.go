@@ -57,15 +57,7 @@ func TestStatelessKeySealsAndOpensLikeConstructed(t *testing.T) {
 				return false
 			}
 		}
-		artifact := []byte(fmt.Sprint(doc, term, score))
-		fromBuilt, err1 := SealBytes(artifact, built, &countingReader{next: nonceStart})
-		fromBare, err2 := SealBytes(artifact, bare, &countingReader{next: nonceStart})
-		if err1 != nil || err2 != nil || !bytes.Equal(fromBuilt, fromBare) {
-			return false
-		}
-		a, err1 := OpenBytes(fromBare, built)
-		b, err2 := OpenBytes(fromBuilt, bare)
-		return err1 == nil && err2 == nil && bytes.Equal(a, artifact) && bytes.Equal(b, artifact)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -93,13 +85,6 @@ func TestKeyFromOwnBytesBehavesAsKey(t *testing.T) {
 			}
 		}
 	}
-	sealed, err := SealBytes([]byte("plan"), k, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pt, err := OpenBytes(sealed, again); err != nil || string(pt) != "plan" {
-		t.Fatalf("artifact: %q, %v", pt, err)
-	}
 }
 
 // TestKeyCopiesConcurrent races the first use of every derived cipher
@@ -124,15 +109,6 @@ func TestKeyCopiesConcurrent(t *testing.T) {
 						return
 					}
 				}
-				sealed, err := SealBytes([]byte{byte(g), byte(i)}, key, nil)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if pt, err := OpenBytes(sealed, key); err != nil || !bytes.Equal(pt, []byte{byte(g), byte(i)}) {
-					t.Errorf("artifact: %x, %v", pt, err)
-					return
-				}
 			}
 		}(g, key)
 	}
@@ -154,7 +130,7 @@ func TestDerivedOnceAndOnlyWhenUsed(t *testing.T) {
 	if key.state.element.c == nil || key.state.element.c != clone.state.element.c {
 		t.Fatal("copies of a key do not share the element AEAD")
 	}
-	if key.state.feistel.c != nil || key.state.artifact.c != nil {
+	if key.state.feistel.c != nil {
 		t.Fatal("a cipher nobody used was derived")
 	}
 }

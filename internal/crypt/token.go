@@ -2,49 +2,12 @@ package crypt
 
 import (
 	"crypto/hmac"
-	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
-	"io"
 	"time"
 
 	"zerberr/internal/binfmt"
 )
-
-// SealBytes encrypts an arbitrary artifact (merge-plan dictionary,
-// RSTF store, …) for the members of a group with AES-256-GCM. The
-// output is nonce ‖ ciphertext ‖ tag.
-func SealBytes(plaintext []byte, key GroupKey, rnd io.Reader) ([]byte, error) {
-	aead, err := key.artifactAEAD()
-	if err != nil {
-		return nil, err
-	}
-	if rnd == nil {
-		rnd = rand.Reader
-	}
-	nonce := make([]byte, aead.NonceSize())
-	if _, err := io.ReadFull(rnd, nonce); err != nil {
-		return nil, fmt.Errorf("crypt: nonce: %w", err)
-	}
-	return aead.Seal(nonce, nonce, plaintext, nil), nil
-}
-
-// OpenBytes decrypts an artifact sealed with SealBytes.
-func OpenBytes(sealed []byte, key GroupKey) ([]byte, error) {
-	aead, err := key.artifactAEAD()
-	if err != nil {
-		return nil, err
-	}
-	if len(sealed) < aead.NonceSize() {
-		return nil, fmt.Errorf("%w: artifact too short", ErrDecrypt)
-	}
-	pt, err := aead.Open(nil, sealed[:aead.NonceSize()], sealed[aead.NonceSize():], nil)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrDecrypt, err)
-	}
-	return pt, nil
-}
 
 // Token is an authentication token the index server issues to a user:
 // an HMAC over (user, group, expiry) under the server's secret. The

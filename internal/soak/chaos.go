@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"zerberr/internal/client"
@@ -22,165 +20,125 @@ import (
 // state; kills and restarts mutate procs in place.
 type shardState struct {
 	set   *replica.Set
-	procs []*Proc       // index 0 = primary
-	trans []client.HTTP // parallel to procs
-	gen   int           // bumped per migration (names fresh members)
-}
-
-// chaos is the fault injector plus invariant checker. It owns the
-// quiesce gate: workers hold it shared per operation, the identity
-// check holds it exclusively so it observes a cluster with no write
-// in flight.
-type chaos struct {
-	cfg     Config
-	router  *cluster.Router
-	checker *epochChecker
-	orc     *oracle
-	shards  []*shardState
-	gate    sync.RWMutex
-	toks    []crypt.Token // all-groups read tokens for paging
-	logf    func(format string, args ...interface{})
-	// boot spawns a fresh replica set for one slot (migration target).
-	boot func(shard, gen, members int) (*shardState, error)
-
-	primaryKills     atomic.Uint64
-	replicaKills     atomic.Uint64
-	restarts         atomic.Uint64
-	migrations       atomic.Uint64
-	migrationsFailed atomic.Uint64
-	resyncs          atomic.Uint64
-
-	identityChecks     atomic.Uint64
-	identityViolations atomic.Uint64
-
-	vmu     sync.Mutex
-	samples []string
+	procs []*Proc            // index 0 = primary
+	trans []client.Transport // each member's own client.HTTP, parallel to procs
+	gen   int                // bumped per migration (names fresh members)
 }
 
 // addViolations records identity violations with a bounded sample.
-func (c *chaos) addViolations(vs []string) {
+func (r *run) addViolations(vs []string) {
 	if len(vs) == 0 {
 		return
 	}
-	c.identityViolations.Add(uint64(len(vs)))
-	c.vmu.Lock()
-	for _, v := range vs {
-		if len(c.samples) >= 8 {
-			break
+	r.count(func(rep *Report) {
+		rep.IdentityViolations += uint64(len(vs))
+		for _, v := range vs {
+			rep.IdentitySamples = addSample(rep.IdentitySamples, v)
 		}
-		c.samples = append(c.samples, v)
-	}
-	c.vmu.Unlock()
+	})
 	for _, v := range vs {
-		c.logf("IDENTITY VIOLATION: %s", v)
+		r.cfg.Logf("IDENTITY VIOLATION: %s", v)
 	}
 }
 
-// run is the chaos loop: alternating fault classes on a rotating
-// shard, each followed by recovery and a quiesced identity check. The
-// order — primary kill, live migration, replica kill — guarantees a
-// bounded run still covers at least one SIGKILL and one migration
-// before repeating.
-func (c *chaos) run(ctx context.Context) {
-	kind := 0
-	shard := 0
-	for {
+// chaos is the fault loop: alternating fault classes on a rotating
+// shard, min(5s, Duration/4) apart, each followed by recovery and a
+// quiesced identity check. The order — primary kill, live migration,
+// replica kill — guarantees a bounded run still covers at least one
+// SIGKILL and one migration before repeating.
+func (r *run) chaos(ctx context.Context) {
+	every := min(maxFaultEvery, r.cfg.Duration/4)
+	for kind, shard := 0, 0; ; kind, shard = kind+1, (shard+1)%shards {
 		select {
 		case <-ctx.Done():
 			return
-		case <-time.After(c.cfg.FaultEvery):
+		case <-time.After(every):
 		}
 		switch kind % 3 {
 		case 0:
-			c.killMember(ctx, shard, 0)
+			r.killMember(ctx, shard, 0)
 		case 1:
-			c.migrateShard(ctx, shard)
+			r.migrateShard(ctx, shard)
 		case 2:
-			// Kill the last member; with no replicas configured this
-			// degrades to another primary kill.
-			c.killMember(ctx, shard, len(c.shards[shard].procs)-1)
+			r.killMember(ctx, shard, replicas-1)
 		}
 		if ctx.Err() != nil {
 			return
 		}
-		c.identityCheck(ctx)
-		kind++
-		shard = (shard + 1) % len(c.shards)
+		r.identityCheck(ctx)
 	}
 }
 
 // killMember SIGKILLs one member, leaves the cluster degraded for the
-// configured downtime, restarts it and resyncs the set.
-func (c *chaos) killMember(ctx context.Context, shard, member int) {
-	s := c.shards[shard]
-	p := s.procs[member]
+// fault downtime, restarts it and resyncs the set.
+func (r *run) killMember(ctx context.Context, shard, member int) {
+	p := r.shards[shard].procs[member]
 	if !p.Alive() {
 		return
 	}
 	role := "replica"
 	if member == 0 {
 		role = "primary"
-		c.primaryKills.Add(1)
-	} else {
-		c.replicaKills.Add(1)
 	}
-	c.logf("chaos: SIGKILL %s %s of shard %d", role, p.Name, shard)
+	r.cfg.Logf("chaos: SIGKILL %s %s of shard %d", role, p.Name, shard)
+	r.count(func(rep *Report) {
+		if member == 0 {
+			rep.PrimaryKills++
+		} else {
+			rep.ReplicaKills++
+		}
+	})
 	if err := p.Kill(); err != nil {
-		c.logf("chaos: kill %s: %v", p.Name, err)
+		r.cfg.Logf("chaos: kill %s: %v", p.Name, err)
 		return
 	}
 	select {
 	case <-ctx.Done():
-	case <-time.After(c.cfg.FaultDowntime):
+	case <-time.After(faultDowntime):
 	}
 	if err := p.Restart(); err != nil {
-		c.logf("chaos: restart %s FAILED: %v", p.Name, err)
+		r.cfg.Logf("chaos: restart %s FAILED: %v", p.Name, err)
 		return
 	}
-	c.restarts.Add(1)
-	c.resyncSet(ctx, shard)
+	r.count(func(rep *Report) { rep.Restarts++ })
+	r.resyncSet(ctx, shard)
 }
 
 // resyncSet converges stale replicas onto the shard's primary.
-func (c *chaos) resyncSet(ctx context.Context, shard int) {
-	s := c.shards[shard]
-	if s.set.Members() <= 1 {
+func (r *run) resyncSet(ctx context.Context, shard int) {
+	if err := r.shards[shard].set.Resync(ctx); err != nil {
+		r.cfg.Logf("chaos: resync shard %d: %v", shard, err)
 		return
 	}
-	if err := s.set.Resync(ctx); err != nil {
-		c.logf("chaos: resync shard %d: %v", shard, err)
-		return
-	}
-	c.resyncs.Add(1)
+	r.count(func(rep *Report) { rep.Resyncs++ })
 }
 
 // migrateShard performs a live migration of one routing slot onto a
 // freshly booted replica set, then retires the old processes.
-func (c *chaos) migrateShard(ctx context.Context, shard int) {
-	s := c.shards[shard]
-	c.logf("chaos: live-migrating shard %d (gen %d -> %d)", shard, s.gen, s.gen+1)
-	fresh, err := c.boot(shard, s.gen+1, len(s.procs))
+func (r *run) migrateShard(ctx context.Context, shard int) {
+	s := r.shards[shard]
+	r.cfg.Logf("chaos: live-migrating shard %d (gen %d -> %d)", shard, s.gen, s.gen+1)
+	var mig cluster.MigrationReport
+	fresh, err := r.bootShard(shard, s.gen+1)
+	if err == nil {
+		if mig, err = r.router.Migrate(ctx, shard, fresh.set); err != nil {
+			fresh.stopAll(r.cfg.Logf)
+		}
+	}
 	if err != nil {
-		c.logf("chaos: migration boot failed: %v", err)
-		c.migrationsFailed.Add(1)
+		r.cfg.Logf("chaos: migration of shard %d FAILED: %v", shard, err)
+		r.count(func(rep *Report) { rep.MigrationsFailed++ })
 		return
 	}
-	rep, err := c.router.Migrate(ctx, shard, fresh.set)
-	if err != nil {
-		c.logf("chaos: migration of shard %d FAILED: %v", shard, err)
-		c.migrationsFailed.Add(1)
-		fresh.stopAll(c.logf)
-		return
-	}
-	c.migrations.Add(1)
-	c.logf("chaos: shard %d migrated: %d lists, %d elements, %d tail bytes, epoch %d, barrier %s",
-		shard, rep.Lists, rep.Elements, rep.TailBytes, rep.Epoch, rep.BarrierDuration.Round(time.Millisecond))
+	r.count(func(rep *Report) { rep.Migrations++ })
+	r.cfg.Logf("chaos: shard %d migrated: %d lists, %d elements, %d tail bytes, epoch %d, barrier %s",
+		shard, mig.Lists, mig.Elements, mig.TailBytes, mig.Epoch, mig.BarrierDuration.Round(time.Millisecond))
 	old := *s
 	*s = *fresh
 	// The import landed on the new primary and marked its replicas
 	// stale; resync populates them before they take reads.
-	c.resyncSet(ctx, shard)
-	old.stopAll(c.logf)
+	r.resyncSet(ctx, shard)
+	old.stopAll(r.cfg.Logf)
 }
 
 // stopAll retires a shard state's processes gracefully.
@@ -200,50 +158,51 @@ func (s *shardState) stopAll(logf func(string, ...interface{})) {
 // primary's view then settles the uncertainty. Stale replicas are
 // resynced first, so the member sweep checks the invariant the
 // replica layer actually promises — any read-eligible member holds
-// every acknowledged write.
-func (c *chaos) identityCheck(ctx context.Context) {
-	c.gate.Lock()
-	defer c.gate.Unlock()
+// every acknowledged write. Each member is paged through its own
+// transport, not through the epoch checker.
+func (r *run) identityCheck(ctx context.Context) {
+	r.gate.Lock()
+	defer r.gate.Unlock()
 	if ctx.Err() != nil {
 		return
 	}
-	c.identityChecks.Add(1)
+	r.count(func(rep *Report) { rep.IdentityChecks++ })
 	start := time.Now()
-	for shard := range c.shards {
-		c.resyncSet(ctx, shard)
+	for shard := range r.shards {
+		r.resyncSet(ctx, shard)
 	}
 	byShard := make(map[int][]zerber.ListID)
-	for _, list := range c.orc.snapshotLists() {
-		s := c.router.ShardFor(list)
+	for _, list := range r.orc.snapshotLists() {
+		s := r.router.ShardFor(list)
 		byShard[s] = append(byShard[s], list)
 	}
 	checked := 0
 	for shard, lists := range byShard {
-		s := c.shards[shard]
+		s := r.shards[shard]
 		for _, list := range lists {
 			var primaryServed map[string]bool
 			for m := range s.trans {
 				if !s.procs[m].Alive() {
 					continue
 				}
-				served, err := pageList(ctx, s.trans[m], c.toks, list)
+				served, err := pageList(ctx, s.trans[m], r.toks, list)
 				if err != nil {
-					c.logf("chaos: identity check: list %d member %s: %v", list, s.procs[m].Name, err)
+					r.cfg.Logf("chaos: identity check: list %d member %s: %v", list, s.procs[m].Name, err)
 					continue
 				}
-				c.addViolations(c.orc.checkList(list, served, s.procs[m].Name))
+				r.addViolations(r.orc.checkList(list, served, s.procs[m].Name))
 				if m == 0 {
 					primaryServed = served
 				}
 			}
 			if primaryServed != nil {
-				c.orc.resolveList(list, primaryServed)
+				r.orc.resolveList(list, primaryServed)
 			}
 			checked++
 		}
 	}
-	present, uncertain := c.orc.counts()
-	c.logf("chaos: identity check over %d lists done in %s (oracle: %d present, %d uncertain)",
+	present, uncertain := r.orc.counts()
+	r.cfg.Logf("chaos: identity check over %d lists done in %s (oracle: %d present, %d uncertain)",
 		checked, time.Since(start).Round(time.Millisecond), present, uncertain)
 }
 

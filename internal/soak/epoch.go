@@ -23,20 +23,20 @@ import (
 // the per-durable-dir version epoch exists to prevent) or served a
 // stale window as current.
 //
-// The checker is a client.Transport, so every soak client and the
-// identity check observe through it without any of them cooperating.
+// The checker is a client.Transport wrapping the router, so every
+// worker's searches and writes pass through it without cooperating.
+// The identity check does not: it pages each member through that
+// member's own transport, so the checker sees one router's view, never
+// the members' side by side.
 type epochChecker struct {
 	t client.Transport
 
-	mu   sync.Mutex
-	seen map[windowKey]uint64 // -> content hash
+	mu     sync.Mutex
+	seen   map[windowKey]uint64 // -> content hash
+	sample []string             // first few violation descriptions
 
 	observed   atomic.Uint64
 	violations atomic.Uint64
-	resets     atomic.Uint64
-
-	vmu    sync.Mutex
-	sample []string // first few violation descriptions
 }
 
 // maxWindows bounds the fingerprint map; past it the map resets. A
@@ -82,32 +82,26 @@ func (c *epochChecker) observe(q server.ListQuery, resp server.QueryResponse) {
 	}
 	key := windowKey{list: q.List, version: resp.Version, offset: q.Offset, count: q.Count}
 	hash := contentHash(resp)
+	c.observed.Add(1)
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if len(c.seen) >= maxWindows {
 		c.seen = make(map[windowKey]uint64)
-		c.resets.Add(1)
 	}
 	prev, ok := c.seen[key]
 	if !ok {
 		c.seen[key] = hash
-	}
-	c.mu.Unlock()
-	c.observed.Add(1)
-	if ok && prev != hash {
+	} else if prev != hash {
 		c.violations.Add(1)
-		c.vmu.Lock()
-		if len(c.sample) < 8 {
-			c.sample = append(c.sample, fmt.Sprintf(
-				"list %d version %d window [%d,%d): two different contents observed",
-				q.List, resp.Version, q.Offset, q.Offset+q.Count))
-		}
-		c.vmu.Unlock()
+		c.sample = addSample(c.sample, fmt.Sprintf(
+			"list %d version %d window [%d,%d): two different contents observed",
+			q.List, resp.Version, q.Offset, q.Offset+q.Count))
 	}
 }
 
 func (c *epochChecker) samples() []string {
-	c.vmu.Lock()
-	defer c.vmu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return append([]string(nil), c.sample...)
 }
 

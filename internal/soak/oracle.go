@@ -4,23 +4,8 @@ import (
 	"fmt"
 	"sync"
 
+	"zerberr/internal/server"
 	"zerberr/internal/zerber"
-)
-
-// entryState tracks one sealed element's acknowledged fate.
-type entryState uint8
-
-const (
-	// statePresent: the cluster acknowledged the insert (and no
-	// acknowledged remove followed). The element MUST be served.
-	statePresent entryState = iota
-	// stateUncertainInsert: an insert errored in a way that does not
-	// prove it was rejected (fault mid-call, timeout, shard down). The
-	// element MAY be present.
-	stateUncertainInsert
-	// stateUncertainRemove: a remove of a previously present element
-	// errored ambiguously. The element MAY still be present.
-	stateUncertainRemove
 )
 
 // oracle is the shadow of every write the soak run issued: per merged
@@ -35,79 +20,50 @@ const (
 // allowed in both worlds until a quiesced check observes the
 // authoritative state and resolves them.
 type oracle struct {
-	mu    sync.Mutex
-	lists map[zerber.ListID]map[string]entryState
-	// counts of current entries per state (cheap report numbers).
-	present   int
-	uncertain int
+	mu sync.Mutex
+	// lists maps each list's sealed elements to whether they are
+	// present (true: the element MUST be served) or uncertain (false:
+	// an insert or a remove of it failed ambiguously, so it MAY be).
+	lists map[zerber.ListID]map[string]bool
 }
 
 func newOracle() *oracle {
-	return &oracle{lists: make(map[zerber.ListID]map[string]entryState)}
+	return &oracle{lists: make(map[zerber.ListID]map[string]bool)}
 }
 
 // listOf returns (creating) one list's entry map.
-func (o *oracle) listOf(list zerber.ListID) map[string]entryState {
+func (o *oracle) listOf(list zerber.ListID) map[string]bool {
 	m := o.lists[list]
 	if m == nil {
-		m = make(map[string]entryState)
+		m = make(map[string]bool)
 		o.lists[list] = m
 	}
 	return m
 }
 
-// set transitions one entry, maintaining the counters.
-func (o *oracle) set(m map[string]entryState, sealed string, s entryState) {
-	if prev, ok := m[sealed]; ok {
-		o.drop(prev)
-	}
-	m[sealed] = s
-	if s == statePresent {
-		o.present++
-	} else {
-		o.uncertain++
+// inserted records an insert batch: acknowledged, its elements are
+// present; failed, each is uncertain.
+func (o *oracle) inserted(ops []server.InsertOp, acked bool) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for _, op := range ops {
+		o.listOf(op.List)[string(op.Element.Sealed)] = acked
 	}
 }
 
-func (o *oracle) drop(s entryState) {
-	if s == statePresent {
-		o.present--
-	} else {
-		o.uncertain--
+// removed records a remove batch of present elements: acknowledged,
+// they are gone; failed, each is uncertain.
+func (o *oracle) removed(ops []server.RemoveOp, acked bool) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for _, op := range ops {
+		m := o.listOf(op.List)
+		if acked {
+			delete(m, string(op.Sealed))
+		} else {
+			m[string(op.Sealed)] = false
+		}
 	}
-}
-
-// insertAcked records an acknowledged insert.
-func (o *oracle) insertAcked(list zerber.ListID, sealed []byte) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.set(o.listOf(list), string(sealed), statePresent)
-}
-
-// insertFailed records an ambiguous insert failure.
-func (o *oracle) insertFailed(list zerber.ListID, sealed []byte) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.set(o.listOf(list), string(sealed), stateUncertainInsert)
-}
-
-// removeAcked records an acknowledged remove: the element must be gone.
-func (o *oracle) removeAcked(list zerber.ListID, sealed []byte) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	m := o.listOf(list)
-	if prev, ok := m[string(sealed)]; ok {
-		o.drop(prev)
-		delete(m, string(sealed))
-	}
-}
-
-// removeFailed records an ambiguous remove failure of a previously
-// present element.
-func (o *oracle) removeFailed(list zerber.ListID, sealed []byte) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.set(o.listOf(list), string(sealed), stateUncertainRemove)
 }
 
 // snapshotLists returns the IDs of every list the oracle has entries
@@ -124,11 +80,20 @@ func (o *oracle) snapshotLists() []zerber.ListID {
 	return out
 }
 
-// counts reports current (present, uncertain) entry totals.
+// counts reports the current (present, uncertain) entry totals.
 func (o *oracle) counts() (present, uncertain int) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.present, o.uncertain
+	for _, m := range o.lists {
+		for _, must := range m {
+			if must {
+				present++
+			} else {
+				uncertain++
+			}
+		}
+	}
+	return present, uncertain
 }
 
 // checkList compares one list's served elements (as a set of sealed
@@ -145,8 +110,8 @@ func (o *oracle) checkList(list zerber.ListID, served map[string]bool, member st
 			out = append(out, fmt.Sprintf("list %d on %s: served element the oracle never inserted", list, member))
 		}
 	}
-	for sealed, st := range m {
-		if st == statePresent && !served[sealed] {
+	for sealed, must := range m {
+		if must && !served[sealed] {
 			out = append(out, fmt.Sprintf("list %d on %s: acknowledged element lost", list, member))
 		}
 	}
@@ -164,11 +129,9 @@ func (o *oracle) resolveList(list zerber.ListID, primaryServed map[string]bool) 
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	m := o.lists[list]
-	for sealed, st := range m {
-		if st == statePresent || primaryServed[sealed] {
-			continue
+	for sealed, must := range m {
+		if !must && !primaryServed[sealed] {
+			delete(m, sealed)
 		}
-		o.drop(st)
-		delete(m, sealed)
 	}
 }

@@ -1,9 +1,10 @@
 // Package soak is the closed-loop soak/chaos harness behind
-// `zerber-bench -run soak`: it boots a real multi-shard, replicated
-// cluster of zerberd processes, drives it with a million-user zipfian
-// op stream (internal/workload.Stream), injects faults — SIGKILL
-// mid-WAL, restarts, replica kills, live migrations — and continuously
-// asserts the repo's durability and verification claims as invariants:
+// `zerber-bench -run soak`: it boots a real cluster of zerberd
+// processes — two shards of two replicas — drives it with a
+// million-user zipfian op stream (internal/workload.Stream), injects
+// faults — SIGKILL mid-WAL, restarts, replica kills, live migrations —
+// and continuously asserts the repo's durability and verification
+// claims as invariants:
 //
 //   - restart-identity: after every recovery, cluster answers are
 //     element-identical to a shadow oracle of acknowledged writes;
@@ -11,7 +12,7 @@
 //     different contents, kills and restarts included;
 //   - proof validity: WithProof searches never fail verification
 //     against the honest cluster;
-//   - SLOs: error rate within the configured budget, p99 tracked.
+//   - SLOs: error rate within a 10% budget, p99 tracked.
 //
 // The run emits a one-line JSON Report. See DESIGN.md "Soak & chaos".
 package soak
@@ -48,24 +49,19 @@ type Proc struct {
 	done chan error // receives the wait result of the current cmd
 }
 
-// ProcConfig parameterizes StartProc.
+// ProcConfig parameterizes StartProc. The process listens on a free
+// localhost port and issues tokens that live 24h.
 type ProcConfig struct {
 	// Binary is the zerberd executable path.
 	Binary string
 	// Name labels the process.
 	Name string
-	// Addr is the listen address; empty picks a free localhost port.
-	Addr string
 	// DataDir is the durable directory; it is created if missing.
 	DataDir string
 	// SecretFile holds the shared token-signing secret.
 	SecretFile string
-	// TokenTTL is the token lifetime (soak runs outlive the default).
-	TokenTTL time.Duration
 	// Users are repeated -user NAME=G1,G2 registrations.
 	Users []string
-	// ExtraArgs are appended verbatim (fsync policy, cache size, ...).
-	ExtraArgs []string
 	// Logf receives supervisor progress lines; nil silences them.
 	Logf func(format string, args ...interface{})
 }
@@ -84,13 +80,9 @@ func freePort() (string, error) {
 
 // StartProc spawns a zerberd and waits for it to answer /v2/stats.
 func StartProc(cfg ProcConfig) (*Proc, error) {
-	addr := cfg.Addr
-	if addr == "" {
-		var err error
-		addr, err = freePort()
-		if err != nil {
-			return nil, fmt.Errorf("soak: reserving port: %w", err)
-		}
+	addr, err := freePort()
+	if err != nil {
+		return nil, fmt.Errorf("soak: reserving port: %w", err)
 	}
 	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
 		return nil, fmt.Errorf("soak: data dir: %w", err)
@@ -99,13 +91,12 @@ func StartProc(cfg ProcConfig) (*Proc, error) {
 		"-addr", addr,
 		"-secret-file", cfg.SecretFile,
 		"-data-dir", cfg.DataDir,
-		"-token-ttl", cfg.TokenTTL.String(),
+		"-token-ttl", tokenTTL.String(),
 		"-log-format", "json",
 	}
 	for _, u := range cfg.Users {
 		args = append(args, "-user", u)
 	}
-	args = append(args, cfg.ExtraArgs...)
 	p := &Proc{
 		Name:    cfg.Name,
 		Addr:    addr,
@@ -263,24 +254,22 @@ func (p *Proc) Restart() error {
 	return p.start()
 }
 
-// WriteSecret creates a secret file for a cluster under dir.
-func WriteSecret(dir string) (string, error) {
+// WriteSecret creates a secret file for a cluster under dir and
+// returns its path and the secret.
+func WriteSecret(dir string) (path string, secret []byte, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
+		return "", nil, err
 	}
-	path := filepath.Join(dir, "secret")
+	path = filepath.Join(dir, "secret")
 	// Deterministic content is fine: the secret gates tokens within
 	// this throwaway cluster only, and a fixed value keeps restarted
 	// and migrated members token-compatible by construction.
-	secret := []byte("soak-cluster-secret-0123456789abcdef")
+	secret = []byte("soak-cluster-secret-0123456789abcdef")
 	if err := os.WriteFile(path, secret, 0o600); err != nil {
-		return "", err
+		return "", nil, err
 	}
-	return path, nil
+	return path, secret, nil
 }
-
-// Secret returns the secret bytes a WriteSecret file holds.
-func Secret(path string) ([]byte, error) { return os.ReadFile(path) }
 
 // groupsSpec renders the -user registration for nGroups groups.
 func groupsSpec(user string, nGroups int) string {

@@ -71,71 +71,32 @@ func (r *Report) JSON() string {
 	return string(b)
 }
 
-// report assembles the final Report from the run's counters.
+// report completes the run's counters with the figures read at the
+// end: rates, latencies, the epoch checker's counts, the router's
+// revalidations and the oracle's totals.
 func (r *run) report(elapsed time.Duration) *Report {
-	ops := r.ops.Load()
-	errs := r.errTotal.Load()
-	rate := 0.0
-	if ops > 0 {
-		rate = float64(errs) / float64(ops)
+	r.mu.Lock()
+	rep := r.rep
+	r.mu.Unlock()
+	rep.DurationSec = elapsed.Seconds()
+	rep.OpsPerSec = float64(rep.Ops) / elapsed.Seconds()
+	if rep.Ops > 0 {
+		rep.ErrorRate = float64(rep.Errors) / float64(rep.Ops)
 	}
-	r.emu.Lock()
-	byKind := make(map[string]uint64, len(r.byClass))
-	for k, v := range r.byClass {
-		byKind[k] = v
-	}
-	psamples := append([]string(nil), r.psamples...)
-	r.emu.Unlock()
-	present, uncertain := r.orc.counts()
-	r.ch.vmu.Lock()
-	idSamples := append([]string(nil), r.ch.samples...)
-	r.ch.vmu.Unlock()
-
-	rep := &Report{
-		DurationSec: elapsed.Seconds(),
-
-		Ops:            ops,
-		Searches:       r.searches.Load(),
-		ProvedSearches: r.proved.Load(),
-		Inserts:        r.inserts.Load(),
-		Removes:        r.removes.Load(),
-		RemovesSkipped: r.removesSkipped.Load(),
-		OpsPerSec:      float64(ops) / elapsed.Seconds(),
-
-		Errors:       errs,
-		ErrorRate:    rate,
-		ErrorBudget:  r.cfg.ErrorBudget,
-		ErrorsByKind: byKind,
-
-		SearchP50Ms: r.searchLat.Quantile(0.50),
-		SearchP99Ms: r.searchLat.Quantile(0.99),
-		WriteP50Ms:  r.writeLat.Quantile(0.50),
-		WriteP99Ms:  r.writeLat.Quantile(0.99),
-
-		PrimaryKills:     r.ch.primaryKills.Load(),
-		ReplicaKills:     r.ch.replicaKills.Load(),
-		Restarts:         r.ch.restarts.Load(),
-		Migrations:       r.ch.migrations.Load(),
-		MigrationsFailed: r.ch.migrationsFailed.Load(),
-		Resyncs:          r.ch.resyncs.Load(),
-
-		IdentityChecks:     r.ch.identityChecks.Load(),
-		IdentityViolations: r.ch.identityViolations.Load(),
-		IdentitySamples:    idSamples,
-		EpochObserved:      r.checker.observed.Load(),
-		EpochViolations:    r.checker.violations.Load(),
-		EpochSamples:       r.checker.samples(),
-		RevalidatedWindows: r.router.Revalidated(),
-		ProofViolations:    r.proofViolations.Load(),
-		ProofSamples:       psamples,
-
-		OraclePresent:   present,
-		OracleUncertain: uncertain,
-	}
+	rep.ErrorBudget = errorBudget
+	rep.SearchP50Ms = r.searchLat.Quantile(0.50)
+	rep.SearchP99Ms = r.searchLat.Quantile(0.99)
+	rep.WriteP50Ms = r.writeLat.Quantile(0.50)
+	rep.WriteP99Ms = r.writeLat.Quantile(0.99)
+	rep.EpochObserved = r.checker.observed.Load()
+	rep.EpochViolations = r.checker.violations.Load()
+	rep.EpochSamples = r.checker.samples()
+	rep.RevalidatedWindows = r.router.Revalidated()
+	rep.OraclePresent, rep.OracleUncertain = r.orc.counts()
 	rep.OK = rep.ErrorRate <= rep.ErrorBudget &&
 		rep.IdentityViolations == 0 &&
 		rep.EpochViolations == 0 &&
 		rep.ProofViolations == 0 &&
 		rep.MigrationsFailed == 0
-	return rep
+	return &rep
 }

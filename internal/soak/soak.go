@@ -4,12 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	zerberr "zerberr"
@@ -24,74 +22,54 @@ import (
 	"zerberr/internal/workload"
 )
 
-// Config parameterizes one soak run.
+// Config is what varies between soak runs: where the binary and the
+// work directory are, how long the run lasts and its seed. Everything
+// else is one fixed shape (the constants below).
 type Config struct {
 	// ZerberdPath is the zerberd binary to boot (required).
 	ZerberdPath string
 	// Dir is the working directory for secrets, data dirs and process
 	// logs; empty creates a temporary one.
 	Dir string
-
-	// Shards is the routing-slot count; Replicas the member count per
-	// slot (primary included), so Shards×Replicas processes boot.
-	Shards   int
-	Replicas int
-
-	// Workers is the number of concurrent load-generator clients.
-	Workers int
-	// Duration bounds the run's wall clock.
+	// Duration bounds the run's wall clock (0 = 60s). The faults come
+	// every min(5s, Duration/4), so even a short run sees a kill and a
+	// migration.
 	Duration time.Duration
-	// MaxOps optionally bounds the op count (0 = duration-bound only).
-	MaxOps uint64
-
-	// Seed drives corpus generation and the op stream.
+	// Seed drives corpus generation and the op stream (0 = 1).
 	Seed uint64
-	// CorpusDocs / CorpusVocab size the seed corpus the cluster is
-	// bootstrapped with (zeroes mean 300 docs / 3000 terms).
-	CorpusDocs, CorpusVocab int
-
-	// Stream shapes the op mix; zero-value fields take
-	// workload.DefaultStreamConfig (a million zipfian users,
-	// 0.90/0.07/0.03 search/insert/remove).
-	Stream workload.StreamConfig
-	// TopK is the k of issued searches (0 = 10).
-	TopK int
-	// ProofEvery asks every Nth search for a Merkle proof
-	// (client.WithProof); 0 disables proved searches.
-	ProofEvery uint64
-
-	// FaultEvery is the pause between fault injections; 0 disables the
-	// chaos loop (pure soak). FaultDowntime is how long a killed
-	// process stays down before restart (0 = 500ms).
-	FaultEvery    time.Duration
-	FaultDowntime time.Duration
-
-	// ErrorBudget is the tolerated fraction of failed operations
-	// (faults make some failure inevitable: writes to a shard whose
-	// primary is down fail until restart). Zero means 0.10.
-	ErrorBudget float64
-
-	// Out receives the one-line JSON report (nil = no report output).
-	Out io.Writer
 	// Logf receives progress lines; nil silences them.
 	Logf func(format string, args ...interface{})
 }
 
-// DefaultConfig returns laptop-friendly soak defaults.
-func DefaultConfig() Config {
-	return Config{
-		Shards:        2,
-		Replicas:      2,
-		Workers:       4,
-		Duration:      60 * time.Second,
-		Seed:          1,
-		TopK:          10,
-		ProofEvery:    16,
-		FaultEvery:    5 * time.Second,
-		FaultDowntime: 500 * time.Millisecond,
-		ErrorBudget:   0.10,
-	}
-}
+// The soak's fixed shape. Two shards of two members is the smallest
+// cluster that exercises both routing across shards and failover
+// within one.
+const (
+	shards   = 2  // routing slots
+	replicas = 2  // members per slot, primary included
+	workers  = 4  // concurrent load-generator clients
+	topK     = 10 // k of every search
+
+	// proofEvery asks every 16th search for a Merkle proof.
+	proofEvery = 16
+	// errorBudget is the tolerated fraction of failed operations:
+	// faults make some failure inevitable (writes to a shard whose
+	// primary is down fail until it restarts).
+	errorBudget = 0.10
+
+	// The corpus the cluster is bootstrapped with; the op stream is
+	// workload.DefaultStreamConfig (a million zipfian users).
+	corpusDocs  = 200
+	corpusVocab = 3000
+
+	// maxFaultEvery caps the pause between faults; a run shorter than
+	// 20s spaces them Duration/4 apart.
+	maxFaultEvery = 5 * time.Second
+	// faultDowntime is how long a killed process stays down.
+	faultDowntime = 300 * time.Millisecond
+	// tokenTTL outlives any run, restarts and migrations included.
+	tokenTTL = 24 * time.Hour
+)
 
 // soakUser is the registered cluster identity every worker logs in as
 // (the millions of simulated users exist in the workload layer; the
@@ -99,104 +77,86 @@ func DefaultConfig() Config {
 // harness's reader).
 const soakUser = "soak"
 
-// withDefaults normalizes the config.
-func (cfg Config) withDefaults() Config {
-	def := DefaultConfig()
-	if cfg.Shards <= 0 {
-		cfg.Shards = def.Shards
-	}
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = def.Replicas
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = def.Workers
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = def.Duration
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = def.Seed
-	}
-	if cfg.CorpusDocs <= 0 {
-		cfg.CorpusDocs = 300
-	}
-	if cfg.CorpusVocab <= 0 {
-		cfg.CorpusVocab = 3000
-	}
-	if cfg.TopK <= 0 {
-		cfg.TopK = def.TopK
-	}
-	if cfg.FaultDowntime <= 0 {
-		cfg.FaultDowntime = def.FaultDowntime
-	}
-	if cfg.ErrorBudget <= 0 {
-		cfg.ErrorBudget = def.ErrorBudget
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...interface{}) {}
-	}
-	return cfg
-}
-
-// run carries one soak run's wiring.
+// run carries one soak run's wiring and its counters.
 type run struct {
-	cfg    Config
-	sys    *zerberr.System
-	secret []byte
+	cfg        Config
+	sys        *zerberr.System
+	secretFile string
+	secret     []byte
 
 	router  *cluster.Router
 	checker *epochChecker
 	orc     *oracle
-	ch      *chaos
+	shards  []*shardState
+	toks    []crypt.Token // all-groups read tokens the identity check pages with
+
+	// gate quiesces the workload: workers hold it shared per
+	// operation, the identity check holds it exclusively so it
+	// observes a cluster with no write in flight.
+	gate sync.RWMutex
 
 	searchLat *obs.Histogram // milliseconds
 	writeLat  *obs.Histogram
 
-	ops            atomic.Uint64
-	searches       atomic.Uint64
-	proved         atomic.Uint64
-	inserts        atomic.Uint64
-	removes        atomic.Uint64
-	removesSkipped atomic.Uint64
-
-	errTotal        atomic.Uint64
-	proofViolations atomic.Uint64
-
-	emu      sync.Mutex
-	byClass  map[string]uint64
-	psamples []string
+	// mu guards rep, the one declaration of every counter the run
+	// keeps; the epoch checker keeps its own two.
+	mu  sync.Mutex
+	rep Report
 }
 
-// countErr classifies one failed operation.
-func (r *run) countErr(class string, err error) {
-	r.errTotal.Add(1)
-	r.emu.Lock()
-	r.byClass[class]++
-	r.emu.Unlock()
+// count applies one update to the report's counters.
+func (r *run) count(update func(*Report)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	update(&r.rep)
+}
+
+// maxSamples bounds the violation descriptions kept per class.
+const maxSamples = 8
+
+// addSample appends s unless the sample is full.
+func addSample(samples []string, s string) []string {
+	if len(samples) < maxSamples {
+		samples = append(samples, s)
+	}
+	return samples
+}
+
+// countErr counts one failed operation of a class.
+func (r *run) countErr(class string) {
+	r.count(func(rep *Report) {
+		rep.Errors++
+		rep.ErrorsByKind[class]++
+	})
 }
 
 // proofViolation records a proved search failing verification — an
 // invariant break against an honest cluster, never budgeted away.
 func (r *run) proofViolation(err error) {
-	r.proofViolations.Add(1)
-	r.emu.Lock()
-	if len(r.psamples) < 8 {
-		r.psamples = append(r.psamples, err.Error())
-	}
-	r.emu.Unlock()
+	r.count(func(rep *Report) {
+		rep.ProofViolations++
+		rep.ProofSamples = addSample(rep.ProofSamples, err.Error())
+	})
 	r.cfg.Logf("PROOF VIOLATION: %v", err)
 }
 
-// Run executes one soak: boot cluster, bootstrap the corpus, drive
-// the op stream from Workers clients while the chaos loop injects
-// faults, then emit the report. The returned Report is also written
-// to cfg.Out as one JSON line. Run fails (error, nil report) only on
-// harness problems — invariant violations are reported, not errored,
-// so a CI job can upload the report and then assert on it.
+// Run executes one soak: boot the cluster, bootstrap the corpus, drive
+// the op stream from the workers while the chaos loop injects faults,
+// then return the report. Run fails (error, nil report) only on harness
+// problems — invariant violations are reported, not errored, so a CI
+// job can keep the report and then assert on it.
 func Run(ctx context.Context, cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
 	if cfg.ZerberdPath == "" {
 		return nil, errors.New("soak: Config.ZerberdPath is required")
+	}
+	if cfg.Duration <= 0 {
+		cfg.Duration = 60 * time.Second
+	}
+	if cfg.Seed == 0 {
+		cfg.Seed = 1
+	}
+	if cfg.Logf == nil {
+		cfg.Logf = func(string, ...interface{}) {}
 	}
 	if cfg.Dir == "" {
 		dir, err := os.MkdirTemp("", "zerber-soak-*")
@@ -211,8 +171,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	// in-process server Setup builds is unused — the cluster of real
 	// zerberd processes is the system under test.
 	p := corpus.ProfileStudIP()
-	p.NumDocs = cfg.CorpusDocs
-	p.VocabSize = cfg.CorpusVocab
+	p.NumDocs = corpusDocs
+	p.VocabSize = corpusVocab
 	c := corpus.Generate(p, cfg.Seed)
 	zcfg := zerberr.DefaultConfig()
 	zcfg.Seed = cfg.Seed
@@ -221,49 +181,41 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("soak: setup: %w", err)
 	}
-
-	secretFile, err := WriteSecret(cfg.Dir)
+	secretFile, secret, err := WriteSecret(cfg.Dir)
 	if err != nil {
 		return nil, fmt.Errorf("soak: secret: %w", err)
 	}
-	secret, err := Secret(secretFile)
-	if err != nil {
-		return nil, err
-	}
 
 	r := &run{
-		cfg:       cfg,
-		sys:       sys,
-		secret:    secret,
-		orc:       newOracle(),
-		searchLat: obs.NewHistogram(nil),
-		writeLat:  obs.NewHistogram(nil),
-		byClass:   make(map[string]uint64),
+		cfg:        cfg,
+		sys:        sys,
+		secretFile: secretFile,
+		secret:     secret,
+		orc:        newOracle(),
+		shards:     make([]*shardState, shards),
+		searchLat:  obs.NewHistogram(nil),
+		writeLat:   obs.NewHistogram(nil),
+		rep:        Report{ErrorsByKind: make(map[string]uint64)},
 	}
 
-	// Boot Shards×Replicas zerberd processes and wire the router over
-	// the replica sets.
-	boot := func(shard, gen, members int) (*shardState, error) {
-		return bootShard(cfg, secretFile, secret, sys.Corpus.Groups, shard, gen, members)
-	}
-	shards := make([]*shardState, cfg.Shards)
-	transports := make([]client.Transport, cfg.Shards)
-	for i := range shards {
-		s, err := boot(i, 0, cfg.Replicas)
-		if err != nil {
-			for _, prev := range shards[:i] {
-				prev.stopAll(cfg.Logf)
-			}
-			return nil, err
-		}
-		shards[i] = s
-		transports[i] = s.set
-	}
+	// Boot the shards×replicas zerberd processes and wire the router
+	// over the replica sets.
 	defer func() {
-		for _, s := range shards {
-			s.stopAll(cfg.Logf)
+		for _, s := range r.shards {
+			if s != nil {
+				s.stopAll(cfg.Logf)
+			}
 		}
 	}()
+	transports := make([]client.Transport, shards)
+	for i := range r.shards {
+		s, err := r.bootShard(i, 0)
+		if err != nil {
+			return nil, err
+		}
+		r.shards[i] = s
+		transports[i] = s.set
+	}
 	router, err := cluster.NewRouter(transports...)
 	if err != nil {
 		return nil, err
@@ -275,19 +227,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	runCtx, cancel := context.WithTimeout(ctx, cfg.Duration)
 	defer cancel()
 
-	toks, err := r.checker.Login(runCtx, soakUser)
-	if err != nil {
+	if r.toks, err = r.checker.Login(runCtx, soakUser); err != nil {
 		return nil, fmt.Errorf("soak: login: %w", err)
-	}
-	r.ch = &chaos{
-		cfg:     cfg,
-		router:  router,
-		checker: r.checker,
-		orc:     r.orc,
-		shards:  shards,
-		toks:    toks,
-		logf:    cfg.Logf,
-		boot:    boot,
 	}
 
 	// Bootstrap: index the whole corpus through the cluster, recording
@@ -298,11 +239,12 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	cfg.Logf("soak: bootstrap done: %d docs sealed into the oracle in %s",
 		sys.Corpus.NumDocs(), time.Since(start).Round(time.Millisecond))
 
-	// Drive: dispatcher fans the deterministic op stream to workers
-	// partitioned by simulated user (one user's ops stay ordered);
-	// chaos injects faults and runs quiesced identity checks.
+	// Drive: the dispatcher fans the deterministic op stream out to
+	// workers partitioned by simulated user (one user's ops stay
+	// ordered); the chaos loop injects faults and runs quiesced
+	// identity checks.
 	var wg sync.WaitGroup
-	chans := make([]chan workload.Op, cfg.Workers)
+	chans := make([]chan workload.Op, workers)
 	for w := range chans {
 		chans[w] = make(chan workload.Op, 64)
 		wg.Add(1)
@@ -313,26 +255,17 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			}
 		}(w)
 	}
-	var chaosWG sync.WaitGroup
-	if cfg.FaultEvery > 0 {
-		chaosWG.Add(1)
-		go func() {
-			defer chaosWG.Done()
-			r.ch.run(runCtx)
-		}()
-	}
-	streamCfg := cfg.Stream
-	issued := uint64(0)
-	for op := range workload.Stream(sys.Corpus, streamCfg, cfg.Seed) {
+	chaosDone := make(chan struct{})
+	go func() {
+		defer close(chaosDone)
+		r.chaos(runCtx)
+	}()
+	for op := range workload.Stream(sys.Corpus, workload.StreamConfig{}, cfg.Seed) {
 		if runCtx.Err() != nil {
 			break
 		}
-		if cfg.MaxOps > 0 && issued >= cfg.MaxOps {
-			break
-		}
 		select {
-		case chans[int(op.User)%cfg.Workers] <- op:
-			issued++
+		case chans[int(op.User)%workers] <- op:
 		case <-runCtx.Done():
 		}
 	}
@@ -341,38 +274,33 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	wg.Wait()
 	cancel()
-	chaosWG.Wait()
+	<-chaosDone
 
 	// Final quiesced identity check against the settled cluster.
 	finalCtx, finalCancel := context.WithTimeout(context.Background(), 60*time.Second)
-	r.ch.identityCheck(finalCtx)
+	r.identityCheck(finalCtx)
 	finalCancel()
 
-	rep := r.report(time.Since(start))
-	if cfg.Out != nil {
-		fmt.Fprintln(cfg.Out, rep.JSON())
-	}
-	return rep, nil
+	return r.report(time.Since(start)), nil
 }
 
 // bootShard spawns one routing slot's member processes and builds the
 // replica set over them.
-func bootShard(cfg Config, secretFile string, secret []byte, groups, shard, gen, members int) (*shardState, error) {
+func (r *run) bootShard(shard, gen int) (*shardState, error) {
 	s := &shardState{gen: gen}
-	mac := server.AdminMAC(secret)
-	for m := 0; m < members; m++ {
+	mac := server.AdminMAC(r.secret)
+	for m := 0; m < replicas; m++ {
 		name := fmt.Sprintf("s%d-g%d-m%d", shard, gen, m)
 		p, err := StartProc(ProcConfig{
-			Binary:     cfg.ZerberdPath,
+			Binary:     r.cfg.ZerberdPath,
 			Name:       name,
-			DataDir:    filepath.Join(cfg.Dir, name),
-			SecretFile: secretFile,
-			TokenTTL:   24 * time.Hour,
-			Users:      []string{groupsSpec(soakUser, groups)},
-			Logf:       cfg.Logf,
+			DataDir:    filepath.Join(r.cfg.Dir, name),
+			SecretFile: r.secretFile,
+			Users:      []string{groupsSpec(soakUser, r.sys.Corpus.Groups)},
+			Logf:       r.cfg.Logf,
 		})
 		if err != nil {
-			s.stopAll(cfg.Logf)
+			s.stopAll(r.cfg.Logf)
 			return nil, err
 		}
 		s.procs = append(s.procs, p)
@@ -382,13 +310,9 @@ func bootShard(cfg Config, secretFile string, secret []byte, groups, shard, gen,
 			AdminMAC: mac,
 		})
 	}
-	ts := make([]client.Transport, len(s.trans))
-	for i, t := range s.trans {
-		ts[i] = t
-	}
-	set, err := replica.NewSet(ts[0], ts[1:]...)
+	set, err := replica.NewSet(s.trans[0], s.trans[1:]...)
 	if err != nil {
-		s.stopAll(cfg.Logf)
+		s.stopAll(r.cfg.Logf)
 		return nil, err
 	}
 	s.set = set
@@ -421,8 +345,17 @@ func (r *run) newClient(ctx context.Context) (*client.Client, map[int]crypt.Toke
 	return cl, byGrp, nil
 }
 
-// bootstrap seals and uploads the whole corpus through the cluster,
-// batched per group, and records every acknowledged element.
+// insert uploads one sealed batch through the cluster and records its
+// fate in the oracle: acknowledged on success; on failure each element
+// is uncertain, because the batch (or part of it, mid-fault) may have
+// landed.
+func (r *run) insert(ctx context.Context, tok crypt.Token, ops []server.InsertOp) error {
+	err := r.checker.InsertBatch(ctx, tok, ops)
+	r.orc.inserted(ops, err == nil)
+	return err
+}
+
+// bootstrap seals and uploads the whole corpus, batched per group.
 func (r *run) bootstrap(ctx context.Context) error {
 	cl, byGrp, err := r.newClient(ctx)
 	if err != nil {
@@ -448,11 +381,8 @@ func (r *run) bootstrap(ctx context.Context) error {
 		ops := byGroup[g]
 		for start := 0; start < len(ops); start += server.MaxBatchOps {
 			end := min(start+server.MaxBatchOps, len(ops))
-			if err := r.checker.InsertBatch(ctx, byGrp[g], ops[start:end]); err != nil {
+			if err := r.insert(ctx, byGrp[g], ops[start:end]); err != nil {
 				return fmt.Errorf("group %d ops %d-%d: %w", g, start, end-1, err)
-			}
-			for _, op := range ops[start:end] {
-				r.orc.insertAcked(op.List, op.Element.Sealed)
 			}
 		}
 	}
@@ -460,7 +390,7 @@ func (r *run) bootstrap(ctx context.Context) error {
 }
 
 // worker drains one op channel against its own client. Each op runs
-// under the chaos gate (shared), so the identity check can quiesce
+// under the quiesce gate (shared), so the identity check can quiesce
 // the cluster by taking it exclusively.
 func (r *run) worker(ctx context.Context, ops <-chan workload.Op) error {
 	cl, byGrp, err := r.newClient(ctx)
@@ -477,75 +407,69 @@ func (r *run) worker(ctx context.Context, ops <-chan workload.Op) error {
 			// channel during shutdown.
 			continue
 		}
-		r.ch.gate.RLock()
+		r.gate.RLock()
 		r.execute(ctx, cl, byGrp, docSeals, op)
-		r.ch.gate.RUnlock()
+		r.gate.RUnlock()
 	}
 	return nil
 }
 
+// sinceMs is the time since t0 in milliseconds.
+func sinceMs(t0 time.Time) float64 { return float64(time.Since(t0).Microseconds()) / 1000 }
+
 // execute runs one streamed op and folds the outcome into oracle and
 // counters.
 func (r *run) execute(ctx context.Context, cl *client.Client, byGrp map[int]crypt.Token, docSeals map[corpus.DocID][]server.InsertOp, op workload.Op) {
-	r.ops.Add(1)
+	r.count(func(rep *Report) { rep.Ops++ })
 	switch op.Kind {
 	case workload.OpSearch:
 		var opts []client.SearchOption
-		proved := r.cfg.ProofEvery > 0 && op.Seq%r.cfg.ProofEvery == 0
-		if proved {
+		if op.Seq%proofEvery == 0 {
 			opts = append(opts, client.WithProof())
-			r.proved.Add(1)
+			r.count(func(rep *Report) { rep.ProvedSearches++ })
 		}
 		t0 := time.Now()
-		_, _, err := cl.Search(ctx, op.Terms, r.cfg.TopK, opts...)
-		r.searchLat.Observe(float64(time.Since(t0).Microseconds()) / 1000)
+		_, _, err := cl.Search(ctx, op.Terms, topK, opts...)
+		r.searchLat.Observe(sinceMs(t0))
 		switch {
 		case err == nil:
-			r.searches.Add(1)
+			r.count(func(rep *Report) { rep.Searches++ })
 		case errors.Is(err, client.ErrProofInvalid):
 			r.proofViolation(err)
 		case ctx.Err() != nil:
 			// Shutdown, not a server failure.
 		default:
-			r.countErr("search", err)
+			r.countErr("search")
 		}
 	case workload.OpInsert:
 		// SealDocument, not IndexDocument: the oracle mirrors the
 		// acknowledged sealed bytes, which randomized codecs cannot
 		// re-derive.
 		ops, err := cl.SealDocument(op.Doc, op.Doc.Group)
-		if err != nil || len(ops) == 0 {
-			if err != nil {
-				r.countErr("seal", err)
-			}
+		if err != nil {
+			r.countErr("seal")
+			return
+		}
+		if len(ops) == 0 {
 			return
 		}
 		t0 := time.Now()
-		err = r.checker.InsertBatch(ctx, byGrp[op.Doc.Group], ops)
-		r.writeLat.Observe(float64(time.Since(t0).Microseconds()) / 1000)
-		if err == nil {
-			r.inserts.Add(1)
-			for _, o := range ops {
-				r.orc.insertAcked(o.List, o.Element.Sealed)
-			}
+		err = r.insert(ctx, byGrp[op.Doc.Group], ops)
+		r.writeLat.Observe(sinceMs(t0))
+		switch {
+		case err == nil:
+			r.count(func(rep *Report) { rep.Inserts++ })
 			docSeals[op.Doc.ID] = ops
-			return
-		}
-		// Ambiguous: the batch (or part of it, mid-fault) may have
-		// landed. Track every element as uncertain and never target
-		// this document with a remove.
-		for _, o := range ops {
-			r.orc.insertFailed(o.List, o.Element.Sealed)
-		}
-		if ctx.Err() == nil {
-			r.countErr("insert", err)
+		case ctx.Err() == nil:
+			// The document is never targeted by a remove: its elements
+			// are uncertain.
+			r.countErr("insert")
 		}
 	case workload.OpRemove:
 		ins, ok := docSeals[op.Doc.ID]
 		if !ok {
-			// The matching insert failed (or predates MaxLiveDocsPerUser
-			// eviction in a resumed stream); nothing certain to remove.
-			r.removesSkipped.Add(1)
+			// The matching insert failed; nothing certain to remove.
+			r.count(func(rep *Report) { rep.RemovesSkipped++ })
 			return
 		}
 		delete(docSeals, op.Doc.ID)
@@ -555,19 +479,13 @@ func (r *run) execute(ctx context.Context, cl *client.Client, byGrp map[int]cryp
 		}
 		t0 := time.Now()
 		err := r.checker.RemoveBatch(ctx, byGrp[op.Doc.Group], rops)
-		r.writeLat.Observe(float64(time.Since(t0).Microseconds()) / 1000)
-		if err == nil {
-			r.removes.Add(1)
-			for _, o := range rops {
-				r.orc.removeAcked(o.List, o.Sealed)
-			}
-			return
-		}
-		for _, o := range rops {
-			r.orc.removeFailed(o.List, o.Sealed)
-		}
-		if ctx.Err() == nil {
-			r.countErr("remove", err)
+		r.writeLat.Observe(sinceMs(t0))
+		r.orc.removed(rops, err == nil)
+		switch {
+		case err == nil:
+			r.count(func(rep *Report) { rep.Removes++ })
+		case ctx.Err() == nil:
+			r.countErr("remove")
 		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"zerberr/internal/client"
 	"zerberr/internal/crypt"
 	"zerberr/internal/server"
-	"zerberr/internal/workload"
 	"zerberr/internal/zerber"
 )
 
@@ -36,7 +35,7 @@ func TestMain(m *testing.M) {
 func startScratch(t *testing.T, name string) (*Proc, client.HTTP) {
 	t.Helper()
 	dir := t.TempDir()
-	secretFile, err := WriteSecret(dir)
+	secretFile, secret, err := WriteSecret(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +44,6 @@ func startScratch(t *testing.T, name string) (*Proc, client.HTTP) {
 		Name:       name,
 		DataDir:    filepath.Join(dir, "data"),
 		SecretFile: secretFile,
-		TokenTTL:   time.Hour,
 		Users:      []string{"tester=0,1"},
 		Logf:       t.Logf,
 	})
@@ -59,10 +57,6 @@ func startScratch(t *testing.T, name string) (*Proc, client.HTTP) {
 			p.Stop(ctx)
 		}
 	})
-	secret, err := Secret(secretFile)
-	if err != nil {
-		t.Fatal(err)
-	}
 	return p, client.HTTP{
 		BaseURL:  p.BaseURL(),
 		Retry:    client.DefaultRetryPolicy(),
@@ -219,8 +213,11 @@ func TestRepeatedKillRestartCycles(t *testing.T) {
 func TestOracleResolution(t *testing.T) {
 	o := newOracle()
 	const list = zerber.ListID(1)
-	o.insertAcked(list, []byte("acked"))
-	o.insertFailed(list, []byte("maybe"))
+	insert := func(sealed string, acked bool) {
+		o.inserted([]server.InsertOp{{List: list, Element: server.StoredElement{Sealed: []byte(sealed)}}}, acked)
+	}
+	insert("acked", true)
+	insert("maybe", false)
 
 	// The server holding both is fine on any member.
 	if vs := o.checkList(list, map[string]bool{"acked": true, "maybe": true}, "m0"); len(vs) != 0 {
@@ -244,15 +241,15 @@ func TestOracleResolution(t *testing.T) {
 	}
 	// An uncertain entry the primary DOES hold stays uncertain (a
 	// replica that never saw the ambiguous write may lack it).
-	o.insertFailed(list, []byte("maybe2"))
+	insert("maybe2", false)
 	o.resolveList(list, map[string]bool{"acked": true, "maybe2": true})
 	if _, uncertain = o.counts(); uncertain != 1 {
 		t.Fatalf("resolved entry the primary holds; want it kept uncertain")
 	}
 
-	// Ambiguous remove: present -> uncertainRemove; primary no longer
+	// Ambiguous remove: present -> uncertain; primary no longer
 	// holding it confirms the remove applied.
-	o.removeFailed(list, []byte("acked"))
+	o.removed([]server.RemoveOp{{List: list, Sealed: []byte("acked")}}, false)
 	o.resolveList(list, map[string]bool{"maybe2": true})
 	present, _ = o.counts()
 	if present != 0 {
@@ -289,27 +286,19 @@ func TestEpochCheckerFlagsRemintedVersion(t *testing.T) {
 	}
 }
 
-// TestSoakSmoke is a bounded end-to-end run: tiny cluster, a few
-// seconds of load, at least one forced fault, zero violations.
+// TestSoakSmoke is a bounded end-to-end run of the fixed soak shape:
+// a few seconds of load, at least one kill and one migration, zero
+// violations — what CI's soak job asserts on its longer run.
 func TestSoakSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak smoke boots a process cluster")
 	}
-	cfg := DefaultConfig()
-	cfg.ZerberdPath = zerberdBin
-	cfg.Dir = t.TempDir()
-	cfg.Shards = 2
-	cfg.Replicas = 2
-	cfg.Workers = 2
-	cfg.Duration = 8 * time.Second
-	cfg.CorpusDocs = 80
-	cfg.CorpusVocab = 1000
-	cfg.FaultEvery = 2 * time.Second
-	cfg.ProofEvery = 8
-	cfg.Stream = workload.StreamConfig{Users: 10_000}
-	cfg.Logf = t.Logf
-
-	rep, err := Run(context.Background(), cfg)
+	rep, err := Run(context.Background(), Config{
+		ZerberdPath: zerberdBin,
+		Dir:         t.TempDir(),
+		Duration:    8 * time.Second,
+		Logf:        t.Logf,
+	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -323,8 +312,14 @@ func TestSoakSmoke(t *testing.T) {
 	if rep.Restarts == 0 {
 		t.Fatal("no restart happened")
 	}
+	if rep.Migrations == 0 {
+		t.Fatal("no live migration happened")
+	}
 	if rep.IdentityChecks == 0 {
 		t.Fatal("no identity check ran")
+	}
+	if rep.RevalidatedWindows == 0 {
+		t.Fatal("no window was revalidated")
 	}
 	if rep.ProvedSearches == 0 {
 		t.Fatal("no proved search ran")

@@ -31,23 +31,3 @@ func (e *ECDF) Eval(x float64) float64 {
 	}
 	return float64(i) / float64(len(e.sorted))
 }
-
-// Quantile returns the q-th quantile (0 <= q <= 1) of the sample by
-// nearest rank. For an empty sample it returns 0.
-func (e *ECDF) Quantile(q float64) float64 {
-	n := len(e.sorted)
-	if n == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return e.sorted[0]
-	}
-	if q >= 1 {
-		return e.sorted[n-1]
-	}
-	i := int(q * float64(n))
-	if i >= n {
-		i = n - 1
-	}
-	return e.sorted[i]
-}

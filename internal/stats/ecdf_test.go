@@ -20,21 +20,8 @@ func TestECDFEval(t *testing.T) {
 
 func TestECDFEmpty(t *testing.T) {
 	e := NewECDF(nil)
-	if e.Eval(1) != 0 || e.Quantile(0.5) != 0 || len(e.sorted) != 0 {
+	if e.Eval(1) != 0 || len(e.sorted) != 0 {
 		t.Fatal("empty ECDF should be all zeros")
-	}
-}
-
-func TestECDFQuantile(t *testing.T) {
-	e := NewECDF([]float64{10, 20, 30, 40})
-	if got := e.Quantile(0); got != 10 {
-		t.Errorf("Quantile(0) = %v, want 10", got)
-	}
-	if got := e.Quantile(1); got != 40 {
-		t.Errorf("Quantile(1) = %v, want 40", got)
-	}
-	if got := e.Quantile(0.5); got != 30 {
-		t.Errorf("Quantile(0.5) = %v, want 30", got)
 	}
 }
 

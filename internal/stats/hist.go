@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -12,7 +11,6 @@ import (
 type Histogram struct {
 	Lo, Hi float64
 	Bins   []int
-	total  int
 }
 
 // NewHistogram builds a histogram with n equal-width bins over
@@ -37,15 +35,6 @@ func (h *Histogram) Add(x float64) {
 		i = len(h.Bins) - 1
 	}
 	h.Bins[i]++
-	h.total++
-}
-
-// Density returns the fraction of observations in bin i.
-func (h *Histogram) Density(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Bins[i]) / float64(h.total)
 }
 
 // BinCenter returns the midpoint of bin i.
@@ -114,13 +103,4 @@ func LogBin(points map[int]int, base float64) (xs, ys []float64) {
 type Series struct {
 	Name string
 	X, Y []float64
-}
-
-// Validate reports an error if the series' coordinate slices differ in
-// length.
-func (s Series) Validate() error {
-	if len(s.X) != len(s.Y) {
-		return fmt.Errorf("stats: series %q has %d x values but %d y values", s.Name, len(s.X), len(s.Y))
-	}
-	return nil
 }

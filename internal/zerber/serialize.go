@@ -19,8 +19,8 @@ import (
 //
 // The plan is the dictionary artifact group members receive. It is
 // written and read in the clear: `zerber init` writes plan.bin as this
-// format, and nothing seals it (crypt.SealBytes exists, but no path
-// calls it).
+// format, owner-only (0600), and it stays on the client side with the
+// key passphrase; no path sends it to the server.
 
 const planMagic = "ZPLN1"
 
