@@ -346,15 +346,23 @@ func (s *termScan) next() server.ListQuery {
 
 // absorb folds one response into the scan and applies the stopping
 // rule: collected top-k certain, or list exhausted, or keep going with
-// a doubled batch.
-func (s *termScan) absorb(resp server.QueryResponse, open func(server.StoredElement) (crypt.Element, error)) error {
+// a doubled batch. Only the elements that peek as the scan's term are
+// opened, and only what Open authenticates becomes a match.
+func (s *termScan) absorb(resp server.QueryResponse, r *elementReader) error {
 	lastTRS := math.Inf(-1)
 	for _, el := range resp.Elements {
-		plain, err := open(el)
+		_, term, err := r.peek(el)
 		if err != nil {
 			return err
 		}
 		lastTRS = el.TRS
+		if term != s.term {
+			continue
+		}
+		plain, err := r.open(el)
+		if err != nil {
+			return err
+		}
 		if plain.Term != s.term {
 			continue
 		}
@@ -445,13 +453,51 @@ func kthBestTRS(matches []match, k int) float64 {
 	return tmp[k-1].trs
 }
 
-// openElement decrypts a stored element with the matching group key.
-func (c *Client) openElement(el server.StoredElement) (crypt.Element, error) {
-	key, ok := c.cfg.Keys[el.Group]
+// elementReader reads the elements of one search or one delete scan.
+// A merged list holds many terms' elements, and the caller keeps only
+// its own term's, so it peeks at each element's doc and term first and
+// runs the authenticated Open only on the ones it keeps. A peek that
+// misses discards the element, which is all a server achieves by
+// omitting it. The reader holds one crypt.Peeker per group, built on
+// the group's first element, so a peek looks up no key.
+type elementReader struct {
+	codec   crypt.ElementCodec
+	keys    map[int]crypt.GroupKey
+	peekers map[int]crypt.Peeker
+}
+
+func (c *Client) newElementReader() *elementReader {
+	return &elementReader{codec: c.cfg.Codec, keys: c.cfg.Keys, peekers: make(map[int]crypt.Peeker, len(c.cfg.Keys))}
+}
+
+// peek reads a stored element's doc and term, unauthenticated.
+func (r *elementReader) peek(el server.StoredElement) (corpus.DocID, corpus.TermID, error) {
+	p, ok := r.peekers[el.Group]
+	if !ok {
+		key, ok := r.keys[el.Group]
+		if !ok {
+			return 0, 0, fmt.Errorf("%w: element of group %d", ErrNoGroupKey, el.Group)
+		}
+		var err error
+		if p, err = r.codec.Peeker(key); err != nil {
+			return 0, 0, fmt.Errorf("client: reading element of group %d: %w", el.Group, err)
+		}
+		r.peekers[el.Group] = p
+	}
+	doc, term, err := p.Peek(el.Sealed)
+	if err != nil {
+		return 0, 0, fmt.Errorf("client: reading element of group %d: %w", el.Group, err)
+	}
+	return doc, term, nil
+}
+
+// open decrypts and authenticates a stored element with its group key.
+func (r *elementReader) open(el server.StoredElement) (crypt.Element, error) {
+	key, ok := r.keys[el.Group]
 	if !ok {
 		return crypt.Element{}, fmt.Errorf("%w: element of group %d", ErrNoGroupKey, el.Group)
 	}
-	plain, err := c.cfg.Codec.Open(el.Sealed, key)
+	plain, err := r.codec.Open(el.Sealed, key)
 	if err != nil {
 		return crypt.Element{}, fmt.Errorf("client: opening element of group %d: %w", el.Group, err)
 	}
@@ -480,12 +526,14 @@ func uniqueTerms(terms []corpus.TermID) []corpus.TermID {
 // DeleteDocument removes every posting element of the document from
 // the index (the other half of "unlimited index update and insert
 // operations", Section 7). Because sealed payloads may be randomized
-// (AES-GCM), the client locates its elements by downloading and
-// decrypting each affected merged list — all lists scanned in batched
-// rounds — then removes the matching ciphertexts with one batched
-// remove (split only past the server's batch cap). Returns the number
-// of elements removed; the server validates each batch as a unit, so
-// a typical document is removed all-or-nothing.
+// (AES-GCM), the client locates its elements by downloading each
+// affected merged list — all lists scanned in batched rounds — and
+// peeking at every element of the group. Only the elements that peek
+// as this document under one of its terms are opened, and only those
+// Open authenticates are removed, with one batched remove (split only
+// past the server's batch cap). Returns the number of elements
+// removed; the server validates each batch as a unit, so a typical
+// document is removed all-or-nothing.
 //
 // Cancellation is honored between round-trips. A context canceled
 // during the remove phase can leave the document partially removed
@@ -522,6 +570,7 @@ func (c *Client) DeleteDocument(ctx context.Context, d *corpus.Document, group i
 	}
 	sort.Slice(cursors, func(i, j int) bool { return cursors[i].list < cursors[j].list })
 	const scanBatch = 4096
+	r := c.newElementReader()
 	var victims []server.RemoveOp
 	for {
 		var queries []server.ListQuery
@@ -546,7 +595,14 @@ func (c *Client) DeleteDocument(ctx context.Context, d *corpus.Document, group i
 				if el.Group != group {
 					continue
 				}
-				plain, err := c.openElement(el)
+				doc, term, err := r.peek(el)
+				if err != nil {
+					return 0, err
+				}
+				if doc != d.ID || !want[term] {
+					continue
+				}
+				plain, err := r.open(el)
 				if err != nil {
 					return 0, err
 				}

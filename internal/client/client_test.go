@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -277,30 +278,90 @@ func TestIndexRequiresLoginAndKeys(t *testing.T) {
 	}
 }
 
+// TestTamperedElementSurfaces states what a tampered element does to a
+// search that peeks before it opens. A flipped tag or score byte leaves
+// the peek on the scan's term, so the element is opened and fails
+// authentication. A flipped nonce peeks as an arbitrary term, so the
+// element is dropped, as if the server had omitted it — unless the
+// search is proved, whose leaves hash the sealed bytes.
 func TestTamperedElementSurfaces(t *testing.T) {
 	h := newHarness(t, crypt.GCMCodec{}, 10)
-	term := h.c.TermsByDF()[0]
-	list := h.cl.ListFor(term)
-	// Corrupt the top element server-side (compromised server).
-	snap, err := h.srv.Snapshot(list)
+	// A term with at least k documents whose merged list's first window
+	// holds an element of it and one of another term.
+	var term corpus.TermID
+	var own, other []byte
+	for _, term = range h.c.TermsByDF() {
+		if h.c.DF(term) < 5 {
+			continue
+		}
+		snap, err := h.srv.Snapshot(h.cl.ListFor(term))
+		if err != nil {
+			t.Fatal(err)
+		}
+		own, other = nil, nil
+		for _, el := range snap[:min(10, len(snap))] {
+			plain, err := crypt.GCMCodec{}.Open(el.Sealed, h.keys[el.Group])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plain.Term == term && own == nil {
+				own = el.Sealed
+			}
+			if plain.Term != term && other == nil {
+				other = el.Sealed
+			}
+		}
+		if own != nil && other != nil {
+			break
+		}
+	}
+	if own == nil || other == nil {
+		t.Fatal("no first window mixes terms")
+	}
+	query := []corpus.TermID{term}
+	want, _, err := h.cl.Search(context.Background(), query, 5, WithInitialResponse(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap) == 0 {
-		t.Fatal("empty list")
-	}
-	evil := snap[0]
-	evil.Sealed[0] ^= 0xff
-	evil.TRS = 1.0 // push to the front
-	toks, err := h.srv.Login(context.Background(), "writer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := InsertOne(context.Background(), h.srv.InsertBatch, toks[evil.Group], list, evil); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := h.cl.Search(context.Background(), []corpus.TermID{term}, 5, WithInitialResponse(10)); !errors.Is(err, crypt.ErrDecrypt) {
-		t.Fatalf("tampered element err = %v, want ErrDecrypt", err)
+	const score = 12 + 15 // the last ciphertext byte: the score's low byte
+	for _, tc := range []struct {
+		name   string
+		target []byte
+		at     int
+		opts   []SearchOption
+		want   error
+	}{
+		{"tag", own, len(own) - 1, nil, crypt.ErrDecrypt},
+		{"score", own, score, nil, crypt.ErrDecrypt},
+		{"nonce", other, 0, nil, nil},
+		{"nonce proved", other, 0, []SearchOption{WithProof()}, ErrProofInvalid},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tt := &flipTransport{Local: Local{S: h.srv}, target: tc.target, at: tc.at}
+			cl, err := New(tt, h.cl.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.Login(context.Background(), "writer"); err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := cl.Search(context.Background(), query, 5, append(tc.opts, WithInitialResponse(10))...)
+			if tt.flips == 0 {
+				t.Fatal("the tampered element was never sent")
+			}
+			if tc.want != nil {
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("err = %v, want %v", err, tc.want)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("err = %v, want none", err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("results %v, untampered %v", got, want)
+			}
+		})
 	}
 }
 

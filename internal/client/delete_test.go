@@ -3,12 +3,16 @@ package client
 import (
 	"context"
 	"errors"
+	"fmt"
+	"maps"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"zerberr/internal/corpus"
 	"zerberr/internal/crypt"
 	"zerberr/internal/server"
+	"zerberr/internal/zerber"
 )
 
 func TestDeleteDocumentRemovesAllElements(t *testing.T) {
@@ -157,4 +161,141 @@ func TestDeleteOverHTTP(t *testing.T) {
 func newTestHTTP(t *testing.T, h *harness) *httptest.Server {
 	t.Helper()
 	return httptest.NewServer(h.srv.Handler())
+}
+
+// deleteVictims is what a delete scan that opens every element names
+// for removal: each element of the document's group, on one of its
+// terms' lists, that opens as the document under a term of that list.
+func deleteVictims(t *testing.T, h *harness, codec crypt.ElementCodec, d *corpus.Document) []string {
+	t.Helper()
+	lists := map[zerber.ListID]bool{}
+	for term := range d.TF {
+		lists[h.cl.ListFor(term)] = true
+	}
+	var out []string
+	for list := range lists {
+		snap, err := h.srv.Snapshot(list)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, el := range snap {
+			if el.Group != d.Group {
+				continue
+			}
+			plain, err := codec.Open(el.Sealed, h.keys[el.Group])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := d.TF[plain.Term]; ok && plain.Doc == d.ID && h.cl.ListFor(plain.Term) == list {
+				out = append(out, fmt.Sprint(list, el.Sealed))
+			}
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestDeleteVictimsMatchFullOpen: peeking before opening names exactly
+// the elements a scan that opens every element would, for sixty
+// documents of a seeded corpus and both codecs.
+func TestDeleteVictimsMatchFullOpen(t *testing.T) {
+	for _, codec := range []crypt.ElementCodec{crypt.GCMCodec{}, crypt.Compact64Codec{}} {
+		t.Run(codec.Name(), func(t *testing.T) {
+			h := newHarness(t, codec, 24)
+			tt := &flipTransport{Local: Local{S: h.srv}}
+			cl, err := New(tt, h.cl.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.Login(context.Background(), "writer"); err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range h.c.Docs[:60] {
+				tt.removed = nil
+				n, err := cl.DeleteDocument(context.Background(), d, d.Group)
+				if err != nil {
+					t.Fatalf("doc %d: %v", d.ID, err)
+				}
+				var got []string
+				for _, op := range tt.removed {
+					got = append(got, fmt.Sprint(op.List, op.Sealed))
+				}
+				slices.Sort(got)
+				if want := deleteVictims(t, h, codec, d); n != len(want) || !slices.Equal(got, want) {
+					t.Fatalf("doc %d: removed %d elements %v, a full-open scan names %v", d.ID, n, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestDeleteSkipsTamperedElementsOfOtherDocuments: an element that
+// peeks as another document is never opened, so its broken tag does
+// not abort the delete; one that peeks as the document is opened and
+// fails.
+func TestDeleteSkipsTamperedElementsOfOtherDocuments(t *testing.T) {
+	h := newHarness(t, crypt.GCMCodec{}, 25)
+	victim := h.c.Docs[4]
+	// One of the victim's elements, and an element of another document
+	// of its group on the same list.
+	var own, other []byte
+	for _, term := range slices.Sorted(maps.Keys(victim.TF)) {
+		snap, err := h.srv.Snapshot(h.cl.ListFor(term))
+		if err != nil {
+			t.Fatal(err)
+		}
+		own, other = nil, nil
+		for _, el := range snap {
+			if el.Group != victim.Group {
+				continue
+			}
+			plain, err := crypt.GCMCodec{}.Open(el.Sealed, h.keys[el.Group])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plain.Doc == victim.ID && plain.Term == term {
+				own = el.Sealed
+			} else if plain.Doc != victim.ID && other == nil {
+				other = el.Sealed
+			}
+		}
+		if own != nil && other != nil {
+			break
+		}
+	}
+	if own == nil || other == nil {
+		t.Fatalf("no list of the victim's holds another document of group %d", victim.Group)
+	}
+	for _, tc := range []struct {
+		name   string
+		target []byte
+		want   error
+	}{
+		{"other document", other, nil},
+		{"own element", own, crypt.ErrDecrypt},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tt := &flipTransport{Local: Local{S: h.srv}, target: tc.target, at: len(tc.target) - 1}
+			cl, err := New(tt, h.cl.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.Login(context.Background(), "writer"); err != nil {
+				t.Fatal(err)
+			}
+			n, err := cl.DeleteDocument(context.Background(), victim, victim.Group)
+			if tt.flips == 0 {
+				t.Fatal("the tampered element was never sent")
+			}
+			if tc.want != nil {
+				if !errors.Is(err, tc.want) || len(tt.removed) != 0 {
+					t.Fatalf("err = %v with %d removes sent, want %v and none", err, len(tt.removed), tc.want)
+				}
+				return
+			}
+			if err != nil || n != len(victim.TF) {
+				t.Fatalf("removed %d of %d elements, err = %v", n, len(victim.TF), err)
+			}
+		})
+	}
 }

@@ -162,6 +162,7 @@ func (c *Client) stream(ctx context.Context, scans []*termScan, k int, progressi
 	if o.proved {
 		ps = c.newProofState()
 	}
+	r := c.newElementReader()
 	for {
 		if err := ctx.Err(); err != nil {
 			yield(Snapshot{Stats: *total}, err)
@@ -200,7 +201,7 @@ func (c *Client) stream(ctx context.Context, scans []*termScan, k int, progressi
 				}
 			}
 			roundElems += len(resp.Elements)
-			if err := scans[open[j]].absorb(resp, c.openElement); err != nil {
+			if err := scans[open[j]].absorb(resp, r); err != nil {
 				yield(Snapshot{Stats: *total}, err)
 				return
 			}

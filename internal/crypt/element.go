@@ -32,10 +32,23 @@ type ElementCodec interface {
 	Seal(el Element, key GroupKey) ([]byte, error)
 	// Open decrypts and validates a sealed element.
 	Open(ct []byte, key GroupKey) (Element, error)
+	// Peeker returns a Peeker for the elements sealed under key.
+	Peeker(key GroupKey) (Peeker, error)
 	// WireSize returns the sealed element size in bytes.
 	WireSize() int
 	// Name identifies the codec in artifacts and experiment output.
 	Name() string
+}
+
+// Peeker reads the document and term of sealed elements under one key
+// without authenticating them, so that a reader runs the full Open only
+// on the elements it keeps. A tampered element peeks as an arbitrary
+// document and term: nothing a peek reads may be used unless Open of the
+// same bytes succeeds. A Peeker is not safe for concurrent use.
+type Peeker interface {
+	// Peek reads the element's document and term. A ciphertext of the
+	// wrong size is ErrDecrypt.
+	Peek(ct []byte) (corpus.DocID, corpus.TermID, error)
 }
 
 // ErrDecrypt reports a failed decryption: wrong key, tampering or a
@@ -108,6 +121,41 @@ func (c GCMCodec) Open(ct []byte, key GroupKey) (Element, error) {
 		Term:  corpus.TermID(binary.BigEndian.Uint32(pt[4:8])),
 		Score: math.Float64frombits(binary.BigEndian.Uint64(pt[8:16])),
 	}, nil
+}
+
+// Peeker implements ElementCodec. GCM encrypts the 16-byte packed
+// element in counter mode: it is exactly one AES block, XORed with the
+// encryption of the first data counter, nonce ‖ 0x00000002. A peek
+// encrypts that one block and reads doc and term from the first eight
+// bytes, skipping the GHASH and the tag check.
+func (GCMCodec) Peeker(key GroupKey) (Peeker, error) {
+	block, err := key.elementBlock()
+	if err != nil {
+		return nil, err
+	}
+	p := &gcmPeeker{block: block}
+	p.counter[aes.BlockSize-1] = 2
+	return p, nil
+}
+
+// gcmPeeker owns its counter and keystream blocks, so a peek allocates
+// nothing. The block cipher is the key's own, shared with its AEAD.
+type gcmPeeker struct {
+	block           cipher.Block
+	counter, stream [aes.BlockSize]byte
+}
+
+// Peek implements Peeker.
+func (p *gcmPeeker) Peek(ct []byte) (corpus.DocID, corpus.TermID, error) {
+	if len(ct) != gcmNonce+gcmPayload+gcmTag {
+		return 0, 0, fmt.Errorf("%w: wrong size %d", ErrDecrypt, len(ct))
+	}
+	copy(p.counter[:gcmNonce], ct)
+	p.block.Encrypt(p.stream[:], p.counter[:])
+	pt := ct[gcmNonce:]
+	doc := binary.BigEndian.Uint32(pt[0:4]) ^ binary.BigEndian.Uint32(p.stream[0:4])
+	term := binary.BigEndian.Uint32(pt[4:8]) ^ binary.BigEndian.Uint32(p.stream[4:8])
+	return corpus.DocID(doc), corpus.TermID(term), nil
 }
 
 // Compact64Codec packs (doc:24, term:20, quantized score:20) into
@@ -189,6 +237,20 @@ func (Compact64Codec) Open(ct []byte, key GroupKey) (Element, error) {
 	term := corpus.TermID(block >> compactScoreBits & (1<<compactTermBits - 1))
 	q := uint32(block & scoreQuantMax)
 	return Element{Doc: doc, Term: term, Score: DequantizeScore(q)}, nil
+}
+
+// Peeker implements ElementCodec. The ciphertext is one 64-bit block
+// with no tag, so a peek is the full Open.
+func (Compact64Codec) Peeker(key GroupKey) (Peeker, error) {
+	return compactPeeker{key: key}, nil
+}
+
+type compactPeeker struct{ key GroupKey }
+
+// Peek implements Peeker.
+func (p compactPeeker) Peek(ct []byte) (corpus.DocID, corpus.TermID, error) {
+	el, err := Compact64Codec{}.Open(ct, p.key)
+	return el.Doc, el.Term, err
 }
 
 // feistelRounds is the number of Feistel rounds; four rounds of a

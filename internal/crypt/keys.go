@@ -36,8 +36,9 @@ type GroupKey struct {
 // built at most once. Everything in it is safe for concurrent use, so
 // copies of a key may seal and open from any number of goroutines.
 type keyState struct {
-	element lazyCipher[cipher.AEAD]  // GCMCodec
-	feistel lazyCipher[cipher.Block] // Compact64Codec
+	elementBlock lazyCipher[cipher.Block] // GCMCodec's AES block: its AEAD and its peeks
+	element      lazyCipher[cipher.AEAD]  // GCMCodec, built on elementBlock
+	feistel      lazyCipher[cipher.Block] // Compact64Codec
 }
 
 // lazyCipher is one derived cipher and the error of deriving it.
@@ -135,15 +136,6 @@ func (gk GroupKey) block(purpose string) (cipher.Block, error) {
 	return aes.NewCipher(sub[:])
 }
 
-// aead derives the AES-256-GCM instance for a purpose label.
-func (gk GroupKey) aead(purpose string) (cipher.AEAD, error) {
-	block, err := gk.block(purpose)
-	if err != nil {
-		return nil, err
-	}
-	return cipher.NewGCM(block)
-}
-
 // ciphers returns the key's derived state. A key that carries none
 // gets a throwaway one, so it derives its ciphers on every call.
 func (gk GroupKey) ciphers() *keyState {
@@ -153,10 +145,22 @@ func (gk GroupKey) ciphers() *keyState {
 	return gk.state
 }
 
+// elementBlock returns the AES instance under GCMCodec: the AEAD is
+// built on it, and a peek encrypts one counter block with it.
+func (gk GroupKey) elementBlock() (cipher.Block, error) {
+	return gk.ciphers().elementBlock.get(func() (cipher.Block, error) { return gk.block("element/gcm") })
+}
+
 // elementAEAD returns the AES-GCM instance GCMCodec seals and opens
 // posting elements with.
 func (gk GroupKey) elementAEAD() (cipher.AEAD, error) {
-	return gk.ciphers().element.get(func() (cipher.AEAD, error) { return gk.aead("element/gcm") })
+	return gk.ciphers().element.get(func() (cipher.AEAD, error) {
+		block, err := gk.elementBlock()
+		if err != nil {
+			return nil, err
+		}
+		return cipher.NewGCM(block)
+	})
 }
 
 // feistelBlock returns the AES instance behind Compact64Codec's round

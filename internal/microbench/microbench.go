@@ -35,13 +35,16 @@ import (
 type Bench struct {
 	Name string
 	F    func(b *testing.B)
-	// MaxAllocs gates the leg's allocations per operation (0: not
-	// gated): the package's own test runs every leg once and fails a
-	// leg that allocates more. Set at the achieved figure where the
-	// count is what the leg is for; legs whose count depends on
-	// scheduling or on b.N stay ungated.
+	// MaxAllocs gates the leg's allocations per operation: the
+	// package's own test runs every leg once and fails a leg that
+	// allocates more. Set at the achieved figure where the count is
+	// what the leg is for; legs whose count depends on scheduling or on
+	// b.N are Ungated.
 	MaxAllocs int64
 }
+
+// Ungated is the MaxAllocs of a leg whose allocations are not gated.
+const Ungated = -1
 
 // Suite is the only enumeration of the micro-benchmarks: `go test
 // -bench` mounts it as BenchmarkMicro/<Name>, `zerber-bench -o`
@@ -93,6 +96,12 @@ type Bench struct {
 //     benchmark/ sees their sum as crypt.open_ms but not the
 //     per-element allocation count, which is the gate a re-derivation
 //     per element would break first.
+//   - CryptPeek/*: the read of one element's doc and term that a
+//     search pays for every element of every window it fetches, its
+//     own term's or not; benchmark/ counts it inside client.self_ms.
+//     A GCM peek allocates nothing (gate 0): a peek that allocated
+//     would cost a search one allocation per element again. A compact64
+//     peek is its full Open (gate 1, the Feistel scratch).
 func Suite() []Bench {
 	return []Bench{
 		{Name: "QueryFollowup/indexed", F: queryFollowupIndexed, MaxAllocs: 27},
@@ -101,23 +110,25 @@ func Suite() []Bench {
 		{Name: "QueryCached/revalidate", F: queryCachedRevalidate, MaxAllocs: 156},
 		{Name: "QueryInstrumented/hit", F: queryInstrumentedHit, MaxAllocs: 132},
 		{Name: "ProofQuery/proved", F: proofQueryProved, MaxAllocs: 158},
-		{Name: "ProofQuery/after-write", F: proofQueryAfterWrite},
+		{Name: "ProofQuery/after-write", F: proofQueryAfterWrite, MaxAllocs: Ungated},
 		{Name: "ProofQuery/verify", F: proofQueryVerify, MaxAllocs: 2},
 		{Name: "ProofQuery/verify-continuation", F: proofQueryVerifyContinuation, MaxAllocs: 5},
-		{Name: "StoreAppend/list=120", F: storeAppend},
-		{Name: "StoreAppend/fsync=true/list=120", F: storeAppendFsync},
+		{Name: "StoreAppend/list=120", F: storeAppend, MaxAllocs: Ungated},
+		{Name: "StoreAppend/fsync=true/list=120", F: storeAppendFsync, MaxAllocs: Ungated},
 		{Name: "StoreRemoveBatch", F: storeRemoveBatch, MaxAllocs: 21},
-		{Name: "StoreAppendParallel/fsync=false/list=120", F: func(b *testing.B) { appendParallel(b, false) }},
-		{Name: "StoreAppendParallel/fsync=true/list=120", F: func(b *testing.B) { appendParallel(b, true) }},
-		{Name: "StoreMemoryInsert/list=120", F: memoryInsert},
+		{Name: "StoreAppendParallel/fsync=false/list=120", F: func(b *testing.B) { appendParallel(b, false) }, MaxAllocs: Ungated},
+		{Name: "StoreAppendParallel/fsync=true/list=120", F: func(b *testing.B) { appendParallel(b, true) }, MaxAllocs: Ungated},
+		{Name: "StoreMemoryInsert/list=120", F: memoryInsert, MaxAllocs: Ungated},
 		{Name: "StoreRecover/first-query/mmap", F: storeRecoverMmap, MaxAllocs: 574},
 		{Name: "StoreRecover/wal-only", F: storeRecoverWAL, MaxAllocs: 83183},
 		{Name: "StoreRecover/snapshot", F: storeRecoverSnapshot, MaxAllocs: 111},
-		{Name: "HedgedQuery/healthy", F: hedgedQueryHealthy},
-		{Name: "HedgedQuery/failover", F: hedgedQueryFailover},
+		{Name: "HedgedQuery/healthy", F: hedgedQueryHealthy, MaxAllocs: Ungated},
+		{Name: "HedgedQuery/failover", F: hedgedQueryFailover, MaxAllocs: Ungated},
 		{Name: "CryptOpen/aes-gcm", F: func(b *testing.B) { cryptOpen(b, crypt.GCMCodec{}) }, MaxAllocs: 1},
-		{Name: "CryptSeal/aes-gcm", F: cryptSealGCM},
+		{Name: "CryptSeal/aes-gcm", F: cryptSealGCM, MaxAllocs: Ungated},
 		{Name: "CryptOpen/compact64", F: func(b *testing.B) { cryptOpen(b, crypt.Compact64Codec{}) }, MaxAllocs: 1},
+		{Name: "CryptPeek/aes-gcm", F: func(b *testing.B) { cryptPeek(b, crypt.GCMCodec{}) }, MaxAllocs: 0},
+		{Name: "CryptPeek/compact64", F: func(b *testing.B) { cryptPeek(b, crypt.Compact64Codec{}) }, MaxAllocs: 1},
 	}
 }
 
@@ -879,8 +890,7 @@ func hedgedQueryFailover(b *testing.B) { hedgedQuery(b, replicaSets().failover) 
 var cryptElement = crypt.Element{Doc: 4242, Term: 1717, Score: 0.375}
 
 // cryptOpen opens one sealed posting element per iteration, the unit a
-// search pays for every element of every window it fetches, its own
-// term's or not.
+// search pays for every element it keeps.
 func cryptOpen(b *testing.B, codec crypt.ElementCodec) {
 	key := crypt.KeyFromPassphrase("microbench/crypt")
 	ct, err := codec.Seal(cryptElement, key)
@@ -893,6 +903,28 @@ func cryptOpen(b *testing.B, codec crypt.ElementCodec) {
 		el, err := codec.Open(ct, key)
 		if err != nil || el.Doc != cryptElement.Doc {
 			b.Fatalf("opened %+v, %v", el, err)
+		}
+	}
+}
+
+// cryptPeek reads one sealed element's doc and term per iteration
+// through a peeker built once, as a search builds one per group.
+func cryptPeek(b *testing.B, codec crypt.ElementCodec) {
+	key := crypt.KeyFromPassphrase("microbench/crypt")
+	ct, err := codec.Seal(cryptElement, key)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := codec.Peeker(key)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		doc, term, err := p.Peek(ct)
+		if err != nil || doc != cryptElement.Doc || term != cryptElement.Term {
+			b.Fatalf("peeked (%d, %d), %v", doc, term, err)
 		}
 	}
 }

@@ -34,7 +34,7 @@ func TestSuiteRunsAndHoldsItsGates(t *testing.T) {
 			t.Errorf("%s: did not run (failed inside testing.Benchmark)", bench.Name)
 			continue
 		}
-		if bench.MaxAllocs == 0 || raceEnabled {
+		if bench.MaxAllocs == Ungated || raceEnabled {
 			continue
 		}
 		got := res.AllocsPerOp()
