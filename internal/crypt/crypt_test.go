@@ -279,6 +279,12 @@ func TestTokens(t *testing.T) {
 	if VerifyToken(secret, forged3, now) {
 		t.Fatal("extended expiry accepted")
 	}
+	// The MAC binds exactly Key: expiries within one second share it,
+	// which is what lets a server remember a MAC under its key.
+	sameSecond := IssueToken(secret, "john", 3, tok.Expiry.Add(999*time.Millisecond))
+	if sameSecond.Key() != tok.Key() || !bytes.Equal(sameSecond.MAC, tok.MAC) {
+		t.Fatalf("expiries within one second: keys %+v, %+v; MACs differ %v", sameSecond.Key(), tok.Key(), !bytes.Equal(sameSecond.MAC, tok.MAC))
+	}
 }
 
 func TestSubkeysIndependent(t *testing.T) {

@@ -20,14 +20,28 @@ type Token struct {
 	MAC    []byte
 }
 
-// tokenMAC computes the HMAC binding the token fields to the secret.
-func tokenMAC(secret []byte, user string, group int, expiry time.Time) []byte {
+// TokenKey is what a token's MAC binds: the user, the group and the
+// expiry in whole seconds. Under one secret, tokens with equal keys
+// carry equal MACs.
+type TokenKey struct {
+	User   string
+	Group  int
+	Expiry int64 // Unix seconds
+}
+
+// Key returns the fields the token's MAC binds.
+func (t Token) Key() TokenKey {
+	return TokenKey{User: t.User, Group: t.Group, Expiry: t.Expiry.Unix()}
+}
+
+// tokenMAC computes the HMAC binding the key's fields to the secret.
+func tokenMAC(secret []byte, k TokenKey) []byte {
 	h := hmac.New(sha256.New, secret)
 	h.Write([]byte("zerberr/token/v1|"))
-	h.Write([]byte(user))
+	h.Write([]byte(k.User))
 	var b [16]byte
-	binary.BigEndian.PutUint64(b[0:8], uint64(int64(group)))
-	binary.BigEndian.PutUint64(b[8:16], uint64(expiry.Unix()))
+	binary.BigEndian.PutUint64(b[0:8], uint64(int64(k.Group)))
+	binary.BigEndian.PutUint64(b[8:16], uint64(k.Expiry))
 	h.Write(b[:])
 	return h.Sum(nil)
 }
@@ -35,7 +49,9 @@ func tokenMAC(secret []byte, user string, group int, expiry time.Time) []byte {
 // IssueToken creates a token for the user's membership in group,
 // valid until expiry.
 func IssueToken(secret []byte, user string, group int, expiry time.Time) Token {
-	return Token{User: user, Group: group, Expiry: expiry, MAC: tokenMAC(secret, user, group, expiry)}
+	tok := Token{User: user, Group: group, Expiry: expiry}
+	tok.MAC = tokenMAC(secret, tok.Key())
+	return tok
 }
 
 // VerifyToken reports whether the token is authentic under the secret
@@ -44,7 +60,7 @@ func VerifyToken(secret []byte, tok Token, now time.Time) bool {
 	if now.After(tok.Expiry) {
 		return false
 	}
-	want := tokenMAC(secret, tok.User, tok.Group, tok.Expiry)
+	want := tokenMAC(secret, tok.Key())
 	return hmac.Equal(want, tok.MAC)
 }
 

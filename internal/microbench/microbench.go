@@ -105,17 +105,17 @@ const Ungated = -1
 func Suite() []Bench {
 	return []Bench{
 		{Name: "QueryFollowup/indexed", F: queryFollowupIndexed, MaxAllocs: 27},
-		{Name: "QueryCached/hit", F: queryCachedHit, MaxAllocs: 132},
-		{Name: "QueryCached/uncached", F: queryCachedUncached, MaxAllocs: 153},
-		{Name: "QueryCached/revalidate", F: queryCachedRevalidate, MaxAllocs: 156},
-		{Name: "QueryInstrumented/hit", F: queryInstrumentedHit, MaxAllocs: 132},
+		{Name: "QueryCached/hit", F: queryCachedHit, MaxAllocs: 24},
+		{Name: "QueryCached/uncached", F: queryCachedUncached, MaxAllocs: 42},
+		{Name: "QueryCached/revalidate", F: queryCachedRevalidate, MaxAllocs: 48},
+		{Name: "QueryInstrumented/hit", F: queryInstrumentedHit, MaxAllocs: 24},
 		{Name: "ProofQuery/proved", F: proofQueryProved, MaxAllocs: 158},
 		{Name: "ProofQuery/after-write", F: proofQueryAfterWrite, MaxAllocs: Ungated},
 		{Name: "ProofQuery/verify", F: proofQueryVerify, MaxAllocs: 2},
 		{Name: "ProofQuery/verify-continuation", F: proofQueryVerifyContinuation, MaxAllocs: 5},
 		{Name: "StoreAppend/list=120", F: storeAppend, MaxAllocs: Ungated},
 		{Name: "StoreAppend/fsync=true/list=120", F: storeAppendFsync, MaxAllocs: Ungated},
-		{Name: "StoreRemoveBatch", F: storeRemoveBatch, MaxAllocs: 21},
+		{Name: "StoreRemoveBatch", F: storeRemoveBatch, MaxAllocs: 12},
 		{Name: "StoreAppendParallel/fsync=false/list=120", F: func(b *testing.B) { appendParallel(b, false) }, MaxAllocs: Ungated},
 		{Name: "StoreAppendParallel/fsync=true/list=120", F: func(b *testing.B) { appendParallel(b, true) }, MaxAllocs: Ungated},
 		{Name: "StoreMemoryInsert/list=120", F: memoryInsert, MaxAllocs: Ungated},

@@ -8,11 +8,12 @@ import (
 )
 
 // Request-ID and logger propagation. The v3 API threads a
-// context.Context through every layer already, so a request-scoped
-// slog.Logger (carrying the request ID and whatever attrs the edge
-// attached) rides along for free: the HTTP middleware calls
-// WithLogger once per request, and any layer below logs through
-// Logger(ctx) without knowing where the request entered.
+// context.Context through every layer already, so the request ID (and
+// the logger the edge installed, if any) rides along for free: the
+// HTTP middleware attaches them once per request, and any layer below
+// logs a correlated line through Logger(ctx) without knowing where the
+// request entered. The logger is bound to the ID only when asked for,
+// so a request that logs nothing pays nothing for it.
 
 type ctxKey int
 
@@ -46,16 +47,21 @@ func RequestID(ctx context.Context) string {
 	return id
 }
 
-// WithLogger attaches a request-scoped logger to the context.
+// WithLogger attaches the logger Logger(ctx) derives from.
 func WithLogger(ctx context.Context, l *slog.Logger) context.Context {
 	return context.WithValue(ctx, ctxKeyLogger, l)
 }
 
-// Logger returns the context's request-scoped logger, falling back to
-// slog.Default() so callers can always log unconditionally.
+// Logger returns the context's logger, falling back to slog.Default()
+// so callers can always log unconditionally, bound to the context's
+// request ID when it carries one.
 func Logger(ctx context.Context) *slog.Logger {
-	if l, ok := ctx.Value(ctxKeyLogger).(*slog.Logger); ok && l != nil {
-		return l
+	l, _ := ctx.Value(ctxKeyLogger).(*slog.Logger)
+	if l == nil {
+		l = slog.Default()
 	}
-	return slog.Default()
+	if id := RequestID(ctx); id != "" {
+		return l.With("request_id", id)
+	}
+	return l
 }

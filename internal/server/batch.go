@@ -20,6 +20,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"zerberr/internal/cache"
 	"zerberr/internal/crypt"
 	"zerberr/internal/store"
 	"zerberr/internal/zerber"
@@ -142,6 +143,12 @@ func (s *Server) QueryBatch(ctx context.Context, toks []crypt.Token, queries []L
 		return nil, err
 	}
 	defer s.met.Load().endRound(len(queries), now)
+	// One cache and one key for the group set serve the whole round.
+	c := s.results.Load()
+	var groups string
+	if c != nil {
+		groups = cache.GroupsKey(allowed)
+	}
 	out := make([]QueryResponse, len(queries))
 	errs := make([]error, len(queries))
 	// Workers claim sub-queries in request order until one fails or the
@@ -159,7 +166,7 @@ func (s *Server) QueryBatch(ctx context.Context, toks []crypt.Token, queries []L
 			if i >= len(queries) {
 				return
 			}
-			out[i], errs[i] = s.queryAllowed(allowed, queries[i])
+			out[i], errs[i] = s.queryAllowed(c, groups, allowed, queries[i])
 			if errs[i] != nil {
 				run.failed.Store(true)
 			}

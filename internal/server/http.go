@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"strconv"
@@ -165,12 +166,12 @@ func SentinelForCode(code string) error {
 }
 
 // Handler returns the HTTP API for the server. Every endpoint runs
-// under the ops middleware (instrument): a request ID is generated and
-// echoed as X-Request-Id, a request-scoped structured logger rides the
-// context, the in-flight bound sheds excess load before bodies are
-// decoded, and — with a registry installed via SetObs (call it before
-// Handler) — per-endpoint latency histograms and status-code counters
-// are recorded. GET /metrics then serves the registry in Prometheus
+// under the ops middleware (instrument): a request ID is generated,
+// echoed as X-Request-Id and carried in the context (obs.Logger binds
+// it to any line a layer below logs), the in-flight bound sheds excess
+// load before bodies are decoded, and — with a registry installed via
+// SetObs (call it before Handler) — per-endpoint latency histograms and
+// status-code counters are recorded. GET /metrics then serves the registry in Prometheus
 // text exposition format.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -262,10 +263,15 @@ func (s *Server) instrument(endpoint string, next http.HandlerFunc) http.Handler
 	endpointLabel := obs.Label{Name: "endpoint", Value: endpoint}
 	// Pre-create the endpoint's families so a scrape sees them (at
 	// zero) from boot, not from first traffic — the CI smoke test
-	// greps a freshly started server.
+	// greps a freshly started server. The handles serve every request
+	// while the registry stays the one they were created in.
+	var reg *obs.Registry
+	var latency *obs.Histogram
+	var served *obs.Counter
 	if m := s.met.Load(); m != nil {
-		m.reg.Histogram(MetricHTTPRequestSeconds, httpLatencyHelp, nil, endpointLabel)
-		m.reg.Counter(MetricHTTPRequestsTotal, httpRequestsHelp, endpointLabel, obs.Label{Name: "code", Value: "200"})
+		reg = m.reg
+		latency = reg.Histogram(MetricHTTPRequestSeconds, httpLatencyHelp, nil, endpointLabel)
+		served = reg.Counter(MetricHTTPRequestsTotal, httpRequestsHelp, endpointLabel, obs.Label{Name: "code", Value: "200"})
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -282,7 +288,12 @@ func (s *Server) instrument(endpoint string, next http.HandlerFunc) http.Handler
 		}
 		id := obs.NewRequestID()
 		w.Header().Set("X-Request-Id", id)
-		logger := s.baseLogger().With("request_id", id, "endpoint", endpoint)
+		// Layers below derive a logger bound to the request ID from the
+		// context (obs.Logger); nothing binds one unless a line is logged.
+		ctx := obs.WithRequestID(r.Context(), id)
+		if l := s.logger.Load(); l != nil {
+			ctx = obs.WithLogger(ctx, l)
+		}
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		if max := s.admissionMaxInFlight(); max > 0 && n > int64(max) {
 			if m != nil {
@@ -290,24 +301,32 @@ func (s *Server) instrument(endpoint string, next http.HandlerFunc) http.Handler
 			}
 			writeErr(rec, r, withRetryHint(fmt.Errorf("%w: %d requests already in flight", ErrOverloaded, max), time.Second))
 		} else {
-			ctx := obs.WithLogger(obs.WithRequestID(r.Context(), id), logger)
 			next(rec, r.WithContext(ctx))
 		}
 		elapsed := time.Since(start)
 		if m != nil {
-			m.reg.Histogram(MetricHTTPRequestSeconds, httpLatencyHelp, nil, endpointLabel).Observe(elapsed.Seconds())
-			m.reg.Counter(MetricHTTPRequestsTotal, httpRequestsHelp, endpointLabel,
-				obs.Label{Name: "code", Value: strconv.Itoa(rec.status)}).Inc()
+			h, c := latency, served
+			if m.reg != reg {
+				h = m.reg.Histogram(MetricHTTPRequestSeconds, httpLatencyHelp, nil, endpointLabel)
+			}
+			if m.reg != reg || rec.status != http.StatusOK {
+				c = m.reg.Counter(MetricHTTPRequestsTotal, httpRequestsHelp, endpointLabel,
+					obs.Label{Name: "code", Value: strconv.Itoa(rec.status)})
+			}
+			h.Observe(elapsed.Seconds())
+			c.Inc()
 		}
+		level, msg := slog.LevelDebug, "request served"
 		switch {
 		case rec.status == statusClientClosed:
-			logger.Debug("client went away", "status", rec.status, "duration", elapsed)
+			msg = "client went away"
 		case rec.status >= 500:
-			logger.Warn("request failed", "status", rec.status, "duration", elapsed)
+			level, msg = slog.LevelWarn, "request failed"
 		case rec.status >= 400:
-			logger.Info("request rejected", "status", rec.status, "duration", elapsed)
-		default:
-			logger.Debug("request served", "status", rec.status, "duration", elapsed)
+			level, msg = slog.LevelInfo, "request rejected"
+		}
+		if l := s.baseLogger(); l.Enabled(ctx, level) {
+			l.Log(ctx, level, msg, "request_id", id, "endpoint", endpoint, "status", rec.status, "duration", elapsed)
 		}
 	})
 }

@@ -93,11 +93,13 @@ var ErrNotFound = errors.New("server: element not found")
 // cancellation never leaves a batch half applied.
 type Server struct {
 	mu       sync.RWMutex // guards members and now; the backend locks itself
-	secret   []byte
+	secret   []byte       // immutable: the token table's entries hold under it
 	tokenTTL time.Duration
 	now      func() time.Time
 	members  map[string]map[int]bool
 	backend  store.Backend
+	// tokens holds the MACs a full verification accepted (tokens.go).
+	tokens verifiedTokens
 	// results is the optional query-result cache (nil = off). Atomic so
 	// the read path never takes s.mu for it.
 	results atomic.Pointer[cache.Cache]
@@ -150,7 +152,7 @@ func (s *Server) Close() error { return s.backend.Close() }
 // list's current version, so it is always transparent: a mutation
 // bumps the list version and every window cached before it stops being
 // served. A cache may be installed or swapped while the server is
-// serving traffic.
+// serving traffic; a query round uses the cache it started with.
 func (s *Server) SetCache(c *cache.Cache) { s.results.Store(c) }
 
 // CacheStats reports the query-result cache counters; ok is false when
@@ -196,6 +198,8 @@ func (s *Server) RegisterUser(user string, groups ...int) {
 // Login authenticates a user and issues one token per group
 // membership. (Password verification is out of scope — the paper
 // assumes an enterprise authentication layer; we model its outcome.)
+// The issued tokens enter the verified-token table, so the first round
+// they authenticate pays no HMAC either.
 func (s *Server) Login(ctx context.Context, user string) ([]crypt.Token, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -224,6 +228,7 @@ func (s *Server) Login(ctx context.Context, user string) ([]crypt.Token, error) 
 	for i, g := range sorted {
 		toks[i] = crypt.IssueToken(s.secret, user, g, expiry)
 	}
+	s.tokens.add(t, toks...)
 	return toks, nil
 }
 
@@ -240,10 +245,11 @@ func (s *Server) allowedGroups(toks []crypt.Token) (map[int]bool, time.Time, err
 	}
 	allowed := make(map[int]bool, len(toks))
 	for _, tok := range toks {
-		// Verify the MAC first (now = Expiry is never "after" expiry),
-		// then the lifetime, so expiry is only reported for authentic
-		// tokens and a forged expiry cannot probe the distinction.
-		if !crypt.VerifyToken(s.secret, tok, tok.Expiry) {
+		// Verify the MAC first, then the lifetime, so expiry is only
+		// reported for authentic tokens and a forged expiry cannot probe
+		// the distinction. The lifetime is checked on every request, on
+		// the token's own expiry, whether or not its MAC was known.
+		if !s.tokens.verify(s.secret, tok, now) {
 			return nil, now, fmt.Errorf("%w: invalid token for user %q group %d", ErrAuth, tok.User, tok.Group)
 		}
 		if now.After(tok.Expiry) {
@@ -256,9 +262,11 @@ func (s *Server) allowedGroups(toks []crypt.Token) (map[int]bool, time.Time, err
 
 // queryAllowed is one sub-query past token validation: a batch's
 // sub-queries share one validated group set instead of re-verifying
-// the tokens each. The access-filtered ranked range is the backend's
-// own hot path (per-group sorted sub-lists merged from the requested
-// offset), so a sub-query costs the range, not the list.
+// the tokens each, and one result cache c (nil = off) with the set's
+// key part groups (cache.GroupsKey(allowed)). The access-filtered
+// ranked range is the backend's own hot path (per-group sorted
+// sub-lists merged from the requested offset), so a sub-query costs
+// the range, not the list.
 //
 // With a cache installed, the window's entry is looked up first; one
 // read at the list's current version skips the backend read entirely
@@ -282,8 +290,7 @@ func (s *Server) allowedGroups(toks []crypt.Token) (map[int]bool, time.Time, err
 // entry in place (same version, so the elements are identical — only
 // the proof is new). Entries always hold the full proof; a
 // continuation (q.ProofFrom) is derived from it on the way out.
-func (s *Server) queryAllowed(allowed map[int]bool, q ListQuery) (QueryResponse, error) {
-	c := s.results.Load()
+func (s *Server) queryAllowed(c *cache.Cache, groups string, allowed map[int]bool, q ListQuery) (QueryResponse, error) {
 	var key cache.Key
 	// prev is the entry the lookup found, at whatever version.
 	var prev store.QueryResult
@@ -300,7 +307,7 @@ func (s *Server) queryAllowed(allowed map[int]bool, q ListQuery) (QueryResponse,
 			return QueryResponse{Version: ver, Unchanged: true}, nil
 		}
 		if c != nil {
-			key = cache.Key{List: q.List, Groups: cache.GroupsKey(allowed), Offset: q.Offset, Count: q.Count}
+			key = cache.Key{List: q.List, Groups: groups, Offset: q.Offset, Count: q.Count}
 			prev, cached = c.GetAt(key, ver)
 			if cached && prev.Version == ver && (!q.Proof || prev.Proof != nil) {
 				return s.respond(prev, q), nil
