@@ -223,6 +223,7 @@ func TestMetricsScrapeExposition(t *testing.T) {
 		server.MetricGoGoroutines, server.MetricQueryRevalidated,
 		store.MetricWALAppendSeconds, store.MetricWALRecordsTotal,
 		store.MetricSnapshotsTotal, store.MetricWALPoisoned,
+		store.MetricSnapshotSeconds, store.MetricSnapshotFreeze,
 		MetricShardInFlight, MetricShardOpsTotal,
 		MetricShardErrorsTotal, MetricShardConsecFails,
 		MetricShardLatencyP95, MetricRoutingEpoch,

@@ -82,6 +82,10 @@ const Ungated = -1
 //     its RAM floor, with and without a real fsync (benchmark/ runs
 //     one fsync policy on one disk), into lists that stop at `mixed`'s
 //     120 elements (benchPostingList) so ns/op does not grow with b.N.
+//   - StoreAppend/during-snapshot: the same serial insert while another
+//     goroutine snapshots a 96k-element store in a loop — what a writer
+//     pays for the snapshots `mixed` takes every 8192 operations per
+//     store, where benchmark/ shows only the sum in ops_per_s.
 //   - StoreRemoveBatch: one document's removal (64 elements, one per
 //     list) through server.RemoveBatch on lists of `mixed`'s length,
 //     without the clients, the wire and the three other servers that
@@ -115,6 +119,7 @@ func Suite() []Bench {
 		{Name: "ProofQuery/verify-continuation", F: proofQueryVerifyContinuation, MaxAllocs: 5},
 		{Name: "StoreAppend/list=120", F: storeAppend, MaxAllocs: Ungated},
 		{Name: "StoreAppend/fsync=true/list=120", F: storeAppendFsync, MaxAllocs: Ungated},
+		{Name: "StoreAppend/during-snapshot", F: storeAppendDuringSnapshot, MaxAllocs: Ungated},
 		{Name: "StoreRemoveBatch", F: storeRemoveBatch, MaxAllocs: 12},
 		{Name: "StoreAppendParallel/fsync=false/list=120", F: func(b *testing.B) { appendParallel(b, false) }, MaxAllocs: Ungated},
 		{Name: "StoreAppendParallel/fsync=true/list=120", F: func(b *testing.B) { appendParallel(b, true) }, MaxAllocs: Ungated},
@@ -523,6 +528,70 @@ func appendSerial(b *testing.B, fsync bool) {
 		if err := d.Insert(benchPostingList(i), benchElement(i)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// storeAppendDuringSnapshot is storeAppend into the lists of a
+// 96k-element store (800 lists of 120, 8 groups: about a `mixed`
+// shard) while another goroutine snapshots it back to back, so that
+// nearly every insert lands during an encode, into a list the encoder
+// has written or into one it has not reached yet. Every 8000 inserts
+// are removed again off the clock, so the store stays within 8 % of
+// its size however large b.N grows.
+func storeAppendDuringSnapshot(b *testing.B) {
+	const lists, perList = 800, 120
+	dir, err := os.MkdirTemp("", "microbench-wal-*")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	d, err := store.OpenDurable(dir, store.Options{SnapshotEvery: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	fill := make([]store.BatchInsert, 0, lists*perList)
+	for i := 0; i < lists*perList; i++ {
+		fill = append(fill, store.BatchInsert{List: zerber.ListID(i % lists), Element: benchElement(i)})
+	}
+	if err := d.InsertBatch(fill); err != nil {
+		b.Fatal(err)
+	}
+	stop, stopped := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				stopped <- nil
+				return
+			default:
+			}
+			if err := d.Snapshot(); err != nil {
+				stopped <- err
+				return
+			}
+		}
+	}()
+	var added []store.BatchRemove
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		el := benchElement(lists*perList + i)
+		if err := d.Insert(zerber.ListID(i%lists), el); err != nil {
+			b.Fatal(err)
+		}
+		if added = append(added, store.BatchRemove{List: zerber.ListID(i % lists), Sealed: el.Sealed}); len(added) == 8000 {
+			b.StopTimer()
+			if err := d.RemoveBatch(added, nil); err != nil {
+				b.Fatal(err)
+			}
+			added = added[:0]
+			b.StartTimer()
+		}
+	}
+	b.StopTimer()
+	close(stop)
+	if err := <-stopped; err != nil {
+		b.Fatal(err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -28,7 +29,12 @@ type Options struct {
 	// SnapshotEvery is how many logged operations trigger an automatic
 	// snapshot (which compacts the WAL). Zero means DefaultSnapshotEvery;
 	// negative disables automatic snapshots (explicit Snapshot and the
-	// WAL still provide durability).
+	// WAL still provide durability). The writer whose operation crosses
+	// the threshold takes the snapshot on its own goroutine before it
+	// returns; the other writers wait only for the freeze and the switch
+	// to a fresh log segment, not for the encode (Durable.Snapshot). A
+	// threshold crossed while a snapshot is in flight fires at the next
+	// operation after it ends.
 	SnapshotEvery int
 	// FsyncEach makes a mutation return only once its log record is on
 	// disk. The fsync runs after every lock is released and is shared:
@@ -67,6 +73,7 @@ const (
 	MetricWALAppendSeconds = "zerber_wal_append_seconds"
 	MetricWALFsyncSeconds  = "zerber_wal_fsync_seconds"
 	MetricSnapshotSeconds  = "zerber_snapshot_seconds"
+	MetricSnapshotFreeze   = "zerber_snapshot_freeze_seconds"
 	MetricSnapshotsTotal   = "zerber_snapshots_total"
 	MetricWALRecordsTotal  = "zerber_wal_records_total"
 	MetricWALPoisoned      = "zerber_wal_poisoned"
@@ -79,6 +86,7 @@ type durableMetrics struct {
 	walAppend *obs.Histogram
 	walFsync  *obs.Histogram
 	snapshot  *obs.Histogram
+	freeze    *obs.Histogram
 	snapOK    *obs.Counter
 	snapErr   *obs.Counter
 	logged    *obs.Counter
@@ -93,6 +101,7 @@ func newDurableMetrics(r *obs.Registry) durableMetrics {
 		walAppend: r.Histogram(MetricWALAppendSeconds, "WAL record append latency (frame+checksum+write, no fsync)", nil),
 		walFsync:  r.Histogram(MetricWALFsyncSeconds, "WAL fsync latency", nil),
 		snapshot:  r.Histogram(MetricSnapshotSeconds, "full snapshot write+compact latency", nil),
+		freeze:    r.Histogram(MetricSnapshotFreeze, "time a snapshot holds the store lock writers wait on: freeze and log segment switch", nil),
 		snapOK:    r.Counter(MetricSnapshotsTotal, "snapshots attempted by result", obs.Label{Name: "result", Value: "ok"}),
 		snapErr:   r.Counter(MetricSnapshotsTotal, "snapshots attempted by result", obs.Label{Name: "result", Value: "error"}),
 		logged:    r.Counter(MetricWALRecordsTotal, "records appended to the WAL (a batched insert counts once)"),
@@ -116,13 +125,30 @@ type Durable struct {
 	opt Options
 	met durableMetrics
 
-	mu           sync.Mutex // serializes mutations, log appends, snapshots
+	mu sync.Mutex // serializes mutations, log appends, snapshot freezes
+	// wal is the live log segment. Appends use it under mu; a segment
+	// switch replaces it under mu and syncMu, so syncThrough reads it
+	// under syncMu.
 	wal          *wal
 	lock         *os.File // held flock on the data directory
 	seq          uint64   // sequence of the last logged operation
-	walBase      uint64   // sequence the live WAL restarted at (last compaction)
+	walBase      uint64   // sequence the log on disk starts after (the last snapshot's)
 	opsSinceSnap int
 	lastSnapErr  error // most recent automatic-snapshot failure, if any
+
+	// snapping is set, under mu, while a snapshot is in flight — from
+	// its freeze to its end — and snapDone (L is &mu) is broadcast when
+	// it clears: at most one runs, Snapshot, ExportSnapshot,
+	// ImportSnapshot and Close wait for it, and the automatic trigger
+	// skips. retired lists the log segments a switch set aside that no
+	// finished snapshot covers yet, oldest first (segmentPath), under mu.
+	snapping bool
+	snapDone sync.Cond
+	retired  []string
+	// snapPause, when set, is called on the snapshotting goroutine at
+	// each step of a snapshot: the seam tests stop one at, mid-encode or
+	// between its rename and the end.
+	snapPause func(step snapStep, lists int)
 
 	// written mirrors seq for syncThrough, which runs without d.mu: it
 	// is stored once a record is in the OS, so an fsync that starts
@@ -137,6 +163,10 @@ type Durable struct {
 	syncDone sync.Cond // L is &syncMu
 	synced   uint64
 	syncing  bool
+	// retiring is the segment the snapshot in flight switched away
+	// from, until that snapshot has put it on disk and closed it: an
+	// fsync in the meantime covers it as well as wal. Guarded by syncMu.
+	retiring *wal
 
 	// walErr is the sticky log failure, set when the on-disk state is
 	// ambiguous. It lives under its own mutex — not d.mu — because
@@ -148,10 +178,23 @@ type Durable struct {
 	hasPoison atomic.Bool
 
 	// closed is atomic so the read path can refuse service after Close
-	// without serializing on mu (which mutations and snapshots hold for
-	// their full duration).
+	// without serializing on mu.
 	closed atomic.Bool
 }
+
+// snapStep names where Durable.snapPause is called.
+type snapStep int
+
+const (
+	// snapEncoding: before each list the encoder writes, the log already
+	// switched; lists is how many it has written.
+	snapEncoding snapStep = iota
+	// snapRenamed: the snapshot is in place, the old segments not yet
+	// deleted.
+	snapRenamed
+	// snapRetired: the old segments are deleted.
+	snapRetired
+)
 
 // OpenDurable opens (or initializes) the store in dir, recovering
 // state from the snapshot plus the WAL tail. A torn final WAL record —
@@ -188,8 +231,7 @@ func OpenDurable(dir string, opt Options) (*Durable, error) {
 		return fail(fmt.Errorf("store: version epoch: %w", err))
 	}
 	mem.verBase = epoch
-	walPath := filepath.Join(dir, walFileName)
-	maxSeq, err := replayWAL(walPath, snapSeq, func(r record) {
+	w, maxSeq, retired, err := replayLog(dir, filepath.Join(dir, walFileName), snapSeq, func(r record) {
 		// One record's inserts are one insertBatch, as the live write
 		// that logged them was; it copies the payloads out of the frame.
 		mem.insertBatch(r.inserts)
@@ -203,13 +245,10 @@ func OpenDurable(dir string, opt Options) (*Durable, error) {
 	if err != nil {
 		return fail(fmt.Errorf("store: replaying WAL: %w", err))
 	}
-	w, err := openWALForAppend(walPath)
-	if err != nil {
-		return fail(fmt.Errorf("store: opening WAL: %w", err))
-	}
-	d := &Durable{mem: mem, dir: dir, opt: opt, met: newDurableMetrics(opt.Obs), wal: w, lock: lock, seq: maxSeq, walBase: snapSeq}
+	d := &Durable{mem: mem, dir: dir, opt: opt, met: newDurableMetrics(opt.Obs), wal: w, lock: lock, seq: maxSeq, walBase: snapSeq, retired: retired}
 	d.written.Store(maxSeq)
 	d.syncDone.L = &d.syncMu
+	d.snapDone.L = &d.mu
 	return d, nil
 }
 
@@ -266,8 +305,8 @@ func loadOrCreateEpoch(path string) (uint64, error) {
 // torn tail into mid-file corruption) or fully framed yet reported
 // failed (a reused sequence number would make recovery double-apply).
 // So any write failure poisons the log — mutations are refused until
-// a snapshot succeeds, which captures the live state, truncates the
-// log in place, and clears the poison.
+// a snapshot succeeds, which captures the live state, deletes the log
+// segments it covers, and clears the poison.
 func (d *Durable) appendLocked(payload []byte, ops int) error {
 	if werr := d.poisoned(); werr != nil {
 		return poisonedError(werr)
@@ -325,13 +364,20 @@ func (d *Durable) syncThrough(seq uint64) error {
 		d.syncDone.Wait()
 	}
 	through := d.written.Load()
+	live, retiring := d.wal, d.retiring
 	d.syncing = true
 	d.syncMu.Unlock()
 	var start time.Time
 	if d.met.walFsync != nil {
 		start = time.Now()
 	}
-	err := d.wal.fsync()
+	var err error
+	if retiring != nil {
+		err = retiring.fsync() // records up to the switch are there
+	}
+	if err == nil {
+		err = live.fsync()
+	}
 	if err == nil && d.met.walFsync != nil {
 		d.met.walFsync.Observe(time.Since(start).Seconds())
 	}
@@ -347,8 +393,8 @@ func (d *Durable) syncThrough(seq uint64) error {
 }
 
 // lockSync takes syncMu once no writer's fsync is in flight, and until
-// the caller releases it none starts: what a snapshot, an import and
-// Close hold while they truncate or close the file.
+// the caller releases it none starts: what Close holds while it closes
+// the file.
 func (d *Durable) lockSync() {
 	d.syncMu.Lock()
 	for d.syncing {
@@ -399,20 +445,39 @@ func (d *Durable) clearPoison() {
 	d.met.poisoned.Set(0)
 }
 
-// maybeSnapshotLocked compacts when the op threshold is crossed. A
-// failure here never propagates to the mutation that tripped it — the
+// maybeSnapshotLocked begins an automatic snapshot when the op
+// threshold is crossed and none is in flight; the writer that tripped
+// it finishes the job with autoSnapshot once it has released d.mu.
+func (d *Durable) maybeSnapshotLocked() *snapJob {
+	if d.opt.SnapshotEvery < 0 || d.opsSinceSnap < d.opt.SnapshotEvery || d.snapping {
+		return nil
+	}
+	job, err := d.beginSnapshotLocked()
+	if err != nil {
+		d.opsSinceSnap = 0
+		d.lastSnapErr = err
+		d.logSnapErr(err)
+		return nil
+	}
+	job.auto = true
+	return job
+}
+
+// autoSnapshot finishes an automatic snapshot (nil: none began). A
+// failure never propagates to the mutation that tripped it — the
 // mutation is already durably logged, and failing it would make the
 // client retry a write that took effect. The error is kept for
 // LastSnapshotError and the snapshot retried a full interval later
-// (the WAL keeps growing meanwhile, so nothing is lost).
-func (d *Durable) maybeSnapshotLocked() {
-	if d.opt.SnapshotEvery < 0 || d.opsSinceSnap < d.opt.SnapshotEvery {
-		return
+// (the log keeps growing meanwhile, so nothing is lost).
+func (d *Durable) autoSnapshot(job *snapJob) {
+	if job != nil {
+		_ = d.runSnapshot(job, nil) // kept for LastSnapshotError, and logged
 	}
-	d.lastSnapErr = d.snapshotLocked()
-	d.opsSinceSnap = 0
-	if d.lastSnapErr != nil && d.opt.Logf != nil {
-		d.opt.Logf("store: automatic snapshot failed (will retry in %d ops): %v", d.opt.SnapshotEvery, d.lastSnapErr)
+}
+
+func (d *Durable) logSnapErr(err error) {
+	if d.opt.Logf != nil {
+		d.opt.Logf("store: automatic snapshot failed (will retry in %d ops): %v", d.opt.SnapshotEvery, err)
 	}
 }
 
@@ -460,9 +525,10 @@ func (d *Durable) InsertBatch(ops []BatchInsert) error {
 		}
 		d.mem.insertBatch(chunk)
 	}
-	d.maybeSnapshotLocked()
+	job := d.maybeSnapshotLocked()
 	seq := d.seq
 	d.mu.Unlock()
+	d.autoSnapshot(job)
 	return d.syncThrough(seq)
 }
 
@@ -530,69 +596,204 @@ func (d *Durable) RemoveBatch(ops []BatchRemove, allow func(group int) bool) err
 		d.mu.Unlock()
 		return err
 	}
-	d.maybeSnapshotLocked()
+	job := d.maybeSnapshotLocked()
 	seq := d.seq
 	d.mu.Unlock()
+	d.autoSnapshot(job)
 	return d.syncThrough(seq)
 }
 
-// Snapshot writes the full state atomically and truncates the WAL —
-// the compaction step. Safe to call at any time; concurrent reads
-// proceed, concurrent mutations wait.
+// Snapshot writes the full state atomically and compacts the log.
+// Safe to call at any time; it waits for a snapshot already in flight.
+// Writers wait only while it switches the log to a fresh segment and
+// freezes the store (beginSnapshotLocked); it encodes, fsyncs and
+// renames on the caller's goroutine with no lock of the store held,
+// while writers append to the new segment and readers proceed.
 func (d *Durable) Snapshot() error {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed.Load() {
-		return ErrClosed
+	job, err := d.startSnapshotLocked()
+	d.mu.Unlock()
+	if err != nil {
+		return err
 	}
-	return d.snapshotLocked()
+	return d.runSnapshot(job, nil)
 }
 
-func (d *Durable) snapshotLocked() (err error) {
-	if d.met.snapshot != nil {
-		start := time.Now()
-		defer func() {
-			d.met.snapshot.Observe(time.Since(start).Seconds())
-			if err == nil {
-				d.met.snapOK.Inc()
-			} else {
-				d.met.snapErr.Inc()
-			}
-		}()
+// snapJob is one snapshot between its freeze and its end.
+type snapJob struct {
+	view *snapView
+	seq  uint64 // the sequence the snapshot covers
+	old  *wal   // the segment the switch set aside
+	// healing is set when the log was poisoned at the switch: the
+	// snapshot covers everything memory holds, so its end clears the
+	// poison. A failure after the switch is not covered, and stays.
+	healing bool
+	auto    bool // begun by maybeSnapshotLocked
+	start   time.Time
+}
+
+// startSnapshotLocked waits out a snapshot in flight and begins one.
+// Callers hold d.mu.
+func (d *Durable) startSnapshotLocked() (*snapJob, error) {
+	for d.snapping {
+		d.snapDone.Wait()
 	}
-	// Every logged record is in the file (appendLocked flushed it before
-	// d.mu was released); holding syncMu from here on means a writer
-	// still waiting for its fsync finds its sequence covered by this
-	// snapshot instead of syncing a log that is being truncated.
-	d.lockSync()
-	defer d.syncMu.Unlock()
-	// With a healthy log, put it on disk before the snapshot claims
-	// its sequence; a failure poisons like any failed fsync (the error
-	// is reported once per file, and a waiter's later fsync must not
-	// pass for it). With a poisoned log the snapshot itself is the
-	// recovery path — it is fsynced and holds everything up to seq —
-	// so a failing sync must not block it.
-	if err := d.wal.sync(); err != nil && d.poisoned() == nil {
+	if d.closed.Load() {
+		return nil, ErrClosed
+	}
+	return d.beginSnapshotLocked()
+}
+
+// beginSnapshotLocked is the part of a snapshot writers wait for: it
+// switches the log to a fresh segment and freezes the store's view at
+// d.seq. Callers hold d.mu with no snapshot in flight, and finish the
+// job with runSnapshot after releasing it.
+func (d *Durable) beginSnapshotLocked() (*snapJob, error) {
+	start := time.Now()
+	old, err := d.switchSegmentLocked()
+	if err != nil {
+		d.snapshotDone(start, err)
+		return nil, err
+	}
+	job := &snapJob{view: d.mem.freeze(), seq: d.seq, old: old, healing: d.poisoned() != nil, start: start}
+	d.snapping = true
+	d.opsSinceSnap = 0
+	d.met.freeze.Observe(time.Since(start).Seconds())
+	return job, nil
+}
+
+// switchSegmentLocked sets the live log segment aside as the next
+// retired one and starts a fresh live segment, returning the old
+// handle. Every record is in the file already (appendLocked flushed
+// it), so the switch copies nothing: a rename and a create, no fsync.
+// Callers hold d.mu.
+func (d *Durable) switchSegmentLocked() (*wal, error) {
+	live, retired := filepath.Join(d.dir, walFileName), segmentPath(d.dir, len(d.retired)+1)
+	if err := os.Rename(live, retired); err != nil {
+		return nil, fmt.Errorf("store: switching WAL segment: %w", err)
+	}
+	w, err := createWAL(live)
+	if err != nil {
+		// The old segment is still the live one: put its name back.
+		if rerr := os.Rename(retired, live); rerr != nil {
+			d.poison(rerr)
+		}
+		return nil, fmt.Errorf("store: switching WAL segment: %w", err)
+	}
+	d.retired = append(d.retired, retired)
+	old := d.wal
+	d.syncMu.Lock()
+	d.wal, d.retiring = w, old
+	d.syncMu.Unlock()
+	return old, nil
+}
+
+// runSnapshot finishes a job begun under d.mu. It puts the old segment
+// on disk, encodes the view into the snapshot file — and into also,
+// when set — fsyncs and renames it, all with no lock of the store held,
+// and deletes the segments the snapshot covers. Then the next snapshot
+// may begin.
+func (d *Durable) runSnapshot(job *snapJob, also io.Writer) error {
+	err := d.settleRetiring(job.old, job.seq)
+	if err == nil {
+		err = writeSnapshot(filepath.Join(d.dir, snapFileName), func(w io.Writer) error {
+			if also != nil {
+				w = io.MultiWriter(w, also)
+			}
+			return encodeView(w, job.seq, job.view, func(lists int) { d.pause(snapEncoding, lists) })
+		})
+		if err != nil {
+			err = fmt.Errorf("store: writing snapshot: %w", err)
+		}
+	}
+	d.mu.Lock()
+	d.mem.thaw(job.view)
+	var retired []string
+	if err == nil {
+		// The snapshot holds everything the segments set aside so far
+		// do: from here a tail starts after its sequence.
+		retired, d.retired = d.retired, nil
+		d.walBase = job.seq
+	}
+	d.mu.Unlock()
+	if err == nil {
+		d.pause(snapRenamed, 0)
+		retired, err = removeSegments(d.dir, retired)
+		d.pause(snapRetired, 0)
+	}
+	d.mu.Lock()
+	d.retired = append(retired, d.retired...)
+	if err == nil {
+		d.syncMu.Lock()
+		d.synced = max(d.synced, job.seq)
+		d.syncMu.Unlock()
+		// Only once the old segments are gone: a poisoned log's
+		// ambiguous record sits in one of them, and no new record may
+		// take its sequence while it can still be replayed.
+		if job.healing {
+			d.clearPoison()
+		}
+	}
+	if job.auto {
+		d.lastSnapErr = err
+	}
+	d.snapping = false
+	d.snapDone.Broadcast()
+	d.mu.Unlock()
+	if job.auto && err != nil {
+		d.logSnapErr(err)
+	}
+	d.snapshotDone(job.start, err)
+	return err
+}
+
+// snapshotDone records a snapshot's duration and outcome.
+func (d *Durable) snapshotDone(start time.Time, err error) {
+	d.met.snapshot.Observe(time.Since(start).Seconds())
+	if err == nil {
+		d.met.snapOK.Inc()
+	} else {
+		d.met.snapErr.Inc()
+	}
+}
+
+// pause calls the snapPause seam, if set.
+func (d *Durable) pause(step snapStep, lists int) {
+	if d.snapPause != nil {
+		d.snapPause(step, lists)
+	}
+}
+
+// settleRetiring puts the segment a switch set aside on disk and closes
+// it, running as the one fsync in flight so that no writer's
+// syncThrough touches the handle as it closes; its success covers every
+// sequence up to seq. A failure poisons the log as a writer's failed
+// fsync does — the error is reported once per file, and a later fsync
+// must not pass for it — unless the log is poisoned already: then the
+// snapshot is the recovery path, which does not depend on the segment.
+func (d *Durable) settleRetiring(old *wal, seq uint64) error {
+	d.syncMu.Lock()
+	for d.syncing {
+		d.syncDone.Wait()
+	}
+	d.syncing = true
+	d.syncMu.Unlock()
+	err := old.fsync()
+	d.syncMu.Lock()
+	d.syncing = false
+	d.syncDone.Broadcast()
+	d.retiring = nil
+	if err == nil {
+		d.synced = max(d.synced, seq)
+	}
+	d.syncMu.Unlock()
+	if cerr := old.f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil && d.poisoned() == nil {
 		d.poison(err)
 		return fmt.Errorf("store: syncing WAL before snapshot: %w", err)
 	}
-	if err := writeSnapshot(filepath.Join(d.dir, snapFileName), d.seq, d.mem); err != nil {
-		return fmt.Errorf("store: writing snapshot: %w", err)
-	}
-	// The snapshot is durable and carries seq, so the log can restart
-	// empty. The reset happens in place on the live handle — if it
-	// fails, the old log stays valid (recovery skips records at or
-	// below the snapshot sequence, the same property that makes a
-	// crash between rename and truncation safe) and appends continue.
-	if err := d.wal.reset(); err != nil {
-		return fmt.Errorf("store: truncating WAL: %w", err)
-	}
-	// The snapshot captured the live state and the log restarted
-	// empty, so any earlier ambiguous write is moot.
-	d.clearPoison()
-	d.synced = d.seq
-	d.opsSinceSnap = 0
-	d.walBase = d.seq
 	return nil
 }
 
@@ -675,6 +876,9 @@ func (d *Durable) Seq() uint64 {
 func (d *Durable) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	for d.snapping {
+		d.snapDone.Wait()
+	}
 	if d.closed.Swap(true) {
 		return nil
 	}

@@ -14,8 +14,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // Tail-export errors.
@@ -58,31 +60,40 @@ func (m *Memory) TailSince(uint64) ([]byte, error) {
 	return nil, ErrNoTail
 }
 
-// ExportSnapshot implements Backend for Durable: the dump covers
-// exactly the operations logged up to the returned sequence. Writers
-// wait out the encode (it holds d.mu); readers proceed.
+// ExportSnapshot implements Backend for Durable: a snapshot (Snapshot)
+// whose dump is also returned, covering exactly the operations logged
+// up to the returned sequence. Writers wait only for its freeze and log
+// switch, not for the encode; readers proceed. The dump is this
+// directory's snapshot as well, and the log restarts after its
+// sequence, so TailSince(seq) serves what came after it until the next
+// snapshot.
 func (d *Durable) ExportSnapshot() ([]byte, uint64, error) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed.Load() {
-		return nil, 0, ErrClosed
-	}
-	var buf bytes.Buffer
-	if err := encodeSnapshot(&buf, d.seq, d.mem); err != nil {
+	job, err := d.startSnapshotLocked()
+	d.mu.Unlock()
+	if err != nil {
 		return nil, 0, err
 	}
-	return buf.Bytes(), d.seq, nil
+	var buf bytes.Buffer
+	if err := d.runSnapshot(job, &buf); err != nil {
+		return nil, 0, err
+	}
+	return buf.Bytes(), job.seq, nil
 }
 
 // ImportSnapshot implements Backend for Durable: the imported state is
 // persisted as this directory's snapshot — re-sequenced to the local
 // WAL position so recovery semantics are unchanged — before memory
-// adopts it and the WAL restarts empty. A crash before the snapshot
-// rename leaves the old state intact; after it, recovery boots the
-// imported state.
+// adopts it, and the log restarts after it, through the same segment
+// switch a snapshot makes. Writers wait out the whole import. A crash
+// before the snapshot rename leaves the old state intact; after it,
+// recovery boots the imported state.
 func (d *Durable) ImportSnapshot(data []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	for d.snapping {
+		d.snapDone.Wait()
+	}
 	if d.closed.Load() {
 		return ErrClosed
 	}
@@ -90,36 +101,45 @@ func (d *Durable) ImportSnapshot(data []byte) error {
 	if err != nil {
 		return err
 	}
-	// A writer still waiting for its fsync must not sync the log while
-	// it is truncated; it finds its sequence covered instead.
-	d.lockSync()
-	defer d.syncMu.Unlock()
 	// Keep this directory's epoch for lists minted after the import;
 	// imported lists carry the source's persisted versions.
 	mem.verBase = d.mem.verBase
-	if err := writeSnapshot(filepath.Join(d.dir, snapFileName), d.seq, mem); err != nil {
+	old, err := d.switchSegmentLocked()
+	if err != nil {
+		return err
+	}
+	// A failure here poisons the log, which the import below clears
+	// when it succeeds: the imported snapshot does not depend on the
+	// old segment.
+	_ = d.settleRetiring(old, d.seq)
+	err = writeSnapshot(filepath.Join(d.dir, snapFileName), func(w io.Writer) error { return encodeSnapshot(w, d.seq, mem) })
+	if err != nil {
 		return fmt.Errorf("store: persisting imported snapshot: %w", err)
 	}
-	if err := d.wal.reset(); err != nil {
-		return fmt.Errorf("store: truncating WAL after import: %w", err)
-	}
 	d.mem.adopt(mem)
-	// The snapshot captured the imported state and the log restarted
-	// empty: any earlier ambiguous write is moot, same as snapshotLocked.
-	d.clearPoison()
-	d.synced = d.seq
-	d.opsSinceSnap = 0
 	d.walBase = d.seq
+	if d.retired, err = removeSegments(d.dir, d.retired); err != nil {
+		return err
+	}
+	// The snapshot captured the imported state and the segments it
+	// covers are gone: any earlier ambiguous write is moot, as after a
+	// snapshot.
+	d.clearPoison()
+	d.syncMu.Lock()
+	d.synced = max(d.synced, d.seq)
+	d.syncMu.Unlock()
+	d.opsSinceSnap = 0
 	return nil
 }
 
 // TailSince implements Backend for Durable: the framed log records
-// holding the operations with sequence > after, in log order, read with
-// the frame reader recovery uses. Each is re-framed from its decoded
-// form, which gives the log's own bytes back, and a batch straddling
-// after as its later operations. Every append flushes its record to
-// the file before d.mu is released, so the scan under d.mu observes
-// every logged operation, and any damage it meets is ErrBadWAL.
+// holding the operations with sequence > after, in log order — the
+// retired segments' and then the live one's — read with the frame
+// reader recovery uses. Each is re-framed from its decoded form, which
+// gives the log's own bytes back, and a batch straddling after as its
+// later operations. Every append flushes its record to the file before
+// d.mu is released, so the scan under d.mu observes every logged
+// operation, and any damage it meets is ErrBadWAL.
 func (d *Durable) TailSince(after uint64) ([]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -132,22 +152,24 @@ func (d *Durable) TailSince(after uint64) ([]byte, error) {
 	if after < d.walBase {
 		return nil, fmt.Errorf("%w: log restarts at seq %d, tail requested after %d", ErrTailTruncated, d.walBase, after)
 	}
-	data, err := os.ReadFile(filepath.Join(d.dir, walFileName))
-	if err != nil {
-		return nil, err
-	}
-	f, err := logFrames(data)
-	if err != nil {
-		return nil, err
-	}
 	var tail []byte
-	err = f.each(func(r record) {
-		if r = r.since(after); r.ops() > 0 {
-			tail = append(tail, frameRecord(encodeRecord(r))...)
+	for _, path := range append(slices.Clip(d.retired), filepath.Join(d.dir, walFileName)) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
 		}
-	})
-	if err != nil {
-		return nil, err
+		f, err := logFrames(data)
+		if err != nil {
+			return nil, err
+		}
+		err = f.each(func(r record) {
+			if r = r.since(after); r.ops() > 0 {
+				tail = append(tail, frameRecord(encodeRecord(r))...)
+			}
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
 	return tail, nil
 }

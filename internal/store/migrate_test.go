@@ -258,37 +258,80 @@ func TestDurableTailSince(t *testing.T) {
 	}
 }
 
+// TestSnapshotTailReplayIdentity: a snapshot import plus the tail
+// after its sequence reproduces the source — with the writes after the
+// export, and with writes that land while the export's encode is paused
+// between two lists, on lists it has written, lists it has not reached
+// and a list it never saw.
 func TestSnapshotTailReplayIdentity(t *testing.T) {
-	d, err := OpenDurable(t.TempDir(), Options{})
-	if err != nil {
-		t.Fatal(err)
+	for name, c := range map[string]struct {
+		lists, pauseAt int
+		during, after  func(t *testing.T, d *Durable)
+		exported       func(id zerber.ListID) bool
+	}{
+		"writes after the export": {
+			lists: 3, pauseAt: 1,
+			during: func(*testing.T, *Durable) {},
+			after: func(t *testing.T, d *Durable) {
+				seedBackend(t, d, 5, 3)
+				if err := d.Remove(2, []byte("list2-el1"), nil); err != nil {
+					t.Fatal(err)
+				}
+			},
+			// Lists 3 and 4 were minted after the export, so each side
+			// seeds them with its own random epoch (content still
+			// identical).
+			exported: func(id zerber.ListID) bool { return id < 3 },
+		},
+		"writes during the encode": {
+			lists: 7, pauseAt: 3,
+			during:   func(t *testing.T, d *Durable) { writesDuringEncode(t, d) },
+			after:    func(t *testing.T, d *Durable) { seedBackend(t, d, 2, 3) },
+			exported: func(id zerber.ListID) bool { return id != 99 },
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			d, err := OpenDurable(t.TempDir(), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			seedBackend(t, d, c.lists, 8)
+			paused, resume := pauseEncode(d, c.pauseAt)
+			type export struct {
+				data []byte
+				seq  uint64
+				err  error
+			}
+			done := make(chan export, 1)
+			go func() {
+				data, seq, err := d.ExportSnapshot()
+				done <- export{data, seq, err}
+			}()
+			<-paused
+			c.during(t, d)
+			resume()
+			exp := <-done
+			if exp.err != nil {
+				t.Fatal(exp.err)
+			}
+			c.after(t, d)
+			tail, err := d.TailSince(exp.seq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := NewMemory()
+			if err := dst.ImportSnapshot(exp.data); err != nil {
+				t.Fatal(err)
+			}
+			n, err := ApplyTail(dst, tail)
+			if err != nil || uint64(n) != d.Seq()-exp.seq {
+				t.Fatalf("ApplyTail: %d ops, %v; want %d", n, err, d.Seq()-exp.seq)
+			}
+			// Versions carry over exactly for every list the snapshot held.
+			assertSameContentWhere(t, d, dst, c.exported)
+		})
 	}
-	defer d.Close()
-	seedBackend(t, d, 3, 8)
-	data, seq, err := d.ExportSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mutations after the export — the tail a migration must replay.
-	seedBackend(t, d, 5, 3)
-	if err := d.Remove(2, []byte("list2-el1"), nil); err != nil {
-		t.Fatal(err)
-	}
-	tail, err := d.TailSince(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := NewMemory()
-	if err := dst.ImportSnapshot(data); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := ApplyTail(dst, tail); err != nil || n != 5*3+1 {
-		t.Fatalf("ApplyTail: %d ops, %v; want %d", n, err, 5*3+1)
-	}
-	// Versions carry over exactly for every list the snapshot held;
-	// lists 3 and 4 were minted after the export, so each side seeds
-	// them with its own random epoch (content still identical).
-	assertSameContentWhere(t, d, dst, func(id zerber.ListID) bool { return id < 3 })
 }
 
 // tailRecords decodes a tail (TailSince's bytes) into its records.

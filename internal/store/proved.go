@@ -166,73 +166,6 @@ func (m *Memory) Commitment(list zerber.ListID) (Commitment, error) {
 	return Commitment{Version: ml.version, Elements: ml.total, Content: content, Root: root}, nil
 }
 
-// viewCommitted is viewVersioned plus the merged window's aligned
-// leaf hashes when every group's leaves are already materialized
-// (leaves is nil otherwise — the caller persists none rather than
-// forcing a full hash of a list nobody ever audited). The snapshot
-// encoder is the caller.
-func (m *Memory) viewCommitted(list zerber.ListID, fn func(version uint64, elems []Element, leaves []proof.Hash)) error {
-	ml := m.list(list, false)
-	if ml == nil {
-		return ErrUnknownList
-	}
-	ml.mu.RLock()
-	defer ml.mu.RUnlock()
-	hashedAll := true
-	for _, g := range ml.groups {
-		if len(g.sorted) > 0 && g.commit == nil {
-			hashedAll = false
-			break
-		}
-	}
-	if !hashedAll {
-		res := ml.queryLocked(nil, 0, ml.total+1)
-		fn(ml.version, res.Elements, nil)
-		return nil
-	}
-	elems, leaves := ml.mergedLeavesLocked()
-	fn(ml.version, elems, leaves)
-	return nil
-}
-
-// mergedLeavesLocked materializes the full merged rank order together
-// with each element's leaf hash. Callers hold the list lock with all
-// groups hashed. The merge is the same total order queryLocked uses
-// (less), so the element order matches what a leafless snapshot would
-// have written.
-func (ml *mergedList) mergedLeavesLocked() ([]Element, []proof.Hash) {
-	runs := make([]*groupList, 0, len(ml.groups))
-	var gids []int
-	total := 0
-	for gid, g := range ml.groups {
-		if len(g.sorted) == 0 {
-			continue
-		}
-		runs = append(runs, g)
-		gids = append(gids, gid)
-		total += len(g.sorted)
-	}
-	elems := make([]Element, 0, total)
-	leaves := make([]proof.Hash, 0, total)
-	cur := make([]int, len(runs))
-	for len(elems) < total {
-		best := -1
-		for i, g := range runs {
-			if cur[i] >= len(g.sorted) {
-				continue
-			}
-			if best < 0 || ml.less(g.sorted[cur[i]], runs[best].sorted[cur[best]]) {
-				best = i
-			}
-		}
-		g := runs[best]
-		elems = append(elems, ml.element(g.sorted[cur[best]], gids[best]))
-		leaves = append(leaves, g.commit.leaves[cur[best]])
-		cur[best]++
-	}
-	return elems, leaves
-}
-
 // decodeListLeaves reinterprets a persisted leaf block (n × HashSize
 // bytes) as leaf hashes. Unlike sealed payloads the hashes are copied
 // out of the (possibly mmap-backed) region: leaf slices are spliced

@@ -1,7 +1,7 @@
 package store
 
 import (
-	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"zerberr/internal/binfmt"
 	"zerberr/internal/proof"
@@ -47,16 +48,17 @@ const snapMagic = "ZSNAP3"
 // ErrBadSnapshot reports a corrupted or truncated snapshot file.
 var ErrBadSnapshot = errors.New("store: bad snapshot")
 
-// writeSnapshot atomically replaces the snapshot at path with the
-// given state.
-func writeSnapshot(path string, seq uint64, m *Memory) error {
+// writeSnapshot atomically replaces the snapshot at path with what
+// encode writes: a temp file, fsynced, renamed into place, and the
+// rename made durable.
+func writeSnapshot(path string, encode func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp) // no-op after a successful rename
-	if err := encodeSnapshot(f, seq, m); err != nil {
+	if err := encode(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -73,67 +75,294 @@ func writeSnapshot(path string, seq uint64, m *Memory) error {
 	return syncDir(filepath.Dir(path))
 }
 
-func encodeSnapshot(f io.Writer, seq uint64, m *Memory) error {
-	lists, err := m.Lists()
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(f)
-	if _, err := bw.WriteString(snapMagic); err != nil {
-		return err
-	}
-	// Tee the body through the checksum so the trailing CRC covers
-	// exactly what a reader will verify. The body is written one list
-	// at a time from buf, which each list reuses.
-	sum := crc32.NewIEEE()
-	w := io.MultiWriter(bw, sum)
-	buf := binary.AppendUvarint(binary.AppendUvarint(nil, seq), uint64(len(lists)))
-	for _, id := range lists {
-		// Version, elements and leaves are read under one lock
-		// acquisition (viewCommitted), so a live export — writers
-		// active on other lists — can never pair a version with
-		// another version's content.
-		err := m.viewCommitted(id, func(version uint64, elems []Element, leaves []proof.Hash) {
-			buf = appendSnapshotList(buf, id, version, elems, leaves)
-		})
-		if errors.Is(err, ErrUnknownList) {
-			// The list vanished between Lists and View (unreachable
-			// today — lists are never dropped — but kept defensive);
-			// write it as empty to keep the count honest.
-			buf = appendSnapshotList(buf, id, 0, nil, nil)
-		} else if err != nil {
-			return err
-		}
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-		buf = buf[:0]
-	}
-	if _, err := w.Write(buf); err != nil { // a store without lists
-		return err
-	}
-	if _, err := bw.Write(binary.BigEndian.AppendUint32(nil, sum.Sum32())); err != nil {
-		return err
-	}
-	return bw.Flush()
+// A snapshot is encoded from a view of the store: its lists as one
+// point of the log saw them. Durable takes the view under d.mu — freeze
+// stamps a generation, which costs a pass over the list map and copies
+// no element — and encodes it with no lock of the store held while
+// writers go on. A writer about to change a list of the view that the
+// encoder has not reached saves an image of it first (saveImage); the
+// encoder reads each list either from its image or, untouched since the
+// view, live under the list's read lock. Lists created after the view
+// are not in it. A lazily loaded list is read from the snapshot region
+// the view found it with, which nothing rewrites.
+
+// snapView is the store as one snapshot encodes it. gen is the
+// generation freeze stamped, 0 for a view no writer saves images for
+// (Memory's export, which is point-in-time per list only, and an
+// import's decoded state, which no writer reaches).
+type snapView struct {
+	gen   uint64
+	lists []snapList
 }
 
-// appendSnapshotList appends one list's entry of the snapshot body.
-func appendSnapshotList(buf []byte, id zerber.ListID, version uint64, elems []Element, leaves []proof.Hash) []byte {
+// snapList is one list of a view: live (ml), or lazily loaded and read
+// from its snapshot region (raw, rawLeaves, count, version).
+type snapList struct {
+	id             zerber.ListID
+	ml             *mergedList
+	raw, rawLeaves []byte
+	count          int
+	version        uint64
+}
+
+// listImage is a list as a snapshot of generation gen encodes it, saved
+// by the writer that changed the list first. The runs are copies — a
+// merge or a delete rewrites a run in place — and the payloads are the
+// list's two buffers as they were, which no later write rewrites below
+// the lengths the records address.
+type listImage struct {
+	gen     uint64
+	version uint64
+	payloads
+	runs   []snapRun
+	leaves bool
+}
+
+// snapRun is one non-empty group run of a list as the encoder merges
+// it, with the run's leaf hashes when the list writes its leaf block.
+type snapRun struct {
+	group  int
+	sorted []rec
+	leaves []proof.Hash
+}
+
+// viewLocked lists the store's lists for a snapshot of generation gen.
+// Callers hold m.mu.
+func (m *Memory) viewLocked(gen uint64) *snapView {
+	v := &snapView{gen: gen, lists: make([]snapList, 0, len(m.lists)+len(m.lazy))}
+	for id, ml := range m.lists {
+		v.lists = append(v.lists, snapList{id: id, ml: ml})
+	}
+	for id, lz := range m.lazy {
+		v.lists = append(v.lists, snapList{id: id, raw: lz.raw, rawLeaves: lz.rawLeaves, count: lz.count, version: lz.version})
+	}
+	return v
+}
+
+// freeze stamps a new snapshot generation and returns its view. The
+// caller keeps writers out while it runs (Durable holds d.mu), so the
+// view is one point of the log, and calls thaw once the encode is over.
+func (m *Memory) freeze() *snapView {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.gen++
+	m.frozen.Store(m.gen)
+	return m.viewLocked(m.gen)
+}
+
+// thaw ends the generation v was frozen at and drops the images the
+// encoder did not take (it failed before reaching their lists). The
+// caller keeps writers out, as for freeze, so none saves an image after.
+func (m *Memory) thaw(v *snapView) {
+	m.frozen.Store(0)
+	for _, l := range v.lists {
+		if l.ml != nil {
+			l.ml.image.Store(nil)
+		}
+	}
+}
+
+// saveImage keeps the list as the snapshot of generation gen encodes
+// it, unless it is settled for gen already: what a writer does before
+// it changes the list. Callers hold the write lock.
+func (ml *mergedList) saveImage(gen uint64) {
+	if gen == 0 || ml.snapGen.Load() >= gen {
+		return
+	}
+	runs, leaves := ml.runsLocked(nil)
+	for i := range runs {
+		runs[i].sorted = slices.Clone(runs[i].sorted)
+		if leaves {
+			runs[i].leaves = slices.Clone(runs[i].leaves)
+		} else {
+			runs[i].leaves = nil
+		}
+	}
+	ml.image.Store(&listImage{gen: gen, version: ml.version, payloads: ml.payloads, runs: runs, leaves: leaves})
+	ml.snapGen.Store(gen)
+}
+
+// runsLocked appends the list's non-empty group runs to runs, and
+// reports whether the list writes its leaf block: when every one of
+// them is committed. A list nobody audited persists none rather than
+// hashing its elements for the snapshot. Callers hold the list lock.
+func (ml *mergedList) runsLocked(runs []snapRun) ([]snapRun, bool) {
+	leaves := true
+	for gid, g := range ml.groups {
+		if len(g.sorted) == 0 {
+			continue
+		}
+		r := snapRun{group: gid, sorted: g.sorted}
+		if g.commit != nil {
+			r.leaves = g.commit.leaves
+		} else {
+			leaves = false
+		}
+		runs = append(runs, r)
+	}
+	return runs, leaves
+}
+
+// encodeSnapshot writes m as a dump covering seq, each list as it is
+// when the encoder reaches it (Memory.ExportSnapshot, and an import's
+// decoded state).
+func encodeSnapshot(f io.Writer, seq uint64, m *Memory) error {
+	m.mu.RLock()
+	v := m.viewLocked(0)
+	m.mu.RUnlock()
+	return encodeView(f, seq, v, nil)
+}
+
+// encodeView writes the view as a dump covering seq, its lists in
+// ascending ID order. pause, when set, is called before each list with
+// the number of lists written (the seam of Durable.snapPause).
+func encodeView(f io.Writer, seq uint64, v *snapView, pause func(lists int)) error {
+	slices.SortFunc(v.lists, func(a, b snapList) int { return cmp.Compare(a.id, b.id) })
+	// The lists are appended to buf, which goes to f, through the
+	// checksum, each time it passes flushAt: the trailing CRC covers
+	// exactly what a reader will verify.
+	const flushAt = 256 << 10
+	var sum uint32
+	buf := make([]byte, 0, flushAt+flushAt/4)
+	flush := func() error {
+		sum = crc32.Update(sum, crc32.IEEETable, buf)
+		_, err := f.Write(buf)
+		buf = buf[:0]
+		return err
+	}
+	if _, err := io.WriteString(f, snapMagic); err != nil {
+		return err
+	}
+	buf = binary.AppendUvarint(binary.AppendUvarint(buf, seq), uint64(len(v.lists)))
+	var enc listEncoder
+	for i, l := range v.lists {
+		if pause != nil {
+			pause(i)
+		}
+		buf = enc.appendList(buf, l, v.gen)
+		if len(buf) >= flushAt {
+			if err := flush(); err != nil {
+				return err
+			}
+		}
+	}
+	if err := flush(); err != nil {
+		return err
+	}
+	_, err := f.Write(binary.BigEndian.AppendUint32(buf, sum))
+	return err
+}
+
+// listEncoder appends lists to a snapshot body, its scratch reused from
+// one list to the next.
+type listEncoder struct {
+	runs  []snapRun
+	heads []runHead
+	// order is the run each element of the list came from, and cur a
+	// cursor per run, for the leaf block's pass over the runs in the
+	// elements' order.
+	order []int32
+	cur   []int
+}
+
+// runHead is a run's next record in the encoder's merge.
+type runHead struct {
+	r   rec
+	run int
+	at  int
+}
+
+// appendList appends one list's entry of the snapshot body of
+// generation gen: from the list's image if a writer saved one for gen,
+// else from the live list under its read lock, which then settles it
+// for gen — a writer that comes after saves no image.
+func (e *listEncoder) appendList(buf []byte, l snapList, gen uint64) []byte {
+	ml := l.ml
+	if ml == nil {
+		return e.appendRegion(buf, l)
+	}
+	ml.mu.RLock()
+	if img := ml.image.Load(); img != nil && img.gen == gen {
+		ml.mu.RUnlock()
+		buf = e.appendRuns(buf, l.id, img.version, &img.payloads, img.runs, img.leaves)
+		ml.image.CompareAndSwap(img, nil)
+		return buf
+	}
+	runs, leaves := ml.runsLocked(e.runs[:0])
+	buf = e.appendRuns(buf, l.id, ml.version, &ml.payloads, runs, leaves)
+	if gen != 0 {
+		ml.snapGen.Store(gen)
+	}
+	ml.mu.RUnlock()
+	clear(runs) // hold on to no run past the lock
+	e.runs = runs[:0]
+	return buf
+}
+
+// appendRuns appends a list's entry from its group runs, merged into
+// rank order straight into buf — the total order the read path merges
+// by, so the entry is what a query of the whole list returns — and, when
+// leaves is set, the leaf block in the same order. The merge keeps one
+// head per run not yet drained and takes the least each time.
+func (e *listEncoder) appendRuns(buf []byte, id zerber.ListID, version uint64, p *payloads, runs []snapRun, leaves bool) []byte {
+	heads := e.heads[:0]
+	total := 0
+	for i, r := range runs {
+		total += len(r.sorted)
+		heads = append(heads, runHead{r: r.sorted[0], run: i})
+	}
 	buf = binary.AppendUvarint(buf, uint64(id))
 	buf = binary.AppendUvarint(buf, version)
-	buf = binary.AppendUvarint(buf, uint64(len(elems)))
-	for _, el := range elems {
-		buf = AppendElement(buf, el)
+	buf = binary.AppendUvarint(buf, uint64(total))
+	order := e.order[:0]
+	for len(heads) > 0 {
+		best := 0
+		for i := 1; i < len(heads); i++ {
+			if p.less(heads[i].r, heads[best].r) {
+				best = i
+			}
+		}
+		h := &heads[best]
+		run := &runs[h.run]
+		buf = AppendElement(buf, Element{Sealed: p.payload(h.r), TRS: h.r.trs, Group: run.group})
+		order = append(order, int32(h.run))
+		if h.at++; h.at < len(run.sorted) {
+			h.r = run.sorted[h.at]
+		} else {
+			heads[best] = heads[len(heads)-1]
+			heads = heads[:len(heads)-1]
+		}
 	}
-	if leaves == nil {
+	e.heads, e.order = heads, order
+	if !leaves {
 		return append(buf, 0)
 	}
 	buf = append(buf, 1)
-	for i := range leaves {
-		buf = append(buf, leaves[i][:]...)
+	cur := slices.Grow(e.cur[:0], len(runs))[:len(runs)]
+	clear(cur)
+	for _, r := range order {
+		buf = append(buf, runs[r].leaves[cur[r]][:]...)
+		cur[r]++
 	}
+	e.cur = cur
 	return buf
+}
+
+// appendRegion appends a lazily loaded list's entry from the snapshot
+// region it was loaded from, each element re-encoded as appendRuns
+// writes it. Its leaf block is the one it was loaded with — and an
+// empty list's is the empty block, as appendRuns writes for one.
+func (e *listEncoder) appendRegion(buf []byte, l snapList) []byte {
+	buf = binary.AppendUvarint(buf, uint64(l.id))
+	buf = binary.AppendUvarint(buf, l.version)
+	buf = binary.AppendUvarint(buf, uint64(l.count))
+	eachElement(l.raw, l.count, func(group int, trs float64, off, size int) {
+		buf = AppendElement(buf, Element{Sealed: l.raw[off : off+size], TRS: trs, Group: group})
+	})
+	if l.count > 0 && l.rawLeaves == nil {
+		return append(buf, 0)
+	}
+	return append(append(buf, 1), l.rawLeaves...)
 }
 
 // readSnapshot loads the snapshot at path into a fresh Memory. A

@@ -38,6 +38,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"zerberr/internal/proof"
 	"zerberr/internal/zerber"
@@ -223,7 +224,8 @@ type Backend interface {
 	// with its mutation version and any materialized commitment leaves —
 	// plus the WAL sequence the dump covers (0 for engines without a
 	// log). The dump is self-verifying (CRC-framed) and is what live
-	// shard migration ships; see migrate.go.
+	// shard migration ships; see migrate.go. A logged engine takes it as
+	// one of its own snapshots, so its log restarts after seq.
 	ExportSnapshot() (data []byte, seq uint64, err error)
 	// ImportSnapshot replaces the backend's entire contents with a
 	// dump produced by ExportSnapshot, carrying the source's
@@ -274,6 +276,12 @@ type Memory struct {
 	// its shards' lifetimes. Lists loaded from a snapshot keep their
 	// persisted absolute counter instead.
 	verBase uint64
+	// gen counts the snapshot generations freeze has stamped (under mu),
+	// and frozen is the one in flight, 0 when none: a writer about to
+	// change a list the in-flight snapshot has not reached yet saves an
+	// image of it first (mergedList.saveImage).
+	gen    uint64
+	frozen atomic.Uint64
 }
 
 // rec is one stored element of a group's run: its TRS and where its
@@ -307,6 +315,20 @@ type grec struct {
 // with 32 bits: 4 GiB of payloads per list.
 const maxSlab = math.MaxUint32
 
+// payloads is a list's payload space. base and slab hold the list's
+// payloads, and records address them as one offset space: [0,
+// len(base)) is base, the rest is slab. base is a region the list was
+// loaded from — its validated snapshot element region, possibly an
+// mmap — read and never written; slab is the store's own append-only
+// buffer. Bytes below either's length are never rewritten: slab grows
+// into its spare capacity or into a new allocation, and a rebuild
+// (compact) makes a new one, so every payload handed out stays valid —
+// and so does a copy of the two slice headers, which is how a list
+// image (listImage) keeps the payloads it was taken with.
+type payloads struct {
+	base, slab []byte
+}
+
 // mergedList holds one merged posting list as one sorted run of
 // records per group over one payload slab. An insert lands at its rank
 // at once (insertBatch), so every stored element sits in exactly one
@@ -314,15 +336,7 @@ const maxSlab = math.MaxUint32
 type mergedList struct {
 	mu     sync.RWMutex
 	groups map[int]*groupList
-	// base and slab hold the list's payloads, and records address them
-	// as one offset space: [0, len(base)) is base, the rest is slab.
-	// base is a region the list was loaded from — its validated
-	// snapshot element region, possibly an mmap — read and never
-	// written; slab is the store's own append-only buffer. Bytes below
-	// either's length are never rewritten: slab grows into its spare
-	// capacity or into a new allocation, and a rebuild (compact) makes
-	// a new one, so every payload handed out stays valid.
-	base, slab []byte
+	payloads
 	// live counts the payload bytes of the stored elements; the rest of
 	// base and slab is dead. A removal that leaves more dead bytes than
 	// live rebuilds the slab, so a list never holds more than twice its
@@ -340,16 +354,22 @@ type mergedList struct {
 	commitOK      bool
 	commitContent proof.Hash
 	commitRoot    proof.Hash
+	// snapGen is the latest snapshot generation this list is settled
+	// for: the encoder has written it, a writer has saved its image, or
+	// it did not exist when the generation was frozen. image is the
+	// saved image, until the encoder takes it (snapshot.go).
+	snapGen atomic.Uint64
+	image   atomic.Pointer[listImage]
 }
 
 // payload returns r's payload bytes, capped to their length.
-func (ml *mergedList) payload(r rec) []byte {
+func (p *payloads) payload(r rec) []byte {
 	lo, hi := int(r.off), int(r.off)+int(r.n)
-	if lo < len(ml.base) {
-		return ml.base[lo:hi:hi]
+	if lo < len(p.base) {
+		return p.base[lo:hi:hi]
 	}
-	lo, hi = lo-len(ml.base), hi-len(ml.base)
-	return ml.slab[lo:hi:hi]
+	lo, hi = lo-len(p.base), hi-len(p.base)
+	return p.slab[lo:hi:hi]
 }
 
 // element is r as the group's Element, its payload aliasing the slab.
@@ -360,27 +380,27 @@ func (ml *mergedList) element(r rec, group int) Element {
 // less is the total order the read path merges by: descending TRS,
 // then payload bytes, then insertion order. Offsets are unique within a
 // list, so no two of its records compare equal.
-func (ml *mergedList) less(a, b rec) bool {
+func (p *payloads) less(a, b rec) bool {
 	if a.trs != b.trs {
 		return a.trs > b.trs
 	}
-	return ml.tie(a, b) < 0
+	return p.tie(a, b) < 0
 }
 
 // cmp is less as a three-way comparison, for sorting.
-func (ml *mergedList) cmp(a, b rec) int {
+func (p *payloads) cmp(a, b rec) int {
 	if a.trs != b.trs {
 		if a.trs > b.trs {
 			return -1
 		}
 		return 1
 	}
-	return ml.tie(a, b)
+	return p.tie(a, b)
 }
 
 // tie orders two records of equal TRS.
-func (ml *mergedList) tie(a, b rec) int {
-	return cmp.Or(bytes.Compare(ml.payload(a), ml.payload(b)), cmp.Compare(a.off, b.off))
+func (p *payloads) tie(a, b rec) int {
+	return cmp.Or(bytes.Compare(p.payload(a), p.payload(b)), cmp.Compare(a.off, b.off))
 }
 
 // add appends an inserted element's payload to the slab and returns its
@@ -610,6 +630,7 @@ func (m *Memory) list(id zerber.ListID, create bool) *mergedList {
 	lz = m.lazy[id]
 	if ml == nil && lz == nil {
 		ml = &mergedList{groups: make(map[int]*groupList), version: m.verBase}
+		ml.snapGen.Store(m.gen)
 		m.lists[id] = ml
 	}
 	m.mu.Unlock()
@@ -632,12 +653,15 @@ func (m *Memory) materialize(id zerber.ListID, lz *lazyList) *mergedList {
 		// toucher still gets the pre-import view it started on, same
 		// as a reader holding a list pointer across an import).
 		if m.lazy[id] == lz {
+			lz.ml.snapGen.Store(m.gen)
 			m.lists[id] = lz.ml
 			delete(m.lazy, id)
 		}
-		m.mu.Unlock()
+		// Under m.mu: a freeze reads the fields of the lazy lists it
+		// finds, under the same lock.
 		lz.raw = nil
 		lz.rawLeaves = nil
+		m.mu.Unlock()
 	})
 	return lz.ml
 }
@@ -672,11 +696,13 @@ func (m *Memory) InsertBatch(ops []BatchInsert) error {
 // and merged into its run.
 func (m *Memory) insertBatch(ops []BatchInsert) {
 	runs, _ := m.listRuns(len(ops), func(i int) zerber.ListID { return ops[i].List }, true)
+	gen := m.frozen.Load()
 	var buf [16]grec // a small batch's share of a list needs no allocation
 	share := buf[:0]
 	for _, run := range runs {
 		ml := run.ml
 		ml.mu.Lock()
+		ml.saveImage(gen)
 		size := 0
 		for _, i := range run.idxs {
 			size += slabBytes(len(ops[i].Element.Sealed))
@@ -826,11 +852,13 @@ func (m *Memory) removeBatch(ops []BatchRemove, allow func(group int) bool, comm
 			return err
 		}
 	}
+	gen := m.frozen.Load()
 	for _, run := range runs {
 		scratch = scratch[:0]
 		for _, i := range run.idxs {
 			scratch = append(scratch, victims[i])
 		}
+		run.ml.saveImage(gen)
 		run.ml.delete(scratch)
 	}
 	return nil
@@ -1133,24 +1161,15 @@ func (ml *mergedList) skipMerged(lists [][]rec, cur []int, skip int) {
 
 // View implements Backend: it materializes the full merged list in
 // rank order. Ranged reads should use Query; View remains for the
-// whole-list paths (snapshot encoding, the adversary's view).
+// whole-list paths (the adversary's view, tests).
 func (m *Memory) View(list zerber.ListID, fn func(elems []Element)) error {
-	return m.viewVersioned(list, func(_ uint64, elems []Element) { fn(elems) })
-}
-
-// viewVersioned is View plus the list's mutation version, both read
-// under one lock acquisition — the atomicity a live snapshot export
-// needs so a dump can never pair one version with another version's
-// elements.
-func (m *Memory) viewVersioned(list zerber.ListID, fn func(version uint64, elems []Element)) error {
 	ml := m.list(list, false)
 	if ml == nil {
 		return ErrUnknownList
 	}
 	ml.mu.RLock()
 	defer ml.mu.RUnlock()
-	res := ml.queryLocked(nil, 0, ml.total+1)
-	fn(ml.version, res.Elements)
+	fn(ml.queryLocked(nil, 0, ml.total+1).Elements)
 	return nil
 }
 
@@ -1228,7 +1247,7 @@ func (m *Memory) Close() error { return nil }
 // (in the same order) and is distributed to the groups so the
 // recovered list recommits without re-hashing a single payload.
 func newMergedListFrom(raw []byte, n int, version uint64, leaves []proof.Hash) *mergedList {
-	ml := &mergedList{groups: make(map[int]*groupList), base: raw[:len(raw):len(raw)], version: version, total: n}
+	ml := &mergedList{groups: make(map[int]*groupList), payloads: payloads{base: raw[:len(raw):len(raw)]}, version: version, total: n}
 	if len(leaves) != n {
 		leaves = nil
 	}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"zerberr/internal/binfmt"
 )
@@ -28,11 +29,14 @@ import (
 // to the disk and, as a migration's tail (TailSince, ApplyTail),
 // between shards.
 //
-// The sequence number ties the log to snapshots: a snapshot records
-// the last sequence it contains, and recovery skips WAL records at or
-// below it, so a crash between snapshot rename and log truncation
-// cannot double-apply operations. The trailing CRC frames each record
-// so recovery can detect a torn final write and truncate it away.
+// The log is a sequence of files of this format, its segments: the
+// live one writers append to, and those a snapshot switched away from
+// and has not deleted yet (segmentPath). The sequence number ties the
+// log to snapshots: a snapshot records the last sequence it contains,
+// and recovery skips WAL records at or below it, so a crash between
+// the snapshot rename and the deletion of the segments it covers cannot
+// double-apply operations. The trailing CRC frames each record so
+// recovery can detect a torn final write and truncate it away.
 //
 // A batch record is N inserts, or N removes in the order the batch
 // named them, under one frame: seq is the first op's sequence and the
@@ -198,25 +202,31 @@ func (f *frames) each(fn func(record)) error {
 	}
 }
 
-// wal is an append-only log open for writing.
+// wal is an append-only log segment open for writing.
 type wal struct {
 	f  *os.File
 	bw *bufio.Writer
 	// syncFile replaces f.Sync when set: the seam tests use to hold,
 	// fail or count the store's fsyncs.
 	syncFile func() error
+	// newEntry marks a segment createWAL made whose directory entry is
+	// not known to be on disk yet: its first fsync syncs the directory
+	// too. Without that an OS crash could drop the file even after
+	// per-record fsyncs. Read and cleared only by fsync, which the
+	// store runs one at a time.
+	newEntry bool
 }
 
-// createWAL truncates (or creates) the log at path, writes the header,
-// and makes the directory entry durable — without the dir sync an OS
-// crash on first boot could drop the file even after per-record
-// fsyncs.
+// createWAL truncates (or creates) the log segment at path and writes
+// the header. The directory entry is made durable by the segment's
+// first fsync, so a segment switch (Durable.switchSegmentLocked) pays no
+// disk round-trip while writers wait.
 func createWAL(path string) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	w := &wal{f: f, bw: bufio.NewWriter(f)}
+	w := &wal{f: f, bw: bufio.NewWriter(f), newEntry: true}
 	if _, err := w.bw.WriteString(walMagic); err != nil {
 		f.Close()
 		return nil, err
@@ -225,21 +235,45 @@ func createWAL(path string) (*wal, error) {
 		f.Close()
 		return nil, err
 	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
-		f.Close()
-		return nil, err
-	}
 	return w, nil
 }
 
-// openWALForAppend opens an existing, already-recovered log for
-// further appends.
-func openWALForAppend(path string) (*wal, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
+// openSegment opens the log segment at path for appends — creating it
+// when create is set, else failing with os.ErrNotExist if it is missing
+// — and returns it with its bytes, read through the same handle.
+func openSegment(path string, create bool) (*wal, []byte, error) {
+	flag := os.O_RDWR | os.O_APPEND
+	if create {
+		flag |= os.O_CREATE
 	}
-	return &wal{f: f, bw: bufio.NewWriter(f)}, nil
+	f, err := os.OpenFile(path, flag, 0o644)
+	if err != nil {
+		return nil, nil, err
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	data := make([]byte, fi.Size())
+	if _, err := f.ReadAt(data, 0); err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	// A segment too short for its magic may have just been created.
+	return &wal{f: f, bw: bufio.NewWriter(f), newEntry: len(data) < len(walMagic)}, data, nil
+}
+
+// cut cuts the segment back to its first n bytes, its intact prefix
+// (replayWAL): to a bare header when n is shorter than the magic.
+func (w *wal) cut(n int) error {
+	if n >= len(walMagic) {
+		return w.f.Truncate(int64(n))
+	}
+	if err := w.f.Truncate(0); err != nil {
+		return err
+	}
+	return w.write([]byte(walMagic))
 }
 
 // write pushes one pre-framed record to the OS, leaving nothing in the
@@ -253,32 +287,22 @@ func (w *wal) write(frame []byte) error {
 	return w.bw.Flush()
 }
 
-// reset truncates the log back to a bare header, in place on the live
-// handle (the file is opened O_APPEND, so the next write lands at the
-// new end). Callers must have synced first; buffered bytes are
-// discarded.
-func (w *wal) reset() error {
-	w.bw.Reset(w.f)
-	if err := w.f.Truncate(0); err != nil {
-		return err
-	}
-	if _, err := w.bw.WriteString(walMagic); err != nil {
-		return err
-	}
-	if err := w.bw.Flush(); err != nil {
-		return err
-	}
-	return w.fsync()
-}
-
 // fsync puts what write has pushed to the OS on disk. Unlike every
 // other method it touches no buffered state, so it is safe beside a
 // concurrent write.
 func (w *wal) fsync() error {
+	syncFile := w.f.Sync
 	if w.syncFile != nil {
-		return w.syncFile()
+		syncFile = w.syncFile
 	}
-	return w.f.Sync()
+	if err := syncFile(); err != nil {
+		return err
+	}
+	if w.newEntry {
+		w.newEntry = false
+		return syncDir(filepath.Dir(w.f.Name()))
+	}
+	return nil
 }
 
 func (w *wal) sync() error {
@@ -296,47 +320,133 @@ func (w *wal) close() error {
 	return err
 }
 
-// replayWAL reads the log at path and calls apply once per intact
-// record, in order, with its decoded operations of seq > afterSeq — a
-// batch record's in one call, as its live write applied them. A torn
-// final record (truncated frame or CRC mismatch at the tail) is
-// tolerated: the file is truncated back to the last intact record and
-// replay succeeds with what came before. Damage that is provably not a
-// torn tail — intact framing around an undecodable payload followed by
-// more data — is ErrBadWAL. It returns the highest sequence seen
-// (afterSeq if none). The records alias the log's bytes, read whole:
-// apply copies what it keeps.
-//
-// A missing file, or one too short to hold the magic (torn at offset
-// zero), is not an error: a fresh log is created.
-func replayWAL(path string, afterSeq uint64, apply func(record)) (maxSeq uint64, _ error) {
+// replayLog replays the log in dir: its retired segments, oldest
+// first, then the live segment at live, each through replayWAL, and
+// returns the live segment open for appends, the highest sequence seen
+// (afterSeq if none) and the retired segments on disk. A segment that
+// ends torn ends the log: it is cut back to its intact prefix and the
+// segments after it are dropped with the rest of the torn tail, as a
+// torn frame drops what follows it within a segment. (Under FsyncEach
+// no acknowledged record is among them: a writer whose record is in a
+// later segment returned only after the earlier one was on disk.)
+func replayLog(dir, live string, afterSeq uint64, apply func(record)) (w *wal, maxSeq uint64, retired []string, _ error) {
 	maxSeq = afterSeq
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) || err == nil && len(data) < len(walMagic) {
-		w, err := createWAL(path)
-		if err != nil {
-			return maxSeq, err
+	torn := false
+	for n := 1; !torn; n++ {
+		path := segmentPath(dir, n)
+		seg, data, err := openSegment(path, false)
+		if errors.Is(err, os.ErrNotExist) {
+			break
 		}
-		return maxSeq, w.close()
+		if err != nil {
+			return nil, maxSeq, retired, err
+		}
+		retired = append(retired, path)
+		seq, intact, err := replayWAL(data, afterSeq, apply)
+		maxSeq = max(maxSeq, seq)
+		if torn = intact < len(data) || intact < len(walMagic); torn && err == nil {
+			if err = seg.cut(intact); err == nil {
+				err = dropSegments(dir, n+1)
+			}
+		}
+		if cerr := seg.f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return nil, maxSeq, retired, err
+		}
+	}
+	w, data, err := openSegment(live, true)
+	if err != nil {
+		return nil, maxSeq, retired, err
+	}
+	intact := 0 // what follows a torn segment goes
+	if !torn {
+		var seq uint64
+		seq, intact, err = replayWAL(data, afterSeq, apply)
+		maxSeq = max(maxSeq, seq)
+	}
+	if err == nil && (intact < len(data) || intact < len(walMagic)) {
+		err = w.cut(intact)
 	}
 	if err != nil {
-		return maxSeq, err
+		w.f.Close()
+		return nil, maxSeq, retired, err
+	}
+	return w, maxSeq, retired, nil
+}
+
+// dropSegments deletes the retired segments in dir numbered from n on.
+func dropSegments(dir string, n int) error {
+	var later []string
+	for ; ; n++ {
+		path := segmentPath(dir, n)
+		if _, err := os.Lstat(path); errors.Is(err, os.ErrNotExist) {
+			break
+		} else if err != nil {
+			return err
+		}
+		later = append(later, path)
+	}
+	_, err := removeSegments(dir, later)
+	return err
+}
+
+// segmentPath names retired log segment n in dir: the live segment's
+// name with the number appended. The retired segments on disk are
+// always numbers 1 to k, oldest first: a switch retires the live
+// segment as number k+1, and segments are deleted newest first
+// (removeSegments), so whatever a failed deletion leaves is again 1 to
+// some j. Recovery finds them by trying 1, 2, … in turn.
+func segmentPath(dir string, n int) string {
+	return dir + string(os.PathSeparator) + walFileName + "." + strconv.Itoa(n)
+}
+
+// removeSegments deletes retired segments, newest first, and makes the
+// deletion durable. It returns those it could not delete — the oldest
+// ones, so the segments on disk stay numbered from 1 — which a store
+// keeps on its retired list for the next snapshot.
+func removeSegments(dir string, paths []string) (left []string, _ error) {
+	for i := len(paths) - 1; i >= 0; i-- {
+		if err := os.Remove(paths[i]); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return paths[:i+1], fmt.Errorf("store: deleting WAL segment: %w", err)
+		}
+	}
+	return nil, syncDir(dir)
+}
+
+// replayWAL calls apply once per intact record of a log segment's
+// bytes, in order, with its decoded operations of seq > afterSeq — a
+// batch record's in one call, as its live write applied them — and
+// returns the highest sequence seen (afterSeq if none) and the length
+// of the segment's intact prefix. A torn final record (truncated frame
+// or CRC mismatch at the tail) is tolerated: replay succeeds with what
+// came before, and the prefix ends before it, for the caller to cut the
+// segment back to. So is a segment too short to hold the magic (torn at
+// offset zero; its prefix is empty). Damage that is provably not a torn
+// tail — intact framing around an undecodable payload followed by more
+// data — is ErrBadWAL. The records alias data: apply copies what it
+// keeps.
+func replayWAL(data []byte, afterSeq uint64, apply func(record)) (maxSeq uint64, intact int, _ error) {
+	maxSeq = afterSeq
+	if len(data) < len(walMagic) {
+		return maxSeq, 0, nil
 	}
 	f, err := logFrames(data)
 	if err != nil {
-		return maxSeq, err
+		return maxSeq, 0, err
 	}
 	goodEnd := 0 // bytes of the intact records after the magic
 	for {
 		payload, err := f.next()
 		if err == io.EOF {
-			return maxSeq, nil // clean end of log
+			return maxSeq, len(data), nil // clean end of log
 		}
 		if errors.Is(err, errTornFrame) {
 			break
 		}
 		if err != nil {
-			return maxSeq, err
+			return maxSeq, 0, err
 		}
 		r, err := decodeRecord(payload)
 		if err != nil {
@@ -345,7 +455,7 @@ func replayWAL(path string, afterSeq uint64, apply func(record)) (maxSeq uint64,
 			if f.r.Len() == 0 {
 				break
 			}
-			return maxSeq, fmt.Errorf("%w: undecodable record at offset %d: %v", ErrBadWAL, len(walMagic)+goodEnd, err)
+			return maxSeq, 0, fmt.Errorf("%w: undecodable record at offset %d: %v", ErrBadWAL, len(walMagic)+goodEnd, err)
 		}
 		goodEnd = f.r.Offset()
 		if n := r.ops(); n > 0 {
@@ -355,8 +465,8 @@ func replayWAL(path string, afterSeq uint64, apply func(record)) (maxSeq uint64,
 			apply(r)
 		}
 	}
-	// Torn tail: drop everything past the last intact record.
-	return maxSeq, os.Truncate(path, int64(len(walMagic)+goodEnd))
+	// Torn tail: everything past the last intact record goes.
+	return maxSeq, len(walMagic) + goodEnd, nil
 }
 
 // logFrames checks the magic at the head of a log's bytes and returns a
