@@ -75,7 +75,7 @@
 // See DESIGN.md "Replication & migration".
 //
 // Reads can be made verifiable (internal/proof): every merged list
-// carries a lazily built Merkle commitment — per-group RFC 6962 trees
+// carries a lazily built Merkle commitment — per-group four-ary trees
 // over the rank order, group headers binding element counts, a
 // version-bound list root — and a client that opts in (WithProof,
 // `zerber query -proof`) receives a range multiproof with every

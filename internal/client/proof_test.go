@@ -188,7 +188,9 @@ func TestWithProofMatchesUnproven(t *testing.T) {
 // of server misbehavior must surface as ErrProofInvalid, whatever the
 // rounds carry: "batched" rounds carry two lists (b=2, so there are
 // follow-ups), "serial" ones a single list over many rounds (one term
-// at b=1). The first classes tamper at the backend, with the full
+// at b=1). Each search asks for the top 8, deep enough that a serial
+// scan's continuation reaches past its group's first four-leaf node,
+// where a continuation first carries a path hash. The first classes tamper at the backend, with the full
 // proof a continuation is then derived from; the rest tamper with
 // continuations as they arrive. Each class queries its own terms so
 // one class's poisoned cache entries cannot mask another's mutation.
@@ -324,7 +326,7 @@ func TestWithProofDetectsTampering(t *testing.T) {
 				defer tb.set(nil, nil)
 				defer tt.set(nil, nil)
 				q, opts := query(i)
-				_, _, err := cl.Search(context.Background(), q, 5, opts...)
+				_, _, err := cl.Search(context.Background(), q, 8, opts...)
 				if tc.resp != nil && tt.fired.Load() == 0 {
 					t.Fatal("no continuation the class applies to crossed the transport")
 				}

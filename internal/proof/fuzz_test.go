@@ -17,9 +17,10 @@ package proof_test
 // (offset, count): same elements, same exhausted flag, same version.
 //
 // The seed corpus under testdata/fuzz/FuzzVerifyWindow is honest
-// windows of that store, written — like the store file — by
-// `go test -run TestFuzzSeedsCurrent -update` on the commit before
-// trees cached anything.
+// windows of that store, written by `go test -run TestFuzzSeedsCurrent
+// -update` on the commit that made the tree four-ary. The store file is
+// older and holds leaves only, so the tree shape did not move its
+// bytes; -update rewrites it too, with new versions and so new roots.
 
 import (
 	"bytes"

@@ -1,13 +1,13 @@
 package proof
 
 // Golden roots and range proofs. testdata/merkle_golden.txt was written
-// by running this test with -update on the commit *before* trees kept
-// any interior node — every root and path in it came out of the plain
-// leaves-up recursion — and is committed unchanged. A tree shape or
-// hash-input change shows up here as a diff against that commit, not
-// merely as prover and verifier agreeing with each other. -update
-// rewrites the file: that re-roots every committed list, so it is a
-// format break, not a way to make a red test green.
+// by running this test with -update on the commit that made the tree
+// four-ary, from the cache-less recursion, and every root and path in it
+// is what the level-by-level oracle (oracle_test.go) builds too. A tree
+// shape or hash-input change shows up here as a diff against that
+// commit, not merely as prover and verifier agreeing with each other.
+// -update rewrites the file: that re-roots every committed list, so it
+// is a format break, not a way to make a red test green.
 
 import (
 	"bufio"
@@ -114,7 +114,8 @@ func TestGoldenRootsAndPaths(t *testing.T) {
 	}
 	want := readGolden(t)
 	// The same vectors from the leaves alone, from a tree whose cache
-	// covers the leaves, and from one that was grown a leaf at a time.
+	// covers the leaves, from one that was grown a leaf at a time, and
+	// from the level-by-level oracle (oracle_test.go).
 	covering := func(l []Hash) *Tree {
 		var tr Tree
 		tr.Extend(l)
@@ -139,6 +140,9 @@ func TestGoldenRootsAndPaths(t *testing.T) {
 		{"grown",
 			func(l []Hash) Hash { return grown(l).Root(l) },
 			func(l []Hash, lo, hi int) []Hash { return grown(l).RangeProof(l, lo, hi) }},
+		{"oracle",
+			func(l []Hash) Hash { root, _ := buildOracle(l); return root.root },
+			func(l []Hash, lo, hi int) []Hash { root, _ := buildOracle(l); return root.proof(lo, hi, nil) }},
 	}
 	for _, p := range provers {
 		got := goldenLines(p.root, p.prove)

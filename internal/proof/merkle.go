@@ -5,18 +5,35 @@ import (
 	"math/bits"
 )
 
-// The tree shape is RFC 6962's: a tree over n > 1 leaves splits into
-// a left subtree over the largest power of two strictly below n and a
-// right subtree over the rest; a single leaf is its own root. The
-// shape is a pure function of n, so prover and verifier agree on it
-// from the leaf count alone, and a contiguous leaf range [lo, hi) has
-// exactly one multiproof: the roots of the maximal subtrees disjoint
-// from the range, in traversal (left-to-right) order.
+// The tree is four-ary: a tree over n > 1 leaves has a child over each
+// consecutive run of w leaves, w the largest power of four strictly
+// below n, the last run possibly shorter — two to four children; a
+// single leaf is its own root. A node hashes H(0x01 || its children's
+// roots): a full node is 129 bytes, three SHA-256 blocks, where a
+// binary tree spends three 65-byte nodes of two blocks each on the same
+// four children. The shape is a pure function of n, so prover and
+// verifier agree on it from the leaf count alone, and a contiguous leaf
+// range [lo, hi) has exactly one multiproof: the roots of the maximal
+// subtrees disjoint from the range, in traversal (left-to-right) order
+// — at most 2 × 3 per level. A node whose width is a power of four
+// starts at a multiple of that width: it is a complete aligned subtree.
 
-// splitPoint returns the left-subtree width for n >= 2 leaves: the
-// largest power of two strictly less than n.
+// logArity is log2 of the tree's arity: a constant of the format.
+const (
+	logArity = 2
+	arity    = 1 << logArity
+)
+
+// splitPoint returns the width of every child but the last of a node
+// over n >= 2 leaves: the largest power of four strictly less than n.
 func splitPoint(n int) int {
-	return 1 << (bits.Len(uint(n-1)) - 1)
+	return 1 << ((bits.Len(uint(n-1)) - 1) / logArity * logArity)
+}
+
+// depth is the number of interior levels of an n-leaf tree:
+// ceil(log4 n), 0 for a single leaf.
+func depth(n int) int {
+	return (bits.Len(uint(n-1)) + logArity - 1) / logArity
 }
 
 // emptyRoot is the root of a tree with no leaves: H(0x01) — no real
@@ -44,23 +61,21 @@ func RangeProof(leaves []Hash, lo, hi int) []Hash {
 }
 
 // cacheFloor is the height of the lowest cached level: a Tree keeps
-// the roots of complete aligned subtrees of 2^cacheFloor leaves and
-// up, and recomputes anything smaller from the leaves. Each level
-// halves, so the cache costs 32 B >> (cacheFloor-1) per leaf on top of
-// the 32 B leaf itself, and a proof pays at most 2^cacheFloor - 2
-// extra hashes per side of its range for what the floor leaves out. A
-// constant, not a knob: the three floors cannot be told apart by the
-// clock, so the one that costs a quarter of the memory stands.
-// Measured on one box (microbench legs: median of 6 on the
-// 120k-element list; search_p50_ms: benchmark/ workload `proved`,
-// median of 4; heap: the `proved` fixture, 324k elements, after every
-// list was audited once, against 66.3 MB without any cache):
+// the roots of complete aligned subtrees of 4^cacheFloor leaves and
+// up, and recomputes anything smaller from the leaves. Each level is a
+// quarter of the one below, so the cache costs 32 B / (3 × 4^(cacheFloor-1))
+// per leaf on top of the 32 B leaf itself, and a proof pays a few extra
+// hashes per side of its range for what the floor leaves out. A
+// constant, not a knob: the 4-leaf floor costs four times the memory
+// and buys nothing the clock can see, the 64-leaf one costs a third
+// more per proof. Measured on one box (microbench legs, median of 4 on
+// the 120k-element list, 2 cores):
 //
-//	floor  cache B/leaf  ProofQuery/proved  /after-write  search_p50_ms  heap after audit
-//	1      32            0.397 ms           1.91 ms       1.21           76.8 MB
-//	2      16            0.401 ms           2.02 ms       1.29           71.5 MB
-//	3      8             0.398 ms           1.76 ms       1.17           68.9 MB
-const cacheFloor = 3
+//	floor  leaves  cache B/leaf  ProofQuery/proved  /after-write
+//	1      4       10.7          0.305 ms           0.793 ms
+//	2      16      2.7           0.321 ms           0.783 ms
+//	3      64      0.7           0.440 ms           0.794 ms
+const cacheFloor = 2
 
 // Tree caches the interior nodes of one leaf sequence's Merkle tree so
 // that roots and range proofs cost O(log n) instead of O(n) hashes.
@@ -68,12 +83,12 @@ const cacheFloor = 3
 // is only ever a statement about a prefix of it.
 //
 // What is cached is the roots of complete aligned subtrees —
-// levels[j][i] is the root over leaves [i<<h, (i+1)<<h) for
-// h = cacheFloor+j. In the RFC 6962 shape every node off the tree's
-// right edge is such a subtree, and which leaves it spans does not
-// depend on n, so an entry stays valid while the sequence grows or
-// shrinks at its tail. The ragged right edge (O(log n) nodes) is never
-// cached and is re-hashed per call.
+// levels[j][i] is the root over leaves [i×4^h, (i+1)×4^h) for
+// h = cacheFloor+j. Every node off the tree's right edge is such a
+// subtree, and which leaves it spans does not depend on n, so an entry
+// stays valid while the sequence grows or shrinks at its tail. The
+// ragged right edge (O(log n) nodes) is never cached and is re-hashed
+// per call.
 //
 // The owner keeps the cache honest with two calls: Truncate(p) after
 // any change to the sequence at or beyond index p — leaves are
@@ -90,7 +105,7 @@ type Tree struct {
 // beyond, keeping exactly the entries over [0, p).
 func (t *Tree) Truncate(p int) {
 	for j, lv := range t.levels {
-		if keep := p >> (cacheFloor + j); keep < len(lv) {
+		if keep := p >> (logArity * (cacheFloor + j)); keep < len(lv) {
 			t.levels[j] = lv[:keep]
 		}
 	}
@@ -101,21 +116,21 @@ func (t *Tree) Truncate(p int) {
 // over [p, n) after Truncate(p).
 func (t *Tree) Extend(leaves []Hash) {
 	n := len(leaves)
-	for j := 0; 1<<(cacheFloor+j) <= n; j++ {
+	for j := 0; 1<<(logArity*(cacheFloor+j)) <= n; j++ {
 		if j == len(t.levels) {
 			t.levels = append(t.levels, nil)
 		}
-		h := cacheFloor + j
-		lv, want := t.levels[j], n>>h
+		s := logArity * (cacheFloor + j)
+		lv, want := t.levels[j], n>>s
 		if want > cap(lv) {
 			// Sized exactly: the cache is per committed element, and
 			// append's growth slack would be a quarter of it.
 			lv = append(make([]Hash, 0, want), lv...)
 		}
 		for i := len(lv); i < want; i++ {
-			// One hash of two entries of the level below, which is
+			// One hash of four entries of the level below, which is
 			// complete by now; the lowest level hashes up from its leaves.
-			lv = append(lv, t.subRoot(leaves, i<<h, (i+1)<<h))
+			lv = append(lv, t.subRoot(leaves, i<<s, (i+1)<<s))
 		}
 		t.levels[j] = lv
 	}
@@ -131,31 +146,40 @@ func (t *Tree) Root(leaves []Hash) Hash {
 
 // subRoot returns the root of the subtree spanning leaves [a, b), a
 // node of the tree over leaves: from the cache when it is a cached
-// complete subtree, else from its two children.
+// complete subtree, else from its children.
 func (t *Tree) subRoot(leaves []Hash, a, b int) Hash {
-	if b-a == 1 {
+	w := b - a
+	if w == 1 {
 		return leaves[a]
 	}
-	// A node whose width is a power of two starts at a multiple of that
-	// width (the shape splits at powers of two), so its index within its
-	// level is a >> height.
-	if w := b - a; w&(w-1) == 0 {
-		h := bits.TrailingZeros(uint(w))
-		if j := h - cacheFloor; j >= 0 && j < len(t.levels) && a>>h < len(t.levels[j]) {
-			return t.levels[j][a>>h]
+	// A node whose width is a power of four is complete and aligned, so
+	// its index within its level is a >> log2(width).
+	if s := bits.TrailingZeros(uint(w)); w&(w-1) == 0 && s%logArity == 0 {
+		if j := s/logArity - cacheFloor; j >= 0 && j < len(t.levels) && a>>s < len(t.levels[j]) {
+			return t.levels[j][a>>s]
 		}
 	}
-	k := splitPoint(b - a)
-	return interiorHash(t.subRoot(leaves, a, a+k), t.subRoot(leaves, a+k, b))
+	var kids [arity]Hash
+	c := 0
+	for x, k := a, splitPoint(w); x < b; x += min(k, b-x) {
+		kids[c] = t.subRoot(leaves, x, x+min(k, b-x))
+		c++
+	}
+	return interiorHash(kids[:c]...)
 }
 
 // RangeProof returns the multiproof for the contiguous leaf range
 // [lo, hi) of leaves: the subtree roots a verifier holding only the
 // range's leaves needs to rebuild the full root. With the cache
 // covering leaves that is O(log n) look-ups plus the right edge's
-// O(log n) hashes. Requires 0 <= lo < hi <= len(leaves).
+// O(log n) hashes, at most 2(arity-1) per level: the path is sized for
+// that once. Requires 0 <= lo < hi <= len(leaves).
 func (t *Tree) RangeProof(leaves []Hash, lo, hi int) []Hash {
-	return t.rangeProofStep(leaves, 0, len(leaves), lo, hi, nil)
+	var out []Hash
+	if lo > 0 || hi < len(leaves) {
+		out = make([]Hash, 0, 2*(arity-1)*depth(len(leaves)))
+	}
+	return t.rangeProofStep(leaves, 0, len(leaves), lo, hi, out)
 }
 
 func (t *Tree) rangeProofStep(leaves []Hash, a, b, lo, hi int, out []Hash) []Hash {
@@ -167,9 +191,10 @@ func (t *Tree) rangeProofStep(leaves []Hash, a, b, lo, hi int, out []Hash) []Has
 		// Inside the range: the verifier rebuilds this from its leaves.
 		return out
 	}
-	k := splitPoint(b - a)
-	out = t.rangeProofStep(leaves, a, a+k, lo, hi, out)
-	return t.rangeProofStep(leaves, a+k, b, lo, hi, out)
+	for x, k := a, splitPoint(b-a); x < b; x += min(k, b-x) {
+		out = t.rangeProofStep(leaves, x, x+min(k, b-x), lo, hi, out)
+	}
+	return out
 }
 
 // VerifyRange rebuilds the root of an n-leaf tree from the leaves of
@@ -196,10 +221,11 @@ func VerifyRange(n, lo, hi int, rangeLeaves, path []Hash) (Hash, bool) {
 // where left holds the root.
 //
 // With record set, the traversal also appends to out the subtree roots
-// covering [0, end) — a range's frontier, which are left children of
-// nodes straddling end, or the root when end = n — followed by the
-// subtree roots covering [hi, n), its right path: what the next window
-// of a scan continues from. It counts the first part in nLeft.
+// covering [0, end) — a range's frontier, which are the children wholly
+// before end of the nodes straddling end, or the root when end = n —
+// followed by the subtree roots covering [hi, n), its right path: what
+// the next window of a scan continues from. It counts the first part in
+// nLeft.
 type rangeVerifier struct {
 	leaves           []Hash
 	left, path, tail []Hash
@@ -253,14 +279,18 @@ func (v *rangeVerifier) node(a, b int) Hash {
 	if b-a == 1 {
 		return v.leaves[a-v.lo]
 	}
-	k := splitPoint(b - a)
-	left := v.node(a, a+k)
-	if v.record && a+k <= v.end && v.end < b {
-		v.out = append(v.out, left)
-		v.nLeft++
+	var kids [arity]Hash
+	c := 0
+	for x, k := a, splitPoint(b-a); x < b; x += min(k, b-x) {
+		y := x + min(k, b-x)
+		kids[c] = v.node(x, y)
+		if v.record && y <= v.end && v.end < b {
+			v.out = append(v.out, kids[c])
+			v.nLeft++
+		}
+		c++
 	}
-	right := v.node(a+k, b)
-	return interiorHash(left, right)
+	return interiorHash(kids[:c]...)
 }
 
 // countRight counts the subtree roots of the right path of any range
@@ -277,6 +307,9 @@ func countRight(a, b, h, c int) int {
 	case a >= h || b <= h:
 		return 0
 	}
-	k := splitPoint(b - a)
-	return countRight(a, a+k, h, c) + countRight(a+k, b, h, c)
+	n := 0
+	for x, k := a, splitPoint(b-a); x < b; x += min(k, b-x) {
+		n += countRight(x, x+min(k, b-x), h, c)
+	}
+	return n
 }

@@ -1,6 +1,6 @@
 // Package proof implements the Merkle commitment scheme behind
 // verifiable search: each merged posting list is committed as one
-// binary Merkle tree per group over that group's rank-ordered run,
+// four-ary Merkle tree per group over that group's rank-ordered run,
 // the per-group roots are folded into a content root over the sorted
 // group headers, and the content root is bound to the list's mutation
 // version to form the list root a server advertises.
@@ -21,9 +21,12 @@
 //
 // Hashing is SHA-256 throughout with one-byte domain separation:
 // 0x00 leaves, 0x01 interior nodes, 0x02 group headers, 0x03 the
-// content root, 0x04 the version-bound list root. Trees follow the
-// RFC 6962 shape (split at the largest power of two below the leaf
-// count), so a contiguous leaf range has one deterministic multiproof.
+// content root, 0x04 the version-bound list root. A tree node over n
+// leaves has a child over each run of the largest power of four below
+// n (merkle.go), so the shape is a function of the count and a
+// contiguous leaf range has one deterministic multiproof. Roots of the
+// binary RFC 6962 trees this package built before do not verify under
+// this shape: a root pinned from one must be pinned again.
 package proof
 
 import (
@@ -101,15 +104,16 @@ func LeafHash(trs float64, sealed []byte) Hash {
 	return out
 }
 
-// interiorHash combines two subtree roots: H(0x01 || left || right).
-func interiorHash(left, right Hash) Hash {
-	h := sha256.New()
-	h.Write([]byte{domainNode})
-	h.Write(left[:])
-	h.Write(right[:])
-	var out Hash
-	h.Sum(out[:0])
-	return out
+// interiorHash combines the roots of a node's two to four children, in
+// order: H(0x01 || children...).
+func interiorHash(children ...Hash) Hash {
+	var buf [1 + arity*HashSize]byte
+	buf[0] = domainNode
+	n := 1
+	for i := range children {
+		n += copy(buf[n:], children[i][:])
+	}
+	return sha256.Sum256(buf[:n])
 }
 
 // HeaderHash commits one group's run: H(0x02 || varint(group) ||

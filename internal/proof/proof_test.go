@@ -19,7 +19,7 @@ func leaves(n int) []Hash {
 }
 
 func TestSplitPoint(t *testing.T) {
-	cases := map[int]int{2: 1, 3: 2, 4: 2, 5: 4, 6: 4, 7: 4, 8: 4, 9: 8, 16: 8, 17: 16, 33: 32}
+	cases := map[int]int{2: 1, 3: 1, 4: 1, 5: 4, 6: 4, 8: 4, 9: 4, 16: 4, 17: 16, 33: 16, 64: 16, 65: 64}
 	for n, want := range cases {
 		if got := splitPoint(n); got != want {
 			t.Errorf("splitPoint(%d) = %d, want %d", n, got, want)
@@ -28,22 +28,22 @@ func TestSplitPoint(t *testing.T) {
 }
 
 func TestTreeRootShape(t *testing.T) {
-	l := leaves(5)
+	l := leaves(6)
 	if TreeRoot(l[:1]) != l[0] {
 		t.Error("single-leaf tree root is not the leaf")
 	}
 	if got, want := TreeRoot(l[:2]), interiorHash(l[0], l[1]); got != want {
 		t.Error("2-leaf root mismatch")
 	}
-	// n=3 splits 2|1, n=5 splits 4|1 (RFC 6962 shape).
-	if got, want := TreeRoot(l[:3]), interiorHash(interiorHash(l[0], l[1]), l[2]); got != want {
+	// n=3 has three leaf children, n=5 splits 4|1, n=6 splits 4|2.
+	if got, want := TreeRoot(l[:3]), interiorHash(l[0], l[1], l[2]); got != want {
 		t.Error("3-leaf root mismatch")
 	}
-	want5 := interiorHash(
-		interiorHash(interiorHash(l[0], l[1]), interiorHash(l[2], l[3])),
-		l[4])
-	if got := TreeRoot(l); got != want5 {
+	if got, want := TreeRoot(l[:5]), interiorHash(interiorHash(l[:4]...), l[4]); got != want {
 		t.Error("5-leaf root mismatch")
+	}
+	if got, want := TreeRoot(l), interiorHash(interiorHash(l[:4]...), interiorHash(l[4:]...)); got != want {
+		t.Error("6-leaf root mismatch")
 	}
 	if TreeRoot(nil) != emptyRoot() {
 		t.Error("empty tree root is not emptyRoot")

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -86,7 +87,7 @@ func TestTreeMatchesStateless(t *testing.T) {
 }
 
 // TestTreeTruncationBoundary pins what a mutation at index p costs:
-// Truncate(p) keeps levels[j][i] exactly for (i+1)<<h <= p, and the
+// Truncate(p) keeps levels[j][i] exactly for (i+1)×4^h <= p, and the
 // next Extend rebuilds everything beyond that prefix without touching
 // the prefix. Each p runs twice: clean, where the re-extended cache
 // must equal a fresh build's entry for entry; and with the kept prefix
@@ -100,7 +101,7 @@ func TestTreeTruncationBoundary(t *testing.T) {
 		leaves[i] = randomLeaf(rng)
 	}
 	poison := Hash{0xde, 0xad}
-	for _, p := range []int{0, 1, 7, 8, 9, 255, 256, 257, 511, 512, 640, 999, 1000} {
+	for _, p := range []int{0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 255, 256, 257, 511, 512, 640, 768, 999, 1000} {
 		// Replace the leaf at p (or append one when p == n): the
 		// sequence changes from p on.
 		mutated := append([]Hash{}, leaves...)
@@ -114,10 +115,10 @@ func TestTreeTruncationBoundary(t *testing.T) {
 		for _, poisoned := range []bool{false, true} {
 			var tr Tree
 			tr.Extend(leaves)
-			if len(tr.levels) == 0 || len(tr.levels[0]) != n>>cacheFloor {
+			if len(tr.levels) == 0 || len(tr.levels[0]) != n>>(logArity*cacheFloor) {
 				t.Fatalf("a full build holds %d levels", len(tr.levels))
 			}
-			kept := func(j, i int) bool { return (i+1)<<(cacheFloor+j) <= p }
+			kept := func(j, i int) bool { return (i+1)<<(logArity*(cacheFloor+j)) <= p }
 			if poisoned {
 				for j := range tr.levels {
 					for i := range tr.levels[j] {
@@ -129,7 +130,7 @@ func TestTreeTruncationBoundary(t *testing.T) {
 			}
 			tr.Truncate(p)
 			for j, lv := range tr.levels {
-				if want := p >> (cacheFloor + j); len(lv) != want {
+				if want := p >> (logArity * (cacheFloor + j)); len(lv) != want {
 					t.Fatalf("p=%d: Truncate kept %d entries of level %d, want %d", p, len(lv), j, want)
 				}
 			}
@@ -166,34 +167,88 @@ func TestTreeCacheSizedExactly(t *testing.T) {
 		}
 		entries += len(lv)
 	}
-	if limit := 1000 >> (cacheFloor - 1); entries >= limit {
-		t.Errorf("%d cached nodes for 1000 leaves, want < %d (32 B >> (cacheFloor-1) per leaf)", entries, limit)
+	if limit := 1000 / (3 << (logArity * (cacheFloor - 1))); entries >= limit {
+		t.Errorf("%d cached nodes for 1000 leaves, want < %d (32 B / (3 × 4^(cacheFloor-1)) per leaf)", entries, limit)
 	}
 }
 
 // TestVerifyRangeHostileCount: the leaf count is whatever a server
 // claims. The verifier's recursion follows the tree shape, whose depth
-// is at most the bit length of n — 63 for the largest int — so a
-// hostile count costs one path hash per level, never a walk of n.
+// is at most ceil(log4 n) — 32 for the largest int — so a hostile
+// count costs at most three path hashes per level, never a walk of n.
 func TestVerifyRangeHostileCount(t *testing.T) {
 	leaf := []Hash{LeafHash(1, []byte("x"))}
 	for _, n := range []int{math.MaxInt, math.MaxInt - 1, 1<<62 + 1, 1 << 62, 1<<31 + 7} {
 		for _, lo := range []int{0, 1, n / 2, n - 1} {
-			// A single leaf's proof holds one hash per level of its
-			// branch: walk lengths until the shape is satisfied.
-			depth := -1
-			for d := 0; d <= 64; d++ {
+			// A single leaf's proof holds one to three hashes per level
+			// of its branch: walk lengths until the shape is satisfied.
+			fits := -1
+			for d := 0; d <= (arity-1)*depth(n); d++ {
 				if _, ok := VerifyRange(n, lo, lo+1, leaf, make([]Hash, d)); ok {
-					depth = d
+					fits = d
 					break
 				}
 			}
-			if depth < 0 {
-				t.Errorf("n=%d lo=%d: no path of up to 64 hashes fits the shape", n, lo)
+			if fits < 0 || depth(n) > 32 {
+				t.Errorf("n=%d lo=%d: no path of up to %d hashes fits the shape", n, lo, (arity-1)*depth(n))
 			}
 		}
 	}
 	if _, ok := VerifyRange(math.MaxInt, math.MaxInt-1, math.MaxInt, leaf, nil); ok {
 		t.Error("a 2^63-leaf tree verified with an empty path")
 	}
+}
+
+// FuzzRangeProof: VerifyRange accepts the honest multiproof of every
+// range [lo, hi) of every tree of up to 300 leaves, and refuses it after
+// any one mutation — a bit of a path hash flipped, a hash dropped, one
+// inserted, or two unequal ones swapped: it reports the proof malformed
+// or rebuilds another root. (n, lo, hi) are reduced into range, i and j
+// pick the hashes and the bit.
+func FuzzRangeProof(f *testing.F) {
+	const maxN = 300
+	all := goldenLeaves(maxN)
+	for op := range uint8(4) {
+		f.Add(uint16(10), uint16(2), uint16(5), op, uint16(0), uint16(1))
+		f.Add(uint16(299), uint16(100), uint16(30), op, uint16(3), uint16(200))
+		f.Add(uint16(64), uint16(15), uint16(2), op, uint16(1), uint16(7))
+	}
+	f.Fuzz(func(t *testing.T, n, lo, hi uint16, op uint8, i, j uint16) {
+		nn := 1 + int(n)%maxN
+		l := int(lo) % nn
+		h := l + 1 + int(hi)%(nn-l)
+		leaves := all[:nn]
+		root := TreeRoot(leaves)
+		path := RangeProof(leaves, l, h)
+		if r, ok := VerifyRange(nn, l, h, leaves[l:h], path); !ok || r != root {
+			t.Fatalf("n=%d [%d,%d): the honest proof does not verify", nn, l, h)
+		}
+		bad := slices.Clone(path)
+		switch op % 4 {
+		case 0: // flip one bit of one hash
+			if len(bad) == 0 {
+				return
+			}
+			bad[int(i)%len(bad)][int(j)%HashSize] ^= 1 << (j % 8)
+		case 1: // drop one hash
+			if len(bad) == 0 {
+				return
+			}
+			bad = slices.Delete(bad, int(i)%len(bad), int(i)%len(bad)+1)
+		case 2: // insert a leaf of the tree as one more hash
+			bad = slices.Insert(bad, int(i)%(len(bad)+1), all[int(j)%maxN])
+		case 3: // swap two unequal hashes
+			if len(bad) < 2 {
+				return
+			}
+			a, b := int(i)%len(bad), int(j)%len(bad)
+			if bad[a] == bad[b] {
+				return
+			}
+			bad[a], bad[b] = bad[b], bad[a]
+		}
+		if r, ok := VerifyRange(nn, l, h, leaves[l:h], bad); ok && r == root {
+			t.Fatalf("n=%d [%d,%d): mutation %d of the proof verified", nn, l, h, op%4)
+		}
+	})
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/bits"
 )
 
 // Boundary is one committed element revealed only to pin a window
@@ -334,8 +333,8 @@ func verify(prev *Frontier, record bool, w *Window, allowed map[int]bool, offset
 }
 
 // newFrontier allocates the Frontier a window ending at offset leaves,
-// with room for every group's frontier and right path: each is at most
-// one subtree root per level of the group's tree.
+// with room for every group's frontier and right path: together at
+// most arity-1 subtree roots per level of the group's tree.
 func newFrontier(prev *Frontier, w *Window, offset int, last WindowElement) *Frontier {
 	n := 0
 	for i := range w.Groups {
@@ -343,7 +342,7 @@ func newFrontier(prev *Frontier, w *Window, offset int, last WindowElement) *Fro
 		if w.Continued {
 			count = prev.groups[i].count
 		}
-		n += 2 * (bits.Len(uint(count)) + 1)
+		n += (arity-1)*depth(count) + 1
 	}
 	last.Sealed = bytes.Clone(last.Sealed)
 	return &Frontier{
