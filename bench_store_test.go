@@ -1,7 +1,7 @@
 package zerberr_test
 
 // The micro-benchmarks of the hot paths — store reads and appends,
-// cached and proved queries, cold starts, hedged replica reads, the
+// cached and proved queries, cold starts, replica-set reads, the
 // in-process search schedules — alongside the figure and component
 // benches in bench_test.go. The table lives in internal/microbench,
 // which documents each leg and why it is kept; this file only mounts

@@ -63,10 +63,9 @@
 // static hash and implements the same client.Transport, so clients are
 // unchanged. Each routing slot can be backed by a replica set
 // (internal/replica) — writes apply primary-first then fan to
-// replicas, reads hedge to a replica after a latency-derived delay
-// (seeded from the shard's observed p95) and fail over immediately on
-// faults, so a dead primary no longer fails queries. Shards with long
-// fault runs are demoted and routed around. Live shard migration
+// replicas, reads ask one member at a time and fail over to the next
+// only on a fault, so a dead primary no longer fails queries. A
+// primary with a fault run is demoted and read last. Live shard migration
 // (Router.Migrate, `zerber migrate`) ships the atomic snapshot while
 // writes keep flowing, replays the WAL tail under a brief per-slot
 // write barrier, differentially verifies rank-ordered content digests

@@ -32,7 +32,6 @@ import (
 	"zerberr/internal/crypt"
 	"zerberr/internal/obs"
 	"zerberr/internal/proof"
-	"zerberr/internal/replica"
 	"zerberr/internal/server"
 	"zerberr/internal/store"
 	"zerberr/internal/zerber"
@@ -73,7 +72,8 @@ type Router struct {
 	// the table's slots.
 	health []shardHealth
 	// latency holds per-shard latency histograms of answered
-	// operations; Quantile(0.95) seeds replica hedge delays.
+	// operations; Quantile(0.95) is Health's LatencyP95 and the
+	// zerber_shard_latency_p95_seconds gauge.
 	latency []*obs.Histogram
 	// migration outcome counters (Migrate; exposed via SetObs).
 	migrationsOK     atomic.Uint64
@@ -92,8 +92,6 @@ type routingTable struct {
 // servers, HTTP endpoints, replica sets, or a mix). Transports must be
 // distinct — wiring one server into two slots would fake capacity and
 // corrupt per-shard health (client.TransportIdentity decides).
-// Replica-set shards get their hedge delay seeded from the router's
-// observed per-shard latency unless one was pinned explicitly.
 func NewRouter(shards ...client.Transport) (*Router, error) {
 	if len(shards) == 0 {
 		return nil, errors.New("cluster: need at least one shard")
@@ -116,11 +114,6 @@ func NewRouter(shards ...client.Transport) (*Router, error) {
 	}
 	for i := range r.latency {
 		r.latency[i] = obs.NewHistogram(nil)
-	}
-	for i, t := range shards {
-		if set, ok := t.(*replica.Set); ok {
-			set.SeedHedgeDelay(r.hedgeDelaySeed(i))
-		}
 	}
 	r.tab.Store(&routingTable{epoch: 1, shards: append([]client.Transport(nil), shards...)})
 	return r, nil

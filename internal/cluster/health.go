@@ -32,20 +32,12 @@ const (
 	MetricMigrationsTotal  = "zerber_migrations_total"
 )
 
-// DemoteAfter is the consecutive-fault run after which a shard is
-// considered down for routing purposes: its replica set (if it is one)
-// is told to hedge immediately — reads route around the primary with
-// zero delay — and Health/metrics flag it for the operator. A single
-// answered operation clears the run.
+// DemoteAfter is the consecutive-fault run after which Health and the
+// metrics flag a shard as Demoted for the operator. It changes no
+// routing: a replica-set shard already reads around its own faulting
+// primary (replica.DemoteAfter). A single answered operation clears
+// the run.
 const DemoteAfter = 5
-
-// Hedge-delay clamp for latency-derived seeds: below hedgeDelayMin the
-// hedge storm costs more than it saves; above hedgeDelayMax a stall
-// must not go unhedged just because the shard was historically slow.
-const (
-	hedgeDelayMin = 2 * time.Millisecond
-	hedgeDelayMax = 500 * time.Millisecond
-)
 
 // shardHealth is one shard's live counters. All hot-path fields are
 // atomic; only the last-fault record takes the mutex, and only on
@@ -83,11 +75,11 @@ type ShardHealth struct {
 	LastError   string    `json:"last_error,omitempty"`
 	LastErrorAt time.Time `json:"last_error_at,omitzero"`
 	// LatencyP95 estimates the shard's 95th-percentile latency over
-	// answered operations, in seconds — the signal the hedge delay is
-	// seeded from. Zero until the shard has answered something.
+	// answered operations, in seconds. Zero until the shard has
+	// answered something.
 	LatencyP95 float64 `json:"latency_p95_seconds,omitempty"`
-	// Demoted reports the consecutive-fault run crossed DemoteAfter:
-	// the shard's replica set hedges immediately until it answers
+	// Demoted reports the consecutive-fault run crossed DemoteAfter.
+	// It is an operator flag only and clears once the shard answers
 	// again.
 	Demoted bool `json:"demoted,omitempty"`
 }
@@ -112,8 +104,8 @@ func (r *Router) observeShard(shard int) func(error) {
 		case err == nil || !isContextErr(err):
 			// The shard answered (success or a clean application
 			// rejection): it is alive. Only answered operations feed the
-			// latency histogram — timed-out faults would teach the hedge
-			// seed that "slow is normal", exactly backwards.
+			// latency histogram — timed-out faults would make a stall
+			// look like the shard's normal latency.
 			h.consecFails.Store(0)
 			r.latency[shard].Observe(time.Since(start).Seconds())
 		}
@@ -129,37 +121,6 @@ func (r *Router) observeShard(shard int) func(error) {
 // leave the siblings' independent work to finish.
 func fanOutAborts(err error) bool {
 	return isContextErr(err) || shardFault(err)
-}
-
-// demoted reports whether the shard's consecutive-fault run crossed
-// the routing threshold.
-func (r *Router) demoted(shard int) bool {
-	return r.health[shard].consecFails.Load() >= DemoteAfter
-}
-
-// hedgeDelaySeed derives a shard's hedge delay for its replica set: a
-// demoted shard hedges immediately (reads route around the faulting
-// primary), a healthy one hedges at its observed p95 (≈5% of reads
-// hedge), clamped to sane bounds; with no observations yet the set's
-// own default applies (negative = "no opinion").
-func (r *Router) hedgeDelaySeed(shard int) func() time.Duration {
-	return func() time.Duration {
-		if r.demoted(shard) {
-			return 0
-		}
-		p95 := r.latency[shard].Quantile(0.95)
-		if p95 <= 0 {
-			return -1
-		}
-		d := time.Duration(p95 * float64(time.Second))
-		if d < hedgeDelayMin {
-			d = hedgeDelayMin
-		}
-		if d > hedgeDelayMax {
-			d = hedgeDelayMax
-		}
-		return d
-	}
 }
 
 // shardFault reports whether an operation outcome indicts the shard:
@@ -220,7 +181,7 @@ func (r *Router) SetObs(reg *obs.Registry) {
 		reg.GaugeFunc(MetricShardLatencyP95, "estimated p95 latency of answered shard operations",
 			func() float64 { return lat.Quantile(0.95) }, label)
 		if set, ok := r.transport(i).(*replica.Set); ok {
-			// A replica-set shard contributes its hedging counters under
+			// A replica-set shard contributes its failover counters under
 			// the shard label. (The set behind a slot can change under
 			// Migrate; these families stay bound to the boot-time set —
 			// migrated-in sets report through their own registries.)

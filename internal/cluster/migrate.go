@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"zerberr/internal/client"
-	"zerberr/internal/replica"
 	"zerberr/internal/server"
 	"zerberr/internal/zerber"
 )
@@ -133,9 +132,6 @@ func (r *Router) migrate(ctx context.Context, shard int, dst client.Transport) (
 	next.shards[shard] = dst
 	r.tab.Store(next)
 	r.health[shard].consecFails.Store(0)
-	if set, ok := dst.(*replica.Set); ok {
-		set.SeedHedgeDelay(r.hedgeDelaySeed(shard))
-	}
 	rep.Epoch = next.epoch
 	rep.BarrierDuration = time.Since(barrierStart)
 	rep.Duration = time.Since(start)

@@ -93,8 +93,9 @@ const Ungated = -1
 //   - StoreRecover/*: cold starts, which no steady-state workload pays,
 //     and their allocation counts (a recovered element costs its
 //     record, never an allocation of its own).
-//   - HedgedQuery/*: hedging overhead and the failover hop with a dead
-//     primary, a fault benchmark/ never injects.
+//   - ReplicaRead/*: a replica-set read's own cost over a healthy
+//     primary, and the failover hop with a dead primary, a fault
+//     benchmark/ never injects.
 //   - CryptOpen/*, CryptSeal/aes-gcm: allocations and nanoseconds per
 //     posting element under a key that carries its derived ciphers —
 //     benchmark/ sees their sum as crypt.open_ms but not the
@@ -127,8 +128,8 @@ func Suite() []Bench {
 		{Name: "StoreRecover/first-query/mmap", F: storeRecoverMmap, MaxAllocs: 574},
 		{Name: "StoreRecover/wal-only", F: storeRecoverWAL, MaxAllocs: 83183},
 		{Name: "StoreRecover/snapshot", F: storeRecoverSnapshot, MaxAllocs: 111},
-		{Name: "HedgedQuery/healthy", F: hedgedQueryHealthy, MaxAllocs: Ungated},
-		{Name: "HedgedQuery/failover", F: hedgedQueryFailover, MaxAllocs: Ungated},
+		{Name: "ReplicaRead/healthy", F: replicaReadHealthy, MaxAllocs: 9},
+		{Name: "ReplicaRead/failover", F: replicaReadFailover, MaxAllocs: 15},
 		{Name: "CryptOpen/aes-gcm", F: func(b *testing.B) { cryptOpen(b, crypt.GCMCodec{}) }, MaxAllocs: 1},
 		{Name: "CryptSeal/aes-gcm", F: cryptSealGCM, MaxAllocs: Ungated},
 		{Name: "CryptOpen/compact64", F: func(b *testing.B) { cryptOpen(b, crypt.Compact64Codec{}) }, MaxAllocs: 1},
@@ -863,7 +864,7 @@ func recoverReplay(b *testing.B, snapshot bool) {
 	}
 }
 
-// --- hedged replica reads -------------------------------------------
+// --- replica-set reads ----------------------------------------------
 
 // downTransport is a permanently dead shard member: every call is an
 // unclassified error, which the replica layer treats as a fault worth
@@ -893,8 +894,8 @@ func (downTransport) RemoveBatch(context.Context, crypt.Token, []server.RemoveOp
 }
 
 type replicaFixture struct {
-	healthy  *replica.Set // live primary: hedge timer armed, never fires
-	failover *replica.Set // dead primary: every read pays the failover hop
+	healthy  *replica.Set // live primary: every read is answered by it
+	failover *replica.Set // dead primary: read last once demoted
 }
 
 var (
@@ -903,10 +904,10 @@ var (
 )
 
 // replicaSets builds (once) two primary + one replica sets over the
-// shared warmed backend: one healthy (the hedging machinery's
-// steady-state overhead) and one whose primary is down (the failover
-// path's cost). Every member is its own server over the same backend,
-// so answers are identical regardless of who wins the race.
+// shared warmed backend: one healthy (the set's steady-state overhead)
+// and one whose primary is down (the failover path's cost). Every
+// member is its own server over the same backend, so answers are
+// identical whichever member gives them.
 func replicaSets() *replicaFixture {
 	replOnce.Do(func() {
 		f := servers()
@@ -924,8 +925,8 @@ func replicaSets() *replicaFixture {
 	return replFix
 }
 
-// hedgedQuery drives the deep follow-up window through a replica set.
-func hedgedQuery(b *testing.B, set *replica.Set) {
+// replicaRead drives the deep follow-up window through a replica set.
+func replicaRead(b *testing.B, set *replica.Set) {
 	f := servers()
 	ctx := context.Background()
 	r := followupRounds[0]
@@ -942,17 +943,17 @@ func hedgedQuery(b *testing.B, set *replica.Set) {
 	}
 }
 
-// hedgedQueryHealthy measures a replica-set read with a healthy
-// primary: the hedge timer is armed and torn down every read but never
-// fires, so the delta over QueryCached/hit is the hedging machinery's
-// steady-state cost.
-func hedgedQueryHealthy(b *testing.B) { hedgedQuery(b, replicaSets().healthy) }
+// replicaReadHealthy measures a replica-set read with a healthy
+// primary: the read runs inline on the caller's context with no timer,
+// goroutine or channel, so the delta over QueryCached/hit is the set's
+// own bookkeeping (the read order and the root check).
+func replicaReadHealthy(b *testing.B) { replicaRead(b, replicaSets().healthy) }
 
-// hedgedQueryFailover is the same read with the primary down: the
+// replicaReadFailover is the same read with the primary down: the
 // first reads pay the fault plus the failover hop, then demotion
 // (replica.DemoteAfter) routes subsequent reads straight to the
 // replica — the steady-state price of riding out a dead primary.
-func hedgedQueryFailover(b *testing.B) { hedgedQuery(b, replicaSets().failover) }
+func replicaReadFailover(b *testing.B) { replicaRead(b, replicaSets().failover) }
 
 // --- posting-element crypto -----------------------------------------
 

@@ -322,8 +322,8 @@ type Histogram struct {
 
 // NewHistogram builds a standalone histogram outside any registry —
 // for components that track latency internally (the cluster router's
-// per-shard hedge-delay seed) and only optionally expose quantiles via
-// scrape-time samplers. buckets as in Registry.Histogram; nil means
+// per-shard latency, read by its Health and p95 gauge) and only
+// optionally expose quantiles via scrape-time samplers. buckets as in Registry.Histogram; nil means
 // LatencyBuckets.
 func NewHistogram(buckets []float64) *Histogram { return newHistogram(buckets) }
 

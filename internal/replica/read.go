@@ -1,109 +1,52 @@
 package replica
 
-// Hedged and failover reads: one read races the set's members. The
-// first eligible member is tried immediately; a hedge timer launches
-// the same operation on the next member when the answer is slow, and a
-// member fault skips the timer and fails over at once. First success
-// (or first deterministic application answer) wins and cancels the
-// rest. Accounting is deliberately one-sided: a hedge loser canceled
-// because someone else won is never recorded as a fault — hedging must
-// not poison the health signal that tuned it.
+// Failover reads: one read tries the set's members one at a time, on
+// the caller's own context. The first success (or first deterministic
+// application answer) is the answer; a member fault moves on to the
+// next member at once. Nothing runs beside the member being asked, so
+// a sub-query reaches a second member only after the first one
+// faulted on it, and a read the caller abandons charges no member.
 
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"zerberr/internal/client"
 	"zerberr/internal/server"
 )
 
-// attempt is one member's answer inside a read race.
-type attempt[T any] struct {
-	idx int
-	v   T
-	err error
-}
-
-// raceRead runs op against the set's members with hedging and
-// failover. It is a package function because Go methods cannot be
+// failoverRead runs op against the set's members in readOrder until
+// one answers. It is a package function because Go methods cannot be
 // generic; it is the read path behind Login and QueryBatch.
-func raceRead[T any](ctx context.Context, s *Set, op func(ctx context.Context, t client.Transport) (T, error)) (T, error) {
+func failoverRead[T any](ctx context.Context, s *Set, op func(ctx context.Context, t client.Transport) (T, error)) (T, error) {
 	var zero T
-	order := s.readOrder()
-	first := order[0]
-	rctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	// Buffered to the member count: losers park their answers and exit
-	// even after the race has been decided.
-	ch := make(chan attempt[T], len(order))
-	next := 0
-	launch := func() {
-		m := s.members[order[next]]
-		idx := order[next]
-		next++
-		go func() {
-			v, err := op(rctx, m.t)
-			ch <- attempt[T]{idx: idx, v: v, err: err}
-		}()
-	}
-	launch()
-	var timerC <-chan time.Time
-	var timer *time.Timer
-	if next < len(order) {
-		timer = time.NewTimer(s.hedgeDelay())
-		defer timer.Stop()
-		timerC = timer.C
-	}
-	pending := 1
 	var firstFault error
-	for {
-		select {
-		case <-ctx.Done():
+	for i, idx := range s.readOrder() {
+		m := s.members[idx]
+		if i > 0 {
+			s.failovers.Add(1)
+		}
+		v, err := op(ctx, m.t)
+		switch {
+		case err == nil:
+			m.consecFails.Store(0)
+			return v, nil
+		case ctx.Err() != nil:
+			// The caller gave up: that says nothing about the member.
 			return zero, ctx.Err()
-		case <-timerC:
-			s.hedges.Add(1)
-			launch()
-			pending++
-			if next < len(order) {
-				timer.Reset(s.hedgeDelay())
-			} else {
-				timerC = nil
-			}
-		case a := <-ch:
-			pending--
-			switch {
-			case a.err == nil:
-				s.members[a.idx].consecFails.Store(0)
-				if a.idx != first {
-					s.hedgeWins.Add(1)
-				}
-				return a.v, nil
-			case !failoverWorthy(a.err):
-				// A deterministic application answer (bad token, unknown
-				// list, forbidden, rate-limited): every member would say
-				// the same, and the member answering proves it alive.
-				s.members[a.idx].consecFails.Store(0)
-				return zero, a.err
-			}
-			// A genuine member fault: note it and fail over immediately
-			// rather than waiting out the hedge timer.
-			s.members[a.idx].consecFails.Add(1)
-			if firstFault == nil {
-				firstFault = a.err
-			}
-			if next < len(order) {
-				s.failovers.Add(1)
-				launch()
-				pending++
-				if next == len(order) {
-					timerC = nil // every member is in the race: none is left to hedge to
-				}
-			} else if pending == 0 {
-				return zero, fmt.Errorf("replica: every member faulted: %w", firstFault)
-			}
+		case !failoverWorthy(err):
+			// A deterministic application answer (bad token, unknown
+			// list, forbidden, rate-limited): every member would say
+			// the same, and the member answering proves it alive.
+			m.consecFails.Store(0)
+			return zero, err
+		}
+		m.consecFails.Add(1)
+		if firstFault == nil {
+			firstFault = err
 		}
 	}
+	return zero, fmt.Errorf("replica: every member faulted: %w", firstFault)
 }
 
 // readOrder is the member rotation for one read: the primary first —
@@ -131,7 +74,7 @@ func (s *Set) readOrder() []int {
 // failoverWorthy reports whether a member's error indicts the member
 // (fail over to the next one) rather than the request (return it):
 // exactly server.IsFault. Context errors carry no code, so they are
-// faults here: on an individual attempt they mean that member timed
-// out. (A canceled parent context short-circuits the race before
-// accounting.)
+// faults here: with the caller's context still live they mean that
+// member timed out. (A read whose own context ended returns before
+// this is asked.)
 func failoverWorthy(err error) bool { return server.IsFault(err) }

@@ -12,15 +12,13 @@
 // answers trustworthy without revalidation: any member eligible for a
 // read has applied every acknowledged write.
 //
-// Reads race the members: the first is sent immediately, and a hedge
-// timer (latency-derived when the router seeds it, DefaultHedgeDelay
-// otherwise) launches the same operation on the next member if no
-// answer arrives in time. A member fault fails over immediately
-// instead of waiting for the timer. The first success wins and cancels
-// the losers; a canceled loser is never counted as a fault. A
-// deterministic application answer (auth failure, unknown list,
-// forbidden) also wins immediately — every member would answer it the
-// same way, so racing on is pure waste.
+// Reads fail over: the first eligible member is asked on the caller's
+// own context, and only a member fault moves the read on to the next
+// one. A deterministic application answer (auth failure, unknown list,
+// forbidden) is the answer — every member would give the same one. No
+// second member runs beside the first, so a sub-query reaches a second
+// member only after a fault; a read the caller abandons charges no
+// member with a fault.
 //
 // Replication changes nothing about what servers learn: every member
 // stores exactly the sealed payloads, TRS values and group IDs the
@@ -45,11 +43,6 @@ import (
 	"zerberr/internal/zerber"
 )
 
-// DefaultHedgeDelay is the hedge timer when nothing better is known.
-// Far above a healthy in-rack round trip (so hedges stay rare) and far
-// below a caller-visible stall.
-const DefaultHedgeDelay = 20 * time.Millisecond
-
 // DemoteAfter is the consecutive-fault run after which the primary is
 // read last instead of first (writes still require it — the set does
 // no election; a dead primary fails writes until the operator migrates
@@ -59,8 +52,6 @@ const DemoteAfter = 3
 // Metric names a Set registers via SetObs. The router attaches the
 // shard label; the families themselves carry no list or term identity.
 const (
-	MetricHedgedReads    = "zerber_replica_hedged_reads_total"
-	MetricHedgeWins      = "zerber_replica_hedge_wins_total"
 	MetricFailoverReads  = "zerber_replica_failover_reads_total"
 	MetricWriteFaults    = "zerber_replica_write_faults_total"
 	MetricStaleMembers   = "zerber_replica_stale_members"
@@ -89,18 +80,14 @@ type Set struct {
 	// replica's return to the read rotation.
 	writeMu sync.RWMutex
 
-	delay atomic.Pointer[delayFn]
-
 	// roots pins the last Merkle list root seen per list across all
 	// members: any two members answering a proved read at the same
-	// list version must commit to the same root, so a hedged or
-	// failover answer cannot silently come from a diverged replica
+	// list version must commit to the same root, so a failover
+	// answer cannot silently come from a diverged replica
 	// (checkRoot).
 	rootMu sync.Mutex
 	roots  map[zerber.ListID]rootPin
 
-	hedges         atomic.Uint64
-	hedgeWins      atomic.Uint64
 	failovers      atomic.Uint64
 	writeFaults    atomic.Uint64
 	resyncs        atomic.Uint64
@@ -113,8 +100,6 @@ type rootPin struct {
 	version uint64
 	root    proof.Hash
 }
-
-type delayFn func() time.Duration
 
 // NewSet builds a replica set from a primary and its replicas. Every
 // member must be distinct — wiring one server in twice fakes
@@ -143,38 +128,23 @@ func NewSet(primary client.Transport, replicas ...client.Transport) (*Set, error
 // Members reports the set size (primary included).
 func (s *Set) Members() int { return len(s.members) }
 
-// SeedHedgeDelay installs a dynamic hedge-delay source (the router
-// derives one from the shard's observed latency). Zero hedges
-// immediately (read all members at once). A nil source is ignored.
-func (s *Set) SeedHedgeDelay(f func() time.Duration) {
-	if f == nil {
-		return
-	}
-	fn := delayFn(f)
-	s.delay.Store(&fn)
-}
-
-// hedgeDelay resolves the current hedge timer; negative sources fall
-// back to the default.
-func (s *Set) hedgeDelay() time.Duration {
-	if f := s.delay.Load(); f != nil {
-		if d := (*f)(); d >= 0 {
-			return d
-		}
-	}
-	return DefaultHedgeDelay
-}
+// SeedHedgeDelay is a no-op stub. Reads no longer hedge (they fail
+// over on a fault, see read.go), so there is no delay to seed; the
+// method stays only because the frozen benchmark fixture calls it.
+func (s *Set) SeedHedgeDelay(func() time.Duration) {}
 
 // Stats is a point-in-time snapshot of the set's counters.
 type Stats struct {
-	Members        int    `json:"members"`
-	Stale          int    `json:"stale"`
-	PrimaryDemoted bool   `json:"primary_demoted"`
-	Hedges         uint64 `json:"hedges"`
-	HedgeWins      uint64 `json:"hedge_wins"`
-	Failovers      uint64 `json:"failovers"`
-	WriteFaults    uint64 `json:"write_faults"`
-	Resyncs        uint64 `json:"resyncs"`
+	Members        int  `json:"members"`
+	Stale          int  `json:"stale"`
+	PrimaryDemoted bool `json:"primary_demoted"`
+	// Hedges is a stub that always reads 0: reads no longer hedge. The
+	// field stays only because the frozen benchmark sums it into
+	// replica.hedged_ratio.
+	Hedges      uint64 `json:"hedges"`
+	Failovers   uint64 `json:"failovers"`
+	WriteFaults uint64 `json:"write_faults"`
+	Resyncs     uint64 `json:"resyncs"`
 	// RootMismatches counts proved answers whose Merkle root disagreed
 	// with another member's at the same list version — evidence of a
 	// diverged (or lying) member.
@@ -187,8 +157,6 @@ func (s *Set) Stats() Stats {
 		Members:        len(s.members),
 		Stale:          s.staleCount(),
 		PrimaryDemoted: s.members[0].consecFails.Load() >= DemoteAfter,
-		Hedges:         s.hedges.Load(),
-		HedgeWins:      s.hedgeWins.Load(),
 		Failovers:      s.failovers.Load(),
 		WriteFaults:    s.writeFaults.Load(),
 		Resyncs:        s.resyncs.Load(),
@@ -213,10 +181,6 @@ func (s *Set) SetObs(reg *obs.Registry, labels ...obs.Label) {
 	if reg == nil {
 		return
 	}
-	reg.CounterFunc(MetricHedgedReads, "reads that launched a hedge to another member",
-		func() float64 { return float64(s.hedges.Load()) }, labels...)
-	reg.CounterFunc(MetricHedgeWins, "reads answered by a member other than the first tried",
-		func() float64 { return float64(s.hedgeWins.Load()) }, labels...)
 	reg.CounterFunc(MetricFailoverReads, "reads failed over after a member fault",
 		func() float64 { return float64(s.failovers.Load()) }, labels...)
 	reg.CounterFunc(MetricWriteFaults, "replica write fan-out faults (each marks the replica stale)",
@@ -230,7 +194,7 @@ func (s *Set) SetObs(reg *obs.Registry, labels ...obs.Label) {
 // checkRoot cross-checks one proved answer against the set-wide root
 // registry: members answering the same list version must commit to
 // the same root. A mismatch is returned as a plain error — it maps to
-// CodeInternal and is therefore failover-worthy, so the race moves on
+// CodeInternal and is therefore failover-worthy, so the read moves on
 // to the next member instead of serving a diverged answer. Unproven
 // answers (nil window) pass through; older-version answers are
 // ignored rather than compared, since a read racing a write can
@@ -318,7 +282,7 @@ func (s *Set) RemoveBatch(ctx context.Context, tok crypt.Token, ops []server.Rem
 // Login implements client.Transport. Tokens are signed with the
 // cluster-wide secret, so any member's answer is valid everywhere.
 func (s *Set) Login(ctx context.Context, user string) ([]crypt.Token, error) {
-	return raceRead(ctx, s, func(ctx context.Context, t client.Transport) ([]crypt.Token, error) {
+	return failoverRead(ctx, s, func(ctx context.Context, t client.Transport) ([]crypt.Token, error) {
 		return t.Login(ctx, user)
 	})
 }
@@ -329,11 +293,11 @@ func (s *Set) Query(ctx context.Context, toks []crypt.Token, list zerber.ListID,
 }
 
 // QueryBatch implements client.Transport. Proved sub-query answers
-// are cross-checked against the set's root registry before the race
-// accepts them, so a hedge or failover winner cannot hand back state
+// are cross-checked against the set's root registry before the read
+// accepts them, so a failover answer cannot hand back state
 // the rest of the set never committed to.
 func (s *Set) QueryBatch(ctx context.Context, toks []crypt.Token, queries []server.ListQuery) (client.BatchQueryResult, error) {
-	return raceRead(ctx, s, func(ctx context.Context, t client.Transport) (client.BatchQueryResult, error) {
+	return failoverRead(ctx, s, func(ctx context.Context, t client.Transport) (client.BatchQueryResult, error) {
 		res, err := t.QueryBatch(ctx, toks, queries)
 		if err != nil {
 			return res, err

@@ -1,20 +1,16 @@
 package replica
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
 	"zerberr/internal/client"
 	"zerberr/internal/crypt"
-	"zerberr/internal/obs"
 	"zerberr/internal/server"
 	"zerberr/internal/store"
 	"zerberr/internal/zerber"
@@ -106,9 +102,7 @@ func (f failWrites) InsertBatch(context.Context, crypt.Token, []server.InsertOp)
 }
 
 // TestFailoverRead is the acceptance scenario: a killed primary no
-// longer fails queries once a replica is configured. The hedge timer
-// is pinned high to prove the fault path (not the timer) drives the
-// failover.
+// longer fails queries once a replica is configured.
 func TestFailoverRead(t *testing.T) {
 	ctx := context.Background()
 	repSrv := newSeededServer(t, 2, 8)
@@ -119,7 +113,6 @@ func TestFailoverRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set.SeedHedgeDelay(func() time.Duration { return time.Minute })
 	toks := login(t, repSrv)
 	got, _, err := set.Query(ctx, toks, 0, 0, 8)
 	if err != nil {
@@ -133,118 +126,8 @@ func TestFailoverRead(t *testing.T) {
 		t.Fatalf("failover answer diverges from the replica's own:\n%+v\n%+v", got.Elements, want.Elements)
 	}
 	st := set.Stats()
-	if st.Failovers != 1 || st.HedgeWins != 1 || st.Hedges != 0 {
-		t.Fatalf("stats = %+v, want exactly one failover win and no timer hedge", st)
-	}
-}
-
-// TestHedgedReadIdentity: a stalled (but alive) primary, a fast
-// replica, and the hedged answer must be element-identical to the
-// direct one. The stalled loser is canceled and never counted as a
-// fault.
-func TestHedgedReadIdentity(t *testing.T) {
-	ctx := context.Background()
-	priSrv := newSeededServer(t, 2, 8)
-	repSrv := newSeededServer(t, 2, 8)
-	set, err := NewSet(
-		stallTransport{Transport: client.Local{S: priSrv}, after: 30 * time.Second},
-		client.Local{S: repSrv},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set.SeedHedgeDelay(func() time.Duration { return 2 * time.Millisecond })
-	toks := login(t, priSrv)
-	got, _, err := set.Query(ctx, toks, 1, 0, 8)
-	if err != nil {
-		t.Fatalf("hedged query: %v", err)
-	}
-	want, _, err := client.Local{S: repSrv}.Query(ctx, toks, 1, 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Elements, want.Elements) {
-		t.Fatalf("hedged answer diverges from the direct one:\n%+v\n%+v", got.Elements, want.Elements)
-	}
-	st := set.Stats()
-	if st.Hedges != 1 || st.HedgeWins != 1 {
-		t.Fatalf("stats = %+v, want one hedge and one hedge win", st)
-	}
-	// The canceled loser is neutral: no failover was recorded and the
-	// primary is not on a path to demotion.
-	if st.Failovers != 0 || st.PrimaryDemoted {
-		t.Fatalf("stats = %+v: the hedge loser was counted as a fault", st)
-	}
-}
-
-// stalledBackend parks every Query until release is closed.
-type stalledBackend struct {
-	store.Backend
-	release chan struct{}
-}
-
-func (b stalledBackend) Query(list zerber.ListID, allowed map[int]bool, offset, count int) (store.QueryResult, error) {
-	<-b.release
-	return b.Backend.Query(list, allowed, offset, count)
-}
-
-// TestHedgeLoserOverHTTP: the same race over real HTTP. The stalled
-// primary's request is cancelled when the replica's answer wins; the
-// set records no failover, and the primary's own books show a client
-// that went away (499), not a server error.
-func TestHedgeLoserOverHTTP(t *testing.T) {
-	ctx := context.Background()
-	stalled := stalledBackend{Backend: store.NewMemory(), release: make(chan struct{})}
-	priSrv := server.NewWithBackend([]byte(testSecret), time.Hour, stalled)
-	seedInto(t, priSrv, 2, 8)
-	reg := obs.NewRegistry()
-	priSrv.SetObs(reg)
-	repSrv := newSeededServer(t, 2, 8)
-	priHandler := priSrv.Handler()
-	priCtx := make(chan context.Context, 1)
-	priServed := make(chan struct{}, 1)
-	pri := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		priCtx <- r.Context()
-		priHandler.ServeHTTP(w, r)
-		priServed <- struct{}{}
-	}))
-	defer pri.Close()
-	rep := httptest.NewServer(repSrv.Handler())
-	defer rep.Close()
-
-	set, err := NewSet(client.HTTP{BaseURL: pri.URL}, client.HTTP{BaseURL: rep.URL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	set.SeedHedgeDelay(func() time.Duration { return 2 * time.Millisecond })
-	toks := login(t, repSrv)
-	got, _, err := set.Query(ctx, toks, 1, 0, 8)
-	if err != nil {
-		t.Fatalf("hedged query: %v", err)
-	}
-	want, _, err := client.Local{S: repSrv}.Query(ctx, toks, 1, 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Elements, want.Elements) {
-		t.Fatalf("hedged answer diverges from the direct one:\n%+v\n%+v", got.Elements, want.Elements)
-	}
-	// The winner's return cancelled the loser; once the primary has
-	// seen the connection drop, let it finish answering a peer that is
-	// no longer there.
-	<-(<-priCtx).Done()
-	close(stalled.release)
-	<-priServed
-	if st := set.Stats(); st.Hedges != 1 || st.HedgeWins != 1 || st.Failovers != 0 || st.PrimaryDemoted {
-		t.Fatalf("stats = %+v, want one hedge win and the loser counted as nothing", st)
-	}
-	var scrape bytes.Buffer
-	reg.WritePrometheus(&scrape)
-	if !strings.Contains(scrape.String(), server.MetricHTTPRequestsTotal+`{code="499",endpoint="/v2/query"} 1`) {
-		t.Errorf("the cancelled loser is not counted under code 499:\n%s", scrape.String())
-	}
-	if strings.Contains(scrape.String(), `code="5`) {
-		t.Errorf("the cancelled loser shows as a server error:\n%s", scrape.String())
+	if st.Failovers != 1 {
+		t.Fatalf("stats = %+v, want exactly one failover", st)
 	}
 }
 
@@ -290,10 +173,9 @@ func TestReplicaWriteFaultMarksStale(t *testing.T) {
 	if st.Stale != 1 || st.WriteFaults != 1 {
 		t.Fatalf("stats = %+v, want the replica stale after one write fault", st)
 	}
-	// Reads never touch the stale replica: pin an immediate hedge and
-	// query repeatedly — the answer must always be the primary's
-	// (which holds the element the replica lost).
-	set.SeedHedgeDelay(func() time.Duration { return 0 })
+	// Reads never touch the stale replica: query repeatedly — the
+	// answer must always be the primary's (which holds the element the
+	// replica lost).
 	for i := 0; i < 20; i++ {
 		resp, _, err := set.Query(ctx, toks, 0, 0, 10)
 		if err != nil {
@@ -327,7 +209,6 @@ func TestDeterministicAnswerWinsImmediately(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		set.SeedHedgeDelay(func() time.Duration { return time.Minute })
 		toks := login(t, pri)
 		for name, reject := range map[string]func(){
 			"unknown list": func() {
@@ -345,7 +226,7 @@ func TestDeterministicAnswerWinsImmediately(t *testing.T) {
 				reject()
 			}
 			st := set.Stats()
-			if st.Failovers != 0 || st.Hedges != 0 || st.PrimaryDemoted {
+			if st.Failovers != 0 || st.PrimaryDemoted {
 				t.Fatalf("%s, %s: stats = %+v: an application answer must not count as a member fault", wire, name, st)
 			}
 		}
@@ -359,7 +240,6 @@ func TestPrimaryDemotionAfterFaultRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set.SeedHedgeDelay(func() time.Duration { return time.Minute })
 	toks := login(t, rep)
 	for i := 0; i < DemoteAfter; i++ {
 		if _, _, err := set.Query(ctx, toks, 0, 0, 4); err != nil {
@@ -370,14 +250,14 @@ func TestPrimaryDemotionAfterFaultRun(t *testing.T) {
 		t.Fatalf("stats = %+v, want the primary demoted after %d fault reads", set.Stats(), DemoteAfter)
 	}
 	// Demoted: the replica is tried first, so the next read involves no
-	// failover and no hedge win.
+	// failover.
 	before := set.Stats()
 	if _, _, err := set.Query(ctx, toks, 0, 0, 4); err != nil {
 		t.Fatal(err)
 	}
 	after := set.Stats()
-	if after.Failovers != before.Failovers || after.HedgeWins != before.HedgeWins {
-		t.Fatalf("demoted read still raced the primary first: %+v -> %+v", before, after)
+	if after.Failovers != before.Failovers {
+		t.Fatalf("demoted read still tried the primary first: %+v -> %+v", before, after)
 	}
 }
 
@@ -386,7 +266,6 @@ func TestAllMembersFaulted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set.SeedHedgeDelay(func() time.Duration { return 0 })
 	_, _, err = set.Query(context.Background(), nil, 0, 0, 1)
 	if err == nil {
 		t.Fatal("a read with every member down reported success")
@@ -447,7 +326,7 @@ func TestResync(t *testing.T) {
 				t.Fatalf("stats after resync = %+v", st)
 			}
 			// The replica now mirrors the primary exactly — versions
-			// included, which is what keeps hedged answers revalidatable
+			// included, which is what keeps failover answers revalidatable
 			// against windows the primary served.
 			priD, err := pri.Digest(ctx)
 			if err != nil {

@@ -127,7 +127,7 @@ func (h *recordingHandler) Handle(_ context.Context, r slog.Record) error {
 }
 
 // TestClientGoneIsNotAServerError: a client that cancels mid-QueryBatch
-// (a hedge's loser, an abandoned search) is answered 499 — counted
+// (an abandoned search) is answered 499 — counted
 // under its own code, logged at Debug — not 500 "internal" at Warn.
 func TestClientGoneIsNotAServerError(t *testing.T) {
 	backend := gatedBackend{Backend: store.NewMemory(), entered: make(chan struct{}, 1), release: make(chan struct{})}

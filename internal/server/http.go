@@ -436,8 +436,7 @@ const statusClientClosed = 499
 
 func writeErr(w http.ResponseWriter, r *http.Request, err error) {
 	if r.Context().Err() != nil {
-		// A hedge's loser, a cancelled search, a drained connection: the
-		// peer is gone, so there is nobody to read an envelope.
+		// A cancelled search, a drained connection: the peer is gone, so there is nobody to read an envelope.
 		w.WriteHeader(statusClientClosed)
 		return
 	}

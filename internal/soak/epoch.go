@@ -18,7 +18,7 @@ import (
 // safety on every read that flows through it: the content served for
 // one (list, version, offset, count) window must be identical every
 // time it is observed — across server caches, router revalidation,
-// replica hedging, SIGKILLs and restarts. A divergence means some
+// replica failover, SIGKILLs and restarts. A divergence means some
 // layer re-minted a version for different content (exactly the bug
 // the per-durable-dir version epoch exists to prevent) or served a
 // stale window as current.
