@@ -401,7 +401,7 @@ func cmdStatus(ctx context.Context, args []string) {
 
 	shards := strings.Split(*serverURL, ",")
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "SHARD\tROLE\tBACKEND\tLISTS\tELEMENTS\tQ-P50\tQ-P95\tQ-P99\tCACHE-HIT\tWAL-FSYNC-P99\tLIMITED\tSHED\tHEALTH")
+	fmt.Fprintln(w, "SHARD\tROLE\tBACKEND\tLISTS\tELEMENTS\tQ-P50\tQ-P95\tQ-P99\tWAL-FSYNC-P99\tLIMITED\tSHED\tHEALTH")
 	var single *client.HTTP
 	nMembers := 0
 	for i, shard := range shards {
@@ -415,7 +415,7 @@ func cmdStatus(ctx context.Context, args []string) {
 			h := client.HTTP{BaseURL: u, Retry: client.DefaultRetryPolicy()}
 			st, err := h.Stats(ctx)
 			if err != nil {
-				fmt.Fprintf(w, "%d\t%s\t-\t-\t-\t-\t-\t-\t-\t-\t-\t-\tunreachable: %v\n", i, role, err)
+				fmt.Fprintf(w, "%d\t%s\t-\t-\t-\t-\t-\t-\t-\t-\t-\tunreachable: %v\n", i, role, err)
 				continue
 			}
 			single = &h
@@ -426,16 +426,8 @@ func cmdStatus(ctx context.Context, args []string) {
 				limited = fmt.Sprint(o.RateLimited)
 				shed = fmt.Sprint(o.Shed)
 			}
-			hitRate := "-"
-			if c := st.Cache; c != nil {
-				if total := c.Hits + c.Misses; total > 0 {
-					hitRate = fmt.Sprintf("%.1f%%", 100*float64(c.Hits)/float64(total))
-				} else {
-					hitRate = "0.0%"
-				}
-			}
-			fmt.Fprintf(w, "%d\t%s\t%s\t%d\t%d\t%s\t%s\t%s\t%s\t%s\t%s\t%s\tok\n",
-				i, role, st.Backend, st.Lists, st.Elements, p50, p95, p99, hitRate, fsync, limited, shed)
+			fmt.Fprintf(w, "%d\t%s\t%s\t%d\t%d\t%s\t%s\t%s\t%s\t%s\t%s\tok\n",
+				i, role, st.Backend, st.Lists, st.Elements, p50, p95, p99, fsync, limited, shed)
 		}
 	}
 	w.Flush()

@@ -8,7 +8,6 @@
 //	zerberd -addr :8021 -secret-file secret.key \
 //	        -user john=0,1 -user alice=1 [-token-ttl 1h] \
 //	        [-data-dir /var/lib/zerberd] [-fsync-each] \
-//	        [-cache-bytes N] \
 //	        [-log-level info] [-log-format text|json] [-pprof] \
 //	        [-rate-limit N] [-rate-burst N] [-max-inflight N] [-admin=false]
 //
@@ -22,17 +21,15 @@
 // fsyncs, so an acknowledged write survives the machine as well as the
 // process.
 //
-// Repeated ranked-range reads are served from a version-checked
-// query-result cache (internal/cache) by default; -cache-bytes sizes
-// it, 0 disables it. Results are identical either way —
-// any insert or remove bumps the list's version, and a window cached
-// before it is never served again; it only tells a conditional read
-// whether its window moved. GET /v2/stats reports hit/miss/evict
-// counters.
+// The daemon keeps no result cache: every window is read from the
+// store. A caller that retained a window (the cluster router does)
+// sends a conditional sub-query with the window's version and tag, and
+// gets a bare "unchanged" answer when the version is equal, or when the
+// version moved but the window read now carries the same tag.
 //
 // Ops plane: logs are structured (log/slog; -log-format json for
 // machine-readable output), GET /metrics serves the Prometheus-format
-// registry covering server, store, cache and admission families, and
+// registry covering server, store and admission families, and
 // -pprof mounts net/http/pprof under /debug/pprof/. Admission control
 // is off by default: -rate-limit arms a per-user token bucket
 // (answering 429 + Retry-After) and -max-inflight sheds excess load
@@ -64,7 +61,6 @@ import (
 	"syscall"
 	"time"
 
-	"zerberr/internal/cache"
 	"zerberr/internal/obs"
 	"zerberr/internal/server"
 	"zerberr/internal/store"
@@ -117,7 +113,6 @@ func main() {
 		dataDir     = flag.String("data-dir", "", "directory for the durable index (WAL + snapshots); empty keeps the index in RAM only")
 		snapEvery   = flag.Int("snapshot-every", store.DefaultSnapshotEvery, "logged operations between automatic snapshots (with -data-dir)")
 		fsyncEach   = flag.Bool("fsync-each", false, "acknowledge a write only once its log record is fsynced; concurrent writers share fsyncs (with -data-dir)")
-		cacheBytes  = flag.Int64("cache-bytes", 64<<20, "query-result cache capacity in bytes, 0 disables it (see GET /v2/stats for hit/miss counters)")
 		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn or error")
 		logFormat   = flag.String("log-format", "text", "log format: text or json")
 		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -153,7 +148,7 @@ func main() {
 	}
 
 	// One registry serves every layer: the durable store registers its
-	// WAL/snapshot families on it, the server its query/admission/cache
+	// WAL/snapshot families on it, the server its query/admission
 	// families, and GET /metrics renders the union.
 	reg := obs.NewRegistry()
 
@@ -183,10 +178,6 @@ func main() {
 	srv.SetAdminEnabled(*adminOn)
 	if !*adminOn {
 		logger.Info("admin plane disabled")
-	}
-	if *cacheBytes > 0 {
-		srv.SetCache(cache.New(*cacheBytes))
-		logger.Info("query-result cache enabled", "bytes", *cacheBytes)
 	}
 	if *rateLimit > 0 || *maxInFlight > 0 {
 		srv.SetAdmission(&server.AdmissionConfig{

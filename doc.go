@@ -35,13 +35,11 @@
 //     range filtered by the caller's groups) is a k-way merge that
 //     skips straight to the requested offset instead of scanning the
 //     list. Every list carries a mutation version, persisted through
-//     crash recovery, which the query-result cache (internal/cache)
-//     keys ranked windows by: repeated reads of hot terms are served
-//     from a sharded LRU with payloads aliased, and any insert or
-//     remove invalidates transparently by bumping the version.
-//     Responses carry the version, and conditional sub-queries
-//     (if_version) let the cluster router revalidate retained shard
-//     windows for a few bytes instead of re-fetching them.
+//     crash recovery, and bumped by any insert or remove. Responses
+//     carry the version, and conditional sub-queries (a version and a
+//     16-byte window tag) let the cluster router revalidate the shard
+//     windows it retains (internal/cache) for a few bytes instead of
+//     re-fetching them; the server itself caches nothing.
 //   - Trusted clients (internal/client): index documents (seal
 //     elements under group keys, compute TRS via the published RSTF,
 //     upload them as one batched insert) and execute queries

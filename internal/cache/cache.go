@@ -1,32 +1,26 @@
-// Package cache provides the query-result cache shared by the index
-// server and the cluster router: a sharded, byte-bounded LRU of ranked
-// windows, one entry per window, keyed by everything that determines
-// which window it is — the merged list, the allowed-group set and the
-// (offset, count) range. The key carries no version: an entry's
-// QueryResult.Version is the list version (store.Backend.Version) its
-// window was read at, and a newer read of the same window is Put over
-// it.
+// Package cache provides the cluster router's window cache: a sharded,
+// byte-bounded LRU of ranked windows, one entry per window, keyed by
+// everything that determines which window it is — the merged list, the
+// allowed-group set and the (offset, count) range. The key carries no
+// version: an entry's QueryResult.Version is the shard's list version
+// (store.Backend.Version) its window was read at, and a newer read of
+// the same window is Put over it.
 //
-// The version makes invalidation free: a mutation bumps the list's
-// version, and the server serves an entry only when its version is the
-// list's current one (GetAt). A stale entry is never served; the
-// server uses it only to decide whether the caller's retained window,
-// read at that version, still equals the current read. Cached results
-// are element-identical to what the uncached read path returns for the
-// same version.
+// An entry is never served on its own word. The router sends its
+// version and tag (server.TagOf) with a conditional sub-query, and
+// substitutes the entry only when the shard answers Unchanged: the
+// list's version is the entry's, or it moved and the shard's current
+// read of the window carries the same tag. The index server keeps no
+// cache of its own.
 //
-// Payloads are aliased, never copied: an entry holds the same Element
-// slice (and the same sealed-byte buffers) the store handed out. The
-// store never rewrites payload bytes in place, so the aliases stay
-// valid for the life of the entry. One entry per window also bounds
-// what superseded versions pin: at most one per window.
+// The cache aliases, never copies: an entry holds the Element slice it
+// was Put with. The router Puts copies it made out of the response body
+// a window arrived in (cluster.retainWindow), so a small window never
+// pins a large body. One entry per window also bounds what superseded
+// versions keep alive: at most one per window.
 //
-// Confidentiality: a key is (list ID, group IDs, offset, count) and an
-// entry's version a mutation count — exactly the fields of the
-// requests the untrusted server already serves, plus a counter it
-// could maintain anyway. The cache therefore observes nothing the
-// Section 3.1 threat model does not already grant the server, and adds
-// no new leakage.
+// Confidentiality: the cache lives on the trusted side, in the router,
+// and holds windows the caller's tokens already let it read.
 package cache
 
 import (
@@ -78,17 +72,13 @@ func GroupsKey(allowed map[int]bool) string {
 
 // Stats is a point-in-time view of the cache counters.
 type Stats struct {
-	// Hits and Misses count lookups: a hit is a lookup that found an
-	// entry it may serve (Get: any entry; GetAt: one at the asked
-	// version). Evictions counts entries displaced by capacity pressure
+	// Hits and Misses count lookups: a hit is a Get that found an
+	// entry. Evictions counts entries displaced by capacity pressure
 	// (replacing a key in place is not an eviction).
 	Hits, Misses, Evictions uint64
-	// Entries and Bytes describe current occupancy; Capacity is the
-	// configured byte bound.
+	// Entries and Bytes describe current occupancy.
 	Entries int
 	Bytes   int64
-	// Capacity is the configured maximum payload bytes.
-	Capacity int64
 }
 
 // numShards spreads lock contention; keys are distributed by hash.
@@ -188,42 +178,19 @@ func cost(k Key, res store.QueryResult) int64 {
 
 // Get returns the window cached under k, whatever its version, and
 // refreshes its recency; finding one counts as a hit. The result's
-// Elements alias the cached (and therefore the store's) buffers —
-// callers must not mutate them.
+// Elements alias the cached buffers — callers must not mutate them.
 func (c *Cache) Get(k Key) (store.QueryResult, bool) {
-	res, ok := c.lookup(k)
-	c.count(ok)
-	return res, ok
-}
-
-// GetAt is Get for a caller that knows the list's current version: it
-// returns the entry whatever its version (the server compares a stale
-// one with its current read), but counts a hit only when the entry was
-// read at version — the only entry the caller may serve.
-func (c *Cache) GetAt(k Key, version uint64) (store.QueryResult, bool) {
-	res, ok := c.lookup(k)
-	c.count(ok && res.Version == version)
-	return res, ok
-}
-
-func (c *Cache) lookup(k Key) (store.QueryResult, bool) {
 	s := c.shardFor(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.entries[k]
 	if !ok {
+		c.misses.Add(1)
 		return store.QueryResult{}, false
 	}
+	c.hits.Add(1)
 	s.moveFront(e)
 	return e.res, true
-}
-
-func (c *Cache) count(hit bool) {
-	if hit {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
 }
 
 // Put stores the window under k, replacing the entry already there (a
@@ -269,7 +236,6 @@ func (c *Cache) Stats() Stats {
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Evictions: c.evictions.Load(),
-		Capacity:  c.capacity,
 	}
 	for i := range c.shards {
 		s := &c.shards[i]

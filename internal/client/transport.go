@@ -38,9 +38,9 @@ import (
 // left unconditional and must then resolve Unchanged answers back
 // into full windows before returning them. Callers that set IfVersion
 // explicitly always receive the raw Unchanged marker and own the
-// retained window themselves. The client's progressive search never
-// sets it: its repeated doubling windows are instead served from the
-// server-side result cache, which keys on the same versions.
+// retained window themselves (and may send its IfTag). The client's
+// progressive search never sets it: its windows are retained only by a
+// Router with a cache installed.
 type Transport interface {
 	Login(ctx context.Context, user string) ([]crypt.Token, error)
 	Insert(ctx context.Context, tok crypt.Token, list zerber.ListID, el server.StoredElement) error

@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
@@ -13,6 +14,9 @@ import (
 	"zerberr/internal/cache"
 	"zerberr/internal/client"
 	"zerberr/internal/cluster"
+	"zerberr/internal/crypt"
+	"zerberr/internal/obs"
+	"zerberr/internal/replica"
 	"zerberr/internal/server"
 	"zerberr/internal/zerber"
 )
@@ -33,9 +37,10 @@ func TestRouterCacheRevalidation(t *testing.T) {
 			const shards = 3
 			servers := make([]*server.Server, shards)
 			transports := make([]client.Transport, shards)
+			reg := obs.NewRegistry()
 			for i := range servers {
 				servers[i] = server.New(secret, time.Hour)
-				servers[i].SetCache(cache.New(1 << 20))
+				servers[i].SetObs(reg)
 				servers[i].RegisterUser("u", 0, 1)
 				if mode == "local" {
 					transports[i] = client.Local{S: servers[i]}
@@ -172,22 +177,16 @@ func TestRouterCacheRevalidation(t *testing.T) {
 				t.Fatalf("write-below batch cost %d wire bytes, warm batch %d", below.WireBytes, warm.WireBytes)
 			}
 			// The next batch is conditional on the re-retained version:
-			// every shard takes the equal-version path, which reads
-			// neither its store nor its cache.
-			lookups := func() (n uint64) {
-				for _, srv := range servers {
-					st, _ := srv.CacheStats()
-					n += st.Hits + st.Misses
-				}
-				return n
-			}
-			before := lookups()
+			// every shard takes the equal-version path, and none compares
+			// a tag again.
+			shardRevalidated := reg.Counter(server.MetricQueryRevalidated, "")
+			before := shardRevalidated.Value()
 			again, err := cached.QueryBatch(ctx, toks, queries)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n := lookups(); n != before {
-				t.Fatalf("batch after the re-retain made %d shard cache lookups, want 0", n-before)
+			if n := shardRevalidated.Value(); n != before {
+				t.Fatalf("batch after the re-retain revalidated %d windows by tag, want 0", n-before)
 			}
 			compare("after-write-below")
 			if n := cached.Revalidated(); n != 1 || again.WireBytes != warm.WireBytes {
@@ -212,8 +211,8 @@ func TestRouterCacheRevalidation(t *testing.T) {
 	}
 }
 
-// TestRevalidationUnderWriters races a cached router over a cached
-// server against 4 writers inserting and removing at random ranks, in
+// TestRevalidationUnderWriters races a cached router over a server
+// against 4 writers inserting and removing at random ranks, in
 // groups the reader sees and one it does not, so retained windows are
 // revalidated at moved versions while their lists move. Every
 // observation of one (list, version, offset, count) must carry one
@@ -228,7 +227,6 @@ func TestRevalidationUnderWriters(t *testing.T) {
 	)
 	secret := []byte("revalidation-writers-secret")
 	srv := server.New(secret, time.Hour)
-	srv.SetCache(cache.New(1 << 20))
 	srv.RegisterUser("reader", 0, 1)
 	srv.RegisterUser("writer", 0, 1, 2)
 	cached, err := cluster.NewRouter(client.Local{S: srv})
@@ -387,5 +385,92 @@ func TestRevalidationUnderWriters(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// downMember is a replica-set member whose reads fail with a transport
+// fault once down is set: a killed process, as the set sees it.
+type downMember struct {
+	client.Transport
+	down bool
+}
+
+func (d *downMember) QueryBatch(ctx context.Context, toks []crypt.Token, queries []server.ListQuery) (client.BatchQueryResult, error) {
+	if d.down {
+		return client.BatchQueryResult{}, errors.New("dial tcp: connection refused")
+	}
+	return d.Transport.QueryBatch(ctx, toks, queries)
+}
+
+// TestRevalidationAcrossMembers: a router retains a window served by a
+// replica set's primary; the list moves below the window, the primary
+// goes down, and the router's conditional read fails over to a member
+// that never served the window, at a version that member never had
+// (members draw their own version epochs). The window's tag is all that
+// member needs: it answers Unchanged, and the router re-stamps the
+// window at that member's version.
+func TestRevalidationAcrossMembers(t *testing.T) {
+	secret := []byte("revalidation-members-secret")
+	members := make([]*server.Server, 2)
+	regs := make([]*obs.Registry, 2)
+	for i := range members {
+		members[i] = server.New(secret, time.Hour)
+		regs[i] = obs.NewRegistry()
+		members[i].SetObs(regs[i])
+		members[i].RegisterUser("u", 0)
+	}
+	primary := &downMember{Transport: client.Local{S: members[0]}}
+	set, err := replica.NewSet(primary, client.Local{S: members[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	router, err := cluster.NewRouter(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	router.SetCache(cache.New(1 << 20))
+	ctx := context.Background()
+	toks, err := router.Login(ctx, "u")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := make([]server.InsertOp, 20)
+	for i := range ops {
+		ops[i] = server.InsertOp{List: 1, Element: server.StoredElement{Sealed: []byte(fmt.Sprintf("e%02d", i)), TRS: float64(1+i) / 21, Group: 0}}
+	}
+	if err := router.InsertBatch(ctx, toks[0], ops); err != nil {
+		t.Fatal(err)
+	}
+	window := []server.ListQuery{{List: 1, Offset: 0, Count: 5}}
+	first, err := router.QueryBatch(ctx, toks, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	below := server.InsertOp{List: 1, Element: server.StoredElement{Sealed: []byte("below"), TRS: 0, Group: 0}}
+	if err := router.InsertBatch(ctx, toks[0], []server.InsertOp{below}); err != nil {
+		t.Fatal(err)
+	}
+	primary.down = true
+
+	got, err := router.QueryBatch(ctx, toks, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := set.Stats(); st.Failovers != 1 {
+		t.Fatalf("set stats %+v, want one failover", st)
+	}
+	revalidated := regs[1].Counter(server.MetricQueryRevalidated, "").Value()
+	if revalidated != 1 || router.Revalidated() != 1 {
+		t.Fatalf("the member that never served the window revalidated %d windows, the router re-stamped %d; want 1 and 1", revalidated, router.Revalidated())
+	}
+	want, _, err := client.Local{S: members[1]}.Query(ctx, toks, 1, 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := got.Responses[0]
+	if r.Unchanged || r.Version != want.Version || r.Version == first.Responses[0].Version ||
+		!reflect.DeepEqual(r.Elements, first.Responses[0].Elements) || !reflect.DeepEqual(r.Elements, want.Elements) {
+		t.Fatalf("failover answer %d elements at version %d; the member serves %d at %d, the primary served %d at %d",
+			len(r.Elements), r.Version, len(want.Elements), want.Version, len(first.Responses[0].Elements), first.Responses[0].Version)
 	}
 }

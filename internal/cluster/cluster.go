@@ -47,8 +47,10 @@ import (
 // window only if the window moved". A shard whose windows are unchanged
 // answers with tiny Unchanged markers and the router reuses the
 // retained windows — same elements, a fraction of the wire bytes. An
-// Unchanged marker at a newer version (the list moved outside the
-// window) re-stamps the retained window with that version.
+// unproven conditional sub-query also carries the retained window's tag
+// (server.TagOf), so a shard whose list moved outside the window still
+// answers Unchanged, at the newer version, and the router re-stamps the
+// retained window with it.
 type Router struct {
 	// tab is the live routing table. The slot count is fixed for the
 	// router's lifetime (list→slot assignment never moves); which
@@ -63,7 +65,8 @@ type Router struct {
 	// write can land on the old transport or miss the new one.
 	writeMu []sync.RWMutex
 	// results is the optional window cache (nil = off). The retained
-	// window's own Version is what conditional revalidation sends.
+	// window's own Version, and its tag, are what conditional
+	// revalidation sends.
 	results atomic.Pointer[cache.Cache]
 	// revalidated counts retained windows substituted at a moved
 	// version (Revalidated).
@@ -145,9 +148,10 @@ func (r *Router) SetCache(c *cache.Cache) { r.results.Store(c) }
 func (r *Router) Revalidated() uint64 { return r.revalidated.Load() }
 
 // groupsOf canonicalizes the groups the presented tokens claim — the
-// same set the shard's validated allowed-set will hold, so router and
-// server cache keys agree. (If a token is invalid the shard rejects
-// the batch before any window is served, cached or not.)
+// same set the shard's validated allowed-set will hold, so a window is
+// retained under the visibility it was read with. (If a token is
+// invalid the shard rejects the batch before any window is served,
+// retained or not.)
 func groupsOf(toks []crypt.Token) string {
 	set := make(map[int]bool, len(toks))
 	for _, tok := range toks {
@@ -277,11 +281,11 @@ func (r *Router) shardFanOut(ctx context.Context, n int, listOf func(i int) zerb
 // that point.
 //
 // With a cache installed, each sub-query the router holds a retained
-// window for goes out conditional on that window's shard version; an
-// Unchanged answer substitutes the retained window, element-identical
-// to what the shard would have re-served. An Unchanged answer at a
-// newer version re-retains the same window at that version, so the
-// next batch is conditional on it. Sub-queries whose callers set
+// window for goes out conditional on that window's shard version and,
+// unproven, on its tag; an Unchanged answer substitutes the retained
+// window, element-identical to what the shard would have re-served. An
+// Unchanged answer at a newer version re-retains the same window at
+// that version, so the next batch is conditional on it. Sub-queries whose callers set
 // IfVersion themselves are passed through untouched — the caller is
 // running its own revalidation and gets the raw Unchanged marker.
 func (r *Router) QueryBatch(ctx context.Context, toks []crypt.Token, queries []server.ListQuery) (client.BatchQueryResult, error) {
@@ -315,6 +319,10 @@ func (r *Router) QueryBatch(ctx context.Context, toks []crypt.Token, queries []s
 						w := &cachedWindow{res: res}
 						retained[gi] = w
 						sub[j].IfVersion = &w.res.Version
+						if !sub[j].Proof {
+							w.tag = server.TagOf(res.Elements, res.Exhausted)
+							sub[j].IfTag = &w.tag
+						}
 					}
 				}
 			}
@@ -399,11 +407,12 @@ func cloneBoundary(b *proof.Boundary) *proof.Boundary {
 }
 
 // cachedWindow pins one retained window for the duration of a batch,
-// so the IfVersion pointer sent to the shard and the window
+// so the IfVersion and IfTag pointers sent to the shard and the window
 // substituted on Unchanged cannot come from two different cache
 // generations.
 type cachedWindow struct {
 	res store.QueryResult
+	tag server.WindowTag
 }
 
 // windowKey is the router's version-agnostic cache key for one

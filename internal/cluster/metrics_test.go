@@ -22,7 +22,6 @@ import (
 	"testing"
 	"time"
 
-	"zerberr/internal/cache"
 	"zerberr/internal/client"
 	"zerberr/internal/crypt"
 	"zerberr/internal/obs"
@@ -63,7 +62,6 @@ func TestMetricsScrapeExposition(t *testing.T) {
 	srv0 := server.NewWithBackend(secret, time.Hour, durable)
 	defer srv0.Close()
 	srv0.SetObs(reg)
-	srv0.SetCache(cache.New(1 << 20))
 	srv0.SetAdmission(&server.AdmissionConfig{PerUserRate: 1000, MaxInFlight: 64})
 	srv1 := server.New(secret, time.Hour)
 	router, err := NewRouter(client.Local{S: srv0}, client.Local{S: srv1})
@@ -75,8 +73,8 @@ func TestMetricsScrapeExposition(t *testing.T) {
 	srv1.RegisterUser(user, 0)
 
 	// Traffic through every layer: the HTTP handler (endpoint/code
-	// families), the durable backend (WAL families), the cache (miss
-	// then hit) and the router (shard samplers).
+	// families), the durable backend (WAL families), a conditional read
+	// revalidated by its tag and the router (shard samplers).
 	ts := httptest.NewServer(srv0.Handler())
 	defer ts.Close()
 	ctx := context.Background()
@@ -96,18 +94,15 @@ func TestMetricsScrapeExposition(t *testing.T) {
 		}
 	}
 	below(128)
-	var first server.QueryResponse
-	for i := 0; i < 2; i++ { // second pass hits srv0's result cache
-		resp, _, err := (client.Local{S: srv0}).Query(ctx, toks, 0, 0, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		first = resp
+	first, _, err := (client.Local{S: srv0}).Query(ctx, toks, 0, 0, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// A write below the window, then a conditional read at the old
-	// version: revalidated, not re-served.
+	// version with the window's tag: revalidated, not re-served.
 	below(64)
-	if res, err := srv0.QueryBatch(ctx, toks, []server.ListQuery{{List: 0, Offset: 0, Count: 1, IfVersion: &first.Version}}); err != nil || !res[0].Unchanged {
+	tag := server.TagOf(first.Elements, first.Exhausted)
+	if res, err := srv0.QueryBatch(ctx, toks, []server.ListQuery{{List: 0, Offset: 0, Count: 1, IfVersion: &first.Version, IfTag: &tag}}); err != nil || !res[0].Unchanged {
 		t.Fatalf("conditional read after a write below the window: %+v, %v", res, err)
 	}
 	if resp, err := http.Get(ts.URL + "/v2/stats"); err != nil {
@@ -216,8 +211,7 @@ func TestMetricsScrapeExposition(t *testing.T) {
 		server.MetricMutationsTotal, server.MetricHTTPRequestSeconds,
 		server.MetricHTTPRequestsTotal, server.MetricHTTPInFlight,
 		server.MetricRateLimitedTotal, server.MetricShedTotal,
-		server.MetricCacheHitsTotal, server.MetricCacheMissesTotal,
-		server.MetricCacheBytes, server.MetricUptimeSeconds,
+		server.MetricUptimeSeconds,
 		server.MetricGoHeapLiveBytes, server.MetricGoHeapObjects,
 		server.MetricGoGCCycles, server.MetricGoGCCPUSeconds,
 		server.MetricGoGoroutines, server.MetricQueryRevalidated,
@@ -234,12 +228,10 @@ func TestMetricsScrapeExposition(t *testing.T) {
 		}
 	}
 
-	// The served traffic must be visible: a cache hit and a revalidation
-	// were recorded, the WAL appended the inserts, both shards saw
+	// The served traffic must be visible: a revalidation was recorded, the WAL appended the inserts, both shards saw
 	// operations.
 	text := string(body)
 	for _, want := range []string{
-		server.MetricCacheHitsTotal + " 1",
 		server.MetricQueryRevalidated + " 1",
 		store.MetricWALRecordsTotal + " 4",    // the two even lists, two writes below
 		MetricShardOpsTotal + `{shard="0"} 5`, // login + four inserts

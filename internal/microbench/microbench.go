@@ -20,7 +20,6 @@ import (
 	"testing"
 	"time"
 
-	"zerberr/internal/cache"
 	"zerberr/internal/client"
 	"zerberr/internal/crypt"
 	"zerberr/internal/obs"
@@ -55,13 +54,17 @@ const Ungated = -1
 // bytes over a real server are that benchmark's rows, not legs here.
 // What benchmark/ cannot see, leg by leg:
 //
-//   - QueryFollowup/indexed, QueryCached/*, QueryInstrumented/hit:
+//   - QueryFollowup/indexed, QueryRound/*, QueryInstrumented/unchanged:
 //     allocation counts on the read hot path (benchmark/ reports
-//     milliseconds per layer, never allocations), and the < 5 %
-//     observability gate of QueryInstrumented/hit over QueryCached/hit.
-//     QueryCached/revalidate is the conditional read of a window whose
-//     list moved below it, which `mixed` pays on most of its router's
-//     sub-queries but only ever shows as bytes saved.
+//     milliseconds per layer, never allocations), and the 1 µs budget
+//     of the ops plane, QueryInstrumented/unchanged over
+//     QueryRound/unchanged: the equal-version conditional round (token
+//     check, version read, no store read), the smallest base a round
+//     has. QueryRound/full is the same windows read in full.
+//     QueryRound/tag is the conditional read of a window whose list
+//     moved below it — the read plus the tag of the window — which
+//     `mixed` pays on most of its router's sub-queries but only ever
+//     shows as bytes saved.
 //   - ProofQuery/proved: server-side proof assembly alone, at 15k
 //     leaves per group — benchmark/'s store.query_proved_ms is the same
 //     cost summed over a search's rounds on ≈ 625-leaf groups, where
@@ -110,10 +113,10 @@ const Ungated = -1
 func Suite() []Bench {
 	return []Bench{
 		{Name: "QueryFollowup/indexed", F: queryFollowupIndexed, MaxAllocs: 27},
-		{Name: "QueryCached/hit", F: queryCachedHit, MaxAllocs: 24},
-		{Name: "QueryCached/uncached", F: queryCachedUncached, MaxAllocs: 42},
-		{Name: "QueryCached/revalidate", F: queryCachedRevalidate, MaxAllocs: 48},
-		{Name: "QueryInstrumented/hit", F: queryInstrumentedHit, MaxAllocs: 24},
+		{Name: "QueryRound/unchanged", F: queryRoundUnchanged, MaxAllocs: 18},
+		{Name: "QueryRound/full", F: queryRoundFull, MaxAllocs: 42},
+		{Name: "QueryRound/tag", F: queryRoundTag, MaxAllocs: 42},
+		{Name: "QueryInstrumented/unchanged", F: queryInstrumentedUnchanged, MaxAllocs: 18},
 		{Name: "ProofQuery/proved", F: proofQueryProved, MaxAllocs: 158},
 		{Name: "ProofQuery/after-write", F: proofQueryAfterWrite, MaxAllocs: Ungated},
 		{Name: "ProofQuery/verify", F: proofQueryVerify, MaxAllocs: 2},
@@ -128,8 +131,8 @@ func Suite() []Bench {
 		{Name: "StoreRecover/first-query/mmap", F: storeRecoverMmap, MaxAllocs: 574},
 		{Name: "StoreRecover/wal-only", F: storeRecoverWAL, MaxAllocs: 83183},
 		{Name: "StoreRecover/snapshot", F: storeRecoverSnapshot, MaxAllocs: 111},
-		{Name: "ReplicaRead/healthy", F: replicaReadHealthy, MaxAllocs: 9},
-		{Name: "ReplicaRead/failover", F: replicaReadFailover, MaxAllocs: 15},
+		{Name: "ReplicaRead/healthy", F: replicaReadHealthy, MaxAllocs: 7},
+		{Name: "ReplicaRead/failover", F: replicaReadFailover, MaxAllocs: 7},
 		{Name: "CryptOpen/aes-gcm", F: func(b *testing.B) { cryptOpen(b, crypt.GCMCodec{}) }, MaxAllocs: 1},
 		{Name: "CryptSeal/aes-gcm", F: cryptSealGCM, MaxAllocs: Ungated},
 		{Name: "CryptOpen/compact64", F: func(b *testing.B) { cryptOpen(b, crypt.Compact64Codec{}) }, MaxAllocs: 1},
@@ -201,11 +204,10 @@ func queryFollowupIndexed(b *testing.B) {
 	}
 }
 
-// --- cached-server fixture ------------------------------------------
+// --- server fixture --------------------------------------------------
 
 type serverFixture struct {
-	cached       *server.Server
-	uncached     *server.Server
+	plain        *server.Server
 	instrumented *server.Server
 	toks         []crypt.Token
 }
@@ -216,95 +218,106 @@ var (
 )
 
 // servers builds (once) two servers over the same warmed 120k-element
-// backend — one with a result cache, one without — and a logged-in
-// token set covering half the groups, mirroring the follow-up
-// workload's visibility.
+// backend and a logged-in token set covering half the groups, mirroring
+// the follow-up workload's visibility. The instrumented one has the
+// full ops plane armed: a live metrics registry (per-round histogram
+// observations on every query) and admission control with a rate far
+// above the workload, so every op pays the token-bucket check without
+// ever being refused. Its delta over the plain server is the ops
+// plane's whole hot-path cost.
 func servers() *serverFixture {
 	srvOnce.Do(func() {
 		mem := bigList()
 		secret := []byte("microbench-secret")
-		cached := server.NewWithBackend(secret, time.Hour, mem)
-		cached.SetCache(cache.New(64 << 20))
-		uncached := server.NewWithBackend(secret, time.Hour, mem)
-		// The instrumented server is the cached one with the full ops
-		// plane armed: a live metrics registry (per-round histogram
-		// observations on every query) and admission control with a
-		// rate far above the workload, so every op pays the token-bucket
-		// check without ever being refused. Its delta over QueryCached/hit
-		// is the ops plane's whole hot-path cost.
+		plain := server.NewWithBackend(secret, time.Hour, mem)
 		instrumented := server.NewWithBackend(secret, time.Hour, mem)
-		instrumented.SetCache(cache.New(64 << 20))
 		instrumented.SetObs(obs.NewRegistry())
 		instrumented.SetAdmission(&server.AdmissionConfig{PerUserRate: 1e12, MaxInFlight: 1 << 20})
-		cached.RegisterUser("bench", 0, 2, 4, 6)
+		plain.RegisterUser("bench", 0, 2, 4, 6)
 		instrumented.RegisterUser("bench", 0, 2, 4, 6)
-		toks, err := cached.Login(context.Background(), "bench")
+		toks, err := plain.Login(context.Background(), "bench")
 		if err != nil {
 			panic(err)
 		}
-		srvFix = &serverFixture{cached: cached, uncached: uncached, instrumented: instrumented, toks: toks}
+		srvFix = &serverFixture{plain: plain, instrumented: instrumented, toks: toks}
 	})
 	return srvFix
 }
 
-// queryCached drives the repeated-query path — the same deep follow-up
-// windows over and over, as hot terms see — against the given server.
-func queryCached(b *testing.B, s *server.Server, toks []crypt.Token) {
+// queryRounds drives rounds, one at a time, against s: a conditional
+// round must come back Unchanged, any other in full. One pass outside
+// the timer enters the tokens in the server's verified-token table.
+func queryRounds(b *testing.B, s *server.Server, toks []crypt.Token, rounds []server.ListQuery) {
 	ctx := context.Background()
-	// Warm outside the timer (fills the cache on the cached server).
-	for round := range followupRounds {
-		if _, err := s.QueryBatch(ctx, toks, followupRounds[round:round+1]); err != nil {
+	for round := range rounds {
+		if _, err := s.QueryBatch(ctx, toks, rounds[round:round+1]); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for round, r := range followupRounds {
-			resps, err := s.QueryBatch(ctx, toks, followupRounds[round:round+1])
+		for round, q := range rounds {
+			resps, err := s.QueryBatch(ctx, toks, rounds[round:round+1])
 			if err != nil {
 				b.Fatal(err)
 			}
-			if len(resps[0].Elements) != r.Count {
-				b.Fatalf("offset %d: %d elements", r.Offset, len(resps[0].Elements))
+			if r := resps[0]; r.Unchanged != (q.IfVersion != nil) || !r.Unchanged && len(r.Elements) != q.Count {
+				b.Fatalf("offset %d: unchanged=%v, %d elements", q.Offset, r.Unchanged, len(r.Elements))
 			}
 		}
 	}
 }
 
-// queryCachedHit is the repeated-query path with the result cache on:
-// after the warm-up, every window is a version-checked cache hit.
-func queryCachedHit(b *testing.B) {
-	f := servers()
-	queryCached(b, f.cached, f.toks)
+// unchangedRounds are the follow-up windows made conditional on the
+// list's current version, which nothing moves.
+func unchangedRounds(b *testing.B) []server.ListQuery {
+	ver, err := bigList().Version(fixtureList)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rounds := slices.Clone(followupRounds)
+	for i := range rounds {
+		rounds[i].IfVersion = &ver
+	}
+	return rounds
 }
 
-// queryCachedUncached is the identical workload with no cache — every
-// repetition pays the full probe-and-merge read.
-func queryCachedUncached(b *testing.B) {
+// queryRoundUnchanged is the equal-version conditional round: token
+// check, version read, and an Unchanged answer, with no store read. It
+// is the smallest round a server serves, the base of the ops-plane
+// budget.
+func queryRoundUnchanged(b *testing.B) {
 	f := servers()
-	queryCached(b, f.uncached, f.toks)
+	queryRounds(b, f.plain, f.toks, unchangedRounds(b))
 }
 
-// queryInstrumentedHit is queryCachedHit with metrics and admission
-// armed: every query passes the per-user token bucket and lands a
-// histogram observation. CI compares it against QueryCached/hit to
-// bound the ops plane's hot-path overhead.
-func queryInstrumentedHit(b *testing.B) {
+// queryInstrumentedUnchanged is queryRoundUnchanged with metrics and
+// admission armed: every round passes the per-user token bucket and
+// lands a histogram observation. Its difference from
+// QueryRound/unchanged is the ops plane's budget.
+func queryInstrumentedUnchanged(b *testing.B) {
 	f := servers()
-	queryCached(b, f.instrumented, f.toks)
+	queryRounds(b, f.instrumented, f.toks, unchangedRounds(b))
 }
 
-// queryCachedRevalidate prices the conditional read of a window whose
-// list moved below it: the version read, the lookup of the entry at the
-// caller's version, the store read and the comparison that answers
-// Unchanged. Outside the timer each iteration moves the list with a
-// write at its bottom rank (an insert, then its removal), so every
-// sub-query names the version before the write.
-func queryCachedRevalidate(b *testing.B) {
+// queryRoundFull is the repeated-query path — the same deep follow-up
+// windows over and over, as hot terms see — with every repetition
+// paying the full probe-and-merge read.
+func queryRoundFull(b *testing.B) {
+	f := servers()
+	queryRounds(b, f.plain, f.toks, followupRounds)
+}
+
+// queryRoundTag prices the conditional read of a window whose list
+// moved below it: the version read, the store read, and the tag of the
+// read compared with the caller's, which answers Unchanged. Outside the
+// timer each iteration moves the list with a write at its bottom rank
+// (an insert, then its removal), so every sub-query names the version
+// before the write.
+func queryRoundTag(b *testing.B) {
 	mem := writeList()
 	s := server.NewWithBackend([]byte("microbench-secret"), time.Hour, mem)
-	s.SetCache(cache.New(64 << 20))
 	s.RegisterUser("bench", 0, 2, 4, 6)
 	ctx := context.Background()
 	toks, err := s.Login(ctx, "bench")
@@ -316,11 +329,14 @@ func queryCachedRevalidate(b *testing.B) {
 		b.Fatal(err)
 	}
 	rounds := slices.Clone(followupRounds)
+	tags := make([]server.WindowTag, len(rounds))
 	for round := range rounds {
-		if _, err := s.QueryBatch(ctx, toks, rounds[round:round+1]); err != nil {
+		resps, err := s.QueryBatch(ctx, toks, rounds[round:round+1])
+		if err != nil {
 			b.Fatal(err)
 		}
-		rounds[round].IfVersion = &ver
+		tags[round] = server.TagOf(resps[0].Elements, resps[0].Exhausted)
+		rounds[round].IfVersion, rounds[round].IfTag = &ver, &tags[round]
 	}
 	bottom := store.Element{Sealed: []byte("microbench-bottom"), TRS: -1, Group: 0}
 	write := func(i int) {
@@ -361,7 +377,7 @@ func queryCachedRevalidate(b *testing.B) {
 
 // proofQueryProved prices the audit path at steady state: QueryProved
 // over the warmed 120k-element list, replaying the same deep follow-up
-// windows as QueryCached. The commitment's leaves are materialized
+// windows as QueryRound/full. The commitment's leaves are materialized
 // once outside the timer (first-touch cost, paid per list lifetime),
 // so the measured cost is window assembly plus range-multiproof
 // generation — the delta over QueryFollowup/indexed is what an audited
@@ -387,10 +403,9 @@ func proofQueryProved(b *testing.B) {
 }
 
 // writeList is the writing legs' own copy of the fixture
-// (ProofQuery/after-write, QueryCached/revalidate): they mutate its
-// list and each leaves it as it found it, and the read-only legs'
-// windows (and the servers' caches over them) must not move under
-// them.
+// (ProofQuery/after-write, QueryRound/tag): they mutate its list and
+// each leaves it as it found it, and the read-only legs' windows must
+// not move under them.
 var writeList = sync.OnceValue(newBigList)
 
 // proofQueryAfterWrite prices what a write costs the next audit: one
@@ -912,7 +927,7 @@ func replicaSets() *replicaFixture {
 	replOnce.Do(func() {
 		f := servers()
 		replica1 := client.Local{S: server.NewWithBackend([]byte("microbench-secret"), time.Hour, bigList())}
-		healthy, err := replica.NewSet(client.Local{S: f.cached}, replica1)
+		healthy, err := replica.NewSet(client.Local{S: f.plain}, replica1)
 		if err != nil {
 			panic(err)
 		}
@@ -925,28 +940,31 @@ func replicaSets() *replicaFixture {
 	return replFix
 }
 
-// replicaRead drives the deep follow-up window through a replica set.
+// replicaRead drives the first deep follow-up window through a replica
+// set, conditional on the list's current version: every member answers
+// it without reading its store, so what is left is the set's own cost.
 func replicaRead(b *testing.B, set *replica.Set) {
 	f := servers()
 	ctx := context.Background()
-	r := followupRounds[0]
+	round := unchangedRounds(b)[:1]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := set.QueryBatch(ctx, f.toks, followupRounds[:1])
+		res, err := set.QueryBatch(ctx, f.toks, round)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res.Responses[0].Elements) != r.Count {
-			b.Fatalf("%d elements", len(res.Responses[0].Elements))
+		if !res.Responses[0].Unchanged {
+			b.Fatalf("%d elements, not unchanged", len(res.Responses[0].Elements))
 		}
 	}
 }
 
 // replicaReadHealthy measures a replica-set read with a healthy
 // primary: the read runs inline on the caller's context with no timer,
-// goroutine or channel, so the delta over QueryCached/hit is the set's
-// own bookkeeping (the read order and the root check).
+// goroutine or channel, so the delta over one round of
+// QueryRound/unchanged is the set's own bookkeeping (the read order and
+// the root check).
 func replicaReadHealthy(b *testing.B) { replicaRead(b, replicaSets().healthy) }
 
 // replicaReadFailover is the same read with the primary down: the

@@ -159,7 +159,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 
 // CounterFunc registers a counter whose value is sampled at scrape
 // time — for components that already maintain their own counters
-// (e.g. the query-result cache's hit/miss totals).
+// (e.g. a replica set's failover totals).
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
 	r.register(name, help, kindCounter, labels, func() exposable { return funcMetric(fn) })
 }

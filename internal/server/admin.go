@@ -30,7 +30,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"zerberr/internal/cache"
 	"zerberr/internal/store"
 	"zerberr/internal/zerber"
 )
@@ -103,8 +102,7 @@ func (s *Server) ExportSnapshot(ctx context.Context) (SnapshotExport, error) {
 }
 
 // ImportSnapshot replaces the shard's entire contents with a dump
-// produced by ExportSnapshot, dropping any result-cache state the old
-// contents may still validate under a colliding version epoch.
+// produced by ExportSnapshot.
 func (s *Server) ImportSnapshot(ctx context.Context, data []byte) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -117,12 +115,6 @@ func (s *Server) ImportSnapshot(ctx context.Context, data []byte) error {
 			return fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
 		return fmt.Errorf("server: importing snapshot: %w", err)
-	}
-	// The cache keys on (list, groups, window, version); imported
-	// versions come from another instance's epoch, so entries cached
-	// against the pre-import content can no longer be trusted to miss.
-	if c := s.results.Load(); c != nil {
-		s.SetCache(cache.New(c.Stats().Capacity))
 	}
 	if m := s.met.Load(); m != nil {
 		m.snapImports.Inc()

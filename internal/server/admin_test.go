@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"zerberr/internal/cache"
 	"zerberr/internal/obs"
 	"zerberr/internal/store"
 	"zerberr/internal/zerber"
@@ -318,17 +317,17 @@ func TestAdminHTTPSnapshotTransfer(t *testing.T) {
 	}
 }
 
-func TestAdminImportPurgesResultCache(t *testing.T) {
+// TestAdminImportServesImportedContent: after an import, reads serve
+// the imported lists, and a window retained before it is not
+// revalidated — its tag names content the shard no longer holds.
+func TestAdminImportServesImportedContent(t *testing.T) {
 	ctx := context.Background()
 	s := New([]byte("secret"), time.Hour)
-	s.SetCache(cache.New(1 << 20))
 	seedServer(t, s, 1, 5)
 	toks := mustLogin(t, s, "owner")
-	if _, err := queryOne(ctx, s, toks, 0, 0, 5); err != nil {
+	before, err := queryOne(ctx, s, toks, 0, 0, 5)
+	if err != nil {
 		t.Fatal(err)
-	}
-	if st, ok := s.CacheStats(); !ok || st.Entries == 0 {
-		t.Fatal("warm-up query did not populate the cache")
 	}
 	other := New([]byte("secret"), time.Hour)
 	seedServer(t, other, 1, 2)
@@ -339,14 +338,19 @@ func TestAdminImportPurgesResultCache(t *testing.T) {
 	if err := s.ImportSnapshot(ctx, exp.Data); err != nil {
 		t.Fatal(err)
 	}
-	if st, ok := s.CacheStats(); !ok || st.Entries != 0 {
-		t.Fatalf("import left %d cache entries behind", st.Entries)
-	}
 	resp, err := queryOne(ctx, s, toks, 0, 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(resp.Elements) != 2 {
 		t.Fatalf("post-import query sees %d elements, want the imported 2", len(resp.Elements))
+	}
+	tag := TagOf(before.Elements, before.Exhausted)
+	got, err := s.QueryBatch(ctx, toks, []ListQuery{{List: 0, Offset: 0, Count: 5, IfVersion: &before.Version, IfTag: &tag}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0].Unchanged || len(got[0].Elements) != 2 {
+		t.Fatalf("conditional read of the pre-import window: unchanged=%v, %d elements; want the imported 2", got[0].Unchanged, len(got[0].Elements))
 	}
 }

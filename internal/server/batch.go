@@ -13,14 +13,16 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 
-	"zerberr/internal/cache"
 	"zerberr/internal/crypt"
 	"zerberr/internal/store"
 	"zerberr/internal/zerber"
@@ -36,16 +38,20 @@ type ListQuery struct {
 	// retained this window from an earlier response served at this
 	// version (the cluster router does this per shard). If the list's
 	// current version equals it, the response is just {Version,
-	// Unchanged: true}. If the version moved, an unproven sub-query is
-	// still answered Unchanged, at the current version, when the server
-	// cached the window at IfVersion and the current read equals it —
-	// a write outside the window, such as below it or in a group the
-	// caller cannot see, leaves the window as it was. Anything else
-	// serves the full window as usual. An Unchanged answer to a proved
-	// sub-query carries no proof either: it is only given at an equal
-	// version, which commits to identical state, so the retained proof
-	// still verifies.
+	// Unchanged: true}. If the version moved, an unproven sub-query that
+	// also carries IfTag is still answered Unchanged, at the current
+	// version, when the tag of the current read equals IfTag — a write
+	// outside the window, such as below it or in a group the caller
+	// cannot see, leaves the window as it was. Anything else serves the
+	// full window as usual. An Unchanged answer to a proved sub-query
+	// carries no proof either: it is only given at an equal version,
+	// which commits to identical state, so the retained proof still
+	// verifies.
 	IfVersion *uint64
+	// IfTag is the tag (TagOf) of the window the caller retained at
+	// IfVersion. It is only valid beside IfVersion on an unproven
+	// sub-query; anything else is a bad request.
+	IfTag *WindowTag
 	// Proof asks for the window's Merkle proof (QueryResponse.Proof).
 	// Unproven sub-queries are byte-identical to pre-proof servers.
 	Proof bool
@@ -56,6 +62,51 @@ type ListQuery struct {
 	// which omits what that verification left the caller holding. Any
 	// other version gets the full proof.
 	ProofFrom *uint64
+}
+
+// TagSize is the length of a window tag.
+const TagSize = 16
+
+// WindowTag names a window's content: SHA-256, truncated to TagSize
+// bytes, over the window's Exhausted flag and then each element's TRS,
+// group, payload length and sealed bytes (TagOf).
+type WindowTag [TagSize]byte
+
+// TagOf computes the tag of a window. Two windows with one tag are
+// taken to be the same window: a collision needs about 2^64 tries, and
+// a caller can only reach windows its tokens already let it read.
+func TagOf(elems []StoredElement, exhausted bool) WindowTag {
+	h := sha256.New()
+	var buf [sha256.Size]byte
+	if exhausted {
+		buf[0] = 1
+	}
+	h.Write(buf[:1])
+	for _, el := range elems {
+		binary.BigEndian.PutUint64(buf[:8], math.Float64bits(el.TRS))
+		binary.BigEndian.PutUint64(buf[8:16], uint64(int64(el.Group)))
+		binary.BigEndian.PutUint64(buf[16:24], uint64(len(el.Sealed)))
+		h.Write(buf[:24])
+		h.Write(el.Sealed)
+	}
+	var t WindowTag
+	copy(t[:], h.Sum(buf[:0]))
+	return t
+}
+
+// checkTag refuses a tag the server could not use: one without the
+// version it revalidates, or on a proved sub-query, whose retained proof
+// commits to its own version's root and so stays version-equal only.
+func checkTag(q ListQuery) error {
+	switch {
+	case q.IfTag == nil:
+		return nil
+	case q.IfVersion == nil:
+		return fmt.Errorf("%w: window tag without a version", ErrBadRequest)
+	case q.Proof:
+		return fmt.Errorf("%w: window tag on a proved sub-query", ErrBadRequest)
+	}
+	return nil
 }
 
 // InsertOp is one element upload of a batched insert: a type alias of
@@ -131,6 +182,9 @@ func (s *Server) QueryBatch(ctx context.Context, toks []crypt.Token, queries []L
 		if q.Offset < 0 || q.Count <= 0 {
 			return nil, &BatchError{Index: i, Err: fmt.Errorf("%w: offset %d count %d", ErrBadRequest, q.Offset, q.Count)}
 		}
+		if err := checkTag(q); err != nil {
+			return nil, &BatchError{Index: i, Err: err}
+		}
 	}
 	allowed, now, err := s.allowedGroups(toks)
 	if err != nil {
@@ -143,12 +197,6 @@ func (s *Server) QueryBatch(ctx context.Context, toks []crypt.Token, queries []L
 		return nil, err
 	}
 	defer s.met.Load().endRound(len(queries), now)
-	// One cache and one key for the group set serve the whole round.
-	c := s.results.Load()
-	var groups string
-	if c != nil {
-		groups = cache.GroupsKey(allowed)
-	}
 	out := make([]QueryResponse, len(queries))
 	errs := make([]error, len(queries))
 	// Workers claim sub-queries in request order until one fails or the
@@ -166,7 +214,7 @@ func (s *Server) QueryBatch(ctx context.Context, toks []crypt.Token, queries []L
 			if i >= len(queries) {
 				return
 			}
-			out[i], errs[i] = s.queryAllowed(c, groups, allowed, queries[i])
+			out[i], errs[i] = s.queryAllowed(allowed, queries[i])
 			if errs[i] != nil {
 				run.failed.Store(true)
 			}
@@ -359,16 +407,6 @@ func (s *Server) statsV2(ctx context.Context, roots bool) (StatsV2Response, erro
 		Elements: elements,
 		Backend:  s.backend.Name(),
 		PerList:  per,
-	}
-	if cs, ok := s.CacheStats(); ok {
-		resp.Cache = &CacheStatsV2{
-			Hits:      cs.Hits,
-			Misses:    cs.Misses,
-			Evictions: cs.Evictions,
-			Entries:   cs.Entries,
-			Bytes:     cs.Bytes,
-			Capacity:  cs.Capacity,
-		}
 	}
 	resp.Ops = s.opsStats()
 	return resp, nil

@@ -156,7 +156,9 @@ func FuzzWireResponse(f *testing.F) {
 // refused as a bad request; for FuzzQueryRequest the golden request,
 // its truncations, each flag combination and the hostile counts; for
 // FuzzWireResponse the golden response, its truncations and the golden
-// window's continuation.
+// window's continuation. The FuzzQueryRequest seeds include a tagged
+// conditional (seed_tagged), which re-encodes to itself, and the same
+// frame one byte short of its tag.
 func writeFuzzSeeds(t *testing.T) {
 	s := fuzzServer()
 	seeds := fuzzSeeds(t, s)
@@ -215,6 +217,11 @@ func writeFuzzSeeds(t *testing.T) {
 		}
 		writeCorpusFile(t, "FuzzQueryRequest", fmt.Sprintf("seed_flags_%d", flags), fmt.Sprintf("[]byte(%q)\n", AppendQueryRequest(nil, toks[:1], []ListQuery{q})))
 	}
+	v := uint64(0x2a00000007)
+	tag := WindowTag{0: 0xa5, 15: 0x5a}
+	tagged := AppendQueryRequest(nil, toks[:1], []ListQuery{{List: 5, Offset: 10, Count: 20, IfVersion: &v, IfTag: &tag}})
+	writeCorpusFile(t, "FuzzQueryRequest", "seed_tagged", fmt.Sprintf("[]byte(%q)\n", tagged))
+	writeCorpusFile(t, "FuzzQueryRequest", "seed_tag_truncated", fmt.Sprintf("[]byte(%q)\n", hostileQuery(tagged[wireHeaderLen:len(tagged)-1])))
 	writeCorpusFile(t, "FuzzQueryRequest", "seed_huge_token_count", fmt.Sprintf("[]byte(%q)\n", hostileQuery(binary.AppendUvarint(nil, 1<<62))))
 	writeCorpusFile(t, "FuzzQueryRequest", "seed_huge_query_count", fmt.Sprintf("[]byte(%q)\n", hugeQuery))
 	writeCorpusFile(t, "FuzzQueryRequest", "seed_list_overflow", fmt.Sprintf("[]byte(%q)\n", overflow))

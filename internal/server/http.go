@@ -49,26 +49,12 @@ type LoginResponse struct {
 	Tokens []crypt.Token `json:"tokens"`
 }
 
-// CacheStatsV2 is the query-result cache section of the /v2/stats
-// payload.
-type CacheStatsV2 struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Entries   int    `json:"entries"`
-	Bytes     int64  `json:"bytes"`
-	Capacity  int64  `json:"capacity"`
-}
-
 // StatsV2Response is the /v2/stats payload.
 type StatsV2Response struct {
 	Lists    int        `json:"lists"`
 	Elements int        `json:"elements"`
 	Backend  string     `json:"backend"`
 	PerList  []ListStat `json:"per_list"`
-	// Cache carries the query-result cache counters; absent when no
-	// cache is installed.
-	Cache *CacheStatsV2 `json:"cache,omitempty"`
 	// Ops carries the operational signals (uptime, query latency
 	// quantiles, admission counters); absent when no metrics registry
 	// is installed. `zerber status` renders it.

@@ -30,10 +30,6 @@ const (
 	MetricHTTPInFlight       = "zerber_http_inflight_requests"
 	MetricRateLimitedTotal   = "zerber_requests_rate_limited_total"
 	MetricShedTotal          = "zerber_requests_shed_total"
-	MetricCacheHitsTotal     = "zerber_cache_hits_total"
-	MetricCacheMissesTotal   = "zerber_cache_misses_total"
-	MetricCacheEvictsTotal   = "zerber_cache_evictions_total"
-	MetricCacheBytes         = "zerber_cache_bytes"
 	MetricUptimeSeconds      = "zerber_uptime_seconds"
 	// Go runtime families, sampled from runtime/metrics at scrape time:
 	// what the process's heap and collector cost, beside what it serves.
@@ -73,9 +69,9 @@ type serverMetrics struct {
 	opsApplied  *obs.Counter // admin-applied tail operations
 }
 
-// SetObs installs a metrics registry: the server registers its query
-// and admission families plus scrape-time samplers over the result
-// cache, and Handler will serve the whole registry at GET /metrics.
+// SetObs installs a metrics registry: the server registers its query,
+// admission and admin families plus scrape-time samplers over the Go
+// runtime, and Handler will serve the whole registry at GET /metrics.
 // Call before Handler so the HTTP middleware can pre-create its
 // per-endpoint families. Nil removes instrumentation.
 func (s *Server) SetObs(reg *obs.Registry) {
@@ -109,25 +105,6 @@ func (s *Server) SetObs(reg *obs.Registry) {
 	reg.CounterFunc(MetricGoGCCycles, "completed garbage collection cycles", runtimeMetric("/gc/cycles/total:gc-cycles"))
 	reg.CounterFunc(MetricGoGCCPUSeconds, "estimated CPU time spent in garbage collection", runtimeMetric("/cpu/classes/gc/total:cpu-seconds"))
 	reg.GaugeFunc(MetricGoGoroutines, "live goroutines", runtimeMetric("/sched/goroutines:goroutines"))
-	// The cache maintains its own counters; sample them at scrape
-	// time. The funcs read through the atomic cache pointer, so an
-	// installed-later or swapped cache is picked up transparently.
-	cacheCounter := func(pick func(CacheStatsV2) float64) func() float64 {
-		return func() float64 {
-			cs, ok := s.CacheStats()
-			if !ok {
-				return 0
-			}
-			return pick(CacheStatsV2{
-				Hits: cs.Hits, Misses: cs.Misses, Evictions: cs.Evictions,
-				Entries: cs.Entries, Bytes: cs.Bytes, Capacity: cs.Capacity,
-			})
-		}
-	}
-	reg.CounterFunc(MetricCacheHitsTotal, "query-result cache hits", cacheCounter(func(c CacheStatsV2) float64 { return float64(c.Hits) }))
-	reg.CounterFunc(MetricCacheMissesTotal, "query-result cache misses", cacheCounter(func(c CacheStatsV2) float64 { return float64(c.Misses) }))
-	reg.CounterFunc(MetricCacheEvictsTotal, "query-result cache evictions", cacheCounter(func(c CacheStatsV2) float64 { return float64(c.Evictions) }))
-	reg.GaugeFunc(MetricCacheBytes, "query-result cache resident bytes", cacheCounter(func(c CacheStatsV2) float64 { return float64(c.Bytes) }))
 	s.met.Store(m)
 }
 

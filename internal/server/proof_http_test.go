@@ -2,8 +2,8 @@ package server
 
 // Differential tests for audit-on-demand: proved sub-queries carry a
 // verifying window, while proof-off traffic stays byte-for-byte what a
-// pre-proof server produced — even after the cache memoized a proof
-// for the very same window.
+// pre-proof server produced — even right after a proof was served for
+// the very same window.
 
 import (
 	"bytes"
@@ -13,18 +13,16 @@ import (
 	"testing"
 	"time"
 
-	"zerberr/internal/cache"
 	"zerberr/internal/crypt"
 	"zerberr/internal/obs"
 	"zerberr/internal/proof"
 )
 
-// proofTestServer builds a cached server with one three-group list
+// proofTestServer builds a server with one three-group list
 // and a user in groups 0 and 1 (group 2 stays foreign).
 func proofTestServer(t *testing.T) (*Server, *httptest.Server, []crypt.Token) {
 	t.Helper()
 	s := New(secret, time.Hour)
-	s.SetCache(cache.New(4 << 20))
 	s.RegisterUser("auditor", 0, 1)
 	s.RegisterUser("writer", 0, 1, 2)
 	ts := httptest.NewServer(s.Handler())
@@ -130,8 +128,8 @@ func TestHTTPProofRoundTrip(t *testing.T) {
 
 // TestProofOffByteIdentical is the compatibility differential: the
 // bytes of an unproven response must not change when proofs enter the
-// picture — neither from the backend path nor from a cache entry that
-// meanwhile memoized a proof for the same (list, version, window).
+// picture — not even once a proof was built for the same (list,
+// version, window).
 func TestProofOffByteIdentical(t *testing.T) {
 	_, ts, tokens := proofTestServer(t)
 	q := ListQuery{List: 1, Offset: 0, Count: 3}
@@ -141,8 +139,8 @@ func TestProofOffByteIdentical(t *testing.T) {
 		t.Fatalf("unproven response carries a proof: %x", before)
 	}
 
-	// Exercise the proved path for the identical window; the cache now
-	// holds a proved entry under the same version key.
+	// Exercise the proved path for the identical window; the store now
+	// holds the list's proof tree at this version.
 	proved := rawQuery(t, ts, tokens, ListQuery{List: 1, Offset: 0, Count: 3, Proof: true})
 	if oneWindow(t, proved).Proof == nil {
 		t.Fatal("proved response carries no proof")
@@ -150,14 +148,14 @@ func TestProofOffByteIdentical(t *testing.T) {
 
 	after := rawQuery(t, ts, tokens, q)
 	if !bytes.Equal(before, after) {
-		t.Fatalf("proof-off bytes changed after proof memoization:\nbefore %x\nafter  %x", before, after)
+		t.Fatalf("proof-off bytes changed after a proved read:\nbefore %x\nafter  %x", before, after)
 	}
 
-	// And the proved window for the same query must still verify when
-	// served out of the cache (memoized proof, not a rebuild).
+	// And the proved window read again at the same version, from the
+	// tree the first read built, is the same bytes.
 	proved2 := rawQuery(t, ts, tokens, ListQuery{List: 1, Offset: 0, Count: 3, Proof: true})
 	if !bytes.Equal(proved, proved2) {
-		t.Fatal("memoized proved response differs from the first")
+		t.Fatal("second proved response differs from the first")
 	}
 }
 

@@ -13,7 +13,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -57,9 +56,9 @@ type QueryResponse struct {
 	// omitted and the caller reuses the one it retained. Version is the
 	// list's current version: equal to IfVersion when nothing moved
 	// (which covers a retained proof too — equal versions commit to
-	// identical state), newer when the list moved but this window did
-	// not (unproven sub-queries only; the caller's retained proof does
-	// not verify at the new version).
+	// identical state), newer when the list moved but the current read
+	// carries the sub-query's IfTag (unproven sub-queries only; the
+	// caller's retained proof does not verify at the new version).
 	Unchanged bool `json:"unchanged,omitempty"`
 	// Proof is the window's Merkle proof, present exactly when the
 	// sub-query asked for one (ListQuery.Proof): its continuation when
@@ -100,9 +99,6 @@ type Server struct {
 	backend  store.Backend
 	// tokens holds the MACs a full verification accepted (tokens.go).
 	tokens verifiedTokens
-	// results is the optional query-result cache (nil = off). Atomic so
-	// the read path never takes s.mu for it.
-	results atomic.Pointer[cache.Cache]
 	// met/adm/logger are the ops plane: metrics handles (SetObs),
 	// admission control (SetAdmission) and the structured logger
 	// (SetLogger). All atomic for lock-free hot-path loads; all nil
@@ -147,23 +143,19 @@ func NewWithBackend(secret []byte, tokenTTL time.Duration, backend store.Backend
 // Close flushes and releases the storage backend.
 func (s *Server) Close() error { return s.backend.Close() }
 
-// SetCache installs (or, with nil, removes) a query-result cache. The
-// cache is consulted by QueryBatch, which serves an entry only at the
-// list's current version, so it is always transparent: a mutation
-// bumps the list version and every window cached before it stops being
-// served. A cache may be installed or swapped while the server is
-// serving traffic; a query round uses the cache it started with.
-func (s *Server) SetCache(c *cache.Cache) { s.results.Store(c) }
+// SetCache does nothing: the server keeps no result cache. Windows are
+// retained on the trusted side (cluster.Router.SetCache) and
+// revalidated by ListQuery.IfTag. The method stays only because the
+// end-to-end benchmark (benchmark/fixture.go) calls it; what it installs
+// there is never consulted, so the benchmark's per-layer rows
+// cache.hit_ratio, cache.evictions and cache.bytes_mb read 0.
+func (s *Server) SetCache(*cache.Cache) {}
 
-// CacheStats reports the query-result cache counters; ok is false when
-// no cache is installed.
-func (s *Server) CacheStats() (cache.Stats, bool) {
-	c := s.results.Load()
-	if c == nil {
-		return cache.Stats{}, false
-	}
-	return c.Stats(), true
-}
+// CacheStats always reports (cache.Stats{}, false): the server keeps no
+// result cache. It stays only because the end-to-end benchmark
+// (benchmark/run.go) calls it, so its per-layer rows cache.hit_ratio,
+// cache.evictions and cache.bytes_mb read 0.
+func (s *Server) CacheStats() (cache.Stats, bool) { return cache.Stats{}, false }
 
 // SetClock overrides the server clock (tests).
 func (s *Server) SetClock(now func() time.Time) {
@@ -262,40 +254,21 @@ func (s *Server) allowedGroups(toks []crypt.Token) (map[int]bool, time.Time, err
 
 // queryAllowed is one sub-query past token validation: a batch's
 // sub-queries share one validated group set instead of re-verifying
-// the tokens each, and one result cache c (nil = off) with the set's
-// key part groups (cache.GroupsKey(allowed)). The access-filtered
-// ranked range is the backend's own hot path (per-group sorted
-// sub-lists merged from the requested offset), so a sub-query costs
-// the range, not the list.
+// the tokens each. The access-filtered ranked range is the backend's
+// own hot path (per-group sorted sub-lists merged from the requested
+// offset), so a sub-query costs the range, not the list.
 //
-// With a cache installed, the window's entry is looked up first; one
-// read at the list's current version skips the backend read entirely
-// and is element-identical to it (equal versions guarantee equal
-// content). A non-nil ifVersion equal to the current version
-// short-circuits even further: the caller has the window already, so
-// only (Version, Unchanged) comes back.
-//
-// A conditional sub-query whose version moved takes the backend read.
-// If it is unproven and the entry held the window at exactly
-// *IfVersion — the window the caller retained, since one version is one
-// content — and that window equals the current read, the answer is
-// still Unchanged, at the current version: a write below the window
-// leaves it byte-identical. A proved sub-query stays version-equal
-// only, because a retained proof commits to its own version's root.
-//
-// q.Proof asks for the window's Merkle proof. Cache entries are shared
-// across both forms under the same key: a proved entry serves unproven
-// callers with the proof stripped, and an unproven hit under a proof
-// request falls through to the backend's proved read and upgrades the
-// entry in place (same version, so the elements are identical — only
-// the proof is new). Entries always hold the full proof; a
-// continuation (q.ProofFrom) is derived from it on the way out.
-func (s *Server) queryAllowed(c *cache.Cache, groups string, allowed map[int]bool, q ListQuery) (QueryResponse, error) {
-	var key cache.Key
-	// prev is the entry the lookup found, at whatever version.
-	var prev store.QueryResult
-	var cached bool
-	if c != nil || q.IfVersion != nil {
+// A non-nil IfVersion equal to the current version short-circuits: the
+// caller has the window already, so only (Version, Unchanged) comes
+// back, and the store is not read. A conditional sub-query whose
+// version moved takes the read; if it is unproven and the tag of that
+// read equals IfTag — the window the caller retained — the answer is
+// still Unchanged, at the version read: a write below the window leaves
+// it byte-identical. A proved sub-query carries no tag (checkTag) and
+// stays version-equal only, because a retained proof commits to its own
+// version's root.
+func (s *Server) queryAllowed(allowed map[int]bool, q ListQuery) (QueryResponse, error) {
+	if q.IfVersion != nil {
 		ver, err := s.backend.Version(q.List)
 		switch {
 		case errors.Is(err, store.ErrUnknownList):
@@ -303,15 +276,8 @@ func (s *Server) queryAllowed(c *cache.Cache, groups string, allowed map[int]boo
 		case err != nil:
 			return QueryResponse{}, err
 		}
-		if q.IfVersion != nil && *q.IfVersion == ver {
+		if *q.IfVersion == ver {
 			return QueryResponse{Version: ver, Unchanged: true}, nil
-		}
-		if c != nil {
-			key = cache.Key{List: q.List, Groups: groups, Offset: q.Offset, Count: q.Count}
-			prev, cached = c.GetAt(key, ver)
-			if cached && prev.Version == ver && (!q.Proof || prev.Proof != nil) {
-				return s.respond(prev, q), nil
-			}
 		}
 	}
 	var res store.QueryResult
@@ -332,16 +298,7 @@ func (s *Server) queryAllowed(c *cache.Cache, groups string, allowed map[int]boo
 			m.proved.Inc()
 		}
 	}
-	if c != nil {
-		// Stamped with the version the backend read the window at
-		// (observed atomically with it), which may already be newer than
-		// the version checked above — either way the entry is exact for
-		// its version, and it replaces the older one. Payloads are
-		// aliased into the cache, never copied. A proved result memoizes
-		// its proof with it.
-		c.Put(key, res)
-	}
-	if q.IfVersion != nil && !q.Proof && cached && prev.Version == *q.IfVersion && sameWindow(prev, res) {
+	if q.IfTag != nil && TagOf(res.Elements, res.Exhausted) == *q.IfTag {
 		if m := s.met.Load(); m != nil {
 			m.revalidated.Inc()
 		}
@@ -350,30 +307,12 @@ func (s *Server) queryAllowed(c *cache.Cache, groups string, allowed map[int]boo
 	return s.respond(res, q), nil
 }
 
-// sameWindow reports whether two reads of one window carry the same
-// content: element by element (TRS, group, sealed bytes), and the same
-// Exhausted.
-func sameWindow(a, b store.QueryResult) bool {
-	if a.Exhausted != b.Exhausted || len(a.Elements) != len(b.Elements) {
-		return false
-	}
-	for i, x := range a.Elements {
-		y := b.Elements[i]
-		if x.TRS != y.TRS || x.Group != y.Group || !bytes.Equal(x.Sealed, y.Sealed) {
-			return false
-		}
-	}
-	return true
-}
-
-// respond shapes a backend (or cached) result into the wire response.
-// The memoized proof is stripped unless the caller asked for one —
-// proof-off responses stay byte-identical to pre-proof servers — and
-// trimmed to its continuation when the caller verified the window
-// before this one at the version this one was read at.
+// respond shapes a backend result into the wire response. A proved
+// read's proof is trimmed to its continuation when the caller verified
+// the window before this one at the version this one was read at.
 func (s *Server) respond(res store.QueryResult, q ListQuery) QueryResponse {
 	resp := QueryResponse{Elements: res.Elements, Exhausted: res.Exhausted, Version: res.Version}
-	if !q.Proof || res.Proof == nil {
+	if res.Proof == nil {
 		return resp
 	}
 	resp.Proof = res.Proof

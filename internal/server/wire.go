@@ -20,8 +20,9 @@ package server
 //	  body:     tokenCount | tokenCount × token | count | count × subquery
 //	  subquery: listDelta | offset | count |
 //	            qflags (1B: 1 ifVersion follows, 2 proof,
-//	                    4 proofFrom follows) |
-//	            [ifVersion (8B)] | [proofFrom (8B)]
+//	                    4 proofFrom follows, 8 ifTag follows) |
+//	            [ifVersion (8B)] | [proofFrom (8B)] | [ifTag (16B)]
+//	  (ifTag only beside ifVersion and without proof)
 //	  (listDelta is the op lists' signed delta against the sub-query
 //	  before, the first against 0)
 //
@@ -87,6 +88,7 @@ const (
 	queryIfVersion byte = 1
 	queryProof     byte = 2
 	queryProofFrom byte = 4
+	queryIfTag     byte = 8
 
 	windowExhausted byte = 1
 	windowUnchanged byte = 2
@@ -274,12 +276,18 @@ func AppendQueryRequest(buf []byte, toks []crypt.Token, queries []ListQuery) []b
 		if q.ProofFrom != nil {
 			flags |= queryProofFrom
 		}
+		if q.IfTag != nil {
+			flags |= queryIfTag
+		}
 		buf = append(buf, flags)
 		if q.IfVersion != nil {
 			buf = binary.BigEndian.AppendUint64(buf, *q.IfVersion)
 		}
 		if q.ProofFrom != nil {
 			buf = binary.BigEndian.AppendUint64(buf, *q.ProofFrom)
+		}
+		if q.IfTag != nil {
+			buf = append(buf, q.IfTag[:]...)
 		}
 	}
 	return endFrame(buf, start)
@@ -288,8 +296,9 @@ func AppendQueryRequest(buf []byte, toks []crypt.Token, queries []ListQuery) []b
 // DecodeQueryRequest decodes a /v2/query request frame. The tokens'
 // MACs alias body; the server is done with them once QueryBatch has
 // checked them. A sub-query the frame cannot hold — a negative offset
-// or count sent as its two's complement — fails as a *BatchError with
-// its index, as one QueryBatch refuses does. Both counts are bounded by
+// or count sent as its two's complement, a truncated field, or a tag
+// QueryBatch would refuse (checkTag) — fails as a *BatchError with its
+// index, as one QueryBatch refuses does. Both counts are bounded by
 // the bytes that remain, and the sub-query count by MaxBatchOps, before
 // anything is allocated for them.
 func DecodeQueryRequest(body []byte) ([]crypt.Token, []ListQuery, error) {
@@ -314,8 +323,9 @@ func DecodeQueryRequest(body []byte) ([]crypt.Token, []ListQuery, error) {
 		return nil, nil, err
 	}
 	queries := make([]ListQuery, n)
-	// IfVersion and ProofFrom point into versions, allocated once, at the
-	// first of them, with room for every one the sub-queries left can hold.
+	// IfVersion and ProofFrom point into versions, and IfTag into tags,
+	// each allocated once, at the first of them, with room for every one
+	// the sub-queries left can hold.
 	var versions []uint64
 	pin := func(left int) *uint64 {
 		if versions == nil {
@@ -324,13 +334,23 @@ func DecodeQueryRequest(body []byte) ([]crypt.Token, []ListQuery, error) {
 		versions = append(versions, r.Uint64())
 		return &versions[len(versions)-1]
 	}
+	var tags []WindowTag
+	pinTag := func(left int) *WindowTag {
+		if tags == nil {
+			tags = make([]WindowTag, 0, left)
+		}
+		tags = append(tags, WindowTag{})
+		t := &tags[len(tags)-1]
+		copy(t[:], r.Bytes(TagSize))
+		return t
+	}
 	list := zerber.ListID(0)
 	for i := range queries {
 		q := &queries[i]
 		list = store.ReadListDelta(&r.Reader, list)
 		q.List, q.Offset, q.Count = list, r.Int(), r.Int()
 		flags := r.Byte()
-		if flags&^(queryIfVersion|queryProof|queryProofFrom) != 0 {
+		if flags&^(queryIfVersion|queryProof|queryProofFrom|queryIfTag) != 0 {
 			r.Fail("unknown sub-query flags %#x", flags)
 		}
 		q.Proof = flags&queryProof != 0
@@ -340,7 +360,13 @@ func DecodeQueryRequest(body []byte) ([]crypt.Token, []ListQuery, error) {
 		if flags&queryProofFrom != 0 {
 			q.ProofFrom = pin(n - i)
 		}
+		if flags&queryIfTag != 0 {
+			q.IfTag = pinTag(n - i)
+		}
 		if err := r.Err(); err != nil {
+			return nil, nil, &BatchError{Index: i, Err: err}
+		}
+		if err := checkTag(*q); err != nil {
 			return nil, nil, &BatchError{Index: i, Err: err}
 		}
 	}

@@ -272,7 +272,7 @@ func randomWindow(rng *rand.Rand) QueryResponse {
 // accept comes back exactly, TRS bit patterns included.
 func TestWireRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
-	flagsSeen, decreasing := map[int]bool{}, false
+	flagsSeen, decreasing, tagged := map[int]bool{}, false, false
 	for round := 0; round < 300; round++ {
 		resps := make([]QueryResponse, rng.Intn(5))
 		for i := range resps {
@@ -338,6 +338,12 @@ func TestWireRoundTrip(t *testing.T) {
 				v := rng.Uint64()
 				q.ProofFrom = &v
 			}
+			if flags&1 != 0 && flags&2 == 0 && rng.Intn(2) == 0 {
+				var tag WindowTag
+				rng.Read(tag[:])
+				q.IfTag = &tag
+				tagged = true
+			}
 			queries[i] = q
 			flagsSeen[flags] = true
 			decreasing = decreasing || i > 0 && q.List < queries[i-1].List
@@ -347,8 +353,8 @@ func TestWireRoundTrip(t *testing.T) {
 			t.Fatalf("round %d: query came back %+v %+v (%v), sent %+v %+v", round, gotToks, gotQueries, err, toks, queries)
 		}
 	}
-	if len(flagsSeen) != 8 || !decreasing {
-		t.Fatalf("query rows covered flag combinations %v, decreasing list IDs %v", flagsSeen, decreasing)
+	if len(flagsSeen) != 8 || !decreasing || !tagged {
+		t.Fatalf("query rows covered flag combinations %v, decreasing list IDs %v, a tag %v", flagsSeen, decreasing, tagged)
 	}
 
 	// A batch of no operations is the server's "empty batch", refused
@@ -387,6 +393,43 @@ func TestQueryRequestOneEncoding(t *testing.T) {
 	var be *BatchError
 	if !errors.Is(err, ErrBadRequest) || !errors.As(err, &be) || be.Index != 1 {
 		t.Fatalf("a negative count: %v, want a bad request at index 1", err)
+	}
+}
+
+// TestQueryRequestTagGrammar: a tag travels only beside the version it
+// revalidates, on an unproven sub-query, and in full. A tagged
+// conditional round-trips; a tag without a version, a tag on a proved
+// sub-query and a truncated tag are each a *BatchError with the
+// sub-query's index.
+func TestQueryRequestTagGrammar(t *testing.T) {
+	toks, _ := goldenQuery()
+	ver := uint64(0x2a00000007)
+	tag := WindowTag{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
+	tagged := []ListQuery{{List: 7, Count: 10}, {List: 3, Offset: 20, Count: 40, IfVersion: &ver, IfTag: &tag}}
+	frame := AppendQueryRequest(nil, toks, tagged)
+	if !bytes.HasSuffix(frame, append([]byte{queryIfVersion | queryIfTag, 0, 0, 0, 0x2a, 0, 0, 0, 7}, tag[:]...)) {
+		t.Fatalf("tagged sub-query ends %x", frame[len(frame)-25:])
+	}
+	_, got, err := DecodeQueryRequest(frame)
+	if err != nil || !reflect.DeepEqual(got, tagged) {
+		t.Fatalf("tagged conditional came back %+v (%v)", got, err)
+	}
+	noVersion := slices.Clone(tagged)
+	noVersion[1].IfVersion = nil
+	proved := slices.Clone(tagged)
+	proved[1].Proof = true
+	truncated := bytes.Clone(frame[:len(frame)-5])
+	binary.BigEndian.PutUint32(truncated[wireHeaderLen-4:], uint32(len(truncated)-wireHeaderLen))
+	for name, bad := range map[string][]byte{
+		"without a version": AppendQueryRequest(nil, toks, noVersion),
+		"on a proved read":  AppendQueryRequest(nil, toks, proved),
+		"truncated":         truncated,
+	} {
+		_, _, err := DecodeQueryRequest(bad)
+		var be *BatchError
+		if !errors.Is(err, ErrBadRequest) || !errors.As(err, &be) || be.Index != 1 {
+			t.Errorf("tag %s: %v, want a bad request at index 1", name, err)
+		}
 	}
 }
 

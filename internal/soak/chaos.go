@@ -171,12 +171,23 @@ func (r *run) identityCheck(ctx context.Context) {
 	for shard := range r.shards {
 		r.resyncSet(ctx, shard)
 	}
+	all := r.orc.snapshotLists()
 	byShard := make(map[int][]zerber.ListID)
-	for _, list := range r.orc.snapshotLists() {
+	for _, list := range all {
 		s := r.router.ShardFor(list)
 		byShard[s] = append(byShard[s], list)
 	}
 	checked := 0
+	// abandoned ends a check the run's deadline (or a cancellation) cut
+	// short with one line, instead of one failed page per list left: once
+	// the context is done, the next page fails at once.
+	abandoned := func() bool {
+		if ctx.Err() == nil {
+			return false
+		}
+		r.cfg.Logf("chaos: identity check abandoned (%v) after %d of %d lists", ctx.Err(), checked, len(all))
+		return true
+	}
 	for shard, lists := range byShard {
 		s := r.shards[shard]
 		for _, list := range lists {
@@ -187,6 +198,9 @@ func (r *run) identityCheck(ctx context.Context) {
 				}
 				served, err := pageList(ctx, s.trans[m], r.toks, list)
 				if err != nil {
+					if abandoned() {
+						return
+					}
 					r.cfg.Logf("chaos: identity check: list %d member %s: %v", list, s.procs[m].Name, err)
 					continue
 				}

@@ -17,7 +17,7 @@ import (
 // epochChecker wraps the cluster transport and enforces cache-epoch
 // safety on every read that flows through it: the content served for
 // one (list, version, offset, count) window must be identical every
-// time it is observed — across server caches, router revalidation,
+// time it is observed — across router revalidation,
 // replica failover, SIGKILLs and restarts. A divergence means some
 // layer re-minted a version for different content (exactly the bug
 // the per-durable-dir version epoch exists to prevent) or served a

@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"zerberr/internal/client"
+	"zerberr/internal/cluster"
 	"zerberr/internal/crypt"
+	"zerberr/internal/replica"
 	"zerberr/internal/server"
 	"zerberr/internal/zerber"
 )
@@ -326,5 +328,69 @@ func TestSoakSmoke(t *testing.T) {
 	}
 	if !rep.OK {
 		t.Fatalf("soak not OK: %s", rep.JSON())
+	}
+}
+
+// cancelAfter is a member transport that cancels the identity check's
+// context once it has answered n reads, as the run's deadline would.
+type cancelAfter struct {
+	client.Transport
+	n      int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfter) QueryBatch(ctx context.Context, toks []crypt.Token, queries []server.ListQuery) (client.BatchQueryResult, error) {
+	if c.n == 0 {
+		c.cancel()
+		return client.BatchQueryResult{}, ctx.Err()
+	}
+	c.n--
+	return c.Transport.QueryBatch(ctx, toks, queries)
+}
+
+// TestIdentityCheckStopsAtTheDeadline: a deadline that falls inside an
+// identity check ends it with one line saying so and how far it got,
+// not with a failed-page line for every list left.
+func TestIdentityCheckStopsAtTheDeadline(t *testing.T) {
+	p, tr := startScratch(t, "identity")
+	toks, err := tr.Login(context.Background(), "tester")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const lists, done = 40, 5
+	orc := newOracle()
+	for l := 0; l < lists; l++ {
+		ops := []server.InsertOp{{List: zerber.ListID(l), Element: server.StoredElement{Sealed: []byte(fmt.Sprintf("e%02d", l)), TRS: 0.5, Group: toks[0].Group}}}
+		if err := tr.InsertBatch(context.Background(), toks[0], ops); err != nil {
+			t.Fatal(err)
+		}
+		orc.inserted(ops, true)
+	}
+	set, err := replica.NewSet(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	router, err := cluster.NewRouter(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var lines []string
+	r := &run{
+		cfg:    Config{Logf: func(format string, args ...interface{}) { lines = append(lines, fmt.Sprintf(format, args...)) }},
+		router: router,
+		orc:    orc,
+		shards: []*shardState{{set: set, procs: []*Proc{p}, trans: []client.Transport{&cancelAfter{Transport: tr, n: done, cancel: cancel}}}},
+		toks:   toks,
+		rep:    Report{ErrorsByKind: map[string]uint64{}},
+	}
+	r.identityCheck(ctx)
+	want := fmt.Sprintf("chaos: identity check abandoned (context canceled) after %d of %d lists", done, lists)
+	if len(lines) != 1 || lines[0] != want {
+		t.Fatalf("identity check cut by its deadline logged %d lines %q, want one: %q", len(lines), lines, want)
+	}
+	if r.rep.IdentityViolations != 0 {
+		t.Fatalf("abandoned check reported %d violations", r.rep.IdentityViolations)
 	}
 }

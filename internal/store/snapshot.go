@@ -31,7 +31,7 @@ import (
 // contains; recovery replays only WAL records beyond it. version is
 // the list's mutation counter at snapshot time (Backend.Version):
 // persisting it keeps versions monotonic across restarts, the property
-// the query-result cache's invalidation rests on. The leaf block
+// conditional reads (one version, one content) rest on. The leaf block
 // persists the list's Merkle commitment leaves (internal/proof) in
 // the same merged rank order, present only when the live list had
 // them materialized — a restarted shard recommits without re-hashing

@@ -102,15 +102,13 @@ type QueryResult struct {
 	Exhausted bool
 	// Version is the list's mutation version the range was read at
 	// (see Backend.Version). It is observed atomically with Elements,
-	// so a result cache keyed by it can never mix content from two
+	// so a window retained under it can never mix content from two
 	// versions.
 	Version uint64
 	// Proof is the window's Merkle proof, set only by QueryProved and
 	// observed atomically with Elements and Version. Plain Query never
 	// sets it, so unproven results are byte-identical to before the
-	// commitment scheme existed. Version-keyed caches may hold proved
-	// results and serve them to unproven callers with Proof stripped —
-	// the proof memoizes for free under the same key.
+	// commitment scheme existed.
 	Proof *proof.Window
 }
 
