@@ -93,10 +93,11 @@
 // (query latency histograms, WAL/snapshot timings, cache hit rates,
 // per-shard health), server-side admission control (per-user token
 // buckets answering 429, load shedding answering 503, both with
-// Retry-After), and a self-healing client transport that retries
-// transient failures with capped jittered backoff — metric labels
-// never carry term, list or user identity, so observability adds no
-// leakage beyond the paper's threat model. See DESIGN.md "Ops plane".
+// Retry-After), and a client transport that retries transient failures
+// with one fixed capped jittered backoff (in a replica set, only on the
+// last member a read asks) — metric labels never carry term, list or
+// user identity, so observability adds no leakage beyond the paper's
+// threat model. See DESIGN.md "Ops plane".
 //
 // All of those claims are exercised together, not just in unit
 // isolation, by a soak/chaos harness (internal/soak, `zerber-bench

@@ -3,7 +3,8 @@ package client
 // Self-healing HTTP transport: capped exponential backoff with jitter
 // for transient failures, so a progressive search (or SearchStream)
 // rides out a shard restart, an admission 429/503 or a dropped
-// connection instead of surfacing it to the caller.
+// connection instead of surfacing it to the caller. exchange is the
+// one retry loop, and its policy is the Default* constants.
 //
 // What retries is deliberately narrow:
 //
@@ -19,6 +20,8 @@ package client
 //     reached the server cannot be safely repeated.
 //   - Everything else — 4xx application errors, malformed responses —
 //     fails fast.
+//   - A call marked FailsOver (a replica set's member read) retries
+//     only the 429, which is not a fault; the set fails over on the rest.
 //
 // Backoff sleeps are context-aware: canceling the caller's context
 // aborts a sleep immediately and returns the context's error.
@@ -31,23 +34,15 @@ import (
 	"time"
 )
 
-// RetryPolicy tunes the transport's retry behavior. The zero value of
-// a field takes the default noted on it; a nil *RetryPolicy on HTTP
-// disables retrying entirely.
-type RetryPolicy struct {
-	// MaxRetries is how many times a failed exchange is re-sent (the
-	// first attempt is not a retry). 0 means DefaultMaxRetries; use a
-	// negative value for "no retries" explicitly.
-	MaxRetries int
-	// BaseDelay is the backoff before the first retry; it doubles per
-	// retry. 0 means DefaultBaseDelay.
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff (and a server Retry-After hint).
-	// 0 means DefaultMaxDelay.
-	MaxDelay time.Duration
-}
+// RetryPolicy is the transport's retry policy. It has no settings:
+// the policy is the Default* constants, and a nil *RetryPolicy on HTTP
+// disables retrying.
+type RetryPolicy struct{}
 
-// Retry policy defaults.
+// The retry policy: how many times a failed exchange is re-sent (the
+// first attempt is not a retry), the backoff before the first retry
+// (it doubles per retry), and the cap on the backoff and on a server's
+// Retry-After hint.
 const (
 	DefaultMaxRetries = 4
 	DefaultBaseDelay  = 100 * time.Millisecond
@@ -59,51 +54,35 @@ const (
 // past ~10s.
 func DefaultRetryPolicy() *RetryPolicy { return &RetryPolicy{} }
 
-func (p *RetryPolicy) maxRetries() int {
-	switch {
-	case p == nil || p.MaxRetries < 0:
-		return 0
-	case p.MaxRetries == 0:
-		return DefaultMaxRetries
-	}
-	return p.MaxRetries
+type failsOverKey struct{} // the context key of the FailsOver mark
+
+// FailsOver marks ctx for a call whose caller moves to another server
+// on a fault (server.IsFault): the transport then retries only a 429
+// and returns a 503, another 5xx or a transport error at once.
+func FailsOver(ctx context.Context) context.Context {
+	return context.WithValue(ctx, failsOverKey{}, true)
 }
 
+// failsOver reports whether ctx carries the FailsOver mark.
+func failsOver(ctx context.Context) bool { return ctx.Value(failsOverKey{}) != nil }
+
 // delay computes the backoff before retry number `retry` (0-based):
-// equal-jitter exponential growth from BaseDelay, raised to a server
-// Retry-After hint when one was sent, capped at MaxDelay either way.
-func (p *RetryPolicy) delay(retry int, hint time.Duration) time.Duration {
-	base, max := p.BaseDelay, p.MaxDelay
-	if base <= 0 {
-		base = DefaultBaseDelay
-	}
-	if max <= 0 {
-		max = DefaultMaxDelay
-	}
-	d := base << uint(retry)
-	if d > max || d <= 0 { // <= 0: shift overflow
-		d = max
+// equal-jitter exponential growth from DefaultBaseDelay, raised to a
+// server Retry-After hint when one was sent, capped at DefaultMaxDelay
+// either way.
+func delay(retry int, hint time.Duration) time.Duration {
+	d := DefaultBaseDelay << uint(retry)
+	if d > DefaultMaxDelay || d <= 0 { // <= 0: shift overflow
+		d = DefaultMaxDelay
 	}
 	// Equal jitter: half deterministic, half uniform — desynchronizes
 	// a fleet of clients hammering a recovering shard.
 	d = d/2 + rand.N(d/2+1)
-	if hint > d {
-		d = hint
-	}
-	if d > max {
-		d = max
-	}
-	return d
+	return min(max(d, hint), DefaultMaxDelay)
 }
 
 // sleepCtx sleeps d or until the context is done, whichever is first.
 func sleepCtx(ctx context.Context, d time.Duration) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if d <= 0 {
-		return nil
-	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
@@ -133,10 +112,16 @@ func retryAfter(h http.Header) time.Duration {
 }
 
 // retryable classifies one failed exchange. status 0 means the
-// exchange failed below HTTP (transport error).
-func retryable(status int, idempotent bool) bool {
+// exchange failed below HTTP (transport error); failsOver means the
+// call carries the FailsOver mark.
+func retryable(status int, idempotent, failsOver bool) bool {
 	switch {
-	case status == http.StatusTooManyRequests, status == http.StatusServiceUnavailable:
+	case status == http.StatusTooManyRequests:
+		// A rate limit is not a fault: another server would refuse too.
+		return true
+	case failsOver:
+		return false
+	case status == http.StatusServiceUnavailable:
 		// Admission rejections: refused before execution, safe for
 		// every operation.
 		return true

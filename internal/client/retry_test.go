@@ -16,21 +16,20 @@ import (
 )
 
 func TestRetryDelayHonorsHintAndCap(t *testing.T) {
-	p := &RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: 100 * time.Millisecond}
-	if d := p.delay(0, 0); d <= 0 || d > 10*time.Millisecond {
-		t.Fatalf("delay(0) = %v, want (0, 10ms]", d)
+	if d := delay(0, 0); d <= 0 || d > DefaultBaseDelay {
+		t.Fatalf("delay(0) = %v, want (0, %v]", d, DefaultBaseDelay)
 	}
 	// A server hint above the computed backoff wins...
-	if d := p.delay(0, 50*time.Millisecond); d != 50*time.Millisecond {
-		t.Fatalf("hinted delay = %v, want 50ms", d)
+	if d := delay(0, time.Second); d != time.Second {
+		t.Fatalf("hinted delay = %v, want 1s", d)
 	}
 	// ...but never past the cap.
-	if d := p.delay(0, 10*time.Second); d != 100*time.Millisecond {
-		t.Fatalf("capped hinted delay = %v, want 100ms", d)
+	if d := delay(0, 30*time.Second); d != DefaultMaxDelay {
+		t.Fatalf("capped hinted delay = %v, want %v", d, DefaultMaxDelay)
 	}
 	// Deep retries saturate at the cap instead of overflowing.
-	if d := p.delay(40, 0); d <= 0 || d > 100*time.Millisecond {
-		t.Fatalf("delay(40) = %v, want (0, 100ms]", d)
+	if d := delay(40, 0); d <= 0 || d > DefaultMaxDelay {
+		t.Fatalf("delay(40) = %v, want (0, %v]", d, DefaultMaxDelay)
 	}
 }
 
@@ -54,8 +53,9 @@ func TestRetryAfterParsing(t *testing.T) {
 }
 
 // flakyServer answers every request with `status` (and a Retry-After
-// of 0 seconds, keeping tests fast) until `failures` requests have
-// been served, then delegates to a healthy in-process server.
+// of 0 seconds, so the backoff is the policy's own) until `failures`
+// requests have been served, then delegates to a healthy in-process
+// server. Status 0 drops the connection instead: a transport error.
 func flakyServer(t *testing.T, failures int, status int) (*httptest.Server, *server.Server, *atomic.Int64) {
 	t.Helper()
 	s := server.New([]byte("retry-secret"), time.Hour)
@@ -64,6 +64,13 @@ func flakyServer(t *testing.T, failures int, status int) (*httptest.Server, *ser
 	var attempts atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if attempts.Add(1) <= int64(failures) {
+			if status == 0 {
+				conn, _, err := w.(http.Hijacker).Hijack()
+				if err == nil {
+					conn.Close()
+				}
+				return
+			}
 			w.Header().Set("Retry-After", "0")
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(status)
@@ -76,16 +83,12 @@ func flakyServer(t *testing.T, failures int, status int) (*httptest.Server, *ser
 	return ts, s, &attempts
 }
 
-func fastRetry(n int) *RetryPolicy {
-	return &RetryPolicy{MaxRetries: n, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
-}
-
 // TestRetry429Success asserts the transport rides out rate-limit
 // rejections — on idempotent and on mutating operations alike, since
 // admission refuses before execution.
 func TestRetry429Success(t *testing.T) {
 	ts, _, attempts := flakyServer(t, 2, http.StatusTooManyRequests)
-	h := HTTP{BaseURL: ts.URL, Retry: fastRetry(3)}
+	h := HTTP{BaseURL: ts.URL, Retry: DefaultRetryPolicy()}
 	toks, err := h.Login(context.Background(), "alice")
 	if err != nil {
 		t.Fatalf("login through 429s: %v", err)
@@ -102,11 +105,13 @@ func TestRetry429Success(t *testing.T) {
 }
 
 // TestRetry5xxIdempotentOnly asserts the idempotency split: a 500
-// retries reads but fails mutations fast.
+// retries reads but fails mutations fast. A read marked FailsOver
+// makes one attempt on every fault — a 500, a 503, a transport error —
+// and still rides out a 429, which is not one.
 func TestRetry5xxIdempotentOnly(t *testing.T) {
 	ts, s, attempts := flakyServer(t, 2, http.StatusInternalServerError)
 	s.RegisterUser("bob", 0)
-	h := HTTP{BaseURL: ts.URL, Retry: fastRetry(3)}
+	h := HTTP{BaseURL: ts.URL, Retry: DefaultRetryPolicy()}
 	if _, err := h.Login(context.Background(), "alice"); err != nil {
 		t.Fatalf("idempotent op through 500s: %v", err)
 	}
@@ -128,13 +133,35 @@ func TestRetry5xxIdempotentOnly(t *testing.T) {
 	if got := attempts.Load(); got != -2 {
 		t.Fatalf("mutation was attempted %d times, want exactly 1", got+3)
 	}
+
+	for _, tc := range []struct {
+		name    string
+		status  int
+		want    int64
+		answers bool
+	}{
+		{"500", http.StatusInternalServerError, 1, false},
+		{"503", http.StatusServiceUnavailable, 1, false},
+		{"transport error", 0, 1, false},
+		{"429", http.StatusTooManyRequests, 3, true},
+	} {
+		ts, _, attempts := flakyServer(t, 2, tc.status)
+		h := HTTP{BaseURL: ts.URL, Retry: DefaultRetryPolicy()}
+		_, err := h.Login(FailsOver(context.Background()), "alice")
+		if got := attempts.Load(); got != tc.want {
+			t.Errorf("marked read on %s: %d attempts, want %d", tc.name, got, tc.want)
+		}
+		if (err == nil) != tc.answers {
+			t.Errorf("marked read on %s: err = %v", tc.name, err)
+		}
+	}
 }
 
 // TestRetryNonRetryable4xxFastFail asserts application rejections are
 // not retried and keep their sentinel identity.
 func TestRetryNonRetryable4xxFastFail(t *testing.T) {
 	ts, _, attempts := flakyServer(t, 0, 0)
-	h := HTTP{BaseURL: ts.URL, Retry: fastRetry(5)}
+	h := HTTP{BaseURL: ts.URL, Retry: DefaultRetryPolicy()}
 	toks, err := h.Login(context.Background(), "alice")
 	if err != nil {
 		t.Fatal(err)
@@ -150,8 +177,9 @@ func TestRetryNonRetryable4xxFastFail(t *testing.T) {
 }
 
 // TestRetryCtxCancelMidBackoff cancels the caller's context while the
-// transport sleeps on a long server hint; the call must return the
-// context error promptly instead of finishing the sleep.
+// transport sleeps on a long server hint (30 s, which the cap clamps to
+// DefaultMaxDelay); the call must return the context error promptly
+// instead of finishing the sleep.
 func TestRetryCtxCancelMidBackoff(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "30")
@@ -159,7 +187,7 @@ func TestRetryCtxCancelMidBackoff(t *testing.T) {
 		json.NewEncoder(w).Encode(server.ErrorV2{Code: server.CodeOverloaded, Error: "always down"})
 	}))
 	defer ts.Close()
-	h := HTTP{BaseURL: ts.URL, Retry: &RetryPolicy{MaxRetries: 3, MaxDelay: time.Minute}}
+	h := HTTP{BaseURL: ts.URL, Retry: DefaultRetryPolicy()}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(50 * time.Millisecond)
@@ -196,7 +224,7 @@ func TestSearchSurvivesTransient503(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	remote, err := New(HTTP{BaseURL: ts.URL, Retry: fastRetry(3)}, Config{Plan: h.plan, Store: h.store, Keys: h.keys})
+	remote, err := New(HTTP{BaseURL: ts.URL, Retry: DefaultRetryPolicy()}, Config{Plan: h.plan, Store: h.store, Keys: h.keys})
 	if err != nil {
 		t.Fatal(err)
 	}

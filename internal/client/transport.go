@@ -67,7 +67,7 @@ type BatchQueryResult struct {
 // InsertOne, QueryOne and RemoveOne run a single-list call as a batch
 // of one through a transport's own batch method. They are the whole
 // body of every implementer's Insert, Query and Remove, so what a layer
-// adds to a call — routing, hedging, retries, cross-checks — is written
+// adds to a call — routing, failover, retries, cross-checks — is written
 // once, on its batch method.
 func InsertOne(ctx context.Context, batch func(context.Context, crypt.Token, []server.InsertOp) error, tok crypt.Token, list zerber.ListID, el server.StoredElement) error {
 	return server.OneOp(batch(ctx, tok, []server.InsertOp{{List: list, Element: el}}))
@@ -155,7 +155,8 @@ type HTTP struct {
 	// failures — 429/503 admission rejections on every operation, and
 	// other 5xx or transport errors on idempotent ones — are re-sent
 	// with capped exponential backoff and jitter, honoring server
-	// Retry-After hints (see retry.go). Nil disables retrying.
+	// Retry-After hints (see retry.go); a call marked FailsOver retries
+	// only a 429. Nil disables retrying.
 	Retry *RetryPolicy
 	// AdminMAC authorizes the /v3/admin snapshot-transfer calls
 	// (ShardAdmin); derive it with server.AdminMAC(secret). Empty means
@@ -208,10 +209,10 @@ func (h HTTP) exchange(ctx context.Context, method, path string, body []byte, co
 		if resp != nil {
 			status, hint = resp.StatusCode, retryAfter(resp.Header)
 		}
-		if ctx.Err() != nil || retry >= h.Retry.maxRetries() || !retryable(status, idempotent) {
+		if ctx.Err() != nil || h.Retry == nil || retry >= DefaultMaxRetries || !retryable(status, idempotent, failsOver(ctx)) {
 			return nil, err
 		}
-		if serr := sleepCtx(ctx, h.Retry.delay(retry, hint)); serr != nil {
+		if serr := sleepCtx(ctx, delay(retry, hint)); serr != nil {
 			return nil, fmt.Errorf("client: %s: canceled while backing off: %w", path, serr)
 		}
 	}

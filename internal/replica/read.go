@@ -1,11 +1,10 @@
 package replica
 
 // Failover reads: one read tries the set's members one at a time, on
-// the caller's own context. The first success (or first deterministic
-// application answer) is the answer; a member fault moves on to the
-// next member at once. Nothing runs beside the member being asked, so
-// a sub-query reaches a second member only after the first one
-// faulted on it, and a read the caller abandons charges no member.
+// the caller's own context, and a member fault moves on to the next
+// member at once. The set is the read's retry: every member read but
+// the last in the order carries client.FailsOver, so it returns a fault
+// without its transport's own backoff; the last keeps the full policy.
 
 import (
 	"context"
@@ -21,12 +20,17 @@ import (
 func failoverRead[T any](ctx context.Context, s *Set, op func(ctx context.Context, t client.Transport) (T, error)) (T, error) {
 	var zero T
 	var firstFault error
-	for i, idx := range s.readOrder() {
+	order := s.readOrder(make([]int, 0, 8)) // on the stack
+	for i, idx := range order {
 		m := s.members[idx]
 		if i > 0 {
 			s.failovers.Add(1)
 		}
-		v, err := op(ctx, m.t)
+		mctx := ctx
+		if i < len(order)-1 {
+			mctx = client.FailsOver(ctx)
+		}
+		v, err := op(mctx, m.t)
 		switch {
 		case err == nil:
 			m.consecFails.Store(0)
@@ -53,9 +57,8 @@ func failoverRead[T any](ctx context.Context, s *Set, op func(ctx context.Contex
 // unless its consecutive-fault run demoted it, in which case it is
 // tried last — then the live replicas. Stale replicas never serve
 // reads. There is always at least one entry (a set with every replica
-// stale reads from the primary, demoted or not).
-func (s *Set) readOrder() []int {
-	order := make([]int, 0, len(s.members))
+// stale reads from the primary, demoted or not), appended to order.
+func (s *Set) readOrder(order []int) []int {
 	demoted := len(s.members) > 1 && s.members[0].consecFails.Load() >= DemoteAfter
 	if !demoted {
 		order = append(order, 0)

@@ -2,8 +2,10 @@ package replica
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -30,13 +32,23 @@ func (c *countingTransport) QueryBatch(ctx context.Context, toks []crypt.Token, 
 
 // TestReadContract holds a set read to its one path: the members are
 // asked one at a time on the caller's context, a fault moves on at
-// once, and nothing else ever reaches a second member.
+// once, and nothing else ever reaches a second member. The rows over
+// HTTP hold the set to being the read's one retry layer: a member that
+// is not the last in the order returns its fault without waiting out
+// its own backoff, and the last member keeps its full retry policy.
 func TestReadContract(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		primary func(s *server.Server) client.Transport
+		primary func(t *testing.T, s *server.Server) client.Transport
+		// replica, when set, builds the replica's transport; the
+		// default is client.Local.
+		replica func(t *testing.T, s *server.Server) client.Transport
+		// staleReplica takes the replica out of the read order.
+		staleReplica bool
 		// timeout, when set, is the caller's deadline on the read.
-		timeout      time.Duration
+		timeout time.Duration
+		// within, when set, bounds how long the read may take.
+		within       time.Duration
 		wantErr      error
 		wantPrimary  int64
 		wantReplica  int64
@@ -44,12 +56,12 @@ func TestReadContract(t *testing.T) {
 	}{
 		{
 			name:        "healthy primary",
-			primary:     func(s *server.Server) client.Transport { return client.Local{S: s} },
+			primary:     func(_ *testing.T, s *server.Server) client.Transport { return client.Local{S: s} },
 			wantPrimary: 1,
 		},
 		{
 			name: "faulting primary",
-			primary: func(*server.Server) client.Transport {
+			primary: func(*testing.T, *server.Server) client.Transport {
 				return faultTransport{errors.New("dial tcp: connection refused")}
 			},
 			wantPrimary:  1,
@@ -58,23 +70,67 @@ func TestReadContract(t *testing.T) {
 		},
 		{
 			name: "stalled primary",
-			primary: func(s *server.Server) client.Transport {
+			primary: func(_ *testing.T, s *server.Server) client.Transport {
 				return stallTransport{Transport: client.Local{S: s}, after: time.Minute}
 			},
 			timeout:     20 * time.Millisecond,
 			wantErr:     context.DeadlineExceeded,
 			wantPrimary: 1,
 		},
+		{
+			name:         "closed-port primary over HTTP",
+			primary:      func(t *testing.T, _ *server.Server) client.Transport { return closedPort(t) },
+			replica:      serving,
+			within:       50 * time.Millisecond,
+			wantPrimary:  1,
+			wantReplica:  1,
+			wantFailover: 1,
+		},
+		{
+			name: "primary shedding with 503 over HTTP",
+			primary: func(t *testing.T, s *server.Server) client.Transport {
+				return overHTTP(t, refusing(s, -1, http.StatusServiceUnavailable, "1"))
+			},
+			replica:      serving,
+			within:       50 * time.Millisecond,
+			wantPrimary:  1,
+			wantReplica:  1,
+			wantFailover: 1,
+		},
+		{
+			// A 429 is not a fault: the primary's own retry answers.
+			name: "primary rate-limiting once over HTTP",
+			primary: func(t *testing.T, s *server.Server) client.Transport {
+				return overHTTP(t, refusing(s, 1, http.StatusTooManyRequests, "0"))
+			},
+			replica:     serving,
+			wantPrimary: 1,
+		},
+		{
+			// The primary is the only member in the order, so it is
+			// the last one and keeps its full retry policy.
+			name: "stale replica, primary shedding once over HTTP",
+			primary: func(t *testing.T, s *server.Server) client.Transport {
+				return overHTTP(t, refusing(s, 1, http.StatusServiceUnavailable, "0"))
+			},
+			replica:      serving,
+			staleReplica: true,
+			wantPrimary:  1,
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			priSrv := newSeededServer(t, 2, 8)
 			repSrv := newSeededServer(t, 2, 8)
-			pri := &countingTransport{Transport: tc.primary(priSrv)}
+			pri := &countingTransport{Transport: tc.primary(t, priSrv)}
 			rep := &countingTransport{Transport: client.Local{S: repSrv}}
+			if tc.replica != nil {
+				rep.Transport = tc.replica(t, repSrv)
+			}
 			set, err := NewSet(pri, rep)
 			if err != nil {
 				t.Fatal(err)
 			}
+			set.members[1].stale.Store(tc.staleReplica)
 			toks := login(t, repSrv)
 			ctx := context.Background()
 			if tc.timeout > 0 {
@@ -82,9 +138,14 @@ func TestReadContract(t *testing.T) {
 				ctx, cancel = context.WithTimeout(ctx, tc.timeout)
 				defer cancel()
 			}
+			start := time.Now()
 			got, _, err := set.Query(ctx, toks, 1, 0, 8)
+			elapsed := time.Since(start)
 			if !errors.Is(err, tc.wantErr) {
 				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			if tc.within > 0 && elapsed > tc.within {
+				t.Errorf("read took %v, want under %v", elapsed, tc.within)
 			}
 			if n := pri.reads.Load(); n != tc.wantPrimary {
 				t.Errorf("primary asked %d times, want %d", n, tc.wantPrimary)
@@ -117,6 +178,51 @@ func TestReadContract(t *testing.T) {
 			}
 		})
 	}
+}
+
+// overHTTP serves h on loopback as a member with the default retry
+// policy.
+func overHTTP(t *testing.T, h http.Handler) client.Transport {
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	return client.HTTP{BaseURL: ts.URL, Retry: client.DefaultRetryPolicy()}
+}
+
+// serving is s over HTTP, answering every request.
+func serving(t *testing.T, s *server.Server) client.Transport { return overHTTP(t, s.Handler()) }
+
+// closedPort is a member with the default retry policy whose address
+// nothing listens on: every request is refused at connect.
+func closedPort(t *testing.T) client.Transport {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := "http://" + l.Addr().String()
+	l.Close()
+	return client.HTTP{BaseURL: url, Retry: client.DefaultRetryPolicy()}
+}
+
+// refusing answers its first n requests (every request when n < 0)
+// with status, a Retry-After of retryAfter seconds and the envelope
+// the server gives that status, then hands the rest to s.
+func refusing(s *server.Server, n int, status int, retryAfter string) http.Handler {
+	code := server.CodeOverloaded
+	if status == http.StatusTooManyRequests {
+		code = server.CodeRateLimited
+	}
+	inner := s.Handler()
+	var refused atomic.Int64
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if n < 0 || refused.Add(1) <= int64(n) {
+			w.Header().Set("Retry-After", retryAfter)
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(status)
+			json.NewEncoder(w).Encode(server.ErrorV2{Code: code, Error: "injected"})
+			return
+		}
+		inner.ServeHTTP(w, r)
+	})
 }
 
 // insertWatch counts a member's insert batches, and those that failed

@@ -13,7 +13,7 @@ package replica
 // index size. After a resync the replica holds the primary's per-list
 // versions verbatim (the snapshot carries them) and every later write
 // fans to both, so the members answer version-identical responses —
-// what makes a hedged answer revalidatable against a retained window
+// what makes a failover answer revalidatable against a retained window
 // for free.
 
 import (

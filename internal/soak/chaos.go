@@ -138,6 +138,7 @@ func (r *run) migrateShard(ctx context.Context, shard int) {
 	// The import landed on the new primary and marked its replicas
 	// stale; resync populates them before they take reads.
 	r.resyncSet(ctx, shard)
+	r.count(func(rep *Report) { rep.Failovers += old.set.Stats().Failovers })
 	old.stopAll(r.cfg.Logf)
 }
 

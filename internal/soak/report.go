@@ -39,6 +39,8 @@ type Report struct {
 	Migrations       uint64 `json:"migrations"`
 	MigrationsFailed uint64 `json:"migrations_failed"`
 	Resyncs          uint64 `json:"resyncs"`
+	// Failovers sums replica.Stats.Failovers over every set the run built.
+	Failovers uint64 `json:"failovers"`
 
 	// Invariants.
 	IdentityChecks     uint64   `json:"identity_checks"`
@@ -73,7 +75,7 @@ func (r *Report) JSON() string {
 
 // report completes the run's counters with the figures read at the
 // end: rates, latencies, the epoch checker's counts, the router's
-// revalidations and the oracle's totals.
+// revalidations, the live sets' failovers and the oracle's totals.
 func (r *run) report(elapsed time.Duration) *Report {
 	r.mu.Lock()
 	rep := r.rep
@@ -92,6 +94,9 @@ func (r *run) report(elapsed time.Duration) *Report {
 	rep.EpochViolations = r.checker.violations.Load()
 	rep.EpochSamples = r.checker.samples()
 	rep.RevalidatedWindows = r.router.Revalidated()
+	for _, s := range r.shards {
+		rep.Failovers += s.set.Stats().Failovers
+	}
 	rep.OraclePresent, rep.OracleUncertain = r.orc.counts()
 	rep.OK = rep.ErrorRate <= rep.ErrorBudget &&
 		rep.IdentityViolations == 0 &&
