@@ -13,7 +13,10 @@
 # profiles land in .bench_build/profile-WORKLOAD/ (cpu.pprof,
 # mutex.pprof, heap.pprof, next to the binary they were taken from);
 # the script prints the top of the CPU profile. Read them with
-# `go tool pprof -top -cum BINARY cpu.pprof`.
+# `go tool pprof -top -cum BINARY cpu.pprof`. Beside them it writes
+# digest.json, the cumulative CPU share of each fixed stage of a search
+# (.github/digest.py holds the stage list), and fails if a stage names
+# functions the binary does not hold.
 set -euo pipefail
 [ $# -ge 1 ] || { echo "usage: $0 WORKLOAD [SECONDS]" >&2; exit 2; }
 workload=$1
@@ -84,4 +87,5 @@ if [ ! -s "$dir/cpu.pprof" ]; then
 	exit 1
 fi
 go tool pprof -top -nodecount=25 "$bin" "$dir/cpu.pprof" 2>/dev/null
-echo "profiles in $dir: cpu.pprof mutex.pprof heap.pprof (binary: $bin)"
+python3 "$root/.github/digest.py" "$bin" "$dir" "$workload"
+echo "profiles in $dir: cpu.pprof mutex.pprof heap.pprof digest.json (binary: $bin)"

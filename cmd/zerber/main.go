@@ -487,11 +487,7 @@ func cmdVerify(ctx context.Context, args []string) {
 	for _, tok := range toks {
 		allowed[tok.Group] = true
 	}
-	elems := make([]proof.WindowElement, len(resp.Elements))
-	for i, el := range resp.Elements {
-		elems[i] = proof.WindowElement{TRS: el.TRS, Sealed: el.Sealed, Group: el.Group}
-	}
-	if err := proof.VerifyWindow(resp.Proof, allowed, *offset, *count, elems, resp.Exhausted, resp.Version); err != nil {
+	if err := proof.VerifyWindow(resp.Proof, allowed, *offset, *count, resp.Elements, resp.Exhausted, resp.Version); err != nil {
 		fatal("window verification FAILED", "list", *list, "err", err)
 	}
 	scope := "window"

@@ -165,11 +165,10 @@ func cost(k Key, res store.QueryResult) int64 {
 		n += entryOverhead
 		for _, gw := range w.Groups {
 			n += entryOverhead + int64(len(gw.Path)+2)*proof.HashSize
-			if gw.Pred != nil {
-				n += int64(len(gw.Pred.Sealed) + elementOverhead)
-			}
-			if gw.Succ != nil {
-				n += int64(len(gw.Succ.Sealed) + elementOverhead)
+			for _, edge := range [2][]proof.Boundary{gw.Pred, gw.Succ} {
+				for _, b := range edge {
+					n += int64(len(b.Sealed) + elementOverhead)
+				}
 			}
 		}
 	}

@@ -65,11 +65,7 @@ func (c *Client) newProofState() *proofState {
 // verified against it, and the Frontier returned is what the scan's
 // next sub-query continues from.
 func (ps *proofState) verify(q server.ListQuery, resp server.QueryResponse, prev *proof.Frontier) (*proof.Frontier, error) {
-	elems := make([]proof.WindowElement, len(resp.Elements))
-	for i, el := range resp.Elements {
-		elems[i] = proof.WindowElement{TRS: el.TRS, Sealed: el.Sealed, Group: el.Group}
-	}
-	next, err := proof.VerifyNext(prev, resp.Proof, ps.allowed, q.Offset, q.Count, elems, resp.Exhausted, resp.Version)
+	next, err := proof.VerifyNext(prev, resp.Proof, ps.allowed, q.Offset, q.Count, resp.Elements, resp.Exhausted, resp.Version)
 	if err != nil {
 		return nil, fmt.Errorf("%w: list %d: %v", ErrProofInvalid, q.List, err)
 	}

@@ -257,6 +257,30 @@ func TestWithProofDetectsTampering(t *testing.T) {
 			}
 			return false
 		}},
+		{"forged element inside an edge bucket", nil, func(_ server.ListQuery, resp *server.QueryResponse) bool {
+			// Not the window's predecessor or successor: an element that
+			// travels only to complete the bucket one of them shares.
+			for i := range resp.Proof.Groups {
+				gw := &resp.Proof.Groups[i]
+				for _, edge := range []struct {
+					els []proof.Boundary
+					at  int
+				}{{gw.Pred, 0}, {gw.Succ, len(gw.Succ) - 1}} {
+					if len(edge.els) < 2 {
+						continue
+					}
+					forged := slices.Clone(edge.els)
+					forged[edge.at].Sealed = append([]byte{1}, forged[edge.at].Sealed...)
+					if edge.at == 0 {
+						gw.Pred = forged
+					} else {
+						gw.Succ = forged
+					}
+					return true
+				}
+			}
+			return false
+		}},
 		{"stripped succ", nil, func(_ server.ListQuery, resp *server.QueryResponse) bool {
 			for i := range resp.Proof.Groups {
 				if gw := &resp.Proof.Groups[i]; gw.Succ != nil {
@@ -326,7 +350,10 @@ func TestWithProofDetectsTampering(t *testing.T) {
 				defer tb.set(nil, nil)
 				defer tt.set(nil, nil)
 				q, opts := query(i)
-				_, _, err := cl.Search(context.Background(), q, 8, opts...)
+				// Top-32: scans long enough that their continuations carry
+				// right-path hashes, which four elements to a leaf keeps
+				// out of a top-8 scan's.
+				_, _, err := cl.Search(context.Background(), q, 32, opts...)
 				if tc.resp != nil && tt.fired.Load() == 0 {
 					t.Fatal("no continuation the class applies to crossed the transport")
 				}
@@ -447,13 +474,18 @@ func TestWithProofHTTPEndToEnd(t *testing.T) {
 // miniWindow commits a single-group list holding exactly els (already
 // rank-sorted) and returns the full-window proof for it.
 func miniWindow(version uint64, els []server.StoredElement) *proof.Window {
-	leaves := make([]proof.Hash, len(els))
-	for i, e := range els {
-		leaves[i] = proof.LeafHash(e.TRS, e.Sealed)
+	var b proof.Bucketer
+	var leaves []proof.Hash
+	for _, e := range els {
+		if h, ok := b.Add(e.TRS, e.Sealed); ok {
+			leaves = append(leaves, h)
+		}
+	}
+	if h, ok := b.Flush(); ok {
+		leaves = append(leaves, h)
 	}
 	root := proof.TreeRoot(leaves)
 	gw := proof.GroupWindow{Group: 1, Count: len(els), Root: &root, Start: 0, End: len(els)}
-	gw.Path = proof.RangeProof(leaves, 0, len(els))
 	content := proof.ContentRoot([]proof.HeaderEntry{{Group: 1, HH: proof.HeaderHash(1, len(els), root)}})
 	return &proof.Window{
 		Version: version,

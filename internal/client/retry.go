@@ -14,10 +14,13 @@ package client
 //     decoded), so repeating the request cannot double-apply it — and
 //     the response carries the server's own Retry-After hint, which
 //     the backoff honors.
-//   - Other 5xx and transport-level failures (connection refused,
-//     reset, timeout) retry only for idempotent operations (Login,
-//     Query, QueryBatch, Stats): a mutation whose request may have
-//     reached the server cannot be safely repeated.
+//   - A failure to connect (a dial error: connection refused, no
+//     route) retries for every operation: the request never left the
+//     client, so no server can have applied it.
+//   - Other 5xx and transport-level failures (reset, timeout) retry
+//     only for idempotent operations (Login, Query, QueryBatch, Stats):
+//     a mutation whose request may have reached the server cannot be
+//     safely repeated.
 //   - Everything else — 4xx application errors, malformed responses —
 //     fails fast.
 //   - A call marked FailsOver (a replica set's member read) retries
@@ -28,7 +31,9 @@ package client
 
 import (
 	"context"
+	"errors"
 	"math/rand/v2"
+	"net"
 	"net/http"
 	"strconv"
 	"time"
@@ -111,9 +116,17 @@ func retryAfter(h http.Header) time.Duration {
 	return 0
 }
 
+// dialFailed reports whether err is a failure to connect, before any
+// byte of the request was sent.
+func dialFailed(err error) bool {
+	var op *net.OpError
+	return errors.As(err, &op) && op.Op == "dial"
+}
+
 // retryable classifies one failed exchange. status 0 means the
-// exchange failed below HTTP (transport error); failsOver means the
-// call carries the FailsOver mark.
+// exchange failed below HTTP (transport error); idempotent means
+// re-sending is safe — the operation is idempotent, or its request never
+// connected; failsOver means the call carries the FailsOver mark.
 func retryable(status int, idempotent, failsOver bool) bool {
 	switch {
 	case status == http.StatusTooManyRequests:

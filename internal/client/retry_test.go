@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -154,6 +155,63 @@ func TestRetry5xxIdempotentOnly(t *testing.T) {
 		if (err == nil) != tc.answers {
 			t.Errorf("marked read on %s: err = %v", tc.name, err)
 		}
+	}
+}
+
+// TestRetryMutationOnlyIfNeverSent: a mutation is re-sent after a
+// failure to connect, which no server saw, and not after a connection
+// that dropped mid-exchange, which one may have applied.
+func TestRetryMutationOnlyIfNeverSent(t *testing.T) {
+	op := []server.InsertOp{{List: 7, Element: server.StoredElement{Sealed: []byte{1}, Group: 0}}}
+
+	// A closed port that opens 150 ms later: the insert is retried until
+	// it connects, and applied once.
+	s := server.New([]byte("retry-secret"), time.Hour)
+	s.RegisterUser("alice", 0)
+	toks, err := s.Login(context.Background(), "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	opened := make(chan *httptest.Server, 1)
+	go func() {
+		time.Sleep(150 * time.Millisecond)
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			opened <- nil
+			return
+		}
+		ts := &httptest.Server{Listener: ln, Config: &http.Server{Handler: s.Handler()}}
+		ts.Start()
+		opened <- ts
+	}()
+	h := HTTP{BaseURL: "http://" + addr, Retry: DefaultRetryPolicy()}
+	err = h.InsertBatch(context.Background(), toks[0], op)
+	ts := <-opened
+	if ts == nil {
+		t.Skip("the port was taken before the server could listen on it")
+	}
+	defer ts.Close()
+	if err != nil {
+		t.Fatalf("insert against a port that opened: %v", err)
+	}
+	if st, err := s.StatsV2(context.Background()); err != nil || st.Elements != 1 {
+		t.Fatalf("%d elements stored (%v), want the insert applied once", st.Elements, err)
+	}
+
+	// A connection dropped after the request was sent: not retried.
+	flaky, _, attempts := flakyServer(t, 1, 0)
+	h = HTTP{BaseURL: flaky.URL, Retry: DefaultRetryPolicy()}
+	if err := h.InsertBatch(context.Background(), toks[0], op); err == nil {
+		t.Fatal("insert through a dropped connection succeeded")
+	}
+	if got := attempts.Load(); got != 1 {
+		t.Fatalf("insert through a dropped connection sent %d times, want 1", got)
 	}
 }
 

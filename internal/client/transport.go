@@ -209,7 +209,10 @@ func (h HTTP) exchange(ctx context.Context, method, path string, body []byte, co
 		if resp != nil {
 			status, hint = resp.StatusCode, retryAfter(resp.Header)
 		}
-		if ctx.Err() != nil || h.Retry == nil || retry >= DefaultMaxRetries || !retryable(status, idempotent, failsOver(ctx)) {
+		// A request whose connection was refused never reached a server:
+		// re-sending it cannot apply it twice.
+		safe := idempotent || dialFailed(err)
+		if ctx.Err() != nil || h.Retry == nil || retry >= DefaultMaxRetries || !retryable(status, safe, failsOver(ctx)) {
 			return nil, err
 		}
 		if serr := sleepCtx(ctx, delay(retry, hint)); serr != nil {

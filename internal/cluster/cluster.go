@@ -387,23 +387,27 @@ func retainWindow(resp server.QueryResponse) store.QueryResult {
 	}
 	if resp.Proof != nil && !resp.Proof.Continued {
 		// Hashes are values and the path slices are the decoder's own;
-		// only the boundary payloads point into the body.
+		// only the edge elements' payloads point into the body.
 		w := *resp.Proof
 		w.Groups = slices.Clone(w.Groups)
 		for i := range w.Groups {
 			gw := &w.Groups[i]
-			gw.Pred, gw.Succ = cloneBoundary(gw.Pred), cloneBoundary(gw.Succ)
+			gw.Pred, gw.Succ = cloneEdge(gw.Pred), cloneEdge(gw.Succ)
 		}
 		res.Proof = &w
 	}
 	return res
 }
 
-func cloneBoundary(b *proof.Boundary) *proof.Boundary {
-	if b == nil {
+func cloneEdge(edge []proof.Boundary) []proof.Boundary {
+	if edge == nil {
 		return nil
 	}
-	return &proof.Boundary{TRS: b.TRS, Sealed: bytes.Clone(b.Sealed)}
+	out := make([]proof.Boundary, len(edge))
+	for i, b := range edge {
+		out[i] = proof.Boundary{TRS: b.TRS, Sealed: bytes.Clone(b.Sealed)}
+	}
+	return out
 }
 
 // cachedWindow pins one retained window for the duration of a batch,

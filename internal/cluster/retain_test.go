@@ -18,7 +18,7 @@ import (
 // the response body a window was decoded from — a retained 1 KB window
 // would otherwise pin (and here, be corrupted through) the whole body.
 func TestRetainWindowCopies(t *testing.T) {
-	root := proof.LeafHash(0.1, []byte("root"))
+	root := proof.Hash{0x52}
 	sent := server.QueryResponse{
 		Elements: []server.StoredElement{
 			{Sealed: []byte("first"), TRS: 0.7, Group: 1},
@@ -28,8 +28,8 @@ func TestRetainWindowCopies(t *testing.T) {
 		Version:   9,
 		Proof: &proof.Window{Version: 9, Root: root, Groups: []proof.GroupWindow{{
 			Group: 1, Count: 4, Root: &root, Start: 1, End: 3,
-			Pred: &proof.Boundary{TRS: 0.8, Sealed: []byte("pred")},
-			Succ: &proof.Boundary{TRS: 0.5, Sealed: []byte("succ")},
+			Pred: []proof.Boundary{{TRS: 0.8, Sealed: []byte("pred")}},
+			Succ: []proof.Boundary{{TRS: 0.5, Sealed: []byte("succ")}, {TRS: 0.4, Sealed: []byte("succ2")}},
 			Path: []proof.Hash{root},
 		}}},
 	}
@@ -104,11 +104,7 @@ func TestRouterRetainsFullProofsOnly(t *testing.T) {
 	allowed := map[int]bool{0: true, 1: true}
 	verify := func(prev *proof.Frontier, q server.ListQuery, resp server.QueryResponse) *proof.Frontier {
 		t.Helper()
-		elems := make([]proof.WindowElement, len(resp.Elements))
-		for i, el := range resp.Elements {
-			elems[i] = proof.WindowElement{TRS: el.TRS, Sealed: el.Sealed, Group: el.Group}
-		}
-		next, err := proof.VerifyNext(prev, resp.Proof, allowed, q.Offset, q.Count, elems, resp.Exhausted, resp.Version)
+		next, err := proof.VerifyNext(prev, resp.Proof, allowed, q.Offset, q.Count, resp.Elements, resp.Exhausted, resp.Version)
 		if err != nil {
 			t.Fatalf("window [%d,+%d): %v", q.Offset, q.Count, err)
 		}

@@ -70,10 +70,14 @@ const Ungated = -1
 //     cost summed over a search's rounds on ≈ 625-leaf groups, where
 //     an O(n) proof and an O(log n) one are 13× apart instead of 80×.
 //   - ProofQuery/after-write: the first proved window after an insert
-//     at a random rank, i.e. the O(n − p) re-hash of the interior
-//     nodes behind the insert. `proved` never writes and `mixed`
-//     proves every 16th search on lists of tens of elements, so no
-//     workload pays it at a size where it shows.
+//     at a random rank, i.e. the O(n − p) re-hash of the buckets and
+//     interior nodes behind the insert. `proved` never writes and
+//     `mixed` proves every 16th search on lists of tens of elements, so
+//     no workload pays it at a size where it shows.
+//   - ProofQuery/first-audit: the first proved window of an audited
+//     list after a snapshot reopen, which hashes every bucket of the
+//     list — the snapshot holds no hashes. Like StoreRecover/*, a cold
+//     start no steady-state workload pays.
 //   - ProofQuery/verify: client-side verification of one deep window,
 //     with its allocation gate; benchmark/ has it inside
 //     client.self_ms, mixed with ranking and bookkeeping.
@@ -118,7 +122,8 @@ func Suite() []Bench {
 		{Name: "QueryRound/tag", F: queryRoundTag, MaxAllocs: 42},
 		{Name: "QueryInstrumented/unchanged", F: queryInstrumentedUnchanged, MaxAllocs: 18},
 		{Name: "ProofQuery/proved", F: proofQueryProved, MaxAllocs: 158},
-		{Name: "ProofQuery/after-write", F: proofQueryAfterWrite, MaxAllocs: Ungated},
+		{Name: "ProofQuery/after-write", F: proofQueryAfterWrite, MaxAllocs: 43},
+		{Name: "ProofQuery/first-audit", F: proofQueryFirstAudit, MaxAllocs: 190},
 		{Name: "ProofQuery/verify", F: proofQueryVerify, MaxAllocs: 2},
 		{Name: "ProofQuery/verify-continuation", F: proofQueryVerifyContinuation, MaxAllocs: 5},
 		{Name: "StoreAppend/list=120", F: storeAppend, MaxAllocs: Ungated},
@@ -450,16 +455,51 @@ func proofQueryAfterWrite(b *testing.B) {
 	}
 }
 
+// proofQueryFirstAudit prices the first proved window of an audited
+// list after a restart: its snapshot holds no hashes, so the window pays
+// the decode of the list, one SHA-256 call per four of its 120k
+// payloads, the interior nodes above them, then the proof. The import
+// before it is outside the timer: StoreRecover/* prices that.
+func proofQueryFirstAudit(b *testing.B) {
+	r := followupRounds[0]
+	src := newBigList()
+	if _, err := src.QueryProved(fixtureList, fixtureAllowed, r.Offset, r.Count); err != nil {
+		b.Fatal(err)
+	}
+	snap, _, err := src.ExportSnapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	src = nil
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m := store.NewMemory()
+		if err := m.ImportSnapshot(snap); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		res, err := m.QueryProved(fixtureList, fixtureAllowed, r.Offset, r.Count)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Elements) != r.Count || res.Proof == nil {
+			b.Fatalf("%d elements, proof %v", len(res.Elements), res.Proof != nil)
+		}
+	}
+}
+
 // proofQueryVerify prices the client side: VerifyWindow over the
 // deepest follow-up window (4k elements plus boundaries) — the
 // per-round cost a WithProof search pays before decrypting anything.
 func proofQueryVerify(b *testing.B) {
 	r := followupRounds[len(followupRounds)-1]
-	res, elems := provedWindow(b, r.Offset, r.Count)
+	res := provedWindow(b, r.Offset, r.Count)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := proof.VerifyWindow(res.Proof, fixtureAllowed, r.Offset, r.Count, elems, res.Exhausted, res.Version); err != nil {
+		if err := proof.VerifyWindow(res.Proof, fixtureAllowed, r.Offset, r.Count, res.Elements, res.Exhausted, res.Version); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -471,34 +511,29 @@ func proofQueryVerify(b *testing.B) {
 // against the Frontier that window left, recording the next one.
 func proofQueryVerifyContinuation(b *testing.B) {
 	r := followupRounds[len(followupRounds)-1]
-	before, beforeElems := provedWindow(b, r.Offset-r.Count/2, r.Count/2)
-	prev, err := proof.VerifyNext(nil, before.Proof, fixtureAllowed, r.Offset-r.Count/2, r.Count/2, beforeElems, before.Exhausted, before.Version)
+	before := provedWindow(b, r.Offset-r.Count/2, r.Count/2)
+	prev, err := proof.VerifyNext(nil, before.Proof, fixtureAllowed, r.Offset-r.Count/2, r.Count/2, before.Elements, before.Exhausted, before.Version)
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, elems := provedWindow(b, r.Offset, r.Count)
+	res := provedWindow(b, r.Offset, r.Count)
 	cont := proof.Continue(res.Proof)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := proof.VerifyNext(prev, cont, fixtureAllowed, r.Offset, r.Count, elems, res.Exhausted, res.Version); err != nil {
+		if _, err := proof.VerifyNext(prev, cont, fixtureAllowed, r.Offset, r.Count, res.Elements, res.Exhausted, res.Version); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// provedWindow reads one proved window of the shared list, with its
-// elements as the verifier takes them.
-func provedWindow(b *testing.B, offset, count int) (store.QueryResult, []proof.WindowElement) {
+// provedWindow reads one proved window of the shared list.
+func provedWindow(b *testing.B, offset, count int) store.QueryResult {
 	res, err := bigList().QueryProved(fixtureList, fixtureAllowed, offset, count)
 	if err != nil {
 		b.Fatal(err)
 	}
-	elems := make([]proof.WindowElement, len(res.Elements))
-	for i, el := range res.Elements {
-		elems[i] = proof.WindowElement{TRS: el.TRS, Sealed: el.Sealed, Group: el.Group}
-	}
-	return res, elems
+	return res
 }
 
 // --- storage-engine appends -----------------------------------------

@@ -3,16 +3,17 @@ package proof
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // scanFixture is a list whose scans have paths left to continue: group
-// 1 holds 20 elements, group 3 six, both in the caller's view, and
-// group 2 three foreign ones.
+// 1 holds 80 elements (20 buckets), group 3 six, both in the caller's
+// view, and group 2 three foreign ones.
 func scanFixture() (map[int][]pEl, map[int]bool) {
 	groups := map[int][]pEl{}
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 80; i++ {
 		groups[1] = append(groups[1], pEl{float64(40 - 2*i), []byte{'a', byte(i)}, 1})
 	}
 	for i := 0; i < 6; i++ {
@@ -102,7 +103,7 @@ func TestContinuationCarriesLess(t *testing.T) {
 	for i, gw := range c.Groups {
 		cont += len(gw.Path)
 		p := proved[i]
-		if gw.Group != p.Group || gw.End != p.End || gw.Succ != p.Succ ||
+		if gw.Group != p.Group || gw.End != p.End || !reflect.DeepEqual(gw.Succ, p.Succ) ||
 			gw.Opaque != nil || gw.Root != nil || gw.Count != 0 || gw.Start != 0 || gw.Pred != nil {
 			t.Fatalf("continuation group %+v of proved group %+v", gw, p)
 		}
@@ -116,8 +117,10 @@ func TestContinuationCarriesLess(t *testing.T) {
 // continuation, as TestVerifyWindowRejects does for full proofs.
 func TestVerifyNextRejects(t *testing.T) {
 	groups, allowed := scanFixture()
-	// Visible order: a0 40, a1 38, c0 37, a2 36, a3 34, c1 31, ... — the
-	// first window holds two elements, the continuation four.
+	// Visible order: a0 40, a1 38, c0 37, a2 36, a3 34, a4 32, c1 31, ...
+	// — the first window holds two elements, the continuation 20, which
+	// end in group 1's bucket 4, past the node over the buckets the first
+	// one's proof reached.
 	start := func() *Frontier {
 		w, elems, exhausted := buildWindow(7, groups, allowed, 0, 2)
 		f, err := VerifyNext(nil, w, allowed, 0, 2, elems, exhausted, 7)
@@ -135,7 +138,7 @@ func TestVerifyNextRejects(t *testing.T) {
 		ver    uint64
 	}
 	build := func() call {
-		w, elems, exhausted := buildWindow(7, groups, allowed, 2, 4)
+		w, elems, exhausted := buildWindow(7, groups, allowed, 2, 20)
 		return call{prev: start(), w: Continue(w), elems: elems, offset: 2, exh: exhausted, ver: 7}
 	}
 	withPath := func(c *call) *GroupWindow {
@@ -179,7 +182,12 @@ func TestVerifyNextRejects(t *testing.T) {
 			gw := withPath(c)
 			gw.Path = gw.Path[:len(gw.Path)-1]
 		}},
-		{"stripped succ", "group 1 suffix boundary presence inconsistent", func(c *call) { c.w.Groups[0].Succ = nil }},
+		{"stripped succ", "group 1 successor bucket carries 0 elements, want 3", func(c *call) { c.w.Groups[0].Succ = nil }},
+		{"forged edge element", "group 1 range proof does not bind to its root", func(c *call) {
+			succ := slices.Clone(c.w.Groups[0].Succ)
+			succ[2].Sealed = []byte{'x'}
+			c.w.Groups[0].Succ = succ
+		}},
 		{"end shifted up", "window segment holds", func(c *call) { c.w.Groups[0].End++ }},
 		{"end shifted down", "window segment holds", func(c *call) { c.w.Groups[0].End-- }},
 		{"window above the one before", "window ranks above the end of the window before it", func(c *call) {
@@ -191,7 +199,7 @@ func TestVerifyNextRejects(t *testing.T) {
 	for _, tc := range cases {
 		c := build()
 		tc.mutate(&c)
-		_, err := VerifyNext(c.prev, c.w, allowed, c.offset, 4, c.elems, c.exh, c.ver)
+		_, err := VerifyNext(c.prev, c.w, allowed, c.offset, 20, c.elems, c.exh, c.ver)
 		switch {
 		case err == nil:
 			t.Errorf("%s: accepted", tc.name)
@@ -200,7 +208,7 @@ func TestVerifyNextRejects(t *testing.T) {
 		}
 	}
 	c := build()
-	if _, err := VerifyNext(c.prev, c.w, allowed, c.offset, 4, c.elems, c.exh, c.ver); err != nil {
+	if _, err := VerifyNext(c.prev, c.w, allowed, c.offset, 20, c.elems, c.exh, c.ver); err != nil {
 		t.Fatalf("baseline continuation rejected: %v", err)
 	}
 }

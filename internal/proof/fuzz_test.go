@@ -18,9 +18,11 @@ package proof_test
 //
 // The seed corpus under testdata/fuzz/FuzzVerifyWindow is honest
 // windows of that store, written by `go test -run TestFuzzSeedsCurrent
-// -update` on the commit that made the tree four-ary. The store file is
-// older and holds leaves only, so the tree shape did not move its
-// bytes; -update rewrites it too, with new versions and so new roots.
+// -update` on the commit that made a leaf a bucket of four elements.
+// The store file is older: it carries a leaf block of one hash per
+// element, which the snapshot reader now skips, so it opens unchanged
+// and its lists hash their buckets on first audit. -update writes a
+// new store only where none exists (new versions, so new roots).
 
 import (
 	"bytes"
@@ -112,18 +114,21 @@ func corpusEntry(frame []byte, offset, count int) []byte {
 // TestFuzzSeedsCurrent: the committed corpus is exactly the honest
 // windows of the committed store, byte for byte — proofs this build
 // generates are the proofs the previous one did. With -update it
-// rewrites store and corpus instead.
+// rewrites the corpus instead, and writes the store if it is missing.
 func TestFuzzSeedsCurrent(t *testing.T) {
 	if updating() {
-		data, _, err := newFuzzStore(t).ExportSnapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
 		if err := os.MkdirAll(fuzzCorpusDir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join("testdata", fuzzStoreFile), data, 0o644); err != nil {
-			t.Fatal(err)
+		storeFile := filepath.Join("testdata", fuzzStoreFile)
+		if _, err := os.Stat(storeFile); os.IsNotExist(err) {
+			data, _, err := newFuzzStore(t).ExportSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(storeFile, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	m, _ := loadFuzzStore(t)

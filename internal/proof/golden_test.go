@@ -1,11 +1,12 @@
 package proof
 
 // Golden roots and range proofs. testdata/merkle_golden.txt was written
-// by running this test with -update on the commit that made the tree
-// four-ary, from the cache-less recursion, and every root and path in it
-// is what the level-by-level oracle (oracle_test.go) builds too. A tree
-// shape or hash-input change shows up here as a diff against that
-// commit, not merely as prover and verifier agreeing with each other.
+// by running this test with -update on the commit that made a leaf a
+// bucket of four elements, from the cache-less recursion, and every root
+// and path in it is what the level-by-level oracle (oracle_test.go)
+// builds too, over the buckets the oracle hashes itself. A tree shape or
+// hash-input change shows up here as a diff against that commit, not
+// merely as prover and verifier agreeing with each other.
 // -update rewrites the file: that re-roots every committed list, so it
 // is a format break, not a way to make a red test green.
 
@@ -27,15 +28,37 @@ const goldenFile = "merkle_golden.txt"
 
 var goldenSizes = []int{1, 2, 3, 5, 8, 9, 625, 1000}
 
-// goldenLeaves returns n distinct leaves that depend on nothing but n
-// and the index.
-func goldenLeaves(n int) []Hash {
-	out := make([]Hash, n)
+// goldenRun returns n distinct rank-sorted elements that depend on
+// nothing but n and the index.
+func goldenRun(n int) []WindowElement {
+	out := make([]WindowElement, n)
 	for i := range out {
-		var sealed [8]byte
+		sealed := make([]byte, 8)
 		binary.BigEndian.PutUint32(sealed[:4], uint32(n))
 		binary.BigEndian.PutUint32(sealed[4:], uint32(i))
-		out[i] = LeafHash(float64(n-i)/4, sealed[:])
+		out[i] = WindowElement{TRS: float64(n-i) / 4, Sealed: sealed}
+	}
+	return out
+}
+
+// goldenLeaves returns the n leaves of a tree over a run of 4n − n%3
+// elements, so that a third of the trees end in a bucket of two and a
+// third in one of three: the buckets of goldenRun(4n − n%3).
+func goldenLeaves(n int) []Hash {
+	return bucketsOf(goldenRun(BucketSize*n - n%3))
+}
+
+// bucketsOf hashes a run into its buckets with a Bucketer.
+func bucketsOf(run []WindowElement) []Hash {
+	var b Bucketer
+	var out []Hash
+	for _, el := range run {
+		if h, ok := b.Add(el.TRS, el.Sealed); ok {
+			out = append(out, h)
+		}
+	}
+	if h, ok := b.Flush(); ok {
+		out = append(out, h)
 	}
 	return out
 }

@@ -5,7 +5,8 @@ import (
 	"math/bits"
 )
 
-// The tree is four-ary: a tree over n > 1 leaves has a child over each
+// The tree is four-ary over the buckets of a group's run (proof.go), one
+// leaf per bucket: a tree over n > 1 leaves has a child over each
 // consecutive run of w leaves, w the largest power of four strictly
 // below n, the last run possibly shorter — two to four children; a
 // single leaf is its own root. A node hashes H(0x01 || its children's
@@ -64,18 +65,21 @@ func RangeProof(leaves []Hash, lo, hi int) []Hash {
 // the roots of complete aligned subtrees of 4^cacheFloor leaves and
 // up, and recomputes anything smaller from the leaves. Each level is a
 // quarter of the one below, so the cache costs 32 B / (3 × 4^(cacheFloor-1))
-// per leaf on top of the 32 B leaf itself, and a proof pays a few extra
-// hashes per side of its range for what the floor leaves out. A
-// constant, not a knob: the 4-leaf floor costs four times the memory
-// and buys nothing the clock can see, the 64-leaf one costs a third
-// more per proof. Measured on one box (microbench legs, median of 4 on
-// the 120k-element list, 2 cores):
+// per leaf on top of the 32 B leaf itself — a leaf is a bucket of four
+// elements, so a quarter of that per element — and a proof pays a few
+// extra hashes per side of its range for what the floor leaves out. A
+// constant, not a knob: every proved window pays for the floor, and the
+// 4-leaf one costs 2 B per element more than the 16-leaf one and a
+// tenth less per proof; a write pays the floor once, and the 4-leaf one
+// costs it 3 % more. Measured on one box (microbench legs, 2 cores, the
+// 120k-element list; floors 1 and 2 medians of 4 runs interleaved,
+// floor 3 a median of 3 from an earlier session):
 //
-//	floor  leaves  cache B/leaf  ProofQuery/proved  /after-write
-//	1      4       10.7          0.305 ms           0.793 ms
-//	2      16      2.7           0.321 ms           0.783 ms
-//	3      64      0.7           0.440 ms           0.794 ms
-const cacheFloor = 2
+//	floor  leaves (elements)  cache B/element  ProofQuery/proved  /after-write
+//	1      4 (16)             2.7              0.351 ms           1.354 ms
+//	2      16 (64)            0.7              0.392 ms           1.310 ms
+//	3      64 (256)           0.2              0.443 ms           1.291 ms
+const cacheFloor = 1
 
 // Tree caches the interior nodes of one leaf sequence's Merkle tree so
 // that roots and range proofs cost O(log n) instead of O(n) hashes.

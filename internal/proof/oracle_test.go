@@ -5,17 +5,40 @@ package proof
 // definition read the other way round — every run of 4^h leaves that
 // starts at a multiple of 4^h is one node, so each level groups the
 // level below in aligned runs of four, and a run of one (the ragged
-// right edge) moves up unhashed. Node hashes are SHA-256 over 0x01 and
-// the children's roots, written out here again.
+// right edge) moves up unhashed. Its leaves are the run's buckets, and
+// every hash — a bucket is SHA-256 over 0x00 and, per element, its TRS
+// bits, length and payload; a node over 0x01 and the children's roots —
+// is written out here again.
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
 )
 
-const oracleArity = 4
+const (
+	oracleArity  = 4
+	oracleBucket = 4
+)
+
+// oracleBuckets hashes a run into the leaves of its tree: each aligned
+// run of four elements, the last possibly shorter, in one call.
+func oracleBuckets(run []WindowElement) []Hash {
+	var out []Hash
+	for i := 0; i < len(run); i += oracleBucket {
+		in := []byte{0x00}
+		for _, el := range run[i:min(i+oracleBucket, len(run))] {
+			in = binary.BigEndian.AppendUint64(in, math.Float64bits(el.TRS))
+			in = binary.AppendUvarint(in, uint64(len(el.Sealed)))
+			in = append(in, el.Sealed...)
+		}
+		out = append(out, sha256.Sum256(in))
+	}
+	return out
+}
 
 // oracleNode is one node of the oracle's tree: the leaves [lo, hi) it
 // spans, its root and its children (none for a leaf).
@@ -70,8 +93,8 @@ func (nd *oracleNode) proof(lo, hi int, out []Hash) []Hash {
 	return out
 }
 
-// TestOracleShape holds merkle.go to the oracle for every tree of up to
-// 300 leaves: TreeRoot; a cached Tree truncated at every p and extended
+// TestOracleShape holds the Bucketer to the oracle's buckets and
+// merkle.go to the oracle for every tree of up to 300 leaves: TreeRoot; a cached Tree truncated at every p and extended
 // again, which must hold exactly the oracle's complete aligned
 // subtrees; and for the ranges [lo, hi) below, the cached RangeProof,
 // hash for hash, within the path bound 2·(k−1)·⌈log_k n⌉, and
@@ -85,7 +108,13 @@ func (nd *oracleNode) proof(lo, hi int, out []Hash) []Hash {
 // beyond, on the ranges a third of the tree long that reach either end.
 func TestOracleShape(t *testing.T) {
 	const maxN = 300
-	all := goldenLeaves(maxN)
+	run := goldenRun(oracleBucket * maxN)
+	all := oracleBuckets(run)
+	for m := 0; m <= 3*oracleBucket; m++ {
+		if got, want := bucketsOf(run[:m]), oracleBuckets(run[:m]); !slices.Equal(got, want) {
+			t.Fatalf("%d elements: the Bucketer's buckets differ from the oracle's", m)
+		}
+	}
 	for n := 1; n <= maxN; n++ {
 		leaves := all[:n]
 		root, nodes := buildOracle(leaves)
@@ -168,41 +197,40 @@ func checkCache(t *testing.T, tr *Tree, nodes map[[2]int]*oracleNode, n, p int) 
 	}
 }
 
-// TestOracleContinuation verifies, for every tree of up to 32 leaves
+// TestOracleContinuation verifies, for every run of up to 32 elements
 // and every pair of window ends 0 < e1 < e2 <= n, the window [e1, e2)
-// of a one-group list as the continuation of the window [0, e1), and
-// for every tree of up to 300 leaves the scans a search makes: a first
-// window of b = 1..16 elements, then windows doubling in size. The
-// continuation must verify against the group root the oracle builds
-// and leave the Frontier the full proof of the same window leaves.
+// of a one-group list as the continuation of the window [0, e1) — ends
+// on every position of a bucket and on its boundaries — and for every
+// run of up to 300 elements the scans a search makes: a first window of
+// b = 1..16 elements, then windows doubling in size. The continuation
+// must verify against the group root the oracle builds over the
+// oracle's buckets and leave the Frontier the full proof of the same
+// window leaves.
 func TestOracleContinuation(t *testing.T) {
 	const maxN = 300
 	els := make([]WindowElement, maxN)
-	leaves := make([]Hash, maxN)
 	for i := range els {
 		els[i] = WindowElement{TRS: float64(maxN - i), Sealed: []byte{byte(i), byte(i >> 8)}}
-		leaves[i] = LeafHash(els[i].TRS, els[i].Sealed)
 	}
 	allowed := map[int]bool{0: true}
 	for n := 1; n <= maxN; n++ {
-		root, _ := buildOracle(leaves[:n])
+		leaves := oracleBuckets(els[:n])
+		root, _ := buildOracle(leaves)
 		var tr Tree
-		tr.Extend(leaves[:n])
+		tr.Extend(leaves)
 		listRoot := ListRoot(3, ContentRoot([]HeaderEntry{{Group: 0, HH: HeaderHash(0, n, root.root)}}))
 		// window is the honest full proof of [start, end) over the first
 		// n elements.
 		window := func(start, end int) *Window {
 			gw := GroupWindow{Count: n, Root: &root.root, Start: start, End: end}
-			lo, hi := start, end
-			if start > 0 {
-				gw.Pred = &Boundary{TRS: els[start-1].TRS, Sealed: els[start-1].Sealed}
-				lo--
+			lo, hi := EdgeRange(n, start, end)
+			for _, el := range els[lo:start] {
+				gw.Pred = append(gw.Pred, Boundary{TRS: el.TRS, Sealed: el.Sealed})
 			}
-			if end < n {
-				gw.Succ = &Boundary{TRS: els[end].TRS, Sealed: els[end].Sealed}
-				hi++
+			for _, el := range els[end:hi] {
+				gw.Succ = append(gw.Succ, Boundary{TRS: el.TRS, Sealed: el.Sealed})
 			}
-			gw.Path = tr.RangeProof(leaves[:n], lo, hi)
+			gw.Path = tr.RangeProof(leaves, lo/oracleBucket, (hi+oracleBucket-1)/oracleBucket)
 			return &Window{Version: 3, Root: listRoot, Groups: []GroupWindow{gw}}
 		}
 		check := func(e1, e2 int) {

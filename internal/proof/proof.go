@@ -21,12 +21,15 @@
 //
 // Hashing is SHA-256 throughout with one-byte domain separation:
 // 0x00 leaves, 0x01 interior nodes, 0x02 group headers, 0x03 the
-// content root, 0x04 the version-bound list root. A tree node over n
-// leaves has a child over each run of the largest power of four below
-// n (merkle.go), so the shape is a function of the count and a
-// contiguous leaf range has one deterministic multiproof. Roots of the
-// binary RFC 6962 trees this package built before do not verify under
-// this shape: a root pinned from one must be pinned again.
+// content root, 0x04 the version-bound list root. A leaf is a bucket of
+// four consecutive elements of a group's run, hashed in one call
+// (Bucketer). A tree node over n leaves has a child over each run of
+// the largest power of four below n (merkle.go), so the shape is a
+// function of the count and a contiguous leaf range has one
+// deterministic multiproof. Roots of the earlier formats do not verify
+// under this one — neither those of the binary RFC 6962 trees nor those
+// of four-ary trees with one leaf per element — so a root pinned from
+// either must be pinned again.
 package proof
 
 import (
@@ -76,32 +79,67 @@ func (h *Hash) UnmarshalJSON(data []byte) error {
 // exactly one of these, so no input to one role can collide with an
 // input to another.
 const (
-	domainLeaf    = 0x00
+	domainLeaf    = 0x00 // a bucket of elements
 	domainNode    = 0x01
 	domainHeader  = 0x02
 	domainContent = 0x03
 	domainList    = 0x04
 )
 
-// LeafHash commits one posting element: H(0x00 || TRS as 8-byte
-// big-endian IEEE bits || uvarint(len(sealed)) || sealed). The group
-// is deliberately absent — it is bound by which group's tree the leaf
-// lives in — so a leaf's value survives merges and removals unchanged
-// and commitments can be maintained incrementally: mutations move
-// leaves, they never rehash them.
-func LeafHash(trs float64, sealed []byte) Hash {
-	h := sha256.New()
-	var head [9]byte
-	head[0] = domainLeaf
-	binary.BigEndian.PutUint64(head[1:], math.Float64bits(trs))
-	h.Write(head[:])
-	var v [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(v[:], uint64(len(sealed)))
-	h.Write(v[:n])
-	h.Write(sealed)
-	var out Hash
-	h.Sum(out[:0])
-	return out
+// BucketSize is how many consecutive elements of a group's run one
+// leaf of its tree commits: a constant of the format, like logArity.
+// Hashing is priced per SHA-256 call more than per 64-byte block, and a
+// bucket of four 44-byte payloads is one 213-byte call where four leaves
+// and the node over them were five.
+const BucketSize = 4
+
+// NumBuckets is the number of buckets, and so of tree leaves, of an
+// n-element run: ⌈n/BucketSize⌉, the last bucket partial when
+// BucketSize does not divide n.
+func NumBuckets(n int) int {
+	return n/BucketSize + min(n%BucketSize, 1)
+}
+
+// A Bucketer hashes a group's run, fed to it in rank order, into the
+// leaves of the run's tree: bucket i commits the run's elements
+// [i×BucketSize, (i+1)×BucketSize) as H(0x00 || for each element: TRS
+// as 8-byte big-endian IEEE bits || uvarint(len(sealed)) || sealed),
+// in one SHA-256 call. The group is deliberately absent — it is bound
+// by which group's tree the bucket lives in. The zero Bucketer is
+// ready; reusing one reuses its buffer.
+type Bucketer struct {
+	buf []byte // the open bucket's input: the domain byte, then its elements
+	n   int    // elements in the open bucket
+}
+
+// Add feeds the run's next element. When the element completes a bucket
+// it returns the bucket's hash and true.
+func (b *Bucketer) Add(trs float64, sealed []byte) (Hash, bool) {
+	if b.n == 0 {
+		b.buf = append(b.buf[:0], domainLeaf)
+	}
+	b.buf = appendElement(b.buf, trs, sealed)
+	if b.n++; b.n < BucketSize {
+		return Hash{}, false
+	}
+	return b.Flush()
+}
+
+// Flush closes the open partial bucket at the end of a run: its hash
+// and true, or false when no element is open.
+func (b *Bucketer) Flush() (Hash, bool) {
+	if b.n == 0 {
+		return Hash{}, false
+	}
+	b.n = 0
+	return sha256.Sum256(b.buf), true
+}
+
+// appendElement appends one element's share of a bucket's hash input.
+func appendElement(buf []byte, trs float64, sealed []byte) []byte {
+	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(trs))
+	buf = binary.AppendUvarint(buf, uint64(len(sealed)))
+	return append(buf, sealed...)
 }
 
 // interiorHash combines the roots of a node's two to four children, in

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -13,9 +14,40 @@ import (
 func leaves(n int) []Hash {
 	out := make([]Hash, n)
 	for i := range out {
-		out[i] = LeafHash(float64(n-i), []byte{byte(i), byte(n)})
+		out[i] = leafOf(float64(n-i), []byte{byte(i), byte(n)})
 	}
 	return out
+}
+
+// leafOf is the hash of a bucket holding one element: a run's last
+// bucket when one element is left over.
+func leafOf(trs float64, sealed []byte) Hash {
+	var b Bucketer
+	b.Add(trs, sealed)
+	h, _ := b.Flush()
+	return h
+}
+
+// runBuckets hashes a rank-sorted run into its tree's leaves.
+func runBuckets(run []pEl) []Hash {
+	els := make([]WindowElement, len(run))
+	for i, el := range run {
+		els[i] = WindowElement{TRS: el.trs, Sealed: el.sealed}
+	}
+	return bucketsOf(els)
+}
+
+// edges returns the Pred and Succ of an honest proof of the run's
+// window [start, end), and the bucket range its path covers.
+func edges(run []pEl, start, end int) (pred, succ []Boundary, lb, hb int) {
+	lo, hi := EdgeRange(len(run), start, end)
+	for _, el := range run[lo:start] {
+		pred = append(pred, Boundary{TRS: el.trs, Sealed: el.sealed})
+	}
+	for _, el := range run[end:hi] {
+		succ = append(succ, Boundary{TRS: el.trs, Sealed: el.sealed})
+	}
+	return pred, succ, lo / BucketSize, NumBuckets(hi)
 }
 
 func TestSplitPoint(t *testing.T) {
@@ -101,7 +133,7 @@ func TestVerifyRangeRejects(t *testing.T) {
 }
 
 func TestHashJSON(t *testing.T) {
-	h := LeafHash(1.5, []byte("x"))
+	h := leafOf(1.5, []byte("x"))
 	raw, err := json.Marshal(h)
 	if err != nil {
 		t.Fatal(err)
@@ -122,9 +154,9 @@ func TestHashJSON(t *testing.T) {
 
 func TestHashDistinctness(t *testing.T) {
 	pairs := [][2]Hash{
-		{LeafHash(1, []byte("ab")), LeafHash(2, []byte("ab"))},
-		{LeafHash(1, []byte("ab")), LeafHash(1, []byte("ac"))},
-		{LeafHash(1, []byte("a")), LeafHash(1, []byte("ab"))},
+		{leafOf(1, []byte("ab")), leafOf(2, []byte("ab"))},
+		{leafOf(1, []byte("ab")), leafOf(1, []byte("ac"))},
+		{leafOf(1, []byte("a")), leafOf(1, []byte("ab"))},
 		{HeaderHash(1, 2, Hash{}), HeaderHash(2, 2, Hash{})},
 		{HeaderHash(1, 2, Hash{}), HeaderHash(1, 3, Hash{})},
 		{ContentRoot(nil), ContentRoot([]HeaderEntry{{Group: 1}})},
@@ -139,7 +171,7 @@ func TestHashDistinctness(t *testing.T) {
 	// hashes, a header, the content root and the list root all start
 	// with different prefixes, so none can equal another by construction;
 	// spot-check the degenerate inputs anyway.
-	all := []Hash{LeafHash(0, nil), interiorHash(Hash{}, Hash{}), HeaderHash(0, 0, Hash{}), ContentRoot(nil), ListRoot(0, Hash{}), emptyRoot()}
+	all := []Hash{leafOf(0, nil), interiorHash(Hash{}, Hash{}), HeaderHash(0, 0, Hash{}), ContentRoot(nil), ListRoot(0, Hash{}), emptyRoot()}
 	for i := range all {
 		for j := i + 1; j < len(all); j++ {
 			if all[i] == all[j] {
@@ -213,10 +245,7 @@ func buildWindow(version uint64, groups map[int][]pEl, allowed map[int]bool, off
 	var entries []HeaderEntry
 	for _, g := range ids {
 		run := runs[g]
-		lh := make([]Hash, len(run))
-		for i, el := range run {
-			lh[i] = LeafHash(el.trs, el.sealed)
-		}
+		lh := runBuckets(run)
 		root := TreeRoot(lh)
 		hh := HeaderHash(g, len(run), root)
 		entries = append(entries, HeaderEntry{Group: g, HH: hh})
@@ -227,18 +256,9 @@ func buildWindow(version uint64, groups map[int][]pEl, allowed map[int]bool, off
 		}
 		gw := GroupWindow{Group: g, Count: len(run), Root: &root,
 			Start: inPrefix[g], End: inPrefix[g] + inWindow[g]}
-		lo, hi := gw.Start, gw.End
-		if gw.Start > 0 {
-			p := run[gw.Start-1]
-			gw.Pred = &Boundary{TRS: p.trs, Sealed: p.sealed}
-			lo--
-		}
-		if gw.End < gw.Count {
-			s := run[gw.End]
-			gw.Succ = &Boundary{TRS: s.trs, Sealed: s.sealed}
-			hi++
-		}
-		gw.Path = RangeProof(lh, lo, hi)
+		var lb, hb int
+		gw.Pred, gw.Succ, lb, hb = edges(run, gw.Start, gw.End)
+		gw.Path = RangeProof(lh, lb, hb)
 		w.Groups = append(w.Groups, gw)
 	}
 	w.Root = ListRoot(version, ContentRoot(entries))
@@ -411,7 +431,7 @@ func TestVerifyWindowRejects(t *testing.T) {
 			}
 			return w, e, 2, 4, false, 7
 		}},
-		{"shifted group range", "group 1 prefix boundary presence inconsistent", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
+		{"shifted group range", "group 1 window segment holds 2 elements, range claims 3", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
 			for i := range w.Groups {
 				if w.Groups[i].Root != nil && w.Groups[i].Start > 0 {
 					w.Groups[i].Start--
@@ -429,7 +449,7 @@ func TestVerifyWindowRejects(t *testing.T) {
 			}
 			return w, e, 2, 4, false, 7
 		}},
-		{"boundary stripped", "prefix boundary presence inconsistent", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
+		{"boundary stripped", "predecessor bucket carries 0 elements, want 1", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
 			for i := range w.Groups {
 				if w.Groups[i].Pred != nil {
 					w.Groups[i].Pred = nil
@@ -493,29 +513,15 @@ func TestVerifyWindowBoundaryPinning(t *testing.T) {
 		if gw.Root == nil {
 			continue
 		}
-		lh := make([]Hash, len(runs[gw.Group]))
-		for j, el := range runs[gw.Group] {
-			lh[j] = LeafHash(el.trs, el.sealed)
-		}
 		switch gw.Group {
 		case 1:
 			gw.Start, gw.End = 0, 1
 		case 3:
 			gw.Start, gw.End = 0, 2
 		}
-		lo, hi := gw.Start, gw.End
-		gw.Pred, gw.Succ = nil, nil
-		if gw.Start > 0 {
-			p := runs[gw.Group][gw.Start-1]
-			gw.Pred = &Boundary{TRS: p.trs, Sealed: p.sealed}
-			lo--
-		}
-		if gw.End < gw.Count {
-			s := runs[gw.Group][gw.End]
-			gw.Succ = &Boundary{TRS: s.trs, Sealed: s.sealed}
-			hi++
-		}
-		gw.Path = RangeProof(lh, lo, hi)
+		var lb, hb int
+		gw.Pred, gw.Succ, lb, hb = edges(runs[gw.Group], gw.Start, gw.End)
+		gw.Path = RangeProof(runBuckets(runs[gw.Group]), lb, hb)
 	}
 	err := VerifyWindow(w, allowed, 0, 3, forged, false, 7)
 	if err == nil {
@@ -523,5 +529,35 @@ func TestVerifyWindowBoundaryPinning(t *testing.T) {
 	}
 	if !errors.Is(err, ErrInvalid) {
 		t.Fatalf("error %v does not wrap ErrInvalid", err)
+	}
+}
+
+// TestVerifyWindowEdgeBuckets: the edge elements that are not the
+// window's predecessor or successor are checked by nothing but the
+// bucket hash they share with it, so forging one must break the range
+// proof. In scanFixture's window [3, 5) group 1 holds a2 and a3: Pred
+// is a0, a1 and Succ the whole bucket a4..a7.
+func TestVerifyWindowEdgeBuckets(t *testing.T) {
+	groups, allowed := scanFixture()
+	for _, tc := range []struct {
+		name  string
+		forge func(gw *GroupWindow)
+	}{
+		{"pred", func(gw *GroupWindow) { gw.Pred = slices.Clone(gw.Pred); gw.Pred[0].TRS += 1 }},
+		{"succ", func(gw *GroupWindow) { gw.Succ = slices.Clone(gw.Succ); gw.Succ[3].Sealed = []byte("forged") }},
+	} {
+		w, elems, exhausted := buildWindow(7, groups, allowed, 3, 2)
+		gw := &w.Groups[0]
+		if gw.Group != 1 || len(gw.Pred) != 2 || len(gw.Succ) != 4 {
+			t.Fatalf("group %d carries %d pred and %d succ elements, want group 1 with 2 and 4", gw.Group, len(gw.Pred), len(gw.Succ))
+		}
+		if err := VerifyWindow(w, allowed, 3, 2, elems, exhausted, 7); err != nil {
+			t.Fatalf("honest window rejected: %v", err)
+		}
+		tc.forge(gw)
+		err := VerifyWindow(w, allowed, 3, 2, elems, exhausted, 7)
+		if err == nil || !strings.Contains(err.Error(), "group 1 range proof does not bind to its root") {
+			t.Errorf("forged %s edge element: %v", tc.name, err)
+		}
 	}
 }

@@ -177,7 +177,7 @@ func TestTreeCacheSizedExactly(t *testing.T) {
 // is at most ceil(log4 n) — 32 for the largest int — so a hostile
 // count costs at most three path hashes per level, never a walk of n.
 func TestVerifyRangeHostileCount(t *testing.T) {
-	leaf := []Hash{LeafHash(1, []byte("x"))}
+	leaf := []Hash{leafOf(1, []byte("x"))}
 	for _, n := range []int{math.MaxInt, math.MaxInt - 1, 1<<62 + 1, 1 << 62, 1<<31 + 7} {
 		for _, lo := range []int{0, 1, n / 2, n - 1} {
 			// A single leaf's proof holds one to three hashes per level
@@ -199,28 +199,33 @@ func TestVerifyRangeHostileCount(t *testing.T) {
 	}
 }
 
-// FuzzRangeProof: VerifyRange accepts the honest multiproof of every
-// range [lo, hi) of every tree of up to 300 leaves, and refuses it after
-// any one mutation — a bit of a path hash flipped, a hash dropped, one
-// inserted, or two unequal ones swapped: it reports the proof malformed
-// or rebuilds another root. (n, lo, hi) are reduced into range, i and j
-// pick the hashes and the bit.
+// FuzzRangeProof: VerifyRange accepts the honest multiproof of the
+// buckets that hold any element range [lo, hi) of any run of up to 1 200
+// elements — ranges that start and end inside a bucket or on its
+// boundary, the buckets rebuilt from the run's elements — and refuses it
+// after any one mutation — a bit of a path hash flipped, a hash dropped,
+// one inserted, or two unequal ones swapped: it reports the proof
+// malformed or rebuilds another root. (n, lo, hi) are reduced into
+// range, i and j pick the hashes and the bit.
 func FuzzRangeProof(f *testing.F) {
-	const maxN = 300
-	all := goldenLeaves(maxN)
+	const maxN = 1200
+	run := goldenRun(maxN)
 	for op := range uint8(4) {
-		f.Add(uint16(10), uint16(2), uint16(5), op, uint16(0), uint16(1))
-		f.Add(uint16(299), uint16(100), uint16(30), op, uint16(3), uint16(200))
-		f.Add(uint16(64), uint16(15), uint16(2), op, uint16(1), uint16(7))
+		f.Add(uint16(40), uint16(8), uint16(11), op, uint16(0), uint16(1)) // bucket-aligned
+		f.Add(uint16(41), uint16(9), uint16(13), op, uint16(0), uint16(1)) // inside buckets
+		f.Add(uint16(1199), uint16(400), uint16(122), op, uint16(3), uint16(200))
+		f.Add(uint16(255), uint16(62), uint16(6), op, uint16(1), uint16(7))
 	}
 	f.Fuzz(func(t *testing.T, n, lo, hi uint16, op uint8, i, j uint16) {
 		nn := 1 + int(n)%maxN
 		l := int(lo) % nn
 		h := l + 1 + int(hi)%(nn-l)
-		leaves := all[:nn]
+		leaves := bucketsOf(run[:nn])
+		lb, hb := l/BucketSize, NumBuckets(h)
+		inRange := bucketsOf(run[lb*BucketSize : min(hb*BucketSize, nn)])
 		root := TreeRoot(leaves)
-		path := RangeProof(leaves, l, h)
-		if r, ok := VerifyRange(nn, l, h, leaves[l:h], path); !ok || r != root {
+		path := RangeProof(leaves, lb, hb)
+		if r, ok := VerifyRange(len(leaves), lb, hb, inRange, path); !ok || r != root {
 			t.Fatalf("n=%d [%d,%d): the honest proof does not verify", nn, l, h)
 		}
 		bad := slices.Clone(path)
@@ -236,7 +241,7 @@ func FuzzRangeProof(f *testing.F) {
 			}
 			bad = slices.Delete(bad, int(i)%len(bad), int(i)%len(bad)+1)
 		case 2: // insert a leaf of the tree as one more hash
-			bad = slices.Insert(bad, int(i)%(len(bad)+1), all[int(j)%maxN])
+			bad = slices.Insert(bad, int(i)%(len(bad)+1), leaves[int(j)%len(leaves)])
 		case 3: // swap two unequal hashes
 			if len(bad) < 2 {
 				return
@@ -247,7 +252,7 @@ func FuzzRangeProof(f *testing.F) {
 			}
 			bad[a], bad[b] = bad[b], bad[a]
 		}
-		if r, ok := VerifyRange(nn, l, h, leaves[l:h], bad); ok && r == root {
+		if r, ok := VerifyRange(len(leaves), lb, hb, inRange, bad); ok && r == root {
 			t.Fatalf("n=%d [%d,%d): mutation %d of the proof verified", nn, l, h, op%4)
 		}
 	})

@@ -2,14 +2,15 @@ package proof
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
 
-// Boundary is one committed element revealed only to pin a window
-// edge: the last element of a group's skipped prefix (Pred) or the
-// first element of its withheld suffix (Succ). It carries exactly the
-// fields the leaf hash commits to.
+// Boundary is one committed element revealed only to complete a bucket
+// that a window edge cuts (GroupWindow.Pred and Succ). It carries
+// exactly the fields the bucket hash commits to.
 type Boundary struct {
 	TRS    float64 `json:"trs"`
 	Sealed []byte  `json:"sealed"`
@@ -17,7 +18,7 @@ type Boundary struct {
 
 // GroupWindow is one group's slice of a window proof. For a group in
 // the caller's view ("proved") it carries the group's committed size,
-// root and the window's position range with its boundaries and range
+// root and the window's position range with its edge buckets and range
 // multiproof. For any other group only the opaque header hash and the
 // group ID travel — enough to rebuild the content root, nothing about
 // the group's size or content. In a continuation (Window.Continued)
@@ -36,11 +37,17 @@ type GroupWindow struct {
 	// slice, the run's first Start elements are the group's share of
 	// the skipped offset prefix, and positions End.. are withheld as
 	// ranking below the window.
-	Start int       `json:"start,omitempty"`
-	End   int       `json:"end,omitempty"`
-	Pred  *Boundary `json:"pred,omitempty"`
-	Succ  *Boundary `json:"succ,omitempty"`
-	Path  []Hash    `json:"path,omitempty"`
+	Start int `json:"start,omitempty"`
+	End   int `json:"end,omitempty"`
+	// Pred and Succ are the elements of the edge buckets that the window
+	// does not return: Pred is the run's [lo, Start) and Succ its
+	// [End, hi), for the [lo, hi) of EdgeRange — one to four elements
+	// each, none at the run's ends. Pred's last element is the window's
+	// predecessor and Succ's first its successor; the others travel so
+	// that the verifier can rebuild the buckets those two share.
+	Pred []Boundary `json:"pred,omitempty"`
+	Succ []Boundary `json:"succ,omitempty"`
+	Path []Hash     `json:"path,omitempty"`
 }
 
 // Window is the verifiable proof attached to one ranked query
@@ -58,21 +65,43 @@ type Window struct {
 	Continued bool `json:"continued,omitempty"`
 }
 
-// WindowElement is the verifier's view of one returned element — the
-// fields the commitment binds plus the server-assigned group.
+// WindowElement is one posting element as a window carries it: the
+// fields the commitment binds plus the server-assigned group. It is the
+// store's element type (store.Element), so a response verifies in
+// place.
 type WindowElement struct {
-	TRS    float64
-	Sealed []byte
-	Group  int
+	// Sealed is the encrypted (doc, term, score) payload.
+	Sealed []byte `json:"sealed"`
+	// TRS is the transformed relevance score the server ranks by.
+	TRS float64 `json:"trs"`
+	// Group is the collaboration group owning the element.
+	Group int `json:"group"`
+}
+
+// EdgeRange returns the run positions [lo, hi) that a full proof of the
+// window [start, end) of a count-element run proves: the window, its
+// predecessor and its successor where they exist, widened to whole
+// buckets. The proof's Path is the multiproof of the buckets
+// [lo/BucketSize, NumBuckets(hi)).
+func EdgeRange(count, start, end int) (lo, hi int) {
+	if start > 0 {
+		lo = (start - 1) / BucketSize * BucketSize
+	}
+	hi = end
+	if end < count {
+		hi += min(count-end, BucketSize-end%BucketSize)
+	}
+	return lo, hi
 }
 
 // Frontier is what verifying a window leaves for verifying the next
 // window of the same list, the one starting where it ended: the version
 // and root it was verified at, where it ended, its last element, and
 // per proved group the committed count and root, the window's end in
-// the group's run, the subtree roots covering the run before that end
-// and the right path of the window's proof. A continuation omits all
-// of it.
+// the group's run, the subtree roots covering the buckets before the
+// one that end falls in, the right path of the window's proof and the
+// elements of that bucket before the end. A continuation omits all of
+// it.
 type Frontier struct {
 	// Version is the list version the window was verified at: what the
 	// next sub-query names to ask for a continuation
@@ -85,12 +114,18 @@ type Frontier struct {
 	// hashes holds each group's frontier and then its right path, from
 	// the group's off.
 	hashes []Hash
+	// open holds last's payload, then each group's open bucket — the
+	// bucket input of the run's elements from the last bucket boundary
+	// at or before the window's end up to that end — from the group's
+	// openOff.
+	open []byte
 }
 
 type frontierGroup struct {
 	group, count, end int
 	root              Hash
 	off, left, right  int
+	openOff, openLen  int
 }
 
 // ErrInvalid is the root cause every failed verification wraps:
@@ -121,24 +156,23 @@ func cmpRank(atrs float64, asealed []byte, btrs float64, bsealed []byte) int {
 // and the right-path hashes that window's proof did not carry. The
 // rest the client holds or does without: the group's count and root,
 // its Start (the earlier window's End), the subtree roots covering the
-// run before Start, the predecessor (the earlier window's last element
+// buckets before the one Start falls in and that bucket's elements
+// before Start, the predecessor (the earlier window's last element
 // stands in for every group's) and the opaque headers (they bind only
 // the list root, which the client already checked). The earlier
-// window's right path is that of a range ending at min(Start+1, Count),
-// since a range's right path depends only on its upper end. Paths alias
-// w's.
+// window's proof ended at bucket min(Start/BucketSize+1, buckets), and
+// a range's right path depends only on where it ends. Paths alias w's.
 func Continue(w *Window) *Window {
 	c := &Window{Version: w.Version, Root: w.Root, Groups: make([]GroupWindow, 0, len(w.Groups)), Continued: true}
 	for _, gw := range w.Groups {
 		if gw.Opaque != nil {
 			continue
 		}
-		hi := gw.End
-		if gw.Succ != nil {
-			hi++
-		}
-		right := countRight(0, gw.Count, hi, hi)
-		shared := countRight(0, gw.Count, min(gw.Start+1, gw.Count), hi)
+		nb := NumBuckets(gw.Count)
+		_, hi := EdgeRange(gw.Count, gw.Start, gw.End)
+		hb := NumBuckets(hi)
+		right := countRight(0, nb, hb, hb)
+		shared := countRight(0, nb, min(gw.Start/BucketSize+1, nb), hb)
 		path := gw.Path[len(gw.Path)-right : len(gw.Path)-shared]
 		c.Groups = append(c.Groups, GroupWindow{Group: gw.Group, End: gw.End, Succ: gw.Succ, Path: path})
 	}
@@ -175,6 +209,37 @@ func VerifyNext(prev *Frontier, w *Window, allowed map[int]bool, offset, count i
 	return verify(prev, true, w, allowed, offset, count, elems, exhausted, version)
 }
 
+// groupState is one group of a proof as verify walks it. Its claims
+// come all from a full proof, or for a continuation (cont) the count,
+// root and start from the Frontier of the window before it, together
+// with the subtree roots covering the buckets before the one start
+// falls in (left), that window's right path (right) and the bucket
+// input of that bucket's elements before start (pre). The rest is
+// where its buckets go in the leaf buffer and the bucket its window
+// elements are filling.
+type groupState struct {
+	group, count, start, end int
+	root                     Hash
+	pred, succ               []Boundary
+	path, left, right        []Hash
+	pre                      []byte
+	cont, opaque             bool
+	// n counts the group's window elements; lb and hb delimit the
+	// buckets its range covers, whose hashes go to leaves[off:], k of
+	// them so far.
+	n, lb, hb, off, k int
+	// The open bucket: inOpen elements, its prefix first when prefix is
+	// set (the elements before Start, from Pred or the Frontier), then
+	// the window elements win[:nwin].
+	inOpen, nwin int
+	prefix       bool
+	win          [BucketSize]int32
+}
+
+// stackGroups is how many groups a proof may hold before verify keeps
+// their state on the heap.
+const stackGroups = 16
+
 func verify(prev *Frontier, record bool, w *Window, allowed map[int]bool, offset, count int, elems []WindowElement, exhausted bool, version uint64) (*Frontier, error) {
 	if w == nil {
 		return nil, invalidf("no proof attached")
@@ -199,67 +264,64 @@ func verify(prev *Frontier, record bool, w *Window, allowed map[int]bool, offset
 	if len(elems) > count {
 		return nil, invalidf("window holds %d elements, requested %d", len(elems), count)
 	}
-	// The merged window must be rank-sorted and stay inside the
-	// caller's view; each group's share of it is counted for its range
-	// proof.
-	counts := make(map[int]int)
-	for i, el := range elems {
-		if allowed != nil && !allowed[el.Group] {
-			return nil, invalidf("element %d claims group %d outside the caller's view", i, el.Group)
+	for i := range w.Groups {
+		if i > 0 && w.Groups[i].Group <= w.Groups[i-1].Group {
+			return nil, invalidf("group headers not strictly ascending at %d", w.Groups[i].Group)
 		}
+		if w.Continued && w.Groups[i].Group != prev.groups[i].group {
+			return nil, invalidf("continuation group %d has no verified state", w.Groups[i].Group)
+		}
+	}
+	// One state per group, at the group's position in w.Groups.
+	var stack [stackGroups]groupState
+	gs := stack[:]
+	if len(w.Groups) > len(stack) {
+		gs = make([]groupState, len(w.Groups))
+	}
+	gs = gs[:len(w.Groups)]
+	for i := range gs {
+		gs[i].opaque = w.Groups[i].Opaque != nil
+	}
+	// The merged window must be rank-sorted and stay inside the
+	// caller's view — a proved group of the proof; each group's share
+	// of it is counted for its range proof.
+	for i, el := range elems {
 		if i > 0 && cmpRank(elems[i-1].TRS, elems[i-1].Sealed, el.TRS, el.Sealed) > 0 {
 			return nil, invalidf("window not rank-sorted at element %d", i)
 		}
-		counts[el.Group]++
+		g := groupAt(w.Groups, el.Group)
+		switch {
+		case g < 0:
+			return nil, invalidf("window elements of group %d carry no proof", el.Group)
+		case gs[g].opaque:
+			return nil, invalidf("element %d claims group %d outside the caller's view", i, el.Group)
+		}
+		gs[g].n++
 	}
 	// A continuation's skipped prefix is the window before it and what
 	// that one skipped, all ranking at or above its last element.
 	if w.Continued && len(elems) > 0 && cmpRank(prev.last.TRS, prev.last.Sealed, elems[0].TRS, elems[0].Sealed) > 0 {
 		return nil, invalidf("window ranks above the end of the window before it")
 	}
-	// Every element is hashed once, straight into its group's stretch of
-	// one leaf buffer — sized by the elements that arrived, not by what
-	// the proof claims. A stretch starts with a slot for the group's Pred
-	// boundary and has room for Succ after its last element.
-	buf := make([]Hash, len(elems)+2*len(counts))
-	segs := make(map[int][]Hash, len(counts))
-	off := 0
-	for g, n := range counts {
-		segs[g] = buf[off : off+1 : off+n+2]
-		off += n + 2
-	}
-	for _, el := range elems {
-		segs[el.Group] = append(segs[el.Group], LeafHash(el.TRS, el.Sealed))
-	}
-	var next *Frontier
-	if record && len(elems) > 0 && !exhausted {
-		next = newFrontier(prev, w, offset+len(elems), elems[len(elems)-1])
-	}
 	var entries []HeaderEntry
 	if !w.Continued {
 		entries = make([]HeaderEntry, 0, len(w.Groups))
 	}
-	prevGroup := 0
 	sumStart := 0
 	allConsumed := true
+	nLeaves := 0
 	for i := range w.Groups {
-		gw := &w.Groups[i]
-		if i > 0 && gw.Group <= prevGroup {
-			return nil, invalidf("group headers not strictly ascending at %d", gw.Group)
-		}
-		prevGroup = gw.Group
-		g := groupClaim{group: gw.Group, end: gw.End, succ: gw.Succ, path: gw.Path}
+		gw, st := &w.Groups[i], &gs[i]
+		st.group, st.end, st.succ, st.path = gw.Group, gw.End, gw.Succ, gw.Path
 		if w.Continued {
 			pg := &prev.groups[i]
-			if gw.Group != pg.group {
-				return nil, invalidf("continuation group %d has no verified state", gw.Group)
-			}
-			if gw.Opaque != nil || gw.Root != nil || gw.Count != 0 || gw.Start != 0 || gw.Pred != nil {
+			if gw.Opaque != nil || gw.Root != nil || gw.Count != 0 || gw.Start != 0 || len(gw.Pred) != 0 {
 				return nil, invalidf("continuation group %d carries full-proof fields", gw.Group)
 			}
-			g.count, g.root, g.start, g.cont = pg.count, pg.root, pg.end, true
-			g.left = prev.hashes[pg.off : pg.off+pg.left]
-			g.right = prev.hashes[pg.off+pg.left : pg.off+pg.left+pg.right]
+			st.count, st.root, st.start, st.cont = pg.count, pg.root, pg.end, true
+			st.left = prev.hashes[pg.off : pg.off+pg.left]
+			st.right = prev.hashes[pg.off+pg.left : pg.off+pg.left+pg.right]
+			st.pre = prev.open[pg.openOff : pg.openOff+pg.openLen]
 		} else {
 			if gw.Opaque != nil {
 				// A group outside the view must stay fully opaque — and must
@@ -268,7 +330,7 @@ func verify(prev *Frontier, record bool, w *Window, allowed map[int]bool, offset
 					return nil, invalidf("group %d of the caller's view carried opaque", gw.Group)
 				}
 				if gw.Root != nil || gw.Count != 0 || gw.Start != 0 || gw.End != 0 ||
-					gw.Pred != nil || gw.Succ != nil || len(gw.Path) != 0 {
+					len(gw.Pred) != 0 || len(gw.Succ) != 0 || len(gw.Path) != 0 {
 					return nil, invalidf("opaque group %d carries window fields", gw.Group)
 				}
 				entries = append(entries, HeaderEntry{Group: gw.Group, HH: *gw.Opaque})
@@ -280,31 +342,23 @@ func verify(prev *Frontier, record bool, w *Window, allowed map[int]bool, offset
 			if gw.Root == nil {
 				return nil, invalidf("group %d missing its root", gw.Group)
 			}
-			g.count, g.root, g.start, g.pred = gw.Count, *gw.Root, gw.Start, gw.Pred
+			st.count, st.root, st.start, st.pred = gw.Count, *gw.Root, gw.Start, gw.Pred
+			entries = append(entries, HeaderEntry{Group: gw.Group, HH: HeaderHash(gw.Group, gw.Count, *gw.Root)})
 		}
-		seg, inWindow := segs[g.group]
-		delete(segs, g.group)
-		if !inWindow {
-			seg = make([]Hash, 1, 2)
-		}
-		if err := g.verify(seg, elems, next); err != nil {
+		if err := st.check(elems); err != nil {
 			return nil, err
 		}
-		if !w.Continued {
-			entries = append(entries, HeaderEntry{Group: g.group, HH: HeaderHash(g.group, g.count, g.root)})
-		}
-		if g.succ != nil {
+		st.off = nLeaves
+		nLeaves += st.hb - st.lb
+		if len(st.succ) > 0 {
 			allConsumed = false
 		}
-		sumStart += g.start
-	}
-	if len(segs) != 0 {
-		return nil, invalidf("window elements of %d group(s) carry no proof", len(segs))
+		sumStart += st.start
 	}
 	// Completeness arithmetic. Non-empty window: the skipped prefix is
 	// exactly offset elements. Empty window: every proved group sits
-	// fully inside the prefix (Start = End = Count, enforced above via
-	// empty segments and the exhausted check below), which must not
+	// fully inside the prefix (Start = End = Count, enforced by the
+	// group checks and the exhausted check below), which must not
 	// exceed the requested offset.
 	if len(elems) > 0 {
 		if sumStart != offset {
@@ -321,6 +375,44 @@ func verify(prev *Frontier, record bool, w *Window, allowed map[int]bool, offset
 	if exhausted != allConsumed {
 		return nil, invalidf("exhausted flag %v, proofs say %v", exhausted, allConsumed)
 	}
+
+	// Every bucket is hashed once, in one call, into its group's
+	// stretch of one leaf buffer — sized by the checks above, which
+	// bound it by the elements that arrived. A group's elements arrive
+	// interleaved with the others', so each group keeps the indices of
+	// the ones its open bucket holds, and its bucket is hashed when the
+	// element that completes it arrives.
+	leaves := make([]Hash, nLeaves)
+	// buf is a bucket's hash input. Passed by value, it stays on the
+	// stack unless a bucket outgrows it.
+	var scratch [512]byte
+	buf := scratch[:0]
+	for i := range gs {
+		if st := &gs[i]; !st.opaque {
+			buf = st.begin(buf, leaves)
+		}
+	}
+	for i := range elems {
+		st := &gs[groupAt(w.Groups, elems[i].Group)]
+		st.win[st.nwin] = int32(i)
+		st.nwin++
+		if st.inOpen++; st.inOpen == BucketSize {
+			buf = st.close(buf, elems, leaves, nil)
+		}
+	}
+	var next *Frontier
+	if record && len(elems) > 0 && !exhausted {
+		next = newFrontier(gs, w, offset+len(elems), elems)
+	}
+	for i := range gs {
+		st := &gs[i]
+		if st.opaque {
+			continue
+		}
+		if err := st.verify(buf, elems, leaves, next); err != nil {
+			return nil, err
+		}
+	}
 	// Everything above bound the per-group claims; now bind the claims
 	// to the advertised root. A continuation's group roots are the ones
 	// the window before it bound to this root already.
@@ -332,58 +424,43 @@ func verify(prev *Frontier, record bool, w *Window, allowed map[int]bool, offset
 	return next, nil
 }
 
-// newFrontier allocates the Frontier a window ending at offset leaves,
-// with room for every group's frontier and right path: together at
-// most arity-1 subtree roots per level of the group's tree.
-func newFrontier(prev *Frontier, w *Window, offset int, last WindowElement) *Frontier {
-	n := 0
-	for i := range w.Groups {
-		count := w.Groups[i].Count
-		if w.Continued {
-			count = prev.groups[i].count
+// groupAt returns the position of group in the ascending groups, -1
+// when it has none.
+func groupAt(groups []GroupWindow, group int) int {
+	lo, hi := 0, len(groups)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if groups[m].Group < group {
+			lo = m + 1
+		} else {
+			hi = m
 		}
-		n += (arity-1)*depth(count) + 1
 	}
-	last.Sealed = bytes.Clone(last.Sealed)
-	return &Frontier{
-		Version: w.Version,
-		root:    w.Root,
-		offset:  offset,
-		last:    last,
-		groups:  make([]frontierGroup, 0, len(w.Groups)),
-		hashes:  make([]Hash, 0, n),
+	if lo < len(groups) && groups[lo].Group == group {
+		return lo
 	}
+	return -1
 }
 
-// groupClaim is one proved group's claims as the verifier holds them:
-// all from a full proof, or for a continuation (cont) the count, root
-// and start from the Frontier of the window before it, together with
-// the subtree roots covering the run before start (left) and that
-// window's right path (right).
-type groupClaim struct {
-	group, count, start, end int
-	root                     Hash
-	pred, succ               *Boundary
-	path, left, right        []Hash
-	cont                     bool
-}
-
-// verify checks the group's range and boundaries against the window
-// (seg holds the leaves of the group's elements after a slot for the
-// predecessor) and rebuilds the group root. With next set it records
-// the group's frontier and right path there.
-func (g *groupClaim) verify(seg []Hash, elems []WindowElement, next *Frontier) error {
-	if g.count <= 0 || g.start < 0 || g.start > g.end || g.end > g.count {
-		return invalidf("group %d range [%d,%d) of %d malformed", g.group, g.start, g.end, g.count)
+// check holds the group's claimed range, edge buckets and boundaries
+// to the window, and sets the bucket range its proof covers.
+func (st *groupState) check(elems []WindowElement) error {
+	if st.count <= 0 || st.start < 0 || st.start > st.end || st.end > st.count {
+		return invalidf("group %d range [%d,%d) of %d malformed", st.group, st.start, st.end, st.count)
 	}
-	if !g.cont && (g.pred != nil) != (g.start > 0) {
-		return invalidf("group %d prefix boundary presence inconsistent", g.group)
+	if st.n != st.end-st.start {
+		return invalidf("group %d window segment holds %d elements, range claims %d", st.group, st.n, st.end-st.start)
 	}
-	if (g.succ != nil) != (g.end < g.count) {
-		return invalidf("group %d suffix boundary presence inconsistent", g.group)
+	lo, hi := EdgeRange(st.count, st.start, st.end)
+	if st.cont {
+		// The window before this one left the elements of the bucket
+		// Start falls in that precede Start; no predecessor travels.
+		lo = st.start / BucketSize * BucketSize
+	} else if len(st.pred) != st.start-lo {
+		return invalidf("group %d predecessor bucket carries %d elements, want %d", st.group, len(st.pred), st.start-lo)
 	}
-	if n := len(seg) - 1; n != g.end-g.start {
-		return invalidf("group %d window segment holds %d elements, range claims %d", g.group, n, g.end-g.start)
+	if len(st.succ) != hi-st.end {
+		return invalidf("group %d successor bucket carries %d elements, want %d", st.group, len(st.succ), hi-st.end)
 	}
 	// Boundary ordering against the whole merged window: the last
 	// skipped element must rank at or above the window's first, the
@@ -391,50 +468,157 @@ func (g *groupClaim) verify(seg []Hash, elems []WindowElement, next *Frontier) e
 	// window sorted and each group's committed run sorted, this pins
 	// every skipped and withheld element outside the window.
 	if len(elems) > 0 {
-		if g.pred != nil && cmpRank(g.pred.TRS, g.pred.Sealed, elems[0].TRS, elems[0].Sealed) > 0 {
-			return invalidf("group %d skipped element ranks inside the window", g.group)
+		if p := len(st.pred) - 1; p >= 0 && cmpRank(st.pred[p].TRS, st.pred[p].Sealed, elems[0].TRS, elems[0].Sealed) > 0 {
+			return invalidf("group %d skipped element ranks inside the window", st.group)
 		}
 		last := elems[len(elems)-1]
-		if g.succ != nil && cmpRank(last.TRS, last.Sealed, g.succ.TRS, g.succ.Sealed) > 0 {
-			return invalidf("group %d withheld element ranks inside the window", g.group)
+		if len(st.succ) > 0 && cmpRank(last.TRS, last.Sealed, st.succ[0].TRS, st.succ[0].Sealed) > 0 {
+			return invalidf("group %d withheld element ranks inside the window", st.group)
 		}
 	}
-	// Rebuild the proved leaf range: boundaries included, so their
-	// values are committed too, not just asserted.
-	lo, hi := g.start, g.end
-	leaves := seg[1:]
-	if g.pred != nil {
-		seg[0] = LeafHash(g.pred.TRS, g.pred.Sealed)
-		leaves = seg
-		lo--
+	st.lb, st.hb = lo/BucketSize, NumBuckets(hi)
+	return nil
+}
+
+// begin opens the group's first bucket before its window elements
+// arrive. A whole predecessor bucket is hashed at once; a partial one,
+// or the Frontier's elements before Start, opens the bucket the window
+// goes on filling.
+func (st *groupState) begin(buf []byte, leaves []Hash) []byte {
+	st.inOpen = st.start % BucketSize
+	st.prefix = st.inOpen > 0
+	if len(st.pred) == BucketSize {
+		buf = append(buf[:0], domainLeaf)
+		for _, p := range st.pred {
+			buf = appendElement(buf, p.TRS, p.Sealed)
+		}
+		leaves[st.off] = sha256.Sum256(buf)
+		st.k = 1
 	}
-	if g.succ != nil {
-		leaves = append(leaves, LeafHash(g.succ.TRS, g.succ.Sealed))
-		hi++
+	return buf
+}
+
+// close hashes the open bucket, completed by extra, into the group's
+// next leaf, with buf as the hash input's buffer.
+func (st *groupState) close(buf []byte, elems []WindowElement, leaves []Hash, extra []Boundary) []byte {
+	buf = st.appendOpen(append(buf[:0], domainLeaf), elems)
+	for _, e := range extra {
+		buf = appendElement(buf, e.TRS, e.Sealed)
 	}
-	v := rangeVerifier{leaves: leaves, path: g.path, lo: lo, hi: hi}
-	if g.cont {
-		// The window before this one proved a range ending at
-		// min(start+1, count); the tail of its right path is this
-		// range's too.
-		v.left = g.left
-		v.tail = g.right[len(g.right)-countRight(0, g.count, min(g.start+1, g.count), hi):]
+	leaves[st.off+st.k] = sha256.Sum256(buf)
+	st.k++
+	st.inOpen, st.nwin, st.prefix = 0, 0, false
+	return buf
+}
+
+// appendOpen appends the open bucket's elements to a bucket's hash
+// input.
+func (st *groupState) appendOpen(buf []byte, elems []WindowElement) []byte {
+	if st.prefix {
+		if st.cont {
+			buf = append(buf, st.pre...)
+		} else {
+			for _, p := range st.pred {
+				buf = appendElement(buf, p.TRS, p.Sealed)
+			}
+		}
+	}
+	for _, i := range st.win[:st.nwin] {
+		buf = appendElement(buf, elems[i].TRS, elems[i].Sealed)
+	}
+	return buf
+}
+
+// openSize is the length of the open bucket's input.
+func (st *groupState) openSize(elems []WindowElement) int {
+	n := 0
+	if st.prefix {
+		if st.cont {
+			n += len(st.pre)
+		} else {
+			for _, p := range st.pred {
+				n += elementSize(p.Sealed)
+			}
+		}
+	}
+	for _, i := range st.win[:st.nwin] {
+		n += elementSize(elems[i].Sealed)
+	}
+	return n
+}
+
+// elementSize is the length of one element's share of a bucket input.
+func elementSize(sealed []byte) int {
+	var v [binary.MaxVarintLen64]byte
+	return 8 + binary.PutUvarint(v[:], uint64(len(sealed))) + len(sealed)
+}
+
+// verify completes the group's last bucket with its successors and
+// rebuilds the group root from its buckets and path. With next set it
+// records the group's frontier, right path and open bucket there.
+func (st *groupState) verify(buf []byte, elems []WindowElement, leaves []Hash, next *Frontier) error {
+	openOff := 0
+	if next != nil {
+		openOff = len(next.open)
+		next.open = st.appendOpen(next.open, elems)
+	}
+	if st.inOpen > 0 || len(st.succ) > 0 {
+		st.close(buf, elems, leaves, st.succ)
+	}
+	if st.k != st.hb-st.lb {
+		return invalidf("group %d range holds %d buckets, its positions %d", st.group, st.k, st.hb-st.lb)
+	}
+	nb := NumBuckets(st.count)
+	v := rangeVerifier{leaves: leaves[st.off : st.off+st.k], path: st.path, lo: st.lb, hi: st.hb}
+	if st.cont {
+		// The window before this one proved a range ending at bucket
+		// min(start/BucketSize+1, nb); the tail of its right path is
+		// this range's too.
+		v.left = st.left
+		v.tail = st.right[len(st.right)-countRight(0, nb, min(st.start/BucketSize+1, nb), st.hb):]
 	}
 	off := 0
 	if next != nil {
 		off = len(next.hashes)
-		v.record, v.end, v.out = true, g.end, next.hashes
+		v.record, v.end, v.out = true, st.end/BucketSize, next.hashes
 	}
-	root, ok := v.root(g.count)
-	if !ok || root != g.root {
-		return invalidf("group %d range proof does not bind to its root", g.group)
+	root, ok := v.root(nb)
+	if !ok || root != st.root {
+		return invalidf("group %d range proof does not bind to its root", st.group)
 	}
 	if next != nil {
 		next.hashes = v.out
 		next.groups = append(next.groups, frontierGroup{
-			group: g.group, count: g.count, end: g.end, root: g.root,
+			group: st.group, count: st.count, end: st.end, root: st.root,
 			off: off, left: v.nLeft, right: len(v.out) - off - v.nLeft,
+			openOff: openOff, openLen: len(next.open) - openOff,
 		})
 	}
 	return nil
+}
+
+// newFrontier allocates the Frontier a window ending at offset leaves,
+// with room for every group's frontier and right path — together at
+// most arity-1 subtree roots per level of the group's tree — and for
+// the last element's payload followed by every group's open bucket.
+func newFrontier(gs []groupState, w *Window, offset int, elems []WindowElement) *Frontier {
+	last := elems[len(elems)-1]
+	hashes, open := 0, len(last.Sealed)
+	for i := range gs {
+		if st := &gs[i]; !st.opaque {
+			hashes += (arity-1)*depth(NumBuckets(st.count)) + 1
+			open += st.openSize(elems)
+		}
+	}
+	buf := append(make([]byte, 0, open), last.Sealed...)
+	last.Sealed = buf
+	return &Frontier{
+		Version: w.Version,
+		root:    w.Root,
+		offset:  offset,
+		last:    last,
+		groups:  make([]frontierGroup, 0, len(gs)),
+		hashes:  make([]Hash, 0, hashes),
+		open:    buf,
+	}
 }

@@ -169,7 +169,7 @@ func (s *Server) ApplyTail(ctx context.Context, tail []byte) error {
 // Digest summarizes every list for differential verification. Sum is
 // the hex Merkle content root (internal/proof): version-free, equal
 // iff two lists hold identical elements in identical rank order, and
-// the same leaf hashing window proofs verify against — so a migration
+// the same bucket hashing window proofs verify against — so a migration
 // cut-over check is a cryptographic identity, not a checksum. The
 // result is only a consistent whole-shard cut while writes are paused
 // (the migration barrier, the replica resync lock); individual list

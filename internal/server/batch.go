@@ -365,7 +365,7 @@ func (s *Server) StatsV2(ctx context.Context) (StatsV2Response, error) {
 }
 
 // StatsV2Roots is StatsV2 plus each list's Merkle commitment (Version
-// and Root per list). It materializes every list's leaves —
+// and Root per list). It hashes every list's buckets —
 // an audit operation, not a monitoring one.
 func (s *Server) StatsV2Roots(ctx context.Context) (StatsV2Response, error) {
 	return s.statsV2(ctx, true)

@@ -227,11 +227,7 @@ func insert(t *testing.T, s *server.Server, tok crypt.Token, el server.StoredEle
 // published commitment at the version it was served at.
 func verifyAgainstRoot(t *testing.T, b store.Backend, resp server.QueryResponse, allowed map[int]bool, offset, count int) {
 	t.Helper()
-	elems := make([]proof.WindowElement, len(resp.Elements))
-	for i, el := range resp.Elements {
-		elems[i] = proof.WindowElement{TRS: el.TRS, Sealed: el.Sealed, Group: el.Group}
-	}
-	if err := proof.VerifyWindow(resp.Proof, allowed, offset, count, elems, resp.Exhausted, resp.Version); err != nil {
+	if err := proof.VerifyWindow(resp.Proof, allowed, offset, count, resp.Elements, resp.Exhausted, resp.Version); err != nil {
 		t.Fatalf("proof does not verify: %v", err)
 	}
 	cm, err := b.Commitment(1)

@@ -102,11 +102,7 @@ func TestHTTPProofRoundTrip(t *testing.T) {
 		t.Fatalf("window %+v", resp.Elements)
 	}
 	allowed := map[int]bool{0: true, 1: true}
-	elems := make([]proof.WindowElement, len(resp.Elements))
-	for i, el := range resp.Elements {
-		elems[i] = proof.WindowElement{TRS: el.TRS, Sealed: el.Sealed, Group: el.Group}
-	}
-	if err := proof.VerifyWindow(resp.Proof, allowed, 1, 2, elems, resp.Exhausted, resp.Version); err != nil {
+	if err := proof.VerifyWindow(resp.Proof, allowed, 1, 2, resp.Elements, resp.Exhausted, resp.Version); err != nil {
 		t.Fatalf("window served over HTTP does not verify: %v", err)
 	}
 	// The foreign group travels opaque: group 2's header must carry no
@@ -117,7 +113,7 @@ func TestHTTPProofRoundTrip(t *testing.T) {
 			continue
 		}
 		sawForeign = true
-		if gw.Opaque == nil || gw.Root != nil || gw.Count != 0 || gw.Pred != nil || gw.Succ != nil || len(gw.Path) != 0 {
+		if gw.Opaque == nil || gw.Root != nil || gw.Count != 0 || len(gw.Pred) != 0 || len(gw.Succ) != 0 || len(gw.Path) != 0 {
 			t.Fatalf("foreign group leaked window fields: %+v", gw)
 		}
 	}

@@ -32,16 +32,16 @@ package server
 //	                  8 the proof is a continuation) |
 //	           version (8B) | numElems | numElems × element | [proof]
 //	  proof:   version (8B) | root (32B) | numGroups | numGroups × group
-//	  group:   group (signed varint) |
-//	           gflags (1B: 1 opaque, 2 pred follows, 4 succ follows) |
+//	  group:   group (signed varint) | gflags (1B: 1 opaque, 0 proved) |
 //	           opaque:  header hash (32B)
 //	           proved:  count | root (32B) | start | end |
-//	                    [pred element] | [succ element] |
+//	                    edge (pred) | edge (succ) |
 //	                    pathLen | pathLen × hash (32B)
-//	           (a boundary travels as an element of its own group)
+//	  edge:    n (at most 4) | n × element
+//	           (an edge element travels as an element of its own group)
 //	  continuation group (flags 4|8; proof.Continue): proved groups only,
-//	           group (signed varint) | gflags (1B: 4 succ follows) |
-//	           end | [succ element] | pathLen | pathLen × hash (32B)
+//	           group (signed varint) | end | edge (succ) |
+//	           pathLen | pathLen × hash (32B)
 //
 //	kind 'I', insert request:
 //	  body:    token | insert op list
@@ -96,8 +96,6 @@ const (
 	windowContinued byte = 8
 
 	groupOpaque byte = 1
-	groupPred   byte = 2
-	groupSucc   byte = 4
 )
 
 // FrameContentType labels a binary frame body.
@@ -190,20 +188,13 @@ func appendProof(buf []byte, w *proof.Window) []byte {
 	for i := range w.Groups {
 		gw := &w.Groups[i]
 		buf = binary.AppendVarint(buf, int64(gw.Group))
-		if gw.Opaque != nil {
-			buf = append(buf, groupOpaque)
-			buf = append(buf, gw.Opaque[:]...)
-			continue
-		}
-		var flags byte
-		if gw.Pred != nil {
-			flags |= groupPred
-		}
-		if gw.Succ != nil {
-			flags |= groupSucc
-		}
-		buf = append(buf, flags)
 		if !w.Continued {
+			if gw.Opaque != nil {
+				buf = append(buf, groupOpaque)
+				buf = append(buf, gw.Opaque[:]...)
+				continue
+			}
+			buf = append(buf, 0)
 			buf = binary.AppendUvarint(buf, uint64(gw.Count))
 			var root proof.Hash
 			if gw.Root != nil {
@@ -213,8 +204,10 @@ func appendProof(buf []byte, w *proof.Window) []byte {
 			buf = binary.AppendUvarint(buf, uint64(gw.Start))
 		}
 		buf = binary.AppendUvarint(buf, uint64(gw.End))
-		buf = appendBoundary(buf, gw.Pred, gw.Group)
-		buf = appendBoundary(buf, gw.Succ, gw.Group)
+		if !w.Continued {
+			buf = appendEdge(buf, gw.Pred, gw.Group)
+		}
+		buf = appendEdge(buf, gw.Succ, gw.Group)
 		buf = binary.AppendUvarint(buf, uint64(len(gw.Path)))
 		for j := range gw.Path {
 			buf = append(buf, gw.Path[j][:]...)
@@ -223,11 +216,12 @@ func appendProof(buf []byte, w *proof.Window) []byte {
 	return buf
 }
 
-func appendBoundary(buf []byte, bd *proof.Boundary, group int) []byte {
-	if bd == nil {
-		return buf
+func appendEdge(buf []byte, edge []proof.Boundary, group int) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(edge)))
+	for _, b := range edge {
+		buf = store.AppendElement(buf, store.Element{Sealed: b.Sealed, TRS: b.TRS, Group: group})
 	}
-	return store.AppendElement(buf, store.Element{Sealed: bd.Sealed, TRS: bd.TRS, Group: group})
+	return buf
 }
 
 // wireReader walks a frame body: the shared cursor (binfmt.Reader),
@@ -241,8 +235,8 @@ func (r *wireReader) hash() (h proof.Hash) {
 
 // Shortest encodings, for bounding claimed counts: a window is flags,
 // version and an element count; a proof group is a group ID, flags and
-// one hash; a continuation group is a group ID, flags, end and a path
-// length; a sub-query is a list delta, offset, count and flags.
+// one hash; a continuation group is a group ID, end, an edge count and
+// a path length; a sub-query is a list delta, offset, count and flags.
 const (
 	minWindowBytes    = 1 + 8 + 1
 	minGroupBytes     = 2 + proof.HashSize
@@ -377,7 +371,7 @@ func DecodeQueryRequest(body []byte) ([]crypt.Token, []ListQuery, error) {
 }
 
 // DecodeQueryResponse decodes a /v2/query response frame. Every Sealed
-// payload (boundary payloads included) aliases body; an empty window
+// payload (edge element payloads included) aliases body; an empty window
 // decodes to nil Elements, an empty group list or path to nil.
 func DecodeQueryResponse(body []byte) ([]QueryResponse, error) {
 	r, err := openFrame(body, frameQueryResponse)
@@ -418,9 +412,9 @@ func DecodeQueryResponse(body []byte) ([]QueryResponse, error) {
 
 func (r *wireReader) proof(continued bool) *proof.Window {
 	w := &proof.Window{Version: r.Uint64(), Root: r.hash(), Continued: continued}
-	minBytes, allowed := minGroupBytes, groupPred|groupSucc
+	minBytes := minGroupBytes
 	if continued {
-		minBytes, allowed = minContGroupBytes, groupSucc
+		minBytes = minContGroupBytes
 	}
 	n := r.Count("proof groups", minBytes)
 	if n == 0 || r.Err() != nil {
@@ -430,28 +424,26 @@ func (r *wireReader) proof(continued bool) *proof.Window {
 	for i := range w.Groups {
 		gw := &w.Groups[i]
 		gw.Group = int(r.Varint())
-		flags := r.Byte()
-		if flags == groupOpaque && !continued {
-			h := r.hash()
-			gw.Opaque = &h
-			continue
-		}
-		if flags&^allowed != 0 {
-			r.Fail("proof group %d: flags %#x", gw.Group, flags)
-		}
 		if !continued {
+			switch flags := r.Byte(); flags {
+			case groupOpaque:
+				h := r.hash()
+				gw.Opaque = &h
+				continue
+			case 0:
+			default:
+				r.Fail("proof group %d: flags %#x", gw.Group, flags)
+			}
 			gw.Count = r.Int()
 			root := r.hash()
 			gw.Root = &root
 			gw.Start = r.Int()
 		}
 		gw.End = r.Int()
-		if flags&groupPred != 0 {
-			gw.Pred = r.boundary(gw.Group)
+		if !continued {
+			gw.Pred = r.edge(gw.Group)
 		}
-		if flags&groupSucc != 0 {
-			gw.Succ = r.boundary(gw.Group)
-		}
+		gw.Succ = r.edge(gw.Group)
 		if p := r.Count("path hashes", proof.HashSize); p > 0 {
 			gw.Path = make([]proof.Hash, p)
 			for j := range gw.Path {
@@ -465,12 +457,24 @@ func (r *wireReader) proof(continued bool) *proof.Window {
 	return w
 }
 
-func (r *wireReader) boundary(group int) *proof.Boundary {
-	el := store.ReadElement(&r.Reader)
-	if r.Err() == nil && el.Group != group {
-		r.Fail("boundary of group %d inside proof group %d", el.Group, group)
+// edge reads the edge elements of one proof group, nil for none.
+func (r *wireReader) edge(group int) []proof.Boundary {
+	n := r.Count("edge elements", store.MinElementBytes)
+	if n > proof.BucketSize {
+		r.Fail("proof group %d: an edge of %d elements", group, n)
 	}
-	return &proof.Boundary{TRS: el.TRS, Sealed: el.Sealed}
+	if n == 0 || r.Err() != nil {
+		return nil
+	}
+	edge := make([]proof.Boundary, n)
+	for i := range edge {
+		el := store.ReadElement(&r.Reader)
+		if r.Err() == nil && el.Group != group {
+			r.Fail("edge element of group %d inside proof group %d", el.Group, group)
+		}
+		edge[i] = proof.Boundary{TRS: el.TRS, Sealed: el.Sealed}
+	}
+	return edge
 }
 
 // AppendInsertRequest appends the /v2/insert request frame.

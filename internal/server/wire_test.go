@@ -27,20 +27,29 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden wire fixtures and the fuzz seeds derived from them")
 
 // goldenWindow is a hand-built proved window that verifies: list
-// version 0x2a00000007, groups 0 (six elements, in the caller's view)
-// and 2 (foreign, opaque); the caller asked for offset 2, count 2.
+// version 0x2a00000007, groups 0 (68 elements, 17 buckets, in the
+// caller's view) and 2 (foreign, opaque); the caller asked for offset
+// 2, count 20, so the window's edges cut buckets 0 and 5.
 func goldenWindow() (resp QueryResponse, allowed map[int]bool, offset, count int) {
 	const version = 0x2a00000007
-	run := []StoredElement{
-		{Sealed: []byte("a0"), TRS: 0.9}, {Sealed: []byte("a1"), TRS: 0.8}, {Sealed: []byte("a2"), TRS: 0.7},
-		{Sealed: []byte("a3"), TRS: 0.6}, {Sealed: []byte("a4"), TRS: 0.5}, {Sealed: []byte("a5"), TRS: 0.4},
+	run := make([]StoredElement, 68)
+	var b proof.Bucketer
+	var buckets []proof.Hash
+	for i := range run {
+		run[i] = StoredElement{Sealed: fmt.Appendf(nil, "a%02d", i), TRS: float64(100-i) / 100}
+		if h, ok := b.Add(run[i].TRS, run[i].Sealed); ok {
+			buckets = append(buckets, h)
+		}
 	}
-	leaves := make([]proof.Hash, len(run))
-	for i, el := range run {
-		leaves[i] = proof.LeafHash(el.TRS, el.Sealed)
+	root := proof.TreeRoot(buckets)
+	foreign := proof.HeaderHash(2, 3, proof.Hash{0x66})
+	edge := func(els []StoredElement) []proof.Boundary {
+		out := make([]proof.Boundary, len(els))
+		for i, el := range els {
+			out[i] = proof.Boundary{TRS: el.TRS, Sealed: el.Sealed}
+		}
+		return out
 	}
-	root := proof.TreeRoot(leaves)
-	foreign := proof.HeaderHash(2, 3, proof.LeafHash(0.1, []byte("foreign")))
 	content := proof.ContentRoot([]proof.HeaderEntry{
 		{Group: 0, HH: proof.HeaderHash(0, len(run), root)},
 		{Group: 2, HH: foreign},
@@ -50,23 +59,19 @@ func goldenWindow() (resp QueryResponse, allowed map[int]bool, offset, count int
 		Root:    proof.ListRoot(version, content),
 		Groups: []proof.GroupWindow{
 			{
-				Group: 0, Count: len(run), Root: &root, Start: 2, End: 4,
-				Pred: &proof.Boundary{TRS: run[1].TRS, Sealed: run[1].Sealed},
-				Succ: &proof.Boundary{TRS: run[4].TRS, Sealed: run[4].Sealed},
-				Path: proof.RangeProof(leaves, 1, 5),
+				Group: 0, Count: len(run), Root: &root, Start: 2, End: 22,
+				Pred: edge(run[0:2]),
+				Succ: edge(run[22:24]),
+				Path: proof.RangeProof(buckets, 0, 6),
 			},
 			{Group: 2, Opaque: &foreign},
 		},
 	}
-	return QueryResponse{Elements: run[2:4], Version: version, Proof: w}, map[int]bool{0: true}, 2, 2
+	return QueryResponse{Elements: run[2:22], Version: version, Proof: w}, map[int]bool{0: true}, 2, 20
 }
 
 func verifyWindow(resp QueryResponse, allowed map[int]bool, offset, count int) error {
-	elems := make([]proof.WindowElement, len(resp.Elements))
-	for i, el := range resp.Elements {
-		elems[i] = proof.WindowElement{TRS: el.TRS, Sealed: el.Sealed, Group: el.Group}
-	}
-	return proof.VerifyWindow(resp.Proof, allowed, offset, count, elems, resp.Exhausted, resp.Version)
+	return proof.VerifyWindow(resp.Proof, allowed, offset, count, resp.Elements, resp.Exhausted, resp.Version)
 }
 
 // goldenResponses is the golden /v2/query answer: a plain window, the
@@ -252,12 +257,16 @@ func randomWindow(rng *rand.Rand) QueryResponse {
 					root := hash()
 					gw.Root, gw.Count, gw.Start = &root, rng.Intn(1<<20), rng.Intn(1<<10)
 				}
-				if !w.Proof.Continued && rng.Intn(2) == 0 {
-					gw.Pred = &proof.Boundary{TRS: trs(), Sealed: payload()}
+				edge := func() (out []proof.Boundary) {
+					for n := rng.Intn(proof.BucketSize + 1); n > 0; n-- {
+						out = append(out, proof.Boundary{TRS: trs(), Sealed: payload()})
+					}
+					return out
 				}
-				if rng.Intn(2) == 0 {
-					gw.Succ = &proof.Boundary{TRS: trs(), Sealed: payload()}
+				if !w.Proof.Continued {
+					gw.Pred = edge()
 				}
+				gw.Succ = edge()
 				for p := rng.Intn(5); p > 0; p-- {
 					gw.Path = append(gw.Path, hash())
 				}
@@ -576,14 +585,14 @@ func TestElementRecordShared(t *testing.T) {
 }
 
 // TestContinuationFrame pins the continuation grammar: window flags
-// 4|8, then per proved group only its ID, flags, end, succ element and
-// path — no count, root, start, pred or opaque group — and a decoder
-// that refuses anything else in that place.
+// 4|8, then per proved group only its ID, end, succ edge and path — no
+// flags, count, root, start, pred or opaque group — and a decoder that
+// refuses anything else in that place.
 func TestContinuationFrame(t *testing.T) {
 	resp, _, _, _ := goldenWindow()
 	resp.Proof = proof.Continue(resp.Proof)
 	gw := resp.Proof.Groups[0]
-	if len(resp.Proof.Groups) != 1 || gw.Succ == nil || len(gw.Path) != 1 {
+	if len(resp.Proof.Groups) != 1 || len(gw.Succ) != 2 || len(gw.Path) != 2 {
 		t.Fatalf("golden continuation %+v", resp.Proof)
 	}
 	want := binary.AppendUvarint(nil, 1)
@@ -597,12 +606,16 @@ func TestContinuationFrame(t *testing.T) {
 	want = append(want, resp.Proof.Root[:]...)
 	want = binary.AppendUvarint(want, 1)
 	want = binary.AppendVarint(want, int64(gw.Group))
-	gflagsAt := wireHeaderLen + len(want)
-	want = append(want, groupSucc)
 	want = binary.AppendUvarint(want, uint64(gw.End))
-	want = store.AppendElement(want, StoredElement{Sealed: gw.Succ.Sealed, TRS: gw.Succ.TRS, Group: gw.Group})
-	want = binary.AppendUvarint(want, 1)
-	want = append(want, gw.Path[0][:]...)
+	succAt := wireHeaderLen + len(want)
+	want = binary.AppendUvarint(want, uint64(len(gw.Succ)))
+	for _, b := range gw.Succ {
+		want = store.AppendElement(want, StoredElement{Sealed: b.Sealed, TRS: b.TRS, Group: gw.Group})
+	}
+	want = binary.AppendUvarint(want, uint64(len(gw.Path)))
+	for _, h := range gw.Path {
+		want = append(want, h[:]...)
+	}
 	frame := AppendQueryResponse(nil, []QueryResponse{resp})
 	if !bytes.Equal(frame[wireHeaderLen:], want) {
 		t.Fatalf("continuation body\n got %x\nwant %x", frame[wireHeaderLen:], want)
@@ -615,8 +628,7 @@ func TestContinuationFrame(t *testing.T) {
 	flagsAt := wireHeaderLen + 1 // after the window count
 	for name, mutate := range map[string]func(b []byte){
 		"continuation without a proof": func(b []byte) { b[flagsAt] = windowContinued },
-		"opaque continuation group":    func(b []byte) { b[gflagsAt] = groupOpaque },
-		"pred in a continuation group": func(b []byte) { b[gflagsAt] |= groupPred },
+		"edge over a bucket":           func(b []byte) { b[succAt] = proof.BucketSize + 1 },
 	} {
 		bad := bytes.Clone(frame)
 		mutate(bad)

@@ -7,8 +7,9 @@ package store
 // attacker-controlled file — decoding must either fail cleanly with
 // ErrBadSnapshot or produce a store whose lists can be queried, proved
 // and re-encoded without panicking. The committed seed corpus under
-// testdata/fuzz pins the interesting shapes: plain lists, leaf blocks,
-// an unknown magic, and framing damage.
+// testdata/fuzz pins the interesting shapes: plain lists, leaf blocks
+// (which writers no longer write and the reader skips), an unknown
+// magic, and framing damage.
 
 import (
 	"bytes"
@@ -35,8 +36,8 @@ func encodeToBytes(t testing.TB, seq uint64, m *Memory) []byte {
 }
 
 func FuzzSnapshotDecode(f *testing.F) {
-	// Live seeds spanning the format: empty store, plain lists, a list
-	// with a materialized leaf block, and damaged variants of each.
+	// Live seeds spanning the format: empty store, plain lists, an
+	// audited list, and damaged variants of each.
 	f.Add([]byte{})
 	f.Add([]byte("ZSNAP3"))
 	f.Add([]byte("ZSNAP9junkjunkjunk"))
@@ -57,13 +58,13 @@ func FuzzSnapshotDecode(f *testing.F) {
 	if _, err := committed.Commitment(3); err != nil {
 		f.Fatal(err)
 	}
-	leafy := encodeToBytes(f, 99, committed)
-	f.Add(leafy)
+	audited := encodeToBytes(f, 99, committed)
+	f.Add(audited)
 
 	// Damaged variants: truncations, a flipped body byte, a flipped CRC.
-	f.Add(leafy[:len(leafy)/2])
-	f.Add(leafy[:len(leafy)-2])
-	flipped := append([]byte{}, leafy...)
+	f.Add(audited[:len(audited)/2])
+	f.Add(audited[:len(audited)-2])
+	flipped := append([]byte{}, audited...)
 	flipped[len(flipped)/2] ^= 0x40
 	f.Add(flipped)
 	badCRC := append([]byte{}, plainBytes...)

@@ -3,12 +3,13 @@ package store
 // Verifiable reads: the audit-on-demand side of the store. A list's
 // Merkle commitment (internal/proof) is materialized the first time
 // anything proved touches the list — the unproven hot path never
-// hashes — and maintained incrementally from then on: an insert hashes
-// only the new elements as it merges them in at their ranks, removals
-// splice leaves, snapshots persist them. QueryProved serves the same
-// window Query would (same elements, same Exhausted, same Version) plus
-// a proof that the window is the exact ranked slice of the committed
-// state.
+// hashes — and maintained from then on: a mutation at rank p drops the
+// buckets and cached nodes from p's bucket on, and the next proved read
+// hashes them again from the payloads. Snapshots persist none of it: a
+// restarted shard hashes a list's buckets on its first proved read.
+// QueryProved serves the same window Query would (same elements, same
+// Exhausted, same Version) plus a proof that the window is the exact
+// ranked slice of the committed state.
 
 import (
 	"sort"
@@ -33,26 +34,44 @@ type Commitment struct {
 	Root proof.Hash
 }
 
-// ensureCommittedLocked materializes missing leaf hashes. Callers hold
-// the write lock.
+// ensureCommittedLocked marks every group of the list audited; the
+// buckets are hashed by groupRootLocked. Callers hold the write lock.
 func (ml *mergedList) ensureCommittedLocked() {
 	for _, g := range ml.groups {
 		if g.commit == nil {
-			g.commit = &groupCommit{leaves: ml.leafHashes(g.sorted)}
+			g.commit = &groupCommit{}
 		}
 	}
 }
 
 // groupRootLocked returns the group's cached Merkle root. After a
-// mutation it first re-covers the leaves with the interior-node cache
-// — only the part the mutation truncated is hashed — so the root and
-// every window proof until the next mutation are look-ups. Callers
-// hold the write lock with the group committed.
-func (g *groupList) groupRootLocked() proof.Hash {
+// mutation it first hashes the buckets the mutation dropped, one
+// SHA-256 call per four payloads, and re-covers them with the
+// interior-node cache — only the part the mutation truncated is hashed
+// — so the root and every window proof until the next mutation are
+// look-ups. Callers hold the write lock with the group committed.
+func (ml *mergedList) groupRootLocked(g *groupList) proof.Hash {
 	c := g.commit
 	if !c.rootOK {
-		c.tree.Extend(c.leaves)
-		c.root = c.tree.Root(c.leaves)
+		if k, n := len(c.buckets), proof.NumBuckets(len(g.sorted)); k < n {
+			buckets := growTo(c.buckets, n)
+			if cap(c.buckets) < n {
+				copy(buckets, c.buckets)
+			}
+			var b proof.Bucketer
+			for _, r := range g.sorted[k*proof.BucketSize:] {
+				if h, ok := b.Add(r.trs, ml.payload(r)); ok {
+					buckets[k] = h
+					k++
+				}
+			}
+			if h, ok := b.Flush(); ok {
+				buckets[k] = h
+			}
+			c.buckets = buckets
+		}
+		c.tree.Extend(c.buckets)
+		c.root = c.tree.Root(c.buckets)
 		c.rootOK = true
 	}
 	return c.root
@@ -85,7 +104,7 @@ func (ml *mergedList) commitLocked() ([]headerInfo, proof.Hash, proof.Hash) {
 	entries := make([]proof.HeaderEntry, len(gids))
 	for i, gid := range gids {
 		g := ml.groups[gid]
-		root := g.groupRootLocked()
+		root := ml.groupRootLocked(g)
 		hh := proof.HeaderHash(gid, len(g.sorted), root)
 		headers[i] = headerInfo{gid: gid, g: g, count: len(g.sorted), root: root, hh: hh}
 		entries[i] = proof.HeaderEntry{Group: gid, HH: hh}
@@ -133,27 +152,34 @@ func (m *Memory) QueryProved(list zerber.ListID, allowed map[int]bool, offset, c
 		cur := cursors[h.gid]
 		root := h.root
 		gw := proof.GroupWindow{Group: h.gid, Count: h.count, Root: &root, Start: cur[0], End: cur[1]}
-		lo, hi := cur[0], cur[1]
-		if gw.Start > 0 {
-			pred := h.g.sorted[gw.Start-1]
-			gw.Pred = &proof.Boundary{TRS: pred.trs, Sealed: ml.payload(pred)}
-			lo--
-		}
-		if gw.End < gw.Count {
-			succ := h.g.sorted[gw.End]
-			gw.Succ = &proof.Boundary{TRS: succ.trs, Sealed: ml.payload(succ)}
-			hi++
-		}
+		// The edge buckets travel whole: the elements of the buckets the
+		// window's edges cut that the window does not return.
+		lo, hi := proof.EdgeRange(h.count, cur[0], cur[1])
+		gw.Pred = ml.boundaries(h.g.sorted[lo:cur[0]])
+		gw.Succ = ml.boundaries(h.g.sorted[cur[1]:hi])
 		c := h.g.commit
-		gw.Path = c.tree.RangeProof(c.leaves, lo, hi)
+		gw.Path = c.tree.RangeProof(c.buckets, lo/proof.BucketSize, proof.NumBuckets(hi))
 		w.Groups = append(w.Groups, gw)
 	}
 	res.Proof = w
 	return res, nil
 }
 
-// Commitment implements Backend. Like QueryProved it materializes the
-// list's leaves on first touch and reuses them afterwards.
+// boundaries returns the records as the edge elements of a window
+// proof, nil for none.
+func (ml *mergedList) boundaries(recs []rec) []proof.Boundary {
+	if len(recs) == 0 {
+		return nil
+	}
+	out := make([]proof.Boundary, len(recs))
+	for i, r := range recs {
+		out[i] = proof.Boundary{TRS: r.trs, Sealed: ml.payload(r)}
+	}
+	return out
+}
+
+// Commitment implements Backend. Like QueryProved it hashes the list's
+// buckets on first touch and reuses them afterwards.
 func (m *Memory) Commitment(list zerber.ListID) (Commitment, error) {
 	ml := m.list(list, false)
 	if ml == nil {
@@ -164,22 +190,6 @@ func (m *Memory) Commitment(list zerber.ListID) (Commitment, error) {
 	ml.ensureCommittedLocked()
 	_, content, root := ml.commitLocked()
 	return Commitment{Version: ml.version, Elements: ml.total, Content: content, Root: root}, nil
-}
-
-// decodeListLeaves reinterprets a persisted leaf block (n × HashSize
-// bytes) as leaf hashes. Unlike sealed payloads the hashes are copied
-// out of the (possibly mmap-backed) region: leaf slices are spliced
-// and appended by later mutations, which must never write through to
-// a shared snapshot mapping.
-func decodeListLeaves(raw []byte, n int) []proof.Hash {
-	if len(raw) != n*proof.HashSize {
-		return nil
-	}
-	leaves := make([]proof.Hash, n)
-	for i := range leaves {
-		copy(leaves[i][:], raw[i*proof.HashSize:])
-	}
-	return leaves
 }
 
 // QueryProved implements Backend for Durable by delegating to the

@@ -1,24 +1,41 @@
 package store
 
-// Tests for the interior-node cache behind proved reads. The oracle
-// throughout is the cache-less half of internal/proof — TreeRoot and
-// RangeProof over freshly hashed leaves — which shares the traversal
-// with the cached tree but none of its state.
+// Tests for the bucket and interior-node caches behind proved reads.
+// The oracle throughout is the cache-less half of internal/proof —
+// TreeRoot and RangeProof over freshly hashed buckets — which shares
+// the traversal with the cached tree but none of its state.
 
 import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"zerberr/internal/proof"
 	"zerberr/internal/zerber"
 )
 
+// bucketHashes hashes a group's whole run into its buckets afresh.
+func (ml *mergedList) bucketHashes(run []rec) []proof.Hash {
+	var b proof.Bucketer
+	var out []proof.Hash
+	for _, r := range run {
+		if h, ok := b.Add(r.trs, ml.payload(r)); ok {
+			out = append(out, h)
+		}
+	}
+	if h, ok := b.Flush(); ok {
+		out = append(out, h)
+	}
+	return out
+}
+
 // checkCommitState holds every committed group of the list to the
-// oracle without changing anything: leaves mirror the sorted run, a
-// root marked valid is the root, and whatever prefix the cache still
-// covers answers exactly as no cache would.
+// oracle without changing anything: the cached buckets are a prefix of
+// the run's (all of them once the root is valid), a root marked valid
+// is the root, and whatever prefix the cache still covers answers
+// exactly as no cache would.
 func checkCommitState(t *testing.T, rng *rand.Rand, ml *mergedList, step int) {
 	t.Helper()
 	ml.mu.Lock()
@@ -28,20 +45,22 @@ func checkCommitState(t *testing.T, rng *rand.Rand, ml *mergedList, step int) {
 		if c == nil {
 			continue
 		}
-		if !reflect.DeepEqual(c.leaves, ml.leafHashes(g.sorted)) {
-			t.Fatalf("step %d group %d: leaves do not mirror the sorted run", step, gid)
+		buckets := ml.bucketHashes(g.sorted)
+		if len(c.buckets) > len(buckets) || !slices.Equal(c.buckets, buckets[:len(c.buckets)]) ||
+			c.rootOK && len(c.buckets) != len(buckets) {
+			t.Fatalf("step %d group %d: cached buckets are not the run's", step, gid)
 		}
-		root := proof.TreeRoot(c.leaves)
+		root := proof.TreeRoot(buckets)
 		if c.rootOK && c.root != root {
 			t.Fatalf("step %d group %d: root marked valid is stale", step, gid)
 		}
-		if got := c.tree.Root(c.leaves); got != root {
+		if got := c.tree.Root(buckets); got != root {
 			t.Fatalf("step %d group %d: cached tree root differs from TreeRoot", step, gid)
 		}
-		if n := len(c.leaves); n > 0 {
+		if n := len(buckets); n > 0 {
 			lo := rng.Intn(n)
 			hi := lo + 1 + rng.Intn(n-lo)
-			if !reflect.DeepEqual(c.tree.RangeProof(c.leaves, lo, hi), proof.RangeProof(c.leaves, lo, hi)) {
+			if !reflect.DeepEqual(c.tree.RangeProof(buckets, lo, hi), proof.RangeProof(buckets, lo, hi)) {
 				t.Fatalf("step %d group %d: cached proof of [%d,%d) differs from RangeProof", step, gid, lo, hi)
 			}
 		}
@@ -68,19 +87,14 @@ func checkProvedAgainstStateless(t *testing.T, m *Memory, list zerber.ListID, al
 		if gw.Opaque != nil {
 			continue
 		}
-		leaves := ml.leafHashes(ml.groups[gw.Group].sorted)
-		if *gw.Root != proof.TreeRoot(leaves) {
+		buckets := ml.bucketHashes(ml.groups[gw.Group].sorted)
+		if *gw.Root != proof.TreeRoot(buckets) {
 			t.Fatalf("step %d group %d: served root differs from TreeRoot", step, gw.Group)
 		}
-		lo, hi := gw.Start, gw.End
-		if gw.Pred != nil {
-			lo--
-		}
-		if gw.Succ != nil {
-			hi++
-		}
-		if !reflect.DeepEqual(gw.Path, proof.RangeProof(leaves, lo, hi)) {
-			t.Fatalf("step %d group %d: served path for [%d,%d) differs from RangeProof", step, gw.Group, lo, hi)
+		lo, hi := gw.Start-len(gw.Pred), gw.End+len(gw.Succ)
+		lb, hb := lo/proof.BucketSize, proof.NumBuckets(hi)
+		if !reflect.DeepEqual(gw.Path, proof.RangeProof(buckets, lb, hb)) {
+			t.Fatalf("step %d group %d: served path for buckets [%d,%d) differs from RangeProof", step, gw.Group, lb, hb)
 		}
 	}
 }
@@ -200,11 +214,17 @@ func TestMutationTruncatesCacheAtItsRank(t *testing.T) {
 		ml := m.list(list, false)
 		return m, ml, ml.groups[0]
 	}
-	truncatedAt := func(leaves []proof.Hash, p int) proof.Tree {
+	// A change at rank p keeps the buckets and cached nodes before p's
+	// bucket.
+	truncatedAt := func(buckets []proof.Hash, p int) ([]proof.Hash, proof.Tree) {
 		var tr proof.Tree
-		tr.Extend(leaves)
-		tr.Truncate(p)
-		return tr
+		tr.Extend(buckets)
+		tr.Truncate(p / proof.BucketSize)
+		return buckets[:p/proof.BucketSize], tr
+	}
+	cutAt := func(g *groupList, before []proof.Hash, p int) bool {
+		buckets, tr := truncatedAt(before, p)
+		return reflect.DeepEqual(g.commit.tree, tr) && slices.Equal(g.commit.buckets, buckets) && !g.commit.rootOK
 	}
 	newAt := func(rank int) BatchInsert {
 		return BatchInsert{List: list, Element: el(fmt.Sprintf("new%03d", rank), float64(n-rank)+0.5, 0)}
@@ -217,11 +237,11 @@ func TestMutationTruncatesCacheAtItsRank(t *testing.T) {
 			{newAt(min(p+30, n)), newAt(p)},
 		} {
 			m, ml, g := build()
-			before := append([]proof.Hash{}, g.commit.leaves...)
+			before := append([]proof.Hash{}, g.commit.buckets...)
 			if err := m.InsertBatch(batch); err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(g.commit.tree, truncatedAt(before, p)) || g.commit.rootOK {
+			if !cutAt(g, before, p) {
 				t.Errorf("insert of %d landing first at rank %d: cache not truncated exactly there", len(batch), p)
 			}
 			if got := ml.payload(g.sorted[p]); string(got) != fmt.Sprintf("new%03d", p) {
@@ -231,11 +251,11 @@ func TestMutationTruncatesCacheAtItsRank(t *testing.T) {
 	}
 	for _, p := range []int{0, 1, 63, 64, 65, 128, 198, 199} {
 		m, _, g := build()
-		before := append([]proof.Hash{}, g.commit.leaves...)
+		before := append([]proof.Hash{}, g.commit.buckets...)
 		if err := m.Remove(list, []byte(fmt.Sprintf("e%03d", p)), nil); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(g.commit.tree, truncatedAt(before, p)) || g.commit.rootOK {
+		if !cutAt(g, before, p) {
 			t.Errorf("remove at rank %d: cache not truncated exactly there", p)
 		}
 	}

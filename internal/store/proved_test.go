@@ -52,10 +52,7 @@ func verifyProved(t *testing.T, b Backend, list zerber.ListID, allowed map[int]b
 		plain.Exhausted != proved.Exhausted || plain.Version != proved.Version {
 		t.Fatalf("proved window differs from plain:\nplain  %+v\nproved %+v", plain, proved)
 	}
-	elems := make([]proof.WindowElement, len(proved.Elements))
-	for i, e := range proved.Elements {
-		elems[i] = proof.WindowElement{TRS: e.TRS, Sealed: e.Sealed, Group: e.Group}
-	}
+	elems := proved.Elements
 	if err := proof.VerifyWindow(proved.Proof, allowed, offset, count, elems, proved.Exhausted, proved.Version); err != nil {
 		t.Fatalf("VerifyWindow(%v,%d,%d): %v", allowed, offset, count, err)
 	}
@@ -90,7 +87,7 @@ func TestQueryProvedContract(t *testing.T) {
 }
 
 // TestQueryProvedIncremental checks the commitment is maintained, not
-// rebuilt wholesale: after the first proved read materializes leaves,
+// rebuilt wholesale: after the first proved read hashes the buckets,
 // inserts and removals keep later proofs valid and move the root.
 func TestQueryProvedIncremental(t *testing.T) {
 	for name, b := range backends(t) {
@@ -190,9 +187,10 @@ func TestCommitmentMigrationIdentity(t *testing.T) {
 	}
 }
 
-// TestCommitmentSurvivesRecovery: leaves materialized by a proved read
-// are persisted by the snapshot (ZSNAP3) and recovered, so the content
-// root is stable across restart and proofs keep verifying.
+// TestCommitmentSurvivesRecovery: the commitment is a function of the
+// content, so an audited list recovered from a snapshot (ZSNAP3, which
+// holds no hashes) hashes its buckets on first touch to the same content
+// root and list root, and proofs keep verifying.
 func TestCommitmentSurvivesRecovery(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDurable(dir, Options{})
@@ -234,7 +232,7 @@ func TestCommitmentSurvivesRecovery(t *testing.T) {
 	verifyProved(t, d2, 1, allowed, 0, 100)
 	verifyProved(t, d2, 1, map[int]bool{3: true}, 2, 2)
 
-	// Mutations after recovery keep the recovered leaves consistent.
+	// Mutations after recovery keep the recovered commitment consistent.
 	if err := d2.Insert(1, el("post", 5.5, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -242,8 +240,8 @@ func TestCommitmentSurvivesRecovery(t *testing.T) {
 }
 
 // TestSnapshotWithoutLeaves: a list nobody ever audited snapshots
-// without leaves (no forced hashing), recovers fine, and its first
-// proved read after recovery builds the commitment from scratch.
+// without hashing anything, recovers fine, and its first proved read
+// after recovery builds the commitment from scratch.
 func TestSnapshotWithoutLeaves(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDurable(dir, Options{})
@@ -303,10 +301,7 @@ func TestProvedWindowStableUnderConcurrentReads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		elems := make([]proof.WindowElement, len(res.Elements))
-		for j, e := range res.Elements {
-			elems[j] = proof.WindowElement{TRS: e.TRS, Sealed: e.Sealed, Group: e.Group}
-		}
+		elems := res.Elements
 		if err := proof.VerifyWindow(res.Proof, allowed, i%5, 4, elems, res.Exhausted, res.Version); err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}

@@ -295,8 +295,8 @@ func TestAppendToPayloadLeavesStore(t *testing.T) {
 			}
 			out := res.Elements
 			for _, gw := range res.Proof.Groups {
-				for _, bd := range []*proof.Boundary{gw.Pred, gw.Succ} {
-					if bd != nil {
+				for _, edge := range [][]proof.Boundary{gw.Pred, gw.Succ} {
+					for _, bd := range edge {
 						out = append(out, Element{Sealed: bd.Sealed, TRS: bd.TRS, Group: gw.Group})
 					}
 				}

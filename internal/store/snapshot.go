@@ -31,13 +31,14 @@ import (
 // contains; recovery replays only WAL records beyond it. version is
 // the list's mutation counter at snapshot time (Backend.Version):
 // persisting it keeps versions monotonic across restarts, the property
-// conditional reads (one version, one content) rest on. The leaf block
-// persists the list's Merkle commitment leaves (internal/proof) in
-// the same merged rank order, present only when the live list had
-// them materialized — a restarted shard recommits without re-hashing
-// a single payload, and a list nobody ever audited pays no leaf
-// bytes. Snapshots are written to a temp file and renamed into place,
-// so a crash mid-write leaves the previous snapshot intact.
+// conditional reads (one version, one content) rest on. The writer
+// always writes leafFlag 0. A leaf block (flag 1) is what writers wrote
+// while a tree had one leaf per element: one hash per element in merged
+// rank order, which cannot hold a group's buckets (internal/proof), so
+// the reader skips it unread and the list's first proved read after
+// recovery hashes its buckets. Snapshots are written to a temp file and
+// renamed into place, so a crash mid-write leaves the previous snapshot
+// intact.
 //
 // This is the only generation read: no data was ever deployed under an
 // earlier magic, and a dump carrying one is ErrBadSnapshot like any
@@ -96,13 +97,13 @@ type snapView struct {
 }
 
 // snapList is one list of a view: live (ml), or lazily loaded and read
-// from its snapshot region (raw, rawLeaves, count, version).
+// from its snapshot region (raw, count, version).
 type snapList struct {
-	id             zerber.ListID
-	ml             *mergedList
-	raw, rawLeaves []byte
-	count          int
-	version        uint64
+	id      zerber.ListID
+	ml      *mergedList
+	raw     []byte
+	count   int
+	version uint64
 }
 
 // listImage is a list as a snapshot of generation gen encodes it, saved
@@ -114,16 +115,14 @@ type listImage struct {
 	gen     uint64
 	version uint64
 	payloads
-	runs   []snapRun
-	leaves bool
+	runs []snapRun
 }
 
 // snapRun is one non-empty group run of a list as the encoder merges
-// it, with the run's leaf hashes when the list writes its leaf block.
+// it.
 type snapRun struct {
 	group  int
 	sorted []rec
-	leaves []proof.Hash
 }
 
 // viewLocked lists the store's lists for a snapshot of generation gen.
@@ -134,7 +133,7 @@ func (m *Memory) viewLocked(gen uint64) *snapView {
 		v.lists = append(v.lists, snapList{id: id, ml: ml})
 	}
 	for id, lz := range m.lazy {
-		v.lists = append(v.lists, snapList{id: id, raw: lz.raw, rawLeaves: lz.rawLeaves, count: lz.count, version: lz.version})
+		v.lists = append(v.lists, snapList{id: id, raw: lz.raw, count: lz.count, version: lz.version})
 	}
 	return v
 }
@@ -169,38 +168,23 @@ func (ml *mergedList) saveImage(gen uint64) {
 	if gen == 0 || ml.snapGen.Load() >= gen {
 		return
 	}
-	runs, leaves := ml.runsLocked(nil)
+	runs := ml.runsLocked(nil)
 	for i := range runs {
 		runs[i].sorted = slices.Clone(runs[i].sorted)
-		if leaves {
-			runs[i].leaves = slices.Clone(runs[i].leaves)
-		} else {
-			runs[i].leaves = nil
-		}
 	}
-	ml.image.Store(&listImage{gen: gen, version: ml.version, payloads: ml.payloads, runs: runs, leaves: leaves})
+	ml.image.Store(&listImage{gen: gen, version: ml.version, payloads: ml.payloads, runs: runs})
 	ml.snapGen.Store(gen)
 }
 
-// runsLocked appends the list's non-empty group runs to runs, and
-// reports whether the list writes its leaf block: when every one of
-// them is committed. A list nobody audited persists none rather than
-// hashing its elements for the snapshot. Callers hold the list lock.
-func (ml *mergedList) runsLocked(runs []snapRun) ([]snapRun, bool) {
-	leaves := true
+// runsLocked appends the list's non-empty group runs to runs. Callers
+// hold the list lock.
+func (ml *mergedList) runsLocked(runs []snapRun) []snapRun {
 	for gid, g := range ml.groups {
-		if len(g.sorted) == 0 {
-			continue
+		if len(g.sorted) > 0 {
+			runs = append(runs, snapRun{group: gid, sorted: g.sorted})
 		}
-		r := snapRun{group: gid, sorted: g.sorted}
-		if g.commit != nil {
-			r.leaves = g.commit.leaves
-		} else {
-			leaves = false
-		}
-		runs = append(runs, r)
 	}
-	return runs, leaves
+	return runs
 }
 
 // encodeSnapshot writes m as a dump covering seq, each list as it is
@@ -258,11 +242,6 @@ func encodeView(f io.Writer, seq uint64, v *snapView, pause func(lists int)) err
 type listEncoder struct {
 	runs  []snapRun
 	heads []runHead
-	// order is the run each element of the list came from, and cur a
-	// cursor per run, for the leaf block's pass over the runs in the
-	// elements' order.
-	order []int32
-	cur   []int
 }
 
 // runHead is a run's next record in the encoder's merge.
@@ -284,12 +263,12 @@ func (e *listEncoder) appendList(buf []byte, l snapList, gen uint64) []byte {
 	ml.mu.RLock()
 	if img := ml.image.Load(); img != nil && img.gen == gen {
 		ml.mu.RUnlock()
-		buf = e.appendRuns(buf, l.id, img.version, &img.payloads, img.runs, img.leaves)
+		buf = e.appendRuns(buf, l.id, img.version, &img.payloads, img.runs)
 		ml.image.CompareAndSwap(img, nil)
 		return buf
 	}
-	runs, leaves := ml.runsLocked(e.runs[:0])
-	buf = e.appendRuns(buf, l.id, ml.version, &ml.payloads, runs, leaves)
+	runs := ml.runsLocked(e.runs[:0])
+	buf = e.appendRuns(buf, l.id, ml.version, &ml.payloads, runs)
 	if gen != 0 {
 		ml.snapGen.Store(gen)
 	}
@@ -301,10 +280,10 @@ func (e *listEncoder) appendList(buf []byte, l snapList, gen uint64) []byte {
 
 // appendRuns appends a list's entry from its group runs, merged into
 // rank order straight into buf — the total order the read path merges
-// by, so the entry is what a query of the whole list returns — and, when
-// leaves is set, the leaf block in the same order. The merge keeps one
-// head per run not yet drained and takes the least each time.
-func (e *listEncoder) appendRuns(buf []byte, id zerber.ListID, version uint64, p *payloads, runs []snapRun, leaves bool) []byte {
+// by, so the entry is what a query of the whole list returns — and leaf
+// flag 0. The merge keeps one head per run not yet drained and takes the
+// least each time.
+func (e *listEncoder) appendRuns(buf []byte, id zerber.ListID, version uint64, p *payloads, runs []snapRun) []byte {
 	heads := e.heads[:0]
 	total := 0
 	for i, r := range runs {
@@ -314,7 +293,6 @@ func (e *listEncoder) appendRuns(buf []byte, id zerber.ListID, version uint64, p
 	buf = binary.AppendUvarint(buf, uint64(id))
 	buf = binary.AppendUvarint(buf, version)
 	buf = binary.AppendUvarint(buf, uint64(total))
-	order := e.order[:0]
 	for len(heads) > 0 {
 		best := 0
 		for i := 1; i < len(heads); i++ {
@@ -325,7 +303,6 @@ func (e *listEncoder) appendRuns(buf []byte, id zerber.ListID, version uint64, p
 		h := &heads[best]
 		run := &runs[h.run]
 		buf = AppendElement(buf, Element{Sealed: p.payload(h.r), TRS: h.r.trs, Group: run.group})
-		order = append(order, int32(h.run))
 		if h.at++; h.at < len(run.sorted) {
 			h.r = run.sorted[h.at]
 		} else {
@@ -333,25 +310,13 @@ func (e *listEncoder) appendRuns(buf []byte, id zerber.ListID, version uint64, p
 			heads = heads[:len(heads)-1]
 		}
 	}
-	e.heads, e.order = heads, order
-	if !leaves {
-		return append(buf, 0)
-	}
-	buf = append(buf, 1)
-	cur := slices.Grow(e.cur[:0], len(runs))[:len(runs)]
-	clear(cur)
-	for _, r := range order {
-		buf = append(buf, runs[r].leaves[cur[r]][:]...)
-		cur[r]++
-	}
-	e.cur = cur
-	return buf
+	e.heads = heads
+	return append(buf, 0)
 }
 
 // appendRegion appends a lazily loaded list's entry from the snapshot
 // region it was loaded from, each element re-encoded as appendRuns
-// writes it. Its leaf block is the one it was loaded with — and an
-// empty list's is the empty block, as appendRuns writes for one.
+// writes it, and leaf flag 0.
 func (e *listEncoder) appendRegion(buf []byte, l snapList) []byte {
 	buf = binary.AppendUvarint(buf, uint64(l.id))
 	buf = binary.AppendUvarint(buf, l.version)
@@ -359,10 +324,7 @@ func (e *listEncoder) appendRegion(buf []byte, l snapList) []byte {
 	eachElement(l.raw, l.count, func(group int, trs float64, off, size int) {
 		buf = AppendElement(buf, Element{Sealed: l.raw[off : off+size], TRS: trs, Group: group})
 	})
-	if l.count > 0 && l.rawLeaves == nil {
-		return append(buf, 0)
-	}
-	return append(append(buf, 1), l.rawLeaves...)
+	return append(buf, 0)
 }
 
 // readSnapshot loads the snapshot at path into a fresh Memory. A
@@ -417,16 +379,15 @@ func decodeSnapshot(data []byte) (seq uint64, m *Memory, _ error) {
 		if uint64(len(elems)) > maxSlab {
 			r.Fail("list %d: %d element bytes exceed a list's payload bound", id, len(elems))
 		}
-		var leaves []byte
 		switch flag := r.Byte(); flag {
 		case 0:
 		case 1:
-			leaves = r.Bytes(n * proof.HashSize)
+			r.Bytes(n * proof.HashSize) // a legacy leaf block, skipped
 		default:
 			r.Fail("list %d: leaf flag %d", id, flag)
 		}
 		if r.Err() == nil {
-			m.loadLazy(id, elems, n, version, leaves)
+			m.loadLazy(id, elems, n, version)
 		}
 	}
 	if err := r.End(); err != nil {

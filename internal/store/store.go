@@ -45,17 +45,11 @@ import (
 )
 
 // Element is one stored posting element: ciphertext plus the
-// server-visible ranking and ACL fields. server.StoredElement aliases
-// this type. On disk and on the wire it is the one binary record of
+// server-visible ranking and ACL fields. It is the element a window
+// proof verifies (proof.WindowElement), and server.StoredElement aliases
+// it too. On disk and on the wire it is the one binary record of
 // element.go; the JSON tags only shape what `zerber wire` prints.
-type Element struct {
-	// Sealed is the encrypted (doc, term, score) payload.
-	Sealed []byte `json:"sealed"`
-	// TRS is the transformed relevance score the server ranks by.
-	TRS float64 `json:"trs"`
-	// Group is the collaboration group owning the element.
-	Group int `json:"group"`
-}
+type Element = proof.WindowElement
 
 // Less orders elements by descending TRS. Ties are broken by the
 // sealed payload bytes, which are indistinguishable from random to the
@@ -183,8 +177,8 @@ type Backend interface {
 	// Proof field: inclusion and adjacency for the returned range
 	// against the list's committed root at the result's version. It is
 	// the audit path, deliberately off the hot one — the first proved
-	// read of a list hashes its elements into leaves; later reads
-	// reuse them incrementally.
+	// read of a list hashes its elements into buckets; later reads
+	// reuse them and re-hash only what a mutation shifted.
 	QueryProved(list zerber.ListID, allowed map[int]bool, offset, count int) (QueryResult, error)
 	// Commitment reports the list's current Merkle commitment — the
 	// version-free content root (cross-instance identity checks, e.g.
@@ -219,7 +213,7 @@ type Backend interface {
 	NumElements() (int, error)
 	// ExportSnapshot returns a point-in-time dump of the whole backend
 	// in the snapshot format (snapshot.go) — every list in rank order
-	// with its mutation version and any materialized commitment leaves —
+	// with its mutation version —
 	// plus the WAL sequence the dump covers (0 for engines without a
 	// log). The dump is self-verifying (CRC-framed) and is what live
 	// shard migration ships; see migrate.go. A logged engine takes it as
@@ -478,27 +472,32 @@ type groupList struct {
 }
 
 // groupCommit is an audited group's commitment state (see
-// internal/proof), maintained incrementally from the first audit on:
-// inserts hash only the new elements, removals splice, snapshots
-// persist the leaf hashes so recovery recommits without re-hashing.
+// internal/proof), maintained from the first audit on: a mutation at
+// rank p drops what it shifted, and the next audit hashes the buckets
+// from p's on again, straight from the payloads.
 type groupCommit struct {
-	// leaves mirrors sorted with each element's leaf hash.
-	leaves []proof.Hash
-	// tree caches the interior nodes over leaves. Leaves are indexed by
-	// rank, so a mutation at rank p shifts every later leaf: it keeps
-	// the cache over [0, p) and the next audit re-hashes the rest.
+	// buckets holds the bucket hashes of sorted's leading elements —
+	// bucket i over sorted[4i:4i+4] — as far as no mutation has shifted
+	// them: 8 bytes per element.
+	buckets []proof.Hash
+	// tree caches the interior nodes over the buckets. Buckets are
+	// indexed by rank, so a mutation at bucket b shifts every later
+	// one: it keeps the cache over [0, b) and the next audit re-hashes
+	// the rest.
 	tree proof.Tree
-	// root caches the Merkle root over leaves; rootOK is dropped by any
-	// mutation of sorted.
+	// root caches the Merkle root over the buckets; rootOK is dropped by
+	// any mutation of sorted.
 	root   proof.Hash
 	rootOK bool
 }
 
-// mutatedAt records that sorted (and leaves with it) changed at index
-// p and beyond.
+// mutatedAt records that sorted changed at index p and beyond: the
+// bucket holding p and every later one are stale.
 func (c *groupCommit) mutatedAt(p int) {
+	b := p / proof.BucketSize
 	c.rootOK = false
-	c.tree.Truncate(p)
+	c.buckets = c.buckets[:min(b, len(c.buckets))]
+	c.tree.Truncate(b)
 }
 
 // merge inserts add — g's records, less-ordered, every offset above
@@ -507,17 +506,12 @@ func (c *groupCommit) mutatedAt(p int) {
 // previous one move up as one block. Only the records ranking below the
 // first new one move, in place when the run has room, else into a
 // buffer with headroom for later inserts (growTo). Callers hold the
-// list's write lock. When the group is committed its leaves move along,
-// only the new elements are hashed, and the interior nodes before the
-// first rank a new element landed at stay cached.
+// list's write lock. When the group is committed, its buckets and
+// interior nodes before the first rank a new element landed at stay
+// cached; nothing is hashed here.
 func (ml *mergedList) merge(g *groupList, add []grec) {
 	n, l := len(g.sorted), len(g.sorted)+len(add)
 	src, dst := g.sorted, growTo(g.sorted, l)
-	c := g.commit
-	var lsrc, ldst []proof.Hash
-	if c != nil {
-		lsrc, ldst = c.leaves, growTo(c.leaves, l)
-	}
 	// src[:i+1] is the old run still unplaced. add[j] lands behind the
 	// part of it ranking before add[j], src[:p]; the rest moves up by j+1
 	// (copy is a memmove, so in place nothing unread is overwritten).
@@ -526,10 +520,6 @@ func (ml *mergedList) merge(g *groupList, add []grec) {
 		p := sort.Search(i+1, func(x int) bool { return ml.less(add[j].rec, src[x]) })
 		copy(dst[p+j+1:], src[p:i+1])
 		dst[p+j] = add[j].rec
-		if c != nil {
-			copy(ldst[p+j+1:], lsrc[p:i+1])
-			ldst[p+j] = proof.LeafHash(add[j].trs, ml.payload(add[j].rec))
-		}
 		i = p - 1
 	}
 	// The old run's [0, i] ranks before every new element: it stays
@@ -538,11 +528,7 @@ func (ml *mergedList) merge(g *groupList, add []grec) {
 		copy(dst, src[:i+1])
 	}
 	g.sorted = dst
-	if c != nil {
-		if cap(lsrc) < l {
-			copy(ldst, lsrc[:i+1])
-		}
-		c.leaves = ldst
+	if c := g.commit; c != nil {
 		c.mutatedAt(i + 1)
 	}
 }
@@ -570,15 +556,6 @@ func growTo[T any](s []T, l int) []T {
 	return slices.Grow[[]T](nil, l+room)[:l]
 }
 
-// leafHashes commits every element of one of the list's sorted runs.
-func (ml *mergedList) leafHashes(run []rec) []proof.Hash {
-	leaves := make([]proof.Hash, len(run))
-	for i, r := range run {
-		leaves[i] = proof.LeafHash(r.trs, ml.payload(r))
-	}
-	return leaves
-}
-
 // lazyList is a snapshot-loaded list awaiting first use: raw is its
 // validated element region of the snapshot body, count and version
 // the metadata the stats surface answers from. The Once makes
@@ -589,10 +566,6 @@ type lazyList struct {
 	raw     []byte
 	count   int
 	version uint64
-	// rawLeaves is the snapshot's persisted leaf-hash block (count ×
-	// HashSize bytes, merged rank order), nil when the snapshot was
-	// written before the list's commitment ever materialized.
-	rawLeaves []byte
 }
 
 // NewMemory creates an empty in-memory backend.
@@ -643,7 +616,7 @@ func (m *Memory) list(id zerber.ListID, create bool) *mergedList {
 // in parallel, and a long decode never blocks lookups of other lists.
 func (m *Memory) materialize(id zerber.ListID, lz *lazyList) *mergedList {
 	lz.once.Do(func() {
-		lz.ml = newMergedListFrom(lz.raw, lz.count, lz.version, decodeListLeaves(lz.rawLeaves, lz.count))
+		lz.ml = newMergedListFrom(lz.raw, lz.count, lz.version)
 		m.mu.Lock()
 		// Publish only if this lazy entry still owns the slot: an
 		// ImportSnapshot may have swapped the maps mid-decode, and the
@@ -658,18 +631,16 @@ func (m *Memory) materialize(id zerber.ListID, lz *lazyList) *mergedList {
 		// Under m.mu: a freeze reads the fields of the lazy lists it
 		// finds, under the same lock.
 		lz.raw = nil
-		lz.rawLeaves = nil
 		m.mu.Unlock()
 	})
 	return lz.ml
 }
 
 // loadLazy registers a snapshot list region for deferred decoding
-// (snapshot recovery and import). rawLeaves, when non-nil, is the
-// persisted leaf-hash block the materialized list recommits from.
-func (m *Memory) loadLazy(id zerber.ListID, raw []byte, count int, version uint64, rawLeaves []byte) {
+// (snapshot recovery and import).
+func (m *Memory) loadLazy(id zerber.ListID, raw []byte, count int, version uint64) {
 	m.mu.Lock()
-	m.lazy[id] = &lazyList{raw: raw, count: count, version: version, rawLeaves: rawLeaves}
+	m.lazy[id] = &lazyList{raw: raw, count: count, version: version}
 	m.mu.Unlock()
 }
 
@@ -927,8 +898,8 @@ func namesPayload(ops []BatchRemove, idxs []int, sealed []byte) bool {
 // delete removes the resolved victims from the list, bumping its
 // version once per element: one filtering pass per touched run, so a
 // batch deleting many elements of one group shifts its tail once. A
-// committed group's leaves follow its sorted run, and its cached
-// interior nodes survive below the lowest deleted index. The payloads
+// committed group keeps its buckets and cached interior nodes below the
+// lowest deleted index. The payloads
 // stay in the slab as dead bytes until they outnumber the live ones,
 // when the slab is rebuilt. Callers hold the list's write lock.
 func (ml *mergedList) delete(victims []victim) {
@@ -949,7 +920,6 @@ func (ml *mergedList) delete(victims []victim) {
 		victims = victims[n:]
 		g.sorted = deleteAt(g.sorted, run)
 		if c := g.commit; c != nil {
-			c.leaves = deleteAt(c.leaves, run)
 			c.mutatedAt(run[0].idx)
 		}
 	}
@@ -1240,35 +1210,21 @@ func (m *Memory) Close() error { return nil }
 // encoded. version seeds the list's mutation counter with the value the
 // snapshot recorded, so recovery resumes the counter instead of
 // restarting it (a restarted counter could re-reach an old version
-// with different content, validating stale cached windows). leaves,
-// when non-nil, carries the elements' persisted commitment leaf hashes
-// (in the same order) and is distributed to the groups so the
-// recovered list recommits without re-hashing a single payload.
-func newMergedListFrom(raw []byte, n int, version uint64, leaves []proof.Hash) *mergedList {
+// with different content, validating stale cached windows). The list
+// starts unaudited: its first proved read hashes its buckets.
+func newMergedListFrom(raw []byte, n int, version uint64) *mergedList {
 	ml := &mergedList{groups: make(map[int]*groupList), payloads: payloads{base: raw[:len(raw):len(raw)]}, version: version, total: n}
-	if len(leaves) != n {
-		leaves = nil
-	}
 	sizes := make(map[int]int)
 	eachElement(raw, n, func(group int, _ float64, _, _ int) { sizes[group]++ })
 	for gid, size := range sizes {
-		g := &groupList{sorted: make([]rec, 0, size)}
-		if leaves != nil {
-			g.commit = &groupCommit{leaves: make([]proof.Hash, 0, size)}
-		}
-		ml.groups[gid] = g
+		ml.groups[gid] = &groupList{sorted: make([]rec, 0, size)}
 	}
-	i := 0
 	eachElement(raw, n, func(group int, trs float64, off, size int) {
 		// A group's subsequence of a rank-sorted region is itself sorted
 		// (offsets ascend with region order).
 		g := ml.groups[group]
-		if leaves != nil {
-			g.commit.leaves = append(g.commit.leaves, leaves[i])
-		}
 		g.sorted = append(g.sorted, rec{trs: trs, off: uint32(off), n: uint32(size)})
 		ml.live += size
-		i++
 	})
 	return ml
 }
