@@ -13,28 +13,11 @@ import (
 	"strings"
 
 	zerberr "zerberr"
+	"zerberr/internal/adversary"
 	"zerberr/internal/corpus"
-	"zerberr/internal/crypt"
 	"zerberr/internal/stats"
 	"zerberr/internal/zerber"
 )
-
-func buildSystem(c *corpus.Corpus, identity bool) *zerberr.System {
-	cfg := zerberr.DefaultConfig()
-	cfg.Seed = 3
-	cfg.R = 4 // strong setting: mid-frequency terms merge
-	cfg.Codec = crypt.Compact64Codec{}
-	cfg.SkipBaseline = true
-	cfg.IdentityStore = identity
-	sys, err := zerberr.Setup(c, cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := sys.IndexAll(); err != nil {
-		log.Fatal(err)
-	}
-	return sys
-}
 
 // sparkline renders a tiny histogram of values within [lo, hi].
 func sparkline(vals []float64, lo, hi float64) string {
@@ -67,8 +50,15 @@ func main() {
 	p.VocabSize = 6000
 	c := corpus.Generate(p, 3)
 
-	plain := buildSystem(c, true)
-	protected := buildSystem(c, false)
+	// r = 4 is a strong setting: mid-frequency terms merge.
+	plain, err := adversary.System(c, 3, 4, true, false, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	protected, err := adversary.System(c, 3, 4, false, false, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Find a merged list with two terms.
 	var target zerber.ListID
@@ -87,7 +77,6 @@ func main() {
 		target, c.Term(terms[0]), c.DF(terms[0]), c.Term(terms[1]), c.DF(terms[1]))
 
 	// What the server sees, per true term, under both systems.
-	codec := crypt.Compact64Codec{}
 	for _, sys := range []*zerberr.System{plain, protected} {
 		label := "Zerber+R TRS (uniformized)"
 		lo, hi := 0.0, 1.0
@@ -96,17 +85,15 @@ func main() {
 			hi = 0.05
 		}
 		l, _ := sys.Plan.ListOf(terms[0])
-		snap, err := sys.Server.Snapshot(l)
+		train, rest, err := adversary.ReadList(sys, l)
 		if err != nil {
 			log.Fatal(err)
 		}
 		perTerm := map[corpus.TermID][]float64{}
-		for _, el := range snap {
-			plainEl, err := codec.Open(el.Sealed, sys.Keys[el.Group])
-			if err != nil {
-				log.Fatal(err)
+		for _, e := range []adversary.Elements{train, rest} {
+			for i, t := range e.Terms {
+				perTerm[t] = append(perTerm[t], e.Visible[i])
 			}
-			perTerm[plainEl.Term] = append(perTerm[plainEl.Term], el.TRS)
 		}
 		fmt.Printf("server-visible ranking values — %s:\n", label)
 		for _, t := range terms {

@@ -1,20 +1,25 @@
-// Package adversary implements the attack simulations of Sections 4.1
-// and 6.2, turning the paper's qualitative security discussion into
-// measured quantities:
+// Package adversary is the paper's adversary model (Sections 4.1 and
+// 6.2): it builds the systems she attacks, gives her a background
+// view of each, and measures three attacks as numbers.
 //
-//  1. Score-distribution attack: an adversary who compromised the
-//     index server compares the visible per-element ranking values of
-//     a merged posting list against per-term score statistics from
-//     her background knowledge, attributing elements to terms by
-//     maximum likelihood.
-//  2. Follow-up-count attack: an adversary observing the query stream
-//     counts the responses needed to satisfy a top-k query and
-//     guesses which of the merged terms was queried.
+//  1. List composition (CompositionAttack): a compromised index
+//     server tries to "undo the posting list merging", picking the
+//     pair of candidate terms whose mixture best explains a two-term
+//     list's visible ranking values.
+//  2. Element attribution (ElementAttack, over Attribute): she
+//     attributes each element of a merged list to a term by maximum
+//     posterior, from per-term score statistics in her background
+//     knowledge, separately for the RSTF's training documents and
+//     the rest.
+//  3. Request count (ProbeRequestCounts, over RequestCountAttack): an
+//     observer of the query stream counts the requests a top-k query
+//     against a merged list takes and guesses the queried term.
 //
-// Both attacks report accuracy against ground truth plus the
-// probability amplification of Definition 1, so the r-confidentiality
-// claim becomes checkable: with the RSTF in place amplification should
-// stay near 1 (and below r); with raw scores it explodes.
+// Each reports accuracy against ground truth beside the prior-only
+// guesser's, and attribution reports the probability amplification of
+// Definition 1 (Amplification), so r-confidentiality is checkable: with
+// the RSTF the mean stays near the prior and below r, with raw scores
+// it grows. TestRConfidentiality holds that claim at r ∈ {2, 8, 32}.
 package adversary
 
 import (

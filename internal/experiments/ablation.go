@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"zerberr/internal/adversary"
 	"zerberr/internal/corpus"
 	"zerberr/internal/crypt"
 	"zerberr/internal/rstf"
@@ -84,7 +85,7 @@ func Ablations(e *Env) (*Result, error) {
 		return uint32(l), ok
 	}, sys.Plan.AllTerms())
 	// Random merge on the same term statistics.
-	randPlanSys, err := attackSystem(attackCorpus(e.Seed), e.Seed, false, true, 0)
+	randPlanSys, err := adversary.System(adversary.Corpus(e.Seed), e.Seed, 4, false, true, 0)
 	if err != nil {
 		return nil, err
 	}

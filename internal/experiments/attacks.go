@@ -1,432 +1,14 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"math"
-	"sort"
 
 	zerberr "zerberr"
 	"zerberr/internal/adversary"
 	"zerberr/internal/client"
-	"zerberr/internal/corpus"
-	"zerberr/internal/crypt"
 	"zerberr/internal/stats"
-	"zerberr/internal/workload"
 	"zerberr/internal/zerber"
 )
-
-// attackCorpus is a dedicated smaller collection so the attack
-// experiments can build several full systems (with and without RSTF,
-// BFM and random merge) quickly and independently of Env.Scale.
-func attackCorpus(seed uint64) *corpus.Corpus {
-	p := corpus.ProfileStudIP()
-	p.NumDocs = 800
-	p.VocabSize = 8000
-	return corpus.Generate(p, seed)
-}
-
-func attackSystem(c *corpus.Corpus, seed uint64, identity, randomMerge bool, jitter float64) (*zerberr.System, error) {
-	cfg := zerberr.DefaultConfig()
-	cfg.Seed = seed
-	cfg.Codec = crypt.Compact64Codec{}
-	cfg.SkipBaseline = true
-	cfg.IdentityStore = identity
-	cfg.RandomMerge = randomMerge
-	cfg.TRSJitter = jitter
-	// Strong confidentiality setting: r=4 forces even mid-frequency
-	// (well-trained) terms into multi-term merged lists, which is the
-	// regime worth attacking — under large r frequent terms sit in
-	// singleton lists and threat 1 degenerates.
-	cfg.R = 4
-	sys, err := zerberr.Setup(c, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.IndexAll(); err != nil {
-		return nil, err
-	}
-	return sys, nil
-}
-
-// attackView is the adversary's view of one system plus the
-// experiment's ground truth.
-type attackView struct {
-	sys *zerberr.System
-	// bg models per-term distributions from the adversary's own
-	// comparable corpus (used for the composition attack).
-	bg *adversary.Background
-	// bgEl is her per-element attribution tool: for TRS systems it is
-	// built from the published RSTF's own training atoms; for the
-	// identity system it equals bg.
-	bgEl       *adversary.Background
-	bgScores   map[corpus.TermID][]float64
-	trainDocs  map[corpus.DocID]bool
-	trainN     map[corpus.TermID]int
-	observable func(float64) float64 // visible TRS -> attack feature space
-}
-
-// newAttackView prepares the adversary's knowledge about a system.
-// Her background B is an independent comparable corpus ("general
-// language statistics" in the paper's terms — same domain, documents
-// she can read), whose per-term score statistics she transforms into
-// the server-visible domain: for the TRS system she applies the public
-// RSTF store; for the identity system she works in log-score space,
-// which resolves the multiplicative differences between term score
-// distributions.
-func newAttackView(sys *zerberr.System, background *corpus.Corpus) *attackView {
-	v := &attackView{
-		sys:       sys,
-		trainDocs: make(map[corpus.DocID]bool),
-		trainN:    make(map[corpus.TermID]int),
-	}
-	for _, id := range sys.Split.Train {
-		v.trainDocs[id] = true
-	}
-	logSpace := sys.Store.Identity()
-	v.observable = func(x float64) float64 {
-		if logSpace {
-			return math.Log10(math.Max(x, 1e-7))
-		}
-		return x
-	}
-	allDocs := make([]corpus.DocID, background.NumDocs())
-	for i := range allDocs {
-		allDocs[i] = corpus.DocID(i)
-	}
-	v.bgScores = make(map[corpus.TermID][]float64)
-	lo, hi := 0.0, 0.0
-	if logSpace {
-		lo = -7
-	}
-	for t, xs := range corpus.TrainingScores(background, allDocs) {
-		v.trainN[t] = len(xs)
-		out := make([]float64, len(xs))
-		for i, x := range xs {
-			out[i] = v.observable(sys.Store.TRS(t, 0, x))
-			if out[i] > hi {
-				hi = out[i]
-			}
-		}
-		v.bgScores[t] = out
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	v.bg = adversary.NewBackground(v.bgScores, 256, lo, hi)
-	if logSpace {
-		v.bgEl = v.bg
-	} else {
-		// The published RSTF's training atoms, mapped through the
-		// transform itself: exactly where training-document elements
-		// land in TRS space.
-		atomScores := make(map[corpus.TermID][]float64, sys.Store.Len())
-		for _, t := range sys.Store.Terms() {
-			f := sys.Store.Get(t)
-			atoms := f.TrainingPoints()
-			out := make([]float64, len(atoms))
-			for i, mu := range atoms {
-				out[i] = f.Transform(mu)
-			}
-			atomScores[t] = out
-		}
-		v.bgEl = adversary.NewBackground(atomScores, 256, 0, 1)
-	}
-	return v
-}
-
-// eligibleLists returns multi-term merged lists whose terms all have
-// at least minTrain training observations and at least minElems stored
-// elements.
-func (v *attackView) eligibleLists(minTrain, minElems, maxLists int) []zerber.ListID {
-	var out []zerber.ListID
-	for _, listID := range v.sys.Server.Lists() {
-		if len(out) >= maxLists {
-			break
-		}
-		terms := v.sys.Plan.Terms(zerber.ListID(listID))
-		if len(terms) < 2 {
-			continue
-		}
-		ok := true
-		for _, t := range terms {
-			if v.trainN[t] < minTrain {
-				ok = false
-				break
-			}
-		}
-		if !ok || v.sys.Server.ListLen(zerber.ListID(listID)) < minElems {
-			continue
-		}
-		out = append(out, zerber.ListID(listID))
-	}
-	return out
-}
-
-// decryptList returns the visible values, true terms and training
-// membership of a list's elements (ground truth via the experiment's
-// omniscient key access).
-func (v *attackView) decryptList(list zerber.ListID) (observed []float64, truth []corpus.TermID, fromTrain []bool, err error) {
-	codec := crypt.Compact64Codec{}
-	snap, err := v.sys.Server.Snapshot(list)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	observed = make([]float64, len(snap))
-	truth = make([]corpus.TermID, len(snap))
-	fromTrain = make([]bool, len(snap))
-	for i, el := range snap {
-		observed[i] = v.observable(el.TRS)
-		plain, err2 := codec.Open(el.Sealed, v.sys.Keys[el.Group])
-		if err2 != nil {
-			return nil, nil, nil, err2
-		}
-		truth[i] = plain.Term
-		fromTrain[i] = v.trainDocs[plain.Doc]
-	}
-	return observed, truth, fromTrain, nil
-}
-
-// listPrior returns the Definition 2 within-list prior p_t/Σp.
-func listPrior(plan *zerber.MergePlan, terms []corpus.TermID) map[corpus.TermID]float64 {
-	prior := make(map[corpus.TermID]float64, len(terms))
-	sum := 0.0
-	for _, t := range terms {
-		sum += plan.P(t)
-	}
-	for _, t := range terms {
-		prior[t] = plan.P(t) / sum
-	}
-	return prior
-}
-
-// compositionAttack is the paper's threat 1 at the list level ("undo
-// the posting list merging"): for each two-term merged list the
-// adversary knows a candidate set — the true terms plus decoys of
-// similar document frequency — and picks the candidate PAIR whose
-// df-weighted mixture maximizes the likelihood of the list's visible
-// value multiset. Returns the mean fraction of true terms recovered
-// and the random-pair baseline.
-//
-// Elements of the RSTF's training documents are excluded: their
-// separate (and much larger) leak is measured by the
-// element-attribution rows; this attack measures the intended
-// protection regime where indexed documents were not part of the
-// published transform's sample.
-func compositionAttack(v *attackView, lists []zerber.ListID, decoysPerList int) (acc, chance float64, measured int, err error) {
-	byDF := v.sys.Corpus.TermsByDF()
-	for _, list := range lists {
-		terms := v.sys.Plan.Terms(list)
-		if len(terms) != 2 {
-			continue
-		}
-		allObserved, _, fromTrain, err2 := v.decryptList(list)
-		if err2 != nil {
-			return 0, 0, 0, err2
-		}
-		observed := make([]float64, 0, len(allObserved))
-		for i, x := range allObserved {
-			if !fromTrain[i] {
-				observed = append(observed, x)
-			}
-		}
-		if len(observed) < 20 {
-			continue
-		}
-		// Decoys: trained terms of similar df to EACH true term (so a
-		// frequency-mixed list gets a fair candidate set around both
-		// frequency tiers).
-		inList := map[corpus.TermID]bool{terms[0]: true, terms[1]: true}
-		candidates := append([]corpus.TermID(nil), terms...)
-		used := map[corpus.TermID]bool{terms[0]: true, terms[1]: true}
-		for _, target := range terms {
-			dfTarget := v.sys.Corpus.DF(target)
-			type cand struct {
-				t    corpus.TermID
-				dist int
-			}
-			var pool []cand
-			for _, t := range byDF {
-				if !used[t] && v.trainN[t] >= 8 {
-					d := v.sys.Corpus.DF(t) - dfTarget
-					if d < 0 {
-						d = -d
-					}
-					pool = append(pool, cand{t, d})
-				}
-			}
-			sort.Slice(pool, func(i, j int) bool {
-				if pool[i].dist != pool[j].dist {
-					return pool[i].dist < pool[j].dist
-				}
-				return pool[i].t < pool[j].t
-			})
-			for i := 0; i < decoysPerList/2 && i < len(pool); i++ {
-				candidates = append(candidates, pool[i].t)
-				used[pool[i].t] = true
-			}
-		}
-		// Best mixture pair by summed log-likelihood.
-		bestLL := math.Inf(-1)
-		var bestA, bestB corpus.TermID
-		for i := 0; i < len(candidates); i++ {
-			for j := i + 1; j < len(candidates); j++ {
-				a, b := candidates[i], candidates[j]
-				wa := float64(v.sys.Corpus.DF(a))
-				wb := float64(v.sys.Corpus.DF(b))
-				wa, wb = wa/(wa+wb), wb/(wa+wb)
-				ll := 0.0
-				for _, x := range observed {
-					ll += math.Log(wa*v.bg.Likelihood(a, x) + wb*v.bg.Likelihood(b, x))
-				}
-				if ll > bestLL {
-					bestLL, bestA, bestB = ll, a, b
-				}
-			}
-		}
-		hit := 0
-		if inList[bestA] {
-			hit++
-		}
-		if inList[bestB] {
-			hit++
-		}
-		acc += float64(hit) / 2
-		chance += 2 / float64(len(candidates))
-		measured++
-	}
-	if measured == 0 {
-		return 0, 0, 0, fmt.Errorf("attacks: no eligible two-term lists for composition attack")
-	}
-	return acc / float64(measured), chance / float64(measured), measured, nil
-}
-
-// attackTally pools the adversary package's per-list figures into one
-// figure over every element seen, each list weighted by its elements.
-type attackTally struct {
-	acc, prior, amp, ampMax float64
-	n                       int
-}
-
-// add scores one list's attribution on the elements where
-// fromTrain[i] == want.
-func (a *attackTally) add(att adversary.Attribution, truth []corpus.TermID, prior map[corpus.TermID]float64, fromTrain []bool, want bool) {
-	sub := adversary.Attribution{Candidates: att.Candidates}
-	var subTruth []corpus.TermID
-	for i := range truth {
-		if fromTrain[i] == want {
-			sub.Guess = append(sub.Guess, att.Guess[i])
-			sub.Posterior = append(sub.Posterior, att.Posterior[i])
-			subTruth = append(subTruth, truth[i])
-		}
-	}
-	w := float64(len(subTruth))
-	amp := adversary.Amplification(sub, subTruth, prior)
-	a.acc += w * adversary.Accuracy(sub.Guess, subTruth)
-	a.prior += w * adversary.PriorAccuracy(subTruth, prior)
-	a.amp += w * amp.Mean
-	a.ampMax = math.Max(a.ampMax, amp.Max)
-	a.n += len(subTruth)
-}
-
-// mean turns the weighted sums into per-element means.
-func (a *attackTally) mean() {
-	if a.n > 0 {
-		a.acc /= float64(a.n)
-		a.prior /= float64(a.n)
-		a.amp /= float64(a.n)
-	}
-}
-
-// elementAttack runs per-element Bayesian attribution, reporting
-// accuracy, prior accuracy and Definition 1 amplification separately
-// for elements of training documents and the rest.
-func elementAttack(v *attackView, lists []zerber.ListID) (train, non attackTally, err error) {
-	for _, list := range lists {
-		terms := v.sys.Plan.Terms(list)
-		observed, truth, fromTrain, err := v.decryptList(list)
-		if err != nil {
-			return train, non, err
-		}
-		prior := listPrior(v.sys.Plan, terms)
-		att := adversary.Attribute(observed, terms, prior, v.bgEl)
-		train.add(att, truth, prior, fromTrain, true)
-		non.add(att, truth, prior, fromTrain, false)
-	}
-	train.mean()
-	non.mean()
-	return train, non, nil
-}
-
-// requestAttackOn runs the threat-2 attack: the adversary observes the
-// request count of a top-k query against a merged list and guesses the
-// queried term via the Equation 10/11 expected counts. The probes
-// search with opts, and her model of the schedule reads the same
-// first-window function the client sizes its requests with:
-// WithInitialResponse(b) pins it to the paper's fixed b, no option
-// derives it per list from the merge plan.
-func requestAttackOn(sys *zerberr.System, maxProbes int, opts ...client.SearchOption) (acc, prior float64, probes int, err error) {
-	cl, err := sys.NewClient("attack-prober")
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	const k = 10
-	var accSum, priorSum float64
-	for _, listID := range sys.Server.Lists() {
-		if probes >= maxProbes {
-			break
-		}
-		terms := sys.Plan.Terms(zerber.ListID(listID))
-		if len(terms) < 2 {
-			continue
-		}
-		// Adversary's expected request counts per candidate term from
-		// public df statistics (Eq. 10/11 + the doubling protocol).
-		listDF := 0
-		for _, t := range terms {
-			listDF += sys.Corpus.DF(t)
-		}
-		w := cl.FirstWindow(zerber.ListID(listID), k, opts...)
-		expected := make(map[corpus.TermID]float64, len(terms))
-		for _, t := range terms {
-			pos := workload.PositionEstimate(k, sys.Corpus.DF(t), listDF)
-			n := 1
-			covered := w
-			for float64(covered) < pos && covered < listDF {
-				covered += w << n
-				n++
-			}
-			expected[t] = float64(n)
-		}
-		priorMap := listPrior(sys.Plan, terms)
-		// Probe every merged term once (the adversary watches real
-		// queries; probing uniformly is the hardest case for her).
-		// Under uniform probing the prior-only guesser names one fixed
-		// term per list, so its expected accuracy is 1/|terms|.
-		for _, t := range terms {
-			if probes >= maxProbes {
-				break
-			}
-			if sys.Corpus.DF(t) == 0 {
-				continue
-			}
-			_, st, err := cl.Search(context.Background(), []corpus.TermID{t}, k, opts...)
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			guess := adversary.RequestCountAttack(float64(st.Requests), expected, priorMap)
-			if guess == t {
-				accSum++
-			}
-			priorSum += 1 / float64(len(terms))
-			probes++
-		}
-	}
-	if probes == 0 {
-		return 0, 0, 0, fmt.Errorf("attacks: no probes executed")
-	}
-	return accSum / float64(probes), priorSum / float64(probes), probes, nil
-}
 
 // AttackSimulations is extension experiment Ext-B: it measures the
 // Section 4.1 threats against systems with and without the RSTF and
@@ -445,142 +27,114 @@ func requestAttackOn(sys *zerberr.System, maxProbes int, opts ...client.SearchOp
 //     their exact quantile positions — a limitation the paper does not
 //     evaluate.
 func AttackSimulations(e *Env) (*Result, error) {
-	c := attackCorpus(e.Seed)
-	const minTrain = 15
-	plainSys, err := attackSystem(c, e.Seed, true, false, 0)
-	if err != nil {
-		return nil, err
+	c, bg := adversary.Corpus(e.Seed), adversary.BackgroundCorpus(e.Seed)
+	// r = 4 forces even mid-frequency (well-trained) terms into
+	// multi-term lists, the regime worth attacking.
+	const r = 4.0
+	// The composition attack's systems, in row order. Frequency-mixed
+	// lists (random merging, the paper's Figure 3 scenario: "and"
+	// merged with "imClone") are where plain scores leak composition
+	// ("frequent terms are more probably located in the head of the
+	// merged posting list"); BFM's similar-frequency lists blunt the
+	// attack even without the RSTF. The jittered system is the
+	// countermeasure to extension finding 2: per-element TRS jitter
+	// spreads shared score atoms, and to be effective its width must
+	// exceed the typical per-term TRS gap (~1/df), which costs local
+	// rank swaps near the top-k boundary.
+	targets := []struct {
+		name               string
+		identity, random   bool
+		jitter             float64
+		minTrain, maxLists int
+	}{
+		{"plain scores, random merge", true, true, 0, 1, 120},
+		{"TRS, random merge", false, true, 0, 1, 120},
+		{"plain scores, BFM", true, false, 0, 15, 60},
+		{"TRS, BFM", false, false, 0, 15, 60},
+		{"TRS + jitter, BFM", false, false, 2e-2, 15, 60},
 	}
-	trsSys, err := attackSystem(c, e.Seed, false, false, 0)
-	if err != nil {
-		return nil, err
-	}
-	// Frequency-mixed merging (the paper's Figure 3 scenario: "and"
-	// merged with "imClone") with and without the RSTF.
-	plainRandSys, err := attackSystem(c, e.Seed, true, true, 0)
-	if err != nil {
-		return nil, err
-	}
-	trsRandSys, err := attackSystem(c, e.Seed, false, true, 0)
-	if err != nil {
-		return nil, err
-	}
-	// The adversary's own comparable corpus: same generator profile,
-	// independent seed — twice the size of the indexed collection.
-	bgProfile := corpus.ProfileStudIP()
-	bgProfile.NumDocs = 1600
-	bgProfile.VocabSize = 8000
-	bgCorpus := corpus.Generate(bgProfile, e.Seed+0x5eed)
-	plainView := newAttackView(plainSys, bgCorpus)
-	trsView := newAttackView(trsSys, bgCorpus)
-	plainRandView := newAttackView(plainRandSys, bgCorpus)
-	trsRandView := newAttackView(trsRandSys, bgCorpus)
-	plainLists := plainView.eligibleLists(minTrain, 40, 60)
-	trsLists := trsView.eligibleLists(minTrain, 40, 60)
-	plainRandLists := plainRandView.eligibleLists(1, 40, 120)
-	trsRandLists := trsRandView.eligibleLists(1, 40, 120)
-
 	res := &Result{
 		Headers: []string{"attack", "system", "adversary accuracy", "baseline", "mean amplification"},
 	}
+	// score is an attack's accuracy, its baseline's and the number of
+	// lists or probes it was measured on.
+	type score struct {
+		acc, baseline float64
+		n             int
+	}
+	comp := make([]score, len(targets))
+	systems := make([]*zerberr.System, len(targets))
+	views := make([]*adversary.View, len(targets))
+	lists := make([][]zerber.ListID, len(targets))
+	for i, t := range targets {
+		sys, err := adversary.System(c, e.Seed, r, t.identity, t.random, t.jitter)
+		if err != nil {
+			return nil, err
+		}
+		systems[i], views[i] = sys, adversary.NewView(sys, bg)
+		lists[i] = views[i].EligibleLists(t.minTrain, 40, t.maxLists)
+		x := &comp[i]
+		if x.acc, x.baseline, x.n, err = adversary.CompositionAttack(views[i], lists[i], 8); err != nil {
+			return nil, err
+		}
+		res.Rows = append(res.Rows, []interface{}{"list composition", t.name, x.acc, x.baseline, "-"})
+	}
 
-	// 1. Composition attack. Frequency-mixed lists are where plain
-	// scores leak composition ("frequent terms are more probably
-	// located in the head of the merged posting list"); BFM's
-	// similar-frequency lists blunt the attack even without the RSTF.
-	prAcc, prChance, prLists, err := compositionAttack(plainRandView, plainRandLists, 8)
+	// Findings 2 and 3: per-element attribution split by training membership, on
+	// the BFM systems.
+	pTrain, pNon, err := adversary.ElementAttack(views[2], lists[2])
 	if err != nil {
 		return nil, err
 	}
-	trAcc, trChance, trLists, err := compositionAttack(trsRandView, trsRandLists, 8)
-	if err != nil {
-		return nil, err
-	}
-	pAcc, pChance, pLists, err := compositionAttack(plainView, plainLists, 8)
-	if err != nil {
-		return nil, err
-	}
-	tAcc, tChance, tLists, err := compositionAttack(trsView, trsLists, 8)
-	if err != nil {
-		return nil, err
-	}
-	// The countermeasure to extension finding 2: per-element TRS
-	// jitter spreads shared score atoms. To be effective the width
-	// must exceed the typical per-term TRS gap (~1/df), which costs
-	// local rank swaps near the top-k boundary — measured below.
-	jitterSys, err := attackSystem(c, e.Seed, false, false, 2e-2)
-	if err != nil {
-		return nil, err
-	}
-	jitterView := newAttackView(jitterSys, bgCorpus)
-	jitterLists := jitterView.eligibleLists(minTrain, 40, 60)
-	jAcc, jChance, jLists, err := compositionAttack(jitterView, jitterLists, 8)
+	tTrain, tNon, err := adversary.ElementAttack(views[3], lists[3])
 	if err != nil {
 		return nil, err
 	}
 	res.Rows = append(res.Rows,
-		[]interface{}{"list composition", "plain scores, random merge", prAcc, prChance, "-"},
-		[]interface{}{"list composition", "TRS, random merge", trAcc, trChance, "-"},
-		[]interface{}{"list composition", "plain scores, BFM", pAcc, pChance, "-"},
-		[]interface{}{"list composition", "TRS, BFM", tAcc, tChance, "-"},
-		[]interface{}{"list composition", "TRS + jitter, BFM", jAcc, jChance, "-"},
+		[]interface{}{"element attribution (non-train)", "plain scores (no RSTF)", pNon.Acc, pNon.Prior, pNon.Amp},
+		[]interface{}{"element attribution (non-train)", "Zerber+R (TRS)", tNon.Acc, tNon.Prior, tNon.Amp},
+		[]interface{}{"element attribution (train docs)", "plain scores (no RSTF)", pTrain.Acc, pTrain.Prior, pTrain.Amp},
+		[]interface{}{"element attribution (train docs)", "Zerber+R (TRS)", tTrain.Acc, tTrain.Prior, tTrain.Amp},
 	)
 
-	// 2 + 3. Per-element attribution split by training membership.
-	pTrain, pNon, err := elementAttack(plainView, plainLists)
-	if err != nil {
-		return nil, err
-	}
-	tTrain, tNon, err := elementAttack(trsView, trsLists)
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = append(res.Rows,
-		[]interface{}{"element attribution (non-train)", "plain scores (no RSTF)", pNon.acc, pNon.prior, pNon.amp},
-		[]interface{}{"element attribution (non-train)", "Zerber+R (TRS)", tNon.acc, tNon.prior, tNon.amp},
-		[]interface{}{"element attribution (train docs)", "plain scores (no RSTF)", pTrain.acc, pTrain.prior, pTrain.amp},
-		[]interface{}{"element attribution (train docs)", "Zerber+R (TRS)", tTrain.acc, tTrain.prior, tTrain.amp},
-	)
-
-	// Threat 2: request-count attack, BFM vs random merge, on the
-	// paper's fixed b and on first windows derived per list.
-	fixed := client.WithInitialResponse(10)
-	bAcc, bPrior, bProbes, err := requestAttackOn(trsSys, 400, fixed)
-	if err != nil {
-		return nil, err
-	}
-	rAcc, rPrior, rProbes, err := requestAttackOn(trsRandSys, 400, fixed)
-	if err != nil {
-		return nil, err
-	}
-	bdAcc, bdPrior, _, err := requestAttackOn(trsSys, 400)
-	if err != nil {
-		return nil, err
-	}
-	rdAcc, rdPrior, _, err := requestAttackOn(trsRandSys, 400)
-	if err != nil {
-		return nil, err
+	// Threat 2: request-count attack on the TRS systems, BFM vs random
+	// merge, on the paper's fixed b and on first windows derived per
+	// list.
+	var req [4]score
+	for i, q := range []struct {
+		sys  *zerberr.System
+		opts []client.SearchOption
+	}{
+		{systems[3], []client.SearchOption{client.WithInitialResponse(10)}},
+		{systems[1], []client.SearchOption{client.WithInitialResponse(10)}},
+		{systems[3], nil},
+		{systems[1], nil},
+	} {
+		x := &req[i]
+		if x.acc, x.baseline, x.n, err = adversary.ProbeRequestCounts(q.sys, 400, q.opts...); err != nil {
+			return nil, err
+		}
 	}
 	res.Rows = append(res.Rows,
-		[]interface{}{"request-count", "BFM merging", bAcc, bPrior, "-"},
-		[]interface{}{"request-count", "random merging", rAcc, rPrior, "-"},
-		[]interface{}{"request-count", "BFM, derived windows", bdAcc, bdPrior, "-"},
-		[]interface{}{"request-count", "random merging, derived windows", rdAcc, rdPrior, "-"},
+		[]interface{}{"request-count", "BFM merging", req[0].acc, req[0].baseline, "-"},
+		[]interface{}{"request-count", "random merging", req[1].acc, req[1].baseline, "-"},
+		[]interface{}{"request-count", "BFM, derived windows", req[2].acc, req[2].baseline, "-"},
+		[]interface{}{"request-count", "random merging, derived windows", req[3].acc, req[3].baseline, "-"},
 	)
 
 	res.Series = []stats.Series{{
 		Name: "advantage over baseline (composition: plain+rand, TRS+rand, plain+BFM, TRS+BFM; request: BFM, random)",
 		X:    []float64{1, 2, 3, 4, 5, 6},
-		Y:    []float64{prAcc - prChance, trAcc - trChance, pAcc - pChance, tAcc - tChance, bAcc - bPrior, rAcc - rPrior},
+		Y:    []float64{comp[0].acc - comp[0].baseline, comp[1].acc - comp[1].baseline, comp[2].acc - comp[2].baseline, comp[3].acc - comp[3].baseline, req[0].acc - req[0].baseline, req[1].acc - req[1].baseline},
 	}}
 	res.Notes = append(res.Notes,
-		fmt.Sprintf("composition attack on %d/%d (random merge, small sample) and %d/%d (BFM) two-term lists; request attack on %d/%d probes", prLists, trLists, pLists, tLists, bProbes, rProbes),
+		fmt.Sprintf("composition attack on %d/%d (random merge, small sample) and %d/%d (BFM) two-term lists; request attack on %d/%d probes", comp[0].n, comp[1].n, comp[2].n, comp[3].n, req[0].n, req[1].n),
 		"BFM already blunts value-only composition attacks on its own: similar-frequency merged terms share their bulk (tf=1) score statistics, so plain+BFM sits at chance",
-		fmt.Sprintf("r = %.0f: Definition 1 demands amplification ≤ r; per-element attribution outside the training sample measures %.2f (TRS) vs %.2f (plain), max %.1f (TRS) — the paper's claim holds at the element level", trsSys.Plan.R(), tNon.amp, pNon.amp, tNon.ampMax),
-		fmt.Sprintf("extension finding 1: elements of the RSTF's own training documents are re-identified with %.0f%% accuracy under TRS (prior %.0f%%) — the published transform memorizes their quantiles; train on a held-out, non-indexed sample", tTrain.acc*100, tTrain.prior*100),
-		fmt.Sprintf("countermeasure: 2e-2 TRS jitter drops the fine-structure composition attack to %.2f vs %.2f chance on %d lists; the cost is local rank swaps for score pairs whose TRS gap is below the jitter width", jAcc, jChance, jLists),
+		fmt.Sprintf("r = %.0f: Definition 1 demands amplification ≤ r; per-element attribution outside the training sample measures %.2f (TRS) vs %.2f (plain), max %.1f (TRS) — the paper's claim holds at the element level", r, tNon.Amp, pNon.Amp, tNon.AmpMax),
+		fmt.Sprintf("extension finding 1: elements of the RSTF's own training documents are re-identified with %.0f%% accuracy under TRS (prior %.0f%%) — the published transform memorizes their quantiles; train on a held-out, non-indexed sample", tTrain.Acc*100, tTrain.Prior*100),
+		fmt.Sprintf("countermeasure: 2e-2 TRS jitter drops the fine-structure composition attack to %.2f vs %.2f chance on %d lists; the cost is local rank swaps for score pairs whose TRS gap is below the jitter width", comp[4].acc, comp[4].baseline, comp[4].n),
 		"extension finding 2: normalized-TF supports are discrete (score atoms like 1/|d| shared by all terms), and a published per-term RSTF maps those shared atoms to term-specific TRS positions — a fine-structure fingerprint that lets list composition be recovered (TRS rows) even though the TRS envelope is uniform; rank-preserving TRS jitter would close this channel",
 		"request-count attack: BFM keeps follow-up counts indistinguishable (advantage near 0) exactly as Section 5.2 argues; random merging leaks the queried term's frequency tier",
-		fmt.Sprintf("derived first windows (one size per list, from the merge plan): BFM %.4f vs %.4f at the fixed b = 10, random merging %.4f vs %.4f — the window is a function of the list ID the server already sees", bdAcc, bAcc, rdAcc, rAcc))
+		fmt.Sprintf("derived first windows (one size per list, from the merge plan): BFM %.4f vs %.4f at the fixed b = 10, random merging %.4f vs %.4f — the window is a function of the list ID the server already sees", req[2].acc, req[0].acc, req[3].acc, req[1].acc))
 	return res, nil
 }
