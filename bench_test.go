@@ -81,7 +81,7 @@ func BenchmarkRSTFTrainWithCrossValidation(b *testing.B) {
 	control := benchScores(100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rstf.Train(train, control, nil, 10); err != nil {
+		if _, err := rstf.Train(train, control); err != nil {
 			b.Fatal(err)
 		}
 	}

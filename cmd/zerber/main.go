@@ -168,10 +168,10 @@ func cmdInit(args []string) {
 	if err != nil {
 		fatal("loading documents failed", "err", err)
 	}
-	c := corpus.Ingest(raws, nil)
+	c := corpus.Ingest(raws)
 	logger.Info("ingested corpus", "docs", c.NumDocs(), "terms", c.DistinctTerms(), "groups", c.Groups)
 
-	split := corpus.NewSplit(c, 1.0, 0.33, *seed)
+	split := corpus.NewSplit(c, 1.0, *seed)
 	store := rstf.TrainStore(
 		corpus.TrainingScores(c, split.Train),
 		corpus.TrainingScores(c, split.Control),
@@ -305,7 +305,7 @@ func cmdIndex(ctx context.Context, args []string) {
 	if err != nil {
 		fatal("loading documents failed", "err", err)
 	}
-	c := corpus.Ingest(raws, nil)
+	c := corpus.Ingest(raws)
 	art := loadArtifacts(*artDir)
 	cl := newClient(ctx, art, *serverURL, *user, *pass, *groups)
 	for i, d := range c.Docs {

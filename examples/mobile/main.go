@@ -41,9 +41,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	wcfg := workload.DefaultConfig()
-	wcfg.NumQueries = 300
-	logq := workload.Generate(c, wcfg, 11)
+	logq := workload.Generate(c, 300, 11)
 	stream := logq.SingleTermStream()
 	if len(stream) > 400 {
 		stream = stream[:400]

@@ -49,8 +49,9 @@ type Key struct {
 }
 
 // GroupsKey canonicalizes an allowed-group set: sorted IDs joined by
-// ",", "*" for nil (no filter), "" for the empty set. Server and
-// router derive it the same way, so their keys agree.
+// ",", "*" for nil (no filter), "" for the empty set. The router keys
+// a window by the groups its request's tokens claim, so two sets of
+// tokens for the same groups share entries.
 func GroupsKey(allowed map[int]bool) string {
 	if allowed == nil {
 		return "*"

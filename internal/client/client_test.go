@@ -38,7 +38,7 @@ func newHarness(t *testing.T, codec crypt.ElementCodec, seed uint64) *harness {
 	p.VocabSize = 2200
 	p.Topics = 3
 	c := corpus.Generate(p, seed)
-	split := corpus.NewSplit(c, 0.3, 0.33, seed)
+	split := corpus.NewSplit(c, 0.3, seed)
 	store := rstf.TrainStore(
 		corpus.TrainingScores(c, split.Train),
 		corpus.TrainingScores(c, split.Control),

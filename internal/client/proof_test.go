@@ -130,7 +130,7 @@ func newTamperHarness(t *testing.T, seed uint64) (*harness, *tamperBackend) {
 	p.VocabSize = 1500
 	p.Topics = 3
 	c := corpus.Generate(p, seed)
-	split := corpus.NewSplit(c, 0.3, 0.33, seed)
+	split := corpus.NewSplit(c, 0.3, seed)
 	st := rstf.TrainStore(
 		corpus.TrainingScores(c, split.Train),
 		corpus.TrainingScores(c, split.Control),

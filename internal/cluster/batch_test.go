@@ -24,14 +24,10 @@ import (
 // newBatchCluster builds a 3-shard cluster with one logged-in token
 // and one element per list 0..n-1, where element TRS encodes its list
 // (list i holds TRS = (i+1)/100).
-func newBatchCluster(t *testing.T, nLists int) (*Local, crypt.Token, []crypt.Token) {
+func newBatchCluster(t *testing.T, nLists int) ([]*server.Server, *Router, crypt.Token, []crypt.Token) {
 	t.Helper()
-	local, err := NewLocal(3, []byte("batch-secret"), time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local.RegisterUser("w", 0)
-	toks, err := local.Router.Login(context.Background(), "w")
+	servers, router := newShards(t, 3, "w", 0)
+	toks, err := router.Login(context.Background(), "w")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,18 +38,18 @@ func newBatchCluster(t *testing.T, nLists int) (*Local, crypt.Token, []crypt.Tok
 			Element: server.StoredElement{Sealed: []byte{byte(i)}, TRS: float64(i+1) / 100, Group: 0},
 		}
 	}
-	if err := local.Router.InsertBatch(context.Background(), toks[0], ops); err != nil {
+	if err := router.InsertBatch(context.Background(), toks[0], ops); err != nil {
 		t.Fatal(err)
 	}
-	return local, toks[0], toks
+	return servers, router, toks[0], toks
 }
 
 func TestRouterQueryBatchSpansShardsInOrder(t *testing.T) {
 	const nLists = 9
-	local, _, toks := newBatchCluster(t, nLists)
+	servers, router, _, toks := newBatchCluster(t, nLists)
 
 	// Every shard got its share of the batched insert.
-	for i, srv := range local.Servers {
+	for i, srv := range servers {
 		if srv.NumElements() == 0 {
 			t.Fatalf("shard %d empty after batched insert", i)
 		}
@@ -66,7 +62,7 @@ func TestRouterQueryBatchSpansShardsInOrder(t *testing.T) {
 	for j, l := range order {
 		queries[j] = server.ListQuery{List: zerber.ListID(l), Offset: 0, Count: 10}
 	}
-	res, err := local.Router.QueryBatch(context.Background(), toks, queries)
+	res, err := router.QueryBatch(context.Background(), toks, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,28 +80,28 @@ func TestRouterQueryBatchSpansShardsInOrder(t *testing.T) {
 
 func TestRouterRemoveBatchSpansShards(t *testing.T) {
 	const nLists = 6
-	local, tok, _ := newBatchCluster(t, nLists)
+	servers, router, tok, _ := newBatchCluster(t, nLists)
 	ops := make([]server.RemoveOp, nLists)
 	for i := 0; i < nLists; i++ {
 		ops[i] = server.RemoveOp{List: zerber.ListID(i), Sealed: []byte{byte(i)}}
 	}
-	if err := local.Router.RemoveBatch(context.Background(), tok, ops); err != nil {
+	if err := router.RemoveBatch(context.Background(), tok, ops); err != nil {
 		t.Fatal(err)
 	}
-	if n := local.NumElements(); n != 0 {
+	if n := numElements(servers); n != 0 {
 		t.Fatalf("%d elements left after batched remove", n)
 	}
 }
 
 func TestRouterBatchErrorCarriesShardAndGlobalIndex(t *testing.T) {
-	local, tok, _ := newBatchCluster(t, 6)
+	servers, router, tok, _ := newBatchCluster(t, 6)
 	// Op 0 and 2 are fine; op 1 (list 4 -> shard 1 of 3) targets a
 	// group the token does not cover. The surfaced error must name
 	// shard 1 and the caller's op index 1, and shard-atomicity means
 	// the failing shard applied nothing.
-	shard := local.Router.ShardFor(4)
-	before := local.Servers[shard].NumElements()
-	err := local.Router.InsertBatch(context.Background(), tok, []server.InsertOp{
+	shard := router.ShardFor(4)
+	before := servers[shard].NumElements()
+	err := router.InsertBatch(context.Background(), tok, []server.InsertOp{
 		{List: 3, Element: server.StoredElement{Sealed: []byte{100}, TRS: 0.5, Group: 0}},
 		{List: 4, Element: server.StoredElement{Sealed: []byte{101}, TRS: 0.5, Group: 99}},
 		{List: 5, Element: server.StoredElement{Sealed: []byte{102}, TRS: 0.5, Group: 0}},
@@ -120,7 +116,7 @@ func TestRouterBatchErrorCarriesShardAndGlobalIndex(t *testing.T) {
 	if !strings.Contains(err.Error(), fmt.Sprintf("shard %d", shard)) {
 		t.Fatalf("error does not name the failing shard: %v", err)
 	}
-	if local.Servers[shard].NumElements() != before {
+	if servers[shard].NumElements() != before {
 		t.Fatal("failing shard applied part of a rejected sub-batch")
 	}
 }
@@ -135,9 +131,9 @@ func (f failingShard) QueryBatch(context.Context, []crypt.Token, []server.ListQu
 }
 
 func TestRouterQueryBatchShardFailure(t *testing.T) {
-	local, _, toks := newBatchCluster(t, 9)
+	servers, _, _, toks := newBatchCluster(t, 9)
 	shards := make([]client.Transport, 3)
-	for i, srv := range local.Servers {
+	for i, srv := range servers {
 		shards[i] = client.Local{S: srv}
 	}
 	shards[1] = failingShard{shards[1]}
@@ -177,7 +173,7 @@ func TestSearchSchedulesMatchAcrossTransports(t *testing.T) {
 	p.VocabSize = 2000
 	p.Topics = 2
 	c := corpus.Generate(p, seed)
-	split := corpus.NewSplit(c, 0.3, 0.33, seed)
+	split := corpus.NewSplit(c, 0.3, seed)
 	rstfs := rstf.TrainStore(
 		corpus.TrainingScores(c, split.Train),
 		corpus.TrainingScores(c, split.Control),
@@ -211,13 +207,10 @@ func TestSearchSchedulesMatchAcrossTransports(t *testing.T) {
 	q := []corpus.TermID{terms[0], terms[40], terms[400], terms[900]}
 	const k = 10
 
-	sharded, err := NewLocal(3, secret, time.Hour)
+	shards := []*server.Server{newServer(), newServer(), newServer()}
+	router, err := NewRouter(client.Local{S: shards[0]}, client.Local{S: shards[1]}, client.Local{S: shards[2]})
 	if err != nil {
 		t.Fatal(err)
-	}
-	sharded.RegisterUser("writer", groups...)
-	for _, srv := range sharded.Servers {
-		srv.SetObs(obs.NewRegistry())
 	}
 	members := []*server.Server{newServer(), newServer()}
 	set, err := replica.NewSet(client.Local{S: members[0]}, client.Local{S: members[1]})
@@ -235,7 +228,7 @@ func TestSearchSchedulesMatchAcrossTransports(t *testing.T) {
 	}{
 		{"local", client.Local{S: local}, false, []*server.Server{local}},
 		{"http", client.HTTP{BaseURL: ts.URL}, true, []*server.Server{remote}},
-		{"router", sharded.Router, false, sharded.Servers},
+		{"router", router, false, shards},
 		{"set", set, false, members},
 	}
 	// The deterministic 8-byte codec makes every deployment store the

@@ -25,7 +25,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"zerberr/internal/cache"
 	"zerberr/internal/client"
@@ -116,7 +115,7 @@ func NewRouter(shards ...client.Transport) (*Router, error) {
 		latency: make([]*obs.Histogram, len(shards)),
 	}
 	for i := range r.latency {
-		r.latency[i] = obs.NewHistogram(nil)
+		r.latency[i] = obs.NewHistogram()
 	}
 	r.tab.Store(&routingTable{epoch: 1, shards: append([]client.Transport(nil), shards...)})
 	return r, nil
@@ -464,50 +463,6 @@ func (r *Router) RemoveBatch(ctx context.Context, tok crypt.Token, ops []server.
 		defer r.writeMu[shard].RUnlock()
 		return r.transport(shard).RemoveBatch(ctx, tok, sub)
 	})
-}
-
-// Local is a convenience in-process cluster: n servers sharing one
-// secret and clock, plus the router over them.
-type Local struct {
-	Servers []*server.Server
-	Router  *Router
-}
-
-// NewLocal builds an n-shard in-process cluster.
-func NewLocal(n int, secret []byte, tokenTTL time.Duration) (*Local, error) {
-	if n <= 0 {
-		return nil, errors.New("cluster: need at least one shard")
-	}
-	l := &Local{}
-	transports := make([]client.Transport, n)
-	for i := 0; i < n; i++ {
-		srv := server.New(secret, tokenTTL)
-		l.Servers = append(l.Servers, srv)
-		transports[i] = client.Local{S: srv}
-	}
-	router, err := NewRouter(transports...)
-	if err != nil {
-		return nil, err
-	}
-	l.Router = router
-	return l, nil
-}
-
-// RegisterUser records the user on every shard (the shared enterprise
-// directory).
-func (l *Local) RegisterUser(user string, groups ...int) {
-	for _, srv := range l.Servers {
-		srv.RegisterUser(user, groups...)
-	}
-}
-
-// NumElements sums stored elements across shards.
-func (l *Local) NumElements() int {
-	n := 0
-	for _, srv := range l.Servers {
-		n += srv.NumElements()
-	}
-	return n
 }
 
 var _ client.Transport = (*Router)(nil)

@@ -11,6 +11,7 @@ import (
 	"zerberr/internal/crypt"
 	"zerberr/internal/index"
 	"zerberr/internal/rstf"
+	"zerberr/internal/server"
 	"zerberr/internal/zerber"
 )
 
@@ -18,7 +19,8 @@ import (
 type clusterHarness struct {
 	c        *corpus.Corpus
 	plan     *zerber.MergePlan
-	local    *Local
+	servers  []*server.Server
+	router   *Router
 	cl       *client.Client
 	baseline *index.Index
 }
@@ -30,7 +32,7 @@ func newClusterHarness(t *testing.T, shards int, seed uint64) *clusterHarness {
 	p.VocabSize = 2000
 	p.Topics = 2
 	c := corpus.Generate(p, seed)
-	split := corpus.NewSplit(c, 0.3, 0.33, seed)
+	split := corpus.NewSplit(c, 0.3, seed)
 	store := rstf.TrainStore(
 		corpus.TrainingScores(c, split.Train),
 		corpus.TrainingScores(c, split.Control),
@@ -40,18 +42,14 @@ func newClusterHarness(t *testing.T, shards int, seed uint64) *clusterHarness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := NewLocal(shards, []byte("cluster-secret"), time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
 	keys := map[int]crypt.GroupKey{}
 	groups := make([]int, c.Groups)
 	for g := range groups {
 		groups[g] = g
 		keys[g] = crypt.KeyFromPassphrase("cluster-group")
 	}
-	local.RegisterUser("writer", groups...)
-	cl, err := client.New(local.Router, client.Config{Plan: plan, Store: store, Keys: keys})
+	servers, router := newShards(t, shards, "writer", groups...)
+	cl, err := client.New(router, client.Config{Plan: plan, Store: store, Keys: keys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,24 +61,44 @@ func newClusterHarness(t *testing.T, shards int, seed uint64) *clusterHarness {
 			t.Fatal(err)
 		}
 	}
-	return &clusterHarness{c: c, plan: plan, local: local, cl: cl, baseline: index.Build(c)}
+	return &clusterHarness{c: c, plan: plan, servers: servers, router: router, cl: cl, baseline: index.Build(c)}
+}
+
+// newShards builds n in-process servers sharing one secret, registers
+// the user for the groups on each, and routes over them.
+func newShards(t *testing.T, n int, user string, groups ...int) ([]*server.Server, *Router) {
+	t.Helper()
+	servers := make([]*server.Server, n)
+	transports := make([]client.Transport, n)
+	for i := range servers {
+		servers[i] = server.New([]byte("cluster-secret"), time.Hour)
+		servers[i].RegisterUser(user, groups...)
+		transports[i] = client.Local{S: servers[i]}
+	}
+	router, err := NewRouter(transports...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return servers, router
+}
+
+// numElements sums the elements stored across the servers.
+func numElements(servers []*server.Server) int {
+	n := 0
+	for _, srv := range servers {
+		n += srv.NumElements()
+	}
+	return n
 }
 
 func TestNewRouterValidation(t *testing.T) {
 	if _, err := NewRouter(); err == nil {
 		t.Fatal("empty router accepted")
 	}
-	if _, err := NewLocal(0, []byte("s"), 0); err == nil {
-		t.Fatal("zero-shard cluster accepted")
-	}
 }
 
 func TestShardAssignmentStable(t *testing.T) {
-	l, err := NewLocal(3, []byte("s"), time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := l.Router
+	_, r := newShards(t, 3, "u")
 	for list := zerber.ListID(0); list < 100; list++ {
 		a := r.ShardFor(list)
 		b := r.ShardFor(list)
@@ -92,14 +110,14 @@ func TestShardAssignmentStable(t *testing.T) {
 
 func TestClusterDistributesLists(t *testing.T) {
 	h := newClusterHarness(t, 3, 1)
-	for i, srv := range h.local.Servers {
+	for i, srv := range h.servers {
 		if srv.NumElements() == 0 {
 			t.Fatalf("shard %d holds no elements", i)
 		}
 		// Every list on this shard must belong to it per the router.
 		for _, list := range srv.Lists() {
-			if h.local.Router.ShardFor(list) != i {
-				t.Fatalf("list %d stored on shard %d, owner is %d", list, i, h.local.Router.ShardFor(list))
+			if h.router.ShardFor(list) != i {
+				t.Fatalf("list %d stored on shard %d, owner is %d", list, i, h.router.ShardFor(list))
 			}
 		}
 	}
@@ -108,7 +126,7 @@ func TestClusterDistributesLists(t *testing.T) {
 	for _, d := range h.c.Docs {
 		want += len(d.TF)
 	}
-	if got := h.local.NumElements(); got != want {
+	if got := numElements(h.servers); got != want {
 		t.Fatalf("cluster holds %d elements, want %d", got, want)
 	}
 }

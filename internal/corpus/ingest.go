@@ -8,14 +8,12 @@ type RawDoc struct {
 	Group int
 }
 
-// Ingest builds a corpus from raw documents using the given analyzer
-// (nil means text.NewTokenizer()). Term IDs are assigned in first-seen
-// order. This path backs the examples and the CLI; the experiment
-// harness uses Generate instead.
-func Ingest(docs []RawDoc, an text.Analyzer) *Corpus {
-	if an == nil {
-		an = text.NewTokenizer()
-	}
+// Ingest builds a corpus from raw documents with text.NewTokenizer().
+// Term IDs are assigned in first-seen order. This path backs the CLI
+// (cmd/zerber); the experiment harness and the examples use Generate
+// instead.
+func Ingest(docs []RawDoc) *Corpus {
+	an := text.NewTokenizer()
 	c := &Corpus{}
 	ids := make(map[string]TermID)
 	groups := 0

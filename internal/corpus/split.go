@@ -10,24 +10,16 @@ type Split struct {
 	Train, Control, Rest []DocID
 }
 
+// controlFrac is the share of the calibration sample held out as the
+// control set (Section 6.1.2: about one third).
+const controlFrac = 0.33
+
 // NewSplit samples the corpus deterministically: sampleFrac of the
 // documents form the calibration sample (the paper uses 30%), of which
-// controlFrac (the paper uses about one third) are held out as the
-// control set and the remainder becomes the training set. All other
-// documents land in Rest.
-func NewSplit(c *Corpus, sampleFrac, controlFrac float64, seed uint64) Split {
-	if sampleFrac < 0 {
-		sampleFrac = 0
-	}
-	if sampleFrac > 1 {
-		sampleFrac = 1
-	}
-	if controlFrac < 0 {
-		controlFrac = 0
-	}
-	if controlFrac > 1 {
-		controlFrac = 1
-	}
+// controlFrac are held out as the control set and the remainder
+// becomes the training set. All other documents land in Rest.
+func NewSplit(c *Corpus, sampleFrac float64, seed uint64) Split {
+	sampleFrac = min(max(sampleFrac, 0), 1)
 	g := stats.NewRNG(seed).Split("split")
 	perm := g.Perm(c.NumDocs())
 	nSample := int(sampleFrac * float64(c.NumDocs()))

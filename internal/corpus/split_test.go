@@ -7,7 +7,7 @@ import (
 
 func TestNewSplitPartitions(t *testing.T) {
 	c := Generate(smallProfile(), 20)
-	s := NewSplit(c, 0.3, 0.33, 99)
+	s := NewSplit(c, 0.3, 99)
 	total := len(s.Train) + len(s.Control) + len(s.Rest)
 	if total != c.NumDocs() {
 		t.Fatalf("split covers %d docs, corpus has %d", total, c.NumDocs())
@@ -34,8 +34,8 @@ func TestNewSplitPartitions(t *testing.T) {
 
 func TestNewSplitDeterministic(t *testing.T) {
 	c := Generate(smallProfile(), 21)
-	a := NewSplit(c, 0.3, 0.33, 7)
-	b := NewSplit(c, 0.3, 0.33, 7)
+	a := NewSplit(c, 0.3, 7)
+	b := NewSplit(c, 0.3, 7)
 	if len(a.Train) != len(b.Train) {
 		t.Fatal("split sizes differ")
 	}
@@ -48,18 +48,21 @@ func TestNewSplitDeterministic(t *testing.T) {
 
 func TestNewSplitClampsFractions(t *testing.T) {
 	c := Generate(smallProfile(), 22)
-	s := NewSplit(c, 1.5, -0.2, 1)
+	s := NewSplit(c, 1.5, 1)
 	if len(s.Rest) != 0 {
 		t.Fatalf("sampleFrac>1 should consume all docs, rest=%d", len(s.Rest))
 	}
-	if len(s.Control) != 0 {
-		t.Fatalf("controlFrac<0 should give empty control, got %d", len(s.Control))
+	if want := int(controlFrac * float64(c.NumDocs())); len(s.Control) != want {
+		t.Fatalf("control = %d docs, want %d", len(s.Control), want)
+	}
+	if s := NewSplit(c, -0.2, 1); len(s.Train)+len(s.Control) != 0 {
+		t.Fatalf("sampleFrac<0 should give an empty sample, got %d docs", len(s.Train)+len(s.Control))
 	}
 }
 
 func TestTrainingScores(t *testing.T) {
 	c := Generate(smallProfile(), 23)
-	s := NewSplit(c, 0.3, 0.33, 2)
+	s := NewSplit(c, 0.3, 2)
 	scores := TrainingScores(c, s.Train)
 	if len(scores) == 0 {
 		t.Fatal("no training scores extracted")
@@ -96,7 +99,7 @@ func TestIngest(t *testing.T) {
 		{Text: "alpha beta beta gamma", Group: 0},
 		{Text: "beta delta", Group: 1},
 	}
-	c := Ingest(docs, nil)
+	c := Ingest(docs)
 	if c.NumDocs() != 2 {
 		t.Fatalf("NumDocs = %d", c.NumDocs())
 	}
@@ -120,7 +123,7 @@ func TestIngest(t *testing.T) {
 }
 
 func TestIngestEmpty(t *testing.T) {
-	c := Ingest(nil, nil)
+	c := Ingest(nil)
 	if c.NumDocs() != 0 || c.VocabSize != 0 {
 		t.Fatal("empty ingest should give empty corpus")
 	}

@@ -172,12 +172,7 @@ func (e *Env) Workload(profile string) (*workload.Log, error) {
 	if l, ok := e.logs[profile]; ok {
 		return l, nil
 	}
-	cfg := workload.DefaultConfig()
-	cfg.NumQueries = int(20000 * e.Scale)
-	if cfg.NumQueries < 2000 {
-		cfg.NumQueries = 2000
-	}
-	l := workload.Generate(sys.Corpus, cfg, e.Seed)
+	l := workload.Generate(sys.Corpus, max(int(20000*e.Scale), 2000), e.Seed)
 	e.logs[profile] = l
 	return l, nil
 }

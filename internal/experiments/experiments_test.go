@@ -163,7 +163,7 @@ func TestFig09TermTieBreak(t *testing.T) {
 // and hands it two tied ones: the lower TermID must win on every run,
 // not whichever the map ranges first.
 func TestFig08ProbeTermTieBreak(t *testing.T) {
-	c := corpus.Ingest([]corpus.RawDoc{{Text: "quartz zebra violin"}, {Text: "quartz harbor"}}, nil)
+	c := corpus.Ingest([]corpus.RawDoc{{Text: "quartz zebra violin"}, {Text: "quartz harbor"}})
 	train := map[corpus.TermID][]float64{
 		31: {0.1, 0.2, 0.3},
 		17: {0.4, 0.5, 0.6},

@@ -121,7 +121,7 @@ func Fig09SigmaSelection(e *Env) (*Result, error) {
 	if best < 5 {
 		return nil, fmt.Errorf("fig09: best term has only %d train/control samples", best)
 	}
-	bestSigma, bestVar, curve, err := rstf.SelectSigma(train[term], control[term], nil)
+	bestSigma, bestVar, curve, err := rstf.SelectSigma(train[term], control[term])
 	if err != nil {
 		return nil, err
 	}

@@ -146,11 +146,10 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	return m.(*Gauge)
 }
 
-// Histogram creates (or finds) a fixed-bucket histogram. buckets are
-// the ascending upper bounds (an implicit +Inf bucket is appended);
-// nil means LatencyBuckets.
-func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Label) *Histogram {
-	m := r.register(name, help, kindHistogram, labels, func() exposable { return newHistogram(buckets) })
+// Histogram creates (or finds) a latency histogram over
+// latencyBuckets.
+func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
+	m := r.register(name, help, kindHistogram, labels, func() exposable { return NewHistogram() })
 	if m == nil {
 		return nil
 	}
@@ -301,10 +300,11 @@ func (f funcMetric) expose(w io.Writer, name, labels string) {
 
 // --- histogram -------------------------------------------------------
 
-// LatencyBuckets is the default latency histogram layout: 50µs to 10s,
-// roughly ×2.5 per step — wide enough to hold both a cache-hit query
-// round and a degraded WAL fsync.
-var LatencyBuckets = []float64{
+// latencyBuckets is every histogram's layout, ascending upper bounds
+// with an implicit +Inf bucket: 50µs to 10s, roughly ×2.5 per step —
+// wide enough to hold both a cache-hit query round and a degraded WAL
+// fsync.
+var latencyBuckets = []float64{
 	0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
 	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
@@ -314,32 +314,17 @@ var LatencyBuckets = []float64{
 // one atomic add per bucket, one CAS loop for the sum. Nil receiver
 // is a no-op.
 type Histogram struct {
-	bounds []float64 // ascending upper bounds; +Inf implicit
-	counts []atomic.Uint64
-	sum    atomic.Uint64 // float64 bits, CAS-updated
+	counts []atomic.Uint64 // one per latencyBuckets bound, then +Inf
+	sum    atomic.Uint64   // float64 bits, CAS-updated
 	count  atomic.Uint64
 }
 
 // NewHistogram builds a standalone histogram outside any registry —
 // for components that track latency internally (the cluster router's
 // per-shard latency, read by its Health and p95 gauge) and only
-// optionally expose quantiles via scrape-time samplers. buckets as in Registry.Histogram; nil means
-// LatencyBuckets.
-func NewHistogram(buckets []float64) *Histogram { return newHistogram(buckets) }
-
-func newHistogram(buckets []float64) *Histogram {
-	if buckets == nil {
-		buckets = LatencyBuckets
-	}
-	for i := 1; i < len(buckets); i++ {
-		if buckets[i] <= buckets[i-1] {
-			panic("obs: histogram buckets must be ascending")
-		}
-	}
-	return &Histogram{
-		bounds: append([]float64(nil), buckets...),
-		counts: make([]atomic.Uint64, len(buckets)+1),
-	}
+// optionally expose quantiles via scrape-time samplers.
+func NewHistogram() *Histogram {
+	return &Histogram{counts: make([]atomic.Uint64, len(latencyBuckets)+1)}
 }
 
 // Observe records one value.
@@ -347,7 +332,7 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	i := sort.SearchFloat64s(h.bounds, v)
+	i := sort.SearchFloat64s(latencyBuckets, v)
 	h.counts[i].Add(1)
 	h.count.Add(1)
 	for {
@@ -397,12 +382,12 @@ func (h *Histogram) Quantile(q float64) float64 {
 			continue
 		}
 		if float64(cum+c) >= rank {
-			if i >= len(h.bounds) {
-				return h.bounds[len(h.bounds)-1]
+			if i >= len(latencyBuckets) {
+				return latencyBuckets[len(latencyBuckets)-1]
 			}
 			lo := 0.0
 			if i > 0 {
-				lo = h.bounds[i-1]
+				lo = latencyBuckets[i-1]
 			}
 			frac := (rank - float64(cum)) / float64(c)
 			if frac < 0 {
@@ -410,20 +395,20 @@ func (h *Histogram) Quantile(q float64) float64 {
 			} else if frac > 1 {
 				frac = 1
 			}
-			return lo + (h.bounds[i]-lo)*frac
+			return lo + (latencyBuckets[i]-lo)*frac
 		}
 		cum += c
 	}
-	return h.bounds[len(h.bounds)-1]
+	return latencyBuckets[len(latencyBuckets)-1]
 }
 
 func (h *Histogram) expose(w io.Writer, name, labels string) {
 	var cum uint64
-	for i, b := range h.bounds {
+	for i, b := range latencyBuckets {
 		cum += h.counts[i].Load()
 		writeSample(w, name+"_bucket", joinLabels(labels, `le="`+formatFloat(b)+`"`), strconv.FormatUint(cum, 10))
 	}
-	cum += h.counts[len(h.bounds)].Load()
+	cum += h.counts[len(latencyBuckets)].Load()
 	writeSample(w, name+"_bucket", joinLabels(labels, `le="+Inf"`), strconv.FormatUint(cum, 10))
 	writeSample(w, name+"_sum", labels, formatFloat(h.Sum()))
 	writeSample(w, name+"_count", labels, strconv.FormatUint(h.count.Load(), 10))

@@ -67,7 +67,7 @@ func TestNilRegistryAndMetricsAreNoOps(t *testing.T) {
 	c.Inc()
 	g := r.Gauge("x", "h")
 	g.Set(7)
-	h := r.Histogram("x_seconds", "h", nil)
+	h := r.Histogram("x_seconds", "h")
 	h.Observe(1)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("nil metrics accumulated state")
@@ -81,8 +81,9 @@ func TestNilRegistryAndMetricsAreNoOps(t *testing.T) {
 
 func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("test_seconds", "latency", []float64{0.01, 0.1, 1})
-	// 100 observations in [0, 0.01), 0 in (0.01, 0.1], 0 rest.
+	h := r.Histogram("test_seconds", "latency")
+	// 100 observations on the 0.005 bound, which belong to its bucket
+	// (0.0025, 0.005].
 	for i := 0; i < 100; i++ {
 		h.Observe(0.005)
 	}
@@ -92,25 +93,25 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	if got := h.Sum(); math.Abs(got-0.5) > 1e-9 {
 		t.Fatalf("Sum = %g, want 0.5", got)
 	}
-	// Every observation is in the first bucket, so all quantiles
-	// interpolate inside [0, 0.01].
+	// Every observation is in one bucket, so all quantiles
+	// interpolate inside it.
 	for _, q := range []float64{0.5, 0.95, 0.99} {
-		if got := h.Quantile(q); got <= 0 || got > 0.01 {
-			t.Fatalf("Quantile(%g) = %g, want in (0, 0.01]", q, got)
+		if got := h.Quantile(q); got <= 0.0025 || got > 0.005 {
+			t.Fatalf("Quantile(%g) = %g, want in (0.0025, 0.005]", q, got)
 		}
 	}
-	h.Observe(5) // lands in +Inf; quantile clamps to highest bound
-	if got := h.Quantile(0.999); got != 1 {
-		t.Fatalf("Quantile past the last bound = %g, want clamp to 1", got)
+	h.Observe(50) // lands in +Inf; quantile clamps to highest bound
+	if got := h.Quantile(0.999); got != 10 {
+		t.Fatalf("Quantile past the last bound = %g, want clamp to 10", got)
 	}
 
 	var b strings.Builder
 	r.WritePrometheus(&b)
 	out := b.String()
 	for _, want := range []string{
-		`test_seconds_bucket{le="0.01"} 100`,
-		`test_seconds_bucket{le="0.1"} 100`,
-		`test_seconds_bucket{le="1"} 100`,
+		`test_seconds_bucket{le="0.0025"} 0`,
+		`test_seconds_bucket{le="0.005"} 100`,
+		`test_seconds_bucket{le="10"} 100`,
 		`test_seconds_bucket{le="+Inf"} 101`,
 		"test_seconds_count 101",
 	} {
@@ -120,9 +121,18 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	}
 }
 
+func TestLatencyBucketsAscending(t *testing.T) {
+	// Observe and Quantile binary-search the bounds.
+	for i := 1; i < len(latencyBuckets); i++ {
+		if latencyBuckets[i] <= latencyBuckets[i-1] {
+			t.Fatalf("latencyBuckets[%d] = %g does not exceed %g", i, latencyBuckets[i], latencyBuckets[i-1])
+		}
+	}
+}
+
 func TestHistogramConcurrentObserve(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("test_seconds", "latency", nil)
+	h := r.Histogram("test_seconds", "latency")
 	var wg sync.WaitGroup
 	const goroutines, each = 8, 1000
 	for g := 0; g < goroutines; g++ {
@@ -145,7 +155,7 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 
 func TestFindHistogram(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("test_seconds", "h", nil, Label{"shard", "0"})
+	h := r.Histogram("test_seconds", "h", Label{"shard", "0"})
 	if got := r.FindHistogram("test_seconds", Label{"shard", "0"}); got != h {
 		t.Fatal("FindHistogram did not return the registered histogram")
 	}

@@ -14,9 +14,6 @@ import (
 
 // Options controls chart rendering.
 type Options struct {
-	// Width and Height are the plot area in characters; zero values
-	// default to 72×20.
-	Width, Height int
 	// LogX and LogY switch the respective axis to log10 scale
 	// (non-positive points are dropped, as on the paper's log-log
 	// figures).
@@ -25,18 +22,15 @@ type Options struct {
 	XLabel, YLabel string
 }
 
+// width and height are the plot area in characters.
+const width, height = 72, 20
+
 // markers cycles per series.
 var markers = []byte{'*', '+', 'o', 'x', '#', '@', '%', '&'}
 
 // Chart renders the series into a text chart with axes, tick labels
 // and a legend.
 func Chart(title string, series []stats.Series, opt Options) string {
-	if opt.Width <= 0 {
-		opt.Width = 72
-	}
-	if opt.Height <= 0 {
-		opt.Height = 20
-	}
 	type pt struct{ x, y float64 }
 	var pts [][]pt
 	minX, maxX := math.Inf(1), math.Inf(-1)
@@ -78,17 +72,17 @@ func Chart(title string, series []stats.Series, opt Options) string {
 	if minY == maxY {
 		minY, maxY = minY-1, maxY+1
 	}
-	grid := make([][]byte, opt.Height)
+	grid := make([][]byte, height)
 	for i := range grid {
-		grid[i] = []byte(strings.Repeat(" ", opt.Width))
+		grid[i] = []byte(strings.Repeat(" ", width))
 	}
 	for si, ps := range pts {
 		m := markers[si%len(markers)]
 		for _, p := range ps {
-			cx := int(math.Round((p.x - minX) / (maxX - minX) * float64(opt.Width-1)))
-			cy := int(math.Round((p.y - minY) / (maxY - minY) * float64(opt.Height-1)))
-			row := opt.Height - 1 - cy
-			if row >= 0 && row < opt.Height && cx >= 0 && cx < opt.Width {
+			cx := int(math.Round((p.x - minX) / (maxX - minX) * float64(width-1)))
+			cy := int(math.Round((p.y - minY) / (maxY - minY) * float64(height-1)))
+			row := height - 1 - cy
+			if row >= 0 && row < height && cx >= 0 && cx < width {
 				grid[row][cx] = m
 			}
 		}
@@ -113,15 +107,15 @@ func Chart(title string, series []stats.Series, opt Options) string {
 		if i == 0 {
 			label = fmt.Sprintf("%*s", labelW, yTop)
 		}
-		if i == opt.Height-1 {
+		if i == height-1 {
 			label = fmt.Sprintf("%*s", labelW, yBot)
 		}
 		fmt.Fprintf(&b, "%s |%s\n", label, string(row))
 	}
-	fmt.Fprintf(&b, "%s +%s\n", strings.Repeat(" ", labelW), strings.Repeat("-", opt.Width))
+	fmt.Fprintf(&b, "%s +%s\n", strings.Repeat(" ", labelW), strings.Repeat("-", width))
 	xLo := fmt.Sprintf("%.4g", axisVal(minX, opt.LogX))
 	xHi := fmt.Sprintf("%.4g", axisVal(maxX, opt.LogX))
-	pad := opt.Width - len(xLo) - len(xHi)
+	pad := width - len(xLo) - len(xHi)
 	if pad < 1 {
 		pad = 1
 	}

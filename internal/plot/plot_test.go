@@ -15,7 +15,7 @@ func lineSeries() []stats.Series {
 }
 
 func TestChartContainsMarkersAndLegend(t *testing.T) {
-	out := Chart("test chart", lineSeries(), Options{Width: 40, Height: 10})
+	out := Chart("test chart", lineSeries(), Options{})
 	if !strings.Contains(out, "test chart") {
 		t.Fatal("missing title")
 	}
@@ -29,7 +29,7 @@ func TestChartContainsMarkersAndLegend(t *testing.T) {
 
 func TestChartLogAxesDropNonPositive(t *testing.T) {
 	s := []stats.Series{{Name: "s", X: []float64{0, -1, 10, 100}, Y: []float64{5, 5, 1, 10}}}
-	out := Chart("log", s, Options{LogX: true, LogY: true, Width: 30, Height: 8})
+	out := Chart("log", s, Options{LogX: true, LogY: true})
 	if !strings.Contains(out, "100") {
 		t.Fatalf("log chart should label max x=100:\n%s", out)
 	}
@@ -48,7 +48,7 @@ func TestChartEmpty(t *testing.T) {
 
 func TestChartSinglePoint(t *testing.T) {
 	s := []stats.Series{{Name: "pt", X: []float64{5}, Y: []float64{7}}}
-	out := Chart("one", s, Options{Width: 20, Height: 5})
+	out := Chart("one", s, Options{})
 	if !strings.Contains(out, "*") {
 		t.Fatal("single point not plotted")
 	}

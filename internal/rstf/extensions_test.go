@@ -75,7 +75,7 @@ func TestDirectSigmaReasonable(t *testing.T) {
 	// cross-validated optimum.
 	train := sample(120, 44, discreteNormTF)
 	control := sample(2000, 45, discreteNormTF)
-	_, bestVar, _, err := SelectSigma(train, control, nil)
+	_, bestVar, _, err := SelectSigma(train, control)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,7 +106,7 @@ func TestTransformUniformizes(t *testing.T) {
 	// uniform than the raw scores.
 	train := sample(2000, 6, normTFLike)
 	fresh := sample(2000, 7, normTFLike)
-	sigma, _, _, err := SelectSigma(train, sample(500, 8, normTFLike), nil)
+	sigma, _, _, err := SelectSigma(train, sample(500, 8, normTFLike))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,12 +157,12 @@ func TestSelectSigmaCurveIsUShaped(t *testing.T) {
 	// have) against a large control set exposes both branches.
 	train := sample(60, 9, discreteNormTF)
 	control := sample(4000, 10, discreteNormTF)
-	best, bestVar, curve, err := SelectSigma(train, control, nil)
+	best, bestVar, curve, err := SelectSigma(train, control)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(curve) != len(DefaultSigmaGrid()) {
-		t.Fatalf("curve has %d points, want %d", len(curve), len(DefaultSigmaGrid()))
+	if len(curve) != len(sigmaGrid) {
+		t.Fatalf("curve has %d points, want %d", len(curve), len(sigmaGrid))
 	}
 	// The over-smoothing end must be far worse than the optimum, the
 	// memorization end clearly worse.
@@ -178,10 +178,10 @@ func TestSelectSigmaCurveIsUShaped(t *testing.T) {
 }
 
 func TestSelectSigmaErrors(t *testing.T) {
-	if _, _, _, err := SelectSigma(nil, []float64{1}, nil); !errors.Is(err, ErrNoTraining) {
+	if _, _, _, err := SelectSigma(nil, []float64{1}); !errors.Is(err, ErrNoTraining) {
 		t.Error("nil train accepted")
 	}
-	if _, _, _, err := SelectSigma([]float64{1}, nil, nil); !errors.Is(err, ErrNoTraining) {
+	if _, _, _, err := SelectSigma([]float64{1}, nil); !errors.Is(err, ErrNoTraining) {
 		t.Error("nil control accepted")
 	}
 }
@@ -202,7 +202,7 @@ func TestDefaultSigma(t *testing.T) {
 
 func TestTrainFallsBackOnSmallControl(t *testing.T) {
 	train := sample(100, 11, normTFLike)
-	f, err := Train(train, []float64{0.1}, nil, 10)
+	f, err := Train(train, []float64{0.1})
 	if err != nil {
 		t.Fatal(err)
 	}

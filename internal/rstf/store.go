@@ -12,12 +12,6 @@ import (
 
 // StoreConfig parameterizes Store training.
 type StoreConfig struct {
-	// Grid is the σ cross-validation grid; nil means DefaultSigmaGrid.
-	Grid []float64
-	// MinControl is the minimum number of control observations a term
-	// needs for per-term σ cross-validation; below it DefaultSigma is
-	// used. Zero means 10.
-	MinControl int
 	// FallbackSeed keys the deterministic pseudo-random TRS assigned
 	// to terms absent from the training set (Section 5.1.1: "Terms
 	// found later ... are assumed to be rare and can therefore be
@@ -33,9 +27,6 @@ type StoreConfig struct {
 	// swaps near the top-k boundary are the price. This is an
 	// extension beyond the paper.
 	Jitter float64
-	// Parallelism bounds the training worker pool; zero means
-	// runtime.GOMAXPROCS(0).
-	Parallelism int
 }
 
 // Store holds the published per-term RSTFs created in the offline
@@ -64,17 +55,12 @@ func NewIdentityStore() *Store {
 func (s *Store) Identity() bool { return s.identity }
 
 // TrainStore trains one RSTF per term appearing in trainScores, using
-// controlScores for σ cross-validation where available. This is the
-// index-initialization step: it runs once; afterwards inserts and
-// updates are unlimited (Section 7, Related Work).
+// controlScores for σ cross-validation where available, on
+// GOMAXPROCS workers. This is the index-initialization step: it runs
+// once; afterwards inserts and updates are unlimited (Section 7,
+// Related Work).
 func TrainStore(trainScores, controlScores map[corpus.TermID][]float64, cfg StoreConfig) *Store {
-	if cfg.MinControl == 0 {
-		cfg.MinControl = 10
-	}
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	// Deterministic term order for reproducible iteration; results are
 	// per-term independent so scheduling cannot change them.
 	ids := make([]corpus.TermID, 0, len(trainScores))
@@ -92,7 +78,7 @@ func TrainStore(trainScores, controlScores map[corpus.TermID][]float64, cfg Stor
 		go func() {
 			defer wg.Done()
 			for t := range ch {
-				f, err := Train(trainScores[t], controlScores[t], cfg.Grid, cfg.MinControl)
+				f, err := Train(trainScores[t], controlScores[t])
 				if err != nil {
 					continue // empty training sample: term stays on fallback
 				}

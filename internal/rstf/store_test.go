@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"zerberr/internal/corpus"
@@ -17,7 +18,7 @@ func trainedStore(t *testing.T, seed uint64) *Store {
 	p.NumDocs = 400
 	p.VocabSize = 4000
 	c := corpus.Generate(p, seed)
-	split := corpus.NewSplit(c, 0.4, 0.33, seed)
+	split := corpus.NewSplit(c, 0.4, seed)
 	train := corpus.TrainingScores(c, split.Train)
 	control := corpus.TrainingScores(c, split.Control)
 	return TrainStore(train, control, StoreConfig{FallbackSeed: 42})
@@ -44,11 +45,15 @@ func TestTrainStoreDeterministicAcrossParallelism(t *testing.T) {
 	p.NumDocs = 150
 	p.VocabSize = 1500
 	c := corpus.Generate(p, 5)
-	split := corpus.NewSplit(c, 0.4, 0.33, 5)
+	split := corpus.NewSplit(c, 0.4, 5)
 	train := corpus.TrainingScores(c, split.Train)
 	control := corpus.TrainingScores(c, split.Control)
-	a := TrainStore(train, control, StoreConfig{FallbackSeed: 1, Parallelism: 1})
-	b := TrainStore(train, control, StoreConfig{FallbackSeed: 1, Parallelism: 8})
+	// TrainStore runs GOMAXPROCS workers.
+	trainOn := func(procs int) *Store {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return TrainStore(train, control, StoreConfig{FallbackSeed: 1})
+	}
+	a, b := trainOn(1), trainOn(8)
 	if a.Len() != b.Len() {
 		t.Fatalf("store sizes differ: %d vs %d", a.Len(), b.Len())
 	}

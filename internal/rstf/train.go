@@ -14,38 +14,38 @@ type SigmaScore struct {
 	Variance float64
 }
 
-// DefaultSigmaGrid returns the log-spaced steepness grid searched by
-// SelectSigma: 2^2 .. 2^24. The low end over-smooths; the high end
-// memorizes the training sample (normalized-TF scores are discrete, so
-// very narrow bells turn the transform into a step function whose gaps
-// clump unseen control values — the overfitting branch of Figure 9).
-func DefaultSigmaGrid() []float64 {
+// sigmaGrid is the log-spaced steepness grid searched by SelectSigma:
+// 2^2 .. 2^24. The low end over-smooths; the high end memorizes the
+// training sample (normalized-TF scores are discrete, so very narrow
+// bells turn the transform into a step function whose gaps clump
+// unseen control values — the overfitting branch of Figure 9).
+var sigmaGrid = func() []float64 {
 	var grid []float64
 	for e := 2; e <= 24; e++ {
 		grid = append(grid, math.Pow(2, float64(e)))
 	}
 	return grid
-}
+}()
+
+// minControl is the number of control observations a term needs for
+// per-term σ cross-validation; below it Train uses DefaultSigma.
+const minControl = 10
 
 // SelectSigma performs the Section 5.1.3 cross-validation: for every σ
-// in the grid it trains an RSTF on train, transforms the control
+// in sigmaGrid it trains an RSTF on train, transforms the control
 // sample, and measures the variance of the TRS distribution with
 // respect to a uniform distribution. It returns the best σ, its
-// variance, and the whole curve (for Figure 9). A nil grid means
-// DefaultSigmaGrid. SelectSigma returns ErrNoTraining if either
-// sample is empty.
-func SelectSigma(train, control []float64, grid []float64) (float64, float64, []SigmaScore, error) {
+// variance, and the whole curve (for Figure 9). SelectSigma returns
+// ErrNoTraining if either sample is empty.
+func SelectSigma(train, control []float64) (float64, float64, []SigmaScore, error) {
 	if len(train) == 0 || len(control) == 0 {
 		return 0, 0, nil, ErrNoTraining
 	}
-	if grid == nil {
-		grid = DefaultSigmaGrid()
-	}
-	bestSigma := grid[0]
+	bestSigma := sigmaGrid[0]
 	bestVar := math.Inf(1)
-	curve := make([]SigmaScore, 0, len(grid))
+	curve := make([]SigmaScore, 0, len(sigmaGrid))
 	trs := make([]float64, len(control))
-	for _, sigma := range grid {
+	for _, sigma := range sigmaGrid {
 		f, err := New(train, sigma)
 		if err != nil {
 			return 0, 0, nil, err
@@ -66,9 +66,9 @@ func SelectSigma(train, control []float64, grid []float64) (float64, float64, []
 // Train builds an RSTF for one term, selecting σ by cross-validation
 // when the control sample has at least minControl points and falling
 // back to DefaultSigma otherwise.
-func Train(train, control []float64, grid []float64, minControl int) (*RSTF, error) {
-	if len(control) >= minControl && len(control) > 0 {
-		sigma, _, _, err := SelectSigma(train, control, grid)
+func Train(train, control []float64) (*RSTF, error) {
+	if len(control) >= minControl {
+		sigma, _, _, err := SelectSigma(train, control)
 		if err != nil {
 			return nil, err
 		}

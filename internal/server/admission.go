@@ -69,12 +69,12 @@ type AdmissionConfig struct {
 	// new requests are shed with 503 before their bodies are decoded.
 	// <= 0 disables shedding.
 	MaxInFlight int
-	// MaxTrackedUsers bounds the bucket table (defense against a
-	// flood of distinct names); 0 means 16384. When full, buckets
-	// that have refilled to capacity are swept — dropping a full
-	// bucket loses nothing.
-	MaxTrackedUsers int
 }
+
+// maxTrackedUsers bounds the bucket table (defense against a flood of
+// distinct names). When full, buckets that have refilled to capacity
+// are swept — dropping a full bucket loses nothing.
+const maxTrackedUsers = 16384
 
 // bucket is one user's token bucket. Guarded by admission.mu.
 type bucket struct {
@@ -97,9 +97,6 @@ func newAdmission(cfg AdmissionConfig) *admission {
 			cfg.Burst = 1
 		}
 	}
-	if cfg.MaxTrackedUsers <= 0 {
-		cfg.MaxTrackedUsers = 16384
-	}
 	return &admission{cfg: cfg, buckets: make(map[string]*bucket)}
 }
 
@@ -116,7 +113,7 @@ func (a *admission) admit(user string, now time.Time) error {
 	defer a.mu.Unlock()
 	b := a.buckets[user]
 	if b == nil {
-		if len(a.buckets) >= a.cfg.MaxTrackedUsers {
+		if len(a.buckets) >= maxTrackedUsers {
 			a.sweepLocked(now)
 		}
 		b = &bucket{tokens: a.cfg.Burst, last: now}

@@ -293,3 +293,38 @@ func TestShedDrainsBody(t *testing.T) {
 		resp.Body.Close()
 	}
 }
+
+func TestAdmissionTableBound(t *testing.T) {
+	start := time.Unix(1_000_000, 0)
+	fill := func() *admission {
+		a := newAdmission(AdmissionConfig{PerUserRate: 1, Burst: 2})
+		for i := range maxTrackedUsers {
+			if err := a.admit(strconv.Itoa(i), start); err != nil {
+				t.Fatalf("user %d: %v", i, err)
+			}
+		}
+		return a
+	}
+
+	// Every bucket is still draining (one of two tokens spent): the
+	// table must keep every user, none may be dropped while limited.
+	a := fill()
+	if err := a.admit("newcomer", start); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(a.buckets); got != maxTrackedUsers+1 {
+		t.Fatalf("table holds %d users with every bucket draining, want %d", got, maxTrackedUsers+1)
+	}
+
+	// One second refills every bucket at 1 op/s: the idle users go.
+	a = fill()
+	if err := a.admit("newcomer", start.Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(a.buckets); got != 1 {
+		t.Fatalf("table holds %d users after every bucket refilled, want 1", got)
+	}
+	if a.buckets["newcomer"] == nil {
+		t.Fatal("the new user's bucket was swept")
+	}
+}

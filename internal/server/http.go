@@ -256,7 +256,7 @@ func (s *Server) instrument(endpoint string, next http.HandlerFunc) http.Handler
 	var served *obs.Counter
 	if m := s.met.Load(); m != nil {
 		reg = m.reg
-		latency = reg.Histogram(MetricHTTPRequestSeconds, httpLatencyHelp, nil, endpointLabel)
+		latency = reg.Histogram(MetricHTTPRequestSeconds, httpLatencyHelp, endpointLabel)
 		served = reg.Counter(MetricHTTPRequestsTotal, httpRequestsHelp, endpointLabel, obs.Label{Name: "code", Value: "200"})
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -293,7 +293,7 @@ func (s *Server) instrument(endpoint string, next http.HandlerFunc) http.Handler
 		if m != nil {
 			h, c := latency, served
 			if m.reg != reg {
-				h = m.reg.Histogram(MetricHTTPRequestSeconds, httpLatencyHelp, nil, endpointLabel)
+				h = m.reg.Histogram(MetricHTTPRequestSeconds, httpLatencyHelp, endpointLabel)
 			}
 			if m.reg != reg || rec.status != http.StatusOK {
 				c = m.reg.Counter(MetricHTTPRequestsTotal, httpRequestsHelp, endpointLabel,

@@ -82,7 +82,7 @@ func (s *Server) SetObs(reg *obs.Registry) {
 	m := &serverMetrics{
 		reg:         reg,
 		start:       time.Now(),
-		queryRound:  reg.Histogram(MetricQueryRoundSeconds, "server-side latency of one protocol round (a Query or QueryBatch call)", nil),
+		queryRound:  reg.Histogram(MetricQueryRoundSeconds, "server-side latency of one protocol round (a Query or QueryBatch call)"),
 		queries:     reg.Counter(MetricQueriesTotal, "ranked-range sub-queries served"),
 		proved:      reg.Counter(MetricProvedQueries, "sub-queries served with a Merkle window proof"),
 		continued:   reg.Counter(MetricProofContinuations, "proved windows served as the continuation of a window the client verified"),

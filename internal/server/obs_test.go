@@ -114,7 +114,7 @@ func TestMiddlewareCountsIntoTheCurrentRegistry(t *testing.T) {
 	served := func(reg *obs.Registry) (uint64, uint64) {
 		endpoint := obs.Label{Name: "endpoint", Value: "/v1/login"}
 		return reg.Counter(MetricHTTPRequestsTotal, httpRequestsHelp, endpoint, obs.Label{Name: "code", Value: "200"}).Value(),
-			reg.Histogram(MetricHTTPRequestSeconds, httpLatencyHelp, nil, endpoint).Count()
+			reg.Histogram(MetricHTTPRequestSeconds, httpLatencyHelp, endpoint).Count()
 	}
 	login()
 	s.SetObs(second)

@@ -58,7 +58,7 @@ const (
 	errorBudget = 0.10
 
 	// The corpus the cluster is bootstrapped with; the op stream is
-	// workload.DefaultStreamConfig (a million zipfian users).
+	// workload.Stream's default mix (a million zipfian users).
 	corpusDocs  = 200
 	corpusVocab = 3000
 
@@ -193,8 +193,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		secret:     secret,
 		orc:        newOracle(),
 		shards:     make([]*shardState, shards),
-		searchLat:  obs.NewHistogram(nil),
-		writeLat:   obs.NewHistogram(nil),
+		searchLat:  obs.NewHistogram(),
+		writeLat:   obs.NewHistogram(),
 		rep:        Report{ErrorsByKind: make(map[string]uint64)},
 	}
 

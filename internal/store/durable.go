@@ -98,10 +98,10 @@ func newDurableMetrics(r *obs.Registry) durableMetrics {
 		return durableMetrics{}
 	}
 	return durableMetrics{
-		walAppend: r.Histogram(MetricWALAppendSeconds, "WAL record append latency (frame+checksum+write, no fsync)", nil),
-		walFsync:  r.Histogram(MetricWALFsyncSeconds, "WAL fsync latency", nil),
-		snapshot:  r.Histogram(MetricSnapshotSeconds, "full snapshot write+compact latency", nil),
-		freeze:    r.Histogram(MetricSnapshotFreeze, "time a snapshot holds the store lock writers wait on: freeze and log segment switch", nil),
+		walAppend: r.Histogram(MetricWALAppendSeconds, "WAL record append latency (frame+checksum+write, no fsync)"),
+		walFsync:  r.Histogram(MetricWALFsyncSeconds, "WAL fsync latency"),
+		snapshot:  r.Histogram(MetricSnapshotSeconds, "full snapshot write+compact latency"),
+		freeze:    r.Histogram(MetricSnapshotFreeze, "time a snapshot holds the store lock writers wait on: freeze and log segment switch"),
 		snapOK:    r.Counter(MetricSnapshotsTotal, "snapshots attempted by result", obs.Label{Name: "result", Value: "ok"}),
 		snapErr:   r.Counter(MetricSnapshotsTotal, "snapshots attempted by result", obs.Label{Name: "result", Value: "error"}),
 		logged:    r.Counter(MetricWALRecordsTotal, "records appended to the WAL (a batched insert counts once)"),

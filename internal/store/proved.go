@@ -193,8 +193,9 @@ func (m *Memory) Commitment(list zerber.ListID) (Commitment, error) {
 }
 
 // QueryProved implements Backend for Durable by delegating to the
-// recovered in-memory state; the commitment is maintained there and
-// persisted by the next snapshot.
+// recovered in-memory state, where the commitment is maintained.
+// Snapshots persist no hashes: after a restart a list hashes its
+// buckets again on its first proved read.
 func (d *Durable) QueryProved(list zerber.ListID, allowed map[int]bool, offset, count int) (QueryResult, error) {
 	if d.closed.Load() {
 		return QueryResult{}, ErrClosed

@@ -1,5 +1,5 @@
 // Package text provides the lightweight text-analysis substrate used
-// when indexing real documents in the examples and CLI: tokenization,
+// when indexing real documents through the CLI: tokenization,
 // case folding and stopword removal. The synthetic corpora used by the
 // experiment harness bypass this package entirely.
 package text
@@ -9,15 +9,8 @@ import (
 	"unicode"
 )
 
-// Analyzer turns raw text into index terms.
-type Analyzer interface {
-	// Analyze returns the terms of the given text, in order of
-	// appearance, after normalization and filtering.
-	Analyze(text string) []string
-}
-
-// Tokenizer is the default Analyzer: it lowercases, splits on any rune
-// that is neither a letter nor a digit, drops tokens outside
+// Tokenizer turns raw text into index terms: it lowercases, splits on
+// any rune that is neither a letter nor a digit, drops tokens outside
 // [MinLen, MaxLen] and removes stopwords.
 type Tokenizer struct {
 	// MinLen and MaxLen bound accepted token lengths in runes.
@@ -34,7 +27,8 @@ func NewTokenizer() *Tokenizer {
 	return &Tokenizer{MinLen: 2, MaxLen: 40, Stopwords: DefaultStopwords()}
 }
 
-// Analyze implements Analyzer.
+// Analyze returns the terms of the given text, in order of
+// appearance, after normalization and filtering.
 func (t *Tokenizer) Analyze(text string) []string {
 	minLen := t.MinLen
 	if minLen == 0 {

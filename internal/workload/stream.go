@@ -1,11 +1,11 @@
 package workload
 
 // Stream extends the static Generate → *Log shape to the unbounded,
-// closed-loop shape the soak harness drives: an infinite, seeded,
-// resumable sequence of mixed search/insert/remove operations issued
-// by a Zipf-distributed population of simulated users (millions by
-// default — the head users dominate the op stream, the long tail
-// appears once or twice, like a real web workload).
+// closed-loop shape the soak harness and the benchmark drive: an
+// infinite, seeded sequence of mixed search/insert/remove operations
+// issued by a Zipf-distributed population of a million simulated
+// users (the head users dominate the op stream, the long tail appears
+// once or twice, like a real web workload).
 
 import (
 	"iter"
@@ -43,12 +43,11 @@ func (k OpKind) String() string {
 
 // Op is one operation of the stream.
 type Op struct {
-	// Seq is the operation's position in the stream (the resume
-	// cursor: Stream with Config.Start = s yields the suffix of the
-	// same stream starting at Seq == s).
+	// Seq is the operation's position in the stream.
 	Seq uint64
 	// User is the simulated user identity issuing the op. Identities
-	// are Zipf ranks over Config.Users: user 0 is the most active.
+	// are Zipf ranks over the user population: user 0 is the most
+	// active.
 	User uint64
 	// Kind selects which of the following fields is meaningful.
 	Kind OpKind
@@ -59,99 +58,42 @@ type Op struct {
 	Doc *corpus.Document
 }
 
-// StreamConfig parameterizes Stream. The zero value takes the
-// defaults documented per field.
+// StreamConfig is Stream's op mix: the shares of searches, inserts
+// and removes. They are normalized if they do not sum to 1, and the
+// zero value means 0.90/0.07/0.03. A remove drawn for a user with no
+// live inserted documents is emitted as an insert instead, so the
+// mutation volume is preserved and every OpRemove targets a document
+// that is really live.
 type StreamConfig struct {
-	// Users is the simulated user population (default 1,000,000).
-	Users int
-	// UserZipfS is the user-activity exponent (default 1.0): a few
-	// head users issue most of the traffic.
-	UserZipfS float64
-	// SearchFrac, InsertFrac and RemoveFrac are the op mix (defaults
-	// 0.90/0.07/0.03; they are normalized if they do not sum to 1). A
-	// remove drawn for a user with no live inserted documents is
-	// emitted as an insert instead, so the mutation volume is
-	// preserved and every OpRemove targets a document that is really
-	// live.
 	SearchFrac, InsertFrac, RemoveFrac float64
-	// MeanTerms, ZipfS, QueryVocab and RankNoise parameterize the
-	// query-term sampler exactly like Config (defaults 2.4, 1.1,
-	// quarter of the vocabulary, 0.35).
-	MeanTerms  float64
-	ZipfS      float64
-	QueryVocab int
-	RankNoise  float64
-	// DocMeanTerms is the mean number of distinct terms per inserted
-	// document (default 12).
-	DocMeanTerms float64
-	// Groups bounds the collaboration-group space documents are
-	// assigned to (a user always inserts into user % Groups); zero
-	// means the corpus's group count.
-	Groups int
-	// FirstDocID is the first document ID minted for inserted
-	// documents; zero means just past the corpus (so streamed IDs
-	// never collide with indexed corpus documents).
-	FirstDocID corpus.DocID
-	// MaxLiveDocsPerUser bounds the per-user set of removable
-	// documents (default 32): when full, the oldest tracked document
-	// is forgotten (it simply stops being a remove candidate).
-	MaxLiveDocsPerUser int
-	// Start is the resume cursor: ops with Seq < Start are generated
-	// (the stream's internal state must replay) but not yielded.
-	Start uint64
 }
 
-// DefaultStreamConfig returns the soak-harness defaults.
-func DefaultStreamConfig() StreamConfig {
-	return StreamConfig{
-		Users:      1_000_000,
-		UserZipfS:  1.0,
-		SearchFrac: 0.90,
-		InsertFrac: 0.07,
-		RemoveFrac: 0.03,
-	}
-}
+// The stream's fixed shape.
+const (
+	// users is the simulated user population.
+	users = 1_000_000
+	// userZipfS is the user-activity exponent: a few head users issue
+	// most of the traffic.
+	userZipfS = 1.0
+	// docMeanTerms is the mean number of distinct terms per inserted
+	// document.
+	docMeanTerms = 12
+	// maxLiveDocsPerUser bounds the per-user set of removable
+	// documents: when full, the oldest tracked document is forgotten
+	// (it simply stops being a remove candidate).
+	maxLiveDocsPerUser = 32
+)
 
-// withDefaults fills zero fields against the corpus.
-func (cfg StreamConfig) withDefaults(c *corpus.Corpus) StreamConfig {
-	def := DefaultStreamConfig()
-	if cfg.Users <= 0 {
-		cfg.Users = def.Users
-	}
-	if cfg.UserZipfS <= 0 {
-		cfg.UserZipfS = def.UserZipfS
-	}
+// normalized returns the mix with the zero value's default filled in
+// and the shares scaled to sum to 1.
+func (cfg StreamConfig) normalized() StreamConfig {
 	if cfg.SearchFrac <= 0 && cfg.InsertFrac <= 0 && cfg.RemoveFrac <= 0 {
-		cfg.SearchFrac, cfg.InsertFrac, cfg.RemoveFrac = def.SearchFrac, def.InsertFrac, def.RemoveFrac
+		cfg = StreamConfig{SearchFrac: 0.90, InsertFrac: 0.07, RemoveFrac: 0.03}
 	}
 	if sum := cfg.SearchFrac + cfg.InsertFrac + cfg.RemoveFrac; sum > 0 && sum != 1 {
 		cfg.SearchFrac /= sum
 		cfg.InsertFrac /= sum
 		cfg.RemoveFrac /= sum
-	}
-	if cfg.MeanTerms <= 0 {
-		cfg.MeanTerms = 2.4
-	}
-	if cfg.ZipfS <= 0 {
-		cfg.ZipfS = 1.1
-	}
-	if cfg.RankNoise <= 0 {
-		cfg.RankNoise = 0.35
-	}
-	if cfg.DocMeanTerms <= 0 {
-		cfg.DocMeanTerms = 12
-	}
-	if cfg.Groups <= 0 {
-		cfg.Groups = c.Groups
-	}
-	if cfg.Groups <= 0 {
-		cfg.Groups = 1
-	}
-	if cfg.FirstDocID == 0 {
-		cfg.FirstDocID = corpus.DocID(c.NumDocs())
-	}
-	if cfg.MaxLiveDocsPerUser <= 0 {
-		cfg.MaxLiveDocsPerUser = 32
 	}
 	return cfg
 }
@@ -159,28 +101,28 @@ func (cfg StreamConfig) withDefaults(c *corpus.Corpus) StreamConfig {
 // Stream yields an endless operation stream against the corpus. The
 // stream is deterministic per (cfg, seed): two streams built from the
 // same arguments yield identical operations, which is what makes a
-// soak run reproducible and the stream resumable — to continue after
-// op N, rebuild with Config.Start = N and the suffix is identical to
-// what an uninterrupted stream would have yielded (internal state is
-// replayed, no ops are re-emitted).
+// soak run reproducible. A user always inserts into group
+// user % the corpus's groups, and inserted documents take IDs from
+// just past the corpus, so they never collide with indexed ones.
 //
 // The sequence is single-use and infinite; consumers range and break.
 func Stream(c *corpus.Corpus, cfg StreamConfig, seed uint64) iter.Seq[Op] {
 	return func(yield func(Op) bool) {
-		cfg = cfg.withDefaults(c)
+		cfg = cfg.normalized()
+		groups := uint64(max(c.Groups, 1))
 		g := stats.NewRNG(seed).Split("workload-stream")
-		ts := newTermSampler(c, cfg.QueryVocab, cfg.ZipfS, cfg.RankNoise, g)
+		ts := newTermSampler(c, g)
 		if !ts.ok() {
 			return
 		}
-		userZ := stats.NewZipf(g, cfg.Users, cfg.UserZipfS)
+		userZ := stats.NewZipf(g, users, userZipfS)
 		// live tracks each user's removable documents. Bounded per
 		// user; across users it grows with the set of users that ever
 		// inserted, which the Zipf head keeps concentrated in practice.
 		live := make(map[uint64][]*corpus.Document)
-		nextDoc := cfg.FirstDocID
+		nextDoc := corpus.DocID(c.NumDocs())
 		synth := func(user uint64) *corpus.Document {
-			n := queryLength(g, cfg.DocMeanTerms)
+			n := queryLength(g, docMeanTerms)
 			terms := ts.draw(n)
 			tf := make(map[corpus.TermID]int, len(terms))
 			total := 0
@@ -191,7 +133,7 @@ func Stream(c *corpus.Corpus, cfg StreamConfig, seed uint64) iter.Seq[Op] {
 			}
 			d := &corpus.Document{
 				ID:     nextDoc,
-				Group:  int(user % uint64(cfg.Groups)),
+				Group:  int(user % groups),
 				Length: total * 25, // plausible NormTF normalizer
 				TF:     tf,
 			}
@@ -201,7 +143,7 @@ func Stream(c *corpus.Corpus, cfg StreamConfig, seed uint64) iter.Seq[Op] {
 		insert := func(user uint64) Op {
 			d := synth(user)
 			docs := append(live[user], d)
-			if len(docs) > cfg.MaxLiveDocsPerUser {
+			if len(docs) > maxLiveDocsPerUser {
 				docs = docs[1:] // forget the oldest remove candidate
 			}
 			live[user] = docs
@@ -213,7 +155,7 @@ func Stream(c *corpus.Corpus, cfg StreamConfig, seed uint64) iter.Seq[Op] {
 			var op Op
 			switch {
 			case r < cfg.SearchFrac:
-				op = Op{User: user, Kind: OpSearch, Terms: ts.draw(queryLength(g, cfg.MeanTerms))}
+				op = Op{User: user, Kind: OpSearch, Terms: ts.draw(queryLength(g, meanTerms))}
 			case r < cfg.SearchFrac+cfg.InsertFrac:
 				op = insert(user)
 			default:
@@ -230,7 +172,7 @@ func Stream(c *corpus.Corpus, cfg StreamConfig, seed uint64) iter.Seq[Op] {
 				op = Op{User: user, Kind: OpRemove, Doc: d}
 			}
 			op.Seq = seq
-			if seq >= cfg.Start && !yield(op) {
+			if !yield(op) {
 				return
 			}
 		}

@@ -22,7 +22,7 @@ func collect(c *corpus.Corpus, cfg StreamConfig, seed uint64, n int) []Op {
 
 func TestStreamDeterministicPerSeed(t *testing.T) {
 	c := testCorpus(1)
-	cfg := DefaultStreamConfig()
+	var cfg StreamConfig
 	a := collect(c, cfg, 7, 5000)
 	b := collect(c, cfg, 7, 5000)
 	if !reflect.DeepEqual(a, b) {
@@ -40,24 +40,9 @@ func TestStreamDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestStreamResume(t *testing.T) {
-	c := testCorpus(2)
-	cfg := DefaultStreamConfig()
-	full := collect(c, cfg, 3, 3000)
-	cfg.Start = 1000
-	resumed := collect(c, cfg, 3, 2000)
-	if !reflect.DeepEqual(full[1000:], resumed) {
-		t.Fatal("Stream with Start=1000 is not the suffix of the uninterrupted stream")
-	}
-	if resumed[0].Seq != 1000 {
-		t.Fatalf("resumed stream starts at Seq %d, want 1000", resumed[0].Seq)
-	}
-}
-
 func TestStreamOpRatioMixing(t *testing.T) {
 	c := testCorpus(3)
-	cfg := DefaultStreamConfig()
-	cfg.SearchFrac, cfg.InsertFrac, cfg.RemoveFrac = 0.70, 0.20, 0.10
+	cfg := StreamConfig{SearchFrac: 0.70, InsertFrac: 0.20, RemoveFrac: 0.10}
 	const n = 30000
 	ops := collect(c, cfg, 5, n)
 	var counts [3]int
@@ -81,8 +66,7 @@ func TestStreamOpRatioMixing(t *testing.T) {
 
 func TestStreamRemovesTargetLiveDocs(t *testing.T) {
 	c := testCorpus(4)
-	cfg := DefaultStreamConfig()
-	cfg.SearchFrac, cfg.InsertFrac, cfg.RemoveFrac = 0.50, 0.25, 0.25
+	cfg := StreamConfig{SearchFrac: 0.50, InsertFrac: 0.25, RemoveFrac: 0.25}
 	live := make(map[corpus.DocID]uint64) // doc -> inserting user
 	seen := make(map[corpus.DocID]bool)
 	for _, op := range collect(c, cfg, 11, 20000) {
@@ -118,10 +102,8 @@ func TestStreamRemovesTargetLiveDocs(t *testing.T) {
 
 func TestStreamZipfianUsers(t *testing.T) {
 	c := testCorpus(5)
-	cfg := DefaultStreamConfig()
-	cfg.Users = 100000
 	perUser := make(map[uint64]int)
-	for _, op := range collect(c, cfg, 9, 20000) {
+	for _, op := range collect(c, StreamConfig{}, 9, 20000) {
 		perUser[op.User]++
 	}
 	if perUser[0] <= 20000/1000 {

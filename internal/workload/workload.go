@@ -26,66 +26,23 @@ type Log struct {
 	freq map[corpus.TermID]int
 }
 
-// Config parameterizes the generator.
-type Config struct {
-	// NumQueries is the log length. The paper's log has 7M queries;
-	// experiments default to a laptop-friendly scale.
-	NumQueries int
-	// MeanTerms is the mean query length (paper: 2.4).
-	MeanTerms float64
-	// QueryVocab bounds how many distinct terms appear in queries
-	// (paper: 135K distinct query terms); zero means a quarter of the
-	// corpus vocabulary.
-	QueryVocab int
-	// ZipfS is the query-popularity exponent (head-heavy; the paper's
-	// Figure 10 shows the most frequent queries carrying nearly the
-	// whole workload).
-	ZipfS float64
-	// RankNoise controls the imperfect correlation between document
-	// frequency and query frequency: each term's query-popularity rank
-	// is its df rank perturbed by a lognormal factor. Zero means 0.35.
-	// Larger values decorrelate further ("some frequent terms are
-	// rarely queried", Section 5.2 / [15]).
-	RankNoise float64
-}
-
-// DefaultConfig returns the evaluation defaults.
-func DefaultConfig() Config {
-	return Config{
-		NumQueries: 20000,
-		MeanTerms:  2.4,
-		ZipfS:      1.1,
-		RankNoise:  0.35,
-	}
-}
-
-// Generate builds a deterministic query log against the corpus: terms
-// that exist in the collection are queried with Zipf-distributed
-// frequencies whose ranking loosely follows document frequency.
-func Generate(c *corpus.Corpus, cfg Config, seed uint64) *Log {
+// Generate builds a deterministic log of numQueries queries against
+// the corpus (the paper's log has 7M; experiments scale it to a
+// laptop): terms that exist in the collection are queried with
+// Zipf-distributed frequencies whose ranking loosely follows document
+// frequency.
+func Generate(c *corpus.Corpus, numQueries int, seed uint64) *Log {
 	g := stats.NewRNG(seed).Split("workload")
-	if cfg.NumQueries <= 0 {
-		cfg.NumQueries = DefaultConfig().NumQueries
-	}
-	if cfg.MeanTerms <= 0 {
-		cfg.MeanTerms = 2.4
-	}
-	if cfg.ZipfS <= 0 {
-		cfg.ZipfS = 1.1
-	}
-	if cfg.RankNoise <= 0 {
-		cfg.RankNoise = 0.35
-	}
-	ts := newTermSampler(c, cfg.QueryVocab, cfg.ZipfS, cfg.RankNoise, g)
+	ts := newTermSampler(c, g)
 	if !ts.ok() {
 		return &Log{freq: map[corpus.TermID]int{}}
 	}
 	log := &Log{
-		Queries: make([]Query, cfg.NumQueries),
+		Queries: make([]Query, numQueries),
 		freq:    make(map[corpus.TermID]int),
 	}
 	for i := range log.Queries {
-		terms := ts.draw(queryLength(g, cfg.MeanTerms))
+		terms := ts.draw(queryLength(g, meanTerms))
 		log.Queries[i] = Query{Terms: terms}
 		for _, t := range terms {
 			log.freq[t]++
@@ -93,6 +50,21 @@ func Generate(c *corpus.Corpus, cfg Config, seed uint64) *Log {
 	}
 	return log
 }
+
+// The query-term sampler's parameters, shared by Generate and Stream.
+const (
+	// meanTerms is the mean query length (paper: 2.4).
+	meanTerms = 2.4
+	// zipfS is the query-popularity exponent (head-heavy; the paper's
+	// Figure 10 shows the most frequent queries carrying nearly the
+	// whole workload).
+	zipfS = 1.1
+	// rankNoise controls the imperfect correlation between document
+	// frequency and query frequency: each term's query-popularity rank
+	// is its df rank perturbed by a lognormal factor of this width
+	// ("some frequent terms are rarely queried", Section 5.2 / [15]).
+	rankNoise = 0.35
+)
 
 // termSampler draws query terms Zipf-distributed over a noisy
 // df-derived popularity ranking. It is the shared sampling core of
@@ -104,21 +76,15 @@ type termSampler struct {
 	zipf   *stats.Zipf
 }
 
-// newTermSampler ranks the corpus's queried vocabulary (df order
-// perturbed multiplicatively by lognormal noise — the imperfect
-// df/query-frequency correlation of Section 5.2) and arms a finite
-// Zipf sampler over the ranks. The noise draws consume g in rank
-// order, so Generate's output for a given seed is unchanged by the
-// factoring.
-func newTermSampler(c *corpus.Corpus, queryVocab int, zipfS, rankNoise float64, g *stats.RNG) *termSampler {
+// newTermSampler ranks the corpus's queried vocabulary — the quarter
+// of its terms with the highest df (the paper's log queries 135K
+// distinct terms) — in df order perturbed multiplicatively by
+// lognormal noise (the imperfect df/query-frequency correlation of
+// Section 5.2), and arms a finite Zipf sampler over the ranks. The
+// noise draws consume g in rank order.
+func newTermSampler(c *corpus.Corpus, g *stats.RNG) *termSampler {
 	byDF := c.TermsByDF()
-	vocab := queryVocab
-	if vocab <= 0 {
-		vocab = len(byDF) / 4
-	}
-	if vocab > len(byDF) {
-		vocab = len(byDF)
-	}
+	vocab := len(byDF) / 4
 	if vocab == 0 {
 		return &termSampler{}
 	}

@@ -16,8 +16,8 @@ func testCorpus(seed uint64) *corpus.Corpus {
 
 func TestGenerateDeterministic(t *testing.T) {
 	c := testCorpus(1)
-	a := Generate(c, DefaultConfig(), 7)
-	b := Generate(c, DefaultConfig(), 7)
+	a := Generate(c, 20000, 7)
+	b := Generate(c, 20000, 7)
 	if len(a.Queries) != len(b.Queries) {
 		t.Fatal("lengths differ")
 	}
@@ -35,9 +35,7 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestMeanQueryLength(t *testing.T) {
 	c := testCorpus(2)
-	cfg := DefaultConfig()
-	cfg.NumQueries = 20000
-	log := Generate(c, cfg, 1)
+	log := Generate(c, 20000, 1)
 	total := 0
 	for _, q := range log.Queries {
 		if len(q.Terms) < 1 {
@@ -60,7 +58,7 @@ func TestMeanQueryLength(t *testing.T) {
 
 func TestQueriesUseDistinctTermsWithin(t *testing.T) {
 	c := testCorpus(3)
-	log := Generate(c, DefaultConfig(), 2)
+	log := Generate(c, 20000, 2)
 	for i, q := range log.Queries[:500] {
 		seen := map[corpus.TermID]bool{}
 		for _, term := range q.Terms {
@@ -76,7 +74,7 @@ func TestZipfHeadDominatesWorkload(t *testing.T) {
 	// Figure 10's premise: the most frequent queries carry nearly the
 	// whole workload.
 	c := testCorpus(4)
-	log := Generate(c, DefaultConfig(), 3)
+	log := Generate(c, 20000, 3)
 	terms := log.TermsByFreq()
 	if len(terms) < 100 {
 		t.Fatalf("only %d distinct query terms", len(terms))
@@ -97,7 +95,7 @@ func TestQueryFrequencyCorrelatesWithDF(t *testing.T) {
 	// frequencies are correlated, though some frequent terms are
 	// rarely queried").
 	c := testCorpus(5)
-	log := Generate(c, DefaultConfig(), 4)
+	log := Generate(c, 20000, 4)
 	byDF := c.TermsByDF()
 	headDF := byDF[:200]
 	tailStart := len(byDF) / 2
@@ -122,15 +120,13 @@ func TestQueryFrequencyCorrelatesWithDF(t *testing.T) {
 		}
 	}
 	if !inverted {
-		t.Fatal("df rank and query rank identical everywhere: RankNoise had no effect")
+		t.Fatal("df rank and query rank identical everywhere: rankNoise had no effect")
 	}
 }
 
 func TestSingleTermStream(t *testing.T) {
 	c := testCorpus(6)
-	cfg := DefaultConfig()
-	cfg.NumQueries = 100
-	log := Generate(c, cfg, 5)
+	log := Generate(c, 100, 5)
 	stream := log.SingleTermStream()
 	want := 0
 	for _, term := range log.TermsByFreq() {
@@ -142,12 +138,18 @@ func TestSingleTermStream(t *testing.T) {
 }
 
 func TestQueryVocabBound(t *testing.T) {
+	// Queries draw from the quarter of the vocabulary with the highest
+	// df.
 	c := testCorpus(7)
-	cfg := DefaultConfig()
-	cfg.QueryVocab = 50
-	log := Generate(c, cfg, 6)
-	if n := len(log.TermsByFreq()); n > 50 {
-		t.Fatalf("log uses %d distinct terms, want <= 50", n)
+	byDF := c.TermsByDF()
+	vocab := make(map[corpus.TermID]bool)
+	for _, term := range byDF[:len(byDF)/4] {
+		vocab[term] = true
+	}
+	for _, term := range Generate(c, 20000, 6).TermsByFreq() {
+		if !vocab[term] {
+			t.Fatalf("term %d is queried but outside the top quarter of %d terms by df", term, len(byDF))
+		}
 	}
 }
 
@@ -162,8 +164,8 @@ func TestPositionEstimate(t *testing.T) {
 }
 
 func TestGenerateEmptyCorpus(t *testing.T) {
-	c := corpus.Ingest(nil, nil)
-	log := Generate(c, DefaultConfig(), 1)
+	c := corpus.Ingest(nil)
+	log := Generate(c, 20000, 1)
 	if len(log.Queries) != 0 && len(log.TermsByFreq()) != 0 {
 		t.Fatal("empty corpus should give empty log")
 	}

@@ -24,22 +24,10 @@ type Config struct {
 	// paper's evaluation indexes use 32K); zero means unbounded (BFM
 	// closes lists as soon as they reach 1/R).
 	MaxLists int
-	// SampleFrac is the fraction of documents sampled for RSTF
-	// calibration (paper: 0.30); ControlFrac the fraction of that
-	// sample held out as the σ cross-validation control set (paper:
-	// about one third). Zeroes mean 0.30 and 0.33.
-	SampleFrac, ControlFrac float64
 	// Codec seals posting elements; nil means crypt.GCMCodec{}.
 	Codec crypt.ElementCodec
-	// InitialResponse is the floor b under every first window
-	// (Section 6.4; zero means 10). A client sizes its first request
-	// to a merged list from the merge plan and never below b;
-	// client.WithInitialResponse pins it to exactly b.
-	InitialResponse int
 	// Seed drives every random choice deterministically.
 	Seed uint64
-	// TokenTTL bounds authentication token lifetime (zero: one hour).
-	TokenTTL time.Duration
 	// SkipBaseline skips building the plaintext reference index
 	// (saves memory when only the confidential path is needed).
 	SkipBaseline bool
@@ -65,8 +53,13 @@ type Config struct {
 
 // DefaultConfig returns the evaluation defaults.
 func DefaultConfig() Config {
-	return Config{R: 32, SampleFrac: 0.30, ControlFrac: 0.33, Seed: 1}
+	return Config{R: 32, Seed: 1}
 }
+
+// sampleFrac is the fraction of documents sampled for RSTF calibration
+// (Section 6.1.2: 30 %); corpus.NewSplit holds a third of the sample
+// out as the σ cross-validation control set.
+const sampleFrac = 0.30
 
 // System is a fully initialized Zerber+R deployment over one corpus:
 // the offline pre-computing phase's artifacts plus a running
@@ -102,20 +95,11 @@ func Setup(c *corpus.Corpus, cfg Config) (*System, error) {
 	if cfg.R <= 1 {
 		return nil, fmt.Errorf("zerberr: r must exceed 1, got %v", cfg.R)
 	}
-	if cfg.SampleFrac <= 0 {
-		cfg.SampleFrac = 0.30
-	}
-	if cfg.ControlFrac <= 0 {
-		cfg.ControlFrac = 0.33
-	}
 	if cfg.Codec == nil {
 		cfg.Codec = crypt.GCMCodec{}
 	}
-	if cfg.InitialResponse <= 0 {
-		cfg.InitialResponse = 10
-	}
 
-	split := corpus.NewSplit(c, cfg.SampleFrac, cfg.ControlFrac, cfg.Seed)
+	split := corpus.NewSplit(c, sampleFrac, cfg.Seed)
 	var store *rstf.Store
 	if cfg.IdentityStore {
 		store = rstf.NewIdentityStore()
@@ -154,7 +138,7 @@ func Setup(c *corpus.Corpus, cfg Config) (*System, error) {
 		Split:  split,
 		Plan:   plan,
 		Store:  store,
-		Server: server.New([]byte(fmt.Sprintf("zerberr/server-secret/%d", cfg.Seed)), cfg.TokenTTL),
+		Server: server.New([]byte(fmt.Sprintf("zerberr/server-secret/%d", cfg.Seed)), time.Hour),
 		Keys:   keys,
 		cfg:    cfg,
 	}
@@ -195,11 +179,10 @@ func (s *System) NewClient(user string, groups ...int) (*client.Client, error) {
 	}
 	s.Server.RegisterUser(user, groups...)
 	cl, err := client.New(client.Local{S: s.Server}, client.Config{
-		Plan:            s.Plan,
-		Store:           s.Store,
-		Codec:           s.cfg.Codec,
-		Keys:            keys,
-		InitialResponse: s.cfg.InitialResponse,
+		Plan:  s.Plan,
+		Store: s.Store,
+		Codec: s.cfg.Codec,
+		Keys:  keys,
 	})
 	if err != nil {
 		return nil, err
