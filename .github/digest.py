@@ -32,6 +32,7 @@ STAGES = [
     ("store.skip", P + r"store\.\(\*mergedList\)\.skipMerged", None),
     ("store.query_proved", P + r"store\.\(\*Memory\)\.QueryProved", None),
     ("store.range_proof", P + r"proof\.\(\*Tree\)\.RangeProof", None),
+    ("store.audit", P + r"store\.\(\*mergedList\)\.groupRootLocked", None),
     ("server.decode", P + r"server\.DecodeQueryRequest", None),
     ("server.encode", P + r"server\.AppendQueryResponse", None),
     ("server.token_acl_admission", P + r"server\.\(\*Server\)\.(allowedGroups|admit)", None),

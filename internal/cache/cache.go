@@ -165,7 +165,7 @@ func cost(k Key, res store.QueryResult) int64 {
 	if w := res.Proof; w != nil {
 		n += entryOverhead
 		for _, gw := range w.Groups {
-			n += entryOverhead + int64(len(gw.Path)+2)*proof.HashSize
+			n += entryOverhead + int64(len(gw.Path))*(proof.HashSize+8) + 2*proof.HashSize
 			for _, edge := range [2][]proof.Boundary{gw.Pred, gw.Succ} {
 				for _, b := range edge {
 					n += int64(len(b.Sealed) + elementOverhead)

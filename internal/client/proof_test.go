@@ -251,7 +251,7 @@ func TestWithProofDetectsTampering(t *testing.T) {
 		{"forged right-path hash", nil, func(_ server.ListQuery, resp *server.QueryResponse) bool {
 			for i := range resp.Proof.Groups {
 				if path := resp.Proof.Groups[i].Path; len(path) > 0 {
-					path[len(path)-1][0] ^= 1
+					path[len(path)-1].Root[0] ^= 1
 					return true
 				}
 			}
@@ -318,7 +318,7 @@ func TestWithProofDetectsTampering(t *testing.T) {
 				return false
 			}
 			*resp = fresh[0]
-			resp.Proof = proof.Continue(resp.Proof)
+			resp.Proof = proof.Continue(resp.Proof, resp.Elements, nil)
 			return true
 		}},
 		{"continuation group without state", nil, func(_ server.ListQuery, resp *server.QueryResponse) bool {
@@ -351,7 +351,7 @@ func TestWithProofDetectsTampering(t *testing.T) {
 				defer tt.set(nil, nil)
 				q, opts := query(i)
 				// Top-32: scans long enough that their continuations carry
-				// right-path hashes, which four elements to a leaf keeps
+				// right-path nodes, which buckets of several elements keep
 				// out of a top-8 scan's.
 				_, _, err := cl.Search(context.Background(), q, 32, opts...)
 				if tc.resp != nil && tt.fired.Load() == 0 {
@@ -475,17 +475,20 @@ func TestWithProofHTTPEndToEnd(t *testing.T) {
 // rank-sorted) and returns the full-window proof for it.
 func miniWindow(version uint64, els []server.StoredElement) *proof.Window {
 	var b proof.Bucketer
-	var leaves []proof.Hash
+	var leaves proof.Buckets
+	add := func(nd proof.Node) {
+		leaves.Hashes, leaves.Sizes = append(leaves.Hashes, nd.Root), append(leaves.Sizes, uint8(nd.Count))
+	}
 	for _, e := range els {
-		if h, ok := b.Add(e.TRS, e.Sealed); ok {
-			leaves = append(leaves, h)
+		if nd, ok := b.Add(e.TRS, e.Sealed); ok {
+			add(nd)
 		}
 	}
-	if h, ok := b.Flush(); ok {
-		leaves = append(leaves, h)
+	if nd, ok := b.Flush(); ok {
+		add(nd)
 	}
-	root := proof.TreeRoot(leaves)
-	gw := proof.GroupWindow{Group: 1, Count: len(els), Root: &root, Start: 0, End: len(els)}
+	root := proof.TreeRoot(leaves).Root
+	gw := proof.GroupWindow{Group: 1, Count: len(els), Root: &root, Buckets: leaves.Len(), Start: 0, End: len(els)}
 	content := proof.ContentRoot([]proof.HeaderEntry{{Group: 1, HH: proof.HeaderHash(1, len(els), root)}})
 	return &proof.Window{
 		Version: version,

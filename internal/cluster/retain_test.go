@@ -30,7 +30,7 @@ func TestRetainWindowCopies(t *testing.T) {
 			Group: 1, Count: 4, Root: &root, Start: 1, End: 3,
 			Pred: []proof.Boundary{{TRS: 0.8, Sealed: []byte("pred")}},
 			Succ: []proof.Boundary{{TRS: 0.5, Sealed: []byte("succ")}, {TRS: 0.4, Sealed: []byte("succ2")}},
-			Path: []proof.Hash{root},
+			Path: []proof.Node{{Count: 1, Root: root}},
 		}}},
 	}
 	body := server.AppendQueryResponse(nil, []server.QueryResponse{sent})

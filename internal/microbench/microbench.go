@@ -70,10 +70,14 @@ const Ungated = -1
 //     cost summed over a search's rounds on ≈ 625-leaf groups, where
 //     an O(n) proof and an O(log n) one are 13× apart instead of 80×.
 //   - ProofQuery/after-write: the first proved window after an insert
-//     at a random rank, i.e. the O(n − p) re-hash of the buckets and
-//     interior nodes behind the insert. `proved` never writes and
-//     `mixed` proves every 16th search on lists of tens of elements, so
-//     no workload pays it at a size where it shows.
+//     at a random rank: the one or two buckets the insert re-cut, the
+//     interior nodes over them and those over the buckets whose index
+//     moved (O(n − p) interior nodes, no payload). `proved` never
+//     writes and `mixed` proves every 16th search on lists of tens of
+//     elements, so no workload pays it at a size where it shows.
+//   - ProofQuery/after-writes: the same after eight inserts, `mixed`'s
+//     6.5 mutations per audit rounded up: what the buckets each write
+//     re-cuts add up to, beside interior nodes one shift already pays.
 //   - ProofQuery/first-audit: the first proved window of an audited
 //     list after a snapshot reopen, which hashes every bucket of the
 //     list — the snapshot holds no hashes. Like StoreRecover/*, a cold
@@ -122,7 +126,8 @@ func Suite() []Bench {
 		{Name: "QueryRound/tag", F: queryRoundTag, MaxAllocs: 42},
 		{Name: "QueryInstrumented/unchanged", F: queryInstrumentedUnchanged, MaxAllocs: 18},
 		{Name: "ProofQuery/proved", F: proofQueryProved, MaxAllocs: 158},
-		{Name: "ProofQuery/after-write", F: proofQueryAfterWrite, MaxAllocs: 43},
+		{Name: "ProofQuery/after-write", F: func(b *testing.B) { proofQueryAfterWrites(b, 1) }, MaxAllocs: 43},
+		{Name: "ProofQuery/after-writes", F: func(b *testing.B) { proofQueryAfterWrites(b, 8) }, MaxAllocs: 77},
 		{Name: "ProofQuery/first-audit", F: proofQueryFirstAudit, MaxAllocs: 190},
 		{Name: "ProofQuery/verify", F: proofQueryVerify, MaxAllocs: 2},
 		{Name: "ProofQuery/verify-continuation", F: proofQueryVerifyContinuation, MaxAllocs: 5},
@@ -408,21 +413,22 @@ func proofQueryProved(b *testing.B) {
 }
 
 // writeList is the writing legs' own copy of the fixture
-// (ProofQuery/after-write, QueryRound/tag): they mutate its list and
-// each leaves it as it found it, and the read-only legs' windows must
-// not move under them.
+// (ProofQuery/after-write and after-writes, QueryRound/tag): they
+// mutate its list and each leaves it as it found it, and the read-only
+// legs' windows must not move under them.
 var writeList = sync.OnceValue(newBigList)
 
-// proofQueryAfterWrite prices what a write costs the next audit: one
-// insert at a random rank of one group, then one proved window. The
-// insert shifts every later element and leaf of its group, so the
-// write pays that shift, and the window the re-hash of the interior
-// nodes from the insert's rank to the end of the run (O(n − p), half a 15k-leaf group on average) and
-// then the O(log n) proof — the part ProofQuery/proved, which never
-// writes, does not see. Outside the timer the element is removed and
-// the list audited again, so every iteration starts from the same
-// fully cached 120k elements.
-func proofQueryAfterWrite(b *testing.B) {
+// proofQueryAfterWrites prices what writes cost the next audit:
+// inserts at random ranks of random groups, then one proved window.
+// Each insert re-cuts the bucket it lands in and those up to where the
+// cut meets the old boundaries again — usually one or two — and shifts
+// the later buckets of its group, so the window pays the hashing of the
+// re-cut buckets, the interior nodes over them and over the buckets
+// whose index moved, and then the O(log n) proof — the part
+// ProofQuery/proved, which never writes, does not see. Outside the
+// timer the elements are removed and the list audited again, so every
+// iteration starts from the same fully cached 120k elements.
+func proofQueryAfterWrites(b *testing.B, writes int) {
 	mem := writeList()
 	r := followupRounds[0]
 	audit := func() {
@@ -436,19 +442,24 @@ func proofQueryAfterWrite(b *testing.B) {
 	}
 	audit()
 	rng := rand.New(rand.NewSource(21))
+	sealed := make([][]byte, writes)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sealed := make([]byte, 64)
-		rng.Read(sealed)
-		el := store.Element{Sealed: sealed, TRS: rng.Float64(), Group: rng.Intn(fixtureGroups)}
-		if err := mem.Insert(fixtureList, el); err != nil {
-			b.Fatal(err)
+		for w := range sealed {
+			sealed[w] = make([]byte, 64)
+			rng.Read(sealed[w])
+			el := store.Element{Sealed: sealed[w], TRS: rng.Float64(), Group: rng.Intn(fixtureGroups)}
+			if err := mem.Insert(fixtureList, el); err != nil {
+				b.Fatal(err)
+			}
 		}
 		audit()
 		b.StopTimer()
-		if err := mem.Remove(fixtureList, sealed, nil); err != nil {
-			b.Fatal(err)
+		for _, s := range sealed {
+			if err := mem.Remove(fixtureList, s, nil); err != nil {
+				b.Fatal(err)
+			}
 		}
 		audit()
 		b.StartTimer()
@@ -517,7 +528,7 @@ func proofQueryVerifyContinuation(b *testing.B) {
 		b.Fatal(err)
 	}
 	res := provedWindow(b, r.Offset, r.Count)
-	cont := proof.Continue(res.Proof)
+	cont := proof.Continue(res.Proof, res.Elements, res.ProofEnds)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -54,7 +54,7 @@ func TestContinuationChains(t *testing.T) {
 				t.Fatalf("trial %d step %d: full proof rejected: %v", trial, step, err)
 			}
 			if prev != nil {
-				c := Continue(w)
+				c := Continue(w, elems, nil)
 				got, err := VerifyNext(prev, c, allowed, offset, count, elems, exhausted, 11)
 				if err != nil {
 					t.Fatalf("trial %d step %d [%d,+%d): continuation rejected: %v", trial, step, offset, count, err)
@@ -81,11 +81,11 @@ func TestContinuationChains(t *testing.T) {
 
 // TestContinuationCarriesLess: against the full proof of the same
 // window, a continuation drops every opaque header, boundary and
-// left-path hash, and keeps Version, Root, End and Succ.
+// left-path node, and keeps Version, Root, End and Succ.
 func TestContinuationCarriesLess(t *testing.T) {
 	groups, allowed := scanFixture()
-	w, _, _ := buildWindow(7, groups, allowed, 2, 4)
-	c := Continue(w)
+	w, elems, _ := buildWindow(7, groups, allowed, 2, 4)
+	c := Continue(w, elems, nil)
 	if !c.Continued || c.Version != w.Version || c.Root != w.Root {
 		t.Fatalf("continuation header %+v", c)
 	}
@@ -104,7 +104,7 @@ func TestContinuationCarriesLess(t *testing.T) {
 		cont += len(gw.Path)
 		p := proved[i]
 		if gw.Group != p.Group || gw.End != p.End || !reflect.DeepEqual(gw.Succ, p.Succ) ||
-			gw.Opaque != nil || gw.Root != nil || gw.Count != 0 || gw.Start != 0 || gw.Pred != nil {
+			gw.Opaque != nil || gw.Root != nil || gw.Count != 0 || gw.Buckets != 0 || gw.First != 0 || gw.Start != 0 || gw.Pred != nil {
 			t.Fatalf("continuation group %+v of proved group %+v", gw, p)
 		}
 	}
@@ -139,7 +139,7 @@ func TestVerifyNextRejects(t *testing.T) {
 	}
 	build := func() call {
 		w, elems, exhausted := buildWindow(7, groups, allowed, 2, 20)
-		return call{prev: start(), w: Continue(w), elems: elems, offset: 2, exh: exhausted, ver: 7}
+		return call{prev: start(), w: Continue(w, elems, nil), elems: elems, offset: 2, exh: exhausted, ver: 7}
 	}
 	withPath := func(c *call) *GroupWindow {
 		for i := range c.w.Groups {
@@ -171,22 +171,27 @@ func TestVerifyNextRejects(t *testing.T) {
 		}},
 		{"forged right-path hash", "range proof does not bind to its root", func(c *call) {
 			gw := withPath(c)
-			gw.Path = append([]Hash{}, gw.Path...)
-			gw.Path[0][0] ^= 1
+			gw.Path = slices.Clone(gw.Path)
+			gw.Path[0].Root[0] ^= 1
 		}},
 		{"padded path", "range proof does not bind to its root", func(c *call) {
 			gw := &c.w.Groups[0]
-			gw.Path = append(append([]Hash{}, gw.Path...), Hash{})
+			gw.Path = append(slices.Clone(gw.Path), Node{Count: 1})
 		}},
 		{"truncated path", "range proof does not bind to its root", func(c *call) {
 			gw := withPath(c)
 			gw.Path = gw.Path[:len(gw.Path)-1]
 		}},
-		{"stripped succ", "group 1 successor bucket carries 0 elements, want 3", func(c *call) { c.w.Groups[0].Succ = nil }},
+		{"stripped succ", "group 1 successor edge carries 0 elements", func(c *call) { c.w.Groups[0].Succ = nil }},
 		{"forged edge element", "group 1 range proof does not bind to its root", func(c *call) {
 			succ := slices.Clone(c.w.Groups[0].Succ)
-			succ[2].Sealed = []byte{'x'}
+			succ[len(succ)-1].TRS -= 1
 			c.w.Groups[0].Succ = succ
+		}},
+		{"recounted path node", "range proof does not bind to its root", func(c *call) {
+			gw := withPath(c)
+			gw.Path = slices.Clone(gw.Path)
+			gw.Path[0].Count++
 		}},
 		{"end shifted up", "window segment holds", func(c *call) { c.w.Groups[0].End++ }},
 		{"end shifted down", "window segment holds", func(c *call) { c.w.Groups[0].End-- }},

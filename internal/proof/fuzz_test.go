@@ -18,11 +18,12 @@ package proof_test
 //
 // The seed corpus under testdata/fuzz/FuzzVerifyWindow is honest
 // windows of that store, written by `go test -run TestFuzzSeedsCurrent
-// -update` on the commit that made a leaf a bucket of four elements.
-// The store file is older: it carries a leaf block of one hash per
-// element, which the snapshot reader now skips, so it opens unchanged
-// and its lists hash their buckets on first audit. -update writes a
-// new store only where none exists (new versions, so new roots).
+// -update` on the commit that made bucket boundaries content-defined
+// and interior nodes counted. The store file is older: it carries a
+// leaf block of one hash per element, which the snapshot reader now
+// skips, so it opens unchanged and its lists hash their buckets on
+// first audit. -update writes a new store only where none exists (new
+// versions, so new roots).
 
 import (
 	"bytes"
@@ -31,6 +32,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime/debug"
 	"testing"
 
@@ -53,8 +55,12 @@ var fuzzView = map[int]bool{0: true, 2: true}
 
 // fuzzQueries are the windows the seed corpus holds: the head, a deep
 // window with boundaries either side, the ragged tail, and one past the
-// end.
-var fuzzQueries = [][2]int{{0, 5}, {7, 10}, {20, 40}, {60, 3}, {0, 100}}
+// end; then a window whose group 2 successor edge is a bucket the rule
+// cut at MaxBucket (0, 4), one whose groups both end exactly on a
+// bucket boundary (12, 5), one whose group 2 predecessor edge is that
+// MaxBucket bucket (16, 3), and one whose edges are buckets the rule
+// cut at MinBucket (4, 6).
+var fuzzQueries = [][2]int{{0, 5}, {7, 10}, {20, 40}, {60, 3}, {0, 100}, {0, 4}, {12, 5}, {16, 3}, {4, 6}}
 
 func updating() bool {
 	f := flag.Lookup("update") // golden_test.go's, same test binary
@@ -259,6 +265,44 @@ func FuzzVerifyContinuation(f *testing.F) {
 	})
 }
 
+// TestProofEndsAreTheCut: the range ends the store hands proof.Continue
+// (QueryResult.ProofEnds) are where cutting each window by the boundary
+// rule ends its groups' ranges: the continuation is the same either
+// way, over windows of a list of groups of a few hundred buckets, whose
+// continuations carry right-path nodes.
+func TestProofEndsAreTheCut(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	m := store.NewMemory()
+	const n = 3000
+	for i := range n {
+		sealed := make([]byte, 12)
+		rng.Read(sealed)
+		el := store.Element{Sealed: sealed, TRS: float64(rng.Intn(400)) / 4, Group: i % 3}
+		if err := m.Insert(fuzzList, el); err != nil {
+			t.Fatal(err)
+		}
+	}
+	carried := 0
+	for range 300 {
+		offset, count := rng.Intn(n), 1+rng.Intn(80)
+		res, err := m.QueryProved(fuzzList, fuzzView, offset, count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := proof.Continue(res.Proof, res.Elements, res.ProofEnds)
+		want := proof.Continue(res.Proof, res.Elements, nil)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("window (%d, %d): the store's range ends %v trim another continuation than the cut", offset, count, res.ProofEnds)
+		}
+		for _, gw := range got.Groups {
+			carried += len(gw.Path)
+		}
+	}
+	if carried == 0 {
+		t.Fatal("no continuation carried a path node: the check compared nothing")
+	}
+}
+
 // honestContinuation is the response frame an honest server sends for
 // the window of next elements that follows the store's window at
 // (offset, count), to a client that verified that one.
@@ -272,7 +316,7 @@ func honestContinuation(tb testing.TB, m *store.Memory, offset, count, next int)
 		tb.Fatal(err)
 	}
 	return server.AppendQueryResponse(nil, []server.QueryResponse{{
-		Elements: res.Elements, Exhausted: res.Exhausted, Version: res.Version, Proof: proof.Continue(res.Proof),
+		Elements: res.Elements, Exhausted: res.Exhausted, Version: res.Version, Proof: proof.Continue(res.Proof, res.Elements, res.ProofEnds),
 	}})
 }
 

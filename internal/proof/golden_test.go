@@ -1,14 +1,15 @@
 package proof
 
 // Golden roots and range proofs. testdata/merkle_golden.txt was written
-// by running this test with -update on the commit that made a leaf a
-// bucket of four elements, from the cache-less recursion, and every root
-// and path in it is what the level-by-level oracle (oracle_test.go)
-// builds too, over the buckets the oracle hashes itself. A tree shape or
-// hash-input change shows up here as a diff against that commit, not
-// merely as prover and verifier agreeing with each other.
-// -update rewrites the file: that re-roots every committed list, so it
-// is a format break, not a way to make a red test green.
+// by running this test with -update on the commit that made bucket
+// boundaries content-defined and interior nodes counted, from the
+// cache-less recursion, and every root and path in it (each node as
+// count:root) is what the level-by-level oracle (oracle_test.go) builds
+// too, over the buckets the oracle cuts and hashes itself. A tree
+// shape, boundary rule or hash-input change shows up here as a diff
+// against that commit, not merely as prover and verifier agreeing with
+// each other. -update rewrites the file: that re-roots every committed
+// list, so it is a format break, not a way to make a red test green.
 
 import (
 	"bufio"
@@ -41,26 +42,41 @@ func goldenRun(n int) []WindowElement {
 	return out
 }
 
-// goldenLeaves returns the n leaves of a tree over a run of 4n − n%3
-// elements, so that a third of the trees end in a bucket of two and a
-// third in one of three: the buckets of goldenRun(4n − n%3).
-func goldenLeaves(n int) []Hash {
-	return bucketsOf(goldenRun(BucketSize*n - n%3))
+// goldenLeaves returns the first n buckets of a run of MaxBucket × n
+// elements, which holds at least n: buckets of every size the boundary
+// rule draws, the last one whole.
+func goldenLeaves(n int) Buckets {
+	b := bucketsOf(goldenRun(MaxBucket * n))
+	return Buckets{Hashes: b.Hashes[:n], Sizes: b.Sizes[:n]}
 }
 
 // bucketsOf hashes a run into its buckets with a Bucketer.
-func bucketsOf(run []WindowElement) []Hash {
+func bucketsOf(run []WindowElement) Buckets {
 	var b Bucketer
-	var out []Hash
+	var out Buckets
+	add := func(nd Node) {
+		out.Hashes = append(out.Hashes, nd.Root)
+		out.Sizes = append(out.Sizes, uint8(nd.Count))
+	}
 	for _, el := range run {
-		if h, ok := b.Add(el.TRS, el.Sealed); ok {
-			out = append(out, h)
+		if nd, ok := b.Add(el.TRS, el.Sealed); ok {
+			add(nd)
 		}
 	}
-	if h, ok := b.Flush(); ok {
-		out = append(out, h)
+	if nd, ok := b.Flush(); ok {
+		add(nd)
 	}
 	return out
+}
+
+// prefix is the first n buckets of b.
+func prefix(b Buckets, n int) Buckets {
+	return Buckets{Hashes: b.Hashes[:n], Sizes: b.Sizes[:n]}
+}
+
+// renderNode renders a node as count:root.
+func renderNode(nd Node) string {
+	return fmt.Sprintf("%d:%s", nd.Count, hex.EncodeToString(nd.Root[:]))
 }
 
 // goldenRanges picks the [lo, hi) ranges recorded for an n-leaf tree:
@@ -86,18 +102,17 @@ func goldenRanges(n int) [][2]int {
 
 // goldenLines renders every recorded root and path with the given
 // prover functions.
-func goldenLines(root func([]Hash) Hash, prove func([]Hash, int, int) []Hash) []string {
+func goldenLines(root func(Buckets) Node, prove func(Buckets, int, int) []Node) []string {
 	var lines []string
 	for _, n := range goldenSizes {
 		l := goldenLeaves(n)
-		r := root(l)
-		lines = append(lines, fmt.Sprintf("root %d %s", n, hex.EncodeToString(r[:])))
+		lines = append(lines, fmt.Sprintf("root %d %s", n, renderNode(root(l))))
 		for _, rg := range goldenRanges(n) {
 			var sb strings.Builder
 			fmt.Fprintf(&sb, "path %d %d %d", n, rg[0], rg[1])
-			for _, h := range prove(l, rg[0], rg[1]) {
+			for _, nd := range prove(l, rg[0], rg[1]) {
 				sb.WriteByte(' ')
-				sb.WriteString(hex.EncodeToString(h[:]))
+				sb.WriteString(renderNode(nd))
 			}
 			lines = append(lines, sb.String())
 		}
@@ -139,33 +154,33 @@ func TestGoldenRootsAndPaths(t *testing.T) {
 	// The same vectors from the leaves alone, from a tree whose cache
 	// covers the leaves, from one that was grown a leaf at a time, and
 	// from the level-by-level oracle (oracle_test.go).
-	covering := func(l []Hash) *Tree {
+	covering := func(l Buckets) *Tree {
 		var tr Tree
 		tr.Extend(l)
 		return &tr
 	}
-	grown := func(l []Hash) *Tree {
+	grown := func(l Buckets) *Tree {
 		var tr Tree
-		for n := 1; n <= len(l); n++ {
-			tr.Extend(l[:n])
+		for n := 1; n <= l.Len(); n++ {
+			tr.Extend(prefix(l, n))
 		}
 		return &tr
 	}
 	provers := []struct {
 		name  string
-		root  func([]Hash) Hash
-		prove func([]Hash, int, int) []Hash
+		root  func(Buckets) Node
+		prove func(Buckets, int, int) []Node
 	}{
 		{"stateless", TreeRoot, RangeProof},
 		{"cached",
-			func(l []Hash) Hash { return covering(l).Root(l) },
-			func(l []Hash, lo, hi int) []Hash { return covering(l).RangeProof(l, lo, hi) }},
+			func(l Buckets) Node { return covering(l).Root(l) },
+			func(l Buckets, lo, hi int) []Node { return covering(l).RangeProof(l, lo, hi) }},
 		{"grown",
-			func(l []Hash) Hash { return grown(l).Root(l) },
-			func(l []Hash, lo, hi int) []Hash { return grown(l).RangeProof(l, lo, hi) }},
+			func(l Buckets) Node { return grown(l).Root(l) },
+			func(l Buckets, lo, hi int) []Node { return grown(l).RangeProof(l, lo, hi) }},
 		{"oracle",
-			func(l []Hash) Hash { root, _ := buildOracle(l); return root.root },
-			func(l []Hash, lo, hi int) []Hash { root, _ := buildOracle(l); return root.proof(lo, hi, nil) }},
+			func(l Buckets) Node { root, _ := buildOracle(l); return root.node() },
+			func(l Buckets, lo, hi int) []Node { root, _ := buildOracle(l); return root.proof(lo, hi, nil) }},
 	}
 	for _, p := range provers {
 		got := goldenLines(p.root, p.prove)

@@ -22,14 +22,18 @@
 // Hashing is SHA-256 throughout with one-byte domain separation:
 // 0x00 leaves, 0x01 interior nodes, 0x02 group headers, 0x03 the
 // content root, 0x04 the version-bound list root. A leaf is a bucket of
-// four consecutive elements of a group's run, hashed in one call
-// (Bucketer). A tree node over n leaves has a child over each run of
-// the largest power of four below n (merkle.go), so the shape is a
-// function of the count and a contiguous leaf range has one
-// deterministic multiproof. Roots of the earlier formats do not verify
-// under this one — neither those of the binary RFC 6962 trees nor those
-// of four-ary trees with one leaf per element — so a root pinned from
-// either must be pinned again.
+// consecutive elements of a group's run, hashed in one call
+// (Bucketer), whose end the boundary rule draws from content
+// (EndsBucket): a write re-cuts the bucket it lands in and usually one
+// more, never every bucket behind it. A tree node over n leaves has a
+// child over each run of the largest power of four below n (merkle.go),
+// so the shape is a function of the bucket count and a contiguous leaf
+// range has one deterministic multiproof; a node commits its children's
+// element counts, which place a range in the run. Roots of the earlier
+// formats do not verify under this one — neither those of the binary
+// RFC 6962 trees, nor those of four-ary trees with one leaf per element
+// or with rank-indexed buckets of four and uncounted nodes — so a root
+// pinned from any of them must be pinned again.
 package proof
 
 import (
@@ -86,53 +90,116 @@ const (
 	domainList    = 0x04
 )
 
-// BucketSize is how many consecutive elements of a group's run one
-// leaf of its tree commits: a constant of the format, like logArity.
-// Hashing is priced per SHA-256 call more than per 64-byte block, and a
-// bucket of four 44-byte payloads is one 213-byte call where four leaves
-// and the node over them were five.
-const BucketSize = 4
+// The boundary rule: a bucket ends after an element whose sealed bytes
+// meet cutAfter once it holds at least MinBucket elements, or else when
+// it holds MaxBucket; the last bucket of a run also ends with the run.
+// With cutAfter holding for about one payload in three, a bucket holds
+// 3.8 elements on average. Boundaries are drawn from content, not from
+// rank, so an insert or a remove changes the buckets from the one it
+// lands in to where the partition meets its old boundaries again —
+// usually one or two (the Merkle Search Tree idea, Auvolat & Taïani
+// 2019) — and not every bucket behind it. MinBucket, MaxBucket and
+// cutAfter are constants of the format, like logArity.
+const (
+	MinBucket = 2
+	MaxBucket = 8
+)
 
-// NumBuckets is the number of buckets, and so of tree leaves, of an
-// n-element run: ⌈n/BucketSize⌉, the last bucket partial when
-// BucketSize does not divide n.
-func NumBuckets(n int) int {
-	return n/BucketSize + min(n%BucketSize, 1)
+// EndsBucket reports whether a bucket holding n elements, the last of
+// them sealed, ends after it under the boundary rule.
+func EndsBucket(n int, sealed []byte) bool {
+	return n >= MaxBucket || n >= MinBucket && cutAfter(sealed)
 }
 
+// cutAfter is the boundary predicate over an element's sealed bytes:
+// its last eight bytes (zero-padded when it is shorter) as a
+// little-endian word, xored with its length and put through the
+// SplitMix64 finalizer, taken modulo 3. It is no commitment — the bucket
+// hash is — only a function of content that prover and verifier both
+// evaluate, once per element, so it reads one word: a sealed element
+// ends in its authentication tag, which is pseudorandom, so the
+// predicate holds for one payload in three.
+func cutAfter(sealed []byte) bool {
+	var h uint64
+	if n := len(sealed); n >= 8 {
+		h = binary.LittleEndian.Uint64(sealed[n-8:])
+	} else {
+		var w [8]byte
+		copy(w[:], sealed)
+		h = binary.LittleEndian.Uint64(w[:])
+	}
+	h ^= uint64(len(sealed))
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	return (h^h>>31)%3 == 0
+}
+
+// A Node is one subtree of a group's tree as its parent commits it: the
+// number of elements it spans and its root. A leaf is a bucket, whose
+// count is its size.
+type Node struct {
+	Count int  `json:"count"`
+	Root  Hash `json:"root"`
+}
+
+// maxCount bounds a subtree's element count: a group holds fewer than
+// 2^32 elements, and the verifier refuses a node that claims more, so
+// that no sum of hostile counts overflows.
+const maxCount = 1<<32 - 1
+
+// Buckets is a run's bucket sequence, the leaves of its tree: bucket i
+// holds Sizes[i] elements and hashes to Hashes[i]. Two slices rather
+// than one of Nodes, because a size fits a byte and an audited group
+// keeps its buckets for as long as it lives.
+type Buckets struct {
+	Hashes []Hash
+	Sizes  []uint8
+}
+
+// Len is the number of buckets.
+func (b Buckets) Len() int { return len(b.Hashes) }
+
+func (b Buckets) node(i int) Node { return Node{Count: int(b.Sizes[i]), Root: b.Hashes[i]} }
+
 // A Bucketer hashes a group's run, fed to it in rank order, into the
-// leaves of the run's tree: bucket i commits the run's elements
-// [i×BucketSize, (i+1)×BucketSize) as H(0x00 || for each element: TRS
-// as 8-byte big-endian IEEE bits || uvarint(len(sealed)) || sealed),
-// in one SHA-256 call. The group is deliberately absent — it is bound
-// by which group's tree the bucket lives in. The zero Bucketer is
-// ready; reusing one reuses its buffer.
+// leaves of the run's tree: each bucket the boundary rule draws commits
+// its elements as H(0x00 || for each element: TRS as 8-byte big-endian
+// IEEE bits || uvarint(len(sealed)) || sealed), in one SHA-256 call.
+// The group is deliberately absent — it is bound by which group's tree
+// the bucket lives in. The zero Bucketer is ready; reusing one reuses
+// its buffer.
 type Bucketer struct {
 	buf []byte // the open bucket's input: the domain byte, then its elements
 	n   int    // elements in the open bucket
 }
 
-// Add feeds the run's next element. When the element completes a bucket
-// it returns the bucket's hash and true.
-func (b *Bucketer) Add(trs float64, sealed []byte) (Hash, bool) {
+// Add feeds the run's next element. When the boundary rule ends the
+// bucket after it, Add returns the bucket and true.
+func (b *Bucketer) Add(trs float64, sealed []byte) (Node, bool) {
 	if b.n == 0 {
+		if b.buf == nil {
+			// Room for a bucket of MaxBucket sealed elements, so that a
+			// run's hashing allocates once.
+			b.buf = make([]byte, 0, 1+MaxBucket*96)
+		}
 		b.buf = append(b.buf[:0], domainLeaf)
 	}
 	b.buf = appendElement(b.buf, trs, sealed)
-	if b.n++; b.n < BucketSize {
-		return Hash{}, false
+	if b.n++; !EndsBucket(b.n, sealed) {
+		return Node{}, false
 	}
 	return b.Flush()
 }
 
-// Flush closes the open partial bucket at the end of a run: its hash
-// and true, or false when no element is open.
-func (b *Bucketer) Flush() (Hash, bool) {
+// Flush closes the open bucket at the end of a run: the bucket and
+// true, or false when no element is open.
+func (b *Bucketer) Flush() (Node, bool) {
 	if b.n == 0 {
-		return Hash{}, false
+		return Node{}, false
 	}
+	n := b.n
 	b.n = 0
-	return sha256.Sum256(b.buf), true
+	return Node{Count: n, Root: sha256.Sum256(b.buf)}, true
 }
 
 // appendElement appends one element's share of a bucket's hash input.
@@ -142,16 +209,22 @@ func appendElement(buf []byte, trs float64, sealed []byte) []byte {
 	return append(buf, sealed...)
 }
 
-// interiorHash combines the roots of a node's two to four children, in
-// order: H(0x01 || children...).
-func interiorHash(children ...Hash) Hash {
-	var buf [1 + arity*HashSize]byte
+// interiorHash combines a node's two to four children, in order, into
+// the node: H(0x01 || per child: uvarint(count) || root), spanning the
+// children's elements. A node of a real group (counts below 2^32) is
+// at most 149 bytes, three SHA-256 blocks, as it was before the counts;
+// the buffer holds any count, so that a hostile one is refused by the
+// verifier's checks rather than by a panic.
+func interiorHash(children ...Node) Node {
+	var buf [1 + arity*(binary.MaxVarintLen64+HashSize)]byte
 	buf[0] = domainNode
-	n := 1
+	n, count := 1, 0
 	for i := range children {
-		n += copy(buf[n:], children[i][:])
+		n += binary.PutUvarint(buf[n:], uint64(children[i].Count))
+		n += copy(buf[n:], children[i].Root[:])
+		count += children[i].Count
 	}
-	return sha256.Sum256(buf[:n])
+	return Node{Count: count, Root: sha256.Sum256(buf[:n])}
 }
 
 // HeaderHash commits one group's run: H(0x02 || varint(group) ||

@@ -10,11 +10,13 @@ import (
 	"testing"
 )
 
-// leaves returns n distinct deterministic leaf hashes.
-func leaves(n int) []Hash {
-	out := make([]Hash, n)
-	for i := range out {
-		out[i] = leafOf(float64(n-i), []byte{byte(i), byte(n)})
+// leaves returns n distinct deterministic leaves of one to MaxBucket
+// elements.
+func leaves(n int) Buckets {
+	var out Buckets
+	for i := range n {
+		out.Hashes = append(out.Hashes, leafOf(float64(n-i), []byte{byte(i), byte(n)}))
+		out.Sizes = append(out.Sizes, uint8(1+i%MaxBucket))
 	}
 	return out
 }
@@ -25,11 +27,11 @@ func leafOf(trs float64, sealed []byte) Hash {
 	var b Bucketer
 	b.Add(trs, sealed)
 	h, _ := b.Flush()
-	return h
+	return h.Root
 }
 
 // runBuckets hashes a rank-sorted run into its tree's leaves.
-func runBuckets(run []pEl) []Hash {
+func runBuckets(run []pEl) Buckets {
 	els := make([]WindowElement, len(run))
 	for i, el := range run {
 		els[i] = WindowElement{TRS: el.trs, Sealed: el.sealed}
@@ -38,16 +40,34 @@ func runBuckets(run []pEl) []Hash {
 }
 
 // edges returns the Pred and Succ of an honest proof of the run's
-// window [start, end), and the bucket range its path covers.
+// window [start, end), and the bucket range [lb, hb) its path covers:
+// from the bucket holding start-1 to the one holding end.
 func edges(run []pEl, start, end int) (pred, succ []Boundary, lb, hb int) {
-	lo, hi := EdgeRange(len(run), start, end)
+	b := runBuckets(run)
+	bucketOf := func(p int) (int, int) {
+		i, at := 0, 0
+		for at+int(b.Sizes[i]) <= p {
+			at += int(b.Sizes[i])
+			i++
+		}
+		return i, at
+	}
+	lo, hi := 0, len(run)
+	hb = b.Len()
+	if start > 0 {
+		lb, lo = bucketOf(start - 1)
+	}
+	if end < len(run) {
+		i, at := bucketOf(end)
+		hb, hi = i+1, at+int(b.Sizes[i])
+	}
 	for _, el := range run[lo:start] {
 		pred = append(pred, Boundary{TRS: el.trs, Sealed: el.sealed})
 	}
 	for _, el := range run[end:hi] {
 		succ = append(succ, Boundary{TRS: el.trs, Sealed: el.sealed})
 	}
-	return pred, succ, lo / BucketSize, NumBuckets(hi)
+	return pred, succ, lb, hb
 }
 
 func TestSplitPoint(t *testing.T) {
@@ -61,24 +81,34 @@ func TestSplitPoint(t *testing.T) {
 
 func TestTreeRootShape(t *testing.T) {
 	l := leaves(6)
-	if TreeRoot(l[:1]) != l[0] {
+	nd := func(i int) Node { return l.node(i) }
+	if TreeRoot(prefix(l, 1)) != nd(0) {
 		t.Error("single-leaf tree root is not the leaf")
 	}
-	if got, want := TreeRoot(l[:2]), interiorHash(l[0], l[1]); got != want {
+	if got, want := TreeRoot(prefix(l, 2)), interiorHash(nd(0), nd(1)); got != want {
 		t.Error("2-leaf root mismatch")
 	}
 	// n=3 has three leaf children, n=5 splits 4|1, n=6 splits 4|2.
-	if got, want := TreeRoot(l[:3]), interiorHash(l[0], l[1], l[2]); got != want {
+	if got, want := TreeRoot(prefix(l, 3)), interiorHash(nd(0), nd(1), nd(2)); got != want {
 		t.Error("3-leaf root mismatch")
 	}
-	if got, want := TreeRoot(l[:5]), interiorHash(interiorHash(l[:4]...), l[4]); got != want {
+	four := interiorHash(nd(0), nd(1), nd(2), nd(3))
+	if got, want := TreeRoot(prefix(l, 5)), interiorHash(four, nd(4)); got != want {
 		t.Error("5-leaf root mismatch")
 	}
-	if got, want := TreeRoot(l), interiorHash(interiorHash(l[:4]...), interiorHash(l[4:]...)); got != want {
+	if got, want := TreeRoot(l), interiorHash(four, interiorHash(nd(4), nd(5))); got != want {
 		t.Error("6-leaf root mismatch")
 	}
-	if TreeRoot(nil) != emptyRoot() {
+	if got := TreeRoot(l).Count; got != 1+2+3+4+5+6 {
+		t.Errorf("root counts %d elements, want 21", got)
+	}
+	if TreeRoot(Buckets{}) != emptyRoot() {
 		t.Error("empty tree root is not emptyRoot")
+	}
+	// A node commits its children's counts: the same roots counted
+	// otherwise hash to another node.
+	if a, b := interiorHash(nd(0), nd(1)), interiorHash(Node{Count: 2, Root: nd(0).Root}, Node{Count: 1, Root: nd(1).Root}); a.Root == b.Root {
+		t.Error("recounted children hash to the same node")
 	}
 }
 
@@ -89,9 +119,9 @@ func TestRangeProofRoundTrip(t *testing.T) {
 		for lo := 0; lo < n; lo++ {
 			for hi := lo + 1; hi <= n; hi++ {
 				path := RangeProof(l, lo, hi)
-				got, ok := VerifyRange(n, lo, hi, l[lo:hi], path)
-				if !ok || got != root {
-					t.Fatalf("n=%d [%d,%d): verify ok=%v root match=%v", n, lo, hi, ok, got == root)
+				got, before, ok := VerifyRange(n, lo, hi, nodesOf(l, lo, hi), path)
+				if !ok || got != root || before != sizesBefore(l, lo) {
+					t.Fatalf("n=%d [%d,%d): verify ok=%v root match=%v before %d", n, lo, hi, ok, got == root, before)
 				}
 			}
 		}
@@ -102,32 +132,40 @@ func TestVerifyRangeRejects(t *testing.T) {
 	l := leaves(7)
 	root := TreeRoot(l)
 	path := RangeProof(l, 2, 5)
-	if _, ok := VerifyRange(7, 2, 5, l[2:5], path[:len(path)-1]); ok {
+	in := nodesOf(l, 2, 5)
+	if _, _, ok := VerifyRange(7, 2, 5, in, path[:len(path)-1]); ok {
 		t.Error("truncated path accepted")
 	}
-	if _, ok := VerifyRange(7, 2, 5, l[2:5], append(append([]Hash{}, path...), Hash{})); ok {
+	if _, _, ok := VerifyRange(7, 2, 5, in, append(slices.Clone(path), Node{Count: 1})); ok {
 		t.Error("padded path accepted")
 	}
-	if _, ok := VerifyRange(7, 2, 5, l[2:4], path); ok {
+	if _, _, ok := VerifyRange(7, 2, 5, in[:2], path); ok {
 		t.Error("wrong range width accepted")
 	}
-	if _, ok := VerifyRange(7, 5, 2, nil, path); ok {
+	if _, _, ok := VerifyRange(7, 5, 2, nil, path); ok {
 		t.Error("inverted range accepted")
 	}
-	if _, ok := VerifyRange(7, 2, 8, l[2:7], path); ok {
+	if _, _, ok := VerifyRange(7, 2, 8, nodesOf(l, 2, 7), path); ok {
 		t.Error("range past n accepted")
 	}
-	bad := append([]Hash{}, l[2:5]...)
-	bad[0][0] ^= 1
-	if got, ok := VerifyRange(7, 2, 5, bad, path); ok && got == root {
+	bad := slices.Clone(in)
+	bad[0].Root[0] ^= 1
+	if got, _, ok := VerifyRange(7, 2, 5, bad, path); ok && got == root {
 		t.Error("tampered leaf rebuilt the committed root")
 	}
-	// A smaller claimed tree needs fewer path hashes, so the honest
+	for _, count := range []int{0, -1, maxCount + 1} {
+		bad := slices.Clone(path)
+		bad[0].Count = count
+		if _, _, ok := VerifyRange(7, 2, 5, in, bad); ok {
+			t.Errorf("a path node counting %d elements accepted", count)
+		}
+	}
+	// A smaller claimed tree needs fewer path nodes, so the honest
 	// n=7 proof must fail structurally over n=6. (A *larger* claimed n
-	// can pass VerifyRange — path hashes are opaque, a leaf doubles as
-	// a subtree root — which is why Count is bound by HeaderHash, not
-	// by the range proof.)
-	if _, ok := VerifyRange(6, 2, 5, l[2:5], path); ok {
+	// can pass VerifyRange — path nodes are opaque, a leaf doubles as a
+	// subtree root — which is why the root's count is held to the
+	// group's, which HeaderHash binds.)
+	if _, _, ok := VerifyRange(6, 2, 5, in, path); ok {
 		t.Error("n=6 consumed an n=7 proof cleanly")
 	}
 }
@@ -171,7 +209,7 @@ func TestHashDistinctness(t *testing.T) {
 	// hashes, a header, the content root and the list root all start
 	// with different prefixes, so none can equal another by construction;
 	// spot-check the degenerate inputs anyway.
-	all := []Hash{leafOf(0, nil), interiorHash(Hash{}, Hash{}), HeaderHash(0, 0, Hash{}), ContentRoot(nil), ListRoot(0, Hash{}), emptyRoot()}
+	all := []Hash{leafOf(0, nil), interiorHash(Node{}, Node{}).Root, HeaderHash(0, 0, Hash{}), ContentRoot(nil), ListRoot(0, Hash{}), emptyRoot().Root}
 	for i := range all {
 		for j := i + 1; j < len(all); j++ {
 			if all[i] == all[j] {
@@ -246,7 +284,7 @@ func buildWindow(version uint64, groups map[int][]pEl, allowed map[int]bool, off
 	for _, g := range ids {
 		run := runs[g]
 		lh := runBuckets(run)
-		root := TreeRoot(lh)
+		root := TreeRoot(lh).Root
 		hh := HeaderHash(g, len(run), root)
 		entries = append(entries, HeaderEntry{Group: g, HH: hh})
 		if !allowed[g] {
@@ -254,11 +292,11 @@ func buildWindow(version uint64, groups map[int][]pEl, allowed map[int]bool, off
 			w.Groups = append(w.Groups, GroupWindow{Group: g, Opaque: &op})
 			continue
 		}
-		gw := GroupWindow{Group: g, Count: len(run), Root: &root,
+		gw := GroupWindow{Group: g, Count: len(run), Root: &root, Buckets: lh.Len(),
 			Start: inPrefix[g], End: inPrefix[g] + inWindow[g]}
-		var lb, hb int
-		gw.Pred, gw.Succ, lb, hb = edges(run, gw.Start, gw.End)
-		gw.Path = RangeProof(lh, lb, hb)
+		var hb int
+		gw.Pred, gw.Succ, gw.First, hb = edges(run, gw.Start, gw.End)
+		gw.Path = RangeProof(lh, gw.First, hb)
 		w.Groups = append(w.Groups, gw)
 	}
 	w.Root = ListRoot(version, ContentRoot(entries))
@@ -328,6 +366,35 @@ func TestVerifyWindowJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestVerifyWindowOverflowingCounts: a window in the middle of a group
+// of a few hundred buckets whose path nodes each claim maxCount
+// elements is refused, by VerifyWindow and by VerifyNext, and the
+// verifier does not crash on the sums.
+func TestVerifyWindowOverflowingCounts(t *testing.T) {
+	run := goldenRun(2000)
+	els := make([]pEl, len(run))
+	for i, el := range run {
+		els[i] = pEl{el.TRS, el.Sealed, 1}
+	}
+	groups, allowed := map[int][]pEl{1: els}, map[int]bool{1: true}
+	w, elems, exhausted := buildWindow(7, groups, allowed, 1000, 20)
+	if nb := w.Groups[0].Buckets; nb < 256 {
+		t.Fatalf("the group holds %d buckets, want at least 256", nb)
+	}
+	if err := VerifyWindow(w, allowed, 1000, 20, elems, exhausted, 7); err != nil {
+		t.Fatalf("honest window refused: %v", err)
+	}
+	for i := range w.Groups[0].Path {
+		w.Groups[0].Path[i].Count = maxCount
+	}
+	if err := VerifyWindow(w, allowed, 1000, 20, elems, exhausted, 7); !errors.Is(err, ErrInvalid) {
+		t.Errorf("VerifyWindow: path nodes of maxCount elements: %v, want ErrInvalid", err)
+	}
+	if _, err := VerifyNext(nil, w, allowed, 1000, 20, elems, exhausted, 7); !errors.Is(err, ErrInvalid) {
+		t.Errorf("VerifyNext: path nodes of maxCount elements: %v, want ErrInvalid", err)
+	}
+}
+
 func TestVerifyWindowRejects(t *testing.T) {
 	groups, allowed := fixture()
 	build := func() (*Window, []WindowElement, bool) {
@@ -357,7 +424,8 @@ func TestVerifyWindowRejects(t *testing.T) {
 			e[1].TRS += 0.25
 			return w, e, 2, 4, false, 7
 		}},
-		{"tampered payload", "range proof does not bind to its root", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
+		// The payload also decides where its bucket ends: the cut moves.
+		{"tampered payload", "group 3 range reaches bucket 2 of 1", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
 			e[2].Sealed = append([]byte{}, e[2].Sealed...)
 			e[2].Sealed[0] ^= 1
 			return w, e, 2, 4, false, 7
@@ -422,10 +490,10 @@ func TestVerifyWindowRejects(t *testing.T) {
 			}
 			return w, e, 2, 4, false, 7
 		}},
-		{"truncated range proof", "range proof does not bind to its root", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
+		{"padded range proof", "range proof does not bind to its root", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
 			for i := range w.Groups {
-				if len(w.Groups[i].Path) > 0 {
-					w.Groups[i].Path = w.Groups[i].Path[:len(w.Groups[i].Path)-1]
+				if w.Groups[i].Root != nil {
+					w.Groups[i].Path = append(w.Groups[i].Path, Node{Count: 1})
 					break
 				}
 			}
@@ -440,7 +508,8 @@ func TestVerifyWindowRejects(t *testing.T) {
 			}
 			return w, e, 2, 4, false, 7
 		}},
-		{"inflated group count", "headers do not rebuild the advertised root", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
+		// Succ ran to the run's end without the rule ending its bucket.
+		{"inflated group count", "group 1 successor edge does not end where its bucket does", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
 			for i := range w.Groups {
 				if w.Groups[i].Root != nil {
 					w.Groups[i].Count++
@@ -449,7 +518,7 @@ func TestVerifyWindowRejects(t *testing.T) {
 			}
 			return w, e, 2, 4, false, 7
 		}},
-		{"boundary stripped", "predecessor bucket carries 0 elements, want 1", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
+		{"boundary stripped", "predecessor edge carries 0 elements at start 1", func(w *Window, e []WindowElement) (*Window, []WindowElement, int, int, bool, uint64) {
 			for i := range w.Groups {
 				if w.Groups[i].Pred != nil {
 					w.Groups[i].Pred = nil
@@ -519,9 +588,9 @@ func TestVerifyWindowBoundaryPinning(t *testing.T) {
 		case 3:
 			gw.Start, gw.End = 0, 2
 		}
-		var lb, hb int
-		gw.Pred, gw.Succ, lb, hb = edges(runs[gw.Group], gw.Start, gw.End)
-		gw.Path = RangeProof(runBuckets(runs[gw.Group]), lb, hb)
+		var hb int
+		gw.Pred, gw.Succ, gw.First, hb = edges(runs[gw.Group], gw.Start, gw.End)
+		gw.Path = RangeProof(runBuckets(runs[gw.Group]), gw.First, hb)
 	}
 	err := VerifyWindow(w, allowed, 0, 3, forged, false, 7)
 	if err == nil {
@@ -535,29 +604,52 @@ func TestVerifyWindowBoundaryPinning(t *testing.T) {
 // TestVerifyWindowEdgeBuckets: the edge elements that are not the
 // window's predecessor or successor are checked by nothing but the
 // bucket hash they share with it, so forging one must break the range
-// proof. In scanFixture's window [3, 5) group 1 holds a2 and a3: Pred
-// is a0, a1 and Succ the whole bucket a4..a7.
+// proof; and Succ must end where the boundary rule ends its bucket, so
+// one element more or fewer is refused before any hash is compared.
+// The windows are scanFixture's where group 1's edges hold two elements
+// or more.
 func TestVerifyWindowEdgeBuckets(t *testing.T) {
 	groups, allowed := scanFixture()
-	for _, tc := range []struct {
-		name  string
-		forge func(gw *GroupWindow)
-	}{
-		{"pred", func(gw *GroupWindow) { gw.Pred = slices.Clone(gw.Pred); gw.Pred[0].TRS += 1 }},
-		{"succ", func(gw *GroupWindow) { gw.Succ = slices.Clone(gw.Succ); gw.Succ[3].Sealed = []byte("forged") }},
-	} {
-		w, elems, exhausted := buildWindow(7, groups, allowed, 3, 2)
+	tried := 0
+	for offset := 1; offset < 60; offset++ {
+		w, elems, exhausted := buildWindow(7, groups, allowed, offset, 3)
 		gw := &w.Groups[0]
-		if gw.Group != 1 || len(gw.Pred) != 2 || len(gw.Succ) != 4 {
-			t.Fatalf("group %d carries %d pred and %d succ elements, want group 1 with 2 and 4", gw.Group, len(gw.Pred), len(gw.Succ))
+		if gw.Group != 1 || len(gw.Pred) < 2 || len(gw.Succ) < 2 {
+			continue
 		}
-		if err := VerifyWindow(w, allowed, 3, 2, elems, exhausted, 7); err != nil {
-			t.Fatalf("honest window rejected: %v", err)
+		tried++
+		if err := VerifyWindow(w, allowed, offset, 3, elems, exhausted, 7); err != nil {
+			t.Fatalf("offset %d: honest window rejected: %v", offset, err)
 		}
-		tc.forge(gw)
-		err := VerifyWindow(w, allowed, 3, 2, elems, exhausted, 7)
-		if err == nil || !strings.Contains(err.Error(), "group 1 range proof does not bind to its root") {
-			t.Errorf("forged %s edge element: %v", tc.name, err)
+		pred, succ := gw.Pred, gw.Succ
+		for _, tc := range []struct {
+			name, want string
+			forge      func(gw *GroupWindow)
+		}{
+			{"pred", "group 1 range proof does not bind to its root", func(gw *GroupWindow) {
+				gw.Pred = slices.Clone(pred)
+				gw.Pred[0].TRS += 1
+			}},
+			{"succ", "group 1 range proof does not bind to its root", func(gw *GroupWindow) {
+				gw.Succ = slices.Clone(succ)
+				gw.Succ[len(succ)-1].TRS -= 1
+			}},
+			{"short succ", "group 1 successor edge does not end where its bucket does", func(gw *GroupWindow) {
+				gw.Succ = succ[:len(succ)-1]
+			}},
+			{"long succ", "group 1 successor edge", func(gw *GroupWindow) {
+				gw.Succ = append(slices.Clone(succ), Boundary{TRS: -1, Sealed: []byte("extra")})
+			}},
+		} {
+			w, elems, exhausted := buildWindow(7, groups, allowed, offset, 3)
+			tc.forge(&w.Groups[0])
+			err := VerifyWindow(w, allowed, offset, 3, elems, exhausted, 7)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("offset %d: forged %s edge: %v, want %q", offset, tc.name, err, tc.want)
+			}
 		}
+	}
+	if tried == 0 {
+		t.Fatal("no window with edges of two elements or more")
 	}
 }

@@ -32,6 +32,13 @@ type GroupWindow struct {
 	// Proved-group fields.
 	Count int   `json:"count,omitempty"`
 	Root  *Hash `json:"root,omitempty"`
+	// Buckets is how many buckets the group's run holds — its tree's
+	// leaves, which fix the tree's shape — and First the first bucket of
+	// the proof's range: the one Pred starts, else the one the window
+	// starts. Where the range ends the verifier counts itself, cutting
+	// the range's elements by the boundary rule.
+	Buckets int `json:"buckets,omitempty"`
+	First   int `json:"first,omitempty"`
 	// Start and End delimit the window's committed positions in this
 	// group's run: the window holds exactly the run's [Start, End)
 	// slice, the run's first Start elements are the group's share of
@@ -40,14 +47,16 @@ type GroupWindow struct {
 	Start int `json:"start,omitempty"`
 	End   int `json:"end,omitempty"`
 	// Pred and Succ are the elements of the edge buckets that the window
-	// does not return: Pred is the run's [lo, Start) and Succ its
-	// [End, hi), for the [lo, hi) of EdgeRange — one to four elements
-	// each, none at the run's ends. Pred's last element is the window's
-	// predecessor and Succ's first its successor; the others travel so
-	// that the verifier can rebuild the buckets those two share.
+	// does not return: Pred runs from the start of the bucket holding
+	// position Start-1 up to Start, Succ from End to the end of the
+	// bucket holding End — one to MaxBucket elements each, none at the
+	// run's ends. Pred's last element is the window's predecessor and
+	// Succ's first its successor; the others travel so that the verifier
+	// can rebuild the buckets those two share, whose boundaries it draws
+	// itself by the boundary rule.
 	Pred []Boundary `json:"pred,omitempty"`
 	Succ []Boundary `json:"succ,omitempty"`
-	Path []Hash     `json:"path,omitempty"`
+	Path []Node     `json:"path,omitempty"`
 }
 
 // Window is the verifiable proof attached to one ranked query
@@ -60,7 +69,7 @@ type Window struct {
 	// Continued marks a continuation (Continue): the window starts where
 	// a window of the same list at the same version ended, and the
 	// client verified that one. Only the proved groups travel, each with
-	// End, Succ and the right-path hashes that window's proof did not
+	// End, Succ and the right-path nodes that window's proof did not
 	// carry.
 	Continued bool `json:"continued,omitempty"`
 }
@@ -78,30 +87,14 @@ type WindowElement struct {
 	Group int `json:"group"`
 }
 
-// EdgeRange returns the run positions [lo, hi) that a full proof of the
-// window [start, end) of a count-element run proves: the window, its
-// predecessor and its successor where they exist, widened to whole
-// buckets. The proof's Path is the multiproof of the buckets
-// [lo/BucketSize, NumBuckets(hi)).
-func EdgeRange(count, start, end int) (lo, hi int) {
-	if start > 0 {
-		lo = (start - 1) / BucketSize * BucketSize
-	}
-	hi = end
-	if end < count {
-		hi += min(count-end, BucketSize-end%BucketSize)
-	}
-	return lo, hi
-}
-
 // Frontier is what verifying a window leaves for verifying the next
 // window of the same list, the one starting where it ended: the version
 // and root it was verified at, where it ended, its last element, and
-// per proved group the committed count and root, the window's end in
-// the group's run, the subtree roots covering the buckets before the
-// one that end falls in, the right path of the window's proof and the
-// elements of that bucket before the end. A continuation omits all of
-// it.
+// per proved group the committed count, root and bucket count, the
+// window's end in the group's run, the bucket that end falls in, the
+// subtrees covering the buckets before it, the right path of the
+// window's proof and the elements of that bucket before the end. A
+// continuation omits all of it.
 type Frontier struct {
 	// Version is the list version the window was verified at: what the
 	// next sub-query names to ask for a continuation
@@ -111,21 +104,22 @@ type Frontier struct {
 	offset  int
 	last    WindowElement
 	groups  []frontierGroup
-	// hashes holds each group's frontier and then its right path, from
+	// nodes holds each group's frontier and then its right path, from
 	// the group's off.
-	hashes []Hash
+	nodes []Node
 	// open holds last's payload, then each group's open bucket — the
 	// bucket input of the run's elements from the last bucket boundary
-	// at or before the window's end up to that end — from the group's
-	// openOff.
+	// at or before the window's end up to that end, openN of them — from
+	// the group's openOff.
 	open []byte
 }
 
 type frontierGroup struct {
-	group, count, end int
-	root              Hash
-	off, left, right  int
-	openOff, openLen  int
+	group, count, end       int
+	buckets, bucket         int
+	root                    Hash
+	off, left, right        int
+	openOff, openLen, openN int
 }
 
 // ErrInvalid is the root cause every failed verification wraps:
@@ -153,30 +147,80 @@ func cmpRank(atrs float64, asealed []byte, btrs float64, bsealed []byte) int {
 // Continue derives from a full window proof the continuation for a
 // client that verified the window of the same list, at the same
 // version, ending where this one starts: per proved group End, Succ
-// and the right-path hashes that window's proof did not carry. The
-// rest the client holds or does without: the group's count and root,
-// its Start (the earlier window's End), the subtree roots covering the
-// buckets before the one Start falls in and that bucket's elements
+// and the right-path nodes that window's proof did not carry. The rest
+// the client holds or does without: the group's count, root and bucket
+// count, its Start (the earlier window's End), the subtrees covering
+// the buckets before the one Start falls in and that bucket's elements
 // before Start, the predecessor (the earlier window's last element
 // stands in for every group's) and the opaque headers (they bind only
 // the list root, which the client already checked). The earlier
-// window's proof ended at bucket min(Start/BucketSize+1, buckets), and
-// a range's right path depends only on where it ends. Paths alias w's.
-func Continue(w *Window) *Window {
+// window's proof ended with the bucket Start falls in — the one after
+// a Pred the boundary rule ends, else Pred's — and a range's right path
+// depends only on where it ends: the bucket after its last, which ends
+// holds per proved group of w, in order, as the prover cut them
+// (store.QueryResult.ProofEnds). With ends nil, Continue cuts elems,
+// the window's elements, into buckets by the boundary rule to find
+// them, as the verifier does — which reads every payload. Paths alias
+// w's.
+func Continue(w *Window, elems []WindowElement, ends []int) *Window {
+	if ends == nil {
+		ends = rangeEnds(w, elems)
+	}
 	c := &Window{Version: w.Version, Root: w.Root, Groups: make([]GroupWindow, 0, len(w.Groups)), Continued: true}
 	for _, gw := range w.Groups {
 		if gw.Opaque != nil {
 			continue
 		}
-		nb := NumBuckets(gw.Count)
-		_, hi := EdgeRange(gw.Count, gw.Start, gw.End)
-		hb := NumBuckets(hi)
+		startBucket, hb := gw.First, ends[len(c.Groups)]
+		if n := len(gw.Pred); n > 0 && EndsBucket(n, gw.Pred[n-1].Sealed) {
+			startBucket++
+		}
+		nb := gw.Buckets
 		right := countRight(0, nb, hb, hb)
-		shared := countRight(0, nb, min(gw.Start/BucketSize+1, nb), hb)
+		shared := countRight(0, nb, min(startBucket+1, nb), hb)
 		path := gw.Path[len(gw.Path)-right : len(gw.Path)-shared]
 		c.Groups = append(c.Groups, GroupWindow{Group: gw.Group, End: gw.End, Succ: gw.Succ, Path: path})
 	}
 	return c
+}
+
+// rangeEnds returns, per proved group of w in order, the bucket after
+// the last one its range covers, cutting Pred, the group's elements of
+// elems and Succ into buckets as verify does.
+func rangeEnds(w *Window, elems []WindowElement) []int {
+	// Per group, the buckets of the range closed so far and the
+	// elements of the open one.
+	type cut struct{ k, open int }
+	cuts := make([]cut, len(w.Groups))
+	for i, gw := range w.Groups {
+		cuts[i].open = len(gw.Pred)
+		if n := len(gw.Pred); n > 0 && EndsBucket(n, gw.Pred[n-1].Sealed) {
+			cuts[i] = cut{k: 1}
+		}
+	}
+	for _, el := range elems {
+		g := groupAt(w.Groups, el.Group)
+		if g < 0 {
+			continue
+		}
+		if ct := &cuts[g]; EndsBucket(ct.open+1, el.Sealed) {
+			ct.k, ct.open = ct.k+1, 0
+		} else {
+			ct.open++
+		}
+	}
+	var ends []int
+	for i, gw := range w.Groups {
+		if gw.Opaque != nil {
+			continue
+		}
+		hb := gw.First + cuts[i].k
+		if cuts[i].open > 0 || len(gw.Succ) > 0 {
+			hb++ // the bucket Succ completes
+		}
+		ends = append(ends, hb)
+	}
+	return ends
 }
 
 // VerifyWindow checks a window proof against the query that produced
@@ -211,29 +255,33 @@ func VerifyNext(prev *Frontier, w *Window, allowed map[int]bool, offset, count i
 
 // groupState is one group of a proof as verify walks it. Its claims
 // come all from a full proof, or for a continuation (cont) the count,
-// root and start from the Frontier of the window before it, together
-// with the subtree roots covering the buckets before the one start
-// falls in (left), that window's right path (right) and the bucket
-// input of that bucket's elements before start (pre). The rest is
-// where its buckets go in the leaf buffer and the bucket its window
-// elements are filling.
+// root, bucket count and start from the Frontier of the window before
+// it, together with the bucket start falls in (lb), the subtrees
+// covering the buckets before it (left), that window's right path
+// (right) and the bucket input of that bucket's preN elements before
+// start (pre). The rest is where its buckets go in the leaf buffer and
+// the bucket its window elements are filling.
 type groupState struct {
 	group, count, start, end int
 	root                     Hash
 	pred, succ               []Boundary
-	path, left, right        []Hash
+	path, left, right        []Node
 	pre                      []byte
+	preN                     int
 	cont, opaque             bool
-	// n counts the group's window elements; lb and hb delimit the
-	// buckets its range covers, whose hashes go to leaves[off:], k of
-	// them so far.
-	n, lb, hb, off, k int
+	// nb is the run's bucket count and [lb, hb) the buckets its range
+	// covers, whose nodes go to leaves[off:], k of them so far; kEnd
+	// and openN are k and inOpen once the window's elements are in.
+	nb, lb, hb, off, k, kEnd, openN int
+	// n counts the group's window elements.
+	n int
 	// The open bucket: inOpen elements, its prefix first when prefix is
 	// set (the elements before Start, from Pred or the Frontier), then
-	// the window elements win[:nwin].
+	// the window elements win[:nwin]. The boundary rule closes a bucket
+	// at MaxBucket elements, so win never overflows.
 	inOpen, nwin int
 	prefix       bool
-	win          [BucketSize]int32
+	win          [MaxBucket]int32
 }
 
 // stackGroups is how many groups a proof may hold before verify keeps
@@ -315,13 +363,14 @@ func verify(prev *Frontier, record bool, w *Window, allowed map[int]bool, offset
 		st.group, st.end, st.succ, st.path = gw.Group, gw.End, gw.Succ, gw.Path
 		if w.Continued {
 			pg := &prev.groups[i]
-			if gw.Opaque != nil || gw.Root != nil || gw.Count != 0 || gw.Start != 0 || len(gw.Pred) != 0 {
+			if gw.Opaque != nil || gw.Root != nil || gw.Count != 0 || gw.Buckets != 0 || gw.First != 0 || gw.Start != 0 || len(gw.Pred) != 0 {
 				return nil, invalidf("continuation group %d carries full-proof fields", gw.Group)
 			}
 			st.count, st.root, st.start, st.cont = pg.count, pg.root, pg.end, true
-			st.left = prev.hashes[pg.off : pg.off+pg.left]
-			st.right = prev.hashes[pg.off+pg.left : pg.off+pg.left+pg.right]
-			st.pre = prev.open[pg.openOff : pg.openOff+pg.openLen]
+			st.nb, st.lb = pg.buckets, pg.bucket
+			st.left = prev.nodes[pg.off : pg.off+pg.left]
+			st.right = prev.nodes[pg.off+pg.left : pg.off+pg.left+pg.right]
+			st.pre, st.preN = prev.open[pg.openOff:pg.openOff+pg.openLen], pg.openN
 		} else {
 			if gw.Opaque != nil {
 				// A group outside the view must stay fully opaque — and must
@@ -329,7 +378,7 @@ func verify(prev *Frontier, record bool, w *Window, allowed map[int]bool, offset
 				if allowed == nil || allowed[gw.Group] {
 					return nil, invalidf("group %d of the caller's view carried opaque", gw.Group)
 				}
-				if gw.Root != nil || gw.Count != 0 || gw.Start != 0 || gw.End != 0 ||
+				if gw.Root != nil || gw.Count != 0 || gw.Buckets != 0 || gw.First != 0 || gw.Start != 0 || gw.End != 0 ||
 					len(gw.Pred) != 0 || len(gw.Succ) != 0 || len(gw.Path) != 0 {
 					return nil, invalidf("opaque group %d carries window fields", gw.Group)
 				}
@@ -343,13 +392,14 @@ func verify(prev *Frontier, record bool, w *Window, allowed map[int]bool, offset
 				return nil, invalidf("group %d missing its root", gw.Group)
 			}
 			st.count, st.root, st.start, st.pred = gw.Count, *gw.Root, gw.Start, gw.Pred
+			st.nb, st.lb = gw.Buckets, gw.First
 			entries = append(entries, HeaderEntry{Group: gw.Group, HH: HeaderHash(gw.Group, gw.Count, *gw.Root)})
 		}
 		if err := st.check(elems); err != nil {
 			return nil, err
 		}
 		st.off = nLeaves
-		nLeaves += st.hb - st.lb
+		nLeaves += st.maxLeaves()
 		if len(st.succ) > 0 {
 			allConsumed = false
 		}
@@ -381,22 +431,26 @@ func verify(prev *Frontier, record bool, w *Window, allowed map[int]bool, offset
 	// bound it by the elements that arrived. A group's elements arrive
 	// interleaved with the others', so each group keeps the indices of
 	// the ones its open bucket holds, and its bucket is hashed when the
-	// element that completes it arrives.
-	leaves := make([]Hash, nLeaves)
+	// element the boundary rule ends it at arrives.
+	leaves := make([]Node, nLeaves)
 	// buf is a bucket's hash input. Passed by value, it stays on the
-	// stack unless a bucket outgrows it.
-	var scratch [512]byte
+	// stack unless a bucket outgrows it: MaxBucket elements of up to 118
+	// payload bytes fit.
+	var scratch [1024]byte
 	buf := scratch[:0]
 	for i := range gs {
 		if st := &gs[i]; !st.opaque {
-			buf = st.begin(buf, leaves)
+			var err error
+			if buf, err = st.begin(buf, leaves); err != nil {
+				return nil, err
+			}
 		}
 	}
 	for i := range elems {
 		st := &gs[groupAt(w.Groups, elems[i].Group)]
 		st.win[st.nwin] = int32(i)
 		st.nwin++
-		if st.inOpen++; st.inOpen == BucketSize {
+		if st.inOpen++; EndsBucket(st.inOpen, elems[i].Sealed) {
 			buf = st.close(buf, elems, leaves, nil)
 		}
 	}
@@ -442,8 +496,9 @@ func groupAt(groups []GroupWindow, group int) int {
 	return -1
 }
 
-// check holds the group's claimed range, edge buckets and boundaries
-// to the window, and sets the bucket range its proof covers.
+// check holds the group's claimed range, bucket range and edges to the
+// window. Where the edges' buckets end is the boundary rule's to say,
+// and is checked as they are hashed.
 func (st *groupState) check(elems []WindowElement) error {
 	if st.count <= 0 || st.start < 0 || st.start > st.end || st.end > st.count {
 		return invalidf("group %d range [%d,%d) of %d malformed", st.group, st.start, st.end, st.count)
@@ -451,16 +506,18 @@ func (st *groupState) check(elems []WindowElement) error {
 	if st.n != st.end-st.start {
 		return invalidf("group %d window segment holds %d elements, range claims %d", st.group, st.n, st.end-st.start)
 	}
-	lo, hi := EdgeRange(st.count, st.start, st.end)
-	if st.cont {
-		// The window before this one left the elements of the bucket
-		// Start falls in that precede Start; no predecessor travels.
-		lo = st.start / BucketSize * BucketSize
-	} else if len(st.pred) != st.start-lo {
-		return invalidf("group %d predecessor bucket carries %d elements, want %d", st.group, len(st.pred), st.start-lo)
+	// A continuation of a window that consumed the group starts past
+	// its last bucket, an empty range at the tree's end.
+	if st.nb < 1 || st.nb > st.count || st.lb < 0 || st.lb > st.nb || st.lb == st.nb && !st.cont {
+		return invalidf("group %d bucket range from %d of %d malformed", st.group, st.lb, st.nb)
 	}
-	if len(st.succ) != hi-st.end {
-		return invalidf("group %d successor bucket carries %d elements, want %d", st.group, len(st.succ), hi-st.end)
+	// The window before a continuation left the elements of the bucket
+	// Start falls in that precede Start; no predecessor travels.
+	if !st.cont && ((len(st.pred) > 0) != (st.start > 0) || len(st.pred) > st.start) {
+		return invalidf("group %d predecessor edge carries %d elements at start %d", st.group, len(st.pred), st.start)
+	}
+	if (len(st.succ) > 0) != (st.end < st.count) || st.end+len(st.succ) > st.count {
+		return invalidf("group %d successor edge carries %d elements at end %d of %d", st.group, len(st.succ), st.end, st.count)
 	}
 	// Boundary ordering against the whole merged window: the last
 	// skipped element must rank at or above the window's first, the
@@ -476,36 +533,53 @@ func (st *groupState) check(elems []WindowElement) error {
 			return invalidf("group %d withheld element ranks inside the window", st.group)
 		}
 	}
-	st.lb, st.hb = lo/BucketSize, NumBuckets(hi)
 	return nil
 }
 
+// maxLeaves bounds the buckets the group's range covers: every bucket
+// but the run's last holds at least MinBucket elements.
+func (st *groupState) maxLeaves() int {
+	n := st.n + len(st.succ) + len(st.pred) + st.preN
+	return n/MinBucket + 1
+}
+
 // begin opens the group's first bucket before its window elements
-// arrive. A whole predecessor bucket is hashed at once; a partial one,
-// or the Frontier's elements before Start, opens the bucket the window
-// goes on filling.
-func (st *groupState) begin(buf []byte, leaves []Hash) []byte {
-	st.inOpen = st.start % BucketSize
-	st.prefix = st.inOpen > 0
-	if len(st.pred) == BucketSize {
+// arrive. A Pred the boundary rule ends is a whole bucket, hashed at
+// once; a shorter one, or the Frontier's elements before Start, opens
+// the bucket the window goes on filling. A Pred the rule ends before
+// its last element is refused: it reaches into the bucket before.
+func (st *groupState) begin(buf []byte, leaves []Node) ([]byte, error) {
+	if st.cont {
+		st.inOpen, st.prefix = st.preN, st.preN > 0
+		return buf, nil
+	}
+	for i, p := range st.pred {
+		if !EndsBucket(i+1, p.Sealed) {
+			continue
+		}
+		if i != len(st.pred)-1 {
+			return buf, invalidf("group %d predecessor edge crosses a bucket boundary", st.group)
+		}
 		buf = append(buf[:0], domainLeaf)
 		for _, p := range st.pred {
 			buf = appendElement(buf, p.TRS, p.Sealed)
 		}
-		leaves[st.off] = sha256.Sum256(buf)
+		leaves[st.off] = Node{Count: len(st.pred), Root: sha256.Sum256(buf)}
 		st.k = 1
+		return buf, nil
 	}
-	return buf
+	st.inOpen, st.prefix = len(st.pred), len(st.pred) > 0
+	return buf, nil
 }
 
 // close hashes the open bucket, completed by extra, into the group's
 // next leaf, with buf as the hash input's buffer.
-func (st *groupState) close(buf []byte, elems []WindowElement, leaves []Hash, extra []Boundary) []byte {
+func (st *groupState) close(buf []byte, elems []WindowElement, leaves []Node, extra []Boundary) []byte {
 	buf = st.appendOpen(append(buf[:0], domainLeaf), elems)
 	for _, e := range extra {
 		buf = appendElement(buf, e.TRS, e.Sealed)
 	}
-	leaves[st.off+st.k] = sha256.Sum256(buf)
+	leaves[st.off+st.k] = Node{Count: st.inOpen + len(extra), Root: sha256.Sum256(buf)}
 	st.k++
 	st.inOpen, st.nwin, st.prefix = 0, 0, false
 	return buf
@@ -554,44 +628,61 @@ func elementSize(sealed []byte) int {
 }
 
 // verify completes the group's last bucket with its successors and
-// rebuilds the group root from its buckets and path. With next set it
-// records the group's frontier, right path and open bucket there.
-func (st *groupState) verify(buf []byte, elems []WindowElement, leaves []Hash, next *Frontier) error {
+// rebuilds the group root from its buckets and path. Succ must end
+// where the boundary rule ends the bucket End falls in, or where the
+// run does. With next set it records the group's frontier, right path
+// and open bucket there.
+func (st *groupState) verify(buf []byte, elems []WindowElement, leaves []Node, next *Frontier) error {
+	st.kEnd, st.openN = st.k, st.inOpen
 	openOff := 0
 	if next != nil {
 		openOff = len(next.open)
 		next.open = st.appendOpen(next.open, elems)
 	}
+	n := st.inOpen
+	for i, s := range st.succ {
+		n++
+		ends, last := EndsBucket(n, s.Sealed), i == len(st.succ)-1
+		if ends && !last || last && !ends && st.end+len(st.succ) < st.count {
+			return invalidf("group %d successor edge does not end where its bucket does", st.group)
+		}
+	}
 	if st.inOpen > 0 || len(st.succ) > 0 {
 		st.close(buf, elems, leaves, st.succ)
 	}
-	if st.k != st.hb-st.lb {
-		return invalidf("group %d range holds %d buckets, its positions %d", st.group, st.k, st.hb-st.lb)
+	st.hb = st.lb + st.k
+	if st.hb > st.nb {
+		return invalidf("group %d range reaches bucket %d of %d", st.group, st.hb, st.nb)
 	}
-	nb := NumBuckets(st.count)
 	v := rangeVerifier{leaves: leaves[st.off : st.off+st.k], path: st.path, lo: st.lb, hi: st.hb}
+	lo := st.start - len(st.pred)
 	if st.cont {
-		// The window before this one proved a range ending at bucket
-		// min(start/BucketSize+1, nb); the tail of its right path is
-		// this range's too.
+		// The window before this one proved a range ending with the
+		// bucket start falls in; the tail of its right path is this
+		// range's too.
 		v.left = st.left
-		v.tail = st.right[len(st.right)-countRight(0, nb, min(st.start/BucketSize+1, nb), st.hb):]
+		v.tail = st.right[len(st.right)-countRight(0, st.nb, min(st.lb+1, st.nb), st.hb):]
+		lo = st.start - st.preN
 	}
 	off := 0
 	if next != nil {
-		off = len(next.hashes)
-		v.record, v.end, v.out = true, st.end/BucketSize, next.hashes
+		off = len(next.nodes)
+		v.record, v.end, v.out = true, st.lb+st.kEnd, next.nodes
 	}
-	root, ok := v.root(nb)
-	if !ok || root != st.root {
+	root, ok := v.root(st.nb)
+	if !ok || root.Root != st.root || root.Count != st.count {
 		return invalidf("group %d range proof does not bind to its root", st.group)
 	}
+	if v.before != lo {
+		return invalidf("group %d range proof places its range at %d, its edges at %d", st.group, v.before, lo)
+	}
 	if next != nil {
-		next.hashes = v.out
+		next.nodes = v.out
 		next.groups = append(next.groups, frontierGroup{
 			group: st.group, count: st.count, end: st.end, root: st.root,
+			buckets: st.nb, bucket: st.lb + st.kEnd,
 			off: off, left: v.nLeft, right: len(v.out) - off - v.nLeft,
-			openOff: openOff, openLen: len(next.open) - openOff,
+			openOff: openOff, openLen: len(next.open) - openOff, openN: st.openN,
 		})
 	}
 	return nil
@@ -599,14 +690,14 @@ func (st *groupState) verify(buf []byte, elems []WindowElement, leaves []Hash, n
 
 // newFrontier allocates the Frontier a window ending at offset leaves,
 // with room for every group's frontier and right path — together at
-// most arity-1 subtree roots per level of the group's tree — and for
-// the last element's payload followed by every group's open bucket.
+// most arity-1 subtrees per level of the group's tree — and for the
+// last element's payload followed by every group's open bucket.
 func newFrontier(gs []groupState, w *Window, offset int, elems []WindowElement) *Frontier {
 	last := elems[len(elems)-1]
-	hashes, open := 0, len(last.Sealed)
+	nodes, open := 0, len(last.Sealed)
 	for i := range gs {
 		if st := &gs[i]; !st.opaque {
-			hashes += (arity-1)*depth(NumBuckets(st.count)) + 1
+			nodes += (arity-1)*depth(st.nb) + 1
 			open += st.openSize(elems)
 		}
 	}
@@ -618,7 +709,7 @@ func newFrontier(gs []groupState, w *Window, offset int, elems []WindowElement) 
 		offset:  offset,
 		last:    last,
 		groups:  make([]frontierGroup, 0, len(gs)),
-		hashes:  make([]Hash, 0, hashes),
+		nodes:   make([]Node, 0, nodes),
 		open:    buf,
 	}
 }

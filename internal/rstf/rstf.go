@@ -66,8 +66,8 @@ func (f *RSTF) N() int { return len(f.mu) }
 
 // TrainingPoints returns a copy of the sorted training scores the
 // function was built from. The RSTF is a published artifact, so these
-// are public by construction — a fact the adversary simulations
-// exploit (see internal/experiments, Ext-B).
+// are public by construction — a fact the attacks in
+// internal/adversary exploit (experiment Ext-B).
 func (f *RSTF) TrainingPoints() []float64 {
 	return append([]float64(nil), f.mu...)
 }

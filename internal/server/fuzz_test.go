@@ -233,7 +233,7 @@ func writeFuzzSeeds(t *testing.T) {
 		writeCorpusFile(t, "FuzzWireResponse", fmt.Sprintf("seed_truncated_%03d", cut), fmt.Sprintf("[]byte(%q)\n", golden[:cut]))
 	}
 	cont, _, _, _ := goldenWindow()
-	cont.Proof = proof.Continue(cont.Proof)
+	cont.Proof = proof.Continue(cont.Proof, cont.Elements, nil)
 	writeCorpusFile(t, "FuzzWireResponse", "seed_continuation", fmt.Sprintf("[]byte(%q)\n", AppendQueryResponse(nil, []QueryResponse{cont})))
 }
 

@@ -317,7 +317,7 @@ func (s *Server) respond(res store.QueryResult, q ListQuery) QueryResponse {
 	}
 	resp.Proof = res.Proof
 	if q.ProofFrom != nil && *q.ProofFrom == res.Version {
-		resp.Proof = proof.Continue(res.Proof)
+		resp.Proof = proof.Continue(res.Proof, res.Elements, res.ProofEnds)
 		if m := s.met.Load(); m != nil {
 			m.continued.Inc()
 		}

@@ -34,14 +34,15 @@ package server
 //	  proof:   version (8B) | root (32B) | numGroups | numGroups × group
 //	  group:   group (signed varint) | gflags (1B: 1 opaque, 0 proved) |
 //	           opaque:  header hash (32B)
-//	           proved:  count | root (32B) | start | end |
-//	                    edge (pred) | edge (succ) |
-//	                    pathLen | pathLen × hash (32B)
-//	  edge:    n (at most 4) | n × element
+//	           proved:  count | root (32B) | buckets | first | last |
+//	                    start | end | edge (pred) | edge (succ) |
+//	                    pathLen | pathLen × node
+//	  edge:    n (at most proof.MaxBucket) | n × element
 //	           (an edge element travels as an element of its own group)
+//	  node:    count (at least 1, below 2^32) | root (32B)
 //	  continuation group (flags 4|8; proof.Continue): proved groups only,
 //	           group (signed varint) | end | edge (succ) |
-//	           pathLen | pathLen × hash (32B)
+//	           pathLen | pathLen × node
 //
 //	kind 'I', insert request:
 //	  body:    token | insert op list
@@ -66,6 +67,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"zerberr/internal/binfmt"
 	"zerberr/internal/crypt"
@@ -201,6 +203,8 @@ func appendProof(buf []byte, w *proof.Window) []byte {
 				root = *gw.Root
 			}
 			buf = append(buf, root[:]...)
+			buf = binary.AppendUvarint(buf, uint64(gw.Buckets))
+			buf = binary.AppendUvarint(buf, uint64(gw.First))
 			buf = binary.AppendUvarint(buf, uint64(gw.Start))
 		}
 		buf = binary.AppendUvarint(buf, uint64(gw.End))
@@ -210,7 +214,8 @@ func appendProof(buf []byte, w *proof.Window) []byte {
 		buf = appendEdge(buf, gw.Succ, gw.Group)
 		buf = binary.AppendUvarint(buf, uint64(len(gw.Path)))
 		for j := range gw.Path {
-			buf = append(buf, gw.Path[j][:]...)
+			buf = binary.AppendUvarint(buf, uint64(gw.Path[j].Count))
+			buf = append(buf, gw.Path[j].Root[:]...)
 		}
 	}
 	return buf
@@ -437,6 +442,8 @@ func (r *wireReader) proof(continued bool) *proof.Window {
 			gw.Count = r.Int()
 			root := r.hash()
 			gw.Root = &root
+			gw.Buckets = r.Int()
+			gw.First = r.Int()
 			gw.Start = r.Int()
 		}
 		gw.End = r.Int()
@@ -444,10 +451,15 @@ func (r *wireReader) proof(continued bool) *proof.Window {
 			gw.Pred = r.edge(gw.Group)
 		}
 		gw.Succ = r.edge(gw.Group)
-		if p := r.Count("path hashes", proof.HashSize); p > 0 {
-			gw.Path = make([]proof.Hash, p)
+		if p := r.Count("path nodes", 1+proof.HashSize); p > 0 {
+			gw.Path = make([]proof.Node, p)
 			for j := range gw.Path {
-				gw.Path[j] = r.hash()
+				if c := r.Uvarint(); c < 1 || c > math.MaxUint32 {
+					r.Fail("proof group %d: a path node counting %d elements", gw.Group, c)
+				} else {
+					gw.Path[j].Count = int(c)
+				}
+				gw.Path[j].Root = r.hash()
 			}
 		}
 		if r.Err() != nil {
@@ -460,7 +472,7 @@ func (r *wireReader) proof(continued bool) *proof.Window {
 // edge reads the edge elements of one proof group, nil for none.
 func (r *wireReader) edge(group int) []proof.Boundary {
 	n := r.Count("edge elements", store.MinElementBytes)
-	if n > proof.BucketSize {
+	if n > proof.MaxBucket {
 		r.Fail("proof group %d: an edge of %d elements", group, n)
 	}
 	if n == 0 || r.Err() != nil {

@@ -27,47 +27,79 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden wire fixtures and the fuzz seeds derived from them")
 
 // goldenWindow is a hand-built proved window that verifies: list
-// version 0x2a00000007, groups 0 (68 elements, 17 buckets, in the
-// caller's view) and 2 (foreign, opaque); the caller asked for offset
-// 2, count 20, so the window's edges cut buckets 0 and 5.
+// version 0x2a00000007, groups 0 (68 elements, in the caller's view)
+// and 2 (foreign, opaque); the caller asked for offset 2, count 20, so
+// the window's edges cut the first bucket and the one holding
+// position 22.
 func goldenWindow() (resp QueryResponse, allowed map[int]bool, offset, count int) {
 	const version = 0x2a00000007
 	run := make([]StoredElement, 68)
-	var b proof.Bucketer
-	var buckets []proof.Hash
 	for i := range run {
 		run[i] = StoredElement{Sealed: fmt.Appendf(nil, "a%02d", i), TRS: float64(100-i) / 100}
-		if h, ok := b.Add(run[i].TRS, run[i].Sealed); ok {
-			buckets = append(buckets, h)
-		}
 	}
-	root := proof.TreeRoot(buckets)
+	gw := provedGroup(run, 2, 22)
 	foreign := proof.HeaderHash(2, 3, proof.Hash{0x66})
-	edge := func(els []StoredElement) []proof.Boundary {
-		out := make([]proof.Boundary, len(els))
-		for i, el := range els {
-			out[i] = proof.Boundary{TRS: el.TRS, Sealed: el.Sealed}
-		}
-		return out
-	}
 	content := proof.ContentRoot([]proof.HeaderEntry{
-		{Group: 0, HH: proof.HeaderHash(0, len(run), root)},
+		{Group: 0, HH: proof.HeaderHash(0, len(run), *gw.Root)},
 		{Group: 2, HH: foreign},
 	})
 	w := &proof.Window{
 		Version: version,
 		Root:    proof.ListRoot(version, content),
-		Groups: []proof.GroupWindow{
-			{
-				Group: 0, Count: len(run), Root: &root, Start: 2, End: 22,
-				Pred: edge(run[0:2]),
-				Succ: edge(run[22:24]),
-				Path: proof.RangeProof(buckets, 0, 6),
-			},
-			{Group: 2, Opaque: &foreign},
-		},
+		Groups:  []proof.GroupWindow{gw, {Group: 2, Opaque: &foreign}},
 	}
 	return QueryResponse{Elements: run[2:22], Version: version, Proof: w}, map[int]bool{0: true}, 2, 20
+}
+
+// provedGroup is the honest proof of the window [start, end) of a run
+// that is group 0's whole: the run cut by the boundary rule, the range
+// from the bucket holding start-1 to the one holding end.
+func provedGroup(run []StoredElement, start, end int) proof.GroupWindow {
+	var b proof.Bucketer
+	var bk proof.Buckets
+	var starts []int
+	at := 0
+	add := func(nd proof.Node) {
+		bk.Hashes, bk.Sizes = append(bk.Hashes, nd.Root), append(bk.Sizes, uint8(nd.Count))
+		starts = append(starts, at)
+		at += nd.Count
+	}
+	for _, el := range run {
+		if nd, ok := b.Add(el.TRS, el.Sealed); ok {
+			add(nd)
+		}
+	}
+	if nd, ok := b.Flush(); ok {
+		add(nd)
+	}
+	bucketOf := func(p int) int {
+		i := 0
+		for i+1 < len(starts) && starts[i+1] <= p {
+			i++
+		}
+		return i
+	}
+	edge := func(els []StoredElement) []proof.Boundary {
+		var out []proof.Boundary
+		for _, el := range els {
+			out = append(out, proof.Boundary{TRS: el.TRS, Sealed: el.Sealed})
+		}
+		return out
+	}
+	root := proof.TreeRoot(bk).Root
+	gw := proof.GroupWindow{Count: len(run), Root: &root, Buckets: bk.Len(), Start: start, End: end}
+	lo, hb, hi := 0, bk.Len(), len(run)
+	if start > 0 {
+		gw.First = bucketOf(start - 1)
+		lo = starts[gw.First]
+	}
+	if end < len(run) {
+		i := bucketOf(end)
+		hb, hi = i+1, starts[i]+int(bk.Sizes[i])
+	}
+	gw.Pred, gw.Succ = edge(run[lo:start]), edge(run[end:hi])
+	gw.Path = proof.RangeProof(bk, gw.First, hb)
+	return gw
 }
 
 func verifyWindow(resp QueryResponse, allowed map[int]bool, offset, count int) error {
@@ -256,9 +288,10 @@ func randomWindow(rng *rand.Rand) QueryResponse {
 				if !w.Proof.Continued {
 					root := hash()
 					gw.Root, gw.Count, gw.Start = &root, rng.Intn(1<<20), rng.Intn(1<<10)
+					gw.Buckets, gw.First = rng.Intn(1<<18), rng.Intn(1<<8)
 				}
 				edge := func() (out []proof.Boundary) {
-					for n := rng.Intn(proof.BucketSize + 1); n > 0; n-- {
+					for n := rng.Intn(proof.MaxBucket + 1); n > 0; n-- {
 						out = append(out, proof.Boundary{TRS: trs(), Sealed: payload()})
 					}
 					return out
@@ -268,7 +301,7 @@ func randomWindow(rng *rand.Rand) QueryResponse {
 				}
 				gw.Succ = edge()
 				for p := rng.Intn(5); p > 0; p-- {
-					gw.Path = append(gw.Path, hash())
+					gw.Path = append(gw.Path, proof.Node{Count: 1 + rng.Intn(1<<20), Root: hash()})
 				}
 			}
 			w.Proof.Groups = append(w.Proof.Groups, gw)
@@ -590,9 +623,9 @@ func TestElementRecordShared(t *testing.T) {
 // refuses anything else in that place.
 func TestContinuationFrame(t *testing.T) {
 	resp, _, _, _ := goldenWindow()
-	resp.Proof = proof.Continue(resp.Proof)
+	resp.Proof = proof.Continue(resp.Proof, resp.Elements, nil)
 	gw := resp.Proof.Groups[0]
-	if len(resp.Proof.Groups) != 1 || len(gw.Succ) != 2 || len(gw.Path) != 2 {
+	if len(resp.Proof.Groups) != 1 || len(gw.Succ) == 0 || len(gw.Path) == 0 {
 		t.Fatalf("golden continuation %+v", resp.Proof)
 	}
 	want := binary.AppendUvarint(nil, 1)
@@ -613,8 +646,10 @@ func TestContinuationFrame(t *testing.T) {
 		want = store.AppendElement(want, StoredElement{Sealed: b.Sealed, TRS: b.TRS, Group: gw.Group})
 	}
 	want = binary.AppendUvarint(want, uint64(len(gw.Path)))
-	for _, h := range gw.Path {
-		want = append(want, h[:]...)
+	countAt := wireHeaderLen + len(want)
+	for _, nd := range gw.Path {
+		want = binary.AppendUvarint(want, uint64(nd.Count))
+		want = append(want, nd.Root[:]...)
 	}
 	frame := AppendQueryResponse(nil, []QueryResponse{resp})
 	if !bytes.Equal(frame[wireHeaderLen:], want) {
@@ -628,12 +663,22 @@ func TestContinuationFrame(t *testing.T) {
 	flagsAt := wireHeaderLen + 1 // after the window count
 	for name, mutate := range map[string]func(b []byte){
 		"continuation without a proof": func(b []byte) { b[flagsAt] = windowContinued },
-		"edge over a bucket":           func(b []byte) { b[succAt] = proof.BucketSize + 1 },
+		"edge over a bucket":           func(b []byte) { b[succAt] = proof.MaxBucket + 1 },
+		"path node counting nothing":   func(b []byte) { b[countAt] = 0 },
 	} {
 		bad := bytes.Clone(frame)
 		mutate(bad)
 		if _, err := DecodeQueryResponse(bad); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("%s: decoded (%v)", name, err)
 		}
+	}
+	// A path node without its count — the layout before nodes were
+	// counted — reads its root's first byte as the count and runs out
+	// of frame.
+	n := len(binary.AppendUvarint(nil, uint64(gw.Path[0].Count)))
+	bad := append(bytes.Clone(frame[:countAt]), frame[countAt+n:]...)
+	binary.BigEndian.PutUint32(bad[wireHeaderLen-4:], uint32(len(bad)-wireHeaderLen))
+	if _, err := DecodeQueryResponse(bad); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("path node without its count: decoded (%v)", err)
 	}
 }

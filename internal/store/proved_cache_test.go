@@ -2,40 +2,44 @@ package store
 
 // Tests for the bucket and interior-node caches behind proved reads.
 // The oracle throughout is the cache-less half of internal/proof —
-// TreeRoot and RangeProof over freshly hashed buckets — which shares
-// the traversal with the cached tree but none of its state.
+// TreeRoot and RangeProof over freshly cut and hashed buckets — which
+// shares the traversal with the cached tree but none of its state.
 
 import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 
 	"zerberr/internal/proof"
 	"zerberr/internal/zerber"
 )
 
-// bucketHashes hashes a group's whole run into its buckets afresh.
-func (ml *mergedList) bucketHashes(run []rec) []proof.Hash {
+// freshBuckets cuts and hashes a group's whole run into its buckets
+// afresh.
+func (ml *mergedList) freshBuckets(run []rec) proof.Buckets {
 	var b proof.Bucketer
-	var out []proof.Hash
+	var out proof.Buckets
+	add := func(nd proof.Node) {
+		out.Hashes = append(out.Hashes, nd.Root)
+		out.Sizes = append(out.Sizes, uint8(nd.Count))
+	}
 	for _, r := range run {
-		if h, ok := b.Add(r.trs, ml.payload(r)); ok {
-			out = append(out, h)
+		if nd, ok := b.Add(r.trs, ml.payload(r)); ok {
+			add(nd)
 		}
 	}
-	if h, ok := b.Flush(); ok {
-		out = append(out, h)
+	if nd, ok := b.Flush(); ok {
+		add(nd)
 	}
 	return out
 }
 
 // checkCommitState holds every committed group of the list to the
-// oracle without changing anything: the cached buckets are a prefix of
-// the run's (all of them once the root is valid), a root marked valid
-// is the root, and whatever prefix the cache still covers answers
-// exactly as no cache would.
+// oracle without changing anything: the cut is the run's fresh cut,
+// every bucket not marked stale carries its fresh hash, and a root
+// marked valid is the root, whose tree answers exactly as no cache
+// would.
 func checkCommitState(t *testing.T, rng *rand.Rand, ml *mergedList, step int) {
 	t.Helper()
 	ml.mu.Lock()
@@ -45,19 +49,23 @@ func checkCommitState(t *testing.T, rng *rand.Rand, ml *mergedList, step int) {
 		if c == nil {
 			continue
 		}
-		buckets := ml.bucketHashes(g.sorted)
-		if len(c.buckets) > len(buckets) || !slices.Equal(c.buckets, buckets[:len(c.buckets)]) ||
-			c.rootOK && len(c.buckets) != len(buckets) {
-			t.Fatalf("step %d group %d: cached buckets are not the run's", step, gid)
+		buckets := ml.freshBuckets(g.sorted)
+		if len(c.sizes) != buckets.Len() || len(c.hashes) != buckets.Len() {
+			t.Fatalf("step %d group %d: %d cached buckets, the run cuts into %d", step, gid, len(c.sizes), buckets.Len())
+		}
+		for i, s := range c.sizes {
+			if s&sizeMask != buckets.Sizes[i] || s&staleBucket == 0 && c.hashes[i] != buckets.Hashes[i] {
+				t.Fatalf("step %d group %d: bucket %d is not the run's", step, gid, i)
+			}
+		}
+		if !c.rootOK {
+			continue
 		}
 		root := proof.TreeRoot(buckets)
-		if c.rootOK && c.root != root {
+		if c.root != root || c.tree.Root(buckets) != root {
 			t.Fatalf("step %d group %d: root marked valid is stale", step, gid)
 		}
-		if got := c.tree.Root(buckets); got != root {
-			t.Fatalf("step %d group %d: cached tree root differs from TreeRoot", step, gid)
-		}
-		if n := len(buckets); n > 0 {
+		if n := buckets.Len(); n > 0 {
 			lo := rng.Intn(n)
 			hi := lo + 1 + rng.Intn(n-lo)
 			if !reflect.DeepEqual(c.tree.RangeProof(buckets, lo, hi), proof.RangeProof(buckets, lo, hi)) {
@@ -68,8 +76,8 @@ func checkCommitState(t *testing.T, rng *rand.Rand, ml *mergedList, step int) {
 }
 
 // checkProvedAgainstStateless is verifyProved plus the byte-for-byte
-// half: every proved group's root and path are what the stateless
-// functions produce from the group's run.
+// half: every proved group's root, bucket range and path are what the
+// stateless functions produce from the group's run.
 func checkProvedAgainstStateless(t *testing.T, m *Memory, list zerber.ListID, allowed map[int]bool, offset, count, step int) {
 	t.Helper()
 	verifyProved(t, m, list, allowed, offset, count)
@@ -87,14 +95,17 @@ func checkProvedAgainstStateless(t *testing.T, m *Memory, list zerber.ListID, al
 		if gw.Opaque != nil {
 			continue
 		}
-		buckets := ml.bucketHashes(ml.groups[gw.Group].sorted)
-		if *gw.Root != proof.TreeRoot(buckets) {
+		buckets := ml.freshBuckets(ml.groups[gw.Group].sorted)
+		if *gw.Root != proof.TreeRoot(buckets).Root || gw.Buckets != buckets.Len() {
 			t.Fatalf("step %d group %d: served root differs from TreeRoot", step, gw.Group)
 		}
-		lo, hi := gw.Start-len(gw.Pred), gw.End+len(gw.Succ)
-		lb, hb := lo/proof.BucketSize, proof.NumBuckets(hi)
-		if !reflect.DeepEqual(gw.Path, proof.RangeProof(buckets, lb, hb)) {
-			t.Fatalf("step %d group %d: served path for buckets [%d,%d) differs from RangeProof", step, gw.Group, lb, hb)
+		// The range ends with the bucket holding End's element.
+		hb, at := 0, 0
+		for hi := gw.End + len(gw.Succ); at < hi; hb++ {
+			at += int(buckets.Sizes[hb])
+		}
+		if !reflect.DeepEqual(gw.Path, proof.RangeProof(buckets, gw.First, hb)) {
+			t.Fatalf("step %d group %d: served path for buckets [%d,%d) differs from RangeProof", step, gw.Group, gw.First, hb)
 		}
 	}
 }
@@ -190,73 +201,158 @@ func TestProvedCacheDifferential(t *testing.T) {
 	}
 }
 
-// TestMutationTruncatesCacheAtItsRank: what a write costs the next
-// audit is decided by where the store truncates the cache. An insert
-// keeps the cache over the ranks before the one it landed at (a batch,
-// before the first one any of its elements landed at), a remove over
-// the ranks before the removed one — compared against a tree built
-// over the old leaves and truncated at exactly that rank, so
-// truncating lower (a slower next audit) fails as surely as truncating
-// higher (a wrong root).
-func TestMutationTruncatesCacheAtItsRank(t *testing.T) {
-	const list, n = zerber.ListID(3), 200
-	build := func() (*Memory, *mergedList, *groupList) {
+// randomElements returns n elements of one group with payloads of a
+// sealed element's size and two-decimal scores.
+func randomElements(rng *rand.Rand, n, group int) []Element {
+	out := make([]Element, n)
+	for i := range out {
+		sealed := make([]byte, 44)
+		rng.Read(sealed)
+		out[i] = Element{Sealed: sealed, TRS: float64(rng.Intn(1000)) / 100, Group: group}
+	}
+	return out
+}
+
+func insertAll(t *testing.T, m *Memory, list zerber.ListID, els []Element) {
+	t.Helper()
+	ops := make([]BatchInsert, len(els))
+	for i, e := range els {
+		ops[i] = BatchInsert{List: list, Element: e}
+	}
+	if err := m.InsertBatch(ops); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWriteRehashesOnlyItsBuckets: what a write costs the next audit.
+// Bucket boundaries come from content, so m inserts and removes at
+// random ranks of an audited group leave the next audit at most 3m + 2
+// buckets to hash, however long the group — where rank-indexed buckets
+// re-hashed every bucket behind the lowest write. Counted by the
+// hashedBuckets hook; the state the audit leaves is held to the
+// oracle.
+func TestWriteRehashesOnlyItsBuckets(t *testing.T) {
+	const list = zerber.ListID(4)
+	hashed := 0
+	hashedBuckets = func(n int) { hashed += n }
+	defer func() { hashedBuckets = nil }()
+	rng := rand.New(rand.NewSource(52))
+	for _, n := range []int{64, 4096, 16384} {
 		m := NewMemory()
-		for i := 0; i < n; i++ {
-			// Rank i holds score n-i: rank p is free at score n-p+0.5.
-			if err := m.Insert(list, el(fmt.Sprintf("e%03d", i), float64(n-i), 0)); err != nil {
+		live := randomElements(rng, n, 0)
+		insertAll(t, m, list, live)
+		audit := func() {
+			if _, err := m.QueryProved(list, nil, 0, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := m.QueryProved(list, nil, 0, 1); err != nil {
-			t.Fatal(err)
+		hashed = 0
+		audit()
+		if ml := m.list(list, false); hashed != len(ml.groups[0].commit.sizes) {
+			t.Fatalf("n=%d: the first audit hashed %d buckets of %d", n, hashed, len(ml.groups[0].commit.sizes))
 		}
+		for _, writes := range []int{1, 2, 3, 8, 8, 32} {
+			for range writes {
+				if rng.Intn(2) == 0 {
+					e := randomElements(rng, 1, 0)[0]
+					insertAll(t, m, list, []Element{e})
+					live = append(live, e)
+					continue
+				}
+				i := rng.Intn(len(live))
+				if err := m.Remove(list, live[i].Sealed, nil); err != nil {
+					t.Fatal(err)
+				}
+				live[i] = live[len(live)-1]
+				live = live[:len(live)-1]
+			}
+			hashed = 0
+			audit()
+			if hashed > 3*writes+2 {
+				t.Errorf("n=%d: the audit after %d writes hashed %d buckets, bound %d", n, writes, hashed, 3*writes+2)
+			}
+			checkCommitState(t, rng, m.list(list, false), writes)
+		}
+	}
+}
+
+// TestCommitmentIsHistoryIndependent: the commitment is a function of
+// the element set alone. One set reached by inserting it in one order,
+// by inserting it in another with audits and other elements inserted
+// and removed along the way, and by reloading a snapshot of either,
+// has the same group headers and content root in every store — the
+// roots a from-scratch cut of each run gives (proof.TreeRoot, which
+// TestOracleShape holds to an independent builder).
+func TestCommitmentIsHistoryIndependent(t *testing.T) {
+	const list = zerber.ListID(6)
+	rng := rand.New(rand.NewSource(1))
+	var set []Element
+	for g := range 3 {
+		set = append(set, randomElements(rng, 150+40*g, g)...)
+	}
+	// Ties in score, broken by payload.
+	for i := 0; i < len(set); i += 7 {
+		set[i].TRS = 1
+	}
+	a := NewMemory()
+	insertAll(t, a, list, set)
+
+	b := NewMemory()
+	order := rng.Perm(len(set))
+	extra := randomElements(rng, 60, 1)
+	for k, i := range order {
+		insertAll(t, b, list, []Element{set[i]})
+		if k%50 == 0 {
+			if _, err := b.QueryProved(list, map[int]bool{1: true}, k/3, 5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if k < len(extra) {
+			insertAll(t, b, list, []Element{extra[k]})
+		}
+		if k >= 2*len(extra) && k < 3*len(extra) {
+			if err := b.Remove(list, extra[k-2*len(extra)].Sealed, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	snap, _, err := b.ExportSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewMemory()
+	if err := c.ImportSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+
+	type state struct {
+		headers []headerInfo
+		content proof.Hash
+	}
+	stateOf := func(m *Memory) state {
 		ml := m.list(list, false)
-		return m, ml, ml.groups[0]
-	}
-	// A change at rank p keeps the buckets and cached nodes before p's
-	// bucket.
-	truncatedAt := func(buckets []proof.Hash, p int) ([]proof.Hash, proof.Tree) {
-		var tr proof.Tree
-		tr.Extend(buckets)
-		tr.Truncate(p / proof.BucketSize)
-		return buckets[:p/proof.BucketSize], tr
-	}
-	cutAt := func(g *groupList, before []proof.Hash, p int) bool {
-		buckets, tr := truncatedAt(before, p)
-		return reflect.DeepEqual(g.commit.tree, tr) && slices.Equal(g.commit.buckets, buckets) && !g.commit.rootOK
-	}
-	newAt := func(rank int) BatchInsert {
-		return BatchInsert{List: list, Element: el(fmt.Sprintf("new%03d", rank), float64(n-rank)+0.5, 0)}
-	}
-	for _, p := range []int{0, 1, 63, 64, 65, 128, 199, 200} {
-		for _, batch := range [][]BatchInsert{
-			{newAt(p)},
-			// Two elements, one merge: the cache survives up to the
-			// earlier one.
-			{newAt(min(p+30, n)), newAt(p)},
-		} {
-			m, ml, g := build()
-			before := append([]proof.Hash{}, g.commit.buckets...)
-			if err := m.InsertBatch(batch); err != nil {
-				t.Fatal(err)
-			}
-			if !cutAt(g, before, p) {
-				t.Errorf("insert of %d landing first at rank %d: cache not truncated exactly there", len(batch), p)
-			}
-			if got := ml.payload(g.sorted[p]); string(got) != fmt.Sprintf("new%03d", p) {
-				t.Fatalf("test bug: rank %d holds %s", p, got)
+		ml.mu.Lock()
+		defer ml.mu.Unlock()
+		ml.ensureCommittedLocked()
+		headers, content, _ := ml.commitLocked()
+		for _, h := range headers {
+			if want := proof.TreeRoot(ml.freshBuckets(h.g.sorted)).Root; h.root != want {
+				t.Fatalf("group %d: root differs from a from-scratch cut", h.gid)
 			}
 		}
+		return state{headers, content}
 	}
-	for _, p := range []int{0, 1, 63, 64, 65, 128, 198, 199} {
-		m, _, g := build()
-		before := append([]proof.Hash{}, g.commit.buckets...)
-		if err := m.Remove(list, []byte(fmt.Sprintf("e%03d", p)), nil); err != nil {
-			t.Fatal(err)
+	want := stateOf(a)
+	for name, m := range map[string]*Memory{"another order": b, "a snapshot reload": c} {
+		got := stateOf(m)
+		if got.content != want.content || len(got.headers) != len(want.headers) {
+			t.Fatalf("%s: content root differs", name)
 		}
-		if !cutAt(g, before, p) {
-			t.Errorf("remove at rank %d: cache not truncated exactly there", p)
+		for i, h := range got.headers {
+			w := want.headers[i]
+			if h.gid != w.gid || h.count != w.count || h.root != w.root || h.hh != w.hh {
+				t.Errorf("%s: group %d header differs", name, h.gid)
+			}
 		}
 	}
 }

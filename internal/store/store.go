@@ -104,6 +104,11 @@ type QueryResult struct {
 	// sets it, so unproven results are byte-identical to before the
 	// commitment scheme existed.
 	Proof *proof.Window
+	// ProofEnds holds, per proved group of Proof in order, the bucket
+	// after the last one its range covers: what proof.Continue trims
+	// the proof with. The verifier finds it by cutting the window, so
+	// it does not travel.
+	ProofEnds []int
 }
 
 // BatchInsert is one element of an InsertBatch call.
@@ -178,7 +183,7 @@ type Backend interface {
 	// against the list's committed root at the result's version. It is
 	// the audit path, deliberately off the hot one — the first proved
 	// read of a list hashes its elements into buckets; later reads
-	// reuse them and re-hash only what a mutation shifted.
+	// reuse them and re-hash only the buckets a mutation re-cut.
 	QueryProved(list zerber.ListID, allowed map[int]bool, offset, count int) (QueryResult, error)
 	// Commitment reports the list's current Merkle commitment — the
 	// version-free content root (cross-instance identity checks, e.g.
@@ -339,11 +344,12 @@ type mergedList struct {
 	// Reads report it so ranged windows can be cached under a key that
 	// a later mutation transparently invalidates.
 	version uint64
-	// commitVer/commitOK cache the list-level commitment (content and
-	// list root) for one version; a version bump is the invalidation,
+	// commitVer/commitOK cache the list-level commitment (group headers,
+	// content and list root) for one version; a version bump is the invalidation,
 	// exactly as for cached query windows.
 	commitVer     uint64
 	commitOK      bool
+	commitHeaders []headerInfo
 	commitContent proof.Hash
 	commitRoot    proof.Hash
 	// snapGen is the latest snapshot generation this list is settled
@@ -471,55 +477,37 @@ type groupList struct {
 	commit *groupCommit
 }
 
-// groupCommit is an audited group's commitment state (see
-// internal/proof), maintained from the first audit on: a mutation at
-// rank p drops what it shifted, and the next audit hashes the buckets
-// from p's on again, straight from the payloads.
-type groupCommit struct {
-	// buckets holds the bucket hashes of sorted's leading elements —
-	// bucket i over sorted[4i:4i+4] — as far as no mutation has shifted
-	// them: 8 bytes per element.
-	buckets []proof.Hash
-	// tree caches the interior nodes over the buckets. Buckets are
-	// indexed by rank, so a mutation at bucket b shifts every later
-	// one: it keeps the cache over [0, b) and the next audit re-hashes
-	// the rest.
-	tree proof.Tree
-	// root caches the Merkle root over the buckets; rootOK is dropped by
-	// any mutation of sorted.
-	root   proof.Hash
-	rootOK bool
-}
-
-// mutatedAt records that sorted changed at index p and beyond: the
-// bucket holding p and every later one are stale.
-func (c *groupCommit) mutatedAt(p int) {
-	b := p / proof.BucketSize
-	c.rootOK = false
-	c.buckets = c.buckets[:min(b, len(c.buckets))]
-	c.tree.Truncate(b)
-}
-
 // merge inserts add — g's records, less-ordered, every offset above
 // the run's — into g's sorted run from the back: each new record finds
 // its rank by binary search, and the old records between it and the
 // previous one move up as one block. Only the records ranking below the
 // first new one move, in place when the run has room, else into a
 // buffer with headroom for later inserts (growTo). Callers hold the
-// list's write lock. When the group is committed, its buckets and
-// interior nodes before the first rank a new element landed at stay
-// cached; nothing is hashed here.
+// list's write lock. When the group is committed, its buckets are
+// re-cut around the ranks the new elements landed at (repartition);
+// nothing is hashed here.
 func (ml *mergedList) merge(g *groupList, add []grec) {
 	n, l := len(g.sorted), len(g.sorted)+len(add)
 	src, dst := g.sorted, growTo(g.sorted, l)
 	// src[:i+1] is the old run still unplaced. add[j] lands behind the
 	// part of it ranking before add[j], src[:p]; the rest moves up by j+1
 	// (copy is a memmove, so in place nothing unread is overwritten).
+	// ins collects where each new record lands, for a committed group's
+	// buckets.
+	var insBuf [8]int
+	var ins []int
+	if g.commit != nil {
+		ins = insBuf[:0]
+		ins = slices.Grow(ins, len(add))[:len(add)]
+	}
 	i := n - 1
 	for j := len(add) - 1; j >= 0; j-- {
 		p := sort.Search(i+1, func(x int) bool { return ml.less(add[j].rec, src[x]) })
 		copy(dst[p+j+1:], src[p:i+1])
 		dst[p+j] = add[j].rec
+		if ins != nil {
+			ins[j] = p + j
+		}
 		i = p - 1
 	}
 	// The old run's [0, i] ranks before every new element: it stays
@@ -528,8 +516,8 @@ func (ml *mergedList) merge(g *groupList, add []grec) {
 		copy(dst, src[:i+1])
 	}
 	g.sorted = dst
-	if c := g.commit; c != nil {
-		c.mutatedAt(i + 1)
+	if ins != nil {
+		ml.repartition(g, ins, nil)
 	}
 }
 
@@ -898,10 +886,10 @@ func namesPayload(ops []BatchRemove, idxs []int, sealed []byte) bool {
 // delete removes the resolved victims from the list, bumping its
 // version once per element: one filtering pass per touched run, so a
 // batch deleting many elements of one group shifts its tail once. A
-// committed group keeps its buckets and cached interior nodes below the
-// lowest deleted index. The payloads
-// stay in the slab as dead bytes until they outnumber the live ones,
-// when the slab is rebuilt. Callers hold the list's write lock.
+// committed group's buckets are re-cut around the deleted indices
+// (repartition). The payloads stay in the slab as dead bytes until they
+// outnumber the live ones, when the slab is rebuilt. Callers hold the
+// list's write lock.
 func (ml *mergedList) delete(victims []victim) {
 	ml.total -= len(victims)
 	ml.version += uint64(len(victims))
@@ -919,8 +907,13 @@ func (ml *mergedList) delete(victims []victim) {
 		run, g := victims[:n], victims[0].g
 		victims = victims[n:]
 		g.sorted = deleteAt(g.sorted, run)
-		if c := g.commit; c != nil {
-			c.mutatedAt(run[0].idx)
+		if g.commit != nil {
+			var delBuf [8]int
+			del := delBuf[:0]
+			for _, v := range run {
+				del = append(del, v.idx)
+			}
+			ml.repartition(g, nil, del)
 		}
 	}
 	if len(ml.base)+len(ml.slab)-ml.live > ml.live {

@@ -42,8 +42,9 @@ type Config struct {
 	RandomMerge bool
 	// TRSJitter, when positive, adds deterministic per-element noise of
 	// this width to every TRS — the countermeasure to the
-	// shared-score-atom fingerprint documented in EXPERIMENTS.md
-	// (Ext-B). To be effective it must exceed the typical per-term TRS
+	// shared-score-atom fingerprint that internal/adversary's attacks
+	// measure (experiment Ext-B, internal/experiments/attacks.go). To be
+	// effective it must exceed the typical per-term TRS
 	// gap (about 1/df of the terms to protect), which trades local
 	// rank swaps near the top-k boundary for the closed channel;
 	// 0.01-0.05 works for mid-frequency terms. An extension beyond the
